@@ -1,7 +1,9 @@
-//! A counting global allocator: allocation count, live bytes and peak
-//! live bytes, read by the workloads around the calls they measure.
+//! A counting global allocator: allocation counts (per thread and for
+//! the process), live bytes and peak live bytes, read by the workloads
+//! around the calls they measure.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 /// Forwards to the system allocator and counts what passes through.
@@ -13,6 +15,17 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    // Constant-initialised and without a destructor, so reading it
+    // never allocates.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn counted() {
+    ALLOCS.fetch_add(1, Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
 fn grew(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
     PEAK.fetch_max(live, Relaxed);
@@ -20,13 +33,14 @@ fn grew(bytes: usize) {
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the bookkeeping around the
-// calls touches only atomics and never allocates.
+// calls touches only atomics and a constant-initialised thread-local,
+// and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: the caller's layout contract is passed through as is.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            ALLOCS.fetch_add(1, Relaxed);
+            counted();
             grew(layout.size());
         }
         p
@@ -36,7 +50,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: as for `alloc`.
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
-            ALLOCS.fetch_add(1, Relaxed);
+            counted();
             grew(layout.size());
         }
         p
@@ -53,7 +67,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: as for `dealloc`, plus the caller's `new_size` contract.
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
-            ALLOCS.fetch_add(1, Relaxed);
+            counted();
             LIVE.fetch_sub(layout.size(), Relaxed);
             grew(new_size);
         }
@@ -61,8 +75,15 @@ unsafe impl GlobalAlloc for Counting {
     }
 }
 
-/// Allocations (including reallocations) since the process started.
+/// Allocations (including reallocations) made by this thread since it
+/// started; other threads' allocations never show here.
 pub fn allocs() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
+}
+
+/// Allocations (including reallocations) by every thread since the
+/// process started.
+pub fn process_allocs() -> u64 {
     ALLOCS.load(Relaxed)
 }
 

@@ -365,6 +365,10 @@ impl ControlPlane {
 }
 
 impl Rounds for ControlPlane {
+    // The pic8259 guard combination cycles every 8 rounds and the
+    // hand twins alternate first and last.
+    const ROUNDS_PER_SAMPLE: u32 = 8;
+
     fn round(&mut self, r: u64, traced: bool) -> RoundTimes {
         let inp = self.input(r);
         self.prepare(&inp);
@@ -513,6 +517,7 @@ fn codec_access(
 
 pub(crate) fn run(cfg: &Config) -> Report {
     let mut report = Report::default();
+    let timed = crate::Timed::new(cfg);
     let (mut cp, _) = ControlPlane::build(cfg.seed, cfg.plant_fault);
 
     // Deterministic counters, twice on fresh rigs from the same seed.
@@ -521,9 +526,8 @@ pub(crate) fn run(cfg: &Config) -> Report {
     report.counters_repeat = first == second;
     costs::record(&mut report, first, COST_ROUNDS * KINDS.len() as u64);
 
-    trace::set_enabled(false);
     let setup = || crate::timed_setup(|| ControlPlane::build(cfg.seed, cfg.plant_fault));
-    crate::drive_rounds(cfg, &mut report, &mut cp, setup);
+    crate::drive_rounds(cfg, &mut report, timed, &mut cp, setup);
     report.notes.push(format!(
         "{} instances ({PER_KIND} each of pic8259, busmouse, dma8237, cs4236b) plus hand twins",
         4 * PER_KIND

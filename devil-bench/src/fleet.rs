@@ -13,7 +13,7 @@
 
 use crate::costs::{self, CostAcc};
 use crate::report::Report;
-use crate::stats::{self, Reservoir, Segments};
+use crate::stats;
 use crate::trace::{self, span, Layer};
 use crate::Config;
 use devil_fleet::{run_fleet_with, FleetConfig, FleetInstance, Mix, Rng, SharedIrs, WorkloadKind};
@@ -22,6 +22,12 @@ use hwsim::{Hash, Ledger, MmrForest};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
+
+/// The band of segments the end-to-end figures come from: the middle
+/// half. A sample here is a whole run on two threads and a segment holds
+/// one or two of them, so the quietest few would be an extreme-value
+/// pick; the middle half repeats far better across runs.
+const TYPICAL_BAND: (f64, f64) = (0.25, 0.75);
 
 const INSTANCES: usize = 1000;
 const UNITS_PER_INSTANCE: u64 = 16;
@@ -166,10 +172,11 @@ fn replay_shard(
 pub(crate) fn run(cfg: &Config) -> Report {
     let mut report = Report::default();
     let fc = fleet_config(cfg);
+    let mut timed = crate::Timed::new(cfg);
     let ((irs, insts), _) = build(&fc);
 
     // The independent reference, outside the timed phase.
-    let reference = replay(&fc, insts);
+    let mut reference = replay(&fc, insts);
     let per_unit = |v: f64| stats::ratio(v, reference.units as f64);
     costs::record(&mut report, reference.costs.table(), reference.units);
     report.set("mmr.leaves_per_unit", per_unit(reference.leaves as f64), reference.units);
@@ -184,14 +191,17 @@ pub(crate) fn run(cfg: &Config) -> Report {
         fc.checkpoint_every_units,
         reference.root
     ));
+    if cfg.plant_fault {
+        reference.root.0[0] ^= 1;
+    }
 
     // Traced run: untraced and traced replays alternate for half the
     // run (the overhead is their difference), then the timed phase
     // takes the other half.
-    let mut timed = cfg.clone();
+    let mut phase = cfg.clone();
     if cfg.trace {
-        timed.seconds = cfg.seconds / 2.0;
-        let until = Instant::now() + Duration::from_secs_f64(timed.seconds);
+        phase.seconds = cfg.seconds / 2.0;
+        let until = Instant::now() + Duration::from_secs_f64(phase.seconds);
         trace::reset();
         let (mut plain_ns, mut plain_units) = (0u64, 0u64);
         let (mut units, mut checkpoints, mut leaves) = (0u64, 0u64, 0u64);
@@ -204,15 +214,18 @@ pub(crate) fn run(cfg: &Config) -> Report {
             units += traced.units;
             checkpoints += traced.checkpoints;
             leaves += traced.leaves;
-            if traced.root != reference.root || plain.root != reference.root {
-                report.failed += traced.units;
+            for r in [&plain, &traced] {
+                report.attempted += r.units;
+                if r.root != reference.root || r.ledger != reference.ledger || r.general != 0 {
+                    report.failed += r.units;
+                }
             }
         }
         let t = trace::totals();
         let n = units as f64;
         let untraced_ns = stats::ratio(plain_ns as f64, plain_units as f64);
-        let net = crate::layer_sum(&mut report, &t, n, untraced_ns, &[]);
-        let self_ns = |l: Layer| net[l.index()];
+        crate::layer_sum(&mut report, &t, n, untraced_ns, &[]);
+        let self_ns = |l: Layer| t.self_ns(l);
         report.set("fleet.run_unit_ns", stats::ratio(self_ns(Layer::FleetUnit), n), units);
         let per_cp = |l: Layer| stats::ratio(self_ns(l), checkpoints as f64);
         report.set("ledger.drain_checkpoint_ns", per_cp(Layer::LedgerDrain), checkpoints);
@@ -230,21 +243,19 @@ pub(crate) fn run(cfg: &Config) -> Report {
             && r.stats.general == 0
             && reference.general == 0
             && r.units == reference.units
-            && !cfg.plant_fault
     };
     let mut first: Option<(Ledger, PlanStats, u64, Hash)> = None;
     let mut repeat = true;
-    let mut segments = Segments::new(crate::SEGMENT, timed.seconds);
-    let mut allocs = Reservoir::new();
     let (mut runs, mut units) = (0u64, 0u64);
     run_fleet_with(&fc, &irs); // warm-up
-    crate::alloc::reset_peak();
-    let deadline = timed.deadline();
+    timed.start();
+    let deadline = phase.deadline();
     while runs == 0 || Instant::now() < deadline {
-        segments.tick(|| crate::timed_setup(|| build(&fc)));
-        let a0 = crate::alloc::allocs();
+        timed.segments.tick(|| crate::timed_setup(|| build(&fc)));
+        // The shard threads allocate too, so count the whole process.
+        let a0 = crate::alloc::process_allocs();
         let r = run_fleet_with(&fc, &irs);
-        let a = crate::alloc::allocs() - a0;
+        let a = crate::alloc::process_allocs() - a0;
         let ns = r.wall.as_nanos() as u64;
         report.attempted += r.units;
         if !check(&r) {
@@ -252,8 +263,8 @@ pub(crate) fn run(cfg: &Config) -> Report {
         }
         let key = (r.ledger, r.stats, r.p99_ns, r.trace_root);
         repeat &= *first.get_or_insert(key) == key;
-        segments.push(ns, r.units);
-        allocs.push(a as f64 / r.units as f64);
+        timed.segments.push(ns, r.units);
+        timed.allocs.push(a as f64 / r.units as f64);
         runs += 1;
         units += r.units;
     }
@@ -261,9 +272,9 @@ pub(crate) fn run(cfg: &Config) -> Report {
         report.set("sim_latency_ns_p99", p99_ns as f64, units);
     }
     report.counters_repeat = repeat;
-    report.set("peak_heap_bytes", crate::alloc::peak_bytes() as f64, 1);
-    crate::record_quiet(&mut report, &segments);
-    report.set_median("allocs_per_unit", &allocs.summary());
+    report.set("peak_heap_bytes", timed.peak_heap_bytes(), 1);
+    crate::record_band(&mut report, &timed.segments, TYPICAL_BAND);
+    report.set_median("allocs_per_unit", &timed.allocs.summary());
     report.notes.push(format!(
         "timed phase: {runs} fleet runs, {units} units; a sample is one run's wall time / units"
     ));

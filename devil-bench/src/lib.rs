@@ -89,8 +89,7 @@ impl Config {
 
 /// Runs one workload and returns its report.
 pub fn run(cfg: &Config) -> Report {
-    trace::set_enabled(false);
-    trace::reset();
+    trace::stop();
     let mut report = match cfg.workload {
         Workload::ControlPlane => control_plane::run(cfg),
         Workload::BulkIo => bulk_io::run(cfg),
@@ -137,8 +136,28 @@ struct RoundTimes {
     failed: u32,
 }
 
+impl std::ops::AddAssign for RoundTimes {
+    fn add_assign(&mut self, o: RoundTimes) {
+        self.units += o.units;
+        self.devil_ns += o.devil_ns;
+        self.twin_units += o.twin_units;
+        self.twin_devil_ns += o.twin_devil_ns;
+        self.hand_ns += o.hand_ns;
+        self.fused_units += o.fused_units;
+        self.fused_ns += o.fused_ns;
+        self.unfused_units += o.unfused_units;
+        self.unfused_ns += o.unfused_ns;
+        self.failed += o.failed;
+    }
+}
+
 /// A workload made of rounds of driver or runtime units.
 trait Rounds {
+    /// Rounds per timing sample: a whole cycle of the ways rounds differ
+    /// (guard combinations, which twin runs first), so that every sample
+    /// is the same mix of work and the samples' median is stable.
+    const ROUNDS_PER_SAMPLE: u32;
+
     /// Runs round `r`: prepares inputs, runs and times the Devil units
     /// (each inside [`trace::unit`] when `traced`), runs their
     /// hand-written twins, and checks every output.
@@ -146,10 +165,54 @@ trait Rounds {
 }
 
 /// Length of the timed phase's segments.
-const SEGMENT: Duration = Duration::from_millis(500);
+const SEGMENT: Duration = Duration::from_millis(250);
 
-/// Share of the segments, the quietest, the end-to-end figures use.
-const QUIET_SHARE: f64 = 0.25;
+/// The band of segments, ranked by mean time per unit, the end-to-end
+/// figures of a single-threaded workload come from: the quietest
+/// twentieth. The host's slow stretches last seconds to minutes, so the
+/// lower the band, the more runs it finds outside them.
+const QUIET_BAND: (f64, f64) = (0.0, 0.05);
+
+/// The benchmark's own sample storage for a timed phase. It is
+/// allocated before the workload builds its rigs, and the live heap
+/// measured right after it is the baseline `peak_heap_bytes` is taken
+/// from, so the figure counts the program's heap and not the
+/// benchmark's buffers, whatever the run's length.
+struct Timed {
+    segments: stats::Segments,
+    allocs: Reservoir,
+    hand: Reservoir,
+    twin_ratio: Reservoir,
+    fused: Reservoir,
+    unfused: Reservoir,
+    base: usize,
+}
+
+impl Timed {
+    fn new(cfg: &Config) -> Self {
+        let mut t = Timed {
+            segments: stats::Segments::new(SEGMENT, cfg.seconds),
+            allocs: Reservoir::new(),
+            hand: Reservoir::new(),
+            twin_ratio: Reservoir::new(),
+            fused: Reservoir::new(),
+            unfused: Reservoir::new(),
+            base: 0,
+        };
+        t.base = alloc::live_bytes();
+        t
+    }
+
+    /// Starts peak tracking for the timed phase.
+    fn start(&self) {
+        alloc::reset_peak();
+    }
+
+    /// Peak live heap since [`Timed::start`], above the baseline.
+    fn peak_heap_bytes(&self) -> f64 {
+        alloc::peak_bytes().saturating_sub(self.base) as f64
+    }
+}
 
 /// Builds and drops a fresh copy of a workload's rigs, returning
 /// `(total, compile)` seconds; the timed phase calls it once per
@@ -164,10 +227,11 @@ fn timed_setup<T>(build: impl FnOnce() -> (T, f64)) -> (f64, f64) {
     (total, compile_s)
 }
 
-/// Records the end-to-end figures of a timed phase from its quietest
-/// segments, and returns their mean host time per unit.
-fn record_quiet(report: &mut Report, segments: &stats::Segments) -> f64 {
-    let q = segments.quiet(QUIET_SHARE);
+/// Records the end-to-end figures of a timed phase from the segments
+/// in `band` (see [`stats::Segments::band`]), and returns their mean
+/// host time per unit.
+fn record_band(report: &mut Report, segments: &stats::Segments, band: (f64, f64)) -> f64 {
+    let q = segments.band(band);
     report.set_median("unit_host_ns_p50", &q.unit);
     report.set("unit_host_ns_p99", q.unit.p99, q.unit.n);
     let mean_ns = stats::ratio(q.ns as f64, q.units as f64);
@@ -179,11 +243,13 @@ fn record_quiet(report: &mut Report, segments: &stats::Segments) -> f64 {
     }
     let means: Vec<String> = segments.means().iter().map(|v| format!("{v:.0}")).collect();
     report.notes.push(format!(
-        "end-to-end figures from the quietest {} of {} {:.1} s segments; mean ns per unit by \
-         segment: {}",
+        "end-to-end figures from {} of {} {:.2} s segments (ranks {:.0}%..{:.0}% by time); \
+         mean ns per unit by segment: {}",
         q.chosen,
         q.of,
         SEGMENT.as_secs_f64(),
+        band.0 * 100.0,
+        band.1 * 100.0,
         means.join(" ")
     ));
     mean_ns
@@ -193,10 +259,11 @@ fn record_quiet(report: &mut Report, segments: &stats::Segments) -> f64 {
 /// until the deadline, with `setup` rebuilt once per segment. A traced
 /// run alternates traced and untraced rounds, so the tracing overhead
 /// is measured on interleaved rounds.
-fn drive_rounds(
+fn drive_rounds<R: Rounds>(
     cfg: &Config,
     report: &mut Report,
-    bench: &mut impl Rounds,
+    mut timed: Timed,
+    bench: &mut R,
     mut setup: impl FnMut() -> (f64, f64),
 ) {
     let warm_until = Instant::now() + Duration::from_secs_f64((cfg.seconds * 0.05).min(0.5));
@@ -206,15 +273,15 @@ fn drive_rounds(
         r += 1;
     }
 
-    let mut segments = stats::Segments::new(SEGMENT, cfg.seconds);
-    let (mut twin_ratio, mut hand_samples) = (Reservoir::new(), Reservoir::new());
-    let (mut fused_samples, mut unfused_samples) = (Reservoir::new(), Reservoir::new());
     let (mut devil_ns, mut units) = (0u64, 0u64);
-    trace::reset();
-    alloc::reset_peak();
+    let (mut block, mut block_rounds) = (RoundTimes::default(), 0);
+    if cfg.trace {
+        trace::reset();
+    }
+    timed.start();
     let deadline = cfg.deadline();
     while Instant::now() < deadline {
-        segments.tick(&mut setup);
+        timed.segments.tick(&mut setup);
         r += 1;
         let traced = cfg.trace && r % 2 == 1;
         let t = bench.round(r, traced);
@@ -225,22 +292,29 @@ fn drive_rounds(
         }
         devil_ns += t.devil_ns;
         units += u64::from(t.units);
-        segments.push(t.devil_ns, u64::from(t.units));
+        block += t;
+        block_rounds += 1;
+        if block_rounds < R::ROUNDS_PER_SAMPLE {
+            continue;
+        }
+        let t = std::mem::take(&mut block);
+        block_rounds = 0;
+        timed.segments.push(t.devil_ns, u64::from(t.units));
         if t.twin_units > 0 {
-            hand_samples.push(t.hand_ns as f64 / f64::from(t.twin_units));
-            twin_ratio.push(stats::ratio(t.twin_devil_ns as f64, t.hand_ns as f64));
+            timed.hand.push(t.hand_ns as f64 / f64::from(t.twin_units));
+            timed.twin_ratio.push(stats::ratio(t.twin_devil_ns as f64, t.hand_ns as f64));
         }
         if t.fused_units > 0 {
-            fused_samples.push(t.fused_ns as f64 / f64::from(t.fused_units));
-            unfused_samples.push(t.unfused_ns as f64 / f64::from(t.unfused_units));
+            timed.fused.push(t.fused_ns as f64 / f64::from(t.fused_units));
+            timed.unfused.push(t.unfused_ns as f64 / f64::from(t.unfused_units));
         }
     }
-    report.set("peak_heap_bytes", alloc::peak_bytes() as f64, 1);
-    record_quiet(report, &segments);
-    report.set_median("control.hand_unit_ns_p50", &hand_samples.summary());
-    report.set_median("control.devil_over_hand", &twin_ratio.summary());
-    report.set_median("bulk.fused_unit_ns_p50", &fused_samples.summary());
-    report.set_median("bulk.unfused_unit_ns_p50", &unfused_samples.summary());
+    report.set("peak_heap_bytes", timed.peak_heap_bytes(), 1);
+    record_band(report, &timed.segments, QUIET_BAND);
+    report.set_median("control.hand_unit_ns_p50", &timed.hand.summary());
+    report.set_median("control.devil_over_hand", &timed.twin_ratio.summary());
+    report.set_median("bulk.fused_unit_ns_p50", &timed.fused.summary());
+    report.set_median("bulk.unfused_unit_ns_p50", &timed.unfused.summary());
     report.notes.push(format!("timed phase: {units} untraced units in {r} rounds"));
     if cfg.trace {
         let untraced_mean_ns = stats::ratio(devil_ns as f64, units as f64);
@@ -252,8 +326,8 @@ fn drive_rounds(
 fn layer_report(report: &mut Report, t: &trace::Totals, untraced_mean_ns: f64) {
     use trace::Layer;
     let units = t.calls(Layer::Unit);
-    let net = layer_sum(report, t, units, untraced_mean_ns, &[]);
-    let self_ns = |l: Layer| net[l.index()];
+    layer_sum(report, t, units, untraced_mean_ns, &[]);
+    let self_ns = |l: Layer| t.self_ns(l);
     let per_unit = |v: f64| stats::ratio(v, units);
     let n = units as u64;
     let accesses = t.calls(Layer::Runtime);
@@ -276,56 +350,49 @@ fn layer_report(report: &mut Report, t: &trace::Totals, untraced_mean_ns: f64) {
     report.set("driver_stack.self_ns_per_unit", per_unit(self_ns(Layer::Driver)), n);
 }
 
-/// The layer-sum report over `units` traced units. Returns the
-/// per-layer self times net of tracing (see
-/// [`trace::Totals::net_self_ns`]), taking out the overhead observed
-/// against `untraced_mean_ns`. Reports the traced unit time as Σ layer
-/// self times + the residual (the root span's own self time), both
-/// net, and the tracing overhead (measured traced unit time over the
-/// untraced one). Spans of `probes` are measurement, not work, and are
-/// left out. Flags a residual above [`report::RESIDUAL_BOUND`].
+/// The layer-sum report over `units` traced units, from the self times
+/// as measured: the traced unit time is Σ layer self times + the
+/// residual (the root span's own self time), and the tracing overhead
+/// is the traced unit time over `untraced_mean_ns`, the mean unit time
+/// of the untraced rounds interleaved with the traced ones. Spans of
+/// `probes` are measurement, not work, and are left out of both sides.
+/// Flags a residual above [`report::RESIDUAL_BOUND`].
 fn layer_sum(
     report: &mut Report,
     t: &trace::Totals,
     units: f64,
     untraced_mean_ns: f64,
     probes: &[trace::Layer],
-) -> [f64; trace::LAYERS] {
+) {
     use trace::Layer;
     let n = units as u64;
     let probe_ns: f64 = probes.iter().map(|&l| t.total_ns(l)).sum();
-    let measured_ns = stats::ratio(t.total_ns(Layer::Unit) - probe_ns, units);
-    let net = t.net_self_ns((measured_ns - untraced_mean_ns) * units);
-    let work = Layer::ALL.into_iter().filter(|l| !probes.contains(l));
-    let unit_ns = stats::ratio(work.map(|l| net[l.index()]).sum(), units);
-    let residual_ns = stats::ratio(net[Layer::Unit.index()], units);
-    let layer_ns = unit_ns - residual_ns;
-    let overhead = stats::ratio(measured_ns, untraced_mean_ns);
+    let unit_ns = stats::ratio(t.total_ns(Layer::Unit) - probe_ns, units);
+    let residual_ns = stats::ratio(t.self_ns(Layer::Unit), units);
+    let layers = Layer::ALL.into_iter().skip(1).filter(|l| !probes.contains(l));
+    let layer_ns = stats::ratio(layers.map(|l| t.self_ns(l)).sum(), units);
+    let overhead = stats::ratio(unit_ns, untraced_mean_ns);
     report.set("trace.unit_ns", unit_ns, n);
     report.set("trace.layer_sum_ns", layer_ns, n);
     report.set("trace.residual_ns", residual_ns, n);
     report.set("trace.overhead", overhead, n);
-    let mut line = String::from("net layer self ns per traced unit:");
+    let mut line = String::from("layer self ns per traced unit:");
     for l in Layer::ALL.into_iter().skip(1) {
         if t.calls(l) > 0.0 {
-            line.push_str(&format!(" {}={:.1}", l.name(), stats::ratio(net[l.index()], units)));
+            line.push_str(&format!(" {}={:.1}", l.name(), stats::ratio(t.self_ns(l), units)));
         }
     }
     report.notes.push(line);
     let share = stats::ratio(residual_ns, unit_ns);
     let flag = if share > report::RESIDUAL_BOUND { "  RESIDUAL ABOVE BOUND" } else { "" };
     report.notes.push(format!(
-        "layer sum: unit {unit_ns:.1} ns = layers {layer_ns:.1} + residual {residual_ns:.1} \
-         ({:.1}% of unit, bound {:.0}%){flag}",
+        "layer sum: traced unit {unit_ns:.1} ns = layers {layer_ns:.1} + residual \
+         {residual_ns:.1} ({:.1}% of unit, bound {:.0}%){flag}",
         share * 100.0,
         report::RESIDUAL_BOUND * 100.0
     ));
-    let (leaf, child) = trace::span_cost_ns();
     report.notes.push(format!(
-        "tracing overhead: traced unit {measured_ns:.1} ns as measured = {overhead:.3}x the \
-         untraced {untraced_mean_ns:.1} ns; the difference is taken out of the layers in \
-         proportion to their span counts (calibrated {leaf:.1} ns per span, {child:.1} ns per \
-         child span)"
+        "tracing overhead: traced unit {unit_ns:.1} ns = {overhead:.3}x the untraced \
+         {untraced_mean_ns:.1} ns; the layer self times include it"
     ));
-    net
 }

@@ -9,6 +9,7 @@ pub const END_TO_END: &[(&str, &str)] = &[
     ("unit_host_ns_p50", "ns"),
     ("units_per_s", "1/s"),
     ("peak_heap_bytes", "bytes"),
+    ("allocs_per_unit", "count"),
     ("setup_s", "s"),
 ];
 
@@ -21,7 +22,6 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("sim_ns_per_unit", "sim_ns"),
     ("sim_latency_ns_p99", "sim_ns"),
     ("bus_txns_per_unit", "count"),
-    ("allocs_per_unit", "count"),
     ("fail_ratio", "ratio"),
     // spec_compile stage self times and counts.
     ("syntax.lex_us", "us"),

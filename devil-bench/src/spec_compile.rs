@@ -1,15 +1,16 @@
 //! `spec_compile`: single thread. One unit is one pass that compiles
 //! all 8 shipped specs and the 5 `devil_fuzz::synthetic` specs through
 //! lex → parse → resolve → check → lower → fuse → emit C → emit Rust,
-//! then runs a fixed, seeded sample of `sampled_corpus` mutants through
-//! the front end (parse → resolve → check), whose reject path they take.
+//! then runs a fixed sample of `sampled_corpus` mutants through the
+//! front end (parse → resolve → check), whose reject path they take.
+//! Every seed compiles the same sources; the seed sets their order.
 //!
 //! The traced pass also lexes each source on its own before parsing it:
 //! that probe measures the lexer's share of `parse`, and is excluded
 //! from the traced unit time.
 
 use crate::report::{CostTable, Report};
-use crate::stats::{self, Reservoir, Segments};
+use crate::stats;
 use crate::trace::{self, span, Layer};
 use crate::Config;
 use devil_fleet::Rng;
@@ -17,7 +18,7 @@ use devil_ir::DeviceIr;
 use devil_syntax::DiagSink;
 use std::time::{Duration, Instant};
 
-/// Mutants per pass (a fixed sample drawn from the seed).
+/// Mutants per pass (a fixed sample of the corpus).
 const MUTANTS: usize = 96;
 const SHORT_MUTANTS: usize = 8;
 
@@ -194,10 +195,10 @@ fn count_pass(specs: &[Spec], mutants: &[String]) -> (CostTable, trace::Totals) 
         vec![rejected as f64, 0.0, 0.0, 0.0, 0.0, 0.0],
     ));
     let mut totals = trace::totals();
+    trace::stop();
     // Times differ run to run; only the counts must repeat.
     totals.self_ns = Default::default();
     totals.total_ns = Default::default();
-    totals.cost_ns = Default::default();
     (t, totals)
 }
 
@@ -220,25 +221,29 @@ fn goldens_match(reference: &Reference, specs: &[Spec]) -> bool {
         })
 }
 
+/// Fisher–Yates shuffle driven by the seed stream.
+fn shuffle<T>(rng: &mut Rng, items: &mut [T]) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+}
+
 pub(crate) fn run(cfg: &Config) -> Report {
     let mut report = Report::default();
     let specs = specs();
 
-    // Inputs: a seeded sample of the mutant corpus (one per site),
-    // stratified by length — one mutant from each of `want` equal
-    // slices of the corpus sorted by size — so that every seed's sample
-    // is about the same amount of work.
+    // Inputs: a fixed sample of the mutant corpus (one per site),
+    // stratified by length: the middle mutant of each of `want` equal
+    // slices of the corpus sorted by size. Every seed runs the same
+    // mutants, so every seed's pass is the same work; the seed shuffles
+    // their order.
     let mut corpus = devil_fuzz::corpus::sampled_corpus(1);
     corpus.sort_by_key(String::len);
     let want = if cfg.short { SHORT_MUTANTS } else { MUTANTS }.min(corpus.len());
-    let mut rng = Rng::new(cfg.seed);
-    let mutants: Vec<String> = (0..want)
-        .map(|k| {
-            let (lo, hi) = (k * corpus.len() / want, (k + 1) * corpus.len() / want);
-            corpus[lo + rng.below((hi - lo) as u64) as usize].clone()
-        })
-        .collect();
+    let mut mutants: Vec<String> =
+        (0..want).map(|k| corpus[(2 * k + 1) * corpus.len() / (2 * want)].clone()).collect();
     drop(corpus);
+    shuffle(&mut Rng::new(cfg.seed), &mut mutants);
 
     // Set-up: the reference outputs every pass is checked against.
     let (mut reference, _) = build_reference(&specs, &mutants);
@@ -282,15 +287,18 @@ pub(crate) fn run(cfg: &Config) -> Report {
     while Instant::now() < warm_until {
         pass(&specs, &mutants, false);
     }
-    let mut segments = Segments::new(crate::SEGMENT, cfg.seconds);
-    let mut allocs_per_pass = Reservoir::new();
+    // The heap baseline is taken here: the inputs and the reference are
+    // the benchmark's, a pass's own heap is the program's.
+    let mut timed = crate::Timed::new(cfg);
     let (mut busy_ns, mut n) = (0u64, 0u64);
-    trace::reset();
-    crate::alloc::reset_peak();
+    if cfg.trace {
+        trace::reset();
+    }
+    timed.start();
     let deadline = cfg.deadline();
     let mut r = 0u64;
     while Instant::now() < deadline {
-        segments.tick(|| crate::timed_setup(|| build_reference(&specs, &mutants)));
+        timed.segments.tick(|| crate::timed_setup(|| build_reference(&specs, &mutants)));
         r += 1;
         let traced = cfg.trace && r % 2 == 1;
         let a0 = crate::alloc::allocs();
@@ -306,24 +314,24 @@ pub(crate) fn run(cfg: &Config) -> Report {
         report.failed += u64::from(!pass_ok(&p, &reference) || panics > 0 || !goldens);
         drop(p);
         if !traced {
-            segments.push(ns, 1);
-            allocs_per_pass.push(allocs as f64);
+            timed.segments.push(ns, 1);
+            timed.allocs.push(allocs as f64);
             busy_ns += ns;
             n += 1;
         }
     }
-    report.set("peak_heap_bytes", crate::alloc::peak_bytes() as f64, 1);
-    crate::record_quiet(&mut report, &segments);
+    report.set("peak_heap_bytes", timed.peak_heap_bytes(), 1);
+    crate::record_band(&mut report, &timed.segments, crate::QUIET_BAND);
     let mean_ns = stats::ratio(busy_ns as f64, n as f64);
-    report.set_median("allocs_per_unit", &allocs_per_pass.summary());
+    report.set_median("allocs_per_unit", &timed.allocs.summary());
 
     if cfg.trace {
         let t = trace::totals();
         let passes = t.calls(Layer::Unit);
         // The lexer probe measures the lexer's share of `parse`; it is
         // not work of the pass, so the layer sum leaves it out.
-        let net = crate::layer_sum(&mut report, &t, passes, mean_ns, &[Layer::Lex]);
-        let us = |l: Layer| stats::ratio(net[l.index()], passes) / 1e3;
+        crate::layer_sum(&mut report, &t, passes, mean_ns, &[Layer::Lex]);
+        let us = |l: Layer| stats::ratio(t.self_ns(l), passes) / 1e3;
         let n = passes as u64;
         report.set("syntax.lex_us", us(Layer::Lex), n);
         report.set("syntax.parse_us", us(Layer::Parse) - us(Layer::Lex), n);

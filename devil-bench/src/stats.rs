@@ -115,9 +115,9 @@ struct Segment {
 ///
 /// Neighbours on a shared host slow a run down for seconds at a time,
 /// and interference only ever adds time. So the end-to-end figures are
-/// taken from the quietest segments — those with the lowest mean time
-/// per unit — and set-up is rebuilt once per segment and reported from
-/// the same quiet segments.
+/// taken from a band of the segments ranked by their mean time per unit
+/// (for most workloads the quietest), and set-up is rebuilt once per
+/// segment and reported from the same segments.
 pub struct Segments {
     len: Duration,
     end: Option<Instant>,
@@ -125,8 +125,8 @@ pub struct Segments {
     cur: usize,
 }
 
-/// Result of [`Segments::quiet`].
-pub struct Quiet {
+/// Result of [`Segments::band`].
+pub struct Band {
     /// Per-sample summary over the chosen segments.
     pub unit: Summary,
     /// Units and host nanoseconds in the chosen segments.
@@ -183,17 +183,20 @@ impl Segments {
         used.iter().filter(|s| s.units > 0).map(|s| s.ns as f64 / s.units as f64).collect()
     }
 
-    /// Figures over the quietest `share` of the segments with samples
-    /// (at least one).
-    pub fn quiet(&self, share: f64) -> Quiet {
+    /// Figures over the segments with samples whose rank by mean time
+    /// per unit, as a share of all of them, lies in `[lo, hi)` (at least
+    /// one segment).
+    pub fn band(&self, (lo, hi): (f64, f64)) -> Band {
         let mut order: Vec<&Segment> =
             self.segs[..=self.cur].iter().filter(|s| s.units > 0).collect();
         order.sort_by(|a, b| {
             (a.ns as f64 / a.units as f64).total_cmp(&(b.ns as f64 / b.units as f64))
         });
         let of = order.len();
-        let chosen = ((of as f64 * share).ceil() as usize).clamp(1.min(of), of);
-        let picked = &order[..chosen];
+        let first = ((of as f64 * lo).floor() as usize).min(of.saturating_sub(1));
+        let end = ((of as f64 * hi).ceil() as usize).clamp((first + 1).min(of), of);
+        let picked = &order[first..end];
+        let chosen = picked.len();
         let samples = picked.iter().flat_map(|s| s.samples.buf.iter().copied()).collect();
         let setups: Vec<(f64, f64)> =
             picked.iter().flat_map(|s| s.setups.iter().copied()).collect();
@@ -204,7 +207,7 @@ impl Segments {
                 summarize(setups.iter().map(|s| s.0 - s.1).collect()),
             ]
         });
-        Quiet {
+        Band {
             unit: summarize(samples),
             units: picked.iter().map(|s| s.units).sum(),
             ns: picked.iter().map(|s| s.ns).sum(),
@@ -250,6 +253,22 @@ mod tests {
         assert_eq!(quantile(&[1.0, 2.0], 0.5), 1.5);
         assert_eq!(summarize(Vec::new()).p50, 0.0);
         assert_eq!(ratio(1.0, 0.0), 0.0);
+    }
+
+    #[test]
+    fn band_picks_segments_by_rank() {
+        let mut s = Segments::new(Duration::from_secs(3600), 1.0);
+        // Ten segments with means 10, 9, ..., 1 ns per unit.
+        for k in 0..10u64 {
+            s.end = Some(Instant::now());
+            s.tick(|| (0.0, 0.0));
+            s.push(10 - k, 1);
+        }
+        let quiet = s.band((0.0, 0.2));
+        assert_eq!((quiet.chosen, quiet.of, quiet.ns), (2, 10, 3));
+        let middle = s.band((0.25, 0.75));
+        assert_eq!((middle.chosen, middle.ns), (6, 3 + 4 + 5 + 6 + 7 + 8));
+        assert_eq!(s.band((0.0, 0.0)).chosen, 1, "at least one segment");
     }
 
     #[test]

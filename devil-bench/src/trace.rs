@@ -116,30 +116,27 @@ impl Layer {
     }
 }
 
-/// Per-layer sums over every closed span, in nanoseconds.
+/// Per-layer sums over every closed span, in nanoseconds, as measured.
+/// The self times of all layers sum to the root spans' duration.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Totals {
-    /// Span durations minus child spans, as measured.
+    /// Span durations minus child spans.
     pub self_ns: [f64; LAYERS],
-    /// Span durations, as measured.
+    /// Span durations.
     pub total_ns: [f64; LAYERS],
     /// Spans closed.
     pub calls: [u64; LAYERS],
     /// Allocations inside the span minus those inside child spans.
     pub self_allocs: [u64; LAYERS],
-    /// Estimated tracing cost inside each layer's self time: [`reset`]
-    /// measures what an empty span adds to its own duration and to its
-    /// parent's self time, counted here per span and per child span.
-    pub cost_ns: [f64; LAYERS],
 }
 
 impl Totals {
-    /// Self time of `layer`, nanoseconds, as measured.
+    /// Self time of `layer`, nanoseconds.
     pub fn self_ns(&self, layer: Layer) -> f64 {
         self.self_ns[layer.index()]
     }
 
-    /// Total time of `layer`, nanoseconds, as measured.
+    /// Total time of `layer`, nanoseconds.
     pub fn total_ns(&self, layer: Layer) -> f64 {
         self.total_ns[layer.index()]
     }
@@ -152,21 +149,6 @@ impl Totals {
     /// Self allocations of `layer`.
     pub fn allocs(&self, layer: Layer) -> f64 {
         self.self_allocs[layer.index()] as f64
-    }
-
-    /// Self times net of tracing: `overhead_ns`, the tracing cost
-    /// actually observed (traced minus untraced time of the same work),
-    /// is taken out of the layers in proportion to their estimated
-    /// cost. The net self times then sum to the root spans' duration
-    /// minus `overhead_ns` (less any layer clamped at zero).
-    pub fn net_self_ns(&self, overhead_ns: f64) -> [f64; LAYERS] {
-        let est: f64 = self.cost_ns.iter().sum();
-        let k = if est > 0.0 { (overhead_ns / est).clamp(0.0, 4.0) } else { 0.0 };
-        let mut net = [0.0; LAYERS];
-        for (i, n) in net.iter_mut().enumerate() {
-            *n = (self.self_ns[i] - k * self.cost_ns[i]).max(0.0);
-        }
-        net
     }
 }
 
@@ -203,7 +185,6 @@ struct Frame {
     allocs0: u64,
     child_ticks: u64,
     child_allocs: u64,
-    children: u64,
 }
 
 /// Per-layer sums in ticks.
@@ -212,17 +193,12 @@ struct Sums {
     self_ticks: [u64; LAYERS],
     total_ticks: [u64; LAYERS],
     calls: [u64; LAYERS],
-    children: [u64; LAYERS],
     self_allocs: [u64; LAYERS],
 }
 
 struct Tracer {
     epoch: u64,
     ns_per_tick: f64,
-    /// Ticks an empty span adds to its own duration.
-    leaf_cost: f64,
-    /// Ticks a child span adds to its parent's self time.
-    child_cost: f64,
     stack: Vec<Frame>,
     sums: Sums,
     raw: Vec<Raw>,
@@ -239,7 +215,7 @@ thread_local! {
 /// Starts a fresh trace on this thread (tracing stays off until
 /// [`set_enabled`]). Buffers are reserved here, so spans allocate
 /// nothing while they record. Also calibrates the clock against
-/// `Instant` and measures the cost of a span.
+/// `Instant`.
 pub fn reset() {
     let (t0, k0) = (Instant::now(), ticks());
     while t0.elapsed().as_millis() < 10 {
@@ -250,49 +226,22 @@ pub fn reset() {
         *t.borrow_mut() = Some(Tracer {
             epoch: ticks(),
             ns_per_tick,
-            leaf_cost: 0.0,
-            child_cost: 0.0,
             stack: Vec::with_capacity(16),
             sums: Sums::default(),
             raw: Vec::with_capacity(RAW_CAP),
         });
     });
-    let was = enabled();
-    set_enabled(true);
-    // Lowest batch mean: interrupts only ever add time.
-    let batch = |nested: bool| {
-        (0..8)
-            .map(|_| {
-                clear_sums();
-                for _ in 0..2000 {
-                    span(Layer::Unit, || {
-                        if nested {
-                            span(Layer::Runtime, || std::hint::black_box(0));
-                        }
-                    });
-                }
-                with_tracer(|t| t.sums.self_ticks[0] as f64 / 2000.0)
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let leaf = batch(false);
-    let parent = batch(true);
-    set_enabled(was);
-    with_tracer(|t| {
-        t.leaf_cost = leaf;
-        t.child_cost = (parent - leaf).max(0.0);
-        t.sums = Sums::default();
-        t.raw.clear();
-        t.epoch = ticks();
-    });
+}
+
+/// Drops this thread's trace and its buffers; spans record nothing
+/// until the next [`reset`].
+pub fn stop() {
+    set_enabled(false);
+    TRACER.with(|t| *t.borrow_mut() = None);
 }
 
 fn with_tracer<R: Default>(f: impl FnOnce(&mut Tracer) -> R) -> R {
     TRACER.with(|t| t.borrow_mut().as_mut().map(f).unwrap_or_default())
-}
-
-fn clear_sums() {
-    with_tracer(|t| t.sums = Sums::default());
 }
 
 /// Turns span recording on or off for this thread.
@@ -314,17 +263,9 @@ pub fn totals() -> Totals {
         for i in 0..LAYERS {
             out.self_ns[i] = s.self_ticks[i] as f64 * t.ns_per_tick;
             out.total_ns[i] = s.total_ticks[i] as f64 * t.ns_per_tick;
-            let cost = s.calls[i] as f64 * t.leaf_cost + s.children[i] as f64 * t.child_cost;
-            out.cost_ns[i] = cost * t.ns_per_tick;
         }
         out
     })
-}
-
-/// The measured cost of one span, in nanoseconds: what it adds to its
-/// own duration and to its parent's self time.
-pub fn span_cost_ns() -> (f64, f64) {
-    with_tracer(|t| (t.leaf_cost * t.ns_per_tick, t.child_cost * t.ns_per_tick))
 }
 
 fn enter(layer: Layer) {
@@ -336,7 +277,6 @@ fn enter(layer: Layer) {
                 allocs0: crate::alloc::allocs(),
                 child_ticks: 0,
                 child_allocs: 0,
-                children: 0,
             });
         }
     });
@@ -356,12 +296,10 @@ fn exit() {
         t.sums.self_ticks[i] += self_ticks;
         t.sums.total_ticks[i] += dur;
         t.sums.calls[i] += 1;
-        t.sums.children[i] += f.children;
         t.sums.self_allocs[i] += alloc.saturating_sub(f.child_allocs);
         if let Some(parent) = t.stack.last_mut() {
             parent.child_ticks += dur;
             parent.child_allocs += alloc;
-            parent.children += 1;
         }
         if t.raw.len() < RAW_CAP {
             t.raw.push(Raw {
@@ -511,12 +449,14 @@ mod tests {
         let root = t.total_ns(Layer::Unit);
         let sum: f64 = t.self_ns.iter().sum();
         assert!((sum - root).abs() < 1e-6 * root.max(1.0), "{sum} vs {root}");
-        let net: f64 = t.net_self_ns(0.0).iter().sum();
-        assert!((net - root).abs() < 1e-6 * root.max(1.0), "no overhead observed, none taken");
-        let (leaf, child) = span_cost_ns();
-        assert!(leaf > 0.0 && child >= 0.0);
         // Off: no span is recorded.
         span(Layer::Unit, || ());
         assert_eq!(totals().calls(Layer::Unit), 100.0);
+        // Stopped: nothing is recorded even when on.
+        stop();
+        set_enabled(true);
+        span(Layer::Unit, || ());
+        set_enabled(false);
+        assert_eq!(totals(), Totals::default());
     }
 }

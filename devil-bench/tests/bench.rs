@@ -8,8 +8,7 @@ use devil_bench::report::{END_TO_END, PER_LAYER};
 use devil_bench::{run, Config, Workload};
 use std::sync::{Mutex, MutexGuard};
 
-/// Allocation counts and peak heap are process-wide, so runs must not
-/// overlap.
+/// The peak heap is process-wide, so runs must not overlap.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -77,6 +76,17 @@ fn every_workload_prints_every_metric_with_its_unit() {
                 assert!(m.samples > 0, "{} {name} has no samples", w.name());
                 assert!(text.contains(name), "{} report lacks {name}", w.name());
             }
+            if trace {
+                let v = |n: &str| r.metric(n).map_or(f64::NAN, |m| m.value);
+                let (unit, layers, residual) =
+                    (v("trace.unit_ns"), v("trace.layer_sum_ns"), v("trace.residual_ns"));
+                assert!(unit > 0.0 && v("trace.overhead") > 0.0, "{} traced unit", w.name());
+                assert!(
+                    (layers + residual - unit).abs() <= 1e-9 * unit,
+                    "{}: layers {layers} + residual {residual} != traced unit {unit}",
+                    w.name()
+                );
+            }
             assert!(json.ends_with("}}"), "one JSON object");
         }
     }
@@ -101,6 +111,42 @@ fn deterministic_counters_repeat_at_the_same_seed() {
         }
         let general = a.metric("runtime.dispatch.general").map_or(0.0, |m| m.value);
         assert_eq!(general, 0.0, "{} fell back to the general interpreter", w.name());
+    }
+}
+
+/// Runs the command-line binary (a process of its own, so no other
+/// thread allocates) and returns the value of `metric` from its JSON.
+fn cli_metric(workload: &str, seconds: &str, metric: &str) -> f64 {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_devil-bench"))
+        .args(["--workload", workload, "--seed", "3", "--seconds", seconds, "--trace", "0"])
+        .output()
+        .expect("the benchmark binary runs");
+    assert!(out.status.success(), "{workload} exited with {}", out.status);
+    let stdout = String::from_utf8(out.stdout).expect("UTF-8 output");
+    let json = stdout.lines().last().expect("a result line");
+    let key = format!("\"{metric}\": {{\"value\": ");
+    let at = json.find(&key).expect("metric in the result") + key.len();
+    let end = at + json[at..].find(',').expect("value ends");
+    json[at..end].parse().expect("a number")
+}
+
+#[test]
+fn peak_heap_does_not_change_with_the_run_length() {
+    for w in Workload::ALL {
+        let (a, b) = (
+            cli_metric(w.name(), "0.5", "peak_heap_bytes"),
+            cli_metric(w.name(), "2", "peak_heap_bytes"),
+        );
+        assert!(a > 0.0, "{} peak heap reads {a}", w.name());
+        // The fleet's two shard threads interleave their allocations
+        // differently from run to run; the other workloads run on one
+        // thread and must repeat to the byte.
+        let tolerance = if w == Workload::FleetTraced { 0.002 * a } else { 0.0 };
+        assert!(
+            (a - b).abs() <= tolerance,
+            "{} peak heap {a} after 0.5 s, {b} after 2 s",
+            w.name()
+        );
     }
 }
 
