@@ -1,14 +1,23 @@
 //! Section 4.3 micro-analysis: the cost of one Devil interface call
-//! versus the hand-written equivalent, plus the interpreter's own
-//! wall-clock overhead (which motivates the generated-code back end).
+//! versus the hand-written equivalent, against the reference
+//! interpreter's wall-clock cost (`interp_*`, which motivates the plans
+//! and the generated-code back end), and the cost of the paper's debug
+//! checks on the plans (`checked_*`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use devil_runtime::{DeviceAccess, DeviceInstance, FakeAccess};
+use devil_runtime::{DeviceAccess, DeviceInstance, FakeAccess, ReferenceInstance};
 use std::hint::black_box;
 
+fn lowered(src: &str) -> devil_ir::DeviceIr {
+    devil_ir::lower(&devil_sema::check_source(src, &[]).unwrap())
+}
+
 fn instance() -> DeviceInstance {
-    let model = devil_sema::check_source(drivers::specs::BUSMOUSE, &[]).unwrap();
-    DeviceInstance::new(devil_ir::lower(&model))
+    DeviceInstance::new(lowered(drivers::specs::BUSMOUSE))
+}
+
+fn reference() -> ReferenceInstance {
+    ReferenceInstance::new(lowered(drivers::specs::BUSMOUSE))
 }
 
 fn bench_micro(c: &mut Criterion) {
@@ -24,14 +33,15 @@ fn bench_micro(c: &mut Criterion) {
         });
     });
 
-    // The seed interpreter doing the same masked write (general path:
-    // plan-regs walk, per-register compose, hash-free but dynamic).
+    // The reference interpreter doing the same masked write (order
+    // walk, per-register compose, hash-free but dynamic). Names resolve
+    // per call, as in the by-name plan rows.
     g.bench_function("interp_masked_write", |b| {
-        let mut inst = instance();
-        inst.set_fast_plans(false);
+        let mut inst = reference();
         let mut dev = FakeAccess::new();
         b.iter(|| {
-            inst.write(&mut dev, "config", black_box(1)).unwrap();
+            let config = inst.ir().var_id("config").unwrap();
+            inst.write_id(&mut dev, config, &[], black_box(1)).unwrap();
             black_box(&dev);
         });
     });
@@ -47,26 +57,46 @@ fn bench_micro(c: &mut Criterion) {
         });
     });
 
-    // Steady-state idempotent read, general path vs precompiled plan
+    // The same plan with the paper's debug checks on: the written
+    // value is validated against the variable's type first.
+    g.bench_function("checked_masked_write", |b| {
+        let mut inst = instance();
+        inst.set_debug_checks(true);
+        let mut dev = FakeAccess::new();
+        b.iter(|| {
+            inst.write(&mut dev, "config", black_box(1)).unwrap();
+            black_box(&dev);
+        });
+    });
+
+    // Steady-state idempotent read, reference vs precompiled plan
     // (both serve from the cache; the plan path assembles from flat
     // slots with zero hashing or cloning).
     let read_spec = r#"device demo (base : bit[8] port @ {0..0}) {
         register r = base @ 0 : bit[8];
         variable v = r : int(8);
     }"#;
-    let read_instance = || {
-        let model = devil_sema::check_source(read_spec, &[]).unwrap();
-        DeviceInstance::new(devil_ir::lower(&model))
-    };
+    let read_instance = || DeviceInstance::new(lowered(read_spec));
     g.bench_function("interp_cached_read", |b| {
+        let mut inst = ReferenceInstance::new(lowered(read_spec));
+        let mut dev = FakeAccess::new();
+        let v = inst.ir().var_id("v").unwrap();
+        inst.write_id(&mut dev, v, &[], 0x5a).unwrap();
+        b.iter(|| {
+            let v = inst.ir().var_id("v").unwrap();
+            black_box(inst.read_id(&mut dev, v, &[]).unwrap())
+        });
+    });
+    g.bench_function("plan_cached_read", |b| {
         let mut inst = read_instance();
-        inst.set_fast_plans(false);
         let mut dev = FakeAccess::new();
         inst.write(&mut dev, "v", 0x5a).unwrap();
         b.iter(|| black_box(inst.read(&mut dev, "v").unwrap()));
     });
-    g.bench_function("plan_cached_read", |b| {
+    // Checked: the assembled value is validated against the type.
+    g.bench_function("checked_cached_read", |b| {
         let mut inst = read_instance();
+        inst.set_debug_checks(true);
         let mut dev = FakeAccess::new();
         inst.write(&mut dev, "v", 0x5a).unwrap();
         b.iter(|| black_box(inst.read(&mut dev, "v").unwrap()));
@@ -89,15 +119,16 @@ fn bench_micro(c: &mut Criterion) {
         });
     });
 
-    // The general interpreter walking the order, running pre-actions
+    // The reference interpreter walking the order, running pre-actions
     // and resolving names per field.
     g.bench_function("interp_struct_read", |b| {
-        let mut inst = instance();
-        inst.set_fast_plans(false);
+        let mut inst = reference();
         let mut dev = FakeAccess::new();
         b.iter(|| {
-            inst.read_struct(&mut dev, "mouse_state").unwrap();
-            black_box(inst.get_field("dx").unwrap());
+            let sid = inst.ir().struct_id("mouse_state").unwrap();
+            inst.read_struct_id(&mut dev, sid).unwrap();
+            let dx = inst.ir().var_id("dx").unwrap();
+            black_box(inst.get_field_id(dx).unwrap());
         });
     });
 
@@ -133,13 +164,10 @@ fn bench_micro(c: &mut Criterion) {
         });
     });
 
-    let pic_instance = || {
-        let model = devil_sema::check_source(drivers::specs::PIC8259, &[]).unwrap();
-        DeviceInstance::new(devil_ir::lower(&model))
-    };
-    let stage_init = |inst: &mut DeviceInstance| {
-        let ir = inst.ir();
-        let fields: Vec<(devil_sema::model::VarId, u64)> = [
+    let pic_instance = || DeviceInstance::new(lowered(drivers::specs::PIC8259));
+    // The staged `init` fields: (field, value) pairs for `set_field_id`.
+    let init_fields = |ir: &devil_ir::DeviceIr| -> Vec<(devil_sema::model::VarId, u64)> {
+        [
             ("ic4", 1),
             ("sngl", 0), // CASCADED: icw3 written
             ("adi", 0),
@@ -154,19 +182,17 @@ fn bench_micro(c: &mut Criterion) {
         ]
         .into_iter()
         .map(|(n, v)| (ir.var_id(n).unwrap(), v))
-        .collect();
-        for (fid, v) in fields {
-            inst.set_field_id(fid, v).unwrap();
-        }
+        .collect()
     };
 
-    // The general interpreter: condition evaluation over the cached
+    // The reference interpreter: condition evaluation over the cached
     // fields, per-register compose, dynamic order walk.
     g.bench_function("interp_pic_init", |b| {
-        let mut inst = pic_instance();
-        inst.set_fast_plans(false);
+        let mut inst = ReferenceInstance::new(lowered(drivers::specs::PIC8259));
         let sid = inst.ir().struct_id("init").unwrap();
-        stage_init(&mut inst);
+        for (fid, v) in init_fields(inst.ir()) {
+            inst.set_field_id(fid, v).unwrap();
+        }
         let mut dev = FakeAccess::new();
         b.iter(|| {
             inst.write_struct_id(&mut dev, sid).unwrap();
@@ -179,7 +205,9 @@ fn bench_micro(c: &mut Criterion) {
     g.bench_function("plan_pic_init", |b| {
         let mut inst = pic_instance();
         let sid = inst.ir().struct_id("init").unwrap();
-        stage_init(&mut inst);
+        for (fid, v) in init_fields(inst.ir()) {
+            inst.set_field_id(fid, v).unwrap();
+        }
         let mut dev = FakeAccess::new();
         b.iter(|| {
             inst.write_struct_id(&mut dev, sid).unwrap();
@@ -188,17 +216,12 @@ fn bench_micro(c: &mut Criterion) {
     });
 
     // A formerly-fallback shape: a data read whose pre-action flushes
-    // a struct with a *nested conditional* serialization (retired
-    // fallback cause 3). The general interpreter runs the whole action
-    // machinery per read; the plan inlines the folded condition into
-    // three straight-line steps.
-    let nested_instance = || {
-        let model = devil_sema::check_source(devil_fuzz::synthetic::NESTED_ACTION, &[]).unwrap();
-        DeviceInstance::new(devil_ir::lower(&model))
-    };
+    // a struct with a *nested conditional* serialization. The reference
+    // interpreter runs the whole action machinery per read; the plan
+    // inlines the folded condition into three straight-line steps.
+    let nested_instance = || DeviceInstance::new(lowered(devil_fuzz::synthetic::NESTED_ACTION));
     g.bench_function("interp_nested_cond_read", |b| {
-        let mut inst = nested_instance();
-        inst.set_fast_plans(false);
+        let mut inst = ReferenceInstance::new(lowered(devil_fuzz::synthetic::NESTED_ACTION));
         let payload = inst.ir().var_id("payload").unwrap();
         let mut dev = FakeAccess::new();
         dev.preset(0, 2, 0x99);
@@ -212,16 +235,12 @@ fn bench_micro(c: &mut Criterion) {
         b.iter(|| black_box(inst.read_id(&mut dev, payload, &[]).unwrap()));
     });
 
-    // Retired fallback cause 1: a write whose condition tests the
-    // variable being written — the plan selects its variant from the
-    // caller's value (input-sourced guard).
-    let selfw_instance = || {
-        let model = devil_sema::check_source(devil_fuzz::synthetic::SELF_TESTED, &[]).unwrap();
-        DeviceInstance::new(devil_ir::lower(&model))
-    };
+    // A write whose condition tests the variable being written — the
+    // plan selects its variant from the caller's value (input-sourced
+    // guard).
+    let selfw_instance = || DeviceInstance::new(lowered(devil_fuzz::synthetic::SELF_TESTED));
     g.bench_function("interp_self_tested_write", |b| {
-        let mut inst = selfw_instance();
-        inst.set_fast_plans(false);
+        let mut inst = ReferenceInstance::new(lowered(devil_fuzz::synthetic::SELF_TESTED));
         let w = inst.ir().var_id("w").unwrap();
         let mut dev = FakeAccess::new();
         b.iter(|| {
@@ -411,7 +430,7 @@ fn bench_mmr(c: &mut Criterion) {
     let dt = t.elapsed().as_secs_f64();
     criterion::record_value("mmr/leaf_hash_entries_per_s", batch as f64 / dt);
 
-    // Root compare vs line-by-line over the fast-vs-general harness.
+    // Root compare vs line-by-line over the plans-vs-reference harness.
     // Same op streams, two verdict machineries: the rooted one streams
     // both rigs into O(peaks) memory and compares 32 bytes; the linear
     // one materializes the op vector and every observation string from
@@ -428,7 +447,7 @@ fn bench_mmr(c: &mut Criterion) {
     for &(n, label) in tiers {
         let t = std::time::Instant::now();
         let out = devil_fuzz::rooted::check_equivalence_rooted_stream(&ir, 0xBE, n)
-            .expect("fast and general agree");
+            .expect("plans and reference agree");
         let rooted_ms = t.elapsed().as_secs_f64() * 1e3;
         assert_eq!(out.ops, n);
         criterion::record_value(&format!("mmr/rooted_compare_ms_{label}"), rooted_ms);
@@ -439,14 +458,14 @@ fn bench_mmr(c: &mut Criterion) {
 
         let t = std::time::Instant::now();
         let ops: Vec<devil_fuzz::Op> = OpStream::new(&ir, 0xBE, n).collect();
-        devil_fuzz::check_equivalence(&ir, &ops).expect("fast and general agree");
+        devil_fuzz::check_equivalence(&ir, &ops).expect("plans and reference agree");
         let linear_ms = t.elapsed().as_secs_f64() * 1e3;
         criterion::record_value(&format!("mmr/linear_compare_ms_{label}"), linear_ms);
         // The linear comparator's working set: both rigs' observation
         // strings plus the materialized op vector.
         let mut inst = DeviceInstance::new(ir.clone());
         let mut dev = FakeAccess::new();
-        let lines = devil_fuzz::run(&mut inst, &mut dev, &ops);
+        let lines = devil_fuzz::run(devil_fuzz::Engine::Plans(&mut inst), &mut dev, &ops);
         let line_bytes: usize = lines.iter().map(|l| l.len() + std::mem::size_of::<String>()).sum();
         let retained = 2 * line_bytes + ops.len() * std::mem::size_of::<devil_fuzz::Op>();
         criterion::record_value(&format!("mmr/linear_retained_bytes_{label}"), retained as f64);

@@ -8,7 +8,7 @@
 //!
 //! Stub bodies are lowered from the device's precompiled
 //! [`devil_ir::PlanStep`] arena — the exact step sequences the
-//! fast-path interpreter executes — so generated code and interpreter
+//! plan executor executes — so generated code and interpreter
 //! share one lowering. Guard-split conditional serializations emit a
 //! [`devil_ir::PlanGuard`]-driven ternary chain selecting one
 //! straight-line variant, mirroring `AccessPlan::select_variant`.
@@ -412,9 +412,15 @@ fn step_expr(ir: &DeviceIr, prefix: &str, step: &PlanStep, input: &str) -> Strin
             let val = compose_expr(prefix, n, c.keep_and, c.const_or, &c.segs, &value_expr);
             format!("{prefix}_cache.cache_{n} = {val}, {prefix}_cache.valid_{n} = 1")
         }
-        PlanStep::SetCell { cell, value } => {
+        PlanStep::SetCell { cell, value, mask } => {
+            // Cells keep their variable's raw width, like the runtime.
             let owner = ir.mem_owner(*cell).expect("cells are owned");
-            format!("{prefix}_cache.mem_{} = {}", ir.var(owner).name, value_expr(value))
+            let v = match value {
+                PlanValue::Const(_) => value_expr(value),
+                _ if *mask == u64::MAX => value_expr(value),
+                _ => format!("({} & {})", value_expr(value), hex(*mask)),
+            };
+            format!("{prefix}_cache.mem_{} = {v}", ir.var(owner).name)
         }
         // Block transfers and output assembly only occur in fused
         // superplan bodies, which are emitted as statements inside a
@@ -502,8 +508,13 @@ fn emit_var_stubs(
     vid: VarId,
     var: &VarIr,
 ) {
-    // Memory cells: direct cache access, no device I/O.
+    // Memory cells: direct cache access, no device I/O. Stores keep
+    // the variable's raw width, like the runtime.
     if var.mem_cell.is_some() {
+        let stored = match var.raw_mask() {
+            u64::MAX => "(v)".to_string(),
+            mask => format!("((v) & {})", hex(mask)),
+        };
         let _ =
             writeln!(out, "#define {prefix}_get_{}() ({prefix}_cache.mem_{})", var.name, var.name);
         if var.parent.is_some() {
@@ -514,7 +525,7 @@ fn emit_var_stubs(
             );
             let _ = writeln!(
                 out,
-                "#define {prefix}_setf_{}(v) ({prefix}_cache.mem_{} = (v))",
+                "#define {prefix}_setf_{}(v) ({prefix}_cache.mem_{} = {stored})",
                 var.name, var.name
             );
         }
@@ -522,7 +533,7 @@ fn emit_var_stubs(
             if var.set.is_empty() {
                 let _ = writeln!(
                     out,
-                    "#define {prefix}_set_{}(v) ({prefix}_cache.mem_{} = (v))",
+                    "#define {prefix}_set_{}(v) ({prefix}_cache.mem_{} = {stored})",
                     var.name, var.name
                 );
             } else {

@@ -3,7 +3,7 @@
 //! stub code.
 //!
 //! Both back ends lower stub bodies from [`devil_ir::PlanStep`] arena
-//! ranges — the same lowering the fast-path interpreter executes — so
+//! ranges — the same lowering the plan executor executes — so
 //! generated code and interpreter cannot diverge. An access only gets a
 //! stub when its plan is *emittable*: every step touches a concrete
 //! (non-family) register through a fixed slot and constant offset, every
@@ -48,10 +48,8 @@ pub fn plan_emittable(ir: &DeviceIr, plan: &AccessPlan) -> bool {
 fn guard_emittable(ir: &DeviceIr, g: &PlanGuard) -> bool {
     match g.source {
         GuardSource::Slot(s) => ir.slot_owner(s).is_some(),
-        // Cells store unmasked: a value outside the enumerated domain
-        // matches no variant, and the emitted exhaustive ternary/if
-        // chain — unlike the interpreter — has no general path to fall
-        // back to. Cell-guarded plans keep the interpreter API.
+        // The emitters have no cell-guard form yet: cell-guarded plans
+        // stay behind the runtime API rather than being mis-emitted.
         GuardSource::Cell(_) => false,
         // The stub's own value argument; only write plans carry input
         // guards (the lowerer constructs them solely for the variable

@@ -299,10 +299,15 @@ fn step_stmts(ir: &DeviceIr, step: &PlanStep, indent: &str, input: &str, out: &m
             let _ = writeln!(out, "{indent}self.cache_{n} = {val};");
             let _ = writeln!(out, "{indent}self.valid_{n} = true;");
         }
-        PlanStep::SetCell { cell, value } => {
+        PlanStep::SetCell { cell, value, mask } => {
+            // Cells keep their variable's raw width, like the runtime.
             let owner = ir.mem_owner(*cell).expect("cells are owned");
-            let _ =
-                writeln!(out, "{indent}self.mem_{} = {};", ir.var(owner).name, value_expr(value));
+            let v = match value {
+                PlanValue::Const(_) => value_expr(value),
+                _ if *mask == u64::MAX => value_expr(value),
+                _ => format!("({} & {mask:#x})", value_expr(value)),
+            };
+            let _ = writeln!(out, "{indent}self.mem_{} = {v};", ir.var(owner).name);
         }
         // Fused block transfers: one bus transaction over the caller's
         // whole buffer (the `rep insw` shape). Only superplan bodies
@@ -387,8 +392,13 @@ fn assemble_expr(ir: &DeviceIr, pairs: &[(usize, FieldSeg)]) -> String {
 
 fn emit_var(out: &mut String, ir: &DeviceIr, api: &StubApi, vid: VarId, var: &VarIr) {
     let rust_ty = if matches!(var.ty, TypeSem::SInt(_)) { "i64" } else { "u64" };
-    // Memory cells: direct cache access.
+    // Memory cells: direct cache access. Stores keep the variable's raw
+    // width, like the runtime.
     if var.mem_cell.is_some() {
+        let stored = match var.raw_mask() {
+            u64::MAX => "v".to_string(),
+            mask => format!("v & {mask:#x}"),
+        };
         let _ = writeln!(out, "    /// Reads the private memory cell `{}`.", var.name);
         let _ = writeln!(out, "    pub fn get_{}(&mut self) -> u64 {{", var.name);
         let _ = writeln!(out, "        self.mem_{}\n    }}\n", var.name);
@@ -401,13 +411,13 @@ fn emit_var(out: &mut String, ir: &DeviceIr, api: &StubApi, vid: VarId, var: &Va
                 var.name
             );
             let _ = writeln!(out, "    pub fn stage_{}(&mut self, v: u64) {{", var.name);
-            let _ = writeln!(out, "        self.mem_{} = v;\n    }}\n", var.name);
+            let _ = writeln!(out, "        self.mem_{} = {stored};\n    }}\n", var.name);
         }
         if api.writes_var(vid) {
             let _ = writeln!(out, "    /// Writes the private memory cell `{}`.", var.name);
             if var.set.is_empty() {
                 let _ = writeln!(out, "    pub fn set_{}(&mut self, v: u64) {{", var.name);
-                let _ = writeln!(out, "        self.mem_{} = v;\n    }}\n", var.name);
+                let _ = writeln!(out, "        self.mem_{} = {stored};\n    }}\n", var.name);
             } else {
                 // Foldable set actions ride the compiled write plan.
                 let plan = var.write_plan.as_deref().expect("api vetted the write plan");

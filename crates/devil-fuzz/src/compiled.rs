@@ -1,5 +1,5 @@
 //! The compiled-code differential oracle: proves the **generated C
-//! stubs** faithful to the fast-path interpreter by actually compiling
+//! stubs** faithful to the plan executor by actually compiling
 //! and running them.
 //!
 //! For one spec, [`CompiledStub::build`] emits the C header
@@ -191,7 +191,7 @@ fn op_commands(ir: &DeviceIr, api: &StubApi, ops: &[Op], out: &mut String) {
     }
 }
 
-/// Replays a filtered op stream through the fast-path interpreter,
+/// Replays a filtered op stream through the plan executor,
 /// producing the canonical observation lines the harness must match:
 /// interleaved bus traffic and results, then the final cache dump.
 pub fn interp_observation(ir: &DeviceIr, ops: &[Op]) -> Vec<String> {
@@ -718,7 +718,7 @@ pub fn rooted_verdict(
 }
 
 /// Replays `ops` (pre-filtering them to the stub surface) through the
-/// compiled stubs and the fast-path interpreter, demanding identical
+/// compiled stubs and the plan executor, demanding identical
 /// bus logs, results and final cache state.
 pub fn check_compiled(
     stub: &CompiledStub,

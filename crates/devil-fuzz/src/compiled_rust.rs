@@ -17,7 +17,7 @@
 //! reuses the interpreter-side observation builders and the rooted
 //! (MMR) verdict of [`crate::compiled`] unchanged: every bus operation
 //! in order, every result, and the final cache/cell state must be
-//! line-identical to the fast-path interpreter.
+//! line-identical to the plan executor.
 //!
 //! One emitter asymmetry is bridged here rather than hidden: emitted
 //! Rust getters sign-extend `signed` variables (they return `i64`),
@@ -458,7 +458,7 @@ fn camel(s: &str) -> String {
 }
 
 /// Replays `ops` (pre-filtering them to the stub surface) through the
-/// compiled Rust stubs and the fast-path interpreter, demanding
+/// compiled Rust stubs and the plan executor, demanding
 /// identical bus logs, results and final cache state.
 pub fn check_compiled_rust(
     stub: &CompiledRustStub,

@@ -1,9 +1,9 @@
 //! Coverage-guided corpus growth over the compiled plan surface.
 //!
 //! The runtime's opt-in dispatch trace names, for every access, exactly
-//! which straight-line plan variant executed — or why the general
-//! interpreter took over ([`devil_runtime::DispatchRecord`]). That is
-//! the whole coverage signal this module feeds on: a [`CoverageSpace`]
+//! which straight-line plan variant executed
+//! ([`devil_runtime::DispatchRecord`]). That is the whole coverage
+//! signal this module feeds on: a [`CoverageSpace`]
 //! enumerates every compiled plan variant (plus memory-cell serves and
 //! fused superplan variants) of a spec up front, a [`Coverage`] map
 //! marks which of them a word stream lit up, and [`grow_corpus`]
@@ -15,17 +15,11 @@
 //! Streams stay raw `Vec<u64>` words: the same pure, total
 //! [`crate::decode`] / [`crate::superfuzz::decode_super`] pair turns
 //! them into ops, so every corpus entry replays bit-identically through
-//! the fast/general and fused/unfused differential comparators, the
+//! the plans/reference and fused/unfused differential comparators, the
 //! compiled-C oracle, and the compiled-Rust oracle.
-//!
-//! Fallback dispatches (plans off, select miss, out-of-domain args …)
-//! feed novelty — a stream that discovers a new *way to miss* is worth
-//! keeping — but only plan variants make up the completeness
-//! denominator: fallback causes are unbounded in principle, variants
-//! are the compiled surface the paper's claim is about.
 
 use crate::superfuzz::decode_super;
-use crate::{decode, run_op};
+use crate::{decode, run_op, Engine};
 use devil_ir::DeviceIr;
 use devil_runtime::{AccessRef, DeviceInstance, DispatchOutcome, DispatchRecord, FakeAccess};
 use devil_sema::model::{StructId, VarId};
@@ -48,85 +42,37 @@ pub struct CoverageSpace {
 
 impl CoverageSpace {
     /// Enumerates the plan surface of `ir`: per access (variable
-    /// read/write, structure read/write, superplan) either its
-    /// memory-cell serve or one point per compiled plan variant.
+    /// read/write, structure read/write, superplan) one point per
+    /// compiled plan variant (a memory-cell serve is its read plan's
+    /// one variant).
     pub fn of(ir: &DeviceIr) -> CoverageSpace {
         let mut points = Vec::new();
         let mut names = Vec::new();
-        let mut push = |rec: DispatchRecord, name: String| {
-            points.push(rec);
-            names.push(name);
+        let mut push = |access: AccessRef, plan: Option<&devil_ir::AccessPlan>, what: &str| {
+            let n = plan.map_or(0, |p| p.variants.len());
+            for idx in 0..n {
+                points
+                    .push(DispatchRecord { access, outcome: DispatchOutcome::Variant(idx as u32) });
+                names.push(format!("{what} variant {idx}/{n}"));
+            }
         };
         for (vi, var) in ir.vars.iter().enumerate() {
             let vid = VarId(vi as u32);
-            if let Some(plan) = &var.read_plan {
-                if plan.cell.is_some() {
-                    push(
-                        DispatchRecord {
-                            access: AccessRef::ReadVar(vid),
-                            outcome: DispatchOutcome::Cell,
-                        },
-                        format!("read {} (cell)", var.name),
-                    );
-                } else {
-                    for idx in 0..plan.variants.len() {
-                        push(
-                            DispatchRecord {
-                                access: AccessRef::ReadVar(vid),
-                                outcome: DispatchOutcome::Variant(idx as u32),
-                            },
-                            format!("read {} variant {idx}/{}", var.name, plan.variants.len()),
-                        );
-                    }
-                }
-            }
-            if let Some(plan) = &var.write_plan {
-                for idx in 0..plan.variants.len() {
-                    push(
-                        DispatchRecord {
-                            access: AccessRef::WriteVar(vid),
-                            outcome: DispatchOutcome::Variant(idx as u32),
-                        },
-                        format!("write {} variant {idx}/{}", var.name, plan.variants.len()),
-                    );
-                }
-            }
+            push(AccessRef::ReadVar(vid), var.read_plan.as_deref(), &format!("read {}", var.name));
+            push(
+                AccessRef::WriteVar(vid),
+                var.write_plan.as_deref(),
+                &format!("write {}", var.name),
+            );
         }
         for (si, st) in ir.structs.iter().enumerate() {
             let sid = StructId(si as u32);
-            if let Some(plan) = &st.read_plan {
-                for idx in 0..plan.variants.len() {
-                    push(
-                        DispatchRecord {
-                            access: AccessRef::ReadStruct(sid),
-                            outcome: DispatchOutcome::Variant(idx as u32),
-                        },
-                        format!("read_struct {} variant {idx}/{}", st.name, plan.variants.len()),
-                    );
-                }
-            }
-            if let Some(plan) = &st.write_plan {
-                for idx in 0..plan.variants.len() {
-                    push(
-                        DispatchRecord {
-                            access: AccessRef::WriteStruct(sid),
-                            outcome: DispatchOutcome::Variant(idx as u32),
-                        },
-                        format!("write_struct {} variant {idx}/{}", st.name, plan.variants.len()),
-                    );
-                }
-            }
+            let (read, write) = (st.read_plan.as_deref(), st.write_plan.as_deref());
+            push(AccessRef::ReadStruct(sid), read, &format!("read_struct {}", st.name));
+            push(AccessRef::WriteStruct(sid), write, &format!("write_struct {}", st.name));
         }
         for (si, sp) in ir.superplans().iter().enumerate() {
-            for idx in 0..sp.plan.variants.len() {
-                push(
-                    DispatchRecord {
-                        access: AccessRef::Superplan(si),
-                        outcome: DispatchOutcome::Variant(idx as u32),
-                    },
-                    format!("superplan {} variant {idx}/{}", sp.name, sp.plan.variants.len()),
-                );
-            }
+            push(AccessRef::Superplan(si), Some(&sp.plan), &format!("superplan {}", sp.name));
         }
         let index = points.iter().copied().enumerate().map(|(i, p)| (p, i)).collect();
         CoverageSpace { points, index, names }
@@ -149,40 +95,31 @@ impl CoverageSpace {
 }
 
 /// A coverage map over one [`CoverageSpace`]: which plan-surface points
-/// have been hit, plus the open-ended set of observed fallback shapes
-/// (novelty signal only — not part of the denominator).
+/// have been hit.
 #[derive(Clone)]
 pub struct Coverage {
     hits: Vec<bool>,
     hit_count: usize,
-    fallbacks: BTreeSet<DispatchRecord>,
 }
 
 impl Coverage {
     /// An empty map over `space`.
     pub fn new(space: &CoverageSpace) -> Coverage {
-        Coverage { hits: vec![false; space.len()], hit_count: 0, fallbacks: BTreeSet::new() }
+        Coverage { hits: vec![false; space.len()], hit_count: 0 }
     }
 
-    /// Folds one trace record in. Returns `true` when it reached
-    /// something not seen before (a new plan-surface point or a new
-    /// fallback shape).
+    /// Folds one trace record in. Returns `true` when it reached a
+    /// plan-surface point not seen before.
     pub fn observe(&mut self, space: &CoverageSpace, rec: DispatchRecord) -> bool {
-        if let Some(&i) = space.index.get(&rec) {
-            if !self.hits[i] {
-                self.hits[i] = true;
-                self.hit_count += 1;
-                return true;
-            }
-            return false;
+        // A record the space does not know cannot happen for a trace
+        // over the same IR; treat it as non-novel.
+        let Some(&i) = space.index.get(&rec) else { return false };
+        let new = !self.hits[i];
+        if new {
+            self.hits[i] = true;
+            self.hit_count += 1;
         }
-        match rec.outcome {
-            DispatchOutcome::Fallback(_) => self.fallbacks.insert(rec),
-            // A variant index the space does not know cannot happen for
-            // a trace over the same IR; treat it as non-novel rather
-            // than corrupting the counts.
-            _ => false,
-        }
+        new
     }
 
     /// Plan-surface points hit so far.
@@ -199,60 +136,6 @@ impl Coverage {
     pub fn unreached<'s>(&self, space: &'s CoverageSpace) -> Vec<&'s str> {
         (0..space.len()).filter(|&i| !self.hits[i]).map(|i| space.name(i)).collect()
     }
-
-    /// Distinct fallback shapes observed (novelty-only signal).
-    pub fn fallback_shapes(&self) -> usize {
-        self.fallbacks.len()
-    }
-
-    /// The distinct fallback shapes observed, rendered as stable,
-    /// sorted `access fallback Cause` lines. This is the set the
-    /// nightly corpus job diffs across corpus generations: a grown
-    /// corpus that discovers (or loses) a way to miss shows up as a
-    /// line-level diff of the committed shape file, not just a count.
-    pub fn fallback_set(&self, ir: &DeviceIr) -> BTreeSet<String> {
-        self.fallbacks.iter().map(|rec| fallback_name(ir, rec)).collect()
-    }
-}
-
-/// Renders one fallback dispatch record with access provenance.
-fn fallback_name(ir: &DeviceIr, rec: &DispatchRecord) -> String {
-    let access = match rec.access {
-        AccessRef::ReadVar(vid) => format!("read {}", ir.var(vid).name),
-        AccessRef::WriteVar(vid) => format!("write {}", ir.var(vid).name),
-        AccessRef::ReadStruct(sid) => format!("read_struct {}", ir.structs[sid.0 as usize].name),
-        AccessRef::WriteStruct(sid) => {
-            format!("write_struct {}", ir.structs[sid.0 as usize].name)
-        }
-        AccessRef::Superplan(si) => format!("superplan {}", ir.superplans()[si].name),
-    };
-    match rec.outcome {
-        DispatchOutcome::Fallback(cause) => format!("{access} fallback {cause:?}"),
-        // Unreachable for records held in `fallbacks`, but total anyway.
-        DispatchOutcome::Cell => format!("{access} cell"),
-        DispatchOutcome::Variant(i) => format!("{access} variant {i}"),
-    }
-}
-
-/// The committed fallback-shape inventory for the whole spec library
-/// (one `spec: shape` line per observed shape, sorted), regenerated by
-/// the same `UPDATE_CORPUS=1` convention as the corpora themselves.
-pub fn fallback_shapes_path() -> PathBuf {
-    corpus_dir().join("fallback-shapes.txt")
-}
-
-/// Serializes one library-wide fallback-shape inventory.
-pub fn format_fallback_shapes(shapes: &BTreeMap<String, BTreeSet<String>>) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# Fallback shapes reached by the shipped coverage corpus,");
-    let _ = writeln!(out, "# per spec. Regenerate with UPDATE_CORPUS=1 (coverage_corpus");
-    let _ = writeln!(out, "# test); the nightly corpus job diffs this across generations.");
-    for (name, set) in shapes {
-        for shape in set {
-            let _ = writeln!(out, "{name}: {shape}");
-        }
-    }
-    out
 }
 
 /// Replays one raw word stream — variable/struct ops first, then the
@@ -265,12 +148,12 @@ pub fn covered_records(ir: &DeviceIr, words: &[u64]) -> Vec<DispatchRecord> {
     let mut dev = FakeAccess::new();
     let mut obs = Vec::new();
     for op in decode(ir, words) {
-        run_op(&mut inst, &mut dev, &op, &mut obs);
+        run_op(&mut Engine::Plans(&mut inst), &mut dev, &op, &mut obs);
         obs.clear();
     }
     for (pre, call) in decode_super(ir, words) {
         for op in &pre {
-            run_op(&mut inst, &mut dev, op, &mut obs);
+            run_op(&mut Engine::Plans(&mut inst), &mut dev, op, &mut obs);
             obs.clear();
         }
         let mut block_in = vec![0u64; call.block_in_len];
@@ -388,8 +271,7 @@ fn mutate(corpus: &[Vec<u64>], rng: &mut u64) -> Vec<u64> {
 /// candidate streams have been tried. Deterministic in `seed`. Every
 /// fourth candidate is fresh-random (exploration); the rest mutate from
 /// the corpus (exploitation). A candidate is kept exactly when it
-/// reaches a plan-surface point or fallback shape nothing before it
-/// reached.
+/// reaches a plan-surface point nothing before it reached.
 pub fn grow_corpus(ir: &DeviceIr, seed: u64, budget: usize) -> Vec<Vec<u64>> {
     let space = CoverageSpace::of(ir);
     let mut cov = Coverage::new(&space);
@@ -427,23 +309,9 @@ pub fn uniform_coverage(ir: &DeviceIr, seed: u64, budget: usize) -> (usize, usiz
     (cov.covered(), space.len())
 }
 
-/// Plan-surface point indices (and fallback shapes) a stream reaches,
-/// as a comparable set.
-fn contribution(
-    ir: &DeviceIr,
-    space: &CoverageSpace,
-    words: &[u64],
-) -> (BTreeSet<usize>, BTreeSet<DispatchRecord>) {
-    let mut pts = BTreeSet::new();
-    let mut falls = BTreeSet::new();
-    for rec in covered_records(ir, words) {
-        if let Some(&i) = space.index.get(&rec) {
-            pts.insert(i);
-        } else if matches!(rec.outcome, DispatchOutcome::Fallback(_)) {
-            falls.insert(rec);
-        }
-    }
-    (pts, falls)
+/// Plan-surface point indices a stream reaches, as a comparable set.
+fn contribution(ir: &DeviceIr, space: &CoverageSpace, words: &[u64]) -> BTreeSet<usize> {
+    covered_records(ir, words).iter().filter_map(|rec| space.index.get(rec).copied()).collect()
 }
 
 /// Minimizes a corpus: greedy marginal-contribution selection in corpus
@@ -468,7 +336,7 @@ fn minimize_step(ir: &DeviceIr, space: &CoverageSpace, corpus: &[Vec<u64>]) -> V
     let mut union: BTreeSet<usize> = BTreeSet::new();
     let mut kept: Vec<Vec<u64>> = Vec::new();
     for entry in corpus {
-        let (pts, _) = contribution(ir, space, entry);
+        let pts = contribution(ir, space, entry);
         if !pts.is_subset(&union) {
             union.extend(&pts);
             kept.push(entry.clone());
@@ -482,7 +350,7 @@ fn minimize_step(ir: &DeviceIr, space: &CoverageSpace, corpus: &[Vec<u64>]) -> V
             let mut u = BTreeSet::new();
             for (j, e) in kept.iter().enumerate() {
                 if j != skip {
-                    u.extend(contribution(ir, space, e).0);
+                    u.extend(contribution(ir, space, e));
                 }
             }
             u
@@ -490,7 +358,7 @@ fn minimize_step(ir: &DeviceIr, space: &CoverageSpace, corpus: &[Vec<u64>]) -> V
         let others = others_union(&kept, i);
         let keeps_union = |prefix: &[u64]| -> bool {
             let mut u = others.clone();
-            u.extend(contribution(ir, space, prefix).0);
+            u.extend(contribution(ir, space, prefix));
             u == full_union
         };
         let mut len = kept[i].len();

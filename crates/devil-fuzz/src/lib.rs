@@ -1,12 +1,13 @@
 //! Differential fuzzing harness for the Devil runtime.
 //!
-//! The fast path (precompiled [`devil_ir`] plans, indexed flat cache
-//! slots) and the general interpreter must be observationally
-//! indistinguishable: same device-visible bus traffic, same final
-//! device state, same results and errors. This crate turns a raw
-//! stream of random words into a valid-ish [`Op`] sequence over a
-//! lowered device, replays it through both interpreter modes, and
-//! diffs everything the device or the caller could observe.
+//! The plan executor ([`DeviceInstance`]: precompiled [`devil_ir`]
+//! plans, indexed flat cache slots) and the reference interpreter
+//! ([`ReferenceInstance`]) must be observationally indistinguishable:
+//! same device-visible bus traffic, same final device state, same
+//! results and errors. This crate turns a raw stream of random words
+//! into a valid-ish [`Op`] sequence over a lowered device, replays it
+//! through both engines ([`Engine`]), and diffs everything
+//! the device or the caller could observe.
 //!
 //! The generator is deliberately a pure function of the word stream,
 //! so a failing proptest case is replayable from its printed seed
@@ -15,7 +16,7 @@
 #![forbid(unsafe_code)]
 
 use devil_ir::DeviceIr;
-use devil_runtime::{DeviceInstance, FakeAccess};
+use devil_runtime::{DeviceInstance, FakeAccess, ReferenceInstance};
 use devil_sema::model::{Offset, StructId, VarId};
 
 pub mod compiled;
@@ -25,6 +26,27 @@ pub mod coverage;
 pub mod rooted;
 pub mod superfuzz;
 pub mod synthetic;
+
+/// One engine of a differential replay, borrowed: the plan executor or
+/// the reference interpreter, driven through the same op stream.
+pub enum Engine<'a> {
+    /// The plan executor.
+    Plans(&'a mut DeviceInstance),
+    /// The reference interpreter.
+    Reference(&'a mut ReferenceInstance),
+}
+
+/// Evaluates `$call` with `$i` bound to whichever instance `$engine`
+/// holds: both engines expose the same access methods.
+macro_rules! for_both {
+    ($engine:expr, $i:ident => $call:expr) => {
+        match $engine {
+            Engine::Plans($i) => $call,
+            Engine::Reference($i) => $call,
+        }
+    };
+}
+pub(crate) use for_both;
 
 /// One operation against a device instance.
 #[derive(Clone, Debug)]
@@ -108,7 +130,7 @@ impl<'a> Words<'a> {
 
 /// A family-argument tuple for `var`, drawn from the parameter domains.
 /// Roughly one in eight tuples is pushed out of domain on purpose, so
-/// the error paths of both interpreter modes are compared too.
+/// the error paths of both engines are compared too.
 fn args_for(ir: &DeviceIr, vid: VarId, w: u64, words: &mut Words) -> Vec<u64> {
     let var = ir.var(vid);
     let mut args: Vec<u64> = var
@@ -280,7 +302,7 @@ pub fn sweep_ops(ir: &DeviceIr) -> Vec<Op> {
 /// cross product; the second flush writes `round ^ (0x5a + k)` for
 /// non-trivial payload bits. Each round ends with a read probe of
 /// every plain readable variable, so silent cache divergence between
-/// plan variants and the general path surfaces. (Wider tested fields
+/// plan variants and the reference interpreter surfaces. (Wider tested fields
 /// and exotic layouts are additionally covered by the random proptest
 /// stream.)
 pub fn init_sweep_ops(ir: &DeviceIr) -> Vec<Op> {
@@ -306,7 +328,7 @@ pub fn init_sweep_ops(ir: &DeviceIr) -> Vec<Op> {
             ops.push(Op::WriteStruct { sid, values: payload });
         }
         // Probe every readable variable so silent cache divergence
-        // between the variants and the general path surfaces.
+        // between the variants and the reference interpreter surfaces.
         for vi in 0..ir.vars.len() as u32 {
             let vid = VarId(vi);
             let var = ir.var(vid);
@@ -320,10 +342,10 @@ pub fn init_sweep_ops(ir: &DeviceIr) -> Vec<Op> {
 
 /// Replays `ops` against one instance, recording everything a caller
 /// observes (values, errors) as comparable strings.
-pub fn run(inst: &mut DeviceInstance, dev: &mut FakeAccess, ops: &[Op]) -> Vec<String> {
+pub fn run(mut inst: Engine<'_>, dev: &mut FakeAccess, ops: &[Op]) -> Vec<String> {
     let mut obs = Vec::with_capacity(ops.len());
     for op in ops {
-        run_op(inst, dev, op, &mut obs);
+        run_op(&mut inst, dev, op, &mut obs);
     }
     obs
 }
@@ -332,44 +354,41 @@ pub fn run(inst: &mut DeviceInstance, dev: &mut FakeAccess, ops: &[Op]) -> Vec<S
 /// streaming rooted harness reuses one buffer across millions of ops;
 /// [`run`] is the collect-everything wrapper the linear comparators
 /// keep using.
-pub fn run_op(inst: &mut DeviceInstance, dev: &mut FakeAccess, op: &Op, out: &mut Vec<String>) {
+pub fn run_op(inst: &mut Engine<'_>, dev: &mut FakeAccess, op: &Op, out: &mut Vec<String>) {
     match op {
         Op::ReadVar { vid, args } => {
-            out.push(format!("read {vid:?} {args:?} -> {:?}", inst.read_id(dev, *vid, args)));
+            let r = for_both!(inst, i => i.read_id(dev, *vid, args));
+            out.push(format!("read {vid:?} {args:?} -> {r:?}"));
         }
         Op::WriteVar { vid, args, value } => {
-            out.push(format!(
-                "write {vid:?} {args:?} {value:#x} -> {:?}",
-                inst.write_id(dev, *vid, args, *value)
-            ));
+            let r = for_both!(inst, i => i.write_id(dev, *vid, args, *value));
+            out.push(format!("write {vid:?} {args:?} {value:#x} -> {r:?}"));
         }
         Op::ReadStruct { sid } => {
-            let r = inst.read_struct_id(dev, *sid);
+            let r = for_both!(inst, i => i.read_struct_id(dev, *sid));
             out.push(format!("read_struct {sid:?} -> {r:?}"));
             if r.is_ok() {
-                for &fid in inst.ir().strct(*sid).fields.clone().iter() {
-                    out.push(format!("  field {fid:?} -> {:?}", inst.get_field_id(fid)));
+                for &fid in for_both!(inst, i => i.ir().strct(*sid).fields.clone()).iter() {
+                    let f = for_both!(inst, i => i.get_field_id(fid));
+                    out.push(format!("  field {fid:?} -> {f:?}"));
                 }
             }
         }
         Op::WriteStruct { sid, values } => {
             for (fid, v) in values {
-                out.push(format!(
-                    "  set_field {fid:?} {v:#x} -> {:?}",
-                    inst.set_field_id(*fid, *v)
-                ));
+                let r = for_both!(inst, i => i.set_field_id(*fid, *v));
+                out.push(format!("  set_field {fid:?} {v:#x} -> {r:?}"));
             }
-            out.push(format!("write_struct {sid:?} -> {:?}", inst.write_struct_id(dev, *sid)));
+            let r = for_both!(inst, i => i.write_struct_id(dev, *sid));
+            out.push(format!("write_struct {sid:?} -> {r:?}"));
         }
         Op::ReadBlock { vid, len } => {
-            let name = inst.ir().var(*vid).name.clone();
             let mut buf = vec![0u64; *len];
-            let r = inst.read_block(dev, &name, &mut buf);
+            let r = for_both!(inst, i => i.read_block_id(dev, *vid, &mut buf));
             out.push(format!("read_block {vid:?} -> {r:?} {buf:x?}"));
         }
         Op::WriteBlock { vid, values } => {
-            let name = inst.ir().var(*vid).name.clone();
-            let r = inst.write_block(dev, &name, values);
+            let r = for_both!(inst, i => i.write_block_id(dev, *vid, values));
             out.push(format!("write_block {vid:?} {values:x?} -> {r:?}"));
         }
         Op::Preset { port, offset, value } => {
@@ -399,56 +418,97 @@ pub fn probe_ops(ir: &DeviceIr) -> Vec<Op> {
 fn first_diff(a: &[String], b: &[String]) -> String {
     for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
         if x != y {
-            return format!("op {i}:\n  fast:    {x}\n  general: {y}");
+            return format!("line {i}:\n  plans:     {x}\n  reference: {y}");
         }
     }
-    format!("lengths differ: fast {} vs general {}", a.len(), b.len())
+    format!("lengths differ: plans {} vs reference {}", a.len(), b.len())
 }
 
-/// Replays `ops` through the fast-plan and the general interpreter and
-/// verifies they are indistinguishable: identical caller observations,
-/// identical device-visible operation log, identical final device
+/// Replays `ops` through the plans and the reference interpreter and
+/// verifies they are indistinguishable: identical caller observations
+/// and device-visible operation log op for op, identical final device
 /// state, and identical residual reads (cache coherence probe).
 pub fn check_equivalence(ir: &DeviceIr, ops: &[Op]) -> Result<(), String> {
-    let mut fast = DeviceInstance::new(ir.clone());
-    let mut fast_dev = FakeAccess::new();
-    let mut slow = DeviceInstance::new(ir.clone());
-    slow.set_fast_plans(false);
-    let mut slow_dev = FakeAccess::new();
+    replay_both(ir, ops, false).map(drop)
+}
 
-    let obs_fast = run(&mut fast, &mut fast_dev, ops);
-    let obs_slow = run(&mut slow, &mut slow_dev, ops);
-    if obs_fast != obs_slow {
-        return Err(format!("observations diverge at {}", first_diff(&obs_fast, &obs_slow)));
+/// What a checked-mode replay exercised.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CheckedOutcome {
+    /// Ops compared. Fewer than the stream when a write check fired in
+    /// the middle of a reference access (a value written by a nested
+    /// action): the reference had already touched the device, the
+    /// plans had not, so the states part by design and the replay stops.
+    pub ops: usize,
+    /// Accesses rejected by a debug write check (`ValueRange`).
+    pub write_rejects: usize,
+    /// Accesses rejected by a debug read check (`BadPattern`).
+    pub read_rejects: usize,
+}
+
+/// [`check_equivalence`] with debug checks on in both engines (the
+/// reference checks each value where it is written or read), adding:
+/// a write check rejects its access before the plans touch the device,
+/// and the plans dispatch every access (`PlanStats.general == 0`).
+pub fn check_checked_equivalence(ir: &DeviceIr, ops: &[Op]) -> Result<CheckedOutcome, String> {
+    replay_both(ir, ops, true)
+}
+
+fn replay_both(ir: &DeviceIr, ops: &[Op], checks: bool) -> Result<CheckedOutcome, String> {
+    let mut plans = DeviceInstance::new(ir.clone());
+    let mut reference = ReferenceInstance::new(ir.clone());
+    plans.set_debug_checks(checks);
+    reference.set_debug_checks(checks);
+    let (mut pdev, mut rdev) = (FakeAccess::new(), FakeAccess::new());
+    let mut out = CheckedOutcome::default();
+    let (mut pobs, mut robs) = (Vec::new(), Vec::new());
+    for (i, op) in ops.iter().enumerate() {
+        pobs.clear();
+        robs.clear();
+        let (pmark, rmark) = (pdev.log.len(), rdev.log.len());
+        run_op(&mut Engine::Plans(&mut plans), &mut pdev, op, &mut pobs);
+        run_op(&mut Engine::Reference(&mut reference), &mut rdev, op, &mut robs);
+        if pobs != robs {
+            return Err(format!("op {i}: observations diverge at {}", first_diff(&pobs, &robs)));
+        }
+        // The device-touching call's result: a struct read reports
+        // first (field getters follow), everything else last.
+        let call = if matches!(op, Op::ReadStruct { .. }) { pobs.first() } else { pobs.last() };
+        let rejected = call.is_some_and(|l| l.contains("Err(ValueRange"));
+        out.write_rejects += usize::from(rejected);
+        out.read_rejects += pobs.iter().filter(|l| l.contains("Err(BadPattern")).count();
+        if rejected && pdev.log.len() != pmark {
+            return Err(format!("op {i}: a rejected write reached the device: {op:?}"));
+        }
+        if pdev.log[pmark..] != rdev.log[rmark..] {
+            if rejected {
+                return Ok(out);
+            }
+            return Err(format!(
+                "op {i}: device op logs diverge on {op:?}: plans {:?} vs reference {:?}",
+                &pdev.log[pmark..],
+                &rdev.log[rmark..]
+            ));
+        }
+        out.ops = i + 1;
     }
-    if fast_dev.log != slow_dev.log {
-        let i = fast_dev.log.iter().zip(&slow_dev.log).position(|(a, b)| a != b);
-        return Err(format!(
-            "device op logs diverge at index {i:?}: fast {:?} vs general {:?}",
-            i.map(|i| fast_dev.log[i]),
-            i.map(|i| slow_dev.log[i]),
-        ));
-    }
-    if fast_dev.regs != slow_dev.regs {
+    if pdev.regs != rdev.regs {
         return Err("final device state diverges".into());
     }
-
-    // Cache-coherence probe: after the sequence, reading every readable
-    // variable once more must agree (catches silent cache divergence
-    // that the op sequence itself did not observe).
+    // Cache-coherence probe: reading every readable variable once more
+    // must agree (catches silent cache divergence the op sequence itself
+    // did not observe).
     let probe = probe_ops(ir);
-    let probe_fast = run(&mut fast, &mut fast_dev, &probe);
-    let probe_slow = run(&mut slow, &mut slow_dev, &probe);
-    if probe_fast != probe_slow {
-        return Err(format!(
-            "cache-coherence probe diverges at {}",
-            first_diff(&probe_fast, &probe_slow)
-        ));
+    let pp = run(Engine::Plans(&mut plans), &mut pdev, &probe);
+    let rp = run(Engine::Reference(&mut reference), &mut rdev, &probe);
+    if pp != rp || pdev.log != rdev.log {
+        return Err(format!("cache-coherence probe diverges at {}", first_diff(&pp, &rp)));
     }
-    if fast_dev.log != slow_dev.log {
-        return Err("probe device op logs diverge".into());
+    let stats = plans.plan_stats();
+    if stats.general != 0 {
+        return Err(format!("an access left the plans: {stats:?}"));
     }
-    Ok(())
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -491,7 +551,7 @@ mod tests {
     fn struct_action_with_partial_flush_order_stays_equivalent() {
         // Regression: a struct-valued pre-action assigning a field
         // whose register the serialized-as order does not flush. The
-        // general path stores the field's bits into that register's
+        // reference stores the field's bits into that register's
         // cache anyway; a folded plan used to drop them, diverging on
         // the next write that composed from the cache.
         let ir = ir(r#"device d (base : bit[8] port @ {0..2}) {
@@ -518,7 +578,7 @@ mod tests {
     #[test]
     fn equivalence_check_reports_divergence_details() {
         // Sanity: the checker accepts an equivalent pair on a random
-        // stream (any failure here is a real fast/general divergence).
+        // stream (any failure here is a real plans/reference divergence).
         let ir = ir(SPEC);
         let words: Vec<u64> = (0..40u64).map(|i| i * i * 2654435761 + 17).collect();
         let ops = decode(&ir, &words);

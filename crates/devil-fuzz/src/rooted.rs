@@ -1,5 +1,5 @@
-//! Root-compare equivalence: the fast-vs-general differential over an
-//! MMR-authenticated trace instead of retained observation logs.
+//! Root-compare equivalence: the plans-vs-reference differential over
+//! an MMR-authenticated trace instead of retained observation logs.
 //!
 //! The linear comparator ([`crate::check_equivalence`]) keeps every
 //! observation string and every device-log tuple from both rigs alive
@@ -20,9 +20,9 @@
 //! knob (mirroring `PROPTEST_CASES`), so CI nightlies push millions of
 //! ops while PR runs stay fast.
 
-use crate::{probe_ops, run_op, Op};
+use crate::{probe_ops, run_op, Engine, Op};
 use devil_ir::DeviceIr;
-use devil_runtime::{DeviceInstance, FakeAccess};
+use devil_runtime::{DeviceInstance, FakeAccess, ReferenceInstance};
 use hwsim::mmr::{bisect_divergence, Hash, MmrLog};
 
 /// Replay length for long-run differential tests: `DIFF_OPS` from the
@@ -115,8 +115,9 @@ struct Replay {
 /// probe read, then one final leaf over the sorted device register
 /// file — everything the linear comparator checks, in the same order.
 ///
-/// `corrupt` appends a byte to that op's leaf — the injection hook the
-/// bisection sensitivity tests use to fake a single-op divergence.
+/// `fast` picks the plans, else the reference interpreter. `corrupt`
+/// appends a byte to that op's leaf — the injection hook the bisection
+/// sensitivity tests use to fake a single-op divergence.
 fn replay<I: Iterator<Item = Op>>(
     ir: &DeviceIr,
     fast: bool,
@@ -125,10 +126,20 @@ fn replay<I: Iterator<Item = Op>>(
     corrupt: Option<u64>,
     window: Option<(u64, u64)>,
 ) -> Replay {
-    let mut inst = DeviceInstance::new(ir.clone());
-    if !fast {
-        inst.set_fast_plans(false);
-    }
+    let (mut plans, mut reference) =
+        (DeviceInstance::new(ir.clone()), ReferenceInstance::new(ir.clone()));
+    let inst = if fast { Engine::Plans(&mut plans) } else { Engine::Reference(&mut reference) };
+    replay_on(inst, ir, ops, retain, corrupt, window)
+}
+
+fn replay_on<I: Iterator<Item = Op>>(
+    mut inst: Engine<'_>,
+    ir: &DeviceIr,
+    ops: I,
+    retain: bool,
+    corrupt: Option<u64>,
+    window: Option<(u64, u64)>,
+) -> Replay {
     let mut dev = FakeAccess::new();
     dev.log.reserve(64);
     let mut log = MmrLog::new(retain);
@@ -140,7 +151,7 @@ fn replay<I: Iterator<Item = Op>>(
     let mut nops = 0u64;
 
     let mut fold =
-        |op: &Op, inst: &mut DeviceInstance, dev: &mut FakeAccess, idx: u64, log: &mut MmrLog| {
+        |op: &Op, inst: &mut Engine, dev: &mut FakeAccess, idx: u64, log: &mut MmrLog| {
             obs.clear();
             run_op(inst, dev, op, &mut obs);
             encode_leaf(&mut scratch, &obs, &dev.log);
@@ -252,7 +263,7 @@ where
     };
     Err(format!(
         "trace roots diverge ({fast_root:?} vs {slow_root:?}): bisection names {what} \
-         (leaf {} of {}) in {} hash compares\n  fast:\n{}\n  general:\n{}",
+         (leaf {} of {}) in {} hash compares\n  plans:\n{}\n  reference:\n{}",
         d.leaf,
         fast_r.log.len().max(slow_r.log.len()),
         d.compares,

@@ -1,16 +1,17 @@
-//! Fused-superplan differential fuzzing: `run_superplan` (one guard
-//! evaluation, batched I/O) against `run_superplan_unfused` (the same
-//! declared op sequence through the ordinary dispatch paths).
+//! Fused-superplan differential fuzzing: `DeviceInstance::run_superplan`
+//! (one guard evaluation, batched I/O) against
+//! `ReferenceInstance::run_superplan` (the same declared op sequence,
+//! op by op, through the reference interpreter).
 //!
 //! Fusion is pure dispatch batching — the fused body must issue the
 //! *identical* device-op stream, so both modes are compared on caller
 //! observations, the device op log, final device state and a
-//! cache-coherence read probe, exactly like the fast/general
+//! cache-coherence read probe, exactly like the plans/reference
 //! differential in the crate root.
 
-use crate::{run, run_op, Op};
+use crate::{for_both, run, run_op, Engine, Op};
 use devil_ir::{DeviceIr, FuseOp, PlanValue};
-use devil_runtime::{DeviceInstance, FakeAccess};
+use devil_runtime::{DeviceInstance, FakeAccess, ReferenceInstance};
 use hwsim::mmr::{bisect_divergence, Hash, MmrLog};
 
 /// Installs synthetic superplans over the formerly-fallback shapes in
@@ -44,9 +45,8 @@ pub fn install_synthetic(name: &str, ir: &mut DeviceIr) {
             );
         }
         // Cell-guarded write order: selection reads the private cell at
-        // entry; an out-of-range cell aborts selection and the whole
-        // sequence falls back unfused (the remaining dynamic-fallback
-        // path, regression-pinned in `tests/fallback.rs`).
+        // entry (cells hold masked values, so selection is total;
+        // pinned in `tests/fallback.rs`).
         "memw" => {
             let (resta, w) = (var(ir, "resta"), var(ir, "w"));
             fuse(
@@ -155,45 +155,27 @@ pub fn decode_super(ir: &DeviceIr, words: &[u64]) -> Vec<(Vec<Op>, SuperCall)> {
     seq
 }
 
-/// One superplan invocation (fused or unfused), appending the caller
-/// observation line to `obs`.
-fn run_call(
-    inst: &mut DeviceInstance,
-    dev: &mut FakeAccess,
-    call: &SuperCall,
-    fused: bool,
-    obs: &mut Vec<String>,
-) {
+/// One superplan invocation (fused on the plans, op by op on the
+/// reference), appending the caller observation line to `obs`.
+fn run_call(inst: &mut Engine, dev: &mut FakeAccess, call: &SuperCall, obs: &mut Vec<String>) {
     let mut block_in = vec![0u64; call.block_in_len];
-    let mut outs = vec![0u64; inst.ir().superplans()[call.sid].outputs];
-    let r = if fused {
-        inst.run_superplan(dev, call.sid, &call.args, &call.block_out, &mut block_in, &mut outs)
-    } else {
-        inst.run_superplan_unfused(
-            dev,
-            call.sid,
-            &call.args,
-            &call.block_out,
-            &mut block_in,
-            &mut outs,
-        )
-    };
+    let mut outs = vec![0u64; for_both!(inst, i => i.ir().superplans()[call.sid].outputs)];
+    let r = for_both!(inst, i => {
+        i.run_superplan(dev, call.sid, &call.args, &call.block_out, &mut block_in, &mut outs)
+    });
     obs.push(format!(
         "super {} {:x?} -> {r:?} outs {outs:x?} in {block_in:x?}",
         call.sid, call.args
     ));
 }
 
-fn run_seq(
-    inst: &mut DeviceInstance,
-    dev: &mut FakeAccess,
-    seq: &[(Vec<Op>, SuperCall)],
-    fused: bool,
-) -> Vec<String> {
+fn run_seq(mut inst: Engine, dev: &mut FakeAccess, seq: &[(Vec<Op>, SuperCall)]) -> Vec<String> {
     let mut obs = Vec::new();
     for (pre, call) in seq {
-        obs.extend(run(inst, dev, pre));
-        run_call(inst, dev, call, fused, &mut obs);
+        for op in pre {
+            run_op(&mut inst, dev, op, &mut obs);
+        }
+        run_call(&mut inst, dev, call, &mut obs);
     }
     obs
 }
@@ -218,11 +200,11 @@ pub fn check_superplan_equivalence(
 ) -> Result<(), String> {
     let mut fused = DeviceInstance::new(ir.clone());
     let mut fused_dev = FakeAccess::new();
-    let mut unfused = DeviceInstance::new(ir.clone());
+    let mut unfused = ReferenceInstance::new(ir.clone());
     let mut unfused_dev = FakeAccess::new();
 
-    let obs_f = run_seq(&mut fused, &mut fused_dev, seq, true);
-    let obs_u = run_seq(&mut unfused, &mut unfused_dev, seq, false);
+    let obs_f = run_seq(Engine::Plans(&mut fused), &mut fused_dev, seq);
+    let obs_u = run_seq(Engine::Reference(&mut unfused), &mut unfused_dev, seq);
     if obs_f != obs_u {
         return Err(format!("observations diverge at {}", first_diff(&obs_f, &obs_u)));
     }
@@ -240,10 +222,10 @@ pub fn check_superplan_equivalence(
         return Err("final device state diverges".into());
     }
 
-    // Cache-coherence probe, as in the fast/general differential.
+    // Cache-coherence probe, as in the plans/reference differential.
     let probe = crate::probe_ops(ir);
-    let probe_f = run(&mut fused, &mut fused_dev, &probe);
-    let probe_u = run(&mut unfused, &mut unfused_dev, &probe);
+    let probe_f = run(Engine::Plans(&mut fused), &mut fused_dev, &probe);
+    let probe_u = run(Engine::Reference(&mut unfused), &mut unfused_dev, &probe);
     if probe_f != probe_u {
         return Err(format!(
             "cache-coherence probe diverges at {}",
@@ -261,8 +243,7 @@ pub fn check_superplan_equivalence(
 /// log delta — into one MMR leaf, so the leaf index *is* the call
 /// index. Retained mode: superplan sequences are modest and retention
 /// lets a mismatch bisect without a re-replay.
-fn run_seq_rooted(ir: &DeviceIr, seq: &[(Vec<Op>, SuperCall)], fused: bool) -> MmrLog {
-    let mut inst = DeviceInstance::new(ir.clone());
+fn run_seq_rooted(mut inst: Engine, ir: &DeviceIr, seq: &[(Vec<Op>, SuperCall)]) -> MmrLog {
     let mut dev = FakeAccess::new();
     let mut log = MmrLog::new(true);
     log.reserve(seq.len().min(1024), 128);
@@ -273,7 +254,7 @@ fn run_seq_rooted(ir: &DeviceIr, seq: &[(Vec<Op>, SuperCall)], fused: bool) -> M
         for op in pre {
             run_op(&mut inst, &mut dev, op, &mut obs);
         }
-        run_call(&mut inst, &mut dev, call, fused, &mut obs);
+        run_call(&mut inst, &mut dev, call, &mut obs);
         crate::rooted::encode_leaf(&mut scratch, &obs, &dev.log);
         dev.log.clear();
         log.push(&scratch);
@@ -309,8 +290,9 @@ pub fn check_superplan_equivalence_rooted(
     ir: &DeviceIr,
     seq: &[(Vec<Op>, SuperCall)],
 ) -> Result<SuperRooted, String> {
-    let mut fused = run_seq_rooted(ir, seq, true);
-    let mut unfused = run_seq_rooted(ir, seq, false);
+    let mut fused = run_seq_rooted(Engine::Plans(&mut DeviceInstance::new(ir.clone())), ir, seq);
+    let mut unfused =
+        run_seq_rooted(Engine::Reference(&mut ReferenceInstance::new(ir.clone())), ir, seq);
     let (rf, ru) = (fused.root(), unfused.root());
     if rf == ru {
         return Ok(SuperRooted { root: rf, calls: seq.len() as u64, leaves: fused.len() });

@@ -1,6 +1,6 @@
 //! Synthetic specifications pinning the formerly-fallback guard-split
 //! shapes: each names a structural access pattern that used to drop to
-//! the general interpreter and now compiles to straight/guarded plans.
+//! a general interpreter and now compiles to straight/guarded plans.
 //!
 //! They join the shipped spec library in the differential fuzz targets
 //! (`tests/differential.rs`, `tests/fallback.rs`) and — where the plan
@@ -8,8 +8,8 @@
 //! CI's nightly `fuzz-extended` and `compiled-diff` jobs enumerate the
 //! same lists at raised case counts.
 
-/// A write order testing the variable being written: the general path
-/// stores the bits before evaluating the condition, so the compiled
+/// A write order testing the variable being written: the reference
+/// interpreter stores the bits before evaluating the condition, so the compiled
 /// plan guards on the caller's *input* (`GuardSource::Input`) while the
 /// skipped-flush variant stores the bits cache-only.
 pub const SELF_TESTED: &str = r#"device selfw (base : bit[8] port @ {0..0}) {
@@ -19,9 +19,8 @@ pub const SELF_TESTED: &str = r#"device selfw (base : bit[8] port @ {0..0}) {
 }"#;
 
 /// A write order testing a private memory cell: the plan guards on the
-/// cell (`GuardSource::Cell`). Cells store unmasked, so out-of-range
-/// cell values abort selection and fall back to the general path —
-/// observably identically.
+/// cell (`GuardSource::Cell`). Cells store values masked to their
+/// variable's width, so every cell value selects a variant.
 pub const MEM_TESTED: &str = r#"device memw (base : bit[8] port @ {0..1}) {
     private variable m : bool;
     register a = write base @ 0 : bit[8];

@@ -1,7 +1,7 @@
 //! The compiled-C differential oracle, over the whole embedded spec
 //! library: emit the C stubs, compile them with `cc` together with a
 //! generated bus-shim harness, replay fuzz op-streams through the
-//! compiled binary and the fast-path interpreter, and assert identical
+//! compiled binary and the plan executor, and assert identical
 //! bus logs, read results and final cache state.
 //!
 //! Artifacts are content-hashed into `CARGO_TARGET_TMPDIR`, so repeated
@@ -409,7 +409,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random op streams over every spec: the compiled stubs and the
-    /// fast-path interpreter must be observationally identical.
+    /// plan executor must be observationally identical.
     #[test]
     fn compiled_stubs_and_interpreter_agree(words in collection::vec(any::<u64>(), 1..48)) {
         if skip_without_cc() {

@@ -3,7 +3,7 @@
 //! against a logging `DeviceAccess` shim crate plus a generated
 //! command harness, replay the same streams the compiled-C oracle
 //! replays, and assert line-identical bus logs, results and final
-//! cache/cell state against the fast-path interpreter.
+//! cache/cell state against the plan executor.
 //!
 //! Artifacts are content-hashed into `CARGO_TARGET_TMPDIR` like the C
 //! oracle's, so repeated runs compile each spec at most once per
@@ -242,7 +242,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random op streams over every spec: the compiled Rust stubs and
-    /// the fast-path interpreter must be observationally identical.
+    /// the plan executor must be observationally identical.
     #[test]
     fn rust_stubs_and_interpreter_agree(words in collection::vec(any::<u64>(), 1..48)) {
         if skip_without_rustc() {

@@ -1,19 +1,22 @@
-//! Differential fuzzing of the runtime's fast-plan path against the
-//! general interpreter, across the whole embedded specification
-//! library.
+//! Differential fuzzing of the runtime's plans against the reference
+//! interpreter, across the whole embedded specification library.
 //!
 //! Each case draws a raw word stream, decodes it into a per-device op
 //! sequence (reads, writes, structure round trips, block transfers,
 //! device-side presets, deliberate out-of-domain arguments) and
-//! replays it through both interpreter modes, asserting identical bus
-//! traffic, results, errors and final state. A failing case prints a
+//! replays it through both engines, asserting identical bus traffic,
+//! results, errors and final state. A failing case prints a
 //! `PROPTEST_SEED` that replays it exactly; CI's scheduled job raises
 //! the case count via `PROPTEST_CASES`.
 
+use devil_fuzz::coverage::shipped_corpus;
 use devil_fuzz::rooted::{
     check_equivalence_rooted, check_equivalence_rooted_stream, diff_ops, replay_mmr,
 };
-use devil_fuzz::{check_equivalence, decode, init_sweep_ops, sweep_ops, Op};
+use devil_fuzz::{
+    check_checked_equivalence, check_equivalence, decode, init_sweep_ops, sweep_ops,
+    CheckedOutcome, Op,
+};
 use devil_ir::DeviceIr;
 use devil_runtime::{DeviceInstance, FakeAccess};
 use hwsim::mmr::{bisect_divergence, linear_divergence};
@@ -38,7 +41,7 @@ fn irs() -> &'static Vec<(&'static str, DeviceIr)> {
 }
 
 /// The deterministic coverage sweep: every variable, structure and
-/// block transfer of every device, against both interpreter modes.
+/// block transfer of every device, against both engines.
 #[test]
 fn coverage_sweep_agrees_on_all_devices() {
     for (name, ir) in irs() {
@@ -49,7 +52,7 @@ fn coverage_sweep_agrees_on_all_devices() {
         let floor = if synthetic { 0 } else { 4 };
         assert!(ops.len() > floor, "{name}: sweep generated {} ops", ops.len());
         if let Err(e) = check_equivalence(ir, &ops) {
-            panic!("{name}: fast and general paths diverge on the sweep\n{e}");
+            panic!("{name}: plans and reference diverge on the sweep\n{e}");
         }
     }
 }
@@ -83,7 +86,7 @@ fn spec_library_compiles_the_expected_plans() {
 }
 
 /// The init-sequence sweep: every structure flushed across its whole
-/// guard domain, equivalent in both interpreter modes on every device.
+/// guard domain, equivalent on both engines on every device.
 #[test]
 fn init_sequence_sweep_agrees_on_all_devices() {
     for (name, ir) in irs() {
@@ -112,22 +115,22 @@ fn conditional_writes_take_guarded_variants_in_fast_mode() {
             .map(|(k, &fid)| (fid, (combo >> (k % 2)) & 1))
             .collect();
         let ops = [Op::WriteStruct { sid, values }];
-        devil_fuzz::run(&mut inst, &mut dev, &ops);
+        devil_fuzz::run(devil_fuzz::Engine::Plans(&mut inst), &mut dev, &ops);
     }
     let stats = inst.plan_stats();
     assert_eq!(stats.guarded, 4, "every conditional flush takes a guarded variant: {stats:?}");
     assert_eq!(stats.general, 0, "no general fallback in fast mode: {stats:?}");
 }
 
-/// Lowering records a loud fallback for every access that keeps the
-/// general interpreter; the shipped library and the synthetic shapes
-/// record none — the whole expressible surface is plan-backed.
+/// Lowering records every access it cannot plan; the shipped library
+/// and the synthetic shapes record none — the whole expressible surface
+/// is plan-backed.
 #[test]
 fn no_spec_records_a_plan_fallback() {
     for (name, ir) in irs() {
         assert!(
             ir.plan_fallbacks().is_empty(),
-            "{name}: accesses fell back to the general interpreter: {:?}",
+            "{name}: accesses compiled no plan: {:?}",
             ir.plan_fallbacks()
         );
     }
@@ -179,12 +182,58 @@ fn formerly_fallback_specs_dispatch_on_plans() {
         }
         let mut inst = DeviceInstance::new(ir.clone());
         let mut dev = FakeAccess::new();
-        devil_fuzz::run(&mut inst, &mut dev, &ops);
+        devil_fuzz::run(devil_fuzz::Engine::Plans(&mut inst), &mut dev, &ops);
         let stats = inst.plan_stats();
         assert_eq!(stats.general, 0, "{name}: general dispatches in fast mode: {stats:?}");
         assert!(stats.straight + stats.guarded > 0, "{name}: workload hit no plans: {stats:?}");
         check_equivalence(&ir, &ops).unwrap_or_else(|e| panic!("{name}: {e}"));
     }
+}
+
+/// Debug-checked mode runs the plans: every spec's sweep, init-sweep
+/// and shipped-corpus streams replay with checks on through the plans
+/// and through the reference (which checks each value where it is
+/// written or read). Verdicts match op for op, a rejected write never
+/// reaches the device, bus logs and state match, and nothing leaves the
+/// plans. Both kinds of check must actually fire across the library.
+#[test]
+fn checked_mode_agrees_with_the_reference() {
+    let mut total = CheckedOutcome::default();
+    for (name, ir) in irs() {
+        let mut streams = vec![sweep_ops(ir), init_sweep_ops(ir)];
+        streams.extend(shipped_corpus(name).iter().map(|words| decode(ir, words)));
+        for (k, ops) in streams.iter().enumerate() {
+            let out = check_checked_equivalence(ir, ops)
+                .unwrap_or_else(|e| panic!("{name} stream {k}: checked mode diverges\n{e}"));
+            assert_eq!(out.ops, ops.len(), "{name} stream {k}: no nested write check fires");
+            total.ops += out.ops;
+            total.write_rejects += out.write_rejects;
+            total.read_rejects += out.read_rejects;
+        }
+    }
+    println!("checked replay: {total:?}");
+    assert!(total.write_rejects > 0, "{total:?}");
+    // No shipped spec reads a sparse value set, so the read check fires
+    // on a fixture: both engines read 19, then reject it.
+    let model = devil_sema::check_source(
+        r#"device d (base : bit[8] port @ {0..0}) {
+             register r = base @ 0, mask '...*****' : bit[8];
+             variable mode = r[4..0], volatile : int{0..17, 25};
+           }"#,
+        &[],
+    )
+    .expect("fixture checks");
+    let ir = devil_ir::lower(&model);
+    let mode = ir.var_id("mode").unwrap();
+    let ops = [
+        Op::Preset { port: 0, offset: 0, value: 19 },
+        Op::ReadVar { vid: mode, args: vec![] },
+        Op::WriteVar { vid: mode, args: vec![], value: 20 },
+        Op::Preset { port: 0, offset: 0, value: 25 },
+        Op::ReadVar { vid: mode, args: vec![] },
+    ];
+    let out = check_checked_equivalence(&ir, &ops).unwrap();
+    assert_eq!((out.ops, out.write_rejects, out.read_rejects), (ops.len(), 1, 1));
 }
 
 /// The rooted comparator agrees with the linear one on the coverage
@@ -224,8 +273,8 @@ fn diff_longrun_root_compare() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random op sequences over every embedded device: the fast-plan
-    /// and general interpreters must be observationally identical.
+    /// Random op sequences over every embedded device: the plans and
+    /// the reference interpreter must be observationally identical.
     #[test]
     fn fast_plan_and_general_interpreter_agree(words in collection::vec(any::<u64>(), 1..48)) {
         for (name, ir) in irs() {
@@ -236,7 +285,7 @@ proptest! {
     }
 
     /// Rooted and linear comparators agree on random streams, and the
-    /// roots of the two interpreter modes match each other.
+    /// roots of the two engines match each other.
     #[test]
     fn rooted_comparator_agrees_on_random_streams(words in collection::vec(any::<u64>(), 1..48)) {
         for (name, ir) in irs() {

@@ -1,16 +1,18 @@
 //! The formerly-fallback guard-split shapes, each pinned by a
 //! synthetic spec: a conditional order testing the variable being
 //! written, a memory-cell tested variable, and a nested conditional
-//! order reached through an action. Each used to drop silently to the
-//! general interpreter; all three now compile to straight/guarded
-//! plans. For each, the access must dispatch **on a plan**
+//! order reached through an action. Each used to drop silently to a
+//! general interpreter; all three compile to straight/guarded plans.
+//! For each, the access must dispatch **on a plan**
 //! (`PlanStats.general == 0`), reproduce the same hand-computed
 //! bus-log oracle the fallback tests pinned, and stay differentially
-//! identical between the fast and general modes.
+//! identical to the reference interpreter. The shapes lowering still
+//! cannot plan are pinned too: recorded in `plan_fallbacks()` and
+//! rejected with `RtError::Unplanned` before the device is touched.
 
 use devil_fuzz::{check_equivalence, synthetic, Op};
 use devil_ir::DeviceIr;
-use devil_runtime::{DeviceInstance, FakeAccess};
+use devil_runtime::{DeviceInstance, FakeAccess, RtError};
 
 fn ir(src: &str) -> DeviceIr {
     devil_ir::lower(&devil_sema::check_source(src, &[]).expect("spec checks"))
@@ -63,9 +65,8 @@ fn self_written_tested_variable_compiles_input_guards() {
 }
 
 /// Cause 2 (retired): the serialization condition tests a memory-cell
-/// variable. The plan guards on the cell directly; out-of-range cell
-/// values (cells store unmasked) abort selection and fall back to the
-/// general path, observably identically.
+/// variable. The plan guards on the cell directly; a cell stores its
+/// value masked to the variable's width, so selection is total.
 #[test]
 fn mem_cell_tested_variable_compiles_cell_guards() {
     let ir = ir(synthetic::MEM_TESTED);
@@ -95,12 +96,13 @@ fn mem_cell_tested_variable_compiles_cell_guards() {
     assert_eq!(stats.guarded, 2, "both w writes take cell-guarded variants: {stats:?}");
     assert_eq!(stats.straight, 2, "mem-cell writes dispatch on their trivial plans: {stats:?}");
 
-    // An out-of-range cell value (cells store unmasked) must fall back
-    // to the general interpreter — and behave identically to it.
+    // A value past the cell's one bit masks like a register field:
+    // 7 stores 1, so both registers flush, still on the plans.
     inst.write_id(&mut dev, m, &[], 7).unwrap();
+    assert_eq!(inst.read_id(&mut dev, m, &[]).unwrap(), 1);
     inst.write_id(&mut dev, w, &[], 0b11).unwrap();
-    assert_eq!(dev.log.last(), Some(&(true, 0, 0, 1)), "7 != true: only `a` flushes");
-    assert!(inst.plan_stats().general > 0, "out-of-range cell falls back loudly in the stats");
+    assert_eq!(dev.log[3..], [(true, 0, 0, 1), (true, 0, 1, 1)], "7 & 1 == true: both flush");
+    assert_eq!(inst.plan_stats().general, 0);
 
     let ops = vec![
         Op::WriteVar { vid: m, args: vec![], value: 1 },
@@ -108,7 +110,7 @@ fn mem_cell_tested_variable_compiles_cell_guards() {
         Op::WriteVar { vid: ir.var_id("restc").unwrap(), args: vec![], value: 0x3c },
         Op::WriteVar { vid: m, args: vec![], value: 0 },
         Op::WriteVar { vid: w, args: vec![], value: 0b10 },
-        // Out-of-range cell values must stay equivalent too.
+        // Wide values mask identically on the reference (0x5a5a: 0).
         Op::WriteVar { vid: m, args: vec![], value: 0x5a5a },
         Op::WriteVar { vid: w, args: vec![], value: 0b11 },
     ];
@@ -157,9 +159,9 @@ fn nested_conditional_through_action_compiles_straight() {
 /// Family-instance aliasing: a tested variable on one instance of a
 /// family register must not be confused with a write to another
 /// instance (same register id, different slot) — the guard stays
-/// cache-sourced; and a variable spanning two instances keeps the
-/// general path (orders name registers, not instances). Both shapes
-/// must stay observationally identical to the general interpreter.
+/// cache-sourced and the plans match the reference. A variable spanning
+/// two instances compiles no plan (orders name registers, not
+/// instances): lowering records it and the runtime rejects it.
 #[test]
 fn family_instance_shapes_stay_equivalent() {
     let distinct = ir(r#"device d (base : bit[8] port @ {0..1}) {
@@ -191,15 +193,43 @@ fn family_instance_shapes_stay_equivalent() {
         variable rest1 = f(1)[7..1] : int(7);
     }"#);
     let w = spanning.var_id("w").unwrap();
-    assert!(spanning.var(w).write_plan.is_none(), "multi-instance variable must fall back");
+    assert!(spanning.var(w).write_plan.is_none(), "multi-instance variable must not plan");
+    let fallbacks: Vec<(&str, &str)> =
+        spanning.plan_fallbacks().iter().map(|f| (&f.access[..], &f.cause[..])).collect();
+    assert_eq!(
+        fallbacks,
+        [("write w", "variable `w` spans multiple instances of one register family")]
+    );
+    let mut inst = DeviceInstance::new(spanning.clone());
+    let mut dev = FakeAccess::new();
+    assert_eq!(inst.write_id(&mut dev, w, &[], 0b01), Err(RtError::Unplanned("write w".into())));
+    assert_eq!(dev.ops(), 0, "an unplanned access never reaches the device");
+    // Everything else about the shape is planned and matches.
     let ops = vec![
-        Op::WriteVar { vid: w, args: vec![], value: 0b01 },
         Op::WriteVar { vid: spanning.var_id("rest0").unwrap(), args: vec![], value: 1 },
         Op::WriteVar { vid: spanning.var_id("rest1").unwrap(), args: vec![], value: 2 },
         Op::WriteVar { vid: spanning.var_id("t").unwrap(), args: vec![], value: 1 },
-        Op::WriteVar { vid: w, args: vec![], value: 0b10 },
     ];
     check_equivalence(&spanning, &ops).unwrap();
+}
+
+/// A memory-cell variable with family arguments has one cell for every
+/// argument tuple, which no plan can address: lowering records both
+/// directions and the runtime rejects them.
+#[test]
+fn family_memory_cells_are_recorded_unplanned() {
+    let ir = ir(r#"device d (base : bit[8] port @ {0..0}) {
+        private variable m(i : int{0..3}) : int(8);
+        register r = base @ 0 : bit[8];
+        variable v = r : int(8);
+    }"#);
+    let fallbacks: Vec<&str> = ir.plan_fallbacks().iter().map(|f| &f.access[..]).collect();
+    assert_eq!(fallbacks, ["read m", "write m"]);
+    let m = ir.var_id("m").unwrap();
+    let mut inst = DeviceInstance::new(ir.clone());
+    let mut dev = FakeAccess::new();
+    assert_eq!(inst.read_id(&mut dev, m, &[1]), Err(RtError::Unplanned("read m".into())));
+    assert_eq!(inst.write_id(&mut dev, m, &[1], 5), Err(RtError::Unplanned("write m".into())));
 }
 
 /// Cause 3, entry-state flavour: the action leaves the tested field
@@ -242,13 +272,11 @@ fn nested_conditional_on_entry_state_guard_splits() {
     check_equivalence(&ir, &ops).unwrap();
 }
 
-/// Fused superplans inherit cause 2's one remaining dynamic fallback:
-/// a fused sequence crossing a cell-guarded access must abandon fusion
-/// when the cell holds an out-of-range value (cells store unmasked),
-/// re-dispatching op by op — observably identically to never having
-/// fused, with the miss visible in the stats.
+/// Fused superplans over a cell-guarded access stay fused for every
+/// cell value: cells mask to their width, so the entry-time selection
+/// is total and the fused body matches the reference's op-by-op run.
 #[test]
-fn fused_superplan_cell_miss_falls_back_observably_identically() {
+fn fused_superplan_masked_cell_stays_fused() {
     use devil_fuzz::superfuzz::{check_superplan_equivalence, install_synthetic, SuperCall};
 
     let mut ir = ir(synthetic::MEM_TESTED);
@@ -259,41 +287,29 @@ fn fused_superplan_cell_miss_falls_back_observably_identically() {
     let mut inst = DeviceInstance::new(ir.clone());
     let mut dev = FakeAccess::new();
 
-    // In-range cell: one fused dispatch, no general interpreter.
     inst.write_id(&mut dev, m, &[], 1).unwrap();
     inst.run_superplan(&mut dev, sid, &[0x2a, 0b11], &[], &mut [], &mut []).unwrap();
-    let st = inst.plan_stats();
-    assert_eq!(st.fused, 1, "in-range cell dispatches fused: {st:?}");
-    assert_eq!(inst.superplan_hits()[sid], 1);
-    assert_eq!(st.general, 0, "{st:?}");
     // Hand oracle: resta=0x2a flushes `a` with w's low bit uncached
     // (0x54); w=0b11 flushes `a` (0x55) and, with m=1, `c` (1).
     assert_eq!(dev.log, vec![(true, 0, 0, 0x54), (true, 0, 0, 0x55), (true, 0, 1, 1)]);
 
-    // Out-of-range cell: fused selection misses, the sequence falls
-    // back, and the cell-guarded write drops to the general path.
+    // 7 masks to 1: the same fused variant, no unfused detour.
     inst.write_id(&mut dev, m, &[], 7).unwrap();
     let mark = dev.log.len();
     inst.run_superplan(&mut dev, sid, &[0x2a, 0b11], &[], &mut [], &mut []).unwrap();
     let st = inst.plan_stats();
-    assert_eq!(st.fused, 1, "no second fused dispatch: {st:?}");
-    assert_eq!(inst.superplan_hits()[sid], 1, "hit counts exclude fallbacks");
-    assert!(st.general > 0, "cell miss falls back loudly in the stats: {st:?}");
-    assert_eq!(
-        &dev.log[mark..],
-        &[(true, 0, 0, 0x55), (true, 0, 0, 0x55)],
-        "7 != true: both writes flush only `a`"
-    );
+    assert_eq!(st.fused, 2, "{st:?}");
+    assert_eq!(inst.superplan_hits()[sid], 2);
+    assert_eq!(st.general, 0, "{st:?}");
+    assert_eq!(&dev.log[mark..], &[(true, 0, 0, 0x55), (true, 0, 0, 0x55), (true, 0, 1, 1)]);
 
-    // And the whole shape — fused attempt, miss, fallback — must stay
-    // differentially identical to the always-unfused reference.
     let seq = vec![
         (
             vec![Op::WriteVar { vid: m, args: vec![], value: 1 }],
             SuperCall { sid, args: vec![0x2a, 0b11], block_out: vec![], block_in_len: 0 },
         ),
         (
-            vec![Op::WriteVar { vid: m, args: vec![], value: 0x5a5a }],
+            vec![Op::WriteVar { vid: m, args: vec![], value: 0x5a5b }],
             SuperCall { sid, args: vec![0x15, 0b01], block_out: vec![], block_in_len: 0 },
         ),
     ];

@@ -15,7 +15,7 @@ use devil_fuzz::superfuzz::{
     check_superplan_equivalence, check_superplan_equivalence_rooted, decode_super,
     install_synthetic, super_sweep,
 };
-use devil_fuzz::{run, sweep_ops, Op};
+use devil_fuzz::{run, sweep_ops, Engine, Op};
 use devil_ir::{DeviceIr, ShapeOp};
 use devil_runtime::{DeviceInstance, FakeAccess, MappedPort, PortMap};
 use devil_sema::model::VarId;
@@ -73,7 +73,7 @@ fn superplan_surface_is_complete() {
 /// makes fused selection fall back — that path is pinned separately in
 /// `tests/fallback.rs`).
 fn warm(ir: &DeviceIr, inst: &mut DeviceInstance, dev: &mut FakeAccess) {
-    run(inst, dev, &sweep_ops(ir));
+    run(Engine::Plans(inst), dev, &sweep_ops(ir));
     let repair: Vec<Op> = (0..ir.vars.len() as u32)
         .map(VarId)
         .filter(|&v| ir.var(v).writable)
@@ -83,7 +83,7 @@ fn warm(ir: &DeviceIr, inst: &mut DeviceInstance, dev: &mut FakeAccess) {
             value: 0,
         })
         .collect();
-    run(inst, dev, &repair);
+    run(Engine::Plans(inst), dev, &repair);
 }
 
 /// The deterministic sweep: every superplan of every spec, four rounds

@@ -15,7 +15,7 @@
 //!   the parameter domains, so family instances cache without hashing)
 //!   and one cell per private memory variable,
 //! * **precompiled plans**: a compile-time symbolic execution of the
-//!   general interpreter flattens each access — including foldable
+//!   reference interpreter flattens each access — including foldable
 //!   pre/post/set actions, structure flushes and family indexing —
 //!   into straight-line [`PlanStep`] lists,
 //! * **guard-split variants**: conditional serialization orders
@@ -37,22 +37,25 @@ use devil_sema::model::{
 use std::sync::Arc;
 
 /// Cap on the number of flat cache slots allocated to one register
-/// family (the product of its parameter-domain sizes). Families with
-/// larger domains keep the runtime's hashed fallback cache.
+/// family (the product of its parameter-domain sizes). Accesses to
+/// families with larger domains compile no plan (see
+/// [`DeviceIr::plan_fallbacks`]); only the reference interpreter's
+/// hashed cache serves them.
 const FAMILY_SLOT_CAP: u128 = 4096;
 
 /// Cap on the guard domain of one conditional serialization order: the
 /// product of the tested variables' raw-value spaces (`2^width` each),
 /// including dimensions inlined from nested conditional orders reached
-/// through pre/post/set actions. Orders testing wider fields keep the
-/// general path, mirroring the family slot cap above — recorded in
+/// through pre/post/set actions. Orders testing wider fields compile no
+/// plan, mirroring the family slot cap above — recorded in
 /// [`DeviceIr::plan_fallbacks`], never a silent bail.
 const GUARD_DOMAIN_CAP: u128 = 4096;
 
 /// One access that failed to plan-compile, with the reason. Collected
-/// during lowering so fallbacks to the general interpreter are loud:
-/// tests (and `devilc` users) can assert a spec's concrete surface
-/// compiled completely, or see exactly which cap or shape it hit.
+/// during lowering so unplanned accesses are loud: the runtime rejects
+/// each with `RtError::Unplanned`, `devil-verify` reports each as a
+/// diagnostic, and tests can assert a spec's concrete surface compiled
+/// completely, or see exactly which cap or shape it hit.
 #[derive(Clone, Debug)]
 pub struct PlanFallback {
     /// The access, e.g. `read payload`, `write w`, `write struct init`.
@@ -62,11 +65,12 @@ pub struct PlanFallback {
 }
 
 /// Step budget for one compiled plan: accesses whose expansion exceeds
-/// this (deep automata, huge serializations) keep the general path.
+/// this (deep automata, huge serializations) compile no plan.
 const PLAN_STEP_BUDGET: usize = 96;
 
-/// Action recursion budget, mirroring the runtime's `MAX_DEPTH`: a
-/// specification the runtime would reject as cyclic compiles no plan.
+/// Action recursion budget, mirroring the runtime's `MAX_DEPTH`: an
+/// access the reference interpreter would reject as cyclic compiles no
+/// plan.
 const PLAN_MAX_DEPTH: u32 = 32;
 
 /// The lowered device: everything indexed and precomputed.
@@ -92,8 +96,8 @@ pub struct DeviceIr {
     /// variant walks one slice and dispatch never chases a pointer.
     /// Shared via `Arc` so cloning a `DeviceIr` never copies the steps.
     pub plan_arena: Arc<[PlanStep]>,
-    /// Accesses that kept the general interpreter, with causes (loud
-    /// fallbacks; see [`DeviceIr::plan_fallbacks`]).
+    /// Accesses lowering could not plan, with causes (see
+    /// [`DeviceIr::plan_fallbacks`]).
     plan_fallbacks: Vec<PlanFallback>,
     /// Reverse slot map: the concrete register owning each flat cache
     /// slot (`None` for slots inside a family's indexed range). The
@@ -268,7 +272,7 @@ pub struct WriteSeg {
 
 /// Write composition of one plan step: the raw value sent to the
 /// device is `((cached & keep_and) | const_or | segs…) & out_and |
-/// out_or`, exactly the general interpreter's store/compose/mask
+/// out_or`, exactly the reference interpreter's store/compose/mask
 /// pipeline folded into constants.
 #[derive(Clone, Debug)]
 pub struct WriteCompose {
@@ -304,7 +308,7 @@ pub struct AccessStep {
 /// Cache-only masked store: updates a register's cached raw value
 /// without a device access. Emitted for a written variable (or an
 /// action-assigned structure field) whose bits land on a register the
-/// flattened serialization order does not flush — the general path
+/// flattened serialization order does not flush — the reference interpreter
 /// still stores those bits up front (`store_var_bits`), and later
 /// composes must see them.
 #[derive(Clone, Debug)]
@@ -326,12 +330,17 @@ pub enum PlanStep {
     Write(AccessStep, WriteCompose),
     /// Cache-only store into a register's slot (no device access).
     Store(PlanSlot, StoreCompose),
-    /// Private-memory update (a folded mem-variable action).
+    /// Private-memory update (a folded mem-variable action). The cell
+    /// stores `value & mask`, masked to its variable's raw width like
+    /// a register field, so a cell never holds a value outside the
+    /// raw space its guards enumerate.
     SetCell {
         /// Target memory cell.
         cell: usize,
-        /// Stored value.
+        /// Stored value (constants arrive pre-masked).
         value: PlanValue,
+        /// The owning variable's raw-width mask ([`VarIr::raw_mask`]).
+        mask: u64,
     },
     /// Vectored block read: one `Bus::ins`-style transaction filling
     /// the caller's block-in buffer. Only emitted by superplan fusion
@@ -384,11 +393,11 @@ impl PlanStep {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GuardSource {
     /// A flat cache slot: the cached raw bits, masked. Never-cached
-    /// slots compare as 0 — exactly the general interpreter's
+    /// slots compare as 0 — exactly the reference interpreter's
     /// `assemble_cached` default for unread registers.
     Slot(usize),
-    /// A private memory cell, compared whole (the general path reads
-    /// the cell raw, with no width masking).
+    /// A private memory cell, compared whole (cells hold values masked
+    /// to their variable's raw width).
     Cell(usize),
     /// The value being written by the access itself. Used when a write
     /// order's condition tests the variable being written: the general
@@ -429,6 +438,10 @@ impl PlanGuard {
     }
 }
 
+/// A debug-mode write check: a variable a plan writes and the value
+/// source its store uses (see [`PlanVariant::checks`]).
+pub type WriteCheck = (VarId, PlanValue);
+
 /// One straight-line version of a (possibly guard-split) plan: a
 /// conjunction of slot guards plus a step range in the device's
 /// [plan arena](DeviceIr::plan_arena).
@@ -440,6 +453,13 @@ pub struct PlanVariant {
     /// assembled tested values — but they document each variant's
     /// domain and back the debug cross-check.
     pub guards: Vec<PlanGuard>,
+    /// The paper's debug-mode write checks for this variant: every
+    /// variable the variant writes — the accessed one and those written
+    /// by folded actions, in execution order — with the value source
+    /// the steps store. Checked mode validates each against its
+    /// variable's type before the first step runs. Constant values that
+    /// pass statically are left out.
+    pub checks: Vec<WriteCheck>,
     /// First step in the arena.
     pub start: u32,
     /// Number of steps.
@@ -458,17 +478,16 @@ pub struct SelectorDim {
     /// Value bits sourced from the access's own input instead of the
     /// cache (a write order testing the variable being written): each
     /// segment maps input bits (`reg_lo..=reg_hi`) to tested-value bits
-    /// (`var_lo`). The general path stores the written bits before
+    /// (`var_lo`). The reference interpreter stores the written bits before
     /// evaluating conditions, so these bits must come from the caller's
     /// value, not the pre-store cache.
     pub input_segs: Vec<FieldSeg>,
     /// Tested-value bits covered by `input_segs` (cleared out of the
     /// cache-assembled value before the input bits are OR-ed in).
     pub input_mask: u64,
-    /// Memory cell holding the tested value (`segs` empty). The cell is
-    /// compared raw: a value outside the enumerated `radix` (the
-    /// general path stores cells unmasked) aborts selection, and the
-    /// access falls back to the general interpreter.
+    /// Memory cell holding the tested value (`segs` empty). Cells store
+    /// values masked to their variable's width, so the cell always
+    /// indexes inside the enumerated `radix`.
     pub cell: Option<usize>,
     /// `2^width` — the mixed-radix base of this dimension.
     pub radix: usize,
@@ -489,9 +508,9 @@ pub struct SelectorDim {
 /// tested value is statically known or still entry-state at the
 /// evaluation point). Action values read from other variables, hashed
 /// family caches, mid-access-modified tested variables, guard domains
-/// past [`GUARD_DOMAIN_CAP`] and over-budget expansions fall back to
-/// the general interpreter — each recorded in
-/// [`DeviceIr::plan_fallbacks`] so nothing bails silently.
+/// past [`GUARD_DOMAIN_CAP`] and over-budget expansions compile no
+/// plan — each recorded in [`DeviceIr::plan_fallbacks`], and rejected
+/// by the runtime as unplanned, so nothing bails silently.
 #[derive(Clone, Debug, Default)]
 pub struct AccessPlan {
     /// Straight-line variants. The guard enumeration is exhaustive over
@@ -509,12 +528,11 @@ pub struct AccessPlan {
     /// For a memory-cell variable's read plan: the cell served directly
     /// (`assemble` empty, no steps).
     pub cell: Option<usize>,
-    /// The deepest action-recursion level the general interpreter would
-    /// reach executing this access from depth 0 (the maximum over all
-    /// variants). The runtime only takes a plan when the current depth
-    /// plus this bound stays within its recursion limit, so a plan can
-    /// never succeed where the general path would report
-    /// `RecursionLimit`.
+    /// The deepest action-recursion level the reference interpreter
+    /// would reach executing this access from depth 0 (the maximum over
+    /// all variants). The runtime rejects a plan past its recursion
+    /// limit with `RecursionLimit`, so a plan can never succeed where
+    /// the reference would not.
     pub max_depth: u32,
 }
 
@@ -525,11 +543,9 @@ impl AccessPlan {
     /// segments), never a scan over the variants, so a wide guard
     /// domain costs no more to dispatch than a narrow one.
     /// Unconditional plans return their single variant without touching
-    /// the cache. `None` means no variant describes the state — only
-    /// reachable through a memory cell holding a value outside its
-    /// variable's raw space (cells store unmasked) — and callers fall
-    /// back to the general interpreter, which evaluates the conditions
-    /// directly.
+    /// the cache. Selection is total over lowered IR: segment extracts
+    /// and masked cells stay below each dimension's radix, so `None`
+    /// only means a corrupted plan.
     #[inline]
     pub fn select_variant(
         &self,
@@ -659,7 +675,7 @@ pub struct RegIr {
     pub and_mask: u64,
     /// Family parameters (empty for concrete registers).
     pub params: Vec<FamilyParam>,
-    /// Pre-access actions. `Arc`-shared: the general interpreter takes
+    /// Pre-access actions. `Arc`-shared: the reference interpreter takes
     /// a handle per register access, which must not allocate.
     pub pre: Arc<[Action]>,
     /// Post-access actions.
@@ -675,7 +691,7 @@ pub struct RegIr {
     pub slot: Option<usize>,
     /// Indexed slot range for family registers whose domain fits the
     /// slot cap; `None` for concrete registers and oversized families
-    /// (which the runtime caches in a hashed fallback).
+    /// (which only the reference interpreter caches, in a hashed map).
     pub family_slots: Option<FamilySlots>,
 }
 
@@ -716,7 +732,7 @@ pub struct VarIr {
     /// Whether the variable is writable.
     pub writable: bool,
     /// Precompiled read plan, when the access qualifies. Shared via
-    /// `Arc` so cloning a `VarIr` (the interpreter's general path does)
+    /// `Arc` so cloning a `VarIr` (the reference interpreter does)
     /// never deep-copies a plan.
     pub read_plan: Option<Arc<AccessPlan>>,
     /// Precompiled write plan, when the access qualifies.
@@ -738,6 +754,18 @@ impl RegIr {
     }
 }
 
+impl VarIr {
+    /// The variable's raw-value mask (`2^width - 1`): what a memory
+    /// cell keeps of a stored value.
+    pub fn raw_mask(&self) -> u64 {
+        if self.width >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << self.width) - 1
+        }
+    }
+}
+
 /// One register segment of a variable, with family arguments.
 #[derive(Clone, Debug)]
 pub struct VarSeg {
@@ -755,7 +783,7 @@ pub struct StructIr {
     /// Structure name.
     pub name: String,
     /// Member variables. `Arc`-shared, like the orders below: the
-    /// general interpreter takes handles per access, never a clone.
+    /// reference interpreter takes handles per access, never a clone.
     pub fields: Arc<[VarId]>,
     /// Register access order for a structure read.
     pub read_order: Arc<[SerStep]>,
@@ -1040,8 +1068,8 @@ struct CompileEnv<'a> {
 }
 
 /// Symbolic knowledge about one flat cache slot during compilation,
-/// tracking the *general interpreter's* cache at the current point of
-/// the simulated access (the general path stores written bits before
+/// tracking the *reference interpreter's* cache at the current point of
+/// the simulated access (the reference interpreter stores written bits before
 /// its steps run, so this can differ from the plan's runtime cache).
 #[derive(Clone, Copy)]
 struct SlotSym {
@@ -1080,14 +1108,14 @@ enum TestedValue {
     Opaque,
 }
 
-/// Compile-time symbolic execution of the general interpreter.
+/// Compile-time symbolic execution of the reference interpreter.
 ///
 /// Walks the exact recursion `devil-runtime` performs for an access and
 /// records the device operations as straight-line steps. Anything not
 /// statically decidable — conditional serialization, action values read
 /// from other variables, hashed family caches, out-of-domain arguments,
 /// over-budget expansion — aborts compilation (`None`), and the access
-/// keeps the general path.
+/// compiles no plan.
 struct PlanBuilder<'a> {
     env: &'a CompileEnv<'a>,
     /// The compiled access's family parameters: the domains behind
@@ -1099,17 +1127,17 @@ struct PlanBuilder<'a> {
     assign: Vec<(VarId, u64)>,
     steps: Vec<PlanStep>,
     /// Deepest recursion level visited, with the exact accounting of
-    /// the general interpreter (see [`AccessPlan::max_depth`]).
+    /// the reference interpreter (see [`AccessPlan::max_depth`]).
     max_depth: u32,
     /// Slots that must not be touched until their own write step is
-    /// emitted: the general path composes a register write from the
+    /// emitted: the reference interpreter composes a register write from the
     /// cache *before* running its pre-actions and stores variable bits
     /// before the register loop, while a plan composes at execution
     /// time — an interleaved touch of a pending slot would diverge.
     guarded: Vec<Option<PlanSlot>>,
-    /// Per-slot shadow of the general interpreter's cache.
+    /// Per-slot shadow of the reference interpreter's cache.
     slot_sym: Vec<SlotSym>,
-    /// Per-cell shadow of the general interpreter's memory.
+    /// Per-cell shadow of the reference interpreter's memory.
     cell_sym: Vec<CellSym>,
     /// Set when a nested conditional tested an entry-state variable
     /// that is not yet a selector dimension: the driver adds it to the
@@ -1117,6 +1145,9 @@ struct PlanBuilder<'a> {
     need_dim: Option<VarId>,
     /// The first bail reason, for the loud fallback record.
     fail_reason: Option<String>,
+    /// Debug-mode write checks, in execution order (see
+    /// [`PlanVariant::checks`]).
+    checks: Vec<WriteCheck>,
 }
 
 impl<'a> PlanBuilder<'a> {
@@ -1140,10 +1171,11 @@ impl<'a> PlanBuilder<'a> {
             cell_sym: vec![CellSym { known: None, entry: true }; env.mem_cells],
             need_dim: None,
             fail_reason: None,
+            checks: Vec::new(),
         };
         // The variant's guards pin the tested variables' values: their
         // bits are statically known (and, for input-sourced dimensions,
-        // already reflect the post-store state the general path
+        // already reflect the post-store state the reference interpreter
         // evaluates against).
         for i in 0..b.assign.len() {
             let (tv, v) = b.assign[i];
@@ -1181,7 +1213,7 @@ impl<'a> PlanBuilder<'a> {
     }
 
     /// Records a visited recursion level; bails past the budget (the
-    /// general interpreter would report `RecursionLimit`).
+    /// reference interpreter would report `RecursionLimit`).
     fn note_depth(&mut self, depth: u32) -> Option<()> {
         self.max_depth = self.max_depth.max(depth);
         if depth > PLAN_MAX_DEPTH {
@@ -1218,7 +1250,7 @@ impl<'a> PlanBuilder<'a> {
                 let (keep_and, const_or) = (c.keep_and, c.const_or);
                 self.sym_write(&slot, keep_and, const_or, seg_in, seg_arg);
             }
-            PlanStep::SetCell { cell, value } => {
+            PlanStep::SetCell { cell, value, .. } => {
                 let known = match value {
                     PlanValue::Const(c) => Some(*c),
                     PlanValue::Input | PlanValue::Arg(_) => None,
@@ -1270,7 +1302,7 @@ impl<'a> PlanBuilder<'a> {
         sym.known_mask = ((sym.known_mask & keep_known) | const_bits) & !seg_arg;
     }
 
-    /// Applies the general path's up-front `store_var_bits` to the
+    /// Applies the reference interpreter's up-front `store_var_bits` to the
     /// shadow: storing `value` into every register (or the cell) of
     /// `vid`, before the flattened order's conditions are evaluated.
     fn sym_store_var(&mut self, vid: VarId, value: PlanValue, args: &[PlanValue]) {
@@ -1350,7 +1382,7 @@ impl<'a> PlanBuilder<'a> {
     /// variable whose mid-access value is statically known (assigned
     /// constants, variant guards) folds directly; one still holding its
     /// entry state becomes a new selector dimension of the outer
-    /// enumeration; anything else keeps the general path — loudly.
+    /// enumeration; anything else compiles no plan — loudly.
     fn flatten_nested(&mut self, order: &[SerStep]) -> Option<Vec<RegId>> {
         let mut tested = Vec::new();
         collect_cond_vars(order, &mut tested);
@@ -1415,7 +1447,7 @@ impl<'a> PlanBuilder<'a> {
     }
 
     /// The family args variable `vid` uses for register `rid` (the
-    /// general path's `args_for_reg`: first matching segment wins).
+    /// reference interpreter's `args_for_reg`: first matching segment wins).
     fn reg_args_for(&self, vid: VarId, rid: RegId, var_args: &[PlanValue]) -> Vec<PlanValue> {
         let var = &self.env.vars[vid.0 as usize];
         for seg in &var.segs {
@@ -1426,7 +1458,7 @@ impl<'a> PlanBuilder<'a> {
         Vec::new()
     }
 
-    /// Mirrors the general path's write composition for one variable on
+    /// Mirrors the reference interpreter's write composition for one variable on
     /// one register: clear own segments and trigger neighbours, fold
     /// neutral substitutions and constant values, keep the rest cached.
     fn compose_one(&self, vid: VarId, rid: RegId, value: PlanValue) -> WriteCompose {
@@ -1496,7 +1528,7 @@ impl<'a> PlanBuilder<'a> {
             return self.fail(format!("register `{name}` has no static port offset"));
         };
         // The register's own slot is pending while its pre-actions run
-        // (the general path composed the raw value before them).
+        // (the reference interpreter composed the raw value before them).
         let own_guard = self.guarded.len();
         self.guarded.push(Some(slot.clone()));
         self.actions(&pre, reg_args, depth + 1)?;
@@ -1546,7 +1578,7 @@ impl<'a> PlanBuilder<'a> {
     }
 
     /// Simulates a variable write reached through an action. The
-    /// general path stores the new bits, then evaluates the order's
+    /// reference interpreter stores the new bits, then evaluates the order's
     /// conditions — so the shadow store happens before the nested
     /// flatten, whose conditions fold against it (or become outer
     /// selector dimensions; see [`Self::flatten_nested`]).
@@ -1564,7 +1596,7 @@ impl<'a> PlanBuilder<'a> {
     }
 
     /// Simulates a variable write over a pre-flattened register order:
-    /// the general path's store/compose fused per register (plus
+    /// the reference interpreter's store/compose fused per register (plus
     /// cache-only stores for registers the order does not flush), then
     /// the variable's own set actions.
     fn write_var_ordered(
@@ -1581,9 +1613,14 @@ impl<'a> PlanBuilder<'a> {
             let name = &var.name;
             return self.fail(format!("arity mismatch writing `{name}`"));
         }
+        // The reference checks the value after arity and depth, before
+        // any effect of the write.
+        if needs_check(var, value) {
+            self.checks.push((vid, value));
+        }
         let set = var.set.clone();
         if let Some(cell) = var.mem_cell {
-            self.emit(PlanStep::SetCell { cell, value })?;
+            self.emit(set_cell(var, cell, value))?;
             return self.actions(&set, args, depth + 1);
         }
         if !var.writable {
@@ -1599,12 +1636,12 @@ impl<'a> PlanBuilder<'a> {
                 "variable `{name}` spans multiple instances of one register family"
             ));
         }
-        // The general path stores the new bits into every backing
+        // The reference interpreter stores the new bits into every backing
         // register's cache up front. Registers the order flushes fuse
         // the store into their composed write; registers it does not
         // flush get an explicit cache-only store first, so later
         // composes (and the final cache) see the bits exactly as the
-        // general path leaves them.
+        // reference interpreter leaves them.
         self.sym_store_var(vid, value, args);
         let mut stored: Vec<RegId> = Vec::new();
         for s in &var.segs {
@@ -1634,7 +1671,7 @@ impl<'a> PlanBuilder<'a> {
         for (k, &rid) in order.iter().enumerate() {
             let reg_args = self.reg_args_for(vid, rid, args);
             let compose = self.compose_one(vid, rid, value);
-            // The general path enters `write_register` at depth + 1.
+            // The reference interpreter enters `write_register` at depth + 1.
             self.write_reg(rid, &reg_args, compose, Some(guard_start + k), depth + 1)?;
         }
         self.guarded.truncate(guard_start);
@@ -1675,14 +1712,14 @@ impl<'a> PlanBuilder<'a> {
         match value {
             ActionValue::Const(c) => Some(PlanValue::Const(*c)),
             ActionValue::Any => Some(PlanValue::Const(0)),
-            // The general path defaults missing params to 0.
+            // The reference interpreter defaults missing params to 0.
             ActionValue::Param(i) => Some(ctx.get(*i).copied().unwrap_or(PlanValue::Const(0))),
             ActionValue::Var(_) | ActionValue::Struct(_) => None,
         }
     }
 
     /// Simulates a struct-valued action: assigned field bits stored
-    /// up-front by the general path (memory cells directly, register
+    /// up-front by the reference interpreter (memory cells directly, register
     /// bits into the shadow), then the flush — whose conditions are
     /// evaluated against exactly that post-store state.
     fn write_struct_fields(
@@ -1705,7 +1742,7 @@ impl<'a> PlanBuilder<'a> {
                 ));
             }
             if let Some(cell) = f.mem_cell {
-                self.emit(PlanStep::SetCell { cell, value: v })?;
+                self.emit(set_cell(f, cell, v))?;
             } else {
                 self.sym_store_var(fid, v, &[]);
             }
@@ -1732,7 +1769,7 @@ impl<'a> PlanBuilder<'a> {
     /// compose every register from the cache (plus the `assigned` field
     /// inserts) and write it, then run field-level set actions.
     /// Assigned bits on registers the order does not flush are stored
-    /// cache-only first, exactly like the general path's up-front
+    /// cache-only first, exactly like the reference interpreter's up-front
     /// `store_var_bits`.
     fn flush_struct_ordered(
         &mut self,
@@ -1793,7 +1830,7 @@ impl<'a> PlanBuilder<'a> {
                 out_and: reg.and_mask,
                 out_or: reg.or_mask,
             };
-            // The general path enters `write_register` at depth + 1.
+            // The reference interpreter enters `write_register` at depth + 1.
             self.write_reg(rid, &[], compose, Some(guard_start + k), depth + 1)?;
         }
         self.guarded.truncate(guard_start);
@@ -1812,6 +1849,22 @@ impl<'a> PlanBuilder<'a> {
         }
         Some(())
     }
+}
+
+/// Whether checked mode must validate `value` written to `var`:
+/// constants that pass statically need no run-time check.
+fn needs_check(var: &VarIr, value: PlanValue) -> bool {
+    !matches!(value, PlanValue::Const(c) if var.ty.valid_write(c))
+}
+
+/// A masked memory-cell store of `var`'s value, constants folded.
+fn set_cell(var: &VarIr, cell: usize, value: PlanValue) -> PlanStep {
+    let mask = var.raw_mask();
+    let value = match value {
+        PlanValue::Const(c) => PlanValue::Const(c & mask),
+        v => v,
+    };
+    PlanStep::SetCell { cell, value, mask }
 }
 
 /// The family args of one segment as plan values.
@@ -1904,7 +1957,7 @@ fn fixed_slot(regs: &[RegIr], seg: &VarSeg) -> Option<usize> {
 /// the same register (family) id. Serialization orders name registers,
 /// not instances, so neither the flattened flush loop nor a cache-only
 /// store can attribute such a variable's bits per instance — those
-/// writes keep the general path.
+/// writes compile no plan.
 fn spans_multiple_instances(var: &VarIr) -> bool {
     var.segs
         .iter()
@@ -2026,7 +2079,7 @@ fn dim_info(
                 continue;
             }
             // The written variable owns these register bits; the
-            // general path stores them before evaluating conditions,
+            // reference interpreter stores them before evaluating conditions,
             // so the tested value takes them from the caller's input.
             let lo = ws.seg.reg_lo.max(seg.seg.reg_lo);
             let hi = ws.seg.reg_hi.min(seg.seg.reg_hi);
@@ -2145,7 +2198,12 @@ fn compile_guarded(
             }
             let start = arena.len() as u32;
             arena.extend(b.steps);
-            variants.push(PlanVariant { guards, start, len: arena.len() as u32 - start });
+            variants.push(PlanVariant {
+                guards,
+                checks: b.checks,
+                start,
+                len: arena.len() as u32 - start,
+            });
             // Mixed-radix increment, last dimension fastest.
             let mut i = assign.len();
             loop {
@@ -2183,6 +2241,25 @@ fn order_usable(regs: &[RegIr], steps: &[SerStep], write: bool) -> bool {
     })
 }
 
+/// Records the accesses of `var` the runtime serves without a plan but
+/// only in a restricted shape: block transfers need an action-free
+/// register, and field getters and setters need flat slots.
+fn record_planless_fallbacks(var: &VarIr, regs: &[RegIr], fallbacks: &mut Vec<PlanFallback>) {
+    let mut record = |access: String, cause: &str| {
+        fallbacks.push(PlanFallback { access, cause: cause.into() });
+    };
+    if let [seg] = &var.segs[..] {
+        let reg = &regs[seg.reg.0 as usize];
+        let actions = !(reg.pre.is_empty() && reg.post.is_empty() && reg.set.is_empty());
+        if var.behavior.block && seg.seg.width() == reg.size && actions {
+            record(format!("block {}", var.name), "block transfer on a register with actions");
+        }
+    }
+    if var.parent.is_some() && var.mem_cell.is_none() && var.slot_assemble.is_none() {
+        record(format!("field {}", var.name), "field lands on a family register");
+    }
+}
+
 /// Compiles the read/write plans for one variable, when the access
 /// qualifies (see [`AccessPlan`]). Compiled steps land in `arena`;
 /// failures land in `fallbacks` with their cause. Memory-cell
@@ -2195,8 +2272,19 @@ fn compile_var_plans(
     fallbacks: &mut Vec<PlanFallback>,
 ) -> (Option<Arc<AccessPlan>>, Option<Arc<AccessPlan>>) {
     let var = &env.vars[vid.0 as usize];
+    record_planless_fallbacks(var, env.regs, fallbacks);
     if var.mem_cell.is_some() {
         if !var.params.is_empty() {
+            // A cell is one value: a family of them has no per-argument
+            // storage for a plan to address.
+            for (dir, on) in [("read", var.readable), ("write", var.writable)] {
+                if on {
+                    fallbacks.push(PlanFallback {
+                        access: format!("{dir} {}", var.name),
+                        cause: "memory-cell variable takes family arguments".into(),
+                    });
+                }
+            }
             return (None, None);
         }
         let cell = var.mem_cell;
@@ -2204,6 +2292,7 @@ fn compile_var_plans(
             Arc::new(AccessPlan {
                 variants: vec![PlanVariant {
                     guards: Vec::new(),
+                    checks: Vec::new(),
                     start: arena.len() as u32,
                     len: 0,
                 }],
@@ -2309,7 +2398,7 @@ fn compile_var_plans(
 /// Compiles the read/write plans for one structure (an [`AccessPlan`]
 /// with an empty assemble list — field getters use
 /// [`VarIr::slot_assemble`] instead). Conditional orders guard-split:
-/// the general path evaluates every condition against the cache before
+/// the reference interpreter evaluates every condition against the cache before
 /// the first access, which is exactly the state the entry guards see.
 fn compile_struct_plans(
     sid: StructId,
@@ -2455,7 +2544,17 @@ impl DeviceIr {
         }
     }
 
-    /// Every access that kept the general interpreter, with its cause.
+    /// Every access lowering could not plan, with its cause.
+    /// Whether any register a structure's order names (both branches of
+    /// conditionals included) supports the direction. A structure none
+    /// of whose registers can be read (written) rejects that access as
+    /// a direction error; otherwise a missing plan is an
+    /// [unplanned](DeviceIr::plan_fallbacks) access.
+    pub fn struct_supports(&self, sid: StructId, write: bool) -> bool {
+        let st = self.strct(sid);
+        order_usable(&self.regs, if write { &st.write_order } else { &st.read_order }, write)
+    }
+
     /// Fallbacks are loud: a spec whose concrete surface should be
     /// fully plan-backed can assert this list empty, and a capped shape
     /// (guard domain, step budget, recursion depth) names the cap it
@@ -2556,14 +2655,12 @@ pub struct ShapeOp {
 pub struct Superplan {
     /// Superplan name (the driver's handle).
     pub name: String,
-    /// The declared op sequence, for the runtime's unfused reference
-    /// path (selection misses fall back through it).
+    /// The declared op sequence: what the reference interpreter runs op
+    /// by op, and what checked mode validates read outputs against.
     pub ops: Vec<FuseOp>,
     /// Unconditional stage prefix (the leading `SetField` ops as
     /// cache/cell stores), executed before selection — exactly where
-    /// the unfused sequence stores them, and idempotent, so a
-    /// selection-miss fallback re-staging through the general path is
-    /// observably identical.
+    /// the unfused sequence stores them.
     pub stage: PlanVariant,
     /// Selector (concatenated per-op dims) and fused variants.
     pub plan: AccessPlan,
@@ -2586,9 +2683,9 @@ struct FuseOpBody {
     /// The op's selector dims (absolute slots/cells, no remapping).
     dims: Vec<SelectorDim>,
     /// Materialized variants in the op's own mixed-radix order:
-    /// `(guards, steps)` with `PlanValue::Input` rewritten to the op's
-    /// operand and read outputs assembled in place.
-    variants: Vec<(Vec<PlanGuard>, Vec<PlanStep>)>,
+    /// `(guards, checks, steps)` with `PlanValue::Input` rewritten to
+    /// the op's operand and read outputs assembled in place.
+    variants: Vec<(Vec<PlanGuard>, Vec<WriteCheck>, Vec<PlanStep>)>,
 }
 
 impl DeviceIr {
@@ -2615,6 +2712,7 @@ impl DeviceIr {
         // interpreter's `store_var_bits` (which both the unfused
         // sequence and a struct write's own staging perform up front).
         let mut stage_steps: Vec<PlanStep> = Vec::new();
+        let mut stage_checks: Vec<WriteCheck> = Vec::new();
         let mut tail_start = 0usize;
         for (i, op) in ops.iter().enumerate() {
             let FuseOp::SetField { var, value } = op else { break };
@@ -2627,8 +2725,11 @@ impl DeviceIr {
             if !v.params.is_empty() {
                 return Err(err(i, &format!("{} takes family arguments", v.name)));
             }
+            if needs_check(v, *value) {
+                stage_checks.push((*var, *value));
+            }
             if let Some(cell) = v.mem_cell {
-                stage_steps.push(PlanStep::SetCell { cell, value: *value });
+                stage_steps.push(set_cell(v, cell, *value));
                 continue;
             }
             for seg in &v.segs {
@@ -2718,6 +2819,7 @@ impl DeviceIr {
                         dims: Vec::new(),
                         variants: vec![(
                             Vec::new(),
+                            Vec::new(),
                             vec![PlanStep::BlockIn { port, offset, size }],
                         )],
                     }
@@ -2732,6 +2834,7 @@ impl DeviceIr {
                     FuseOpBody {
                         dims: Vec::new(),
                         variants: vec![(
+                            Vec::new(),
                             Vec::new(),
                             vec![PlanStep::BlockOut { port, offset, size }],
                         )],
@@ -2751,7 +2854,7 @@ impl DeviceIr {
         for k in 1..bodies.len() {
             for dim in &bodies[k].dims {
                 for earlier in &bodies[..k] {
-                    for (_, steps) in &earlier.variants {
+                    for (_, _, steps) in &earlier.variants {
                         for step in steps {
                             let clobbers = match step {
                                 PlanStep::SetCell { cell, .. } => Some(*cell) == dim.cell,
@@ -2788,6 +2891,7 @@ impl DeviceIr {
         let mut arena: Vec<PlanStep> = self.plan_arena.to_vec();
         let stage = PlanVariant {
             guards: Vec::new(),
+            checks: stage_checks,
             start: arena.len() as u32,
             len: stage_steps.len() as u32,
         };
@@ -2805,6 +2909,7 @@ impl DeviceIr {
                 rest /= dim.radix;
             }
             let mut guards: Vec<PlanGuard> = Vec::new();
+            let mut checks: Vec<WriteCheck> = Vec::new();
             let mut steps: Vec<PlanStep> = Vec::new();
             let mut dim_base = 0usize;
             for body in &bodies {
@@ -2813,8 +2918,9 @@ impl DeviceIr {
                         idx * dim.radix + values[dim_base + d] as usize
                     });
                 dim_base += body.dims.len();
-                let (g, s) = &body.variants[local];
+                let (g, c, s) = &body.variants[local];
                 guards.extend_from_slice(g);
+                checks.extend_from_slice(c);
                 steps.extend_from_slice(s);
             }
             if steps.len() > SUPERPLAN_STEP_BUDGET {
@@ -2826,6 +2932,7 @@ impl DeviceIr {
             shape.push(steps.iter().filter_map(shape_of).collect());
             variants.push(PlanVariant {
                 guards,
+                checks,
                 start: arena.len() as u32,
                 len: steps.len() as u32,
             });
@@ -2948,6 +3055,13 @@ impl DeviceIr {
                 idx = idx * dim.radix + v as usize;
             }
             let v = &plan.variants[idx];
+            let mut checks = Vec::with_capacity(v.checks.len());
+            for &(cv, cval) in &v.checks {
+                let cval = subst_input(cval, value)?;
+                if needs_check(self.var(cv), cval) {
+                    checks.push((cv, cval));
+                }
+            }
             let mut steps = Vec::with_capacity(v.len as usize + 1);
             for step in self.variant_steps(v) {
                 steps.push(materialize_step(step, value)?);
@@ -2964,7 +3078,7 @@ impl DeviceIr {
                 .filter(|g| !matches!(g.source, GuardSource::Input))
                 .copied()
                 .collect();
-            variants.push((guards, steps));
+            variants.push((guards, checks, steps));
         }
         Ok(FuseOpBody { dims, variants })
     }
@@ -3011,14 +3125,7 @@ fn materialize_step(step: &PlanStep, value: Option<PlanValue>) -> Result<PlanSte
             PlanSlot::Indexed { .. } => Err("step addresses a family slot".into()),
         }
     };
-    let subst = |v: PlanValue| -> Result<PlanValue, String> {
-        match v {
-            PlanValue::Input => {
-                value.ok_or_else(|| "step reads an input this op does not have".to_string())
-            }
-            other => Ok(other),
-        }
-    };
+    let subst = |v: PlanValue| subst_input(v, value);
     let access = |a: &AccessStep| -> Result<AccessStep, String> {
         let PlanOffset::Const(off) = a.offset else {
             return Err("step offset is parametric".into());
@@ -3059,13 +3166,21 @@ fn materialize_step(step: &PlanStep, value: Option<PlanValue>) -> Result<PlanSte
                     .collect::<Result<_, String>>()?,
             },
         ),
-        PlanStep::SetCell { cell, value: v } => {
-            PlanStep::SetCell { cell: *cell, value: subst(*v)? }
+        PlanStep::SetCell { cell, value: v, mask } => {
+            PlanStep::SetCell { cell: *cell, value: subst(*v)?, mask: *mask }
         }
         PlanStep::BlockIn { .. } | PlanStep::BlockOut { .. } | PlanStep::Assemble { .. } => {
             return Err("nested superplan step".into());
         }
     })
+}
+
+/// `v` with `Input` replaced by a fused op's operand.
+fn subst_input(v: PlanValue, value: Option<PlanValue>) -> Result<PlanValue, String> {
+    match v {
+        PlanValue::Input => value.ok_or_else(|| "reads an input this op does not have".into()),
+        other => Ok(other),
+    }
 }
 
 /// The declared-shape entry of one fused step, if it touches the bus.
@@ -3469,7 +3584,10 @@ device logitech_busmouse (base : bit[8] port @ {0..3}) {
         assert_eq!(ir.reg(a.reg).name, "control");
         assert_eq!(c.segs.len(), 1);
         assert_eq!(c.segs[0].value, PlanValue::Arg(0), "IA gets the family argument");
-        assert!(matches!(&rsteps[1], PlanStep::SetCell { cell: 0, value: PlanValue::Const(0) }));
+        assert!(matches!(
+            &rsteps[1],
+            PlanStep::SetCell { cell: 0, value: PlanValue::Const(0), .. }
+        ));
         assert!(matches!(&rsteps[2], PlanStep::Read(a) if ir.reg(a.reg).name == "I"));
     }
 
@@ -3558,7 +3676,7 @@ device logitech_busmouse (base : bit[8] port @ {0..3}) {
             let v = wp.select_variant(&slots, &valid, &mem, 0).expect("selection is total");
             assert!(v.guards.iter().all(|g| g.holds(&slots, &valid, &mem, 0)), "raw {raw:#b}");
         }
-        // Uncached slots read as 0, exactly the general path's default:
+        // Uncached slots read as 0, exactly the reference interpreter's default:
         // sngl=CASCADED (icw3 written), ic4=NO (icw4 skipped).
         valid[icw1_slot] = false;
         assert_eq!(wp.select_variant(&slots, &valid, &mem, 0).unwrap().len, 4);
@@ -3681,7 +3799,7 @@ device logitech_busmouse (base : bit[8] port @ {0..3}) {
     fn nested_conditionals_testing_the_written_variable_guard_on_the_input() {
         // Register `a`'s set action flushes the struct, whose order
         // tests `w` — the very variable being written. The nested
-        // condition is evaluated after the general path stored w's
+        // condition is evaluated after the reference interpreter stored w's
         // bits, so the discovered dimension must source them from the
         // input, not the entry cache.
         let ir = ir_for(
@@ -3812,26 +3930,21 @@ device logitech_busmouse (base : bit[8] port @ {0..3}) {
         let v1 = ir.variant_steps(&wp.variants[1]);
         assert_eq!(v1.len(), 2);
         assert!(v1.iter().all(|s| matches!(s, PlanStep::Write(..))));
-        // Out-of-range cell values (cells store unmasked) abort
-        // selection — the caller falls back to the general path.
-        let slots = vec![0u64; ir.cache_slots];
-        let valid = vec![false; ir.cache_slots];
-        assert!(wp.select_variant(&slots, &valid, &[1], 0).is_some());
-        assert!(wp.select_variant(&slots, &valid, &[7], 0).is_none());
-        // The mem cell itself has plans now: cell-served read, SetCell
-        // write.
+        // The mem cell itself has plans: a cell-served read and a
+        // SetCell write masked to the bool's one bit, so the cell never
+        // holds a value the selector's radix does not enumerate.
         let m = ir.var(ir.var_id("m").unwrap());
         assert_eq!(m.read_plan.as_ref().unwrap().cell, Some(0));
         assert!(matches!(
             steps(&ir, m.write_plan.as_ref().unwrap())[0],
-            PlanStep::SetCell { cell: 0, value: PlanValue::Input }
+            PlanStep::SetCell { cell: 0, value: PlanValue::Input, mask: 1 }
         ));
     }
 
     #[test]
     fn guard_domains_past_the_cap_keep_the_general_path() {
         // The tested variable is 13 bits wide: 2^13 variants exceed the
-        // 4096 guard-domain cap, so the order keeps the general path.
+        // 4096 guard-domain cap, so the order compiles no plan.
         let ir = ir_for(
             r#"device d (base : bit[16] port @ {0..1}) {
                  register a = write base @ 0 : bit[16];
@@ -3913,14 +4026,17 @@ device logitech_busmouse (base : bit[8] port @ {0..3}) {
         let xw = xm.write_plan.as_ref().expect("cell write plan");
         assert!(matches!(
             steps(&ir2, xw)[0],
-            PlanStep::SetCell { cell: 0, value: PlanValue::Input }
+            PlanStep::SetCell { cell: 0, value: PlanValue::Input, .. }
         ));
         // IA's set-action on the memory cell folds into its plans.
         let ia = ir2.var(ir2.var_id("IA").unwrap());
         let rp = ia.read_plan.as_ref().expect("IA read plan");
         let rsteps = steps(&ir2, rp);
         assert_eq!(rsteps.len(), 2);
-        assert!(matches!(&rsteps[1], PlanStep::SetCell { cell: 0, value: PlanValue::Const(0) }));
+        assert!(matches!(
+            &rsteps[1],
+            PlanStep::SetCell { cell: 0, value: PlanValue::Const(0), .. }
+        ));
     }
 
     #[test]
@@ -3951,7 +4067,7 @@ device logitech_busmouse (base : bit[8] port @ {0..3}) {
     #[test]
     fn struct_actions_with_partial_write_orders_store_cache_only() {
         // The struct's serialized-as order flushes only `a`, but the
-        // action assigns `fb` on register `bq`: the general path still
+        // action assigns `fb` on register `bq`: the reference interpreter still
         // stores fb's bits into bq's cache. The plan reproduces that
         // with an explicit cache-only `Store` step (formerly a
         // general-path fallback).
@@ -3986,7 +4102,7 @@ device logitech_busmouse (base : bit[8] port @ {0..3}) {
     #[test]
     fn plans_carry_the_general_paths_depth_accounting() {
         let ir = ir_for(BUSMOUSE);
-        // config write: one register, no actions. The general path
+        // config write: one register, no actions. The reference interpreter
         // enters write_register at depth 1.
         let config = ir.var(ir.var_id("config").unwrap());
         assert_eq!(config.write_plan.as_ref().unwrap().max_depth, 1);

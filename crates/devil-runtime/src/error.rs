@@ -56,6 +56,10 @@ pub enum RtError {
     NotAField(String),
     /// Action recursion exceeded the safety limit (cyclic pre-actions).
     RecursionLimit(String),
+    /// The access has no compiled plan: lowering recorded it, with the
+    /// reason, in `DeviceIr::plan_fallbacks`. Payload: the access, as
+    /// named there (`write w`, `read struct s`, `block d`, `field f`).
+    Unplanned(String),
 }
 
 impl fmt::Display for RtError {
@@ -82,6 +86,7 @@ impl fmt::Display for RtError {
             RtError::RecursionLimit(n) => {
                 write!(f, "pre/post-action recursion limit reached while accessing `{n}`")
             }
+            RtError::Unplanned(n) => write!(f, "`{n}` compiled no access plan"),
         }
     }
 }

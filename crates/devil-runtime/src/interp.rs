@@ -1,13 +1,13 @@
-//! The access-plan interpreter: a dynamic equivalent of the generated
+//! The access-plan executor: a dynamic equivalent of the generated
 //! stubs.
 //!
-//! [`DeviceInstance`] executes the IR of a checked specification against
-//! any [`DeviceAccess`] implementor, with the exact semantics the paper
-//! ascribes to generated code:
+//! [`DeviceInstance`] runs the compiled [`devil_ir`] plans of a checked
+//! specification against any [`DeviceAccess`] implementor, with the
+//! exact semantics the paper ascribes to generated code:
 //!
 //! * register masks force fixed bits on writes,
-//! * pre/post/set actions run around every register access (recursively
-//!   writing private index variables, structures, memory cells),
+//! * pre/post/set actions run around every register access (folded
+//!   into the plans: private index variables, structures, memory cells),
 //! * idempotent variables are cached; `volatile` ones are re-read,
 //! * `trigger` variables substitute neutral values for their neighbours
 //!   on shared registers,
@@ -18,36 +18,38 @@
 //!   guard-split plan variants: a [`devil_ir::PlanGuard`] list selects
 //!   the straight-line version from flat cache slots,
 //! * optional debug checks validate written values and read patterns.
+//!
+//! There is one execution path: every access selects a plan variant,
+//! runs its debug checks when they are on, then walks its steps. An
+//! access that has no plan, or whose arguments, direction or depth are
+//! wrong, fails with a typed [`RtError`] before the device is touched.
+//! The semantics the plans are compiled from live in
+//! [`crate::reference`], the differential tests' oracle.
 
 use crate::access::DeviceAccess;
 use crate::error::{RtError, RtResult};
-use devil_ir::{DeviceIr, FuseOp, PlanStep};
-use devil_sema::model::{
-    Action, ActionTarget, ActionValue, ChunkArg, CondSem, Neutral, RegId, SerStep, StructId,
-    TypeSem, VarId,
-};
-use std::collections::HashMap;
+use devil_ir::{DeviceIr, FuseOp, PlanStep, PlanVariant, VarIr};
+use devil_sema::model::{RegId, StructId, TypeSem, VarId};
 use std::sync::Arc;
 
-/// Maximum pre/post-action recursion depth before the runtime assumes a
-/// cyclic specification and errors out.
-const MAX_DEPTH: u32 = 32;
+/// Maximum pre/post-action recursion depth: a plan reaching deeper is
+/// rejected, and the reference interpreter errors out at this depth.
+pub(crate) const MAX_DEPTH: u32 = 32;
 
 /// Counters describing how accesses were dispatched, for benches and
 /// the differential fuzzer's plan-coverage assertions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanStats {
-    /// Accesses executed by an unguarded straight-line plan.
+    /// Accesses executed by an unguarded straight-line plan (memory-cell
+    /// reads, served straight from the cell, count here too).
     pub straight: u64,
     /// Accesses executed by a guard-selected plan variant (conditional
     /// serialization on the fast path).
     pub guarded: u64,
-    /// Accesses handled by the general interpreter: no compiled plan,
-    /// plans disabled, debug checks on, depth-gated fallbacks, or a
-    /// memory cell holding a value outside its variable's raw space
-    /// (cells store unmasked, so a cell-guarded selection can miss).
-    /// Memory-cell variables themselves dispatch on (trivial) plans
-    /// and count as `straight`.
+    /// Accesses handled by a general interpreter. Always 0:
+    /// [`DeviceInstance`] only runs plans. The field stays so existing
+    /// consumers of the counters (and their `general == 0` gates) keep
+    /// reading it.
     pub general: u64,
     /// Fused superplan dispatches: whole driver-declared hot sequences
     /// executed as one guard evaluation plus one arena walk
@@ -124,43 +126,19 @@ pub enum AccessRef {
     Superplan(usize),
 }
 
-/// Why a dispatch bypassed its compiled plan and took the general
-/// interpreter (or, for superplans, the unfused op sequence).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum FallbackCause {
-    /// Fast plans disabled or debug checks on.
-    PlansOff,
-    /// The access compiled no plan.
-    NoPlan,
-    /// A family argument fell outside its parameter domain, so the
-    /// general path handles (and error-reports) the access.
-    ArgDomain,
-    /// Cell-guarded selection missed: a memory cell holds a value
-    /// outside its variable's raw space (cells store unmasked).
-    SelectMiss,
-    /// The cumulative recursion depth plus the plan's own bound would
-    /// exceed the general path's limit.
-    Depth,
-}
-
 /// How one dispatch resolved, when the opt-in trace is recording.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DispatchOutcome {
     /// A plan variant executed; the payload is the selected mixed-radix
-    /// variant index (0 for unconditional single-variant plans, and the
-    /// fused variant index for superplans).
+    /// variant index (0 for unconditional single-variant plans, memory
+    /// cell reads included, and the fused variant index for superplans).
     Variant(u32),
-    /// A memory-cell read served directly from the cell (no steps).
-    Cell,
-    /// The general interpreter (or the unfused superplan sequence)
-    /// handled the access.
-    Fallback(FallbackCause),
 }
 
 /// One dispatch recorded by the opt-in trace
 /// ([`DeviceInstance::set_dispatch_trace`]): which access ran and which
-/// plan variant — or fallback cause — it resolved to. This is the
-/// coverage signal the guided fuzzer feeds on.
+/// plan variant it resolved to. This is the coverage signal the guided
+/// fuzzer feeds on. Rejected accesses record nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DispatchRecord {
     /// The dispatched access.
@@ -169,113 +147,12 @@ pub struct DispatchRecord {
     pub outcome: DispatchOutcome,
 }
 
-/// A register's pre/post/set action lists, shared by `Arc` handle.
-type ActionLists = (Arc<[Action]>, Arc<[Action]>, Arc<[Action]>);
-
-/// Family-argument tuples stay this small in every shipped spec, so the
-/// argument buffers and hashed-fallback cache keys never touch the heap
-/// in the common case.
-const ARG_INLINE: usize = 4;
-
-/// A small-vector argument buffer. Doubles as the family-cache key:
-/// hashing and equality see only the live slice, so an inline buffer
-/// and a spilled one holding the same arguments compare equal.
-#[derive(Clone, Debug)]
-enum ArgBuf {
-    Inline { len: u8, buf: [u64; ARG_INLINE] },
-    Heap(Vec<u64>),
-}
-
-impl ArgBuf {
-    fn new() -> Self {
-        ArgBuf::Inline { len: 0, buf: [0; ARG_INLINE] }
-    }
-
-    fn from_slice(args: &[u64]) -> Self {
-        if args.len() <= ARG_INLINE {
-            let mut buf = [0; ARG_INLINE];
-            buf[..args.len()].copy_from_slice(args);
-            ArgBuf::Inline { len: args.len() as u8, buf }
-        } else {
-            ArgBuf::Heap(args.to_vec())
-        }
-    }
-
-    fn push(&mut self, v: u64) {
-        match self {
-            ArgBuf::Inline { len, buf } => {
-                if (*len as usize) < ARG_INLINE {
-                    buf[*len as usize] = v;
-                    *len += 1;
-                } else {
-                    let mut heap = buf.to_vec();
-                    heap.push(v);
-                    *self = ArgBuf::Heap(heap);
-                }
-            }
-            ArgBuf::Heap(heap) => heap.push(v),
-        }
-    }
-
-    fn as_slice(&self) -> &[u64] {
-        match self {
-            ArgBuf::Inline { len, buf } => &buf[..*len as usize],
-            ArgBuf::Heap(heap) => heap,
-        }
-    }
-}
-
-impl std::ops::Deref for ArgBuf {
-    type Target = [u64];
-    fn deref(&self) -> &[u64] {
-        self.as_slice()
-    }
-}
-
-impl PartialEq for ArgBuf {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for ArgBuf {}
-
-impl std::hash::Hash for ArgBuf {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
-    }
-}
-
-impl FromIterator<u64> for ArgBuf {
-    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
-        let mut buf = ArgBuf::new();
-        for v in iter {
-            buf.push(v);
-        }
-        buf
-    }
-}
-
-/// How a register write composes values for variables other than the one
-/// being written.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum WriteMode {
-    /// Single-variable write: other trigger variables get their neutral
-    /// value; idempotent ones come from the cache.
-    One(VarId),
-    /// Structure write: every field comes from the cache (set_field
-    /// populated it).
-    All,
-}
-
-/// A live device session: IR plus cache state.
+/// A live device session: shared compiled IR plus cache state.
 ///
 /// Every register is cached in **flat slots** (a `Vec` indexed by the
 /// slot the lowerer assigned): one slot per concrete register, and an
 /// indexed slot range per family (`base + index(arg)·stride`), so
-/// steady-state accesses do zero hashing. Only families whose domain
-/// exceeds the lowerer's slot cap fall back to a hash map keyed by
-/// their argument tuple.
+/// accesses do zero hashing.
 pub struct DeviceInstance {
     /// The immutable compiled part — IR, plan arena, name tables —
     /// shared by handle so a fleet of instances over one spec pays for
@@ -286,16 +163,10 @@ pub struct DeviceInstance {
     /// Which flat slots hold a value (a register never accessed has no
     /// cached raw value to compose from).
     slot_valid: Vec<bool>,
-    /// Hashed fallback for family registers whose domain exceeds the
-    /// flat-slot cap.
-    family_cache: HashMap<(u32, ArgBuf), u64>,
     /// Private memory cells.
     mem: Vec<u64>,
     /// Whether debug-mode run-time checks are enabled.
     checks: bool,
-    /// Whether precompiled access plans may be used (disabled to
-    /// measure the general interpreter path).
-    fast_plans: bool,
     /// Dispatch counters (see [`PlanStats`]).
     stats: PlanStats,
     /// Per-superplan fused-dispatch counts, indexed like
@@ -306,22 +177,16 @@ pub struct DeviceInstance {
     /// [`DispatchRecord`]. Not part of [`InstanceSnapshot`] — the trace
     /// is harness instrumentation, not device state.
     trace: Option<Vec<DispatchRecord>>,
-    /// Reusable `RegId` buffers for the general path's
-    /// serialization-order flattening. A pool rather than a single
-    /// buffer: actions recurse into nested accesses, each popping its
-    /// own buffer.
-    order_pool: Vec<Vec<RegId>>,
 }
 
 /// A checkpoint of an instance's mutable state: flat cache slots,
-/// hashed family fallback, memory cells and dispatch counters. Taking
-/// one is O(slots); the shared IR is not copied. Fleet harnesses
-/// compare snapshots across shard counts to prove determinism.
+/// memory cells and dispatch counters. Taking one is O(slots); the
+/// shared IR is not copied. Fleet harnesses compare snapshots across
+/// shard counts to prove determinism.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InstanceSnapshot {
     slots: Vec<u64>,
     slot_valid: Vec<bool>,
-    family_cache: HashMap<(u32, ArgBuf), u64>,
     mem: Vec<u64>,
     stats: PlanStats,
     superplan_hits: Vec<u64>,
@@ -345,22 +210,15 @@ impl DeviceInstance {
     /// fleet-spawning path. Compilation cost is paid once per spec; each
     /// further instance allocates only its slot cache and memory cells.
     pub fn with_shared_ir(ir: Arc<DeviceIr>) -> Self {
-        let mem = vec![0; ir.mem_cells];
-        let slots = vec![0; ir.cache_slots];
-        let slot_valid = vec![false; ir.cache_slots];
-        let superplan_hits = vec![0; ir.superplans().len()];
         DeviceInstance {
-            ir,
-            slots,
-            slot_valid,
-            family_cache: HashMap::new(),
-            mem,
+            slots: vec![0; ir.cache_slots],
+            slot_valid: vec![false; ir.cache_slots],
+            mem: vec![0; ir.mem_cells],
             checks: false,
-            fast_plans: true,
             stats: PlanStats::default(),
-            superplan_hits,
+            superplan_hits: vec![0; ir.superplans().len()],
             trace: None,
-            order_pool: Vec::new(),
+            ir,
         }
     }
 
@@ -375,7 +233,6 @@ impl DeviceInstance {
         InstanceSnapshot {
             slots: self.slots.clone(),
             slot_valid: self.slot_valid.clone(),
-            family_cache: self.family_cache.clone(),
             mem: self.mem.clone(),
             stats: self.stats,
             superplan_hits: self.superplan_hits.clone(),
@@ -394,24 +251,18 @@ impl DeviceInstance {
         );
         self.slots.copy_from_slice(&snap.slots);
         self.slot_valid.copy_from_slice(&snap.slot_valid);
-        self.family_cache.clone_from(&snap.family_cache);
         self.mem.copy_from_slice(&snap.mem);
         self.stats = snap.stats;
         self.superplan_hits.copy_from_slice(&snap.superplan_hits);
     }
 
     /// Enables or disables debug-mode run-time checks (the paper's
-    /// `DEVIL_DEBUG`). Checked accesses take the general interpreter
-    /// path, so plans are effectively bypassed while checks are on.
+    /// `DEVIL_DEBUG`). Checked accesses run the same plans: each
+    /// variant's written values are validated before its first step
+    /// (so a rejected write never reaches the device), and read values
+    /// after assembly.
     pub fn set_debug_checks(&mut self, on: bool) {
         self.checks = on;
-    }
-
-    /// Enables or disables the precompiled-plan fast path (on by
-    /// default; turning it off forces the general interpreter, which
-    /// the micro benchmarks use as the baseline).
-    pub fn set_fast_plans(&mut self, on: bool) {
-        self.fast_plans = on;
     }
 
     /// The underlying IR.
@@ -419,16 +270,10 @@ impl DeviceInstance {
         &self.ir
     }
 
-    /// Dispatch counters accumulated since construction (or the last
-    /// [`DeviceInstance::reset_plan_stats`]).
+    /// Dispatch counters accumulated since construction (or as of the
+    /// last [`DeviceInstance::restore`]).
     pub fn plan_stats(&self) -> PlanStats {
         self.stats
-    }
-
-    /// Clears the dispatch counters.
-    pub fn reset_plan_stats(&mut self) {
-        self.stats = PlanStats::default();
-        self.superplan_hits.fill(0);
     }
 
     /// Per-superplan fused-dispatch counts, indexed like
@@ -439,26 +284,20 @@ impl DeviceInstance {
 
     /// Turns the per-dispatch trace on or off. While on, every
     /// top-level variable/struct/superplan dispatch records which plan
-    /// variant it selected (or why it fell back), for the
-    /// coverage-guided fuzzer. Off by default; turning it off discards
-    /// any pending records.
+    /// variant it selected, for the coverage-guided fuzzer. Off by
+    /// default; turning it off discards any pending records.
     pub fn set_dispatch_trace(&mut self, on: bool) {
-        if on {
-            if self.trace.is_none() {
-                self.trace = Some(Vec::new());
-            }
-        } else {
+        if !on {
             self.trace = None;
+        } else if self.trace.is_none() {
+            self.trace = Some(Vec::new());
         }
     }
 
     /// Drains the recorded dispatch trace, leaving tracing enabled (or
     /// returns an empty vec when tracing is off).
     pub fn take_dispatch_trace(&mut self) -> Vec<DispatchRecord> {
-        match self.trace.as_mut() {
-            Some(t) => std::mem::take(t),
-            None => Vec::new(),
-        }
+        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// The flat cache: per-slot raw values and their validity flags.
@@ -471,19 +310,6 @@ impl DeviceInstance {
     /// The private memory cells, indexed by `VarIr::mem_cell`.
     pub fn mem_snapshot(&self) -> &[u64] {
         &self.mem
-    }
-
-    /// Pops a reusable order buffer (empty) from the pool.
-    fn pop_order_buf(&mut self) -> Vec<RegId> {
-        self.order_pool.pop().unwrap_or_default()
-    }
-
-    /// Returns an order buffer to the pool for reuse.
-    fn push_order_buf(&mut self, mut buf: Vec<RegId>) {
-        buf.clear();
-        if self.order_pool.len() < 8 {
-            self.order_pool.push(buf);
-        }
     }
 
     /// Resolves a variable name to its id.
@@ -526,13 +352,6 @@ impl DeviceInstance {
         self.read_id(dev, vid, args)
     }
 
-    /// Reads a signed variable, sign-extending to `i64`.
-    pub fn read_signed(&mut self, dev: &mut dyn DeviceAccess, name: &str) -> RtResult<i64> {
-        let vid = self.var_id(name)?;
-        let raw = self.read_id(dev, vid, &[])?;
-        Ok(sign_extend(raw, self.ir.var(vid).width))
-    }
-
     /// Writes a variable by name.
     pub fn write(&mut self, dev: &mut dyn DeviceAccess, name: &str, value: u64) -> RtResult<()> {
         let vid = self.var_id(name)?;
@@ -570,123 +389,31 @@ impl DeviceInstance {
         }
     }
 
-    /// Reads a variable by id.
+    /// Reads a variable by id: the variable's read plan (guards select
+    /// the variant for conditional serializations), then the value
+    /// assembled from flat slots — or the plan's memory cell. Idempotent
+    /// variables whose registers are all cached skip the steps.
     pub fn read_id(
         &mut self,
         dev: &mut dyn DeviceAccess,
         vid: VarId,
         args: &[u64],
     ) -> RtResult<u64> {
-        // Fast path: precompiled plan, flat slots, zero hashing and no
-        // name or action resolution. Guards select the variant for
-        // conditional serializations. Family arguments are validated
-        // against the parameter domains first (out-of-domain arguments
-        // fall through so the general path reports the exact error).
-        // Debug checks take the general path so every validation runs.
-        let mut cause = FallbackCause::PlansOff;
-        if self.fast_plans && !self.checks {
-            let DeviceInstance { ir, slots, slot_valid, mem, stats, trace, .. } = &mut *self;
-            let var = ir.var(vid);
-            cause = FallbackCause::NoPlan;
-            if let Some(plan) = &var.read_plan {
-                cause = FallbackCause::ArgDomain;
-                if var.params.len() == args.len()
-                    && var.params.iter().zip(args).all(|(p, &a)| p.contains(a))
-                {
-                    // Memory cells serve directly — no steps, no guards.
-                    if let Some(cell) = plan.cell {
-                        stats.straight += 1;
-                        if let Some(t) = trace.as_mut() {
-                            t.push(DispatchRecord {
-                                access: AccessRef::ReadVar(vid),
-                                outcome: DispatchOutcome::Cell,
-                            });
-                        }
-                        return Ok(mem[cell]);
-                    }
-                    cause = FallbackCause::SelectMiss;
-                    if let Some((idx, variant)) =
-                        plan.select_variant_indexed(slots, slot_valid, mem, 0)
-                    {
-                        let serve_cached = !var.behavior.volatile && !var.behavior.read_trigger;
-                        if !(serve_cached
-                            && plan.assemble.iter().all(|(s, _)| slot_valid[s.resolve(args)]))
-                        {
-                            exec_plan_steps(
-                                dev,
-                                slots,
-                                slot_valid,
-                                mem,
-                                ir.variant_steps(variant),
-                                args,
-                                0,
-                                &mut SuperIo::none(),
-                            );
-                        }
-                        if variant.guards.is_empty() {
-                            stats.straight += 1;
-                        } else {
-                            stats.guarded += 1;
-                        }
-                        if let Some(t) = trace.as_mut() {
-                            t.push(DispatchRecord {
-                                access: AccessRef::ReadVar(vid),
-                                outcome: DispatchOutcome::Variant(idx as u32),
-                            });
-                        }
-                        let mut v = 0u64;
-                        for (slot, seg) in &plan.assemble {
-                            v |= seg.extract(slots[slot.resolve(args)]);
-                        }
-                        return Ok(v);
-                    }
-                }
-            }
-        }
-        self.validate_args(vid, args)?;
-        self.stats.general += 1;
-        if let Some(t) = self.trace.as_mut() {
-            t.push(DispatchRecord {
-                access: AccessRef::ReadVar(vid),
-                outcome: DispatchOutcome::Fallback(cause),
-            });
-        }
+        validate_args(self.ir.var(vid), args)?;
+        self.dispatch(dev, AccessRef::ReadVar(vid), args, 0, &mut SuperIo::none())?;
         let var = self.ir.var(vid);
-        if let Some(cell) = var.mem_cell {
+        let plan = var.read_plan.as_ref().expect("dispatched on the read plan");
+        if let Some(cell) = plan.cell {
             return Ok(self.mem[cell]);
         }
-        if !var.readable {
-            return Err(RtError::NotReadable(var.name.clone()));
-        }
-        let behavior = var.behavior;
-        // Arc handle on the order: the general path takes a reference
-        // bump per access, never a `VarIr` deep copy.
-        let read_order = var.read_order.clone();
-        // Idempotent variables can be served from the cache when every
-        // backing register has a cached value.
-        if !behavior.volatile && !behavior.read_trigger {
-            if let Some(v) = self.try_assemble_cached(vid, args) {
-                return self.checked_read(vid, v);
-            }
-        }
-        let mut order = self.pop_order_buf();
-        let mut res = self.plan_regs_into(&read_order, &mut order);
-        if res.is_ok() {
-            for &rid in &order {
-                let reg_args = self.args_for_reg(vid, rid, args);
-                if let Err(e) = self.read_register(dev, rid, &reg_args, 0) {
-                    res = Err(e);
-                    break;
-                }
-            }
-        }
-        self.push_order_buf(order);
-        res?;
-        let v = self.assemble_cached(vid, args);
-        self.checked_read(vid, v)
+        let v = plan
+            .assemble
+            .iter()
+            .fold(0, |v, (slot, seg)| v | seg.extract(self.slots[slot.resolve(args)]));
+        checked_read(self.checks, var, v)
     }
 
-    /// Writes a variable by id.
+    /// Writes a variable by id through its write plan.
     pub fn write_id(
         &mut self,
         dev: &mut dyn DeviceAccess,
@@ -694,126 +421,8 @@ impl DeviceInstance {
         args: &[u64],
         value: u64,
     ) -> RtResult<()> {
-        self.write_id_depth(dev, vid, args, value, 0)
-    }
-
-    /// Runs a variable write through its precompiled plan, when one
-    /// applies in the current mode. The caller has already validated
-    /// `args`. Returns the fallback cause when the general interpreter
-    /// must handle the write instead — including when the current
-    /// recursion depth plus the plan's own depth bound would exceed the
-    /// limit the general path enforces (the fallback then errors at
-    /// exactly the point the general interpreter would).
-    fn try_write_plan(
-        &mut self,
-        dev: &mut dyn DeviceAccess,
-        vid: VarId,
-        args: &[u64],
-        value: u64,
-        depth: u32,
-    ) -> Result<(), FallbackCause> {
-        if !self.fast_plans || self.checks {
-            return Err(FallbackCause::PlansOff);
-        }
-        let DeviceInstance { ir, slots, slot_valid, mem, stats, trace, .. } = &mut *self;
-        let var = ir.var(vid);
-        let Some(plan) = &var.write_plan else { return Err(FallbackCause::NoPlan) };
-        if depth.saturating_add(plan.max_depth) > MAX_DEPTH {
-            return Err(FallbackCause::Depth);
-        }
-        // Input-sourced guards see the caller's value (store-then-
-        // evaluate order); cell-guarded selection can miss on
-        // out-of-range cell values, falling back to the general path.
-        let Some((idx, variant)) = plan.select_variant_indexed(slots, slot_valid, mem, value)
-        else {
-            return Err(FallbackCause::SelectMiss);
-        };
-        exec_plan_steps(
-            dev,
-            slots,
-            slot_valid,
-            mem,
-            ir.variant_steps(variant),
-            args,
-            value,
-            &mut SuperIo::none(),
-        );
-        if variant.guards.is_empty() {
-            stats.straight += 1;
-        } else {
-            stats.guarded += 1;
-        }
-        if let Some(t) = trace.as_mut() {
-            t.push(DispatchRecord {
-                access: AccessRef::WriteVar(vid),
-                outcome: DispatchOutcome::Variant(idx as u32),
-            });
-        }
-        Ok(())
-    }
-
-    fn write_id_depth(
-        &mut self,
-        dev: &mut dyn DeviceAccess,
-        vid: VarId,
-        args: &[u64],
-        value: u64,
-        depth: u32,
-    ) -> RtResult<()> {
-        self.validate_args(vid, args)?;
-        // Plan-eligible writes (pre-actions writing index variables are
-        // the common case) take the fast path from any depth, as long
-        // as the cumulative depth stays within the general path's
-        // recursion budget.
-        let cause = match self.try_write_plan(dev, vid, args, value, depth) {
-            Ok(()) => return Ok(()),
-            Err(cause) => cause,
-        };
-        self.stats.general += 1;
-        if let Some(t) = self.trace.as_mut() {
-            t.push(DispatchRecord {
-                access: AccessRef::WriteVar(vid),
-                outcome: DispatchOutcome::Fallback(cause),
-            });
-        }
-        let var = self.ir.var(vid);
-        if depth > MAX_DEPTH {
-            return Err(RtError::RecursionLimit(var.name.clone()));
-        }
-        if self.checks && !var.ty.valid_write(value) {
-            return Err(RtError::ValueRange { var: var.name.clone(), value });
-        }
-        let mem_cell = var.mem_cell;
-        let writable = var.writable;
-        // Arc handles on the order and action list: a general write
-        // takes two reference bumps, never a `VarIr` deep copy.
-        let set = var.set.clone();
-        let write_order = var.write_order.clone();
-        if let Some(cell) = mem_cell {
-            self.mem[cell] = value;
-            return self.run_actions(dev, &set, args, depth + 1);
-        }
-        if !writable {
-            return Err(RtError::NotWritable(self.ir.var(vid).name.clone()));
-        }
-        // Update the cache with the new bits first so composition and
-        // condition evaluation see the written value.
-        self.store_var_bits(vid, args, value);
-        let mut order = self.pop_order_buf();
-        let mut res = self.plan_regs_into(&write_order, &mut order);
-        if res.is_ok() {
-            for &rid in &order {
-                let reg_args = self.args_for_reg(vid, rid, args);
-                let raw = self.compose(rid, &reg_args, WriteMode::One(vid));
-                if let Err(e) = self.write_register(dev, rid, &reg_args, raw, depth + 1) {
-                    res = Err(e);
-                    break;
-                }
-            }
-        }
-        self.push_order_buf(order);
-        res?;
-        self.run_actions(dev, &set, args, depth + 1)
+        validate_args(self.ir.var(vid), args)?;
+        self.dispatch(dev, AccessRef::WriteVar(vid), args, value, &mut SuperIo::none())
     }
 
     // ---- structures ----
@@ -825,63 +434,11 @@ impl DeviceInstance {
         self.read_struct_id(dev, sid)
     }
 
-    /// Reads a structure by id — the Figure 3 hot loop. A precompiled
-    /// struct plan (index writes and data reads flattened to straight
-    /// line) executes when one exists; conditional serializations run
-    /// the guard-selected variant.
+    /// Reads a structure by id — the Figure 3 hot loop: index writes
+    /// and data reads flattened to one straight line; conditional
+    /// serializations run the guard-selected variant.
     pub fn read_struct_id(&mut self, dev: &mut dyn DeviceAccess, sid: StructId) -> RtResult<()> {
-        let mut cause = FallbackCause::PlansOff;
-        if self.fast_plans && !self.checks {
-            let DeviceInstance { ir, slots, slot_valid, mem, stats, trace, .. } = &mut *self;
-            cause = FallbackCause::NoPlan;
-            if let Some(plan) = &ir.strct(sid).read_plan {
-                cause = FallbackCause::SelectMiss;
-                if let Some((idx, variant)) = plan.select_variant_indexed(slots, slot_valid, mem, 0)
-                {
-                    exec_plan_steps(
-                        dev,
-                        slots,
-                        slot_valid,
-                        mem,
-                        ir.variant_steps(variant),
-                        &[],
-                        0,
-                        &mut SuperIo::none(),
-                    );
-                    if variant.guards.is_empty() {
-                        stats.straight += 1;
-                    } else {
-                        stats.guarded += 1;
-                    }
-                    if let Some(t) = trace.as_mut() {
-                        t.push(DispatchRecord {
-                            access: AccessRef::ReadStruct(sid),
-                            outcome: DispatchOutcome::Variant(idx as u32),
-                        });
-                    }
-                    return Ok(());
-                }
-            }
-        }
-        self.stats.general += 1;
-        if let Some(t) = self.trace.as_mut() {
-            t.push(DispatchRecord {
-                access: AccessRef::ReadStruct(sid),
-                outcome: DispatchOutcome::Fallback(cause),
-            });
-        }
-        let mut order = self.pop_order_buf();
-        let mut res = self.plan_regs_into(&self.ir.strct(sid).read_order, &mut order);
-        if res.is_ok() {
-            for &rid in &order {
-                if let Err(e) = self.read_register(dev, rid, &[], 0) {
-                    res = Err(e);
-                    break;
-                }
-            }
-        }
-        self.push_order_buf(order);
-        res
+        self.dispatch(dev, AccessRef::ReadStruct(sid), &[], 0, &mut SuperIo::none())
     }
 
     /// Gets a structure field from the cache (no device access).
@@ -890,25 +447,21 @@ impl DeviceInstance {
         self.get_field_id(vid)
     }
 
-    /// Gets a structure field by id: with plans enabled the value
-    /// assembles straight from flat cache slots — no name resolution,
-    /// no hashing, no argument vectors.
+    /// Gets a structure field by id, assembled straight from flat cache
+    /// slots (or its memory cell) — no name resolution, no hashing.
     pub fn get_field_id(&mut self, vid: VarId) -> RtResult<u64> {
         let var = self.ir.var(vid);
         if var.parent.is_none() {
             return Err(RtError::NotAField(var.name.clone()));
         }
-        if self.fast_plans && !self.checks {
-            if let Some(assemble) = &var.slot_assemble {
-                let mut v = 0u64;
-                for &(slot, seg) in assemble {
-                    v |= seg.extract(self.slots[slot]);
-                }
-                return Ok(v);
+        let v = match (var.mem_cell, &var.slot_assemble) {
+            (Some(cell), _) => self.mem[cell],
+            (None, Some(assemble)) => {
+                assemble.iter().fold(0, |v, &(slot, seg)| v | seg.extract(self.slots[slot]))
             }
-        }
-        let v = self.assemble_cached(vid, &[]);
-        self.checked_read(vid, v)
+            (None, None) => return Err(RtError::Unplanned(format!("field {}", var.name))),
+        };
+        checked_read(self.checks, self.ir.var(vid), v)
     }
 
     /// Gets a signed structure field from the cache.
@@ -930,7 +483,8 @@ impl DeviceInstance {
         self.set_field_id(vid, value)
     }
 
-    /// Sets a structure field by id.
+    /// Sets a structure field by id: its bits into the flat slots it
+    /// assembles from, or its memory cell (masked to the field's width).
     pub fn set_field_id(&mut self, vid: VarId, value: u64) -> RtResult<()> {
         let var = self.ir.var(vid);
         if var.parent.is_none() {
@@ -939,7 +493,17 @@ impl DeviceInstance {
         if self.checks && !var.ty.valid_write(value) {
             return Err(RtError::ValueRange { var: var.name.clone(), value });
         }
-        self.store_var_bits(vid, &[], value);
+        match (var.mem_cell, &var.slot_assemble) {
+            (Some(cell), _) => self.mem[cell] = value & var.raw_mask(),
+            (None, Some(assemble)) => {
+                for &(slot, seg) in assemble {
+                    let old = if self.slot_valid[slot] { self.slots[slot] } else { 0 };
+                    self.slots[slot] = (old & !seg.reg_mask()) | seg.insert(value);
+                    self.slot_valid[slot] = true;
+                }
+            }
+            (None, None) => return Err(RtError::Unplanned(format!("field {}", var.name))),
+        }
         Ok(())
     }
 
@@ -948,97 +512,14 @@ impl DeviceInstance {
     /// the cached field values, as in the 8259A initialization).
     pub fn write_struct(&mut self, dev: &mut dyn DeviceAccess, name: &str) -> RtResult<()> {
         let sid = self.struct_id(name)?;
-        self.write_struct_depth(dev, sid, 0)
+        self.write_struct_id(dev, sid)
     }
 
-    /// Writes a structure by id.
+    /// Writes a structure by id: the compiled flush (cache-composed
+    /// masked writes plus folded field set-actions), with the entry
+    /// guards picking the conditional-serialization variant.
     pub fn write_struct_id(&mut self, dev: &mut dyn DeviceAccess, sid: StructId) -> RtResult<()> {
-        self.write_struct_depth(dev, sid, 0)
-    }
-
-    fn write_struct_depth(
-        &mut self,
-        dev: &mut dyn DeviceAccess,
-        sid: StructId,
-        depth: u32,
-    ) -> RtResult<()> {
-        // Fast path: the compiled flush (cache-composed masked writes
-        // plus folded field set-actions) in a straight line, with the
-        // entry guards picking the conditional-serialization variant —
-        // the cache state they test is exactly what the general path's
-        // up-front condition evaluation would see. Depth budget
-        // permitting (see `try_write_plan`).
-        let mut cause = FallbackCause::PlansOff;
-        if self.fast_plans && !self.checks {
-            let DeviceInstance { ir, slots, slot_valid, mem, stats, trace, .. } = &mut *self;
-            cause = FallbackCause::NoPlan;
-            if let Some(plan) = &ir.strct(sid).write_plan {
-                cause = FallbackCause::Depth;
-                if depth.saturating_add(plan.max_depth) <= MAX_DEPTH {
-                    cause = FallbackCause::SelectMiss;
-                    if let Some((idx, variant)) =
-                        plan.select_variant_indexed(slots, slot_valid, mem, 0)
-                    {
-                        exec_plan_steps(
-                            dev,
-                            slots,
-                            slot_valid,
-                            mem,
-                            ir.variant_steps(variant),
-                            &[],
-                            0,
-                            &mut SuperIo::none(),
-                        );
-                        if variant.guards.is_empty() {
-                            stats.straight += 1;
-                        } else {
-                            stats.guarded += 1;
-                        }
-                        if let Some(t) = trace.as_mut() {
-                            t.push(DispatchRecord {
-                                access: AccessRef::WriteStruct(sid),
-                                outcome: DispatchOutcome::Variant(idx as u32),
-                            });
-                        }
-                        return Ok(());
-                    }
-                }
-            }
-        }
-        self.stats.general += 1;
-        if let Some(t) = self.trace.as_mut() {
-            t.push(DispatchRecord {
-                access: AccessRef::WriteStruct(sid),
-                outcome: DispatchOutcome::Fallback(cause),
-            });
-        }
-        let st = self.ir.strct(sid);
-        if depth > MAX_DEPTH {
-            return Err(RtError::RecursionLimit(st.name.clone()));
-        }
-        // Arc handles: a general struct flush takes two reference
-        // bumps, never a `StructIr` deep copy.
-        let write_order = st.write_order.clone();
-        let fields = st.fields.clone();
-        let mut order = self.pop_order_buf();
-        let mut res = self.plan_regs_into(&write_order, &mut order);
-        if res.is_ok() {
-            for &rid in &order {
-                let raw = self.compose(rid, &[], WriteMode::All);
-                if let Err(e) = self.write_register(dev, rid, &[], raw, depth + 1) {
-                    res = Err(e);
-                    break;
-                }
-            }
-        }
-        self.push_order_buf(order);
-        res?;
-        // Field-level `set` actions run after the flush (Arc handles).
-        for &fid in fields.iter() {
-            let actions = self.ir.var(fid).set.clone();
-            self.run_actions(dev, &actions, &[], depth + 1)?;
-        }
-        Ok(())
+        self.dispatch(dev, AccessRef::WriteStruct(sid), &[], 0, &mut SuperIo::none())
     }
 
     // ---- block transfer ----
@@ -1054,20 +535,15 @@ impl DeviceInstance {
         self.read_block_id(dev, vid, buf)
     }
 
-    /// Block-reads a `block` variable by id.
+    /// Block-reads a `block` variable by id: one vectored transaction.
     pub fn read_block_id(
         &mut self,
         dev: &mut dyn DeviceAccess,
         vid: VarId,
         buf: &mut [u64],
     ) -> RtResult<()> {
-        let (rid, binding_offset, width) = self.block_target(vid, /*write=*/ false)?;
-        let (pre, post, set) = self.reg_actions(rid);
-        self.run_actions(dev, &pre, &[], 1)?;
-        let port = self.ir.reg(rid).read.as_ref().expect("block_target checked readability").port;
-        dev.read_block(port.0 as usize, binding_offset, width, buf);
-        self.run_actions(dev, &post, &[], 1)?;
-        self.run_actions(dev, &set, &[], 1)?;
+        let (port, offset, width) = self.block_target(vid, /*write=*/ false)?;
+        dev.read_block(port, offset, width, buf);
         Ok(())
     }
 
@@ -1082,20 +558,15 @@ impl DeviceInstance {
         self.write_block_id(dev, vid, buf)
     }
 
-    /// Block-writes a `block` variable by id.
+    /// Block-writes a `block` variable by id: one vectored transaction.
     pub fn write_block_id(
         &mut self,
         dev: &mut dyn DeviceAccess,
         vid: VarId,
         buf: &[u64],
     ) -> RtResult<()> {
-        let (rid, binding_offset, width) = self.block_target(vid, /*write=*/ true)?;
-        let (pre, post, set) = self.reg_actions(rid);
-        self.run_actions(dev, &pre, &[], 1)?;
-        let port = self.ir.reg(rid).write.as_ref().expect("block_target checked writability").port;
-        dev.write_block(port.0 as usize, binding_offset, width, buf);
-        self.run_actions(dev, &post, &[], 1)?;
-        self.run_actions(dev, &set, &[], 1)?;
+        let (port, offset, width) = self.block_target(vid, /*write=*/ true)?;
+        dev.write_block(port, offset, width, buf);
         Ok(())
     }
 
@@ -1113,12 +584,9 @@ impl DeviceInstance {
     ///
     /// The fused body issues the identical device-op stream the op
     /// sequence would issue unfused, so ledgers, device state and cache
-    /// state are bit-identical either way. When the fused selection
-    /// cannot describe the state — a memory cell holding a value
-    /// outside its variable's raw space — the whole sequence falls back
-    /// to [`DeviceInstance::run_superplan_unfused`]: re-staging through
-    /// the general path stores the same values again (idempotent), so
-    /// the fallback is observably identical to never having fused.
+    /// state are bit-identical either way. With debug checks on, every
+    /// written value is validated before the body runs and every read
+    /// op's output after it.
     pub fn run_superplan(
         &mut self,
         dev: &mut dyn DeviceAccess,
@@ -1128,439 +596,218 @@ impl DeviceInstance {
         block_in: &mut [u64],
         outs: &mut [u64],
     ) -> RtResult<()> {
-        let mut cause = FallbackCause::PlansOff;
-        if self.fast_plans && !self.checks {
-            let DeviceInstance { ir, slots, slot_valid, mem, stats, superplan_hits, trace, .. } =
-                &mut *self;
-            let Some(sp) = ir.superplans().get(sid) else {
-                return Err(RtError::Unknown(format!("superplan #{sid}")));
-            };
-            cause = FallbackCause::Depth;
-            if sp.plan.max_depth <= MAX_DEPTH {
-                let mut io = SuperIo { block_out, block_in, outs };
-                exec_plan_steps(
-                    dev,
-                    slots,
-                    slot_valid,
-                    mem,
-                    ir.variant_steps(&sp.stage),
-                    args,
-                    0,
-                    &mut io,
-                );
-                cause = FallbackCause::SelectMiss;
-                if let Some((idx, variant)) =
-                    sp.plan.select_variant_indexed(slots, slot_valid, mem, 0)
-                {
-                    exec_plan_steps(
-                        dev,
-                        slots,
-                        slot_valid,
-                        mem,
-                        ir.variant_steps(variant),
-                        args,
-                        0,
-                        &mut io,
-                    );
-                    stats.fused += 1;
-                    superplan_hits[sid] += 1;
-                    if let Some(t) = trace.as_mut() {
-                        t.push(DispatchRecord {
-                            access: AccessRef::Superplan(sid),
-                            outcome: DispatchOutcome::Variant(idx as u32),
-                        });
-                    }
-                    return Ok(());
-                }
-            }
-        }
-        if let Some(t) = self.trace.as_mut() {
-            t.push(DispatchRecord {
-                access: AccessRef::Superplan(sid),
-                outcome: DispatchOutcome::Fallback(cause),
+        let mut io = SuperIo { block_out, block_in, outs };
+        self.dispatch(dev, AccessRef::Superplan(sid), args, 0, &mut io)?;
+        if self.checks {
+            let reads = self.ir.superplans()[sid].ops.iter().filter_map(|op| match op {
+                FuseOp::Read { var } => Some(*var),
+                _ => None,
             });
-        }
-        self.run_superplan_unfused(dev, sid, args, block_out, block_in, outs)
-    }
-
-    /// Runs a superplan's declared op sequence unfused, op by op,
-    /// through the ordinary dispatch paths — the differential reference
-    /// for fused execution, and the fallback when fused selection
-    /// misses (an out-of-range memory cell) or plans are off.
-    pub fn run_superplan_unfused(
-        &mut self,
-        dev: &mut dyn DeviceAccess,
-        sid: usize,
-        args: &[u64],
-        block_out: &[u64],
-        block_in: &mut [u64],
-        outs: &mut [u64],
-    ) -> RtResult<()> {
-        let ir = self.shared_ir();
-        let Some(sp) = ir.superplans().get(sid) else {
-            return Err(RtError::Unknown(format!("superplan #{sid}")));
-        };
-        let mut out_idx = 0usize;
-        for op in &sp.ops {
-            match op {
-                FuseOp::SetField { var, value } => {
-                    self.set_field_id(*var, value.resolve(args, 0))?;
-                }
-                FuseOp::Write { var, value } => {
-                    self.write_id(dev, *var, &[], value.resolve(args, 0))?;
-                }
-                FuseOp::Read { var } => {
-                    outs[out_idx] = self.read_id(dev, *var, &[])?;
-                    out_idx += 1;
-                }
-                FuseOp::WriteStruct { strct } => {
-                    self.write_struct_id(dev, *strct)?;
-                }
-                FuseOp::ReadBlock { var } => {
-                    self.read_block_id(dev, *var, block_in)?;
-                }
-                FuseOp::WriteBlock { var } => {
-                    self.write_block_id(dev, *var, block_out)?;
-                }
+            for (vid, &v) in reads.zip(io.outs.iter()) {
+                checked_read(self.checks, self.ir.var(vid), v)?;
             }
         }
         Ok(())
-    }
-
-    fn block_target(&self, vid: VarId, write: bool) -> RtResult<(RegId, u64, u32)> {
-        let var = self.ir.var(vid);
-        if !var.behavior.block {
-            return Err(RtError::NotBlock(var.name.clone()));
-        }
-        if var.segs.len() != 1 {
-            return Err(RtError::NotBlock(var.name.clone()));
-        }
-        let seg = &var.segs[0];
-        let reg = self.ir.reg(seg.reg);
-        if seg.seg.width() != reg.size {
-            return Err(RtError::NotBlock(var.name.clone()));
-        }
-        let binding = if write { &reg.write } else { &reg.read };
-        let Some(binding) = binding else {
-            return Err(if write {
-                RtError::NotWritable(var.name.clone())
-            } else {
-                RtError::NotReadable(var.name.clone())
-            });
-        };
-        let offset = self.ir.resolve_offset(binding, &[]);
-        Ok((seg.reg, offset, reg.size))
     }
 
     // ---- internals ----
 
-    fn validate_args(&self, vid: VarId, args: &[u64]) -> RtResult<()> {
-        let var = self.ir.var(vid);
-        if var.params.len() != args.len() {
-            return Err(RtError::ArityMismatch {
-                var: var.name.clone(),
-                expected: var.params.len(),
-                got: args.len(),
-            });
-        }
-        for (p, &a) in var.params.iter().zip(args) {
-            if !p.contains(a) {
-                return Err(RtError::ArgOutOfRange { var: var.name.clone(), value: a });
-            }
-        }
-        Ok(())
-    }
-
-    /// Validates a read value against the variable's type when debug
-    /// checks are on. Borrows the IR in place — no name or type clone
-    /// on the hot general path.
-    fn checked_read(&self, vid: VarId, v: u64) -> RtResult<u64> {
-        if self.checks {
-            let var = self.ir.var(vid);
-            if !var.ty.valid_read(v) {
-                return Err(RtError::BadPattern { var: var.name.clone(), raw: v });
-            }
-        }
-        Ok(v)
-    }
-
-    /// The cached raw value of a register instance, if any. Concrete
-    /// registers resolve through their flat slot and family instances
-    /// through their indexed slot range — no hashing either way. Only
-    /// oversized family domains (or out-of-domain arguments) reach the
-    /// hashed fallback.
-    fn cache_get(&self, rid: RegId, args: &[u64]) -> Option<u64> {
-        let reg = self.ir.reg(rid);
-        if let Some(slot) = reg.slot {
-            return self.slot_valid[slot].then(|| self.slots[slot]);
-        }
-        if let Some(slot) = reg.family_slots.as_ref().and_then(|f| f.slot_of(args)) {
-            return self.slot_valid[slot].then(|| self.slots[slot]);
-        }
-        // Inline key: a hashed-fallback hit costs hashing but no heap
-        // allocation (arguments spill only past `ARG_INLINE`).
-        self.family_cache.get(&(rid.0, ArgBuf::from_slice(args))).copied()
-    }
-
-    /// Caches a register instance's raw value.
-    fn cache_put(&mut self, rid: RegId, args: &[u64], raw: u64) {
-        let reg = self.ir.reg(rid);
-        let slot = reg.slot.or_else(|| reg.family_slots.as_ref().and_then(|f| f.slot_of(args)));
-        if let Some(slot) = slot {
-            self.slots[slot] = raw;
-            self.slot_valid[slot] = true;
-            return;
-        }
-        self.family_cache.insert((rid.0, ArgBuf::from_slice(args)), raw);
-    }
-
-    /// The family args used by variable `vid` for register `rid`.
-    fn args_for_reg(&self, vid: VarId, rid: RegId, var_args: &[u64]) -> ArgBuf {
-        let var = self.ir.var(vid);
-        for seg in &var.segs {
-            if seg.reg == rid {
-                return seg
-                    .args
-                    .iter()
-                    .map(|a| match a {
-                        ChunkArg::Const(c) => *c,
-                        ChunkArg::Param(i) => var_args[*i],
-                    })
-                    .collect();
-            }
-        }
-        ArgBuf::new()
-    }
-
-    /// Flattens a serialization plan to register ids, evaluating
-    /// conditions against cached variable values. Callers supply the
-    /// output buffer (pooled via [`DeviceInstance::pop_order_buf`] so
-    /// the steady-state general path does not allocate).
-    fn plan_regs_into(&self, steps: &[SerStep], out: &mut Vec<RegId>) -> RtResult<()> {
-        for step in steps {
-            match step {
-                SerStep::Reg(r) => out.push(*r),
-                SerStep::If { cond, then, els } => {
-                    if self.eval_cond(cond) {
-                        self.plan_regs_into(then, out)?;
-                    } else {
-                        self.plan_regs_into(els, out)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn eval_cond(&self, cond: &CondSem) -> bool {
-        match cond {
-            CondSem::Cmp { var, eq, value } => {
-                let v = self.assemble_cached(*var, &[]);
-                (v == *value) == *eq
-            }
-            CondSem::And(a, b) => self.eval_cond(a) && self.eval_cond(b),
-            CondSem::Or(a, b) => self.eval_cond(a) || self.eval_cond(b),
-            CondSem::Not(a) => !self.eval_cond(a),
-        }
-    }
-
-    /// Assembles a variable's value from the cache (0 for never-accessed
-    /// registers) or its memory cell.
-    fn assemble_cached(&self, vid: VarId, args: &[u64]) -> u64 {
-        let var = self.ir.var(vid);
-        if let Some(cell) = var.mem_cell {
-            return self.mem[cell];
-        }
-        let mut v = 0u64;
-        for seg in &var.segs {
-            let reg_args: ArgBuf = seg
-                .args
-                .iter()
-                .map(|a| match a {
-                    ChunkArg::Const(c) => *c,
-                    ChunkArg::Param(i) => args[*i],
-                })
-                .collect();
-            let raw = self.cache_get(seg.reg, &reg_args).unwrap_or(0);
-            v |= seg.seg.extract(raw);
-        }
-        v
-    }
-
-    /// Like [`assemble_cached`] but only when every register is cached.
-    fn try_assemble_cached(&self, vid: VarId, args: &[u64]) -> Option<u64> {
-        let var = self.ir.var(vid);
-        if let Some(cell) = var.mem_cell {
-            return Some(self.mem[cell]);
-        }
-        for seg in &var.segs {
-            let reg_args: ArgBuf = seg
-                .args
-                .iter()
-                .map(|a| match a {
-                    ChunkArg::Const(c) => *c,
-                    ChunkArg::Param(i) => args[*i],
-                })
-                .collect();
-            self.cache_get(seg.reg, &reg_args)?;
-        }
-        Some(self.assemble_cached(vid, args))
-    }
-
-    /// Writes `value`'s bits into the cached raw values of the
-    /// variable's registers.
-    fn store_var_bits(&mut self, vid: VarId, args: &[u64], value: u64) {
-        if let Some(cell) = self.ir.var(vid).mem_cell {
-            self.mem[cell] = value;
-            return;
-        }
-        for i in 0..self.ir.var(vid).segs.len() {
-            let seg = self.ir.var(vid).segs[i].clone();
-            let reg_args: ArgBuf = seg
-                .args
-                .iter()
-                .map(|a| match a {
-                    ChunkArg::Const(c) => *c,
-                    ChunkArg::Param(i) => args[*i],
-                })
-                .collect();
-            let old = self.cache_get(seg.reg, &reg_args).unwrap_or(0);
-            let new = (old & !seg.seg.reg_mask()) | seg.seg.insert(value);
-            self.cache_put(seg.reg, &reg_args, new);
-        }
-    }
-
-    /// Composes the raw value to write to a register.
-    fn compose(&mut self, rid: RegId, args: &[u64], mode: WriteMode) -> u64 {
-        let cached = self.cache_get(rid, args).unwrap_or(0);
-        let reg = self.ir.reg(rid);
-        let mut raw = cached;
-        if let WriteMode::One(writing) = mode {
-            for field in &reg.fields {
-                if field.var == writing {
-                    continue;
-                }
-                let other = self.ir.var(field.var);
-                if other.behavior.write_trigger {
-                    if let Some(neutral) = other.neutral {
-                        let nv = match neutral {
-                            Neutral::Except(n) => n,
-                            // `for X`: every value except X is neutral.
-                            Neutral::For(x) => {
-                                if x == 0 {
-                                    1
-                                } else {
-                                    0
-                                }
-                            }
-                        };
-                        raw = (raw & !field.reg_mask()) | field.insert(nv);
-                    }
-                }
-            }
-        }
-        raw
-    }
-
-    /// The pre/post/set action lists of a register. `Arc` handles: a
-    /// register access takes three reference bumps, never an
-    /// allocation.
-    fn reg_actions(&self, rid: RegId) -> ActionLists {
-        let reg = self.ir.reg(rid);
-        (reg.pre.clone(), reg.post.clone(), reg.set.clone())
-    }
-
-    /// Performs a device read of one register, with actions and caching.
-    fn read_register(
+    /// Runs one access through its compiled plan — the single execution
+    /// path of every variable, structure and superplan access. Resolves
+    /// the plan (or the typed error of an access without one), checks
+    /// its depth, runs a superplan's stage prefix, selects the variant,
+    /// validates the variant's written values when debug checks are on,
+    /// and only then walks its steps: a rejected access never reaches
+    /// the device. A variable read whose registers are all cached (and
+    /// idempotent) selects but runs no steps, like the reference's
+    /// cache-served read.
+    #[inline(always)]
+    fn dispatch(
         &mut self,
         dev: &mut dyn DeviceAccess,
-        rid: RegId,
+        access: AccessRef,
         args: &[u64],
-        depth: u32,
-    ) -> RtResult<u64> {
-        if depth > MAX_DEPTH {
-            return Err(RtError::RecursionLimit(self.ir.reg(rid).name.clone()));
-        }
-        let (pre, post, set) = self.reg_actions(rid);
-        self.run_actions(dev, &pre, args, depth + 1)?;
-        let reg = self.ir.reg(rid);
-        let binding = reg.read.as_ref().ok_or_else(|| RtError::NotReadable(reg.name.clone()))?;
-        let offset = self.ir.resolve_offset(binding, args);
-        let raw = dev.read(binding.port.0 as usize, offset, reg.size);
-        self.cache_put(rid, args, raw);
-        self.run_actions(dev, &post, args, depth + 1)?;
-        self.run_actions(dev, &set, args, depth + 1)?;
-        Ok(raw)
-    }
-
-    /// Performs a device write of one register, with masking, actions
-    /// and caching.
-    fn write_register(
-        &mut self,
-        dev: &mut dyn DeviceAccess,
-        rid: RegId,
-        args: &[u64],
-        raw: u64,
-        depth: u32,
+        input: u64,
+        io: &mut SuperIo<'_>,
     ) -> RtResult<()> {
-        if depth > MAX_DEPTH {
-            return Err(RtError::RecursionLimit(self.ir.reg(rid).name.clone()));
+        let DeviceInstance { ir, slots, slot_valid, mem, checks, stats, superplan_hits, trace } =
+            self;
+        let (plan, stage) = match access {
+            AccessRef::ReadVar(v) => (ir.var(v).read_plan.as_deref(), None),
+            AccessRef::WriteVar(v) => (ir.var(v).write_plan.as_deref(), None),
+            AccessRef::ReadStruct(s) => (ir.strct(s).read_plan.as_deref(), None),
+            AccessRef::WriteStruct(s) => (ir.strct(s).write_plan.as_deref(), None),
+            AccessRef::Superplan(i) => match ir.superplans().get(i) {
+                Some(sp) => (Some(&sp.plan), Some(&sp.stage)),
+                None => return Err(RtError::Unknown(format!("superplan #{i}"))),
+            },
+        };
+        let Some(plan) = plan else { return Err(no_plan(ir, access)) };
+        if plan.max_depth > MAX_DEPTH {
+            return Err(RtError::RecursionLimit(access_name(ir, access)));
         }
-        let (pre, post, set) = self.reg_actions(rid);
-        self.run_actions(dev, &pre, args, depth + 1)?;
+        if let Some(stage) = stage {
+            if *checks {
+                check_writes(ir, stage, args, input)?;
+            }
+            exec_plan_steps(dev, slots, slot_valid, mem, ir.variant_steps(stage), args, input, io);
+        }
+        let Some((idx, variant)) = plan.select_variant_indexed(slots, slot_valid, mem, input)
+        else {
+            return Err(RtError::Unplanned(access_name(ir, access)));
+        };
+        let cached = match access {
+            AccessRef::ReadVar(v) => {
+                let b = ir.var(v).behavior;
+                !b.volatile
+                    && !b.read_trigger
+                    && plan.assemble.iter().all(|(s, _)| slot_valid[s.resolve(args)])
+            }
+            _ => false,
+        };
+        if !cached {
+            if *checks {
+                check_writes(ir, variant, args, input)?;
+            }
+            exec_plan_steps(
+                dev,
+                slots,
+                slot_valid,
+                mem,
+                ir.variant_steps(variant),
+                args,
+                input,
+                io,
+            );
+        }
+        match access {
+            AccessRef::Superplan(i) => {
+                stats.fused += 1;
+                superplan_hits[i] += 1;
+            }
+            _ if variant.guards.is_empty() => stats.straight += 1,
+            _ => stats.guarded += 1,
+        }
+        if let Some(t) = trace.as_mut() {
+            t.push(DispatchRecord { access, outcome: DispatchOutcome::Variant(idx as u32) });
+        }
+        Ok(())
+    }
+
+    /// The port, offset and width of a block transfer. The vectored
+    /// transfer runs no actions, so a block register with actions is an
+    /// unplanned access (lowering records it).
+    fn block_target(&self, vid: VarId, write: bool) -> RtResult<(usize, u64, u32)> {
+        let (rid, port, offset, width) = block_binding(&self.ir, vid, write)?;
         let reg = self.ir.reg(rid);
-        let binding = reg.write.as_ref().ok_or_else(|| RtError::NotWritable(reg.name.clone()))?;
-        let offset = self.ir.resolve_offset(binding, args);
-        let out = (raw & reg.and_mask) | reg.or_mask;
-        dev.write(binding.port.0 as usize, offset, reg.size, out);
-        self.cache_put(rid, args, raw);
-        self.run_actions(dev, &post, args, depth + 1)?;
-        self.run_actions(dev, &set, args, depth + 1)?;
-        Ok(())
-    }
-
-    /// Executes a pre/post/set action list. `args` is the family-argument
-    /// context for `Param` references.
-    fn run_actions(
-        &mut self,
-        dev: &mut dyn DeviceAccess,
-        actions: &[Action],
-        args: &[u64],
-        depth: u32,
-    ) -> RtResult<()> {
-        for action in actions {
-            if depth > MAX_DEPTH {
-                return Err(RtError::RecursionLimit("action".into()));
-            }
-            match (&action.target, &action.value) {
-                (ActionTarget::Var(vid), value) => {
-                    let v = self.resolve_action_value(value, args);
-                    self.write_id_depth(dev, *vid, &[], v, depth + 1)?;
-                }
-                (ActionTarget::Struct(sid), ActionValue::Struct(fields)) => {
-                    for (fid, fval) in fields {
-                        let v = self.resolve_action_value(fval, args);
-                        self.store_var_bits(*fid, &[], v);
-                    }
-                    self.write_struct_depth(dev, *sid, depth + 1)?;
-                }
-                (ActionTarget::Struct(_), _) => {
-                    unreachable!("sema guarantees struct targets get struct values")
-                }
-            }
+        if !(reg.pre.is_empty() && reg.post.is_empty() && reg.set.is_empty()) {
+            return Err(RtError::Unplanned(format!("block {}", self.ir.var(vid).name)));
         }
-        Ok(())
+        Ok((port, offset, width))
     }
+}
 
-    fn resolve_action_value(&mut self, value: &ActionValue, args: &[u64]) -> u64 {
-        match value {
-            ActionValue::Const(c) => *c,
-            ActionValue::Any => 0,
-            ActionValue::Param(i) => args.get(*i).copied().unwrap_or(0),
-            ActionValue::Var(vid) => self.assemble_cached(*vid, &[]),
-            ActionValue::Struct(_) => 0,
+/// Checks family arguments against a variable's parameter domains.
+#[inline]
+pub(crate) fn validate_args(var: &VarIr, args: &[u64]) -> RtResult<()> {
+    if var.params.len() == args.len() && var.params.iter().zip(args).all(|(p, &a)| p.contains(a)) {
+        return Ok(());
+    }
+    Err(arg_error(var, args))
+}
+
+/// The paper's debug read check, when `checks` is on: `v` must be a
+/// legal read value of `var`.
+#[inline]
+pub(crate) fn checked_read(checks: bool, var: &VarIr, v: u64) -> RtResult<u64> {
+    if checks && !var.ty.valid_read(v) {
+        return Err(RtError::BadPattern { var: var.name.clone(), raw: v });
+    }
+    Ok(v)
+}
+
+/// The register, port, offset and width a block transfer of `vid`
+/// moves through: a `block` variable covering one whole register bound
+/// in the direction.
+pub(crate) fn block_binding(
+    ir: &DeviceIr,
+    vid: VarId,
+    write: bool,
+) -> RtResult<(RegId, usize, u64, u32)> {
+    let var = ir.var(vid);
+    let not_block = || RtError::NotBlock(var.name.clone());
+    let [seg] = &var.segs[..] else { return Err(not_block()) };
+    let reg = ir.reg(seg.reg);
+    if !var.behavior.block || seg.seg.width() != reg.size {
+        return Err(not_block());
+    }
+    let binding = if write { &reg.write } else { &reg.read };
+    let Some(binding) = binding else {
+        return Err(if write {
+            RtError::NotWritable(var.name.clone())
+        } else {
+            RtError::NotReadable(var.name.clone())
+        });
+    };
+    Ok((seg.reg, binding.port.0 as usize, ir.resolve_offset(binding, &[]), reg.size))
+}
+
+/// The error of arguments outside a variable's parameter domains.
+#[cold]
+fn arg_error(var: &VarIr, args: &[u64]) -> RtError {
+    if var.params.len() != args.len() {
+        return RtError::ArityMismatch {
+            var: var.name.clone(),
+            expected: var.params.len(),
+            got: args.len(),
+        };
+    }
+    let value = var.params.iter().zip(args).find(|(p, &a)| !p.contains(a)).map_or(0, |(_, &a)| a);
+    RtError::ArgOutOfRange { var: var.name.clone(), value }
+}
+
+/// The access name lowering records in `DeviceIr::plan_fallbacks`.
+fn access_name(ir: &DeviceIr, access: AccessRef) -> String {
+    match access {
+        AccessRef::ReadVar(v) => format!("read {}", ir.var(v).name),
+        AccessRef::WriteVar(v) => format!("write {}", ir.var(v).name),
+        AccessRef::ReadStruct(s) => format!("read struct {}", ir.strct(s).name),
+        AccessRef::WriteStruct(s) => format!("write struct {}", ir.strct(s).name),
+        AccessRef::Superplan(i) => format!("superplan {}", ir.superplans()[i].name),
+    }
+}
+
+/// The error of an access without a plan: a direction error when the
+/// access cannot exist, else [`RtError::Unplanned`].
+fn no_plan(ir: &DeviceIr, access: AccessRef) -> RtError {
+    match access {
+        AccessRef::ReadVar(v) if !ir.var(v).readable => {
+            RtError::NotReadable(ir.var(v).name.clone())
+        }
+        AccessRef::WriteVar(v) if !ir.var(v).writable => {
+            RtError::NotWritable(ir.var(v).name.clone())
+        }
+        AccessRef::ReadStruct(s) if !ir.struct_supports(s, false) => {
+            RtError::NotReadable(ir.strct(s).name.clone())
+        }
+        AccessRef::WriteStruct(s) if !ir.struct_supports(s, true) => {
+            RtError::NotWritable(ir.strct(s).name.clone())
+        }
+        _ => RtError::Unplanned(access_name(ir, access)),
+    }
+}
+
+/// The paper's debug-mode write check over one variant: every value it
+/// writes must lie in its variable's type. Runs before any step.
+fn check_writes(ir: &DeviceIr, variant: &PlanVariant, args: &[u64], input: u64) -> RtResult<()> {
+    for &(vid, value) in &variant.checks {
+        let value = value.resolve(args, input);
+        let var = ir.var(vid);
+        if !var.ty.valid_write(value) {
+            return Err(RtError::ValueRange { var: var.name.clone(), value });
         }
     }
+    Ok(())
 }
 
 /// The vectored-I/O surface of one superplan dispatch: the caller's
@@ -1587,9 +834,9 @@ impl SuperIo<'_> {
 /// (for fused superplans) vectored block transfers and in-place output
 /// assembly. `args` are the (already validated) family arguments — for
 /// superplans, the operand vector — and `input` the value being
-/// written, if any. This is the whole steady-state hot path: mask/shift
-/// arithmetic and slot indexing only — no hashing, no name resolution,
-/// no action interpretation.
+/// written, if any. This is the whole hot path: mask/shift arithmetic
+/// and slot indexing only — no hashing, no name resolution, no action
+/// interpretation.
 #[allow(clippy::too_many_arguments)]
 fn exec_plan_steps(
     dev: &mut dyn DeviceAccess,
@@ -1628,7 +875,7 @@ fn exec_plan_steps(
             PlanStep::Store(slot, c) => {
                 // Cache-only store: a written variable's bits on a
                 // register the flattened order does not flush (the
-                // general path's up-front `store_var_bits`).
+                // reference interpreter's up-front `store_var_bits`).
                 let slot = slot.resolve(args);
                 let cached = if slot_valid[slot] { slots[slot] } else { 0 };
                 let mut raw = (cached & c.keep_and) | c.const_or;
@@ -1638,7 +885,9 @@ fn exec_plan_steps(
                 slots[slot] = raw;
                 slot_valid[slot] = true;
             }
-            PlanStep::SetCell { cell, value } => mem[*cell] = value.resolve(args, input),
+            PlanStep::SetCell { cell, value, mask } => {
+                mem[*cell] = value.resolve(args, input) & mask;
+            }
             PlanStep::BlockIn { port, offset, size } => {
                 dev.read_block(*port as usize, *offset, *size, io.block_in);
             }
@@ -1669,6 +918,7 @@ pub fn sign_extend(raw: u64, width: u32) -> i64 {
 mod tests {
     use super::*;
     use crate::access::FakeAccess;
+    use crate::reference::ReferenceInstance;
 
     fn instance(src: &str) -> DeviceInstance {
         let model = devil_sema::check_source(src, &[]).expect("spec checks");
@@ -2094,18 +1344,49 @@ mod tests {
         assert_eq!(d.write(&mut dev, "vr", 0), Err(RtError::NotWritable("vr".into())));
         assert_eq!(d.read(&mut dev, "vw"), Err(RtError::NotReadable("vw".into())));
         assert!(matches!(d.read(&mut dev, "ghost"), Err(RtError::Unknown(_))));
+        assert_eq!(dev.ops(), 0, "direction errors precede any device access");
     }
 
-    /// Drives the same access sequence through the plan fast path and
-    /// the general interpreter; both must produce identical device
+    /// The name-level surface the agreement tests drive on both engines.
+    trait Named {
+        fn w(&mut self, dev: &mut FakeAccess, name: &str, v: u64);
+        fn r(&mut self, dev: &mut FakeAccess, name: &str) -> u64;
+    }
+
+    impl Named for DeviceInstance {
+        fn w(&mut self, dev: &mut FakeAccess, name: &str, v: u64) {
+            self.write(dev, name, v).unwrap();
+        }
+        fn r(&mut self, dev: &mut FakeAccess, name: &str) -> u64 {
+            self.read(dev, name).unwrap()
+        }
+    }
+
+    impl Named for ReferenceInstance {
+        fn w(&mut self, dev: &mut FakeAccess, name: &str, v: u64) {
+            let vid = self.ir().var_id(name).unwrap();
+            self.write_id(dev, vid, &[], v).unwrap();
+        }
+        fn r(&mut self, dev: &mut FakeAccess, name: &str) -> u64 {
+            let vid = self.ir().var_id(name).unwrap();
+            self.read_id(dev, vid, &[]).unwrap()
+        }
+    }
+
+    fn reference(src: &str) -> ReferenceInstance {
+        let model = devil_sema::check_source(src, &[]).expect("spec checks");
+        ReferenceInstance::new(devil_ir::lower(&model))
+    }
+
+    /// Drives the same access sequence through the plans and the
+    /// reference interpreter; both must produce identical device
     /// interaction logs and results.
-    fn assert_paths_agree(src: &str, drive: impl Fn(&mut DeviceInstance, &mut FakeAccess)) {
+    fn assert_paths_agree(src: &str, drive: impl Fn(&mut dyn Named, &mut FakeAccess)) {
         let mut fast = instance(src);
         let mut fast_dev = FakeAccess::new();
         drive(&mut fast, &mut fast_dev);
 
-        let mut slow = instance(src);
-        slow.set_fast_plans(false);
+        let mut slow = reference(src);
         let mut slow_dev = FakeAccess::new();
         drive(&mut slow, &mut slow_dev);
 
@@ -2121,8 +1402,8 @@ mod tests {
                  variable config = cr[0] : { CONFIGURATION => '1', DEFAULT_MODE => '0' };
                }"#,
             |d, dev| {
-                d.write(dev, "config", 1).unwrap();
-                d.write(dev, "config", 0).unwrap();
+                d.w(dev, "config", 1);
+                d.w(dev, "config", 0);
             },
         );
     }
@@ -2136,11 +1417,11 @@ mod tests {
                  variable hi = r[7..4] : int(4);
                }"#,
             |d, dev| {
-                d.write(dev, "lo", 0x5).unwrap();
-                d.write(dev, "hi", 0xa).unwrap();
-                assert_eq!(d.read(dev, "lo").unwrap(), 0x5);
-                d.write(dev, "lo", 0x1).unwrap();
-                assert_eq!(d.read(dev, "hi").unwrap(), 0xa);
+                d.w(dev, "lo", 0x5);
+                d.w(dev, "hi", 0xa);
+                assert_eq!(d.r(dev, "lo"), 0x5);
+                d.w(dev, "lo", 0x1);
+                assert_eq!(d.r(dev, "hi"), 0xa);
             },
         );
     }
@@ -2155,9 +1436,9 @@ mod tests {
                  variable page = cmd[7..2] : int(6);
                }"#,
             |d, dev| {
-                d.write(dev, "st", 0b01).unwrap();
-                d.write(dev, "page", 0b101010).unwrap();
-                d.write(dev, "st", 0b10).unwrap();
+                d.w(dev, "st", 0b01);
+                d.w(dev, "page", 0b101010);
+                d.w(dev, "st", 0b10);
             },
         );
     }
@@ -2173,9 +1454,9 @@ mod tests {
             |d, dev| {
                 dev.preset(0, 0, 0x34);
                 dev.preset(0, 1, 0x12);
-                assert_eq!(d.read(dev, "w").unwrap(), 0x1234);
-                d.write(dev, "w", 0xbeef).unwrap();
-                assert_eq!(d.read(dev, "w").unwrap(), 0xbeef);
+                assert_eq!(d.r(dev, "w"), 0x1234);
+                d.w(dev, "w", 0xbeef);
+                assert_eq!(d.r(dev, "w"), 0xbeef);
             },
         );
     }
@@ -2189,9 +1470,9 @@ mod tests {
                }"#,
             |d, dev| {
                 dev.preset(0, 0, 1);
-                assert_eq!(d.read(dev, "v").unwrap(), 1);
+                assert_eq!(d.r(dev, "v"), 1);
                 dev.preset(0, 0, 2);
-                assert_eq!(d.read(dev, "v").unwrap(), 2);
+                assert_eq!(d.r(dev, "v"), 2);
             },
         );
     }
@@ -2216,11 +1497,10 @@ mod tests {
 
     #[test]
     fn deep_action_chains_hit_the_recursion_limit_in_both_modes() {
-        // A set-action chain long enough that the general interpreter
-        // reports RecursionLimit. Mid-chain variables compile plans
-        // (their remaining expansion fits the budget), but the
-        // cumulative-depth gate must keep the fast path from
-        // succeeding where the general path errors.
+        // A set-action chain long enough that the reference reports
+        // RecursionLimit. Lowering hits the same limit, records the
+        // access as unplanned, and the plan path rejects it before any
+        // device access; mid-chain variables still compile plans.
         let n = 30u32;
         let mut decls = String::new();
         for i in 0..n {
@@ -2232,23 +1512,69 @@ mod tests {
         let src = format!("device d (base : bit[8] port @ {{0..{}}}) {{\n{decls}}}", n - 1);
         let mut fast = instance(&src);
         let mut fast_dev = FakeAccess::new();
-        let fast_res = fast.write(&mut fast_dev, "v0", 1);
-        let mut slow = instance(&src);
-        slow.set_fast_plans(false);
+        assert_eq!(fast.write(&mut fast_dev, "v0", 1), Err(RtError::Unplanned("write v0".into())));
+        assert_eq!(fast_dev.ops(), 0, "an unplanned access never reaches the device");
+        let fb = fast.ir().plan_fallbacks().iter().find(|f| f.access == "write v0").unwrap();
+        assert!(fb.cause.contains("depth"), "{fb:?}");
+        let mut slow = reference(&src);
         let mut slow_dev = FakeAccess::new();
-        let slow_res = slow.write(&mut slow_dev, "v0", 1);
-        assert!(
-            matches!(slow_res, Err(RtError::RecursionLimit(_))),
-            "general path must hit the limit: {slow_res:?}"
-        );
-        assert_eq!(fast_res, slow_res, "fast path must fail identically");
-        assert_eq!(fast_dev.log, slow_dev.log, "partial side effects must match");
+        let v0 = slow.ir().var_id("v0").unwrap();
+        let slow_res = slow.write_id(&mut slow_dev, v0, &[], 1);
+        assert!(matches!(slow_res, Err(RtError::RecursionLimit(_))), "{slow_res:?}");
         // A var near the tail writes fine from depth 0 in both modes.
-        let fast_tail = fast.write(&mut fast_dev, "v25", 1);
-        let slow_tail = slow.write(&mut slow_dev, "v25", 1);
-        assert_eq!(fast_tail, slow_tail);
-        assert!(fast_tail.is_ok());
+        let (mut fast_dev, mut slow_dev) = (FakeAccess::new(), FakeAccess::new());
+        fast.write(&mut fast_dev, "v25", 1).unwrap();
+        slow.w(&mut slow_dev, "v25", 1);
         assert_eq!(fast_dev.log, slow_dev.log);
+    }
+
+    #[test]
+    fn over_depth_plans_are_rejected_before_the_device() {
+        let src = r#"device d (base : bit[8] port @ {0..0}) {
+                 register r = base @ 0 : bit[8];
+                 variable v = r : int(8);
+               }"#;
+        let mut ir = devil_ir::lower(&devil_sema::check_source(src, &[]).unwrap());
+        let vid = ir.var_id("v").unwrap();
+        let plan = ir.vars[vid.0 as usize].write_plan.as_deref().unwrap().clone();
+        ir.vars[vid.0 as usize].write_plan =
+            Some(Arc::new(devil_ir::AccessPlan { max_depth: MAX_DEPTH + 1, ..plan }));
+        let mut d = DeviceInstance::new(ir);
+        let mut dev = FakeAccess::new();
+        assert_eq!(d.write(&mut dev, "v", 1), Err(RtError::RecursionLimit("write v".into())));
+        assert_eq!(dev.ops(), 0);
+    }
+
+    #[test]
+    fn failed_debug_checks_issue_no_bus_op() {
+        // The index pre-action writes `ia` from the family argument; 20
+        // is in `i`'s domain but outside `ia`'s type, so checked mode
+        // rejects the nested write before the index strobe.
+        let mut d = instance(
+            r#"device d (base : bit[8] port @ {0..1}) {
+                 register control = base @ 0, mask '000*****' : bit[8];
+                 variable ia = control[4..0] : int{0..15};
+                 register ireg(i : int{0..31}) = base @ 1, pre {ia = i} : bit[8];
+                 variable idata(i : int{0..31}) = ireg(i), volatile : int(8);
+               }"#,
+        );
+        let mut dev = FakeAccess::new();
+        d.set_debug_checks(true);
+        assert_eq!(
+            d.read_indexed(&mut dev, "idata", &[20]),
+            Err(RtError::ValueRange { var: "ia".into(), value: 20 })
+        );
+        assert_eq!(
+            d.write(&mut dev, "ia", 16),
+            Err(RtError::ValueRange { var: "ia".into(), value: 16 })
+        );
+        assert_eq!(dev.ops(), 0, "rejected writes never reach the device");
+        d.read_indexed(&mut dev, "idata", &[7]).unwrap();
+        assert_eq!(dev.ops(), 2, "in-type values run the plan");
+        // Unchecked, the same access runs its plan.
+        d.set_debug_checks(false);
+        d.read_indexed(&mut dev, "idata", &[20]).unwrap();
+        assert_eq!(d.plan_stats().general, 0);
     }
 
     #[test]
@@ -2292,7 +1618,7 @@ mod tests {
     fn snapshot_restore_round_trips_mutable_state() {
         let mut d = instance(
             r#"device d (base : bit[8] port @ {0..0}) {
-                 register r = base @ 0, set {p = v} : bit[8];
+                 register r = base @ 0, set {p = 1} : bit[8];
                  variable v = r : int(8);
                  private variable p : int(8);
                }"#,
@@ -2359,7 +1685,8 @@ mod tests {
     #[test]
     fn plan_stats_fused_degradation_keeps_delta_consistent() {
         // A write plan with a pre-action (index write folded into the
-        // straight line), degraded to the general path by plan mode.
+        // straight line): one dispatch per access, whatever the mode —
+        // checked mode runs the same plan and counts it the same way.
         let mut d = instance(
             r#"device d (base : bit[8] port @ {0..1}) {
                  register r = base @ 0, pre {idx = 1} : bit[8];
@@ -2371,19 +1698,11 @@ mod tests {
         let mut dev = FakeAccess::new();
         let before = d.plan_stats();
         d.write(&mut dev, "v", 0x11).unwrap();
-        let fast = d.plan_stats().delta(before);
-        assert_eq!(fast.general, 0, "in-range index should dispatch on the plan");
-        assert!(fast.total() >= 1);
-        // An out-of-range cell value can only come from the general
-        // path itself; emulate the miss by disabling plans.
-        d.set_fast_plans(false);
-        let before = d.plan_stats();
+        d.set_debug_checks(true);
         d.write(&mut dev, "v", 0x22).unwrap();
-        let slow = d.plan_stats().delta(before);
-        assert!(slow.general >= 1, "general path must count its dispatches: {slow:?}");
-        assert_eq!(slow.straight, 0);
-        assert_eq!(slow.fused, 0);
-        d.set_fast_plans(true);
+        let delta = d.plan_stats().delta(before);
+        assert_eq!(delta, PlanStats { straight: 2, ..PlanStats::default() });
+        assert_eq!(dev.ops(), 4, "two index strobes, two data writes");
     }
 
     #[test]
@@ -2399,9 +1718,10 @@ mod tests {
         let vid = d.var_id("v").unwrap();
         d.write(&mut dev, "v", 7).unwrap();
         d.read(&mut dev, "v").unwrap();
-        d.set_fast_plans(false);
+        // A rejected access dispatches nothing, so it records nothing.
+        assert!(d.read_indexed(&mut dev, "v", &[1]).is_err());
+        d.set_debug_checks(true);
         d.read(&mut dev, "v").unwrap();
-        d.set_fast_plans(true);
         let trace = d.take_dispatch_trace();
         assert_eq!(
             trace,
@@ -2416,7 +1736,7 @@ mod tests {
                 },
                 DispatchRecord {
                     access: AccessRef::ReadVar(vid),
-                    outcome: DispatchOutcome::Fallback(FallbackCause::PlansOff)
+                    outcome: DispatchOutcome::Variant(0)
                 },
             ]
         );
@@ -2430,20 +1750,5 @@ mod tests {
         d.set_dispatch_trace(false);
         assert_eq!(d.snapshot().slots, snap.slots);
         assert!(d.take_dispatch_trace().is_empty());
-    }
-
-    #[test]
-    fn arg_buf_spills_past_inline_capacity() {
-        let mut buf = ArgBuf::new();
-        for i in 0..(ARG_INLINE as u64 + 2) {
-            buf.push(i);
-        }
-        assert_eq!(buf.len(), ARG_INLINE + 2);
-        assert_eq!(buf[ARG_INLINE + 1], ARG_INLINE as u64 + 1);
-        let other = ArgBuf::from_slice(buf.as_slice());
-        assert_eq!(buf, other);
-        let inline = ArgBuf::from_slice(&[1, 2]);
-        assert!(matches!(inline, ArgBuf::Inline { .. }));
-        assert!(matches!(other, ArgBuf::Heap(_)));
     }
 }

@@ -3,12 +3,16 @@
 //! Provides two things:
 //!
 //! 1. the [`DeviceAccess`] abstraction generated stubs (and the
-//!    interpreter) use to reach hardware, with a [`PortMap`] adapter to
+//!    runtime) use to reach hardware, with a [`PortMap`] adapter to
 //!    the `hwsim` simulated bus, and
-//! 2. [`DeviceInstance`], an interpreter over `devil-ir` access plans
-//!    that implements the exact stub semantics of the paper (masking,
+//! 2. [`DeviceInstance`], an executor of `devil-ir` access plans that
+//!    implements the exact stub semantics of the paper (masking,
 //!    pre/post actions, caching, triggers, structures, serialization,
 //!    block transfer, and optional debug-mode run-time checks).
+//!
+//! [`reference::ReferenceInstance`] interprets the same semantics
+//! straight from the IR's orders and actions: the oracle the
+//! differential tests compare the plans against.
 //!
 //! # Examples
 //!
@@ -34,10 +38,12 @@
 pub mod access;
 pub mod error;
 pub mod interp;
+pub mod reference;
 
 pub use access::{DeviceAccess, FakeAccess, MappedPort, PortMap, Space};
 pub use error::{RtError, RtResult};
 pub use interp::{
-    sign_extend, AccessRef, DeviceInstance, DispatchOutcome, DispatchRecord, FallbackCause,
-    InstanceSnapshot, PlanStats,
+    sign_extend, AccessRef, DeviceInstance, DispatchOutcome, DispatchRecord, InstanceSnapshot,
+    PlanStats,
 };
+pub use reference::ReferenceInstance;

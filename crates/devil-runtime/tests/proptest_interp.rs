@@ -5,7 +5,7 @@
 //! * mask forcing on every written byte,
 //! * concatenated variables assemble across registers correctly.
 
-use devil_runtime::{DeviceInstance, FakeAccess};
+use devil_runtime::{DeviceInstance, FakeAccess, ReferenceInstance};
 use proptest::prelude::*;
 
 fn instance(src: &str) -> DeviceInstance {
@@ -108,22 +108,23 @@ proptest! {
     #[test]
     fn plan_and_interpreter_paths_agree(split in 0u32..7, writes in proptest::collection::vec((any::<bool>(), 0u64..256), 1..12)) {
         // Replay a random read/write sequence through the precompiled
-        // plans and the general interpreter; the device must see the
+        // plans and the reference interpreter; the device must see the
         // exact same op stream.
         let lo_mask = (1u64 << (split + 1)) - 1;
         let mut fast = instance(&split_spec(split));
         let mut fast_dev = FakeAccess::new();
-        let mut slow = instance(&split_spec(split));
-        slow.set_fast_plans(false);
+        let model = devil_sema::check_source(&split_spec(split), &[]).expect("valid spec");
+        let mut slow = ReferenceInstance::new(devil_ir::lower(&model));
         let mut slow_dev = FakeAccess::new();
+        let lo = slow.ir().var_id("lo").unwrap();
         for &(read, v) in &writes {
             if read {
                 let a = fast.read(&mut fast_dev, "lo").unwrap();
-                let b = slow.read(&mut slow_dev, "lo").unwrap();
+                let b = slow.read_id(&mut slow_dev, lo, &[]).unwrap();
                 prop_assert_eq!(a, b);
             } else {
                 fast.write(&mut fast_dev, "lo", v & lo_mask).unwrap();
-                slow.write(&mut slow_dev, "lo", v & lo_mask).unwrap();
+                slow.write_id(&mut slow_dev, lo, &[], v & lo_mask).unwrap();
             }
         }
         prop_assert_eq!(&fast_dev.log, &slow_dev.log);
@@ -142,5 +143,7 @@ proptest! {
         let mut dev = FakeAccess::new();
         let ok = (0..=17).contains(&v) || v == 25;
         prop_assert_eq!(d.write(&mut dev, "x", v).is_ok(), ok, "value {}", v);
+        // A rejected value never reaches the device.
+        prop_assert_eq!(dev.ops(), usize::from(ok));
     }
 }

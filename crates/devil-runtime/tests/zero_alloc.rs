@@ -10,7 +10,7 @@
 //! This file deliberately holds a single `#[test]` so no concurrent
 //! test thread can perturb the global counter.
 
-use devil_runtime::{DeviceAccess, DeviceInstance};
+use devil_runtime::{DeviceAccess, DeviceInstance, ReferenceInstance};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -75,6 +75,11 @@ fn instance(src: &str) -> DeviceInstance {
     DeviceInstance::new(devil_ir::lower(&model))
 }
 
+fn reference(src: &str) -> ReferenceInstance {
+    let model = devil_sema::check_source(src, &[]).expect("spec checks");
+    ReferenceInstance::new(devil_ir::lower(&model))
+}
+
 #[test]
 fn warm_access_paths_do_not_allocate() {
     // Concrete registers: masked write, cached read, volatile read, a
@@ -104,10 +109,11 @@ fn warm_access_paths_do_not_allocate() {
              variable idata(i : int{0..31}) = ireg(i), volatile : int(8);
            }"#,
     );
-    // A family past the flat-slot cap (8191 > 4096 instances): every
-    // access goes through the hashed family-cache fallback, whose key
-    // construction must stay inline.
-    let mut big = instance(
+    // A family past the flat-slot cap (8191 > 4096 instances): it
+    // compiles no plan, so only the reference interpreter serves it,
+    // through its hashed family cache — whose key construction must
+    // stay inline.
+    let mut big = reference(
         r#"device big (base : bit[16] port @ {0..1}) {
              register control = base @ 0, mask '000*************' : bit[16];
              variable ia = control[12..0] : int{0..8190};
@@ -129,14 +135,14 @@ fn warm_access_paths_do_not_allocate() {
     let vector_base = pic.var_id("vector_base").unwrap();
     let irq_mask = pic.var_id("irq_mask").unwrap();
     let idata = fam.var_id("idata").unwrap();
-    let d = big.var_id("d").unwrap();
+    let d = big.ir().var_id("d").unwrap();
     let cascaded = pic.sym_value("sngl", "CASCADED").unwrap();
     let yes = pic.sym_value("ic4", "YES").unwrap();
 
     let exercise = |flat: &mut DeviceInstance,
                     pic: &mut DeviceInstance,
                     fam: &mut DeviceInstance,
-                    big: &mut DeviceInstance,
+                    big: &mut ReferenceInstance,
                     dev: &mut NullAccess| {
         flat.write_id(dev, cfg, &[], 0xa).unwrap();
         assert_eq!(flat.read_id(dev, cfg, &[]).unwrap(), 0xa);
@@ -173,8 +179,19 @@ fn warm_access_paths_do_not_allocate() {
     });
     assert_eq!(n, 0, "warm access paths allocated {n} times");
 
-    // The whole exercise ran on plans except the oversized family,
-    // which has no flat slots by construction.
+    // Checked mode runs the same plans; passing checks allocate nothing.
+    for inst in [&mut flat, &mut pic, &mut fam] {
+        inst.set_debug_checks(true);
+    }
+    big.set_debug_checks(true);
+    let n = allocations(|| {
+        for _ in 0..64 {
+            exercise(&mut flat, &mut pic, &mut fam, &mut big, &mut dev);
+        }
+    });
+    assert_eq!(n, 0, "checked access paths allocated {n} times");
+
+    // The plan engine ran every access of the exercise.
     assert_eq!(flat.plan_stats().general, 0);
     assert_eq!(pic.plan_stats().general, 0);
     assert_eq!(fam.plan_stats().general, 0);

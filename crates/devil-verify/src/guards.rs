@@ -1,7 +1,7 @@
 //! Guard soundness: the variant table is the selector's mixed-radix
 //! enumeration, stored guards match the selector bit for bit, variant
 //! domains are pairwise disjoint, and selection is exhaustive over the
-//! reachable guard space (modulo the documented cell-range fallback).
+//! reachable guard space.
 //!
 //! The proof strategy leans on [`select_variant_indexed`]'s structure:
 //! selection never scans guards, it assembles each tested value and
@@ -18,10 +18,10 @@
 //!   bit is observable through some guard (a cache segment bit outside
 //!   the input shadow, an input segment bit, or a whole-cell compare);
 //! * selection is exhaustive iff no dimension can assemble a value
-//!   outside its radix from a non-cell source: segment extracts land
-//!   strictly below the radix, so only a raw (unmasked) memory cell can
-//!   overflow — and that miss is the documented general-interpreter
-//!   fallback, not a hole.
+//!   outside its radix: segment extracts land strictly below the radix,
+//!   and memory cells hold values masked to their variable's width
+//!   (the `store-mask` pass in [`crate::wf`] proves every cell store
+//!   masks exactly so), so a cell observes just the radix bits too.
 //!
 //! [`select_variant_indexed`]: devil_ir::AccessPlan::select_variant_indexed
 
@@ -81,10 +81,10 @@ fn radix_mask(dim: &SelectorDim) -> u64 {
 
 /// The tested-value bits `dim` can actually observe through guards:
 /// every cache segment's value span plus the input shadow. A whole-cell
-/// compare observes everything.
+/// compare observes the cell's masked width, which is the radix.
 fn observable_mask(dim: &SelectorDim) -> u64 {
     if dim.cell.is_some() {
-        return u64::MAX;
+        return radix_mask(dim);
     }
     let mut m = dim.input_mask;
     for &(_, seg) in &dim.segs {
@@ -139,7 +139,7 @@ pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) -> Vec<bool> {
 
         // Per-dimension structure: power-of-two radix, input sourcing
         // only where the access has an input, and no assembleable value
-        // outside the radix from a non-cell source (exhaustiveness).
+        // outside the radix (exhaustiveness).
         for (d, dim) in plan.selector.iter().enumerate() {
             if !dim.radix.is_power_of_two() {
                 diag(
@@ -155,19 +155,17 @@ pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) -> Vec<bool> {
                 );
                 ok = false;
             }
-            if dim.cell.is_none() {
-                let reach = observable_mask(dim) & !radix_mask(dim);
-                if reach != 0 {
-                    diag(
-                        DiagClass::NonExhaustive,
-                        format!(
-                            "selector dim {d} can assemble value bits {reach:#x} beyond \
-                             radix {} — selection could miss with no cell fallback",
-                            dim.radix
-                        ),
-                    );
-                    ok = false;
-                }
+            let reach = observable_mask(dim) & !radix_mask(dim);
+            if reach != 0 {
+                diag(
+                    DiagClass::NonExhaustive,
+                    format!(
+                        "selector dim {d} can assemble value bits {reach:#x} beyond radix {} \
+                         — selection could miss",
+                        dim.radix
+                    ),
+                );
+                ok = false;
             }
             // Disjointness: an enumerated value bit no guard observes
             // means two variants differing only in that bit share their

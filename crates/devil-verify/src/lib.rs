@@ -10,9 +10,8 @@
 //! * **guard soundness** ([`guards`]): every access's variant table is
 //!   exactly the mixed-radix enumeration its selector describes, the
 //!   stored [`devil_ir::PlanGuard`] lists match the selector bit for
-//!   bit, variant domains are pairwise disjoint, and — together with
-//!   the documented out-of-range-cell fallback — exhaustive over the
-//!   reachable guard space;
+//!   bit, variant domains are pairwise disjoint, and selection is
+//!   exhaustive over the reachable guard space;
 //! * **dead variants** ([`reach`]): a whole-spec value-set analysis of
 //!   everything that can feed a tested slot or cell (device reads, API
 //!   writes, folded actions, arena stores) flags variants whose guard
@@ -26,6 +25,8 @@
 //!   constituent unfused plans, proving the emitted bus-op streams,
 //!   outputs and final cache/memory state equal *as terms* — the
 //!   equivalence the differential fuzzers only sample;
+//! * **plan coverage**: every access lowering could not plan (the
+//!   runtime rejects each as unplanned) is a diagnostic;
 //! * **plan-surface manifest** ([`manifest`]): a canonical, committed
 //!   rendering of the whole dispatch surface (variants × guards × cell
 //!   serves × superplan variants × compile-time fallbacks) whose diff
@@ -55,8 +56,7 @@ pub enum DiagClass {
     /// share satisfying states.
     GuardOverlap,
     /// A selector dimension can assemble a value outside its enumerated
-    /// radix from a non-cell source, so selection could miss where no
-    /// documented fallback exists.
+    /// radix, so selection could miss.
     NonExhaustive,
     /// A variant whose guard domain no reachable state selects, given
     /// value-set analysis of every write that can feed the tested
@@ -78,6 +78,9 @@ pub enum DiagClass {
     /// match its unfused op-by-op reference (bus stream, outputs, or
     /// final cache/memory state), or the proof could not be closed.
     FusedDivergence,
+    /// An access lowering could not plan (an entry of
+    /// `DeviceIr::plan_fallbacks`): the runtime rejects it.
+    Unplanned,
 }
 
 impl DiagClass {
@@ -93,6 +96,7 @@ impl DiagClass {
             DiagClass::BlockBounds => "block-bounds",
             DiagClass::OwnerMap => "owner-map",
             DiagClass::FusedDivergence => "fused-divergence",
+            DiagClass::Unplanned => "unplanned",
         }
     }
 }
@@ -214,7 +218,15 @@ impl Report {
 
 /// Runs every verification pass over one lowered device.
 pub fn verify(ir: &DeviceIr) -> Report {
-    let mut diagnostics = Vec::new();
+    let mut diagnostics: Vec<Diagnostic> = ir
+        .plan_fallbacks()
+        .iter()
+        .map(|fb| Diagnostic {
+            class: DiagClass::Unplanned,
+            access: fb.access.clone(),
+            detail: fb.cause.clone(),
+        })
+        .collect();
     let guard_clean = guards::check(ir, &mut diagnostics);
     // Dead-variant analysis interprets stored guard lists; skip accesses
     // whose selector already mismatched (their guards are not trustworthy

@@ -200,7 +200,7 @@ pub fn feeds(ir: &DeviceIr) -> Feeds {
                 }
                 feed_span(&mut feeds, slot, bits);
             }
-            PlanStep::SetCell { cell, value } => {
+            PlanStep::SetCell { cell, value, .. } => {
                 if *cell < feeds.cells.len() {
                     match value {
                         PlanValue::Const(c) => feeds.cells[*cell].add(*c),

@@ -1,7 +1,7 @@
 //! Symbolic fused ≡ unfused: for every installed superplan and every
 //! fused variant, execute the fused body (stage + selected arena range)
 //! and the declared op sequence (each op through its own plan, exactly
-//! the runtime's `run_superplan_unfused` dispatch) over a fully
+//! the reference interpreter's op-by-op `run_superplan`) over a fully
 //! symbolic initial state, and prove the two runs equal *as terms*:
 //! the same bus-op stream (write values compared bit for bit), the
 //! same outputs, and the same final cache and memory words.
@@ -272,8 +272,8 @@ fn exec_steps(
                 }
                 st.slots[slot] = raw;
             }
-            PlanStep::SetCell { cell, value } => {
-                st.cells[*cell] = resolve(*value, args, input)?;
+            PlanStep::SetCell { cell, value, mask } => {
+                st.cells[*cell] = and_const(&resolve(*value, args, input)?, *mask);
             }
             PlanStep::BlockIn { port, offset, size } => {
                 st.bus.push(BusOp::BlockIn { port: *port, offset: *offset, size: *size });
@@ -379,7 +379,8 @@ fn run_fused(
 }
 
 /// Runs the unfused reference: the declared op sequence through the
-/// ordinary per-op dispatch, mirroring `run_superplan_unfused`.
+/// ordinary per-op dispatch, mirroring the reference interpreter's
+/// op-by-op `run_superplan`.
 fn run_unfused(ir: &DeviceIr, sp: &Superplan, env: &Env, args: &[Word]) -> Result<State, String> {
     let mut st = State::init(ir, env);
     for (oi, op) in sp.ops.iter().enumerate() {

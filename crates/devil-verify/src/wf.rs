@@ -14,7 +14,9 @@
 //! * **compose masks** — every constant and segment a store or write
 //!   composes must stay within the owning register's raw width, and
 //!   stored segments must be cleared out of the kept bits (the
-//!   store-compose algebra relies on the disjointness);
+//!   store-compose algebra relies on the disjointness); a memory-cell
+//!   store must mask to exactly its variable's raw width, which is what
+//!   makes cell-guarded selection exhaustive (see [`crate::guards`]);
 //! * **gated reads** — a superplan `Assemble` step reads slots raw, so
 //!   every assembled slot must be written by a preceding step of the
 //!   same fused body (stage included); variable read plans are exempt —
@@ -271,12 +273,28 @@ fn check_steps(
                 }
                 written.push(span);
             }
-            PlanStep::SetCell { cell, .. } => {
+            PlanStep::SetCell { cell, value, mask } => {
                 if *cell >= ir.mem_cells {
                     diag(
                         DiagClass::OwnerMap,
                         format!("step {si}: set of cell {cell} beyond {}", ir.mem_cells),
                     );
+                } else if let Some(owner) = ir.mem_owner(*cell).map(|v| ir.var(v)) {
+                    let stray = match value {
+                        devil_ir::PlanValue::Const(c) => c & !owner.raw_mask(),
+                        _ => 0,
+                    };
+                    if *mask != owner.raw_mask() || stray != 0 {
+                        diag(
+                            DiagClass::StoreMask,
+                            format!(
+                                "step {si}: cell {} stores under mask {mask:#x}, not its \
+                                 {}-bit width",
+                                ir.cell_name(*cell),
+                                owner.width
+                            ),
+                        );
+                    }
                 }
             }
             PlanStep::BlockIn { port, size, .. } | PlanStep::BlockOut { port, size, .. } => {

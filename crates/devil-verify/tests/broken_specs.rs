@@ -89,7 +89,7 @@ fn unfeedable_tested_cell_fires_dead_variant() {
         ir.vars[mi].write_plan = None;
         let mut steps = ir.plan_arena.to_vec();
         for s in &mut steps {
-            if let PlanStep::SetCell { cell, value } = s {
+            if let PlanStep::SetCell { cell, value, .. } = s {
                 if *cell == mc {
                     *value = devil_ir::PlanValue::Const(0);
                 }
@@ -243,4 +243,47 @@ fn fused_divergence_is_structurally_invisible() {
         report.diagnostics.iter().map(|d| format!("  {d}")).collect::<Vec<_>>().join("\n")
     );
     assert!(!report.diagnostics.is_empty());
+}
+
+/// A memory-cell store that keeps bits past its variable's width: the
+/// cell could then hold a value its guards do not enumerate, which is
+/// exactly what the exhaustiveness proof rules out.
+#[test]
+fn unmasked_cell_store_fires_store_mask() {
+    assert_fires("memw", DiagClass::StoreMask, |ir| {
+        let mut steps = ir.plan_arena.to_vec();
+        for s in &mut steps {
+            if let PlanStep::SetCell { mask, .. } = s {
+                *mask = u64::MAX;
+            }
+        }
+        ir.plan_arena = steps.into();
+    });
+}
+
+/// An access lowering could not plan — a variable spanning two
+/// instances of one register family — is reported, not skipped.
+#[test]
+fn unplanned_access_fires_unplanned() {
+    let model = devil_sema::check_source(
+        r#"device d (base : bit[8] port @ {0..1}) {
+            register f(i : int{0..1}) = write base @ i : bit[8];
+            variable w = f(1)[0] # f(0)[0] : int(2);
+            variable rest1 = f(1)[7..1] : int(7);
+        }"#,
+        &[],
+    )
+    .expect("spec checks");
+    let report = devil_verify::verify(&devil_ir::lower(&model));
+    let unplanned: Vec<String> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.class == DiagClass::Unplanned)
+        .map(ToString::to_string)
+        .collect();
+    assert_eq!(
+        unplanned,
+        ["[unplanned] write w: variable `w` spans multiple instances of one register family"]
+    );
+    assert!(!report.clean());
 }

@@ -138,12 +138,6 @@ impl DevilPic8259 {
         self.dev.set_debug_checks(on);
     }
 
-    /// Enables or disables the precompiled-plan fast path (the micro
-    /// benches compare both modes).
-    pub fn set_fast_plans(&mut self, on: bool) {
-        self.dev.set_fast_plans(on);
-    }
-
     /// Plan-dispatch counters of the underlying instance.
     pub fn plan_stats(&self) -> PlanStats {
         self.dev.plan_stats()
@@ -181,18 +175,9 @@ impl DevilPic8259 {
     /// selection. The op stream is identical, so device state and
     /// ledgers match bit for bit.
     pub fn init_fused(&mut self, bus: &mut Bus, cfg: PicConfig) {
-        let args = [
-            cfg.with_icw4 as u64,
-            cfg.single as u64,
-            (cfg.vector_base >> 3) as u64,
-            cfg.cascade_map as u64,
-            cfg.auto_eoi as u64,
-            cfg.x86 as u64,
-            cfg.irq_mask as u64,
-        ];
         let mut map = PortMap::new(bus, vec![MappedPort::io(self.base)]);
         self.dev
-            .run_superplan(&mut map, self.sp_init, &args, &[], &mut [], &mut [])
+            .run_superplan(&mut map, self.sp_init, &icw_args(cfg), &[], &mut [], &mut [])
             .expect("fused init flush");
     }
 
@@ -203,10 +188,24 @@ impl DevilPic8259 {
     }
 }
 
+/// The `icw_init` superplan's operands for one configuration.
+fn icw_args(cfg: PicConfig) -> [u64; 7] {
+    [
+        cfg.with_icw4 as u64,
+        cfg.single as u64,
+        (cfg.vector_base >> 3) as u64,
+        cfg.cascade_map as u64,
+        cfg.auto_eoi as u64,
+        cfg.x86 as u64,
+        cfg.irq_mask as u64,
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use devices::I8259;
+    use devil_runtime::ReferenceInstance;
     use hwsim::IrqLine;
 
     const BASE: u64 = 0x20;
@@ -323,13 +322,17 @@ mod tests {
             let mut fast = DevilPic8259::new(BASE);
             fast.init(&mut bus_f, cfg);
 
+            // The reference interpreter runs the fused init's declared
+            // op sequence: the same eleven field stages and one flush.
             let mut bus_g = rig();
-            let mut general = DevilPic8259::new(BASE);
-            general.set_fast_plans(false);
-            general.init(&mut bus_g, cfg);
+            let ir = crate::specs::shared_ir(crate::specs::PIC8259);
+            let sid = ir.superplan_id("icw_init").expect("pic8259 ships icw_init");
+            let mut general = ReferenceInstance::new((*ir).clone());
+            let mut map = PortMap::new(&mut bus_g, vec![MappedPort::io(BASE)]);
+            general.run_superplan(&mut map, sid, &icw_args(cfg), &[], &mut [], &mut []).unwrap();
 
-            assert_eq!(bus_f.ledger().io_ops(), bus_g.ledger().io_ops());
-            assert_eq!(fast.irq_mask(&mut bus_f), general.irq_mask(&mut bus_g));
+            assert_eq!(bus_f.ledger(), bus_g.ledger());
+            assert_eq!(fast.irq_mask(&mut bus_f), bus_g.inb(BASE + 1));
         }
     }
 }
