@@ -377,10 +377,11 @@ fn bench_micro(c: &mut Criterion) {
 }
 
 /// The MMR-authenticated trace ledger: hot-path append cost, batched
-/// leaf-hash throughput, and root-compare vs line-by-line equivalence
-/// checking at growing replay horizons.
+/// leaf-hash throughput, and the rooted equivalence compare at growing
+/// replay horizons.
 fn bench_mmr(c: &mut Criterion) {
     use devil_fuzz::rooted::OpStream;
+    use devil_fuzz::InProcess;
     use hwsim::mmr::MmrLog;
     use hwsim::{Bus, Width};
 
@@ -430,14 +431,13 @@ fn bench_mmr(c: &mut Criterion) {
     let dt = t.elapsed().as_secs_f64();
     criterion::record_value("mmr/leaf_hash_entries_per_s", batch as f64 / dt);
 
-    // Root compare vs line-by-line over the plans-vs-reference harness.
-    // Same op streams, two verdict machineries: the rooted one streams
-    // both rigs into O(peaks) memory and compares 32 bytes; the linear
-    // one materializes the op vector and every observation string from
-    // both rigs. 10k/100k always; the 1M tier is the nightly
+    // Root compare over the plans-vs-reference harness: both rigs
+    // stream into O(peaks) memory and the verdict is one 32-byte
+    // compare. 10k/100k always; the 1M tier is the nightly
     // `diff-longrun` configuration, gated behind MMR_BENCH_FULL=1.
     let model = devil_sema::check_source(drivers::specs::BUSMOUSE, &[]).unwrap();
     let ir = devil_ir::lower(&model);
+    let (plans, reference) = (InProcess::plans(&ir), InProcess::reference(&ir));
     let full = std::env::var("MMR_BENCH_FULL").is_ok_and(|v| v == "1");
     let tiers: &[(u64, &str)] = if full {
         &[(10_000, "10k"), (100_000, "100k"), (1_000_000, "1m")]
@@ -446,7 +446,7 @@ fn bench_mmr(c: &mut Criterion) {
     };
     for &(n, label) in tiers {
         let t = std::time::Instant::now();
-        let out = devil_fuzz::rooted::check_equivalence_rooted_stream(&ir, 0xBE, n)
+        let out = devil_fuzz::compare(&plans, &reference, || OpStream::new(&ir, 0xBE, n))
             .expect("plans and reference agree");
         let rooted_ms = t.elapsed().as_secs_f64() * 1e3;
         assert_eq!(out.ops, n);
@@ -455,20 +455,6 @@ fn bench_mmr(c: &mut Criterion) {
             &format!("mmr/rooted_retained_bytes_{label}"),
             out.retained_bytes as f64,
         );
-
-        let t = std::time::Instant::now();
-        let ops: Vec<devil_fuzz::Op> = OpStream::new(&ir, 0xBE, n).collect();
-        devil_fuzz::check_equivalence(&ir, &ops).expect("plans and reference agree");
-        let linear_ms = t.elapsed().as_secs_f64() * 1e3;
-        criterion::record_value(&format!("mmr/linear_compare_ms_{label}"), linear_ms);
-        // The linear comparator's working set: both rigs' observation
-        // strings plus the materialized op vector.
-        let mut inst = DeviceInstance::new(ir.clone());
-        let mut dev = FakeAccess::new();
-        let lines = devil_fuzz::run(devil_fuzz::Engine::Plans(&mut inst), &mut dev, &ops);
-        let line_bytes: usize = lines.iter().map(|l| l.len() + std::mem::size_of::<String>()).sum();
-        let retained = 2 * line_bytes + ops.len() * std::mem::size_of::<devil_fuzz::Op>();
-        criterion::record_value(&format!("mmr/linear_retained_bytes_{label}"), retained as f64);
     }
 }
 

@@ -1,96 +1,131 @@
-//! The compiled-code differential oracle: proves the **generated C
-//! stubs** faithful to the plan executor by actually compiling
-//! and running them.
+//! The compiled-code differential oracle: proves the **generated C and
+//! Rust stubs** faithful to the plan executor by actually compiling and
+//! running them.
 //!
-//! For one spec, [`CompiledStub::build`] emits the C header
-//! (`devil_codegen::emit_c`), wraps it in a generated harness — a bus
-//! shim replacing `inb`/`outb` with a logging register file, plus a
-//! command dispatcher over the emitted stub surface — and compiles the
-//! pair with the system `cc` (artifacts are content-hashed, so repeated
-//! runs and CI caches reuse the binary until the emitter or the spec
-//! changes). [`check_compiled`] then replays a fuzz op-stream through
-//! the compiled binary and through [`DeviceInstance`] and demands
-//! line-identical observations: every bus operation in order, every
-//! read result, and the final cache state (raw values, validity flags,
-//! memory cells).
+//! For one spec, [`CompiledHarness::build`] emits one back end's stubs
+//! ([`Backend::emit`]), wraps them in a generated harness — a logging
+//! bus shim plus a command dispatcher over the emitted stub surface —
+//! and compiles the pair: with `cc` for C, with `rustc` against a
+//! `devil_runtime` stand-in for Rust (`compiled_rust.rs`).
+//! Artifacts are content-hashed, so repeated runs and CI caches reuse
+//! the binary until the emitter or the spec changes.
+//!
+//! Both harnesses read one command protocol and print one observation
+//! format: every bus operation in order, every result, and the final
+//! cache state (raw values, validity flags, memory cells).
+//! [`HarnessView`] renders the plan executor in the same lines, so a
+//! harness and its view are two [`Rig`]s for [`crate::compare`], one
+//! leaf per line.
 //!
 //! Ops the stub surface cannot express (family variables, accesses
-//! without an emittable plan, block transfers) are filtered out of the
-//! stream — identically for both sides — by [`stub_ops`].
+//! without an emittable plan, block transfers, superplans without an
+//! emittable body) are dropped from the stream — identically by both
+//! rigs — by [`stub_expresses`].
 
-use crate::superfuzz::SuperCall;
-use crate::Op;
+use crate::{Op, Rig, Trace};
 use devil_codegen::StubApi;
 use devil_ir::{DeviceIr, FuseOp};
 use devil_runtime::{DeviceInstance, FakeAccess};
-use hwsim::mmr::{self, bisect_divergence, Hash, Mmr};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-/// Whether a C compiler is reachable as `cc` (the oracle is skipped,
-/// loudly, where it is not).
-pub fn cc_available() -> bool {
-    Command::new("cc").arg("--version").stdout(Stdio::null()).stderr(Stdio::null()).status().is_ok()
+/// A compiled back end.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Backend {
+    /// `devil_codegen::emit_c`, compiled with `cc`.
+    C,
+    /// `devil_codegen::emit_rust`, compiled with `rustc`.
+    Rust,
 }
 
-/// A per-spec compiled stub harness.
-pub struct CompiledStub {
+impl Backend {
+    /// Both back ends.
+    pub const ALL: [Backend; 2] = [Backend::C, Backend::Rust];
+
+    /// The compiler the back end needs.
+    pub fn compiler(self) -> &'static str {
+        match self {
+            Backend::C => "cc",
+            Backend::Rust => "rustc",
+        }
+    }
+
+    /// Whether the compiler is reachable (the oracle is skipped,
+    /// loudly, where it is not).
+    pub fn available(self) -> bool {
+        Command::new(self.compiler())
+            .arg("--version")
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .status()
+            .is_ok()
+    }
+
+    /// The emitted stubs of `ir`; `name` doubles as the C identifier
+    /// prefix.
+    pub fn emit(self, ir: &DeviceIr, name: &str) -> String {
+        match self {
+            Backend::C => devil_codegen::emit_c(ir, name),
+            Backend::Rust => devil_codegen::emit_rust(ir),
+        }
+    }
+}
+
+impl std::fmt::Display for Backend {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Backend::C => "C",
+            Backend::Rust => "Rust",
+        })
+    }
+}
+
+/// A per-spec compiled stub harness of one back end.
+pub struct CompiledHarness {
     /// Spec name (doubles as the C identifier prefix).
     pub name: String,
+    /// The back end it was built from.
+    pub backend: Backend,
     /// Path of the compiled harness binary.
-    pub bin: PathBuf,
+    bin: PathBuf,
+    /// The lowered spec.
+    pub ir: DeviceIr,
+    /// The emitted stub surface.
+    pub api: StubApi,
 }
 
 /// The decoded shim address layout: Devil port index in the high bits,
-/// register offset below. Must match the generated harness.
+/// register offset below. Must match the generated C harness.
 const PORT_SHIFT: u64 = 40;
 
-impl CompiledStub {
+impl CompiledHarness {
     /// Emits, generates and compiles the harness for one spec into
     /// `dir`. The binary is content-hashed over the generated sources,
-    /// so unchanged emitter + spec reuse the artifact.
-    pub fn build(name: &str, ir: &DeviceIr, dir: &Path) -> Result<CompiledStub, String> {
+    /// so an unchanged emitter and spec reuse the artifact.
+    pub fn build(
+        backend: Backend,
+        name: &str,
+        ir: &DeviceIr,
+        dir: &Path,
+    ) -> Result<CompiledHarness, String> {
         let api = StubApi::of(ir);
-        let header = devil_codegen::emit_c(ir, name);
-        let harness = harness_c(ir, name, &api);
-        let hash = fnv1a(header.as_bytes()) ^ fnv1a(harness.as_bytes()).rotate_left(1);
-        let stem = format!("{name}_{hash:016x}");
-        let bin = dir.join(format!("oracle_{stem}"));
-        if bin.exists() {
-            return Ok(CompiledStub { name: name.into(), bin });
-        }
-        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        let h_path = dir.join(format!("{stem}.h"));
-        let c_path = dir.join(format!("{stem}.c"));
-        std::fs::write(&h_path, &header).map_err(|e| format!("{}: {e}", h_path.display()))?;
-        // The shim half of the harness precedes the include: the
-        // header's `static inline` superplan bodies must bind the bus
-        // primitives to the shim at their definition site, not only at
-        // the macro-stub use sites in `main`.
-        let full = harness.replace("@INCLUDE@", &format!("#include \"{stem}.h\""));
-        std::fs::write(&c_path, &full).map_err(|e| format!("{}: {e}", c_path.display()))?;
-        // Compile to a temp name and rename, so concurrent builders
-        // never observe a half-written binary.
-        let tmp = dir.join(format!("oracle_{stem}.tmp.{}", std::process::id()));
-        let out = Command::new("cc")
-            .arg("-O1")
-            .arg("-o")
-            .arg(&tmp)
-            .arg(&c_path)
-            .output()
-            .map_err(|e| format!("cc: {e}"))?;
-        if !out.status.success() {
-            return Err(format!("cc failed for {name}:\n{}", String::from_utf8_lossy(&out.stderr)));
-        }
-        std::fs::rename(&tmp, &bin).map_err(|e| format!("{}: {e}", bin.display()))?;
-        Ok(CompiledStub { name: name.into(), bin })
+        let bin = match backend {
+            Backend::C => build_c(name, ir, &api, dir)?,
+            Backend::Rust => crate::compiled_rust::build(name, ir, &api, dir)?,
+        };
+        Ok(CompiledHarness { name: name.into(), backend, bin, ir: ir.clone(), api })
+    }
+
+    /// The plan executor rendered in this harness's observation lines.
+    pub fn view(&self) -> HarnessView<'_> {
+        HarnessView { ir: &self.ir, api: &self.api }
     }
 
     /// Runs the harness over a command stream, returning its output
     /// lines. Stdin is fed from a thread so large streams cannot
     /// deadlock against a full stdout pipe.
-    pub fn run(&self, commands: String) -> Result<Vec<String>, String> {
+    fn run(&self, commands: String) -> Result<Vec<String>, String> {
         let mut child = Command::new(&self.bin)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
@@ -105,7 +140,8 @@ impl CompiledStub {
         let _ = writer.join();
         if !out.status.success() {
             return Err(format!(
-                "harness for {} exited with {:?}:\n{}",
+                "{} harness for {} exited with {:?}:\n{}",
+                self.backend,
                 self.name,
                 out.status.code(),
                 String::from_utf8_lossy(&out.stderr)
@@ -113,6 +149,69 @@ impl CompiledStub {
         }
         Ok(String::from_utf8_lossy(&out.stdout).lines().map(str::to_string).collect())
     }
+}
+
+impl Rig for CompiledHarness {
+    fn name(&self) -> String {
+        format!("compiled {} stubs", self.backend)
+    }
+
+    fn replay(&self, ops: &mut dyn Iterator<Item = Op>, trace: &mut Trace) -> Result<(), String> {
+        let mut commands = String::new();
+        for op in ops.filter(|op| stub_expresses(&self.ir, &self.api, op)) {
+            op_command(&self.ir, &self.api, &op, &mut commands);
+            trace.ops += 1;
+        }
+        commands.push_str("D\n");
+        for line in self.run(commands)? {
+            trace.line(line);
+        }
+        Ok(())
+    }
+}
+
+/// Compiles the C harness, returning the binary's path.
+fn build_c(name: &str, ir: &DeviceIr, api: &StubApi, dir: &Path) -> Result<PathBuf, String> {
+    let header = Backend::C.emit(ir, name);
+    let harness = harness_c(ir, name, api);
+    let hash = fnv1a(header.as_bytes()) ^ fnv1a(harness.as_bytes()).rotate_left(1);
+    let stem = format!("{name}_{hash:016x}");
+    let bin = dir.join(format!("oracle_{stem}"));
+    if bin.exists() {
+        return Ok(bin);
+    }
+    std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let h_path = dir.join(format!("{stem}.h"));
+    let c_path = dir.join(format!("{stem}.c"));
+    write_file(&h_path, &header)?;
+    // The shim half of the harness precedes the include: the header's
+    // `static inline` superplan bodies must bind the bus primitives to
+    // the shim at their definition site, not only at the macro-stub
+    // use sites in `main`.
+    write_file(&c_path, &harness.replace("@INCLUDE@", &format!("#include \"{stem}.h\"")))?;
+    // Compile to a temp name and rename, so concurrent builders never
+    // observe a half-written binary.
+    let tmp = dir.join(format!("oracle_{stem}.tmp.{}", std::process::id()));
+    invoke(Command::new("cc").arg("-O1").arg("-o").arg(&tmp).arg(&c_path), name)?;
+    std::fs::rename(&tmp, &bin).map_err(|e| format!("{}: {e}", bin.display()))?;
+    Ok(bin)
+}
+
+pub(crate) fn write_file(path: &Path, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Runs one compiler invocation, reporting its stderr on failure.
+pub(crate) fn invoke(cmd: &mut Command, name: &str) -> Result<(), String> {
+    let program = cmd.get_program().to_string_lossy().into_owned();
+    let out = cmd.output().map_err(|e| format!("{program}: {e}"))?;
+    if !out.status.success() {
+        return Err(format!(
+            "{program} failed for {name}:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        ));
+    }
+    Ok(())
 }
 
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
@@ -124,176 +223,180 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Filters an op stream down to what the emitted stub surface can
-/// express; both sides of the oracle replay exactly this subset.
-pub fn stub_ops(ir: &DeviceIr, api: &StubApi, ops: &[Op]) -> Vec<Op> {
-    ops.iter()
-        .filter(|op| match op {
-            Op::ReadVar { vid, args } => args.is_empty() && api.reads_var(*vid),
-            Op::WriteVar { vid, args, .. } => args.is_empty() && api.writes_var(*vid),
-            Op::ReadStruct { sid } => {
-                api.read_structs.contains(sid)
-                    && ir.strct(*sid).fields.iter().all(|&f| api.gets_field(f))
-            }
-            Op::WriteStruct { sid, values } => {
-                api.write_structs.contains(sid)
-                    && ir
-                        .strct(*sid)
-                        .fields
-                        .iter()
-                        .all(|&f| api.stages_field(f) && values.iter().any(|&(vf, _)| vf == f))
-            }
-            Op::Preset { .. } => true,
-            Op::ReadBlock { .. } | Op::WriteBlock { .. } => false,
-        })
-        .cloned()
-        .collect()
-}
-
-/// Renders a filtered op stream as the harness's command protocol.
-pub fn commands(ir: &DeviceIr, api: &StubApi, ops: &[Op]) -> String {
-    let mut out = String::new();
-    op_commands(ir, api, ops, &mut out);
-    out.push_str("D\n");
-    out
-}
-
-fn op_commands(ir: &DeviceIr, api: &StubApi, ops: &[Op], out: &mut String) {
-    for op in ops {
-        match op {
-            Op::Preset { port, offset, value } => {
-                out.push_str(&format!("P {port} {offset} {value}\n"));
-            }
-            Op::ReadVar { vid, .. } => {
-                let k = api.read_vars.iter().position(|v| v == vid).expect("filtered");
-                out.push_str(&format!("RV {k}\n"));
-            }
-            Op::WriteVar { vid, value, .. } => {
-                let k = api.write_vars.iter().position(|v| v == vid).expect("filtered");
-                out.push_str(&format!("WV {k} {value}\n"));
-            }
-            Op::ReadStruct { sid } => {
-                let k = api.read_structs.iter().position(|s| s == sid).expect("filtered");
-                out.push_str(&format!("RS {k}\n"));
-            }
-            Op::WriteStruct { sid, values } => {
-                let k = api.write_structs.iter().position(|s| s == sid).expect("filtered");
-                out.push_str(&format!("WS {k}"));
-                // Values in struct-field order, as the harness stages.
-                for &fid in ir.strct(*sid).fields.iter() {
-                    let v = values.iter().find(|&&(f, _)| f == fid).expect("filtered").1;
-                    out.push_str(&format!(" {v}"));
-                }
-                out.push('\n');
-            }
-            Op::ReadBlock { .. } | Op::WriteBlock { .. } => unreachable!("filtered"),
+/// Whether the emitted stub surface can express `op`; both rigs of the
+/// oracle replay exactly the ops it keeps.
+pub fn stub_expresses(ir: &DeviceIr, api: &StubApi, op: &Op) -> bool {
+    match op {
+        Op::ReadVar { vid, args } => args.is_empty() && api.reads_var(*vid),
+        Op::WriteVar { vid, args, .. } => args.is_empty() && api.writes_var(*vid),
+        Op::ReadStruct { sid } => {
+            api.read_structs.contains(sid)
+                && ir.strct(*sid).fields.iter().all(|&f| api.gets_field(f))
         }
+        Op::WriteStruct { sid, values } => {
+            api.write_structs.contains(sid)
+                && ir
+                    .strct(*sid)
+                    .fields
+                    .iter()
+                    .all(|&f| api.stages_field(f) && values.iter().any(|&(vf, _)| vf == f))
+        }
+        Op::Super(call) => api.emits_superplan(call.sid),
+        Op::Preset { .. } => true,
+        Op::ReadBlock { .. } | Op::WriteBlock { .. } => false,
     }
 }
 
-/// Replays a filtered op stream through the plan executor,
-/// producing the canonical observation lines the harness must match:
-/// interleaved bus traffic and results, then the final cache dump.
-pub fn interp_observation(ir: &DeviceIr, ops: &[Op]) -> Vec<String> {
-    let mut inst = DeviceInstance::new(ir.clone());
-    let mut dev = FakeAccess::new();
-    let mut out = Vec::new();
-    let mut logged = 0usize;
-    interp_ops(ir, &mut inst, &mut dev, ops, &mut out, &mut logged);
-    dump_state(ir, &inst, &mut out);
-    out
-}
-
-fn flush_bus(dev: &FakeAccess, out: &mut Vec<String>, logged: &mut usize) {
-    for &(w, port, offset, value) in &dev.log[*logged..] {
-        out.push(format!("B {} {port} {offset} {value}", if w { "W" } else { "R" }));
+/// Renders one expressible op in the harness's command protocol.
+fn op_command(ir: &DeviceIr, api: &StubApi, op: &Op, out: &mut String) {
+    use std::fmt::Write as _;
+    let index = |found: Option<usize>| found.expect("filtered by stub_expresses");
+    match op {
+        Op::Preset { port, offset, value } => {
+            let _ = writeln!(out, "P {port} {offset} {value}");
+        }
+        Op::ReadVar { vid, .. } => {
+            let _ = writeln!(out, "RV {}", index(api.read_vars.iter().position(|v| v == vid)));
+        }
+        Op::WriteVar { vid, value, .. } => {
+            let k = index(api.write_vars.iter().position(|v| v == vid));
+            let _ = writeln!(out, "WV {k} {value}");
+        }
+        Op::ReadStruct { sid } => {
+            let _ = writeln!(out, "RS {}", index(api.read_structs.iter().position(|s| s == sid)));
+        }
+        Op::WriteStruct { sid, values } => {
+            let _ = write!(out, "WS {}", index(api.write_structs.iter().position(|s| s == sid)));
+            // Values in struct-field order, as the harness stages.
+            for &fid in ir.strct(*sid).fields.iter() {
+                let v = values.iter().find(|&&(f, _)| f == fid).expect("filtered").1;
+                let _ = write!(out, " {v}");
+            }
+            out.push('\n');
+        }
+        Op::Super(call) => {
+            let _ = write!(out, "SP {}", index(api.superplans.iter().position(|&s| s == call.sid)));
+            for &a in &call.args {
+                let _ = write!(out, " {a}");
+            }
+            let sp = &ir.superplans()[call.sid];
+            if sp.ops.iter().any(|o| matches!(o, FuseOp::WriteBlock { .. })) {
+                let _ = write!(out, " {}", call.block_out.len());
+                for &w in &call.block_out {
+                    let _ = write!(out, " {w}");
+                }
+            }
+            if sp.ops.iter().any(|o| matches!(o, FuseOp::ReadBlock { .. })) {
+                let _ = write!(out, " {}", call.block_in_len);
+            }
+            out.push('\n');
+        }
+        Op::ReadBlock { .. } | Op::WriteBlock { .. } => unreachable!("filtered"),
     }
-    *logged = dev.log.len();
 }
 
-fn interp_ops(
-    ir: &DeviceIr,
-    inst: &mut DeviceInstance,
-    dev: &mut FakeAccess,
-    ops: &[Op],
-    out: &mut Vec<String>,
-    logged: &mut usize,
-) {
-    for op in ops {
-        match op {
-            Op::Preset { port, offset, value } => dev.preset(*port, *offset, *value),
-            Op::ReadVar { vid, args } => {
-                let r = inst.read_id(dev, *vid, args);
-                flush_bus(dev, out, logged);
-                out.push(match r {
-                    Ok(v) => format!("O r{} {v}", vid.0),
-                    Err(e) => format!("O r{} ERR {e:?}", vid.0),
-                });
-            }
-            Op::WriteVar { vid, args, value } => {
-                let r = inst.write_id(dev, *vid, args, *value);
-                flush_bus(dev, out, logged);
-                out.push(match r {
-                    Ok(()) => format!("O w{} ok", vid.0),
-                    Err(e) => format!("O w{} ERR {e:?}", vid.0),
-                });
-            }
-            Op::ReadStruct { sid } => {
-                let r = inst.read_struct_id(dev, *sid);
-                flush_bus(dev, out, logged);
-                out.push(match &r {
-                    Ok(()) => format!("O rs{} ok", sid.0),
-                    Err(e) => format!("O rs{} ERR {e:?}", sid.0),
-                });
-                if r.is_ok() {
-                    for &fid in ir.strct(*sid).fields.iter() {
-                        out.push(match inst.get_field_id(fid) {
-                            Ok(v) => format!("O f{} {v}", fid.0),
-                            Err(e) => format!("O f{} ERR {e:?}", fid.0),
-                        });
+/// The plan executor rendered in the harness's observation lines —
+/// interleaved bus traffic and results, then the final cache dump — so
+/// a [`CompiledHarness`] has a rig to be compared against.
+pub struct HarnessView<'a> {
+    ir: &'a DeviceIr,
+    api: &'a StubApi,
+}
+
+impl Rig for HarnessView<'_> {
+    fn name(&self) -> String {
+        "plans (harness view)".into()
+    }
+
+    fn replay(&self, ops: &mut dyn Iterator<Item = Op>, trace: &mut Trace) -> Result<(), String> {
+        let ir = self.ir;
+        let mut inst = DeviceInstance::new(ir.clone());
+        let mut dev = FakeAccess::new();
+        let said = |r: Result<(), devil_runtime::RtError>, tag: String| match r {
+            Ok(()) => format!("O {tag} ok"),
+            Err(e) => format!("O {tag} ERR {e:?}"),
+        };
+        let value = |r: Result<u64, devil_runtime::RtError>, tag: String| match r {
+            Ok(v) => format!("O {tag} {v}"),
+            Err(e) => format!("O {tag} ERR {e:?}"),
+        };
+        for op in ops.filter(|op| stub_expresses(ir, self.api, op)) {
+            trace.ops += 1;
+            let mut lines = Vec::new();
+            match &op {
+                Op::Preset { port, offset, value } => dev.preset(*port, *offset, *value),
+                Op::ReadVar { vid, args } => {
+                    lines.push(value(inst.read_id(&mut dev, *vid, args), format!("r{}", vid.0)));
+                }
+                Op::WriteVar { vid, args, value } => {
+                    let r = inst.write_id(&mut dev, *vid, args, *value);
+                    lines.push(said(r, format!("w{}", vid.0)));
+                }
+                Op::ReadStruct { sid } => {
+                    let r = inst.read_struct_id(&mut dev, *sid);
+                    let ok = r.is_ok();
+                    lines.push(said(r, format!("rs{}", sid.0)));
+                    if ok {
+                        for &fid in ir.strct(*sid).fields.iter() {
+                            lines.push(value(inst.get_field_id(fid), format!("f{}", fid.0)));
+                        }
                     }
                 }
-            }
-            Op::WriteStruct { sid, values } => {
-                let mut failed = None;
-                for &fid in ir.strct(*sid).fields.iter() {
-                    let v = values.iter().find(|&&(f, _)| f == fid).expect("filtered").1;
-                    if let Err(e) = inst.set_field_id(fid, v) {
-                        failed = Some(format!("O ws{} ERR {e:?}", sid.0));
-                        break;
-                    }
+                Op::WriteStruct { sid, values } => {
+                    let staged = ir.strct(*sid).fields.iter().try_for_each(|&fid| {
+                        let v = values.iter().find(|&&(f, _)| f == fid).expect("filtered").1;
+                        inst.set_field_id(fid, v)
+                    });
+                    let r = staged.and_then(|()| inst.write_struct_id(&mut dev, *sid));
+                    lines.push(said(r, format!("ws{}", sid.0)));
                 }
-                let line = failed.unwrap_or_else(|| match inst.write_struct_id(dev, *sid) {
-                    Ok(()) => format!("O ws{} ok", sid.0),
-                    Err(e) => format!("O ws{} ERR {e:?}", sid.0),
-                });
-                flush_bus(dev, out, logged);
-                out.push(line);
+                Op::Super(call) => {
+                    let sp = &ir.superplans()[call.sid];
+                    let mut block_in = vec![0u64; call.block_in_len];
+                    let mut outs = vec![0u64; sp.outputs];
+                    inst.run_superplan(
+                        &mut dev,
+                        call.sid,
+                        &call.args,
+                        &call.block_out,
+                        &mut block_in,
+                        &mut outs,
+                    )
+                    .map_err(|e| format!("superplan `{}` failed: {e:?}", sp.name))?;
+                    lines.push(format!("O sp{} ok", call.sid));
+                    lines.extend(outs.iter().enumerate().map(|(j, v)| format!("O o{j} {v}")));
+                    lines.extend(block_in.iter().map(|v| format!("O bi {v}")));
+                }
+                Op::ReadBlock { .. } | Op::WriteBlock { .. } => unreachable!("filtered"),
             }
-            Op::ReadBlock { .. } | Op::WriteBlock { .. } => unreachable!("filtered"),
+            for &(w, port, offset, value) in &dev.log {
+                trace.line(format!("B {} {port} {offset} {value}", if w { "W" } else { "R" }));
+            }
+            dev.log.clear();
+            for line in lines {
+                trace.line(line);
+            }
         }
-    }
-}
-
-/// The final cache dump, in the exact order the harness prints it.
-fn dump_state(ir: &DeviceIr, inst: &DeviceInstance, out: &mut Vec<String>) {
-    let (slots, valid) = inst.cache_snapshot();
-    for reg in &ir.regs {
-        if let Some(slot) = reg.slot {
-            out.push(format!("C {} {} {}", reg.name, slots[slot], u8::from(valid[slot])));
+        // The final cache dump, in the exact order the harness prints it.
+        let (slots, valid) = inst.cache_snapshot();
+        for reg in &ir.regs {
+            if let Some(slot) = reg.slot {
+                trace.line(format!("C {} {} {}", reg.name, slots[slot], u8::from(valid[slot])));
+            }
         }
-    }
-    let mem = inst.mem_snapshot();
-    for var in &ir.vars {
-        if let Some(cell) = var.mem_cell {
-            out.push(format!("M {} {}", var.name, mem[cell]));
+        let mem = inst.mem_snapshot();
+        for var in &ir.vars {
+            if let Some(cell) = var.mem_cell {
+                trace.line(format!("M {} {}", var.name, mem[cell]));
+            }
         }
+        Ok(())
     }
 }
 
 /// Generates the C harness around an emitted header: the logging bus
 /// shim plus a command dispatcher over the stub surface.
-pub fn harness_c(ir: &DeviceIr, prefix: &str, api: &StubApi) -> String {
+fn harness_c(ir: &DeviceIr, prefix: &str, api: &StubApi) -> String {
     use std::fmt::Write as _;
     let mut c = String::new();
     let _ = writeln!(c, "#include <stdio.h>");
@@ -528,213 +631,4 @@ pub fn harness_c(ir: &DeviceIr, prefix: &str, api: &StubApi) -> String {
     let _ = writeln!(c, "    return 0;");
     let _ = writeln!(c, "}}");
     c
-}
-
-/// Filters a superplan call stream down to the fused stub surface:
-/// calls to emittable superplans only, with their op preludes cut to
-/// the stub subset — identically for both sides of the oracle.
-pub fn super_stub_seq(
-    ir: &DeviceIr,
-    api: &StubApi,
-    seq: &[(Vec<Op>, SuperCall)],
-) -> Vec<(Vec<Op>, SuperCall)> {
-    seq.iter()
-        .filter(|(_, call)| api.emits_superplan(call.sid))
-        .map(|(pre, call)| (stub_ops(ir, api, pre), call.clone()))
-        .collect()
-}
-
-/// Renders a filtered superplan call stream as the harness's command
-/// protocol: each prelude's op commands, then an `SP` dispatch with
-/// operands and block payloads.
-pub fn super_commands(ir: &DeviceIr, api: &StubApi, seq: &[(Vec<Op>, SuperCall)]) -> String {
-    let mut out = String::new();
-    for (pre, call) in seq {
-        op_commands(ir, api, pre, &mut out);
-        let k = api.superplans.iter().position(|&s| s == call.sid).expect("filtered");
-        out.push_str(&format!("SP {k}"));
-        for &a in &call.args {
-            out.push_str(&format!(" {a}"));
-        }
-        let sp = &ir.superplans()[call.sid];
-        if sp.ops.iter().any(|o| matches!(o, FuseOp::WriteBlock { .. })) {
-            out.push_str(&format!(" {}", call.block_out.len()));
-            for &w in &call.block_out {
-                out.push_str(&format!(" {w}"));
-            }
-        }
-        if sp.ops.iter().any(|o| matches!(o, FuseOp::ReadBlock { .. })) {
-            out.push_str(&format!(" {}", call.block_in_len));
-        }
-        out.push('\n');
-    }
-    out.push_str("D\n");
-    out
-}
-
-/// Replays a filtered superplan call stream through the fused
-/// interpreter path, producing the canonical observation lines the
-/// compiled harness must match: bus traffic, the dispatch marker,
-/// outputs and read-block words, then the final cache dump.
-pub fn interp_super_observation(ir: &DeviceIr, seq: &[(Vec<Op>, SuperCall)]) -> Vec<String> {
-    let mut inst = DeviceInstance::new(ir.clone());
-    let mut dev = FakeAccess::new();
-    let mut out = Vec::new();
-    let mut logged = 0usize;
-    for (pre, call) in seq {
-        interp_ops(ir, &mut inst, &mut dev, pre, &mut out, &mut logged);
-        let sp = &ir.superplans()[call.sid];
-        let mut block_in = vec![0u64; call.block_in_len];
-        let mut outs = vec![0u64; sp.outputs];
-        inst.run_superplan(
-            &mut dev,
-            call.sid,
-            &call.args,
-            &call.block_out,
-            &mut block_in,
-            &mut outs,
-        )
-        .unwrap_or_else(|e| panic!("superplan `{}` failed in the oracle: {e:?}", sp.name));
-        flush_bus(&dev, &mut out, &mut logged);
-        out.push(format!("O sp{} ok", call.sid));
-        for (j, v) in outs.iter().enumerate() {
-            out.push(format!("O o{j} {v}"));
-        }
-        for v in &block_in {
-            out.push(format!("O bi {v}"));
-        }
-    }
-    dump_state(ir, &inst, &mut out);
-    out
-}
-
-/// Replays a superplan call stream (pre-filtering to the fused stub
-/// surface) through the compiled superplan bodies and the fused
-/// interpreter path, demanding identical bus logs, outputs, read-block
-/// contents and final cache state.
-pub fn check_compiled_super(
-    stub: &CompiledStub,
-    ir: &DeviceIr,
-    api: &StubApi,
-    seq: &[(Vec<Op>, SuperCall)],
-) -> Result<(), String> {
-    let kept = super_stub_seq(ir, api, seq);
-    let want = interp_super_observation(ir, &kept);
-    let got = stub.run(super_commands(ir, api, &kept))?;
-    if want != got {
-        return Err(format!(
-            "{}: compiled superplans diverge from the interpreter at {}",
-            stub.name,
-            first_line_diff(&want, &got)
-        ));
-    }
-    Ok(())
-}
-
-/// The first differing line between the two observation streams.
-pub(crate) fn first_line_diff(want: &[String], got: &[String]) -> String {
-    for (i, (w, g)) in want.iter().zip(got.iter()).enumerate() {
-        if w != g {
-            return format!("line {i}:\n  interpreter: {w}\n  compiled:    {g}");
-        }
-    }
-    format!(
-        "lengths differ: interpreter {} vs compiled {} lines\n  interpreter tail: {:?}\n  compiled tail:    {:?}",
-        want.len(),
-        got.len(),
-        want.iter().skip(got.len().min(want.len())).take(3).collect::<Vec<_>>(),
-        got.iter().skip(want.len().min(got.len())).take(3).collect::<Vec<_>>(),
-    )
-}
-
-/// Folds observation lines into a retained MMR, one leaf per line, so
-/// two streams compare as 32-byte roots and divergences bisect to a
-/// line index in O(log N) hash compares.
-fn lines_mmr(lines: &[String]) -> Mmr {
-    let mut m = Mmr::retained();
-    m.reserve(lines.len());
-    for l in lines {
-        m.push_leaf(mmr::leaf_hash(l.as_bytes()));
-    }
-    m
-}
-
-/// Root-compare mode of the compiled oracle: both observation streams
-/// condense to one MMR root each. On mismatch, peak bisection names
-/// the first divergent observation line before the linear diff renders
-/// the reporting window.
-pub fn check_compiled_rooted(
-    stub: &CompiledStub,
-    ir: &DeviceIr,
-    api: &StubApi,
-    ops: &[Op],
-) -> Result<Hash, String> {
-    let kept = stub_ops(ir, api, ops);
-    let want_lines = interp_observation(ir, &kept);
-    let got_lines = stub.run(commands(ir, api, &kept))?;
-    rooted_verdict(&stub.name, "stubs", &want_lines, &got_lines)
-}
-
-/// Root-compare mode over superplan call streams: the compiled fused
-/// bodies against the fused interpreter path.
-pub fn check_compiled_super_rooted(
-    stub: &CompiledStub,
-    ir: &DeviceIr,
-    api: &StubApi,
-    seq: &[(Vec<Op>, SuperCall)],
-) -> Result<Hash, String> {
-    let kept = super_stub_seq(ir, api, seq);
-    let want_lines = interp_super_observation(ir, &kept);
-    let got_lines = stub.run(super_commands(ir, api, &kept))?;
-    rooted_verdict(&stub.name, "superplans", &want_lines, &got_lines)
-}
-
-/// The root-compare core: hashes both observation streams into MMRs,
-/// returns the agreed root or an error naming the bisected first
-/// divergent line. Public so sensitivity tests can inject skewed
-/// streams directly.
-pub fn rooted_verdict(
-    name: &str,
-    surface: &str,
-    want_lines: &[String],
-    got_lines: &[String],
-) -> Result<Hash, String> {
-    let want = lines_mmr(want_lines);
-    let got = lines_mmr(got_lines);
-    let root = want.root();
-    if root == got.root() {
-        return Ok(root);
-    }
-    let d = bisect_divergence(&want, &got).expect("roots differ, so the forests must");
-    let i = d.leaf as usize;
-    Err(format!(
-        "{name}: compiled {surface} diverge from the interpreter; bisection names \
-         observation line {i} in {} hash compares\n  interpreter: {}\n  compiled:    {}\n  {}",
-        d.compares,
-        want_lines.get(i).map_or("<stream ended>", String::as_str),
-        got_lines.get(i).map_or("<stream ended>", String::as_str),
-        first_line_diff(want_lines, got_lines),
-    ))
-}
-
-/// Replays `ops` (pre-filtering them to the stub surface) through the
-/// compiled stubs and the plan executor, demanding identical
-/// bus logs, results and final cache state.
-pub fn check_compiled(
-    stub: &CompiledStub,
-    ir: &DeviceIr,
-    api: &StubApi,
-    ops: &[Op],
-) -> Result<(), String> {
-    let kept = stub_ops(ir, api, ops);
-    let want = interp_observation(ir, &kept);
-    let got = stub.run(commands(ir, api, &kept))?;
-    if want != got {
-        return Err(format!(
-            "{}: compiled stubs diverge from the interpreter at {}",
-            stub.name,
-            first_line_diff(&want, &got)
-        ));
-    }
-    Ok(())
 }

@@ -1,151 +1,78 @@
-//! The compiled-**Rust** differential oracle: the second emitted back
-//! end, actually executed.
+//! The Rust back end of [`crate::compiled::CompiledHarness`]: the
+//! second emitted back end, actually executed.
 //!
-//! The Rust twin of [`crate::compiled`]: for one spec,
-//! [`CompiledRustStub::build`] emits the Rust module
-//! (`devil_codegen::emit_rust`), pairs it with a generated harness —
-//! a logging [`devil_runtime::DeviceAccess`] shim crate standing in
-//! for the real runtime (the `DEVIL_NO_SYS_IO` gate of the C oracle,
-//! expressed as trait injection: the generated code can only reach a
-//! bus through the trait, and the oracle hands it a pure register
-//! file), plus a command dispatcher over the emitted stub surface —
-//! and compiles the pair with `rustc`. Artifacts are content-hashed
-//! like the C oracle's, so unchanged emitter + spec reuse the binary.
-//!
-//! The harness speaks the *same* command protocol and emits the *same*
-//! observation lines as the C harness, so [`check_compiled_rust`]
-//! reuses the interpreter-side observation builders and the rooted
-//! (MMR) verdict of [`crate::compiled`] unchanged: every bus operation
-//! in order, every result, and the final cache/cell state must be
-//! line-identical to the plan executor.
+//! `build` pairs the emitted Rust module (`devil_codegen::emit_rust`)
+//! with a generated harness — a logging [`devil_runtime::DeviceAccess`]
+//! shim crate standing in for the real runtime (the `DEVIL_NO_SYS_IO`
+//! gate of the C harness, expressed as trait injection: the generated
+//! code can only reach a bus through the trait, and the harness hands
+//! it a pure register file), plus a command dispatcher over the emitted
+//! stub surface — and compiles the pair with `rustc`. The harness reads
+//! the C harness's command protocol and prints the same observation
+//! lines.
 //!
 //! One emitter asymmetry is bridged here rather than hidden: emitted
 //! Rust getters sign-extend `signed` variables (they return `i64`),
-//! while the interpreter's `read_id`/`get_field_id` — and the C stubs —
+//! while the runtime's `read_id`/`get_field_id` — and the C stubs —
 //! traffic in raw masked bits. The harness masks signed results back
 //! to their declared width before printing, so observation lines stay
 //! comparable without weakening the generated API.
 
-use crate::compiled::{
-    commands, first_line_diff, fnv1a, interp_observation, interp_super_observation, rooted_verdict,
-    stub_ops, super_commands, super_stub_seq,
-};
-use crate::superfuzz::SuperCall;
-use crate::Op;
+use crate::compiled::{fnv1a, invoke, write_file, Backend};
 use devil_codegen::StubApi;
 use devil_ir::{DeviceIr, FuseOp};
 use devil_sema::model::TypeSem;
-use hwsim::mmr::Hash;
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::Command;
 
-/// Whether `rustc` is reachable (the oracle is skipped, loudly, where
-/// it is not).
-pub fn rustc_available() -> bool {
-    Command::new("rustc")
-        .arg("--version")
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .status()
-        .is_ok()
-}
-
-/// A per-spec compiled Rust stub harness.
-pub struct CompiledRustStub {
-    /// Spec name.
-    pub name: String,
-    /// Path of the compiled harness binary.
-    pub bin: PathBuf,
-}
-
-impl CompiledRustStub {
-    /// Emits, generates and compiles the Rust harness for one spec into
-    /// `dir`: first the `devil_runtime` stand-in as an rlib, then the
-    /// harness (with the emitted module embedded verbatim) linked
-    /// against it, so the module's `use devil_runtime::…` header
-    /// resolves exactly as it would against the real runtime.
-    pub fn build(name: &str, ir: &DeviceIr, dir: &Path) -> Result<CompiledRustStub, String> {
-        let api = StubApi::of(ir);
-        let module = devil_codegen::emit_rust(ir);
-        let shim = shim_crate();
-        let harness = harness_rs(ir, &api, &module);
-        let hash = fnv1a(harness.as_bytes()) ^ fnv1a(shim.as_bytes()).rotate_left(1);
-        let stem = format!("{name}_{hash:016x}");
-        let bin = dir.join(format!("roracle_{stem}"));
-        if bin.exists() {
-            return Ok(CompiledRustStub { name: name.into(), bin });
-        }
-        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        let rt_src = dir.join(format!("{stem}_rt.rs"));
-        let rt_lib = dir.join(format!("lib{stem}_rt.rlib"));
-        let hs_src = dir.join(format!("{stem}.rs"));
-        std::fs::write(&rt_src, &shim).map_err(|e| format!("{}: {e}", rt_src.display()))?;
-        std::fs::write(&hs_src, &harness).map_err(|e| format!("{}: {e}", hs_src.display()))?;
-        let rustc = |args: &[&str]| -> Result<(), String> {
-            let out = Command::new("rustc")
-                .args(["--edition", "2021", "-O"])
-                .args(args)
-                .output()
-                .map_err(|e| format!("rustc: {e}"))?;
-            if !out.status.success() {
-                return Err(format!(
-                    "rustc failed for {name}:\n{}",
-                    String::from_utf8_lossy(&out.stderr)
-                ));
-            }
-            Ok(())
-        };
-        rustc(&[
-            "--crate-type",
-            "rlib",
-            "--crate-name",
-            "devil_runtime",
-            "-o",
-            rt_lib.to_str().expect("utf8 path"),
-            rt_src.to_str().expect("utf8 path"),
-        ])?;
-        // Compile to a temp name and rename, so concurrent builders
-        // never observe a half-written binary.
-        let tmp = dir.join(format!("roracle_{stem}.tmp.{}", std::process::id()));
-        rustc(&[
-            "--extern",
-            &format!("devil_runtime={}", rt_lib.display()),
-            "-o",
-            tmp.to_str().expect("utf8 path"),
-            hs_src.to_str().expect("utf8 path"),
-        ])?;
-        std::fs::rename(&tmp, &bin).map_err(|e| format!("{}: {e}", bin.display()))?;
-        Ok(CompiledRustStub { name: name.into(), bin })
+/// Emits, generates and compiles the Rust harness for one spec into
+/// `dir`, returning the binary's path: first the `devil_runtime`
+/// stand-in as an rlib, then the harness (with the emitted module
+/// embedded verbatim) linked against it, so the module's
+/// `use devil_runtime::…` header resolves exactly as it would against
+/// the real runtime. Content-hashed like the C harness.
+pub(crate) fn build(
+    name: &str,
+    ir: &DeviceIr,
+    api: &StubApi,
+    dir: &Path,
+) -> Result<PathBuf, String> {
+    let module = Backend::Rust.emit(ir, name);
+    let shim = shim_crate();
+    let harness = harness_rs(ir, api, &module);
+    let hash = fnv1a(harness.as_bytes()) ^ fnv1a(shim.as_bytes()).rotate_left(1);
+    let stem = format!("{name}_{hash:016x}");
+    let bin = dir.join(format!("roracle_{stem}"));
+    if bin.exists() {
+        return Ok(bin);
     }
-
-    /// Runs the harness over a command stream, returning its output
-    /// lines. Stdin is fed from a thread so large streams cannot
-    /// deadlock against a full stdout pipe.
-    pub fn run(&self, commands: String) -> Result<Vec<String>, String> {
-        let mut child = Command::new(&self.bin)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .map_err(|e| format!("{}: {e}", self.bin.display()))?;
-        let mut stdin = child.stdin.take().expect("piped stdin");
-        let writer = std::thread::spawn(move || {
-            let _ = stdin.write_all(commands.as_bytes());
-        });
-        let out = child.wait_with_output().map_err(|e| format!("harness: {e}"))?;
-        let _ = writer.join();
-        if !out.status.success() {
-            return Err(format!(
-                "rust harness for {} exited with {:?}:\n{}",
-                self.name,
-                out.status.code(),
-                String::from_utf8_lossy(&out.stderr)
-            ));
-        }
-        Ok(String::from_utf8_lossy(&out.stdout).lines().map(str::to_string).collect())
-    }
+    std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let rt_src = dir.join(format!("{stem}_rt.rs"));
+    let rt_lib = dir.join(format!("lib{stem}_rt.rlib"));
+    let hs_src = dir.join(format!("{stem}.rs"));
+    write_file(&rt_src, &shim)?;
+    write_file(&hs_src, &harness)?;
+    let rustc = || {
+        let mut cmd = Command::new("rustc");
+        cmd.args(["--edition", "2021", "-O"]);
+        cmd
+    };
+    invoke(
+        rustc()
+            .args(["--crate-type", "rlib", "--crate-name", "devil_runtime", "-o"])
+            .arg(&rt_lib)
+            .arg(&rt_src),
+        name,
+    )?;
+    // Compile to a temp name and rename, so concurrent builders never
+    // observe a half-written binary.
+    let tmp = dir.join(format!("roracle_{stem}.tmp.{}", std::process::id()));
+    let mut extern_rt = std::ffi::OsString::from("devil_runtime=");
+    extern_rt.push(&rt_lib);
+    invoke(rustc().arg("--extern").arg(extern_rt).arg("-o").arg(&tmp).arg(&hs_src), name)?;
+    std::fs::rename(&tmp, &bin).map_err(|e| format!("{}: {e}", bin.display()))?;
+    Ok(bin)
 }
 
 /// The `devil_runtime` stand-in the emitted module links against: the
@@ -455,76 +382,4 @@ fn camel(s: &str) -> String {
             }
         })
         .collect()
-}
-
-/// Replays `ops` (pre-filtering them to the stub surface) through the
-/// compiled Rust stubs and the plan executor, demanding
-/// identical bus logs, results and final cache state.
-pub fn check_compiled_rust(
-    stub: &CompiledRustStub,
-    ir: &DeviceIr,
-    api: &StubApi,
-    ops: &[Op],
-) -> Result<(), String> {
-    let kept = stub_ops(ir, api, ops);
-    let want = interp_observation(ir, &kept);
-    let got = stub.run(commands(ir, api, &kept))?;
-    if want != got {
-        return Err(format!(
-            "{}: compiled Rust stubs diverge from the interpreter at {}",
-            stub.name,
-            first_line_diff(&want, &got)
-        ));
-    }
-    Ok(())
-}
-
-/// Replays a superplan call stream (pre-filtering to the fused stub
-/// surface) through the compiled Rust superplan bodies and the fused
-/// interpreter path.
-pub fn check_compiled_rust_super(
-    stub: &CompiledRustStub,
-    ir: &DeviceIr,
-    api: &StubApi,
-    seq: &[(Vec<Op>, SuperCall)],
-) -> Result<(), String> {
-    let kept = super_stub_seq(ir, api, seq);
-    let want = interp_super_observation(ir, &kept);
-    let got = stub.run(super_commands(ir, api, &kept))?;
-    if want != got {
-        return Err(format!(
-            "{}: compiled Rust superplans diverge from the interpreter at {}",
-            stub.name,
-            first_line_diff(&want, &got)
-        ));
-    }
-    Ok(())
-}
-
-/// Root-compare mode of the Rust oracle: both observation streams
-/// condense to one MMR root each; a mismatch bisects to the first
-/// divergent observation line.
-pub fn check_compiled_rust_rooted(
-    stub: &CompiledRustStub,
-    ir: &DeviceIr,
-    api: &StubApi,
-    ops: &[Op],
-) -> Result<Hash, String> {
-    let kept = stub_ops(ir, api, ops);
-    let want_lines = interp_observation(ir, &kept);
-    let got_lines = stub.run(commands(ir, api, &kept))?;
-    rooted_verdict(&stub.name, "Rust stubs", &want_lines, &got_lines)
-}
-
-/// Root-compare mode over superplan call streams.
-pub fn check_compiled_rust_super_rooted(
-    stub: &CompiledRustStub,
-    ir: &DeviceIr,
-    api: &StubApi,
-    seq: &[(Vec<Op>, SuperCall)],
-) -> Result<Hash, String> {
-    let kept = super_stub_seq(ir, api, seq);
-    let want_lines = interp_super_observation(ir, &kept);
-    let got_lines = stub.run(super_commands(ir, api, &kept))?;
-    rooted_verdict(&stub.name, "Rust superplans", &want_lines, &got_lines)
 }

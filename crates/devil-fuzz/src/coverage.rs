@@ -14,9 +14,9 @@
 //!
 //! Streams stay raw `Vec<u64>` words: the same pure, total
 //! [`crate::decode`] / [`crate::superfuzz::decode_super`] pair turns
-//! them into ops, so every corpus entry replays bit-identically through
-//! the plans/reference and fused/unfused differential comparators, the
-//! compiled-C oracle, and the compiled-Rust oracle.
+//! them into ops, so every corpus entry replays through
+//! [`crate::compare`] against the reference interpreter and the
+//! compiled C and Rust stubs.
 
 use crate::superfuzz::decode_super;
 use crate::{decode, run_op, Engine};
@@ -140,32 +140,16 @@ impl Coverage {
 
 /// Replays one raw word stream — variable/struct ops first, then the
 /// fused-sequence decoding of the same words — through a fresh
-/// fast-path instance with the dispatch trace on, and returns every
+/// plan-runtime instance with the dispatch trace on, and returns every
 /// recorded dispatch. This is the (pure) stream → coverage signal map.
 pub fn covered_records(ir: &DeviceIr, words: &[u64]) -> Vec<DispatchRecord> {
     let mut inst = DeviceInstance::new(ir.clone());
     inst.set_dispatch_trace(true);
     let mut dev = FakeAccess::new();
     let mut obs = Vec::new();
-    for op in decode(ir, words) {
-        run_op(&mut Engine::Plans(&mut inst), &mut dev, &op, &mut obs);
+    for op in decode(ir, words).iter().chain(&decode_super(ir, words)) {
+        run_op(&mut Engine::Plans(&mut inst), &mut dev, op, &mut obs);
         obs.clear();
-    }
-    for (pre, call) in decode_super(ir, words) {
-        for op in &pre {
-            run_op(&mut Engine::Plans(&mut inst), &mut dev, op, &mut obs);
-            obs.clear();
-        }
-        let mut block_in = vec![0u64; call.block_in_len];
-        let mut outs = vec![0u64; ir.superplans()[call.sid].outputs];
-        let _ = inst.run_superplan(
-            &mut dev,
-            call.sid,
-            &call.args,
-            &call.block_out,
-            &mut block_in,
-            &mut outs,
-        );
     }
     inst.take_dispatch_trace()
 }

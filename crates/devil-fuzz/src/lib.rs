@@ -1,13 +1,17 @@
 //! Differential fuzzing harness for the Devil runtime.
 //!
 //! The plan executor ([`DeviceInstance`]: precompiled [`devil_ir`]
-//! plans, indexed flat cache slots) and the reference interpreter
-//! ([`ReferenceInstance`]) must be observationally indistinguishable:
-//! same device-visible bus traffic, same final device state, same
-//! results and errors. This crate turns a raw stream of random words
-//! into a valid-ish [`Op`] sequence over a lowered device, replays it
-//! through both engines ([`Engine`]), and diffs everything
-//! the device or the caller could observe.
+//! plans, indexed flat cache slots), the reference interpreter
+//! ([`ReferenceInstance`]) and the compiled C and Rust stubs
+//! ([`compiled::CompiledHarness`]) must be observationally
+//! indistinguishable: same device-visible bus traffic, same final
+//! state, same results and errors. This crate turns a raw stream of
+//! random words into a valid-ish [`Op`] sequence over a lowered device
+//! (superplan calls included, as [`Op::Super`]) and replays it through
+//! two [`Rig`]s. [`compare`] is the one comparator: both rigs fold what
+//! they observe into an MMR trace, and the verdict is one 32-byte root
+//! compare; a mismatch bisects to the first divergent leaf and renders
+//! the lines around it.
 //!
 //! The generator is deliberately a pure function of the word stream,
 //! so a failing proptest case is replayable from its printed seed
@@ -20,12 +24,15 @@ use devil_runtime::{DeviceInstance, FakeAccess, ReferenceInstance};
 use devil_sema::model::{Offset, StructId, VarId};
 
 pub mod compiled;
-pub mod compiled_rust;
+mod compiled_rust;
 pub mod corpus;
 pub mod coverage;
 pub mod rooted;
 pub mod superfuzz;
 pub mod synthetic;
+
+pub use rooted::{compare, compare_runtimes, render, InProcess, Mismatch, Outcome, Rig, Trace};
+use superfuzz::SuperCall;
 
 /// One engine of a differential replay, borrowed: the plan executor or
 /// the reference interpreter, driven through the same op stream.
@@ -46,7 +53,6 @@ macro_rules! for_both {
         }
     };
 }
-pub(crate) use for_both;
 
 /// One operation against a device instance.
 #[derive(Clone, Debug)]
@@ -103,6 +109,8 @@ pub enum Op {
         /// New raw value.
         value: u64,
     },
+    /// `run_superplan`: fused on the plans, op by op on the reference.
+    Super(SuperCall),
 }
 
 /// A cursor over the raw word stream; exhausted reads return 0 so
@@ -351,9 +359,8 @@ pub fn run(mut inst: Engine<'_>, dev: &mut FakeAccess, ops: &[Op]) -> Vec<String
 }
 
 /// Replays one op, appending its caller observations to `out`. The
-/// streaming rooted harness reuses one buffer across millions of ops;
-/// [`run`] is the collect-everything wrapper the linear comparators
-/// keep using.
+/// streaming comparator reuses one buffer across millions of ops;
+/// [`run`] is the collect-everything wrapper.
 pub fn run_op(inst: &mut Engine<'_>, dev: &mut FakeAccess, op: &Op, out: &mut Vec<String>) {
     match op {
         Op::ReadVar { vid, args } => {
@@ -395,13 +402,24 @@ pub fn run_op(inst: &mut Engine<'_>, dev: &mut FakeAccess, op: &Op, out: &mut Ve
             dev.preset(*port, *offset, *value);
             out.push(format!("preset {port} {offset:#x} {value:#x}"));
         }
+        Op::Super(call) => {
+            let mut block_in = vec![0u64; call.block_in_len];
+            let mut outs = vec![0u64; for_both!(inst, i => i.ir().superplans()[call.sid].outputs)];
+            let r = for_both!(inst, i => {
+                i.run_superplan(dev, call.sid, &call.args, &call.block_out, &mut block_in, &mut outs)
+            });
+            out.push(format!(
+                "super {} {:x?} -> {r:?} outs {outs:x?} in {block_in:x?}",
+                call.sid, call.args
+            ));
+        }
     }
 }
 
 /// The cache-coherence probe: one read of every readable variable at
-/// its first in-domain argument tuple. Both the linear and the rooted
-/// comparators end with it, so silent cache divergence the op sequence
-/// itself never observed still surfaces.
+/// its first in-domain argument tuple. Every in-process replay ends
+/// with it, so silent cache divergence the op sequence itself never
+/// observed still surfaces.
 pub fn probe_ops(ir: &DeviceIr) -> Vec<Op> {
     (0..ir.vars.len() as u32)
         .map(VarId)
@@ -411,104 +429,6 @@ pub fn probe_ops(ir: &DeviceIr) -> Vec<Op> {
             args: ir.var(vid).params.iter().map(|p| p.values[0].0).collect(),
         })
         .collect()
-}
-
-/// The first differing line between two observation logs, for compact
-/// failure reports.
-fn first_diff(a: &[String], b: &[String]) -> String {
-    for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-        if x != y {
-            return format!("line {i}:\n  plans:     {x}\n  reference: {y}");
-        }
-    }
-    format!("lengths differ: plans {} vs reference {}", a.len(), b.len())
-}
-
-/// Replays `ops` through the plans and the reference interpreter and
-/// verifies they are indistinguishable: identical caller observations
-/// and device-visible operation log op for op, identical final device
-/// state, and identical residual reads (cache coherence probe).
-pub fn check_equivalence(ir: &DeviceIr, ops: &[Op]) -> Result<(), String> {
-    replay_both(ir, ops, false).map(drop)
-}
-
-/// What a checked-mode replay exercised.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CheckedOutcome {
-    /// Ops compared. Fewer than the stream when a write check fired in
-    /// the middle of a reference access (a value written by a nested
-    /// action): the reference had already touched the device, the
-    /// plans had not, so the states part by design and the replay stops.
-    pub ops: usize,
-    /// Accesses rejected by a debug write check (`ValueRange`).
-    pub write_rejects: usize,
-    /// Accesses rejected by a debug read check (`BadPattern`).
-    pub read_rejects: usize,
-}
-
-/// [`check_equivalence`] with debug checks on in both engines (the
-/// reference checks each value where it is written or read), adding:
-/// a write check rejects its access before the plans touch the device,
-/// and the plans dispatch every access (`PlanStats.general == 0`).
-pub fn check_checked_equivalence(ir: &DeviceIr, ops: &[Op]) -> Result<CheckedOutcome, String> {
-    replay_both(ir, ops, true)
-}
-
-fn replay_both(ir: &DeviceIr, ops: &[Op], checks: bool) -> Result<CheckedOutcome, String> {
-    let mut plans = DeviceInstance::new(ir.clone());
-    let mut reference = ReferenceInstance::new(ir.clone());
-    plans.set_debug_checks(checks);
-    reference.set_debug_checks(checks);
-    let (mut pdev, mut rdev) = (FakeAccess::new(), FakeAccess::new());
-    let mut out = CheckedOutcome::default();
-    let (mut pobs, mut robs) = (Vec::new(), Vec::new());
-    for (i, op) in ops.iter().enumerate() {
-        pobs.clear();
-        robs.clear();
-        let (pmark, rmark) = (pdev.log.len(), rdev.log.len());
-        run_op(&mut Engine::Plans(&mut plans), &mut pdev, op, &mut pobs);
-        run_op(&mut Engine::Reference(&mut reference), &mut rdev, op, &mut robs);
-        if pobs != robs {
-            return Err(format!("op {i}: observations diverge at {}", first_diff(&pobs, &robs)));
-        }
-        // The device-touching call's result: a struct read reports
-        // first (field getters follow), everything else last.
-        let call = if matches!(op, Op::ReadStruct { .. }) { pobs.first() } else { pobs.last() };
-        let rejected = call.is_some_and(|l| l.contains("Err(ValueRange"));
-        out.write_rejects += usize::from(rejected);
-        out.read_rejects += pobs.iter().filter(|l| l.contains("Err(BadPattern")).count();
-        if rejected && pdev.log.len() != pmark {
-            return Err(format!("op {i}: a rejected write reached the device: {op:?}"));
-        }
-        if pdev.log[pmark..] != rdev.log[rmark..] {
-            if rejected {
-                return Ok(out);
-            }
-            return Err(format!(
-                "op {i}: device op logs diverge on {op:?}: plans {:?} vs reference {:?}",
-                &pdev.log[pmark..],
-                &rdev.log[rmark..]
-            ));
-        }
-        out.ops = i + 1;
-    }
-    if pdev.regs != rdev.regs {
-        return Err("final device state diverges".into());
-    }
-    // Cache-coherence probe: reading every readable variable once more
-    // must agree (catches silent cache divergence the op sequence itself
-    // did not observe).
-    let probe = probe_ops(ir);
-    let pp = run(Engine::Plans(&mut plans), &mut pdev, &probe);
-    let rp = run(Engine::Reference(&mut reference), &mut rdev, &probe);
-    if pp != rp || pdev.log != rdev.log {
-        return Err(format!("cache-coherence probe diverges at {}", first_diff(&pp, &rp)));
-    }
-    let stats = plans.plan_stats();
-    if stats.general != 0 {
-        return Err(format!("an access left the plans: {stats:?}"));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -544,7 +464,7 @@ mod tests {
         assert!(ops.iter().any(|o| matches!(o, Op::ReadVar { .. })));
         assert!(ops.iter().any(|o| matches!(o, Op::WriteVar { .. })));
         assert!(ops.iter().any(|o| matches!(o, Op::Preset { .. })));
-        check_equivalence(&ir, &ops).unwrap();
+        compare_runtimes(&ir, false, &ops).unwrap();
     }
 
     #[test]
@@ -572,7 +492,7 @@ mod tests {
             Op::WriteVar { vid: g, args: vec![], value: 1 },
             Op::ReadVar { vid: g, args: vec![] },
         ];
-        check_equivalence(&ir, &ops).unwrap();
+        compare_runtimes(&ir, false, &ops).unwrap();
     }
 
     #[test]
@@ -582,6 +502,6 @@ mod tests {
         let ir = ir(SPEC);
         let words: Vec<u64> = (0..40u64).map(|i| i * i * 2654435761 + 17).collect();
         let ops = decode(&ir, &words);
-        check_equivalence(&ir, &ops).unwrap();
+        compare_runtimes(&ir, false, &ops).unwrap();
     }
 }

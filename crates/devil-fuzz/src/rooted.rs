@@ -1,20 +1,22 @@
-//! Root-compare equivalence: the plans-vs-reference differential over
-//! an MMR-authenticated trace instead of retained observation logs.
+//! The one differential comparator: two [`Rig`]s replay the same op
+//! stream, each folds what it observes into an MMR trace, and the
+//! verdict is one 32-byte root compare.
 //!
-//! The linear comparator ([`crate::check_equivalence`]) keeps every
-//! observation string and every device-log tuple from both rigs alive
-//! until the end — memory grows with replay length, which is what
-//! capped differential runs at tens of thousands of ops. Here each op
-//! folds to one MMR leaf (its observation lines plus its device-op log
-//! delta, so the leaf index *is* the op index), both rigs stream in
-//! O(peaks) memory, and "bit-identical over N million ops" is one
-//! 32-byte root compare.
+//! A rig folds *leaves*. The in-process rigs ([`InProcess`]: the plan
+//! runtime and the reference interpreter) fold one leaf per op — its
+//! observation lines plus its device-op log delta, so the leaf index
+//! *is* the op index — then one per cache-coherence probe read, then
+//! one over the final device register file. The stub-view rigs
+//! ([`crate::compiled::HarnessView`] and
+//! [`crate::compiled::CompiledHarness`]) fold one leaf per harness
+//! observation line.
 //!
-//! On a root mismatch the harness re-replays in retained mode —
-//! replays are pure functions of the op source, so this only costs the
-//! failing case — and [`bisect_divergence`] names the first divergent
-//! op in O(log N) hash compares; a third, windowed replay then
-//! recovers the human-readable lines around that op for the report.
+//! Both rigs stream in O(peaks) memory, so replay length is a knob, not
+//! a memory bound. On a root mismatch [`compare`] re-replays both rigs
+//! retained — replays are pure functions of the op source, so this only
+//! costs the failing case — and [`bisect_divergence`] names the first
+//! divergent leaf in O(log N) hash compares; a third, windowed replay
+//! recovers the lines around it for the report.
 //!
 //! Replay length for the long-run tests comes from the `DIFF_OPS` env
 //! knob (mirroring `PROPTEST_CASES`), so CI nightlies push millions of
@@ -23,7 +25,9 @@
 use crate::{probe_ops, run_op, Engine, Op};
 use devil_ir::DeviceIr;
 use devil_runtime::{DeviceInstance, FakeAccess, ReferenceInstance};
-use hwsim::mmr::{bisect_divergence, Hash, MmrLog};
+use hwsim::mmr::{bisect_divergence, Divergence, Hash, MmrLog};
+use std::fmt::Write as _;
+use std::ops::Range;
 
 /// Replay length for long-run differential tests: `DIFF_OPS` from the
 /// environment, or `default`.
@@ -34,7 +38,9 @@ pub fn diff_ops(default: u64) -> u64 {
     }
 }
 
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+/// The splitmix64 generator behind [`OpStream`] and corpus growth: one
+/// well-mixed word per call, pure in the running `state`.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -79,216 +85,328 @@ impl Iterator for OpStream<'_> {
     }
 }
 
-/// Encodes one op's observable behavior — its observation lines and
-/// its device-op log delta — into `scratch` as raw leaf bytes.
-pub(crate) fn encode_leaf(
-    scratch: &mut Vec<u8>,
-    obs: &[String],
-    dev_log: &[(bool, usize, u64, u64)],
-) {
-    scratch.clear();
-    for line in obs {
-        scratch.extend_from_slice(line.as_bytes());
-        scratch.push(b'\n');
-    }
-    for &(is_write, port, offset, value) in dev_log {
-        scratch.push(is_write as u8);
-        scratch.extend_from_slice(&(port as u64).to_le_bytes());
-        scratch.extend_from_slice(&offset.to_le_bytes());
-        scratch.extend_from_slice(&value.to_le_bytes());
-    }
-}
+/// One device-visible bus operation as [`FakeAccess`] logs it:
+/// `(is_write, port, offset, value)`.
+type BusOp = (bool, usize, u64, u64);
 
-/// One rig's replay result.
-struct Replay {
+/// Where a rig's replay goes: the MMR log of its leaves, plus what
+/// [`compare`] reads back for its verdict and report.
+pub struct Trace {
     log: MmrLog,
-    /// `(op index, observation line)` pairs captured inside the
-    /// requested window (reporting only).
-    window: Vec<(u64, String)>,
-    /// Op-stream length (leaves beyond it are the coherence probe and
-    /// the final-state digest).
-    ops: u64,
+    scratch: Vec<u8>,
+    /// Leaves whose lines are kept for the mismatch report.
+    window: Range<u64>,
+    captured: Vec<(u64, Vec<String>, Vec<BusOp>)>,
+    /// Stream ops the rig replayed.
+    pub(crate) ops: u64,
+    /// Leaves of ops a debug write check rejected.
+    pub(crate) write_rejects: Vec<u64>,
+    /// The leaf of every read a debug read check rejected.
+    pub(crate) read_rejects: Vec<u64>,
 }
 
-/// Replays an op source through one rig, folding each op into a leaf.
-/// The leaf stream is: one leaf per op, then one leaf per coherence
-/// probe read, then one final leaf over the sorted device register
-/// file — everything the linear comparator checks, in the same order.
-///
-/// `fast` picks the plans, else the reference interpreter. `corrupt`
-/// appends a byte to that op's leaf — the injection hook the bisection
-/// sensitivity tests use to fake a single-op divergence.
-fn replay<I: Iterator<Item = Op>>(
-    ir: &DeviceIr,
-    fast: bool,
-    ops: I,
-    retain: bool,
-    corrupt: Option<u64>,
-    window: Option<(u64, u64)>,
-) -> Replay {
-    let (mut plans, mut reference) =
-        (DeviceInstance::new(ir.clone()), ReferenceInstance::new(ir.clone()));
-    let inst = if fast { Engine::Plans(&mut plans) } else { Engine::Reference(&mut reference) };
-    replay_on(inst, ir, ops, retain, corrupt, window)
+impl Trace {
+    fn new(retain: bool, window: Range<u64>) -> Trace {
+        let mut log = MmrLog::new(retain);
+        log.reserve(1024, 96);
+        Trace {
+            log,
+            scratch: Vec::new(),
+            window,
+            captured: Vec::new(),
+            ops: 0,
+            write_rejects: Vec::new(),
+            read_rejects: Vec::new(),
+        }
+    }
+
+    /// Index of the next leaf.
+    pub(crate) fn next_leaf(&self) -> u64 {
+        self.log.len()
+    }
+
+    /// Folds one leaf: observation lines, then the device ops behind them.
+    pub(crate) fn leaf(&mut self, lines: &[String], bus: &[BusOp]) {
+        let idx = self.log.len();
+        self.scratch.clear();
+        for line in lines {
+            self.scratch.extend_from_slice(line.as_bytes());
+            self.scratch.push(b'\n');
+        }
+        for &(is_write, port, offset, value) in bus {
+            self.scratch.push(u8::from(is_write));
+            self.scratch.extend_from_slice(&(port as u64).to_le_bytes());
+            self.scratch.extend_from_slice(&offset.to_le_bytes());
+            self.scratch.extend_from_slice(&value.to_le_bytes());
+        }
+        self.log.push(&self.scratch);
+        if self.window.contains(&idx) {
+            self.captured.push((idx, lines.to_vec(), bus.to_vec()));
+        }
+    }
+
+    /// Folds one observation line as its own leaf.
+    pub(crate) fn line(&mut self, line: String) {
+        self.leaf(std::slice::from_ref(&line), &[]);
+    }
+
+    /// The outcome of this trace's rig, counting rejects up to leaf
+    /// `last` inclusive.
+    fn outcome(&mut self, ops: u64, last: u64, retained_bytes: usize) -> Outcome {
+        let upto = |leaves: &[u64]| leaves.iter().filter(|&&l| l <= last).count();
+        Outcome {
+            root: self.log.root(),
+            ops,
+            leaves: self.log.len(),
+            retained_bytes,
+            write_rejects: upto(&self.write_rejects),
+            read_rejects: upto(&self.read_rejects),
+        }
+    }
 }
 
-fn replay_on<I: Iterator<Item = Op>>(
-    mut inst: Engine<'_>,
-    ir: &DeviceIr,
-    ops: I,
-    retain: bool,
-    corrupt: Option<u64>,
-    window: Option<(u64, u64)>,
-) -> Replay {
-    let mut dev = FakeAccess::new();
-    dev.log.reserve(64);
-    let mut log = MmrLog::new(retain);
-    log.reserve(1024, 96);
-    let mut obs: Vec<String> = Vec::new();
-    let mut scratch: Vec<u8> = Vec::new();
-    let mut captured = Vec::new();
-    let mut idx = 0u64;
-    let mut nops = 0u64;
+/// One side of a differential replay.
+pub trait Rig {
+    /// A label for mismatch reports.
+    fn name(&self) -> String;
 
-    let mut fold =
-        |op: &Op, inst: &mut Engine, dev: &mut FakeAccess, idx: u64, log: &mut MmrLog| {
-            obs.clear();
-            run_op(inst, dev, op, &mut obs);
-            encode_leaf(&mut scratch, &obs, &dev.log);
-            // The delta is folded; drop it so memory stays O(1) per op.
-            dev.log.clear();
-            if corrupt == Some(idx) {
-                scratch.push(0xA5);
-            }
-            log.push(&scratch);
-            if let Some((lo, hi)) = window {
-                if idx >= lo && idx < hi {
-                    captured.extend(obs.iter().map(|l| (idx, l.clone())));
-                }
-            }
+    /// Replays `ops` from a fresh state, folding what it observes into
+    /// `trace`. An `Err` is a failure of the rig itself: a harness that
+    /// did not run, or a check that fired.
+    fn replay(&self, ops: &mut dyn Iterator<Item = Op>, trace: &mut Trace) -> Result<(), String>;
+}
+
+/// The in-process rigs: the plan runtime or the reference interpreter,
+/// fresh per replay, over a logging [`FakeAccess`].
+#[derive(Clone, Copy)]
+pub struct InProcess<'ir> {
+    ir: &'ir DeviceIr,
+    plans: bool,
+    checks: bool,
+}
+
+impl<'ir> InProcess<'ir> {
+    /// The plan runtime ([`DeviceInstance`]).
+    pub fn plans(ir: &'ir DeviceIr) -> Self {
+        InProcess { ir, plans: true, checks: false }
+    }
+
+    /// The reference interpreter ([`ReferenceInstance`]).
+    pub fn reference(ir: &'ir DeviceIr) -> Self {
+        InProcess { ir, plans: false, checks: false }
+    }
+
+    /// Turns the paper's debug checks on or off. A checked rig counts
+    /// the accesses its checks reject, and a checked plan rig fails the
+    /// replay if a rejected write reached the device.
+    #[must_use]
+    pub fn checks(self, checks: bool) -> Self {
+        InProcess { checks, ..self }
+    }
+}
+
+impl Rig for InProcess<'_> {
+    fn name(&self) -> String {
+        let engine = if self.plans { "plans" } else { "reference" };
+        if self.checks {
+            format!("checked {engine}")
+        } else {
+            engine.to_string()
+        }
+    }
+
+    fn replay(&self, ops: &mut dyn Iterator<Item = Op>, trace: &mut Trace) -> Result<(), String> {
+        let (mut plans, mut reference);
+        let mut inst = if self.plans {
+            plans = DeviceInstance::new(self.ir.clone());
+            plans.set_debug_checks(self.checks);
+            Engine::Plans(&mut plans)
+        } else {
+            reference = ReferenceInstance::new(self.ir.clone());
+            reference.set_debug_checks(self.checks);
+            Engine::Reference(&mut reference)
         };
-
-    for op in ops {
-        fold(&op, &mut inst, &mut dev, idx, &mut log);
-        idx += 1;
-        nops += 1;
+        let mut dev = FakeAccess::new();
+        dev.log.reserve(64);
+        let mut obs: Vec<String> = Vec::new();
+        for op in ops {
+            obs.clear();
+            run_op(&mut inst, &mut dev, &op, &mut obs);
+            if self.checks {
+                // The device-touching call's verdict: a struct read
+                // reports first (field getters follow), everything
+                // else last.
+                let call =
+                    if matches!(op, Op::ReadStruct { .. }) { obs.first() } else { obs.last() };
+                let leaf = trace.next_leaf();
+                if call.is_some_and(|l| l.contains("Err(ValueRange")) {
+                    if self.plans && !dev.log.is_empty() {
+                        return Err(format!(
+                            "op {}: a rejected write reached the device: {op:?}",
+                            trace.ops
+                        ));
+                    }
+                    trace.write_rejects.push(leaf);
+                }
+                let reads = obs.iter().filter(|l| l.contains("Err(BadPattern"));
+                trace.read_rejects.extend(reads.map(|_| leaf));
+            }
+            // The delta is folded; drop it so memory stays O(1) per op.
+            trace.leaf(&obs, &dev.log);
+            dev.log.clear();
+            trace.ops += 1;
+        }
+        for op in probe_ops(self.ir) {
+            obs.clear();
+            run_op(&mut inst, &mut dev, &op, &mut obs);
+            trace.leaf(&obs, &dev.log);
+            dev.log.clear();
+        }
+        // Final device state, order-normalized.
+        let mut regs: Vec<(usize, u64, u64)> =
+            dev.regs.iter().map(|(&(p, o), &v)| (p, o, v)).collect();
+        regs.sort_unstable();
+        let state: Vec<String> =
+            regs.iter().map(|(p, o, v)| format!("state {p} {o:#x} {v:#x}")).collect();
+        trace.leaf(&state, &[]);
+        if let Engine::Plans(plans) = inst {
+            let stats = plans.plan_stats();
+            if stats.general != 0 {
+                return Err(format!("an access left the plans: {stats:?}"));
+            }
+        }
+        Ok(())
     }
-    for op in probe_ops(ir) {
-        fold(&op, &mut inst, &mut dev, idx, &mut log);
-        idx += 1;
-    }
-    // Final device state, order-normalized: the rooted analogue of the
-    // linear comparator's `fast_dev.regs != slow_dev.regs`.
-    encode_final_state(&mut scratch, &dev);
-    log.push(&scratch);
-
-    Replay { log, window: captured, ops: nops }
 }
 
-/// Encodes the final device register file, order-normalized, as the
-/// last leaf of every rooted replay.
-pub(crate) fn encode_final_state(scratch: &mut Vec<u8>, dev: &FakeAccess) {
-    let mut regs: Vec<(usize, u64, u64)> = dev.regs.iter().map(|(&(p, o), &v)| (p, o, v)).collect();
-    regs.sort_unstable();
-    scratch.clear();
-    for (p, o, v) in regs {
-        scratch.extend_from_slice(&(p as u64).to_le_bytes());
-        scratch.extend_from_slice(&o.to_le_bytes());
-        scratch.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// The replay's MMR log alone — the building block the sensitivity
-/// tests and benches drive directly.
-pub fn replay_mmr(
-    ir: &DeviceIr,
-    fast: bool,
-    seed: u64,
-    ops: u64,
-    retain: bool,
-    corrupt: Option<u64>,
-) -> MmrLog {
-    replay(ir, fast, OpStream::new(ir, seed, ops), retain, corrupt, None).log
-}
-
-/// A successful root compare.
+/// A successful compare.
 #[derive(Clone, Copy, Debug)]
-pub struct RootedOutcome {
-    /// The agreed 32-byte root.
+pub struct Outcome {
+    /// The agreed 32-byte root (rig `a`'s root when the replay stopped
+    /// early; see `ops`).
     pub root: Hash,
-    /// Ops replayed (excluding probe and final-state leaves).
+    /// Stream ops compared. Fewer than the stream when a debug write
+    /// check fired after the reference had already touched the device
+    /// (a value written by a nested action, or a later op of a fused
+    /// call): both rigs reject the access, their states part by
+    /// design, and the compare stops at that op.
     pub ops: u64,
-    /// Total leaves under the root.
+    /// Leaves under rig `a`'s root.
     pub leaves: u64,
-    /// Peak bytes retained by the larger of the two streaming rigs —
+    /// Peak bytes retained by the larger of the two streaming traces —
     /// the O(peaks) memory bound the streaming mode exists for.
     pub retained_bytes: usize,
+    /// Accesses a debug write check rejected (`ValueRange`).
+    pub write_rejects: usize,
+    /// Reads a debug read check rejected (`BadPattern`).
+    pub read_rejects: usize,
 }
 
-fn check_rooted<I, F>(ir: &DeviceIr, mut source: F) -> Result<RootedOutcome, String>
-where
-    I: Iterator<Item = Op>,
-    F: FnMut() -> I,
-{
-    let mut fast = replay(ir, true, source(), false, None, None);
-    let mut slow = replay(ir, false, source(), false, None, None);
-    let (fast_root, slow_root) = (fast.log.root(), slow.log.root());
-    if fast_root == slow_root {
-        return Ok(RootedOutcome {
-            root: fast_root,
-            ops: fast.ops,
-            leaves: fast.log.len(),
-            retained_bytes: fast.log.retained_bytes().max(slow.log.retained_bytes()),
-        });
+/// A failed compare.
+#[derive(Debug)]
+pub struct Mismatch {
+    /// The first divergent leaf and the hash compares spent finding it;
+    /// `None` when a rig failed to replay.
+    pub divergence: Option<Divergence>,
+    /// Leaves in the longer of the two traces.
+    pub leaves: u64,
+    /// The human-readable report.
+    pub report: String,
+}
+
+impl std::fmt::Display for Mismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.report)
+    }
+}
+
+fn replay<I: Iterator<Item = Op>>(
+    rig: &dyn Rig,
+    mut ops: I,
+    retain: bool,
+    window: Range<u64>,
+) -> Result<Trace, Mismatch> {
+    let mut trace = Trace::new(retain, window);
+    match rig.replay(&mut ops, &mut trace) {
+        Ok(()) => Ok(trace),
+        Err(e) => {
+            Err(Mismatch { divergence: None, leaves: 0, report: format!("{}: {e}", rig.name()) })
+        }
+    }
+}
+
+/// Replays the stream `source()` yields through rigs `a` and `b` in
+/// O(peaks) memory and compares their two 32-byte roots. On a mismatch,
+/// re-replays both retained, bisects to the first divergent leaf, and
+/// reports the lines around it.
+///
+/// One divergence is not a failure: when both checked rigs reject the
+/// same op with the same observations and only their device logs part
+/// (the reference touched the device before its check fired), the
+/// compare stops there with `Ok` and [`Outcome::ops`] set to that op.
+pub fn compare<I: Iterator<Item = Op>>(
+    a: &dyn Rig,
+    b: &dyn Rig,
+    mut source: impl FnMut() -> I,
+) -> Result<Outcome, Mismatch> {
+    let mut ta = replay(a, source(), false, 0..0)?;
+    let mut tb = replay(b, source(), false, 0..0)?;
+    let retained = ta.log.retained_bytes().max(tb.log.retained_bytes());
+    let (root, other) = (ta.log.root(), tb.log.root());
+    if root == other {
+        return Ok(ta.outcome(ta.ops, u64::MAX, retained));
     }
 
-    // Mismatch: re-replay retained (replays are pure, so this only
-    // costs the failing case), bisect to the first divergent leaf,
-    // then re-replay once more capturing the lines around it.
-    let mut fast_r = replay(ir, true, source(), true, None, None);
-    let mut slow_r = replay(ir, false, source(), true, None, None);
-    let d = bisect_divergence(fast_r.log.mmr(), slow_r.log.mmr())
-        .expect("roots differ but retained replay bisects to nothing");
-    let nops = fast_r.ops;
-    let what = if d.leaf < nops {
-        format!("op {}", d.leaf)
-    } else {
-        "the cache-coherence probe / final device state".to_string()
-    };
-    let window = (d.leaf.saturating_sub(2), d.leaf + 3);
-    let wf = replay(ir, true, source(), false, None, Some(window));
-    let ws = replay(ir, false, source(), false, None, Some(window));
-    let lines = |w: &Replay| {
-        w.window.iter().map(|(i, l)| format!("    [{i}] {l}")).collect::<Vec<_>>().join("\n")
-    };
-    Err(format!(
-        "trace roots diverge ({fast_root:?} vs {slow_root:?}): bisection names {what} \
-         (leaf {} of {}) in {} hash compares\n  plans:\n{}\n  reference:\n{}",
-        d.leaf,
-        fast_r.log.len().max(slow_r.log.len()),
-        d.compares,
-        lines(&wf),
-        lines(&ws),
-    ))
+    let mut ra = replay(a, source(), true, 0..0)?;
+    let mut rb = replay(b, source(), true, 0..0)?;
+    let leaves = ra.log.len().max(rb.log.len());
+    let d = bisect_divergence(ra.log.mmr(), rb.log.mmr())
+        .expect("roots differ, so the retained traces do");
+    let k = d.leaf;
+    let window = k.saturating_sub(2)..k + 3;
+    let wa = replay(a, source(), false, window.clone())?;
+    let wb = replay(b, source(), false, window)?;
+    let lines_at = |t: &Trace| t.captured.iter().find(|c| c.0 == k).map(|c| c.1.clone());
+    if ra.write_rejects.contains(&k) && lines_at(&wa) == lines_at(&wb) {
+        return Ok(ra.outcome(k, k, retained));
+    }
+    let mut report = format!(
+        "trace roots diverge ({root:?} vs {other:?}): bisection names leaf {k} of {leaves} \
+         in {} hash compares",
+        d.compares
+    );
+    for (rig, t) in [(a, &wa), (b, &wb)] {
+        let _ = write!(report, "\n  {}:", rig.name());
+        for (i, lines, bus) in &t.captured {
+            for line in render_leaf(lines, bus).lines() {
+                let _ = write!(report, "\n    [{i}] {line}");
+            }
+        }
+    }
+    Err(Mismatch { divergence: Some(d), leaves, report })
 }
 
-/// [`crate::check_equivalence`], root-compared: replays `ops` through
-/// both rigs in O(peaks) memory and compares one 32-byte root; on
-/// mismatch, bisects to the first divergent op and reports the
-/// surrounding lines.
-pub fn check_equivalence_rooted(ir: &DeviceIr, ops: &[Op]) -> Result<RootedOutcome, String> {
-    check_rooted(ir, || ops.iter().cloned())
+/// Every leaf `rig` folds over `ops`, rendered as text: the leaf's
+/// lines, then its bus ops. A stub-view rig's leaves are single
+/// harness lines, so this is the harness transcript.
+pub fn render<I: Iterator<Item = Op>>(rig: &dyn Rig, ops: I) -> Result<Vec<String>, Mismatch> {
+    let trace = replay(rig, ops, false, 0..u64::MAX)?;
+    Ok(trace.captured.iter().map(|(_, lines, bus)| render_leaf(lines, bus)).collect())
 }
 
-/// Root-compared equivalence over a generated stream of exactly `ops`
-/// operations — the long-run entry point: nothing is ever
-/// materialized, so `DIFF_OPS=1000000` replays run flat in memory.
-pub fn check_equivalence_rooted_stream(
-    ir: &DeviceIr,
-    seed: u64,
-    ops: u64,
-) -> Result<RootedOutcome, String> {
-    check_rooted(ir, || OpStream::new(ir, seed, ops))
+fn render_leaf(lines: &[String], bus: &[BusOp]) -> String {
+    let bus = bus.iter().map(|&(w, p, o, v)| {
+        let dir = if w { "W" } else { "R" };
+        format!("bus {dir} {p} {o:#x} {v:#x}")
+    });
+    lines.iter().cloned().chain(bus).collect::<Vec<_>>().join("\n")
+}
+
+/// [`compare`] of the plan runtime against the reference interpreter
+/// over `ops`, with the debug checks on or off in both.
+pub fn compare_runtimes(ir: &DeviceIr, checks: bool, ops: &[Op]) -> Result<Outcome, Mismatch> {
+    let (plans, reference) = (InProcess::plans(ir), InProcess::reference(ir));
+    compare(&plans.checks(checks), &reference.checks(checks), || ops.iter().cloned())
 }
 
 #[cfg(test)]
@@ -308,6 +426,31 @@ mod tests {
         variable fv(i : int{0..1}) = f(i), volatile : int(8);
     }"#;
 
+    /// A rig replaying op `k` of the stream as a preset no decoded
+    /// stream issues, so exactly its leaf (and what follows) diverges.
+    struct Corrupt<'a> {
+        inner: &'a dyn Rig,
+        k: u64,
+    }
+
+    impl Rig for Corrupt<'_> {
+        fn name(&self) -> String {
+            format!("corrupted {}", self.inner.name())
+        }
+
+        fn replay(
+            &self,
+            ops: &mut dyn Iterator<Item = Op>,
+            trace: &mut Trace,
+        ) -> Result<(), String> {
+            let k = self.k;
+            let marker = Op::Preset { port: 0xDEAD, offset: k, value: 0xA5 };
+            let mut ops =
+                ops.enumerate().map(|(i, op)| if i as u64 == k { marker.clone() } else { op });
+            self.inner.replay(&mut ops, trace)
+        }
+    }
+
     #[test]
     fn op_stream_is_deterministic_and_exact() {
         let ir = ir(SPEC);
@@ -322,20 +465,25 @@ mod tests {
     #[test]
     fn rooted_and_linear_agree_on_equivalent_rigs() {
         let ir = ir(SPEC);
+        let (plans, reference) = (InProcess::plans(&ir), InProcess::reference(&ir));
         let ops: Vec<Op> = OpStream::new(&ir, 7, 500).collect();
-        crate::check_equivalence(&ir, &ops).unwrap();
-        let out = check_equivalence_rooted(&ir, &ops).unwrap();
+        let out = compare_runtimes(&ir, false, &ops).unwrap();
         assert_eq!(out.ops, 500);
         assert!(out.leaves > 500, "probe and final-state leaves follow the ops");
-        let streamed = check_equivalence_rooted_stream(&ir, 7, 500).unwrap();
+        let streamed = compare(&plans, &reference, || OpStream::new(&ir, 7, 500)).unwrap();
         assert_eq!(streamed.root, out.root, "slice and stream replays agree");
+        // A linear scan of the retained traces finds no divergent leaf.
+        let mut a = replay(&plans, ops.iter().cloned(), true, 0..0).unwrap();
+        let mut b = replay(&reference, ops.iter().cloned(), true, 0..0).unwrap();
+        assert_eq!(linear_divergence(a.log.mmr(), b.log.mmr()), None);
     }
 
     #[test]
     fn streaming_replay_memory_is_flat() {
         let ir = ir(SPEC);
-        let short = check_equivalence_rooted_stream(&ir, 3, 200).unwrap();
-        let long = check_equivalence_rooted_stream(&ir, 3, 20_000).unwrap();
+        let (plans, reference) = (InProcess::plans(&ir), InProcess::reference(&ir));
+        let short = compare(&plans, &reference, || OpStream::new(&ir, 3, 200)).unwrap();
+        let long = compare(&plans, &reference, || OpStream::new(&ir, 3, 20_000)).unwrap();
         assert_eq!(long.ops, 20_000);
         // O(peaks) + constant arenas: 100× the ops must not even
         // double the retained bytes.
@@ -351,30 +499,30 @@ mod tests {
     fn injected_divergence_bisects_to_the_op_the_linear_scan_names() {
         let ir = ir(SPEC);
         let n = 800u64;
-        let reference = replay_mmr(&ir, true, 11, n, true, None);
+        let plans = InProcess::plans(&ir);
         for k in [0u64, 1, 17, 399, 799] {
-            let mut mutated = replay_mmr(&ir, true, 11, n, true, Some(k));
-            let mut clean = reference.clone();
-            let d = bisect_divergence(clean.mmr(), mutated.mmr()).expect("corrupted leaf");
+            let corrupted = Corrupt { inner: &plans, k };
+            let m = compare(&plans, &corrupted, || OpStream::new(&ir, 11, n)).unwrap_err();
+            let d = m.divergence.expect("corrupted leaf");
             assert_eq!(d.leaf, k, "bisection names the injected op");
-            assert_eq!(linear_divergence(clean.mmr(), mutated.mmr()), Some(k));
-            let bound = 2 * (64 - n.leading_zeros() as u64) + 2;
+            let mut clean = replay(&plans, OpStream::new(&ir, 11, n), true, 0..0).unwrap();
+            let mut bad = replay(&corrupted, OpStream::new(&ir, 11, n), true, 0..0).unwrap();
+            assert_eq!(linear_divergence(clean.log.mmr(), bad.log.mmr()), Some(k));
+            let bound = 2 * (64 - m.leaves.leading_zeros() as u64) + 2;
             assert!(d.compares <= bound, "{} compares > {bound}", d.compares);
         }
     }
 
     #[test]
     fn mismatch_report_names_the_first_divergent_op() {
-        // Two *different* seeds replayed against each other via the
-        // public checker would both be internally equivalent, so fake
-        // a divergence through the corrupt hook at the replay level
-        // and check the reporting path end to end.
         let ir = ir(SPEC);
-        let mut a = replay_mmr(&ir, true, 5, 300, true, None);
-        let mut b = replay_mmr(&ir, false, 5, 300, true, Some(123));
-        assert_ne!(a.root(), b.root());
-        let d = bisect_divergence(a.mmr(), b.mmr()).unwrap();
-        assert_eq!(d.leaf, 123);
+        let plans = InProcess::plans(&ir);
+        let corrupted = Corrupt { inner: &InProcess::reference(&ir), k: 123 };
+        let m = compare(&plans, &corrupted, || OpStream::new(&ir, 5, 300)).unwrap_err();
+        assert_eq!(m.divergence.map(|d| d.leaf), Some(123));
+        assert!(m.report.contains("leaf 123 of"), "{m}");
+        assert!(m.report.contains("corrupted reference:\n"), "{m}");
+        assert!(m.report.contains("[123] preset 57005 0x7b 0xa5"), "{m}");
     }
 
     #[test]

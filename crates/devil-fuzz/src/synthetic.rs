@@ -4,7 +4,7 @@
 //!
 //! They join the shipped spec library in the differential fuzz targets
 //! (`tests/differential.rs`, `tests/fallback.rs`) and — where the plan
-//! is emittable — the compiled-C oracle (`tests/compiled_diff.rs`).
+//! is emittable — the compiled C and Rust oracle (`tests/compiled_diff.rs`).
 //! CI's nightly `fuzz-extended` and `compiled-diff` jobs enumerate the
 //! same lists at raised case counts.
 

@@ -2,8 +2,8 @@
 //! library: every minimized corpus must light up **all** compiled plan
 //! variants (and cell serves and superplan variants) of its spec, beat
 //! the uniform-random baseline at the same candidate budget, replay
-//! cleanly through the plans/reference and fused/unfused rooted
-//! differential comparators, and already be a minimization fixpoint.
+//! cleanly through the plans-vs-reference comparator (op and fused
+//! decodings), and already be a minimization fixpoint.
 //!
 //! Regenerate the shipped corpora after an emitter/decoder/spec change:
 //!
@@ -15,9 +15,8 @@ use devil_fuzz::coverage::{
     corpus_path, cover_stream, format_corpus, grow_corpus, minimize, shipped_corpus,
     uniform_coverage, Coverage, CoverageSpace,
 };
-use devil_fuzz::decode;
-use devil_fuzz::rooted::check_equivalence_rooted;
-use devil_fuzz::superfuzz::{check_superplan_equivalence_rooted, decode_super, install_synthetic};
+use devil_fuzz::superfuzz::{decode_super, install_synthetic};
+use devil_fuzz::{compare_runtimes, decode};
 use devil_ir::DeviceIr;
 use std::sync::OnceLock;
 
@@ -36,14 +35,14 @@ fn grow_budget() -> usize {
     std::env::var("CORPUS_BUDGET").ok().and_then(|s| s.parse().ok()).unwrap_or(BUDGET)
 }
 
-struct Rig {
+struct Spec {
     name: &'static str,
     ir: DeviceIr,
 }
 
-fn rigs() -> &'static [Rig] {
-    static RIGS: OnceLock<Vec<Rig>> = OnceLock::new();
-    RIGS.get_or_init(|| {
+fn specs() -> &'static [Spec] {
+    static SPECS: OnceLock<Vec<Spec>> = OnceLock::new();
+    SPECS.get_or_init(|| {
         drivers::specs::ALL
             .iter()
             .chain(devil_fuzz::synthetic::ALL)
@@ -55,7 +54,7 @@ fn rigs() -> &'static [Rig] {
                 } else {
                     drivers::superplans::install(&mut ir);
                 }
-                Rig { name, ir }
+                Spec { name, ir }
             })
             .collect()
     })
@@ -69,12 +68,12 @@ fn maybe_regenerate() {
         if std::env::var_os("UPDATE_CORPUS").is_none() {
             return;
         }
-        for rig in rigs() {
-            let grown = grow_corpus(&rig.ir, SEED, grow_budget());
-            let min = minimize(&rig.ir, &grown);
-            let path = corpus_path(rig.name);
+        for spec in specs() {
+            let grown = grow_corpus(&spec.ir, SEED, grow_budget());
+            let min = minimize(&spec.ir, &grown);
+            let path = corpus_path(spec.name);
             std::fs::create_dir_all(path.parent().unwrap()).expect("corpus dir");
-            std::fs::write(&path, format_corpus(rig.name, &min)).expect("write corpus");
+            std::fs::write(&path, format_corpus(spec.name, &min)).expect("write corpus");
             eprintln!(
                 "regenerated {}: {} grown -> {} minimized streams",
                 path.display(),
@@ -97,17 +96,17 @@ fn shipped_corpus_reaches_every_plan_variant() {
     let mut uniform_total = 0usize;
     let mut space_total = 0usize;
     let mut incomplete: Vec<String> = Vec::new();
-    for rig in rigs() {
-        let space = CoverageSpace::of(&rig.ir);
-        let corpus = shipped_corpus(rig.name);
+    for spec in specs() {
+        let space = CoverageSpace::of(&spec.ir);
+        let corpus = shipped_corpus(spec.name);
         let mut cov = Coverage::new(&space);
         for s in &corpus {
-            cover_stream(&rig.ir, &space, &mut cov, s);
+            cover_stream(&spec.ir, &space, &mut cov, s);
         }
-        let (uni, total) = uniform_coverage(&rig.ir, SEED ^ 1, BUDGET);
+        let (uni, total) = uniform_coverage(&spec.ir, SEED ^ 1, BUDGET);
         println!(
             "{:>10}: guided {}/{} ({} streams), uniform {}/{}",
-            rig.name,
+            spec.name,
             cov.covered(),
             total,
             corpus.len(),
@@ -118,7 +117,7 @@ fn shipped_corpus_reaches_every_plan_variant() {
         uniform_total += uni;
         space_total += total;
         if !cov.complete(&space) {
-            incomplete.push(format!("{}: unreached {:?}", rig.name, cov.unreached(&space)));
+            incomplete.push(format!("{}: unreached {:?}", spec.name, cov.unreached(&space)));
         }
     }
     println!(
@@ -142,33 +141,33 @@ fn shipped_corpus_reaches_every_plan_variant() {
 #[test]
 fn shipped_corpus_is_a_minimization_fixpoint() {
     maybe_regenerate();
-    for rig in rigs() {
-        let corpus = shipped_corpus(rig.name);
-        let min = minimize(&rig.ir, &corpus);
+    for spec in specs() {
+        let corpus = shipped_corpus(spec.name);
+        let min = minimize(&spec.ir, &corpus);
         assert_eq!(
             min, corpus,
             "{}: shipped corpus is not minimal; regenerate with UPDATE_CORPUS=1",
-            rig.name
+            spec.name
         );
     }
 }
 
-/// Every corpus stream replays through the rooted plans-vs-reference
-/// comparator and (where the spec fuses) the rooted fused-vs-unfused
-/// comparator: the corpus is differential-fuzz input, not just a
-/// coverage artifact.
+/// Every corpus stream replays through the plans-vs-reference
+/// comparator, decoded as ops and (where the spec fuses) as fused
+/// calls: the corpus is differential-fuzz input, not just a coverage
+/// artifact.
 #[test]
 fn corpus_streams_pass_rooted_differential_comparators() {
     maybe_regenerate();
-    for rig in rigs() {
-        for (i, words) in shipped_corpus(rig.name).iter().enumerate() {
-            let ops = decode(&rig.ir, words);
-            check_equivalence_rooted(&rig.ir, &ops)
-                .unwrap_or_else(|e| panic!("{} corpus stream {i}: {e}", rig.name));
-            if !rig.ir.superplans().is_empty() {
-                let seq = decode_super(&rig.ir, words);
-                check_superplan_equivalence_rooted(&rig.ir, &seq)
-                    .unwrap_or_else(|e| panic!("{} corpus stream {i} (fused): {e}", rig.name));
+    for spec in specs() {
+        for (i, words) in shipped_corpus(spec.name).iter().enumerate() {
+            let ops = decode(&spec.ir, words);
+            compare_runtimes(&spec.ir, false, &ops)
+                .unwrap_or_else(|e| panic!("{} corpus stream {i}: {e}", spec.name));
+            if !spec.ir.superplans().is_empty() {
+                let seq = decode_super(&spec.ir, words);
+                compare_runtimes(&spec.ir, false, &seq)
+                    .unwrap_or_else(|e| panic!("{} corpus stream {i} (fused): {e}", spec.name));
             }
         }
     }

@@ -9,23 +9,22 @@
 //! `PROPTEST_SEED` that replays it exactly; CI's scheduled job raises
 //! the case count via `PROPTEST_CASES`.
 
+mod common;
+
+use common::Skewed;
 use devil_fuzz::coverage::shipped_corpus;
-use devil_fuzz::rooted::{
-    check_equivalence_rooted, check_equivalence_rooted_stream, diff_ops, replay_mmr,
-};
-use devil_fuzz::{
-    check_checked_equivalence, check_equivalence, decode, init_sweep_ops, sweep_ops,
-    CheckedOutcome, Op,
-};
+use devil_fuzz::rooted::{diff_ops, splitmix64, OpStream};
+use devil_fuzz::superfuzz::{decode_super, install_synthetic};
+use devil_fuzz::{compare, compare_runtimes, decode, init_sweep_ops, sweep_ops, InProcess, Op};
 use devil_ir::DeviceIr;
 use devil_runtime::{DeviceInstance, FakeAccess};
-use hwsim::mmr::{bisect_divergence, linear_divergence};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
 /// The 8-spec library plus the synthetic formerly-fallback specs
 /// (self-written tested, mem-cell tested, action-nested conditionals),
-/// lowered once. Every differential check below runs over all of them.
+/// lowered once with their superplans installed. Every differential
+/// check below runs over all of them.
 fn irs() -> &'static Vec<(&'static str, DeviceIr)> {
     static IRS: OnceLock<Vec<(&'static str, DeviceIr)>> = OnceLock::new();
     IRS.get_or_init(|| {
@@ -34,14 +33,21 @@ fn irs() -> &'static Vec<(&'static str, DeviceIr)> {
             .chain(devil_fuzz::synthetic::ALL)
             .map(|(name, src)| {
                 let model = devil_sema::check_source(src, &[]).expect("embedded spec checks");
-                (*name, devil_ir::lower(&model))
+                let mut ir = devil_ir::lower(&model);
+                if devil_fuzz::synthetic::ALL.iter().any(|(n, _)| n == name) {
+                    install_synthetic(name, &mut ir);
+                } else {
+                    drivers::superplans::install(&mut ir);
+                }
+                (*name, ir)
             })
             .collect()
     })
 }
 
 /// The deterministic coverage sweep: every variable, structure and
-/// block transfer of every device, against both engines.
+/// block transfer of every device, against both engines. The compare
+/// accounts for every op, then the probe and final-state leaves.
 #[test]
 fn coverage_sweep_agrees_on_all_devices() {
     for (name, ir) in irs() {
@@ -51,9 +57,10 @@ fn coverage_sweep_agrees_on_all_devices() {
         let synthetic = devil_fuzz::synthetic::ALL.iter().any(|(n, _)| n == name);
         let floor = if synthetic { 0 } else { 4 };
         assert!(ops.len() > floor, "{name}: sweep generated {} ops", ops.len());
-        if let Err(e) = check_equivalence(ir, &ops) {
-            panic!("{name}: plans and reference diverge on the sweep\n{e}");
-        }
+        let out = compare_runtimes(ir, false, &ops)
+            .unwrap_or_else(|e| panic!("{name}: plans and reference diverge on the sweep\n{e}"));
+        assert_eq!(out.ops, ops.len() as u64, "{name}");
+        assert!(out.leaves > out.ops, "{name}: probe and final-state leaves missing");
     }
 }
 
@@ -91,7 +98,7 @@ fn spec_library_compiles_the_expected_plans() {
 fn init_sequence_sweep_agrees_on_all_devices() {
     for (name, ir) in irs() {
         let ops = init_sweep_ops(ir);
-        if let Err(e) = check_equivalence(ir, &ops) {
+        if let Err(e) = compare_runtimes(ir, false, &ops) {
             panic!("{name}: init sweep diverges\n{e}");
         }
     }
@@ -186,7 +193,7 @@ fn formerly_fallback_specs_dispatch_on_plans() {
         let stats = inst.plan_stats();
         assert_eq!(stats.general, 0, "{name}: general dispatches in fast mode: {stats:?}");
         assert!(stats.straight + stats.guarded > 0, "{name}: workload hit no plans: {stats:?}");
-        check_equivalence(&ir, &ops).unwrap_or_else(|e| panic!("{name}: {e}"));
+        compare_runtimes(&ir, false, &ops).unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }
 
@@ -198,21 +205,23 @@ fn formerly_fallback_specs_dispatch_on_plans() {
 /// plans. Both kinds of check must actually fire across the library.
 #[test]
 fn checked_mode_agrees_with_the_reference() {
-    let mut total = CheckedOutcome::default();
+    let (mut ops_total, mut write_rejects, mut read_rejects) = (0, 0, 0);
     for (name, ir) in irs() {
         let mut streams = vec![sweep_ops(ir), init_sweep_ops(ir)];
         streams.extend(shipped_corpus(name).iter().map(|words| decode(ir, words)));
         for (k, ops) in streams.iter().enumerate() {
-            let out = check_checked_equivalence(ir, ops)
+            let out = compare_runtimes(ir, true, ops)
                 .unwrap_or_else(|e| panic!("{name} stream {k}: checked mode diverges\n{e}"));
-            assert_eq!(out.ops, ops.len(), "{name} stream {k}: no nested write check fires");
-            total.ops += out.ops;
-            total.write_rejects += out.write_rejects;
-            total.read_rejects += out.read_rejects;
+            assert_eq!(out.ops, ops.len() as u64, "{name} stream {k}: no nested write check fires");
+            ops_total += out.ops;
+            write_rejects += out.write_rejects;
+            read_rejects += out.read_rejects;
         }
     }
-    println!("checked replay: {total:?}");
-    assert!(total.write_rejects > 0, "{total:?}");
+    println!(
+        "checked replay: {ops_total} ops, {write_rejects} write / {read_rejects} read rejects"
+    );
+    assert!(write_rejects > 0);
     // No shipped spec reads a sparse value set, so the read check fires
     // on a fixture: both engines read 19, then reject it.
     let model = devil_sema::check_source(
@@ -232,34 +241,20 @@ fn checked_mode_agrees_with_the_reference() {
         Op::Preset { port: 0, offset: 0, value: 25 },
         Op::ReadVar { vid: mode, args: vec![] },
     ];
-    let out = check_checked_equivalence(&ir, &ops).unwrap();
-    assert_eq!((out.ops, out.write_rejects, out.read_rejects), (ops.len(), 1, 1));
+    let out = compare_runtimes(&ir, true, &ops).unwrap();
+    assert_eq!((out.ops, out.write_rejects, out.read_rejects), (ops.len() as u64, 1, 1));
 }
 
-/// The rooted comparator agrees with the linear one on the coverage
-/// sweep of every device — and both replays of the same ops produce
-/// the same 32-byte root, whether fed a slice or a generated stream.
-#[test]
-fn rooted_sweep_agrees_on_all_devices() {
-    for (name, ir) in irs() {
-        let ops = sweep_ops(ir);
-        let out = check_equivalence_rooted(ir, &ops)
-            .unwrap_or_else(|e| panic!("{name}: rooted sweep diverges\n{e}"));
-        assert_eq!(out.ops, ops.len() as u64, "{name}");
-    }
-}
-
-/// The long-replay gate, previously impossible: the linear comparator
-/// retained every observation string from both rigs, capping replay
-/// length; the rooted comparator streams in O(peaks) memory, so the
-/// horizon is a knob. Default 20k ops per spec on PR runs; the nightly
-/// `diff-longrun` job sets `DIFF_OPS=1000000` (mirroring
-/// `PROPTEST_CASES`) to push a million ops per spec.
+/// The long-replay gate: the comparator streams both rigs in O(peaks)
+/// memory, so the horizon is a knob. Default 20k ops per spec on PR
+/// runs; the nightly `diff-longrun` job sets `DIFF_OPS=1000000`
+/// (mirroring `PROPTEST_CASES`) to push a million ops per spec.
 #[test]
 fn diff_longrun_root_compare() {
     let n = diff_ops(20_000);
     for (name, ir) in irs() {
-        let out = check_equivalence_rooted_stream(ir, 0xD1FF, n)
+        let (plans, reference) = (InProcess::plans(ir), InProcess::reference(ir));
+        let out = compare(&plans, &reference, || OpStream::new(ir, 0xD1FF, n))
             .unwrap_or_else(|e| panic!("{name}: {n}-op rooted replay diverges\n{e}"));
         assert_eq!(out.ops, n, "{name}");
         assert!(
@@ -278,39 +273,49 @@ proptest! {
     #[test]
     fn fast_plan_and_general_interpreter_agree(words in collection::vec(any::<u64>(), 1..48)) {
         for (name, ir) in irs() {
-            let ops = decode(ir, &words);
-            let r = check_equivalence(ir, &ops);
-            prop_assert!(r.is_ok(), "{}: {}", name, r.err().unwrap_or_default());
+            let r = compare_runtimes(ir, false, &decode(ir, &words));
+            prop_assert!(r.is_ok(), "{}: {}", name, r.err().unwrap());
         }
     }
 
-    /// Rooted and linear comparators agree on random streams, and the
-    /// roots of the two engines match each other.
+    /// A second, independent draw of random op streams through the same
+    /// compare.
     #[test]
     fn rooted_comparator_agrees_on_random_streams(words in collection::vec(any::<u64>(), 1..48)) {
         for (name, ir) in irs() {
-            let ops = decode(ir, &words);
-            let r = check_equivalence_rooted(ir, &ops);
-            prop_assert!(r.is_ok(), "{}: {}", name, r.err().unwrap_or_default());
+            let r = compare_runtimes(ir, false, &decode(ir, &words));
+            prop_assert!(r.is_ok(), "{}: {}", name, r.err().unwrap());
         }
     }
 
     /// Sensitivity at the harness level: corrupt exactly one op's leaf
-    /// in a replay and bisection must name that op — the same index a
-    /// linear leaf scan finds — within the O(log N) compare budget.
+    /// in a replay and bisection must name that op within the O(log N)
+    /// compare budget. On superplan-bearing specs half the cases draw a
+    /// fused stream (`decode_super`), so the corrupted op may sit
+    /// between or on fused calls.
     #[test]
     fn bisection_names_injected_divergences(seed in any::<u64>(), n in 16u64..600, pick in any::<u64>()) {
         let (name, ir) = &irs()[(seed % irs().len() as u64) as usize];
-        let k = pick % n;
-        let mut clean = replay_mmr(ir, true, seed, n, true, None);
-        let mut mutated = replay_mmr(ir, true, seed, n, true, Some(k));
-        let d = bisect_divergence(clean.mmr(), mutated.mmr());
-        prop_assert!(d.is_some(), "{}: corrupted replay must diverge", name);
-        let d = d.unwrap();
-        prop_assert_eq!(d.leaf, k, "{}: bisection names the corrupted op", name);
-        prop_assert_eq!(linear_divergence(clean.mmr(), mutated.mmr()), Some(k));
-        let leaves = clean.len().max(mutated.len());
-        let bound = 2 * (64 - leaves.leading_zeros() as u64) + 2;
+        let plans = InProcess::plans(ir);
+        let fused = !ir.superplans().is_empty() && pick >> 63 == 1;
+        let super_ops: Vec<Op> = if fused {
+            let mut state = seed;
+            decode_super(ir, &(0..n).map(|_| splitmix64(&mut state)).collect::<Vec<_>>())
+        } else {
+            Vec::new()
+        };
+        let k = pick % if fused { super_ops.len() as u64 } else { n };
+        let marker = Op::Preset { port: 0xDEAD, offset: k, value: 0xA5 };
+        let corrupted = Skewed::new(&plans, |i, op| Some(if i == k { marker.clone() } else { op }));
+        let r = if fused {
+            compare(&plans, &corrupted, || super_ops.iter().cloned())
+        } else {
+            compare(&plans, &corrupted, || OpStream::new(ir, seed, n))
+        };
+        let m = r.expect_err("a corrupted replay must diverge");
+        let d = m.divergence.expect("a leaf diverges");
+        prop_assert_eq!(d.leaf, k, "{}: bisection names the corrupted op (fused {})", name, fused);
+        let bound = 2 * (64 - m.leaves.leading_zeros() as u64) + 2;
         prop_assert!(d.compares <= bound, "{}: {} compares > {}", name, d.compares, bound);
     }
 }

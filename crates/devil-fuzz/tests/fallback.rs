@@ -10,7 +10,7 @@
 //! cannot plan are pinned too: recorded in `plan_fallbacks()` and
 //! rejected with `RtError::Unplanned` before the device is touched.
 
-use devil_fuzz::{check_equivalence, synthetic, Op};
+use devil_fuzz::{compare_runtimes, synthetic, Op};
 use devil_ir::DeviceIr;
 use devil_runtime::{DeviceInstance, FakeAccess, RtError};
 
@@ -61,7 +61,7 @@ fn self_written_tested_variable_compiles_input_guards() {
         Op::WriteVar { vid: w, args: vec![], value: 0 },
         Op::WriteVar { vid: w, args: vec![], value: 1 },
     ];
-    check_equivalence(&ir, &ops).unwrap();
+    compare_runtimes(&ir, false, &ops).unwrap();
 }
 
 /// Cause 2 (retired): the serialization condition tests a memory-cell
@@ -114,7 +114,7 @@ fn mem_cell_tested_variable_compiles_cell_guards() {
         Op::WriteVar { vid: m, args: vec![], value: 0x5a5a },
         Op::WriteVar { vid: w, args: vec![], value: 0b11 },
     ];
-    check_equivalence(&ir, &ops).unwrap();
+    compare_runtimes(&ir, false, &ops).unwrap();
 }
 
 /// Cause 3 (retired): a nested conditional order reached through an
@@ -153,7 +153,7 @@ fn nested_conditional_through_action_compiles_straight() {
         Op::Preset { port: 0, offset: 2, value: 0x42 },
         Op::ReadVar { vid: payload, args: vec![] },
     ];
-    check_equivalence(&ir, &ops).unwrap();
+    compare_runtimes(&ir, false, &ops).unwrap();
 }
 
 /// Family-instance aliasing: a tested variable on one instance of a
@@ -183,7 +183,7 @@ fn family_instance_shapes_stay_equivalent() {
         Op::WriteVar { vid: t, args: vec![], value: 0 },
         Op::WriteVar { vid: w, args: vec![], value: 0 },
     ];
-    check_equivalence(&distinct, &ops).unwrap();
+    compare_runtimes(&distinct, false, &ops).unwrap();
 
     let spanning = ir(r#"device d (base : bit[8] port @ {0..1}) {
         register f(i : int{0..1}) = write base @ i : bit[8];
@@ -210,7 +210,7 @@ fn family_instance_shapes_stay_equivalent() {
         Op::WriteVar { vid: spanning.var_id("rest1").unwrap(), args: vec![], value: 2 },
         Op::WriteVar { vid: spanning.var_id("t").unwrap(), args: vec![], value: 1 },
     ];
-    check_equivalence(&spanning, &ops).unwrap();
+    compare_runtimes(&spanning, false, &ops).unwrap();
 }
 
 /// A memory-cell variable with family arguments has one cell for every
@@ -269,7 +269,7 @@ fn nested_conditional_on_entry_state_guard_splits() {
         Op::Preset { port: 0, offset: 2, value: 0x42 },
         Op::ReadVar { vid: payload, args: vec![] },
     ];
-    check_equivalence(&ir, &ops).unwrap();
+    compare_runtimes(&ir, false, &ops).unwrap();
 }
 
 /// Fused superplans over a cell-guarded access stay fused for every
@@ -277,7 +277,7 @@ fn nested_conditional_on_entry_state_guard_splits() {
 /// is total and the fused body matches the reference's op-by-op run.
 #[test]
 fn fused_superplan_masked_cell_stays_fused() {
-    use devil_fuzz::superfuzz::{check_superplan_equivalence, install_synthetic, SuperCall};
+    use devil_fuzz::superfuzz::{install_synthetic, SuperCall};
 
     let mut ir = ir(synthetic::MEM_TESTED);
     install_synthetic("memw", &mut ir);
@@ -304,14 +304,10 @@ fn fused_superplan_masked_cell_stays_fused() {
     assert_eq!(&dev.log[mark..], &[(true, 0, 0, 0x55), (true, 0, 0, 0x55), (true, 0, 1, 1)]);
 
     let seq = vec![
-        (
-            vec![Op::WriteVar { vid: m, args: vec![], value: 1 }],
-            SuperCall { sid, args: vec![0x2a, 0b11], block_out: vec![], block_in_len: 0 },
-        ),
-        (
-            vec![Op::WriteVar { vid: m, args: vec![], value: 0x5a5b }],
-            SuperCall { sid, args: vec![0x15, 0b01], block_out: vec![], block_in_len: 0 },
-        ),
+        Op::WriteVar { vid: m, args: vec![], value: 1 },
+        Op::Super(SuperCall { sid, args: vec![0x2a, 0b11], block_out: vec![], block_in_len: 0 }),
+        Op::WriteVar { vid: m, args: vec![], value: 0x5a5b },
+        Op::Super(SuperCall { sid, args: vec![0x15, 0b01], block_out: vec![], block_in_len: 0 }),
     ];
-    check_superplan_equivalence(&ir, &seq).unwrap();
+    compare_runtimes(&ir, false, &seq).unwrap();
 }

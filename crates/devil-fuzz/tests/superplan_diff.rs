@@ -2,23 +2,22 @@
 //!
 //! Fusion is pure dispatch batching: a fused superplan must issue the
 //! identical device-op stream its unfused op-by-op sequence would, so
-//! the two paths are compared on caller observations, the device op
-//! log, final device state and a cache-coherence probe — across the
-//! shipped driver superplans and the synthetic fixture superplans.
+//! the plans' fused calls and the reference's op-by-op runs go through
+//! the one comparator (caller observations, the device op log, final
+//! device state and a cache-coherence probe) — across the shipped
+//! driver superplans and the synthetic fixture superplans, with debug
+//! checks off and on.
 //!
 //! The ledger-shape property pins the accounting side: a fused
 //! dispatch's exact `hwsim::Ledger` delta and sim-time advance must
 //! equal what the superplan's declared [`ShapeOp`] sequence predicts
 //! under the bus cost model.
 
-use devil_fuzz::superfuzz::{
-    check_superplan_equivalence, check_superplan_equivalence_rooted, decode_super,
-    install_synthetic, super_sweep,
-};
-use devil_fuzz::{run, sweep_ops, Engine, Op};
+use devil_fuzz::coverage::shipped_corpus;
+use devil_fuzz::superfuzz::{decode_super, install_synthetic, super_sweep};
+use devil_fuzz::{compare_runtimes, run, sweep_ops, Engine, Op};
 use devil_ir::{DeviceIr, ShapeOp};
 use devil_runtime::{DeviceInstance, FakeAccess, MappedPort, PortMap};
-use devil_sema::model::VarId;
 use hwsim::{Bus, CostModel, Ledger};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -67,37 +66,54 @@ fn superplan_surface_is_complete() {
 }
 
 /// Warms an instance for all-fused dispatch: the full coverage sweep
-/// validates every cache slot, then an in-range write of every
-/// writable variable repairs the memory cells the sweep deliberately
-/// stored raw (cells hold unmasked values, and an out-of-range cell
-/// makes fused selection fall back — that path is pinned separately in
-/// `tests/fallback.rs`).
+/// validates every cache slot.
 fn warm(ir: &DeviceIr, inst: &mut DeviceInstance, dev: &mut FakeAccess) {
     run(Engine::Plans(inst), dev, &sweep_ops(ir));
-    let repair: Vec<Op> = (0..ir.vars.len() as u32)
-        .map(VarId)
-        .filter(|&v| ir.var(v).writable)
-        .map(|vid| Op::WriteVar {
-            vid,
-            args: ir.var(vid).params.iter().map(|p| p.values[0].0).collect(),
-            value: 0,
-        })
-        .collect();
-    run(Engine::Plans(inst), dev, &repair);
 }
 
 /// The deterministic sweep: every superplan of every spec, four rounds
 /// of varying operands and block lengths (including zero-length
-/// blocks), fused vs unfused.
+/// blocks), fused vs unfused. The compare accounts for every call, then
+/// the probe and final-state leaves.
 #[test]
 fn fused_sweep_is_indistinguishable_from_unfused() {
     for (name, ir) in irs() {
         let seq = super_sweep(ir);
         assert!(!seq.is_empty(), "{name}: sweep generated no superplan calls");
-        if let Err(e) = check_superplan_equivalence(ir, &seq) {
-            panic!("{name}: fused and unfused superplan paths diverge on the sweep\n{e}");
+        let out = compare_runtimes(ir, false, &seq).unwrap_or_else(|e| {
+            panic!("{name}: fused and unfused superplan paths diverge on the sweep\n{e}")
+        });
+        assert_eq!(out.ops, seq.len() as u64, "{name}");
+        assert!(out.leaves > out.ops, "{name}: probe and final-state leaves missing");
+    }
+}
+
+/// Checked mode over fused streams: every spec's superplan sweep and
+/// the fused decoding of its shipped corpus replay with debug checks on
+/// in both engines. Verdicts match call for call and a rejected fused
+/// call never reaches the device. The plans reject a fused call before
+/// any bus op, while the reference has already written the ops before
+/// the rejected one: the compare stops there by design, which in the
+/// sweeps happens only to memw's, at call 1.
+#[test]
+fn checked_fused_streams_agree_with_the_reference() {
+    let mut write_rejects = 0;
+    for (name, ir) in irs() {
+        let sweep = super_sweep(ir);
+        let out = compare_runtimes(ir, true, &sweep)
+            .unwrap_or_else(|e| panic!("{name}: checked fused sweep diverges\n{e}"));
+        let expected = if *name == "memw" { 1 } else { sweep.len() as u64 };
+        assert_eq!(out.ops, expected, "{name}: checked sweep stopped at call {}", out.ops);
+        write_rejects += out.write_rejects;
+        for (i, words) in shipped_corpus(name).iter().enumerate() {
+            let out = compare_runtimes(ir, true, &decode_super(ir, words)).unwrap_or_else(|e| {
+                panic!("{name} corpus stream {i}: checked fused diverges\n{e}")
+            });
+            write_rejects += out.write_rejects;
         }
     }
+    println!("checked fused replay: {write_rejects} write rejects");
+    assert!(write_rejects > 0, "no fused call was rejected");
 }
 
 /// With caches warm and every cell in range, the fused path serves
@@ -111,7 +127,8 @@ fn warm_sweeps_run_entirely_fused() {
         warm(ir, &mut inst, &mut dev);
         let before = inst.plan_stats();
         let seq = super_sweep(ir);
-        for (_, call) in &seq {
+        for op in &seq {
+            let Op::Super(call) = op else { unreachable!("a sweep of superplan calls") };
             let mut block_in = vec![0u64; call.block_in_len];
             let mut outs = vec![0u64; ir.superplans()[call.sid].outputs];
             inst.run_superplan(
@@ -240,20 +257,6 @@ fn fused_ledger_delta_matches_declared_shape() {
     }
 }
 
-/// The rooted fused-vs-unfused comparator condenses the sweep to one
-/// 32-byte root per rig and agrees with the linear comparator's
-/// verdict on every superplan-bearing spec.
-#[test]
-fn rooted_fused_sweep_agrees_on_all_devices() {
-    for (name, ir) in irs() {
-        let seq = super_sweep(ir);
-        let out = check_superplan_equivalence_rooted(ir, &seq)
-            .unwrap_or_else(|e| panic!("{name}: rooted fused sweep diverges\n{e}"));
-        assert_eq!(out.calls, seq.len() as u64, "{name}");
-        assert!(out.leaves > out.calls, "{name}: probe and final-state leaves missing");
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
@@ -267,20 +270,19 @@ proptest! {
         let specs = irs();
         let (name, ir) = &specs[(words[0] % specs.len() as u64) as usize];
         let seq = decode_super(ir, &words[1..]);
-        if let Err(e) = check_superplan_equivalence(ir, &seq) {
+        if let Err(e) = compare_runtimes(ir, false, &seq) {
             panic!("{name}: fused and unfused superplan paths diverge\n{e}");
         }
     }
 
-    /// The rooted comparator reaches the same verdict on random
-    /// superplan streams.
+    /// A second, independent draw of shorter random superplan streams.
     #[test]
     fn rooted_random_superplan_streams_agree(words in collection::vec(any::<u64>(), 2..24)) {
         let specs = irs();
         let (name, ir) = &specs[(words[0] % specs.len() as u64) as usize];
         let seq = decode_super(ir, &words[1..]);
-        if let Err(e) = check_superplan_equivalence_rooted(ir, &seq) {
-            panic!("{name}: rooted fused/unfused comparison diverges\n{e}");
+        if let Err(e) = compare_runtimes(ir, false, &seq) {
+            panic!("{name}: fused and unfused superplan paths diverge\n{e}");
         }
     }
 }
