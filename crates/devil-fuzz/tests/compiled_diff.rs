@@ -1,373 +1,91 @@
-//! The compiled-stub differential oracle over the whole embedded spec
-//! library, for both emitted back ends: emit the C header and the Rust
-//! module, compile each with a generated bus-shim harness (`cc`,
-//! `rustc`), replay fuzz op-streams through every compiled binary and
-//! through the plan executor's harness view, and compare bus logs,
-//! read results and final cache state.
-//!
-//! Each back end skips loudly (but green) on its own when its compiler
-//! is missing, so tier-1 stays runnable anywhere. Artifacts are
-//! content-hashed into `CARGO_TARGET_TMPDIR`, so repeated runs (and CI
-//! caches of `target/tmp`) compile each spec at most once per
-//! emitter/spec revision. CI runs this on every PR at the default case
-//! count and nightly with `PROPTEST_CASES=1024`.
+//! The compiled-C differential oracle: every spec's emitted C header,
+//! compiled with `cc` and a generated bus-shim harness, against the
+//! plan executor. The test bodies are shared with the Rust back end's
+//! suite (`compiled_rust_diff.rs`) in `oracle/mod.rs`. CI runs this on
+//! every PR at the default case count and nightly with
+//! `PROPTEST_CASES=1024`.
 
 mod common;
+mod oracle;
 
-use common::Skewed;
-use devil_fuzz::compiled::{stub_expresses, Backend, CompiledHarness};
-use devil_fuzz::superfuzz::{decode_super, install_synthetic, super_sweep};
-use devil_fuzz::{compare, decode, init_sweep_ops, render, sweep_ops, Mismatch, Op, Outcome};
+use devil_fuzz::compiled::Backend::C;
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::OnceLock;
 
-fn oracle_dir() -> PathBuf {
-    std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("compiled-oracle")
-}
-
-/// The back ends whose compiler is on PATH. Every call names each
-/// skipped back end; the probe spawns processes, so it runs once per
-/// test binary.
-fn backends() -> &'static [Backend] {
-    static AVAILABLE: OnceLock<Vec<Backend>> = OnceLock::new();
-    let available =
-        AVAILABLE.get_or_init(|| Backend::ALL.into_iter().filter(|b| b.available()).collect());
-    for b in Backend::ALL.iter().filter(|b| !available.contains(b)) {
-        eprintln!("skipping the compiled-{b} oracle: no `{}` on PATH", b.compiler());
-    }
-    available
-}
-
-fn synthetic(name: &str) -> bool {
-    devil_fuzz::synthetic::ALL.iter().any(|(n, _)| *n == name)
-}
-
-/// The 8-spec library plus the synthetic formerly-fallback specs,
-/// lowered and compiled once per test binary for every available back
-/// end. Ops a spec's stub surface cannot express (memw's cell-guarded
-/// `w` setter keeps the runtime API) are dropped identically by both
-/// rigs of a compare.
-fn harnesses() -> &'static [CompiledHarness] {
-    static HARNESSES: OnceLock<Vec<CompiledHarness>> = OnceLock::new();
-    let backends = backends();
-    HARNESSES.get_or_init(|| {
-        let mut out = Vec::new();
-        for (name, src) in drivers::specs::ALL.iter().chain(devil_fuzz::synthetic::ALL) {
-            let model = devil_sema::check_source(src, &[]).expect("embedded spec checks");
-            let mut ir = devil_ir::lower(&model);
-            // The same superplan surface the runtime ships: driver
-            // declarations on the shipped specs, fixture fusions on the
-            // synthetic fallback shapes.
-            if synthetic(name) {
-                install_synthetic(name, &mut ir);
-            } else {
-                drivers::superplans::install(&mut ir);
-            }
-            for &backend in backends {
-                out.push(CompiledHarness::build(backend, name, &ir, &oracle_dir()).unwrap_or_else(
-                    |e| panic!("{name}: cannot build the compiled-{backend} oracle: {e}"),
-                ));
-            }
-        }
-        out
-    })
-}
-
-fn named(name: &str) -> impl Iterator<Item = &'static CompiledHarness> + '_ {
-    harnesses().iter().filter(move |h| h.name == name)
-}
-
-/// The compiled stubs against the plan executor's harness view.
-fn diff(h: &CompiledHarness, ops: &[Op]) -> Result<Outcome, Mismatch> {
-    compare(&h.view(), h, || ops.iter().cloned())
-}
-
-fn assert_agrees(h: &CompiledHarness, ops: &[Op]) {
-    if let Err(e) = diff(h, ops) {
-        panic!("{} ({}): {e}", h.name, h.backend);
-    }
-}
-
-/// Every spec's stub surface is non-trivial in both back ends: the
-/// oracle is replaying real work, not an empty filtered stream. Every
-/// module compiled, or the harness constructor would have panicked.
 #[test]
 fn stub_surface_covers_the_spec_library() {
-    for h in harnesses() {
-        assert!(
-            !h.api.read_vars.is_empty() || !h.api.write_vars.is_empty(),
-            "{}: no variable stubs emitted",
-            h.name
-        );
-        let ops = sweep_ops(&h.ir);
-        let kept = ops.iter().filter(|op| stub_expresses(&h.ir, &h.api, op)).count();
-        // Shipped specs keep the wide-coverage floor; the synthetic
-        // fallback shapes are deliberately tiny.
-        let floor = if synthetic(&h.name) { 0 } else { 4 };
-        assert!(kept > floor, "{}: sweep filtered down to {kept} ops", h.name);
-    }
-    // The guard-split flagship: pic8259's conditional init flush is a
-    // compiled stub, exercised through every guard combination below.
-    for pic in named("pic8259") {
-        let init = pic.ir.struct_id("init").unwrap();
-        assert!(pic.api.write_structs.contains(&init), "pic init flush must be compiled");
-    }
+    oracle::stub_surface_covers_the_spec_library(C);
 }
 
-/// The deterministic coverage sweep, compiled stubs vs the plans.
 #[test]
 fn coverage_sweep_matches_compiled_stubs() {
-    for h in harnesses() {
-        assert_agrees(h, &sweep_ops(&h.ir));
-    }
+    oracle::coverage_sweep_matches(C);
 }
 
-/// The guard-domain init sweep: every structure flushed across its
-/// whole guard cross product, compiled stubs vs the plans.
 #[test]
 fn init_sequence_sweep_matches_compiled_stubs() {
-    for h in harnesses() {
-        assert_agrees(h, &init_sweep_ops(&h.ir));
-    }
+    oracle::init_sequence_sweep_matches(C);
 }
 
-/// Cold-cache reads: the generated idempotent getters must perform the
-/// same device I/O as `read_id` on a never-touched cache, then serve
-/// later reads without I/O — validity tracking, not zero-initialization,
-/// decides.
 #[test]
 fn cold_and_warm_reads_match_compiled_stubs() {
-    for h in harnesses() {
-        let mut ops: Vec<Op> = Vec::new();
-        for &vid in &h.api.read_vars {
-            ops.push(Op::ReadVar { vid, args: Vec::new() });
-            ops.push(Op::ReadVar { vid, args: Vec::new() });
-        }
-        assert_agrees(h, &ops);
-    }
+    oracle::cold_and_warm_reads_match(C);
 }
 
-/// Private (memory-cell) structure fields: staging, set-actions and
-/// cached getters must agree between compiled stubs and the plans.
-/// Regression for the lowering bug where such fields carried an empty
-/// slot-assemble list and the cached getter returned 0.
 #[test]
 fn private_struct_fields_agree_with_compiled_stubs() {
-    let src = r#"device privfield (base : bit[8] port @ {0..0}) {
-        register a = base @ 0, set {pm = true} : bit[8];
-        structure s = {
-          private variable pm : bool;
-          variable fa = a : int(8);
-        };
-    }"#;
-    let model = devil_sema::check_source(src, &[]).expect("probe spec checks");
-    let ir = devil_ir::lower(&model);
-    let pm = ir.var_id("pm").unwrap();
-    let fa = ir.var_id("fa").unwrap();
-    let sid = ir.struct_id("s").unwrap();
-    let ops = vec![
-        Op::WriteVar { vid: pm, args: vec![], value: 0x55 },
-        Op::ReadVar { vid: pm, args: vec![] },
-        Op::WriteStruct { sid, values: vec![(pm, 0), (fa, 0x7e)] },
-        Op::ReadStruct { sid },
-        Op::ReadVar { vid: pm, args: vec![] },
-    ];
-    for &backend in backends() {
-        let h = CompiledHarness::build(backend, "privfield", &ir, &oracle_dir())
-            .expect("probe stub builds");
-        assert_agrees(&h, &ops);
-    }
+    oracle::private_struct_fields_agree(C);
 }
 
-/// The formerly-fallback shapes present exactly the expected stub
-/// surface in both back ends: input-sourced guards (selfw) and inlined
-/// nested conditionals (nestedc/nestede) emit; cell-sourced guards
-/// (memw's `w`) are rejected by `plan_emittable` — never mis-emitted —
-/// and keep the runtime API behind a marker comment. The emittable
-/// shapes then replay guard-hammering streams through the oracle.
 #[test]
 fn formerly_fallback_shapes_join_the_compiled_oracle() {
-    for selfw in named("selfw") {
-        let w = selfw.ir.var_id("w").unwrap();
-        assert!(selfw.api.writes_var(w), "input-guarded write must emit");
-        let rest = selfw.ir.var_id("rest").unwrap();
-        let ops = vec![
-            Op::WriteVar { vid: w, args: vec![], value: 1 },
-            Op::WriteVar { vid: rest, args: vec![], value: 0x5a },
-            Op::WriteVar { vid: w, args: vec![], value: 0 },
-            Op::WriteVar { vid: rest, args: vec![], value: 0x2a },
-            Op::WriteVar { vid: w, args: vec![], value: 1 },
-        ];
-        assert_agrees(selfw, &ops);
-    }
-
-    for memw in named("memw") {
-        let mw = memw.ir.var_id("w").unwrap();
-        assert!(memw.ir.var(mw).write_plan.is_some(), "the cell-guarded plan compiles");
-        assert!(!memw.api.writes_var(mw), "cell-guarded writes must keep the runtime API");
-        let stubs = memw.backend.emit(&memw.ir, "memw");
-        assert!(
-            stubs.to_lowercase().contains("variable `w` (write): not plan-compiled"),
-            "{}: {stubs}",
-            memw.backend
-        );
-        let m = memw.ir.var_id("m").unwrap();
-        assert!(memw.api.writes_var(m) && memw.api.reads_var(m), "the plain cell round-trips");
-    }
-
-    for name in ["nestedc", "nestede"] {
-        for h in named(name) {
-            let payload = h.ir.var_id("payload").unwrap();
-            assert!(h.api.reads_var(payload), "{name}: inlined nested conditional must emit");
-            let mut ops = vec![
-                Op::Preset { port: 0, offset: 2, value: 0x99 },
-                Op::ReadVar { vid: payload, args: vec![] },
-                Op::Preset { port: 0, offset: 2, value: 0x42 },
-                Op::ReadVar { vid: payload, args: vec![] },
-            ];
-            if name == "nestede" {
-                // Drive both entry-state guard values of the unassigned
-                // tested field.
-                let sel = h.ir.var_id("sel").unwrap();
-                ops.push(Op::WriteVar { vid: sel, args: vec![], value: 1 });
-                ops.push(Op::ReadVar { vid: payload, args: vec![] });
-            }
-            assert_agrees(h, &ops);
-        }
-    }
+    oracle::formerly_fallback_shapes_join_the_oracle(C);
 }
 
-/// The fused stub surface is exactly what ships, in both back ends:
-/// every driver-declared superplan lowers to a compiled body, the
-/// synthetic fixtures with input-resolved or inlined-nested guards
-/// lower too, and memw's cell-guarded burst is rejected — it keeps the
-/// runtime API behind a marker comment, never a mis-emitted guard
-/// chain.
 #[test]
 fn fused_stub_surface_is_complete() {
-    for &backend in backends() {
-        let surface: Vec<(&str, usize, usize)> = harnesses()
-            .iter()
-            .filter(|h| h.backend == backend && !h.ir.superplans().is_empty())
-            .map(|h| (&h.name[..], h.ir.superplans().len(), h.api.superplans.len()))
-            .collect();
-        assert_eq!(
-            surface,
-            vec![
-                ("ide", 2, 2),
-                ("permedia2", 3, 3),
-                ("ne2000", 1, 1),
-                ("pic8259", 1, 1),
-                ("selfw", 1, 1),
-                ("memw", 1, 0),
-                ("nestedc", 1, 1),
-                ("nestede", 1, 1),
-                ("selfact", 1, 1),
-            ],
-            "{backend}: fused stub surface drifted"
-        );
-    }
-    for memw in named("memw") {
-        let stubs = memw.backend.emit(&memw.ir, "memw");
-        assert!(stubs.to_lowercase().contains("superplan `burst`: not emittable"), "{stubs}");
-    }
+    oracle::fused_stub_surface_is_complete(C);
 }
 
-/// The deterministic superplan sweep, compiled fused bodies vs the
-/// fused plans: identical bus logs (one word at a time, so block
-/// bursts are compared cycle-for-cycle), outputs, read-block contents
-/// and final cache state.
 #[test]
 fn superplan_sweep_matches_compiled_stubs() {
-    for h in harnesses().iter().filter(|h| !h.api.superplans.is_empty()) {
-        assert_agrees(h, &super_sweep(&h.ir));
-    }
+    oracle::superplan_sweep_matches(C);
 }
 
-/// Sensitivity of the oracle on the input guard source: dropping one
-/// input-guarded write from the compiled side must surface as a
-/// divergence.
+#[test]
+fn rooted_oracle_matches_on_sweeps() {
+    oracle::root_compare_matches_on_sweeps(C);
+}
+
 #[test]
 fn oracle_detects_divergence_on_input_guarded_stubs() {
-    for h in named("selfw") {
-        let w = h.ir.var_id("w").unwrap();
-        let rest = h.ir.var_id("rest").unwrap();
-        let ops = [
-            Op::WriteVar { vid: w, args: vec![], value: 1 },
-            Op::WriteVar { vid: rest, args: vec![], value: 0x5a },
-        ];
-        // Skew: the compiled side misses the guarded w write.
-        let skewed = Skewed::new(h, |i, op| (i != 0).then_some(op));
-        let r = compare(&h.view(), &skewed, || ops.iter().cloned());
-        assert!(r.is_err(), "{}: oracle must notice the missing guarded write", h.backend);
-    }
+    oracle::oracle_detects_divergence_on_input_guarded_stubs(C);
 }
 
-/// The oracle is sensitive, and its bisection exact: feed the compiled
-/// side the sweep with the device presets removed, and the compare must
-/// fail naming exactly the line a linear scan of the two transcripts
-/// names first. Guards against a comparator that vacuously passes.
+#[test]
+fn oracle_detects_injected_divergence() {
+    oracle::oracle_detects_injected_divergence(C);
+}
+
 #[test]
 fn rooted_oracle_bisects_injected_divergence() {
-    for h in named("busmouse") {
-        let ops = sweep_ops(&h.ir);
-        assert!(ops.iter().any(|o| matches!(o, Op::Preset { .. })), "sweep must preset");
-        let skewed = Skewed::new(h, |_, op| (!matches!(op, Op::Preset { .. })).then_some(op));
-        let want = render(&h.view(), ops.iter().cloned()).expect("view replays");
-        let got = render(&skewed, ops.iter().cloned()).expect("harness runs");
-        let linear_first = want
-            .iter()
-            .zip(&got)
-            .position(|(w, g)| w != g)
-            .unwrap_or_else(|| want.len().min(got.len())) as u64;
-        let m = compare(&h.view(), &skewed, || ops.iter().cloned())
-            .expect_err("skewed stream must fail root compare");
-        let leaf = m.divergence.map(|d| d.leaf);
-        assert_eq!(leaf, Some(linear_first), "{}: {m}", h.backend);
-    }
+    oracle::root_compare_bisects_injected_divergence(C);
 }
 
-/// Shipped coverage corpus replay: every minimized corpus stream (grown
-/// to saturate the plans' dispatch coverage) also replays through the
-/// compiled stubs and fused bodies of both back ends.
 #[test]
 fn corpus_streams_match_compiled_stubs() {
-    for h in harnesses() {
-        for (i, words) in devil_fuzz::coverage::shipped_corpus(&h.name).iter().enumerate() {
-            if let Err(e) = diff(h, &decode(&h.ir, words)) {
-                panic!("{} ({}): corpus stream {i}: {e}", h.name, h.backend);
-            }
-            if !h.api.superplans.is_empty() {
-                if let Err(e) = diff(h, &decode_super(&h.ir, words)) {
-                    panic!("{} ({}): corpus stream {i} (fused): {e}", h.name, h.backend);
-                }
-            }
-        }
-    }
+    oracle::corpus_streams_match(C);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random op streams over every spec: the compiled stubs of both
-    /// back ends and the plans must be observationally identical.
     #[test]
     fn compiled_stubs_and_interpreter_agree(words in collection::vec(any::<u64>(), 1..48)) {
-        for h in harnesses() {
-            let r = diff(h, &decode(&h.ir, &words));
-            prop_assert!(r.is_ok(), "{} ({}): {}", h.name, h.backend, r.err().unwrap());
-        }
+        oracle::random_streams_agree(C, &words)?;
     }
 
-    /// Random interleavings of op preludes and superplan calls: the
-    /// compiled fused bodies and the fused plans must be
-    /// observationally identical on the emittable surface.
     #[test]
     fn compiled_superplans_and_interpreter_agree(words in collection::vec(any::<u64>(), 2..32)) {
-        for h in harnesses().iter().filter(|h| !h.api.superplans.is_empty()) {
-            let r = diff(h, &decode_super(&h.ir, &words));
-            prop_assert!(r.is_ok(), "{} ({}): {}", h.name, h.backend, r.err().unwrap());
-        }
+        oracle::random_superplan_streams_agree(C, &words)?;
     }
 }

@@ -245,6 +245,31 @@ fn checked_mode_agrees_with_the_reference() {
     assert_eq!((out.ops, out.write_rejects, out.read_rejects), (ops.len() as u64, 1, 1));
 }
 
+/// The sweep's root is a function of the observations alone: the
+/// coverage sweep of every device condenses to the same 32-byte root
+/// whichever engine the compare names first, and a generated stream
+/// roots the same whether it is fed from a slice or from the generator.
+#[test]
+fn rooted_sweep_agrees_on_all_devices() {
+    for (name, ir) in irs() {
+        let (plans, reference) = (InProcess::plans(ir), InProcess::reference(ir));
+        let ops = sweep_ops(ir);
+        let fwd = compare(&plans, &reference, || ops.iter().cloned())
+            .unwrap_or_else(|e| panic!("{name}: rooted sweep diverges\n{e}"));
+        let back = compare(&reference, &plans, || ops.iter().cloned())
+            .unwrap_or_else(|e| panic!("{name}: rooted sweep diverges\n{e}"));
+        assert_eq!(fwd.ops, ops.len() as u64, "{name}");
+        assert_eq!(fwd.root, back.root, "{name}: the root depends on the rig order");
+
+        let generated: Vec<Op> = OpStream::new(ir, 0x5EED, 500).collect();
+        let sliced = compare(&plans, &reference, || generated.iter().cloned())
+            .unwrap_or_else(|e| panic!("{name}: rooted replay diverges\n{e}"));
+        let streamed = compare(&plans, &reference, || OpStream::new(ir, 0x5EED, 500))
+            .unwrap_or_else(|e| panic!("{name}: rooted replay diverges\n{e}"));
+        assert_eq!(sliced.root, streamed.root, "{name}: slice and stream root apart");
+    }
+}
+
 /// The long-replay gate: the comparator streams both rigs in O(peaks)
 /// memory, so the horizon is a knob. Default 20k ops per spec on PR
 /// runs; the nightly `diff-longrun` job sets `DIFF_OPS=1000000`

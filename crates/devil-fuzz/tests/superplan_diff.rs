@@ -15,7 +15,7 @@
 
 use devil_fuzz::coverage::shipped_corpus;
 use devil_fuzz::superfuzz::{decode_super, install_synthetic, super_sweep};
-use devil_fuzz::{compare_runtimes, run, sweep_ops, Engine, Op};
+use devil_fuzz::{compare, compare_runtimes, probe_ops, run, sweep_ops, Engine, InProcess, Op};
 use devil_ir::{DeviceIr, ShapeOp};
 use devil_runtime::{DeviceInstance, FakeAccess, MappedPort, PortMap};
 use hwsim::{Bus, CostModel, Ledger};
@@ -85,6 +85,24 @@ fn fused_sweep_is_indistinguishable_from_unfused() {
         });
         assert_eq!(out.ops, seq.len() as u64, "{name}");
         assert!(out.leaves > out.ops, "{name}: probe and final-state leaves missing");
+    }
+}
+
+/// The fused sweep condenses to one 32-byte root per rig, the same
+/// whichever engine the compare names first, over exactly one leaf per
+/// call, one per probe read and one for the final device state.
+#[test]
+fn rooted_fused_sweep_agrees_on_all_devices() {
+    for (name, ir) in irs() {
+        let (plans, reference) = (InProcess::plans(ir), InProcess::reference(ir));
+        let seq = super_sweep(ir);
+        let fwd = compare(&plans, &reference, || seq.iter().cloned())
+            .unwrap_or_else(|e| panic!("{name}: rooted fused sweep diverges\n{e}"));
+        let back = compare(&reference, &plans, || seq.iter().cloned())
+            .unwrap_or_else(|e| panic!("{name}: rooted fused sweep diverges\n{e}"));
+        assert_eq!(fwd.ops, seq.len() as u64, "{name}");
+        assert_eq!(fwd.root, back.root, "{name}: the root depends on the rig order");
+        assert_eq!(fwd.leaves, fwd.ops + probe_ops(ir).len() as u64 + 1, "{name}");
     }
 }
 
