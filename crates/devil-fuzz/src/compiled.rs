@@ -40,9 +40,6 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Both back ends.
-    pub const ALL: [Backend; 2] = [Backend::C, Backend::Rust];
-
     /// The compiler the back end needs.
     pub fn compiler(self) -> &'static str {
         match self {

@@ -31,6 +31,14 @@ pub mod rooted;
 pub mod superfuzz;
 pub mod synthetic;
 
+// The unit tests share the integration tests' stream-editing rig, which
+// names this crate `devil_fuzz`.
+#[cfg(test)]
+extern crate self as devil_fuzz;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+
 pub use rooted::{compare, compare_runtimes, render, InProcess, Mismatch, Outcome, Rig, Trace};
 use superfuzz::SuperCall;
 
@@ -348,19 +356,9 @@ pub fn init_sweep_ops(ir: &DeviceIr) -> Vec<Op> {
     ops
 }
 
-/// Replays `ops` against one instance, recording everything a caller
-/// observes (values, errors) as comparable strings.
-pub fn run(mut inst: Engine<'_>, dev: &mut FakeAccess, ops: &[Op]) -> Vec<String> {
-    let mut obs = Vec::with_capacity(ops.len());
-    for op in ops {
-        run_op(&mut inst, dev, op, &mut obs);
-    }
-    obs
-}
-
-/// Replays one op, appending its caller observations to `out`. The
-/// streaming comparator reuses one buffer across millions of ops;
-/// [`run`] is the collect-everything wrapper.
+/// Replays one op, appending what a caller observes (values, errors)
+/// to `out` as comparable strings. The streaming comparator reuses one
+/// buffer across millions of ops.
 pub fn run_op(inst: &mut Engine<'_>, dev: &mut FakeAccess, op: &Op, out: &mut Vec<String>) {
     match op {
         Op::ReadVar { vid, args } => {

@@ -412,6 +412,7 @@ pub fn compare_runtimes(ir: &DeviceIr, checks: bool, ops: &[Op]) -> Result<Outco
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Skewed;
     use hwsim::mmr::linear_divergence;
 
     fn ir(src: &str) -> DeviceIr {
@@ -426,29 +427,11 @@ mod tests {
         variable fv(i : int{0..1}) = f(i), volatile : int(8);
     }"#;
 
-    /// A rig replaying op `k` of the stream as a preset no decoded
+    /// `inner` replaying op `k` of the stream as a preset no decoded
     /// stream issues, so exactly its leaf (and what follows) diverges.
-    struct Corrupt<'a> {
-        inner: &'a dyn Rig,
-        k: u64,
-    }
-
-    impl Rig for Corrupt<'_> {
-        fn name(&self) -> String {
-            format!("corrupted {}", self.inner.name())
-        }
-
-        fn replay(
-            &self,
-            ops: &mut dyn Iterator<Item = Op>,
-            trace: &mut Trace,
-        ) -> Result<(), String> {
-            let k = self.k;
-            let marker = Op::Preset { port: 0xDEAD, offset: k, value: 0xA5 };
-            let mut ops =
-                ops.enumerate().map(|(i, op)| if i as u64 == k { marker.clone() } else { op });
-            self.inner.replay(&mut ops, trace)
-        }
+    fn corrupt(inner: &dyn Rig, k: u64) -> Skewed<'_, impl Fn(u64, Op) -> Option<Op>> {
+        let marker = Op::Preset { port: 0xDEAD, offset: k, value: 0xA5 };
+        Skewed::new(inner, move |i, op| Some(if i == k { marker.clone() } else { op }))
     }
 
     #[test]
@@ -501,7 +484,7 @@ mod tests {
         let n = 800u64;
         let plans = InProcess::plans(&ir);
         for k in [0u64, 1, 17, 399, 799] {
-            let corrupted = Corrupt { inner: &plans, k };
+            let corrupted = corrupt(&plans, k);
             let m = compare(&plans, &corrupted, || OpStream::new(&ir, 11, n)).unwrap_err();
             let d = m.divergence.expect("corrupted leaf");
             assert_eq!(d.leaf, k, "bisection names the injected op");
@@ -517,11 +500,12 @@ mod tests {
     fn mismatch_report_names_the_first_divergent_op() {
         let ir = ir(SPEC);
         let plans = InProcess::plans(&ir);
-        let corrupted = Corrupt { inner: &InProcess::reference(&ir), k: 123 };
+        let reference = InProcess::reference(&ir);
+        let corrupted = corrupt(&reference, 123);
         let m = compare(&plans, &corrupted, || OpStream::new(&ir, 5, 300)).unwrap_err();
         assert_eq!(m.divergence.map(|d| d.leaf), Some(123));
         assert!(m.report.contains("leaf 123 of"), "{m}");
-        assert!(m.report.contains("corrupted reference:\n"), "{m}");
+        assert!(m.report.contains("skewed reference:\n"), "{m}");
         assert!(m.report.contains("[123] preset 57005 0x7b 0xa5"), "{m}");
     }
 

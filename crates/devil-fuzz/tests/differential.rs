@@ -15,7 +15,9 @@ use common::Skewed;
 use devil_fuzz::coverage::shipped_corpus;
 use devil_fuzz::rooted::{diff_ops, splitmix64, OpStream};
 use devil_fuzz::superfuzz::{decode_super, install_synthetic};
-use devil_fuzz::{compare, compare_runtimes, decode, init_sweep_ops, sweep_ops, InProcess, Op};
+use devil_fuzz::{
+    compare, compare_runtimes, decode, init_sweep_ops, run_op, sweep_ops, Engine, InProcess, Op,
+};
 use devil_ir::DeviceIr;
 use devil_runtime::{DeviceInstance, FakeAccess};
 use proptest::prelude::*;
@@ -121,8 +123,8 @@ fn conditional_writes_take_guarded_variants_in_fast_mode() {
             .enumerate()
             .map(|(k, &fid)| (fid, (combo >> (k % 2)) & 1))
             .collect();
-        let ops = [Op::WriteStruct { sid, values }];
-        devil_fuzz::run(devil_fuzz::Engine::Plans(&mut inst), &mut dev, &ops);
+        let op = Op::WriteStruct { sid, values };
+        run_op(&mut Engine::Plans(&mut inst), &mut dev, &op, &mut Vec::new());
     }
     let stats = inst.plan_stats();
     assert_eq!(stats.guarded, 4, "every conditional flush takes a guarded variant: {stats:?}");
@@ -189,7 +191,10 @@ fn formerly_fallback_specs_dispatch_on_plans() {
         }
         let mut inst = DeviceInstance::new(ir.clone());
         let mut dev = FakeAccess::new();
-        devil_fuzz::run(devil_fuzz::Engine::Plans(&mut inst), &mut dev, &ops);
+        let (mut engine, mut obs) = (Engine::Plans(&mut inst), Vec::new());
+        for op in &ops {
+            run_op(&mut engine, &mut dev, op, &mut obs);
+        }
         let stats = inst.plan_stats();
         assert_eq!(stats.general, 0, "{name}: general dispatches in fast mode: {stats:?}");
         assert!(stats.straight + stats.guarded > 0, "{name}: workload hit no plans: {stats:?}");

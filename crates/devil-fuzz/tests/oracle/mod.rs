@@ -26,16 +26,13 @@ fn oracle_dir() -> PathBuf {
     std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("compiled-oracle")
 }
 
-fn slot(backend: Backend) -> usize {
-    Backend::ALL.iter().position(|&b| b == backend).expect("a listed back end")
-}
-
 /// Whether `backend`'s compiler is on PATH; every call that finds it
 /// missing says so. The probe spawns a process, so it runs once per
-/// back end and test binary.
+/// test binary, and a test binary runs one back end.
 fn available(backend: Backend) -> bool {
-    static AVAILABLE: [OnceLock<bool>; 2] = [OnceLock::new(), OnceLock::new()];
-    let found = *AVAILABLE[slot(backend)].get_or_init(|| backend.available());
+    static AVAILABLE: OnceLock<(Backend, bool)> = OnceLock::new();
+    let &(probed, found) = AVAILABLE.get_or_init(|| (backend, backend.available()));
+    assert_eq!(probed, backend, "one back end per test binary");
     if !found {
         eprintln!("skipping the compiled-{backend} oracle: no `{}` on PATH", backend.compiler());
     }
@@ -52,11 +49,11 @@ fn synthetic(name: &str) -> bool {
 /// (memw's cell-guarded `w` setter keeps the runtime API) are dropped
 /// identically by both rigs of a compare.
 fn harnesses(backend: Backend) -> &'static [CompiledHarness] {
-    static HARNESSES: [OnceLock<Vec<CompiledHarness>>; 2] = [OnceLock::new(), OnceLock::new()];
+    static HARNESSES: OnceLock<Vec<CompiledHarness>> = OnceLock::new();
     if !available(backend) {
         return &[];
     }
-    HARNESSES[slot(backend)].get_or_init(|| {
+    HARNESSES.get_or_init(|| {
         drivers::specs::ALL
             .iter()
             .chain(devil_fuzz::synthetic::ALL)
@@ -79,8 +76,11 @@ fn harnesses(backend: Backend) -> &'static [CompiledHarness] {
     })
 }
 
-fn named(backend: Backend, name: &str) -> impl Iterator<Item = &'static CompiledHarness> + '_ {
-    harnesses(backend).iter().filter(move |h| h.name == name)
+/// The compiled harness of spec `name`. Call it only once
+/// [`available`] has returned true.
+fn named(backend: Backend, name: &str) -> &'static CompiledHarness {
+    let found = harnesses(backend).iter().find(|h| h.name == name);
+    found.unwrap_or_else(|| panic!("{name}: not in the compiled-{backend} spec library"))
 }
 
 /// The compiled stubs against the plan executor's harness view.
@@ -98,6 +98,9 @@ fn assert_agrees(h: &CompiledHarness, ops: &[Op]) {
 /// real work, not an empty filtered stream. Every module compiled, or
 /// the harness constructor would have panicked.
 pub fn stub_surface_covers_the_spec_library(backend: Backend) {
+    if !available(backend) {
+        return;
+    }
     for h in harnesses(backend) {
         assert!(
             !h.api.read_vars.is_empty() || !h.api.write_vars.is_empty(),
@@ -113,10 +116,9 @@ pub fn stub_surface_covers_the_spec_library(backend: Backend) {
     }
     // The guard-split flagship: pic8259's conditional init flush is a
     // compiled stub, exercised through every guard combination.
-    for pic in named(backend, "pic8259") {
-        let init = pic.ir.struct_id("init").unwrap();
-        assert!(pic.api.write_structs.contains(&init), "pic init flush must be compiled");
-    }
+    let pic = named(backend, "pic8259");
+    let init = pic.ir.struct_id("init").unwrap();
+    assert!(pic.api.write_structs.contains(&init), "pic init flush must be compiled");
 }
 
 /// The deterministic coverage sweep, compiled stubs vs the plans.
@@ -188,53 +190,53 @@ pub fn private_struct_fields_agree(backend: Backend) {
 /// the runtime API behind a marker comment. The emittable shapes then
 /// replay guard-hammering streams through the oracle.
 pub fn formerly_fallback_shapes_join_the_oracle(backend: Backend) {
-    for selfw in named(backend, "selfw") {
-        let w = selfw.ir.var_id("w").unwrap();
-        assert!(selfw.api.writes_var(w), "input-guarded write must emit");
-        let rest = selfw.ir.var_id("rest").unwrap();
-        let ops = vec![
-            Op::WriteVar { vid: w, args: vec![], value: 1 },
-            Op::WriteVar { vid: rest, args: vec![], value: 0x5a },
-            Op::WriteVar { vid: w, args: vec![], value: 0 },
-            Op::WriteVar { vid: rest, args: vec![], value: 0x2a },
-            Op::WriteVar { vid: w, args: vec![], value: 1 },
-        ];
-        assert_agrees(selfw, &ops);
+    if !available(backend) {
+        return;
     }
+    let selfw = named(backend, "selfw");
+    let w = selfw.ir.var_id("w").unwrap();
+    assert!(selfw.api.writes_var(w), "input-guarded write must emit");
+    let rest = selfw.ir.var_id("rest").unwrap();
+    let ops = vec![
+        Op::WriteVar { vid: w, args: vec![], value: 1 },
+        Op::WriteVar { vid: rest, args: vec![], value: 0x5a },
+        Op::WriteVar { vid: w, args: vec![], value: 0 },
+        Op::WriteVar { vid: rest, args: vec![], value: 0x2a },
+        Op::WriteVar { vid: w, args: vec![], value: 1 },
+    ];
+    assert_agrees(selfw, &ops);
 
-    for memw in named(backend, "memw") {
-        let mw = memw.ir.var_id("w").unwrap();
-        assert!(memw.ir.var(mw).write_plan.is_some(), "the cell-guarded plan compiles");
-        assert!(!memw.api.writes_var(mw), "cell-guarded writes must keep the runtime API");
-        let stubs = memw.backend.emit(&memw.ir, "memw");
-        assert!(
-            stubs.to_lowercase().contains("variable `w` (write): not plan-compiled"),
-            "{}: {stubs}",
-            memw.backend
-        );
-        let m = memw.ir.var_id("m").unwrap();
-        assert!(memw.api.writes_var(m) && memw.api.reads_var(m), "the plain cell round-trips");
-    }
+    let memw = named(backend, "memw");
+    let mw = memw.ir.var_id("w").unwrap();
+    assert!(memw.ir.var(mw).write_plan.is_some(), "the cell-guarded plan compiles");
+    assert!(!memw.api.writes_var(mw), "cell-guarded writes must keep the runtime API");
+    let stubs = memw.backend.emit(&memw.ir, "memw");
+    assert!(
+        stubs.to_lowercase().contains("variable `w` (write): not plan-compiled"),
+        "{}: {stubs}",
+        memw.backend
+    );
+    let m = memw.ir.var_id("m").unwrap();
+    assert!(memw.api.writes_var(m) && memw.api.reads_var(m), "the plain cell round-trips");
 
     for name in ["nestedc", "nestede"] {
-        for h in named(backend, name) {
-            let payload = h.ir.var_id("payload").unwrap();
-            assert!(h.api.reads_var(payload), "{name}: inlined nested conditional must emit");
-            let mut ops = vec![
-                Op::Preset { port: 0, offset: 2, value: 0x99 },
-                Op::ReadVar { vid: payload, args: vec![] },
-                Op::Preset { port: 0, offset: 2, value: 0x42 },
-                Op::ReadVar { vid: payload, args: vec![] },
-            ];
-            if name == "nestede" {
-                // Drive both entry-state guard values of the unassigned
-                // tested field.
-                let sel = h.ir.var_id("sel").unwrap();
-                ops.push(Op::WriteVar { vid: sel, args: vec![], value: 1 });
-                ops.push(Op::ReadVar { vid: payload, args: vec![] });
-            }
-            assert_agrees(h, &ops);
+        let h = named(backend, name);
+        let payload = h.ir.var_id("payload").unwrap();
+        assert!(h.api.reads_var(payload), "{name}: inlined nested conditional must emit");
+        let mut ops = vec![
+            Op::Preset { port: 0, offset: 2, value: 0x99 },
+            Op::ReadVar { vid: payload, args: vec![] },
+            Op::Preset { port: 0, offset: 2, value: 0x42 },
+            Op::ReadVar { vid: payload, args: vec![] },
+        ];
+        if name == "nestede" {
+            // Drive both entry-state guard values of the unassigned
+            // tested field.
+            let sel = h.ir.var_id("sel").unwrap();
+            ops.push(Op::WriteVar { vid: sel, args: vec![], value: 1 });
+            ops.push(Op::ReadVar { vid: payload, args: vec![] });
         }
+        assert_agrees(h, &ops);
     }
 }
 
@@ -267,10 +269,9 @@ pub fn fused_stub_surface_is_complete(backend: Backend) {
         ],
         "{backend}: fused stub surface drifted"
     );
-    for memw in named(backend, "memw") {
-        let stubs = memw.backend.emit(&memw.ir, "memw");
-        assert!(stubs.to_lowercase().contains("superplan `burst`: not emittable"), "{stubs}");
-    }
+    let memw = named(backend, "memw");
+    let stubs = memw.backend.emit(&memw.ir, "memw");
+    assert!(stubs.to_lowercase().contains("superplan `burst`: not emittable"), "{stubs}");
 }
 
 /// The deterministic superplan sweep, compiled fused bodies vs the
@@ -312,18 +313,21 @@ pub fn root_compare_matches_on_sweeps(backend: Backend) {
 /// input-guarded write from the compiled side must surface as a
 /// divergence.
 pub fn oracle_detects_divergence_on_input_guarded_stubs(backend: Backend) {
-    for h in named(backend, "selfw") {
-        let w = h.ir.var_id("w").unwrap();
-        let rest = h.ir.var_id("rest").unwrap();
-        let ops = [
-            Op::WriteVar { vid: w, args: vec![], value: 1 },
-            Op::WriteVar { vid: rest, args: vec![], value: 0x5a },
-        ];
-        // Skew: the compiled side misses the guarded w write.
-        let skewed = Skewed::new(h, |i, op| (i != 0).then_some(op));
-        let r = compare(&h.view(), &skewed, || ops.iter().cloned());
-        assert!(r.is_err(), "{}: oracle must notice the missing guarded write", h.backend);
+    if !available(backend) {
+        return;
     }
+    let h = named(backend, "selfw");
+    let w = h.ir.var_id("w").unwrap();
+    let rest = h.ir.var_id("rest").unwrap();
+    let ops = [
+        Op::WriteVar { vid: w, args: vec![], value: 1 },
+        Op::WriteVar { vid: rest, args: vec![], value: 0x5a },
+    ];
+    // Skew: the compiled side misses the guarded w write.
+    let skewed = Skewed::new(h, |i, op| (i != 0).then_some(op));
+    let m = compare(&h.view(), &skewed, || ops.iter().cloned())
+        .expect_err("the oracle must notice the missing guarded write");
+    assert!(m.divergence.is_some(), "{}: both rigs must replay: {m}", h.backend);
 }
 
 /// The oracle is sensitive on either side: replaying the sweep with the
@@ -331,24 +335,20 @@ pub fn oracle_detects_divergence_on_input_guarded_stubs(backend: Backend) {
 /// must surface as a divergence of the observations, not a failed rig.
 /// Guards against a comparator that vacuously passes.
 pub fn oracle_detects_injected_divergence(backend: Backend) {
-    for h in named(backend, "busmouse") {
-        let ops = sweep_ops(&h.ir);
-        assert!(ops.iter().any(|o| matches!(o, Op::Preset { .. })), "sweep must preset");
-        let no_presets = |_: u64, op: Op| (!matches!(op, Op::Preset { .. })).then_some(op);
-        let view = h.view();
-        let (stubs_skewed, view_skewed) =
-            (Skewed::new(h, no_presets), Skewed::new(&view, no_presets));
-        let sides: [(&dyn Rig, &dyn Rig); 2] = [(&view, &stubs_skewed), (&view_skewed, h)];
-        for (a, b) in sides {
-            let m = compare(a, b, || ops.iter().cloned())
-                .expect_err("a stream without its presets must diverge");
-            assert!(
-                m.divergence.is_some(),
-                "{} vs {}: both rigs must replay: {m}",
-                a.name(),
-                b.name()
-            );
-        }
+    if !available(backend) {
+        return;
+    }
+    let h = named(backend, "busmouse");
+    let ops = sweep_ops(&h.ir);
+    assert!(ops.iter().any(|o| matches!(o, Op::Preset { .. })), "sweep must preset");
+    let no_presets = |_: u64, op: Op| (!matches!(op, Op::Preset { .. })).then_some(op);
+    let view = h.view();
+    let (stubs_skewed, view_skewed) = (Skewed::new(h, no_presets), Skewed::new(&view, no_presets));
+    let sides: [(&dyn Rig, &dyn Rig); 2] = [(&view, &stubs_skewed), (&view_skewed, h)];
+    for (a, b) in sides {
+        let m = compare(a, b, || ops.iter().cloned())
+            .expect_err("a stream without its presets must diverge");
+        assert!(m.divergence.is_some(), "{} vs {}: both rigs must replay: {m}", a.name(), b.name());
     }
 }
 
@@ -356,22 +356,24 @@ pub fn oracle_detects_injected_divergence(backend: Backend) {
 /// with the device presets removed, and the compare must fail naming
 /// exactly the line a linear scan of the two transcripts names first.
 pub fn root_compare_bisects_injected_divergence(backend: Backend) {
-    for h in named(backend, "busmouse") {
-        let ops = sweep_ops(&h.ir);
-        assert!(ops.iter().any(|o| matches!(o, Op::Preset { .. })), "sweep must preset");
-        let skewed = Skewed::new(h, |_, op| (!matches!(op, Op::Preset { .. })).then_some(op));
-        let want = render(&h.view(), ops.iter().cloned()).expect("view replays");
-        let got = render(&skewed, ops.iter().cloned()).expect("harness runs");
-        let linear_first = want
-            .iter()
-            .zip(&got)
-            .position(|(w, g)| w != g)
-            .unwrap_or_else(|| want.len().min(got.len())) as u64;
-        let m = compare(&h.view(), &skewed, || ops.iter().cloned())
-            .expect_err("skewed stream must fail root compare");
-        let leaf = m.divergence.map(|d| d.leaf);
-        assert_eq!(leaf, Some(linear_first), "{}: {m}", h.backend);
+    if !available(backend) {
+        return;
     }
+    let h = named(backend, "busmouse");
+    let ops = sweep_ops(&h.ir);
+    assert!(ops.iter().any(|o| matches!(o, Op::Preset { .. })), "sweep must preset");
+    let skewed = Skewed::new(h, |_, op| (!matches!(op, Op::Preset { .. })).then_some(op));
+    let want = render(&h.view(), ops.iter().cloned()).expect("view replays");
+    let got = render(&skewed, ops.iter().cloned()).expect("harness runs");
+    let linear_first = want
+        .iter()
+        .zip(&got)
+        .position(|(w, g)| w != g)
+        .unwrap_or_else(|| want.len().min(got.len())) as u64;
+    let m = compare(&h.view(), &skewed, || ops.iter().cloned())
+        .expect_err("skewed stream must fail root compare");
+    let leaf = m.divergence.map(|d| d.leaf);
+    assert_eq!(leaf, Some(linear_first), "{}: {m}", h.backend);
 }
 
 /// Shipped coverage corpus replay: every minimized corpus stream (grown

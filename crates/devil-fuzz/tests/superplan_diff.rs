@@ -15,7 +15,7 @@
 
 use devil_fuzz::coverage::shipped_corpus;
 use devil_fuzz::superfuzz::{decode_super, install_synthetic, super_sweep};
-use devil_fuzz::{compare, compare_runtimes, probe_ops, run, sweep_ops, Engine, InProcess, Op};
+use devil_fuzz::{compare, compare_runtimes, probe_ops, run_op, sweep_ops, Engine, InProcess, Op};
 use devil_ir::{DeviceIr, ShapeOp};
 use devil_runtime::{DeviceInstance, FakeAccess, MappedPort, PortMap};
 use hwsim::{Bus, CostModel, Ledger};
@@ -68,7 +68,10 @@ fn superplan_surface_is_complete() {
 /// Warms an instance for all-fused dispatch: the full coverage sweep
 /// validates every cache slot.
 fn warm(ir: &DeviceIr, inst: &mut DeviceInstance, dev: &mut FakeAccess) {
-    run(Engine::Plans(inst), dev, &sweep_ops(ir));
+    let (mut inst, mut obs) = (Engine::Plans(inst), Vec::new());
+    for op in sweep_ops(ir) {
+        run_op(&mut inst, dev, &op, &mut obs);
+    }
 }
 
 /// The deterministic sweep: every superplan of every spec, four rounds
@@ -111,26 +114,34 @@ fn rooted_fused_sweep_agrees_on_all_devices() {
 /// in both engines. Verdicts match call for call and a rejected fused
 /// call never reaches the device. The plans reject a fused call before
 /// any bus op, while the reference has already written the ops before
-/// the rejected one: the compare stops there by design, which in the
-/// sweeps happens only to memw's, at call 1.
+/// the rejected one: the compare stops at that call by design. That
+/// happens to exactly these streams, at these calls; every other one
+/// runs to its end.
 #[test]
 fn checked_fused_streams_agree_with_the_reference() {
-    let mut write_rejects = 0;
+    const STOPS: [(&str, &str, u64); 3] =
+        [("memw", "sweep", 1), ("permedia2", "corpus 2", 6), ("permedia2", "corpus 3", 1)];
+    let (mut compared, mut total, mut write_rejects) = (0, 0, 0);
     for (name, ir) in irs() {
-        let sweep = super_sweep(ir);
-        let out = compare_runtimes(ir, true, &sweep)
-            .unwrap_or_else(|e| panic!("{name}: checked fused sweep diverges\n{e}"));
-        let expected = if *name == "memw" { 1 } else { sweep.len() as u64 };
-        assert_eq!(out.ops, expected, "{name}: checked sweep stopped at call {}", out.ops);
-        write_rejects += out.write_rejects;
+        let mut streams = vec![("sweep".to_string(), super_sweep(ir))];
         for (i, words) in shipped_corpus(name).iter().enumerate() {
-            let out = compare_runtimes(ir, true, &decode_super(ir, words)).unwrap_or_else(|e| {
-                panic!("{name} corpus stream {i}: checked fused diverges\n{e}")
-            });
+            streams.push((format!("corpus {i}"), decode_super(ir, words)));
+        }
+        for (label, ops) in &streams {
+            let out = compare_runtimes(ir, true, ops)
+                .unwrap_or_else(|e| panic!("{name} {label}: checked fused replay diverges\n{e}"));
+            let stop = STOPS.iter().find(|s| (s.0, s.1) == (*name, label)).map(|s| s.2);
+            assert_eq!(out.ops, stop.unwrap_or(ops.len() as u64), "{name} {label}: stop point");
+            if stop.is_some() {
+                let call = &ops[out.ops as usize];
+                assert!(matches!(call, Op::Super(_)), "{name} {label}: stops at {call:?}");
+            }
+            compared += out.ops;
+            total += ops.len() as u64;
             write_rejects += out.write_rejects;
         }
     }
-    println!("checked fused replay: {write_rejects} write rejects");
+    println!("checked fused replay: {compared} of {total} ops, {write_rejects} write rejects");
     assert!(write_rejects > 0, "no fused call was rejected");
 }
 
