@@ -96,6 +96,20 @@ fn trace_forest_covers_every_instance_shard_independently() {
     assert_eq!(single.trace_root, sharded.trace_root, "forest roots must be shard-independent");
 }
 
+/// The fleet trace root is pinned: shard-count independence and the
+/// replay gates compare roots the same code computed on both sides, so
+/// only a known answer catches a change to what a drained segment
+/// authenticates or how it is appended.
+#[test]
+fn fleet_trace_root_is_pinned() {
+    let irs = SharedIrs::compile();
+    let r = run_fleet_with(&cfg(Mix::all_specs(), 2, 8), &irs);
+    assert_eq!(
+        r.trace_root.to_hex(),
+        "e54607c241b60772d4bb468e186af055a0e5ad80f0d8b5da8f7fd09b6fb3dde8"
+    );
+}
+
 /// Sensitivity: skew one instance's trace tree and the gate must fail
 /// naming exactly that instance, not just "roots differ".
 #[test]
