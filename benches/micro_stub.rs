@@ -382,7 +382,7 @@ fn bench_micro(c: &mut Criterion) {
 fn bench_mmr(c: &mut Criterion) {
     use devil_fuzz::rooted::OpStream;
     use devil_fuzz::InProcess;
-    use hwsim::mmr::MmrLog;
+    use hwsim::mmr::{MmrForest, MmrLog};
     use hwsim::{Bus, Width};
 
     let mut g = c.benchmark_group("mmr");
@@ -430,6 +430,25 @@ fn bench_mmr(c: &mut Criterion) {
     log.fold();
     let dt = t.elapsed().as_secs_f64();
     criterion::record_value("mmr/leaf_hash_entries_per_s", batch as f64 / dt);
+
+    // The fleet's checkpoint shape: 14-entry segments drained from a
+    // traced (retained) log and appended into a streaming forest, per
+    // leaf — the leaf hash plus its share of the forest tree's parents.
+    let (segments, per_segment) = (20_000usize, 14usize);
+    let mut log = MmrLog::new(true);
+    let mut forest = MmrForest::new(false);
+    let t = std::time::Instant::now();
+    for s in 0..segments {
+        for i in 0..per_segment {
+            log.push(&[(s + i) as u8; 26]);
+        }
+        forest.append_segment((s % 8) as u64, &log.take_segment());
+    }
+    criterion::record_value(
+        "mmr/drain_append_ns_per_leaf",
+        t.elapsed().as_nanos() as f64 / (segments * per_segment) as f64,
+    );
+    black_box(forest.root());
 
     // Root compare over the plans-vs-reference harness: both rigs
     // stream into O(peaks) memory and the verdict is one 32-byte

@@ -270,9 +270,10 @@ impl FleetInstance {
     /// from the instance's own stream.
     pub fn spawn(id: u32, kind: WorkloadKind, irs: &SharedIrs, mut rng: Rng) -> Self {
         let mut bus = Bus::default();
-        // Retained mode: drained segments replay into shard forests and
-        // survive forest merges; the drain cadence bounds what is ever
-        // held at once.
+        // Retained mode: a drain hands over every leaf since the last
+        // one, including any a watermark fold already put into the
+        // log's tree; the drain cadence bounds what is ever held at
+        // once.
         bus.enable_trace(true);
         let rig = match kind {
             WorkloadKind::Figure3 => {
@@ -376,9 +377,9 @@ impl FleetInstance {
     }
 
     /// Drains the authenticated trace accumulated since the last
-    /// checkpoint as a retained MMR segment, ready for
+    /// checkpoint as a segment of leaf hashes, ready for
     /// [`hwsim::MmrForest::append_segment`].
-    pub fn drain_trace_segment(&mut self) -> hwsim::Mmr {
+    pub fn drain_trace_segment(&mut self) -> hwsim::Segment {
         self.bus.drain_trace_segment().expect("fleet buses always trace")
     }
 

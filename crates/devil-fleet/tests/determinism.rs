@@ -9,7 +9,7 @@
 
 use devil_fleet::{run_fleet_with, FleetConfig, Mix, SharedIrs, WorkloadKind};
 use hwsim::mmr::leaf_hash;
-use hwsim::Mmr;
+use hwsim::Segment;
 use std::collections::HashSet;
 
 fn cfg(mix: Mix, shards: usize, instances: usize) -> FleetConfig {
@@ -117,8 +117,7 @@ fn gate_names_the_instance_whose_trace_diverges() {
     let irs = SharedIrs::compile();
     let clean = run_fleet_with(&cfg(Mix::all_specs(), 2, 8), &irs);
     let mut skewed = clean.clone();
-    let mut extra = Mmr::retained();
-    extra.push_leaf(leaf_hash(b"phantom bus op"));
+    let extra = Segment(vec![leaf_hash(b"phantom bus op")]);
     skewed.forest.append_segment(3, &extra);
     skewed.trace_root = skewed.forest.root();
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

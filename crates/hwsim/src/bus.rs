@@ -9,7 +9,7 @@
 use crate::clock::{CostModel, SimClock};
 use crate::device::Device;
 use crate::ledger::Ledger;
-use crate::mmr::{self, Hash, Mmr, MmrLog};
+use crate::mmr::{self, Hash, MmrLog, Segment};
 use crate::width::Width;
 
 /// An address-range claim registered by a device.
@@ -197,11 +197,18 @@ impl Bus {
         self.trace.as_deref_mut().map(MmrLog::root)
     }
 
-    /// Folds and takes the accumulated trace segment, leaving the
-    /// trace empty — the checkpoint-drain hook: a fleet shard appends
-    /// drained segments into its per-instance forest, keeping retained
-    /// memory bounded by the drain cadence.
-    pub fn drain_trace_segment(&mut self) -> Option<Mmr> {
+    /// Takes the trace accumulated since the last drain as a
+    /// [`Segment`] of leaf hashes, leaving the trace empty — the
+    /// checkpoint-drain hook: a fleet shard appends drained segments
+    /// into its per-instance forest, keeping retained memory bounded by
+    /// the drain cadence. The segment carries no internal nodes; each
+    /// leaf and node is hashed once, the nodes in the forest's tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace was enabled with `enable_trace(false)`: a
+    /// streaming trace may already have folded leaves into peaks.
+    pub fn drain_trace_segment(&mut self) -> Option<Segment> {
         self.trace.as_deref_mut().map(MmrLog::take_segment)
     }
 
@@ -730,5 +737,14 @@ mod tests {
         acc.append(&drained.drain_trace_segment().unwrap());
         assert_eq!(acc.root(), whole.trace_root().unwrap());
         assert_eq!(drained.trace().unwrap().len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "enable_trace(true)")]
+    fn draining_a_streaming_trace_is_rejected_at_the_drain() {
+        let mut bus = Bus::default();
+        bus.enable_trace(false);
+        bus.outb(0x300, 1);
+        bus.drain_trace_segment();
     }
 }

@@ -40,5 +40,5 @@ pub use bus::{Bus, DeviceId};
 pub use clock::{rate_per_s, throughput_mb_s, CostModel, SimClock};
 pub use device::{Device, IrqLine, SharedMem};
 pub use ledger::{Checkpoint, Ledger};
-pub use mmr::{bisect_divergence, Hash, Mmr, MmrForest, MmrLog};
+pub use mmr::{bisect_divergence, Hash, Mmr, MmrForest, MmrLog, Segment};
 pub use width::Width;

@@ -27,12 +27,15 @@
 //!   note on [`Hasher`]). No external crates: `hwsim` stays
 //!   dependency-free.
 //! * [`Mmr`] — the accumulator, in *retained* mode (keeps the node
-//!   array; supports [`bisect_divergence`] and segment replay) or
-//!   *streaming* mode (keeps only the peaks stack — O(log N) memory for
-//!   million-op replays).
-//! * [`MmrLog`] / [`MmrForest`] — deferred-batch leaf ingestion for the
-//!   hot bus path, and the per-source forest that fleet shards merge at
-//!   checkpoints.
+//!   array; supports [`bisect_divergence`]) or *streaming* mode (keeps
+//!   only the peaks stack — O(log N) memory for million-op replays).
+//! * [`MmrLog`] / [`Segment`] / [`MmrForest`] — deferred-batch leaf
+//!   ingestion for the hot bus path; the checkpoint drain
+//!   ([`MmrLog::take_segment`]), which hands over the drained entries
+//!   as a [`Segment`] of leaf hashes with no internal node, peak or node
+//!   array; and the per-source forest that fleet shards append segments
+//!   to and merge at checkpoints. Each leaf and each internal node is
+//!   hashed once, in the tree that keeps it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -279,7 +282,7 @@ fn leaf_pos(i: u64) -> u64 {
 ///
 /// Created [`retained`](Mmr::retained) (keeps the full post-order node
 /// array: supports [`bisect_divergence`], [`Mmr::leaf_hash_at`] and
-/// segment replay via [`Mmr::append`]) or
+/// replaying its leaves into another tree in [`MmrForest::merge`]) or
 /// [`streaming`](Mmr::streaming) (keeps only the peaks stack — at most
 /// 64 hashes regardless of leaf count, for million-op replays in
 /// O(peaks) memory).
@@ -299,7 +302,7 @@ impl Mmr {
     }
 
     /// An empty peaks-only accumulator: O(log N) memory, root compare
-    /// only (no bisection, no segment replay out of it).
+    /// only (no bisection, no replay of its leaves).
     pub fn streaming() -> Self {
         Mmr { leaves: 0, peaks: Vec::new(), nodes: None }
     }
@@ -374,18 +377,14 @@ impl Mmr {
         self.nodes_ref()[leaf_pos(i) as usize]
     }
 
-    /// Replays every leaf of a retained `segment` into `self`, so
-    /// segment-wise accumulation equals accumulating the concatenated
-    /// stream (drain cadence can't change the root).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segment` is streaming — its leaves are gone.
-    pub fn append(&mut self, segment: &Mmr) {
-        assert!(segment.is_retained(), "cannot replay a streaming segment: leaves were dropped");
-        self.reserve(segment.leaves as usize);
-        for i in 0..segment.leaves {
-            self.push_leaf(segment.leaf_hash_at(i));
+    /// Pushes every leaf of `segment` into `self`, so segment-wise
+    /// accumulation equals accumulating the concatenated stream (drain
+    /// cadence can't change the root). Each parent is hashed once,
+    /// here.
+    pub fn append(&mut self, segment: &Segment) {
+        self.reserve(segment.0.len());
+        for &h in &segment.0 {
+            self.push_leaf(h);
         }
     }
 
@@ -394,6 +393,11 @@ impl Mmr {
     pub fn retained_bytes(&self) -> usize {
         let nodes = self.nodes.as_ref().map_or(0, |n| n.capacity() * 32);
         nodes + self.peaks.capacity() * std::mem::size_of::<(u32, Hash)>()
+    }
+
+    /// Every leaf hash, in append order (retained mode).
+    fn leaf_hashes(&self) -> impl Iterator<Item = Hash> + '_ {
+        (0..self.leaves).map(|i| self.leaf_hash_at(i))
     }
 
     fn nodes_ref(&self) -> &[Hash] {
@@ -551,10 +555,8 @@ impl MmrLog {
     /// arena (keeping its capacity).
     pub fn fold(&mut self) {
         self.mmr.reserve(self.bounds.len());
-        let mut start = 0usize;
-        for &end in &self.bounds {
-            self.mmr.push_leaf(leaf_hash(&self.pending[start..end as usize]));
-            start = end as usize;
+        for h in pending_leaves(&self.pending, &self.bounds) {
+            self.mmr.push_leaf(h);
         }
         self.pending.clear();
         self.bounds.clear();
@@ -590,15 +592,35 @@ impl MmrLog {
         &self.mmr
     }
 
-    /// Folds and takes the accumulated segment, leaving the log empty
-    /// in the same mode — the checkpoint-drain primitive: per-drain
-    /// segments [`Mmr::append`]ed elsewhere reproduce the root of the
-    /// undrained stream, and retained memory resets to the drain
-    /// cadence instead of the replay length.
-    pub fn take_segment(&mut self) -> Mmr {
-        self.fold();
-        let empty = if self.mmr.is_retained() { Mmr::retained() } else { Mmr::streaming() };
-        std::mem::replace(&mut self.mmr, empty)
+    /// Takes every entry appended since the last drain as a [`Segment`]
+    /// of leaf hashes, leaving the log empty — the checkpoint-drain
+    /// primitive: per-drain segments [`Mmr::append`]ed elsewhere
+    /// reproduce the root of the undrained stream, and retained memory
+    /// resets to the drain cadence instead of the replay length.
+    ///
+    /// Pending entries hash straight into the segment, after any leaves
+    /// a watermark fold already put into the log's tree. No internal
+    /// node is built here: the tree the segment is appended to hashes
+    /// each parent once. An empty drain allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a streaming log (`MmrLog::new(false)`,
+    /// `Bus::enable_trace(false)`): its watermark folds keep only
+    /// peaks, so the leaves a drain must hand over may already be gone.
+    pub fn take_segment(&mut self) -> Segment {
+        assert!(
+            self.mmr.is_retained(),
+            "cannot drain a streaming trace log: its watermark folds drop leaves; \
+             trace with Bus::enable_trace(true) (MmrLog::new(true)) to drain segments"
+        );
+        let mut leaves = Vec::with_capacity(self.len() as usize);
+        leaves.extend(self.mmr.leaf_hashes());
+        self.mmr = Mmr::retained();
+        leaves.extend(pending_leaves(&self.pending, &self.bounds));
+        self.pending.clear();
+        self.bounds.clear();
+        Segment(leaves)
     }
 
     /// Bytes retained (accumulator + pending arena capacities).
@@ -610,6 +632,27 @@ impl MmrLog {
 impl Default for MmrLog {
     fn default() -> Self {
         Self::new(false)
+    }
+}
+
+/// Leaf hashes of the pending entries whose end offsets are `bounds`.
+fn pending_leaves<'a>(pending: &'a [u8], bounds: &'a [u32]) -> impl Iterator<Item = Hash> + 'a {
+    let starts = std::iter::once(0).chain(bounds.iter().copied());
+    starts.zip(bounds).map(|(start, &end)| leaf_hash(&pending[start as usize..end as usize]))
+}
+
+/// A drained trace segment: the leaf hashes of the entries a log took
+/// since its last drain, in order ([`MmrLog::take_segment`]). It holds
+/// no internal node or peak; [`Mmr::append`] and
+/// [`MmrForest::append_segment`] push its leaves into the destination
+/// tree, which hashes each parent exactly once.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Segment(pub Vec<Hash>);
+
+impl Segment {
+    /// Number of leaves.
+    pub fn leaves(&self) -> u64 {
+        self.0.len() as u64
     }
 }
 
@@ -634,9 +677,9 @@ impl MmrForest {
         MmrForest { trees: BTreeMap::new(), retain }
     }
 
-    /// Replays a retained `segment` onto source `id`'s tree (created on
+    /// Appends `segment`'s leaves to source `id`'s tree (created on
     /// first use).
-    pub fn append_segment(&mut self, id: u64, segment: &Mmr) {
+    pub fn append_segment(&mut self, id: u64, segment: &Segment) {
         let retain = self.retain;
         self.trees
             .entry(id)
@@ -654,7 +697,10 @@ impl MmrForest {
                     e.insert(tree);
                 }
                 std::collections::btree_map::Entry::Occupied(mut e) => {
-                    e.get_mut().append(&tree);
+                    let into = e.get_mut();
+                    for h in tree.leaf_hashes() {
+                        into.push_leaf(h);
+                    }
                 }
             }
         }
@@ -713,6 +759,10 @@ mod tests {
             m.push_leaf(h);
         }
         m
+    }
+
+    fn seg(hashes: &[Hash]) -> Segment {
+        Segment(hashes.to_vec())
     }
 
     #[test]
@@ -846,8 +896,8 @@ mod tests {
         let whole = mmr_of(&ls);
         for cut in [1usize, 7, 16, 44] {
             let mut m = Mmr::retained();
-            m.append(&mmr_of(&ls[..cut]));
-            m.append(&mmr_of(&ls[cut..]));
+            m.append(&seg(&ls[..cut]));
+            m.append(&seg(&ls[cut..]));
             assert_eq!(m.root(), whole.root(), "cut={cut}");
         }
     }
@@ -893,9 +943,9 @@ mod tests {
         let ls = leaves(30);
         let mut a = MmrForest::new(false);
         let mut b = MmrForest::new(false);
-        a.append_segment(1, &mmr_of(&ls[..10]));
-        b.append_segment(2, &mmr_of(&ls[10..20]));
-        b.append_segment(3, &mmr_of(&ls[20..]));
+        a.append_segment(1, &seg(&ls[..10]));
+        b.append_segment(2, &seg(&ls[10..20]));
+        b.append_segment(3, &seg(&ls[20..]));
         let mut ab = a.clone();
         ab.merge(b.clone());
         let mut ba = b;
@@ -908,12 +958,12 @@ mod tests {
     fn forest_merge_with_shared_ids_replays_in_order() {
         let ls = leaves(20);
         let mut a = MmrForest::new(true);
-        a.append_segment(7, &mmr_of(&ls[..8]));
+        a.append_segment(7, &seg(&ls[..8]));
         let mut b = MmrForest::new(true);
-        b.append_segment(7, &mmr_of(&ls[8..]));
+        b.append_segment(7, &seg(&ls[8..]));
         a.merge(b);
         let mut whole = MmrForest::new(true);
-        whole.append_segment(7, &mmr_of(&ls));
+        whole.append_segment(7, &seg(&ls));
         assert_eq!(a.root(), whole.root());
     }
 
@@ -921,9 +971,9 @@ mod tests {
     fn forest_root_distinguishes_ids() {
         let ls = leaves(4);
         let mut a = MmrForest::new(false);
-        a.append_segment(1, &mmr_of(&ls));
+        a.append_segment(1, &seg(&ls));
         let mut b = MmrForest::new(false);
-        b.append_segment(2, &mmr_of(&ls));
+        b.append_segment(2, &seg(&ls));
         assert_ne!(a.root(), b.root());
     }
 }

@@ -13,7 +13,9 @@
 //!   in O(log N) hash compares (the sensitivity property the failure
 //!   reports rely on).
 
-use hwsim::mmr::{bisect_divergence, leaf_hash, linear_divergence, Hash, Mmr, MmrForest, MmrLog};
+use hwsim::mmr::{
+    bisect_divergence, leaf_hash, linear_divergence, Hash, Mmr, MmrForest, MmrLog, Segment,
+};
 use proptest::prelude::*;
 
 fn leaves(words: &[u64]) -> Vec<Hash> {
@@ -74,8 +76,7 @@ proptest! {
         // Ground truth: one MMR per source over its full subsequence.
         let mut whole = MmrForest::new(false);
         for &(src, w) in &records {
-            let seg = mmr_of(&leaves(&[w]));
-            whole.append_segment(src, &seg);
+            whole.append_segment(src, &Segment(leaves(&[w])));
         }
 
         // Sharded: sources 0..3 on shard A, 3..6 on shard B, each
@@ -98,6 +99,38 @@ proptest! {
         let mut merged = a;
         merged.merge(b);
         prop_assert_eq!(merged.root(), whole.root());
+    }
+
+    /// Drains at arbitrary points of a log whose small watermark folds
+    /// entries into its tree mid-segment: the segments, appended into a
+    /// streaming forest tree, give the contiguous stream's root. A
+    /// drain right after a drain (an idle fleet instance) hands over
+    /// zero leaves and allocates nothing.
+    #[test]
+    fn drains_across_watermark_folds_reproduce_the_stream(
+        records in proptest::collection::vec((any::<u64>(), 0usize..3), 0..200),
+        watermark in 1usize..8,
+    ) {
+        let mut contiguous = Mmr::streaming();
+        let mut log = MmrLog::new(true).with_watermark(watermark, usize::MAX);
+        let mut forest = MmrForest::new(false);
+        for &(w, drains) in &records {
+            contiguous.push_leaf(leaf_hash(&w.to_le_bytes()));
+            log.push(&w.to_le_bytes());
+            for k in 0..drains {
+                let seg = log.take_segment();
+                if k > 0 {
+                    prop_assert_eq!(seg.leaves(), 0);
+                    prop_assert_eq!(seg.0.capacity(), 0, "an empty drain allocates nothing");
+                }
+                forest.append_segment(0, &seg);
+            }
+        }
+        forest.append_segment(0, &log.take_segment());
+        prop_assert_eq!(log.len(), 0);
+        let tree = forest.tree(0).expect("the final drain creates the tree");
+        prop_assert_eq!(tree.leaves(), records.len() as u64);
+        prop_assert_eq!(tree.root(), contiguous.root());
     }
 
     /// Sensitivity: a single mutated leaf is located exactly, at the
