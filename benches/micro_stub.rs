@@ -361,6 +361,34 @@ fn bench_micro(c: &mut Criterion) {
             black_box(devil_ir::lower(&model));
         });
     });
+    // The same pipeline one stage per row: parse, resolve + check and
+    // lower sum to `compile_busmouse_spec`; emit (C and Rust) comes on
+    // top of it.
+    let src = drivers::specs::BUSMOUSE;
+    g.bench_function("compile_busmouse_parse", |b| {
+        b.iter(|| black_box(devil_syntax::parse(black_box(src))));
+    });
+    let device = devil_syntax::parse(src).0.expect("busmouse parses");
+    g.bench_function("compile_busmouse_resolve_check", |b| {
+        b.iter(|| {
+            let mut diags = devil_syntax::DiagSink::new();
+            let model = devil_sema::resolve::resolve(black_box(&device), &[], &mut diags);
+            devil_sema::checks::check(&model, &mut diags);
+            assert!(!diags.has_errors());
+            black_box(model);
+        });
+    });
+    let model = devil_sema::check_source(src, &[]).unwrap();
+    g.bench_function("compile_busmouse_lower", |b| {
+        b.iter(|| black_box(devil_ir::lower(black_box(&model))));
+    });
+    let ir = devil_ir::lower(&model);
+    g.bench_function("compile_busmouse_emit", |b| {
+        b.iter(|| {
+            black_box(devil_codegen::emit_c(black_box(&ir), "bm"));
+            black_box(devil_codegen::emit_rust(black_box(&ir)));
+        });
+    });
     g.finish();
 
     // Batch-compile throughput over a mutant-corpus sample, fanned out

@@ -16,13 +16,13 @@
 //! caches, the documented guard-split fallback causes) keep the
 //! interpreter API, marked by a comment.
 
-use crate::plan::{assemble_slots, StubApi};
+use crate::plan::{assemble_slots, Shift, StubApi};
 use devil_ir::{
     DeviceIr, FieldSeg, FuseOp, GuardSource, PlanSlot, PlanStep, PlanValue, Superplan, VarIr,
     WriteSeg,
 };
 use devil_sema::model::{Offset, SerStep, TypeSem, VarId};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Emits a C header for the device, using `prefix` for all identifiers
 /// (the paper's `#define dev_name bm`).
@@ -100,8 +100,8 @@ pub fn emit_c(ir: &DeviceIr, prefix: &str) -> String {
                 "#define {prefix}__write_{}(v) ({}((((v) & {}) | {}), {prefix}_cache.__dil_base__[{}] + {}))",
                 reg.name,
                 out_fn(reg.size),
-                hex(reg.and_mask),
-                hex(reg.or_mask),
+                Hex(reg.and_mask),
+                Hex(reg.or_mask),
                 b.port.0,
                 const_offset(&b.offset)
             );
@@ -256,8 +256,8 @@ fn superplan_fn(out: &mut String, ir: &DeviceIr, prefix: &str, sp: &Superplan) {
                         format!(
                             "({prefix}_cache.cache_{} & {}) == {}",
                             ir.reg(owner).name,
-                            hex(g.mask),
-                            hex(g.expected)
+                            Hex(g.mask),
+                            Hex(g.expected)
                         )
                     }
                     GuardSource::Cell(_) => unreachable!("cell guards are not emittable"),
@@ -317,8 +317,30 @@ fn out_fn(size: u32) -> &'static str {
     }
 }
 
-fn hex(v: u64) -> String {
-    format!("{v:#x}ull")
+/// A C `unsigned long long` literal, formatted straight into the
+/// caller's buffer.
+struct Hex(u64);
+
+impl fmt::Display for Hex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:#x}ull", self.0)
+    }
+}
+
+/// A plan operand as a C expression; `input` is the stub's value
+/// argument.
+struct Operand<'a>(&'a PlanValue, &'a str);
+
+impl fmt::Display for Operand<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self.0 {
+            PlanValue::Input => f.write_str(self.1),
+            PlanValue::Const(c) => Hex(c).fmt(f),
+            // Superplan operands become stub parameters; ordinary plans
+            // carrying `Arg` (family plans) are never emitted.
+            PlanValue::Arg(i) => write!(f, "(a{i})"),
+        }
+    }
 }
 
 /// Concrete registers always bind constant offsets (parameterized
@@ -346,42 +368,34 @@ fn order_has_reg(
     })
 }
 
-/// The composed raw-value expression of a masked store/write:
-/// `(cache & keep) | consts | runtime segs`.
+/// Appends the composed raw-value expression of a masked store/write,
+/// `(cache & keep) | consts | runtime segs`, to `out`.
 fn compose_expr(
+    out: &mut String,
     prefix: &str,
     n: &str,
     keep_and: u64,
     const_or: u64,
     segs: &[WriteSeg],
-    value_expr: &dyn Fn(&PlanValue) -> String,
-) -> String {
-    let mut val = if keep_and == u64::MAX {
-        format!("{prefix}_cache.cache_{n}")
+    input: &str,
+) {
+    if keep_and == u64::MAX {
+        let _ = write!(out, "{prefix}_cache.cache_{n}");
     } else {
-        format!("({prefix}_cache.cache_{n} & {})", hex(keep_and))
-    };
+        let _ = write!(out, "({prefix}_cache.cache_{n} & {})", Hex(keep_and));
+    }
     if const_or != 0 {
-        val = format!("{val} | {}", hex(const_or));
+        let _ = write!(out, " | {}", Hex(const_or));
     }
     for ws in segs {
-        let shifted =
-            shift_expr(&value_expr(&ws.value), ws.seg.reg_lo as i64 - ws.seg.var_lo as i64);
-        val = format!("{val} | ({shifted} & {})", hex(ws.seg.reg_mask()));
+        let shifted = Shift(Operand(&ws.value, input), ws.seg.reg_lo as i64 - ws.seg.var_lo as i64);
+        let _ = write!(out, " | ({shifted} & {})", Hex(ws.seg.reg_mask()));
     }
-    val
 }
 
 /// One plan step as a C comma-expression fragment. `input` is the C
 /// expression for the value being written (the stub's `(v)` argument).
 fn step_expr(ir: &DeviceIr, prefix: &str, step: &PlanStep, input: &str) -> String {
-    let value_expr = |v: &PlanValue| match v {
-        PlanValue::Input => input.to_string(),
-        PlanValue::Const(c) => hex(*c),
-        // Superplan operands become stub parameters; ordinary plans
-        // carrying `Arg` (family plans) are never emitted.
-        PlanValue::Arg(i) => format!("(a{i})"),
-    };
     match step {
         PlanStep::Read(a) => {
             let n = &ir.reg(a.reg).name;
@@ -396,11 +410,13 @@ fn step_expr(ir: &DeviceIr, prefix: &str, step: &PlanStep, input: &str) -> Strin
                     "{prefix}_cache.valid_{n} = 1, {prefix}__write_{n}({prefix}_cache.cache_{n})"
                 );
             }
-            let val = compose_expr(prefix, n, c.keep_and, c.const_or, &c.segs, &value_expr);
-            format!(
-                "{prefix}_cache.cache_{n} = {val}, {prefix}_cache.valid_{n} = 1, \
-                 {prefix}__write_{n}({prefix}_cache.cache_{n})"
-            )
+            let mut s = format!("{prefix}_cache.cache_{n} = ");
+            compose_expr(&mut s, prefix, n, c.keep_and, c.const_or, &c.segs, input);
+            let _ = write!(
+                s,
+                ", {prefix}_cache.valid_{n} = 1, {prefix}__write_{n}({prefix}_cache.cache_{n})"
+            );
+            s
         }
         PlanStep::Store(slot, c) => {
             // Cache-only store: the written bits land in the cache
@@ -409,18 +425,22 @@ fn step_expr(ir: &DeviceIr, prefix: &str, step: &PlanStep, input: &str) -> Strin
             let PlanSlot::Fixed(s) = slot else { unreachable!("family plans are not emitted") };
             let owner = ir.slot_owner(*s).expect("emittable stores hit owned slots");
             let n = &ir.reg(owner).name;
-            let val = compose_expr(prefix, n, c.keep_and, c.const_or, &c.segs, &value_expr);
-            format!("{prefix}_cache.cache_{n} = {val}, {prefix}_cache.valid_{n} = 1")
+            let mut s = format!("{prefix}_cache.cache_{n} = ");
+            compose_expr(&mut s, prefix, n, c.keep_and, c.const_or, &c.segs, input);
+            let _ = write!(s, ", {prefix}_cache.valid_{n} = 1");
+            s
         }
         PlanStep::SetCell { cell, value, mask } => {
             // Cells keep their variable's raw width, like the runtime.
             let owner = ir.mem_owner(*cell).expect("cells are owned");
-            let v = match value {
-                PlanValue::Const(_) => value_expr(value),
-                _ if *mask == u64::MAX => value_expr(value),
-                _ => format!("({} & {})", value_expr(value), hex(*mask)),
+            let mut s = format!("{prefix}_cache.mem_{} = ", ir.var(owner).name);
+            let v = Operand(value, input);
+            let _ = match value {
+                PlanValue::Const(_) => write!(s, "{v}"),
+                _ if *mask == u64::MAX => write!(s, "{v}"),
+                _ => write!(s, "({v} & {})", Hex(*mask)),
             };
-            format!("{prefix}_cache.mem_{} = {v}", ir.var(owner).name)
+            s
         }
         // Block transfers and output assembly only occur in fused
         // superplan bodies, which are emitted as statements inside a
@@ -463,8 +483,8 @@ fn plan_body(ir: &DeviceIr, prefix: &str, plan: &devil_ir::AccessPlan, input: &s
                         format!(
                             "({prefix}_cache.cache_{} & {}) == {}",
                             ir.reg(owner).name,
-                            hex(g.mask),
-                            hex(g.expected)
+                            Hex(g.mask),
+                            Hex(g.expected)
                         )
                     }
                     GuardSource::Cell(_) => unreachable!("cell guards are not emittable"),
@@ -472,7 +492,7 @@ fn plan_body(ir: &DeviceIr, prefix: &str, plan: &devil_ir::AccessPlan, input: &s
                     // testing the variable being written (the general
                     // path's store-then-evaluate order).
                     GuardSource::Input => {
-                        format!("(({input}) & {}) == {}", hex(g.mask), hex(g.expected))
+                        format!("(({input}) & {}) == {}", Hex(g.mask), Hex(g.expected))
                     }
                 })
                 .collect();
@@ -487,17 +507,15 @@ fn assemble_expr(ir: &DeviceIr, prefix: &str, pairs: &[(usize, FieldSeg)]) -> St
     if pairs.is_empty() {
         return "0".to_string();
     }
-    pairs
-        .iter()
-        .map(|&(slot, seg)| {
-            let owner = ir.slot_owner(slot).expect("assemble slots are owned");
-            shift_expr(
-                &format!("({prefix}_cache.cache_{} & {})", ir.reg(owner).name, hex(seg.reg_mask())),
-                seg.var_lo as i64 - seg.reg_lo as i64,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(" | ")
+    let mut s = String::new();
+    for (k, &(slot, seg)) in pairs.iter().enumerate() {
+        let owner = ir.slot_owner(slot).expect("assemble slots are owned");
+        let field =
+            format_args!("({prefix}_cache.cache_{} & {})", ir.reg(owner).name, Hex(seg.reg_mask()));
+        let sep = if k == 0 { "" } else { " | " };
+        let _ = write!(s, "{sep}{}", Shift(field, seg.var_lo as i64 - seg.reg_lo as i64));
+    }
+    s
 }
 
 fn emit_var_stubs(
@@ -513,7 +531,7 @@ fn emit_var_stubs(
     if var.mem_cell.is_some() {
         let stored = match var.raw_mask() {
             u64::MAX => "(v)".to_string(),
-            mask => format!("((v) & {})", hex(mask)),
+            mask => format!("((v) & {})", Hex(mask)),
         };
         let _ =
             writeln!(out, "#define {prefix}_get_{}() ({prefix}_cache.mem_{})", var.name, var.name);
@@ -576,9 +594,8 @@ fn emit_var_stubs(
                 .iter()
                 .map(|s| {
                     let n = &ir.reg(s.reg).name;
-                    let mask = hex(s.seg.reg_mask());
-                    let shifted =
-                        shift_expr("(v)", s.seg.reg_lo as i64 - s.seg.var_lo as i64);
+                    let mask = Hex(s.seg.reg_mask());
+                    let shifted = Shift("(v)", s.seg.reg_lo as i64 - s.seg.var_lo as i64);
                     format!(
                         "{prefix}_cache.cache_{n} = ({prefix}_cache.cache_{n} & ~{mask}) | ({shifted} & {mask}), {prefix}_cache.valid_{n} = 1"
                     )
@@ -644,14 +661,6 @@ fn emit_var_stubs(
             "/* variable `{}` (write): not plan-compiled; use the generated function API. */",
             var.name
         );
-    }
-}
-
-fn shift_expr(base: &str, shift: i64) -> String {
-    match shift.cmp(&0) {
-        std::cmp::Ordering::Equal => base.to_string(),
-        std::cmp::Ordering::Greater => format!("({base} << {shift})"),
-        std::cmp::Ordering::Less => format!("({base} >> {})", -shift),
     }
 }
 

@@ -17,6 +17,7 @@ use devil_ir::{
     AccessPlan, DeviceIr, GuardSource, PlanGuard, PlanOffset, PlanSlot, PlanStep, PlanValue,
 };
 use devil_sema::model::{StructId, VarId};
+use std::fmt;
 
 /// Cap on emitted guard-split variants: each variant duplicates its
 /// straight-line steps in the stub body, so very wide guard domains
@@ -225,6 +226,22 @@ impl StubApi {
     /// Whether superplan `sid` has a fused stub.
     pub fn emits_superplan(&self, sid: usize) -> bool {
         self.superplans.contains(&sid)
+    }
+}
+
+/// `base` shifted left by `shift` bits (right when negative), as the
+/// `(base << k)` / `(base >> k)` expression both emitters print;
+/// formatted straight into the caller's buffer.
+pub(crate) struct Shift<T>(pub T, pub i64);
+
+impl<T: fmt::Display> fmt::Display for Shift<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Shift(base, shift) = self;
+        match shift.cmp(&0) {
+            std::cmp::Ordering::Equal => base.fmt(f),
+            std::cmp::Ordering::Greater => write!(f, "({base} << {shift})"),
+            std::cmp::Ordering::Less => write!(f, "({base} >> {})", -shift),
+        }
     }
 }
 

@@ -13,13 +13,13 @@
 //! straight-line variant. Accesses without an emittable plan keep the
 //! interpreter API, marked by a comment.
 
-use crate::plan::{assemble_slots, StubApi};
+use crate::plan::{assemble_slots, Shift, StubApi};
 use devil_ir::{
     AccessPlan, DeviceIr, FieldSeg, FuseOp, GuardSource, PlanSlot, PlanStep, PlanValue, Superplan,
     VarIr, WriteSeg,
 };
 use devil_sema::model::{StructId, TypeSem, VarId};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Emits a Rust module implementing the device interface.
 pub fn emit_rust(ir: &DeviceIr) -> String {
@@ -241,40 +241,49 @@ fn const_offset(b: &devil_sema::model::PortBinding) -> u64 {
     }
 }
 
-/// The composed raw-value expression of a masked store/write.
+/// A plan operand as a Rust expression; `input` names the setter's
+/// argument.
+struct Operand<'a>(&'a PlanValue, &'a str);
+
+impl fmt::Display for Operand<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self.0 {
+            PlanValue::Input => f.write_str(self.1),
+            PlanValue::Const(c) => write!(f, "{c:#x}"),
+            // Superplan operands become stub parameters; ordinary plans
+            // carrying `Arg` (family plans) are never emitted.
+            PlanValue::Arg(i) => write!(f, "a{i}"),
+        }
+    }
+}
+
+/// Appends the composed raw-value expression of a masked store/write to
+/// `out`.
 fn compose_expr(
+    out: &mut String,
     n: &str,
     keep_and: u64,
     const_or: u64,
     segs: &[WriteSeg],
-    value_expr: &dyn Fn(&PlanValue) -> String,
-) -> String {
-    let mut val = if keep_and == u64::MAX {
-        format!("self.cache_{n}")
+    input: &str,
+) {
+    if keep_and == u64::MAX {
+        let _ = write!(out, "self.cache_{n}");
     } else {
-        format!("(self.cache_{n} & {keep_and:#x})")
-    };
+        let _ = write!(out, "(self.cache_{n} & {keep_and:#x})");
+    }
     if const_or != 0 {
-        val = format!("{val} | {const_or:#x}");
+        let _ = write!(out, " | {const_or:#x}");
     }
     for ws in segs {
-        let shifted =
-            shift_expr(&value_expr(&ws.value), ws.seg.reg_lo as i64 - ws.seg.var_lo as i64);
-        val = format!("{val} | ({shifted} & {:#x})", ws.seg.reg_mask());
+        let shifted = Shift(Operand(&ws.value, input), ws.seg.reg_lo as i64 - ws.seg.var_lo as i64);
+        let _ = write!(out, " | ({shifted} & {:#x})", ws.seg.reg_mask());
     }
-    val
 }
 
 /// One plan step as Rust statements. `input` names the value being
 /// written (the setter's argument), if any.
 fn step_stmts(ir: &DeviceIr, step: &PlanStep, indent: &str, input: &str, out: &mut String) {
-    let value_expr = |v: &PlanValue| match v {
-        PlanValue::Input => input.to_string(),
-        PlanValue::Const(c) => format!("{c:#x}"),
-        // Superplan operands become stub parameters; ordinary plans
-        // carrying `Arg` (family plans) are never emitted.
-        PlanValue::Arg(i) => format!("a{i}"),
-    };
     match step {
         PlanStep::Read(a) => {
             let _ = writeln!(out, "{indent}self.read_{}(dev);", ir.reg(a.reg).name);
@@ -285,9 +294,9 @@ fn step_stmts(ir: &DeviceIr, step: &PlanStep, indent: &str, input: &str, out: &m
                 let _ = writeln!(out, "{indent}self.write_{n}(dev);");
                 return;
             }
-            let val = compose_expr(n, c.keep_and, c.const_or, &c.segs, &value_expr);
-            let _ = writeln!(out, "{indent}self.cache_{n} = {val};");
-            let _ = writeln!(out, "{indent}self.write_{n}(dev);");
+            let _ = write!(out, "{indent}self.cache_{n} = ");
+            compose_expr(out, n, c.keep_and, c.const_or, &c.segs, input);
+            let _ = writeln!(out, ";\n{indent}self.write_{n}(dev);");
         }
         PlanStep::Store(slot, c) => {
             // Cache-only store, no device access (see the interpreter's
@@ -295,19 +304,20 @@ fn step_stmts(ir: &DeviceIr, step: &PlanStep, indent: &str, input: &str, out: &m
             let PlanSlot::Fixed(s) = slot else { unreachable!("family plans are not emitted") };
             let owner = ir.slot_owner(*s).expect("emittable stores hit owned slots");
             let n = &ir.reg(owner).name;
-            let val = compose_expr(n, c.keep_and, c.const_or, &c.segs, &value_expr);
-            let _ = writeln!(out, "{indent}self.cache_{n} = {val};");
-            let _ = writeln!(out, "{indent}self.valid_{n} = true;");
+            let _ = write!(out, "{indent}self.cache_{n} = ");
+            compose_expr(out, n, c.keep_and, c.const_or, &c.segs, input);
+            let _ = writeln!(out, ";\n{indent}self.valid_{n} = true;");
         }
         PlanStep::SetCell { cell, value, mask } => {
             // Cells keep their variable's raw width, like the runtime.
             let owner = ir.mem_owner(*cell).expect("cells are owned");
-            let v = match value {
-                PlanValue::Const(_) => value_expr(value),
-                _ if *mask == u64::MAX => value_expr(value),
-                _ => format!("({} & {mask:#x})", value_expr(value)),
+            let name = &ir.var(owner).name;
+            let v = Operand(value, input);
+            let _ = match value {
+                PlanValue::Const(_) => writeln!(out, "{indent}self.mem_{name} = {v};"),
+                _ if *mask == u64::MAX => writeln!(out, "{indent}self.mem_{name} = {v};"),
+                _ => writeln!(out, "{indent}self.mem_{name} = ({v} & {mask:#x});"),
             };
-            let _ = writeln!(out, "{indent}self.mem_{} = {v};", ir.var(owner).name);
         }
         // Fused block transfers: one bus transaction over the caller's
         // whole buffer (the `rep insw` shape). Only superplan bodies
@@ -377,17 +387,14 @@ fn assemble_expr(ir: &DeviceIr, pairs: &[(usize, FieldSeg)]) -> String {
     if pairs.is_empty() {
         return "0".to_string();
     }
-    pairs
-        .iter()
-        .map(|&(slot, seg)| {
-            let owner = ir.slot_owner(slot).expect("assemble slots are owned");
-            shift_expr(
-                &format!("(self.cache_{} & {:#x})", ir.reg(owner).name, seg.reg_mask()),
-                seg.var_lo as i64 - seg.reg_lo as i64,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(" | ")
+    let mut s = String::new();
+    for (k, &(slot, seg)) in pairs.iter().enumerate() {
+        let owner = ir.slot_owner(slot).expect("assemble slots are owned");
+        let field = format_args!("(self.cache_{} & {:#x})", ir.reg(owner).name, seg.reg_mask());
+        let sep = if k == 0 { "" } else { " | " };
+        let _ = write!(s, "{sep}{}", Shift(field, seg.var_lo as i64 - seg.reg_lo as i64));
+    }
+    s
 }
 
 fn emit_var(out: &mut String, ir: &DeviceIr, api: &StubApi, vid: VarId, var: &VarIr) {
@@ -463,7 +470,7 @@ fn emit_var(out: &mut String, ir: &DeviceIr, api: &StubApi, vid: VarId, var: &Va
             for s in &var.segs {
                 let n = &ir.reg(s.reg).name;
                 let mask = s.seg.reg_mask();
-                let shifted = shift_expr("v", s.seg.reg_lo as i64 - s.seg.var_lo as i64);
+                let shifted = Shift("v", s.seg.reg_lo as i64 - s.seg.var_lo as i64);
                 let _ = writeln!(
                     out,
                     "        self.cache_{n} = (self.cache_{n} & !{mask:#x}) | ({shifted} & {mask:#x});"
@@ -536,14 +543,6 @@ fn signed_wrap(var: &VarIr, expr: &str) -> String {
         format!("devil_runtime::sign_extend({expr}, {})", var.width)
     } else {
         expr.to_string()
-    }
-}
-
-fn shift_expr(base: &str, shift: i64) -> String {
-    match shift.cmp(&0) {
-        std::cmp::Ordering::Equal => base.to_string(),
-        std::cmp::Ordering::Greater => format!("({base} << {shift})"),
-        std::cmp::Ordering::Less => format!("({base} >> {})", -shift),
     }
 }
 

@@ -7,20 +7,29 @@
 //! fallback — must not touch the allocator. A counting global allocator
 //! enforces it.
 //!
-//! This file deliberately holds a single `#[test]` so no concurrent
-//! test thread can perturb the global counter.
+//! The allocator counts per thread, so only the measuring thread's own
+//! allocations show: the test harness's threads (output capture, other
+//! tests) cannot perturb the count.
 
 use devil_runtime::{DeviceAccess, DeviceInstance, ReferenceInstance};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Constant-initialised and without a destructor, so counting never
+    // allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn counted() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        counted();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,12 +38,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        counted();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        counted();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -42,11 +51,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Runs `f` and returns how many heap allocations it performed.
+/// Runs `f` and returns how many heap allocations it performed on this
+/// thread.
 fn allocations(mut f: impl FnMut()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 /// A register file that never allocates: fixed arrays per port.

@@ -301,12 +301,20 @@ fn check_omission(model: &CheckedDevice, diags: &mut DiagSink) {
     }
 }
 
-/// The set of constant offsets a binding can take.
-fn offset_values(reg: &RegDef, b: &PortBinding) -> Vec<u64> {
-    match b.offset {
-        Offset::Const(c) => vec![c],
-        Offset::Param(i) => reg.params[i].iter().collect(),
-    }
+/// The constant offsets a binding can take, as inclusive ranges.
+fn offset_ranges<'r>(reg: &'r RegDef, b: &PortBinding) -> impl Iterator<Item = (u64, u64)> + 'r {
+    let (one, family) = match b.offset {
+        Offset::Const(c) => (Some((c, c)), &[][..]),
+        Offset::Param(i) => (None, reg.params[i].values.as_slice()),
+    };
+    one.into_iter().chain(family.iter().copied())
+}
+
+/// Whether binding `ba` of `a` and binding `bb` of `b` can take a common
+/// offset.
+fn offsets_overlap(a: &RegDef, ba: &PortBinding, b: &RegDef, bb: &PortBinding) -> bool {
+    offset_ranges(a, ba)
+        .any(|(alo, ahi)| offset_ranges(b, bb).any(|(blo, bhi)| alo <= bhi && blo <= ahi))
 }
 
 /// Whether two registers have disjoint pre-action contexts.
@@ -393,9 +401,7 @@ fn check_register_overlap(model: &CheckedDevice, diags: &mut DiagSink) {
                 if ba.port != bb.port {
                     continue;
                 }
-                let oa = offset_values(a, ba);
-                let ob = offset_values(b, bb);
-                if !oa.iter().any(|o| ob.contains(o)) {
+                if !offsets_overlap(a, ba, b, bb) {
                     continue;
                 }
                 // Exemptions.

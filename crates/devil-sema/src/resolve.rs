@@ -33,9 +33,10 @@ pub fn resolve(
     Resolver::new(device, int_params, diags).run()
 }
 
-struct Resolver<'a, 'd> {
+struct Resolver<'a, 'b, 'd> {
     dev: &'a ast::Device,
-    bindings: HashMap<String, u64>,
+    /// The caller's `int_params`, in the caller's order.
+    bindings: &'b [(&'b str, u64)],
     diags: &'d mut DiagSink,
 
     ports: Vec<PortDef>,
@@ -47,7 +48,7 @@ struct Resolver<'a, 'd> {
     /// Named-type table: name -> resolved type.
     types: HashMap<String, (TypeSem, Span)>,
     /// All declared names with their kind, for duplicate detection.
-    names: HashMap<String, (&'static str, Span)>,
+    names: HashMap<&'a str, (&'static str, Span)>,
 
     /// AST declarations flattened through `if` groups.
     reg_decls: Vec<&'a ast::RegisterDecl>,
@@ -55,11 +56,15 @@ struct Resolver<'a, 'd> {
     struct_decls: Vec<&'a ast::StructureDecl>,
 }
 
-impl<'a, 'd> Resolver<'a, 'd> {
-    fn new(dev: &'a ast::Device, int_params: &[(&str, u64)], diags: &'d mut DiagSink) -> Self {
+impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
+    fn new(
+        dev: &'a ast::Device,
+        int_params: &'b [(&'b str, u64)],
+        diags: &'d mut DiagSink,
+    ) -> Self {
         Resolver {
             dev,
-            bindings: int_params.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
+            bindings: int_params,
             diags,
             ports: Vec::new(),
             int_params: Vec::new(),
@@ -76,8 +81,8 @@ impl<'a, 'd> Resolver<'a, 'd> {
 
     fn run(mut self) -> CheckedDevice {
         self.resolve_params();
-        let decls: Vec<&ast::Decl> = self.dev.decls.iter().collect();
-        self.flatten_decls(&decls);
+        let dev = self.dev;
+        self.flatten_decls(&dev.decls);
         self.resolve_typedefs();
         self.resolve_register_skeletons();
         self.resolve_variables();
@@ -100,8 +105,8 @@ impl<'a, 'd> Resolver<'a, 'd> {
         }
     }
 
-    fn declare(&mut self, name: &ast::Ident, kind: &'static str) -> bool {
-        if let Some((prev_kind, prev_span)) = self.names.get(&name.name) {
+    fn declare(&mut self, name: &'a ast::Ident, kind: &'static str) -> bool {
+        if let Some((prev_kind, prev_span)) = self.names.get(name.name.as_str()) {
             let prev_span = *prev_span;
             let prev_kind = *prev_kind;
             self.diags.push(
@@ -114,15 +119,22 @@ impl<'a, 'd> Resolver<'a, 'd> {
             );
             false
         } else {
-            self.names.insert(name.name.clone(), (kind, name.span));
+            self.names.insert(&name.name, (kind, name.span));
             true
         }
     }
 
     // ---- phase 1: parameters ----
 
+    /// The value bound to integer parameter `name`; the last binding
+    /// wins when the caller repeats a name.
+    fn binding(&self, name: &str) -> Option<u64> {
+        self.bindings.iter().rev().find(|&&(n, _)| n == name).map(|&(_, v)| v)
+    }
+
     fn resolve_params(&mut self) {
-        for p in &self.dev.params {
+        let dev = self.dev;
+        for p in &dev.params {
             if !self.declare(&p.name, "device parameter") {
                 continue;
             }
@@ -137,8 +149,8 @@ impl<'a, 'd> Resolver<'a, 'd> {
                     });
                 }
                 ast::ParamKind::Int { ty } => {
-                    let value = match self.bindings.get(&p.name.name) {
-                        Some(v) => *v,
+                    let value = match self.binding(&p.name.name) {
+                        Some(v) => v,
                         None => {
                             self.diags.error(
                                 ErrorCode::TCondGuard,
@@ -172,11 +184,13 @@ impl<'a, 'd> Resolver<'a, 'd> {
                 }
             }
         }
-        // Reject bindings that don't correspond to any parameter.
-        let declared: Vec<&str> = self.int_params.iter().map(|p| p.name.as_str()).collect();
-        let unknown: Vec<String> =
-            self.bindings.keys().filter(|k| !declared.contains(&k.as_str())).cloned().collect();
-        for k in unknown {
+        // Reject bindings that don't correspond to any parameter, once
+        // per name, in the caller's order.
+        for (i, &(k, _)) in self.bindings.iter().enumerate() {
+            let declared = self.int_params.iter().any(|p| p.name == k);
+            if declared || self.bindings[..i].iter().any(|&(n, _)| n == k) {
+                continue;
+            }
             self.diags.error(
                 ErrorCode::TParamMismatch,
                 format!("binding for unknown device parameter `{k}`"),
@@ -187,7 +201,7 @@ impl<'a, 'd> Resolver<'a, 'd> {
 
     // ---- phase 2: flatten conditionals, collect declarations ----
 
-    fn flatten_decls(&mut self, decls: &[&'a ast::Decl]) {
+    fn flatten_decls(&mut self, decls: &'a [ast::Decl]) {
         for d in decls {
             match d {
                 ast::Decl::Register(r) => self.reg_decls.push(r),
@@ -196,9 +210,7 @@ impl<'a, 'd> Resolver<'a, 'd> {
                 ast::Decl::TypeDef(_) => {} // handled in resolve_typedefs
                 ast::Decl::Cond(c) => {
                     let taken = self.eval_param_cond(&c.cond);
-                    let branch: Vec<&ast::Decl> =
-                        if taken { c.then.iter().collect() } else { c.els.iter().collect() };
-                    self.flatten_decls(&branch);
+                    self.flatten_decls(if taken { &c.then } else { &c.els });
                 }
             }
         }
@@ -208,19 +220,16 @@ impl<'a, 'd> Resolver<'a, 'd> {
     fn eval_param_cond(&mut self, cond: &ast::Cond) -> bool {
         match cond {
             ast::Cond::Cmp { lhs, op, rhs, span } => {
-                let lv = match self.bindings.get(&lhs.name) {
-                    Some(v) => *v,
-                    None => {
-                        self.diags.error(
-                            ErrorCode::TCondGuard,
-                            format!(
-                                "conditional declarations may only test integer device parameters; `{}` is not one",
-                                lhs.name
-                            ),
-                            lhs.span,
-                        );
-                        return false;
-                    }
+                let Some(lv) = self.binding(&lhs.name) else {
+                    self.diags.error(
+                        ErrorCode::TCondGuard,
+                        format!(
+                            "conditional declarations may only test integer device parameters; `{}` is not one",
+                            lhs.name
+                        ),
+                        lhs.span,
+                    );
+                    return false;
                 };
                 let rv = match rhs {
                     ast::ConstValue::Int(v, _) => *v,
@@ -323,8 +332,7 @@ impl<'a, 'd> Resolver<'a, 'd> {
             ast::TypeKind::Enum(e) => self.resolve_enum(e, var_width, enum_name),
             ast::TypeKind::Named(name) => match self.types.get(&name.name) {
                 Some((sem, _)) => {
-                    let mut sem = sem.clone();
-                    if let (TypeSem::Enum(en), Some(w)) = (&sem, var_width) {
+                    if let (TypeSem::Enum(en), Some(w)) = (sem, var_width) {
                         if en.width != w {
                             self.diags.error(
                                 ErrorCode::TEnumPatternWidth,
@@ -336,7 +344,7 @@ impl<'a, 'd> Resolver<'a, 'd> {
                             );
                         }
                     }
-                    if let (TypeSem::IntSet { width, set }, Some(w)) = (&sem, var_width) {
+                    if let (TypeSem::IntSet { width, set }, Some(w)) = (sem, var_width) {
                         let max = set.iter().map(|&(_, hi)| hi).max().unwrap_or(0);
                         if bits_for(max).max(1) > w {
                             self.diags.error(
@@ -345,9 +353,9 @@ impl<'a, 'd> Resolver<'a, 'd> {
                                 name.span,
                             );
                         }
-                        sem = TypeSem::IntSet { width: w.max(*width), set: set.clone() };
+                        return Some(TypeSem::IntSet { width: w.max(*width), set: set.clone() });
                     }
-                    Some(sem)
+                    Some(sem.clone())
                 }
                 None => {
                     self.diags.error(
@@ -525,7 +533,7 @@ impl<'a, 'd> Resolver<'a, 'd> {
 
     fn resolve_instance_register(&mut self, r: &ast::RegisterDecl) -> Option<RegDef> {
         let ast::RegSpec::Instance { family: family_name, args } = &r.spec else { unreachable!() };
-        let Some((_, fam)) = self.find_register(&family_name.name) else {
+        let Some((fam_id, _)) = self.find_register(&family_name.name) else {
             self.diags.error(
                 ErrorCode::TUndefined,
                 format!("undefined register family `{}`", family_name.name),
@@ -533,7 +541,7 @@ impl<'a, 'd> Resolver<'a, 'd> {
             );
             return None;
         };
-        let fam = fam.clone();
+        let fam = &self.registers[fam_id.0 as usize];
         if !r.params.is_empty() {
             self.diags.error(
                 ErrorCode::TParamMismatch,
@@ -627,33 +635,29 @@ impl<'a, 'd> Resolver<'a, 'd> {
         params: &[FamilyParam],
         size: u32,
     ) -> Option<PortBinding> {
-        let Some((pid, pdef)) = self.find_port(&port.base.name) else {
-            let kind = self.names.get(&port.base.name).map(|(k, _)| *k);
+        let Some((pid, _)) = self.find_port(&port.base.name) else {
+            let kind = self.names.get(port.base.name.as_str()).map(|(k, _)| *k);
             let code = if kind.is_some() { ErrorCode::TWrongKind } else { ErrorCode::TUndefined };
             self.diags.error(code, format!("`{}` is not a port", port.base.name), port.base.span);
             return None;
         };
-        let pdef_width = pdef.width;
-        let pdef_clone = pdef.clone();
-        if pdef_width != size {
+        let pdef = &self.ports[pid.0 as usize];
+        if pdef.width != size {
             self.diags.error(
                 ErrorCode::TWidthMismatch,
                 format!(
                     "register size ({size} bits) must match the access width of port `{}` ({} bits)",
-                    pdef_clone.name, pdef_width
+                    pdef.name, pdef.width
                 ),
                 port.span,
             );
         }
         let offset = match &port.offset {
             Some(ast::OffsetExpr::Int(v, vspan)) => {
-                if !pdef_clone.contains(*v) {
+                if !pdef.contains(*v) {
                     self.diags.error(
                         ErrorCode::TPortOffset,
-                        format!(
-                            "offset {v} is outside the declared range of port `{}`",
-                            pdef_clone.name
-                        ),
+                        format!("offset {v} is outside the declared range of port `{}`", pdef.name),
                         *vspan,
                     );
                 }
@@ -665,12 +669,12 @@ impl<'a, 'd> Resolver<'a, 'd> {
                         // Every value the parameter can take must be a
                         // valid offset.
                         for v in params[i].iter() {
-                            if !pdef_clone.contains(v) {
+                            if !pdef.contains(v) {
                                 self.diags.error(
                                     ErrorCode::TPortOffset,
                                     format!(
                                         "parameter `{}` can be {v}, which is outside port `{}`'s range",
-                                        p.name, pdef_clone.name
+                                        p.name, pdef.name
                                     ),
                                     p.span,
                                 );
@@ -692,20 +696,21 @@ impl<'a, 'd> Resolver<'a, 'd> {
             None => {
                 // A bare port reference uses the port's sole offset; the
                 // port must have exactly one.
-                let offs: Vec<u64> = pdef_clone.iter_offsets().collect();
-                if offs.len() == 1 {
-                    Offset::Const(offs[0])
-                } else {
-                    self.diags.error(
-                        ErrorCode::TPortOffset,
-                        format!(
-                            "port `{}` has {} possible offsets; specify one with `@`",
-                            pdef_clone.name,
-                            offs.len()
-                        ),
-                        port.span,
-                    );
-                    Offset::Const(offs.first().copied().unwrap_or(0))
+                let mut offs = pdef.iter_offsets();
+                match (offs.next(), offs.next()) {
+                    (Some(only), None) => Offset::Const(only),
+                    (first, _) => {
+                        self.diags.error(
+                            ErrorCode::TPortOffset,
+                            format!(
+                                "port `{}` has {} possible offsets; specify one with `@`",
+                                pdef.name,
+                                pdef.iter_offsets().count()
+                            ),
+                            port.span,
+                        );
+                        Offset::Const(first.unwrap_or(0))
+                    }
                 }
             }
         };
@@ -919,20 +924,23 @@ impl<'a, 'd> Resolver<'a, 'd> {
                 }
             },
             ast::TriggerException::For(cv) => {
-                let raw = self.const_value_bits(cv, ty)?;
+                let raw = Self::const_value_bits(self.diags, cv, ty)?;
                 Some(Neutral::For(raw))
             }
         }
     }
 
-    fn const_value_bits(&mut self, cv: &ast::ConstValue, ty: &TypeSem) -> Option<u64> {
+    /// The raw bits of a constant compared against or assigned to a value
+    /// of type `ty`. Takes the diagnostics instead of `self`, like
+    /// [`Self::resolve_action_value`].
+    fn const_value_bits(diags: &mut DiagSink, cv: &ast::ConstValue, ty: &TypeSem) -> Option<u64> {
         let v = match cv {
             ast::ConstValue::Int(v, _) => *v,
             ast::ConstValue::Bool(b, _) => *b as u64,
             ast::ConstValue::Bits(b, span) => match u64::from_str_radix(b, 2) {
                 Ok(v) => v,
                 Err(_) => {
-                    self.diags.error(
+                    diags.error(
                         ErrorCode::TTriggerValue,
                         format!("`'{b}'` is not a constant bit pattern"),
                         *span,
@@ -944,7 +952,7 @@ impl<'a, 'd> Resolver<'a, 'd> {
                 TypeSem::Enum(en) => match en.value_of(&sym.name) {
                     Some(v) => v,
                     None => {
-                        self.diags.error(
+                        diags.error(
                             ErrorCode::TUndefined,
                             format!(
                                 "`{}` is not a value of the expected enumerated type",
@@ -956,7 +964,7 @@ impl<'a, 'd> Resolver<'a, 'd> {
                     }
                 },
                 _ => {
-                    self.diags.error(
+                    diags.error(
                         ErrorCode::TUndefined,
                         format!("symbol `{}` used where a constant was expected", sym.name),
                         sym.span,
@@ -966,7 +974,7 @@ impl<'a, 'd> Resolver<'a, 'd> {
             },
         };
         if !ty.valid_write(v) {
-            self.diags.error(
+            diags.error(
                 ErrorCode::TValueRange,
                 format!("value {v} is not a member of the expected type"),
                 cv.span(),
@@ -982,8 +990,8 @@ impl<'a, 'd> Resolver<'a, 'd> {
     ) -> Option<Vec<BitChunk>> {
         let mut chunks = Vec::new();
         for atom in &be.atoms {
-            let Some((rid, reg)) = self.find_register(&atom.reg.name) else {
-                let kind = self.names.get(&atom.reg.name).map(|(k, _)| *k);
+            let Some((rid, _)) = self.find_register(&atom.reg.name) else {
+                let kind = self.names.get(atom.reg.name.as_str()).map(|(k, _)| *k);
                 let code =
                     if kind.is_some() { ErrorCode::TWrongKind } else { ErrorCode::TUndefined };
                 self.diags.error(
@@ -993,7 +1001,7 @@ impl<'a, 'd> Resolver<'a, 'd> {
                 );
                 return None;
             };
-            let reg = reg.clone();
+            let reg = &self.registers[rid.0 as usize];
             // Family arguments.
             let mut args = Vec::new();
             if atom.args.len() != reg.params.len() {
@@ -1093,19 +1101,14 @@ impl<'a, 'd> Resolver<'a, 'd> {
     // ---- phase 6: late resolution (actions, serialization) ----
 
     fn resolve_register_actions(&mut self) {
-        let decls = self.reg_decls.clone();
-        for r in decls {
+        let decls = std::mem::take(&mut self.reg_decls);
+        for &r in &decls {
             let Some((rid, _)) = self.find_register(&r.name.name) else { continue };
             // For instances, substitute family parameters by constants and
             // inherit the family's actions.
-            let (inherited, subst, own_params): (
-                Vec<(ActionKind, ast::ActionBlock)>,
-                Vec<u64>,
-                Vec<FamilyParam>,
-            ) = match &r.spec {
+            let (fam_decl, subst, own_params) = match &r.spec {
                 ast::RegSpec::Instance { family, args } => {
-                    let fam_decl =
-                        self.reg_decls.iter().find(|d| d.name.name == family.name).copied();
+                    let fam_decl = decls.iter().find(|d| d.name.name == family.name).copied();
                     let consts: Vec<u64> = args
                         .iter()
                         .map(|a| match a {
@@ -1113,22 +1116,21 @@ impl<'a, 'd> Resolver<'a, 'd> {
                             ast::Expr::Sym(_) => 0,
                         })
                         .collect();
-                    let inherited =
-                        fam_decl.map(|d| collect_action_blocks(&d.attrs)).unwrap_or_default();
                     let fam_params =
                         fam_decl.map(|d| self.resolve_family_params(&d.params)).unwrap_or_default();
-                    (inherited, consts, fam_params)
+                    (fam_decl, consts, fam_params)
                 }
                 _ => {
                     let params = self.resolve_family_params(&r.params);
-                    (Vec::new(), Vec::new(), params)
+                    (None, Vec::new(), params)
                 }
             };
             let mut pre = Vec::new();
             let mut post = Vec::new();
             let mut set = Vec::new();
+            let inherited = fam_decl.map(|d| d.attrs.as_slice()).unwrap_or_default();
             for (kind, block) in
-                inherited.iter().map(|(k, b)| (*k, b)).chain(collect_action_blocks_ref(&r.attrs))
+                collect_action_blocks(inherited).chain(collect_action_blocks(&r.attrs))
             {
                 for stmt in &block.stmts {
                     if let Some(a) = self.resolve_action(stmt, &own_params, &subst) {
@@ -1145,11 +1147,13 @@ impl<'a, 'd> Resolver<'a, 'd> {
             def.post = post;
             def.set = set;
         }
+        self.reg_decls = decls;
         // Variable `set` blocks.
-        let var_decls = self.var_decls.clone();
-        for (v, _) in var_decls {
+        let var_decls = std::mem::take(&mut self.var_decls);
+        for &(v, _) in &var_decls {
             let Some((vid, vdef)) = self.find_variable(&v.name.name) else { continue };
-            let params = vdef.params.clone();
+            let has_set = v.attrs.iter().any(|a| matches!(a, ast::VarAttr::Set(_)));
+            let params = if has_set { vdef.params.clone() } else { Vec::new() };
             let mut actions = Vec::new();
             for attr in &v.attrs {
                 if let ast::VarAttr::Set(b) = attr {
@@ -1162,6 +1166,7 @@ impl<'a, 'd> Resolver<'a, 'd> {
             }
             self.variables[vid.0 as usize].set = actions;
         }
+        self.var_decls = var_decls;
     }
 
     /// Resolves one action statement. `params` are the enclosing family
@@ -1174,9 +1179,15 @@ impl<'a, 'd> Resolver<'a, 'd> {
         subst: &[u64],
     ) -> Option<Action> {
         // Target: variable or structure.
-        if let Some((vid, vdef)) = self.find_variable(&stmt.target.name) {
-            let ty = vdef.ty.clone();
-            let value = self.resolve_action_value(&stmt.value, Some(&ty), params, subst)?;
+        if let Some((vid, vdef)) = find_variable(&self.variables, &stmt.target.name) {
+            let value = Self::resolve_action_value(
+                self.diags,
+                &self.variables,
+                &stmt.value,
+                Some(&vdef.ty),
+                params,
+                subst,
+            )?;
             return Some(Action { target: ActionTarget::Var(vid), value, span: stmt.span });
         }
         if let Some((sid, _)) = self.find_structure(&stmt.target.name) {
@@ -1184,11 +1195,9 @@ impl<'a, 'd> Resolver<'a, 'd> {
                 ast::ActionValue::Struct(fields, _span) => {
                     let mut out = Vec::new();
                     for (fname, fval) in fields {
-                        match self.find_variable(&fname.name) {
+                        match find_variable(&self.variables, &fname.name) {
                             Some((fvid, fdef)) => {
-                                let wrong_parent = fdef.parent != Some(sid);
-                                let fty = fdef.ty.clone();
-                                if wrong_parent {
+                                if fdef.parent != Some(sid) {
                                     self.diags.error(
                                         ErrorCode::TStructureMisuse,
                                         format!(
@@ -1198,8 +1207,14 @@ impl<'a, 'd> Resolver<'a, 'd> {
                                         fname.span,
                                     );
                                 }
-                                let v =
-                                    self.resolve_action_value(fval, Some(&fty), params, subst)?;
+                                let v = Self::resolve_action_value(
+                                    self.diags,
+                                    &self.variables,
+                                    fval,
+                                    Some(&fdef.ty),
+                                    params,
+                                    subst,
+                                )?;
                                 out.push((fvid, v));
                             }
                             None => {
@@ -1233,8 +1248,12 @@ impl<'a, 'd> Resolver<'a, 'd> {
         None
     }
 
+    /// Resolves an action's right-hand side against its target's type.
+    /// Takes the diagnostics and variable table instead of `self`, so
+    /// callers can pass a type borrowed from that table.
     fn resolve_action_value(
-        &mut self,
+        diags: &mut DiagSink,
+        variables: &[VarDef],
         v: &ast::ActionValue,
         target_ty: Option<&TypeSem>,
         params: &[FamilyParam],
@@ -1244,7 +1263,7 @@ impl<'a, 'd> Resolver<'a, 'd> {
             ast::ActionValue::Int(n, span) => {
                 if let Some(ty) = target_ty {
                     if !ty.valid_write(*n) {
-                        self.diags.error(
+                        diags.error(
                             ErrorCode::TActionValue,
                             format!("value {n} is not a member of the target's type"),
                             *span,
@@ -1257,7 +1276,7 @@ impl<'a, 'd> Resolver<'a, 'd> {
             ast::ActionValue::Bool(b, span) => {
                 if let Some(ty) = target_ty {
                     if !matches!(ty, TypeSem::Bool) {
-                        self.diags.error(
+                        diags.error(
                             ErrorCode::TActionValue,
                             "boolean value assigned to a non-boolean target",
                             *span,
@@ -1280,10 +1299,10 @@ impl<'a, 'd> Resolver<'a, 'd> {
                         return Some(ActionValue::Const(val));
                     }
                 }
-                if let Some((vid, _)) = self.find_variable(&sym.name) {
+                if let Some((vid, _)) = find_variable(variables, &sym.name) {
                     return Some(ActionValue::Var(vid));
                 }
-                self.diags.error(
+                diags.error(
                     ErrorCode::TUndefined,
                     format!("undefined value `{}` in action", sym.name),
                     sym.span,
@@ -1291,7 +1310,7 @@ impl<'a, 'd> Resolver<'a, 'd> {
                 None
             }
             ast::ActionValue::Struct(_, span) => {
-                self.diags.error(
+                diags.error(
                     ErrorCode::TStructureMisuse,
                     "structure value assigned to a non-structure target",
                     *span,
@@ -1303,8 +1322,8 @@ impl<'a, 'd> Resolver<'a, 'd> {
 
     fn resolve_serializations(&mut self) {
         // Variable-level serialization plans.
-        let var_decls = self.var_decls.clone();
-        for (v, _) in var_decls {
+        let var_decls = std::mem::take(&mut self.var_decls);
+        for &(v, _) in &var_decls {
             let Some(ser) = &v.serialized else { continue };
             let Some((vid, vdef)) = self.find_variable(&v.name.name) else { continue };
             let regs: Vec<RegId> = vdef
@@ -1315,9 +1334,10 @@ impl<'a, 'd> Resolver<'a, 'd> {
             let plan = self.resolve_ser_block(ser, &regs, None);
             self.variables[vid.0 as usize].serialized = plan;
         }
+        self.var_decls = var_decls;
         // Structure-level serialization plans.
-        let struct_decls = self.struct_decls.clone();
-        for s in struct_decls {
+        let struct_decls = std::mem::take(&mut self.struct_decls);
+        for &s in &struct_decls {
             let Some(ser) = &s.serialized else { continue };
             let Some((sid, sdef)) = self.find_structure(&s.name.name) else { continue };
             let mut regs: Vec<RegId> = Vec::new();
@@ -1334,6 +1354,7 @@ impl<'a, 'd> Resolver<'a, 'd> {
             let plan = self.resolve_ser_block(ser, &regs, Some(&fields));
             self.structures[sid.0 as usize].serialized = plan;
         }
+        self.struct_decls = struct_decls;
     }
 
     /// `allowed` is the set of registers backing the serialized entity;
@@ -1399,7 +1420,7 @@ impl<'a, 'd> Resolver<'a, 'd> {
     fn resolve_cond(&mut self, cond: &ast::Cond, members: Option<&[VarId]>) -> Option<CondSem> {
         match cond {
             ast::Cond::Cmp { lhs, op, rhs, .. } => {
-                let Some((vid, vdef)) = self.find_variable(&lhs.name) else {
+                let Some((vid, vdef)) = find_variable(&self.variables, &lhs.name) else {
                     self.diags.error(
                         ErrorCode::TSerialization,
                         format!("`{}` is not a variable", lhs.name),
@@ -1407,7 +1428,6 @@ impl<'a, 'd> Resolver<'a, 'd> {
                     );
                     return None;
                 };
-                let ty = vdef.ty.clone();
                 if let Some(m) = members {
                     if !m.contains(&vid) {
                         self.diags.error(
@@ -1420,7 +1440,7 @@ impl<'a, 'd> Resolver<'a, 'd> {
                         );
                     }
                 }
-                let value = self.const_value_bits(rhs, &ty)?;
+                let value = Self::const_value_bits(self.diags, rhs, &vdef.ty)?;
                 Some(CondSem::Cmp { var: vid, eq: matches!(op, ast::CmpOp::Eq), value })
             }
             ast::Cond::And(a, b) => {
@@ -1459,11 +1479,7 @@ impl<'a, 'd> Resolver<'a, 'd> {
     }
 
     fn find_variable(&self, name: &str) -> Option<(VarId, &VarDef)> {
-        self.variables
-            .iter()
-            .enumerate()
-            .find(|(_, v)| v.name == name)
-            .map(|(i, v)| (VarId(i as u32), v))
+        find_variable(&self.variables, name)
     }
 
     fn find_structure(&self, name: &str) -> Option<(StructId, &StructDef)> {
@@ -1475,6 +1491,11 @@ impl<'a, 'd> Resolver<'a, 'd> {
     }
 }
 
+/// Looks a variable up by name in `variables`.
+fn find_variable<'v>(variables: &'v [VarDef], name: &str) -> Option<(VarId, &'v VarDef)> {
+    variables.iter().enumerate().find(|(_, v)| v.name == name).map(|(i, v)| (VarId(i as u32), v))
+}
+
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum ActionKind {
     Pre,
@@ -1482,19 +1503,7 @@ enum ActionKind {
     Set,
 }
 
-fn collect_action_blocks(attrs: &[ast::RegAttr]) -> Vec<(ActionKind, ast::ActionBlock)> {
-    attrs
-        .iter()
-        .filter_map(|a| match a {
-            ast::RegAttr::Pre(b) => Some((ActionKind::Pre, b.clone())),
-            ast::RegAttr::Post(b) => Some((ActionKind::Post, b.clone())),
-            ast::RegAttr::Set(b) => Some((ActionKind::Set, b.clone())),
-            ast::RegAttr::Mask(_) => None,
-        })
-        .collect()
-}
-
-fn collect_action_blocks_ref(
+fn collect_action_blocks(
     attrs: &[ast::RegAttr],
 ) -> impl Iterator<Item = (ActionKind, &ast::ActionBlock)> {
     attrs.iter().filter_map(|a| match a {
@@ -1855,6 +1864,37 @@ device mini (base : bit[8] port @ {0..1}) {
         );
         let _ = resolve(&dev.unwrap(), &[("ghost", 1)], &mut diags);
         assert!(diags.has_code(ErrorCode::TParamMismatch));
+    }
+
+    #[test]
+    fn unknown_bindings_are_reported_in_the_callers_order() {
+        let (dev, _) = parse(
+            r#"device d (base : bit[8] port @ {0..0}, mode : int(1)) {
+                 register r = base @ 0 : bit[8];
+                 variable v = r : int(8);
+               }"#,
+        );
+        let dev = dev.unwrap();
+        // Several orders, so a hash order cannot match them all by luck;
+        // a repeated unknown name is reported once.
+        for names in [["zeta", "alpha", "mid"], ["alpha", "zeta", "mid"], ["mid", "zeta", "alpha"]]
+        {
+            let bindings =
+                [(names[0], 1), ("mode", 0), (names[1], 2), (names[2], 3), (names[0], 4)];
+            let mut diags = DiagSink::new();
+            let _ = resolve(&dev, &bindings, &mut diags);
+            let reported: Vec<&str> = diags
+                .all()
+                .iter()
+                .filter(|d| d.code == ErrorCode::TParamMismatch)
+                .map(|d| d.message.as_str())
+                .collect();
+            let expected: Vec<String> = names
+                .iter()
+                .map(|n| format!("binding for unknown device parameter `{n}`"))
+                .collect();
+            assert_eq!(reported, expected);
+        }
     }
 
     #[test]

@@ -70,12 +70,24 @@ impl<'d> Parser<'d> {
         matches!(self.peek(), T::Eof)
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
+    }
+
+    /// Consumes the current token and moves its owned text out. The
+    /// parser never moves backwards, so the emptied token is not read
+    /// again.
+    fn take_text(&mut self) -> (String, Span) {
+        let tok = &mut self.tokens[self.pos];
+        let (T::Ident(text) | T::Quoted(text)) = &mut tok.kind else {
+            unreachable!("callers take text only from identifiers and bit literals")
+        };
+        let text = std::mem::take(text);
+        let span = tok.span;
+        self.bump();
+        (text, span)
     }
 
     fn at(&self, kind: &T) -> bool {
@@ -135,10 +147,8 @@ impl<'d> Parser<'d> {
     }
 
     fn ident(&mut self, what: &str) -> Option<Ident> {
-        if let T::Ident(name) = self.peek() {
-            let name = name.clone();
-            let span = self.peek_span();
-            self.bump();
+        if let T::Ident(_) = self.peek() {
+            let (name, span) = self.take_text();
             Some(Ident::new(name, span))
         } else {
             let sp = self.peek_span();
@@ -497,11 +507,8 @@ impl<'d> Parser<'d> {
     }
 
     fn quoted(&mut self, what: &str) -> Option<(String, Span)> {
-        if let T::Quoted(q) = self.peek() {
-            let q = q.clone();
-            let span = self.peek_span();
-            self.bump();
-            Some((q, span))
+        if let T::Quoted(_) = self.peek() {
+            Some(self.take_text())
         } else {
             let sp = self.peek_span();
             let found = self.peek().describe();
@@ -740,10 +747,8 @@ impl<'d> Parser<'d> {
                 self.bump();
                 Some(ConstValue::Bool(false, s))
             }
-            T::Quoted(q) => {
-                let q = q.clone();
-                let s = self.peek_span();
-                self.bump();
+            T::Quoted(_) => {
+                let (q, s) = self.take_text();
                 Some(ConstValue::Bits(q, s))
             }
             T::Ident(_) => self.ident("value").map(ConstValue::Sym),
@@ -1547,5 +1552,61 @@ device logitech_busmouse (base : bit[8] port @ {0..3})
             }
             other => panic!("wrong precedence: {other:?}"),
         }
+    }
+
+    /// The parser moves identifier and bit-literal text out of the tokens
+    /// it consumes. A malformed declaration followed by valid ones must
+    /// still name the offending token, and nothing parsed after the
+    /// recovery may come out empty.
+    #[test]
+    fn recovery_keeps_token_text() {
+        let valid = "
+            register ok = base @ 1, mask '****....' : bit[8];
+            variable hi = ok[7..4] : { IDLE => '0001', BUSY <=> '0010' };
+            variable trig = flag, write trigger for '1' : bool;
+            register flag = write base @ 0, mask '0000000*' : bit[8];";
+        let header = "device d (base : bit[8] port @ {0..1}) {";
+        let broken = format!(
+            "{header}
+               register bad = base @ 0, foo : bit[8];
+               register '101' = base @ 0 : bit[8];
+               {valid}
+             }}"
+        );
+        let (dev, diags) = parse(&broken);
+        let messages: Vec<&str> = diags.all().iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(
+            messages,
+            [
+                "expected register attribute (`mask`, `pre`, `post` or `set`), found identifier `foo`",
+                "expected register name, found bit literal `'101'`",
+            ]
+        );
+        let dev = dev.expect("recovery still yields the device");
+        let clean = parse_ok(&format!("{header}{valid} }}"));
+        assert_eq!(crate::pretty::print_device(&dev), crate::pretty::print_device(&clean));
+
+        let [Decl::Register(ok), Decl::Variable(hi), Decl::Variable(trig), Decl::Register(flag)] =
+            &dev.decls[..]
+        else {
+            panic!("wrong declarations: {:#?}", dev.decls);
+        };
+        assert_eq!((ok.name.name.as_str(), flag.name.name.as_str()), ("ok", "flag"));
+        let RegSpec::Port { port, .. } = &ok.spec else { panic!("wrong spec: {:?}", ok.spec) };
+        assert_eq!(port.base.name, "base");
+        let RegAttr::Mask(mask) = &ok.attrs[0] else { panic!("wrong attr: {:?}", ok.attrs) };
+        assert_eq!(mask.width(), 8);
+        assert_eq!(hi.bits.as_ref().unwrap().atoms[0].reg.name, "ok");
+        let Some(TypeKind::Enum(e)) = hi.ty.as_ref().map(|t| &t.kind) else {
+            panic!("wrong type: {:?}", hi.ty)
+        };
+        let arms: Vec<(&str, &str)> =
+            e.arms.iter().map(|a| (a.sym.name.as_str(), a.pattern.as_str())).collect();
+        assert_eq!(arms, [("IDLE", "0001"), ("BUSY", "0010")]);
+        let VarAttr::Trigger { exception: Some(TriggerException::For(value)), .. } = &trig.attrs[0]
+        else {
+            panic!("wrong attr: {:?}", trig.attrs)
+        };
+        assert!(matches!(value, ConstValue::Bits(b, _) if b == "1"), "{value:?}");
     }
 }
