@@ -3102,7 +3102,7 @@ impl DeviceIr {
         let binding = if write { &reg.write } else { &reg.read };
         let Some(binding) = binding else {
             return Err(format!(
-                "{} is not {} ",
+                "{} is not {}",
                 v.name,
                 if write { "writable" } else { "readable" }
             ));

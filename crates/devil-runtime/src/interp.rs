@@ -1314,20 +1314,71 @@ mod tests {
         assert_eq!(dev.regs[&(0, 0)], 3);
     }
 
+    /// Block eligibility, one row per way a variable can fail it: the
+    /// plan executor's typed error, the reference interpreter's verdict
+    /// (it runs register actions, so only the action row differs), and
+    /// `fuse`'s error for a block op on the same variable.
     #[test]
-    fn block_transfer_requires_block_attribute() {
-        let mut d = instance(
-            r#"device d (data : bit[16] port @ {0..0}) {
-                 register dr = data @ 0 : bit[16];
-                 variable ide_data = dr, volatile : int(16);
-               }"#,
-        );
-        let mut dev = FakeAccess::new();
-        let mut buf = [0u64; 2];
-        assert_eq!(
-            d.read_block(&mut dev, "ide_data", &mut buf),
-            Err(RtError::NotBlock("ide_data".into()))
-        );
+    fn block_eligibility_table() {
+        const SRC: &str = r#"device d (data : bit[16] port @ {0..3}, idx : bit[8] port @ {0..0}) {
+                 register ir = write idx @ 0 : bit[8];
+                 private variable index = ir : int(8);
+                 register r0 = data @ 0 : bit[16];
+                 variable plain = r0, volatile : int(16);
+                 register r1 = data @ 1 : bit[16];
+                 variable low = r1[7..0], volatile, block : int(8);
+                 variable high = r1[15..8], volatile : int(8);
+                 register r2 = write data @ 2 : bit[16];
+                 variable wo = r2, block : int(16);
+                 register r3 = data @ 3, pre {index = 7} : bit[16];
+                 variable act = r3, volatile, block : int(16);
+               }"#;
+        let table: [(&str, RtError, Result<(), RtError>, &str); 4] = [
+            (
+                "plain",
+                RtError::NotBlock("plain".into()),
+                Err(RtError::NotBlock("plain".into())),
+                "superplan sp op 0: plain is not a block variable",
+            ),
+            (
+                "low",
+                RtError::NotBlock("low".into()),
+                Err(RtError::NotBlock("low".into())),
+                "superplan sp op 0: low does not cover its register",
+            ),
+            (
+                "wo",
+                RtError::NotReadable("wo".into()),
+                Err(RtError::NotReadable("wo".into())),
+                "superplan sp op 0: wo is not readable",
+            ),
+            (
+                "act",
+                RtError::Unplanned("block act".into()),
+                Ok(()),
+                "superplan sp op 0: r3's register has actions",
+            ),
+        ];
+        for (name, plan_err, reference_result, fuse_err) in table {
+            let mut d = instance(SRC);
+            let mut dev = FakeAccess::new();
+            let mut buf = [0u64; 2];
+            assert_eq!(d.read_block(&mut dev, name, &mut buf), Err(plan_err), "{name}");
+            assert_eq!(dev.ops(), 0, "{name}: a rejected block access touches no port");
+
+            let mut r = reference(SRC);
+            let vid = r.ir().var_id(name).unwrap();
+            let mut dev = FakeAccess::new();
+            assert_eq!(r.read_block_id(&mut dev, vid, &mut buf), reference_result, "{name}");
+            if reference_result.is_ok() {
+                let log = [(true, 1, 0, 7), (false, 0, 3, 0), (false, 0, 3, 0)];
+                assert_eq!(dev.log, log, "{name}: the pre-action runs, then the block");
+            }
+
+            let mut ir = d.ir().clone();
+            let var = ir.var_id(name).unwrap();
+            assert_eq!(ir.fuse("sp", vec![FuseOp::ReadBlock { var }]), Err(fuse_err.into()));
+        }
     }
 
     #[test]

@@ -1063,8 +1063,10 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                 }
             }
             // Bit ranges.
+            // A zero-width register (only reachable past a parse error)
+            // has no whole-register range to select.
             let ranges: Vec<(u32, u32)> = if atom.ranges.is_empty() {
-                vec![(reg.size - 1, 0)]
+                reg.size.checked_sub(1).map(|hi| vec![(hi, 0)]).unwrap_or_default()
             } else {
                 atom.ranges.iter().map(|r| (r.hi, r.lo)).collect()
             };
@@ -1079,7 +1081,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                         atom.span,
                     );
                 }
-                for b in lo..=hi.min(reg.size.saturating_sub(1)) {
+                for b in lo..hi.saturating_add(1).min(reg.size) {
                     if reg.mask[b as usize] != MaskBit::Relevant {
                         self.diags.error(
                             ErrorCode::TBitOutOfRange,
@@ -2069,5 +2071,21 @@ device mini (base : bit[8] port @ {0..1}) {
                }"#,
         );
         assert!(diags.has_code(ErrorCode::TEnumPatternWidth));
+    }
+
+    #[test]
+    fn zero_width_register_is_an_error_not_a_panic() {
+        // `bit[0]` is a parse error; resolution of the AST the parser
+        // still returns must report, not index past the empty mask or
+        // underflow the whole-register range.
+        for var in ["variable v = r[0] : bool;", "variable v = r : int(8);"] {
+            let src = format!(
+                "device d (base : bit[8] port @ {{0..0}}) {{ register r = base @ 0 : bit[0]; {var} }}"
+            );
+            let (dev, mut diags) = parse(&src);
+            let dev = dev.expect("the parser recovers a device");
+            let _ = resolve(&dev, &[], &mut diags);
+            assert!(diags.has_errors(), "{var}: expected an error diagnostic");
+        }
     }
 }
