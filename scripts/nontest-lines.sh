@@ -1,7 +1,7 @@
 #!/bin/sh
 # Prints each crate's non-test source line count: for every .rs file
-# under the crate's src/, the lines above its first `#[cfg(test)]`
-# (the whole file when it has none). Crates default to the four that
+# under the crate's src/, the lines above its first `#[cfg(test)]` or
+# `#![cfg(test)]` (the whole file when it has neither). Crates default to the four that
 # hold plan-step semantics; pass crate names to count others.
 #
 #   scripts/nontest-lines.sh [crate...]
@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 [ $# -gt 0 ] || set -- devil-ir devil-runtime devil-verify devil-codegen
 total=0
 for crate in "$@"; do
-    n=$(find "crates/$crate/src" -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' {} \; |
+    n=$(find "crates/$crate/src" -name '*.rs' -exec awk '/^#!?\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' {} \; |
         awk '{ s += $1 } END { print s + 0 }')
     printf '%-16s %6d\n' "$crate" "$n"
     total=$((total + n))
