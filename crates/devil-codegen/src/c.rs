@@ -18,8 +18,8 @@
 
 use crate::plan::{assemble_slots, Shift, StubApi};
 use devil_ir::{
-    DeviceIr, FieldSeg, FuseOp, GuardSource, PlanSlot, PlanStep, PlanValue, Superplan, VarIr,
-    WriteSeg,
+    Compose, DeviceIr, FieldSeg, FuseOp, GuardSource, PlanGuard, PlanSlot, PlanStep, PlanValue,
+    Superplan, VarIr,
 };
 use devil_sema::model::{Offset, SerStep, TypeSem, VarId};
 use std::fmt::{self, Write as _};
@@ -247,25 +247,8 @@ fn superplan_fn(out: &mut String, ir: &DeviceIr, prefix: &str, sp: &Superplan) {
         if k + 1 == sp.plan.variants.len() {
             let _ = writeln!(out, "    }} else {{");
         } else {
-            let guards: Vec<String> = v
-                .guards
-                .iter()
-                .map(|g| match g.source {
-                    GuardSource::Slot(s) => {
-                        let owner = ir.slot_owner(s).expect("emittable plans guard owned slots");
-                        format!(
-                            "({prefix}_cache.cache_{} & {}) == {}",
-                            ir.reg(owner).name,
-                            Hex(g.mask),
-                            Hex(g.expected)
-                        )
-                    }
-                    GuardSource::Cell(_) => unreachable!("cell guards are not emittable"),
-                    GuardSource::Input => unreachable!("fused selection has no input dims"),
-                })
-                .collect();
             let kw = if k == 0 { "    if".to_string() } else { "    } else if".to_string() };
-            let _ = writeln!(out, "{kw} ({}) {{", guards.join(" && "));
+            let _ = writeln!(out, "{kw} ({}) {{", guard_cond(ir, prefix, &v.guards, "(v)"));
         }
         for step in ir.variant_steps(v) {
             sp_step_stmt(ir, prefix, step, "        ", out);
@@ -370,24 +353,16 @@ fn order_has_reg(
 
 /// Appends the composed raw-value expression of a masked store/write,
 /// `(cache & keep) | consts | runtime segs`, to `out`.
-fn compose_expr(
-    out: &mut String,
-    prefix: &str,
-    n: &str,
-    keep_and: u64,
-    const_or: u64,
-    segs: &[WriteSeg],
-    input: &str,
-) {
-    if keep_and == u64::MAX {
+fn compose_expr(out: &mut String, prefix: &str, n: &str, c: &Compose, input: &str) {
+    if c.keep_and == u64::MAX {
         let _ = write!(out, "{prefix}_cache.cache_{n}");
     } else {
-        let _ = write!(out, "({prefix}_cache.cache_{n} & {})", Hex(keep_and));
+        let _ = write!(out, "({prefix}_cache.cache_{n} & {})", Hex(c.keep_and));
     }
-    if const_or != 0 {
-        let _ = write!(out, " | {}", Hex(const_or));
+    if c.const_or != 0 {
+        let _ = write!(out, " | {}", Hex(c.const_or));
     }
-    for ws in segs {
+    for ws in &c.segs {
         let shifted = Shift(Operand(&ws.value, input), ws.seg.reg_lo as i64 - ws.seg.var_lo as i64);
         let _ = write!(out, " | ({shifted} & {})", Hex(ws.seg.reg_mask()));
     }
@@ -401,17 +376,17 @@ fn step_expr(ir: &DeviceIr, prefix: &str, step: &PlanStep, input: &str) -> Strin
             let n = &ir.reg(a.reg).name;
             format!("{prefix}_cache.cache_{n} = {prefix}__read_{n}(), {prefix}_cache.valid_{n} = 1")
         }
-        PlanStep::Write(a, c) => {
+        PlanStep::Write { access: a, compose: c, .. } => {
             let n = &ir.reg(a.reg).name;
             // A pure flush (struct write of an unassigned register)
             // recomposes nothing: skip the no-op cache update.
-            if c.keep_and == u64::MAX && c.const_or == 0 && c.segs.is_empty() {
+            if c.is_identity() {
                 return format!(
                     "{prefix}_cache.valid_{n} = 1, {prefix}__write_{n}({prefix}_cache.cache_{n})"
                 );
             }
             let mut s = format!("{prefix}_cache.cache_{n} = ");
-            compose_expr(&mut s, prefix, n, c.keep_and, c.const_or, &c.segs, input);
+            compose_expr(&mut s, prefix, n, c, input);
             let _ = write!(
                 s,
                 ", {prefix}_cache.valid_{n} = 1, {prefix}__write_{n}({prefix}_cache.cache_{n})"
@@ -426,7 +401,7 @@ fn step_expr(ir: &DeviceIr, prefix: &str, step: &PlanStep, input: &str) -> Strin
             let owner = ir.slot_owner(*s).expect("emittable stores hit owned slots");
             let n = &ir.reg(owner).name;
             let mut s = format!("{prefix}_cache.cache_{n} = ");
-            compose_expr(&mut s, prefix, n, c.keep_and, c.const_or, &c.segs, input);
+            compose_expr(&mut s, prefix, n, c, input);
             let _ = write!(s, ", {prefix}_cache.valid_{n} = 1");
             s
         }
@@ -474,32 +449,33 @@ fn plan_body(ir: &DeviceIr, prefix: &str, plan: &devil_ir::AccessPlan, input: &s
         if k + 1 == plan.variants.len() {
             body.push_str(&arm);
         } else {
-            let guards: Vec<String> = v
-                .guards
-                .iter()
-                .map(|g| match g.source {
-                    GuardSource::Slot(s) => {
-                        let owner = ir.slot_owner(s).expect("emittable plans guard owned slots");
-                        format!(
-                            "({prefix}_cache.cache_{} & {}) == {}",
-                            ir.reg(owner).name,
-                            Hex(g.mask),
-                            Hex(g.expected)
-                        )
-                    }
-                    GuardSource::Cell(_) => unreachable!("cell guards are not emittable"),
-                    // The stub's own value argument: a write order
-                    // testing the variable being written (the general
-                    // path's store-then-evaluate order).
-                    GuardSource::Input => {
-                        format!("(({input}) & {}) == {}", Hex(g.mask), Hex(g.expected))
-                    }
-                })
-                .collect();
-            let _ = write!(body, "{} ? \\\n    {arm} : \\\n    ", guards.join(" && "));
+            let cond = guard_cond(ir, prefix, &v.guards, input);
+            let _ = write!(body, "{cond} ? \\\n    {arm} : \\\n    ");
         }
     }
     format!("({body})")
+}
+
+/// A variant's guards as one C condition: each slot guard tests its
+/// register's cache field, each input guard the stub's value argument
+/// `input` (a write order testing the variable being written: the
+/// general path's store-then-evaluate order).
+fn guard_cond(ir: &DeviceIr, prefix: &str, guards: &[PlanGuard], input: &str) -> String {
+    let tests: Vec<String> = guards
+        .iter()
+        .map(|g| match g.source {
+            GuardSource::Slot(s) => {
+                let owner = ir.slot_owner(s).expect("emittable plans guard owned slots");
+                let (mask, expected) = (Hex(g.mask), Hex(g.expected));
+                format!("({prefix}_cache.cache_{} & {mask}) == {expected}", ir.reg(owner).name)
+            }
+            GuardSource::Cell(_) => unreachable!("cell guards are not emittable"),
+            GuardSource::Input => {
+                format!("(({input}) & {}) == {}", Hex(g.mask), Hex(g.expected))
+            }
+        })
+        .collect();
+    tests.join(" && ")
 }
 
 /// A variable assembled from named cache fields, as a C expression.

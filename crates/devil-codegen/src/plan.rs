@@ -81,7 +81,7 @@ fn step_verdict(ir: &DeviceIr, step: &PlanStep, superplan: bool) -> bool {
         PlanStep::Read(a) => {
             ir.reg(a.reg).slot.is_some() && matches!(a.offset, PlanOffset::Const(_))
         }
-        PlanStep::Write(a, c) => {
+        PlanStep::Write { access: a, compose: c, .. } => {
             ir.reg(a.reg).slot.is_some()
                 && matches!(a.offset, PlanOffset::Const(_))
                 && c.segs.iter().all(|ws| value_ok(&ws.value))
@@ -327,7 +327,7 @@ mod tests {
                 for step in ir.variant_steps(variant) {
                     match step {
                         PlanStep::Read(_) => kinds[0] = true,
-                        PlanStep::Write(..) => kinds[1] = true,
+                        PlanStep::Write { .. } => kinds[1] = true,
                         PlanStep::Store(..) => kinds[2] = true,
                         PlanStep::SetCell { .. } => kinds[3] = true,
                         PlanStep::BlockIn { .. }

@@ -15,8 +15,8 @@
 
 use crate::plan::{assemble_slots, Shift, StubApi};
 use devil_ir::{
-    AccessPlan, DeviceIr, FieldSeg, FuseOp, GuardSource, PlanSlot, PlanStep, PlanValue, Superplan,
-    VarIr, WriteSeg,
+    AccessPlan, Compose, DeviceIr, FieldSeg, FuseOp, GuardSource, PlanSlot, PlanStep, PlanValue,
+    Superplan, VarIr,
 };
 use devil_sema::model::{StructId, TypeSem, VarId};
 use std::fmt::{self, Write as _};
@@ -259,23 +259,16 @@ impl fmt::Display for Operand<'_> {
 
 /// Appends the composed raw-value expression of a masked store/write to
 /// `out`.
-fn compose_expr(
-    out: &mut String,
-    n: &str,
-    keep_and: u64,
-    const_or: u64,
-    segs: &[WriteSeg],
-    input: &str,
-) {
-    if keep_and == u64::MAX {
+fn compose_expr(out: &mut String, n: &str, c: &Compose, input: &str) {
+    if c.keep_and == u64::MAX {
         let _ = write!(out, "self.cache_{n}");
     } else {
-        let _ = write!(out, "(self.cache_{n} & {keep_and:#x})");
+        let _ = write!(out, "(self.cache_{n} & {:#x})", c.keep_and);
     }
-    if const_or != 0 {
-        let _ = write!(out, " | {const_or:#x}");
+    if c.const_or != 0 {
+        let _ = write!(out, " | {:#x}", c.const_or);
     }
-    for ws in segs {
+    for ws in &c.segs {
         let shifted = Shift(Operand(&ws.value, input), ws.seg.reg_lo as i64 - ws.seg.var_lo as i64);
         let _ = write!(out, " | ({shifted} & {:#x})", ws.seg.reg_mask());
     }
@@ -288,14 +281,14 @@ fn step_stmts(ir: &DeviceIr, step: &PlanStep, indent: &str, input: &str, out: &m
         PlanStep::Read(a) => {
             let _ = writeln!(out, "{indent}self.read_{}(dev);", ir.reg(a.reg).name);
         }
-        PlanStep::Write(a, c) => {
+        PlanStep::Write { access: a, compose: c, .. } => {
             let n = &ir.reg(a.reg).name;
-            if c.keep_and == u64::MAX && c.const_or == 0 && c.segs.is_empty() {
+            if c.is_identity() {
                 let _ = writeln!(out, "{indent}self.write_{n}(dev);");
                 return;
             }
             let _ = write!(out, "{indent}self.cache_{n} = ");
-            compose_expr(out, n, c.keep_and, c.const_or, &c.segs, input);
+            compose_expr(out, n, c, input);
             let _ = writeln!(out, ";\n{indent}self.write_{n}(dev);");
         }
         PlanStep::Store(slot, c) => {
@@ -305,7 +298,7 @@ fn step_stmts(ir: &DeviceIr, step: &PlanStep, indent: &str, input: &str, out: &m
             let owner = ir.slot_owner(*s).expect("emittable stores hit owned slots");
             let n = &ir.reg(owner).name;
             let _ = write!(out, "{indent}self.cache_{n} = ");
-            compose_expr(out, n, c.keep_and, c.const_or, &c.segs, input);
+            compose_expr(out, n, c, input);
             let _ = writeln!(out, ";\n{indent}self.valid_{n} = true;");
         }
         PlanStep::SetCell { cell, value, mask } => {

@@ -3,11 +3,11 @@
 //! straight-line steps, and the guard-split driver that enumerates the
 //! tested values of conditional orders into plan variants.
 
-use crate::plan::{slot_span, slots_may_alias};
+use crate::plan::block_binding;
 use crate::{
-    AccessPlan, AccessStep, FieldSeg, GuardSource, PlanGuard, PlanOffset, PlanSlot, PlanStep,
-    PlanValue, PlanVariant, RegIr, SelectorDim, StoreCompose, StructIr, VarIr, VarSeg, WriteCheck,
-    WriteCompose, WriteSeg,
+    width_mask, AccessPlan, AccessStep, BlockIneligible, Compose, FieldSeg, GuardSource, PlanGuard,
+    PlanOffset, PlanSlot, PlanStep, PlanValue, PlanVariant, RegIr, SelectorDim, StructIr, VarIr,
+    VarSeg, WriteCheck, WriteSeg,
 };
 use devil_sema::model::{
     Action, ActionTarget, ActionValue, ChunkArg, CondSem, FamilyParam, Neutral, Offset,
@@ -216,7 +216,7 @@ impl<'a> PlanBuilder<'a> {
             return self.fail("expansion exceeds the plan step budget");
         }
         if let Some(slot) = step.slot() {
-            if self.guarded.iter().flatten().any(|g| slots_may_alias(g, slot)) {
+            if self.guarded.iter().flatten().any(|g| g.may_alias(slot)) {
                 return self.fail("touches a register slot pending its own composed write");
             }
         }
@@ -225,15 +225,10 @@ impl<'a> PlanBuilder<'a> {
                 let slot = a.slot.clone();
                 self.sym_clobber(&slot);
             }
-            PlanStep::Write(a, c) => {
-                let slot = a.slot.clone();
-                let (seg_in, seg_arg) = seg_value_masks(&c.segs);
-                let (keep_and, const_or) = (c.keep_and, c.const_or);
-                self.sym_write(&slot, keep_and, const_or, seg_in, seg_arg);
-            }
-            PlanStep::Store(slot, c) => {
+            PlanStep::Write { access: AccessStep { slot, .. }, compose: c, .. }
+            | PlanStep::Store(slot, c) => {
                 let slot = slot.clone();
-                let (seg_in, seg_arg) = seg_value_masks(&c.segs);
+                let (seg_in, seg_arg) = c.value_masks();
                 let (keep_and, const_or) = (c.keep_and, c.const_or);
                 self.sym_write(&slot, keep_and, const_or, seg_in, seg_arg);
             }
@@ -255,7 +250,7 @@ impl<'a> PlanBuilder<'a> {
     /// Marks every bit a slot (or, for indexed slots, its whole span)
     /// may hold as unknown and non-entry.
     fn sym_clobber(&mut self, slot: &PlanSlot) {
-        let (lo, hi) = slot_span(slot);
+        let (lo, hi) = slot.span();
         for s in lo..hi.min(self.slot_sym.len()) {
             self.slot_sym[s] =
                 SlotSym { known_mask: 0, known_val: 0, entry_mask: 0, input_mask: 0 };
@@ -448,21 +443,10 @@ impl<'a> PlanBuilder<'a> {
     /// Mirrors the reference interpreter's write composition for one variable on
     /// one register: clear own segments and trigger neighbours, fold
     /// neutral substitutions and constant values, keep the rest cached.
-    fn compose_one(&self, vid: VarId, rid: RegId, value: PlanValue) -> WriteCompose {
+    fn compose_one(&self, vid: VarId, rid: RegId, value: PlanValue) -> Compose {
         let reg = &self.env.regs[rid.0 as usize];
         let var = &self.env.vars[vid.0 as usize];
-        let mut clear = 0u64;
-        let mut const_or = 0u64;
-        let mut segs = Vec::new();
-        for s in &var.segs {
-            if s.reg == rid {
-                clear |= s.seg.reg_mask();
-                match value {
-                    PlanValue::Const(c) => const_or |= s.seg.insert(c),
-                    v => segs.push(WriteSeg { seg: s.seg, value: v }),
-                }
-            }
-        }
+        let mut c = gather_reg_compose(var.segs.iter().map(|s| (s, value)), rid);
         for field in &reg.fields {
             if field.var == vid {
                 continue;
@@ -475,34 +459,30 @@ impl<'a> PlanBuilder<'a> {
                         // `for X`: every value except X is neutral.
                         Neutral::For(x) => u64::from(x == 0),
                     };
-                    clear |= field.reg_mask();
-                    const_or |= field.insert(nv);
+                    c.keep_and &= !field.reg_mask();
+                    c.const_or |= field.insert(nv);
                 }
             }
         }
-        WriteCompose {
-            keep_and: !clear,
-            const_or,
-            segs,
-            out_and: reg.and_mask,
-            out_or: reg.or_mask,
-        }
+        c
     }
 
-    /// Simulates one register write: pre-actions, composed masked
-    /// write, post/set actions. `unguard` is the index of the caller's
-    /// pending-slot entry to release just before the write emits.
+    /// Simulates one register write: pre-actions, composed write
+    /// through the register's masks, post/set actions. `unguard` is the
+    /// index of the caller's pending-slot entry to release just before
+    /// the write emits.
     fn write_reg(
         &mut self,
         rid: RegId,
         reg_args: &[PlanValue],
-        compose: WriteCompose,
+        compose: Compose,
         unguard: Option<usize>,
         depth: u32,
     ) -> Option<()> {
         self.note_depth(depth)?;
         let reg = &self.env.regs[rid.0 as usize];
         let (pre, post, set) = (reg.pre.clone(), reg.post.clone(), reg.set.clone());
+        let (out_and, out_or) = (reg.and_mask, reg.or_mask);
         let name = &reg.name;
         let Some(binding) = reg.write.clone() else {
             return self.fail(format!("register `{name}` is not writable"));
@@ -523,7 +503,8 @@ impl<'a> PlanBuilder<'a> {
         if let Some(i) = unguard {
             self.guarded[i] = None;
         }
-        self.emit(PlanStep::Write(AccessStep { reg: rid, slot, port, offset, size }, compose))?;
+        let access = AccessStep { reg: rid, slot, port, offset, size };
+        self.emit(PlanStep::Write { access, compose, out_and, out_or })?;
         self.actions(&post, reg_args, depth + 1)?;
         self.actions(&set, reg_args, depth + 1)
     }
@@ -642,9 +623,8 @@ impl<'a> PlanBuilder<'a> {
                 let name = &self.env.regs[rid.0 as usize].name;
                 return self.fail(format!("stores into `{name}`, which has no indexed slot"));
             };
-            let (clear, const_or, segs) =
-                gather_reg_compose(var.segs.iter().map(|s| (s, value)), rid);
-            self.emit(PlanStep::Store(slot, StoreCompose { keep_and: !clear, const_or, segs }))?;
+            let compose = gather_reg_compose(var.segs.iter().map(|s| (s, value)), rid);
+            self.emit(PlanStep::Store(slot, compose))?;
         }
         let guard_start = self.guarded.len();
         for &rid in order {
@@ -781,14 +761,8 @@ impl<'a> PlanBuilder<'a> {
                 let name = &self.env.regs[rid.0 as usize].name;
                 return self.fail(format!("stores into `{name}`, which has no indexed slot"));
             };
-            let vars = self.env.vars;
-            let (clear, const_or, segs) = gather_reg_compose(
-                assigned
-                    .iter()
-                    .flat_map(|&(fid, v)| vars[fid.0 as usize].segs.iter().map(move |s| (s, v))),
-                rid,
-            );
-            self.emit(PlanStep::Store(slot, StoreCompose { keep_and: !clear, const_or, segs }))?;
+            let compose = self.gather_assigned(assigned, rid);
+            self.emit(PlanStep::Store(slot, compose))?;
         }
         // Assigned register-backed bits are inserted at each register's
         // write step; guard the pending slots (store/compose inversion,
@@ -802,21 +776,7 @@ impl<'a> PlanBuilder<'a> {
             self.guarded.push(Some(slot));
         }
         for (k, &rid) in order.iter().enumerate() {
-            let reg = &self.env.regs[rid.0 as usize];
-            let vars = self.env.vars;
-            let (clear, const_or, segs) = gather_reg_compose(
-                assigned
-                    .iter()
-                    .flat_map(|&(fid, v)| vars[fid.0 as usize].segs.iter().map(move |s| (s, v))),
-                rid,
-            );
-            let compose = WriteCompose {
-                keep_and: !clear,
-                const_or,
-                segs,
-                out_and: reg.and_mask,
-                out_or: reg.or_mask,
-            };
+            let compose = self.gather_assigned(assigned, rid);
             // The reference interpreter enters `write_register` at depth + 1.
             self.write_reg(rid, &[], compose, Some(guard_start + k), depth + 1)?;
         }
@@ -826,6 +786,17 @@ impl<'a> PlanBuilder<'a> {
             self.actions(&set, &[], depth + 1)?;
         }
         Some(())
+    }
+
+    /// The composition of the `assigned` field values' bits on `rid`.
+    fn gather_assigned(&self, assigned: &[(VarId, PlanValue)], rid: RegId) -> Compose {
+        let vars = self.env.vars;
+        gather_reg_compose(
+            assigned
+                .iter()
+                .flat_map(|&(fid, v)| vars[fid.0 as usize].segs.iter().map(move |s| (s, v))),
+            rid,
+        )
     }
 
     /// Simulates `read_struct` over a pre-flattened register order:
@@ -952,15 +923,15 @@ fn spans_multiple_instances(var: &VarIr) -> bool {
         .any(|(i, a)| var.segs[i + 1..].iter().any(|b| a.reg == b.reg && a.args != b.args))
 }
 
-/// Accumulates one register's write-composition pieces — cleared bits,
-/// folded constants, runtime segment inserts — over `(segment, value)`
-/// pairs, keeping only segments on `rid`. Shared by the fused-write
-/// and cache-only-store builders so segment-to-register attribution
-/// cannot diverge between them.
-fn gather_reg_compose<'s>(
+/// The composition storing `(segment, value)` pairs into one register:
+/// segments on `rid` are cleared out of the kept bits and inserted,
+/// constants folded. Shared by the fused-write, cache-only-store and
+/// superplan-stage builders so segment-to-register attribution cannot
+/// diverge between them.
+pub(crate) fn gather_reg_compose<'s>(
     pairs: impl Iterator<Item = (&'s VarSeg, PlanValue)>,
     rid: RegId,
-) -> (u64, u64, Vec<WriteSeg>) {
+) -> Compose {
     let mut clear = 0u64;
     let mut const_or = 0u64;
     let mut segs = Vec::new();
@@ -974,22 +945,7 @@ fn gather_reg_compose<'s>(
             v => segs.push(WriteSeg { seg: s.seg, value: v }),
         }
     }
-    (clear, const_or, segs)
-}
-
-/// The union of a write step's runtime-valued segment masks, split by
-/// value source: `(input-valued bits, argument-valued bits)`.
-fn seg_value_masks(segs: &[WriteSeg]) -> (u64, u64) {
-    let mut seg_in = 0u64;
-    let mut seg_arg = 0u64;
-    for ws in segs {
-        match ws.value {
-            PlanValue::Input => seg_in |= ws.seg.reg_mask(),
-            PlanValue::Arg(_) => seg_arg |= ws.seg.reg_mask(),
-            PlanValue::Const(_) => {}
-        }
-    }
-    (seg_in, seg_arg)
+    Compose { keep_and: !clear, const_or, segs }
 }
 
 /// Everything needed to enumerate, guard and select one tested
@@ -1077,9 +1033,7 @@ fn dim_info(
                 reg_lo: lo - ws.seg.reg_lo + ws.seg.var_lo,
                 var_lo: out_lo,
             });
-            let w = hi - lo + 1;
-            let m = if w >= 64 { u64::MAX } else { (1u64 << w) - 1 };
-            input_mask |= m << out_lo;
+            input_mask |= width_mask(hi - lo + 1) << out_lo;
             cmask &= !(ws.seg.reg_mask() & seg.seg.reg_mask());
         }
         cache_segs.push((slot, seg.seg, cmask));
@@ -1235,12 +1189,10 @@ fn record_planless_fallbacks(var: &VarIr, regs: &[RegIr], fallbacks: &mut Vec<Pl
     let mut record = |access: String, cause: &str| {
         fallbacks.push(PlanFallback { access, cause: cause.into() });
     };
-    if let [seg] = &var.segs[..] {
-        let reg = &regs[seg.reg.0 as usize];
-        let actions = !(reg.pre.is_empty() && reg.post.is_empty() && reg.set.is_empty());
-        if var.behavior.block && seg.seg.width() == reg.size && actions {
-            record(format!("block {}", var.name), "block transfer on a register with actions");
-        }
+    let actions =
+        |write| matches!(block_binding(var, regs, write), Err(BlockIneligible::Actions(_)));
+    if actions(false) || actions(true) {
+        record(format!("block {}", var.name), "block transfer on a register with actions");
     }
     if var.parent.is_some() && var.mem_cell.is_none() && var.slot_assemble.is_none() {
         record(format!("field {}", var.name), "field lands on a family register");

@@ -1,14 +1,14 @@
 //! Superplans: driver-declared hot sequences fused into one
 //! guard-selected straight-line body per tested-value combination.
 
-use crate::compile::{needs_check, set_cell};
-use crate::plan::slots_may_alias;
+use crate::compile::{gather_reg_compose, needs_check, set_cell};
+use crate::plan::decompose;
 use crate::{
-    AccessPlan, AccessStep, DeviceIr, FieldSeg, GuardSource, PlanGuard, PlanOffset, PlanSlot,
-    PlanStep, PlanValue, PlanVariant, SelectorDim, StoreCompose, WriteCheck, WriteCompose,
-    WriteSeg,
+    width_mask, AccessPlan, AccessStep, BlockBinding, BlockIneligible, DeviceIr, FieldSeg,
+    GuardSource, PlanGuard, PlanOffset, PlanSlot, PlanStep, PlanValue, PlanVariant, SelectorDim,
+    WriteCheck,
 };
-use devil_sema::model::{Offset, StructId, VarId};
+use devil_sema::model::{StructId, VarId};
 
 /// One driver-declared operation of a fusable hot sequence.
 #[derive(Clone, Debug)]
@@ -163,19 +163,7 @@ impl DeviceIr {
                 let Some(slot) = self.reg(seg.reg).slot else {
                     return Err(err(i, &format!("{} lands on a family register", v.name)));
                 };
-                let compose = match value {
-                    PlanValue::Const(c) => StoreCompose {
-                        keep_and: !seg.seg.reg_mask(),
-                        const_or: seg.seg.insert(*c),
-                        segs: Vec::new(),
-                    },
-                    PlanValue::Arg(a) => StoreCompose {
-                        keep_and: !seg.seg.reg_mask(),
-                        const_or: 0,
-                        segs: vec![WriteSeg { seg: seg.seg, value: PlanValue::Arg(*a) }],
-                    },
-                    PlanValue::Input => unreachable!("check_operand rejects Input"),
-                };
+                let compose = gather_reg_compose(std::iter::once((seg, *value)), seg.reg);
                 stage_steps.push(PlanStep::Store(PlanSlot::Fixed(slot), compose));
             }
         }
@@ -240,15 +228,11 @@ impl DeviceIr {
                     if block_in_ops > 1 {
                         return Err(err(i, "more than one block read (one block-in buffer)"));
                     }
-                    let (port, offset, size) =
-                        self.block_binding(*var, /*write=*/ false).map_err(|e| err(i, &e))?;
+                    let b = self.block_op(*var, false).map_err(|e| err(i, &e))?;
+                    let step = PlanStep::BlockIn { port: b.port, offset: b.offset, size: b.size };
                     FuseOpBody {
                         dims: Vec::new(),
-                        variants: vec![(
-                            Vec::new(),
-                            Vec::new(),
-                            vec![PlanStep::BlockIn { port, offset, size }],
-                        )],
+                        variants: vec![(Vec::new(), Vec::new(), vec![step])],
                     }
                 }
                 FuseOp::WriteBlock { var } => {
@@ -256,15 +240,11 @@ impl DeviceIr {
                     if block_out_ops > 1 {
                         return Err(err(i, "more than one block write (one block-out buffer)"));
                     }
-                    let (port, offset, size) =
-                        self.block_binding(*var, /*write=*/ true).map_err(|e| err(i, &e))?;
+                    let b = self.block_op(*var, true).map_err(|e| err(i, &e))?;
+                    let step = PlanStep::BlockOut { port: b.port, offset: b.offset, size: b.size };
                     FuseOpBody {
                         dims: Vec::new(),
-                        variants: vec![(
-                            Vec::new(),
-                            Vec::new(),
-                            vec![PlanStep::BlockOut { port, offset, size }],
-                        )],
+                        variants: vec![(Vec::new(), Vec::new(), vec![step])],
                     }
                 }
             };
@@ -286,9 +266,9 @@ impl DeviceIr {
                             let clobbers = match step {
                                 PlanStep::SetCell { cell, .. } => Some(*cell) == dim.cell,
                                 _ => step.slot().is_some_and(|s| {
-                                    dim.segs.iter().any(|&(slot, _)| {
-                                        slots_may_alias(s, &PlanSlot::Fixed(slot))
-                                    })
+                                    dim.segs
+                                        .iter()
+                                        .any(|&(slot, _)| s.may_alias(&PlanSlot::Fixed(slot)))
                                 }),
                             };
                             if clobbers {
@@ -327,14 +307,7 @@ impl DeviceIr {
         let mut variants: Vec<PlanVariant> = Vec::with_capacity(total);
         let mut shape: Vec<Vec<ShapeOp>> = Vec::with_capacity(total);
         for combo in 0..total {
-            // Decompose the combo into per-dim values (first dim most
-            // significant, matching `select_variant`'s accumulation).
-            let mut values = vec![0u64; dims.len()];
-            let mut rest = combo;
-            for (d, dim) in dims.iter().enumerate().rev() {
-                values[d] = (rest % dim.radix) as u64;
-                rest /= dim.radix;
-            }
+            let values = decompose(&dims, combo);
             let mut guards: Vec<PlanGuard> = Vec::new();
             let mut checks: Vec<WriteCheck> = Vec::new();
             let mut steps: Vec<PlanStep> = Vec::new();
@@ -422,11 +395,10 @@ impl DeviceIr {
             // assembled value before OR-ing the input segments in, so a
             // cell source or any cache bit outside the mask would make
             // selection depend on device state too.
-            let cache_bits = dim.segs.iter().fold(0u64, |acc, (_, seg)| {
-                let w = seg.width();
-                let m = if w >= 64 { u64::MAX } else { (1u64 << w) - 1 };
-                acc | (m << seg.var_lo)
-            });
+            let cache_bits = dim
+                .segs
+                .iter()
+                .fold(0u64, |acc, (_, seg)| acc | (width_mask(seg.width()) << seg.var_lo));
             if dim.cell.is_some() || cache_bits & !dim.input_mask != 0 {
                 return Err("selector mixes the written value with device state".into());
             }
@@ -463,12 +435,7 @@ impl DeviceIr {
         let total: usize = dims.iter().map(|d| d.radix).product();
         let mut variants = Vec::with_capacity(total);
         for combo in 0..total {
-            let mut dynv = vec![0u64; dims.len()];
-            let mut rest = combo;
-            for (d, dim) in dims.iter().enumerate().rev() {
-                dynv[d] = (rest % dim.radix) as u64;
-                rest /= dim.radix;
-            }
+            let dynv = decompose(&dims, combo);
             let mut idx = 0usize;
             let mut dd = 0usize;
             for (dim, f) in plan.selector.iter().zip(&fixed) {
@@ -484,7 +451,7 @@ impl DeviceIr {
             let v = &plan.variants[idx];
             let mut checks = Vec::with_capacity(v.checks.len());
             for &(cv, cval) in &v.checks {
-                let cval = subst_input(cval, value)?;
+                let cval = cval.subst_input(value)?;
                 if needs_check(self.var(cv), cval) {
                     checks.push((cv, cval));
                 }
@@ -510,34 +477,24 @@ impl DeviceIr {
         Ok(FuseOpBody { dims, variants })
     }
 
-    /// Resolves a `block` variable's port binding for fusion, with the
-    /// exact eligibility rules of the runtime's block path — plus
-    /// action-free registers, since a fused body interprets no actions.
-    fn block_binding(&self, vid: VarId, write: bool) -> Result<(u32, u64, u32), String> {
-        let v = self.var(vid);
-        if !v.behavior.block || v.segs.len() != 1 {
-            return Err(format!("{} is not a block variable", v.name));
-        }
-        let seg = &v.segs[0];
-        let reg = self.reg(seg.reg);
-        if seg.seg.width() != reg.size {
-            return Err(format!("{} does not cover its register", v.name));
-        }
-        if !reg.pre.is_empty() || !reg.post.is_empty() || !reg.set.is_empty() {
-            return Err(format!("{}'s register has actions", reg.name));
-        }
-        let binding = if write { &reg.write } else { &reg.read };
-        let Some(binding) = binding else {
-            return Err(format!(
-                "{} is not {}",
-                v.name,
-                if write { "writable" } else { "readable" }
-            ));
-        };
-        let Offset::Const(offset) = binding.offset else {
-            return Err(format!("{}'s port offset is parametric", reg.name));
-        };
-        Ok((binding.port.0, offset, reg.size))
+    /// A block op's transfer target: [`DeviceIr::block_binding`],
+    /// every ineligibility reason a loud error (a fused body interprets
+    /// no actions).
+    fn block_op(&self, vid: VarId, write: bool) -> Result<BlockBinding, String> {
+        let name = &self.var(vid).name;
+        self.block_binding(vid, write).map_err(|why| match why {
+            BlockIneligible::NotBlock => format!("{name} is not a block variable"),
+            BlockIneligible::Partial => format!("{name} does not cover its register"),
+            BlockIneligible::NoBinding => {
+                format!("{name} is not {}", if write { "writable" } else { "readable" })
+            }
+            BlockIneligible::ParametricOffset => {
+                format!("{}'s port offset is parametric", self.reg(self.var(vid).segs[0].reg).name)
+            }
+            BlockIneligible::Actions(b) => {
+                format!("{}'s register has actions", self.reg(b.reg).name)
+            }
+        })
     }
 }
 
@@ -552,7 +509,6 @@ fn materialize_step(step: &PlanStep, value: Option<PlanValue>) -> Result<PlanSte
             PlanSlot::Indexed { .. } => Err("step addresses a family slot".into()),
         }
     };
-    let subst = |v: PlanValue| subst_input(v, value);
     let access = |a: &AccessStep| -> Result<AccessStep, String> {
         let PlanOffset::Const(off) = a.offset else {
             return Err("step offset is parametric".into());
@@ -567,47 +523,20 @@ fn materialize_step(step: &PlanStep, value: Option<PlanValue>) -> Result<PlanSte
     };
     Ok(match step {
         PlanStep::Read(a) => PlanStep::Read(access(a)?),
-        PlanStep::Write(a, c) => PlanStep::Write(
-            access(a)?,
-            WriteCompose {
-                keep_and: c.keep_and,
-                const_or: c.const_or,
-                segs: c
-                    .segs
-                    .iter()
-                    .map(|ws| Ok(WriteSeg { seg: ws.seg, value: subst(ws.value)? }))
-                    .collect::<Result<_, String>>()?,
-                out_and: c.out_and,
-                out_or: c.out_or,
-            },
-        ),
-        PlanStep::Store(slot, c) => PlanStep::Store(
-            fixed(slot)?,
-            StoreCompose {
-                keep_and: c.keep_and,
-                const_or: c.const_or,
-                segs: c
-                    .segs
-                    .iter()
-                    .map(|ws| Ok(WriteSeg { seg: ws.seg, value: subst(ws.value)? }))
-                    .collect::<Result<_, String>>()?,
-            },
-        ),
+        PlanStep::Write { access: a, compose, out_and, out_or } => PlanStep::Write {
+            access: access(a)?,
+            compose: compose.subst_input(value)?,
+            out_and: *out_and,
+            out_or: *out_or,
+        },
+        PlanStep::Store(slot, c) => PlanStep::Store(fixed(slot)?, c.subst_input(value)?),
         PlanStep::SetCell { cell, value: v, mask } => {
-            PlanStep::SetCell { cell: *cell, value: subst(*v)?, mask: *mask }
+            PlanStep::SetCell { cell: *cell, value: v.subst_input(value)?, mask: *mask }
         }
         PlanStep::BlockIn { .. } | PlanStep::BlockOut { .. } | PlanStep::Assemble { .. } => {
             return Err("nested superplan step".into());
         }
     })
-}
-
-/// `v` with `Input` replaced by a fused op's operand.
-fn subst_input(v: PlanValue, value: Option<PlanValue>) -> Result<PlanValue, String> {
-    match v {
-        PlanValue::Input => value.ok_or_else(|| "reads an input this op does not have".into()),
-        other => Ok(other),
-    }
 }
 
 /// The declared-shape entry of one fused step, if it touches the bus.
@@ -616,7 +545,7 @@ fn shape_of(step: &PlanStep) -> Option<ShapeOp> {
         PlanStep::Read(a) => {
             Some(ShapeOp { port: a.port, size: a.size, write: false, block: false })
         }
-        PlanStep::Write(a, _) => {
+        PlanStep::Write { access: a, .. } => {
             Some(ShapeOp { port: a.port, size: a.size, write: true, block: false })
         }
         PlanStep::BlockIn { port, size, .. } => {

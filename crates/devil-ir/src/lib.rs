@@ -40,9 +40,9 @@ pub use compile::PlanFallback;
 pub use fuse::{FuseOp, ShapeOp, Superplan};
 pub use lower::lower;
 pub use plan::{
-    AccessPlan, AccessStep, FamilyDim, FamilySlots, FieldSeg, GuardSource, PlanGuard, PlanOffset,
-    PlanSlot, PlanStep, PlanValue, PlanVariant, SelectorDim, StoreCompose, WriteCheck,
-    WriteCompose, WriteSeg,
+    width_mask, AccessPlan, AccessStep, BlockBinding, BlockIneligible, Compose, FamilyDim,
+    FamilySlots, FieldSeg, GuardSource, PlanGuard, PlanOffset, PlanSlot, PlanStep, PlanValue,
+    PlanVariant, SelectorDim, WriteCheck, WriteSeg,
 };
 
 use devil_sema::model::{
@@ -197,17 +197,18 @@ impl RegIr {
     pub fn writable(&self) -> bool {
         self.write.is_some()
     }
+
+    /// Whether an access to the register runs pre, post or set actions.
+    pub fn has_actions(&self) -> bool {
+        !(self.pre.is_empty() && self.post.is_empty() && self.set.is_empty())
+    }
 }
 
 impl VarIr {
     /// The variable's raw-value mask (`2^width - 1`): what a memory
     /// cell keeps of a stored value.
     pub fn raw_mask(&self) -> u64 {
-        if self.width >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.width) - 1
-        }
+        width_mask(self.width)
     }
 }
 
@@ -359,6 +360,15 @@ impl DeviceIr {
     /// hit instead of silently losing its fast path.
     pub fn plan_fallbacks(&self) -> &[PlanFallback] {
         &self.plan_fallbacks
+    }
+
+    /// The vectored-transfer target of a block read (`write` false) or
+    /// write of `vid`: the one definition of block eligibility. The
+    /// plan executor and `fuse` reject every [`BlockIneligible`]
+    /// reason; the reference interpreter runs a register's actions, so
+    /// it accepts [`BlockIneligible::Actions`].
+    pub fn block_binding(&self, vid: VarId, write: bool) -> Result<BlockBinding, BlockIneligible> {
+        plan::block_binding(self.var(vid), &self.regs, write)
     }
 
     /// Resolves a register binding's offset for concrete family args.

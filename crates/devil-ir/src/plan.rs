@@ -1,7 +1,8 @@
 //! Plan steps and plans: the compiled form of every access, and the
 //! one definition of what each step means.
 
-use devil_sema::model::{RegId, VarId};
+use crate::{RegIr, VarIr};
+use devil_sema::model::{Offset, RegId, VarId};
 
 /// A value available to a plan step at execution time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,6 +25,40 @@ impl PlanValue {
             PlanValue::Arg(i) => args[i],
         }
     }
+
+    /// The value with `Input` replaced by a fused op's operand; an
+    /// error when the op has no operand to substitute.
+    pub fn subst_input(self, operand: Option<PlanValue>) -> Result<PlanValue, String> {
+        match self {
+            PlanValue::Input => {
+                operand.ok_or_else(|| "reads an input this op does not have".into())
+            }
+            other => Ok(other),
+        }
+    }
+}
+
+/// The mask of the low `width` bits: a `width`-bit register's,
+/// variable's or segment's raw-value space.
+#[inline]
+pub fn width_mask(width: u32) -> u64 {
+    if width >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << width) - 1
+    }
+}
+
+/// The per-dimension values of the mixed-radix variant index `idx`
+/// over `dims`, first dimension most significant: the inverse of
+/// [`AccessPlan::select_variant`]'s index accumulation.
+pub(crate) fn decompose(dims: &[SelectorDim], mut idx: usize) -> Vec<u64> {
+    let mut values = vec![0u64; dims.len()];
+    for (v, dim) in values.iter_mut().zip(dims).rev() {
+        *v = (idx % dim.radix) as u64;
+        idx /= dim.radix;
+    }
+    values
 }
 
 /// A plan step's port offset.
@@ -127,28 +162,30 @@ impl PlanSlot {
             }
         }
     }
-}
 
-/// The inclusive-exclusive slot range a [`PlanSlot`] may resolve to.
-pub(crate) fn slot_span(s: &PlanSlot) -> (usize, usize) {
-    match s {
-        PlanSlot::Fixed(i) => (*i, i + 1),
-        PlanSlot::Indexed { base, dims } => {
-            let span: usize = dims.iter().map(|(_, d)| d.count.saturating_sub(1) * d.stride).sum();
-            (*base, base + span + 1)
+    /// The inclusive-exclusive range of flat slots the slot may
+    /// resolve to.
+    pub fn span(&self) -> (usize, usize) {
+        match self {
+            PlanSlot::Fixed(i) => (*i, i + 1),
+            PlanSlot::Indexed { base, dims } => {
+                let span: usize =
+                    dims.iter().map(|(_, d)| d.count.saturating_sub(1) * d.stride).sum();
+                (*base, base + span + 1)
+            }
         }
+    }
+
+    /// Conservative may-alias test: whether the two slots' spans meet.
+    pub(crate) fn may_alias(&self, other: &PlanSlot) -> bool {
+        let (al, ah) = self.span();
+        let (bl, bh) = other.span();
+        al < bh && bl < ah
     }
 }
 
-/// Conservative may-alias test between two plan slots.
-pub(crate) fn slots_may_alias(a: &PlanSlot, b: &PlanSlot) -> bool {
-    let (al, ah) = slot_span(a);
-    let (bl, bh) = slot_span(b);
-    al < bh && bl < ah
-}
-
-/// One value-bearing segment of a write step (constant values are
-/// folded into [`WriteCompose::const_or`] instead).
+/// One value-bearing segment of a [`Compose`] (constant values are
+/// folded into [`Compose::const_or`] instead).
 #[derive(Clone, Debug)]
 pub struct WriteSeg {
     /// Register-bit placement.
@@ -157,24 +194,81 @@ pub struct WriteSeg {
     pub value: PlanValue,
 }
 
-/// Write composition of one plan step: the raw value sent to the
-/// device is `((cached & keep_and) | const_or | segs…) & out_and |
-/// out_or`, exactly the reference interpreter's store/compose/mask
-/// pipeline folded into constants.
+/// The composition of a register's new cached raw value:
+/// `(cached & keep_and) | const_or | segs…`, exactly the reference
+/// interpreter's store/compose pipeline folded into constants. A
+/// [`PlanStep::Write`] also sends the value to the device; a
+/// [`PlanStep::Store`] only caches it.
 #[derive(Clone, Debug)]
-pub struct WriteCompose {
-    /// Cached bits to keep (clears written segments and trigger
-    /// neighbours' bits).
+pub struct Compose {
+    /// Cached bits to keep (clears the stored segments and, for
+    /// writes, trigger neighbours' bits).
     pub keep_and: u64,
-    /// Folded constants: trigger-neutral substitutions plus
-    /// constant-valued segment inserts.
+    /// Folded constants: constant-valued segment inserts plus, for
+    /// writes, trigger-neutral substitutions.
     pub const_or: u64,
     /// Runtime-valued segment inserts.
     pub segs: Vec<WriteSeg>,
-    /// Register AND-mask applied to the outgoing write.
-    pub out_and: u64,
-    /// Register OR-mask applied to the outgoing write.
-    pub out_or: u64,
+}
+
+impl Compose {
+    /// The composed raw value over the `cached` one, with runtime
+    /// segments resolved against the call's arguments and input.
+    #[inline]
+    pub fn apply(&self, cached: u64, args: &[u64], input: u64) -> u64 {
+        let mut raw = (cached & self.keep_and) | self.const_or;
+        for ws in &self.segs {
+            raw |= ws.seg.insert(ws.value.resolve(args, input));
+        }
+        raw
+    }
+
+    /// Whether the composition leaves the cached value as it is (a
+    /// write that only flushes the cache).
+    pub fn is_identity(&self) -> bool {
+        self.keep_and == u64::MAX && self.const_or == 0 && self.segs.is_empty()
+    }
+
+    /// Every register bit the composition may set: the folded
+    /// constants, each constant segment's inserted value, and the whole
+    /// mask of each runtime-valued segment.
+    pub fn may_set(&self) -> u64 {
+        self.segs.iter().fold(self.const_or, |bits, ws| {
+            bits | match ws.value {
+                PlanValue::Const(v) => ws.seg.insert(v),
+                PlanValue::Input | PlanValue::Arg(_) => ws.seg.reg_mask(),
+            }
+        })
+    }
+
+    /// The runtime-valued segment bits, split by value source:
+    /// `(input-valued bits, argument-valued bits)`.
+    pub fn value_masks(&self) -> (u64, u64) {
+        let mut seg_in = 0u64;
+        let mut seg_arg = 0u64;
+        for ws in &self.segs {
+            match ws.value {
+                PlanValue::Input => seg_in |= ws.seg.reg_mask(),
+                PlanValue::Arg(_) => seg_arg |= ws.seg.reg_mask(),
+                PlanValue::Const(_) => {}
+            }
+        }
+        (seg_in, seg_arg)
+    }
+
+    /// The composition with `Input` segments reading a fused op's
+    /// operand instead (see [`PlanValue::subst_input`]).
+    pub fn subst_input(&self, operand: Option<PlanValue>) -> Result<Compose, String> {
+        Ok(Compose {
+            keep_and: self.keep_and,
+            const_or: self.const_or,
+            segs: self
+                .segs
+                .iter()
+                .map(|ws| Ok(WriteSeg { seg: ws.seg, value: ws.value.subst_input(operand)? }))
+                .collect::<Result<_, String>>()?,
+        })
+    }
 }
 
 /// A register access of a compiled plan.
@@ -192,31 +286,31 @@ pub struct AccessStep {
     pub size: u32,
 }
 
-/// Cache-only masked store: updates a register's cached raw value
-/// without a device access. Emitted for a written variable (or an
-/// action-assigned structure field) whose bits land on a register the
-/// flattened serialization order does not flush — the reference interpreter
-/// still stores those bits up front (`store_var_bits`), and later
-/// composes must see them.
-#[derive(Clone, Debug)]
-pub struct StoreCompose {
-    /// Cached bits to keep (clears the stored segments).
-    pub keep_and: u64,
-    /// Folded constant bits of the stored segments.
-    pub const_or: u64,
-    /// Runtime-valued segment inserts.
-    pub segs: Vec<WriteSeg>,
-}
-
 /// One straight-line step of a compiled plan.
 #[derive(Clone, Debug)]
 pub enum PlanStep {
     /// Device read into the register's cache slot.
     Read(AccessStep),
-    /// Composed, masked device write updating the cache slot.
-    Write(AccessStep, WriteCompose),
+    /// Composed device write updating the cache slot: the slot takes
+    /// the composed value, the device `(composed & out_and) | out_or`.
+    Write {
+        /// The written register.
+        access: AccessStep,
+        /// The new cached value.
+        compose: Compose,
+        /// Register AND-mask applied to the outgoing value only.
+        out_and: u64,
+        /// Register OR-mask (forced-1 bits) applied to the outgoing
+        /// value only.
+        out_or: u64,
+    },
     /// Cache-only store into a register's slot (no device access).
-    Store(PlanSlot, StoreCompose),
+    /// Emitted for a written variable (or an action-assigned structure
+    /// field) whose bits land on a register the flattened serialization
+    /// order does not flush — the reference interpreter still stores
+    /// those bits up front (`store_var_bits`), and later composes must
+    /// see them.
+    Store(PlanSlot, Compose),
     /// Private-memory update (a folded mem-variable action). The cell
     /// stores `value & mask`, masked to its variable's raw width like
     /// a register field, so a cell never holds a value outside the
@@ -265,7 +359,7 @@ pub enum PlanStep {
 impl PlanStep {
     pub(crate) fn slot(&self) -> Option<&PlanSlot> {
         match self {
-            PlanStep::Read(a) | PlanStep::Write(a, _) => Some(&a.slot),
+            PlanStep::Read(a) | PlanStep::Write { access: a, .. } => Some(&a.slot),
             PlanStep::Store(slot, _) => Some(slot),
             PlanStep::SetCell { .. }
             | PlanStep::BlockIn { .. }
@@ -273,6 +367,66 @@ impl PlanStep {
             | PlanStep::Assemble { .. } => None,
         }
     }
+}
+
+/// The vectored-transfer target of a `block` variable: one whole
+/// register, bound in the transfer's direction at a constant offset.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BlockBinding {
+    /// The transferred register.
+    pub reg: RegId,
+    /// Port index.
+    pub port: u32,
+    /// Constant port offset.
+    pub offset: u64,
+    /// Word width in bits.
+    pub size: u32,
+}
+
+/// Why a variable cannot take a vectored block transfer (see
+/// [`DeviceIr::block_binding`](crate::DeviceIr::block_binding)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BlockIneligible {
+    /// The variable lacks the `block` attribute or spans several
+    /// registers.
+    NotBlock,
+    /// The variable covers only part of its register.
+    Partial,
+    /// The register has no binding in the transfer's direction.
+    NoBinding,
+    /// The register's port offset depends on family arguments.
+    ParametricOffset,
+    /// The register runs pre/post/set actions, which a vectored
+    /// transfer (a superplan's or the plan executor's) cannot; the
+    /// binding is otherwise eligible.
+    Actions(BlockBinding),
+}
+
+/// Block eligibility of `var` over its device's `regs`, checked in the
+/// order the variants of [`BlockIneligible`] are listed.
+pub(crate) fn block_binding(
+    var: &VarIr,
+    regs: &[RegIr],
+    write: bool,
+) -> Result<BlockBinding, BlockIneligible> {
+    let [seg] = &var.segs[..] else { return Err(BlockIneligible::NotBlock) };
+    if !var.behavior.block {
+        return Err(BlockIneligible::NotBlock);
+    }
+    let reg = &regs[seg.reg.0 as usize];
+    if seg.seg.width() != reg.size {
+        return Err(BlockIneligible::Partial);
+    }
+    let binding = if write { &reg.write } else { &reg.read };
+    let Some(binding) = binding else { return Err(BlockIneligible::NoBinding) };
+    let Offset::Const(offset) = binding.offset else {
+        return Err(BlockIneligible::ParametricOffset);
+    };
+    let b = BlockBinding { reg: seg.reg, port: binding.port.0, offset, size: reg.size };
+    if reg.has_actions() {
+        return Err(BlockIneligible::Actions(b));
+    }
+    Ok(b)
 }
 
 /// Where a [`PlanGuard`] (and the matching [`SelectorDim`] bits) reads
@@ -516,22 +670,16 @@ impl FieldSeg {
     /// Extracts this segment from a raw register value, positioned at
     /// the variable's bit offsets.
     pub fn extract(&self, reg_raw: u64) -> u64 {
-        let w = self.width();
-        let mask = if w >= 64 { u64::MAX } else { (1u64 << w) - 1 };
-        ((reg_raw >> self.reg_lo) & mask) << self.var_lo
+        ((reg_raw >> self.reg_lo) & width_mask(self.width())) << self.var_lo
     }
 
     /// Positions variable bits into register bit positions.
     pub fn insert(&self, var_val: u64) -> u64 {
-        let w = self.width();
-        let mask = if w >= 64 { u64::MAX } else { (1u64 << w) - 1 };
-        ((var_val >> self.var_lo) & mask) << self.reg_lo
+        ((var_val >> self.var_lo) & width_mask(self.width())) << self.reg_lo
     }
 
     /// The register-bit mask covered by this segment.
     pub fn reg_mask(&self) -> u64 {
-        let w = self.width();
-        let mask = if w >= 64 { u64::MAX } else { (1u64 << w) - 1 };
-        mask << self.reg_lo
+        width_mask(self.width()) << self.reg_lo
     }
 }

@@ -195,10 +195,12 @@ fn plans_compiled_for_simple_variables() {
     let plan = config.write_plan.as_ref().expect("cr write plan");
     let wsteps = steps(&ir, plan);
     assert_eq!(wsteps.len(), 1);
-    let PlanStep::Write(step, compose) = &wsteps[0] else { panic!("write step") };
+    let PlanStep::Write { access: step, compose, out_and, out_or } = &wsteps[0] else {
+        panic!("write step")
+    };
     assert!(matches!(step.offset, PlanOffset::Const(3)));
-    assert_eq!(compose.out_or, 0b1001_0000);
-    assert_eq!(compose.out_and, 0b1001_0001);
+    assert_eq!(*out_or, 0b1001_0000);
+    assert_eq!(*out_and, 0b1001_0001);
     assert_eq!(compose.segs.len(), 1);
     assert_eq!(compose.segs[0].value, PlanValue::Input);
     // `signature` reads a plain register: read plan with one step.
@@ -221,13 +223,15 @@ fn plans_fold_index_register_pre_actions() {
     // write index=1, read x_high, write index=0, read x_low.
     assert_eq!(rsteps.len(), 4);
     let idx_reg = ir.reg_id("index_reg").unwrap();
-    let PlanStep::Write(a0, c0) = &rsteps[0] else { panic!("index write first") };
+    let PlanStep::Write { access: a0, compose: c0, .. } = &rsteps[0] else {
+        panic!("index write first")
+    };
     assert_eq!(a0.reg, idx_reg);
     // index=1 folded: bits 6..5 get 0b01.
     assert_eq!(c0.const_or, 0b0010_0000);
     assert!(c0.segs.is_empty(), "constant fully folded");
     assert!(matches!(&rsteps[1], PlanStep::Read(a) if ir.reg(a.reg).name == "x_high"));
-    let PlanStep::Write(_, c2) = &rsteps[2] else { panic!() };
+    let PlanStep::Write { compose: c2, .. } = &rsteps[2] else { panic!() };
     assert_eq!(c2.const_or, 0, "index=0 folds to zero bits");
     assert!(matches!(&rsteps[3], PlanStep::Read(a) if ir.reg(a.reg).name == "x_low"));
     // dx is read-only (its registers are read-only): no write plan.
@@ -242,7 +246,7 @@ fn struct_plans_flatten_the_figure_3_loop() {
     let rsteps = steps(&ir, plan);
     // 4 index writes + 4 data reads, interleaved.
     assert_eq!(rsteps.len(), 8);
-    let kinds: Vec<bool> = rsteps.iter().map(|s| matches!(s, PlanStep::Write(..))).collect();
+    let kinds: Vec<bool> = rsteps.iter().map(|s| matches!(s, PlanStep::Write { .. })).collect();
     assert_eq!(kinds, [true, false, true, false, true, false, true, false]);
     // Registers are read-only: no write plan for the structure.
     assert!(st.write_plan.is_none());
@@ -263,7 +267,7 @@ fn plans_fold_trigger_neutrals() {
     );
     let page = ir.var(ir.var_id("page").unwrap());
     let plan = page.write_plan.as_ref().expect("page write plan");
-    let PlanStep::Write(_, c) = &steps(&ir, plan)[0] else { panic!() };
+    let PlanStep::Write { compose: c, .. } = &steps(&ir, plan)[0] else { panic!() };
     // st's bits are cleared from the cached value and replaced by
     // the neutral pattern '11'.
     assert_eq!(c.keep_and & 0b11, 0, "st bits cleared");
@@ -271,7 +275,7 @@ fn plans_fold_trigger_neutrals() {
     // st's own plan keeps page's cached bits.
     let st = ir.var(ir.var_id("st").unwrap());
     let sp = st.write_plan.as_ref().expect("st write plan");
-    let PlanStep::Write(_, sc) = &steps(&ir, sp)[0] else { panic!() };
+    let PlanStep::Write { compose: sc, .. } = &steps(&ir, sp)[0] else { panic!() };
     assert_eq!(sc.keep_and & 0b1111_1100, 0b1111_1100);
     assert_eq!(sc.const_or, 0);
 }
@@ -334,7 +338,7 @@ fn family_variables_compile_parameterized_plans() {
     let wp = v.write_plan.as_ref().expect("family write plan");
     assert!(matches!(
         &steps(&ir, wp)[0],
-        PlanStep::Write(a, _) if matches!(a.offset, PlanOffset::Arg(0))
+        PlanStep::Write { access: a, .. } if matches!(a.offset, PlanOffset::Arg(0))
     ));
 }
 
@@ -356,7 +360,9 @@ fn indexed_pre_actions_fold_into_plans() {
     let rp = id.read_plan.as_ref().expect("ID read plan");
     let rsteps = steps(&ir, rp);
     assert_eq!(rsteps.len(), 3);
-    let PlanStep::Write(a, c) = &rsteps[0] else { panic!("control write first") };
+    let PlanStep::Write { access: a, compose: c, .. } = &rsteps[0] else {
+        panic!("control write first")
+    };
     assert_eq!(ir.reg(a.reg).name, "control");
     assert_eq!(c.segs.len(), 1);
     assert_eq!(c.segs[0].value, PlanValue::Arg(0), "IA gets the family argument");
@@ -403,7 +409,7 @@ fn conditional_struct_writes_guard_split_into_variants() {
     assert_eq!(ir.variant_steps(single).len(), 1, "icw1 only");
     assert!(matches!(
         &ir.variant_steps(single)[0],
-        PlanStep::Write(a, _) if a.reg == ir.reg_id("icw1").unwrap()
+        PlanStep::Write { access: a, .. } if a.reg == ir.reg_id("icw1").unwrap()
     ));
 }
 
@@ -432,7 +438,7 @@ fn two_conditionals_enumerate_the_cross_product() {
         .variant_steps(full)
         .iter()
         .map(|s| match s {
-            PlanStep::Write(a, _) => ir.reg(a.reg).name.as_str(),
+            PlanStep::Write { access: a, .. } => ir.reg(a.reg).name.as_str(),
             _ => panic!("flush is all writes"),
         })
         .collect();
@@ -480,10 +486,12 @@ fn nested_conditional_orders_fold_assigned_constants() {
     let rsteps = steps(&ir, rp);
     // sel=1 takes the `c` branch: flush a, flush c, read data.
     assert_eq!(rsteps.len(), 3);
-    let PlanStep::Write(a0, c0) = &rsteps[0] else { panic!("a flush first") };
+    let PlanStep::Write { access: a0, compose: c0, .. } = &rsteps[0] else {
+        panic!("a flush first")
+    };
     assert_eq!(ir.reg(a0.reg).name, "a");
     assert_eq!(c0.const_or, 0b11, "sel=1 and rest=1 folded");
-    assert!(matches!(&rsteps[1], PlanStep::Write(a, _) if ir.reg(a.reg).name == "c"));
+    assert!(matches!(&rsteps[1], PlanStep::Write { access: a, .. } if ir.reg(a.reg).name == "c"));
     assert!(matches!(&rsteps[2], PlanStep::Read(a) if ir.reg(a.reg).name == "data"));
     // The struct's own top-level write still guard-splits.
     let st = ir.strct(ir.struct_id("s").unwrap());
@@ -520,7 +528,7 @@ fn nested_conditionals_on_unassigned_fields_join_the_outer_enumeration() {
     let v0 = ir.variant_steps(&rp.variants[0]);
     assert_eq!(v0.len(), 3);
     assert!(matches!(&v0[0], PlanStep::Store(..)), "{v0:?}");
-    assert!(matches!(&v0[1], PlanStep::Write(a, _) if ir.reg(a.reg).name == "a"));
+    assert!(matches!(&v0[1], PlanStep::Write { access: a, .. } if ir.reg(a.reg).name == "a"));
     assert!(matches!(&v0[2], PlanStep::Read(..)));
     // sel == 1: a, c, data — all device-visible.
     let v1 = ir.variant_steps(&rp.variants[1]);
@@ -561,7 +569,7 @@ fn self_written_tested_variables_guard_on_the_input() {
     // w == 1: the composed device write (store fused in).
     let v1 = ir.variant_steps(&wp.variants[1]);
     assert_eq!(v1.len(), 1);
-    assert!(matches!(&v1[0], PlanStep::Write(..)));
+    assert!(matches!(&v1[0], PlanStep::Write { .. }));
     assert!(ir.plan_fallbacks().is_empty(), "{:?}", ir.plan_fallbacks());
 }
 
@@ -595,12 +603,12 @@ fn nested_conditionals_testing_the_written_variable_guard_on_the_input() {
     // skips c — the assigned v stores cache-only.
     let v0 = ir.variant_steps(&wp.variants[0]);
     assert_eq!(v0.len(), 2, "{v0:?}");
-    assert!(matches!(&v0[0], PlanStep::Write(a, _) if ir.reg(a.reg).name == "a"));
+    assert!(matches!(&v0[0], PlanStep::Write { access: a, .. } if ir.reg(a.reg).name == "a"));
     assert!(matches!(&v0[1], PlanStep::Store(..)), "{v0:?}");
     // w == 1: a, then the struct flush writes c (v=5 folded).
     let v1 = ir.variant_steps(&wp.variants[1]);
     assert_eq!(v1.len(), 2, "{v1:?}");
-    let PlanStep::Write(a2, c2) = &v1[1] else { panic!("{v1:?}") };
+    let PlanStep::Write { access: a2, compose: c2, .. } = &v1[1] else { panic!("{v1:?}") };
     assert_eq!(ir.reg(a2.reg).name, "c");
     assert_eq!(c2.const_or, 5);
     assert!(ir.plan_fallbacks().is_empty(), "{:?}", ir.plan_fallbacks());
@@ -695,11 +703,11 @@ fn mem_cell_tested_variables_guard_on_the_cell() {
     // m == 0: only `a` flushes; `c`'s staged bit stores cache-only.
     let v0 = ir.variant_steps(&wp.variants[0]);
     assert!(matches!(&v0[0], PlanStep::Store(..)), "{v0:?}");
-    assert!(matches!(&v0[1], PlanStep::Write(..)));
+    assert!(matches!(&v0[1], PlanStep::Write { .. }));
     // m == 1: both registers flush, no cache-only store.
     let v1 = ir.variant_steps(&wp.variants[1]);
     assert_eq!(v1.len(), 2);
-    assert!(v1.iter().all(|s| matches!(s, PlanStep::Write(..))));
+    assert!(v1.iter().all(|s| matches!(s, PlanStep::Write { .. })));
     // The mem cell itself has plans: a cell-served read and a
     // SetCell write masked to the bool's one bit, so the cell never
     // holds a value the selector's radix does not enumerate.
@@ -824,7 +832,7 @@ fn struct_valued_pre_actions_fold() {
     let rsteps = steps(&ir, rp);
     // idx flush + data read.
     assert_eq!(rsteps.len(), 2);
-    let PlanStep::Write(a, c) = &rsteps[0] else { panic!() };
+    let PlanStep::Write { access: a, compose: c, .. } = &rsteps[0] else { panic!() };
     assert_eq!(ir.reg(a.reg).name, "idx");
     // XA=5 (bits 4..2) and XRAE=1 (bit 0) folded to constants.
     assert_eq!(c.const_or, 0b0001_0101);
@@ -862,7 +870,7 @@ fn struct_actions_with_partial_write_orders_store_cache_only() {
     assert_eq!(*s, bq_slot);
     assert_eq!(c.keep_and, !0xf0, "fb owns bits 7..4");
     assert_eq!(c.const_or, 0x70, "fb => 7 folded");
-    assert!(matches!(&rsteps[1], PlanStep::Write(a, _) if ir.reg(a.reg).name == "a"));
+    assert!(matches!(&rsteps[1], PlanStep::Write { access: a, .. } if ir.reg(a.reg).name == "a"));
     assert!(matches!(&rsteps[2], PlanStep::Read(a) if ir.reg(a.reg).name == "data"));
 }
 

@@ -28,8 +28,8 @@
 
 use crate::access::DeviceAccess;
 use crate::error::{RtError, RtResult};
-use devil_ir::{DeviceIr, FuseOp, PlanStep, PlanVariant, VarIr};
-use devil_sema::model::{RegId, StructId, TypeSem, VarId};
+use devil_ir::{BlockIneligible, DeviceIr, FuseOp, PlanStep, PlanVariant, VarIr};
+use devil_sema::model::{StructId, TypeSem, VarId};
 use std::sync::Arc;
 
 /// Maximum pre/post-action recursion depth: a plan reaching deeper is
@@ -542,8 +542,11 @@ impl DeviceInstance {
         vid: VarId,
         buf: &mut [u64],
     ) -> RtResult<()> {
-        let (port, offset, width) = self.block_target(vid, /*write=*/ false)?;
-        dev.read_block(port, offset, width, buf);
+        let b = self
+            .ir
+            .block_binding(vid, false)
+            .map_err(|why| block_error(&self.ir, vid, false, why))?;
+        dev.read_block(b.port as usize, b.offset, b.size, buf);
         Ok(())
     }
 
@@ -565,8 +568,11 @@ impl DeviceInstance {
         vid: VarId,
         buf: &[u64],
     ) -> RtResult<()> {
-        let (port, offset, width) = self.block_target(vid, /*write=*/ true)?;
-        dev.write_block(port, offset, width, buf);
+        let b = self
+            .ir
+            .block_binding(vid, true)
+            .map_err(|why| block_error(&self.ir, vid, true, why))?;
+        dev.write_block(b.port as usize, b.offset, b.size, buf);
         Ok(())
     }
 
@@ -693,18 +699,6 @@ impl DeviceInstance {
         }
         Ok(())
     }
-
-    /// The port, offset and width of a block transfer. The vectored
-    /// transfer runs no actions, so a block register with actions is an
-    /// unplanned access (lowering records it).
-    fn block_target(&self, vid: VarId, write: bool) -> RtResult<(usize, u64, u32)> {
-        let (rid, port, offset, width) = block_binding(&self.ir, vid, write)?;
-        let reg = self.ir.reg(rid);
-        if !(reg.pre.is_empty() && reg.post.is_empty() && reg.set.is_empty()) {
-            return Err(RtError::Unplanned(format!("block {}", self.ir.var(vid).name)));
-        }
-        Ok((port, offset, width))
-    }
 }
 
 /// Checks family arguments against a variable's parameter domains.
@@ -726,30 +720,21 @@ pub(crate) fn checked_read(checks: bool, var: &VarIr, v: u64) -> RtResult<u64> {
     Ok(v)
 }
 
-/// The register, port, offset and width a block transfer of `vid`
-/// moves through: a `block` variable covering one whole register bound
-/// in the direction.
-pub(crate) fn block_binding(
-    ir: &DeviceIr,
-    vid: VarId,
-    write: bool,
-) -> RtResult<(RegId, usize, u64, u32)> {
-    let var = ir.var(vid);
-    let not_block = || RtError::NotBlock(var.name.clone());
-    let [seg] = &var.segs[..] else { return Err(not_block()) };
-    let reg = ir.reg(seg.reg);
-    if !var.behavior.block || seg.seg.width() != reg.size {
-        return Err(not_block());
+/// The error of a block transfer of `vid` that
+/// [`DeviceIr::block_binding`] rejects. A register with actions is an
+/// unplanned access (lowering records it): the vectored transfer runs
+/// no actions.
+#[cold]
+pub(crate) fn block_error(ir: &DeviceIr, vid: VarId, write: bool, why: BlockIneligible) -> RtError {
+    let name = ir.var(vid).name.clone();
+    match why {
+        BlockIneligible::NotBlock
+        | BlockIneligible::Partial
+        | BlockIneligible::ParametricOffset => RtError::NotBlock(name),
+        BlockIneligible::NoBinding if write => RtError::NotWritable(name),
+        BlockIneligible::NoBinding => RtError::NotReadable(name),
+        BlockIneligible::Actions(_) => RtError::Unplanned(format!("block {name}")),
     }
-    let binding = if write { &reg.write } else { &reg.read };
-    let Some(binding) = binding else {
-        return Err(if write {
-            RtError::NotWritable(var.name.clone())
-        } else {
-            RtError::NotReadable(var.name.clone())
-        });
-    };
-    Ok((seg.reg, binding.port.0 as usize, ir.resolve_offset(binding, &[]), reg.size))
 }
 
 /// The error of arguments outside a variable's parameter domains.
@@ -856,33 +841,23 @@ fn exec_plan_steps(
                 slots[slot] = raw;
                 slot_valid[slot] = true;
             }
-            PlanStep::Write(a, c) => {
+            PlanStep::Write { access: a, compose, out_and, out_or } => {
                 let slot = a.slot.resolve(args);
                 let cached = if slot_valid[slot] { slots[slot] } else { 0 };
-                let mut raw = (cached & c.keep_and) | c.const_or;
-                for ws in &c.segs {
-                    raw |= ws.seg.insert(ws.value.resolve(args, input));
-                }
+                let raw = compose.apply(cached, args, input);
                 dev.write(
                     a.port as usize,
                     a.offset.resolve(args),
                     a.size,
-                    (raw & c.out_and) | c.out_or,
+                    (raw & out_and) | out_or,
                 );
                 slots[slot] = raw;
                 slot_valid[slot] = true;
             }
-            PlanStep::Store(slot, c) => {
-                // Cache-only store: a written variable's bits on a
-                // register the flattened order does not flush (the
-                // reference interpreter's up-front `store_var_bits`).
+            PlanStep::Store(slot, compose) => {
                 let slot = slot.resolve(args);
                 let cached = if slot_valid[slot] { slots[slot] } else { 0 };
-                let mut raw = (cached & c.keep_and) | c.const_or;
-                for ws in &c.segs {
-                    raw |= ws.seg.insert(ws.value.resolve(args, input));
-                }
-                slots[slot] = raw;
+                slots[slot] = compose.apply(cached, args, input);
                 slot_valid[slot] = true;
             }
             PlanStep::SetCell { cell, value, mask } => {

@@ -12,8 +12,8 @@
 
 use crate::access::DeviceAccess;
 use crate::error::{RtError, RtResult};
-use crate::interp::{block_binding, checked_read, validate_args, MAX_DEPTH};
-use devil_ir::{DeviceIr, FuseOp};
+use crate::interp::{block_error, checked_read, validate_args, MAX_DEPTH};
+use devil_ir::{BlockIneligible, DeviceIr, FuseOp};
 use devil_sema::model::{
     Action, ActionTarget, ActionValue, ChunkArg, CondSem, Neutral, RegId, SerStep, StructId, VarId,
 };
@@ -247,10 +247,13 @@ impl ReferenceInstance {
         vid: VarId,
         buf: &mut [u64],
     ) -> RtResult<()> {
-        let (rid, port, offset, width) = block_binding(&self.ir, vid, /*write=*/ false)?;
-        let (pre, post, set) = self.reg_actions(rid);
+        let b = match self.ir.block_binding(vid, false) {
+            Ok(b) | Err(BlockIneligible::Actions(b)) => b,
+            Err(why) => return Err(block_error(&self.ir, vid, false, why)),
+        };
+        let (pre, post, set) = self.reg_actions(b.reg);
         self.run_actions(dev, &pre, &[], 1)?;
-        dev.read_block(port, offset, width, buf);
+        dev.read_block(b.port as usize, b.offset, b.size, buf);
         self.run_actions(dev, &post, &[], 1)?;
         self.run_actions(dev, &set, &[], 1)
     }
@@ -262,10 +265,13 @@ impl ReferenceInstance {
         vid: VarId,
         buf: &[u64],
     ) -> RtResult<()> {
-        let (rid, port, offset, width) = block_binding(&self.ir, vid, /*write=*/ true)?;
-        let (pre, post, set) = self.reg_actions(rid);
+        let b = match self.ir.block_binding(vid, true) {
+            Ok(b) | Err(BlockIneligible::Actions(b)) => b,
+            Err(why) => return Err(block_error(&self.ir, vid, true, why)),
+        };
+        let (pre, post, set) = self.reg_actions(b.reg);
         self.run_actions(dev, &pre, &[], 1)?;
-        dev.write_block(port, offset, width, buf);
+        dev.write_block(b.port as usize, b.offset, b.size, buf);
         self.run_actions(dev, &post, &[], 1)?;
         self.run_actions(dev, &set, &[], 1)
     }

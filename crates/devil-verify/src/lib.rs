@@ -40,7 +40,7 @@ pub mod reach;
 pub mod sym;
 pub mod wf;
 
-use devil_ir::{AccessPlan, DeviceIr, PlanSlot};
+use devil_ir::{AccessPlan, DeviceIr};
 
 /// The diagnostic classes the verifier can report. Each class has at
 /// least one deliberately-broken IR in the test suite proving it fires.
@@ -180,18 +180,6 @@ pub fn plan_refs(ir: &DeviceIr) -> Vec<PlanRef<'_>> {
         });
     }
     out
-}
-
-/// The inclusive-exclusive flat-slot range a [`PlanSlot`] may resolve
-/// to (mirrors the compiler's conservative span logic).
-pub(crate) fn slot_span(s: &PlanSlot) -> (usize, usize) {
-    match s {
-        PlanSlot::Fixed(i) => (*i, i + 1),
-        PlanSlot::Indexed { base, dims } => {
-            let span: usize = dims.iter().map(|(_, d)| d.count.saturating_sub(1) * d.stride).sum();
-            (*base, base + span + 1)
-        }
-    }
 }
 
 /// Conservative may-alias test between two plan slots.

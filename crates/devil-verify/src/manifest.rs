@@ -95,7 +95,7 @@ fn render_access(ir: &DeviceIr, pr: &PlanRef<'_>, out: &mut String) {
         let asm = plan
             .assemble
             .iter()
-            .map(|(slot, _)| ir.slot_name(crate::slot_span(slot).0))
+            .map(|(slot, _)| ir.slot_name(slot.span().0))
             .collect::<Vec<_>>()
             .join("+");
         let _ = writeln!(out, "  assemble {asm}");

@@ -14,8 +14,10 @@
 //! be 1 — an over-approximation of reachability, so every reported
 //! [`DiagClass::DeadVariant`] is a proof, not a sample.
 
-use crate::{plan_refs, slot_span, DiagClass, Diagnostic};
-use devil_ir::{DeviceIr, PlanSlot, PlanStep, PlanValue, SelectorDim, VarIr};
+use crate::{plan_refs, DiagClass, Diagnostic};
+use devil_ir::{
+    width_mask, AccessStep, DeviceIr, PlanSlot, PlanStep, PlanValue, SelectorDim, VarIr,
+};
 use devil_sema::model::{Action, ActionTarget, ActionValue};
 use std::collections::BTreeSet;
 
@@ -126,7 +128,7 @@ fn feed_var_top(ir: &DeviceIr, var: &VarIr, feeds: &mut Feeds) {
 
 /// Marks every slot a [`PlanSlot`] may resolve to.
 fn feed_span(feeds: &mut Feeds, slot: &PlanSlot, bits: u64) {
-    let (lo, hi) = slot_span(slot);
+    let (lo, hi) = slot.span();
     for s in lo..hi.min(feeds.can_one.len()) {
         feeds.can_one[s] |= bits;
     }
@@ -146,9 +148,8 @@ pub fn feeds(ir: &DeviceIr) -> Feeds {
     // value the port returns, up to the register's width.
     for (ri, r) in ir.regs.iter().enumerate() {
         if r.read.is_some() {
-            let wmask = if r.size >= 64 { u64::MAX } else { (1u64 << r.size) - 1 };
             for slot in reg_slots(ir, ri) {
-                feeds.can_one[slot] |= wmask;
+                feeds.can_one[slot] |= width_mask(r.size);
             }
         }
         for action in r.pre.iter().chain(r.post.iter()).chain(r.set.iter()) {
@@ -175,31 +176,9 @@ pub fn feeds(ir: &DeviceIr) -> Feeds {
     // fusion synthesized (operand-valued stage stores).
     for step in ir.plan_arena.iter() {
         match step {
-            PlanStep::Read(a) => {
-                let size = ir.reg(a.reg).size;
-                let wmask = if size >= 64 { u64::MAX } else { (1u64 << size) - 1 };
-                feed_span(&mut feeds, &a.slot, wmask);
-            }
-            PlanStep::Write(a, c) => {
-                let mut bits = c.const_or;
-                for ws in &c.segs {
-                    bits |= match ws.value {
-                        PlanValue::Const(v) => ws.seg.insert(v),
-                        PlanValue::Input | PlanValue::Arg(_) => ws.seg.reg_mask(),
-                    };
-                }
-                feed_span(&mut feeds, &a.slot, bits);
-            }
-            PlanStep::Store(slot, c) => {
-                let mut bits = c.const_or;
-                for ws in &c.segs {
-                    bits |= match ws.value {
-                        PlanValue::Const(v) => ws.seg.insert(v),
-                        PlanValue::Input | PlanValue::Arg(_) => ws.seg.reg_mask(),
-                    };
-                }
-                feed_span(&mut feeds, slot, bits);
-            }
+            PlanStep::Read(a) => feed_span(&mut feeds, &a.slot, width_mask(ir.reg(a.reg).size)),
+            PlanStep::Write { access: AccessStep { slot, .. }, compose, .. }
+            | PlanStep::Store(slot, compose) => feed_span(&mut feeds, slot, compose.may_set()),
             PlanStep::SetCell { cell, value, .. } => {
                 if *cell < feeds.cells.len() {
                     match value {

@@ -28,8 +28,10 @@
 //! coincide under the invariant.
 
 use crate::{DiagClass, Diagnostic};
-use devil_ir::{DeviceIr, FuseOp, PlanSlot, PlanStep, PlanValue, SelectorDim, Superplan};
-use devil_sema::model::{Offset, VarId};
+use devil_ir::{
+    width_mask, Compose, DeviceIr, FuseOp, PlanSlot, PlanStep, PlanValue, SelectorDim, Superplan,
+};
+use devil_sema::model::VarId;
 use std::collections::BTreeMap;
 
 /// One symbolic atom: a bit of an initial slot, an initial cell, a
@@ -197,14 +199,6 @@ impl State {
     }
 }
 
-fn width_mask(size: u32) -> u64 {
-    if size >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << size) - 1
-    }
-}
-
 /// Resolves a plan value against operand words and the op input.
 fn resolve(v: PlanValue, args: &[Word], input: Option<&Word>) -> Result<Word, String> {
     match v {
@@ -214,6 +208,20 @@ fn resolve(v: PlanValue, args: &[Word], input: Option<&Word>) -> Result<Word, St
         }
         PlanValue::Input => input.copied().ok_or_else(|| "no input in this context".into()),
     }
+}
+
+/// [`Compose::apply`] over a symbolic cached word.
+fn compose(
+    cached: &Word,
+    c: &Compose,
+    args: &[Word],
+    input: Option<&Word>,
+) -> Result<Word, String> {
+    let mut raw = or_word(&and_const(cached, c.keep_and), &const_word(c.const_or))?;
+    for ws in &c.segs {
+        raw = or_word(&raw, &insert(&ws.seg, &resolve(ws.value, args, input)?))?;
+    }
+    Ok(raw)
 }
 
 fn fixed_slot(slot: &PlanSlot) -> Result<usize, String> {
@@ -244,17 +252,13 @@ fn exec_steps(
                 st.reads += 1;
                 st.slots[slot] = and_const(&word, width_mask(a.size));
             }
-            PlanStep::Write(a, c) => {
+            PlanStep::Write { access: a, compose: c, out_and, out_or } => {
                 let devil_ir::PlanOffset::Const(offset) = a.offset else {
                     return Err("parametric offset".into());
                 };
                 let slot = fixed_slot(&a.slot)?;
-                let mut raw =
-                    or_word(&and_const(&st.slots[slot], c.keep_and), &const_word(c.const_or))?;
-                for ws in &c.segs {
-                    raw = or_word(&raw, &insert(&ws.seg, &resolve(ws.value, args, input)?))?;
-                }
-                let out = or_word(&and_const(&raw, c.out_and), &const_word(c.out_or))?;
+                let raw = compose(&st.slots[slot], c, args, input)?;
+                let out = or_word(&and_const(&raw, *out_and), &const_word(*out_or))?;
                 st.bus.push(BusOp::Write {
                     port: a.port,
                     offset,
@@ -265,12 +269,7 @@ fn exec_steps(
             }
             PlanStep::Store(slot, c) => {
                 let slot = fixed_slot(slot)?;
-                let mut raw =
-                    or_word(&and_const(&st.slots[slot], c.keep_and), &const_word(c.const_or))?;
-                for ws in &c.segs {
-                    raw = or_word(&raw, &insert(&ws.seg, &resolve(ws.value, args, input)?))?;
-                }
-                st.slots[slot] = raw;
+                st.slots[slot] = compose(&st.slots[slot], c, args, input)?;
             }
             PlanStep::SetCell { cell, value, mask } => {
                 st.cells[*cell] = and_const(&resolve(*value, args, input)?, *mask);
@@ -437,7 +436,10 @@ fn run_unfused(ir: &DeviceIr, sp: &Superplan, env: &Env, args: &[Word]) -> Resul
             }
             FuseOp::ReadBlock { var } | FuseOp::WriteBlock { var } => {
                 let write = matches!(op, FuseOp::WriteBlock { .. });
-                let (port, offset, size) = block_binding(ir, *var, write).map_err(|e| fail(&e))?;
+                let b = ir
+                    .block_binding(*var, write)
+                    .map_err(|why| fail(&format!("block op ineligible: {why:?}")))?;
+                let (port, offset, size) = (b.port, b.offset, b.size);
                 st.bus.push(if write {
                     BusOp::BlockOut { port, offset, size }
                 } else {
@@ -466,27 +468,6 @@ fn store_var_bits(ir: &DeviceIr, st: &mut State, vid: VarId, v: &Word) -> Result
         st.slots[slot] = or_word(&old, &insert(&seg.seg, v))?;
     }
     Ok(())
-}
-
-/// The runtime's `block_target` eligibility, re-derived from public IR.
-fn block_binding(ir: &DeviceIr, vid: VarId, write: bool) -> Result<(u32, u64, u32), String> {
-    let v = ir.var(vid);
-    if !v.behavior.block || v.segs.len() != 1 {
-        return Err(format!("{} is not a block variable", v.name));
-    }
-    let seg = &v.segs[0];
-    let reg = ir.reg(seg.reg);
-    if seg.seg.width() != reg.size {
-        return Err(format!("{} does not cover its register", v.name));
-    }
-    let binding = if write { &reg.write } else { &reg.read };
-    let Some(binding) = binding else {
-        return Err(format!("{} lacks the required binding", v.name));
-    };
-    let Offset::Const(offset) = binding.offset else {
-        return Err(format!("{}'s port offset is parametric", reg.name));
-    };
-    Ok((binding.port.0, offset, reg.size))
 }
 
 /// Compares the two runs; `None` means proven equal.

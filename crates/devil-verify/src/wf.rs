@@ -23,8 +23,8 @@
 //!   the runtime gates their assembly dynamically (`serve_cached`
 //!   requires every assemble slot valid before skipping the steps).
 
-use crate::{plan_refs, slot_span, spans_overlap, DiagClass, Diagnostic};
-use devil_ir::{DeviceIr, PlanStep};
+use crate::{plan_refs, spans_overlap, DiagClass, Diagnostic};
+use devil_ir::{width_mask, Compose, DeviceIr, PlanStep, RegIr};
 use devil_sema::model::RegId;
 
 /// Checks the reverse provenance maps.
@@ -101,12 +101,34 @@ fn reg_owns_span(ir: &DeviceIr, rid: RegId, span: (usize, usize)) -> bool {
     r.family_slots.as_ref().is_some_and(|fs| fs.base <= span.0 && span.1 <= fs.base + fs.count)
 }
 
-/// The raw-width mask of a register.
-fn width_mask(size: u32) -> u64 {
-    if size >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << size) - 1
+/// Checks step `si`'s composition into register `r`: constants and
+/// segments inside the register's raw width, and every stored segment
+/// cleared out of the kept bits.
+fn check_compose(si: usize, r: &RegIr, c: &Compose, diag: &mut dyn FnMut(DiagClass, String)) {
+    let wm = width_mask(r.size);
+    if c.const_or & !wm != 0 {
+        diag(
+            DiagClass::StoreMask,
+            format!(
+                "step {si}: composed constant {:#x} exceeds {}-bit {}",
+                c.const_or, r.size, r.name
+            ),
+        );
+    }
+    for ws in &c.segs {
+        let m = ws.seg.reg_mask();
+        if m & !wm != 0 {
+            diag(
+                DiagClass::StoreMask,
+                format!("step {si}: segment mask {m:#x} exceeds {}-bit {}", r.size, r.name),
+            );
+        }
+        if m & c.keep_and != 0 {
+            diag(
+                DiagClass::StoreMask,
+                format!("step {si}: kept bits overlap stored segment {m:#x} on {}", r.name),
+            );
+        }
     }
 }
 
@@ -125,7 +147,7 @@ fn check_steps(
     };
     for (si, step) in steps.iter().enumerate() {
         match step {
-            PlanStep::Read(a) | PlanStep::Write(a, _) => {
+            PlanStep::Read(a) | PlanStep::Write { access: a, .. } => {
                 let Some(r) = ir.regs.get(a.reg.0 as usize) else {
                     diag(DiagClass::OwnerMap, format!("step {si} accesses unknown register"));
                     continue;
@@ -168,7 +190,7 @@ fn check_steps(
                         format!("step {si}: port {} out of range", a.port),
                     ),
                 }
-                let span = slot_span(&a.slot);
+                let span = a.slot.span();
                 if !reg_owns_span(ir, a.reg, span) {
                     diag(
                         DiagClass::OwnerMap,
@@ -178,45 +200,22 @@ fn check_steps(
                         ),
                     );
                 }
-                if let PlanStep::Write(_, c) = step {
-                    let wm = width_mask(r.size);
-                    if c.const_or & !wm != 0 || c.out_or & !wm != 0 {
+                if let PlanStep::Write { compose, out_or, .. } = step {
+                    if out_or & !width_mask(r.size) != 0 {
                         diag(
                             DiagClass::StoreMask,
                             format!(
-                                "step {si}: composed constants {:#x}/{:#x} exceed {}-bit {}",
-                                c.const_or, c.out_or, r.size, r.name
+                                "step {si}: forced bits {out_or:#x} exceed {}-bit {}",
+                                r.size, r.name
                             ),
                         );
                     }
-                    for ws in &c.segs {
-                        if ws.seg.reg_mask() & !wm != 0 {
-                            diag(
-                                DiagClass::StoreMask,
-                                format!(
-                                    "step {si}: segment mask {:#x} exceeds {}-bit {}",
-                                    ws.seg.reg_mask(),
-                                    r.size,
-                                    r.name
-                                ),
-                            );
-                        }
-                        if ws.seg.reg_mask() & c.keep_and != 0 {
-                            diag(
-                                DiagClass::StoreMask,
-                                format!(
-                                    "step {si}: kept bits overlap stored segment {:#x} on {}",
-                                    ws.seg.reg_mask(),
-                                    r.name
-                                ),
-                            );
-                        }
-                    }
+                    check_compose(si, r, compose, &mut diag);
                 }
                 written.push(span);
             }
             PlanStep::Store(slot, c) => {
-                let span = slot_span(slot);
+                let span = slot.span();
                 let owner = ir
                     .slot_owner(span.0)
                     .or_else(|| ir.family_slot_owner(span.0).map(|(rid, _)| rid));
@@ -227,7 +226,6 @@ fn check_steps(
                     ),
                     Some(rid) => {
                         let r = ir.reg(rid);
-                        let wm = width_mask(r.size);
                         if !reg_owns_span(ir, rid, span) {
                             diag(
                                 DiagClass::OwnerMap,
@@ -237,38 +235,7 @@ fn check_steps(
                                 ),
                             );
                         }
-                        if c.const_or & !wm != 0 {
-                            diag(
-                                DiagClass::StoreMask,
-                                format!(
-                                    "step {si}: stored constant {:#x} exceeds {}-bit {}",
-                                    c.const_or, r.size, r.name
-                                ),
-                            );
-                        }
-                        for ws in &c.segs {
-                            if ws.seg.reg_mask() & !wm != 0 {
-                                diag(
-                                    DiagClass::StoreMask,
-                                    format!(
-                                        "step {si}: stored segment {:#x} exceeds {}-bit {}",
-                                        ws.seg.reg_mask(),
-                                        r.size,
-                                        r.name
-                                    ),
-                                );
-                            }
-                            if ws.seg.reg_mask() & c.keep_and != 0 {
-                                diag(
-                                    DiagClass::StoreMask,
-                                    format!(
-                                        "step {si}: kept bits overlap stored segment {:#x} on {}",
-                                        ws.seg.reg_mask(),
-                                        r.name
-                                    ),
-                                );
-                            }
-                        }
+                        check_compose(si, r, c, &mut diag);
                     }
                 }
                 written.push(span);
@@ -413,7 +380,7 @@ pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) {
         // A variable read plan assembles through the runtime's dynamic
         // validity gate; still, the assembled slots must be owned.
         for (slot, _) in &pr.plan.assemble {
-            let span = slot_span(slot);
+            let span = slot.span();
             if ir.slot_owner(span.0).is_none() && ir.family_slot_owner(span.0).is_none() {
                 diagnostics.push(Diagnostic {
                     class: DiagClass::UngatedRead,

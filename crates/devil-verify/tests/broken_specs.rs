@@ -124,7 +124,7 @@ fn assemble_from_unwritten_slot_fires_ungated_read() {
         let mark = |steps: &[PlanStep], written: &mut Vec<bool>| {
             for step in steps {
                 let slot = match step {
-                    PlanStep::Read(a) | PlanStep::Write(a, _) => &a.slot,
+                    PlanStep::Read(a) | PlanStep::Write { access: a, .. } => &a.slot,
                     PlanStep::Store(slot, _) => slot,
                     _ => continue,
                 };
@@ -160,8 +160,7 @@ fn out_of_width_compose_bit_fires_store_mask() {
         let step = steps
             .iter_mut()
             .find_map(|s| match s {
-                PlanStep::Write(_, c) => Some(&mut c.const_or),
-                PlanStep::Store(_, c) => Some(&mut c.const_or),
+                PlanStep::Write { compose: c, .. } | PlanStep::Store(_, c) => Some(&mut c.const_or),
                 _ => None,
             })
             .expect("busmouse arena has a composed write or store");
@@ -211,7 +210,7 @@ fn bit_flipped_fused_write_fires_fused_divergence() {
         let compose = steps[start..start + len]
             .iter_mut()
             .find_map(|s| match s {
-                PlanStep::Write(_, c) => Some(c),
+                PlanStep::Write { compose: c, .. } => Some(c),
                 _ => None,
             })
             .expect("selfw fused variant has a device write");
@@ -230,7 +229,7 @@ fn fused_divergence_is_structurally_invisible() {
     let (start, len) = (v0.start as usize, v0.len as usize);
     let mut steps = ir.plan_arena.to_vec();
     for s in &mut steps[start..start + len] {
-        if let PlanStep::Write(_, c) = s {
+        if let PlanStep::Write { compose: c, .. } = s {
             c.const_or ^= 0x2;
             break;
         }
