@@ -18,8 +18,8 @@
 
 use crate::plan::{assemble_slots, Shift, StubApi};
 use devil_ir::{
-    Compose, DeviceIr, FieldSeg, FuseOp, GuardSource, PlanGuard, PlanSlot, PlanStep, PlanValue,
-    Superplan, VarIr,
+    Compose, DeviceIr, FieldSeg, FuseOp, GuardSource, PlanGuard, PlanStep, PlanValue, Superplan,
+    VarIr,
 };
 use devil_sema::model::{Offset, SerStep, TypeSem, VarId};
 use std::fmt::{self, Write as _};
@@ -397,8 +397,8 @@ fn step_expr(ir: &DeviceIr, prefix: &str, step: &PlanStep, input: &str) -> Strin
             // Cache-only store: the written bits land in the cache
             // without a device access (a flattened order that skips
             // the register still stores, like `store_var_bits`).
-            let PlanSlot::Fixed(s) = slot else { unreachable!("family plans are not emitted") };
-            let owner = ir.slot_owner(*s).expect("emittable stores hit owned slots");
+            let s = slot.fixed().expect("family plans are not emitted");
+            let owner = ir.slot_owner(s).expect("emittable stores hit owned slots");
             let n = &ir.reg(owner).name;
             let mut s = format!("{prefix}_cache.cache_{n} = ");
             compose_expr(&mut s, prefix, n, c, input);

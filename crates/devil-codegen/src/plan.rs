@@ -33,14 +33,16 @@ pub fn plan_emittable(ir: &DeviceIr, plan: &AccessPlan) -> bool {
     if plan.variants.is_empty() || plan.variants.len() > VARIANT_EMIT_CAP {
         return false;
     }
-    let fixed_owned = |slot: &PlanSlot| match slot {
-        PlanSlot::Fixed(s) => ir.slot_owner(*s).is_some(),
-        PlanSlot::Indexed { .. } => false,
-    };
     plan.variants.iter().all(|v| {
         v.guards.iter().all(|g| guard_emittable(ir, g))
             && ir.variant_steps(v).iter().all(|step| step_emittable(ir, step))
-    }) && plan.assemble.iter().all(|(slot, _)| fixed_owned(slot))
+    }) && plan.assemble.iter().all(|(slot, _)| fixed_owned(ir, slot))
+}
+
+/// Whether a step's slot is a concrete register's: resolved without
+/// family arguments, with an owner to name its cache field after.
+fn fixed_owned(ir: &DeviceIr, slot: &PlanSlot) -> bool {
+    slot.fixed().is_some_and(|s| ir.slot_owner(s).is_some())
 }
 
 /// Whether a guard's source can be rendered in stub text. Exhaustive
@@ -87,8 +89,7 @@ fn step_verdict(ir: &DeviceIr, step: &PlanStep, superplan: bool) -> bool {
                 && c.segs.iter().all(|ws| value_ok(&ws.value))
         }
         PlanStep::Store(slot, c) => {
-            matches!(slot, PlanSlot::Fixed(s) if ir.slot_owner(*s).is_some())
-                && c.segs.iter().all(|ws| value_ok(&ws.value))
+            fixed_owned(ir, slot) && c.segs.iter().all(|ws| value_ok(&ws.value))
         }
         PlanStep::SetCell { value, .. } => value_ok(value),
         // Fused block transfers bind a constant port/offset/size by
@@ -123,12 +124,7 @@ pub fn superplan_emittable(ir: &DeviceIr, sp: &devil_ir::Superplan) -> bool {
 pub fn assemble_slots(plan: &AccessPlan) -> Vec<(usize, devil_ir::FieldSeg)> {
     plan.assemble
         .iter()
-        .map(|(slot, seg)| match slot {
-            PlanSlot::Fixed(s) => (*s, *seg),
-            PlanSlot::Indexed { .. } => {
-                unreachable!("emittable plans assemble from fixed slots")
-            }
-        })
+        .map(|(slot, seg)| (slot.fixed().expect("emittable plans assemble from fixed slots"), *seg))
         .collect()
 }
 

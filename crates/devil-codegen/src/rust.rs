@@ -15,8 +15,8 @@
 
 use crate::plan::{assemble_slots, Shift, StubApi};
 use devil_ir::{
-    AccessPlan, Compose, DeviceIr, FieldSeg, FuseOp, GuardSource, PlanSlot, PlanStep, PlanValue,
-    Superplan, VarIr,
+    AccessPlan, Compose, DeviceIr, FieldSeg, FuseOp, GuardSource, PlanStep, PlanValue, Superplan,
+    VarIr,
 };
 use devil_sema::model::{StructId, TypeSem, VarId};
 use std::fmt::{self, Write as _};
@@ -294,8 +294,8 @@ fn step_stmts(ir: &DeviceIr, step: &PlanStep, indent: &str, input: &str, out: &m
         PlanStep::Store(slot, c) => {
             // Cache-only store, no device access (see the interpreter's
             // `store_var_bits`).
-            let PlanSlot::Fixed(s) = slot else { unreachable!("family plans are not emitted") };
-            let owner = ir.slot_owner(*s).expect("emittable stores hit owned slots");
+            let s = slot.fixed().expect("family plans are not emitted");
+            let owner = ir.slot_owner(s).expect("emittable stores hit owned slots");
             let n = &ir.reg(owner).name;
             let _ = write!(out, "{indent}self.cache_{n} = ");
             compose_expr(out, n, c, input);

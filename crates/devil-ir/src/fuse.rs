@@ -423,11 +423,9 @@ impl DeviceIr {
             Some(_) => Some(
                 plan.assemble
                     .iter()
-                    .map(|(slot, seg)| match slot {
-                        PlanSlot::Fixed(s) => Ok((*s, *seg)),
-                        PlanSlot::Indexed { .. } => Err("assembles from a family slot".to_string()),
-                    })
-                    .collect::<Result<_, _>>()?,
+                    .map(|(slot, seg)| slot.fixed().map(|s| (s, *seg)))
+                    .collect::<Option<_>>()
+                    .ok_or("assembles from a family slot")?,
             ),
         };
         // Enumerate the dynamic combos; splice the statically-resolved
@@ -503,11 +501,7 @@ impl DeviceIr {
 /// op's operand.
 fn materialize_step(step: &PlanStep, value: Option<PlanValue>) -> Result<PlanStep, String> {
     let fixed = |slot: &PlanSlot| -> Result<PlanSlot, String> {
-        match slot {
-            PlanSlot::Fixed(s) => Ok(PlanSlot::Fixed(*s)),
-            PlanSlot::Indexed { base, dims } if dims.is_empty() => Ok(PlanSlot::Fixed(*base)),
-            PlanSlot::Indexed { .. } => Err("step addresses a family slot".into()),
-        }
+        slot.fixed().map(PlanSlot::Fixed).ok_or_else(|| "step addresses a family slot".into())
     };
     let access = |a: &AccessStep| -> Result<AccessStep, String> {
         let PlanOffset::Const(off) = a.offset else {

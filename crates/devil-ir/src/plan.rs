@@ -163,6 +163,15 @@ impl PlanSlot {
         }
     }
 
+    /// The flat slot, when the slot resolves without family arguments.
+    pub fn fixed(&self) -> Option<usize> {
+        match self {
+            PlanSlot::Fixed(s) => Some(*s),
+            PlanSlot::Indexed { base, dims } if dims.is_empty() => Some(*base),
+            PlanSlot::Indexed { .. } => None,
+        }
+    }
+
     /// The inclusive-exclusive range of flat slots the slot may
     /// resolve to.
     pub fn span(&self) -> (usize, usize) {

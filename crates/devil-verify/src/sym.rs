@@ -225,11 +225,7 @@ fn compose(
 }
 
 fn fixed_slot(slot: &PlanSlot) -> Result<usize, String> {
-    match slot {
-        PlanSlot::Fixed(s) => Ok(*s),
-        PlanSlot::Indexed { base, dims } if dims.is_empty() => Ok(*base),
-        PlanSlot::Indexed { .. } => Err("family-indexed slot in an argument-free body".into()),
-    }
+    slot.fixed().ok_or_else(|| "family-indexed slot in an argument-free body".into())
 }
 
 /// Executes a straight-line step slice symbolically, recording bus ops.
