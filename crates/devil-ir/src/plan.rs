@@ -334,8 +334,9 @@ pub enum PlanStep {
     },
     /// Vectored block read: one `Bus::ins`-style transaction filling
     /// the caller's block-in buffer. Only emitted by superplan fusion
-    /// ([`DeviceIr::fuse`]); the transfer bypasses the cache, exactly
-    /// like the runtime's unfused block path.
+    /// ([`DeviceIr::fuse`](crate::DeviceIr::fuse)); the transfer
+    /// bypasses the cache, exactly like the runtime's unfused block
+    /// path.
     BlockIn {
         /// Port index.
         port: u32,
@@ -494,7 +495,7 @@ pub type WriteCheck = (VarId, PlanValue);
 
 /// One straight-line version of a (possibly guard-split) plan: a
 /// conjunction of slot guards plus a step range in the device's
-/// [plan arena](DeviceIr::plan_arena).
+/// [plan arena](crate::DeviceIr::plan_arena).
 #[derive(Clone, Debug)]
 pub struct PlanVariant {
     /// Guards selecting this variant; all must hold. Empty for the
@@ -558,9 +559,10 @@ pub struct SelectorDim {
 /// tested value is statically known or still entry-state at the
 /// evaluation point). Action values read from other variables, hashed
 /// family caches, mid-access-modified tested variables, guard domains
-/// past [`GUARD_DOMAIN_CAP`] and over-budget expansions compile no
-/// plan — each recorded in [`DeviceIr::plan_fallbacks`], and rejected
-/// by the runtime as unplanned, so nothing bails silently.
+/// past the guard-domain cap and over-budget expansions compile no
+/// plan — each recorded in
+/// [`DeviceIr::plan_fallbacks`](crate::DeviceIr::plan_fallbacks), and
+/// rejected by the runtime as unplanned, so nothing bails silently.
 #[derive(Clone, Debug, Default)]
 pub struct AccessPlan {
     /// Straight-line variants. The guard enumeration is exhaustive over
