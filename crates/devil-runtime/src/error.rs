@@ -50,7 +50,7 @@ pub enum RtError {
         value: u64,
     },
     /// Block access on a variable without the `block` attribute, or one
-    /// not backed by exactly one whole register.
+    /// not backed by exactly one whole register at a constant offset.
     NotBlock(String),
     /// Structure-field access on a variable that is not a field.
     NotAField(String),
