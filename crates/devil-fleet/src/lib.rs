@@ -256,11 +256,7 @@ fn run_shard(cfg: &FleetConfig, irs: &SharedIrs, shard: usize) -> ShardResult {
     let finals = insts
         .iter()
         .map(|inst| {
-            let s = inst.plan_stats();
-            stats.straight += s.straight;
-            stats.guarded += s.guarded;
-            stats.fused += s.fused;
-            stats.general += s.general;
+            stats = stats + inst.plan_stats();
             InstanceFinal {
                 id: inst.id(),
                 kind: inst.kind(),
@@ -320,10 +316,7 @@ pub fn run_fleet_with(cfg: &FleetConfig, irs: &SharedIrs) -> FleetReport {
     for r in results {
         ledger.merge(&r.ledger);
         forest.merge(r.forest);
-        stats.straight += r.stats.straight;
-        stats.guarded += r.stats.guarded;
-        stats.fused += r.stats.fused;
-        stats.general += r.stats.general;
+        stats = stats + r.stats;
         units += r.units;
         checkpoints += r.checkpoints;
         sim_makespan_ns = sim_makespan_ns.max(r.clock_ns);

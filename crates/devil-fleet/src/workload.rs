@@ -512,25 +512,16 @@ impl FleetInstance {
     /// Summed plan-dispatch counters of every interpreter instance in
     /// the rig.
     pub fn plan_stats(&self) -> PlanStats {
-        let mut sum = PlanStats::default();
-        let mut add = |s: PlanStats| {
-            sum.straight += s.straight;
-            sum.guarded += s.guarded;
-            sum.fused += s.fused;
-            sum.general += s.general;
-        };
         match &self.rig {
-            Rig::Figure3 { drv } => add(drv.plan_stats()),
-            Rig::IcwStorm { drv } => add(drv.plan_stats()),
+            Rig::Figure3 { drv } => drv.plan_stats(),
+            Rig::IcwStorm { drv } => drv.plan_stats(),
             Rig::PioRead { drv } | Rig::BusMasterDma { drv, .. } => {
-                add(drv.ide_plan_stats());
-                add(drv.bm_plan_stats());
+                drv.ide_plan_stats() + drv.bm_plan_stats()
             }
-            Rig::NetBurst { drv, .. } => add(drv.plan_stats()),
-            Rig::FifoRect { drv } => add(drv.plan_stats()),
-            Rig::DmaProgram { dev, .. } | Rig::CodecIndex { dev, .. } => add(dev.plan_stats()),
+            Rig::NetBurst { drv, .. } => drv.plan_stats(),
+            Rig::FifoRect { drv } => drv.plan_stats(),
+            Rig::DmaProgram { dev, .. } | Rig::CodecIndex { dev, .. } => dev.plan_stats(),
         }
-        sum
     }
 
     /// Snapshots of every interpreter instance in the rig (one for

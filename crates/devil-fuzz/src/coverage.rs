@@ -1,16 +1,15 @@
 //! Coverage-guided corpus growth over the compiled plan surface.
 //!
-//! The runtime's opt-in dispatch trace names, for every access, exactly
-//! which straight-line plan variant executed
-//! ([`devil_runtime::DispatchRecord`]). That is the whole coverage
-//! signal this module feeds on: a [`CoverageSpace`]
-//! enumerates every compiled plan variant (plus memory-cell serves and
-//! fused superplan variants) of a spec up front, a [`Coverage`] map
-//! marks which of them a word stream lit up, and [`grow_corpus`]
-//! mutates *from the corpus* — splice, truncate, arg-domain nudge,
-//! guard-field hammer — keeping exactly the streams that reach
-//! something new. [`minimize`] then shrinks the corpus to a fixpoint
-//! (idempotent by construction) that still covers the full union.
+//! The runtime counts every dispatch in one hit table, one entry per
+//! compiled plan variant of the spec ([`DeviceInstance::hits`], indexed
+//! by [`DeviceIr::points`]). That is the whole coverage signal this
+//! module feeds on: a stream's coverage is the set of non-zero entries
+//! of a fresh instance's table after replaying it, a [`Coverage`] map
+//! merges tables element-wise, and [`grow_corpus`] mutates *from the
+//! corpus* — splice, truncate, arg-domain nudge, guard-field hammer —
+//! keeping exactly the streams that reach something new. [`minimize`]
+//! then shrinks the corpus to a fixpoint (idempotent by construction)
+//! that still covers the full union.
 //!
 //! Streams stay raw `Vec<u64>` words: the same pure, total
 //! [`crate::decode`] / [`crate::superfuzz::decode_super`] pair turns
@@ -21,152 +20,82 @@
 use crate::superfuzz::decode_super;
 use crate::{decode, run_op, Engine};
 use devil_ir::DeviceIr;
-use devil_runtime::{AccessRef, DeviceInstance, DispatchOutcome, DispatchRecord, FakeAccess};
-use devil_sema::model::{StructId, VarId};
-use std::collections::{BTreeMap, BTreeSet};
+use devil_runtime::{DeviceInstance, FakeAccess};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-/// The enumerated compiled plan surface of one spec: every reachable
-/// dispatch point a guided corpus must light up.
-pub struct CoverageSpace {
-    /// Dense point table, in a fixed enumeration order (variables,
-    /// structures, superplans; reads before writes; variant index
-    /// ascending).
-    points: Vec<DispatchRecord>,
-    /// Reverse lookup from a trace record to its dense index.
-    index: BTreeMap<DispatchRecord, usize>,
-    /// Human names for failure listings, parallel to `points`.
-    names: Vec<String>,
-}
-
-impl CoverageSpace {
-    /// Enumerates the plan surface of `ir`: per access (variable
-    /// read/write, structure read/write, superplan) one point per
-    /// compiled plan variant (a memory-cell serve is its read plan's
-    /// one variant).
-    pub fn of(ir: &DeviceIr) -> CoverageSpace {
-        let mut points = Vec::new();
-        let mut names = Vec::new();
-        let mut push = |access: AccessRef, plan: Option<&devil_ir::AccessPlan>, what: &str| {
-            let n = plan.map_or(0, |p| p.variants.len());
-            for idx in 0..n {
-                points
-                    .push(DispatchRecord { access, outcome: DispatchOutcome::Variant(idx as u32) });
-                names.push(format!("{what} variant {idx}/{n}"));
-            }
-        };
-        for (vi, var) in ir.vars.iter().enumerate() {
-            let vid = VarId(vi as u32);
-            push(AccessRef::ReadVar(vid), var.read_plan.as_deref(), &format!("read {}", var.name));
-            push(
-                AccessRef::WriteVar(vid),
-                var.write_plan.as_deref(),
-                &format!("write {}", var.name),
-            );
-        }
-        for (si, st) in ir.structs.iter().enumerate() {
-            let sid = StructId(si as u32);
-            let (read, write) = (st.read_plan.as_deref(), st.write_plan.as_deref());
-            push(AccessRef::ReadStruct(sid), read, &format!("read_struct {}", st.name));
-            push(AccessRef::WriteStruct(sid), write, &format!("write_struct {}", st.name));
-        }
-        for (si, sp) in ir.superplans().iter().enumerate() {
-            push(AccessRef::Superplan(si), Some(&sp.plan), &format!("superplan {}", sp.name));
-        }
-        let index = points.iter().copied().enumerate().map(|(i, p)| (p, i)).collect();
-        CoverageSpace { points, index, names }
-    }
-
-    /// Number of enumerated points (the completeness denominator).
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the spec compiles no plans at all.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The human name of point `i`, for failure listings.
-    pub fn name(&self, i: usize) -> &str {
-        &self.names[i]
-    }
-}
-
-/// A coverage map over one [`CoverageSpace`]: which plan-surface points
-/// have been hit.
+/// The dispatch points of one spec that have been hit: hit tables
+/// merged by element-wise addition.
 #[derive(Clone)]
 pub struct Coverage {
-    hits: Vec<bool>,
-    hit_count: usize,
+    hits: Vec<u64>,
+    covered: usize,
 }
 
 impl Coverage {
-    /// An empty map over `space`.
-    pub fn new(space: &CoverageSpace) -> Coverage {
-        Coverage { hits: vec![false; space.len()], hit_count: 0 }
+    /// An empty map over every dispatch point of `ir`.
+    pub fn new(ir: &DeviceIr) -> Coverage {
+        Coverage { hits: vec![0; ir.dispatch_points()], covered: 0 }
     }
 
-    /// Folds one trace record in. Returns `true` when it reached a
-    /// plan-surface point not seen before.
-    pub fn observe(&mut self, space: &CoverageSpace, rec: DispatchRecord) -> bool {
-        // A record the space does not know cannot happen for a trace
-        // over the same IR; treat it as non-novel.
-        let Some(&i) = space.index.get(&rec) else { return false };
-        let new = !self.hits[i];
-        if new {
-            self.hits[i] = true;
-            self.hit_count += 1;
+    /// Adds one hit table in. Returns `true` when it reached a point
+    /// not hit before.
+    pub fn merge(&mut self, hits: &[u64]) -> bool {
+        let before = self.covered;
+        for (total, &n) in self.hits.iter_mut().zip(hits) {
+            if *total == 0 && n > 0 {
+                self.covered += 1;
+            }
+            *total += n;
         }
-        new
+        self.covered > before
     }
 
-    /// Plan-surface points hit so far.
+    /// Dispatch points hit so far.
     pub fn covered(&self) -> usize {
-        self.hit_count
+        self.covered
     }
 
-    /// Whether every plan-surface point has been hit.
-    pub fn complete(&self, space: &CoverageSpace) -> bool {
-        self.hit_count == space.len()
+    /// Whether every dispatch point has been hit.
+    pub fn complete(&self) -> bool {
+        self.covered == self.hits.len()
     }
 
     /// Names of the points not yet reached, for assertion messages.
-    pub fn unreached<'s>(&self, space: &'s CoverageSpace) -> Vec<&'s str> {
-        (0..space.len()).filter(|&i| !self.hits[i]).map(|i| space.name(i)).collect()
+    pub fn unreached(&self, ir: &DeviceIr) -> Vec<String> {
+        let mut names = Vec::new();
+        for (access, plan) in ir.accesses() {
+            for (idx, point) in plan.points().enumerate() {
+                if self.hits[point] == 0 {
+                    let n = plan.variants.len();
+                    names.push(format!("{} variant {idx}/{n}", ir.access_name(access)));
+                }
+            }
+        }
+        names
     }
 }
 
 /// Replays one raw word stream — variable/struct ops first, then the
 /// fused-sequence decoding of the same words — through a fresh
-/// plan-runtime instance with the dispatch trace on, and returns every
-/// recorded dispatch. This is the (pure) stream → coverage signal map.
-pub fn covered_records(ir: &DeviceIr, words: &[u64]) -> Vec<DispatchRecord> {
+/// plan-runtime instance and returns its hit table. This is the (pure)
+/// stream → coverage signal map.
+pub fn stream_hits(ir: &DeviceIr, words: &[u64]) -> Vec<u64> {
     let mut inst = DeviceInstance::new(ir.clone());
-    inst.set_dispatch_trace(true);
     let mut dev = FakeAccess::new();
     let mut obs = Vec::new();
     for op in decode(ir, words).iter().chain(&decode_super(ir, words)) {
         run_op(&mut Engine::Plans(&mut inst), &mut dev, op, &mut obs);
         obs.clear();
     }
-    inst.take_dispatch_trace()
+    inst.hits().to_vec()
 }
 
-/// Folds a stream's trace into `cov`; returns `true` when the stream
-/// contributed anything new.
-pub fn cover_stream(
-    ir: &DeviceIr,
-    space: &CoverageSpace,
-    cov: &mut Coverage,
-    words: &[u64],
-) -> bool {
-    let mut new = false;
-    for rec in covered_records(ir, words) {
-        new |= cov.observe(space, rec);
-    }
-    new
+/// Merges a stream's hit table into `cov`; returns `true` when the
+/// stream contributed anything new.
+pub fn cover_stream(ir: &DeviceIr, cov: &mut Coverage, words: &[u64]) -> bool {
+    cov.merge(&stream_hits(ir, words))
 }
 
 /// Words per freshly generated candidate stream. Long enough to reach
@@ -257,12 +186,11 @@ fn mutate(corpus: &[Vec<u64>], rng: &mut u64) -> Vec<u64> {
 /// the corpus (exploitation). A candidate is kept exactly when it
 /// reaches a plan-surface point nothing before it reached.
 pub fn grow_corpus(ir: &DeviceIr, seed: u64, budget: usize) -> Vec<Vec<u64>> {
-    let space = CoverageSpace::of(ir);
-    let mut cov = Coverage::new(&space);
+    let mut cov = Coverage::new(ir);
     let mut corpus: Vec<Vec<u64>> = Vec::new();
     let mut rng = seed;
     for round in 0..budget {
-        if cov.complete(&space) && round >= budget / 4 {
+        if cov.complete() && round >= budget / 4 {
             break;
         }
         let cand = if corpus.is_empty() || round % 4 == 0 {
@@ -270,7 +198,7 @@ pub fn grow_corpus(ir: &DeviceIr, seed: u64, budget: usize) -> Vec<Vec<u64>> {
         } else {
             mutate(&corpus, &mut rng)
         };
-        if cover_stream(ir, &space, &mut cov, &cand) {
+        if cover_stream(ir, &mut cov, &cand) {
             corpus.push(cand);
         }
     }
@@ -283,19 +211,19 @@ pub fn grow_corpus(ir: &DeviceIr, seed: u64, budget: usize) -> Vec<Vec<u64>> {
 /// the same total candidate budget. Returns `(points hit, points
 /// total)`.
 pub fn uniform_coverage(ir: &DeviceIr, seed: u64, budget: usize) -> (usize, usize) {
-    let space = CoverageSpace::of(ir);
-    let mut cov = Coverage::new(&space);
+    let mut cov = Coverage::new(ir);
     let mut rng = seed;
     for _ in 0..budget {
         let cand = random_stream(&mut rng, STREAM_LEN);
-        cover_stream(ir, &space, &mut cov, &cand);
+        cover_stream(ir, &mut cov, &cand);
     }
-    (cov.covered(), space.len())
+    (cov.covered(), ir.dispatch_points())
 }
 
-/// Plan-surface point indices a stream reaches, as a comparable set.
-fn contribution(ir: &DeviceIr, space: &CoverageSpace, words: &[u64]) -> BTreeSet<usize> {
-    covered_records(ir, words).iter().filter_map(|rec| space.index.get(rec).copied()).collect()
+/// The dispatch points a stream reaches, as a comparable set.
+fn contribution(ir: &DeviceIr, words: &[u64]) -> BTreeSet<usize> {
+    let hits = stream_hits(ir, words);
+    (0..hits.len()).filter(|&p| hits[p] > 0).collect()
 }
 
 /// Minimizes a corpus: greedy marginal-contribution selection in corpus
@@ -304,10 +232,9 @@ fn contribution(ir: &DeviceIr, space: &CoverageSpace, words: &[u64]) -> BTreeSet
 /// and idempotent by construction — the result *is* a fixpoint of the
 /// reduction step, so minimizing it again changes nothing.
 pub fn minimize(ir: &DeviceIr, corpus: &[Vec<u64>]) -> Vec<Vec<u64>> {
-    let space = CoverageSpace::of(ir);
     let mut cur: Vec<Vec<u64>> = corpus.to_vec();
     loop {
-        let next = minimize_step(ir, &space, &cur);
+        let next = minimize_step(ir, &cur);
         if next == cur {
             return cur;
         }
@@ -315,12 +242,12 @@ pub fn minimize(ir: &DeviceIr, corpus: &[Vec<u64>]) -> Vec<Vec<u64>> {
     }
 }
 
-fn minimize_step(ir: &DeviceIr, space: &CoverageSpace, corpus: &[Vec<u64>]) -> Vec<Vec<u64>> {
+fn minimize_step(ir: &DeviceIr, corpus: &[Vec<u64>]) -> Vec<Vec<u64>> {
     // Greedy keep-if-marginal, in order.
     let mut union: BTreeSet<usize> = BTreeSet::new();
     let mut kept: Vec<Vec<u64>> = Vec::new();
     for entry in corpus {
-        let pts = contribution(ir, space, entry);
+        let pts = contribution(ir, entry);
         if !pts.is_subset(&union) {
             union.extend(&pts);
             kept.push(entry.clone());
@@ -334,7 +261,7 @@ fn minimize_step(ir: &DeviceIr, space: &CoverageSpace, corpus: &[Vec<u64>]) -> V
             let mut u = BTreeSet::new();
             for (j, e) in kept.iter().enumerate() {
                 if j != skip {
-                    u.extend(contribution(ir, space, e));
+                    u.extend(contribution(ir, e));
                 }
             }
             u
@@ -342,7 +269,7 @@ fn minimize_step(ir: &DeviceIr, space: &CoverageSpace, corpus: &[Vec<u64>]) -> V
         let others = others_union(&kept, i);
         let keeps_union = |prefix: &[u64]| -> bool {
             let mut u = others.clone();
-            u.extend(contribution(ir, space, prefix));
+            u.extend(contribution(ir, prefix));
             u == full_union
         };
         let mut len = kept[i].len();
@@ -428,10 +355,10 @@ mod tests {
     #[test]
     fn space_enumerates_every_plan_variant() {
         let ir = ir(SPEC);
-        let space = CoverageSpace::of(&ir);
-        assert!(!space.is_empty());
         // Every variable with a plan appears; names are human-readable.
-        let names: Vec<&str> = (0..space.len()).map(|i| space.name(i)).collect();
+        let names = Coverage::new(&ir).unreached(&ir);
+        assert!(!names.is_empty());
+        assert_eq!(names.len(), ir.dispatch_points());
         assert!(names.iter().any(|n| n.contains("read lo")), "{names:?}");
         assert!(names.iter().any(|n| n.contains("write hi")), "{names:?}");
     }
@@ -439,26 +366,24 @@ mod tests {
     #[test]
     fn guided_growth_saturates_simple_specs() {
         let ir = ir(SPEC);
-        let space = CoverageSpace::of(&ir);
         let corpus = grow_corpus(&ir, 0xdead_beef, 400);
-        let mut cov = Coverage::new(&space);
+        let mut cov = Coverage::new(&ir);
         for s in &corpus {
-            cover_stream(&ir, &space, &mut cov, s);
+            cover_stream(&ir, &mut cov, s);
         }
-        assert!(cov.complete(&space), "unreached: {:?}", cov.unreached(&space));
+        assert!(cov.complete(), "unreached: {:?}", cov.unreached(&ir));
     }
 
     #[test]
     fn minimize_preserves_coverage_and_is_idempotent() {
         let ir = ir(SPEC);
-        let space = CoverageSpace::of(&ir);
         let corpus = grow_corpus(&ir, 7, 400);
         let min = minimize(&ir, &corpus);
         assert!(min.len() <= corpus.len());
         let union = |c: &[Vec<u64>]| {
-            let mut cov = Coverage::new(&space);
+            let mut cov = Coverage::new(&ir);
             for s in c {
-                cover_stream(&ir, &space, &mut cov, s);
+                cover_stream(&ir, &mut cov, s);
             }
             cov.covered()
         };

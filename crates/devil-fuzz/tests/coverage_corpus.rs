@@ -13,7 +13,7 @@
 
 use devil_fuzz::coverage::{
     corpus_path, cover_stream, format_corpus, grow_corpus, minimize, shipped_corpus,
-    uniform_coverage, Coverage, CoverageSpace,
+    uniform_coverage, Coverage,
 };
 use devil_fuzz::superfuzz::{decode_super, install_synthetic};
 use devil_fuzz::{compare_runtimes, decode};
@@ -97,11 +97,10 @@ fn shipped_corpus_reaches_every_plan_variant() {
     let mut space_total = 0usize;
     let mut incomplete: Vec<String> = Vec::new();
     for spec in specs() {
-        let space = CoverageSpace::of(&spec.ir);
         let corpus = shipped_corpus(spec.name);
-        let mut cov = Coverage::new(&space);
+        let mut cov = Coverage::new(&spec.ir);
         for s in &corpus {
-            cover_stream(&spec.ir, &space, &mut cov, s);
+            cover_stream(&spec.ir, &mut cov, s);
         }
         let (uni, total) = uniform_coverage(&spec.ir, SEED ^ 1, BUDGET);
         println!(
@@ -116,8 +115,8 @@ fn shipped_corpus_reaches_every_plan_variant() {
         guided_total += cov.covered();
         uniform_total += uni;
         space_total += total;
-        if !cov.complete(&space) {
-            incomplete.push(format!("{}: unreached {:?}", spec.name, cov.unreached(&space)));
+        if !cov.complete() {
+            incomplete.push(format!("{}: unreached {:?}", spec.name, cov.unreached(&spec.ir)));
         }
     }
     println!(

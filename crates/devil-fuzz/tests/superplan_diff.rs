@@ -17,7 +17,7 @@ use devil_fuzz::coverage::shipped_corpus;
 use devil_fuzz::superfuzz::{decode_super, install_synthetic, super_sweep};
 use devil_fuzz::{compare, compare_runtimes, probe_ops, run_op, sweep_ops, Engine, InProcess, Op};
 use devil_ir::{DeviceIr, ShapeOp};
-use devil_runtime::{DeviceInstance, FakeAccess, MappedPort, PortMap};
+use devil_runtime::{DeviceInstance, FakeAccess, MappedPort, PortMap, ReferenceInstance, RtError};
 use hwsim::{Bus, CostModel, Ledger};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -39,6 +39,51 @@ fn irs() -> &'static Vec<(&'static str, DeviceIr)> {
         });
         shipped.chain(synthetic).filter(|(_, ir)| !ir.superplans().is_empty()).collect()
     })
+}
+
+/// Operand and output slices shorter than a superplan declares are a
+/// typed error in both engines, raised before any bus operation: no
+/// device op, no hit counted.
+#[test]
+fn short_superplan_io_is_an_arity_error_before_any_device_op() {
+    let ir_of = |name: &str| &irs().iter().find(|(n, _)| *n == name).expect("spec present").1;
+    // memw `burst` takes two operands; ide `pio_irq16` fills three outputs.
+    let cases: [(&str, &str, &[u64], usize, RtError); 2] = [
+        (
+            "memw",
+            "burst",
+            &[0x2a],
+            0,
+            RtError::ArityMismatch { var: "superplan burst".into(), expected: 2, got: 1 },
+        ),
+        (
+            "ide",
+            "pio_irq16",
+            &[],
+            1,
+            RtError::ArityMismatch {
+                var: "superplan pio_irq16 outputs".into(),
+                expected: 3,
+                got: 1,
+            },
+        ),
+    ];
+    for (spec, sp, args, outs, want) in cases {
+        let ir = ir_of(spec);
+        let sid = ir.superplan_id(sp).expect("superplan installed");
+        let mut outs = vec![0; outs];
+        let mut plans = DeviceInstance::new(ir.clone());
+        let mut dev = FakeAccess::new();
+        let got = plans.run_superplan(&mut dev, sid, args, &[0; 8], &mut [0; 8], &mut outs);
+        assert_eq!(got, Err(want.clone()), "{spec} plans");
+        assert!(dev.log.is_empty(), "{spec} plans touched the device: {:?}", dev.log);
+        assert!(plans.hits().iter().all(|&n| n == 0), "{spec}: a rejected call counted a hit");
+        let mut reference = ReferenceInstance::new(ir.clone());
+        let mut dev = FakeAccess::new();
+        let got = reference.run_superplan(&mut dev, sid, args, &[0; 8], &mut [0; 8], &mut outs);
+        assert_eq!(got, Err(want), "{spec} reference");
+        assert!(dev.log.is_empty(), "{spec} reference touched the device: {:?}", dev.log);
+    }
 }
 
 /// The driver-declared superplan surface is exactly what the issue

@@ -5,9 +5,9 @@
 
 use crate::plan::block_binding;
 use crate::{
-    width_mask, AccessPlan, AccessStep, BlockIneligible, Compose, FieldSeg, GuardSource, PlanGuard,
-    PlanOffset, PlanSlot, PlanStep, PlanValue, PlanVariant, RegIr, SelectorDim, StructIr, VarIr,
-    VarSeg, WriteCheck, WriteSeg,
+    width_mask, AccessPlan, AccessRef, AccessStep, BlockIneligible, Compose, FieldSeg, GuardSource,
+    PlanGuard, PlanOffset, PlanSlot, PlanStep, PlanValue, PlanVariant, RegIr, SelectorDim,
+    StructIr, VarIr, VarSeg, WriteCheck, WriteSeg,
 };
 use devil_sema::model::{
     Action, ActionTarget, ActionValue, ChunkArg, CondSem, FamilyParam, Neutral, Offset,
@@ -1086,7 +1086,6 @@ fn selector_dim(dim: &DimInfo) -> SelectorDim {
 /// `written` names the variable whose write this is, so conditions
 /// testing it guard on the caller's input (store-then-evaluate order).
 /// `Err` carries the loud fallback cause.
-#[allow(clippy::type_complexity)]
 fn compile_guarded(
     env: &CompileEnv,
     order: &[SerStep],
@@ -1094,7 +1093,7 @@ fn compile_guarded(
     params: &[FamilyParam],
     arena: &mut Vec<PlanStep>,
     body: &mut dyn FnMut(&mut PlanBuilder, &[RegId]) -> Option<()>,
-) -> Result<(Vec<SelectorDim>, Vec<PlanVariant>, u32), String> {
+) -> Result<AccessPlan, String> {
     let mut tested: Vec<VarId> = Vec::new();
     collect_cond_vars(order, &mut tested);
     'retry: loop {
@@ -1149,7 +1148,13 @@ fn compile_guarded(
             let mut i = assign.len();
             loop {
                 if i == 0 {
-                    return Ok((dims.iter().map(selector_dim).collect(), variants, max_depth));
+                    let selector = dims.iter().map(selector_dim).collect();
+                    return Ok(AccessPlan {
+                        variants,
+                        selector,
+                        max_depth,
+                        ..AccessPlan::default()
+                    });
                 }
                 i -= 1;
                 if assign[i].1 + 1 < dims[i].radix as u64 {
@@ -1199,6 +1204,23 @@ fn record_planless_fallbacks(var: &VarIr, regs: &[RegIr], fallbacks: &mut Vec<Pl
     }
 }
 
+/// The plan a compiled access runs, or — recording `access` and the
+/// cause in `fallbacks` — none.
+fn planned(
+    compiled: Result<AccessPlan, String>,
+    access: AccessRef,
+    name: &str,
+    fallbacks: &mut Vec<PlanFallback>,
+) -> Option<Arc<AccessPlan>> {
+    match compiled {
+        Ok(plan) => Some(Arc::new(plan)),
+        Err(cause) => {
+            fallbacks.push(PlanFallback { access: access.name(name), cause });
+            None
+        }
+    }
+}
+
 /// Compiles the read/write plans for one variable, when the access
 /// qualifies (see [`AccessPlan`]). Compiled steps land in `arena`;
 /// failures land in `fallbacks` with their cause. Memory-cell
@@ -1211,22 +1233,22 @@ pub(crate) fn compile_var_plans(
     fallbacks: &mut Vec<PlanFallback>,
 ) -> (Option<Arc<AccessPlan>>, Option<Arc<AccessPlan>>) {
     let var = &env.vars[vid.0 as usize];
+    let (read_ref, write_ref) = (AccessRef::ReadVar(vid), AccessRef::WriteVar(vid));
     record_planless_fallbacks(var, env.regs, fallbacks);
     if var.mem_cell.is_some() {
         if !var.params.is_empty() {
             // A cell is one value: a family of them has no per-argument
             // storage for a plan to address.
-            for (dir, on) in [("read", var.readable), ("write", var.writable)] {
+            for (access, on) in [(read_ref, var.readable), (write_ref, var.writable)] {
                 if on {
                     fallbacks.push(PlanFallback {
-                        access: format!("{dir} {}", var.name),
+                        access: access.name(&var.name),
                         cause: "memory-cell variable takes family arguments".into(),
                     });
                 }
             }
             return (None, None);
         }
-        let cell = var.mem_cell;
         let read = var.readable.then(|| {
             Arc::new(AccessPlan {
                 variants: vec![PlanVariant {
@@ -1235,10 +1257,8 @@ pub(crate) fn compile_var_plans(
                     start: arena.len() as u32,
                     len: 0,
                 }],
-                selector: Vec::new(),
-                assemble: Vec::new(),
-                cell,
-                max_depth: 0,
+                cell: var.mem_cell,
+                ..AccessPlan::default()
             })
         });
         // The write compiles through the guard-split driver even though
@@ -1246,92 +1266,45 @@ pub(crate) fn compile_var_plans(
         // conditional orders, whose entry-state tested variables then
         // become selector dimensions (and whose bail causes are
         // recorded) exactly like register-backed writes.
-        let write = if var.writable {
-            match compile_guarded(env, &[], None, &var.params, arena, &mut |b, _order| {
+        let write = var.writable.then(|| {
+            let compiled = compile_guarded(env, &[], None, &var.params, arena, &mut |b, _order| {
                 b.write_var_ordered(vid, PlanValue::Input, &[], &[], 0)
-            }) {
-                Ok((selector, variants, max_depth)) => Some(Arc::new(AccessPlan {
-                    variants,
-                    selector,
-                    assemble: Vec::new(),
-                    cell: None,
-                    max_depth,
-                })),
-                Err(cause) => {
-                    fallbacks.push(PlanFallback { access: format!("write {}", var.name), cause });
-                    None
-                }
-            }
-        } else {
-            None
-        };
-        return (read, write);
+            });
+            planned(compiled, write_ref, &var.name, fallbacks)
+        });
+        return (read, write.flatten());
     }
     let args: Vec<PlanValue> = (0..var.params.len()).map(PlanValue::Arg).collect();
-    let read = if var.readable {
+    let read = var.readable.then(|| {
         let b = PlanBuilder::new(env, &var.params, Vec::new());
         let assemble: Option<Vec<(PlanSlot, FieldSeg)>> = var
             .segs
             .iter()
             .map(|s| b.slot_for(s.reg, &chunk_args(&s.args, &args)).map(|slot| (slot, s.seg)))
             .collect();
-        match assemble {
-            None => {
-                fallbacks.push(PlanFallback {
-                    access: format!("read {}", var.name),
-                    cause: "assembles from a hashed family cache".into(),
-                });
-                None
+        let compiled = match assemble {
+            None => Err("assembles from a hashed family cache".into()),
+            Some(assemble) => {
+                compile_guarded(env, &var.read_order, None, &var.params, arena, &mut |b, order| {
+                    b.read_var_ordered(vid, &args, order)
+                })
+                .map(|plan| AccessPlan { assemble, ..plan })
             }
-            Some(assemble) => match compile_guarded(
-                env,
-                &var.read_order,
-                None,
-                &var.params,
-                arena,
-                &mut |b, order| b.read_var_ordered(vid, &args, order),
-            ) {
-                Ok((selector, variants, max_depth)) => Some(Arc::new(AccessPlan {
-                    variants,
-                    selector,
-                    assemble,
-                    cell: None,
-                    max_depth,
-                })),
-                Err(cause) => {
-                    fallbacks.push(PlanFallback { access: format!("read {}", var.name), cause });
-                    None
-                }
-            },
-        }
-    } else {
-        None
-    };
-    let write = if var.writable {
-        match compile_guarded(
+        };
+        planned(compiled, read_ref, &var.name, fallbacks)
+    });
+    let write = var.writable.then(|| {
+        let compiled = compile_guarded(
             env,
             &var.write_order,
             Some(vid),
             &var.params,
             arena,
             &mut |b, order| b.write_var_ordered(vid, PlanValue::Input, &args, order, 0),
-        ) {
-            Ok((selector, variants, max_depth)) => Some(Arc::new(AccessPlan {
-                variants,
-                selector,
-                assemble: Vec::new(),
-                cell: None,
-                max_depth,
-            })),
-            Err(cause) => {
-                fallbacks.push(PlanFallback { access: format!("write {}", var.name), cause });
-                None
-            }
-        }
-    } else {
-        None
-    };
-    (read, write)
+        );
+        planned(compiled, write_ref, &var.name, fallbacks)
+    });
+    (read.flatten(), write.flatten())
 }
 
 /// Compiles the read/write plans for one structure (an [`AccessPlan`]
@@ -1339,6 +1312,8 @@ pub(crate) fn compile_var_plans(
 /// [`VarIr::slot_assemble`] instead). Conditional orders guard-split:
 /// the reference interpreter evaluates every condition against the cache before
 /// the first access, which is exactly the state the entry guards see.
+/// A failure is recorded only when some register of the order supports
+/// the direction; otherwise the access is a direction error.
 pub(crate) fn compile_struct_plans(
     sid: StructId,
     env: &CompileEnv,
@@ -1346,39 +1321,19 @@ pub(crate) fn compile_struct_plans(
     fallbacks: &mut Vec<PlanFallback>,
 ) -> (Option<Arc<AccessPlan>>, Option<Arc<AccessPlan>>) {
     let st = &env.structs[sid.0 as usize];
-    let read = match compile_guarded(env, &st.read_order, None, &[], arena, &mut |b, order| {
+    let read = compile_guarded(env, &st.read_order, None, &[], arena, &mut |b, order| {
         b.read_struct_ordered(order)
-    }) {
-        Ok((selector, variants, max_depth)) => Some(Arc::new(AccessPlan {
-            variants,
-            selector,
-            assemble: Vec::new(),
-            cell: None,
-            max_depth,
-        })),
-        Err(cause) => {
-            if order_usable(env.regs, &st.read_order, false) {
-                fallbacks.push(PlanFallback { access: format!("read struct {}", st.name), cause });
-            }
-            None
-        }
-    };
-    let write = match compile_guarded(env, &st.write_order, None, &[], arena, &mut |b, order| {
+    });
+    let write = compile_guarded(env, &st.write_order, None, &[], arena, &mut |b, order| {
         b.flush_struct_ordered(sid, &[], order, 0)
-    }) {
-        Ok((selector, variants, max_depth)) => Some(Arc::new(AccessPlan {
-            variants,
-            selector,
-            assemble: Vec::new(),
-            cell: None,
-            max_depth,
-        })),
-        Err(cause) => {
-            if order_usable(env.regs, &st.write_order, true) {
-                fallbacks.push(PlanFallback { access: format!("write struct {}", st.name), cause });
-            }
-            None
+    });
+    let mut plan = |compiled: Result<AccessPlan, String>, access, order: &[SerStep], write| {
+        if compiled.is_err() && !order_usable(env.regs, order, write) {
+            return None;
         }
+        planned(compiled, access, &st.name, fallbacks)
     };
+    let read = plan(read, AccessRef::ReadStruct(sid), &st.read_order, false);
+    let write = plan(write, AccessRef::WriteStruct(sid), &st.write_order, true);
     (read, write)
 }

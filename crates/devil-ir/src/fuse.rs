@@ -341,6 +341,8 @@ impl DeviceIr {
         self.plan_arena = arena.into();
 
         let args = superplan_arity(&ops);
+        let first_point = self.dispatch_points as u32;
+        self.dispatch_points += variants.len();
         self.superplans.push(Superplan {
             name: name.to_string(),
             ops,
@@ -348,9 +350,9 @@ impl DeviceIr {
             plan: AccessPlan {
                 variants,
                 selector: dims,
-                assemble: Vec::new(),
-                cell: None,
                 max_depth,
+                first_point,
+                ..AccessPlan::default()
             },
             outputs,
             args,

@@ -26,7 +26,10 @@
 //! * **plan arena**: every variant's steps live in one contiguous
 //!   per-device `Vec<PlanStep>` ([`DeviceIr::plan_arena`]); a variant is
 //!   a `(start, len)` range into it, so dispatch is an index and
-//!   execution walks a single cache-friendly slice.
+//!   execution walks a single cache-friendly slice,
+//! * **dispatch points**: every variant of every access numbered once
+//!   ([`DeviceIr::points`]) — the index of the runtime's hit table, the
+//!   verifier's manifests and the coverage fuzzer's map.
 
 #![forbid(unsafe_code)]
 
@@ -49,6 +52,7 @@ use devil_sema::model::{
     Action, Behavior, ChunkArg, FamilyParam, Neutral, Offset, PortBinding, RegId, SerStep,
     StructId, TypeSem, VarId,
 };
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The lowered device: everything indexed and precomputed.
@@ -92,6 +96,43 @@ pub struct DeviceIr {
     struct_names: Vec<(String, StructId)>,
     /// Fused driver-declared hot sequences (see [`DeviceIr::fuse`]).
     superplans: Vec<Superplan>,
+    /// Number of dispatch points: every plan variant of every access
+    /// (see [`DeviceIr::points`]).
+    dispatch_points: usize,
+}
+
+/// One dispatchable access: a variable or structure direction, or a
+/// fused superplan. Its plan's variants are its dispatch points
+/// ([`DeviceIr::points`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum AccessRef {
+    /// A variable read.
+    ReadVar(VarId),
+    /// A variable write.
+    WriteVar(VarId),
+    /// A structure read.
+    ReadStruct(StructId),
+    /// A structure write.
+    WriteStruct(StructId),
+    /// A fused superplan, by [`DeviceIr::superplans`] index.
+    Superplan(usize),
+}
+
+impl AccessRef {
+    /// The access's name, given the name of its variable, structure or
+    /// superplan: `read x`, `write x`, `read struct s`, `write struct
+    /// s`, `superplan tx`. Diagnostics, manifests, fallback records and
+    /// runtime errors all name accesses this way.
+    pub fn name(self, target: &str) -> String {
+        let kind = match self {
+            AccessRef::ReadVar(_) => "read",
+            AccessRef::WriteVar(_) => "write",
+            AccessRef::ReadStruct(_) => "read struct",
+            AccessRef::WriteStruct(_) => "write struct",
+            AccessRef::Superplan(_) => "superplan",
+        };
+        format!("{kind} {target}")
+    }
 }
 
 /// A port descriptor.
@@ -388,6 +429,62 @@ impl DeviceIr {
     /// Looks a superplan up by name.
     pub fn superplan_id(&self, name: &str) -> Option<usize> {
         self.superplans.iter().position(|sp| sp.name == name)
+    }
+
+    /// The compiled plan of an access, if it has one.
+    pub fn plan(&self, access: AccessRef) -> Option<&AccessPlan> {
+        match access {
+            AccessRef::ReadVar(v) => self.var(v).read_plan.as_deref(),
+            AccessRef::WriteVar(v) => self.var(v).write_plan.as_deref(),
+            AccessRef::ReadStruct(s) => self.strct(s).read_plan.as_deref(),
+            AccessRef::WriteStruct(s) => self.strct(s).write_plan.as_deref(),
+            AccessRef::Superplan(i) => self.superplans.get(i).map(|sp| &sp.plan),
+        }
+    }
+
+    /// Every planned access with its plan, in the canonical order:
+    /// variables (each one's read, then its write), then structures
+    /// likewise, then superplans, each in id order. Dispatch points are
+    /// numbered in this order, so their ranges follow one another.
+    pub fn accesses(&self) -> impl Iterator<Item = (AccessRef, &AccessPlan)> {
+        let vars = self.vars.iter().enumerate().flat_map(|(i, v)| {
+            let vid = VarId(i as u32);
+            [(AccessRef::ReadVar(vid), &v.read_plan), (AccessRef::WriteVar(vid), &v.write_plan)]
+        });
+        let structs = self.structs.iter().enumerate().flat_map(|(i, s)| {
+            let sid = StructId(i as u32);
+            [
+                (AccessRef::ReadStruct(sid), &s.read_plan),
+                (AccessRef::WriteStruct(sid), &s.write_plan),
+            ]
+        });
+        let planned = vars.chain(structs).filter_map(|(a, p)| p.as_deref().map(|p| (a, p)));
+        let fused =
+            self.superplans.iter().enumerate().map(|(i, sp)| (AccessRef::Superplan(i), &sp.plan));
+        planned.chain(fused)
+    }
+
+    /// The dispatch points of an access, one per plan variant (empty
+    /// for an access without a plan). Point `first_point + i` is
+    /// variant `i`; points are numbered once, densely, in
+    /// [`DeviceIr::accesses`] order, and [`DeviceIr::fuse`] appends a
+    /// superplan's points without renumbering earlier ones.
+    pub fn points(&self, access: AccessRef) -> Range<usize> {
+        self.plan(access).map_or(0..0, AccessPlan::points)
+    }
+
+    /// The number of dispatch points: the length of a runtime hit table.
+    pub fn dispatch_points(&self) -> usize {
+        self.dispatch_points
+    }
+
+    /// The name of an access ([`AccessRef::name`]).
+    pub fn access_name(&self, access: AccessRef) -> String {
+        access.name(match access {
+            AccessRef::ReadVar(v) | AccessRef::WriteVar(v) => &self.var(v).name,
+            AccessRef::ReadStruct(s) | AccessRef::WriteStruct(s) => &self.strct(s).name,
+            AccessRef::Superplan(i) => &self.superplans[i].name,
+        })
     }
 }
 

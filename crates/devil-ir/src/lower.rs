@@ -4,8 +4,8 @@
 
 use crate::compile::{compile_struct_plans, compile_var_plans, CompileEnv};
 use crate::{
-    DeviceIr, FamilyDim, FamilySlots, FieldSeg, PlanFallback, PlanStep, PortIr, RegIr, StructIr,
-    VarIr, VarSeg,
+    AccessPlan, DeviceIr, FamilyDim, FamilySlots, FieldSeg, PlanFallback, PlanStep, PortIr, RegIr,
+    StructIr, VarIr, VarSeg,
 };
 use devil_sema::model::{CheckedDevice, FamilyParam, RegId, SerStep, StructId, VarId};
 use std::sync::Arc;
@@ -190,13 +190,24 @@ pub fn lower(model: &CheckedDevice) -> DeviceIr {
             &mut plan_fallbacks,
         ));
     }
+    // Dispatch points number every variant once, in the canonical
+    // order of `DeviceIr::accesses`.
+    let mut dispatch_points = 0;
+    let mut number = |plan: Option<Arc<AccessPlan>>| {
+        plan.map(|mut plan| {
+            let p = Arc::get_mut(&mut plan).expect("a freshly compiled plan is unshared");
+            p.first_point = dispatch_points as u32;
+            dispatch_points += p.variants.len();
+            plan
+        })
+    };
     for (vi, (read_plan, write_plan)) in var_plans.into_iter().enumerate() {
-        vars[vi].read_plan = read_plan;
-        vars[vi].write_plan = write_plan;
+        vars[vi].read_plan = number(read_plan);
+        vars[vi].write_plan = number(write_plan);
     }
     for (si, (read_plan, write_plan)) in struct_plans.into_iter().enumerate() {
-        structs[si].read_plan = read_plan;
-        structs[si].write_plan = write_plan;
+        structs[si].read_plan = number(read_plan);
+        structs[si].write_plan = number(write_plan);
     }
 
     let mut var_names: Vec<(String, VarId)> =
@@ -246,6 +257,7 @@ pub fn lower(model: &CheckedDevice) -> DeviceIr {
         reg_names,
         struct_names,
         superplans: Vec::new(),
+        dispatch_points,
     }
 }
 

@@ -586,9 +586,18 @@ pub struct AccessPlan {
     /// limit with `RecursionLimit`, so a plan can never succeed where
     /// the reference would not.
     pub max_depth: u32,
+    /// The device-wide dispatch point of variant 0: variant `i` is
+    /// point `first_point + i` (see [`DeviceIr::points`](crate::DeviceIr::points)).
+    pub first_point: u32,
 }
 
 impl AccessPlan {
+    /// The dispatch points of this plan's variants, in variant order.
+    pub fn points(&self) -> std::ops::Range<usize> {
+        let first = self.first_point as usize;
+        first..first + self.variants.len()
+    }
+
     /// Selects the variant matching the given cache/memory/input
     /// state: the tested variables assemble from their sources and
     /// index the mixed-radix variant table directly — O(tested
@@ -610,9 +619,8 @@ impl AccessPlan {
     }
 
     /// [`AccessPlan::select_variant`] with the computed mixed-radix
-    /// variant index exposed. The index is what coverage-guided
-    /// harnesses key on: `(access, index)` names one straight-line
-    /// variant of the compiled plan surface.
+    /// variant index exposed: `first_point + index` is the dispatch
+    /// point the runtime counts.
     #[inline]
     pub fn select_variant_indexed(
         &self,

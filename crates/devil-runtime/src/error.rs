@@ -33,9 +33,12 @@ pub enum RtError {
         /// The raw bits read.
         raw: u64,
     },
-    /// Wrong number of family arguments.
+    /// Wrong number of family arguments, or superplan operands or
+    /// output slots.
     ArityMismatch {
-        /// Variable name.
+        /// Variable name, or the superplan's access name
+        /// (`superplan tx`; `superplan tx outputs` for its output
+        /// slots).
         var: String,
         /// Parameters declared.
         expected: usize,
@@ -76,7 +79,7 @@ impl fmt::Display for RtError {
                 "device returned {raw:#x} for variable `{var}`, which has no read mapping"
             ),
             RtError::ArityMismatch { var, expected, got } => {
-                write!(f, "variable `{var}` takes {expected} argument(s), {got} supplied")
+                write!(f, "`{var}` takes {expected} argument(s), {got} supplied")
             }
             RtError::ArgOutOfRange { var, value } => {
                 write!(f, "argument {value} is outside the parameter set of `{var}`")

@@ -28,7 +28,9 @@
 
 use crate::access::DeviceAccess;
 use crate::error::{RtError, RtResult};
-use devil_ir::{BlockIneligible, DeviceIr, FuseOp, PlanStep, PlanVariant, VarIr};
+use devil_ir::{
+    AccessRef, BlockIneligible, DeviceIr, FuseOp, PlanStep, PlanVariant, Superplan, VarIr,
+};
 use devil_sema::model::{StructId, TypeSem, VarId};
 use std::sync::Arc;
 
@@ -37,7 +39,8 @@ use std::sync::Arc;
 pub(crate) const MAX_DEPTH: u32 = 32;
 
 /// Counters describing how accesses were dispatched, for benches and
-/// the differential fuzzer's plan-coverage assertions.
+/// the differential fuzzer's plan-coverage assertions: a fold of the
+/// instance's hit table ([`DeviceInstance::hits`]) by point kind.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Accesses executed by an unguarded straight-line plan (memory-cell
@@ -53,14 +56,14 @@ pub struct PlanStats {
     pub general: u64,
     /// Fused superplan dispatches: whole driver-declared hot sequences
     /// executed as one guard evaluation plus one arena walk
-    /// ([`DeviceInstance::run_superplan`]). Per-superplan counts are in
+    /// ([`DeviceInstance::run_superplan`]). Per-variant counts are in
     /// [`DeviceInstance::superplan_hits`].
     pub fused: u64,
 }
 
 impl PlanStats {
-    /// Counters accumulated since `earlier`: the per-op-stream delta
-    /// the coverage-guided fuzzer keys on.
+    /// Counters accumulated since `earlier`: the dispatches one unit of
+    /// work made.
     ///
     /// # Panics
     ///
@@ -110,43 +113,6 @@ impl std::ops::Add for PlanStats {
     }
 }
 
-/// Which access a recorded dispatch belongs to (the coverage map's
-/// access-id key).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum AccessRef {
-    /// `read_id` of a variable.
-    ReadVar(VarId),
-    /// `write_id` of a variable.
-    WriteVar(VarId),
-    /// `read_struct_id` of a structure.
-    ReadStruct(StructId),
-    /// `write_struct_id` of a structure.
-    WriteStruct(StructId),
-    /// `run_superplan` of a fused sequence.
-    Superplan(usize),
-}
-
-/// How one dispatch resolved, when the opt-in trace is recording.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum DispatchOutcome {
-    /// A plan variant executed; the payload is the selected mixed-radix
-    /// variant index (0 for unconditional single-variant plans, memory
-    /// cell reads included, and the fused variant index for superplans).
-    Variant(u32),
-}
-
-/// One dispatch recorded by the opt-in trace
-/// ([`DeviceInstance::set_dispatch_trace`]): which access ran and which
-/// plan variant it resolved to. This is the coverage signal the guided
-/// fuzzer feeds on. Rejected accesses record nothing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct DispatchRecord {
-    /// The dispatched access.
-    pub access: AccessRef,
-    /// How it resolved.
-    pub outcome: DispatchOutcome,
-}
-
 /// A live device session: shared compiled IR plus cache state.
 ///
 /// Every register is cached in **flat slots** (a `Vec` indexed by the
@@ -167,20 +133,12 @@ pub struct DeviceInstance {
     mem: Vec<u64>,
     /// Whether debug-mode run-time checks are enabled.
     checks: bool,
-    /// Dispatch counters (see [`PlanStats`]).
-    stats: PlanStats,
-    /// Per-superplan fused-dispatch counts, indexed like
-    /// [`DeviceIr::superplans`].
-    superplan_hits: Vec<u64>,
-    /// Opt-in dispatch trace ([`DeviceInstance::set_dispatch_trace`]):
-    /// when `Some`, every top-level dispatch appends a
-    /// [`DispatchRecord`]. Not part of [`InstanceSnapshot`] — the trace
-    /// is harness instrumentation, not device state.
-    trace: Option<Vec<DispatchRecord>>,
+    /// Dispatches per dispatch point ([`DeviceIr::points`]).
+    hits: Vec<u64>,
 }
 
 /// A checkpoint of an instance's mutable state: flat cache slots,
-/// memory cells and dispatch counters. Taking one is O(slots); the
+/// memory cells and the hit table. Taking one is O(slots); the
 /// shared IR is not copied. Fleet harnesses compare snapshots across
 /// shard counts to prove determinism.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -188,8 +146,7 @@ pub struct InstanceSnapshot {
     slots: Vec<u64>,
     slot_valid: Vec<bool>,
     mem: Vec<u64>,
-    stats: PlanStats,
-    superplan_hits: Vec<u64>,
+    hits: Vec<u64>,
 }
 
 /// Instances hold only owned state plus an `Arc` of the immutable IR,
@@ -215,9 +172,7 @@ impl DeviceInstance {
             slot_valid: vec![false; ir.cache_slots],
             mem: vec![0; ir.mem_cells],
             checks: false,
-            stats: PlanStats::default(),
-            superplan_hits: vec![0; ir.superplans().len()],
-            trace: None,
+            hits: vec![0; ir.dispatch_points()],
             ir,
         }
     }
@@ -227,15 +182,14 @@ impl DeviceInstance {
         Arc::clone(&self.ir)
     }
 
-    /// Captures the mutable state (cache, cells, counters) for later
+    /// Captures the mutable state (cache, cells, hits) for later
     /// [`DeviceInstance::restore`] or cross-run comparison.
     pub fn snapshot(&self) -> InstanceSnapshot {
         InstanceSnapshot {
             slots: self.slots.clone(),
             slot_valid: self.slot_valid.clone(),
             mem: self.mem.clone(),
-            stats: self.stats,
-            superplan_hits: self.superplan_hits.clone(),
+            hits: self.hits.clone(),
         }
     }
 
@@ -244,16 +198,11 @@ impl DeviceInstance {
     pub fn restore(&mut self, snap: &InstanceSnapshot) {
         assert_eq!(snap.slots.len(), self.slots.len(), "snapshot from a different IR");
         assert_eq!(snap.mem.len(), self.mem.len(), "snapshot from a different IR");
-        assert_eq!(
-            snap.superplan_hits.len(),
-            self.superplan_hits.len(),
-            "snapshot from a different IR"
-        );
+        assert_eq!(snap.hits.len(), self.hits.len(), "snapshot from a different IR");
         self.slots.copy_from_slice(&snap.slots);
         self.slot_valid.copy_from_slice(&snap.slot_valid);
         self.mem.copy_from_slice(&snap.mem);
-        self.stats = snap.stats;
-        self.superplan_hits.copy_from_slice(&snap.superplan_hits);
+        self.hits.copy_from_slice(&snap.hits);
     }
 
     /// Enables or disables debug-mode run-time checks (the paper's
@@ -270,34 +219,42 @@ impl DeviceInstance {
         &self.ir
     }
 
-    /// Dispatch counters accumulated since construction (or as of the
-    /// last [`DeviceInstance::restore`]).
+    /// Dispatches per dispatch point since construction (or as of the
+    /// last [`DeviceInstance::restore`]): entry `p` counts the accesses
+    /// that ran point `p`'s plan variant ([`DeviceIr::points`]).
+    /// Rejected accesses count nowhere.
+    pub fn hits(&self) -> &[u64] {
+        &self.hits
+    }
+
+    /// The hit table folded by point kind: superplan points count as
+    /// `fused`, other unguarded variants as `straight`, guarded ones as
+    /// `guarded`.
     pub fn plan_stats(&self) -> PlanStats {
-        self.stats
-    }
-
-    /// Per-superplan fused-dispatch counts, indexed like
-    /// [`DeviceIr::superplans`].
-    pub fn superplan_hits(&self) -> &[u64] {
-        &self.superplan_hits
-    }
-
-    /// Turns the per-dispatch trace on or off. While on, every
-    /// top-level variable/struct/superplan dispatch records which plan
-    /// variant it selected, for the coverage-guided fuzzer. Off by
-    /// default; turning it off discards any pending records.
-    pub fn set_dispatch_trace(&mut self, on: bool) {
-        if !on {
-            self.trace = None;
-        } else if self.trace.is_none() {
-            self.trace = Some(Vec::new());
+        let mut stats = PlanStats::default();
+        for (access, plan) in self.ir.accesses() {
+            let hits = &self.hits[plan.points()];
+            if let AccessRef::Superplan(_) = access {
+                stats.fused += hits.iter().sum::<u64>();
+                continue;
+            }
+            for (variant, &n) in plan.variants.iter().zip(hits) {
+                if variant.guards.is_empty() {
+                    stats.straight += n;
+                } else {
+                    stats.guarded += n;
+                }
+            }
         }
+        stats
     }
 
-    /// Drains the recorded dispatch trace, leaving tracing enabled (or
-    /// returns an empty vec when tracing is off).
-    pub fn take_dispatch_trace(&mut self) -> Vec<DispatchRecord> {
-        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
+    /// The superplan tail of [`DeviceInstance::hits`]: one count per
+    /// fused variant, in [`DeviceIr::superplans`] order.
+    pub fn superplan_hits(&self) -> &[u64] {
+        let first =
+            self.ir.superplans().first().map_or(self.hits.len(), |sp| sp.plan.points().start);
+        &self.hits[first..]
     }
 
     /// The flat cache: per-slot raw values and their validity flags.
@@ -586,7 +543,9 @@ impl DeviceInstance {
     /// [`devil_ir::Superplan::args`] of them), `block_out`/`block_in`
     /// the buffers of its block ops (any length, including empty), and
     /// `outs` receives the fused read ops' values (at least
-    /// [`devil_ir::Superplan::outputs`] slots).
+    /// [`devil_ir::Superplan::outputs`] slots). Short `args` or `outs`
+    /// fail with [`RtError::ArityMismatch`] before the device is
+    /// touched.
     ///
     /// The fused body issues the identical device-op stream the op
     /// sequence would issue unfused, so ledgers, device state and cache
@@ -602,6 +561,7 @@ impl DeviceInstance {
         block_in: &mut [u64],
         outs: &mut [u64],
     ) -> RtResult<()> {
+        superplan_io(&self.ir, sid, args, outs)?;
         let mut io = SuperIo { block_out, block_in, outs };
         self.dispatch(dev, AccessRef::Superplan(sid), args, 0, &mut io)?;
         if self.checks {
@@ -636,23 +596,13 @@ impl DeviceInstance {
         input: u64,
         io: &mut SuperIo<'_>,
     ) -> RtResult<()> {
-        let DeviceInstance { ir, slots, slot_valid, mem, checks, stats, superplan_hits, trace } =
-            self;
-        let (plan, stage) = match access {
-            AccessRef::ReadVar(v) => (ir.var(v).read_plan.as_deref(), None),
-            AccessRef::WriteVar(v) => (ir.var(v).write_plan.as_deref(), None),
-            AccessRef::ReadStruct(s) => (ir.strct(s).read_plan.as_deref(), None),
-            AccessRef::WriteStruct(s) => (ir.strct(s).write_plan.as_deref(), None),
-            AccessRef::Superplan(i) => match ir.superplans().get(i) {
-                Some(sp) => (Some(&sp.plan), Some(&sp.stage)),
-                None => return Err(RtError::Unknown(format!("superplan #{i}"))),
-            },
-        };
-        let Some(plan) = plan else { return Err(no_plan(ir, access)) };
+        let DeviceInstance { ir, slots, slot_valid, mem, checks, hits } = self;
+        let Some(plan) = ir.plan(access) else { return Err(no_plan(ir, access)) };
         if plan.max_depth > MAX_DEPTH {
-            return Err(RtError::RecursionLimit(access_name(ir, access)));
+            return Err(RtError::RecursionLimit(ir.access_name(access)));
         }
-        if let Some(stage) = stage {
+        if let AccessRef::Superplan(i) = access {
+            let stage = &ir.superplans()[i].stage;
             if *checks {
                 check_writes(ir, stage, args, input)?;
             }
@@ -660,7 +610,7 @@ impl DeviceInstance {
         }
         let Some((idx, variant)) = plan.select_variant_indexed(slots, slot_valid, mem, input)
         else {
-            return Err(RtError::Unplanned(access_name(ir, access)));
+            return Err(RtError::Unplanned(ir.access_name(access)));
         };
         let cached = match access {
             AccessRef::ReadVar(v) => {
@@ -686,17 +636,7 @@ impl DeviceInstance {
                 io,
             );
         }
-        match access {
-            AccessRef::Superplan(i) => {
-                stats.fused += 1;
-                superplan_hits[i] += 1;
-            }
-            _ if variant.guards.is_empty() => stats.straight += 1,
-            _ => stats.guarded += 1,
-        }
-        if let Some(t) = trace.as_mut() {
-            t.push(DispatchRecord { access, outcome: DispatchOutcome::Variant(idx as u32) });
-        }
+        hits[plan.first_point as usize + idx] += 1;
         Ok(())
     }
 }
@@ -751,15 +691,26 @@ fn arg_error(var: &VarIr, args: &[u64]) -> RtError {
     RtError::ArgOutOfRange { var: var.name.clone(), value }
 }
 
-/// The access name lowering records in `DeviceIr::plan_fallbacks`.
-fn access_name(ir: &DeviceIr, access: AccessRef) -> String {
-    match access {
-        AccessRef::ReadVar(v) => format!("read {}", ir.var(v).name),
-        AccessRef::WriteVar(v) => format!("write {}", ir.var(v).name),
-        AccessRef::ReadStruct(s) => format!("read struct {}", ir.strct(s).name),
-        AccessRef::WriteStruct(s) => format!("write struct {}", ir.strct(s).name),
-        AccessRef::Superplan(i) => format!("superplan {}", ir.superplans()[i].name),
-    }
+/// The superplan `sid`, when `args` and `outs` are long enough for it:
+/// the check both engines make before a superplan touches the device.
+pub(crate) fn superplan_io<'ir>(
+    ir: &'ir DeviceIr,
+    sid: usize,
+    args: &[u64],
+    outs: &[u64],
+) -> RtResult<&'ir Superplan> {
+    let Some(sp) = ir.superplans().get(sid) else {
+        return Err(RtError::Unknown(format!("superplan #{sid}")));
+    };
+    let (expected, got, what) = if args.len() < sp.args {
+        (sp.args, args.len(), "")
+    } else if outs.len() < sp.outputs {
+        (sp.outputs, outs.len(), " outputs")
+    } else {
+        return Ok(sp);
+    };
+    let var = ir.access_name(AccessRef::Superplan(sid)) + what;
+    Err(RtError::ArityMismatch { var, expected, got })
 }
 
 /// The error of an access without a plan: a direction error when the
@@ -778,7 +729,7 @@ fn no_plan(ir: &DeviceIr, access: AccessRef) -> RtError {
         AccessRef::WriteStruct(s) if !ir.struct_supports(s, true) => {
             RtError::NotWritable(ir.strct(s).name.clone())
         }
-        _ => RtError::Unplanned(access_name(ir, access)),
+        _ => RtError::Unplanned(ir.access_name(access)),
     }
 }
 
@@ -1732,7 +1683,7 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_trace_records_variants_and_fallbacks() {
+    fn hits_count_variants_and_skip_rejected_accesses() {
         let mut d = instance(
             r#"device d (base : bit[8] port @ {0..0}) {
                  register r = base @ 0 : bit[8];
@@ -1740,41 +1691,25 @@ mod tests {
                }"#,
         );
         let mut dev = FakeAccess::new();
-        d.set_dispatch_trace(true);
         let vid = d.var_id("v").unwrap();
+        let (read, write) =
+            (d.ir().points(AccessRef::ReadVar(vid)), d.ir().points(AccessRef::WriteVar(vid)));
+        assert_eq!((read.clone(), write.clone()), (0..1, 1..2), "one point per variant, in order");
+        assert_eq!(d.hits(), [0, 0]);
         d.write(&mut dev, "v", 7).unwrap();
         d.read(&mut dev, "v").unwrap();
-        // A rejected access dispatches nothing, so it records nothing.
+        // A rejected access dispatches nothing, so it counts nothing.
         assert!(d.read_indexed(&mut dev, "v", &[1]).is_err());
         d.set_debug_checks(true);
         d.read(&mut dev, "v").unwrap();
-        let trace = d.take_dispatch_trace();
-        assert_eq!(
-            trace,
-            vec![
-                DispatchRecord {
-                    access: AccessRef::WriteVar(vid),
-                    outcome: DispatchOutcome::Variant(0)
-                },
-                DispatchRecord {
-                    access: AccessRef::ReadVar(vid),
-                    outcome: DispatchOutcome::Variant(0)
-                },
-                DispatchRecord {
-                    access: AccessRef::ReadVar(vid),
-                    outcome: DispatchOutcome::Variant(0)
-                },
-            ]
-        );
-        // Drained; tracing still on.
-        assert!(d.take_dispatch_trace().is_empty());
-        d.read(&mut dev, "v").unwrap();
-        assert_eq!(d.take_dispatch_trace().len(), 1);
-        // Snapshots ignore the trace: instrumentation is not state.
+        assert_eq!(d.hits(), [2, 1]);
+        assert_eq!(d.plan_stats(), PlanStats { straight: 3, ..PlanStats::default() });
+        assert!(d.superplan_hits().is_empty());
+        // The hit table is state: snapshots carry it, restore rewinds it.
         let snap = d.snapshot();
         d.read(&mut dev, "v").unwrap();
-        d.set_dispatch_trace(false);
-        assert_eq!(d.snapshot().slots, snap.slots);
-        assert!(d.take_dispatch_trace().is_empty());
+        assert_eq!(d.hits()[read.start], 3);
+        d.restore(&snap);
+        assert_eq!(d.hits(), [2, 1]);
     }
 }

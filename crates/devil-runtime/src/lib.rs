@@ -41,9 +41,7 @@ pub mod interp;
 pub mod reference;
 
 pub use access::{DeviceAccess, FakeAccess, MappedPort, PortMap, Space};
+pub use devil_ir::AccessRef;
 pub use error::{RtError, RtResult};
-pub use interp::{
-    sign_extend, AccessRef, DeviceInstance, DispatchOutcome, DispatchRecord, InstanceSnapshot,
-    PlanStats,
-};
+pub use interp::{sign_extend, DeviceInstance, InstanceSnapshot, PlanStats};
 pub use reference::ReferenceInstance;

@@ -12,7 +12,7 @@
 
 use crate::access::DeviceAccess;
 use crate::error::{RtError, RtResult};
-use crate::interp::{block_error, checked_read, validate_args, MAX_DEPTH};
+use crate::interp::{block_error, checked_read, superplan_io, validate_args, MAX_DEPTH};
 use devil_ir::{BlockIneligible, DeviceIr, FuseOp};
 use devil_sema::model::{
     Action, ActionTarget, ActionValue, ChunkArg, CondSem, Neutral, RegId, SerStep, StructId, VarId,
@@ -277,7 +277,9 @@ impl ReferenceInstance {
     }
 
     /// Runs a superplan's declared op sequence op by op: the meaning a
-    /// fused dispatch must reproduce.
+    /// fused dispatch must reproduce. Short `args` or `outs` fail with
+    /// [`RtError::ArityMismatch`] before the first op, as in
+    /// [`crate::DeviceInstance::run_superplan`].
     pub fn run_superplan(
         &mut self,
         dev: &mut dyn DeviceAccess,
@@ -288,9 +290,7 @@ impl ReferenceInstance {
         outs: &mut [u64],
     ) -> RtResult<()> {
         let ir = Arc::clone(&self.ir);
-        let Some(sp) = ir.superplans().get(sid) else {
-            return Err(RtError::Unknown(format!("superplan #{sid}")));
-        };
+        let sp = superplan_io(&ir, sid, args, outs)?;
         let mut out_idx = 0usize;
         for op in &sp.ops {
             match op {

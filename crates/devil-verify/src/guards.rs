@@ -25,8 +25,8 @@
 //!
 //! [`select_variant_indexed`]: devil_ir::AccessPlan::select_variant_indexed
 
-use crate::{plan_refs, DiagClass, Diagnostic};
-use devil_ir::{DeviceIr, GuardSource, PlanGuard, SelectorDim};
+use crate::{DiagClass, Diagnostic};
+use devil_ir::{AccessRef, DeviceIr, GuardSource, PlanGuard, SelectorDim};
 
 /// Reconstructs the guards pinning `dim` to the enumerated value `v`,
 /// mirroring the compiler's `dim_guards`: a whole-cell compare for
@@ -94,16 +94,16 @@ fn observable_mask(dim: &SelectorDim) -> u64 {
 }
 
 /// Checks every access plan of `ir` and returns, per
-/// [`plan_refs`] position, whether its table/guard structure verified
+/// [`DeviceIr::accesses`] position, whether its table/guard structure verified
 /// clean (downstream passes only trust the guards of clean accesses).
 pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) -> Vec<bool> {
     let mut clean = Vec::new();
-    for pr in plan_refs(ir) {
+    for (access, plan) in ir.accesses() {
         let mut ok = true;
+        let name = ir.access_name(access);
         let mut diag = |class: DiagClass, detail: String| {
-            diagnostics.push(Diagnostic { class, access: pr.access.clone(), detail });
+            diagnostics.push(Diagnostic { class, access: name.clone(), detail });
         };
-        let plan = pr.plan;
 
         // Memory-cell serve: no selection at all — one trivially
         // guard-free variant documents the single dispatch point.
@@ -148,7 +148,8 @@ pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) -> Vec<bool> {
                 );
                 ok = false;
             }
-            if !pr.input_allowed && (dim.input_mask != 0 || !dim.input_segs.is_empty()) {
+            let input_allowed = matches!(access, AccessRef::WriteVar(_));
+            if !input_allowed && (dim.input_mask != 0 || !dim.input_segs.is_empty()) {
                 diag(
                     DiagClass::SelectorMismatch,
                     format!("selector dim {d} sources from an input this access does not have"),

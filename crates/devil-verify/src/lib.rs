@@ -40,7 +40,7 @@ pub mod reach;
 pub mod sym;
 pub mod wf;
 
-use devil_ir::{AccessPlan, DeviceIr};
+use devil_ir::DeviceIr;
 
 /// The diagnostic classes the verifier can report. Each class has at
 /// least one deliberately-broken IR in the test suite proving it fires.
@@ -116,70 +116,6 @@ impl std::fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[{}] {}: {}", self.class.label(), self.access, self.detail)
     }
-}
-
-/// One access plan of the compiled surface, with its provenance.
-pub struct PlanRef<'a> {
-    /// The access name, as used in diagnostics and manifests.
-    pub access: String,
-    /// The plan itself.
-    pub plan: &'a AccessPlan,
-    /// Whether guards may source from the access's input (write plans).
-    pub input_allowed: bool,
-    /// The superplan index, for fused plans.
-    pub superplan: Option<usize>,
-}
-
-/// Enumerates every compiled access plan of `ir` in the canonical
-/// manifest order: variables (reads before writes), structures,
-/// superplans — each in id/declaration order.
-pub fn plan_refs(ir: &DeviceIr) -> Vec<PlanRef<'_>> {
-    let mut out = Vec::new();
-    for var in &ir.vars {
-        if let Some(plan) = &var.read_plan {
-            out.push(PlanRef {
-                access: format!("read {}", var.name),
-                plan,
-                input_allowed: false,
-                superplan: None,
-            });
-        }
-        if let Some(plan) = &var.write_plan {
-            out.push(PlanRef {
-                access: format!("write {}", var.name),
-                plan,
-                input_allowed: true,
-                superplan: None,
-            });
-        }
-    }
-    for st in &ir.structs {
-        if let Some(plan) = &st.read_plan {
-            out.push(PlanRef {
-                access: format!("read struct {}", st.name),
-                plan,
-                input_allowed: false,
-                superplan: None,
-            });
-        }
-        if let Some(plan) = &st.write_plan {
-            out.push(PlanRef {
-                access: format!("write struct {}", st.name),
-                plan,
-                input_allowed: false,
-                superplan: None,
-            });
-        }
-    }
-    for (si, sp) in ir.superplans().iter().enumerate() {
-        out.push(PlanRef {
-            access: format!("superplan {}", sp.name),
-            plan: &sp.plan,
-            input_allowed: false,
-            superplan: Some(si),
-        });
-    }
-    out
 }
 
 /// Conservative may-alias test between two plan slots.

@@ -17,7 +17,7 @@ fn main() {
     for (name, ir) in devil_verify::spec_library() {
         specs += 1;
         let report = devil_verify::verify(&ir);
-        points += manifest::surface_points(&ir);
+        points += ir.dispatch_points();
         proven += report.superplans_proven;
         total += report.superplans_total;
         let status = if report.clean() { "ok" } else { "FAIL" };
@@ -26,7 +26,7 @@ fn main() {
             report.diagnostics.len(),
             report.superplans_proven,
             report.superplans_total,
-            manifest::surface_points(&ir)
+            ir.dispatch_points()
         );
         for d in &report.diagnostics {
             println!("  {d}");

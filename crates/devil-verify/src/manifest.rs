@@ -5,25 +5,13 @@
 //! asked for. `UPDATE_MANIFESTS=1` regenerates the goldens; any other
 //! run fails on a byte difference.
 //!
-//! The manifest's `surface-points` line is the same denominator
-//! `devil_fuzz::CoverageSpace` enumerates (one point per cell serve or
-//! plan variant), which pins the verifier's surface to the fuzzers'
-//! coverage space — the 166/166 cross-check.
+//! The manifest's `surface-points` line is the device's dispatch-point
+//! count ([`DeviceIr::dispatch_points`]): the length of the runtime's
+//! hit table, and the denominator the coverage-guided fuzzer saturates.
 
-use crate::{plan_refs, PlanRef};
-use devil_ir::{DeviceIr, GuardSource, PlanGuard, SelectorDim};
+use devil_ir::{AccessPlan, AccessRef, DeviceIr, GuardSource, PlanGuard, SelectorDim};
 use std::fmt::Write as _;
 use std::path::PathBuf;
-
-/// The number of dispatch points the manifest enumerates: one per
-/// memory-cell serve, else one per plan variant — definitionally
-/// [`devil_fuzz::coverage::CoverageSpace::of`]'s point count.
-pub fn surface_points(ir: &DeviceIr) -> usize {
-    plan_refs(ir)
-        .iter()
-        .map(|pr| if pr.plan.cell.is_some() { 1 } else { pr.plan.variants.len() })
-        .sum()
-}
 
 /// Formats one guard with slot/cell provenance.
 fn fmt_guard(ir: &DeviceIr, g: &PlanGuard) -> String {
@@ -54,18 +42,21 @@ fn fmt_dim(ir: &DeviceIr, dim: &SelectorDim) -> String {
 }
 
 /// Renders one access's section.
-fn render_access(ir: &DeviceIr, pr: &PlanRef<'_>, out: &mut String) {
-    let plan = pr.plan;
+fn render_access(ir: &DeviceIr, access: AccessRef, plan: &AccessPlan, out: &mut String) {
+    let name = ir.access_name(access);
     if let Some(cell) = plan.cell {
-        let _ = writeln!(out, "{}: cell {}", pr.access, ir.cell_name(cell));
+        let _ = writeln!(out, "{name}: cell {}", ir.cell_name(cell));
         return;
     }
-    let _ = writeln!(out, "{}: {} variant(s)", pr.access, plan.variants.len());
+    let _ = writeln!(out, "{name}: {} variant(s)", plan.variants.len());
+    let superplan = match access {
+        AccessRef::Superplan(si) => Some(&ir.superplans()[si]),
+        _ => None,
+    };
     for (d, dim) in plan.selector.iter().enumerate() {
         let _ = writeln!(out, "  dim {d}: {}", fmt_dim(ir, dim));
     }
-    if let Some(si) = pr.superplan {
-        let sp = &ir.superplans()[si];
+    if let Some(sp) = superplan {
         let _ =
             writeln!(out, "  args {} outputs {} stage-steps {}", sp.args, sp.outputs, sp.stage.len);
     }
@@ -73,8 +64,8 @@ fn render_access(ir: &DeviceIr, pr: &PlanRef<'_>, out: &mut String) {
         let guards = v.guards.iter().map(|g| fmt_guard(ir, g)).collect::<Vec<_>>().join(" && ");
         let guards = if guards.is_empty() { "always".to_string() } else { guards };
         let _ = write!(out, "  variant {idx}: steps {} when {guards}", v.len);
-        if let Some(si) = pr.superplan {
-            let shape = ir.superplans()[si].shape[idx]
+        if let Some(sp) = superplan {
+            let shape = sp.shape[idx]
                 .iter()
                 .map(|s| {
                     format!(
@@ -116,10 +107,10 @@ pub fn render(ir: &DeviceIr) -> String {
         ir.mem_cells,
         ir.plan_arena.len()
     );
-    let _ = writeln!(out, "surface-points {}", surface_points(ir));
+    let _ = writeln!(out, "surface-points {}", ir.dispatch_points());
     let _ = writeln!(out);
-    for pr in plan_refs(ir) {
-        render_access(ir, &pr, &mut out);
+    for (access, plan) in ir.accesses() {
+        render_access(ir, access, plan, &mut out);
     }
     // Compile-time fallbacks are part of the surface: a PR that silently
     // loses a fast path shows up as a new line here. Sorted by the IR

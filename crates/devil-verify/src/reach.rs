@@ -14,7 +14,7 @@
 //! be 1 — an over-approximation of reachability, so every reported
 //! [`DiagClass::DeadVariant`] is a proof, not a sample.
 
-use crate::{plan_refs, DiagClass, Diagnostic};
+use crate::{DiagClass, Diagnostic};
 use devil_ir::{
     width_mask, AccessStep, DeviceIr, PlanSlot, PlanStep, PlanValue, SelectorDim, VarIr,
 };
@@ -226,13 +226,13 @@ fn value_reachable(feeds: &Feeds, dim: &SelectorDim, v: u64) -> bool {
 /// is not trustworthy provenance.
 pub fn check(ir: &DeviceIr, guard_clean: &[bool], diagnostics: &mut Vec<Diagnostic>) {
     let feeds = feeds(ir);
-    for (pi, pr) in plan_refs(ir).iter().enumerate() {
-        if !guard_clean.get(pi).copied().unwrap_or(false) || pr.plan.cell.is_some() {
+    for (pi, (access, plan)) in ir.accesses().enumerate() {
+        if !guard_clean.get(pi).copied().unwrap_or(false) || plan.cell.is_some() {
             continue;
         }
-        for (idx, _) in pr.plan.variants.iter().enumerate() {
-            let values = crate::guards::decompose(&pr.plan.selector, idx);
-            for (d, (dim, &v)) in pr.plan.selector.iter().zip(&values).enumerate() {
+        for idx in 0..plan.variants.len() {
+            let values = crate::guards::decompose(&plan.selector, idx);
+            for (d, (dim, &v)) in plan.selector.iter().zip(&values).enumerate() {
                 if !value_reachable(&feeds, dim, v) {
                     let place = match dim.cell {
                         Some(cell) => format!("cell {}", ir.cell_name(cell)),
@@ -245,7 +245,7 @@ pub fn check(ir: &DeviceIr, guard_clean: &[bool], diagnostics: &mut Vec<Diagnost
                     };
                     diagnostics.push(Diagnostic {
                         class: DiagClass::DeadVariant,
-                        access: pr.access.clone(),
+                        access: ir.access_name(access),
                         detail: format!(
                             "variant {idx}: selector dim {d} value {v:#x} is unreachable \
                              (no write can feed {place} with it)"

@@ -29,7 +29,8 @@
 
 use crate::{DiagClass, Diagnostic};
 use devil_ir::{
-    width_mask, Compose, DeviceIr, FuseOp, PlanSlot, PlanStep, PlanValue, SelectorDim, Superplan,
+    width_mask, AccessRef, Compose, DeviceIr, FuseOp, PlanSlot, PlanStep, PlanValue, SelectorDim,
+    Superplan,
 };
 use devil_sema::model::VarId;
 use std::collections::BTreeMap;
@@ -539,8 +540,8 @@ fn compare(fused: &State, unfused: &State, sp: &Superplan, combo: usize) -> Opti
 pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) -> (usize, usize) {
     let mut proven = 0usize;
     let sps = ir.superplans();
-    for sp in sps {
-        let access = format!("superplan {}", sp.name);
+    for (si, sp) in sps.iter().enumerate() {
+        let access = ir.access_name(AccessRef::Superplan(si));
         let free_args: Vec<Word> =
             (0..sp.args).map(|a| atom_word(TermKind::Arg(a as u32), &Env::new())).collect();
         let mut ok = true;

@@ -23,8 +23,8 @@
 //!   the runtime gates their assembly dynamically (`serve_cached`
 //!   requires every assemble slot valid before skipping the steps).
 
-use crate::{plan_refs, spans_overlap, DiagClass, Diagnostic};
-use devil_ir::{width_mask, Compose, DeviceIr, PlanStep, RegIr};
+use crate::{spans_overlap, DiagClass, Diagnostic};
+use devil_ir::{width_mask, AccessRef, Compose, DeviceIr, PlanStep, RegIr};
 use devil_sema::model::RegId;
 
 /// Checks the reverse provenance maps.
@@ -319,18 +319,22 @@ fn check_steps(
 /// Runs the well-formedness pass.
 pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) {
     check_owner_maps(ir, diagnostics);
-    for pr in plan_refs(ir) {
+    for (access, plan) in ir.accesses() {
+        let name = ir.access_name(access);
         // Variant ranges must stay inside the arena before anything
         // dereferences them.
         let arena = ir.plan_arena.len() as u32;
-        let stage = pr.superplan.map(|si| &ir.superplans()[si].stage);
-        let ranges = pr.plan.variants.iter().chain(stage);
+        let stage = match access {
+            AccessRef::Superplan(si) => Some(&ir.superplans()[si].stage),
+            _ => None,
+        };
+        let ranges = plan.variants.iter().chain(stage);
         let mut bad_range = false;
         for (idx, v) in ranges.enumerate() {
             if v.start + v.len > arena {
                 diagnostics.push(Diagnostic {
                     class: DiagClass::OwnerMap,
-                    access: pr.access.clone(),
+                    access: name.clone(),
                     detail: format!(
                         "variant {idx} range {}..{} exceeds the {arena}-step arena",
                         v.start,
@@ -343,14 +347,14 @@ pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) {
         if bad_range {
             continue;
         }
-        for (idx, v) in pr.plan.variants.iter().enumerate() {
+        for (idx, v) in plan.variants.iter().enumerate() {
             // Superplan bodies see the stage's writes first, exactly as
             // execution orders them.
             let mut written: Vec<(usize, usize)> = Vec::new();
             if let Some(stage) = stage {
                 check_steps(
                     ir,
-                    &pr.access,
+                    &name,
                     true,
                     ir.variant_steps(stage),
                     &mut written,
@@ -359,8 +363,8 @@ pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) {
             }
             check_steps(
                 ir,
-                &format!("{} variant {idx}", pr.access),
-                pr.superplan.is_some(),
+                &format!("{name} variant {idx}"),
+                stage.is_some(),
                 ir.variant_steps(v),
                 &mut written,
                 diagnostics,
@@ -370,7 +374,7 @@ pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) {
             let mut written = Vec::new();
             check_steps(
                 ir,
-                &format!("{} stage", pr.access),
+                &format!("{name} stage"),
                 true,
                 ir.variant_steps(stage),
                 &mut written,
@@ -379,12 +383,12 @@ pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) {
         }
         // A variable read plan assembles through the runtime's dynamic
         // validity gate; still, the assembled slots must be owned.
-        for (slot, _) in &pr.plan.assemble {
+        for (slot, _) in &plan.assemble {
             let span = slot.span();
             if ir.slot_owner(span.0).is_none() && ir.family_slot_owner(span.0).is_none() {
                 diagnostics.push(Diagnostic {
                     class: DiagClass::UngatedRead,
-                    access: pr.access.clone(),
+                    access: name.clone(),
                     detail: format!("assembles from unowned slot {}", span.0),
                 });
             }

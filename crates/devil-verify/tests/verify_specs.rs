@@ -3,12 +3,15 @@
 //! every installed superplan proven fused ≡ unfused — and its committed
 //! plan-surface manifest must match byte for byte.
 //!
-//! The totals are pinned: the verifier's surface-point count must equal
-//! `devil_fuzz::CoverageSpace`'s denominator per spec and 166 overall,
-//! so the static proof and the fuzzers' sampling argue about the exact
-//! same dispatch surface.
+//! The totals are pinned: 166 dispatch points over the library, each
+//! numbered once in `devil-ir` and counted in one runtime hit table
+//! that the manifests, the verifier and the coverage fuzzer all index.
 
-use devil_fuzz::coverage::CoverageSpace;
+use devil_fuzz::coverage::shipped_corpus;
+use devil_fuzz::superfuzz::decode_super;
+use devil_fuzz::{decode, run_op, Engine};
+use devil_ir::AccessRef;
+use devil_runtime::{DeviceInstance, FakeAccess};
 use devil_verify::manifest;
 
 /// Installed superplans per spec; everything not listed has none.
@@ -61,19 +64,53 @@ fn committed_manifests_match() {
     }
 }
 
+/// The dispatch-point numbering: per spec, the points of the accesses
+/// tile `0..dispatch_points()` in `accesses()` order; installing
+/// superplans only appends points; and after the shipped corpus replays,
+/// the hit table, `plan_stats` and `superplan_hits` agree and survive a
+/// snapshot round trip.
 #[test]
-fn surface_points_equal_fuzz_coverage_space() {
+fn dispatch_points_are_numbered_once_and_counted_in_one_table() {
+    let sources = drivers::specs::ALL.iter().chain(devil_fuzz::synthetic::ALL);
     let mut points = 0usize;
-    for (name, ir) in devil_verify::spec_library() {
-        let space = CoverageSpace::of(&ir);
-        let pts = manifest::surface_points(&ir);
-        assert_eq!(
-            pts,
-            space.len(),
-            "{name}: manifest surface points disagree with the fuzzers' \
-             coverage denominator"
-        );
-        points += pts;
+    for ((name, ir), (src_name, src)) in devil_verify::spec_library().into_iter().zip(sources) {
+        assert_eq!(name, *src_name);
+        let mut next = 0;
+        for (access, plan) in ir.accesses() {
+            assert_eq!(ir.points(access), next..next + plan.variants.len(), "{name}: {access:?}");
+            next = plan.points().end;
+        }
+        assert_eq!(next, ir.dispatch_points(), "{name}: points do not tile the table");
+
+        let bare = devil_ir::lower(&devil_sema::check_source(src, &[]).expect("spec checks"));
+        let unfused: Vec<_> = bare.accesses().map(|(a, p)| (a, p.first_point)).collect();
+        let fused: Vec<_> = ir
+            .accesses()
+            .filter(|(a, _)| !matches!(a, AccessRef::Superplan(_)))
+            .map(|(a, p)| (a, p.first_point))
+            .collect();
+        assert_eq!(unfused, fused, "{name}: installing superplans renumbered a point");
+
+        let mut inst = DeviceInstance::new(ir.clone());
+        let mut dev = FakeAccess::new();
+        let mut obs = Vec::new();
+        for words in shipped_corpus(&name) {
+            for op in decode(&ir, &words).iter().chain(&decode_super(&ir, &words)) {
+                run_op(&mut Engine::Plans(&mut inst), &mut dev, op, &mut obs);
+            }
+        }
+        let stats = inst.plan_stats();
+        assert_eq!(stats.total(), inst.hits().iter().sum::<u64>(), "{name}");
+        assert_eq!(inst.superplan_hits().iter().sum::<u64>(), stats.fused, "{name}");
+        assert!(inst.hits().iter().all(|&n| n > 0), "{name}: the corpus saturates every point");
+        let snap = inst.snapshot();
+        let hits = inst.hits().to_vec();
+        let cold = DeviceInstance::new(ir.clone()).snapshot();
+        inst.restore(&cold);
+        assert!(inst.hits().iter().all(|&n| n == 0), "{name}: restore rewinds the table");
+        inst.restore(&snap);
+        assert_eq!(inst.hits(), hits, "{name}: snapshot round trip");
+        points += ir.dispatch_points();
     }
     assert_eq!(points, 166, "whole-library surface-point total drifted");
 }

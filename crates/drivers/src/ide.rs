@@ -593,7 +593,8 @@ mod tests {
         assert_eq!(stats.general, 0, "no general fallback: {stats:?}");
         let (ide, _) = devil.instances();
         let sid = ide.ir().superplan_id("pio_irq16").unwrap();
-        assert_eq!(ide.superplan_hits()[sid], 4);
+        let points = ide.ir().points(devil_runtime::AccessRef::Superplan(sid));
+        assert_eq!(ide.hits()[points].iter().sum::<u64>(), 4);
     }
 
     /// The paper's baseline is the hand driver's per-word `inw` loop;

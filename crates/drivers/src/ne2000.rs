@@ -308,8 +308,10 @@ mod tests {
         let stats = fused.plan_stats();
         assert_eq!(stats.fused, 1, "one superplan dispatch: {stats:?}");
         assert_eq!(stats.general, 0, "no general fallback: {stats:?}");
-        let sid = fused.instance().ir().superplan_id("tx").unwrap();
-        assert_eq!(fused.instance().superplan_hits()[sid], 1);
+        let inst = fused.instance();
+        let sid = inst.ir().superplan_id("tx").unwrap();
+        let points = inst.ir().points(devil_runtime::AccessRef::Superplan(sid));
+        assert_eq!(inst.hits()[points].iter().sum::<u64>(), 1);
     }
 
     /// The hand driver moves the frame with a per-word `outw` loop; the

@@ -1,13 +1,19 @@
 #!/bin/sh
 # Prints each crate's non-test source line count: for every .rs file
 # under the crate's src/, the lines above its first `#[cfg(test)]` or
-# `#![cfg(test)]` (the whole file when it has neither). Crates default to the four that
-# hold plan-step semantics; pass crate names to count others.
+# `#![cfg(test)]` (the whole file when it has neither). Crates default to every
+# first-party crate under crates/ (the vendored criterion and proptest stand-ins
+# excluded); pass crate names to count a subset.
 #
 #   scripts/nontest-lines.sh [crate...]
 set -eu
 cd "$(dirname "$0")/.."
-[ $# -gt 0 ] || set -- devil-ir devil-runtime devil-verify devil-codegen
+if [ $# -eq 0 ]; then
+    for dir in crates/*/; do
+        crate=$(basename "$dir")
+        case "$crate" in criterion | proptest) ;; *) set -- "$@" "$crate" ;; esac
+    done
+fi
 total=0
 for crate in "$@"; do
     n=$(find "crates/$crate/src" -name '*.rs' -exec awk '/^#!?\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' {} \; |
