@@ -166,7 +166,7 @@ pub fn emit_c(ir: &DeviceIr, prefix: &str) -> String {
         let mut w: Vec<u32> = api
             .superplans
             .iter()
-            .flat_map(|&si| ir.superplans()[si].shape.iter().flatten())
+            .flat_map(|&si| ir.superplans()[si].plan.variants.iter().flat_map(|v| ir.shape(v)))
             .filter(|s| s.block)
             .map(|s| s.size)
             .collect();
@@ -234,7 +234,7 @@ fn superplan_fn(out: &mut String, ir: &DeviceIr, prefix: &str, sp: &Superplan) {
     for step in ir.variant_steps(&sp.stage) {
         sp_step_stmt(ir, prefix, step, "    ", out);
     }
-    if sp.plan.variants.len() == 1 && sp.plan.variants[0].guards.is_empty() {
+    if sp.plan.selector.is_empty() {
         for step in ir.variant_steps(&sp.plan.variants[0]) {
             sp_step_stmt(ir, prefix, step, "    ", out);
         }
@@ -247,8 +247,9 @@ fn superplan_fn(out: &mut String, ir: &DeviceIr, prefix: &str, sp: &Superplan) {
         if k + 1 == sp.plan.variants.len() {
             let _ = writeln!(out, "    }} else {{");
         } else {
-            let kw = if k == 0 { "    if".to_string() } else { "    } else if".to_string() };
-            let _ = writeln!(out, "{kw} ({}) {{", guard_cond(ir, prefix, &v.guards, "(v)"));
+            out.push_str(if k == 0 { "    if (" } else { "    } else if (" });
+            guard_cond(out, ir, prefix, sp.plan.guards(k), "(v)");
+            out.push_str(") {\n");
         }
         for step in ir.variant_steps(v) {
             sp_step_stmt(ir, prefix, step, "        ", out);
@@ -288,7 +289,8 @@ fn in_fn(size: u32) -> &'static str {
     match size {
         8 => "inb",
         16 => "inw",
-        _ => "inl",
+        32 => "inl",
+        other => unreachable!("the checker rejects {other}-bit port accesses"),
     }
 }
 
@@ -296,7 +298,8 @@ fn out_fn(size: u32) -> &'static str {
     match size {
         8 => "outb",
         16 => "outw",
-        _ => "outl",
+        32 => "outl",
+        other => unreachable!("the checker rejects {other}-bit port accesses"),
     }
 }
 
@@ -440,7 +443,7 @@ fn variant_expr(ir: &DeviceIr, prefix: &str, steps: &[PlanStep], input: &str) ->
 /// exhaustive over the tested values, exactly like
 /// `AccessPlan::select_variant` (the last variant is the chain's else).
 fn plan_body(ir: &DeviceIr, prefix: &str, plan: &devil_ir::AccessPlan, input: &str) -> String {
-    if plan.variants.len() == 1 && plan.variants[0].guards.is_empty() {
+    if plan.selector.is_empty() {
         return variant_expr(ir, prefix, ir.variant_steps(&plan.variants[0]), input);
     }
     let mut body = String::new();
@@ -449,33 +452,37 @@ fn plan_body(ir: &DeviceIr, prefix: &str, plan: &devil_ir::AccessPlan, input: &s
         if k + 1 == plan.variants.len() {
             body.push_str(&arm);
         } else {
-            let cond = guard_cond(ir, prefix, &v.guards, input);
-            let _ = write!(body, "{cond} ? \\\n    {arm} : \\\n    ");
+            guard_cond(&mut body, ir, prefix, plan.guards(k), input);
+            let _ = write!(body, " ? \\\n    {arm} : \\\n    ");
         }
     }
     format!("({body})")
 }
 
-/// A variant's guards as one C condition: each slot guard tests its
-/// register's cache field, each input guard the stub's value argument
-/// `input` (a write order testing the variable being written: the
-/// general path's store-then-evaluate order).
-fn guard_cond(ir: &DeviceIr, prefix: &str, guards: &[PlanGuard], input: &str) -> String {
-    let tests: Vec<String> = guards
-        .iter()
-        .map(|g| match g.source {
+/// A variant's guards as one C condition, appended to `out`: each slot
+/// guard tests its register's cache field, each input guard the stub's
+/// value argument `input` (a write order testing the variable being
+/// written: the general path's store-then-evaluate order).
+fn guard_cond(
+    out: &mut String,
+    ir: &DeviceIr,
+    prefix: &str,
+    guards: impl Iterator<Item = PlanGuard>,
+    input: &str,
+) {
+    for (i, g) in guards.enumerate() {
+        let sep = if i == 0 { "" } else { " && " };
+        let (mask, expected) = (Hex(g.mask), Hex(g.expected));
+        let _ = match g.source {
             GuardSource::Slot(s) => {
                 let owner = ir.slot_owner(s).expect("emittable plans guard owned slots");
-                let (mask, expected) = (Hex(g.mask), Hex(g.expected));
-                format!("({prefix}_cache.cache_{} & {mask}) == {expected}", ir.reg(owner).name)
+                let reg = &ir.reg(owner).name;
+                write!(out, "{sep}({prefix}_cache.cache_{reg} & {mask}) == {expected}")
             }
             GuardSource::Cell(_) => unreachable!("cell guards are not emittable"),
-            GuardSource::Input => {
-                format!("(({input}) & {}) == {}", Hex(g.mask), Hex(g.expected))
-            }
-        })
-        .collect();
-    tests.join(" && ")
+            GuardSource::Input => write!(out, "{sep}(({input}) & {mask}) == {expected}"),
+        };
+    }
 }
 
 /// A variable assembled from named cache fields, as a C expression.

@@ -33,8 +33,8 @@ pub fn plan_emittable(ir: &DeviceIr, plan: &AccessPlan) -> bool {
     if plan.variants.is_empty() || plan.variants.len() > VARIANT_EMIT_CAP {
         return false;
     }
-    plan.variants.iter().all(|v| {
-        v.guards.iter().all(|g| guard_emittable(ir, g))
+    plan.variants.iter().enumerate().all(|(k, v)| {
+        plan.guards(k).all(|g| guard_emittable(ir, &g))
             && ir.variant_steps(v).iter().all(|step| step_emittable(ir, step))
     }) && plan.assemble.iter().all(|(slot, _)| fixed_owned(ir, slot))
 }
@@ -113,8 +113,8 @@ pub fn superplan_emittable(ir: &DeviceIr, sp: &devil_ir::Superplan) -> bool {
         return false;
     }
     ir.variant_steps(&sp.stage).iter().all(|s| step_verdict(ir, s, true))
-        && sp.plan.variants.iter().all(|v| {
-            v.guards.iter().all(|g| guard_emittable(ir, g))
+        && sp.plan.variants.iter().enumerate().all(|(k, v)| {
+            sp.plan.guards(k).all(|g| guard_emittable(ir, &g))
                 && ir.variant_steps(v).iter().all(|s| step_verdict(ir, s, true))
         })
 }
@@ -319,7 +319,7 @@ mod tests {
         }
         for plan in &all_plans {
             assert!(plan_emittable(&ir, plan), "concrete-surface plans must emit");
-            for variant in &plan.variants {
+            for (k, variant) in plan.variants.iter().enumerate() {
                 for step in ir.variant_steps(variant) {
                     match step {
                         PlanStep::Read(_) => kinds[0] = true,
@@ -333,7 +333,7 @@ mod tests {
                         }
                     }
                 }
-                for g in &variant.guards {
+                for g in plan.guards(k) {
                     match g.source {
                         GuardSource::Slot(_) => sources[0] = true,
                         GuardSource::Input => sources[1] = true,

@@ -333,7 +333,7 @@ fn step_stmts(ir: &DeviceIr, step: &PlanStep, indent: &str, input: &str, out: &m
 /// exhaustive over the tested values, exactly like
 /// `AccessPlan::select_variant` (the last variant is the final else).
 fn emit_plan(out: &mut String, ir: &DeviceIr, plan: &AccessPlan, indent: &str, input: &str) {
-    if plan.variants.len() == 1 && plan.variants[0].guards.is_empty() {
+    if plan.selector.is_empty() {
         for step in ir.variant_steps(&plan.variants[0]) {
             step_stmts(ir, step, indent, input, out);
         }
@@ -344,29 +344,26 @@ fn emit_plan(out: &mut String, ir: &DeviceIr, plan: &AccessPlan, indent: &str, i
         if k + 1 == plan.variants.len() {
             let _ = writeln!(out, "{indent}}} else {{");
         } else {
-            let guards: Vec<String> = v
-                .guards
-                .iter()
-                .map(|g| match g.source {
+            let kw = if k == 0 { "if" } else { "} else if" };
+            let _ = write!(out, "{indent}{kw} ");
+            for (i, g) in plan.guards(k).enumerate() {
+                let sep = if i == 0 { "" } else { " && " };
+                let (mask, expected) = (g.mask, g.expected);
+                let _ = match g.source {
                     GuardSource::Slot(s) => {
                         let owner = ir.slot_owner(s).expect("emittable plans guard owned slots");
-                        format!(
-                            "(self.cache_{} & {:#x}) == {:#x}",
-                            ir.reg(owner).name,
-                            g.mask,
-                            g.expected
-                        )
+                        let reg = &ir.reg(owner).name;
+                        write!(out, "{sep}(self.cache_{reg} & {mask:#x}) == {expected:#x}")
                     }
                     GuardSource::Cell(_) => unreachable!("cell guards are not emittable"),
                     // The setter's own value argument (the general
                     // path's store-then-evaluate order).
                     GuardSource::Input => {
-                        format!("({input} & {:#x}) == {:#x}", g.mask, g.expected)
+                        write!(out, "{sep}({input} & {mask:#x}) == {expected:#x}")
                     }
-                })
-                .collect();
-            let kw = if k == 0 { format!("{indent}if") } else { format!("{indent}}} else if") };
-            let _ = writeln!(out, "{kw} {} {{", guards.join(" && "));
+                };
+            }
+            out.push_str(" {\n");
         }
         for step in ir.variant_steps(v) {
             step_stmts(ir, step, &inner, input, out);

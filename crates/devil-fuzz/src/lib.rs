@@ -42,6 +42,28 @@ mod common;
 pub use rooted::{compare, compare_runtimes, render, InProcess, Mismatch, Outcome, Rig, Trace};
 use superfuzz::SuperCall;
 
+/// The embedded spec library every whole-surface check runs over: the
+/// 8 shipped drivers with their declared superplans installed, then
+/// the 5 synthetic formerly-fallback specs with their fixture
+/// superplans — the rig set the fuzz targets, the compiled oracles, the
+/// verifier and the emit goldens enumerate.
+pub fn spec_library() -> Vec<(String, DeviceIr)> {
+    let lowered = |src: &str| {
+        devil_ir::lower(&devil_sema::check_source(src, &[]).expect("embedded spec checks"))
+    };
+    let shipped = drivers::specs::ALL.iter().map(|&(name, src)| {
+        let mut ir = lowered(src);
+        drivers::superplans::install(&mut ir);
+        (name.to_string(), ir)
+    });
+    let synthetic = synthetic::ALL.iter().map(|&(name, src)| {
+        let mut ir = lowered(src);
+        superfuzz::install_synthetic(name, &mut ir);
+        (name.to_string(), ir)
+    });
+    shipped.chain(synthetic).collect()
+}
+
 /// One engine of a differential replay, borrowed: the plan executor or
 /// the reference interpreter, driven through the same op stream.
 pub enum Engine<'a> {

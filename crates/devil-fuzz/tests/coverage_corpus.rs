@@ -15,7 +15,7 @@ use devil_fuzz::coverage::{
     corpus_path, cover_stream, format_corpus, grow_corpus, minimize, shipped_corpus,
     uniform_coverage, Coverage,
 };
-use devil_fuzz::superfuzz::{decode_super, install_synthetic};
+use devil_fuzz::superfuzz::decode_super;
 use devil_fuzz::{compare_runtimes, decode};
 use devil_ir::DeviceIr;
 use std::sync::OnceLock;
@@ -35,29 +35,9 @@ fn grow_budget() -> usize {
     std::env::var("CORPUS_BUDGET").ok().and_then(|s| s.parse().ok()).unwrap_or(BUDGET)
 }
 
-struct Spec {
-    name: &'static str,
-    ir: DeviceIr,
-}
-
-fn specs() -> &'static [Spec] {
-    static SPECS: OnceLock<Vec<Spec>> = OnceLock::new();
-    SPECS.get_or_init(|| {
-        drivers::specs::ALL
-            .iter()
-            .chain(devil_fuzz::synthetic::ALL)
-            .map(|(name, src)| {
-                let model = devil_sema::check_source(src, &[]).expect("embedded spec checks");
-                let mut ir = devil_ir::lower(&model);
-                if devil_fuzz::synthetic::ALL.iter().any(|(n, _)| n == name) {
-                    install_synthetic(name, &mut ir);
-                } else {
-                    drivers::superplans::install(&mut ir);
-                }
-                Spec { name, ir }
-            })
-            .collect()
-    })
+fn specs() -> &'static [(String, DeviceIr)] {
+    static SPECS: OnceLock<Vec<(String, DeviceIr)>> = OnceLock::new();
+    SPECS.get_or_init(devil_fuzz::spec_library)
 }
 
 /// When `UPDATE_CORPUS=1`, regrow + minimize + rewrite every shipped
@@ -68,12 +48,12 @@ fn maybe_regenerate() {
         if std::env::var_os("UPDATE_CORPUS").is_none() {
             return;
         }
-        for spec in specs() {
-            let grown = grow_corpus(&spec.ir, SEED, grow_budget());
-            let min = minimize(&spec.ir, &grown);
-            let path = corpus_path(spec.name);
+        for (name, ir) in specs() {
+            let grown = grow_corpus(ir, SEED, grow_budget());
+            let min = minimize(ir, &grown);
+            let path = corpus_path(name);
             std::fs::create_dir_all(path.parent().unwrap()).expect("corpus dir");
-            std::fs::write(&path, format_corpus(spec.name, &min)).expect("write corpus");
+            std::fs::write(&path, format_corpus(name, &min)).expect("write corpus");
             eprintln!(
                 "regenerated {}: {} grown -> {} minimized streams",
                 path.display(),
@@ -96,16 +76,16 @@ fn shipped_corpus_reaches_every_plan_variant() {
     let mut uniform_total = 0usize;
     let mut space_total = 0usize;
     let mut incomplete: Vec<String> = Vec::new();
-    for spec in specs() {
-        let corpus = shipped_corpus(spec.name);
-        let mut cov = Coverage::new(&spec.ir);
+    for (name, ir) in specs() {
+        let corpus = shipped_corpus(name);
+        let mut cov = Coverage::new(ir);
         for s in &corpus {
-            cover_stream(&spec.ir, &mut cov, s);
+            cover_stream(ir, &mut cov, s);
         }
-        let (uni, total) = uniform_coverage(&spec.ir, SEED ^ 1, BUDGET);
+        let (uni, total) = uniform_coverage(ir, SEED ^ 1, BUDGET);
         println!(
             "{:>10}: guided {}/{} ({} streams), uniform {}/{}",
-            spec.name,
+            name,
             cov.covered(),
             total,
             corpus.len(),
@@ -116,7 +96,7 @@ fn shipped_corpus_reaches_every_plan_variant() {
         uniform_total += uni;
         space_total += total;
         if !cov.complete() {
-            incomplete.push(format!("{}: unreached {:?}", spec.name, cov.unreached(&spec.ir)));
+            incomplete.push(format!("{}: unreached {:?}", name, cov.unreached(ir)));
         }
     }
     println!(
@@ -140,13 +120,13 @@ fn shipped_corpus_reaches_every_plan_variant() {
 #[test]
 fn shipped_corpus_is_a_minimization_fixpoint() {
     maybe_regenerate();
-    for spec in specs() {
-        let corpus = shipped_corpus(spec.name);
-        let min = minimize(&spec.ir, &corpus);
+    for (name, ir) in specs() {
+        let corpus = shipped_corpus(name);
+        let min = minimize(ir, &corpus);
         assert_eq!(
             min, corpus,
             "{}: shipped corpus is not minimal; regenerate with UPDATE_CORPUS=1",
-            spec.name
+            name
         );
     }
 }
@@ -158,15 +138,15 @@ fn shipped_corpus_is_a_minimization_fixpoint() {
 #[test]
 fn corpus_streams_pass_rooted_differential_comparators() {
     maybe_regenerate();
-    for spec in specs() {
-        for (i, words) in shipped_corpus(spec.name).iter().enumerate() {
-            let ops = decode(&spec.ir, words);
-            compare_runtimes(&spec.ir, false, &ops)
-                .unwrap_or_else(|e| panic!("{} corpus stream {i}: {e}", spec.name));
-            if !spec.ir.superplans().is_empty() {
-                let seq = decode_super(&spec.ir, words);
-                compare_runtimes(&spec.ir, false, &seq)
-                    .unwrap_or_else(|e| panic!("{} corpus stream {i} (fused): {e}", spec.name));
+    for (name, ir) in specs() {
+        for (i, words) in shipped_corpus(name).iter().enumerate() {
+            let ops = decode(ir, words);
+            compare_runtimes(ir, false, &ops)
+                .unwrap_or_else(|e| panic!("{} corpus stream {i}: {e}", name));
+            if !ir.superplans().is_empty() {
+                let seq = decode_super(ir, words);
+                compare_runtimes(ir, false, &seq)
+                    .unwrap_or_else(|e| panic!("{} corpus stream {i} (fused): {e}", name));
             }
         }
     }

@@ -14,7 +14,7 @@ mod common;
 use common::Skewed;
 use devil_fuzz::coverage::shipped_corpus;
 use devil_fuzz::rooted::{diff_ops, splitmix64, OpStream};
-use devil_fuzz::superfuzz::{decode_super, install_synthetic};
+use devil_fuzz::superfuzz::decode_super;
 use devil_fuzz::{
     compare, compare_runtimes, decode, init_sweep_ops, run_op, sweep_ops, Engine, InProcess, Op,
 };
@@ -27,24 +27,9 @@ use std::sync::OnceLock;
 /// (self-written tested, mem-cell tested, action-nested conditionals),
 /// lowered once with their superplans installed. Every differential
 /// check below runs over all of them.
-fn irs() -> &'static Vec<(&'static str, DeviceIr)> {
-    static IRS: OnceLock<Vec<(&'static str, DeviceIr)>> = OnceLock::new();
-    IRS.get_or_init(|| {
-        drivers::specs::ALL
-            .iter()
-            .chain(devil_fuzz::synthetic::ALL)
-            .map(|(name, src)| {
-                let model = devil_sema::check_source(src, &[]).expect("embedded spec checks");
-                let mut ir = devil_ir::lower(&model);
-                if devil_fuzz::synthetic::ALL.iter().any(|(n, _)| n == name) {
-                    install_synthetic(name, &mut ir);
-                } else {
-                    drivers::superplans::install(&mut ir);
-                }
-                (*name, ir)
-            })
-            .collect()
-    })
+fn irs() -> &'static [(String, DeviceIr)] {
+    static IRS: OnceLock<Vec<(String, DeviceIr)>> = OnceLock::new();
+    IRS.get_or_init(devil_fuzz::spec_library)
 }
 
 /// The deterministic coverage sweep: every variable, structure and
@@ -91,7 +76,7 @@ fn spec_library_compiles_the_expected_plans() {
     let init = pic.strct(pic.struct_id("init").unwrap());
     let wp = init.write_plan.as_ref().expect("pic8259 init must guard-split");
     assert_eq!(wp.variants.len(), 4, "sngl × ic4 cross product");
-    assert!(wp.variants.iter().all(|v| !v.guards.is_empty()));
+    assert!((0..wp.variants.len()).all(|k| wp.guards(k).next().is_some()));
 }
 
 /// The init-sequence sweep: every structure flushed across its whole

@@ -127,7 +127,7 @@ fn nested_conditional_through_action_compiles_straight() {
     let payload = ir.var_id("payload").unwrap();
     let rp = ir.var(payload).read_plan.as_ref().expect("nested conditional must plan-compile");
     assert_eq!(rp.variants.len(), 1, "assigned constant folds the condition");
-    assert!(rp.variants[0].guards.is_empty());
+    assert!(rp.guards(0).next().is_none());
     assert!(ir.plan_fallbacks().is_empty(), "{:?}", ir.plan_fallbacks());
     // The struct's own top-level flush still guard-splits.
     assert!(ir.strct(ir.struct_id("s").unwrap()).write_plan.is_some());

@@ -15,7 +15,7 @@
 
 use crate::common::Skewed;
 use devil_fuzz::compiled::{stub_expresses, Backend, CompiledHarness};
-use devil_fuzz::superfuzz::{decode_super, install_synthetic, super_sweep};
+use devil_fuzz::superfuzz::{decode_super, super_sweep};
 use devil_fuzz::{compare, decode, init_sweep_ops, render, sweep_ops, Mismatch, Op, Outcome, Rig};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -54,21 +54,10 @@ fn harnesses(backend: Backend) -> &'static [CompiledHarness] {
         return &[];
     }
     HARNESSES.get_or_init(|| {
-        drivers::specs::ALL
+        devil_fuzz::spec_library()
             .iter()
-            .chain(devil_fuzz::synthetic::ALL)
-            .map(|(name, src)| {
-                let model = devil_sema::check_source(src, &[]).expect("embedded spec checks");
-                let mut ir = devil_ir::lower(&model);
-                // The same superplan surface the runtime ships: driver
-                // declarations on the shipped specs, fixture fusions on
-                // the synthetic fallback shapes.
-                if synthetic(name) {
-                    install_synthetic(name, &mut ir);
-                } else {
-                    drivers::superplans::install(&mut ir);
-                }
-                CompiledHarness::build(backend, name, &ir, &oracle_dir()).unwrap_or_else(|e| {
+            .map(|(name, ir)| {
+                CompiledHarness::build(backend, name, ir, &oracle_dir()).unwrap_or_else(|e| {
                     panic!("{name}: cannot build the compiled-{backend} oracle: {e}")
                 })
             })

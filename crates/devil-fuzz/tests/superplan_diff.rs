@@ -10,11 +10,11 @@
 //!
 //! The ledger-shape property pins the accounting side: a fused
 //! dispatch's exact `hwsim::Ledger` delta and sim-time advance must
-//! equal what the superplan's declared [`ShapeOp`] sequence predicts
-//! under the bus cost model.
+//! equal what the selected variant's [`ShapeOp`] sequence
+//! ([`DeviceIr::shape`]) predicts under the bus cost model.
 
 use devil_fuzz::coverage::shipped_corpus;
-use devil_fuzz::superfuzz::{decode_super, install_synthetic, super_sweep};
+use devil_fuzz::superfuzz::{decode_super, super_sweep};
 use devil_fuzz::{compare, compare_runtimes, probe_ops, run_op, sweep_ops, Engine, InProcess, Op};
 use devil_ir::{DeviceIr, ShapeOp};
 use devil_runtime::{DeviceInstance, FakeAccess, MappedPort, PortMap, ReferenceInstance, RtError};
@@ -25,19 +25,12 @@ use std::sync::OnceLock;
 /// Every spec carrying superplans: the four shipped devices with
 /// driver-declared hot sequences (installed by `drivers::specs`) plus
 /// the five synthetic formerly-fallback shapes with fixture superplans.
-fn irs() -> &'static Vec<(&'static str, DeviceIr)> {
-    static IRS: OnceLock<Vec<(&'static str, DeviceIr)>> = OnceLock::new();
+fn irs() -> &'static [(String, DeviceIr)] {
+    static IRS: OnceLock<Vec<(String, DeviceIr)>> = OnceLock::new();
     IRS.get_or_init(|| {
-        let shipped = drivers::specs::ALL
-            .iter()
-            .map(|(name, src)| (*name, (*drivers::specs::shared_ir(src)).clone()));
-        let synthetic = devil_fuzz::synthetic::ALL.iter().map(|(name, src)| {
-            let model = devil_sema::check_source(src, &[]).expect("synthetic spec checks");
-            let mut ir = devil_ir::lower(&model);
-            install_synthetic(name, &mut ir);
-            (*name, ir)
-        });
-        shipped.chain(synthetic).filter(|(_, ir)| !ir.superplans().is_empty()).collect()
+        let mut library = devil_fuzz::spec_library();
+        library.retain(|(_, ir)| !ir.superplans().is_empty());
+        library
     })
 }
 
@@ -93,7 +86,7 @@ fn short_superplan_io_is_an_arity_error_before_any_device_op() {
 #[test]
 fn superplan_surface_is_complete() {
     let counts: Vec<(&str, usize)> =
-        irs().iter().map(|(name, ir)| (*name, ir.superplans().len())).collect();
+        irs().iter().map(|(name, ir)| (name.as_str(), ir.superplans().len())).collect();
     assert_eq!(
         counts,
         vec![
@@ -175,7 +168,7 @@ fn checked_fused_streams_agree_with_the_reference() {
         for (label, ops) in &streams {
             let out = compare_runtimes(ir, true, ops)
                 .unwrap_or_else(|e| panic!("{name} {label}: checked fused replay diverges\n{e}"));
-            let stop = STOPS.iter().find(|s| (s.0, s.1) == (*name, label)).map(|s| s.2);
+            let stop = STOPS.iter().find(|s| (s.0, s.1) == (name.as_str(), label)).map(|s| s.2);
             assert_eq!(out.ops, stop.unwrap_or(ops.len() as u64), "{name} {label}: stop point");
             if stop.is_some() {
                 let call = &ops[out.ops as usize];
@@ -231,10 +224,15 @@ fn warm_sweeps_run_entirely_fused() {
 }
 
 /// Predicted ledger delta and sim-time advance of one fused dispatch,
-/// folding a variant's declared shape through the bus cost model. The
-/// harness maps every port into unclaimed port space, so each non-empty
+/// folding a variant's shape through the bus cost model. The harness
+/// maps every port into unclaimed port space, so each non-empty
 /// transaction also counts one `unclaimed` probe.
-fn predict(shape: &[ShapeOp], out_len: usize, in_len: usize, c: &CostModel) -> (Ledger, f64) {
+fn predict(
+    shape: impl Iterator<Item = ShapeOp>,
+    out_len: usize,
+    in_len: usize,
+    c: &CostModel,
+) -> (Ledger, f64) {
     let mut l = Ledger::new();
     let mut ns = 0.0;
     for op in shape {
@@ -272,8 +270,8 @@ fn predict(shape: &[ShapeOp], out_len: usize, in_len: usize, c: &CostModel) -> (
 
 /// The ledger-shape property: every fused dispatch's exact `Ledger`
 /// delta and sim-time advance equal the prediction of the selected
-/// variant's declared shape — block ops, words, widths, and the
-/// block-rate vs single-rate cost split. Runs every superplan of all
+/// variant's shape — block ops, words, widths, and the block-rate vs
+/// single-rate cost split. Runs every superplan of all
 /// nine specs at several operand/length combinations.
 #[test]
 fn fused_ledger_delta_matches_declared_shape() {
@@ -292,8 +290,14 @@ fn fused_ledger_delta_matches_declared_shape() {
             let sp = &ir.superplans()[sid];
             for (round, len) in [(0u64, 0usize), (1, 1), (0, 7), (1, 16)] {
                 let args: Vec<u64> = (0..sp.args as u64).map(|_| round).collect();
-                let has_out = sp.shape.iter().flatten().any(|o| o.block && o.write);
-                let has_in = sp.shape.iter().flatten().any(|o| o.block && !o.write);
+                let block = |write| {
+                    sp.plan
+                        .variants
+                        .iter()
+                        .flat_map(|v| ir.shape(v))
+                        .any(|o| o.block && o.write == write)
+                };
+                let (has_out, has_in) = (block(true), block(false));
                 let block_out: Vec<u64> =
                     if has_out { (0..len as u64).map(|k| k * 3 + round).collect() } else { vec![] };
                 let mut block_in = vec![0u64; if has_in { len } else { 0 }];
@@ -311,9 +315,10 @@ fn fused_ledger_delta_matches_declared_shape() {
                 assert_eq!(st.fused - st0.fused, 1, "{name} {}: dispatch was not fused", sp.name);
 
                 let predictions: Vec<(Ledger, f64)> = sp
-                    .shape
+                    .plan
+                    .variants
                     .iter()
-                    .map(|shape| predict(shape, block_out.len(), block_in.len(), &costs))
+                    .map(|v| predict(ir.shape(v), block_out.len(), block_in.len(), &costs))
                     .collect();
                 let matched =
                     predictions.iter().any(|(l, ns)| *l == delta && (elapsed - ns).abs() < 1e-6);

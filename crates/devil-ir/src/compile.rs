@@ -5,9 +5,9 @@
 
 use crate::plan::block_binding;
 use crate::{
-    width_mask, AccessPlan, AccessRef, AccessStep, BlockIneligible, Compose, FieldSeg, GuardSource,
-    PlanGuard, PlanOffset, PlanSlot, PlanStep, PlanValue, PlanVariant, RegIr, SelectorDim,
-    StructIr, VarIr, VarSeg, WriteCheck, WriteSeg,
+    width_mask, AccessPlan, AccessRef, AccessStep, BlockIneligible, Compose, FieldSeg, PlanOffset,
+    PlanSlot, PlanStep, PlanValue, PlanVariant, RegIr, SelectorDim, StructIr, VarIr, VarSeg,
+    WriteCheck, WriteSeg,
 };
 use devil_sema::model::{
     Action, ActionTarget, ActionValue, ChunkArg, CondSem, FamilyParam, Neutral, Offset,
@@ -948,23 +948,6 @@ pub(crate) fn gather_reg_compose<'s>(
     Compose { keep_and: !clear, const_or, segs }
 }
 
-/// Everything needed to enumerate, guard and select one tested
-/// variable of a guard-split plan.
-struct DimInfo {
-    /// Memory cell holding the tested value, for cell-tested variables.
-    cell: Option<usize>,
-    /// `(slot, segment, cache-sourced register-bit mask)` — the mask
-    /// excludes bits the written variable owns (those come from the
-    /// input at evaluation time).
-    cache_segs: Vec<(usize, FieldSeg, u64)>,
-    /// Input-bit → value-bit segments (written-variable overlap).
-    input_segs: Vec<FieldSeg>,
-    /// Tested-value bits sourced from the input.
-    input_mask: u64,
-    /// `2^width`.
-    radix: usize,
-}
-
 /// Describes how one tested variable's value is obtained at dispatch
 /// time, or why it cannot be (the loud fallback cause).
 fn dim_info(
@@ -972,7 +955,7 @@ fn dim_info(
     vars: &[VarIr],
     regs: &[RegIr],
     written: Option<VarId>,
-) -> Result<DimInfo, String> {
+) -> Result<SelectorDim, String> {
     let var = &vars[tv.0 as usize];
     if !var.params.is_empty() {
         return Err(format!("condition tests parameterized variable `{}`", var.name));
@@ -982,23 +965,22 @@ fn dim_info(
     }
     let radix = 1usize << var.width;
     if let Some(cell) = var.mem_cell {
-        return Ok(DimInfo {
-            cell: Some(cell),
-            cache_segs: Vec::new(),
+        return Ok(SelectorDim {
+            segs: Vec::new(),
             input_segs: Vec::new(),
             input_mask: 0,
+            cell: Some(cell),
             radix,
         });
     }
     let w_segs: &[VarSeg] = written.map_or(&[], |w| &vars[w.0 as usize].segs[..]);
-    let mut cache_segs = Vec::new();
+    let mut segs = Vec::new();
     let mut input_segs = Vec::new();
     let mut input_mask = 0u64;
     for seg in &var.segs {
         let Some(slot) = fixed_slot(regs, seg) else {
             return Err(format!("tested variable `{}` has no fixed cache slot", var.name));
         };
-        let mut cmask = seg.seg.reg_mask();
         for ws in w_segs {
             if ws.reg != seg.reg || ws.seg.reg_mask() & seg.seg.reg_mask() == 0 {
                 continue;
@@ -1034,45 +1016,10 @@ fn dim_info(
                 var_lo: out_lo,
             });
             input_mask |= width_mask(hi - lo + 1) << out_lo;
-            cmask &= !(ws.seg.reg_mask() & seg.seg.reg_mask());
         }
-        cache_segs.push((slot, seg.seg, cmask));
+        segs.push((slot, seg.seg));
     }
-    Ok(DimInfo { cell: None, cache_segs, input_segs, input_mask, radix })
-}
-
-/// The guards pinning one dimension to the enumerated value `v`.
-fn dim_guards(dim: &DimInfo, v: u64, out: &mut Vec<PlanGuard>) {
-    if let Some(cell) = dim.cell {
-        out.push(PlanGuard { source: GuardSource::Cell(cell), mask: u64::MAX, expected: v });
-        return;
-    }
-    for &(slot, seg, cmask) in &dim.cache_segs {
-        if cmask != 0 {
-            out.push(PlanGuard {
-                source: GuardSource::Slot(slot),
-                mask: cmask,
-                expected: seg.insert(v) & cmask,
-            });
-        }
-    }
-    for seg in &dim.input_segs {
-        out.push(PlanGuard {
-            source: GuardSource::Input,
-            mask: seg.reg_mask(),
-            expected: seg.insert(v),
-        });
-    }
-}
-
-fn selector_dim(dim: &DimInfo) -> SelectorDim {
-    SelectorDim {
-        segs: dim.cache_segs.iter().map(|&(s, seg, _)| (s, seg)).collect(),
-        input_segs: dim.input_segs.clone(),
-        input_mask: dim.input_mask,
-        cell: dim.cell,
-        radix: dim.radix,
-    }
+    Ok(SelectorDim { segs, input_segs, input_mask, cell: None, radix })
 }
 
 /// Guard-splits and compiles one access: enumerates the raw-value
@@ -1132,26 +1079,16 @@ fn compile_guarded(
                 return Err(b.fail_reason.unwrap_or_else(|| "plan compilation bailed".into()));
             }
             max_depth = max_depth.max(b.max_depth);
-            let mut guards = Vec::new();
-            for (dim, &(_, v)) in dims.iter().zip(&assign) {
-                dim_guards(dim, v, &mut guards);
-            }
             let start = arena.len() as u32;
             arena.extend(b.steps);
-            variants.push(PlanVariant {
-                guards,
-                checks: b.checks,
-                start,
-                len: arena.len() as u32 - start,
-            });
+            variants.push(PlanVariant { checks: b.checks, start, len: arena.len() as u32 - start });
             // Mixed-radix increment, last dimension fastest.
             let mut i = assign.len();
             loop {
                 if i == 0 {
-                    let selector = dims.iter().map(selector_dim).collect();
                     return Ok(AccessPlan {
                         variants,
-                        selector,
+                        selector: dims,
                         max_depth,
                         ..AccessPlan::default()
                     });
@@ -1252,7 +1189,6 @@ pub(crate) fn compile_var_plans(
         let read = var.readable.then(|| {
             Arc::new(AccessPlan {
                 variants: vec![PlanVariant {
-                    guards: Vec::new(),
                     checks: Vec::new(),
                     start: arena.len() as u32,
                     len: 0,

@@ -5,8 +5,7 @@ use crate::compile::{gather_reg_compose, needs_check, set_cell};
 use crate::plan::decompose;
 use crate::{
     width_mask, AccessPlan, AccessStep, BlockBinding, BlockIneligible, DeviceIr, FieldSeg,
-    GuardSource, PlanGuard, PlanOffset, PlanSlot, PlanStep, PlanValue, PlanVariant, SelectorDim,
-    WriteCheck,
+    PlanOffset, PlanSlot, PlanStep, PlanValue, PlanVariant, SelectorDim, WriteCheck,
 };
 use devil_sema::model::{StructId, VarId};
 
@@ -53,10 +52,11 @@ pub enum FuseOp {
     },
 }
 
-/// One device transaction of a superplan variant's declared shape: what
-/// the fused body puts on the bus, in order. Property tests fold a
-/// shape through the harness port map and `hwsim::CostModel` to predict
-/// the exact ledger delta and sim-time advance of a fused dispatch.
+/// One device transaction of a variant's shape ([`DeviceIr::shape`]):
+/// what the variant's steps put on the bus, in order. Property tests
+/// fold a superplan variant's shape through the harness port map and
+/// `hwsim::CostModel` to predict the exact ledger delta and sim-time
+/// advance of a fused dispatch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShapeOp {
     /// Port index.
@@ -70,9 +70,8 @@ pub struct ShapeOp {
     pub block: bool,
 }
 
-/// A fused hot sequence: the stage prefix, one guard-selected
-/// straight-line body per tested-value combination, and the declared
-/// bus shape of each body.
+/// A fused hot sequence: the stage prefix and one guard-selected
+/// straight-line body per tested-value combination.
 ///
 /// Fusion is pure dispatch batching: a fused body issues the identical
 /// device-op stream the unfused op-by-op sequence would, so ledgers and
@@ -95,8 +94,6 @@ pub struct Superplan {
     pub outputs: usize,
     /// Required operand count (`1 +` the highest `Arg` index used).
     pub args: usize,
-    /// Per-variant bus shape, aligned with `plan.variants`.
-    pub shape: Vec<Vec<ShapeOp>>,
 }
 
 /// Fused variants larger than this abort fusion loudly.
@@ -110,9 +107,9 @@ struct FuseOpBody {
     /// The op's selector dims (absolute slots/cells, no remapping).
     dims: Vec<SelectorDim>,
     /// Materialized variants in the op's own mixed-radix order:
-    /// `(guards, checks, steps)` with `PlanValue::Input` rewritten to
-    /// the op's operand and read outputs assembled in place.
-    variants: Vec<(Vec<PlanGuard>, Vec<WriteCheck>, Vec<PlanStep>)>,
+    /// `(checks, steps)` with `PlanValue::Input` rewritten to the op's
+    /// operand and read outputs assembled in place.
+    variants: Vec<(Vec<WriteCheck>, Vec<PlanStep>)>,
 }
 
 impl DeviceIr {
@@ -230,10 +227,7 @@ impl DeviceIr {
                     }
                     let b = self.block_op(*var, false).map_err(|e| err(i, &e))?;
                     let step = PlanStep::BlockIn { port: b.port, offset: b.offset, size: b.size };
-                    FuseOpBody {
-                        dims: Vec::new(),
-                        variants: vec![(Vec::new(), Vec::new(), vec![step])],
-                    }
+                    FuseOpBody { dims: Vec::new(), variants: vec![(Vec::new(), vec![step])] }
                 }
                 FuseOp::WriteBlock { var } => {
                     block_out_ops += 1;
@@ -242,10 +236,7 @@ impl DeviceIr {
                     }
                     let b = self.block_op(*var, true).map_err(|e| err(i, &e))?;
                     let step = PlanStep::BlockOut { port: b.port, offset: b.offset, size: b.size };
-                    FuseOpBody {
-                        dims: Vec::new(),
-                        variants: vec![(Vec::new(), Vec::new(), vec![step])],
-                    }
+                    FuseOpBody { dims: Vec::new(), variants: vec![(Vec::new(), vec![step])] }
                 }
             };
             bodies.push(body);
@@ -261,7 +252,7 @@ impl DeviceIr {
         for k in 1..bodies.len() {
             for dim in &bodies[k].dims {
                 for earlier in &bodies[..k] {
-                    for (_, _, steps) in &earlier.variants {
+                    for (_, steps) in &earlier.variants {
                         for step in steps {
                             let clobbers = match step {
                                 PlanStep::SetCell { cell, .. } => Some(*cell) == dim.cell,
@@ -297,7 +288,6 @@ impl DeviceIr {
 
         let mut arena: Vec<PlanStep> = self.plan_arena.to_vec();
         let stage = PlanVariant {
-            guards: Vec::new(),
             checks: stage_checks,
             start: arena.len() as u32,
             len: stage_steps.len() as u32,
@@ -305,10 +295,8 @@ impl DeviceIr {
         arena.extend(stage_steps);
 
         let mut variants: Vec<PlanVariant> = Vec::with_capacity(total);
-        let mut shape: Vec<Vec<ShapeOp>> = Vec::with_capacity(total);
         for combo in 0..total {
             let values = decompose(&dims, combo);
-            let mut guards: Vec<PlanGuard> = Vec::new();
             let mut checks: Vec<WriteCheck> = Vec::new();
             let mut steps: Vec<PlanStep> = Vec::new();
             let mut dim_base = 0usize;
@@ -318,8 +306,7 @@ impl DeviceIr {
                         idx * dim.radix + values[dim_base + d] as usize
                     });
                 dim_base += body.dims.len();
-                let (g, c, s) = &body.variants[local];
-                guards.extend_from_slice(g);
+                let (c, s) = &body.variants[local];
                 checks.extend_from_slice(c);
                 steps.extend_from_slice(s);
             }
@@ -329,9 +316,7 @@ impl DeviceIr {
                     steps.len()
                 ));
             }
-            shape.push(steps.iter().filter_map(shape_of).collect());
             variants.push(PlanVariant {
-                guards,
                 checks,
                 start: arena.len() as u32,
                 len: steps.len() as u32,
@@ -356,7 +341,6 @@ impl DeviceIr {
             },
             outputs,
             args,
-            shape,
         });
         Ok(self.superplans.len() - 1)
     }
@@ -396,7 +380,9 @@ impl DeviceIr {
             // bit: `select_variant` clears `input_mask` out of the
             // assembled value before OR-ing the input segments in, so a
             // cell source or any cache bit outside the mask would make
-            // selection depend on device state too.
+            // selection depend on device state too. A pinned dim thus
+            // has only input guards, which hold for the constant by
+            // construction, and leaves the fused selector.
             let cache_bits = dim
                 .segs
                 .iter()
@@ -463,16 +449,7 @@ impl DeviceIr {
             if let (Some(out), Some(assemble)) = (out, &assemble) {
                 steps.push(PlanStep::Assemble { out, segs: assemble.clone() });
             }
-            // Input-sourced guards are exactly the statically-resolved
-            // ones: they hold for the pinned constant by construction,
-            // and the fused selector evaluates with no input.
-            let guards: Vec<PlanGuard> = v
-                .guards
-                .iter()
-                .filter(|g| !matches!(g.source, GuardSource::Input))
-                .copied()
-                .collect();
-            variants.push((guards, checks, steps));
+            variants.push((checks, steps));
         }
         Ok(FuseOpBody { dims, variants })
     }
@@ -535,8 +512,8 @@ fn materialize_step(step: &PlanStep, value: Option<PlanValue>) -> Result<PlanSte
     })
 }
 
-/// The declared-shape entry of one fused step, if it touches the bus.
-fn shape_of(step: &PlanStep) -> Option<ShapeOp> {
+/// The shape entry of one step, if it touches the bus.
+pub(crate) fn shape_of(step: &PlanStep) -> Option<ShapeOp> {
     match step {
         PlanStep::Read(a) => {
             Some(ShapeOp { port: a.port, size: a.size, write: false, block: false })

@@ -21,8 +21,11 @@
 //! * **guard-split variants**: conditional serialization orders
 //!   (`if (sngl == CASCADED) icw3`) are compiled by enumerating the raw
 //!   cache values of the tested variables and emitting one straight-line
-//!   variant per combination; a [`PlanGuard`] list selects the variant
-//!   from flat cache slots at run time,
+//!   variant per combination; at run time the tested values assemble
+//!   from flat cache slots (or cells, or the written input) and index
+//!   the variant table ([`AccessPlan::select_variant`]); each variant's
+//!   [`PlanGuard`] list is derived from that selector
+//!   ([`AccessPlan::guards`]),
 //! * **plan arena**: every variant's steps live in one contiguous
 //!   per-device `Vec<PlanStep>` ([`DeviceIr::plan_arena`]); a variant is
 //!   a `(start, len)` range into it, so dispatch is an index and
@@ -331,6 +334,13 @@ impl DeviceIr {
         &self.plan_arena[v.start as usize..(v.start + v.len) as usize]
     }
 
+    /// A variant's bus shape: one [`ShapeOp`] per step that touches the
+    /// bus, in step order. For a superplan variant this is the exact
+    /// transaction stream of a fused dispatch.
+    pub fn shape(&self, v: &PlanVariant) -> impl Iterator<Item = ShapeOp> + '_ {
+        self.variant_steps(v).iter().filter_map(fuse::shape_of)
+    }
+
     /// The concrete register owning a flat cache slot, or `None` for
     /// slots inside a family's indexed range. This is how the stub
     /// emitters name the cache field behind a [`PlanGuard`] or an
@@ -384,7 +394,6 @@ impl DeviceIr {
         }
     }
 
-    /// Every access lowering could not plan, with its cause.
     /// Whether any register a structure's order names (both branches of
     /// conditionals included) supports the direction. A structure none
     /// of whose registers can be read (written) rejects that access as
@@ -395,6 +404,7 @@ impl DeviceIr {
         order_usable(&self.regs, if write { &st.write_order } else { &st.read_order }, write)
     }
 
+    /// Every access lowering could not plan, with its cause.
     /// Fallbacks are loud: a spec whose concrete surface should be
     /// fully plan-backed can assert this list empty, and a capped shape
     /// (guard domain, step budget, recursion depth) names the cap it

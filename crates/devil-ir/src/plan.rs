@@ -493,17 +493,12 @@ impl PlanGuard {
 /// source its store uses (see [`PlanVariant::checks`]).
 pub type WriteCheck = (VarId, PlanValue);
 
-/// One straight-line version of a (possibly guard-split) plan: a
-/// conjunction of slot guards plus a step range in the device's
-/// [plan arena](crate::DeviceIr::plan_arena).
+/// One straight-line version of a (possibly guard-split) plan: a step
+/// range in the device's [plan arena](crate::DeviceIr::plan_arena).
+/// The guards selecting it are derived from the plan's selector
+/// ([`AccessPlan::guards`]).
 #[derive(Clone, Debug)]
 pub struct PlanVariant {
-    /// Guards selecting this variant; all must hold. Empty for the
-    /// single variant of an unconditional access. Selection does not
-    /// scan these — [`AccessPlan::select_variant`] indexes by the
-    /// assembled tested values — but they document each variant's
-    /// domain and back the debug cross-check.
-    pub guards: Vec<PlanGuard>,
     /// The paper's debug-mode write checks for this variant: every
     /// variable the variant writes — the accessed one and those written
     /// by folded actions, in execution order — with the value source
@@ -542,6 +537,38 @@ pub struct SelectorDim {
     pub cell: Option<usize>,
     /// `2^width` — the mixed-radix base of this dimension.
     pub radix: usize,
+}
+
+impl SelectorDim {
+    /// The guards pinning this dimension to the tested value `v`: a
+    /// whole-cell compare for a cell-tested dimension, else one masked
+    /// slot compare per cache segment (input-shadowed bits excluded,
+    /// fully shadowed segments skipped) followed by one input compare
+    /// per input segment.
+    pub fn guards(&self, v: u64) -> impl Iterator<Item = PlanGuard> + '_ {
+        let cell = self.cell.map(|c| PlanGuard {
+            source: GuardSource::Cell(c),
+            mask: u64::MAX,
+            expected: v,
+        });
+        // Selection clears `input_mask` out of the assembled value, so
+        // those value positions never read the cache; `insert` maps the
+        // remaining value positions back to register bits.
+        let slots = self.segs.iter().filter_map(move |&(slot, seg)| {
+            let mask = seg.insert(!self.input_mask);
+            (mask != 0).then(|| PlanGuard {
+                source: GuardSource::Slot(slot),
+                mask,
+                expected: seg.insert(v) & mask,
+            })
+        });
+        let input = self.input_segs.iter().map(move |seg| PlanGuard {
+            source: GuardSource::Input,
+            mask: seg.reg_mask(),
+            expected: seg.insert(v),
+        });
+        cell.into_iter().chain(slots).chain(input)
+    }
 }
 
 /// A precompiled access plan for one variable or structure direction.
@@ -598,31 +625,33 @@ impl AccessPlan {
         first..first + self.variants.len()
     }
 
-    /// Selects the variant matching the given cache/memory/input
-    /// state: the tested variables assemble from their sources and
-    /// index the mixed-radix variant table directly — O(tested
-    /// segments), never a scan over the variants, so a wide guard
-    /// domain costs no more to dispatch than a narrow one.
-    /// Unconditional plans return their single variant without touching
-    /// the cache. Selection is total over lowered IR: segment extracts
-    /// and masked cells stay below each dimension's radix, so `None`
-    /// only means a corrupted plan.
-    #[inline]
-    pub fn select_variant(
-        &self,
-        slots: &[u64],
-        slot_valid: &[bool],
-        mem: &[u64],
-        input: u64,
-    ) -> Option<&PlanVariant> {
-        self.select_variant_indexed(slots, slot_valid, mem, input).map(|(_, v)| v)
+    /// Variant `k`'s guards, all of which hold exactly when selection
+    /// picks `k`: each selector dimension's guards for its digit of `k`
+    /// (first dimension most significant), in dimension order. Empty
+    /// for an unconditional plan.
+    pub fn guards(&self, k: usize) -> impl Iterator<Item = PlanGuard> + '_ {
+        let places: usize = self.selector.iter().map(|d| d.radix).product();
+        self.selector
+            .iter()
+            .scan(places, move |place, dim| {
+                *place /= dim.radix;
+                Some(dim.guards((k / *place % dim.radix) as u64))
+            })
+            .flatten()
     }
 
-    /// [`AccessPlan::select_variant`] with the computed mixed-radix
-    /// variant index exposed: `first_point + index` is the dispatch
-    /// point the runtime counts.
+    /// Selects the variant matching the given cache/memory/input
+    /// state, with its mixed-radix index (`first_point + index` is the
+    /// dispatch point the runtime counts): the tested variables
+    /// assemble from their sources and index the variant table
+    /// directly — O(tested segments), never a scan over the variants,
+    /// so a wide guard domain costs no more to dispatch than a narrow
+    /// one. Unconditional plans return their single variant without
+    /// touching the cache. Selection is total over lowered IR: segment
+    /// extracts and masked cells stay below each dimension's radix, so
+    /// `None` only means a corrupted plan.
     #[inline]
-    pub fn select_variant_indexed(
+    pub fn select_variant(
         &self,
         slots: &[u64],
         slot_valid: &[bool],
@@ -657,7 +686,7 @@ impl AccessPlan {
         }
         let variant = self.variants.get(idx)?;
         debug_assert!(
-            variant.guards.iter().all(|g| g.holds(slots, slot_valid, mem, input)),
+            self.guards(idx).all(|g| g.holds(slots, slot_valid, mem, input)),
             "selector index and guard list disagree"
         );
         Some((idx, variant))

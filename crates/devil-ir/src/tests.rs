@@ -12,7 +12,7 @@ fn ir_for(src: &str) -> DeviceIr {
 /// The arena steps of a plan's only, unguarded variant.
 fn steps<'a>(ir: &'a DeviceIr, plan: &AccessPlan) -> &'a [PlanStep] {
     assert_eq!(plan.variants.len(), 1, "expected a straight-line plan");
-    assert!(plan.variants[0].guards.is_empty(), "expected an unguarded plan");
+    assert!(plan.guards(0).next().is_none(), "expected an unguarded plan");
     ir.variant_steps(&plan.variants[0])
 }
 
@@ -396,14 +396,14 @@ fn conditional_struct_writes_guard_split_into_variants() {
     // sngl == 0 (CASCADED): guard expects bit 0 clear, icw3 written.
     let cascaded = &wp.variants[0];
     assert_eq!(
-        cascaded.guards,
+        wp.guards(0).collect::<Vec<_>>(),
         vec![PlanGuard { source: GuardSource::Slot(icw1_slot), mask: 1, expected: 0 }]
     );
     assert_eq!(ir.variant_steps(cascaded).len(), 2, "icw1 + icw3");
     // sngl == 1 (SINGLE): icw3 skipped.
     let single = &wp.variants[1];
     assert_eq!(
-        single.guards,
+        wp.guards(1).collect::<Vec<_>>(),
         vec![PlanGuard { source: GuardSource::Slot(icw1_slot), mask: 1, expected: 1 }]
     );
     assert_eq!(ir.variant_steps(single).len(), 1, "icw1 only");
@@ -427,9 +427,9 @@ fn two_conditionals_enumerate_the_cross_product() {
     assert_eq!(sorted, [3, 4, 4, 5], "icw3/icw4 skipped per combination: {lens:?}");
     // Both guards test icw1's flat slot.
     let icw1_slot = ir.reg(ir.reg_id("icw1").unwrap()).slot.unwrap();
-    for v in &wp.variants {
-        assert_eq!(v.guards.len(), 2);
-        assert!(v.guards.iter().all(|g| g.source == GuardSource::Slot(icw1_slot)));
+    for k in 0..wp.variants.len() {
+        assert_eq!(wp.guards(k).count(), 2);
+        assert!(wp.guards(k).all(|g| g.source == GuardSource::Slot(icw1_slot)));
     }
     // The fully-populated variant (CASCADED + IC4) writes all five
     // registers in spec order.
@@ -452,13 +452,13 @@ fn two_conditionals_enumerate_the_cross_product() {
     for raw in 0u64..4 {
         slots[icw1_slot] = raw;
         valid[icw1_slot] = true;
-        let v = wp.select_variant(&slots, &valid, &mem, 0).expect("selection is total");
-        assert!(v.guards.iter().all(|g| g.holds(&slots, &valid, &mem, 0)), "raw {raw:#b}");
+        let (k, _) = wp.select_variant(&slots, &valid, &mem, 0).expect("selection is total");
+        assert!(wp.guards(k).all(|g| g.holds(&slots, &valid, &mem, 0)), "raw {raw:#b}");
     }
     // Uncached slots read as 0, exactly the reference interpreter's default:
     // sngl=CASCADED (icw3 written), ic4=NO (icw4 skipped).
     valid[icw1_slot] = false;
-    assert_eq!(wp.select_variant(&slots, &valid, &mem, 0).unwrap().len, 4);
+    assert_eq!(wp.select_variant(&slots, &valid, &mem, 0).unwrap().1.len, 4);
 }
 
 #[test]
@@ -535,7 +535,7 @@ fn nested_conditionals_on_unassigned_fields_join_the_outer_enumeration() {
     assert_eq!(v1.len(), 3);
     assert!(v1.iter().all(|s| !matches!(s, PlanStep::Store(..))));
     assert_eq!(
-        rp.variants[1].guards,
+        rp.guards(1).collect::<Vec<_>>(),
         vec![PlanGuard { source: GuardSource::Slot(a_slot), mask: 1, expected: 1 }]
     );
 }
@@ -559,7 +559,7 @@ fn self_written_tested_variables_guard_on_the_input() {
     assert_eq!(wp.selector.len(), 1);
     assert_eq!(wp.selector[0].input_mask, 1, "bit 0 comes from the input");
     assert_eq!(
-        wp.variants[1].guards,
+        wp.guards(1).collect::<Vec<_>>(),
         vec![PlanGuard { source: GuardSource::Input, mask: 1, expected: 1 }]
     );
     // w == 0: no flush, but the bit still lands in the cache.
@@ -596,7 +596,7 @@ fn nested_conditionals_testing_the_written_variable_guard_on_the_input() {
     assert_eq!(wp.variants.len(), 2);
     assert_eq!(wp.selector[0].input_mask, 1, "w's bit comes from the input");
     assert_eq!(
-        wp.variants[1].guards,
+        wp.guards(1).collect::<Vec<_>>(),
         vec![PlanGuard { source: GuardSource::Input, mask: 1, expected: 1 }]
     );
     // w == 0: w's own flush of a, then the action's struct flush
@@ -643,7 +643,7 @@ fn family_instances_do_not_alias_across_guards() {
     assert_eq!(wp.selector[0].input_mask, 0, "t's bit comes from the cache, not the input");
     let f0_slot = ir.reg(ir.reg_id("f").unwrap()).family_slots.as_ref().unwrap().base;
     assert_eq!(
-        wp.variants[1].guards,
+        wp.guards(1).collect::<Vec<_>>(),
         vec![PlanGuard { source: GuardSource::Slot(f0_slot), mask: 1, expected: 1 }]
     );
     // t == 0: no flush, w's bit stores cache-only into f(1)'s slot.
@@ -697,7 +697,7 @@ fn mem_cell_tested_variables_guard_on_the_cell() {
     assert_eq!(wp.variants.len(), 2);
     assert_eq!(wp.selector[0].cell, Some(0));
     assert_eq!(
-        wp.variants[1].guards,
+        wp.guards(1).collect::<Vec<_>>(),
         vec![PlanGuard { source: GuardSource::Cell(0), mask: u64::MAX, expected: 1 }]
     );
     // m == 0: only `a` flushes; `c`'s staged bit stores cache-only.

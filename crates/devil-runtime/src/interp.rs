@@ -15,8 +15,9 @@
 //!   from the cache (the `bm_get_mouse_state()` / `bm_get_dy()` split of
 //!   the paper's Figure 3),
 //! * conditional serializations (`if (sngl == CASCADED) icw3`) execute
-//!   guard-split plan variants: a [`devil_ir::PlanGuard`] list selects
-//!   the straight-line version from flat cache slots,
+//!   guard-split plan variants: the tested values, assembled from flat
+//!   cache slots, index the straight-line version
+//!   ([`devil_ir::AccessPlan::select_variant`]),
 //! * optional debug checks validate written values and read patterns.
 //!
 //! There is one execution path: every access selects a plan variant,
@@ -228,8 +229,8 @@ impl DeviceInstance {
     }
 
     /// The hit table folded by point kind: superplan points count as
-    /// `fused`, other unguarded variants as `straight`, guarded ones as
-    /// `guarded`.
+    /// `fused`, other plans' points as `straight` when the plan has no
+    /// selector and as `guarded` when it has one.
     pub fn plan_stats(&self) -> PlanStats {
         let mut stats = PlanStats::default();
         for (access, plan) in self.ir.accesses() {
@@ -238,12 +239,11 @@ impl DeviceInstance {
                 stats.fused += hits.iter().sum::<u64>();
                 continue;
             }
-            for (variant, &n) in plan.variants.iter().zip(hits) {
-                if variant.guards.is_empty() {
-                    stats.straight += n;
-                } else {
-                    stats.guarded += n;
-                }
+            let n = hits.iter().sum::<u64>();
+            if plan.selector.is_empty() {
+                stats.straight += n;
+            } else {
+                stats.guarded += n;
             }
         }
         stats
@@ -608,8 +608,7 @@ impl DeviceInstance {
             }
             exec_plan_steps(dev, slots, slot_valid, mem, ir.variant_steps(stage), args, input, io);
         }
-        let Some((idx, variant)) = plan.select_variant_indexed(slots, slot_valid, mem, input)
-        else {
+        let Some((idx, variant)) = plan.select_variant(slots, slot_valid, mem, input) else {
             return Err(RtError::Unplanned(ir.access_name(access)));
         };
         let cached = match access {

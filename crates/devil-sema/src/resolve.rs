@@ -140,6 +140,19 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
             }
             match &p.kind {
                 ast::ParamKind::Port { width, range } => {
+                    // Every port access moves one byte, word or dword:
+                    // the bus and the emitted `in`/`out` have no other
+                    // width.
+                    if !matches!(width, 8 | 16 | 32) {
+                        self.diags.error(
+                            ErrorCode::TWidthMismatch,
+                            format!(
+                                "port `{}` is {width} bits wide; a port access is 8, 16 or 32 bits",
+                                p.name.name
+                            ),
+                            p.span,
+                        );
+                    }
                     let offsets = normalize_set(range);
                     self.ports.push(PortDef {
                         name: p.name.name.clone(),
@@ -1621,6 +1634,25 @@ device mini (base : bit[8] port @ {0..1}) {
                }"#,
         );
         assert!(diags.has_code(ErrorCode::TWidthMismatch));
+    }
+
+    #[test]
+    fn error_port_width_outside_8_16_32() {
+        let (_, diags) = resolve_src(
+            r#"device w12 (base : bit[12] port @ {0..0}) {
+                 register r = base @ 0 : bit[12];
+                 variable v = r : int(12);
+               }"#,
+        );
+        assert!(diags.has_code(ErrorCode::TWidthMismatch));
+        for width in [8, 16, 32] {
+            resolve_ok(&format!(
+                "device d (base : bit[{width}] port @ {{0..0}}) {{
+                   register r = base @ 0 : bit[{width}];
+                   variable v = r : int({width});
+                 }}"
+            ));
+        }
     }
 
     #[test]

@@ -1,18 +1,15 @@
 //! Guard soundness: the variant table is the selector's mixed-radix
-//! enumeration, stored guards match the selector bit for bit, variant
-//! domains are pairwise disjoint, and selection is exhaustive over the
-//! reachable guard space.
+//! enumeration, variant domains are pairwise disjoint, and selection
+//! is exhaustive over the reachable guard space.
 //!
-//! The proof strategy leans on [`select_variant_indexed`]'s structure:
+//! The proof strategy leans on [`select_variant`]'s structure:
 //! selection never scans guards, it assembles each tested value and
-//! indexes the table. So soundness decomposes per dimension:
+//! indexes the table, and each variant's guards are derived from the
+//! same selector ([`AccessPlan::guards`]). So soundness decomposes per
+//! dimension:
 //!
 //! * the table must hold exactly `Π radix` variants, laid out in
 //!   mixed-radix order (first dimension most significant);
-//! * variant `i`'s stored guard list must equal the guards the selector
-//!   implies for `i`'s value decomposition — the same reconstruction
-//!   the compiler's `dim_guards` performs, re-derived here from the
-//!   public [`SelectorDim`] alone;
 //! * two variants are disjoint iff every dimension can *discriminate*
 //!   every pair of values it enumerates, i.e. every enumerated value
 //!   bit is observable through some guard (a cache segment bit outside
@@ -23,43 +20,11 @@
 //!   (the `store-mask` pass in [`crate::wf`] proves every cell store
 //!   masks exactly so), so a cell observes just the radix bits too.
 //!
-//! [`select_variant_indexed`]: devil_ir::AccessPlan::select_variant_indexed
+//! [`select_variant`]: devil_ir::AccessPlan::select_variant
+//! [`AccessPlan::guards`]: devil_ir::AccessPlan::guards
 
 use crate::{DiagClass, Diagnostic};
-use devil_ir::{AccessRef, DeviceIr, GuardSource, PlanGuard, SelectorDim};
-
-/// Reconstructs the guards pinning `dim` to the enumerated value `v`,
-/// mirroring the compiler's `dim_guards`: a whole-cell compare for
-/// cell-tested dims, else one masked slot compare per cache segment
-/// (input-shadowed bits excluded) followed by one input compare per
-/// input segment.
-pub fn dim_guards(dim: &SelectorDim, v: u64, out: &mut Vec<PlanGuard>) {
-    if let Some(cell) = dim.cell {
-        out.push(PlanGuard { source: GuardSource::Cell(cell), mask: u64::MAX, expected: v });
-        return;
-    }
-    for &(slot, seg) in &dim.segs {
-        // The cache-sourced mask is the segment's register bits minus
-        // the input shadow: selection clears `input_mask` out of the
-        // assembled value, so those value positions never read the
-        // cache. `insert` maps value positions back to register bits.
-        let cmask = seg.insert(!dim.input_mask);
-        if cmask != 0 {
-            out.push(PlanGuard {
-                source: GuardSource::Slot(slot),
-                mask: cmask,
-                expected: seg.insert(v) & cmask,
-            });
-        }
-    }
-    for seg in &dim.input_segs {
-        out.push(PlanGuard {
-            source: GuardSource::Input,
-            mask: seg.reg_mask(),
-            expected: seg.insert(v),
-        });
-    }
-}
+use devil_ir::{AccessRef, DeviceIr, SelectorDim};
 
 /// Decomposes a mixed-radix variant index into per-dimension values
 /// (first dimension most significant, matching selection's
@@ -108,11 +73,7 @@ pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) -> Vec<bool> {
         // Memory-cell serve: no selection at all — one trivially
         // guard-free variant documents the single dispatch point.
         if let Some(cell) = plan.cell {
-            if !plan.selector.is_empty()
-                || plan.variants.len() != 1
-                || !plan.variants[0].guards.is_empty()
-                || plan.variants[0].len != 0
-            {
+            if !plan.selector.is_empty() || plan.variants.len() != 1 || plan.variants[0].len != 0 {
                 diag(
                     DiagClass::SelectorMismatch,
                     format!(
@@ -178,33 +139,6 @@ pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) -> Vec<bool> {
                     format!(
                         "selector dim {d} enumerates value bits {blind:#x} no guard \
                          observes — variants differing only there have identical domains"
-                    ),
-                );
-                ok = false;
-            }
-        }
-        if !ok {
-            clean.push(false);
-            continue;
-        }
-
-        // Stored guards: bit-for-bit the selector's reconstruction.
-        let mut expect: Vec<PlanGuard> = Vec::new();
-        for (idx, variant) in plan.variants.iter().enumerate() {
-            expect.clear();
-            for (dim, &v) in plan.selector.iter().zip(&decompose(&plan.selector, idx)) {
-                dim_guards(dim, v, &mut expect);
-            }
-            if variant.guards != expect {
-                diag(
-                    DiagClass::SelectorMismatch,
-                    format!(
-                        "variant {idx} stores {} guard(s) where the selector implies {}: \
-                         stored {:?}, implied {:?}",
-                        variant.guards.len(),
-                        expect.len(),
-                        variant.guards,
-                        expect
                     ),
                 );
                 ok = false;

@@ -8,9 +8,8 @@
 //! per specification:
 //!
 //! * **guard soundness** ([`guards`]): every access's variant table is
-//!   exactly the mixed-radix enumeration its selector describes, the
-//!   stored [`devil_ir::PlanGuard`] lists match the selector bit for
-//!   bit, variant domains are pairwise disjoint, and selection is
+//!   exactly the mixed-radix enumeration its selector describes,
+//!   variant domains are pairwise disjoint, and selection is
 //!   exhaustive over the reachable guard space;
 //! * **dead variants** ([`reach`]): a whole-spec value-set analysis of
 //!   everything that can feed a tested slot or cell (device reads, API
@@ -46,10 +45,10 @@ use devil_ir::DeviceIr;
 /// least one deliberately-broken IR in the test suite proving it fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DiagClass {
-    /// The variant table, selector and stored guard lists disagree:
-    /// wrong variant count for the selector's mixed-radix space, or a
-    /// stored guard list that does not match the guards the selector
-    /// implies for that variant index.
+    /// The variant table and selector disagree: a variant count other
+    /// than the selector's mixed-radix space, a cell serve carrying a
+    /// selector or steps, or a dimension sourcing from an input the
+    /// access does not have.
     SelectorMismatch,
     /// Two variant guard domains intersect: a selector dimension cannot
     /// discriminate all value pairs it enumerates, so distinct variants
@@ -152,7 +151,7 @@ pub fn verify(ir: &DeviceIr) -> Report {
         })
         .collect();
     let guard_clean = guards::check(ir, &mut diagnostics);
-    // Dead-variant analysis interprets stored guard lists; skip accesses
+    // Dead-variant analysis interprets the derived guards; skip accesses
     // whose selector already mismatched (their guards are not trustworthy
     // provenance).
     reach::check(ir, &guard_clean, &mut diagnostics);
@@ -161,23 +160,6 @@ pub fn verify(ir: &DeviceIr) -> Report {
     Report { diagnostics, superplans_proven: proven, superplans_total: total }
 }
 
-/// The embedded spec library the CLI and CI gate run over: the 8
-/// shipped drivers plus the 5 synthetic formerly-fallback specs, each
-/// with its declared superplans installed — the exact rig set the
-/// fuzz targets and compiled oracles enumerate.
-pub fn spec_library() -> Vec<(String, DeviceIr)> {
-    drivers::specs::ALL
-        .iter()
-        .chain(devil_fuzz::synthetic::ALL)
-        .map(|(name, src)| {
-            let model = devil_sema::check_source(src, &[]).expect("embedded spec checks");
-            let mut ir = devil_ir::lower(&model);
-            if devil_fuzz::synthetic::ALL.iter().any(|(n, _)| n == name) {
-                devil_fuzz::superfuzz::install_synthetic(name, &mut ir);
-            } else {
-                drivers::superplans::install(&mut ir);
-            }
-            ((*name).to_string(), ir)
-        })
-        .collect()
-}
+/// The embedded spec library the CLI and CI gate run over (see
+/// [`devil_fuzz::spec_library`]).
+pub use devil_fuzz::spec_library;

@@ -61,12 +61,12 @@ fn render_access(ir: &DeviceIr, access: AccessRef, plan: &AccessPlan, out: &mut 
             writeln!(out, "  args {} outputs {} stage-steps {}", sp.args, sp.outputs, sp.stage.len);
     }
     for (idx, v) in plan.variants.iter().enumerate() {
-        let guards = v.guards.iter().map(|g| fmt_guard(ir, g)).collect::<Vec<_>>().join(" && ");
+        let guards = plan.guards(idx).map(|g| fmt_guard(ir, &g)).collect::<Vec<_>>().join(" && ");
         let guards = if guards.is_empty() { "always".to_string() } else { guards };
         let _ = write!(out, "  variant {idx}: steps {} when {guards}", v.len);
-        if let Some(sp) = superplan {
-            let shape = sp.shape[idx]
-                .iter()
+        if superplan.is_some() {
+            let shape = ir
+                .shape(v)
                 .map(|s| {
                     format!(
                         "{}{}p{}w{}",

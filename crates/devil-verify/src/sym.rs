@@ -468,7 +468,13 @@ fn store_var_bits(ir: &DeviceIr, st: &mut State, vid: VarId, v: &Word) -> Result
 }
 
 /// Compares the two runs; `None` means proven equal.
-fn compare(fused: &State, unfused: &State, sp: &Superplan, combo: usize) -> Option<String> {
+fn compare(
+    ir: &DeviceIr,
+    fused: &State,
+    unfused: &State,
+    sp: &Superplan,
+    combo: usize,
+) -> Option<String> {
     if fused.bus.len() != unfused.bus.len() {
         return Some(format!(
             "bus streams differ in length: fused {} vs unfused {}",
@@ -485,29 +491,25 @@ fn compare(fused: &State, unfused: &State, sp: &Superplan, combo: usize) -> Opti
             ));
         }
     }
-    // Declared shape: the property tests predict ledgers from it, so it
+    // Derived shape: the property tests predict ledgers from it, so it
     // must describe the proven stream too.
-    let shape = &sp.shape[combo];
-    let stream: Vec<devil_ir::ShapeOp> = fused
-        .bus
-        .iter()
-        .map(|op| match *op {
-            BusOp::Read { port, size, .. } => {
-                devil_ir::ShapeOp { port, size, write: false, block: false }
-            }
-            BusOp::Write { port, size, .. } => {
-                devil_ir::ShapeOp { port, size, write: true, block: false }
-            }
-            BusOp::BlockIn { port, size, .. } => {
-                devil_ir::ShapeOp { port, size, write: false, block: true }
-            }
-            BusOp::BlockOut { port, size, .. } => {
-                devil_ir::ShapeOp { port, size, write: true, block: true }
-            }
-        })
-        .collect();
-    if stream != *shape {
-        return Some("declared shape does not describe the proven bus stream".into());
+    let shape = ir.shape(&sp.plan.variants[combo]);
+    let stream = fused.bus.iter().map(|op| match *op {
+        BusOp::Read { port, size, .. } => {
+            devil_ir::ShapeOp { port, size, write: false, block: false }
+        }
+        BusOp::Write { port, size, .. } => {
+            devil_ir::ShapeOp { port, size, write: true, block: false }
+        }
+        BusOp::BlockIn { port, size, .. } => {
+            devil_ir::ShapeOp { port, size, write: false, block: true }
+        }
+        BusOp::BlockOut { port, size, .. } => {
+            devil_ir::ShapeOp { port, size, write: true, block: true }
+        }
+    });
+    if !stream.eq(shape) {
+        return Some("derived shape does not describe the proven bus stream".into());
     }
     if fused.outs.len() != sp.outputs || unfused.outs.len() != sp.outputs {
         return Some(format!(
@@ -557,7 +559,7 @@ pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) -> (usize, usize)
                         (0..sp.args).map(|a| atom_word(TermKind::Arg(a as u32), &env)).collect();
                     let fused = run_fused(ir, sp, &env, &args, combo)?;
                     let unfused = run_unfused(ir, sp, &env, &args)?;
-                    Ok(compare(&fused, &unfused, sp, combo))
+                    Ok(compare(ir, &fused, &unfused, sp, combo))
                 }
             });
             match outcome {

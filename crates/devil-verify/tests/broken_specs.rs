@@ -3,7 +3,7 @@
 //! proving every class actually fires on the defect it documents.
 //!
 //! The mutations edit the public IR the way a buggy compiler pass
-//! would — corrupted guard lists, cleared selector sourcing, orphaned
+//! would — an oversized variant table, cleared selector sourcing, orphaned
 //! owner maps, bit-flipped fused bodies — and each test asserts the
 //! expected class is present in the report (co-firing classes are
 //! legal: one defect often violates several properties at once).
@@ -36,29 +36,28 @@ fn assert_fires(name: &str, class: DiagClass, mutate: impl FnOnce(&mut DeviceIr)
     assert!(!report.clean(), "{name}: mutated IR must not verify clean");
 }
 
-/// A stored guard list that disagrees with the selector's implied
-/// reconstruction (a corrupted expected value).
+/// A variant table one longer than the selector's mixed-radix space:
+/// the extra variant has no guard expectation the selector can pin,
+/// so no state selects it.
 #[test]
 fn corrupted_guard_expectation_fires_selector_mismatch() {
     assert_fires("selfw", DiagClass::SelectorMismatch, |ir| {
         let wi = ir.vars.iter().position(|v| v.name == "w").unwrap();
         let plan = Arc::make_mut(ir.vars[wi].write_plan.as_mut().unwrap());
-        plan.variants[1].guards[0].expected ^= 1;
+        let extra = plan.variants[1].clone();
+        plan.variants.push(extra);
     });
 }
 
-/// A selector dimension with its cache sourcing stripped (and the
-/// stored guards consistently emptied): the enumerated bit becomes
-/// unobservable, so variants differing only there share their domains.
+/// A selector dimension with its cache sourcing stripped: the
+/// enumerated bit becomes unobservable (the derived guards are empty),
+/// so variants differing only there share their domains.
 #[test]
 fn unobservable_selector_bit_fires_guard_overlap() {
     assert_fires("nestede", DiagClass::GuardOverlap, |ir| {
         let si = ir.structs.iter().position(|s| s.name == "s").unwrap();
         let plan = Arc::make_mut(ir.structs[si].write_plan.as_mut().unwrap());
         plan.selector[0].segs.clear();
-        for v in &mut plan.variants {
-            v.guards.clear();
-        }
     });
 }
 

@@ -10,7 +10,7 @@
 use devil_fuzz::coverage::shipped_corpus;
 use devil_fuzz::superfuzz::decode_super;
 use devil_fuzz::{decode, run_op, Engine};
-use devil_ir::AccessRef;
+use devil_ir::{AccessRef, GuardSource};
 use devil_runtime::{DeviceInstance, FakeAccess};
 use devil_verify::manifest;
 
@@ -55,6 +55,48 @@ fn every_embedded_spec_verifies_clean() {
     }
     assert_eq!(specs, 13, "spec library changed size — update the sweep");
     assert_eq!((proven, total), (12, 12), "superplan proof totals drifted");
+}
+
+/// Selection and the derived guards describe the same partition: for
+/// every variant `k` of every plan and superplan, a state built to
+/// satisfy `guards(k)` (slot bits made valid, cells and input set,
+/// everything else zero or uncached) selects `k`, and every other
+/// variant has a guard that fails in it.
+#[test]
+fn selection_and_guards_agree_on_every_variant() {
+    let mut variants = 0usize;
+    for (name, ir) in devil_verify::spec_library() {
+        for (access, plan) in ir.accesses() {
+            for k in 0..plan.variants.len() {
+                let mut slots = vec![0u64; ir.cache_slots];
+                let mut valid = vec![false; ir.cache_slots];
+                let mut mem = vec![0u64; ir.mem_cells];
+                let mut input = 0u64;
+                for g in plan.guards(k) {
+                    match g.source {
+                        GuardSource::Slot(s) => {
+                            slots[s] = (slots[s] & !g.mask) | g.expected;
+                            valid[s] = true;
+                        }
+                        GuardSource::Cell(c) => mem[c] = (mem[c] & !g.mask) | g.expected,
+                        GuardSource::Input => input = (input & !g.mask) | g.expected,
+                    }
+                }
+                let holds = |j: usize| plan.guards(j).all(|g| g.holds(&slots, &valid, &mem, input));
+                assert!(holds(k), "{name} {access:?}: the witness of variant {k} fails its guards");
+                let selected = plan.select_variant(&slots, &valid, &mem, input).map(|(i, _)| i);
+                assert_eq!(selected, Some(k), "{name} {access:?}: witness of variant {k}");
+                for j in (0..plan.variants.len()).filter(|&j| j != k) {
+                    assert!(
+                        !holds(j),
+                        "{name} {access:?}: variant {j} also holds at {k}'s witness"
+                    );
+                }
+                variants += 1;
+            }
+        }
+    }
+    assert_eq!(variants, 166, "every dispatch point checked");
 }
 
 #[test]
