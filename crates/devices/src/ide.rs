@@ -114,6 +114,9 @@ pub struct IdeController {
     error: u8,
     multiple: u32,
     phase: Phase,
+    /// The PIO-in buffer of the last finished read, kept for the next
+    /// READ command so that steady-state reads do not allocate.
+    spare: Vec<u16>,
     cur_lba: u64,
     irq: IrqLine,
     // Busmaster.
@@ -139,6 +142,7 @@ impl IdeController {
             error: 0,
             multiple: 1,
             phase: Phase::Idle,
+            spare: Vec::new(),
             cur_lba: 0,
             irq,
             bm_cmd: 0,
@@ -220,7 +224,8 @@ impl IdeController {
                 // READ SECTORS interrupts every sector regardless of the
                 // multiple setting; READ MULTIPLE honours it.
                 let block = if op == cmd::READ_SECTORS { 1 } else { self.multiple };
-                self.phase = Phase::PioIn { sectors_left: n, block, buf: Vec::new(), pos: 0 };
+                let buf = std::mem::take(&mut self.spare);
+                self.phase = Phase::PioIn { sectors_left: n, block, buf, pos: 0 };
                 self.load_block();
             }
             cmd::WRITE_SECTORS => {
@@ -275,6 +280,7 @@ impl IdeController {
                     if *sectors_left > 0 {
                         need_reload = true;
                     } else {
+                        self.spare = std::mem::take(buf);
                         self.phase = Phase::Idle;
                         self.status = status::DRDY;
                     }

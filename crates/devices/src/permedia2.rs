@@ -64,6 +64,8 @@ pub struct Permedia2 {
     color: u32,
     copy_src: u32,
     fifo: VecDeque<(u64, u32)>,
+    /// The copy engine's staging buffer, kept between copies.
+    copy_buf: Vec<u32>,
     /// Simulated time at which the engine becomes idle.
     busy_until: f64,
     now: f64,
@@ -92,6 +94,7 @@ impl Permedia2 {
             color: 0,
             copy_src: 0,
             fifo: VecDeque::new(),
+            copy_buf: Vec::new(),
             busy_until: 0.0,
             now: 0.0,
             fill_ns_per_byte: 2.5,
@@ -172,19 +175,20 @@ impl Permedia2 {
     }
 
     fn copy(&mut self, sx: u32, sy: u32, dx: u32, dy: u32, w: u32, h: u32) {
-        // Copy via a temporary so overlapping regions behave.
-        let mut tmp = Vec::with_capacity((w * h) as usize);
+        // Copy via a staging buffer so overlapping regions behave.
+        self.copy_buf.clear();
         for yy in 0..h {
             for xx in 0..w {
                 let (px, py) = ((sx + xx).min(self.width - 1), (sy + yy).min(self.height - 1));
-                tmp.push(self.fb[(py * self.width + px) as usize]);
+                self.copy_buf.push(self.fb[(py * self.width + px) as usize]);
             }
         }
         for yy in 0..h {
             for xx in 0..w {
                 let (px, py) = (dx + xx, dy + yy);
                 if px < self.width && py < self.height {
-                    self.fb[(py * self.width + px) as usize] = tmp[(yy * w + xx) as usize];
+                    self.fb[(py * self.width + px) as usize] =
+                        self.copy_buf[(yy * w + xx) as usize];
                 }
             }
         }

@@ -30,6 +30,9 @@ const NE2K_BASE: u64 = 0x300;
 const PM2_BASE: u64 = 0xf000_0000;
 const DMA_BASE: u64 = 0x0;
 const CODEC_BASE: u64 = 0x534;
+/// The raw rigs' one-port bindings, lent to every unit's `PortMap`.
+const DMA_PORTS: [MappedPort; 1] = [MappedPort::io(DMA_BASE)];
+const CODEC_PORTS: [MappedPort; 1] = [MappedPort::io(CODEC_BASE)];
 
 /// Disk size of the per-instance IDE rigs. Small on purpose: a
 /// thousand instances must fit comfortably in memory.
@@ -460,7 +463,7 @@ impl FleetInstance {
             }
             Rig::DmaProgram { dev, ids } => {
                 let ch = rng.below(4) as usize;
-                let mut map = PortMap::new(bus, vec![MappedPort::io(DMA_BASE)]);
+                let mut map = PortMap::new(bus, &DMA_PORTS[..]);
                 // Mode: random high bits, channel select in bits 1..0.
                 let mode = (rng.next_u64() & 0xfc) | ch as u64;
                 dev.write_id(&mut map, ids.mode, &[], mode).unwrap();
@@ -488,7 +491,7 @@ impl FleetInstance {
                 };
                 let i = pick_plain(rng);
                 let j = pick_plain(rng);
-                let mut map = PortMap::new(bus, vec![MappedPort::io(CODEC_BASE)]);
+                let mut map = PortMap::new(bus, &CODEC_PORTS[..]);
                 dev.write_id(&mut map, ids.id, &[i], rng.below(256)).unwrap();
                 let _ = dev.read_id(&mut map, ids.id, &[j]).unwrap();
                 if rng.chance(1, 4) {

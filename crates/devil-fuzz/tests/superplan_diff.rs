@@ -303,7 +303,7 @@ fn fused_ledger_delta_matches_declared_shape() {
                 let mut block_in = vec![0u64; if has_in { len } else { 0 }];
                 let mut outs = vec![0u64; sp.outputs];
 
-                let mut pm = PortMap::new(&mut bus, ports.clone());
+                let mut pm = PortMap::new(&mut bus, &ports[..]);
                 let l0 = pm.bus().ledger();
                 let t0 = pm.bus().now_ns();
                 let st0 = inst.plan_stats();

@@ -7,6 +7,7 @@
 //! parameter to a physical base address and address space.
 
 use hwsim::{Bus, Width};
+use std::borrow::Cow;
 
 /// Low-level access to a device's ports.
 ///
@@ -57,26 +58,31 @@ pub struct MappedPort {
 
 impl MappedPort {
     /// A port-I/O binding at `base`.
-    pub fn io(base: u64) -> Self {
+    pub const fn io(base: u64) -> Self {
         MappedPort { base, space: Space::Io }
     }
 
     /// A memory-mapped binding at `base`.
-    pub fn mem(base: u64) -> Self {
+    pub const fn mem(base: u64) -> Self {
         MappedPort { base, space: Space::Mem }
     }
 }
 
 /// Adapts a [`hwsim::Bus`] to [`DeviceAccess`] given per-port bindings.
+///
+/// The bindings are owned or borrowed: a driver that keeps its
+/// `[MappedPort; N]` lends it to every call's map, so building the map
+/// allocates nothing.
 pub struct PortMap<'b> {
     bus: &'b mut Bus,
-    ports: Vec<MappedPort>,
+    ports: Cow<'b, [MappedPort]>,
 }
 
 impl<'b> PortMap<'b> {
-    /// Creates a map binding Devil port `i` to `ports[i]`.
-    pub fn new(bus: &'b mut Bus, ports: Vec<MappedPort>) -> Self {
-        PortMap { bus, ports }
+    /// Creates a map binding Devil port `i` to `ports[i]`; `ports` is a
+    /// `Vec` the map owns or a slice it borrows.
+    pub fn new(bus: &'b mut Bus, ports: impl Into<Cow<'b, [MappedPort]>>) -> Self {
+        PortMap { bus, ports: ports.into() }
     }
 
     /// The underlying bus (for measurements mid-session).
@@ -199,38 +205,57 @@ mod tests {
         }
     }
 
+    /// A map over `ports` in either form `PortMap::new` takes: an owned
+    /// `Vec` or a borrowed slice. Both must behave the same.
+    fn map<'b>(bus: &'b mut Bus, ports: &'b [MappedPort], owned: bool) -> PortMap<'b> {
+        if owned {
+            PortMap::new(bus, ports.to_vec())
+        } else {
+            PortMap::new(bus, ports)
+        }
+    }
+
     #[test]
     fn port_map_io_space() {
-        let mut bus = Bus::new(CostModel::default());
-        bus.attach_io(Box::new(Scratch([0; 4])), 0x23c, 4);
-        let mut map = PortMap::new(&mut bus, vec![MappedPort::io(0x23c)]);
-        map.write(0, 2, 8, 0x5a);
-        assert_eq!(map.read(0, 2, 8), 0x5a);
-        assert_eq!(bus.ledger().io_ops(), 2);
+        for owned in [true, false] {
+            let mut bus = Bus::new(CostModel::default());
+            bus.attach_io(Box::new(Scratch([0; 4])), 0x23c, 4);
+            let ports = [MappedPort::io(0x23c)];
+            let mut map = map(&mut bus, &ports, owned);
+            map.write(0, 2, 8, 0x5a);
+            assert_eq!(map.read(0, 2, 8), 0x5a);
+            assert_eq!(bus.ledger().io_ops(), 2);
+        }
     }
 
     #[test]
     fn port_map_mem_space_scales_offsets() {
-        let mut bus = Bus::new(CostModel::default());
-        bus.attach_mem(Box::new(Scratch([0; 4])), 0x8000, 4);
-        let mut map = PortMap::new(&mut bus, vec![MappedPort::mem(0x8000)]);
-        // 8-bit port: offset 3 = byte 3.
-        map.write(0, 3, 8, 0x77);
-        assert_eq!(map.read(0, 3, 8), 0x77);
-        assert_eq!(bus.ledger().mmio_ops(), 2);
+        for owned in [true, false] {
+            let mut bus = Bus::new(CostModel::default());
+            bus.attach_mem(Box::new(Scratch([0; 4])), 0x8000, 4);
+            let ports = [MappedPort::mem(0x8000)];
+            let mut map = map(&mut bus, &ports, owned);
+            // 8-bit port: offset 3 = byte 3.
+            map.write(0, 3, 8, 0x77);
+            assert_eq!(map.read(0, 3, 8), 0x77);
+            assert_eq!(bus.ledger().mmio_ops(), 2);
+        }
     }
 
     #[test]
     fn port_map_block_uses_string_ops() {
-        let mut bus = Bus::new(CostModel::default());
-        bus.attach_io(Box::new(Scratch([9; 4])), 0x1f0, 4);
-        let mut map = PortMap::new(&mut bus, vec![MappedPort::io(0x1f0)]);
-        let mut buf = [0u64; 16];
-        map.read_block(0, 0, 8, &mut buf);
-        assert!(buf.iter().all(|&v| v == 9));
-        let l = bus.ledger();
-        assert_eq!(l.block_in_words, 16);
-        assert_eq!(l.io_ops(), 0);
+        for owned in [true, false] {
+            let mut bus = Bus::new(CostModel::default());
+            bus.attach_io(Box::new(Scratch([9; 4])), 0x1f0, 4);
+            let ports = [MappedPort::io(0x1f0)];
+            let mut map = map(&mut bus, &ports, owned);
+            let mut buf = [0u64; 16];
+            map.read_block(0, 0, 8, &mut buf);
+            assert!(buf.iter().all(|&v| v == 9));
+            let l = bus.ledger();
+            assert_eq!(l.block_in_words, 16);
+            assert_eq!(l.io_ops(), 0);
+        }
     }
 
     #[test]

@@ -70,8 +70,9 @@ impl HandBusmouse {
 /// once at construction, so the sample hot loop runs the precompiled
 /// struct plan with zero name lookups.
 pub struct DevilBusmouse {
-    base: u64,
     dev: DeviceInstance,
+    /// The one Devil port, at I/O base.
+    ports: [MappedPort; 1],
     mouse_state: devil_sema::model::StructId,
     dx: devil_sema::model::VarId,
     dy: devil_sema::model::VarId,
@@ -92,7 +93,7 @@ impl DevilBusmouse {
         let dx = ir.var_id("dx").expect("spec exports dx");
         let dy = ir.var_id("dy").expect("spec exports dy");
         let buttons = ir.var_id("buttons").expect("spec exports buttons");
-        DevilBusmouse { base, dev, mouse_state, dx, dy, buttons }
+        DevilBusmouse { dev, ports: [MappedPort::io(base)], mouse_state, dx, dy, buttons }
     }
 
     /// Enables debug-mode run-time checks.
@@ -110,20 +111,16 @@ impl DevilBusmouse {
         &self.dev
     }
 
-    fn ports<'b>(&self, bus: &'b mut Bus) -> PortMap<'b> {
-        PortMap::new(bus, vec![MappedPort::io(self.base)])
-    }
-
     /// Probes the signature register via the `signature` variable.
     pub fn signature(&mut self, bus: &mut Bus) -> u8 {
-        let mut map = self.ports(bus);
+        let mut map = PortMap::new(bus, &self.ports[..]);
         self.dev.read(&mut map, "signature").expect("signature is readable") as u8
     }
 
     /// Enables or disables motion interrupts via the `interrupt`
     /// variable's enumerated values.
     pub fn set_irq(&mut self, bus: &mut Bus, enable: bool) {
-        let mut map = self.ports(bus);
+        let mut map = PortMap::new(bus, &self.ports[..]);
         let sym = if enable { "ENABLE" } else { "DISABLE" };
         self.dev.write_sym(&mut map, "interrupt", sym).expect("interrupt is writable");
     }
@@ -133,7 +130,7 @@ impl DevilBusmouse {
     /// the 4 index writes and 4 data reads as straight-line steps; the
     /// getters assemble from flat cache slots.
     pub fn read_state(&mut self, bus: &mut Bus) -> MouseState {
-        let mut map = self.ports(bus);
+        let mut map = PortMap::new(bus, &self.ports[..]);
         self.dev.read_struct_id(&mut map, self.mouse_state).expect("mouse_state readable");
         let dx = self.dev.get_field_signed_id(self.dx).unwrap() as i8;
         let dy = self.dev.get_field_signed_id(self.dy).unwrap() as i8;

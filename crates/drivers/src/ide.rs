@@ -58,6 +58,9 @@ impl HandIde {
         bus.outb(self.base + reg::COMMAND, op);
 
         let mut out = Vec::with_capacity(count as usize * SECTOR_SIZE);
+        // One block buffer for every interrupt, as a C driver's stack
+        // array would be.
+        let mut buf = Vec::new();
         let mut remaining = count;
         while remaining > 0 {
             // One status read per interrupt: acknowledges and checks DRQ.
@@ -75,9 +78,9 @@ impl HandIde {
                         }
                     }
                     PioMove::Block => {
-                        let mut buf = vec![0u64; words];
+                        buf.resize(words, 0);
                         bus.ins(self.base + reg::DATA, hwsim::Width::W32, &mut buf);
-                        for v in buf {
+                        for &v in &buf {
                             out.extend_from_slice(&(v as u32).to_le_bytes());
                         }
                     }
@@ -92,9 +95,9 @@ impl HandIde {
                         }
                     }
                     PioMove::Block => {
-                        let mut buf = vec![0u64; words];
+                        buf.resize(words, 0);
                         bus.ins(self.base + reg::DATA, hwsim::Width::W16, &mut buf);
-                        for v in buf {
+                        for &v in &buf {
                             out.extend_from_slice(&(v as u16).to_le_bytes());
                         }
                     }
@@ -144,9 +147,15 @@ impl HandIde {
 /// The Devil-based driver: every device interaction goes through
 /// compiled-specification stubs.
 pub struct DevilIde {
-    base: u64,
     ide: DeviceInstance,
     bm: DeviceInstance,
+    /// Devil ports of `ide`: data (16-bit), data32 (32-bit view), cmd
+    /// block, all on the same physical base.
+    ide_ports: [MappedPort; 3],
+    /// Devil ports of `bm`: both on the busmaster block at base + 8.
+    bm_ports: [MappedPort; 2],
+    /// The data words of one interrupt's block move, kept across calls.
+    words: Vec<u64>,
     /// Resolved-once id of the 16-bit data variable (the per-word PIO
     /// loop is the driver's hottest path).
     data16: devil_sema::model::VarId,
@@ -198,9 +207,11 @@ impl DevilIde {
         let sp_pio16 = ide.ir().superplan_id("pio_irq16").expect("ide ships pio_irq16");
         let sp_pio32 = ide.ir().superplan_id("pio_irq32").expect("ide ships pio_irq32");
         DevilIde {
-            base,
             ide,
             bm,
+            ide_ports: [MappedPort::io(base); 3],
+            bm_ports: [MappedPort::io(base + 8); 2],
+            words: Vec::new(),
             data16,
             data32,
             drq,
@@ -239,29 +250,16 @@ impl DevilIde {
         (&self.ide, &self.bm)
     }
 
-    fn ide_ports<'b>(&self, bus: &'b mut Bus) -> PortMap<'b> {
-        // Devil ports: data (16-bit), data32 (32-bit view), cmd block.
-        // All map onto the same physical base.
-        PortMap::new(
-            bus,
-            vec![MappedPort::io(self.base), MappedPort::io(self.base), MappedPort::io(self.base)],
-        )
-    }
-
-    fn bm_ports<'b>(&self, bus: &'b mut Bus) -> PortMap<'b> {
-        PortMap::new(bus, vec![MappedPort::io(self.base + 8), MappedPort::io(self.base + 8)])
-    }
-
     /// Programs the multiple-sector mode via stubs.
     pub fn set_multiple(&mut self, bus: &mut Bus, sectors: u32) {
-        let mut map = self.ide_ports(bus);
+        let mut map = PortMap::new(bus, &self.ide_ports[..]);
         self.ide.write(&mut map, "sector_count", sectors as u64).unwrap();
         self.ide.write_sym(&mut map, "command", "SET_MULTIPLE").unwrap();
         self.ide.read(&mut map, "bsy").unwrap();
     }
 
     fn issue_read(&mut self, bus: &mut Bus, lba: u32, count: u32, op: &str) {
-        let mut map = self.ide_ports(bus);
+        let mut map = PortMap::new(bus, &self.ide_ports[..]);
         // Readiness check costs two stub reads (bsy, drdy) where the
         // hand driver reads the status byte once, and the interface
         // sets `features` explicitly — the paper's "3 additional I/O
@@ -290,7 +288,7 @@ impl DevilIde {
                 // Per interrupt: three separate status-variable stubs
                 // (the paper's "+2 per interrupt" over the hand driver's
                 // single status read), each via its precompiled plan.
-                let mut map = self.ide_ports(bus);
+                let mut map = PortMap::new(bus, &self.ide_ports[..]);
                 let drq = self.ide.read_id(&mut map, self.drq, &[]).unwrap();
                 assert_eq!(drq, 1, "device must expose data");
                 let err = self.ide.read_id(&mut map, self.err, &[]).unwrap();
@@ -299,7 +297,7 @@ impl DevilIde {
             }
             let block = remaining.min(cfg.sectors_per_irq);
             let bytes = block as usize * SECTOR_SIZE;
-            let mut map = self.ide_ports(bus);
+            let mut map = PortMap::new(bus, &self.ide_ports[..]);
             if cfg.io32 {
                 let words = bytes / 4;
                 match cfg.moves {
@@ -310,9 +308,9 @@ impl DevilIde {
                         }
                     }
                     PioMove::Block => {
-                        let mut buf = vec![0u64; words];
-                        self.ide.read_block(&mut map, "Ide_data32", &mut buf).unwrap();
-                        for v in buf {
+                        self.words.resize(words, 0);
+                        self.ide.read_block(&mut map, "Ide_data32", &mut self.words).unwrap();
+                        for &v in &self.words {
                             out.extend_from_slice(&(v as u32).to_le_bytes());
                         }
                     }
@@ -327,9 +325,9 @@ impl DevilIde {
                         }
                     }
                     PioMove::Block => {
-                        let mut buf = vec![0u64; words];
-                        self.ide.read_block(&mut map, "Ide_data", &mut buf).unwrap();
-                        for v in buf {
+                        self.words.resize(words, 0);
+                        self.ide.read_block(&mut map, "Ide_data", &mut self.words).unwrap();
+                        for &v in &self.words {
                             out.extend_from_slice(&(v as u16).to_le_bytes());
                         }
                     }
@@ -356,28 +354,26 @@ impl DevilIde {
         let op = if cfg.sectors_per_irq > 1 { "READ_MULTIPLE" } else { "READ_SECTORS" };
         self.issue_read(bus, lba, count, op);
         let mut out = Vec::with_capacity(count as usize * SECTOR_SIZE);
-        let mut buf: Vec<u64> = Vec::new();
-        let mut map = self.ide_ports(bus);
+        let mut map = PortMap::new(bus, &self.ide_ports[..]);
         let mut remaining = count;
         while remaining > 0 {
             let block = remaining.min(cfg.sectors_per_irq);
             let bytes = block as usize * SECTOR_SIZE;
             let (sid, words) =
                 if cfg.io32 { (self.sp_pio32, bytes / 4) } else { (self.sp_pio16, bytes / 2) };
-            buf.clear();
-            buf.resize(words, 0);
+            self.words.resize(words, 0);
             let mut status = [0u64; 3];
             self.ide
-                .run_superplan(&mut map, sid, &[], &[], &mut buf, &mut status)
+                .run_superplan(&mut map, sid, &[], &[], &mut self.words, &mut status)
                 .expect("fused PIO interrupt body");
             assert_eq!(status[0], 1, "device must expose data");
             assert_eq!(status[1], 0, "device reported an error");
             if cfg.io32 {
-                for &v in &buf {
+                for &v in &self.words {
                     out.extend_from_slice(&(v as u32).to_le_bytes());
                 }
             } else {
-                for &v in &buf {
+                for &v in &self.words {
                     out.extend_from_slice(&(v as u16).to_le_bytes());
                 }
             }
@@ -397,14 +393,14 @@ impl DevilIde {
     ) -> Vec<u8> {
         self.issue_read(bus, lba, count, "READ_DMA");
         {
-            let mut map = self.bm_ports(bus);
+            let mut map = PortMap::new(bus, &self.bm_ports[..]);
             self.bm.write_id(&mut map, self.prd_addr, &[], prd as u64).unwrap();
             self.bm.write_id(&mut map, self.bm_dir, &[], self.bm_to_memory).unwrap();
             self.bm.write_id(&mut map, self.bm_start, &[], 1).unwrap();
         }
         loop {
             let done = {
-                let mut map = self.bm_ports(bus);
+                let mut map = PortMap::new(bus, &self.bm_ports[..]);
                 self.bm.read_id(&mut map, self.bm_intr, &[]).unwrap() == 1
             };
             if done {
@@ -413,10 +409,10 @@ impl DevilIde {
             bus.idle(1_000.0);
         }
         {
-            let mut map = self.ide_ports(bus);
+            let mut map = PortMap::new(bus, &self.ide_ports[..]);
             self.ide.read_id(&mut map, self.bsy, &[]).unwrap(); // ack device irq
         }
-        let mut map = self.bm_ports(bus);
+        let mut map = PortMap::new(bus, &self.bm_ports[..]);
         self.bm.write_id(&mut map, self.bm_intr, &[], 1).unwrap(); // W1C
         self.bm.write_id(&mut map, self.bm_start, &[], 0).unwrap();
         let mut out = vec![0u8; count as usize * SECTOR_SIZE];

@@ -74,8 +74,13 @@ impl HandNe2000 {
 
 /// The Devil-based NE2000 driver.
 pub struct DevilNe2000 {
-    base: u64,
     dev: DeviceInstance,
+    /// Port 0: the byte registers at base; port 1: the 16-bit data
+    /// window. The spec addresses the window at offset 16, so the
+    /// physical base is the same.
+    ports: [MappedPort; 2],
+    /// A frame's remote-DMA data words, kept across calls.
+    words: Vec<u64>,
     /// Resolved-once superplan id of the fused transmit body (remote
     /// DMA setup, `outs` burst, transmit kick).
     sp_tx: usize,
@@ -91,7 +96,7 @@ impl DevilNe2000 {
     /// fleet-spawning path, where one shared IR backs many drivers.
     pub fn with_instance(base: u64, dev: DeviceInstance) -> Self {
         let sp_tx = dev.ir().superplan_id("tx").expect("ne2000 ships tx");
-        DevilNe2000 { base, dev, sp_tx }
+        DevilNe2000 { dev, ports: [MappedPort::io(base); 2], words: Vec::new(), sp_tx }
     }
 
     /// Plan-dispatch counters of the underlying interpreter.
@@ -104,16 +109,9 @@ impl DevilNe2000 {
         &self.dev
     }
 
-    fn ports<'b>(&self, bus: &'b mut Bus) -> PortMap<'b> {
-        // Port 0: the byte registers at base; port 1: the 16-bit data
-        // window. The spec addresses the window at offset 16, so the
-        // physical base is the same.
-        PortMap::new(bus, vec![MappedPort::io(self.base), MappedPort::io(self.base)])
-    }
-
     /// Starts the NIC with a standard ring configuration.
     pub fn start(&mut self, bus: &mut Bus) {
-        let mut map = self.ports(bus);
+        let mut map = PortMap::new(bus, &self.ports[..]);
         self.dev.write(&mut map, "pstart", 0x46).unwrap();
         self.dev.write(&mut map, "pstop", 0x80).unwrap();
         self.dev.write(&mut map, "bnry", 0x46).unwrap();
@@ -122,7 +120,7 @@ impl DevilNe2000 {
     }
 
     fn remote_setup(&mut self, bus: &mut Bus, addr: u16, len: u16, write: bool) {
-        let mut map = self.ports(bus);
+        let mut map = PortMap::new(bus, &self.ports[..]);
         self.dev.write(&mut map, "rsar", addr as u64).unwrap();
         self.dev.write(&mut map, "rbcr", len as u64).unwrap();
         let op = if write { "RWRITE" } else { "RREAD" };
@@ -132,12 +130,9 @@ impl DevilNe2000 {
     /// Transmits a frame.
     pub fn send(&mut self, bus: &mut Bus, frame: &[u8]) {
         self.remote_setup(bus, 0x4000, frame.len() as u16, true);
-        let words: Vec<u64> = frame
-            .chunks(2)
-            .map(|c| c[0] as u64 | ((c.get(1).copied().unwrap_or(0) as u64) << 8))
-            .collect();
-        let mut map = self.ports(bus);
-        self.dev.write_block(&mut map, "remote_data", &words).unwrap();
+        self.load_words(frame);
+        let mut map = PortMap::new(bus, &self.ports[..]);
+        self.dev.write_block(&mut map, "remote_data", &self.words).unwrap();
         self.dev.write(&mut map, "rdc", 1).unwrap(); // W1C ack
         self.dev.write(&mut map, "tpsr", 0x40).unwrap();
         self.dev.write(&mut map, "tbcr", frame.len() as u64).unwrap();
@@ -149,41 +144,46 @@ impl DevilNe2000 {
     /// evaluation and one `outs` block transaction. The op stream is
     /// identical, so device state and ledgers match bit for bit.
     pub fn send_fused(&mut self, bus: &mut Bus, frame: &[u8]) {
-        let words: Vec<u64> = frame
-            .chunks(2)
-            .map(|c| c[0] as u64 | ((c.get(1).copied().unwrap_or(0) as u64) << 8))
-            .collect();
+        self.load_words(frame);
         let args = [0x4000u64, frame.len() as u64, frame.len() as u64];
-        let mut map = self.ports(bus);
+        let mut map = PortMap::new(bus, &self.ports[..]);
         self.dev
-            .run_superplan(&mut map, self.sp_tx, &args, &words, &mut [], &mut [])
+            .run_superplan(&mut map, self.sp_tx, &args, &self.words, &mut [], &mut [])
             .expect("fused transmit body");
+    }
+
+    /// Packs `frame` into little-endian 16-bit data words in `words`.
+    fn load_words(&mut self, frame: &[u8]) {
+        self.words.clear();
+        self.words.extend(
+            frame.chunks(2).map(|c| c[0] as u64 | ((c.get(1).copied().unwrap_or(0) as u64) << 8)),
+        );
     }
 
     /// Receives the next pending frame, if any.
     pub fn recv(&mut self, bus: &mut Bus) -> Option<Vec<u8>> {
         let pending = {
-            let mut map = self.ports(bus);
+            let mut map = PortMap::new(bus, &self.ports[..]);
             self.dev.read(&mut map, "prx").unwrap() == 1
         };
         if !pending {
             return None;
         }
         let page = {
-            let mut map = self.ports(bus);
+            let mut map = PortMap::new(bus, &self.ports[..]);
             self.dev.read(&mut map, "bnry").unwrap() as u16
         };
         self.remote_setup(bus, page << 8, 4, false);
         let mut hdr = [0u64; 2];
         {
-            let mut map = self.ports(bus);
+            let mut map = PortMap::new(bus, &self.ports[..]);
             self.dev.read_block(&mut map, "remote_data", &mut hdr).unwrap();
         }
         let next = (hdr[0] >> 8) as u8;
         let total = (hdr[1] as u16).saturating_sub(4);
         self.remote_setup(bus, (page << 8) + 4, total, false);
         let mut words = vec![0u64; total.div_ceil(2) as usize];
-        let mut map = self.ports(bus);
+        let mut map = PortMap::new(bus, &self.ports[..]);
         self.dev.read_block(&mut map, "remote_data", &mut words).unwrap();
         let mut frame: Vec<u8> = words.iter().flat_map(|w| [*w as u8, (*w >> 8) as u8]).collect();
         frame.truncate(total as usize);

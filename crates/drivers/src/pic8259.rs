@@ -84,8 +84,9 @@ impl HandPic8259 {
 /// Structure and field ids are resolved once at construction, so the
 /// init flush runs the guard-split plan with zero name lookups.
 pub struct DevilPic8259 {
-    base: u64,
     dev: DeviceInstance,
+    /// The one Devil port, at I/O base.
+    ports: [MappedPort; 1],
     init: StructId,
     ic4: VarId,
     sngl: VarId,
@@ -115,7 +116,7 @@ impl DevilPic8259 {
         let ir = dev.ir();
         let field = |name: &str| ir.var_id(name).expect("pic8259 spec exports its init fields");
         DevilPic8259 {
-            base,
+            ports: [MappedPort::io(base)],
             init: ir.struct_id("init").expect("spec exports init"),
             ic4: field("ic4"),
             sngl: field("sngl"),
@@ -165,7 +166,7 @@ impl DevilPic8259 {
         d.set_field_id(self.aeoi, cfg.auto_eoi as u64).unwrap();
         d.set_field_id(self.microprocessor, cfg.x86 as u64).unwrap();
         d.set_field_id(self.irq_mask, cfg.irq_mask as u64).unwrap();
-        let mut map = PortMap::new(bus, vec![MappedPort::io(self.base)]);
+        let mut map = PortMap::new(bus, &self.ports[..]);
         d.write_struct_id(&mut map, self.init).expect("init flush");
     }
 
@@ -175,7 +176,7 @@ impl DevilPic8259 {
     /// selection. The op stream is identical, so device state and
     /// ledgers match bit for bit.
     pub fn init_fused(&mut self, bus: &mut Bus, cfg: PicConfig) {
-        let mut map = PortMap::new(bus, vec![MappedPort::io(self.base)]);
+        let mut map = PortMap::new(bus, &self.ports[..]);
         self.dev
             .run_superplan(&mut map, self.sp_init, &icw_args(cfg), &[], &mut [], &mut [])
             .expect("fused init flush");
@@ -184,7 +185,7 @@ impl DevilPic8259 {
     /// Reads back the interrupt mask register (raw port read; the spec
     /// models OCW1 as write-only, matching the init automaton).
     pub fn irq_mask(&mut self, bus: &mut Bus) -> u8 {
-        bus.inb(self.base + 1)
+        bus.inb(self.ports[0].base + 1)
     }
 }
 

@@ -159,9 +159,10 @@ impl HandPm2 {
 
 /// The Devil-based accelerated driver.
 pub struct DevilPm2 {
-    base: u64,
     depth: Depth,
     dev: DeviceInstance,
+    /// The one Devil port: the register window, memory-mapped at base.
+    ports: [MappedPort; 1],
     /// Resolved-once id of the `fifo_space` poll variable: the wait
     /// loop is the driver's hottest path, so the name lookup is hoisted
     /// out of it.
@@ -191,9 +192,9 @@ impl DevilPm2 {
         let (sp_fill24, sp_fill_setup, sp_fill_finish) =
             (sp("fill24_burst"), sp("fill_std_setup"), sp("fill_std_finish"));
         DevilPm2 {
-            base,
             depth,
             dev,
+            ports: [MappedPort::mem(base)],
             fifo_space,
             wait_iterations: 0,
             wait_loops: 0,
@@ -213,15 +214,11 @@ impl DevilPm2 {
         &self.dev
     }
 
-    fn ports<'b>(&self, bus: &'b mut Bus) -> PortMap<'b> {
-        PortMap::new(bus, vec![MappedPort::mem(self.base)])
-    }
-
     /// Programs the pixel depth via the `depth` enum variable.
     pub fn set_depth(&mut self, bus: &mut Bus) {
         self.wait_fifo(bus, 1);
         let sym = self.depth.sym();
-        let mut map = self.ports(bus);
+        let mut map = PortMap::new(bus, &self.ports[..]);
         self.dev.write_sym(&mut map, "depth", sym).unwrap();
     }
 
@@ -229,7 +226,7 @@ impl DevilPm2 {
         self.wait_loops += 1;
         loop {
             self.wait_iterations += 1;
-            let mut map = self.ports(bus);
+            let mut map = PortMap::new(bus, &self.ports[..]);
             let free = self.dev.read_id(&mut map, self.fifo_space, &[]).unwrap();
             if free >= need {
                 return;
@@ -246,7 +243,7 @@ impl DevilPm2 {
             // stub interface factors the raster defaults the hand
             // driver re-programs.
             self.wait_fifo(bus, 9);
-            let mut map = self.ports(bus);
+            let mut map = PortMap::new(bus, &self.ports[..]);
             self.dev.write(&mut map, "logical_op", 0x3).unwrap();
             self.dev.write(&mut map, "write_mask", 0).unwrap();
             self.dev.write(&mut map, "span_mode", 0).unwrap();
@@ -258,12 +255,12 @@ impl DevilPm2 {
             self.dev.write(&mut map, "fill_color", color as u64).unwrap();
             drop(map);
             self.wait_fifo(bus, 1);
-            let mut map = self.ports(bus);
+            let mut map = PortMap::new(bus, &self.ports[..]);
             self.dev.write_sym(&mut map, "render_op", "FILL").unwrap();
             return;
         }
         self.wait_fifo(bus, 10);
-        let mut map = self.ports(bus);
+        let mut map = PortMap::new(bus, &self.ports[..]);
         self.dev.write(&mut map, "logical_op", 0x3).unwrap();
         self.dev.write(&mut map, "write_mask", 0xffff_ffff).unwrap();
         self.dev.write(&mut map, "span_mode", 0x3).unwrap();
@@ -276,7 +273,7 @@ impl DevilPm2 {
         self.dev.write(&mut map, "rect_h", h as u64).unwrap();
         drop(map);
         self.wait_fifo(bus, 6);
-        let mut map = self.ports(bus);
+        let mut map = PortMap::new(bus, &self.ports[..]);
         self.dev.write(&mut map, "fill_color", color as u64).unwrap();
         self.dev.write(&mut map, "logical_op", 0).unwrap();
         self.dev.write(&mut map, "write_mask", 0).unwrap();
@@ -285,7 +282,7 @@ impl DevilPm2 {
         self.dev.write(&mut map, "span_mode", 1).unwrap();
         drop(map);
         self.wait_fifo(bus, 1);
-        let mut map = self.ports(bus);
+        let mut map = PortMap::new(bus, &self.ports[..]);
         self.dev.write_sym(&mut map, "render_op", "FILL").unwrap();
     }
 
@@ -299,31 +296,31 @@ impl DevilPm2 {
         if self.depth == Depth::Bpp24 {
             self.wait_fifo(bus, 9);
             let args = [x as u64, y as u64, w as u64, h as u64, color as u64];
-            let mut map = self.ports(bus);
+            let mut map = PortMap::new(bus, &self.ports[..]);
             self.dev
                 .run_superplan(&mut map, self.sp_fill24, &args, &[], &mut [], &mut [])
                 .expect("fused 24bpp fill burst");
             drop(map);
             self.wait_fifo(bus, 1);
-            let mut map = self.ports(bus);
+            let mut map = PortMap::new(bus, &self.ports[..]);
             self.dev.write_sym(&mut map, "render_op", "FILL").unwrap();
             return;
         }
         self.wait_fifo(bus, 10);
         let args = [x as u64, y as u64, w as u64, h as u64];
-        let mut map = self.ports(bus);
+        let mut map = PortMap::new(bus, &self.ports[..]);
         self.dev
             .run_superplan(&mut map, self.sp_fill_setup, &args, &[], &mut [], &mut [])
             .expect("fused fill setup burst");
         drop(map);
         self.wait_fifo(bus, 6);
-        let mut map = self.ports(bus);
+        let mut map = PortMap::new(bus, &self.ports[..]);
         self.dev
             .run_superplan(&mut map, self.sp_fill_finish, &[color as u64], &[], &mut [], &mut [])
             .expect("fused fill finish burst");
         drop(map);
         self.wait_fifo(bus, 1);
-        let mut map = self.ports(bus);
+        let mut map = PortMap::new(bus, &self.ports[..]);
         self.dev.write_sym(&mut map, "render_op", "FILL").unwrap();
     }
 
@@ -333,7 +330,7 @@ impl DevilPm2 {
     pub fn copy_rect(&mut self, bus: &mut Bus, sx: u32, sy: u32, dx: u32, dy: u32, w: u32, h: u32) {
         if self.depth == Depth::Bpp24 || self.depth == Depth::Bpp32 {
             self.wait_fifo(bus, 8);
-            let mut map = self.ports(bus);
+            let mut map = PortMap::new(bus, &self.ports[..]);
             self.dev.write(&mut map, "logical_op", 0x3).unwrap();
             self.dev.write(&mut map, "write_mask", 0).unwrap();
             self.dev.write(&mut map, "src_x", sx as u64).unwrap();
@@ -344,12 +341,12 @@ impl DevilPm2 {
             self.dev.write(&mut map, "rect_h", h as u64).unwrap();
             drop(map);
             self.wait_fifo(bus, 1);
-            let mut map = self.ports(bus);
+            let mut map = PortMap::new(bus, &self.ports[..]);
             self.dev.write_sym(&mut map, "render_op", "COPY").unwrap();
             return;
         }
         self.wait_fifo(bus, 10);
-        let mut map = self.ports(bus);
+        let mut map = PortMap::new(bus, &self.ports[..]);
         self.dev.write(&mut map, "logical_op", 0x3).unwrap();
         self.dev.write(&mut map, "write_mask", 0x3).unwrap();
         self.dev.write(&mut map, "span_mode", 0x3).unwrap();
@@ -362,7 +359,7 @@ impl DevilPm2 {
         self.dev.write(&mut map, "rect_h", h as u64).unwrap();
         drop(map);
         self.wait_fifo(bus, 6);
-        let mut map = self.ports(bus);
+        let mut map = PortMap::new(bus, &self.ports[..]);
         self.dev.write(&mut map, "write_mask", 0).unwrap();
         self.dev.write(&mut map, "span_mode", 0).unwrap();
         self.dev.write(&mut map, "logical_op", 1).unwrap();
@@ -371,7 +368,7 @@ impl DevilPm2 {
         self.dev.write(&mut map, "logical_op", 2).unwrap();
         drop(map);
         self.wait_fifo(bus, 1);
-        let mut map = self.ports(bus);
+        let mut map = PortMap::new(bus, &self.ports[..]);
         self.dev.write_sym(&mut map, "render_op", "COPY").unwrap();
     }
 }
