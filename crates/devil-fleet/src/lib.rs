@@ -225,6 +225,11 @@ fn run_shard(cfg: &FleetConfig, irs: &SharedIrs, shard: usize) -> ShardResult {
     let mut clock_ns = 0u64;
     let mut units = 0u64;
     let mut checkpoints = 0u64;
+    // The instances that ran a unit since the last checkpoint: only
+    // they have ledger deltas and trace entries to drain, so a
+    // checkpoint costs what changed, not the shard's size.
+    let mut ran: Vec<usize> = Vec::new();
+    let mut dirty = vec![false; insts.len()];
 
     while let Some(Reverse((arrival, idx))) = heap.pop() {
         let inst = &mut insts[idx];
@@ -237,18 +242,24 @@ fn run_shard(cfg: &FleetConfig, irs: &SharedIrs, shard: usize) -> ShardResult {
             let gap = inst.next_gap_ns(cfg.arrival_mean_ns);
             heap.push(Reverse((arrival + gap, idx)));
         }
+        if !dirty[idx] {
+            dirty[idx] = true;
+            ran.push(idx);
+        }
         if cfg.checkpoint_every_units > 0 && units.is_multiple_of(cfg.checkpoint_every_units) {
-            for inst in &mut insts {
-                ledger.merge(&inst.drain_checkpoint());
-                forest.append_segment(inst.id() as u64, &inst.drain_trace_segment());
+            for idx in ran.drain(..) {
+                dirty[idx] = false;
+                ledger.merge(&insts[idx].drain_checkpoint());
+                insts[idx].drain_trace_into(&mut forest);
             }
             checkpoints += 1;
         }
     }
-    // Final checkpoint: whatever accumulated since the last merge.
+    // Final checkpoint: every instance, so each gets a tree, and the
+    // traffic of any that never ran (spawn-time setup) is drained too.
     for inst in &mut insts {
         ledger.merge(&inst.drain_checkpoint());
-        forest.append_segment(inst.id() as u64, &inst.drain_trace_segment());
+        inst.drain_trace_into(&mut forest);
     }
     checkpoints += 1;
 

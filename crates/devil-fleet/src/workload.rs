@@ -386,6 +386,13 @@ impl FleetInstance {
         self.bus.drain_trace_segment().expect("fleet buses always trace")
     }
 
+    /// Drains the authenticated trace accumulated since the last
+    /// checkpoint straight into this instance's tree of `forest`
+    /// ([`hwsim::Bus::drain_trace_into`]).
+    pub fn drain_trace_into(&mut self, forest: &mut hwsim::MmrForest) {
+        self.bus.drain_trace_into(forest, u64::from(self.id)).expect("fleet buses always trace");
+    }
+
     /// Runs one workload unit, drawing its parameters from the
     /// instance's stream. Kinds with a shipped superplan (ICW storms,
     /// PIO reads, NIC transmits, fill rectangles) flip per unit between

@@ -3,6 +3,7 @@
 
 use devices::ne2000::{cr, isr, p0};
 use devil_runtime::{DeviceInstance, MappedPort, PortMap};
+use devil_sema::model::VarId;
 use hwsim::Bus;
 
 /// The hand-crafted NE2000 driver.
@@ -84,6 +85,11 @@ pub struct DevilNe2000 {
     /// Resolved-once superplan id of the fused transmit body (remote
     /// DMA setup, `outs` burst, transmit kick).
     sp_tx: usize,
+    /// Resolved-once ids of the receive path's variables.
+    prx: VarId,
+    bnry: VarId,
+    rdc: VarId,
+    remote_data: VarId,
 }
 
 impl DevilNe2000 {
@@ -96,7 +102,18 @@ impl DevilNe2000 {
     /// fleet-spawning path, where one shared IR backs many drivers.
     pub fn with_instance(base: u64, dev: DeviceInstance) -> Self {
         let sp_tx = dev.ir().superplan_id("tx").expect("ne2000 ships tx");
-        DevilNe2000 { dev, ports: [MappedPort::io(base); 2], words: Vec::new(), sp_tx }
+        let v = |name: &str| dev.var_id(name).expect("ne2000 spec exports its receive variables");
+        let (prx, bnry, rdc, remote_data) = (v("prx"), v("bnry"), v("rdc"), v("remote_data"));
+        DevilNe2000 {
+            dev,
+            ports: [MappedPort::io(base); 2],
+            words: Vec::new(),
+            sp_tx,
+            prx,
+            bnry,
+            rdc,
+            remote_data,
+        }
     }
 
     /// Plan-dispatch counters of the underlying interpreter.
@@ -160,36 +177,39 @@ impl DevilNe2000 {
         );
     }
 
-    /// Receives the next pending frame, if any.
+    /// Receives the next pending frame, if any. The data words land in
+    /// the kept word buffer; only the returned frame is allocated.
     pub fn recv(&mut self, bus: &mut Bus) -> Option<Vec<u8>> {
         let pending = {
             let mut map = PortMap::new(bus, &self.ports[..]);
-            self.dev.read(&mut map, "prx").unwrap() == 1
+            self.dev.read_id(&mut map, self.prx, &[]).unwrap() == 1
         };
         if !pending {
             return None;
         }
         let page = {
             let mut map = PortMap::new(bus, &self.ports[..]);
-            self.dev.read(&mut map, "bnry").unwrap() as u16
+            self.dev.read_id(&mut map, self.bnry, &[]).unwrap() as u16
         };
         self.remote_setup(bus, page << 8, 4, false);
         let mut hdr = [0u64; 2];
         {
             let mut map = PortMap::new(bus, &self.ports[..]);
-            self.dev.read_block(&mut map, "remote_data", &mut hdr).unwrap();
+            self.dev.read_block_id(&mut map, self.remote_data, &mut hdr).unwrap();
         }
         let next = (hdr[0] >> 8) as u8;
         let total = (hdr[1] as u16).saturating_sub(4);
         self.remote_setup(bus, (page << 8) + 4, total, false);
-        let mut words = vec![0u64; total.div_ceil(2) as usize];
+        self.words.clear();
+        self.words.resize(total.div_ceil(2) as usize, 0);
         let mut map = PortMap::new(bus, &self.ports[..]);
-        self.dev.read_block(&mut map, "remote_data", &mut words).unwrap();
-        let mut frame: Vec<u8> = words.iter().flat_map(|w| [*w as u8, (*w >> 8) as u8]).collect();
+        self.dev.read_block_id(&mut map, self.remote_data, &mut self.words).unwrap();
+        let mut frame: Vec<u8> =
+            self.words.iter().flat_map(|w| [*w as u8, (*w >> 8) as u8]).collect();
         frame.truncate(total as usize);
-        self.dev.write(&mut map, "bnry", next as u64).unwrap();
-        self.dev.write(&mut map, "prx", 1).unwrap();
-        self.dev.write(&mut map, "rdc", 1).unwrap();
+        self.dev.write_id(&mut map, self.bnry, &[], next as u64).unwrap();
+        self.dev.write_id(&mut map, self.prx, &[], 1).unwrap();
+        self.dev.write_id(&mut map, self.rdc, &[], 1).unwrap();
         Some(frame)
     }
 }

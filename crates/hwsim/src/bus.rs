@@ -9,7 +9,7 @@
 use crate::clock::{CostModel, SimClock};
 use crate::device::Device;
 use crate::ledger::Ledger;
-use crate::mmr::{self, Hash, MmrLog, Segment};
+use crate::mmr::{self, Hash, MmrForest, MmrLog, Segment};
 use crate::width::Width;
 
 /// An address-range claim registered by a device.
@@ -172,9 +172,10 @@ impl Bus {
     /// Turns on the authenticated trace: from now on every bus
     /// transaction bump-appends one fixed-size entry into an
     /// [`MmrLog`]; hashing is deferred to fold points (watermark,
-    /// [`Bus::trace_root`], [`Bus::drain_trace_segment`]), never
-    /// per-op. `retain` keeps leaf/node hashes for bisection and
-    /// segment replay; `false` streams in O(peaks) memory.
+    /// [`Bus::trace_root`], [`Bus::drain_trace_into`],
+    /// [`Bus::drain_trace_segment`]), never per-op. `retain` keeps
+    /// leaf/node hashes for bisection and drains; `false` streams in
+    /// O(peaks) memory.
     pub fn enable_trace(&mut self, retain: bool) {
         let mut log = MmrLog::new(retain);
         // One entry is 26 bytes; size the arena for a full batch.
@@ -198,11 +199,10 @@ impl Bus {
     }
 
     /// Takes the trace accumulated since the last drain as a
-    /// [`Segment`] of leaf hashes, leaving the trace empty — the
-    /// checkpoint-drain hook: a fleet shard appends drained segments
-    /// into its per-instance forest, keeping retained memory bounded by
-    /// the drain cadence. The segment carries no internal nodes; each
-    /// leaf and node is hashed once, the nodes in the forest's tree.
+    /// [`Segment`] of leaf hashes, leaving the trace empty. The segment
+    /// carries no internal nodes: the tree it is appended to hashes
+    /// each parent once. [`Bus::drain_trace_into`] drains the same
+    /// leaves without the segment in between.
     ///
     /// # Panics
     ///
@@ -210,6 +210,25 @@ impl Bus {
     /// streaming trace may already have folded leaves into peaks.
     pub fn drain_trace_segment(&mut self) -> Option<Segment> {
         self.trace.as_deref_mut().map(MmrLog::take_segment)
+    }
+
+    /// Drains the trace accumulated since the last drain into source
+    /// `id`'s tree of `forest`, leaving the trace empty, and returns the
+    /// number of leaves drained — the checkpoint-drain hook: a fleet
+    /// shard drains each instance's trace into its per-instance forest,
+    /// keeping retained memory bounded by the drain cadence. Entries
+    /// and parents are hashed through the forest's digest memo
+    /// ([`MmrForest::drain_log`]), so a distinct entry is hashed once
+    /// per forest while it stays in the memo; the tree's root is the
+    /// one [`Bus::drain_trace_segment`] plus [`MmrForest::append_segment`]
+    /// would give. `None` when tracing is off.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace was enabled with `enable_trace(false)`, as
+    /// [`Bus::drain_trace_segment`] does.
+    pub fn drain_trace_into(&mut self, forest: &mut MmrForest, id: u64) -> Option<u64> {
+        self.trace.as_deref_mut().map(|log| forest.drain_log(id, log))
     }
 
     #[inline]
@@ -722,21 +741,31 @@ mod tests {
         whole.attach_io(Box::new(Scratch::new()), 0x300, 8);
         whole.enable_trace(false);
 
-        let mut drained = Bus::default();
-        drained.attach_io(Box::new(Scratch::new()), 0x300, 8);
-        drained.enable_trace(true); // segments must retain leaves
+        // One bus drains segments, the other drains into a forest.
+        let [mut drained, mut into] = [(); 2].map(|()| {
+            let mut bus = Bus::default();
+            bus.attach_io(Box::new(Scratch::new()), 0x300, 8);
+            bus.enable_trace(true); // drains must retain leaves
+            bus
+        });
         let mut acc = crate::mmr::Mmr::streaming();
+        let mut forest = MmrForest::new(false);
 
         for round in 0..5 {
             exercise(&mut whole);
             exercise(&mut drained);
+            exercise(&mut into);
             if round % 2 == 0 {
                 acc.append(&drained.drain_trace_segment().unwrap());
+                into.drain_trace_into(&mut forest, 7).unwrap();
             }
         }
         acc.append(&drained.drain_trace_segment().unwrap());
+        into.drain_trace_into(&mut forest, 7).unwrap();
         assert_eq!(acc.root(), whole.trace_root().unwrap());
+        assert_eq!(forest.tree(7).unwrap().root(), acc.root());
         assert_eq!(drained.trace().unwrap().len(), 0);
+        assert_eq!(into.trace().unwrap().len(), 0);
     }
 
     #[test]

@@ -30,12 +30,20 @@
 //!   array; supports [`bisect_divergence`]) or *streaming* mode (keeps
 //!   only the peaks stack — O(log N) memory for million-op replays).
 //! * [`MmrLog`] / [`Segment`] / [`MmrForest`] — deferred-batch leaf
-//!   ingestion for the hot bus path; the checkpoint drain
-//!   ([`MmrLog::take_segment`]), which hands over the drained entries
-//!   as a [`Segment`] of leaf hashes with no internal node, peak or node
-//!   array; and the per-source forest that fleet shards append segments
-//!   to and merge at checkpoints. Each leaf and each internal node is
-//!   hashed once, in the tree that keeps it.
+//!   ingestion for the hot bus path; the checkpoint drains, which hand
+//!   over every leaf appended since the last one; and the per-source
+//!   forest that fleet shards drain into and merge at checkpoints.
+//!   [`MmrForest::drain_log`] hashes the drained entries straight into
+//!   the source's tree; [`MmrLog::take_segment`] hands them over as a
+//!   [`Segment`] of leaf hashes (no internal node, peak or node array)
+//!   for [`Mmr::append`] or [`MmrForest::append_segment`]. Both walk
+//!   the same leaves.
+//! * the digest memo — each forest keeps a bounded, direct-mapped memo
+//!   of the leaf and parent digests its drains computed. Bus traces
+//!   repeat a few entries (index writes, status polls) over and over,
+//!   so a drain hashes each distinct entry and each distinct child pair
+//!   once per forest, while it stays in the memo. A hit compares the
+//!   full key, so the memo returns exactly the digest it replaces.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -322,10 +330,26 @@ impl Mmr {
         &self.peaks
     }
 
+    /// An empty accumulator, retained or streaming.
+    fn new(retain: bool) -> Self {
+        if retain {
+            Self::retained()
+        } else {
+            Self::streaming()
+        }
+    }
+
     /// Appends one leaf hash: push a height-0 peak, then merge
     /// equal-height neighbours like binary-increment carries. O(1)
     /// amortized, zero rotations; the node array only ever grows.
     pub fn push_leaf(&mut self, h: Hash) {
+        self.push_leaf_with(h, parent_hash);
+    }
+
+    /// [`Mmr::push_leaf`], with each parent digest taken from `parent`,
+    /// which must return what `parent_hash` would (the forest's digest
+    /// memo does).
+    fn push_leaf_with(&mut self, h: Hash, mut parent: impl FnMut(&Hash, &Hash) -> Hash) {
         if let Some(nodes) = &mut self.nodes {
             nodes.push(h);
         }
@@ -336,7 +360,7 @@ impl Mmr {
             if lh != rh {
                 break;
             }
-            let parent = parent_hash(&left, &right);
+            let parent = parent(&left, &right);
             self.peaks.pop();
             self.peaks.pop();
             if let Some(nodes) = &mut self.nodes {
@@ -524,7 +548,7 @@ impl MmrLog {
     /// An empty log; `retain` chooses the accumulator mode.
     pub fn new(retain: bool) -> Self {
         MmrLog {
-            mmr: if retain { Mmr::retained() } else { Mmr::streaming() },
+            mmr: Mmr::new(retain),
             pending: Vec::new(),
             bounds: Vec::new(),
             watermark_entries: WATERMARK_ENTRIES,
@@ -555,8 +579,8 @@ impl MmrLog {
     /// arena (keeping its capacity).
     pub fn fold(&mut self) {
         self.mmr.reserve(self.bounds.len());
-        for h in pending_leaves(&self.pending, &self.bounds) {
-            self.mmr.push_leaf(h);
+        for entry in pending_entries(&self.pending, &self.bounds) {
+            self.mmr.push_leaf(leaf_hash(entry));
         }
         self.pending.clear();
         self.bounds.clear();
@@ -602,6 +626,8 @@ impl MmrLog {
     /// a watermark fold already put into the log's tree. No internal
     /// node is built here: the tree the segment is appended to hashes
     /// each parent once. An empty drain allocates nothing.
+    /// [`MmrForest::drain_log`] hands over the same leaves without the
+    /// segment in between.
     ///
     /// # Panics
     ///
@@ -609,18 +635,35 @@ impl MmrLog {
     /// `Bus::enable_trace(false)`): its watermark folds keep only
     /// peaks, so the leaves a drain must hand over may already be gone.
     pub fn take_segment(&mut self) -> Segment {
+        let mut leaves = Vec::with_capacity(self.len() as usize);
+        self.drain(|leaf| {
+            leaves.push(match leaf {
+                Leaf::Hashed(h) => h,
+                Leaf::Entry(entry) => leaf_hash(entry),
+            });
+        });
+        Segment(leaves)
+    }
+
+    /// The drain walk: hands `sink` every leaf appended since the last
+    /// drain, in order, and leaves the log empty. The leaves a
+    /// watermark fold already kept come hashed; pending entries come
+    /// raw, for the caller to hash.
+    fn drain(&mut self, mut sink: impl FnMut(Leaf<'_>)) {
         assert!(
             self.mmr.is_retained(),
             "cannot drain a streaming trace log: its watermark folds drop leaves; \
              trace with Bus::enable_trace(true) (MmrLog::new(true)) to drain segments"
         );
-        let mut leaves = Vec::with_capacity(self.len() as usize);
-        leaves.extend(self.mmr.leaf_hashes());
+        for h in self.mmr.leaf_hashes() {
+            sink(Leaf::Hashed(h));
+        }
         self.mmr = Mmr::retained();
-        leaves.extend(pending_leaves(&self.pending, &self.bounds));
+        for entry in pending_entries(&self.pending, &self.bounds) {
+            sink(Leaf::Entry(entry));
+        }
         self.pending.clear();
         self.bounds.clear();
-        Segment(leaves)
     }
 
     /// Bytes retained (accumulator + pending arena capacities).
@@ -635,10 +678,17 @@ impl Default for MmrLog {
     }
 }
 
-/// Leaf hashes of the pending entries whose end offsets are `bounds`.
-fn pending_leaves<'a>(pending: &'a [u8], bounds: &'a [u32]) -> impl Iterator<Item = Hash> + 'a {
+/// The pending entries whose end offsets are `bounds`.
+fn pending_entries<'a>(pending: &'a [u8], bounds: &'a [u32]) -> impl Iterator<Item = &'a [u8]> {
     let starts = std::iter::once(0).chain(bounds.iter().copied());
-    starts.zip(bounds).map(|(start, &end)| leaf_hash(&pending[start as usize..end as usize]))
+    starts.zip(bounds).map(|(start, &end)| &pending[start as usize..end as usize])
+}
+
+/// One leaf of a drain: a digest a watermark fold already computed, or
+/// a pending entry still to hash.
+enum Leaf<'a> {
+    Hashed(Hash),
+    Entry(&'a [u8]),
 }
 
 /// A drained trace segment: the leaf hashes of the entries a log took
@@ -656,6 +706,108 @@ impl Segment {
     }
 }
 
+// ---- the digest memo ----
+
+/// Longest entry the leaf memo keys; longer entries are hashed every
+/// time. A bus trace entry is 26 bytes.
+const MEMO_KEY_BYTES: usize = 32;
+/// Slots per memo table (powers of two): about 165 KB per forest.
+const MEMO_LEAF_SLOTS: usize = 1024;
+const MEMO_PARENT_SLOTS: usize = 1024;
+
+/// A memoized leaf digest: `digest == leaf_hash(&key[..len])`.
+#[derive(Clone, Copy)]
+struct LeafSlot {
+    len: u8,
+    key: [u8; MEMO_KEY_BYTES],
+    digest: Hash,
+}
+
+/// A memoized parent digest: `digest == parent_hash(&left, &right)`.
+#[derive(Clone, Copy)]
+struct ParentSlot {
+    left: Hash,
+    right: Hash,
+    digest: Hash,
+}
+
+/// A direct-mapped memo of leaf and parent digests. A key maps to one
+/// slot; a miss computes the digest and overwrites the slot. Each table
+/// is allocated on first use, with every slot holding the true digest
+/// of an all-zero key, so a slot never needs a validity flag: a hit
+/// compares the full key and returns exactly what the hash would.
+#[derive(Clone, Default)]
+struct HashMemo {
+    leaves: Vec<LeafSlot>,
+    parents: Vec<ParentSlot>,
+}
+
+impl HashMemo {
+    /// `leaf_hash(entry)`, computed once per distinct entry while it
+    /// stays in the memo.
+    fn leaf(&mut self, entry: &[u8]) -> Hash {
+        if entry.len() > MEMO_KEY_BYTES {
+            return leaf_hash(entry);
+        }
+        if self.leaves.is_empty() {
+            let empty = LeafSlot { len: 0, key: [0; MEMO_KEY_BYTES], digest: leaf_hash(&[]) };
+            self.leaves = vec![empty; MEMO_LEAF_SLOTS];
+        }
+        let h = entry.chunks(8).fold(entry.len() as u64, |h, c| mix(h, word(c)));
+        let slot = &mut self.leaves[slot_of(h, MEMO_LEAF_SLOTS)];
+        if usize::from(slot.len) != entry.len() || slot.key[..entry.len()] != *entry {
+            slot.len = entry.len() as u8;
+            slot.key[..entry.len()].copy_from_slice(entry);
+            slot.digest = leaf_hash(entry);
+        }
+        slot.digest
+    }
+
+    /// `parent_hash(left, right)`, computed once per distinct child
+    /// pair while it stays in the memo.
+    fn parent(&mut self, left: &Hash, right: &Hash) -> Hash {
+        if self.parents.is_empty() {
+            let zero = Hash::default();
+            let empty = ParentSlot { left: zero, right: zero, digest: parent_hash(&zero, &zero) };
+            self.parents = vec![empty; MEMO_PARENT_SLOTS];
+        }
+        // Digests are uniform already: their first words pick the slot.
+        let h = mix(mix(0, word(&left.0[..8])), word(&right.0[..8]));
+        let slot = &mut self.parents[slot_of(h, MEMO_PARENT_SLOTS)];
+        if slot.left != *left || slot.right != *right {
+            *slot = ParentSlot { left: *left, right: *right, digest: parent_hash(left, right) };
+        }
+        slot.digest
+    }
+}
+
+impl fmt::Debug for HashMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HashMemo")
+            .field("leaf_slots", &self.leaves.len())
+            .field("parent_slots", &self.parents.len())
+            .finish()
+    }
+}
+
+/// Little-endian word of up to 8 bytes, zero-padded.
+fn word(bytes: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(w)
+}
+
+/// One multiplicative mixing step over the slot hash.
+fn mix(h: u64, w: u64) -> u64 {
+    (h.rotate_left(5) ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// The slot of hash `h` in a table of `slots` (a power of two): its top
+/// bits, which every mixed word reaches.
+fn slot_of(h: u64, slots: usize) -> usize {
+    (h >> (64 - slots.trailing_zeros())) as usize
+}
+
 // ---- the per-source forest ----
 
 /// A forest of MMRs keyed by source id (fleet: one per instance).
@@ -665,26 +817,54 @@ impl Segment {
 /// merge is a disjoint union — commutative and cadence-independent —
 /// and the forest root authenticates every instance's whole trace in
 /// one 32-byte compare.
+///
+/// A forest keeps a digest memo for its drains ([`MmrForest::drain_log`]):
+/// the leaf and parent digests one instance's drain computed serve
+/// every later drain, of any instance, while they stay in the memo.
 #[derive(Clone, Debug, Default)]
 pub struct MmrForest {
     trees: BTreeMap<u64, Mmr>,
     retain: bool,
+    memo: HashMemo,
 }
 
 impl MmrForest {
     /// An empty forest; `retain` chooses the mode of trees it grows.
     pub fn new(retain: bool) -> Self {
-        MmrForest { trees: BTreeMap::new(), retain }
+        MmrForest { trees: BTreeMap::new(), retain, memo: HashMemo::default() }
     }
 
     /// Appends `segment`'s leaves to source `id`'s tree (created on
     /// first use).
     pub fn append_segment(&mut self, id: u64, segment: &Segment) {
         let retain = self.retain;
-        self.trees
-            .entry(id)
-            .or_insert_with(|| if retain { Mmr::retained() } else { Mmr::streaming() })
-            .append(segment);
+        self.trees.entry(id).or_insert_with(|| Mmr::new(retain)).append(segment);
+    }
+
+    /// Drains `log` into source `id`'s tree (created on first use) and
+    /// returns the number of leaves it took: the leaves
+    /// [`MmrLog::take_segment`] would hand over, pushed straight into
+    /// the tree, with pending entries and parents hashed through the
+    /// forest's digest memo. The tree's root is the one appending the
+    /// segment would give.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a streaming log, as [`MmrLog::take_segment`] does.
+    pub fn drain_log(&mut self, id: u64, log: &mut MmrLog) -> u64 {
+        let retain = self.retain;
+        let tree = self.trees.entry(id).or_insert_with(|| Mmr::new(retain));
+        let memo = &mut self.memo;
+        let before = tree.leaves();
+        tree.reserve(log.len() as usize);
+        log.drain(|leaf| {
+            let h = match leaf {
+                Leaf::Hashed(h) => h,
+                Leaf::Entry(entry) => memo.leaf(entry),
+            };
+            tree.push_leaf_with(h, |l, r| memo.parent(l, r));
+        });
+        tree.leaves() - before
     }
 
     /// Merges another forest in. Disjoint ids move over untouched; a

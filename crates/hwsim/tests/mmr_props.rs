@@ -11,12 +11,15 @@
 //!   discipline), and
 //! * [`bisect_divergence`] names exactly the leaf a linear scan names,
 //!   in O(log N) hash compares (the sensitivity property the failure
-//!   reports rely on).
+//!   reports rely on), and
+//! * a forest's memoized drains ([`MmrForest::drain_log`]) build the
+//!   trees that segments appended without the memo build.
 
 use hwsim::mmr::{
     bisect_divergence, leaf_hash, linear_divergence, Hash, Mmr, MmrForest, MmrLog, Segment,
 };
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn leaves(words: &[u64]) -> Vec<Hash> {
     words.iter().map(|w| leaf_hash(&w.to_le_bytes())).collect()
@@ -82,7 +85,7 @@ proptest! {
         // Sharded: sources 0..3 on shard A, 3..6 on shard B, each
         // draining per-source MmrLogs every `cadence` records.
         let mut shards = [MmrForest::new(false), MmrForest::new(false)];
-        let mut logs: std::collections::BTreeMap<u64, MmrLog> = Default::default();
+        let mut logs: BTreeMap<u64, MmrLog> = Default::default();
         for (i, &(src, w)) in records.iter().enumerate() {
             logs.entry(src).or_insert_with(|| MmrLog::new(true)).push(&w.to_le_bytes());
             if (i + 1) % cadence == 0 {
@@ -174,5 +177,83 @@ proptest! {
         let d = bisect_divergence(&full, &part).expect("lengths differ");
         prop_assert_eq!(d.leaf, cut as u64);
         prop_assert_eq!(linear_divergence(&full, &part), Some(cut as u64));
+    }
+}
+
+/// Entry `k` of a generated stream: `k % 49` bytes, so lengths run from
+/// 0 to 48 and entries over 32 bytes bypass the leaf memo. Entries of
+/// one length differ from a fixed pattern only in the byte `k / 49`
+/// flips, at a place that moves with `k`, so two keys the memo compares
+/// can differ anywhere.
+fn entry(k: u16) -> Vec<u8> {
+    let (len, q) = (usize::from(k) % 49, usize::from(k / 49));
+    let mut e: Vec<u8> = (0..len as u8).collect();
+    if len > 0 {
+        e[q % len] ^= q as u8;
+    }
+    e
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The digest memo is invisible: four sources share one forest (and
+    /// so one memo), each draining its retained, small-watermark log at
+    /// random points with `drain_log`. A third of the entries come from
+    /// an 8-entry alphabet, so they repeat; the rest from 8,192, so the
+    /// stream holds more distinct entries and child pairs than the memo
+    /// has slots (1,024 per table) and slots are evicted and reused.
+    /// Every tree and the forest root must equal what the same drains
+    /// give through `take_segment` and `Mmr::append`, with no memo.
+    #[test]
+    fn memoized_drains_equal_segment_appends(
+        records in proptest::collection::vec(
+            (0u64..4, prop_oneof![0u16..8, 0u16..8192, 0u16..8192], 0u8..24),
+            3000..4000,
+        ),
+        watermark in 1usize..64,
+        retain in any::<bool>(),
+    ) {
+        let new_log = || MmrLog::new(true).with_watermark(watermark, usize::MAX);
+        let mut memo_logs: BTreeMap<u64, MmrLog> = Default::default();
+        let mut plain_logs: BTreeMap<u64, MmrLog> = Default::default();
+        let mut memoized = MmrForest::new(retain);
+        let mut plain = MmrForest::new(retain);
+        let mut trees: BTreeMap<u64, Mmr> = Default::default();
+        let mut drain = |src: u64, memo_log: &mut MmrLog, plain_log: &mut MmrLog| {
+            let seg = plain_log.take_segment();
+            let took = memoized.drain_log(src, memo_log);
+            assert_eq!(took, seg.leaves(), "source {src}: a drain hands over every leaf");
+            trees.entry(src).or_insert_with(Mmr::streaming).append(&seg);
+            plain.append_segment(src, &seg);
+        };
+        for &(src, k, roll) in &records {
+            let e = entry(k);
+            memo_logs.entry(src).or_insert_with(new_log).push(&e);
+            plain_logs.entry(src).or_insert_with(new_log).push(&e);
+            // One roll in 24 drains this source, one drains them all.
+            let drained: Vec<u64> = match roll {
+                0 => vec![src],
+                1 => memo_logs.keys().copied().collect(),
+                _ => Vec::new(),
+            };
+            for s in drained {
+                let (m, p) = (memo_logs.get_mut(&s).unwrap(), plain_logs.get_mut(&s).unwrap());
+                drain(s, m, p);
+            }
+        }
+        for (&s, m) in &mut memo_logs {
+            drain(s, m, plain_logs.get_mut(&s).unwrap());
+        }
+
+        let distinct: BTreeSet<Vec<u8>> =
+            records.iter().map(|&(_, k, _)| entry(k)).filter(|e| e.len() <= 32).collect();
+        prop_assert!(distinct.len() > 1024, "only {} distinct memo keys", distinct.len());
+        prop_assert_eq!(memoized.len(), trees.len());
+        for (id, leaves, root) in memoized.roots() {
+            let tree = &trees[&id];
+            prop_assert_eq!((leaves, root), (tree.leaves(), tree.root()), "tree {}", id);
+        }
+        prop_assert_eq!(memoized.root(), plain.root());
     }
 }
