@@ -2,32 +2,37 @@
 //! paper's Figure 3 (`bm_get_mouse_state()`, `bm_get_dy()`, ...).
 //!
 //! The output is a self-contained header. A cache struct holds the last
-//! raw value (and a validity flag) of every concrete register plus the
-//! private memory cells; getter macros for structure fields read the
-//! cache, structure readers perform the effective I/O.
+//! raw value (and a validity flag) of every concrete register, one
+//! array of each per register family, and the private memory cells;
+//! getter macros for structure fields read the cache, structure readers
+//! perform the effective I/O.
 //!
-//! Stub bodies are lowered from the device's precompiled
-//! [`devil_ir::PlanStep`] arena — the exact step sequences the
-//! plan executor executes — so generated code and interpreter
-//! share one lowering. Guard-split conditional serializations emit a
-//! [`devil_ir::PlanGuard`]-driven ternary chain selecting one
+//! Every access with a compiled plan gets a stub, lowered from the
+//! device's [`devil_ir::PlanStep`] arena — the exact step sequences the
+//! plan executor executes. Guard-split conditional serializations emit
+//! a [`devil_ir::PlanGuard`]-driven ternary chain selecting one
 //! straight-line variant, mirroring `AccessPlan::select_variant`.
-//! Accesses without an emittable plan (register families, hashed
-//! caches, the documented guard-split fallback causes) keep the
-//! interpreter API, marked by a comment.
+//!
+//! Family variable stubs take their arguments first (`cs_get_ID(a0)`,
+//! `cs_set_ID(a0, v)`) and set the cache struct's `bad_arg` on every
+//! call: 0 when every argument lies in its parameter's domain, `k + 1`
+//! when argument `k` is the first that does not. Such a call issues no
+//! bus op, changes no cache field and evaluates to 0 — the runtime's
+//! `ArgOutOfRange`.
 
-use crate::plan::{assemble_slots, Shift, StubApi};
-use devil_ir::{
-    Compose, DeviceIr, FieldSeg, FuseOp, GuardSource, PlanGuard, PlanStep, PlanValue, Superplan,
-    VarIr,
+use crate::plan::{
+    families, fixed_pairs, gets_field, offset_operand, stages_field, Dense, Field, PortOff, Shift,
 };
-use devil_sema::model::{Offset, SerStep, TypeSem, VarId};
+use devil_ir::{
+    AccessStep, Compose, DeviceIr, FieldSeg, FuseOp, GuardSource, PlanGuard, PlanSlot, PlanStep,
+    PlanValue, Superplan, VarIr,
+};
+use devil_sema::model::TypeSem;
 use std::fmt::{self, Write as _};
 
 /// Emits a C header for the device, using `prefix` for all identifiers
 /// (the paper's `#define dev_name bm`).
 pub fn emit_c(ir: &DeviceIr, prefix: &str) -> String {
-    let api = StubApi::of(ir);
     let mut out = String::new();
     let guard = format!("{}_DIL_H", prefix.to_uppercase());
     let _ = writeln!(out, "/* Generated by devilc from device `{}`. Do not edit. */", ir.name);
@@ -39,20 +44,28 @@ pub fn emit_c(ir: &DeviceIr, prefix: &str) -> String {
     let _ = writeln!(out, "#endif\n");
 
     // Cache structure: raw value + validity flag per concrete register
-    // (a never-accessed register has no cached value to compose from),
-    // one 64-bit cell per private memory variable.
+    // (a never-accessed register has no cached value to compose from)
+    // and per family instance, one 64-bit cell per private memory
+    // variable.
     let _ = writeln!(out, "struct {prefix}_cache_t {{");
     let _ = writeln!(out, "    unsigned long __dil_base__[{}];", ir.ports.len());
     for reg in &ir.regs {
         if reg.params.is_empty() {
             let _ = writeln!(out, "    unsigned long long cache_{};", reg.name);
             let _ = writeln!(out, "    unsigned char valid_{};", reg.name);
+        } else if let Some(fs) = &reg.family_slots {
+            let _ = writeln!(out, "    unsigned long long cache_{}[{}];", reg.name, fs.count);
+            let _ = writeln!(out, "    unsigned char valid_{}[{}];", reg.name, fs.count);
         }
     }
     for var in &ir.vars {
         if var.mem_cell.is_some() {
             let _ = writeln!(out, "    unsigned long long mem_{};", var.name);
         }
+    }
+    if ir.vars.iter().any(|v| !v.params.is_empty()) {
+        let _ =
+            writeln!(out, "    int bad_arg; /* family stubs: 0, or k + 1 for a bad argument k */");
     }
     let _ = writeln!(out, "}};");
     let _ = writeln!(out, "extern struct {prefix}_cache_t {prefix}_cache;\n");
@@ -73,107 +86,87 @@ pub fn emit_c(ir: &DeviceIr, prefix: &str) -> String {
     }
     let _ = writeln!(out);
 
-    // Per-register primitive I/O expressions (concrete registers only;
-    // families are served by the interpreter API).
+    // Per-register primitive I/O expressions. Family primitives take
+    // the port offset, and each family gets its instance-index helper.
     for reg in &ir.regs {
-        if !reg.params.is_empty() {
-            let _ = writeln!(
-                out,
-                "/* register family `{}`: use the generated function API. */",
-                reg.name
-            );
+        let family = !reg.params.is_empty();
+        if family && reg.family_slots.is_none() {
             continue;
         }
+        let (args, sep) = if family { ("o", ", ") } else { ("", "") };
         if let Some(b) = &reg.read {
             let _ = writeln!(
                 out,
-                "#define {prefix}__read_{}() ({}({prefix}_cache.__dil_base__[{}] + {}))",
+                "#define {prefix}__read_{}({args}) ({}({prefix}_cache.__dil_base__[{}] + {}))",
                 reg.name,
                 in_fn(reg.size),
                 b.port.0,
-                const_offset(&b.offset)
+                PortOff((!family).then_some(&b.offset), "(o)")
             );
         }
         if let Some(b) = &reg.write {
             let _ = writeln!(
                 out,
-                "#define {prefix}__write_{}(v) ({}((((v) & {}) | {}), {prefix}_cache.__dil_base__[{}] + {}))",
+                "#define {prefix}__write_{}({args}{sep}v) ({}((((v) & {}) | {}), {prefix}_cache.__dil_base__[{}] + {}))",
                 reg.name,
                 out_fn(reg.size),
                 Hex(reg.and_mask),
                 Hex(reg.or_mask),
                 b.port.0,
-                const_offset(&b.offset)
+                PortOff((!family).then_some(&b.offset), "(o)")
             );
         }
+    }
+    for (reg, fs) in families(ir) {
+        let params: Vec<String> = (0..fs.dims.len()).map(|d| format!("v{d}")).collect();
+        let _ = write!(out, "#define {prefix}__ix_{}({}) (", reg.name, params.join(", "));
+        let wrap = fs.dims.len() > 1;
+        for (d, dim) in fs.dims.iter().enumerate() {
+            let v = format!("(v{d})");
+            out.push_str(if d == 0 { "" } else { " + " });
+            out.push_str(if wrap { "(" } else { "" });
+            let (last, tested) = dim.ranges.split_last().expect("non-empty domain");
+            for &(lo, hi, base) in tested {
+                in_range(&mut out, &v, lo, hi);
+                let _ = write!(out, " ? {} : ", Dense(&v, lo, base, "ull"));
+            }
+            let _ = write!(out, "{}", Dense(&v, last.0, last.2, "ull"));
+            if wrap {
+                let _ = write!(out, ") * {}", dim.stride);
+            }
+        }
+        out.push_str(")\n");
     }
     let _ = writeln!(out);
 
     // Variable stubs.
-    for (vi, var) in ir.vars.iter().enumerate() {
-        if !var.params.is_empty() {
-            let _ = writeln!(
-                out,
-                "/* parameterized variable `{}`: use the generated function API. */",
-                var.name
-            );
-            continue;
-        }
-        emit_var_stubs(&mut out, ir, prefix, &api, VarId(vi as u32), var);
+    for var in &ir.vars {
+        emit_var_stubs(&mut out, ir, prefix, var);
     }
 
     // Structure stubs: readers and flushes lowered from the struct
     // plans; guard-split conditional serializations become a ternary
     // chain over the variants' slot guards.
-    for (si, st) in ir.structs.iter().enumerate() {
-        let sid = devil_sema::model::StructId(si as u32);
-        if api.read_structs.contains(&sid) {
-            let plan = st.read_plan.as_deref().expect("api vetted the read plan");
-            let _ = writeln!(
-                out,
-                "#define {prefix}_get_{}() ( \\\n    {} )",
-                st.name,
-                plan_body(ir, prefix, plan, "(v)")
-            );
-        } else if order_has_reg(ir, &st.read_order, &|r| r.readable()) {
-            let _ = writeln!(
-                out,
-                "/* structure `{}` (read): not plan-compiled; use the generated function API. */",
-                st.name
-            );
-        }
-        if api.write_structs.contains(&sid) {
-            let plan = st.write_plan.as_deref().expect("api vetted the write plan");
-            let _ = writeln!(
-                out,
-                "#define {prefix}_put_{}() ( \\\n    {} )",
-                st.name,
-                plan_body(ir, prefix, plan, "(v)")
-            );
-        } else if order_has_reg(ir, &st.write_order, &|r| r.writable()) {
-            let _ = writeln!(
-                out,
-                "/* structure `{}` (write): not plan-compiled; use the generated function API. */",
-                st.name
-            );
+    for st in &ir.structs {
+        for (plan, verb) in [(&st.read_plan, "get"), (&st.write_plan, "put")] {
+            if let Some(plan) = plan.as_deref() {
+                let body = plan_body(ir, prefix, plan, "(v)");
+                let _ = writeln!(out, "#define {prefix}_{verb}_{}() ( \\\n    {body} )", st.name);
+            }
         }
     }
 
     // Fused superplans: emitted as functions (block transfers and
     // if-chains need statements, not comma expressions). Block
     // primitives move one burst per call — the `rep insw` shape.
-    let block_widths: Vec<u32> = {
-        let mut w: Vec<u32> = api
-            .superplans
-            .iter()
-            .flat_map(|&si| ir.superplans()[si].plan.variants.iter().flat_map(|v| ir.shape(v)))
-            .filter(|s| s.block)
-            .map(|s| s.size)
-            .collect();
-        w.sort_unstable();
-        w.dedup();
-        w
-    };
+    let mut block_widths: Vec<u32> = ir
+        .superplans()
+        .iter()
+        .flat_map(|sp| sp.plan.variants.iter().flat_map(|v| ir.shape(v)))
+        .filter_map(|s| s.block.then_some(s.size))
+        .collect();
+    block_widths.sort_unstable();
+    block_widths.dedup();
     if !block_widths.is_empty() {
         let _ = writeln!(out, "\n/* Block-transfer primitives: one burst transaction per call.");
         let _ = writeln!(out, " * The DEVIL_NO_SYS_IO harness supplies its own. */");
@@ -192,16 +185,8 @@ pub fn emit_c(ir: &DeviceIr, prefix: &str) -> String {
         }
         let _ = writeln!(out, "#endif");
     }
-    for (si, sp) in ir.superplans().iter().enumerate() {
-        if api.emits_superplan(si) {
-            superplan_fn(&mut out, ir, prefix, sp);
-        } else {
-            let _ = writeln!(
-                out,
-                "/* superplan `{}`: not emittable; use the generated function API. */",
-                sp.name
-            );
-        }
+    for sp in ir.superplans() {
+        superplan_fn(&mut out, ir, prefix, sp);
     }
 
     let _ = writeln!(out, "\n#endif /* {guard} */");
@@ -213,20 +198,20 @@ pub fn emit_c(ir: &DeviceIr, prefix: &str) -> String {
 /// block buffers (with word counts) the body streams through — each
 /// present only when the superplan uses it.
 fn superplan_fn(out: &mut String, ir: &DeviceIr, prefix: &str, sp: &Superplan) {
-    let mut params: Vec<String> =
-        (0..sp.args).map(|i| format!("unsigned long long a{i}")).collect();
+    let mut params = String::new();
+    for i in 0..sp.args {
+        let _ = write!(params, ", unsigned long long a{i}");
+    }
     if sp.outputs > 0 {
-        params.push("unsigned long long *outs".to_string());
+        params.push_str(", unsigned long long *outs");
     }
     if sp.ops.iter().any(|o| matches!(o, FuseOp::WriteBlock { .. })) {
-        params.push("const unsigned long long *blk_out".to_string());
-        params.push("unsigned long blk_out_n".to_string());
+        params.push_str(", const unsigned long long *blk_out, unsigned long blk_out_n");
     }
     if sp.ops.iter().any(|o| matches!(o, FuseOp::ReadBlock { .. })) {
-        params.push("unsigned long long *blk_in".to_string());
-        params.push("unsigned long blk_in_n".to_string());
+        params.push_str(", unsigned long long *blk_in, unsigned long blk_in_n");
     }
-    let params = if params.is_empty() { "void".to_string() } else { params.join(", ") };
+    let params = params.get(2..).unwrap_or("void");
     let _ =
         writeln!(out, "/* fused superplan `{}`: one guard evaluation, batched I/O. */", sp.name);
     let _ = writeln!(out, "static inline void {prefix}_sp_{}({params})", sp.name);
@@ -277,7 +262,11 @@ fn sp_step_stmt(ir: &DeviceIr, prefix: &str, step: &PlanStep, indent: &str, out:
             );
         }
         PlanStep::Assemble { out: o, segs } => {
-            let _ = writeln!(out, "{indent}outs[{o}] = {};", assemble_expr(ir, prefix, segs));
+            let _ = writeln!(
+                out,
+                "{indent}outs[{o}] = {};",
+                assemble_expr(prefix, fixed_pairs(ir, segs))
+            );
         }
         other => {
             let _ = writeln!(out, "{indent}{};", step_expr(ir, prefix, other, "(v)"));
@@ -322,45 +311,60 @@ impl fmt::Display for Operand<'_> {
         match *self.0 {
             PlanValue::Input => f.write_str(self.1),
             PlanValue::Const(c) => Hex(c).fmt(f),
-            // Superplan operands become stub parameters; ordinary plans
-            // carrying `Arg` (family plans) are never emitted.
+            // A superplan operand or a family argument: a stub parameter.
             PlanValue::Arg(i) => write!(f, "(a{i})"),
         }
     }
 }
 
-/// Concrete registers always bind constant offsets (parameterized
-/// offsets only occur on families, which get no primitives).
-fn const_offset(off: &Offset) -> u64 {
-    match off {
-        Offset::Const(c) => *c,
-        Offset::Param(_) => unreachable!("concrete register with parameterized offset"),
+/// Appends the test `lo <= v <= hi` to `out`.
+fn in_range(out: &mut String, v: &str, lo: u64, hi: u64) {
+    let _ = match (lo, hi) {
+        (lo, hi) if lo == hi => write!(out, "{v} == {}", Hex(lo)),
+        (0, hi) => write!(out, "{v} <= {}", Hex(hi)),
+        (lo, hi) => write!(out, "({v} >= {} && {v} <= {})", Hex(lo), Hex(hi)),
+    };
+}
+
+/// A cache-struct member behind a slot: `<kind>_<reg>`, subscripted for
+/// a family instance (by the family's index helper when the stub's
+/// arguments choose the instance).
+struct Member<'a>(&'a str, &'static str, &'a Field<'a>);
+
+impl fmt::Display for Member<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Member(prefix, kind, field) = *self;
+        write!(f, "{prefix}_cache.{kind}_{}", field.reg)?;
+        let Some(args) = &field.args else { return Ok(()) };
+        write!(f, "[{prefix}__ix_{}(", field.reg)?;
+        for (i, a) in args.iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            match a {
+                // The helper parenthesizes its parameters.
+                PlanValue::Arg(k) => write!(f, "{sep}a{k}")?,
+                other => write!(f, "{sep}{}", Operand(other, ""))?,
+            }
+        }
+        f.write_str(")]")
     }
 }
 
-/// Whether any register anywhere in the order (both branches of
-/// conditionals included) satisfies `pred` — gates the fallback marker
-/// comments for accesses without an emittable plan.
-fn order_has_reg(
-    ir: &DeviceIr,
-    steps: &[SerStep],
-    pred: &dyn Fn(&devil_ir::RegIr) -> bool,
-) -> bool {
-    steps.iter().any(|s| match s {
-        SerStep::Reg(r) => pred(ir.reg(*r)),
-        SerStep::If { then, els, .. } => {
-            order_has_reg(ir, then, pred) || order_has_reg(ir, els, pred)
-        }
-    })
+/// The port-offset argument of a family primitive call (empty for a
+/// concrete register's), with `sep` after it.
+fn prim_off(field: &Field<'_>, a: &AccessStep, sep: &str) -> String {
+    match field.args {
+        None => String::new(),
+        Some(_) => format!("{}{sep}", Operand(&offset_operand(a.offset), "")),
+    }
 }
 
 /// Appends the composed raw-value expression of a masked store/write,
 /// `(cache & keep) | consts | runtime segs`, to `out`.
-fn compose_expr(out: &mut String, prefix: &str, n: &str, c: &Compose, input: &str) {
+fn compose_expr(out: &mut String, cache: &Member<'_>, c: &Compose, input: &str) {
     if c.keep_and == u64::MAX {
-        let _ = write!(out, "{prefix}_cache.cache_{n}");
+        let _ = write!(out, "{cache}");
     } else {
-        let _ = write!(out, "({prefix}_cache.cache_{n} & {})", Hex(c.keep_and));
+        let _ = write!(out, "({cache} & {})", Hex(c.keep_and));
     }
     if c.const_or != 0 {
         let _ = write!(out, " | {}", Hex(c.const_or));
@@ -374,51 +378,48 @@ fn compose_expr(out: &mut String, prefix: &str, n: &str, c: &Compose, input: &st
 /// One plan step as a C comma-expression fragment. `input` is the C
 /// expression for the value being written (the stub's `(v)` argument).
 fn step_expr(ir: &DeviceIr, prefix: &str, step: &PlanStep, input: &str) -> String {
+    // Room for a typical step, so composing it rarely reallocates.
+    let mut s = String::with_capacity(256);
     match step {
         PlanStep::Read(a) => {
-            let n = &ir.reg(a.reg).name;
-            format!("{prefix}_cache.cache_{n} = {prefix}__read_{n}(), {prefix}_cache.valid_{n} = 1")
+            let field = Field::of(ir, &a.slot);
+            let (cache, valid) = (Member(prefix, "cache", &field), Member(prefix, "valid", &field));
+            let off = prim_off(&field, a, "");
+            let _ = write!(s, "{cache} = {prefix}__read_{}({off}), {valid} = 1", field.reg);
         }
         PlanStep::Write { access: a, compose: c, .. } => {
-            let n = &ir.reg(a.reg).name;
+            let field = Field::of(ir, &a.slot);
+            let (cache, valid) = (Member(prefix, "cache", &field), Member(prefix, "valid", &field));
             // A pure flush (struct write of an unassigned register)
             // recomposes nothing: skip the no-op cache update.
-            if c.is_identity() {
-                return format!(
-                    "{prefix}_cache.valid_{n} = 1, {prefix}__write_{n}({prefix}_cache.cache_{n})"
-                );
+            if !c.is_identity() {
+                let _ = write!(s, "{cache} = ");
+                compose_expr(&mut s, &cache, c, input);
+                s.push_str(", ");
             }
-            let mut s = format!("{prefix}_cache.cache_{n} = ");
-            compose_expr(&mut s, prefix, n, c, input);
-            let _ = write!(
-                s,
-                ", {prefix}_cache.valid_{n} = 1, {prefix}__write_{n}({prefix}_cache.cache_{n})"
-            );
-            s
+            let (n, off) = (field.reg, prim_off(&field, a, ", "));
+            let _ = write!(s, "{valid} = 1, {prefix}__write_{n}({off}{cache})");
         }
         PlanStep::Store(slot, c) => {
             // Cache-only store: the written bits land in the cache
             // without a device access (a flattened order that skips
             // the register still stores, like `store_var_bits`).
-            let s = slot.fixed().expect("family plans are not emitted");
-            let owner = ir.slot_owner(s).expect("emittable stores hit owned slots");
-            let n = &ir.reg(owner).name;
-            let mut s = format!("{prefix}_cache.cache_{n} = ");
-            compose_expr(&mut s, prefix, n, c, input);
-            let _ = write!(s, ", {prefix}_cache.valid_{n} = 1");
-            s
+            let field = Field::of(ir, slot);
+            let (cache, valid) = (Member(prefix, "cache", &field), Member(prefix, "valid", &field));
+            let _ = write!(s, "{cache} = ");
+            compose_expr(&mut s, &cache, c, input);
+            let _ = write!(s, ", {valid} = 1");
         }
         PlanStep::SetCell { cell, value, mask } => {
             // Cells keep their variable's raw width, like the runtime.
             let owner = ir.mem_owner(*cell).expect("cells are owned");
-            let mut s = format!("{prefix}_cache.mem_{} = ", ir.var(owner).name);
+            let _ = write!(s, "{prefix}_cache.mem_{} = ", ir.var(owner).name);
             let v = Operand(value, input);
             let _ = match value {
                 PlanValue::Const(_) => write!(s, "{v}"),
                 _ if *mask == u64::MAX => write!(s, "{v}"),
                 _ => write!(s, "({v} & {})", Hex(*mask)),
             };
-            s
         }
         // Block transfers and output assembly only occur in fused
         // superplan bodies, which are emitted as statements inside a
@@ -427,6 +428,7 @@ fn step_expr(ir: &DeviceIr, prefix: &str, step: &PlanStep, input: &str) -> Strin
             unreachable!("fused steps are emitted as statements, not comma expressions")
         }
     }
+    s
 }
 
 /// One variant's steps as a parenthesized C expression (value 0).
@@ -460,9 +462,10 @@ fn plan_body(ir: &DeviceIr, prefix: &str, plan: &devil_ir::AccessPlan, input: &s
 }
 
 /// A variant's guards as one C condition, appended to `out`: each slot
-/// guard tests its register's cache field, each input guard the stub's
-/// value argument `input` (a write order testing the variable being
-/// written: the general path's store-then-evaluate order).
+/// guard tests its register's cache field, each cell guard the cell,
+/// each input guard the stub's value argument `input` (a write order
+/// testing the variable being written: the general path's
+/// store-then-evaluate order).
 fn guard_cond(
     out: &mut String,
     ir: &DeviceIr,
@@ -475,40 +478,59 @@ fn guard_cond(
         let (mask, expected) = (Hex(g.mask), Hex(g.expected));
         let _ = match g.source {
             GuardSource::Slot(s) => {
-                let owner = ir.slot_owner(s).expect("emittable plans guard owned slots");
-                let reg = &ir.reg(owner).name;
-                write!(out, "{sep}({prefix}_cache.cache_{reg} & {mask}) == {expected}")
+                let cache = Member(prefix, "cache", &Field::of(ir, &PlanSlot::Fixed(s)));
+                write!(out, "{sep}({cache} & {mask}) == {expected}")
             }
-            GuardSource::Cell(_) => unreachable!("cell guards are not emittable"),
+            // Cells hold values masked to their variable's width and
+            // are compared whole.
+            GuardSource::Cell(c) => {
+                let owner = ir.mem_owner(c).expect("cells are owned");
+                write!(out, "{sep}{prefix}_cache.mem_{} == {expected}", ir.var(owner).name)
+            }
             GuardSource::Input => write!(out, "{sep}(({input}) & {mask}) == {expected}"),
         };
     }
 }
 
-/// A variable assembled from named cache fields, as a C expression.
-fn assemble_expr(ir: &DeviceIr, prefix: &str, pairs: &[(usize, FieldSeg)]) -> String {
-    if pairs.is_empty() {
-        return "0".to_string();
-    }
+/// A variable assembled from cache fields, as a C expression.
+fn assemble_expr<'a>(prefix: &str, pairs: impl Iterator<Item = (Field<'a>, FieldSeg)>) -> String {
     let mut s = String::new();
-    for (k, &(slot, seg)) in pairs.iter().enumerate() {
-        let owner = ir.slot_owner(slot).expect("assemble slots are owned");
-        let field =
-            format_args!("({prefix}_cache.cache_{} & {})", ir.reg(owner).name, Hex(seg.reg_mask()));
+    for (k, (field, seg)) in pairs.enumerate() {
+        let cache = format_args!("({} & {})", Member(prefix, "cache", &field), Hex(seg.reg_mask()));
         let sep = if k == 0 { "" } else { " | " };
-        let _ = write!(s, "{sep}{}", Shift(field, seg.var_lo as i64 - seg.reg_lo as i64));
+        let _ = write!(s, "{sep}{}", Shift(cache, seg.var_lo as i64 - seg.reg_lo as i64));
+    }
+    if s.is_empty() {
+        s.push('0');
     }
     s
 }
 
-fn emit_var_stubs(
-    out: &mut String,
-    ir: &DeviceIr,
-    prefix: &str,
-    api: &StubApi,
-    vid: VarId,
-    var: &VarIr,
-) {
+/// A family variable stub's parameters (`a0, a1, `) and the head of its
+/// body: record in `bad_arg` which argument, if any, is the first outside
+/// its parameter's domain, and evaluate to 0 without any I/O if one is.
+/// Both empty for a plain variable.
+fn arg_check(prefix: &str, var: &VarIr) -> (String, String) {
+    let (mut params, mut head) = (String::new(), String::new());
+    if var.params.is_empty() {
+        return (params, head);
+    }
+    let _ = write!(head, "({prefix}_cache.bad_arg = ");
+    for (k, p) in var.params.iter().enumerate() {
+        let a = format!("(a{k})");
+        let _ = write!(params, "a{k}, ");
+        head.push_str("!(");
+        for (i, &(lo, hi)) in p.values.iter().enumerate() {
+            head.push_str(if i == 0 { "" } else { " || " });
+            in_range(&mut head, &a, lo, hi);
+        }
+        let _ = write!(head, ") ? {} : ", k + 1);
+    }
+    head.push_str("0) ? 0 : \\\n    ");
+    (params, head)
+}
+
+fn emit_var_stubs(out: &mut String, ir: &DeviceIr, prefix: &str, var: &VarIr) {
     // Memory cells: direct cache access, no device I/O. Stores keep
     // the variable's raw width, like the runtime.
     if var.mem_cell.is_some() {
@@ -530,30 +552,15 @@ fn emit_var_stubs(
                 var.name, var.name
             );
         }
-        if api.writes_var(vid) {
-            if var.set.is_empty() {
-                let _ = writeln!(
-                    out,
-                    "#define {prefix}_set_{}(v) ({prefix}_cache.mem_{} = {stored})",
-                    var.name, var.name
-                );
+        if let Some(plan) = var.write_plan.as_deref() {
+            // Foldable set actions ride the compiled write plan
+            // (SetCell + the folded action steps).
+            let body = if var.set.is_empty() {
+                format!("({prefix}_cache.mem_{} = {stored})", var.name)
             } else {
-                // Foldable set actions ride the compiled write plan
-                // (SetCell + the folded action steps).
-                let plan = var.write_plan.as_deref().expect("api vetted the write plan");
-                let _ = writeln!(
-                    out,
-                    "#define {prefix}_set_{}(v) ( \\\n    {} )",
-                    var.name,
-                    plan_body(ir, prefix, plan, "(v)")
-                );
-            }
-        } else if var.writable {
-            let _ = writeln!(
-                out,
-                "/* variable `{}` (write): set actions are not plan-compiled; use the generated function API. */",
-                var.name
-            );
+                format!("( \\\n    {} )", plan_body(ir, prefix, plan, "(v)"))
+            };
+            let _ = writeln!(out, "#define {prefix}_set_{}(v) {body}", var.name);
         }
         return;
     }
@@ -561,88 +568,76 @@ fn emit_var_stubs(
     let is_field = var.parent.is_some();
     // Field cache accessors: assemble/stage against the flat slots
     // (`get_field_id` / `set_field_id` semantics, no device I/O).
-    if is_field {
-        if api.gets_field(vid) {
-            let pairs = var.slot_assemble.as_ref().expect("api vetted slot_assemble");
-            let expr = assemble_expr(ir, prefix, pairs);
-            let _ = writeln!(out, "#define {prefix}_getf_{}() ({expr})", var.name);
-            if var.readable {
-                // The paper's Figure 3 getter: same cache assemble.
-                let _ = writeln!(out, "#define {prefix}_get_{}() ({expr})", var.name);
-            }
-        }
-        if api.stages_field(vid) {
-            let stmts: Vec<String> = var
-                .segs
-                .iter()
-                .map(|s| {
-                    let n = &ir.reg(s.reg).name;
-                    let mask = Hex(s.seg.reg_mask());
-                    let shifted = Shift("(v)", s.seg.reg_lo as i64 - s.seg.var_lo as i64);
-                    format!(
-                        "{prefix}_cache.cache_{n} = ({prefix}_cache.cache_{n} & ~{mask}) | ({shifted} & {mask}), {prefix}_cache.valid_{n} = 1"
-                    )
-                })
-                .collect();
-            let _ = writeln!(
-                out,
-                "#define {prefix}_setf_{}(v) ( \\\n    {} )",
-                var.name,
-                stmts.join(", \\\n    ")
-            );
+    if let (true, Some(pairs)) = (gets_field(var), &var.slot_assemble) {
+        let expr = assemble_expr(prefix, fixed_pairs(ir, pairs));
+        let _ = writeln!(out, "#define {prefix}_getf_{}() ({expr})", var.name);
+        if var.readable {
+            // The paper's Figure 3 getter: same cache assemble.
+            let _ = writeln!(out, "#define {prefix}_get_{}() ({expr})", var.name);
         }
     }
+    if stages_field(ir, var) {
+        let stmts: Vec<String> = var
+            .segs
+            .iter()
+            .map(|s| {
+                let n = &ir.reg(s.reg).name;
+                let mask = Hex(s.seg.reg_mask());
+                let shifted = Shift("(v)", s.seg.reg_lo as i64 - s.seg.var_lo as i64);
+                format!(
+                    "{prefix}_cache.cache_{n} = ({prefix}_cache.cache_{n} & ~{mask}) | ({shifted} & {mask}), {prefix}_cache.valid_{n} = 1"
+                )
+            })
+            .collect();
+        let _ = writeln!(
+            out,
+            "#define {prefix}_setf_{}(v) ( \\\n    {} )",
+            var.name,
+            stmts.join(", \\\n    ")
+        );
+    }
 
+    let (params, head) = arg_check(prefix, var);
+    let (open, close) = if head.is_empty() { ("", "") } else { ("(", ")") };
     // Full read: the interpreter's `read_id` lowering. Idempotent
     // variables serve a fully-cached value without I/O; volatile and
     // read-trigger ones always execute the plan.
-    if api.reads_var(vid) {
-        let plan = var.read_plan.as_deref().expect("api vetted the read plan");
-        let slots = assemble_slots(plan);
-        let assemble = assemble_expr(ir, prefix, &slots);
-        let body = plan_body(ir, prefix, plan, "(v)");
+    if let Some(plan) = var.read_plan.as_deref() {
+        let fields = || plan.assemble.iter().map(|(slot, seg)| (Field::of(ir, slot), *seg));
+        let assemble = assemble_expr(prefix, fields());
         let name =
             if is_field { format!("read_{}", var.name) } else { format!("get_{}", var.name) };
+        let params = params.trim_end_matches(", ");
+        let body = plan_body(ir, prefix, plan, "(v)");
         if !var.behavior.volatile && !var.behavior.read_trigger {
             let mut valids: Vec<String> = Vec::new();
-            for &(slot, _) in &slots {
-                let owner = ir.slot_owner(slot).expect("assemble slots are owned");
-                let v = format!("{prefix}_cache.valid_{}", ir.reg(owner).name);
+            for (field, _) in fields() {
+                let mut v = String::with_capacity(48);
+                let _ = write!(v, "{}", Member(prefix, "valid", &field));
                 if !valids.contains(&v) {
                     valids.push(v);
                 }
             }
             let _ = writeln!(
                 out,
-                "#define {prefix}_{name}() ( \\\n    (({}) ? 0 : \\\n    {body}), \\\n    {assemble} )",
+                "#define {prefix}_{name}({params}) ( \\\n    {head}{open}(({}) ? 0 : \\\n    {body}), \\\n    {assemble}{close} )",
                 valids.join(" && ")
             );
         } else {
-            let _ =
-                writeln!(out, "#define {prefix}_{name}() ( \\\n    {body}, \\\n    {assemble} )");
+            let _ = writeln!(
+                out,
+                "#define {prefix}_{name}({params}) ( \\\n    {head}{open}{body}, \\\n    {assemble}{close} )"
+            );
         }
-    } else if var.readable && !is_field {
-        let _ = writeln!(
-            out,
-            "/* variable `{}` (read): not plan-compiled; use the generated function API. */",
-            var.name
-        );
     }
 
     // Write-through: the interpreter's `write_id` lowering.
-    if api.writes_var(vid) {
-        let plan = var.write_plan.as_deref().expect("api vetted the write plan");
+    if let Some(plan) = var.write_plan.as_deref() {
         let _ = writeln!(
             out,
-            "#define {prefix}_set_{}(v) ( \\\n    {} )",
+            "#define {prefix}_set_{}({params}v) ( \\\n    {head}{} )",
             var.name,
             plan_body(ir, prefix, plan, "(v)")
-        );
-    } else if var.writable {
-        let _ = writeln!(
-            out,
-            "/* variable `{}` (write): not plan-compiled; use the generated function API. */",
-            var.name
         );
     }
 }
@@ -730,16 +725,19 @@ mod tests {
         let h = emit_c(&ir, "cs");
         assert!(h.contains("unsigned long long mem_xm;"), "{h}");
         assert!(h.contains("#define cs_set_xm(v)"), "{h}");
-        // Families fall back with a marker comment.
-        assert!(h.contains("register family `I`"), "{h}");
+        // Families cache in arrays and index them through one helper.
+        assert!(h.contains("unsigned long long cache_I[32];"), "{h}");
+        assert!(h.contains("unsigned long long cache_X[19];"), "{h}");
+        assert!(
+            h.contains("#define cs__ix_X(v0) ((v0) <= 0x11ull ? (v0) : 18 + ((v0) - 0x19ull))"),
+            "{h}"
+        );
     }
 
     #[test]
-    fn family_tested_conditions_keep_the_function_api() {
-        // `sel` lives on a family-register instance: its guard slot has
-        // no `cache_` field in the emitted struct, so the conditional
-        // flush keeps the interpreter API with a marker instead of
-        // emitting C that does not compile (or silently flattening).
+    fn family_tested_conditions_emit() {
+        // `sel` lives on a family-register instance: the conditional
+        // flush tests its element of the family's cache array.
         let ir = ir_for(
             r#"device d (base : bit[8] port @ {0..3}) {
                  register f(i : int{0..1}) = base @ i, mask '.......*' : bit[8];
@@ -753,8 +751,22 @@ mod tests {
                }"#,
         );
         let h = emit_c(&ir, "d");
-        assert!(!h.contains("#define d_put_s()"), "{h}");
-        assert!(h.contains("structure `s` (write): not plan-compiled"), "{h}");
+        assert!(
+            h.contains("#define d_put_s() ( \\\n    ((d_cache.cache_f[d__ix_f(0x1ull)] & 0x1ull)"),
+            "{h}"
+        );
+    }
+
+    #[test]
+    fn family_variable_stubs_check_their_arguments() {
+        let ir = ir_for(include_str!("../../../specs/cs4236b.dil"));
+        let h = emit_c(&ir, "cs");
+        assert!(h.contains("    int bad_arg;"), "{h}");
+        // The argument comes first, is checked against the variable's
+        // domain before anything else, and indexes the family's array.
+        assert!(h.contains("#define cs_get_XD(a0) ( \\\n    (cs_cache.bad_arg = !((a0) <= 0x11ull || (a0) == 0x19ull) ? 1 : 0) ? 0 : \\\n    (("), "{h}");
+        assert!(h.contains("#define cs_set_ID(a0, v) ( \\\n    (cs_cache.bad_arg = !((a0) <= 0x1full) ? 1 : 0) ? 0 : \\\n    ("), "{h}");
+        assert!(h.contains("cs_cache.cache_X[cs__ix_X(a0)] = cs__read_X(0x1ull)"), "{h}");
     }
 
     #[test]

@@ -9,7 +9,7 @@ pub mod plan;
 pub mod rust;
 
 pub use c::emit_c;
-pub use plan::{plan_emittable, StubApi};
+pub use plan::{gets_field, stages_field};
 pub use rust::emit_rust;
 
 /// Compiles a specification and emits C stubs with `prefix`.

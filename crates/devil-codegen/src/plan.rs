@@ -1,227 +1,128 @@
-//! The emitters' view of the precompiled plans: which accesses have a
-//! stub at all, and whether a plan can be rendered as straight-line
-//! stub code.
+//! What both emitters share: the cache-only field accessors and how a
+//! plan slot names its cache field.
 //!
-//! Both back ends lower stub bodies from [`devil_ir::PlanStep`] arena
-//! ranges — the same lowering the plan executor executes — so
-//! generated code and interpreter cannot diverge. An access only gets a
-//! stub when its plan is *emittable*: every step touches a concrete
-//! (non-family) register through a fixed slot and constant offset, every
-//! guard tests a slot owned by a concrete register, and the guard-split
-//! variant count stays within [`VARIANT_EMIT_CAP`]. Everything else —
-//! family registers, hashed caches, the documented guard-split fallback
-//! causes — keeps the interpreter API, marked by a comment in the
-//! output.
+//! An access has a stub in both back ends exactly when
+//! [`DeviceIr::plan`] is `Some`, lowered from the plan's
+//! [`devil_ir::PlanStep`] arena ranges — the steps the plan executor
+//! runs. An access without a plan has no stub; the runtime rejects it
+//! too (`NotReadable`, `NotWritable` or `Unplanned`). A register family
+//! caches in one array per field, laid out like
+//! [`devil_ir::FamilySlots`] and indexed through one emitted helper per
+//! family that follows [`devil_ir::FamilyDim::index_of`].
 
 use devil_ir::{
-    AccessPlan, DeviceIr, GuardSource, PlanGuard, PlanOffset, PlanSlot, PlanStep, PlanValue,
+    DeviceIr, FamilyDim, FamilySlots, FieldSeg, PlanOffset, PlanSlot, PlanValue, VarIr,
 };
-use devil_sema::model::{StructId, VarId};
+use devil_sema::model::Offset;
 use std::fmt;
 
-/// Cap on emitted guard-split variants: each variant duplicates its
-/// straight-line steps in the stub body, so very wide guard domains
-/// (the lowerer allows up to 4096 variants) keep the interpreter API
-/// instead of exploding the generated text.
-pub const VARIANT_EMIT_CAP: usize = 64;
-
-/// Whether a compiled plan can be lowered to stub text: all steps on
-/// concrete registers (fixed slots, constant offsets, no family
-/// arguments), every guard source renderable (see [`guard_emittable`]),
-/// and a bounded variant count.
-pub fn plan_emittable(ir: &DeviceIr, plan: &AccessPlan) -> bool {
-    if plan.variants.is_empty() || plan.variants.len() > VARIANT_EMIT_CAP {
-        return false;
-    }
-    plan.variants.iter().enumerate().all(|(k, v)| {
-        plan.guards(k).all(|g| guard_emittable(ir, &g))
-            && ir.variant_steps(v).iter().all(|step| step_emittable(ir, step))
-    }) && plan.assemble.iter().all(|(slot, _)| fixed_owned(ir, slot))
+/// Whether a structure field has a cache getter (`get_field_id`
+/// semantics): a memory cell, or bits on concrete registers only.
+pub fn gets_field(var: &VarIr) -> bool {
+    var.parent.is_some() && (var.mem_cell.is_some() || var.slot_assemble.is_some())
 }
 
-/// Whether a step's slot is a concrete register's: resolved without
-/// family arguments, with an owner to name its cache field after.
-fn fixed_owned(ir: &DeviceIr, slot: &PlanSlot) -> bool {
-    slot.fixed().is_some_and(|s| ir.slot_owner(s).is_some())
+/// Whether a structure field has a cache stager (`set_field_id`
+/// semantics): a memory cell, or bits on concrete registers only.
+pub fn stages_field(ir: &DeviceIr, var: &VarIr) -> bool {
+    var.parent.is_some()
+        && (var.mem_cell.is_some() || var.segs.iter().all(|s| ir.reg(s.reg).slot.is_some()))
 }
 
-/// Whether a guard's source can be rendered in stub text. Exhaustive
-/// over [`GuardSource`] — a future source must be classified here
-/// before anything emits, so it can be rejected but never mis-emitted.
-fn guard_emittable(ir: &DeviceIr, g: &PlanGuard) -> bool {
-    match g.source {
-        GuardSource::Slot(s) => ir.slot_owner(s).is_some(),
-        // The emitters have no cell-guard form yet: cell-guarded plans
-        // stay behind the runtime API rather than being mis-emitted.
-        GuardSource::Cell(_) => false,
-        // The stub's own value argument; only write plans carry input
-        // guards (the lowerer constructs them solely for the variable
-        // being written), and write stubs always take `v`.
-        GuardSource::Input => true,
-    }
+/// The register families with an indexed slot range: the ones that
+/// get a cache array and an index helper.
+pub(crate) fn families(ir: &DeviceIr) -> impl Iterator<Item = (&devil_ir::RegIr, &FamilySlots)> {
+    ir.regs.iter().filter_map(|r| r.family_slots.as_ref().map(|fs| (r, fs)))
 }
 
-/// Whether one step can be rendered in stub text. Exhaustive over
-/// [`PlanStep`] — a future step kind fails to compile here instead of
-/// silently emitting wrong C/Rust.
-fn step_emittable(ir: &DeviceIr, step: &PlanStep) -> bool {
-    step_verdict(ir, step, false)
+/// The cache field behind a plan slot: the owning register's field,
+/// and for a family instance the arguments its index helper takes —
+/// one operand per family parameter, in parameter order.
+pub(crate) struct Field<'a> {
+    /// The register the field is named after (`cache_<reg>`).
+    pub reg: &'a str,
+    /// `None` for a concrete register's field.
+    pub args: Option<Vec<PlanValue>>,
 }
 
-/// The shared verdict behind [`step_emittable`] and
-/// [`superplan_emittable`]. `superplan` relaxes the value rule: a fused
-/// body's `Arg` operands become stub parameters (`a0`, `a1`, ...),
-/// whereas in variable/structure plans `Arg` marks a family argument no
-/// stub can supply. The block and assemble kinds only ever appear in
-/// fused bodies (`DeviceIr::fuse` is their sole producer).
-fn step_verdict(ir: &DeviceIr, step: &PlanStep, superplan: bool) -> bool {
-    let value_ok = |v: &PlanValue| match v {
-        PlanValue::Input | PlanValue::Const(_) => true,
-        PlanValue::Arg(_) => superplan,
-    };
-    match step {
-        PlanStep::Read(a) => {
-            ir.reg(a.reg).slot.is_some() && matches!(a.offset, PlanOffset::Const(_))
+impl<'a> Field<'a> {
+    /// The field of a plan slot. A family instance's arguments are the
+    /// stub's own where the plan indexes by one, the constants folded
+    /// into the slot elsewhere.
+    pub fn of(ir: &'a DeviceIr, slot: &PlanSlot) -> Field<'a> {
+        let (base, _) = slot.span();
+        if let Some(rid) = ir.slot_owner(base) {
+            return Field { reg: &ir.reg(rid).name, args: None };
         }
-        PlanStep::Write { access: a, compose: c, .. } => {
-            ir.reg(a.reg).slot.is_some()
-                && matches!(a.offset, PlanOffset::Const(_))
-                && c.segs.iter().all(|ws| value_ok(&ws.value))
-        }
-        PlanStep::Store(slot, c) => {
-            fixed_owned(ir, slot) && c.segs.iter().all(|ws| value_ok(&ws.value))
-        }
-        PlanStep::SetCell { value, .. } => value_ok(value),
-        // Fused block transfers bind a constant port/offset/size by
-        // construction (`DeviceIr::fuse` rejects everything else).
-        PlanStep::BlockIn { .. } | PlanStep::BlockOut { .. } => superplan,
-        // Per-op output assembly: every segment must name a cache field.
-        PlanStep::Assemble { segs, .. } => {
-            superplan && segs.iter().all(|(s, _)| ir.slot_owner(*s).is_some())
-        }
-    }
-}
-
-/// Whether a fused superplan can be lowered to stub text: same rules as
-/// [`plan_emittable`] (owned guard slots, bounded variant count) over
-/// the entry stage plus every fused variant, with the superplan's `Arg`
-/// operands admitted as stub parameters. Cell-guarded superplans keep
-/// the interpreter API like every other cell-guarded plan — the
-/// emitted exhaustive chain has no out-of-domain fallback.
-pub fn superplan_emittable(ir: &DeviceIr, sp: &devil_ir::Superplan) -> bool {
-    if sp.plan.variants.is_empty() || sp.plan.variants.len() > VARIANT_EMIT_CAP {
-        return false;
-    }
-    ir.variant_steps(&sp.stage).iter().all(|s| step_verdict(ir, s, true))
-        && sp.plan.variants.iter().enumerate().all(|(k, v)| {
-            sp.plan.guards(k).all(|g| guard_emittable(ir, &g))
-                && ir.variant_steps(v).iter().all(|s| step_verdict(ir, s, true))
-        })
-}
-
-/// The fixed slots behind an emittable read plan's assemble list —
-/// shared by both back ends so `PlanSlot` handling cannot diverge.
-pub fn assemble_slots(plan: &AccessPlan) -> Vec<(usize, devil_ir::FieldSeg)> {
-    plan.assemble
-        .iter()
-        .map(|(slot, seg)| (slot.fixed().expect("emittable plans assemble from fixed slots"), *seg))
-        .collect()
-}
-
-/// The stub surface one device exposes: which variables and structures
-/// get which generated entry points. Shared by the C and Rust emitters
-/// and by the compiled-code differential oracle (which must know what
-/// it can call).
-#[derive(Clone, Debug, Default)]
-pub struct StubApi {
-    /// Full-access read stubs (the interpreter's `read_id` semantics):
-    /// plan-covered register variables plus memory cells.
-    pub read_vars: Vec<VarId>,
-    /// Write-through stubs (`write_id` semantics): plan-covered
-    /// register variables plus set-action-free memory cells.
-    pub write_vars: Vec<VarId>,
-    /// Cache-assemble getters for structure fields (`get_field_id`).
-    pub field_getters: Vec<VarId>,
-    /// Cache-staging setters for structure fields (`set_field_id`).
-    pub field_stagers: Vec<VarId>,
-    /// Structure readers (`read_struct_id`).
-    pub read_structs: Vec<StructId>,
-    /// Structure flushes (`write_struct_id`).
-    pub write_structs: Vec<StructId>,
-    /// Fused superplans (`run_superplan` semantics): indices into
-    /// [`DeviceIr::superplans`] whose fused body is emittable.
-    pub superplans: Vec<usize>,
-}
-
-impl StubApi {
-    /// Computes the emitted surface of a lowered device.
-    pub fn of(ir: &DeviceIr) -> StubApi {
-        let mut api = StubApi::default();
-        for (vi, var) in ir.vars.iter().enumerate() {
-            let vid = VarId(vi as u32);
-            if var.params.is_empty() {
-                let emittable = |plan: &Option<std::sync::Arc<AccessPlan>>| -> bool {
-                    plan.as_deref().is_some_and(|p| plan_emittable(ir, p))
-                };
-                if var.readable && (var.mem_cell.is_some() || emittable(&var.read_plan)) {
-                    api.read_vars.push(vid);
+        let (rid, folded) = ir.family_slot_owner(base).expect("every plan slot has an owner");
+        let fs = ir.reg(rid).family_slots.as_ref().expect("a family's slot range");
+        let mut by_arg = match slot {
+            PlanSlot::Indexed { dims, .. } => dims.iter().peekable(),
+            PlanSlot::Fixed(_) => [].iter().peekable(),
+        };
+        let args = fs
+            .dims
+            .iter()
+            .map(|d| {
+                match by_arg.next_if(|(_, pd)| pd.stride == d.stride && pd.ranges == d.ranges) {
+                    Some(&(arg, _)) => PlanValue::Arg(arg),
+                    None => PlanValue::Const(value_at(d, folded / d.stride % d.count)),
                 }
-                let mem_write_ok = var.mem_cell.is_some() && var.set.is_empty();
-                if var.writable && (mem_write_ok || emittable(&var.write_plan)) {
-                    api.write_vars.push(vid);
-                }
-            }
-            if var.parent.is_some() {
-                if var.mem_cell.is_some() || var.slot_assemble.is_some() {
-                    api.field_getters.push(vid);
-                }
-                let stageable =
-                    var.mem_cell.is_some() || var.segs.iter().all(|s| ir.reg(s.reg).slot.is_some());
-                if stageable {
-                    api.field_stagers.push(vid);
-                }
-            }
+            })
+            .collect();
+        Field { reg: &ir.reg(rid).name, args: Some(args) }
+    }
+}
+
+/// A step's port offset as an operand (a family argument or a constant).
+pub(crate) fn offset_operand(offset: PlanOffset) -> PlanValue {
+    match offset {
+        PlanOffset::Const(c) => PlanValue::Const(c),
+        PlanOffset::Arg(i) => PlanValue::Arg(i),
+    }
+}
+
+/// A fixed-slot assemble list (a field getter's, a fused read's) as
+/// `(field, segment)` pairs.
+pub(crate) fn fixed_pairs<'a>(
+    ir: &'a DeviceIr,
+    pairs: &'a [(usize, FieldSeg)],
+) -> impl Iterator<Item = (Field<'a>, FieldSeg)> {
+    pairs.iter().map(move |&(slot, seg)| (Field::of(ir, &PlanSlot::Fixed(slot)), seg))
+}
+
+/// The domain value at dense index `idx` of a family dimension: the
+/// inverse of [`FamilyDim::index_of`].
+fn value_at(dim: &FamilyDim, idx: usize) -> u64 {
+    let &(lo, _, base) =
+        dim.ranges.iter().rev().find(|&&(_, _, base)| base <= idx).expect("index in domain");
+    lo + (idx - base) as u64
+}
+
+/// `FamilyDim::index_of` within one range, `base + (v - lo)`, with the
+/// back end's integer-literal `suffix`.
+pub(crate) struct Dense<'a>(pub &'a str, pub u64, pub usize, pub &'a str);
+
+impl fmt::Display for Dense<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Dense(v, 0, 0, _) => f.write_str(v),
+            Dense(v, lo, base, suffix) => write!(f, "{base} + ({v} - {lo:#x}{suffix})"),
         }
-        for (si, st) in ir.structs.iter().enumerate() {
-            let sid = StructId(si as u32);
-            if st.read_plan.as_deref().is_some_and(|p| plan_emittable(ir, p)) {
-                api.read_structs.push(sid);
-            }
-            if st.write_plan.as_deref().is_some_and(|p| plan_emittable(ir, p)) {
-                api.write_structs.push(sid);
-            }
+    }
+}
+
+/// A register primitive's port offset: a concrete register's constant
+/// (`Some`), or the name of a family primitive's offset parameter.
+pub(crate) struct PortOff<'a>(pub Option<&'a Offset>, pub &'a str);
+
+impl fmt::Display for PortOff<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(Offset::Const(c)) => c.fmt(f),
+            Some(Offset::Param(_)) => unreachable!("concrete register with parameterized offset"),
+            None => f.write_str(self.1),
         }
-        for (si, sp) in ir.superplans().iter().enumerate() {
-            if superplan_emittable(ir, sp) {
-                api.superplans.push(si);
-            }
-        }
-        api
-    }
-
-    /// Whether `vid` has a full-read stub.
-    pub fn reads_var(&self, vid: VarId) -> bool {
-        self.read_vars.contains(&vid)
-    }
-
-    /// Whether `vid` has a write-through stub.
-    pub fn writes_var(&self, vid: VarId) -> bool {
-        self.write_vars.contains(&vid)
-    }
-
-    /// Whether `vid` has a cache-assemble field getter.
-    pub fn gets_field(&self, vid: VarId) -> bool {
-        self.field_getters.contains(&vid)
-    }
-
-    /// Whether `vid` has a cache-staging field setter.
-    pub fn stages_field(&self, vid: VarId) -> bool {
-        self.field_stagers.contains(&vid)
-    }
-
-    /// Whether superplan `sid` has a fused stub.
-    pub fn emits_superplan(&self, sid: usize) -> bool {
-        self.superplans.contains(&sid)
     }
 }
 
@@ -252,20 +153,21 @@ mod tests {
     #[test]
     fn shipped_specs_expose_their_plan_surface() {
         let ir = ir_for(include_str!("../../../specs/pic8259.dil"));
-        let api = StubApi::of(&ir);
         let init = ir.struct_id("init").unwrap();
-        assert!(api.write_structs.contains(&init), "guard-split init flush is emittable");
-        assert!(api.read_structs.is_empty(), "icw registers are write-only");
-        let ic4 = ir.var_id("ic4").unwrap();
-        assert!(api.writes_var(ic4) && api.stages_field(ic4) && api.gets_field(ic4));
-        assert!(!api.reads_var(ic4), "no read plan on a write-only register");
+        assert!(ir.strct(init).write_plan.is_some(), "guard-split init flush has a stub");
+        assert!(ir.strct(init).read_plan.is_none(), "icw registers are write-only");
+        let ic4 = ir.var(ir.var_id("ic4").unwrap());
+        assert!(ic4.write_plan.is_some() && stages_field(&ir, ic4) && gets_field(ic4));
+        assert!(ic4.read_plan.is_none(), "no read plan on a write-only register");
+        let h = crate::emit_c(&ir, "pic");
+        assert!(h.contains("#define pic_put_init()") && !h.contains("pic_get_init"), "{h}");
+        assert!(h.contains("#define pic_set_ic4(v)") && !h.contains("pic_read_ic4"), "{h}");
     }
 
     #[test]
-    fn family_backed_plans_are_not_emittable() {
-        // `sel` lives on a family instance: its guard slot has no
-        // concrete owner, so the conditional flush keeps the
-        // interpreter API even though the plan itself compiled.
+    fn family_backed_plans_emit() {
+        // `sel` lives on a family instance: the guard of the conditional
+        // flush tests its element of the family's cache array.
         let ir = ir_for(
             r#"device d (base : bit[8] port @ {0..3}) {
                  register f(i : int{0..1}) = base @ i, mask '.......*' : bit[8];
@@ -278,24 +180,49 @@ mod tests {
                  } serialized as { a; if (sel == true) c; };
                }"#,
         );
-        let api = StubApi::of(&ir);
-        assert!(api.write_structs.is_empty());
-        if let Some(plan) = ir.strct(ir.struct_id("s").unwrap()).write_plan.as_deref() {
-            assert!(!plan_emittable(&ir, plan));
-        }
+        let sel = ir.var_id("sel").unwrap();
+        let slot = ir.var(sel).read_plan.as_deref().expect("sel reads through a plan").assemble[0]
+            .0
+            .clone();
+        let field = Field::of(&ir, &slot);
+        assert_eq!((field.reg, field.args), ("f", Some(vec![PlanValue::Const(1)])));
+        let h = crate::emit_c(&ir, "d");
+        assert!(h.contains("#define d_put_s()"), "{h}");
+        assert!(h.contains("(d_cache.cache_f[d__ix_f(0x1ull)] & 0x1ull) == 0x0ull"), "{h}");
+        assert!(h.contains("d_cache.cache_f[d__ix_f(0x1ull)] = d__read_f(0x1ull)"), "{h}");
+        let m = crate::emit_rust(&ir);
+        assert!(m.contains("pub fn put_s(&mut self"), "{m}");
+        assert!(m.contains("(self.cache_f[Self::ix_f(0x1)] & 0x1) == 0x0"), "{m}");
+        assert!(m.contains("self.read_f(dev, Self::ix_f(0x1), 0x1);"), "{m}");
     }
 
-    /// Audit: every `PlanStep` and `GuardSource` kind has an explicit
-    /// emittability verdict, exercised end to end through specs that
-    /// produce each kind. The matches in `step_emittable` and
-    /// `guard_emittable` are exhaustive (no `_` arm), so adding a step
-    /// or source kind breaks this crate's build until it is classified
-    /// — it can be rejected, but never silently mis-emitted.
+    #[test]
+    fn indexed_slots_name_their_family_arguments() {
+        // A two-parameter family addressed with one constant and one
+        // argument: the constant is recovered from the folded base, the
+        // argument names the stub parameter, in parameter order.
+        let ir = ir_for(
+            r#"device d (base : bit[8] port @ {0..1}) {
+                 register g(i : int{0..1}, j : int{2..3, 7}) = base @ i : bit[8];
+                 variable w(j : int{2..3, 7}) = g(1, j), volatile : int(8);
+               }"#,
+        );
+        let w = ir.var(ir.var_id("w").unwrap());
+        let slot = w.read_plan.as_deref().expect("w reads through a plan").assemble[0].0.clone();
+        let field = Field::of(&ir, &slot);
+        assert_eq!(field.reg, "g");
+        assert_eq!(field.args, Some(vec![PlanValue::Const(1), PlanValue::Arg(0)]));
+        let fs = ir.reg(ir.reg_id("g").unwrap()).family_slots.as_ref().unwrap();
+        assert_eq!(value_at(&fs.dims[1], 2), 7, "the third value of {{2..3, 7}}");
+    }
+
+    /// Every `PlanStep` and `GuardSource` kind appears in a spec whose
+    /// plans both back ends emit.
     #[test]
     fn every_step_and_guard_kind_has_an_emit_verdict() {
-        use devil_ir::{GuardSource, PlanGuard, PlanStep};
+        use devil_ir::{GuardSource, PlanStep};
         // A spec producing Read, Write, Store and SetCell steps plus
-        // Slot- and Input-sourced guards, all emittable.
+        // Slot-, Input- and Cell-sourced guards.
         let ir = ir_for(
             r#"device d (base : bit[8] port @ {0..2}) {
                  private variable pm : bool;
@@ -305,20 +232,15 @@ mod tests {
                  variable rv = r, volatile : int(8);
                  variable t = a[1] : bool;
                  variable resta = a[7..2] : int(6);
-                 variable restc = c[7..1] : int(7);
+                 variable restc = c[7..2] : int(6);
                  variable q = c[0] : bool serialized as { if (t == true) c; };
                  variable w = a[0] : bool serialized as { if (w == true) a; };
+                 variable m = c[1] : bool serialized as { if (pm == true) c; };
                }"#,
         );
         let mut kinds = [false; 4]; // Read, Write, Store, SetCell
-        let mut sources = [false; 2]; // Slot, Input
-        let mut all_plans: Vec<&devil_ir::AccessPlan> = Vec::new();
-        for v in &ir.vars {
-            all_plans.extend(v.read_plan.as_deref());
-            all_plans.extend(v.write_plan.as_deref());
-        }
-        for plan in &all_plans {
-            assert!(plan_emittable(&ir, plan), "concrete-surface plans must emit");
+        let mut sources = [false; 3]; // Slot, Input, Cell
+        for (_, plan) in ir.accesses() {
             for (k, variant) in plan.variants.iter().enumerate() {
                 for step in ir.variant_steps(variant) {
                     match step {
@@ -337,35 +259,29 @@ mod tests {
                     match g.source {
                         GuardSource::Slot(_) => sources[0] = true,
                         GuardSource::Input => sources[1] = true,
-                        GuardSource::Cell(_) => panic!("no cell guard in this spec"),
+                        GuardSource::Cell(_) => sources[2] = true,
                     }
                 }
             }
         }
-        assert_eq!(
-            kinds, [true; 4],
-            "spec must exercise every step kind (Read/Write/Store/SetCell)"
-        );
-        assert_eq!(sources, [true; 2], "spec must exercise Slot and Input guard sources");
-        // The remaining source kind, Cell, is the rejected one: a
-        // cell-guarded plan compiles for the interpreter but keeps the
-        // interpreter API in both emitters.
-        let cell_guard = PlanGuard { source: GuardSource::Cell(0), mask: u64::MAX, expected: 1 };
-        assert!(!guard_emittable(&ir, &cell_guard));
-        let slot_guard = PlanGuard {
-            source: GuardSource::Slot(ir.reg(ir.reg_id("a").unwrap()).slot.unwrap()),
-            mask: 1,
-            expected: 1,
-        };
-        assert!(guard_emittable(&ir, &slot_guard));
-        let input_guard = PlanGuard { source: GuardSource::Input, mask: 1, expected: 0 };
-        assert!(guard_emittable(&ir, &input_guard));
+        assert_eq!(kinds, [true; 4], "spec must exercise every step kind");
+        assert_eq!(sources, [true; 3], "spec must exercise every guard source");
+        let (h, m) = (crate::emit_c(&ir, "d"), crate::emit_rust(&ir));
+        for (vid, var) in ir.vars.iter().enumerate() {
+            let vid = devil_sema::model::VarId(vid as u32);
+            if var.write_plan.is_some() {
+                assert!(h.contains(&format!("#define d_set_{}(v)", var.name)), "{vid:?}: {h}");
+                assert!(m.contains(&format!("pub fn set_{}(&mut self", var.name)), "{vid:?}: {m}");
+            }
+        }
+        assert!(h.contains("(d_cache.mem_pm == 0x0ull ?"), "cell guard: {h}");
+        assert!(m.contains("if self.mem_pm == 0x0 {"), "cell guard: {m}");
     }
 
     #[test]
-    fn cell_guarded_plans_keep_the_interpreter_api() {
-        // Mem-cell tested conditional: the plan compiles (the
-        // interpreter dispatches on it) but neither emitter renders it.
+    fn cell_guarded_plans_emit() {
+        // Mem-cell tested conditional: the guard tests the cell field
+        // both emitters keep for the private variable.
         let ir = ir_for(
             r#"device d (base : bit[8] port @ {0..1}) {
                  private variable m : bool;
@@ -377,10 +293,11 @@ mod tests {
                }"#,
         );
         let w = ir.var_id("w").unwrap();
-        let plan = ir.var(w).write_plan.as_deref().expect("cell-guarded plan compiles");
-        assert!(!plan_emittable(&ir, plan), "cell guards must be rejected, not mis-emitted");
-        let api = StubApi::of(&ir);
-        assert!(!api.writes_var(w));
+        assert!(ir.var(w).write_plan.is_some(), "cell-guarded plan compiles");
+        let h = crate::emit_c(&ir, "d");
+        assert!(h.contains("#define d_set_w(v) ( \\\n    (d_cache.mem_m == 0x0ull ?"), "{h}");
+        let m = crate::emit_rust(&ir);
+        assert!(m.contains("        if self.mem_m == 0x0 {"), "{m}");
     }
 
     #[test]
@@ -392,10 +309,9 @@ mod tests {
                  variable IA = control : int{0..31};
                }"#,
         );
-        let api = StubApi::of(&ir);
-        let xm = ir.var_id("xm").unwrap();
-        assert!(api.reads_var(xm) && api.writes_var(xm), "plain cell round-trips");
-        let ia = ir.var_id("IA").unwrap();
-        assert!(api.reads_var(ia) && api.writes_var(ia), "set-action folds into IA's plan");
+        let h = crate::emit_c(&ir, "d");
+        assert!(h.contains("#define d_get_xm()") && h.contains("#define d_set_xm(v)"), "{h}");
+        assert!(h.contains("#define d_get_IA()"), "set-action folds into IA's plan: {h}");
+        assert!(h.contains("#define d_set_IA(v)"), "set-action folds into IA's plan: {h}");
     }
 }

@@ -6,24 +6,29 @@
 //! a struct holding the cache, inherent methods per variable, enums for
 //! enumerated types, and structure readers that fill the cache.
 //!
-//! Like the C backend, method bodies are lowered from the precompiled
-//! [`devil_ir::PlanStep`] arena — the same step sequences the fast-path
-//! interpreter executes. Guard-split conditional serializations emit a
-//! [`devil_ir::PlanGuard`]-driven `if`/`else if` chain selecting one
-//! straight-line variant. Accesses without an emittable plan keep the
-//! interpreter API, marked by a comment.
+//! Like the C backend, every access with a compiled plan gets a method,
+//! lowered from the precompiled [`devil_ir::PlanStep`] arena — the same
+//! step sequences the plan executor runs. Guard-split conditional
+//! serializations emit a [`devil_ir::PlanGuard`]-driven `if`/`else if`
+//! chain selecting one straight-line variant.
+//!
+//! Family variable methods take their arguments before the value
+//! (`get_ID(dev, a0)`, `set_ID(dev, a0, v)`) and return a `Result`: an
+//! argument outside its parameter's domain fails with the runtime's
+//! `RtError::ArgOutOfRange` before any bus op or cache change.
 
-use crate::plan::{assemble_slots, Shift, StubApi};
-use devil_ir::{
-    AccessPlan, Compose, DeviceIr, FieldSeg, FuseOp, GuardSource, PlanStep, PlanValue, Superplan,
-    VarIr,
+use crate::plan::{
+    families, fixed_pairs, gets_field, offset_operand, stages_field, Dense, Field, PortOff, Shift,
 };
-use devil_sema::model::{StructId, TypeSem, VarId};
+use devil_ir::{
+    AccessPlan, AccessStep, Compose, DeviceIr, FieldSeg, FuseOp, GuardSource, PlanSlot, PlanStep,
+    PlanValue, Superplan, VarIr,
+};
+use devil_sema::model::TypeSem;
 use std::fmt::{self, Write as _};
 
 /// Emits a Rust module implementing the device interface.
 pub fn emit_rust(ir: &DeviceIr) -> String {
-    let api = StubApi::of(ir);
     let mut out = String::new();
     let ty_name = camel(&ir.name);
     let _ = writeln!(out, "// Generated by devilc from device `{}`. Do not edit.", ir.name);
@@ -58,130 +63,165 @@ pub fn emit_rust(ir: &DeviceIr) -> String {
         }
     }
 
-    // The device struct: per-register cache (+ validity) + memory cells.
+    // The device struct: per-register cache (+ validity), one vector of
+    // each per register family, and the memory cells.
+    // Family caches are vectors sized by `new`, so a device with
+    // families implements `Default` through `new` rather than deriving
+    // one that would leave them empty.
+    let sized = families(ir).next().is_some();
     let _ = writeln!(out, "/// Generated interface for `{}`.", ir.name);
-    let _ = writeln!(out, "#[derive(Default)]");
+    if !sized {
+        let _ = writeln!(out, "#[derive(Default)]");
+    }
     let _ = writeln!(out, "pub struct {ty_name} {{");
     // Cache and cell fields are `pub` so differential harnesses can
     // compare final state against the interpreter's — the Rust twin of
     // the C stub's plainly visible cache struct.
-    for reg in ir.regs.iter().filter(|r| r.params.is_empty()) {
-        let _ = writeln!(out, "    pub cache_{}: u64,", reg.name);
-        let _ = writeln!(out, "    pub valid_{}: bool,", reg.name);
+    for reg in &ir.regs {
+        if reg.params.is_empty() {
+            let _ = writeln!(out, "    pub cache_{}: u64,", reg.name);
+            let _ = writeln!(out, "    pub valid_{}: bool,", reg.name);
+        } else if reg.family_slots.is_some() {
+            let _ = writeln!(out, "    pub cache_{}: Vec<u64>,", reg.name);
+            let _ = writeln!(out, "    pub valid_{}: Vec<bool>,", reg.name);
+        }
     }
     for var in ir.vars.iter().filter(|v| v.mem_cell.is_some()) {
         let _ = writeln!(out, "    pub mem_{}: u64,", var.name);
     }
     let _ = writeln!(out, "}}\n");
+    if sized {
+        let _ = writeln!(
+            out,
+            "impl Default for {ty_name} {{\n    fn default() -> Self {{\n        Self::new()\n    }}\n}}\n"
+        );
+    }
     let _ = writeln!(out, "impl {ty_name} {{");
     let _ = writeln!(out, "    /// Creates an interface with a cold cache.");
     let _ = writeln!(out, "    pub fn new() -> Self {{");
-    let _ = writeln!(out, "        Self::default()\n    }}\n");
+    if !sized {
+        let _ = writeln!(out, "        Self::default()\n    }}\n");
+    } else {
+        let _ = writeln!(out, "        Self {{");
+        for reg in &ir.regs {
+            let _ = match &reg.family_slots {
+                _ if reg.params.is_empty() => {
+                    writeln!(out, "            cache_{0}: 0,\n            valid_{0}: false,", reg.name)
+                }
+                Some(fs) => writeln!(
+                    out,
+                    "            cache_{0}: vec![0; {1}],\n            valid_{0}: vec![false; {1}],",
+                    reg.name, fs.count
+                ),
+                None => Ok(()),
+            };
+        }
+        for var in ir.vars.iter().filter(|v| v.mem_cell.is_some()) {
+            let _ = writeln!(out, "            mem_{}: 0,", var.name);
+        }
+        let _ = writeln!(out, "        }}\n    }}\n");
+    }
 
     // Register primitives: the raw device access plus cache update.
-    // Actions never live here — the plan steps sequence them.
-    for reg in ir.regs.iter().filter(|r| r.params.is_empty()) {
-        if let Some(b) = &reg.read {
-            let _ =
-                writeln!(out, "    fn read_{}(&mut self, dev: &mut dyn DeviceAccess) {{", reg.name);
-            let _ = writeln!(
-                out,
-                "        self.cache_{} = dev.read({}, {}, {});",
-                reg.name,
-                b.port.0,
-                const_offset(b),
-                reg.size
-            );
-            let _ = writeln!(out, "        self.valid_{} = true;\n    }}\n", reg.name);
+    // Actions never live here — the plan steps sequence them. A family
+    // primitive takes the instance's cache index and port offset.
+    for reg in &ir.regs {
+        let family = !reg.params.is_empty();
+        if family && reg.family_slots.is_none() {
+            continue;
         }
-        if let Some(b) = &reg.write {
+        let (params, at) = if family { (", k: usize, offset: u64", "[k]") } else { ("", "") };
+        if let Some(b) = &reg.read {
             let _ = writeln!(
                 out,
-                "    fn write_{}(&mut self, dev: &mut dyn DeviceAccess) {{",
+                "    fn read_{}(&mut self, dev: &mut dyn DeviceAccess{params}) {{",
                 reg.name
             );
             let _ = writeln!(
                 out,
-                "        dev.write({}, {}, {}, (self.cache_{} & {:#x}) | {:#x});",
+                "        self.cache_{}{at} = dev.read({}, {}, {});",
+                reg.name,
                 b.port.0,
-                const_offset(b),
+                PortOff((!family).then_some(&b.offset), "offset"),
+                reg.size
+            );
+            let _ = writeln!(out, "        self.valid_{}{at} = true;\n    }}\n", reg.name);
+        }
+        if let Some(b) = &reg.write {
+            let _ = writeln!(
+                out,
+                "    fn write_{}(&mut self, dev: &mut dyn DeviceAccess{params}) {{",
+                reg.name
+            );
+            let _ = writeln!(
+                out,
+                "        dev.write({}, {}, {}, (self.cache_{}{at} & {:#x}) | {:#x});",
+                b.port.0,
+                PortOff((!family).then_some(&b.offset), "offset"),
                 reg.size,
                 reg.name,
                 reg.and_mask,
                 reg.or_mask
             );
-            let _ = writeln!(out, "        self.valid_{} = true;\n    }}\n", reg.name);
+            let _ = writeln!(out, "        self.valid_{}{at} = true;\n    }}\n", reg.name);
         }
+    }
+    for (reg, fs) in families(ir) {
+        let params: Vec<String> = (0..fs.dims.len()).map(|d| format!("v{d}: u64")).collect();
+        let _ = writeln!(out, "    /// The cache index of an instance of family `{}`.", reg.name);
+        let _ = writeln!(out, "    fn ix_{}({}) -> usize {{", reg.name, params.join(", "));
+        out.push_str("        (");
+        let wrap = fs.dims.len() > 1;
+        for (d, dim) in fs.dims.iter().enumerate() {
+            let v = format!("v{d}");
+            out.push_str(if d == 0 { "" } else { " + " });
+            out.push_str(if wrap { "(" } else { "" });
+            if let [(lo, _, base)] = dim.ranges[..] {
+                let _ = write!(out, "{}", Dense(&v, lo, base, ""));
+            } else {
+                let _ = write!(out, "match {v} {{ ");
+                let (last, tested) = dim.ranges.split_last().expect("non-empty domain");
+                for &(lo, hi, base) in tested {
+                    let _ = write!(out, "{} => {}, ", Pattern(lo, hi), Dense(&v, lo, base, ""));
+                }
+                let _ = write!(out, "_ => {} }}", Dense(&v, last.0, last.2, ""));
+            }
+            if wrap {
+                let _ = write!(out, ") * {}", dim.stride);
+            }
+        }
+        out.push_str(") as usize\n    }\n\n");
     }
 
     // Variable accessors.
-    for (vi, var) in ir.vars.iter().enumerate() {
-        if !var.params.is_empty() {
-            let _ = writeln!(
-                out,
-                "    // Parameterized variable `{}`: served by the interpreter API.",
-                var.name
-            );
-            continue;
-        }
-        emit_var(&mut out, ir, &api, VarId(vi as u32), var);
+    for var in &ir.vars {
+        emit_var(&mut out, ir, var);
     }
 
     // Structure accessors.
-    for (si, st) in ir.structs.iter().enumerate() {
-        let sid = StructId(si as u32);
-        if api.read_structs.contains(&sid) {
-            let plan = st.read_plan.as_deref().expect("api vetted the read plan");
-            let _ = writeln!(out, "    /// Reads the `{}` structure into the cache.", st.name);
-            let _ = writeln!(
-                out,
-                "    pub fn get_{}(&mut self, dev: &mut dyn DeviceAccess) {{",
-                st.name
-            );
-            emit_plan(&mut out, ir, plan, "        ", "v");
-            let _ = writeln!(out, "    }}\n");
-        } else if !st.read_order.is_empty() {
-            let _ = writeln!(
-                out,
-                "    // Structure `{}` (read): not plan-compiled; served by the interpreter API.",
-                st.name
-            );
-        }
-        if api.write_structs.contains(&sid) {
-            let plan = st.write_plan.as_deref().expect("api vetted the write plan");
-            let _ = writeln!(
-                out,
-                "    /// Flushes the `{}` structure from the cache (stage fields first).",
-                st.name
-            );
-            let _ = writeln!(
-                out,
-                "    pub fn put_{}(&mut self, dev: &mut dyn DeviceAccess) {{",
-                st.name
-            );
-            emit_plan(&mut out, ir, plan, "        ", "v");
-            let _ = writeln!(out, "    }}\n");
-        } else if !st.write_order.is_empty() {
-            let _ = writeln!(
-                out,
-                "    // Structure `{}` (write): not plan-compiled; served by the interpreter API.",
-                st.name
-            );
+    for st in &ir.structs {
+        let directions = [
+            (&st.read_plan, "get", "Reads", "into the cache."),
+            (&st.write_plan, "put", "Flushes", "from the cache (stage fields first)."),
+        ];
+        for (plan, verb, what, how) in directions {
+            if let Some(plan) = plan.as_deref() {
+                let _ = writeln!(out, "    /// {what} the `{}` structure {how}", st.name);
+                let _ = writeln!(
+                    out,
+                    "    pub fn {verb}_{}(&mut self, dev: &mut dyn DeviceAccess) {{",
+                    st.name
+                );
+                emit_plan(&mut out, ir, plan, "        ", "v");
+                let _ = writeln!(out, "    }}\n");
+            }
         }
     }
 
     // Fused superplans: one guard evaluation, then the whole batched
     // body — the `run_superplan` fast path as straight-line code.
-    for (si, sp) in ir.superplans().iter().enumerate() {
-        if api.emits_superplan(si) {
-            emit_superplan(&mut out, ir, sp);
-        } else {
-            let _ = writeln!(
-                out,
-                "    // Superplan `{}`: not emittable; served by the interpreter API.",
-                sp.name
-            );
-        }
+    for sp in ir.superplans() {
+        emit_superplan(&mut out, ir, sp);
     }
     let _ = writeln!(out, "}}");
     out
@@ -218,7 +258,10 @@ fn emit_superplan(out: &mut String, ir: &DeviceIr, sp: &Superplan) {
     let _ = writeln!(out, "    }}\n");
 }
 
-fn camel(s: &str) -> String {
+/// The emitted module's type name for a device name (`logitech_busmouse`
+/// becomes `LogitechBusmouse`); enum types and variants are named the
+/// same way.
+pub fn camel(s: &str) -> String {
     s.split(['_', '-'])
         .filter(|p| !p.is_empty())
         .map(|p| {
@@ -231,16 +274,6 @@ fn camel(s: &str) -> String {
         .collect()
 }
 
-/// Concrete registers always bind constant offsets.
-fn const_offset(b: &devil_sema::model::PortBinding) -> u64 {
-    match b.offset {
-        devil_sema::model::Offset::Const(c) => c,
-        devil_sema::model::Offset::Param(_) => {
-            unreachable!("concrete register with parameterized offset")
-        }
-    }
-}
-
 /// A plan operand as a Rust expression; `input` names the setter's
 /// argument.
 struct Operand<'a>(&'a PlanValue, &'a str);
@@ -250,20 +283,71 @@ impl fmt::Display for Operand<'_> {
         match *self.0 {
             PlanValue::Input => f.write_str(self.1),
             PlanValue::Const(c) => write!(f, "{c:#x}"),
-            // Superplan operands become stub parameters; ordinary plans
-            // carrying `Arg` (family plans) are never emitted.
+            // A superplan operand or a family argument: a parameter.
             PlanValue::Arg(i) => write!(f, "a{i}"),
+        }
+    }
+}
+
+/// A match pattern for `lo..=hi`.
+struct Pattern(u64, u64);
+
+impl fmt::Display for Pattern {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Pattern(lo, hi) if lo == hi => write!(f, "{lo:#x}"),
+            Pattern(lo, hi) => write!(f, "{lo:#x}..={hi:#x}"),
+        }
+    }
+}
+
+/// A family instance's cache index: its index helper over its
+/// arguments.
+struct Ix<'a>(&'a [PlanValue], &'a str);
+
+impl fmt::Display for Ix<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Self::ix_{}(", self.1)?;
+        for (i, a) in self.0.iter().enumerate() {
+            write!(f, "{}{}", if i == 0 { "" } else { ", " }, Operand(a, ""))?;
+        }
+        f.write_str(")")
+    }
+}
+
+/// A cache field behind a slot: `self.<kind>_<reg>`, subscripted for a
+/// family instance.
+struct Member<'a>(&'static str, &'a Field<'a>);
+
+impl fmt::Display for Member<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Member(kind, field) = *self;
+        write!(f, "self.{kind}_{}", field.reg)?;
+        match &field.args {
+            None => Ok(()),
+            Some(args) => write!(f, "[{}]", Ix(args, field.reg)),
+        }
+    }
+}
+
+/// The trailing arguments of a primitive call: none for a concrete
+/// register, the cache index and port offset for a family instance.
+fn prim_args(field: &Field<'_>, a: &AccessStep) -> String {
+    match &field.args {
+        None => String::new(),
+        Some(args) => {
+            format!(", {}, {}", Ix(args, field.reg), Operand(&offset_operand(a.offset), ""))
         }
     }
 }
 
 /// Appends the composed raw-value expression of a masked store/write to
 /// `out`.
-fn compose_expr(out: &mut String, n: &str, c: &Compose, input: &str) {
+fn compose_expr(out: &mut String, cache: &Member<'_>, c: &Compose, input: &str) {
     if c.keep_and == u64::MAX {
-        let _ = write!(out, "self.cache_{n}");
+        let _ = write!(out, "{cache}");
     } else {
-        let _ = write!(out, "(self.cache_{n} & {:#x})", c.keep_and);
+        let _ = write!(out, "({cache} & {:#x})", c.keep_and);
     }
     if c.const_or != 0 {
         let _ = write!(out, " | {:#x}", c.const_or);
@@ -279,27 +363,29 @@ fn compose_expr(out: &mut String, n: &str, c: &Compose, input: &str) {
 fn step_stmts(ir: &DeviceIr, step: &PlanStep, indent: &str, input: &str, out: &mut String) {
     match step {
         PlanStep::Read(a) => {
-            let _ = writeln!(out, "{indent}self.read_{}(dev);", ir.reg(a.reg).name);
+            let field = Field::of(ir, &a.slot);
+            let _ = writeln!(out, "{indent}self.read_{}(dev{});", field.reg, prim_args(&field, a));
         }
         PlanStep::Write { access: a, compose: c, .. } => {
-            let n = &ir.reg(a.reg).name;
+            let field = Field::of(ir, &a.slot);
+            let (n, args) = (field.reg, prim_args(&field, a));
             if c.is_identity() {
-                let _ = writeln!(out, "{indent}self.write_{n}(dev);");
+                let _ = writeln!(out, "{indent}self.write_{n}(dev{args});");
                 return;
             }
-            let _ = write!(out, "{indent}self.cache_{n} = ");
-            compose_expr(out, n, c, input);
-            let _ = writeln!(out, ";\n{indent}self.write_{n}(dev);");
+            let cache = Member("cache", &field);
+            let _ = write!(out, "{indent}{cache} = ");
+            compose_expr(out, &cache, c, input);
+            let _ = writeln!(out, ";\n{indent}self.write_{n}(dev{args});");
         }
         PlanStep::Store(slot, c) => {
             // Cache-only store, no device access (see the interpreter's
             // `store_var_bits`).
-            let s = slot.fixed().expect("family plans are not emitted");
-            let owner = ir.slot_owner(s).expect("emittable stores hit owned slots");
-            let n = &ir.reg(owner).name;
-            let _ = write!(out, "{indent}self.cache_{n} = ");
-            compose_expr(out, n, c, input);
-            let _ = writeln!(out, ";\n{indent}self.valid_{n} = true;");
+            let field = Field::of(ir, slot);
+            let cache = Member("cache", &field);
+            let _ = write!(out, "{indent}{cache} = ");
+            compose_expr(out, &cache, c, input);
+            let _ = writeln!(out, ";\n{indent}{} = true;", Member("valid", &field));
         }
         PlanStep::SetCell { cell, value, mask } => {
             // Cells keep their variable's raw width, like the runtime.
@@ -323,7 +409,7 @@ fn step_stmts(ir: &DeviceIr, step: &PlanStep, indent: &str, input: &str, out: &m
                 writeln!(out, "{indent}dev.write_block({port}, {offset:#x}, {size}, block_out);");
         }
         PlanStep::Assemble { out: o, segs } => {
-            let _ = writeln!(out, "{indent}outs[{o}] = {};", assemble_expr(ir, segs));
+            let _ = writeln!(out, "{indent}outs[{o}] = {};", assemble_expr(fixed_pairs(ir, segs)));
         }
     }
 }
@@ -351,11 +437,15 @@ fn emit_plan(out: &mut String, ir: &DeviceIr, plan: &AccessPlan, indent: &str, i
                 let (mask, expected) = (g.mask, g.expected);
                 let _ = match g.source {
                     GuardSource::Slot(s) => {
-                        let owner = ir.slot_owner(s).expect("emittable plans guard owned slots");
-                        let reg = &ir.reg(owner).name;
-                        write!(out, "{sep}(self.cache_{reg} & {mask:#x}) == {expected:#x}")
+                        let cache = Member("cache", &Field::of(ir, &PlanSlot::Fixed(s)));
+                        write!(out, "{sep}({cache} & {mask:#x}) == {expected:#x}")
                     }
-                    GuardSource::Cell(_) => unreachable!("cell guards are not emittable"),
+                    // Cells hold values masked to their variable's
+                    // width and are compared whole.
+                    GuardSource::Cell(c) => {
+                        let owner = ir.mem_owner(c).expect("cells are owned");
+                        write!(out, "{sep}self.mem_{} == {expected:#x}", ir.var(owner).name)
+                    }
                     // The setter's own value argument (the general
                     // path's store-then-evaluate order).
                     GuardSource::Input => {
@@ -372,22 +462,21 @@ fn emit_plan(out: &mut String, ir: &DeviceIr, plan: &AccessPlan, indent: &str, i
     let _ = writeln!(out, "{indent}}}");
 }
 
-/// A variable assembled from named cache fields.
-fn assemble_expr(ir: &DeviceIr, pairs: &[(usize, FieldSeg)]) -> String {
-    if pairs.is_empty() {
-        return "0".to_string();
-    }
+/// A variable assembled from cache fields.
+fn assemble_expr<'a>(pairs: impl Iterator<Item = (Field<'a>, FieldSeg)>) -> String {
     let mut s = String::new();
-    for (k, &(slot, seg)) in pairs.iter().enumerate() {
-        let owner = ir.slot_owner(slot).expect("assemble slots are owned");
-        let field = format_args!("(self.cache_{} & {:#x})", ir.reg(owner).name, seg.reg_mask());
+    for (k, (field, seg)) in pairs.enumerate() {
+        let cache = format_args!("({} & {:#x})", Member("cache", &field), seg.reg_mask());
         let sep = if k == 0 { "" } else { " | " };
-        let _ = write!(s, "{sep}{}", Shift(field, seg.var_lo as i64 - seg.reg_lo as i64));
+        let _ = write!(s, "{sep}{}", Shift(cache, seg.var_lo as i64 - seg.reg_lo as i64));
+    }
+    if s.is_empty() {
+        s.push('0');
     }
     s
 }
 
-fn emit_var(out: &mut String, ir: &DeviceIr, api: &StubApi, vid: VarId, var: &VarIr) {
+fn emit_var(out: &mut String, ir: &DeviceIr, var: &VarIr) {
     let rust_ty = if matches!(var.ty, TypeSem::SInt(_)) { "i64" } else { "u64" };
     // Memory cells: direct cache access. Stores keep the variable's raw
     // width, like the runtime.
@@ -399,7 +488,7 @@ fn emit_var(out: &mut String, ir: &DeviceIr, api: &StubApi, vid: VarId, var: &Va
         let _ = writeln!(out, "    /// Reads the private memory cell `{}`.", var.name);
         let _ = writeln!(out, "    pub fn get_{}(&mut self) -> u64 {{", var.name);
         let _ = writeln!(out, "        self.mem_{}\n    }}\n", var.name);
-        if var.parent.is_some() && api.stages_field(vid) {
+        if var.parent.is_some() && stages_field(ir, var) {
             // Staging a mem-cell field is a pure cell store (the C
             // stub's `setf_` define); the structure writer flushes.
             let _ = writeln!(
@@ -410,14 +499,13 @@ fn emit_var(out: &mut String, ir: &DeviceIr, api: &StubApi, vid: VarId, var: &Va
             let _ = writeln!(out, "    pub fn stage_{}(&mut self, v: u64) {{", var.name);
             let _ = writeln!(out, "        self.mem_{} = {stored};\n    }}\n", var.name);
         }
-        if api.writes_var(vid) {
+        if let Some(plan) = var.write_plan.as_deref() {
             let _ = writeln!(out, "    /// Writes the private memory cell `{}`.", var.name);
             if var.set.is_empty() {
                 let _ = writeln!(out, "    pub fn set_{}(&mut self, v: u64) {{", var.name);
                 let _ = writeln!(out, "        self.mem_{} = {stored};\n    }}\n", var.name);
             } else {
                 // Foldable set actions ride the compiled write plan.
-                let plan = var.write_plan.as_deref().expect("api vetted the write plan");
                 let _ = writeln!(
                     out,
                     "    pub fn set_{}(&mut self, dev: &mut dyn DeviceAccess, v: u64) {{",
@@ -426,69 +514,69 @@ fn emit_var(out: &mut String, ir: &DeviceIr, api: &StubApi, vid: VarId, var: &Va
                 emit_plan(out, ir, plan, "        ", "v");
                 let _ = writeln!(out, "    }}\n");
             }
-        } else if var.writable {
-            let _ = writeln!(
-                out,
-                "    // Variable `{}` (write): not plan-compiled; served by the interpreter API.",
-                var.name
-            );
         }
         return;
     }
 
     let is_field = var.parent.is_some();
     // Field cache accessors (`get_field_id` / `set_field_id`).
-    if is_field {
-        if api.gets_field(vid) {
-            let pairs = var.slot_assemble.as_ref().expect("api vetted slot_assemble");
-            let expr = assemble_expr(ir, pairs);
-            let _ = writeln!(
-                out,
-                "    /// Gets `{}` from the cache (fill it with the structure reader).",
-                var.name
-            );
-            let _ = writeln!(out, "    pub fn get_{}(&mut self) -> {rust_ty} {{", var.name);
-            let _ = writeln!(out, "        {}\n    }}\n", signed_wrap(var, &expr));
-        }
-        if api.stages_field(vid) {
-            let _ = writeln!(
-                out,
-                "    /// Stages `{}` in the cache (flush with the structure writer).",
-                var.name
-            );
-            let _ = writeln!(out, "    pub fn stage_{}(&mut self, v: u64) {{", var.name);
-            for s in &var.segs {
-                let n = &ir.reg(s.reg).name;
-                let mask = s.seg.reg_mask();
-                let shifted = Shift("v", s.seg.reg_lo as i64 - s.seg.var_lo as i64);
-                let _ = writeln!(
-                    out,
-                    "        self.cache_{n} = (self.cache_{n} & !{mask:#x}) | ({shifted} & {mask:#x});"
-                );
-                let _ = writeln!(out, "        self.valid_{n} = true;");
-            }
-            let _ = writeln!(out, "    }}\n");
-        }
+    if let (true, Some(pairs)) = (gets_field(var), &var.slot_assemble) {
+        let expr = assemble_expr(fixed_pairs(ir, pairs));
+        let _ = writeln!(
+            out,
+            "    /// Gets `{}` from the cache (fill it with the structure reader).",
+            var.name
+        );
+        let _ = writeln!(out, "    pub fn get_{}(&mut self) -> {rust_ty} {{", var.name);
+        let _ = writeln!(out, "        {}\n    }}\n", signed_wrap(var, &expr));
     }
+    if stages_field(ir, var) {
+        let _ = writeln!(
+            out,
+            "    /// Stages `{}` in the cache (flush with the structure writer).",
+            var.name
+        );
+        let _ = writeln!(out, "    pub fn stage_{}(&mut self, v: u64) {{", var.name);
+        for s in &var.segs {
+            let n = &ir.reg(s.reg).name;
+            let mask = s.seg.reg_mask();
+            let shifted = Shift("v", s.seg.reg_lo as i64 - s.seg.var_lo as i64);
+            let _ = writeln!(
+                out,
+                "        self.cache_{n} = (self.cache_{n} & !{mask:#x}) | ({shifted} & {mask:#x});"
+            );
+            let _ = writeln!(out, "        self.valid_{n} = true;");
+        }
+        let _ = writeln!(out, "    }}\n");
+    }
+
+    // A family variable's arguments come first and are checked against
+    // their domains before anything else, as the runtime's
+    // `validate_args` does; its methods return a `Result`.
+    let family = !var.params.is_empty();
+    let params: String = (0..var.params.len()).map(|k| format!(", a{k}: u64")).collect();
+    let (res_open, res_close) =
+        if family { ("Result<", ", devil_runtime::RtError>") } else { ("", "") };
+    let (ok_open, ok_close) = if family { ("Ok(", ")") } else { ("", "") };
 
     // Full read (`read_id`): idempotent variables serve a fully-cached
     // value; volatile and read-trigger ones always execute the plan.
-    if api.reads_var(vid) {
-        let plan = var.read_plan.as_deref().expect("api vetted the read plan");
-        let slots = assemble_slots(plan);
-        let expr = assemble_expr(ir, &slots);
+    if let Some(plan) = var.read_plan.as_deref() {
+        let fields = || plan.assemble.iter().map(|(slot, seg)| (Field::of(ir, slot), *seg));
+        let expr = assemble_expr(fields());
         let name =
             if is_field { format!("read_{}", var.name) } else { format!("get_{}", var.name) };
         let _ = writeln!(out, "    /// Reads `{}` from the device.", var.name);
         let _ = writeln!(
             out,
-            "    pub fn {name}(&mut self, dev: &mut dyn DeviceAccess) -> {rust_ty} {{"
+            "    pub fn {name}(&mut self, dev: &mut dyn DeviceAccess{params}) -> {res_open}{rust_ty}{res_close} {{"
         );
+        arg_check(out, var);
         if !var.behavior.volatile && !var.behavior.read_trigger {
             let mut valids: Vec<String> = Vec::new();
-            for &(slot, _) in &slots {
-                let owner = ir.slot_owner(slot).expect("assemble slots are owned");
-                let v = format!("self.valid_{}", ir.reg(owner).name);
+            for (field, _) in fields() {
+                let mut v = String::with_capacity(32);
+                let _ = write!(v, "{}", Member("valid", &field));
                 if !valids.contains(&v) {
                     valids.push(v);
                 }
@@ -499,32 +587,24 @@ fn emit_var(out: &mut String, ir: &DeviceIr, api: &StubApi, vid: VarId, var: &Va
         } else {
             emit_plan(out, ir, plan, "        ", "v");
         }
-        let _ = writeln!(out, "        {}\n    }}\n", signed_wrap(var, &expr));
-    } else if var.readable && !is_field {
-        let _ = writeln!(
-            out,
-            "    // Variable `{}` (read): not plan-compiled; served by the interpreter API.",
-            var.name
-        );
+        let _ = writeln!(out, "        {ok_open}{}{ok_close}\n    }}\n", signed_wrap(var, &expr));
     }
 
     // Write-through (`write_id`).
-    if api.writes_var(vid) {
-        let plan = var.write_plan.as_deref().expect("api vetted the write plan");
+    if let Some(plan) = var.write_plan.as_deref() {
         let _ = writeln!(out, "    /// Writes `{}` to the device.", var.name);
         let _ = writeln!(
             out,
-            "    pub fn set_{}(&mut self, dev: &mut dyn DeviceAccess, v: u64) {{",
-            var.name
+            "    pub fn set_{}(&mut self, dev: &mut dyn DeviceAccess{params}, v: u64){} {{",
+            var.name,
+            if family { " -> Result<(), devil_runtime::RtError>" } else { "" }
         );
+        arg_check(out, var);
         emit_plan(out, ir, plan, "        ", "v");
+        if family {
+            let _ = writeln!(out, "        Ok(())");
+        }
         let _ = writeln!(out, "    }}\n");
-    } else if var.writable {
-        let _ = writeln!(
-            out,
-            "    // Variable `{}` (write): not plan-compiled; served by the interpreter API.",
-            var.name
-        );
     }
 }
 
@@ -533,6 +613,24 @@ fn signed_wrap(var: &VarIr, expr: &str) -> String {
         format!("devil_runtime::sign_extend({expr}, {})", var.width)
     } else {
         expr.to_string()
+    }
+}
+
+/// A family method's argument check: the first argument outside its
+/// parameter's domain fails the call before any bus op.
+fn arg_check(out: &mut String, var: &VarIr) {
+    for (k, p) in var.params.iter().enumerate() {
+        let _ = write!(out, "        if !matches!(a{k}, ");
+        for (i, &(lo, hi)) in p.values.iter().enumerate() {
+            let _ = write!(out, "{}{}", if i == 0 { "" } else { " | " }, Pattern(lo, hi));
+        }
+        let _ = writeln!(out, ") {{");
+        let _ = writeln!(
+            out,
+            "            return Err(devil_runtime::RtError::ArgOutOfRange {{ var: \"{}\".into(), value: a{k} }});",
+            var.name
+        );
+        let _ = writeln!(out, "        }}");
     }
 }
 
@@ -577,10 +675,9 @@ mod tests {
     }
 
     #[test]
-    fn family_tested_conditions_keep_the_interpreter_api() {
-        // `sel` lives on a family instance: its guard slot has no named
-        // cache field, so the conditional structure accessors are
-        // suppressed with a marker.
+    fn family_tested_conditions_emit() {
+        // `sel` lives on a family instance: the conditional structure
+        // accessors test its element of the family's cache vector.
         let ir = ir_for(
             r#"device d (base : bit[8] port @ {0..3}) {
                  register f(i : int{0..1}) = base @ i, mask '.......*' : bit[8];
@@ -594,8 +691,29 @@ mod tests {
                }"#,
         );
         let m = emit_rust(&ir);
-        assert!(!m.contains("pub fn get_s("), "{m}");
-        assert!(m.contains("(read): not plan-compiled"), "{m}");
+        assert!(m.contains("pub fn get_s(&mut self"), "{m}");
+        assert!(m.contains("if (self.cache_f[Self::ix_f(0x1)] & 0x1) == 0x0 {"), "{m}");
+        assert!(m.contains("cache_f: vec![0; 2],"), "{m}");
+        assert!(!m.contains("derive(Default)"), "{m}");
+        assert!(
+            m.contains("impl Default for D {\n    fn default() -> Self {\n        Self::new()"),
+            "{m}"
+        );
+    }
+
+    #[test]
+    fn family_variable_methods_return_results() {
+        let ir = ir_for(include_str!("../../../specs/cs4236b.dil"));
+        let m = emit_rust(&ir);
+        assert!(m.contains("pub fn get_XD(&mut self, dev: &mut dyn DeviceAccess, a0: u64) -> Result<u64, devil_runtime::RtError> {"), "{m}");
+        assert!(m.contains("pub fn set_ID(&mut self, dev: &mut dyn DeviceAccess, a0: u64, v: u64) -> Result<(), devil_runtime::RtError> {"), "{m}");
+        assert!(m.contains("        if !matches!(a0, 0x0..=0x11 | 0x19) {"), "{m}");
+        assert!(m.contains("self.read_X(dev, Self::ix_X(a0), 0x1);"), "{m}");
+        assert!(
+            m.contains("(match v0 { 0x0..=0x11 => v0, _ => 18 + (v0 - 0x19) }) as usize"),
+            "{m}"
+        );
+        assert!(m.contains("        (v0) as usize\n"), "{m}");
     }
 
     #[test]

@@ -294,13 +294,6 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Runs a fleet, compiling the spec library first. Benchmarks that
-/// sweep many configurations should compile once and use
-/// [`run_fleet_with`].
-pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
-    run_fleet_with(cfg, &SharedIrs::compile())
-}
-
 /// Runs a fleet against already-compiled shared IRs.
 pub fn run_fleet_with(cfg: &FleetConfig, irs: &SharedIrs) -> FleetReport {
     assert!(cfg.shards >= 1, "a fleet needs at least one shard");

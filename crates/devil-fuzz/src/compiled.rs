@@ -17,15 +17,18 @@
 //! harness and its view are two [`Rig`]s for [`crate::compare`], one
 //! leaf per line.
 //!
-//! Ops the stub surface cannot express (family variables, accesses
-//! without an emittable plan, block transfers, superplans without an
-//! emittable body) are dropped from the stream — identically by both
-//! rigs — by [`stub_expresses`].
+//! Every access with a compiled plan has a stub, family variables
+//! included (their out-of-domain calls print the runtime's
+//! `ArgOutOfRange` line). [`stub_expresses`] drops — identically for
+//! both rigs — only what has no stub at all: accesses without a plan,
+//! plain block transfers (not dispatch points), and structure accesses
+//! a field of which has no cache getter or stager.
 
 use crate::{Op, Rig, Trace};
-use devil_codegen::StubApi;
-use devil_ir::{DeviceIr, FuseOp};
+use devil_codegen::{gets_field, stages_field};
+use devil_ir::{AccessRef, DeviceIr, FuseOp};
 use devil_runtime::{DeviceInstance, FakeAccess};
+use devil_sema::model::StructId;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -88,8 +91,6 @@ pub struct CompiledHarness {
     bin: PathBuf,
     /// The lowered spec.
     pub ir: DeviceIr,
-    /// The emitted stub surface.
-    pub api: StubApi,
 }
 
 /// The decoded shim address layout: Devil port index in the high bits,
@@ -106,17 +107,16 @@ impl CompiledHarness {
         ir: &DeviceIr,
         dir: &Path,
     ) -> Result<CompiledHarness, String> {
-        let api = StubApi::of(ir);
         let bin = match backend {
-            Backend::C => build_c(name, ir, &api, dir)?,
-            Backend::Rust => crate::compiled_rust::build(name, ir, &api, dir)?,
+            Backend::C => build_c(name, ir, dir)?,
+            Backend::Rust => crate::compiled_rust::build(name, ir, dir)?,
         };
-        Ok(CompiledHarness { name: name.into(), backend, bin, ir: ir.clone(), api })
+        Ok(CompiledHarness { name: name.into(), backend, bin, ir: ir.clone() })
     }
 
     /// The plan executor rendered in this harness's observation lines.
     pub fn view(&self) -> HarnessView<'_> {
-        HarnessView { ir: &self.ir, api: &self.api }
+        HarnessView { ir: &self.ir }
     }
 
     /// Runs the harness over a command stream, returning its output
@@ -155,8 +155,8 @@ impl Rig for CompiledHarness {
 
     fn replay(&self, ops: &mut dyn Iterator<Item = Op>, trace: &mut Trace) -> Result<(), String> {
         let mut commands = String::new();
-        for op in ops.filter(|op| stub_expresses(&self.ir, &self.api, op)) {
-            op_command(&self.ir, &self.api, &op, &mut commands);
+        for op in ops.filter(|op| stub_expresses(&self.ir, op)) {
+            op_command(&self.ir, &op, &mut commands);
             trace.ops += 1;
         }
         commands.push_str("D\n");
@@ -168,9 +168,9 @@ impl Rig for CompiledHarness {
 }
 
 /// Compiles the C harness, returning the binary's path.
-fn build_c(name: &str, ir: &DeviceIr, api: &StubApi, dir: &Path) -> Result<PathBuf, String> {
+fn build_c(name: &str, ir: &DeviceIr, dir: &Path) -> Result<PathBuf, String> {
     let header = Backend::C.emit(ir, name);
-    let harness = harness_c(ir, name, api);
+    let harness = harness_c(ir, name);
     let hash = fnv1a(header.as_bytes()) ^ fnv1a(harness.as_bytes()).rotate_left(1);
     let stem = format!("{name}_{hash:016x}");
     let bin = dir.join(format!("oracle_{stem}"));
@@ -222,57 +222,76 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Whether the emitted stub surface can express `op`; both rigs of the
 /// oracle replay exactly the ops it keeps.
-pub fn stub_expresses(ir: &DeviceIr, api: &StubApi, op: &Op) -> bool {
+pub fn stub_expresses(ir: &DeviceIr, op: &Op) -> bool {
+    let planned = |access| ir.plan(access).is_some();
     match op {
-        Op::ReadVar { vid, args } => args.is_empty() && api.reads_var(*vid),
-        Op::WriteVar { vid, args, .. } => args.is_empty() && api.writes_var(*vid),
-        Op::ReadStruct { sid } => {
-            api.read_structs.contains(sid)
-                && ir.strct(*sid).fields.iter().all(|&f| api.gets_field(f))
+        Op::ReadVar { vid, args } => {
+            args.len() == ir.var(*vid).params.len() && planned(AccessRef::ReadVar(*vid))
         }
+        Op::WriteVar { vid, args, .. } => {
+            args.len() == ir.var(*vid).params.len() && planned(AccessRef::WriteVar(*vid))
+        }
+        Op::ReadStruct { sid } => struct_stubbed(ir, *sid, false),
         Op::WriteStruct { sid, values } => {
-            api.write_structs.contains(sid)
-                && ir
-                    .strct(*sid)
-                    .fields
-                    .iter()
-                    .all(|&f| api.stages_field(f) && values.iter().any(|&(vf, _)| vf == f))
+            struct_stubbed(ir, *sid, true)
+                && ir.strct(*sid).fields.iter().all(|&f| values.iter().any(|&(vf, _)| vf == f))
         }
-        Op::Super(call) => api.emits_superplan(call.sid),
-        Op::Preset { .. } => true,
+        Op::Super(_) | Op::Preset { .. } => true,
         Op::ReadBlock { .. } | Op::WriteBlock { .. } => false,
     }
 }
 
-/// Renders one expressible op in the harness's command protocol.
-fn op_command(ir: &DeviceIr, api: &StubApi, op: &Op, out: &mut String) {
+/// Whether the harness replays structure `sid`'s read (`write` false:
+/// then reads every field back) or its flush (staging every field
+/// first): the access has a stub and every field a cache getter, or
+/// stager.
+pub(crate) fn struct_stubbed(ir: &DeviceIr, sid: StructId, write: bool) -> bool {
+    let access = if write { AccessRef::WriteStruct(sid) } else { AccessRef::ReadStruct(sid) };
+    ir.plan(access).is_some()
+        && ir.strct(sid).fields.iter().all(|&f| {
+            let var = ir.var(f);
+            if write {
+                stages_field(ir, var)
+            } else {
+                gets_field(var)
+            }
+        })
+}
+
+/// Renders one expressible op in the harness's command protocol:
+/// variables, structures and superplans by id, a variable's family
+/// arguments after its value.
+fn op_command(ir: &DeviceIr, op: &Op, out: &mut String) {
     use std::fmt::Write as _;
-    let index = |found: Option<usize>| found.expect("filtered by stub_expresses");
     match op {
         Op::Preset { port, offset, value } => {
-            let _ = writeln!(out, "P {port} {offset} {value}");
+            let _ = write!(out, "P {port} {offset} {value}");
         }
-        Op::ReadVar { vid, .. } => {
-            let _ = writeln!(out, "RV {}", index(api.read_vars.iter().position(|v| v == vid)));
+        Op::ReadVar { vid, args } => {
+            let _ = write!(out, "RV {}", vid.0);
+            for a in args {
+                let _ = write!(out, " {a}");
+            }
         }
-        Op::WriteVar { vid, value, .. } => {
-            let k = index(api.write_vars.iter().position(|v| v == vid));
-            let _ = writeln!(out, "WV {k} {value}");
+        Op::WriteVar { vid, args, value } => {
+            let _ = write!(out, "WV {} {value}", vid.0);
+            for a in args {
+                let _ = write!(out, " {a}");
+            }
         }
         Op::ReadStruct { sid } => {
-            let _ = writeln!(out, "RS {}", index(api.read_structs.iter().position(|s| s == sid)));
+            let _ = write!(out, "RS {}", sid.0);
         }
         Op::WriteStruct { sid, values } => {
-            let _ = write!(out, "WS {}", index(api.write_structs.iter().position(|s| s == sid)));
+            let _ = write!(out, "WS {}", sid.0);
             // Values in struct-field order, as the harness stages.
             for &fid in ir.strct(*sid).fields.iter() {
                 let v = values.iter().find(|&&(f, _)| f == fid).expect("filtered").1;
                 let _ = write!(out, " {v}");
             }
-            out.push('\n');
         }
         Op::Super(call) => {
-            let _ = write!(out, "SP {}", index(api.superplans.iter().position(|&s| s == call.sid)));
+            let _ = write!(out, "SP {}", call.sid);
             for &a in &call.args {
                 let _ = write!(out, " {a}");
             }
@@ -286,10 +305,10 @@ fn op_command(ir: &DeviceIr, api: &StubApi, op: &Op, out: &mut String) {
             if sp.ops.iter().any(|o| matches!(o, FuseOp::ReadBlock { .. })) {
                 let _ = write!(out, " {}", call.block_in_len);
             }
-            out.push('\n');
         }
         Op::ReadBlock { .. } | Op::WriteBlock { .. } => unreachable!("filtered"),
     }
+    out.push('\n');
 }
 
 /// The plan executor rendered in the harness's observation lines —
@@ -297,15 +316,24 @@ fn op_command(ir: &DeviceIr, api: &StubApi, op: &Op, out: &mut String) {
 /// a [`CompiledHarness`] has a rig to be compared against.
 pub struct HarnessView<'a> {
     ir: &'a DeviceIr,
-    api: &'a StubApi,
 }
 
-impl Rig for HarnessView<'_> {
-    fn name(&self) -> String {
-        "plans (harness view)".into()
+impl HarnessView<'_> {
+    /// The plan executor's hit table after replaying the ops the stubs
+    /// express: which dispatch points the compiled oracle's streams
+    /// reach.
+    pub fn hits(&self, ops: impl IntoIterator<Item = Op>) -> Result<Vec<u64>, String> {
+        let inst = self.run(&mut ops.into_iter(), &mut Trace::new(false, 0..0))?;
+        Ok(inst.hits().to_vec())
     }
 
-    fn replay(&self, ops: &mut dyn Iterator<Item = Op>, trace: &mut Trace) -> Result<(), String> {
+    /// Replays the expressible ops through a fresh plan executor,
+    /// tracing the harness's observation lines; returns the instance.
+    fn run(
+        &self,
+        ops: &mut dyn Iterator<Item = Op>,
+        trace: &mut Trace,
+    ) -> Result<DeviceInstance, String> {
         let ir = self.ir;
         let mut inst = DeviceInstance::new(ir.clone());
         let mut dev = FakeAccess::new();
@@ -317,7 +345,7 @@ impl Rig for HarnessView<'_> {
             Ok(v) => format!("O {tag} {v}"),
             Err(e) => format!("O {tag} ERR {e:?}"),
         };
-        for op in ops.filter(|op| stub_expresses(ir, self.api, op)) {
+        for op in ops.filter(|op| stub_expresses(ir, op)) {
             trace.ops += 1;
             let mut lines = Vec::new();
             match &op {
@@ -374,11 +402,18 @@ impl Rig for HarnessView<'_> {
                 trace.line(line);
             }
         }
-        // The final cache dump, in the exact order the harness prints it.
+        // The final cache dump, in the exact order the harness prints
+        // it: every register's slot, every family instance's, every cell.
         let (slots, valid) = inst.cache_snapshot();
         for reg in &ir.regs {
             if let Some(slot) = reg.slot {
                 trace.line(format!("C {} {} {}", reg.name, slots[slot], u8::from(valid[slot])));
+            }
+            if let Some(fs) = &reg.family_slots {
+                for (k, slot) in (fs.base..fs.base + fs.count).enumerate() {
+                    let (v, ok) = (slots[slot], u8::from(valid[slot]));
+                    trace.line(format!("C {}[{k}] {v} {ok}", reg.name));
+                }
             }
         }
         let mem = inst.mem_snapshot();
@@ -387,209 +422,245 @@ impl Rig for HarnessView<'_> {
                 trace.line(format!("M {} {}", var.name, mem[cell]));
             }
         }
-        Ok(())
+        Ok(inst)
     }
 }
 
-/// Generates the C harness around an emitted header: the logging bus
-/// shim plus a command dispatcher over the stub surface.
-fn harness_c(ir: &DeviceIr, prefix: &str, api: &StubApi) -> String {
+impl Rig for HarnessView<'_> {
+    fn name(&self) -> String {
+        "plans (harness view)".into()
+    }
+
+    fn replay(&self, ops: &mut dyn Iterator<Item = Op>, trace: &mut Trace) -> Result<(), String> {
+        self.run(ops, trace).map(drop)
+    }
+}
+
+/// The C harness's fixed half, ahead of the header: the logging bus
+/// shim — a linear (addr, value) register file whose untouched
+/// addresses read 0, exactly like the Rust `FakeAccess` — bound to the
+/// port primitives, and per-word block primitives (so the log shows
+/// every bus cycle) in place of the header's `<sys/io.h>` defaults.
+const SHIM_C: &str = r#"#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+
+#define SHIM_CAP 65536
+static unsigned long long shim_addr[SHIM_CAP];
+static unsigned long long shim_val[SHIM_CAP];
+static int shim_n = 0;
+
+static int shim_find(unsigned long long addr) {
+    for (int i = 0; i < shim_n; i++)
+        if (shim_addr[i] == addr) return i;
+    return -1;
+}
+
+static void shim_set(unsigned long long addr, unsigned long long v) {
+    int i = shim_find(addr);
+    if (i < 0) {
+        if (shim_n >= SHIM_CAP) abort();
+        i = shim_n++;
+        shim_addr[i] = addr;
+    }
+    shim_val[i] = v;
+}
+
+static unsigned long long shim_in(unsigned long long addr) {
+    int i = shim_find(addr);
+    unsigned long long v = i < 0 ? 0 : shim_val[i];
+    printf("B R %llu %llu %llu\n", addr >> PORT_SHIFT, addr & ((1ULL << PORT_SHIFT) - 1), v);
+    return v;
+}
+
+static void shim_out(unsigned long long v, unsigned long long addr) {
+    shim_set(addr, v);
+    printf("B W %llu %llu %llu\n", addr >> PORT_SHIFT, addr & ((1ULL << PORT_SHIFT) - 1), v);
+}
+
+#define inb shim_in
+#define inw shim_in
+#define inl shim_in
+#define outb shim_out
+#define outw shim_out
+#define outl shim_out
+#define DEVIL_NO_SYS_IO 1
+#define devil_ins(p, b, n) do { unsigned long __i; \
+    for (__i = 0; __i < (unsigned long)(n); ++__i) (b)[__i] = shim_in(p); } while (0)
+#define devil_outs(p, b, n) do { unsigned long __i; \
+    for (__i = 0; __i < (unsigned long)(n); ++__i) shim_out((b)[__i], (p)); } while (0)
+#define devil_ins8 devil_ins
+#define devil_ins16 devil_ins
+#define devil_ins32 devil_ins
+#define devil_outs8 devil_outs
+#define devil_outs16 devil_outs
+#define devil_outs32 devil_outs
+"#;
+
+/// Generates the C harness around an emitted header: the bus shim plus
+/// a command dispatcher over the stub surface. Every command but `P`
+/// and `D` names its variable, structure or superplan by id.
+fn harness_c(ir: &DeviceIr, prefix: &str) -> String {
     use std::fmt::Write as _;
-    let mut c = String::new();
-    let _ = writeln!(c, "#include <stdio.h>");
-    let _ = writeln!(c, "#include <stdlib.h>");
-    let _ = writeln!(c, "#include <string.h>");
-    let _ = writeln!(c);
-    // The bus shim: a linear (addr, value) register file. Reads of
-    // untouched addresses return 0, exactly like the Rust FakeAccess.
-    let _ = writeln!(c, "#define SHIM_CAP 65536");
-    let _ = writeln!(c, "static unsigned long long shim_addr[SHIM_CAP];");
-    let _ = writeln!(c, "static unsigned long long shim_val[SHIM_CAP];");
-    let _ = writeln!(c, "static int shim_n = 0;");
-    let _ = writeln!(c);
-    let _ = writeln!(c, "static int shim_find(unsigned long long addr) {{");
-    let _ = writeln!(c, "    for (int i = 0; i < shim_n; i++)");
-    let _ = writeln!(c, "        if (shim_addr[i] == addr) return i;");
-    let _ = writeln!(c, "    return -1;");
-    let _ = writeln!(c, "}}");
-    let _ = writeln!(c);
-    let _ = writeln!(c, "static void shim_set(unsigned long long addr, unsigned long long v) {{");
-    let _ = writeln!(c, "    int i = shim_find(addr);");
-    let _ = writeln!(c, "    if (i < 0) {{");
-    let _ = writeln!(c, "        if (shim_n >= SHIM_CAP) abort();");
-    let _ = writeln!(c, "        i = shim_n++;");
-    let _ = writeln!(c, "        shim_addr[i] = addr;");
-    let _ = writeln!(c, "    }}");
-    let _ = writeln!(c, "    shim_val[i] = v;");
-    let _ = writeln!(c, "}}");
-    let _ = writeln!(c);
-    let _ = writeln!(c, "static unsigned long long shim_in(unsigned long long addr) {{");
-    let _ = writeln!(c, "    int i = shim_find(addr);");
-    let _ = writeln!(c, "    unsigned long long v = i < 0 ? 0 : shim_val[i];");
-    let _ = writeln!(
-        c,
-        "    printf(\"B R %llu %llu %llu\\n\", addr >> {PORT_SHIFT}, addr & ((1ULL << {PORT_SHIFT}) - 1), v);"
-    );
-    let _ = writeln!(c, "    return v;");
-    let _ = writeln!(c, "}}");
-    let _ = writeln!(c);
-    let _ = writeln!(c, "static void shim_out(unsigned long long v, unsigned long long addr) {{");
-    let _ = writeln!(c, "    shim_set(addr, v);");
-    let _ = writeln!(
-        c,
-        "    printf(\"B W %llu %llu %llu\\n\", addr >> {PORT_SHIFT}, addr & ((1ULL << {PORT_SHIFT}) - 1), v);"
-    );
-    let _ = writeln!(c, "}}");
-    let _ = writeln!(c);
-    for io in ["inb", "inw", "inl"] {
-        let _ = writeln!(c, "#define {io} shim_in");
-    }
-    for io in ["outb", "outw", "outl"] {
-        let _ = writeln!(c, "#define {io} shim_out");
-    }
-    // The harness supplies its own block primitives (per-word through
-    // the shim, so the log shows every bus cycle like FakeAccess does)
-    // and suppresses the header's <sys/io.h>-backed defaults.
-    let _ = writeln!(c, "#define DEVIL_NO_SYS_IO 1");
-    for w in [8u32, 16, 32] {
-        let _ = writeln!(
-            c,
-            "#define devil_ins{w}(p, b, n) do {{ unsigned long __i; \\\n    for (__i = 0; __i < (unsigned long)(n); ++__i) (b)[__i] = shim_in(p); }} while (0)"
-        );
-        let _ = writeln!(
-            c,
-            "#define devil_outs{w}(p, b, n) do {{ unsigned long __i; \\\n    for (__i = 0; __i < (unsigned long)(n); ++__i) shim_out((b)[__i], (p)); }} while (0)"
-        );
-    }
-    let _ = writeln!(c);
-    let _ = writeln!(c, "@INCLUDE@");
-    let _ = writeln!(c);
-    let _ = writeln!(c, "struct {prefix}_cache_t {prefix}_cache;");
-    let _ = writeln!(c);
+    let mut c = format!("#define PORT_SHIFT {PORT_SHIFT}\n{SHIM_C}\n@INCLUDE@\n\n");
+    let _ = writeln!(c, "struct {prefix}_cache_t {prefix}_cache;\n");
     let _ = writeln!(c, "int main(void) {{");
     let _ = writeln!(c, "    for (int p = 0; p < {}; p++)", ir.ports.len());
-    let _ =
-        writeln!(c, "        {prefix}_cache.__dil_base__[p] = (unsigned long)p << {PORT_SHIFT};");
-    let _ = writeln!(c, "    char cmd[16];");
+    let _ = writeln!(c, "        {prefix}_cache.__dil_base__[p] = (unsigned long)p << PORT_SHIFT;");
+    let _ = writeln!(c, "    char cmd[16];\n    int k;\n    unsigned long long v;");
     let _ = writeln!(c, "    while (scanf(\"%15s\", cmd) == 1) {{");
     let _ = writeln!(c, "        if (!strcmp(cmd, \"P\")) {{");
-    let _ = writeln!(c, "            unsigned long long p, o, v;");
+    let _ = writeln!(c, "            unsigned long long p, o;");
     let _ = writeln!(c, "            if (scanf(\"%llu %llu %llu\", &p, &o, &v) != 3) return 1;");
-    let _ = writeln!(c, "            shim_set((p << {PORT_SHIFT}) + o, v);");
-    let _ = writeln!(c, "        }} else if (!strcmp(cmd, \"RV\")) {{");
-    let _ = writeln!(c, "            int k;");
-    let _ = writeln!(c, "            if (scanf(\"%d\", &k) != 1) return 1;");
-    let _ = writeln!(c, "            switch (k) {{");
-    for (k, &vid) in api.read_vars.iter().enumerate() {
-        let var = ir.var(vid);
-        let call = if var.mem_cell.is_none() && var.parent.is_some() {
-            format!("{prefix}_read_{}", var.name)
-        } else {
-            format!("{prefix}_get_{}", var.name)
-        };
-        let _ = writeln!(
-            c,
-            "            case {k}: printf(\"O r{} %llu\\n\", (unsigned long long)({call}())); break;",
-            vid.0
-        );
-    }
-    let _ = writeln!(c, "            default: return 1;");
-    let _ = writeln!(c, "            }}");
-    let _ = writeln!(c, "        }} else if (!strcmp(cmd, \"WV\")) {{");
-    let _ = writeln!(c, "            int k; unsigned long long v;");
-    let _ = writeln!(c, "            if (scanf(\"%d %llu\", &k, &v) != 2) return 1;");
-    let _ = writeln!(c, "            switch (k) {{");
-    for (k, &vid) in api.write_vars.iter().enumerate() {
-        let var = ir.var(vid);
-        let _ = writeln!(
-            c,
-            "            case {k}: {prefix}_set_{}(v); printf(\"O w{} ok\\n\"); break;",
-            var.name, vid.0
-        );
-    }
-    let _ = writeln!(c, "            default: return 1;");
-    let _ = writeln!(c, "            }}");
-    let _ = writeln!(c, "        }} else if (!strcmp(cmd, \"RS\")) {{");
-    let _ = writeln!(c, "            int k;");
-    let _ = writeln!(c, "            if (scanf(\"%d\", &k) != 1) return 1;");
-    let _ = writeln!(c, "            switch (k) {{");
-    for (k, &sid) in api.read_structs.iter().enumerate() {
-        let st = ir.strct(sid);
-        let _ = writeln!(c, "            case {k}:");
-        let _ = writeln!(c, "                {prefix}_get_{}();", st.name);
-        let _ = writeln!(c, "                printf(\"O rs{} ok\\n\");", sid.0);
-        for &fid in st.fields.iter() {
+    let _ = writeln!(c, "            shim_set((p << PORT_SHIFT) + o, v);");
+    let _ = writeln!(c, "        }} else if (!strcmp(cmd, \"D\")) {{");
+    for reg in &ir.regs {
+        let (n, at) = (&reg.name, format!("{prefix}_cache.cache_{}", reg.name));
+        if reg.slot.is_some() {
             let _ = writeln!(
                 c,
-                "                printf(\"O f{} %llu\\n\", (unsigned long long)({prefix}_getf_{}()));",
-                fid.0,
-                ir.var(fid).name
+                "            printf(\"C {n} %llu %d\\n\", {at}, (int){prefix}_cache.valid_{n});"
             );
         }
-        let _ = writeln!(c, "                break;");
-    }
-    let _ = writeln!(c, "            default: return 1;");
-    let _ = writeln!(c, "            }}");
-    let _ = writeln!(c, "        }} else if (!strcmp(cmd, \"WS\")) {{");
-    let _ = writeln!(c, "            int k;");
-    let _ = writeln!(c, "            if (scanf(\"%d\", &k) != 1) return 1;");
-    let _ = writeln!(c, "            switch (k) {{");
-    for (k, &sid) in api.write_structs.iter().enumerate() {
-        let st = ir.strct(sid);
-        let _ = writeln!(c, "            case {k}: {{");
-        let _ = writeln!(c, "                unsigned long long fv[{}];", st.fields.len().max(1));
-        let _ = writeln!(c, "                for (int i = 0; i < {}; i++)", st.fields.len());
-        let _ = writeln!(c, "                    if (scanf(\"%llu\", &fv[i]) != 1) return 1;");
-        for (i, &fid) in st.fields.iter().enumerate() {
-            let _ = writeln!(c, "                {prefix}_setf_{}(fv[{i}]);", ir.var(fid).name);
+        if let Some(fs) = &reg.family_slots {
+            let _ = writeln!(c, "            for (int i = 0; i < {}; i++)", fs.count);
+            let _ = writeln!(
+                c,
+                "                printf(\"C {n}[%d] %llu %d\\n\", i, {at}[i], (int){prefix}_cache.valid_{n}[i]);"
+            );
         }
-        let _ = writeln!(c, "                {prefix}_put_{}();", st.name);
-        let _ = writeln!(c, "                printf(\"O ws{} ok\\n\");", sid.0);
-        let _ = writeln!(c, "                break; }}");
     }
-    let _ = writeln!(c, "            default: return 1;");
-    let _ = writeln!(c, "            }}");
-    let _ = writeln!(c, "        }} else if (!strcmp(cmd, \"SP\")) {{");
-    let _ = writeln!(c, "            int k;");
-    let _ = writeln!(c, "            if (scanf(\"%d\", &k) != 1) return 1;");
-    let _ = writeln!(c, "            switch (k) {{");
-    for (k, &si) in api.superplans.iter().enumerate() {
-        let sp = &ir.superplans()[si];
+    for var in ir.vars.iter().filter(|v| v.mem_cell.is_some()) {
+        let n = &var.name;
+        let _ = writeln!(c, "            printf(\"M {n} %llu\\n\", {prefix}_cache.mem_{n});");
+    }
+    let _ = writeln!(c, "        }} else if (scanf(\"%d\", &k) != 1) {{\n            return 1;");
+    // One `switch (k)` per command, after `pre`; `end` closes it.
+    let section = |c: &mut String, cmd: &str, pre: &str| {
+        let _ = writeln!(
+            c,
+            "        }} else if (!strcmp(cmd, \"{cmd}\")) {{\n{pre}            switch (k) {{"
+        );
+    };
+    let end = "            default: return 1;\n            }\n";
+    // A family stub's arguments follow; a call that sets `bad_arg`
+    // prints the runtime's `ArgOutOfRange` observation.
+    let family_call = |c: &mut String, var: &devil_ir::VarIr, tag: &str, call: &str, read: bool| {
+        let (n, name) = (var.params.len(), &var.name);
+        let shown = if read { "%llu\\n\", r" } else { "ok\\n\"" };
+        let _ = writeln!(c, "                unsigned long long a[{n}], r;");
+        let _ = writeln!(c, "                for (int i = 0; i < {n}; i++)");
+        let _ = writeln!(c, "                    if (scanf(\"%llu\", &a[i]) != 1) return 1;");
+        let _ = writeln!(
+            c,
+            "                r = (unsigned long long)({call});\n                (void)r;"
+        );
+        let _ = writeln!(c, "                if ({prefix}_cache.bad_arg)");
+        let _ = writeln!(
+            c,
+            "                    printf(\"O {tag} ERR ArgOutOfRange {{ var: \\\"{name}\\\", value: %llu }}\\n\", a[{prefix}_cache.bad_arg - 1]);"
+        );
+        let _ = writeln!(c, "                else\n                    printf(\"O {tag} {shown});");
+        let _ = writeln!(c, "                break; }}");
+    };
+    let args = |var: &devil_ir::VarIr| {
+        (0..var.params.len()).map(|i| format!("a[{i}], ")).collect::<String>()
+    };
+    section(&mut c, "RV", "");
+    for (vi, var) in ir.vars.iter().enumerate().filter(|(_, v)| v.read_plan.is_some()) {
+        let verb = if var.mem_cell.is_none() && var.parent.is_some() { "read" } else { "get" };
+        let call = format!("{prefix}_{verb}_{}({})", var.name, args(var).trim_end_matches(", "));
+        if var.params.is_empty() {
+            let _ = writeln!(
+                c,
+                "            case {vi}: printf(\"O r{vi} %llu\\n\", (unsigned long long)({call})); break;"
+            );
+        } else {
+            let _ = writeln!(c, "            case {vi}: {{");
+            family_call(&mut c, var, &format!("r{vi}"), &call, true);
+        }
+    }
+    c.push_str(end);
+    section(&mut c, "WV", "            if (scanf(\"%llu\", &v) != 1) return 1;\n");
+    for (vi, var) in ir.vars.iter().enumerate().filter(|(_, v)| v.write_plan.is_some()) {
+        let call = format!("{prefix}_set_{}({}v)", var.name, args(var));
+        if var.params.is_empty() {
+            let _ = writeln!(c, "            case {vi}: {call}; printf(\"O w{vi} ok\\n\"); break;");
+        } else {
+            let _ = writeln!(c, "            case {vi}: {{");
+            family_call(&mut c, var, &format!("w{vi}"), &call, false);
+        }
+    }
+    c.push_str(end);
+    section(&mut c, "RS", "");
+    for (si, st) in ir.structs.iter().enumerate() {
+        if struct_stubbed(ir, StructId(si as u32), false) {
+            let _ =
+                writeln!(c, "            case {si}:\n                {prefix}_get_{}();", st.name);
+            let _ = writeln!(c, "                printf(\"O rs{si} ok\\n\");");
+            for &fid in st.fields.iter() {
+                let (f, name) = (fid.0, &ir.var(fid).name);
+                let _ = writeln!(
+                    c,
+                    "                printf(\"O f{f} %llu\\n\", (unsigned long long)({prefix}_getf_{name}()));"
+                );
+            }
+            let _ = writeln!(c, "                break;");
+        }
+    }
+    c.push_str(end);
+    section(&mut c, "WS", "");
+    for (si, st) in ir.structs.iter().enumerate() {
+        if struct_stubbed(ir, StructId(si as u32), true) {
+            let _ = writeln!(c, "            case {si}: {{");
+            let _ =
+                writeln!(c, "                unsigned long long fv[{}];", st.fields.len().max(1));
+            let _ = writeln!(c, "                for (int i = 0; i < {}; i++)", st.fields.len());
+            let _ = writeln!(c, "                    if (scanf(\"%llu\", &fv[i]) != 1) return 1;");
+            for (i, &fid) in st.fields.iter().enumerate() {
+                let _ = writeln!(c, "                {prefix}_setf_{}(fv[{i}]);", ir.var(fid).name);
+            }
+            let _ = writeln!(c, "                {prefix}_put_{}();", st.name);
+            let _ = writeln!(
+                c,
+                "                printf(\"O ws{si} ok\\n\");\n                break; }}"
+            );
+        }
+    }
+    c.push_str(end);
+    section(&mut c, "SP", "");
+    for (si, sp) in ir.superplans().iter().enumerate() {
         let has_out = sp.ops.iter().any(|o| matches!(o, FuseOp::WriteBlock { .. }));
         let has_in = sp.ops.iter().any(|o| matches!(o, FuseOp::ReadBlock { .. }));
-        let _ = writeln!(c, "            case {k}: {{");
+        let _ = writeln!(c, "            case {si}: {{");
         let _ = writeln!(c, "                unsigned long long a[{}];", sp.args.max(1));
         let _ = writeln!(c, "                unsigned long long outs[{}];", sp.outputs.max(1));
         let _ = writeln!(c, "                unsigned long long bo[512], bi[512];");
         let _ = writeln!(c, "                unsigned long bon = 0, bin = 0;");
         let _ = writeln!(c, "                (void)a; (void)outs; (void)bo; (void)bi;");
         let _ = writeln!(c, "                (void)bon; (void)bin;");
+        let mut call = String::new();
         for i in 0..sp.args {
             let _ = writeln!(c, "                if (scanf(\"%llu\", &a[{i}]) != 1) return 1;");
+            let _ = write!(call, ", a[{i}]");
+        }
+        if sp.outputs > 0 {
+            call.push_str(", outs");
         }
         if has_out {
             let _ = writeln!(c, "                if (scanf(\"%lu\", &bon) != 1) return 1;");
             let _ = writeln!(c, "                if (bon > 512) return 1;");
             let _ = writeln!(c, "                for (unsigned long i = 0; i < bon; i++)");
             let _ = writeln!(c, "                    if (scanf(\"%llu\", &bo[i]) != 1) return 1;");
+            call.push_str(", bo, bon");
         }
         if has_in {
             let _ = writeln!(c, "                if (scanf(\"%lu\", &bin) != 1) return 1;");
             let _ = writeln!(c, "                if (bin > 512) return 1;");
+            call.push_str(", bi, bin");
         }
-        let mut call: Vec<String> = (0..sp.args).map(|i| format!("a[{i}]")).collect();
-        if sp.outputs > 0 {
-            call.push("outs".into());
-        }
-        if has_out {
-            call.push("bo".into());
-            call.push("bon".into());
-        }
-        if has_in {
-            call.push("bi".into());
-            call.push("bin".into());
-        }
-        let _ = writeln!(c, "                {prefix}_sp_{}({});", sp.name, call.join(", "));
+        let call = call.get(2..).unwrap_or("");
+        let _ = writeln!(c, "                {prefix}_sp_{}({call});", sp.name);
         let _ = writeln!(c, "                printf(\"O sp{si} ok\\n\");");
         for j in 0..sp.outputs {
             let _ = writeln!(c, "                printf(\"O o{j} %llu\\n\", outs[{j}]);");
@@ -600,32 +671,10 @@ fn harness_c(ir: &DeviceIr, prefix: &str, api: &StubApi) -> String {
         }
         let _ = writeln!(c, "                break; }}");
     }
-    let _ = writeln!(c, "            default: return 1;");
-    let _ = writeln!(c, "            }}");
-    let _ = writeln!(c, "        }} else if (!strcmp(cmd, \"D\")) {{");
-    for reg in &ir.regs {
-        if reg.slot.is_some() {
-            let _ = writeln!(
-                c,
-                "            printf(\"C {} %llu %d\\n\", {prefix}_cache.cache_{}, (int){prefix}_cache.valid_{});",
-                reg.name, reg.name, reg.name
-            );
-        }
-    }
-    for var in &ir.vars {
-        if var.mem_cell.is_some() {
-            let _ = writeln!(
-                c,
-                "            printf(\"M {} %llu\\n\", {prefix}_cache.mem_{});",
-                var.name, var.name
-            );
-        }
-    }
-    let _ = writeln!(c, "        }} else {{");
-    let _ = writeln!(c, "            return 1;");
-    let _ = writeln!(c, "        }}");
-    let _ = writeln!(c, "    }}");
-    let _ = writeln!(c, "    return 0;");
-    let _ = writeln!(c, "}}");
+    c.push_str(end);
+    let _ = writeln!(
+        c,
+        "        }} else {{\n            return 1;\n        }}\n    }}\n    return 0;\n}}"
+    );
     c
 }

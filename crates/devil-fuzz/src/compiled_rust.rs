@@ -18,10 +18,10 @@
 //! to their declared width before printing, so observation lines stay
 //! comparable without weakening the generated API.
 
-use crate::compiled::{fnv1a, invoke, write_file, Backend};
-use devil_codegen::StubApi;
+use crate::compiled::{fnv1a, invoke, struct_stubbed, write_file, Backend};
+use devil_codegen::rust::camel;
 use devil_ir::{DeviceIr, FuseOp};
-use devil_sema::model::TypeSem;
+use devil_sema::model::{StructId, TypeSem, VarId};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -32,15 +32,10 @@ use std::process::Command;
 /// embedded verbatim) linked against it, so the module's
 /// `use devil_runtime::…` header resolves exactly as it would against
 /// the real runtime. Content-hashed like the C harness.
-pub(crate) fn build(
-    name: &str,
-    ir: &DeviceIr,
-    api: &StubApi,
-    dir: &Path,
-) -> Result<PathBuf, String> {
+pub(crate) fn build(name: &str, ir: &DeviceIr, dir: &Path) -> Result<PathBuf, String> {
     let module = Backend::Rust.emit(ir, name);
     let shim = shim_crate();
-    let harness = harness_rs(ir, api, &module);
+    let harness = harness_rs(ir, &module);
     let hash = fnv1a(harness.as_bytes()) ^ fnv1a(shim.as_bytes()).rotate_left(1);
     let stem = format!("{name}_{hash:016x}");
     let bin = dir.join(format!("roracle_{stem}"));
@@ -77,9 +72,10 @@ pub(crate) fn build(
 
 /// The `devil_runtime` stand-in the emitted module links against: the
 /// [`devil_runtime::DeviceAccess`] trait (same signatures, same
-/// per-word block defaults as `FakeAccess`) and `sign_extend`. Nothing
-/// else — the generated code gets no bus except what the harness
-/// injects.
+/// per-word block defaults as `FakeAccess`), `sign_extend`, and the
+/// one `RtError` variant family methods return (same shape, so the
+/// same `Debug` line). Nothing else — the generated code gets no bus
+/// except what the harness injects.
 fn shim_crate() -> String {
     r#"// devil_runtime stand-in for the compiled-Rust oracle.
 pub trait DeviceAccess {
@@ -97,6 +93,11 @@ pub trait DeviceAccess {
     }
 }
 
+#[derive(Debug)]
+pub enum RtError {
+    ArgOutOfRange { var: String, value: u64 },
+}
+
 pub fn sign_extend(raw: u64, width: u32) -> i64 {
     if width == 0 || width >= 64 {
         return raw as i64;
@@ -108,22 +109,12 @@ pub fn sign_extend(raw: u64, width: u32) -> i64 {
     .to_string()
 }
 
-/// The raw-width mask a signed getter's result is folded back through
-/// before printing (the interpreter and the C stubs print raw bits).
-fn raw_mask(width: u32) -> u64 {
-    if width >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    }
-}
-
 /// The printed-value expression for a getter call: signed results mask
 /// back to raw width, unsigned ones print as-is.
-fn print_expr(ir: &DeviceIr, vid: devil_sema::model::VarId, call: &str) -> String {
+fn print_expr(ir: &DeviceIr, vid: VarId, call: &str) -> String {
     let var = ir.var(vid);
     if matches!(var.ty, TypeSem::SInt(_)) {
-        format!("(({call}) as u64) & {:#x}u64", raw_mask(var.width))
+        format!("(({call}) as u64) & {:#x}u64", devil_ir::width_mask(var.width))
     } else {
         call.to_string()
     }
@@ -131,7 +122,7 @@ fn print_expr(ir: &DeviceIr, vid: devil_sema::model::VarId, call: &str) -> Strin
 
 /// Generates the Rust harness around an emitted module: the logging bus
 /// shim plus a command dispatcher speaking the C harness's protocol.
-fn harness_rs(ir: &DeviceIr, api: &StubApi, module: &str) -> String {
+fn harness_rs(ir: &DeviceIr, module: &str) -> String {
     let ty = camel(&ir.name);
     let mut h = String::new();
     let _ = writeln!(h, "// Command harness for the compiled-Rust oracle. Generated; do not edit.");
@@ -210,94 +201,124 @@ fn main() {{
     while let Some(cmd) = toks.next() {{
         match cmd {{"#
     );
-    // P: silent register preset.
+    // P presets a register, D dumps the final cache like the
+    // interpreter's view; every other command names its variable,
+    // structure or superplan by id, then its operands.
     let _ = writeln!(h, "            \"P\" => {{");
-    let _ = writeln!(
-        h,
-        "                let (p, o, v) = (toks.num() as usize, toks.num(), toks.num());"
-    );
-    let _ = writeln!(h, "                dev.set(p, o, v);");
-    let _ = writeln!(h, "            }}");
-    // RV.
-    let _ = writeln!(h, "            \"RV\" => match toks.num() {{");
-    for (k, &vid) in api.read_vars.iter().enumerate() {
-        let var = ir.var(vid);
-        let call = if var.mem_cell.is_some() {
-            format!("d.get_{}()", var.name)
-        } else if var.parent.is_some() {
-            format!("d.read_{}(&mut dev)", var.name)
-        } else {
-            format!("d.get_{}(&mut dev)", var.name)
-        };
-        let _ = writeln!(
-            h,
-            "                {k} => println!(\"O r{} {{}}\", {}),",
-            vid.0,
-            print_expr(ir, vid, &call)
-        );
-    }
-    let _ = writeln!(h, "                _ => std::process::exit(1),");
-    let _ = writeln!(h, "            }},");
-    // WV.
-    let _ = writeln!(h, "            \"WV\" => {{");
-    let _ = writeln!(h, "                let (k, v) = (toks.num(), toks.num());");
-    let _ = writeln!(h, "                match k {{");
-    for (k, &vid) in api.write_vars.iter().enumerate() {
-        let var = ir.var(vid);
-        let call = if var.mem_cell.is_some() && var.set.is_empty() {
-            format!("d.set_{}(v)", var.name)
-        } else {
-            format!("d.set_{}(&mut dev, v)", var.name)
-        };
-        let _ =
-            writeln!(h, "                    {k} => {{ {call}; println!(\"O w{} ok\"); }}", vid.0);
-    }
-    let _ = writeln!(h, "                    _ => std::process::exit(1),");
-    let _ = writeln!(h, "                }}");
-    let _ = writeln!(h, "            }}");
-    // RS.
-    let _ = writeln!(h, "            \"RS\" => match toks.num() {{");
-    for (k, &sid) in api.read_structs.iter().enumerate() {
-        let st = ir.strct(sid);
-        let _ = writeln!(h, "                {k} => {{");
-        let _ = writeln!(h, "                    d.get_{}(&mut dev);", st.name);
-        let _ = writeln!(h, "                    println!(\"O rs{} ok\");", sid.0);
-        for &fid in st.fields.iter() {
-            let call = format!("d.get_{}()", ir.var(fid).name);
+    let _ = writeln!(h, "                let (p, o) = (toks.num() as usize, toks.num());");
+    let _ = writeln!(h, "                dev.set(p, o, toks.num());\n            }}");
+    let _ = writeln!(h, "            \"D\" => {{");
+    for reg in &ir.regs {
+        let n = &reg.name;
+        if reg.slot.is_some() {
             let _ = writeln!(
                 h,
-                "                    println!(\"O f{} {{}}\", {});",
-                fid.0,
-                print_expr(ir, fid, &call)
+                "                println!(\"C {n} {{}} {{}}\", d.cache_{n}, u8::from(d.valid_{n}));"
             );
         }
-        let _ = writeln!(h, "                }}");
-    }
-    let _ = writeln!(h, "                _ => std::process::exit(1),");
-    let _ = writeln!(h, "            }},");
-    // WS.
-    let _ = writeln!(h, "            \"WS\" => match toks.num() {{");
-    for (k, &sid) in api.write_structs.iter().enumerate() {
-        let st = ir.strct(sid);
-        let _ = writeln!(h, "                {k} => {{");
-        for &fid in st.fields.iter() {
-            let _ = writeln!(h, "                    d.stage_{}(toks.num());", ir.var(fid).name);
+        if let Some(fs) = &reg.family_slots {
+            let _ = writeln!(h, "                for i in 0..{} {{", fs.count);
+            let _ = writeln!(
+                h,
+                "                    println!(\"C {n}[{{i}}] {{}} {{}}\", d.cache_{n}[i], u8::from(d.valid_{n}[i]));\n                }}"
+            );
         }
-        let _ = writeln!(h, "                    d.put_{}(&mut dev);", st.name);
-        let _ = writeln!(h, "                    println!(\"O ws{} ok\");", sid.0);
-        let _ = writeln!(h, "                }}");
     }
-    let _ = writeln!(h, "                _ => std::process::exit(1),");
-    let _ = writeln!(h, "            }},");
-    // SP.
-    let _ = writeln!(h, "            \"SP\" => match toks.num() {{");
-    for (k, &si) in api.superplans.iter().enumerate() {
-        let sp = &ir.superplans()[si];
+    for var in ir.vars.iter().filter(|v| v.mem_cell.is_some()) {
+        let _ = writeln!(h, "                println!(\"M {0} {{}}\", d.mem_{0});", var.name);
+    }
+    let _ = writeln!(h, "            }}\n            _ => match (cmd, toks.num()) {{");
+    let arm = |h: &mut String, cmd: &str, k: usize| {
+        let _ = write!(h, "                (\"{cmd}\", {k}) => ");
+    };
+    // A family method's arguments follow; its `Err` prints as the
+    // runtime's does.
+    let family_call = |h: &mut String, vid: VarId, tag: &str, call: &str, ok_arm: &str| {
+        let _ = writeln!(h, "{{");
+        for k in 0..ir.var(vid).params.len() {
+            let _ = writeln!(h, "                    let a{k} = toks.num();");
+        }
+        let _ = writeln!(h, "                    match {call} {{");
+        let _ = writeln!(h, "                        {ok_arm},");
+        let _ = writeln!(h, "                        Err(e) => println!(\"O {tag} ERR {{e:?}}\"),");
+        let _ = writeln!(h, "                    }}\n                }}");
+    };
+    let args =
+        |vid: VarId| (0..ir.var(vid).params.len()).map(|k| format!(", a{k}")).collect::<String>();
+    for (vi, var) in ir.vars.iter().enumerate() {
+        let vid = VarId(vi as u32);
+        if var.read_plan.is_some() {
+            let call = match (var.mem_cell, var.parent) {
+                (Some(_), _) => format!("d.get_{}()", var.name),
+                (None, Some(_)) => format!("d.read_{}(&mut dev{})", var.name, args(vid)),
+                (None, None) => format!("d.get_{}(&mut dev{})", var.name, args(vid)),
+            };
+            arm(&mut h, "RV", vi);
+            if var.params.is_empty() {
+                let _ = writeln!(h, "println!(\"O r{vi} {{}}\", {}),", print_expr(ir, vid, &call));
+            } else {
+                let ok =
+                    format!("Ok(r) => println!(\"O r{vi} {{}}\", {})", print_expr(ir, vid, "r"));
+                family_call(&mut h, vid, &format!("r{vi}"), &call, &ok);
+            }
+        }
+        if var.write_plan.is_some() {
+            let call = if var.mem_cell.is_some() && var.set.is_empty() {
+                format!("d.set_{}(v)", var.name)
+            } else {
+                format!("d.set_{}(&mut dev{}, v)", var.name, args(vid))
+            };
+            arm(&mut h, "WV", vi);
+            if var.params.is_empty() {
+                let _ = writeln!(h, "{{\n                    let v = toks.num();");
+                let _ = writeln!(h, "                    {call};\n                    println!(\"O w{vi} ok\");\n                }}");
+            } else {
+                h.push_str("{\n                    let v = toks.num();\n                    ");
+                let ok = format!("Ok(()) => println!(\"O w{vi} ok\")");
+                family_call(&mut h, vid, &format!("w{vi}"), &call, &ok);
+                h.push_str("                }\n");
+            }
+        }
+    }
+    for (si, st) in ir.structs.iter().enumerate() {
+        let sid = StructId(si as u32);
+        if struct_stubbed(ir, sid, false) {
+            arm(&mut h, "RS", si);
+            let _ = writeln!(h, "{{\n                    d.get_{}(&mut dev);", st.name);
+            let _ = writeln!(h, "                    println!(\"O rs{si} ok\");");
+            for &fid in st.fields.iter() {
+                let call = format!("d.get_{}()", ir.var(fid).name);
+                let shown = print_expr(ir, fid, &call);
+                let _ =
+                    writeln!(h, "                    println!(\"O f{} {{}}\", {shown});", fid.0);
+            }
+            let _ = writeln!(h, "                }}");
+        }
+        if struct_stubbed(ir, sid, true) {
+            arm(&mut h, "WS", si);
+            h.push_str("{\n");
+            for &fid in st.fields.iter() {
+                let _ =
+                    writeln!(h, "                    d.stage_{}(toks.num());", ir.var(fid).name);
+            }
+            let _ = writeln!(h, "                    d.put_{}(&mut dev);", st.name);
+            let _ =
+                writeln!(h, "                    println!(\"O ws{si} ok\");\n                }}");
+        }
+    }
+    for (si, sp) in ir.superplans().iter().enumerate() {
         let has_out = sp.ops.iter().any(|o| matches!(o, FuseOp::WriteBlock { .. }));
         let has_in = sp.ops.iter().any(|o| matches!(o, FuseOp::ReadBlock { .. }));
-        let _ = writeln!(h, "                {k} => {{");
+        arm(&mut h, "SP", si);
+        h.push_str("{\n");
+        let mut call = String::new();
         for i in 0..sp.args {
             let _ = writeln!(h, "                    let a{i} = toks.num();");
+            let _ = write!(call, ", a{i}");
+        }
+        if sp.outputs > 0 {
+            let _ = writeln!(h, "                    let mut outs = [0u64; {}];", sp.outputs);
+            call.push_str(", &mut outs");
         }
         if has_out {
             let _ = writeln!(h, "                    let bon = toks.num() as usize;");
@@ -305,81 +326,24 @@ fn main() {{
                 h,
                 "                    let bo: Vec<u64> = (0..bon).map(|_| toks.num()).collect();"
             );
+            call.push_str(", &bo");
         }
         if has_in {
-            let _ = writeln!(h, "                    let bin = toks.num() as usize;");
-            let _ = writeln!(h, "                    let mut bi = vec![0u64; bin];");
+            let _ =
+                writeln!(h, "                    let mut bi = vec![0u64; toks.num() as usize];");
+            call.push_str(", &mut bi");
         }
-        if sp.outputs > 0 {
-            let _ = writeln!(h, "                    let mut outs = [0u64; {}];", sp.outputs);
-        }
-        let mut call: Vec<String> = (0..sp.args).map(|i| format!("a{i}")).collect();
-        if sp.outputs > 0 {
-            call.push("&mut outs".into());
-        }
-        if has_out {
-            call.push("&bo".into());
-        }
-        if has_in {
-            call.push("&mut bi".into());
-        }
-        let _ = writeln!(
-            h,
-            "                    d.sp_{}(&mut dev{}{});",
-            sp.name,
-            if call.is_empty() { "" } else { ", " },
-            call.join(", ")
-        );
+        let _ = writeln!(h, "                    d.sp_{}(&mut dev{call});", sp.name);
         let _ = writeln!(h, "                    println!(\"O sp{si} ok\");");
         for j in 0..sp.outputs {
             let _ = writeln!(h, "                    println!(\"O o{j} {{}}\", outs[{j}]);");
         }
         if has_in {
-            let _ = writeln!(h, "                    for v in &bi {{");
-            let _ = writeln!(h, "                        println!(\"O bi {{v}}\");");
-            let _ = writeln!(h, "                    }}");
+            let _ = writeln!(h, "                    for v in &bi {{\n                        println!(\"O bi {{v}}\");\n                    }}");
         }
         let _ = writeln!(h, "                }}");
     }
-    let _ = writeln!(h, "                _ => std::process::exit(1),");
-    let _ = writeln!(h, "            }},");
-    // D: the final cache dump, identical to the interpreter's.
-    let _ = writeln!(h, "            \"D\" => {{");
-    for reg in &ir.regs {
-        if reg.slot.is_some() {
-            let _ = writeln!(
-                h,
-                "                println!(\"C {} {{}} {{}}\", d.cache_{}, u8::from(d.valid_{}));",
-                reg.name, reg.name, reg.name
-            );
-        }
-    }
-    for var in &ir.vars {
-        if var.mem_cell.is_some() {
-            let _ = writeln!(
-                h,
-                "                println!(\"M {} {{}}\", d.mem_{});",
-                var.name, var.name
-            );
-        }
-    }
-    let _ = writeln!(h, "            }}");
-    let _ = writeln!(h, "            _ => std::process::exit(1),");
-    let _ = writeln!(h, "        }}");
-    let _ = writeln!(h, "    }}");
-    let _ = writeln!(h, "}}");
+    let _ = writeln!(h, "                _ => std::process::exit(1),\n            }},");
+    let _ = writeln!(h, "        }}\n    }}\n}}");
     h
-}
-
-fn camel(s: &str) -> String {
-    s.split(['_', '-'])
-        .filter(|p| !p.is_empty())
-        .map(|p| {
-            let mut c = p.chars();
-            match c.next() {
-                Some(f) => f.to_uppercase().collect::<String>() + c.as_str(),
-                None => String::new(),
-            }
-        })
-        .collect()
 }

@@ -106,7 +106,7 @@ pub struct Trace {
 }
 
 impl Trace {
-    fn new(retain: bool, window: Range<u64>) -> Trace {
+    pub(crate) fn new(retain: bool, window: Range<u64>) -> Trace {
         let mut log = MmrLog::new(retain);
         log.reserve(1024, 96);
         Trace {

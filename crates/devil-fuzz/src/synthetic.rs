@@ -3,8 +3,8 @@
 //! a general interpreter and now compiles to straight/guarded plans.
 //!
 //! They join the shipped spec library in the differential fuzz targets
-//! (`tests/differential.rs`, `tests/fallback.rs`) and — where the plan
-//! is emittable — the compiled C and Rust oracle (`tests/compiled_diff.rs`).
+//! (`tests/differential.rs`, `tests/fallback.rs`) and the compiled C and
+//! Rust oracles (`tests/compiled_diff.rs`, `tests/compiled_rust_diff.rs`).
 //! CI's nightly `fuzz-extended` and `compiled-diff` jobs enumerate the
 //! same lists at raised case counts.
 

@@ -47,6 +47,16 @@ fn fused_stub_surface_is_complete() {
 }
 
 #[test]
+fn multi_parameter_families_agree_with_compiled_stubs() {
+    oracle::multi_parameter_families_agree(C);
+}
+
+#[test]
+fn every_dispatch_point_is_compiled() {
+    oracle::every_dispatch_point_is_compiled(C);
+}
+
+#[test]
 fn superplan_sweep_matches_compiled_stubs() {
     oracle::superplan_sweep_matches(C);
 }

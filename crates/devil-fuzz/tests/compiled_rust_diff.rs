@@ -48,6 +48,16 @@ fn fused_rust_stub_surface_is_complete() {
 }
 
 #[test]
+fn multi_parameter_families_agree_with_rust_stubs() {
+    oracle::multi_parameter_families_agree(Rust);
+}
+
+#[test]
+fn every_dispatch_point_is_compiled() {
+    oracle::every_dispatch_point_is_compiled(Rust);
+}
+
+#[test]
 fn superplan_sweep_matches_rust_stubs() {
     oracle::superplan_sweep_matches(Rust);
 }

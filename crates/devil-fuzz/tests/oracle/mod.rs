@@ -15,6 +15,7 @@
 
 use crate::common::Skewed;
 use devil_fuzz::compiled::{stub_expresses, Backend, CompiledHarness};
+use devil_fuzz::coverage::{shipped_corpus, Coverage};
 use devil_fuzz::superfuzz::{decode_super, super_sweep};
 use devil_fuzz::{compare, decode, init_sweep_ops, render, sweep_ops, Mismatch, Op, Outcome, Rig};
 use proptest::prelude::*;
@@ -45,9 +46,9 @@ fn synthetic(name: &str) -> bool {
 
 /// The 8-spec library plus the synthetic formerly-fallback specs,
 /// lowered and compiled once per test binary for `backend`; empty when
-/// its compiler is missing. Ops a spec's stub surface cannot express
-/// (memw's cell-guarded `w` setter keeps the runtime API) are dropped
-/// identically by both rigs of a compare.
+/// its compiler is missing. Ops without a stub (accesses without a
+/// plan, plain block transfers) are dropped identically by both rigs
+/// of a compare.
 fn harnesses(backend: Backend) -> &'static [CompiledHarness] {
     static HARNESSES: OnceLock<Vec<CompiledHarness>> = OnceLock::new();
     if !available(backend) {
@@ -92,12 +93,12 @@ pub fn stub_surface_covers_the_spec_library(backend: Backend) {
     }
     for h in harnesses(backend) {
         assert!(
-            !h.api.read_vars.is_empty() || !h.api.write_vars.is_empty(),
+            h.ir.vars.iter().any(|v| v.read_plan.is_some() || v.write_plan.is_some()),
             "{}: no variable stubs emitted",
             h.name
         );
         let ops = sweep_ops(&h.ir);
-        let kept = ops.iter().filter(|op| stub_expresses(&h.ir, &h.api, op)).count();
+        let kept = ops.iter().filter(|op| stub_expresses(&h.ir, op)).count();
         // Shipped specs keep the wide-coverage floor; the synthetic
         // fallback shapes are deliberately tiny.
         let floor = if synthetic(&h.name) { 0 } else { 4 };
@@ -107,7 +108,11 @@ pub fn stub_surface_covers_the_spec_library(backend: Backend) {
     // compiled stub, exercised through every guard combination.
     let pic = named(backend, "pic8259");
     let init = pic.ir.struct_id("init").unwrap();
-    assert!(pic.api.write_structs.contains(&init), "pic init flush must be compiled");
+    let ws = Op::WriteStruct { sid: init, values: vec![] };
+    assert!(pic.ir.strct(init).write_plan.is_some(), "pic init flush must be compiled");
+    let values = pic.ir.strct(init).fields.iter().map(|&f| (f, 0)).collect();
+    assert!(!stub_expresses(&pic.ir, &ws), "a flush needs every field staged");
+    assert!(stub_expresses(&pic.ir, &Op::WriteStruct { sid: init, values }));
 }
 
 /// The deterministic coverage sweep, compiled stubs vs the plans.
@@ -128,13 +133,13 @@ pub fn init_sequence_sweep_matches(backend: Backend) {
 /// Cold-cache reads: the generated idempotent getters must perform the
 /// same device I/O as `read_id` on a never-touched cache, then serve
 /// later reads without I/O — validity tracking, not zero-initialization,
-/// decides.
+/// decides. Family variables read their first instance.
 pub fn cold_and_warm_reads_match(backend: Backend) {
     for h in harnesses(backend) {
         let mut ops: Vec<Op> = Vec::new();
-        for &vid in &h.api.read_vars {
-            ops.push(Op::ReadVar { vid, args: Vec::new() });
-            ops.push(Op::ReadVar { vid, args: Vec::new() });
+        for op in devil_fuzz::probe_ops(&h.ir) {
+            ops.push(op.clone());
+            ops.push(op);
         }
         assert_agrees(h, &ops);
     }
@@ -172,19 +177,41 @@ pub fn private_struct_fields_agree(backend: Backend) {
     assert_agrees(&h, &ops);
 }
 
-/// The formerly-fallback shapes present exactly the expected stub
-/// surface: input-sourced guards (selfw) and inlined nested
-/// conditionals (nestedc/nestede) emit; cell-sourced guards (memw's
-/// `w`) are rejected by `plan_emittable` — never mis-emitted — and keep
-/// the runtime API behind a marker comment. The emittable shapes then
-/// replay guard-hammering streams through the oracle.
+/// A two-parameter family, read through a variable that fixes one
+/// parameter and through one that passes both: the index helper, the
+/// constants folded into a slot and the per-argument domain checks
+/// (gaps included) must agree with the plans, instance by instance.
+pub fn multi_parameter_families_agree(backend: Backend) {
+    if !available(backend) {
+        return;
+    }
+    let src = r#"device fam2 (base : bit[8] port @ {0..1}) {
+        register g(i : int{0..1}, j : int{2..3, 7}) = base @ i : bit[8];
+        variable w(j : int{2..3, 7}) = g(1, j)[3..0], volatile : int(4);
+        variable u(i : int{0..1}, j : int{2..3, 7}) = g(i, j)[7..4] : int(4);
+    }"#;
+    let ir = devil_ir::lower(&devil_sema::check_source(src, &[]).expect("probe spec checks"));
+    let (w, u) = (ir.var_id("w").unwrap(), ir.var_id("u").unwrap());
+    let mut ops = vec![Op::Preset { port: 0, offset: 1, value: 0x77 }];
+    for (i, j) in [(0, 2), (1, 3), (1, 7), (0, 7), (2, 3), (1, 4), (0, 8)] {
+        ops.push(Op::WriteVar { vid: u, args: vec![i, j], value: 0x10 + i * 8 + j });
+        ops.push(Op::ReadVar { vid: u, args: vec![i, j] });
+        ops.push(Op::ReadVar { vid: w, args: vec![j] });
+    }
+    let h = CompiledHarness::build(backend, "fam2", &ir, &oracle_dir()).expect("probe stub builds");
+    assert!(ops.iter().all(|op| stub_expresses(&ir, op)), "family calls all have stubs");
+    assert_agrees(&h, &ops);
+}
+
+/// The formerly-fallback shapes all have stubs: input-sourced guards
+/// (selfw), cell-sourced guards (memw) and inlined nested conditionals
+/// (nestedc/nestede) replay guard-hammering streams through the oracle.
 pub fn formerly_fallback_shapes_join_the_oracle(backend: Backend) {
     if !available(backend) {
         return;
     }
     let selfw = named(backend, "selfw");
     let w = selfw.ir.var_id("w").unwrap();
-    assert!(selfw.api.writes_var(w), "input-guarded write must emit");
     let rest = selfw.ir.var_id("rest").unwrap();
     let ops = vec![
         Op::WriteVar { vid: w, args: vec![], value: 1 },
@@ -193,25 +220,28 @@ pub fn formerly_fallback_shapes_join_the_oracle(backend: Backend) {
         Op::WriteVar { vid: rest, args: vec![], value: 0x2a },
         Op::WriteVar { vid: w, args: vec![], value: 1 },
     ];
+    assert!(ops.iter().all(|op| stub_expresses(&selfw.ir, op)), "input-guarded writes emit");
     assert_agrees(selfw, &ops);
 
+    // The cell-guarded write: both values of the tested cell select
+    // their variant, and each variant's bus traffic must match.
     let memw = named(backend, "memw");
-    let mw = memw.ir.var_id("w").unwrap();
-    assert!(memw.ir.var(mw).write_plan.is_some(), "the cell-guarded plan compiles");
-    assert!(!memw.api.writes_var(mw), "cell-guarded writes must keep the runtime API");
+    let (mw, m) = (memw.ir.var_id("w").unwrap(), memw.ir.var_id("m").unwrap());
+    let mut ops = Vec::new();
+    for (cell, value) in [(0, 3), (1, 2), (1, 1), (0, 0)] {
+        ops.push(Op::WriteVar { vid: m, args: vec![], value: cell });
+        ops.push(Op::WriteVar { vid: mw, args: vec![], value });
+        ops.push(Op::ReadVar { vid: m, args: vec![] });
+    }
+    assert!(ops.iter().all(|op| stub_expresses(&memw.ir, op)), "cell-guarded writes emit");
+    assert_agrees(memw, &ops);
     let stubs = memw.backend.emit(&memw.ir, "memw");
-    assert!(
-        stubs.to_lowercase().contains("variable `w` (write): not plan-compiled"),
-        "{}: {stubs}",
-        memw.backend
-    );
-    let m = memw.ir.var_id("m").unwrap();
-    assert!(memw.api.writes_var(m) && memw.api.reads_var(m), "the plain cell round-trips");
+    let cell_guard = if backend == Backend::C { "memw_cache.mem_m == " } else { "self.mem_m == " };
+    assert!(stubs.contains(cell_guard), "{backend}: {stubs}");
 
     for name in ["nestedc", "nestede"] {
         let h = named(backend, name);
         let payload = h.ir.var_id("payload").unwrap();
-        assert!(h.api.reads_var(payload), "{name}: inlined nested conditional must emit");
         let mut ops = vec![
             Op::Preset { port: 0, offset: 2, value: 0x99 },
             Op::ReadVar { vid: payload, args: vec![] },
@@ -225,15 +255,14 @@ pub fn formerly_fallback_shapes_join_the_oracle(backend: Backend) {
             ops.push(Op::WriteVar { vid: sel, args: vec![], value: 1 });
             ops.push(Op::ReadVar { vid: payload, args: vec![] });
         }
+        assert!(ops.iter().all(|op| stub_expresses(&h.ir, op)), "{name}: nested reads emit");
         assert_agrees(h, &ops);
     }
 }
 
-/// The fused stub surface is exactly what ships: every driver-declared
-/// superplan lowers to a compiled body, the synthetic fixtures with
-/// input-resolved or inlined-nested guards lower too, and memw's
-/// cell-guarded burst is rejected — it keeps the runtime API behind a
-/// marker comment, never a mis-emitted guard chain.
+/// The fused stub surface is exactly what ships: every declared
+/// superplan — driver-declared and synthetic, memw's cell-guarded
+/// burst included — has a compiled body.
 pub fn fused_stub_surface_is_complete(backend: Backend) {
     if !available(backend) {
         return;
@@ -241,7 +270,15 @@ pub fn fused_stub_surface_is_complete(backend: Backend) {
     let surface: Vec<(&str, usize, usize)> = harnesses(backend)
         .iter()
         .filter(|h| !h.ir.superplans().is_empty())
-        .map(|h| (&h.name[..], h.ir.superplans().len(), h.api.superplans.len()))
+        .map(|h| {
+            let stubs = h.backend.emit(&h.ir, &h.name);
+            let emitted =
+                h.ir.superplans()
+                    .iter()
+                    .filter(|sp| stubs.contains(&format!("sp_{}(", sp.name)))
+                    .count();
+            (&h.name[..], h.ir.superplans().len(), emitted)
+        })
         .collect();
     assert_eq!(
         surface,
@@ -251,16 +288,76 @@ pub fn fused_stub_surface_is_complete(backend: Backend) {
             ("ne2000", 1, 1),
             ("pic8259", 1, 1),
             ("selfw", 1, 1),
-            ("memw", 1, 0),
+            ("memw", 1, 1),
             ("nestedc", 1, 1),
             ("nestede", 1, 1),
             ("selfact", 1, 1),
         ],
         "{backend}: fused stub surface drifted"
     );
-    let memw = named(backend, "memw");
-    let stubs = memw.backend.emit(&memw.ir, "memw");
-    assert!(stubs.to_lowercase().contains("superplan `burst`: not emittable"), "{stubs}");
+}
+
+/// The compiled oracles see the whole plan surface. Each spec's
+/// sweeps and shipped corpus (replayed as `coverage::stream_hits`
+/// replays it, and compared so), through the filter the harness
+/// replays them with, reach every dispatch point of all 13 specs (166)
+/// in the plan executor behind the harness view — so no filter can
+/// shrink what the oracles compare without this failing. Family calls
+/// with arguments outside their domains (past every range, in every
+/// gap) then replay through the compiled stubs and the runtime, which
+/// must both reject them with the same `ArgOutOfRange` line and no bus
+/// traffic.
+pub fn every_dispatch_point_is_compiled(backend: Backend) {
+    if !available(backend) {
+        return;
+    }
+    let mut points = 0;
+    for h in harnesses(backend) {
+        let mut streams = vec![sweep_ops(&h.ir), init_sweep_ops(&h.ir), super_sweep(&h.ir)];
+        // A corpus stream replays as it was grown — its variable and
+        // structure ops, then the fused decoding of the same words —
+        // and through the compiled stubs too, since the fused variants
+        // it reaches depend on the state the ops before them leave.
+        for words in shipped_corpus(&h.name) {
+            let ops = [decode(&h.ir, &words), decode_super(&h.ir, &words)].concat();
+            assert_agrees(h, &ops);
+            streams.push(ops);
+        }
+        let mut cov = Coverage::new(&h.ir);
+        for ops in streams {
+            cov.merge(&h.view().hits(ops).unwrap_or_else(|e| panic!("{}: {e}", h.name)));
+        }
+        assert!(cov.complete(), "{} ({}): unreached {:?}", h.name, backend, cov.unreached(&h.ir));
+        points += h.ir.dispatch_points();
+
+        let mut ops = Vec::new();
+        for (vi, var) in h.ir.vars.iter().enumerate() {
+            let vid = devil_sema::model::VarId(vi as u32);
+            for (k, p) in var.params.iter().enumerate() {
+                let bad = p.values.iter().map(|&(_, hi)| hi + 1).filter(|&a| !p.contains(a));
+                for a in bad {
+                    let mut args: Vec<u64> = var.params.iter().map(|p| p.values[0].0).collect();
+                    args[k] = a;
+                    if var.read_plan.is_some() {
+                        ops.push(Op::ReadVar { vid, args: args.clone() });
+                    }
+                    if var.write_plan.is_some() {
+                        ops.push(Op::WriteVar { vid, args, value: 0x5a });
+                    }
+                }
+            }
+        }
+        if ops.is_empty() {
+            continue;
+        }
+        // In-domain calls around them show the state was left alone.
+        ops.extend(devil_fuzz::probe_ops(&h.ir));
+        assert_agrees(h, &ops);
+        let lines = render(h, ops.iter().cloned()).expect("harness runs");
+        let rejected = lines.iter().filter(|l| l.contains("ERR ArgOutOfRange")).count();
+        assert!(rejected >= 4, "{} ({}): {rejected} rejections in {lines:?}", h.name, backend);
+    }
+    assert_eq!(points, 166, "{backend}: the spec library's dispatch points");
 }
 
 /// The deterministic superplan sweep, compiled fused bodies vs the
@@ -268,7 +365,7 @@ pub fn fused_stub_surface_is_complete(backend: Backend) {
 /// bursts are compared cycle-for-cycle), outputs, read-block contents
 /// and final cache state.
 pub fn superplan_sweep_matches(backend: Backend) {
-    for h in harnesses(backend).iter().filter(|h| !h.api.superplans.is_empty()) {
+    for h in harnesses(backend).iter().filter(|h| !h.ir.superplans().is_empty()) {
         assert_agrees(h, &super_sweep(&h.ir));
     }
 }
@@ -280,7 +377,7 @@ pub fn superplan_sweep_matches(backend: Backend) {
 pub fn root_compare_matches_on_sweeps(backend: Backend) {
     for h in harnesses(backend) {
         let mut streams = vec![sweep_ops(&h.ir)];
-        if !h.api.superplans.is_empty() {
+        if !h.ir.superplans().is_empty() {
             streams.push(super_sweep(&h.ir));
         }
         for ops in &streams {
@@ -370,11 +467,11 @@ pub fn root_compare_bisects_injected_divergence(backend: Backend) {
 /// compiled stubs and fused bodies.
 pub fn corpus_streams_match(backend: Backend) {
     for h in harnesses(backend) {
-        for (i, words) in devil_fuzz::coverage::shipped_corpus(&h.name).iter().enumerate() {
+        for (i, words) in shipped_corpus(&h.name).iter().enumerate() {
             if let Err(e) = diff(h, &decode(&h.ir, words)) {
                 panic!("{} ({}): corpus stream {i}: {e}", h.name, h.backend);
             }
-            if !h.api.superplans.is_empty() {
+            if !h.ir.superplans().is_empty() {
                 if let Err(e) = diff(h, &decode_super(&h.ir, words)) {
                     panic!("{} ({}): corpus stream {i} (fused): {e}", h.name, h.backend);
                 }
@@ -395,12 +492,12 @@ pub fn random_streams_agree(backend: Backend, words: &[u64]) -> Result<(), TestC
 
 /// Random interleavings of op preludes and superplan calls: the
 /// compiled fused bodies and the fused plans must be observationally
-/// identical on the emittable surface.
+/// identical.
 pub fn random_superplan_streams_agree(
     backend: Backend,
     words: &[u64],
 ) -> Result<(), TestCaseError> {
-    for h in harnesses(backend).iter().filter(|h| !h.api.superplans.is_empty()) {
+    for h in harnesses(backend).iter().filter(|h| !h.ir.superplans().is_empty()) {
         let r = diff(h, &decode_super(&h.ir, words));
         prop_assert!(r.is_ok(), "{} ({}): {}", h.name, h.backend, r.err().unwrap());
     }

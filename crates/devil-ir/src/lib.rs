@@ -46,9 +46,9 @@ pub use compile::PlanFallback;
 pub use fuse::{FuseOp, ShapeOp, Superplan};
 pub use lower::lower;
 pub use plan::{
-    width_mask, AccessPlan, AccessStep, BlockBinding, BlockIneligible, Compose, FamilyDim,
-    FamilySlots, FieldSeg, GuardSource, PlanGuard, PlanOffset, PlanSlot, PlanStep, PlanValue,
-    PlanVariant, SelectorDim, WriteCheck, WriteSeg,
+    decompose, width_mask, AccessPlan, AccessStep, BlockBinding, BlockIneligible, Compose,
+    FamilyDim, FamilySlots, FieldSeg, GuardSource, PlanGuard, PlanOffset, PlanSlot, PlanStep,
+    PlanValue, PlanVariant, SelectorDim, WriteCheck, WriteSeg,
 };
 
 use devil_sema::model::{

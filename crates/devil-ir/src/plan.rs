@@ -52,7 +52,7 @@ pub fn width_mask(width: u32) -> u64 {
 /// The per-dimension values of the mixed-radix variant index `idx`
 /// over `dims`, first dimension most significant: the inverse of
 /// [`AccessPlan::select_variant`]'s index accumulation.
-pub(crate) fn decompose(dims: &[SelectorDim], mut idx: usize) -> Vec<u64> {
+pub fn decompose(dims: &[SelectorDim], mut idx: usize) -> Vec<u64> {
     let mut values = vec![0u64; dims.len()];
     for (v, dim) in values.iter_mut().zip(dims).rev() {
         *v = (idx % dim.radix) as u64;

@@ -26,19 +26,6 @@
 use crate::{DiagClass, Diagnostic};
 use devil_ir::{AccessRef, DeviceIr, SelectorDim};
 
-/// Decomposes a mixed-radix variant index into per-dimension values
-/// (first dimension most significant, matching selection's
-/// accumulation).
-pub fn decompose(dims: &[SelectorDim], idx: usize) -> Vec<u64> {
-    let mut values = vec![0u64; dims.len()];
-    let mut rest = idx;
-    for (d, dim) in dims.iter().enumerate().rev() {
-        values[d] = (rest % dim.radix) as u64;
-        rest /= dim.radix;
-    }
-    values
-}
-
 /// The tested-value bits `dim` enumerates: `radix - 1`.
 fn radix_mask(dim: &SelectorDim) -> u64 {
     (dim.radix as u64).saturating_sub(1)

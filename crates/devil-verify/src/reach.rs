@@ -231,7 +231,7 @@ pub fn check(ir: &DeviceIr, guard_clean: &[bool], diagnostics: &mut Vec<Diagnost
             continue;
         }
         for idx in 0..plan.variants.len() {
-            let values = crate::guards::decompose(&plan.selector, idx);
+            let values = devil_ir::decompose(&plan.selector, idx);
             for (d, (dim, &v)) in plan.selector.iter().zip(&values).enumerate() {
                 if !value_reachable(&feeds, dim, v) {
                     let place = match dim.cell {

@@ -341,7 +341,7 @@ fn pin_combo(
     let mut env = Env::new();
     let mut st = State::init(ir, &env);
     exec_steps(&env, &mut st, ir.variant_steps(&sp.stage), args, None)?;
-    let values = crate::guards::decompose(&sp.plan.selector, combo);
+    let values = devil_ir::decompose(&sp.plan.selector, combo);
     for (dim, &v) in sp.plan.selector.iter().zip(&values) {
         let word = dim_value(&st, dim, None)?;
         for (b, bit) in word.iter().enumerate() {

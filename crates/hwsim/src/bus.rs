@@ -183,11 +183,6 @@ impl Bus {
         self.trace = Some(Box::new(log));
     }
 
-    /// Stops tracing and drops the log.
-    pub fn disable_trace(&mut self) {
-        self.trace = None;
-    }
-
     /// The trace log, if tracing is enabled.
     pub fn trace(&self) -> Option<&MmrLog> {
         self.trace.as_deref()
@@ -247,11 +242,6 @@ impl Bus {
     /// The bus cost model.
     pub fn costs(&self) -> CostModel {
         self.costs
-    }
-
-    /// Replaces the cost model (harnesses sweep calibrations).
-    pub fn set_costs(&mut self, costs: CostModel) {
-        self.costs = costs;
     }
 
     // ---- port I/O ----

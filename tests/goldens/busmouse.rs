@@ -223,5 +223,4 @@ impl LogitechBusmouse {
         self.read_y_low(dev);
     }
 
-    // Structure `mouse_state` (write): not plan-compiled; served by the interpreter API.
 }

@@ -3,19 +3,38 @@
 use devil_runtime::DeviceAccess;
 
 /// Generated interface for `cs4236b`.
-#[derive(Default)]
 pub struct Cs4236b {
     pub cache_control: u64,
     pub valid_control: bool,
+    pub cache_I: Vec<u64>,
+    pub valid_I: Vec<bool>,
     pub cache_gw: u64,
     pub valid_gw: bool,
+    pub cache_X: Vec<u64>,
+    pub valid_X: Vec<bool>,
     pub mem_xm: u64,
+}
+
+impl Default for Cs4236b {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Cs4236b {
     /// Creates an interface with a cold cache.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            cache_control: 0,
+            valid_control: false,
+            cache_I: vec![0; 32],
+            valid_I: vec![false; 32],
+            cache_gw: 0,
+            valid_gw: false,
+            cache_X: vec![0; 19],
+            valid_X: vec![false; 19],
+            mem_xm: 0,
+        }
     }
 
     fn read_control(&mut self, dev: &mut dyn DeviceAccess) {
@@ -28,9 +47,39 @@ impl Cs4236b {
         self.valid_control = true;
     }
 
+    fn read_I(&mut self, dev: &mut dyn DeviceAccess, k: usize, offset: u64) {
+        self.cache_I[k] = dev.read(0, offset, 8);
+        self.valid_I[k] = true;
+    }
+
+    fn write_I(&mut self, dev: &mut dyn DeviceAccess, k: usize, offset: u64) {
+        dev.write(0, offset, 8, (self.cache_I[k] & 0xff) | 0x0);
+        self.valid_I[k] = true;
+    }
+
     fn write_gw(&mut self, dev: &mut dyn DeviceAccess) {
         dev.write(0, 1, 8, (self.cache_gw & 0xfc) | 0x0);
         self.valid_gw = true;
+    }
+
+    fn read_X(&mut self, dev: &mut dyn DeviceAccess, k: usize, offset: u64) {
+        self.cache_X[k] = dev.read(0, offset, 8);
+        self.valid_X[k] = true;
+    }
+
+    fn write_X(&mut self, dev: &mut dyn DeviceAccess, k: usize, offset: u64) {
+        dev.write(0, offset, 8, (self.cache_X[k] & 0xff) | 0x0);
+        self.valid_X[k] = true;
+    }
+
+    /// The cache index of an instance of family `I`.
+    fn ix_I(v0: u64) -> usize {
+        (v0) as usize
+    }
+
+    /// The cache index of an instance of family `X`.
+    fn ix_X(v0: u64) -> usize {
+        (match v0 { 0x0..=0x11 => v0, _ => 18 + (v0 - 0x19) }) as usize
     }
 
     /// Reads the private memory cell `xm`.
@@ -59,8 +108,62 @@ impl Cs4236b {
         self.mem_xm = 0x0;
     }
 
-    // Parameterized variable `ID`: served by the interpreter API.
-    // Parameterized variable `XD`: served by the interpreter API.
+    /// Reads `ID` from the device.
+    pub fn get_ID(&mut self, dev: &mut dyn DeviceAccess, a0: u64) -> Result<u64, devil_runtime::RtError> {
+        if !matches!(a0, 0x0..=0x1f) {
+            return Err(devil_runtime::RtError::ArgOutOfRange { var: "ID".into(), value: a0 });
+        }
+        self.cache_control = (self.cache_control & 0xffffffffffffffe0) | (a0 & 0x1f);
+        self.write_control(dev);
+        self.mem_xm = 0x0;
+        self.read_I(dev, Self::ix_I(a0), 0x1);
+        Ok((self.cache_I[Self::ix_I(a0)] & 0xff))
+    }
+
+    /// Writes `ID` to the device.
+    pub fn set_ID(&mut self, dev: &mut dyn DeviceAccess, a0: u64, v: u64) -> Result<(), devil_runtime::RtError> {
+        if !matches!(a0, 0x0..=0x1f) {
+            return Err(devil_runtime::RtError::ArgOutOfRange { var: "ID".into(), value: a0 });
+        }
+        self.cache_control = (self.cache_control & 0xffffffffffffffe0) | (a0 & 0x1f);
+        self.write_control(dev);
+        self.mem_xm = 0x0;
+        self.cache_I[Self::ix_I(a0)] = (self.cache_I[Self::ix_I(a0)] & 0xffffffffffffff00) | (v & 0xff);
+        self.write_I(dev, Self::ix_I(a0), 0x1);
+        Ok(())
+    }
+
+    /// Reads `XD` from the device.
+    pub fn get_XD(&mut self, dev: &mut dyn DeviceAccess, a0: u64) -> Result<u64, devil_runtime::RtError> {
+        if !matches!(a0, 0x0..=0x11 | 0x19) {
+            return Err(devil_runtime::RtError::ArgOutOfRange { var: "XD".into(), value: a0 });
+        }
+        self.cache_control = (self.cache_control & 0xffffffffffffffe0) | 0x17;
+        self.write_control(dev);
+        self.mem_xm = 0x0;
+        self.cache_gw = (self.cache_gw & 0xffffffffffffff03) | 0x8 | ((a0 >> 2) & 0x4) | ((a0 << 4) & 0xf0);
+        self.write_gw(dev);
+        self.mem_xm = 0x1;
+        self.read_X(dev, Self::ix_X(a0), 0x1);
+        Ok((self.cache_X[Self::ix_X(a0)] & 0xff))
+    }
+
+    /// Writes `XD` to the device.
+    pub fn set_XD(&mut self, dev: &mut dyn DeviceAccess, a0: u64, v: u64) -> Result<(), devil_runtime::RtError> {
+        if !matches!(a0, 0x0..=0x11 | 0x19) {
+            return Err(devil_runtime::RtError::ArgOutOfRange { var: "XD".into(), value: a0 });
+        }
+        self.cache_control = (self.cache_control & 0xffffffffffffffe0) | 0x17;
+        self.write_control(dev);
+        self.mem_xm = 0x0;
+        self.cache_gw = (self.cache_gw & 0xffffffffffffff03) | 0x8 | ((a0 >> 2) & 0x4) | ((a0 << 4) & 0xf0);
+        self.write_gw(dev);
+        self.mem_xm = 0x1;
+        self.cache_X[Self::ix_X(a0)] = (self.cache_X[Self::ix_X(a0)] & 0xffffffffffffff00) | (v & 0xff);
+        self.write_X(dev, Self::ix_X(a0), 0x1);
+        Ok(())
+    }
+
     /// Gets `XA` from the cache (fill it with the structure reader).
     pub fn get_XA(&mut self) -> u64 {
         ((self.cache_gw & 0x4) << 2) | ((self.cache_gw & 0xf0) >> 4)
@@ -105,7 +208,6 @@ impl Cs4236b {
         self.mem_xm = 0x1;
     }
 
-    // Structure `XS` (read): not plan-compiled; served by the interpreter API.
     /// Flushes the `XS` structure from the cache (stage fields first).
     pub fn put_XS(&mut self, dev: &mut dyn DeviceAccess) {
         self.cache_control = (self.cache_control & 0xffffffffffffffe0) | 0x17;

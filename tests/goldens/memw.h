@@ -28,7 +28,24 @@ extern struct memw_cache_t memw_cache;
     (memw_cache.cache_a = (memw_cache.cache_a & 0xffffffffffffff01ull) | (((v) << 1) & 0xfeull), memw_cache.valid_a = 1, memw__write_a(memw_cache.cache_a), 0) )
 #define memw_set_restc(v) ( \
     (memw_cache.cache_c = (memw_cache.cache_c & 0xffffffffffffff01ull) | (((v) << 1) & 0xfeull), memw_cache.valid_c = 1, memw__write_c(memw_cache.cache_c), 0) )
-/* variable `w` (write): not plan-compiled; use the generated function API. */
-/* superplan `burst`: not emittable; use the generated function API. */
+#define memw_set_w(v) ( \
+    (memw_cache.mem_m == 0x0ull ? \
+    (memw_cache.cache_c = (memw_cache.cache_c & 0xfffffffffffffffeull) | (((v) >> 1) & 0x1ull), memw_cache.valid_c = 1, \
+    memw_cache.cache_a = (memw_cache.cache_a & 0xfffffffffffffffeull) | ((v) & 0x1ull), memw_cache.valid_a = 1, memw__write_a(memw_cache.cache_a), 0) : \
+    (memw_cache.cache_a = (memw_cache.cache_a & 0xfffffffffffffffeull) | ((v) & 0x1ull), memw_cache.valid_a = 1, memw__write_a(memw_cache.cache_a), \
+    memw_cache.cache_c = (memw_cache.cache_c & 0xfffffffffffffffeull) | (((v) >> 1) & 0x1ull), memw_cache.valid_c = 1, memw__write_c(memw_cache.cache_c), 0)) )
+/* fused superplan `burst`: one guard evaluation, batched I/O. */
+static inline void memw_sp_burst(unsigned long long a0, unsigned long long a1)
+{
+    if (memw_cache.mem_m == 0x0ull) {
+        memw_cache.cache_a = (memw_cache.cache_a & 0xffffffffffffff01ull) | (((a0) << 1) & 0xfeull), memw_cache.valid_a = 1, memw__write_a(memw_cache.cache_a);
+        memw_cache.cache_c = (memw_cache.cache_c & 0xfffffffffffffffeull) | (((a1) >> 1) & 0x1ull), memw_cache.valid_c = 1;
+        memw_cache.cache_a = (memw_cache.cache_a & 0xfffffffffffffffeull) | ((a1) & 0x1ull), memw_cache.valid_a = 1, memw__write_a(memw_cache.cache_a);
+    } else {
+        memw_cache.cache_a = (memw_cache.cache_a & 0xffffffffffffff01ull) | (((a0) << 1) & 0xfeull), memw_cache.valid_a = 1, memw__write_a(memw_cache.cache_a);
+        memw_cache.cache_a = (memw_cache.cache_a & 0xfffffffffffffffeull) | ((a1) & 0x1ull), memw_cache.valid_a = 1, memw__write_a(memw_cache.cache_a);
+        memw_cache.cache_c = (memw_cache.cache_c & 0xfffffffffffffffeull) | (((a1) >> 1) & 0x1ull), memw_cache.valid_c = 1, memw__write_c(memw_cache.cache_c);
+    }
+}
 
 #endif /* MEMW_DIL_H */

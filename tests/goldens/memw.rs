@@ -50,6 +50,38 @@ impl Memw {
         self.write_c(dev);
     }
 
-    // Variable `w` (write): not plan-compiled; served by the interpreter API.
-    // Superplan `burst`: not emittable; served by the interpreter API.
+    /// Writes `w` to the device.
+    pub fn set_w(&mut self, dev: &mut dyn DeviceAccess, v: u64) {
+        if self.mem_m == 0x0 {
+            self.cache_c = (self.cache_c & 0xfffffffffffffffe) | ((v >> 1) & 0x1);
+            self.valid_c = true;
+            self.cache_a = (self.cache_a & 0xfffffffffffffffe) | (v & 0x1);
+            self.write_a(dev);
+        } else {
+            self.cache_a = (self.cache_a & 0xfffffffffffffffe) | (v & 0x1);
+            self.write_a(dev);
+            self.cache_c = (self.cache_c & 0xfffffffffffffffe) | ((v >> 1) & 0x1);
+            self.write_c(dev);
+        }
+    }
+
+    /// Fused superplan `burst`: one guard evaluation, batched I/O.
+    pub fn sp_burst(&mut self, dev: &mut dyn DeviceAccess, a0: u64, a1: u64) {
+        if self.mem_m == 0x0 {
+            self.cache_a = (self.cache_a & 0xffffffffffffff01) | ((a0 << 1) & 0xfe);
+            self.write_a(dev);
+            self.cache_c = (self.cache_c & 0xfffffffffffffffe) | ((a1 >> 1) & 0x1);
+            self.valid_c = true;
+            self.cache_a = (self.cache_a & 0xfffffffffffffffe) | (a1 & 0x1);
+            self.write_a(dev);
+        } else {
+            self.cache_a = (self.cache_a & 0xffffffffffffff01) | ((a0 << 1) & 0xfe);
+            self.write_a(dev);
+            self.cache_a = (self.cache_a & 0xfffffffffffffffe) | (a1 & 0x1);
+            self.write_a(dev);
+            self.cache_c = (self.cache_c & 0xfffffffffffffffe) | ((a1 >> 1) & 0x1);
+            self.write_c(dev);
+        }
+    }
+
 }

@@ -103,7 +103,6 @@ impl Nestede {
         self.write_c(dev);
     }
 
-    // Structure `s` (read): not plan-compiled; served by the interpreter API.
     /// Flushes the `s` structure from the cache (stage fields first).
     pub fn put_s(&mut self, dev: &mut dyn DeviceAccess) {
         if (self.cache_a & 0x1) == 0x0 {

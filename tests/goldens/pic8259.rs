@@ -289,7 +289,6 @@ impl Pic8259 {
         self.write_ocw1(dev);
     }
 
-    // Structure `init` (read): not plan-compiled; served by the interpreter API.
     /// Flushes the `init` structure from the cache (stage fields first).
     pub fn put_init(&mut self, dev: &mut dyn DeviceAccess) {
         if (self.cache_icw1 & 0x2) == 0x0 && (self.cache_icw1 & 0x1) == 0x0 {
