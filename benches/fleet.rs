@@ -1,16 +1,12 @@
 //! Fleet-scale simulation benchmark: ops/sec and latency percentiles
 //! for mixed-spec device fleets at 1/4/8 shards × 100/1000 instances.
 //!
-//! Two throughput figures are recorded per configuration, honestly
-//! labeled:
-//!
-//! * `sim_ops_per_s` — aggregate simulated throughput: total units
-//!   divided by the *simulated* makespan (the latest shard clock).
-//!   This is the sharding win: N shards drain the same unit stream in
-//!   ~1/N the simulated time, on any host.
-//! * `wall_ops_per_s` — units divided by host wall-clock time. On a
-//!   single-core host this does not improve with shards (threads just
-//!   time-slice); on a multi-core host it tracks `sim_ops_per_s`.
+//! Every figure is simulated, so it is the same on any host and from
+//! run to run. `sim_ops_per_s` is aggregate simulated throughput: total
+//! units divided by the *simulated* makespan (the latest shard clock).
+//! This is the sharding win: N shards drain the same unit stream in
+//! ~1/N the simulated time. Host wall-clock of a fleet is measured by
+//! devil-bench's `fleet_traced` workload instead, with spread.
 //!
 //! Latency percentiles are completion − arrival under open-loop
 //! exponential arrivals, so they include real queueing delay and
@@ -42,7 +38,6 @@ fn main() {
                 assert_eq!(r.stats.general, 0, "fleet drivers must stay on compiled plans");
                 let g = format!("fleet_{}_{}", mix.name, instances);
                 criterion::record_value(&format!("{g}/s{shards}_sim_ops_per_s"), r.sim_ops_per_s);
-                criterion::record_value(&format!("{g}/s{shards}_wall_ops_per_s"), r.wall_ops_per_s);
                 criterion::record_value(&format!("{g}/s{shards}_p50_ns"), r.p50_ns as f64);
                 criterion::record_value(&format!("{g}/s{shards}_p99_ns"), r.p99_ns as f64);
                 criterion::record_value(&format!("{g}/s{shards}_p999_ns"), r.p999_ns as f64);

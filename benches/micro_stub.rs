@@ -2,7 +2,12 @@
 //! versus the hand-written equivalent, against the reference
 //! interpreter's wall-clock cost (`interp_*`, which motivates the plans
 //! and the generated-code back end), and the cost of the paper's debug
-//! checks on the plans (`checked_*`).
+//! checks on the plans (`checked_*`); plus batch-compile throughput and
+//! the MMR trace ledger's costs.
+//!
+//! Driver units (against their hand-written twins) and per-stage compile
+//! times are measured by devil-bench instead (`bulk_io` and
+//! `spec_compile`), with spread.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use devil_runtime::{DeviceAccess, DeviceInstance, FakeAccess, ReferenceInstance};
@@ -258,150 +263,21 @@ fn bench_micro(c: &mut Criterion) {
         });
     });
 
-    // The trace-fusion flagship loops, wall-clock on real hwsim rigs.
-    // Three rungs each: the hand-written per-word loop, the unfused
-    // Devil driver (one plan dispatch per stub), and the fused
-    // superplan (one guard evaluation + one vectored `ins`/`outs`
-    // block transaction per interrupt). The fused rung is the repo's
-    // first below-hand-written number: the hand loop pays bus claim
-    // resolution and ledger bookkeeping per word, the superplan once
-    // per block. The IDE read spans 4 sectors so the per-word rungs
-    // amortize command setup the same way real drivers do.
-    let ide_rig = || {
-        use devices::ide::SECTOR_SIZE;
-        let mem = hwsim::SharedMem::new(1 << 16);
-        let mut ctl = devices::IdeController::new(8, hwsim::IrqLine::new(), mem);
-        for s in 0..8usize {
-            for w in 0..SECTOR_SIZE {
-                ctl.disk_mut()[s * SECTOR_SIZE + w] = ((s * 7 + w) & 0xff) as u8;
-            }
-        }
-        let mut bus = hwsim::Bus::default();
-        bus.attach_io(Box::new(ctl), 0x1f0, 16);
-        bus
-    };
-    let pio_cfg = |moves| drivers::PioConfig { sectors_per_irq: 1, io32: false, moves };
-    g.bench_function("hand_ide_pio_read4", |b| {
-        let mut bus = ide_rig();
-        let drv = drivers::HandIde::new(0x1f0);
-        b.iter(|| {
-            black_box(drv.read_pio(&mut bus, black_box(0), 4, pio_cfg(drivers::PioMove::Loop)))
-        });
-    });
-    g.bench_function("plan_ide_pio_read4", |b| {
-        let mut bus = ide_rig();
-        let mut drv = drivers::DevilIde::new(0x1f0);
-        b.iter(|| {
-            black_box(drv.read_pio(&mut bus, black_box(0), 4, pio_cfg(drivers::PioMove::Block)))
-        });
-    });
-    g.bench_function("fused_ide_pio_read4", |b| {
-        let mut bus = ide_rig();
-        let mut drv = drivers::DevilIde::new(0x1f0);
-        b.iter(|| {
-            black_box(drv.read_pio_fused(
-                &mut bus,
-                black_box(0),
-                4,
-                pio_cfg(drivers::PioMove::Block),
-            ))
-        });
-    });
-
-    let ne2k_rig = || {
-        let nic = devices::Ne2000::new([2, 0, 0, 0, 0, 1], hwsim::IrqLine::new());
-        let mut bus = hwsim::Bus::default();
-        bus.attach_io(Box::new(nic), 0x300, 18);
-        bus
-    };
-    // Full-MTU frame: 757 data words per transmit, where the batching
-    // actually matters (a 64-byte ping is setup-dominated on all rungs).
-    let frame = {
-        let mut f = [0u8; 1514];
-        f[..6].copy_from_slice(&[0xff; 6]);
-        f[6] = 2;
-        f[11] = 1;
-        for (i, b) in f[14..].iter_mut().enumerate() {
-            *b = (i & 0xff) as u8;
-        }
-        f
-    };
-    g.bench_function("hand_ne2000_tx", |b| {
-        let mut bus = ne2k_rig();
-        let drv = drivers::HandNe2000::new(0x300);
-        drv.start(&mut bus);
-        b.iter(|| {
-            drv.send(&mut bus, black_box(&frame));
-            black_box(&bus);
-        });
-    });
-    g.bench_function("plan_ne2000_tx", |b| {
-        let mut bus = ne2k_rig();
-        let mut drv = drivers::DevilNe2000::new(0x300);
-        drv.start(&mut bus);
-        b.iter(|| {
-            drv.send(&mut bus, black_box(&frame));
-            black_box(&bus);
-        });
-    });
-    g.bench_function("fused_ne2000_tx", |b| {
-        let mut bus = ne2k_rig();
-        let mut drv = drivers::DevilNe2000::new(0x300);
-        drv.start(&mut bus);
-        b.iter(|| {
-            drv.send_fused(&mut bus, black_box(&frame));
-            black_box(&bus);
-        });
-    });
-
-    // Compilation pipeline cost: parse + check + lower.
-    g.bench_function("compile_busmouse_spec", |b| {
-        b.iter(|| {
-            let model = devil_sema::check_source(black_box(drivers::specs::BUSMOUSE), &[]).unwrap();
-            black_box(devil_ir::lower(&model));
-        });
-    });
-    // The same pipeline one stage per row: parse, resolve + check and
-    // lower sum to `compile_busmouse_spec`; emit (C and Rust) comes on
-    // top of it.
-    let src = drivers::specs::BUSMOUSE;
-    g.bench_function("compile_busmouse_parse", |b| {
-        b.iter(|| black_box(devil_syntax::parse(black_box(src))));
-    });
-    let device = devil_syntax::parse(src).0.expect("busmouse parses");
-    g.bench_function("compile_busmouse_resolve_check", |b| {
-        b.iter(|| {
-            let mut diags = devil_syntax::DiagSink::new();
-            let model = devil_sema::resolve::resolve(black_box(&device), &[], &mut diags);
-            devil_sema::checks::check(&model, &mut diags);
-            assert!(!diags.has_errors());
-            black_box(model);
-        });
-    });
-    let model = devil_sema::check_source(src, &[]).unwrap();
-    g.bench_function("compile_busmouse_lower", |b| {
-        b.iter(|| black_box(devil_ir::lower(black_box(&model))));
-    });
-    let ir = devil_ir::lower(&model);
-    g.bench_function("compile_busmouse_emit", |b| {
-        b.iter(|| {
-            black_box(devil_codegen::emit_c(black_box(&ir), "bm"));
-            black_box(devil_codegen::emit_rust(black_box(&ir)));
-        });
-    });
     g.finish();
 
     // Batch-compile throughput over a mutant-corpus sample, fanned out
     // across all cores (the scheme the full ~145k-mutant CI sweep
-    // uses). Recorded as specs/sec rather than ns/iter: the corpus is
-    // compiled once, not looped.
+    // uses). Recorded as specs/sec rather than ns/iter: each sample
+    // compiles the corpus once.
     let corpus = devil_fuzz::corpus::sampled_corpus(4);
     let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let t = std::time::Instant::now();
-    let verdicts = devil_fuzz::corpus::compile_batch(&corpus, workers);
-    let dt = t.elapsed().as_secs_f64();
-    assert_eq!(verdicts.len(), corpus.len());
-    criterion::record_value("micro_stub/compile_throughput", corpus.len() as f64 / dt);
+    criterion::record_samples("micro_stub/compile_throughput", || {
+        let t = std::time::Instant::now();
+        let verdicts = devil_fuzz::corpus::compile_batch(&corpus, workers);
+        let dt = t.elapsed().as_secs_f64();
+        assert_eq!(verdicts.len(), corpus.len());
+        corpus.len() as f64 / dt
+    });
 }
 
 /// The MMR-authenticated trace ledger: hot-path append cost, batched
@@ -444,39 +320,42 @@ fn bench_mmr(c: &mut Criterion) {
     // bytes into leaves (entries/s, what `log_append_26b` amortizes
     // in).
     let batch = 262_144usize;
-    let mut log = MmrLog::new(false).with_watermark(usize::MAX, usize::MAX);
     let entry = [0x3cu8; 26];
-    let t = std::time::Instant::now();
-    for _ in 0..batch {
-        log.push(&entry);
-    }
-    criterion::record_value(
-        "mmr/log_append_deferred_ns",
-        t.elapsed().as_nanos() as f64 / batch as f64,
-    );
-    let t = std::time::Instant::now();
-    log.fold();
-    let dt = t.elapsed().as_secs_f64();
-    criterion::record_value("mmr/leaf_hash_entries_per_s", batch as f64 / dt);
+    let pending = || {
+        let mut log = MmrLog::new(false).with_watermark(usize::MAX, usize::MAX);
+        let t = std::time::Instant::now();
+        for _ in 0..batch {
+            log.push(&entry);
+        }
+        (log, t.elapsed())
+    };
+    criterion::record_samples("mmr/log_append_deferred_ns", || {
+        pending().1.as_nanos() as f64 / batch as f64
+    });
+    criterion::record_samples("mmr/leaf_hash_entries_per_s", || {
+        let mut log = pending().0;
+        let t = std::time::Instant::now();
+        log.fold();
+        batch as f64 / t.elapsed().as_secs_f64()
+    });
 
     // The fleet's checkpoint shape: 14-entry segments drained from a
     // traced (retained) log and appended into a streaming forest, per
     // leaf — the leaf hash plus its share of the forest tree's parents.
     let (segments, per_segment) = (20_000usize, 14usize);
-    let mut log = MmrLog::new(true);
-    let mut forest = MmrForest::new(false);
-    let t = std::time::Instant::now();
-    for s in 0..segments {
-        for i in 0..per_segment {
-            log.push(&[(s + i) as u8; 26]);
+    criterion::record_samples("mmr/drain_append_ns_per_leaf", || {
+        let mut log = MmrLog::new(true);
+        let mut forest = MmrForest::new(false);
+        let t = std::time::Instant::now();
+        for s in 0..segments {
+            for i in 0..per_segment {
+                log.push(&[(s + i) as u8; 26]);
+            }
+            forest.append_segment((s % 8) as u64, &log.take_segment());
         }
-        forest.append_segment((s % 8) as u64, &log.take_segment());
-    }
-    criterion::record_value(
-        "mmr/drain_append_ns_per_leaf",
-        t.elapsed().as_nanos() as f64 / (segments * per_segment) as f64,
-    );
-    black_box(forest.root());
+        black_box(forest.root());
+        t.elapsed().as_nanos() as f64 / (segments * per_segment) as f64
+    });
 
     // Root compare over the plans-vs-reference harness: both rigs
     // stream into O(peaks) memory and the verdict is one 32-byte
@@ -492,16 +371,16 @@ fn bench_mmr(c: &mut Criterion) {
         &[(10_000, "10k"), (100_000, "100k")]
     };
     for &(n, label) in tiers {
-        let t = std::time::Instant::now();
-        let out = devil_fuzz::compare(&plans, &reference, || OpStream::new(&ir, 0xBE, n))
-            .expect("plans and reference agree");
-        let rooted_ms = t.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(out.ops, n);
-        criterion::record_value(&format!("mmr/rooted_compare_ms_{label}"), rooted_ms);
-        criterion::record_value(
-            &format!("mmr/rooted_retained_bytes_{label}"),
-            out.retained_bytes as f64,
-        );
+        let mut retained = 0;
+        criterion::record_samples(&format!("mmr/rooted_compare_ms_{label}"), || {
+            let t = std::time::Instant::now();
+            let out = devil_fuzz::compare(&plans, &reference, || OpStream::new(&ir, 0xBE, n))
+                .expect("plans and reference agree");
+            assert_eq!(out.ops, n);
+            retained = out.retained_bytes;
+            t.elapsed().as_secs_f64() * 1e3
+        });
+        criterion::record_value(&format!("mmr/rooted_retained_bytes_{label}"), retained as f64);
     }
 }
 

@@ -4,20 +4,22 @@
 //! the small slice of criterion's API the workspace benches use:
 //! [`Criterion`], [`Criterion::benchmark_group`], `bench_function`,
 //! [`Bencher::iter`], [`black_box`], and the [`criterion_group!`] /
-//! [`criterion_main!`] macros. Measurement is a plain
-//! warmup-then-sample loop around `std::time::Instant`; results are
-//! printed as `name  time: [.. mean ..]` lines in criterion's style so
-//! the numbers can be eyeballed and diffed.
+//! [`criterion_main!`] macros. Measurement is a warmup followed by five
+//! timed samples that share the measurement budget; each row prints as
+//! `name  time: [q1 median q3]` in criterion's style, the quartiles of
+//! the samples' mean time per iteration, so every figure carries its
+//! spread.
 //!
 //! Swapping the real criterion back in is a one-line change in the
 //! workspace manifest; no bench source needs to change.
 //!
 //! Two environment variables make runs machine-consumable:
 //!
-//! * `BENCH_JSON=<path>` — after all groups run, write every result as
-//!   nested JSON (`{"group": {"bench": mean_ns}}`). The committed
-//!   `BENCH_micro.json` snapshot is regenerated with
-//!   `BENCH_JSON=BENCH_micro.json cargo bench --bench micro_stub`.
+//! * `BENCH_JSON=<path>` — after all groups run, write every result's
+//!   median as nested JSON (`{"group": {"bench": median}}`). The
+//!   committed `BENCH_micro.json` snapshot is regenerated with
+//!   `MMR_BENCH_FULL=1 BENCH_JSON=BENCH_micro.json cargo bench --bench
+//!   micro_stub`.
 //! * `BENCH_MEASURE_MS=<ms>` — per-benchmark measurement budget
 //!   (default 200 ms; CI's smoke step uses a small value).
 
@@ -34,9 +36,12 @@ pub fn black_box<T>(x: T) -> T {
 const MEASURE_FOR: Duration = Duration::from_millis(200);
 /// Warmup period before measuring.
 const WARMUP_FOR: Duration = Duration::from_millis(50);
+/// Samples per row: a timed row splits its budget into this many
+/// samples, and [`record_samples`] repeats its measurement this often.
+const SAMPLES: usize = 5;
 
-/// Every `(full bench id, mean ns/iter)` measured by this process, in
-/// run order — the source for [`write_json_results`].
+/// Every `(full bench id, median)` measured by this process, in run
+/// order — the source for [`write_json_results`].
 static RESULTS: Mutex<Vec<(String, f64)>> = Mutex::new(Vec::new());
 
 fn measure_for() -> Duration {
@@ -47,7 +52,7 @@ fn measure_for() -> Duration {
         .unwrap_or(MEASURE_FOR)
 }
 
-/// Writes the collected results as `group → bench → mean ns` JSON to
+/// Writes the collected results as `group → bench → median` JSON to
 /// the path named by `BENCH_JSON`, if set. Called by
 /// [`criterion_main!`] after every group has run.
 pub fn write_json_results() {
@@ -80,12 +85,46 @@ pub fn write_json_results() {
 }
 
 /// Records an already-measured scalar under a `group/bench` id — for
-/// benches whose metric is not time per iteration (ops/sec, latency
-/// percentiles). The value lands in the same `BENCH_JSON` output as
-/// timed results, under the id's group.
+/// metrics that do not vary from run to run (simulated throughput and
+/// latency, byte counts). The value lands in the same `BENCH_JSON`
+/// output as timed results, under the id's group.
 pub fn record_value(id: &str, value: f64) {
     println!("{id:<40} value: {value:.1}");
+    push_result(id, value);
+}
+
+/// Runs `measure` five times (once in `--test` mode) and records
+/// the median of what it returns under a `group/bench` id, printing
+/// `value: [q1 median q3]` — for wall-clock metrics that are not time
+/// per iteration (throughput, one-shot durations).
+pub fn record_samples(id: &str, mut measure: impl FnMut() -> f64) {
+    let runs = if test_mode() { 1 } else { SAMPLES };
+    let mut xs: Vec<f64> = (0..runs).map(|_| measure()).collect();
+    let [q1, median, q3] = quartiles(&mut xs);
+    println!("{id:<40} value: [{q1:.1} {median:.1} {q3:.1}]");
+    push_result(id, median);
+}
+
+fn push_result(id: &str, value: f64) {
     RESULTS.lock().unwrap_or_else(|e| e.into_inner()).push((id.to_string(), value));
+}
+
+/// Whether the bench binary runs as a `--test` smoke: every routine
+/// once, nothing measured.
+fn test_mode() -> bool {
+    std::env::args().any(|a| a == "--test")
+}
+
+/// The first quartile, median and third quartile of `xs`, interpolating
+/// linearly between order statistics.
+fn quartiles(xs: &mut [f64]) -> [f64; 3] {
+    xs.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (xs.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        xs[lo] + (xs[hi] - xs[lo]) * (pos - lo as f64)
+    };
+    [at(0.25), at(0.5), at(0.75)]
 }
 
 /// Top-level harness handle, mirroring `criterion::Criterion`.
@@ -97,8 +136,7 @@ pub struct Criterion {
 
 impl Default for Criterion {
     fn default() -> Self {
-        let test_mode = std::env::args().any(|a| a == "--test");
-        Criterion { test_mode }
+        Criterion { test_mode: test_mode() }
     }
 }
 
@@ -126,12 +164,6 @@ pub struct BenchmarkGroup<'c> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Accepted for API compatibility; this stand-in sizes its sample
-    /// by wall-clock budget instead.
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
     /// Benchmarks one function within the group.
     pub fn bench_function<F>(&mut self, id: &str, f: F) -> &mut Self
     where
@@ -149,10 +181,9 @@ impl BenchmarkGroup<'_> {
 /// Passed to the closure given to `bench_function`; `iter` runs the
 /// measured routine.
 pub struct Bencher {
-    /// Total iterations executed by the most recent `iter` call.
-    iters: u64,
-    /// Total wall-clock accumulated by the most recent `iter` call.
-    elapsed: Duration,
+    /// Mean ns per iteration of each sample the most recent `iter`
+    /// call timed (none in test mode).
+    samples: Vec<f64>,
     test_mode: bool,
 }
 
@@ -164,8 +195,6 @@ impl Bencher {
     {
         if self.test_mode {
             black_box(routine());
-            self.iters = 1;
-            self.elapsed = Duration::ZERO;
             return;
         }
         // Warmup, and discover a batch size large enough that the clock
@@ -185,20 +214,25 @@ impl Bencher {
                 batch = batch.saturating_mul(2);
             }
         }
-        // Measure.
-        let budget = measure_for();
-        let mut iters = 0u64;
-        let mut elapsed = Duration::ZERO;
-        while elapsed < budget {
-            let t = Instant::now();
-            for _ in 0..batch {
-                black_box(routine());
+        // Measure: each sample runs whole batches until it has used
+        // its share of the budget.
+        let share = measure_for() / SAMPLES as u32;
+        self.samples.clear();
+        for _ in 0..SAMPLES {
+            let (mut iters, mut elapsed) = (0u64, Duration::ZERO);
+            loop {
+                let t = Instant::now();
+                for _ in 0..batch {
+                    black_box(routine());
+                }
+                elapsed += t.elapsed();
+                iters += batch;
+                if elapsed >= share {
+                    break;
+                }
             }
-            elapsed += t.elapsed();
-            iters += batch;
+            self.samples.push(elapsed.as_nanos() as f64 / iters as f64);
         }
-        self.iters = iters;
-        self.elapsed = elapsed;
     }
 }
 
@@ -206,15 +240,15 @@ fn run_bench<F>(test_mode: bool, id: &str, mut f: F)
 where
     F: FnMut(&mut Bencher),
 {
-    let mut b = Bencher { iters: 0, elapsed: Duration::ZERO, test_mode };
+    let mut b = Bencher { samples: Vec::new(), test_mode };
     f(&mut b);
-    if test_mode {
+    if test_mode || b.samples.is_empty() {
         println!("{id}: ok (test mode)");
         return;
     }
-    let per_iter = if b.iters > 0 { b.elapsed.as_nanos() as f64 / b.iters as f64 } else { 0.0 };
-    println!("{id:<40} time: [{} {} {}]", fmt_ns(per_iter), fmt_ns(per_iter), fmt_ns(per_iter));
-    RESULTS.lock().unwrap_or_else(|e| e.into_inner()).push((id.to_string(), per_iter));
+    let [q1, median, q3] = quartiles(&mut b.samples);
+    println!("{id:<40} time: [{} {} {}]", fmt_ns(q1), fmt_ns(median), fmt_ns(q3));
+    push_result(id, median);
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -258,14 +292,29 @@ mod tests {
 
     #[test]
     fn bencher_counts_iterations() {
-        let mut b = Bencher { iters: 0, elapsed: Duration::ZERO, test_mode: true };
+        let mut b = Bencher { samples: Vec::new(), test_mode: true };
         let mut n = 0u64;
         b.iter(|| {
             n += 1;
             n
         });
         assert_eq!(n, 1);
-        assert_eq!(b.iters, 1);
+        assert!(b.samples.is_empty());
+    }
+
+    #[test]
+    fn bencher_times_every_sample() {
+        let mut b = Bencher { samples: Vec::new(), test_mode: false };
+        b.iter(|| black_box(1u64) + 1);
+        assert_eq!(b.samples.len(), SAMPLES);
+        assert!(b.samples.iter().all(|&ns| ns > 0.0), "{:?}", b.samples);
+    }
+
+    #[test]
+    fn quartiles_of_five_samples_are_order_statistics() {
+        assert_eq!(quartiles(&mut [5.0, 1.0, 4.0, 2.0, 3.0]), [2.0, 3.0, 4.0]);
+        assert_eq!(quartiles(&mut [7.0]), [7.0, 7.0, 7.0]);
+        assert_eq!(quartiles(&mut [1.0, 2.0]), [1.25, 1.5, 1.75]);
     }
 
     #[test]

@@ -45,26 +45,26 @@ extern struct bm_cache_t bm_cache;
 #define bm__read_y_high() (inb(bm_cache.__dil_base__[0] + 0))
 
 #define bm_get_signature() ( \
-    (bm_cache.cache_sig_reg = bm__read_sig_reg(), bm_cache.valid_sig_reg = 1, 0), \
+    (void)(bm_cache.cache_sig_reg = bm__read_sig_reg(), bm_cache.valid_sig_reg = 1), \
     (bm_cache.cache_sig_reg & 0xffull) )
 #define bm_set_signature(v) ( \
-    (bm_cache.cache_sig_reg = (bm_cache.cache_sig_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), bm_cache.valid_sig_reg = 1, bm__write_sig_reg(bm_cache.cache_sig_reg), 0) )
+    (void)(bm_cache.cache_sig_reg = (bm_cache.cache_sig_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), bm_cache.valid_sig_reg = 1, bm__write_sig_reg(bm_cache.cache_sig_reg)) )
 #define bm_set_config(v) ( \
-    (bm_cache.cache_cr = (bm_cache.cache_cr & 0xfffffffffffffffeull) | ((v) & 0x1ull), bm_cache.valid_cr = 1, bm__write_cr(bm_cache.cache_cr), 0) )
+    (void)(bm_cache.cache_cr = (bm_cache.cache_cr & 0xfffffffffffffffeull) | ((v) & 0x1ull), bm_cache.valid_cr = 1, bm__write_cr(bm_cache.cache_cr)) )
 #define bm_set_interrupt(v) ( \
-    (bm_cache.cache_interrupt_reg = (bm_cache.cache_interrupt_reg & 0xffffffffffffffefull) | (((v) << 4) & 0x10ull), bm_cache.valid_interrupt_reg = 1, bm__write_interrupt_reg(bm_cache.cache_interrupt_reg), 0) )
+    (void)(bm_cache.cache_interrupt_reg = (bm_cache.cache_interrupt_reg & 0xffffffffffffffefull) | (((v) << 4) & 0x10ull), bm_cache.valid_interrupt_reg = 1, bm__write_interrupt_reg(bm_cache.cache_interrupt_reg)) )
 #define bm_set_index(v) ( \
-    (bm_cache.cache_index_reg = (bm_cache.cache_index_reg & 0xffffffffffffff9full) | (((v) << 5) & 0x60ull), bm_cache.valid_index_reg = 1, bm__write_index_reg(bm_cache.cache_index_reg), 0) )
+    (void)(bm_cache.cache_index_reg = (bm_cache.cache_index_reg & 0xffffffffffffff9full) | (((v) << 5) & 0x60ull), bm_cache.valid_index_reg = 1, bm__write_index_reg(bm_cache.cache_index_reg)) )
 #define bm_getf_dx() (((bm_cache.cache_x_high & 0xfull) << 4) | (bm_cache.cache_x_low & 0xfull))
 #define bm_get_dx() (((bm_cache.cache_x_high & 0xfull) << 4) | (bm_cache.cache_x_low & 0xfull))
 #define bm_setf_dx(v) ( \
     bm_cache.cache_x_high = (bm_cache.cache_x_high & ~0xfull) | (((v) >> 4) & 0xfull), bm_cache.valid_x_high = 1, \
     bm_cache.cache_x_low = (bm_cache.cache_x_low & ~0xfull) | ((v) & 0xfull), bm_cache.valid_x_low = 1 )
 #define bm_read_dx() ( \
-    (bm_cache.cache_index_reg = (bm_cache.cache_index_reg & 0xffffffffffffff9full) | 0x20ull, bm_cache.valid_index_reg = 1, bm__write_index_reg(bm_cache.cache_index_reg), \
+    (void)(bm_cache.cache_index_reg = (bm_cache.cache_index_reg & 0xffffffffffffff9full) | 0x20ull, bm_cache.valid_index_reg = 1, bm__write_index_reg(bm_cache.cache_index_reg), \
     bm_cache.cache_x_high = bm__read_x_high(), bm_cache.valid_x_high = 1, \
     bm_cache.cache_index_reg = (bm_cache.cache_index_reg & 0xffffffffffffff9full), bm_cache.valid_index_reg = 1, bm__write_index_reg(bm_cache.cache_index_reg), \
-    bm_cache.cache_x_low = bm__read_x_low(), bm_cache.valid_x_low = 1, 0), \
+    bm_cache.cache_x_low = bm__read_x_low(), bm_cache.valid_x_low = 1), \
     ((bm_cache.cache_x_high & 0xfull) << 4) | (bm_cache.cache_x_low & 0xfull) )
 #define bm_getf_dy() (((bm_cache.cache_y_high & 0xfull) << 4) | (bm_cache.cache_y_low & 0xfull))
 #define bm_get_dy() (((bm_cache.cache_y_high & 0xfull) << 4) | (bm_cache.cache_y_low & 0xfull))
@@ -72,27 +72,27 @@ extern struct bm_cache_t bm_cache;
     bm_cache.cache_y_high = (bm_cache.cache_y_high & ~0xfull) | (((v) >> 4) & 0xfull), bm_cache.valid_y_high = 1, \
     bm_cache.cache_y_low = (bm_cache.cache_y_low & ~0xfull) | ((v) & 0xfull), bm_cache.valid_y_low = 1 )
 #define bm_read_dy() ( \
-    (bm_cache.cache_index_reg = (bm_cache.cache_index_reg & 0xffffffffffffff9full) | 0x60ull, bm_cache.valid_index_reg = 1, bm__write_index_reg(bm_cache.cache_index_reg), \
+    (void)(bm_cache.cache_index_reg = (bm_cache.cache_index_reg & 0xffffffffffffff9full) | 0x60ull, bm_cache.valid_index_reg = 1, bm__write_index_reg(bm_cache.cache_index_reg), \
     bm_cache.cache_y_high = bm__read_y_high(), bm_cache.valid_y_high = 1, \
     bm_cache.cache_index_reg = (bm_cache.cache_index_reg & 0xffffffffffffff9full) | 0x40ull, bm_cache.valid_index_reg = 1, bm__write_index_reg(bm_cache.cache_index_reg), \
-    bm_cache.cache_y_low = bm__read_y_low(), bm_cache.valid_y_low = 1, 0), \
+    bm_cache.cache_y_low = bm__read_y_low(), bm_cache.valid_y_low = 1), \
     ((bm_cache.cache_y_high & 0xfull) << 4) | (bm_cache.cache_y_low & 0xfull) )
 #define bm_getf_buttons() (((bm_cache.cache_y_high & 0xe0ull) >> 5))
 #define bm_get_buttons() (((bm_cache.cache_y_high & 0xe0ull) >> 5))
 #define bm_setf_buttons(v) ( \
     bm_cache.cache_y_high = (bm_cache.cache_y_high & ~0xe0ull) | (((v) << 5) & 0xe0ull), bm_cache.valid_y_high = 1 )
 #define bm_read_buttons() ( \
-    (bm_cache.cache_index_reg = (bm_cache.cache_index_reg & 0xffffffffffffff9full) | 0x60ull, bm_cache.valid_index_reg = 1, bm__write_index_reg(bm_cache.cache_index_reg), \
-    bm_cache.cache_y_high = bm__read_y_high(), bm_cache.valid_y_high = 1, 0), \
+    (void)(bm_cache.cache_index_reg = (bm_cache.cache_index_reg & 0xffffffffffffff9full) | 0x60ull, bm_cache.valid_index_reg = 1, bm__write_index_reg(bm_cache.cache_index_reg), \
+    bm_cache.cache_y_high = bm__read_y_high(), bm_cache.valid_y_high = 1), \
     ((bm_cache.cache_y_high & 0xe0ull) >> 5) )
 #define bm_get_mouse_state() ( \
-    (bm_cache.cache_index_reg = (bm_cache.cache_index_reg & 0xffffffffffffff9full) | 0x20ull, bm_cache.valid_index_reg = 1, bm__write_index_reg(bm_cache.cache_index_reg), \
+    (void)(bm_cache.cache_index_reg = (bm_cache.cache_index_reg & 0xffffffffffffff9full) | 0x20ull, bm_cache.valid_index_reg = 1, bm__write_index_reg(bm_cache.cache_index_reg), \
     bm_cache.cache_x_high = bm__read_x_high(), bm_cache.valid_x_high = 1, \
     bm_cache.cache_index_reg = (bm_cache.cache_index_reg & 0xffffffffffffff9full), bm_cache.valid_index_reg = 1, bm__write_index_reg(bm_cache.cache_index_reg), \
     bm_cache.cache_x_low = bm__read_x_low(), bm_cache.valid_x_low = 1, \
     bm_cache.cache_index_reg = (bm_cache.cache_index_reg & 0xffffffffffffff9full) | 0x60ull, bm_cache.valid_index_reg = 1, bm__write_index_reg(bm_cache.cache_index_reg), \
     bm_cache.cache_y_high = bm__read_y_high(), bm_cache.valid_y_high = 1, \
     bm_cache.cache_index_reg = (bm_cache.cache_index_reg & 0xffffffffffffff9full) | 0x40ull, bm_cache.valid_index_reg = 1, bm__write_index_reg(bm_cache.cache_index_reg), \
-    bm_cache.cache_y_low = bm__read_y_low(), bm_cache.valid_y_low = 1, 0) )
+    bm_cache.cache_y_low = bm__read_y_low(), bm_cache.valid_y_low = 1) )
 
 #endif /* BM_DIL_H */

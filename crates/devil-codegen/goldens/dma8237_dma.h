@@ -104,101 +104,101 @@ extern struct dma_cache_t dma_cache;
 #define dma__write_all_mask_reg(v) (outb((((v) & 0xfull) | 0x0ull), dma_cache.__dil_base__[0] + 15))
 
 #define dma_set_flip_flop(v) ( \
-    (dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull) | ((v) & 0x1ull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), 0) )
+    (void)(dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull) | ((v) & 0x1ull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg)) )
 #define dma_get_addr0() ( \
-    ((dma_cache.valid_addr0_high && dma_cache.valid_addr0_low) ? 0 : \
-    (dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
+    ((dma_cache.valid_addr0_high && dma_cache.valid_addr0_low) ? (void)0 : \
+    (void)(dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
     dma_cache.cache_addr0_low = dma__read_addr0_low(), dma_cache.valid_addr0_low = 1, \
-    dma_cache.cache_addr0_high = dma__read_addr0_high(), dma_cache.valid_addr0_high = 1, 0)), \
+    dma_cache.cache_addr0_high = dma__read_addr0_high(), dma_cache.valid_addr0_high = 1)), \
     ((dma_cache.cache_addr0_high & 0xffull) << 8) | (dma_cache.cache_addr0_low & 0xffull) )
 #define dma_set_addr0(v) ( \
-    (dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
+    (void)(dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
     dma_cache.cache_addr0_low = (dma_cache.cache_addr0_low & 0xffffffffffffff00ull) | ((v) & 0xffull), dma_cache.valid_addr0_low = 1, dma__write_addr0_low(dma_cache.cache_addr0_low), \
-    dma_cache.cache_addr0_high = (dma_cache.cache_addr0_high & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), dma_cache.valid_addr0_high = 1, dma__write_addr0_high(dma_cache.cache_addr0_high), 0) )
+    dma_cache.cache_addr0_high = (dma_cache.cache_addr0_high & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), dma_cache.valid_addr0_high = 1, dma__write_addr0_high(dma_cache.cache_addr0_high)) )
 #define dma_get_count0() ( \
-    ((dma_cache.valid_count0_high && dma_cache.valid_count0_low) ? 0 : \
-    (dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
+    ((dma_cache.valid_count0_high && dma_cache.valid_count0_low) ? (void)0 : \
+    (void)(dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
     dma_cache.cache_count0_low = dma__read_count0_low(), dma_cache.valid_count0_low = 1, \
-    dma_cache.cache_count0_high = dma__read_count0_high(), dma_cache.valid_count0_high = 1, 0)), \
+    dma_cache.cache_count0_high = dma__read_count0_high(), dma_cache.valid_count0_high = 1)), \
     ((dma_cache.cache_count0_high & 0xffull) << 8) | (dma_cache.cache_count0_low & 0xffull) )
 #define dma_set_count0(v) ( \
-    (dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
+    (void)(dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
     dma_cache.cache_count0_low = (dma_cache.cache_count0_low & 0xffffffffffffff00ull) | ((v) & 0xffull), dma_cache.valid_count0_low = 1, dma__write_count0_low(dma_cache.cache_count0_low), \
-    dma_cache.cache_count0_high = (dma_cache.cache_count0_high & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), dma_cache.valid_count0_high = 1, dma__write_count0_high(dma_cache.cache_count0_high), 0) )
+    dma_cache.cache_count0_high = (dma_cache.cache_count0_high & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), dma_cache.valid_count0_high = 1, dma__write_count0_high(dma_cache.cache_count0_high)) )
 #define dma_get_addr1() ( \
-    ((dma_cache.valid_addr1_high && dma_cache.valid_addr1_low) ? 0 : \
-    (dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
+    ((dma_cache.valid_addr1_high && dma_cache.valid_addr1_low) ? (void)0 : \
+    (void)(dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
     dma_cache.cache_addr1_low = dma__read_addr1_low(), dma_cache.valid_addr1_low = 1, \
-    dma_cache.cache_addr1_high = dma__read_addr1_high(), dma_cache.valid_addr1_high = 1, 0)), \
+    dma_cache.cache_addr1_high = dma__read_addr1_high(), dma_cache.valid_addr1_high = 1)), \
     ((dma_cache.cache_addr1_high & 0xffull) << 8) | (dma_cache.cache_addr1_low & 0xffull) )
 #define dma_set_addr1(v) ( \
-    (dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
+    (void)(dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
     dma_cache.cache_addr1_low = (dma_cache.cache_addr1_low & 0xffffffffffffff00ull) | ((v) & 0xffull), dma_cache.valid_addr1_low = 1, dma__write_addr1_low(dma_cache.cache_addr1_low), \
-    dma_cache.cache_addr1_high = (dma_cache.cache_addr1_high & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), dma_cache.valid_addr1_high = 1, dma__write_addr1_high(dma_cache.cache_addr1_high), 0) )
+    dma_cache.cache_addr1_high = (dma_cache.cache_addr1_high & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), dma_cache.valid_addr1_high = 1, dma__write_addr1_high(dma_cache.cache_addr1_high)) )
 #define dma_get_count1() ( \
-    ((dma_cache.valid_count1_high && dma_cache.valid_count1_low) ? 0 : \
-    (dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
+    ((dma_cache.valid_count1_high && dma_cache.valid_count1_low) ? (void)0 : \
+    (void)(dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
     dma_cache.cache_count1_low = dma__read_count1_low(), dma_cache.valid_count1_low = 1, \
-    dma_cache.cache_count1_high = dma__read_count1_high(), dma_cache.valid_count1_high = 1, 0)), \
+    dma_cache.cache_count1_high = dma__read_count1_high(), dma_cache.valid_count1_high = 1)), \
     ((dma_cache.cache_count1_high & 0xffull) << 8) | (dma_cache.cache_count1_low & 0xffull) )
 #define dma_set_count1(v) ( \
-    (dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
+    (void)(dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
     dma_cache.cache_count1_low = (dma_cache.cache_count1_low & 0xffffffffffffff00ull) | ((v) & 0xffull), dma_cache.valid_count1_low = 1, dma__write_count1_low(dma_cache.cache_count1_low), \
-    dma_cache.cache_count1_high = (dma_cache.cache_count1_high & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), dma_cache.valid_count1_high = 1, dma__write_count1_high(dma_cache.cache_count1_high), 0) )
+    dma_cache.cache_count1_high = (dma_cache.cache_count1_high & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), dma_cache.valid_count1_high = 1, dma__write_count1_high(dma_cache.cache_count1_high)) )
 #define dma_get_addr2() ( \
-    ((dma_cache.valid_addr2_high && dma_cache.valid_addr2_low) ? 0 : \
-    (dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
+    ((dma_cache.valid_addr2_high && dma_cache.valid_addr2_low) ? (void)0 : \
+    (void)(dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
     dma_cache.cache_addr2_low = dma__read_addr2_low(), dma_cache.valid_addr2_low = 1, \
-    dma_cache.cache_addr2_high = dma__read_addr2_high(), dma_cache.valid_addr2_high = 1, 0)), \
+    dma_cache.cache_addr2_high = dma__read_addr2_high(), dma_cache.valid_addr2_high = 1)), \
     ((dma_cache.cache_addr2_high & 0xffull) << 8) | (dma_cache.cache_addr2_low & 0xffull) )
 #define dma_set_addr2(v) ( \
-    (dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
+    (void)(dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
     dma_cache.cache_addr2_low = (dma_cache.cache_addr2_low & 0xffffffffffffff00ull) | ((v) & 0xffull), dma_cache.valid_addr2_low = 1, dma__write_addr2_low(dma_cache.cache_addr2_low), \
-    dma_cache.cache_addr2_high = (dma_cache.cache_addr2_high & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), dma_cache.valid_addr2_high = 1, dma__write_addr2_high(dma_cache.cache_addr2_high), 0) )
+    dma_cache.cache_addr2_high = (dma_cache.cache_addr2_high & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), dma_cache.valid_addr2_high = 1, dma__write_addr2_high(dma_cache.cache_addr2_high)) )
 #define dma_get_count2() ( \
-    ((dma_cache.valid_count2_high && dma_cache.valid_count2_low) ? 0 : \
-    (dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
+    ((dma_cache.valid_count2_high && dma_cache.valid_count2_low) ? (void)0 : \
+    (void)(dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
     dma_cache.cache_count2_low = dma__read_count2_low(), dma_cache.valid_count2_low = 1, \
-    dma_cache.cache_count2_high = dma__read_count2_high(), dma_cache.valid_count2_high = 1, 0)), \
+    dma_cache.cache_count2_high = dma__read_count2_high(), dma_cache.valid_count2_high = 1)), \
     ((dma_cache.cache_count2_high & 0xffull) << 8) | (dma_cache.cache_count2_low & 0xffull) )
 #define dma_set_count2(v) ( \
-    (dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
+    (void)(dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
     dma_cache.cache_count2_low = (dma_cache.cache_count2_low & 0xffffffffffffff00ull) | ((v) & 0xffull), dma_cache.valid_count2_low = 1, dma__write_count2_low(dma_cache.cache_count2_low), \
-    dma_cache.cache_count2_high = (dma_cache.cache_count2_high & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), dma_cache.valid_count2_high = 1, dma__write_count2_high(dma_cache.cache_count2_high), 0) )
+    dma_cache.cache_count2_high = (dma_cache.cache_count2_high & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), dma_cache.valid_count2_high = 1, dma__write_count2_high(dma_cache.cache_count2_high)) )
 #define dma_get_addr3() ( \
-    ((dma_cache.valid_addr3_high && dma_cache.valid_addr3_low) ? 0 : \
-    (dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
+    ((dma_cache.valid_addr3_high && dma_cache.valid_addr3_low) ? (void)0 : \
+    (void)(dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
     dma_cache.cache_addr3_low = dma__read_addr3_low(), dma_cache.valid_addr3_low = 1, \
-    dma_cache.cache_addr3_high = dma__read_addr3_high(), dma_cache.valid_addr3_high = 1, 0)), \
+    dma_cache.cache_addr3_high = dma__read_addr3_high(), dma_cache.valid_addr3_high = 1)), \
     ((dma_cache.cache_addr3_high & 0xffull) << 8) | (dma_cache.cache_addr3_low & 0xffull) )
 #define dma_set_addr3(v) ( \
-    (dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
+    (void)(dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
     dma_cache.cache_addr3_low = (dma_cache.cache_addr3_low & 0xffffffffffffff00ull) | ((v) & 0xffull), dma_cache.valid_addr3_low = 1, dma__write_addr3_low(dma_cache.cache_addr3_low), \
-    dma_cache.cache_addr3_high = (dma_cache.cache_addr3_high & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), dma_cache.valid_addr3_high = 1, dma__write_addr3_high(dma_cache.cache_addr3_high), 0) )
+    dma_cache.cache_addr3_high = (dma_cache.cache_addr3_high & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), dma_cache.valid_addr3_high = 1, dma__write_addr3_high(dma_cache.cache_addr3_high)) )
 #define dma_get_count3() ( \
-    ((dma_cache.valid_count3_high && dma_cache.valid_count3_low) ? 0 : \
-    (dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
+    ((dma_cache.valid_count3_high && dma_cache.valid_count3_low) ? (void)0 : \
+    (void)(dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
     dma_cache.cache_count3_low = dma__read_count3_low(), dma_cache.valid_count3_low = 1, \
-    dma_cache.cache_count3_high = dma__read_count3_high(), dma_cache.valid_count3_high = 1, 0)), \
+    dma_cache.cache_count3_high = dma__read_count3_high(), dma_cache.valid_count3_high = 1)), \
     ((dma_cache.cache_count3_high & 0xffull) << 8) | (dma_cache.cache_count3_low & 0xffull) )
 #define dma_set_count3(v) ( \
-    (dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
+    (void)(dma_cache.cache_ff_reg = (dma_cache.cache_ff_reg & 0xfffffffffffffffeull), dma_cache.valid_ff_reg = 1, dma__write_ff_reg(dma_cache.cache_ff_reg), \
     dma_cache.cache_count3_low = (dma_cache.cache_count3_low & 0xffffffffffffff00ull) | ((v) & 0xffull), dma_cache.valid_count3_low = 1, dma__write_count3_low(dma_cache.cache_count3_low), \
-    dma_cache.cache_count3_high = (dma_cache.cache_count3_high & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), dma_cache.valid_count3_high = 1, dma__write_count3_high(dma_cache.cache_count3_high), 0) )
+    dma_cache.cache_count3_high = (dma_cache.cache_count3_high & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), dma_cache.valid_count3_high = 1, dma__write_count3_high(dma_cache.cache_count3_high)) )
 #define dma_set_command(v) ( \
-    (dma_cache.cache_command_reg = (dma_cache.cache_command_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), dma_cache.valid_command_reg = 1, dma__write_command_reg(dma_cache.cache_command_reg), 0) )
+    (void)(dma_cache.cache_command_reg = (dma_cache.cache_command_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), dma_cache.valid_command_reg = 1, dma__write_command_reg(dma_cache.cache_command_reg)) )
 #define dma_get_tc_status() ( \
-    (dma_cache.cache_status_reg = dma__read_status_reg(), dma_cache.valid_status_reg = 1, 0), \
+    (void)(dma_cache.cache_status_reg = dma__read_status_reg(), dma_cache.valid_status_reg = 1), \
     (dma_cache.cache_status_reg & 0xfull) )
 #define dma_set_request(v) ( \
-    (dma_cache.cache_request_reg = (dma_cache.cache_request_reg & 0xfffffffffffffff8ull) | ((v) & 0x7ull), dma_cache.valid_request_reg = 1, dma__write_request_reg(dma_cache.cache_request_reg), 0) )
+    (void)(dma_cache.cache_request_reg = (dma_cache.cache_request_reg & 0xfffffffffffffff8ull) | ((v) & 0x7ull), dma_cache.valid_request_reg = 1, dma__write_request_reg(dma_cache.cache_request_reg)) )
 #define dma_set_single_mask(v) ( \
-    (dma_cache.cache_single_mask_reg = (dma_cache.cache_single_mask_reg & 0xfffffffffffffff8ull) | ((v) & 0x7ull), dma_cache.valid_single_mask_reg = 1, dma__write_single_mask_reg(dma_cache.cache_single_mask_reg), 0) )
+    (void)(dma_cache.cache_single_mask_reg = (dma_cache.cache_single_mask_reg & 0xfffffffffffffff8ull) | ((v) & 0x7ull), dma_cache.valid_single_mask_reg = 1, dma__write_single_mask_reg(dma_cache.cache_single_mask_reg)) )
 #define dma_set_mode(v) ( \
-    (dma_cache.cache_mode_reg = (dma_cache.cache_mode_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), dma_cache.valid_mode_reg = 1, dma__write_mode_reg(dma_cache.cache_mode_reg), 0) )
+    (void)(dma_cache.cache_mode_reg = (dma_cache.cache_mode_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), dma_cache.valid_mode_reg = 1, dma__write_mode_reg(dma_cache.cache_mode_reg)) )
 #define dma_set_master_clear(v) ( \
-    (dma_cache.cache_master_clear_reg = (dma_cache.cache_master_clear_reg & 0xfffffffffffffffeull) | ((v) & 0x1ull), dma_cache.valid_master_clear_reg = 1, dma__write_master_clear_reg(dma_cache.cache_master_clear_reg), 0) )
+    (void)(dma_cache.cache_master_clear_reg = (dma_cache.cache_master_clear_reg & 0xfffffffffffffffeull) | ((v) & 0x1ull), dma_cache.valid_master_clear_reg = 1, dma__write_master_clear_reg(dma_cache.cache_master_clear_reg)) )
 #define dma_set_all_mask(v) ( \
-    (dma_cache.cache_all_mask_reg = (dma_cache.cache_all_mask_reg & 0xfffffffffffffff0ull) | ((v) & 0xfull), dma_cache.valid_all_mask_reg = 1, dma__write_all_mask_reg(dma_cache.cache_all_mask_reg), 0) )
+    (void)(dma_cache.cache_all_mask_reg = (dma_cache.cache_all_mask_reg & 0xfffffffffffffff0ull) | ((v) & 0xfull), dma_cache.valid_all_mask_reg = 1, dma__write_all_mask_reg(dma_cache.cache_all_mask_reg)) )
 
 #endif /* DMA_DIL_H */

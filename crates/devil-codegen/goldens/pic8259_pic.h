@@ -40,76 +40,76 @@ extern struct pic_cache_t pic_cache;
 #define pic_setf_ic4(v) ( \
     pic_cache.cache_icw1 = (pic_cache.cache_icw1 & ~0x1ull) | ((v) & 0x1ull), pic_cache.valid_icw1 = 1 )
 #define pic_set_ic4(v) ( \
-    (pic_cache.cache_icw1 = (pic_cache.cache_icw1 & 0xfffffffffffffffeull) | ((v) & 0x1ull), pic_cache.valid_icw1 = 1, pic__write_icw1(pic_cache.cache_icw1), 0) )
+    (void)(pic_cache.cache_icw1 = (pic_cache.cache_icw1 & 0xfffffffffffffffeull) | ((v) & 0x1ull), pic_cache.valid_icw1 = 1, pic__write_icw1(pic_cache.cache_icw1)) )
 #define pic_getf_sngl() (((pic_cache.cache_icw1 & 0x2ull) >> 1))
 #define pic_setf_sngl(v) ( \
     pic_cache.cache_icw1 = (pic_cache.cache_icw1 & ~0x2ull) | (((v) << 1) & 0x2ull), pic_cache.valid_icw1 = 1 )
 #define pic_set_sngl(v) ( \
-    (pic_cache.cache_icw1 = (pic_cache.cache_icw1 & 0xfffffffffffffffdull) | (((v) << 1) & 0x2ull), pic_cache.valid_icw1 = 1, pic__write_icw1(pic_cache.cache_icw1), 0) )
+    (void)(pic_cache.cache_icw1 = (pic_cache.cache_icw1 & 0xfffffffffffffffdull) | (((v) << 1) & 0x2ull), pic_cache.valid_icw1 = 1, pic__write_icw1(pic_cache.cache_icw1)) )
 #define pic_getf_adi() (((pic_cache.cache_icw1 & 0x4ull) >> 2))
 #define pic_setf_adi(v) ( \
     pic_cache.cache_icw1 = (pic_cache.cache_icw1 & ~0x4ull) | (((v) << 2) & 0x4ull), pic_cache.valid_icw1 = 1 )
 #define pic_set_adi(v) ( \
-    (pic_cache.cache_icw1 = (pic_cache.cache_icw1 & 0xfffffffffffffffbull) | (((v) << 2) & 0x4ull), pic_cache.valid_icw1 = 1, pic__write_icw1(pic_cache.cache_icw1), 0) )
+    (void)(pic_cache.cache_icw1 = (pic_cache.cache_icw1 & 0xfffffffffffffffbull) | (((v) << 2) & 0x4ull), pic_cache.valid_icw1 = 1, pic__write_icw1(pic_cache.cache_icw1)) )
 #define pic_getf_ltim() (((pic_cache.cache_icw1 & 0x8ull) >> 3))
 #define pic_setf_ltim(v) ( \
     pic_cache.cache_icw1 = (pic_cache.cache_icw1 & ~0x8ull) | (((v) << 3) & 0x8ull), pic_cache.valid_icw1 = 1 )
 #define pic_set_ltim(v) ( \
-    (pic_cache.cache_icw1 = (pic_cache.cache_icw1 & 0xfffffffffffffff7ull) | (((v) << 3) & 0x8ull), pic_cache.valid_icw1 = 1, pic__write_icw1(pic_cache.cache_icw1), 0) )
+    (void)(pic_cache.cache_icw1 = (pic_cache.cache_icw1 & 0xfffffffffffffff7ull) | (((v) << 3) & 0x8ull), pic_cache.valid_icw1 = 1, pic__write_icw1(pic_cache.cache_icw1)) )
 #define pic_getf_vector_base() (((pic_cache.cache_icw2 & 0xf8ull) >> 3))
 #define pic_setf_vector_base(v) ( \
     pic_cache.cache_icw2 = (pic_cache.cache_icw2 & ~0xf8ull) | (((v) << 3) & 0xf8ull), pic_cache.valid_icw2 = 1 )
 #define pic_set_vector_base(v) ( \
-    (pic_cache.cache_icw2 = (pic_cache.cache_icw2 & 0xffffffffffffff07ull) | (((v) << 3) & 0xf8ull), pic_cache.valid_icw2 = 1, pic__write_icw2(pic_cache.cache_icw2), 0) )
+    (void)(pic_cache.cache_icw2 = (pic_cache.cache_icw2 & 0xffffffffffffff07ull) | (((v) << 3) & 0xf8ull), pic_cache.valid_icw2 = 1, pic__write_icw2(pic_cache.cache_icw2)) )
 #define pic_getf_cascade_map() ((pic_cache.cache_icw3 & 0xffull))
 #define pic_setf_cascade_map(v) ( \
     pic_cache.cache_icw3 = (pic_cache.cache_icw3 & ~0xffull) | ((v) & 0xffull), pic_cache.valid_icw3 = 1 )
 #define pic_set_cascade_map(v) ( \
-    (pic_cache.cache_icw3 = (pic_cache.cache_icw3 & 0xffffffffffffff00ull) | ((v) & 0xffull), pic_cache.valid_icw3 = 1, pic__write_icw3(pic_cache.cache_icw3), 0) )
+    (void)(pic_cache.cache_icw3 = (pic_cache.cache_icw3 & 0xffffffffffffff00ull) | ((v) & 0xffull), pic_cache.valid_icw3 = 1, pic__write_icw3(pic_cache.cache_icw3)) )
 #define pic_getf_sfnm() (((pic_cache.cache_icw4 & 0x10ull) >> 4))
 #define pic_setf_sfnm(v) ( \
     pic_cache.cache_icw4 = (pic_cache.cache_icw4 & ~0x10ull) | (((v) << 4) & 0x10ull), pic_cache.valid_icw4 = 1 )
 #define pic_set_sfnm(v) ( \
-    (pic_cache.cache_icw4 = (pic_cache.cache_icw4 & 0xffffffffffffffefull) | (((v) << 4) & 0x10ull), pic_cache.valid_icw4 = 1, pic__write_icw4(pic_cache.cache_icw4), 0) )
+    (void)(pic_cache.cache_icw4 = (pic_cache.cache_icw4 & 0xffffffffffffffefull) | (((v) << 4) & 0x10ull), pic_cache.valid_icw4 = 1, pic__write_icw4(pic_cache.cache_icw4)) )
 #define pic_getf_buffered() (((pic_cache.cache_icw4 & 0xcull) >> 2))
 #define pic_setf_buffered(v) ( \
     pic_cache.cache_icw4 = (pic_cache.cache_icw4 & ~0xcull) | (((v) << 2) & 0xcull), pic_cache.valid_icw4 = 1 )
 #define pic_set_buffered(v) ( \
-    (pic_cache.cache_icw4 = (pic_cache.cache_icw4 & 0xfffffffffffffff3ull) | (((v) << 2) & 0xcull), pic_cache.valid_icw4 = 1, pic__write_icw4(pic_cache.cache_icw4), 0) )
+    (void)(pic_cache.cache_icw4 = (pic_cache.cache_icw4 & 0xfffffffffffffff3ull) | (((v) << 2) & 0xcull), pic_cache.valid_icw4 = 1, pic__write_icw4(pic_cache.cache_icw4)) )
 #define pic_getf_aeoi() (((pic_cache.cache_icw4 & 0x2ull) >> 1))
 #define pic_setf_aeoi(v) ( \
     pic_cache.cache_icw4 = (pic_cache.cache_icw4 & ~0x2ull) | (((v) << 1) & 0x2ull), pic_cache.valid_icw4 = 1 )
 #define pic_set_aeoi(v) ( \
-    (pic_cache.cache_icw4 = (pic_cache.cache_icw4 & 0xfffffffffffffffdull) | (((v) << 1) & 0x2ull), pic_cache.valid_icw4 = 1, pic__write_icw4(pic_cache.cache_icw4), 0) )
+    (void)(pic_cache.cache_icw4 = (pic_cache.cache_icw4 & 0xfffffffffffffffdull) | (((v) << 1) & 0x2ull), pic_cache.valid_icw4 = 1, pic__write_icw4(pic_cache.cache_icw4)) )
 #define pic_getf_microprocessor() ((pic_cache.cache_icw4 & 0x1ull))
 #define pic_setf_microprocessor(v) ( \
     pic_cache.cache_icw4 = (pic_cache.cache_icw4 & ~0x1ull) | ((v) & 0x1ull), pic_cache.valid_icw4 = 1 )
 #define pic_set_microprocessor(v) ( \
-    (pic_cache.cache_icw4 = (pic_cache.cache_icw4 & 0xfffffffffffffffeull) | ((v) & 0x1ull), pic_cache.valid_icw4 = 1, pic__write_icw4(pic_cache.cache_icw4), 0) )
+    (void)(pic_cache.cache_icw4 = (pic_cache.cache_icw4 & 0xfffffffffffffffeull) | ((v) & 0x1ull), pic_cache.valid_icw4 = 1, pic__write_icw4(pic_cache.cache_icw4)) )
 #define pic_getf_irq_mask() ((pic_cache.cache_ocw1 & 0xffull))
 #define pic_setf_irq_mask(v) ( \
     pic_cache.cache_ocw1 = (pic_cache.cache_ocw1 & ~0xffull) | ((v) & 0xffull), pic_cache.valid_ocw1 = 1 )
 #define pic_set_irq_mask(v) ( \
-    (pic_cache.cache_ocw1 = (pic_cache.cache_ocw1 & 0xffffffffffffff00ull) | ((v) & 0xffull), pic_cache.valid_ocw1 = 1, pic__write_ocw1(pic_cache.cache_ocw1), 0) )
+    (void)(pic_cache.cache_ocw1 = (pic_cache.cache_ocw1 & 0xffffffffffffff00ull) | ((v) & 0xffull), pic_cache.valid_ocw1 = 1, pic__write_ocw1(pic_cache.cache_ocw1)) )
 #define pic_put_init() ( \
     ((pic_cache.cache_icw1 & 0x2ull) == 0x0ull && (pic_cache.cache_icw1 & 0x1ull) == 0x0ull ? \
-    (pic_cache.valid_icw1 = 1, pic__write_icw1(pic_cache.cache_icw1), \
+    (void)(pic_cache.valid_icw1 = 1, pic__write_icw1(pic_cache.cache_icw1), \
     pic_cache.valid_icw2 = 1, pic__write_icw2(pic_cache.cache_icw2), \
     pic_cache.valid_icw3 = 1, pic__write_icw3(pic_cache.cache_icw3), \
-    pic_cache.valid_ocw1 = 1, pic__write_ocw1(pic_cache.cache_ocw1), 0) : \
+    pic_cache.valid_ocw1 = 1, pic__write_ocw1(pic_cache.cache_ocw1)) : \
     (pic_cache.cache_icw1 & 0x2ull) == 0x0ull && (pic_cache.cache_icw1 & 0x1ull) == 0x1ull ? \
-    (pic_cache.valid_icw1 = 1, pic__write_icw1(pic_cache.cache_icw1), \
+    (void)(pic_cache.valid_icw1 = 1, pic__write_icw1(pic_cache.cache_icw1), \
     pic_cache.valid_icw2 = 1, pic__write_icw2(pic_cache.cache_icw2), \
     pic_cache.valid_icw3 = 1, pic__write_icw3(pic_cache.cache_icw3), \
     pic_cache.valid_icw4 = 1, pic__write_icw4(pic_cache.cache_icw4), \
-    pic_cache.valid_ocw1 = 1, pic__write_ocw1(pic_cache.cache_ocw1), 0) : \
+    pic_cache.valid_ocw1 = 1, pic__write_ocw1(pic_cache.cache_ocw1)) : \
     (pic_cache.cache_icw1 & 0x2ull) == 0x2ull && (pic_cache.cache_icw1 & 0x1ull) == 0x0ull ? \
-    (pic_cache.valid_icw1 = 1, pic__write_icw1(pic_cache.cache_icw1), \
+    (void)(pic_cache.valid_icw1 = 1, pic__write_icw1(pic_cache.cache_icw1), \
     pic_cache.valid_icw2 = 1, pic__write_icw2(pic_cache.cache_icw2), \
-    pic_cache.valid_ocw1 = 1, pic__write_ocw1(pic_cache.cache_ocw1), 0) : \
-    (pic_cache.valid_icw1 = 1, pic__write_icw1(pic_cache.cache_icw1), \
+    pic_cache.valid_ocw1 = 1, pic__write_ocw1(pic_cache.cache_ocw1)) : \
+    (void)(pic_cache.valid_icw1 = 1, pic__write_icw1(pic_cache.cache_icw1), \
     pic_cache.valid_icw2 = 1, pic__write_icw2(pic_cache.cache_icw2), \
     pic_cache.valid_icw4 = 1, pic__write_icw4(pic_cache.cache_icw4), \
-    pic_cache.valid_ocw1 = 1, pic__write_ocw1(pic_cache.cache_ocw1), 0)) )
+    pic_cache.valid_ocw1 = 1, pic__write_ocw1(pic_cache.cache_ocw1))) )
 
 #endif /* PIC_DIL_H */

@@ -13,12 +13,15 @@
 //! a [`devil_ir::PlanGuard`]-driven ternary chain selecting one
 //! straight-line variant, mirroring `AccessPlan::select_variant`.
 //!
+//! Setters, structure reads and flushes are `void` expressions and
+//! getters evaluate to the value read: no stub discards an operand.
+//!
 //! Family variable stubs take their arguments first (`cs_get_ID(a0)`,
 //! `cs_set_ID(a0, v)`) and set the cache struct's `bad_arg` on every
 //! call: 0 when every argument lies in its parameter's domain, `k + 1`
 //! when argument `k` is the first that does not. Such a call issues no
-//! bus op, changes no cache field and evaluates to 0 — the runtime's
-//! `ArgOutOfRange`.
+//! bus op and changes no cache field (a getter evaluates to 0) — the
+//! runtime's `ArgOutOfRange`.
 
 use crate::plan::{
     families, fixed_pairs, gets_field, offset_operand, stages_field, Dense, Field, PortOff, Shift,
@@ -33,7 +36,8 @@ use std::fmt::{self, Write as _};
 /// Emits a C header for the device, using `prefix` for all identifiers
 /// (the paper's `#define dev_name bm`).
 pub fn emit_c(ir: &DeviceIr, prefix: &str) -> String {
-    let mut out = String::new();
+    // Room for the preamble and the cache struct; the stubs grow it.
+    let mut out = String::with_capacity(1024);
     let guard = format!("{}_DIL_H", prefix.to_uppercase());
     let _ = writeln!(out, "/* Generated by devilc from device `{}`. Do not edit. */", ir.name);
     let _ = writeln!(out, "#ifndef {guard}\n#define {guard}\n");
@@ -431,13 +435,13 @@ fn step_expr(ir: &DeviceIr, prefix: &str, step: &PlanStep, input: &str) -> Strin
     s
 }
 
-/// One variant's steps as a parenthesized C expression (value 0).
+/// One variant's steps as a `void` C expression.
 fn variant_expr(ir: &DeviceIr, prefix: &str, steps: &[PlanStep], input: &str) -> String {
     if steps.is_empty() {
-        return "0".to_string();
+        return "(void)0".to_string();
     }
     let stmts: Vec<String> = steps.iter().map(|s| step_expr(ir, prefix, s, input)).collect();
-    format!("({}, 0)", stmts.join(", \\\n    "))
+    format!("(void)({})", stmts.join(", \\\n    "))
 }
 
 /// A whole plan as one C expression: the single variant's straight
@@ -506,10 +510,10 @@ fn assemble_expr<'a>(prefix: &str, pairs: impl Iterator<Item = (Field<'a>, Field
     s
 }
 
-/// A family variable stub's parameters (`a0, a1, `) and the head of its
-/// body: record in `bad_arg` which argument, if any, is the first outside
-/// its parameter's domain, and evaluate to 0 without any I/O if one is.
-/// Both empty for a plain variable.
+/// A family variable stub's parameters (`a0, a1, `) and the condition
+/// that heads its body: record in `bad_arg` which argument, if any, is
+/// the first outside its parameter's domain, and test it. Both empty for
+/// a plain variable.
 fn arg_check(prefix: &str, var: &VarIr) -> (String, String) {
     let (mut params, mut head) = (String::new(), String::new());
     if var.params.is_empty() {
@@ -526,7 +530,7 @@ fn arg_check(prefix: &str, var: &VarIr) -> (String, String) {
         }
         let _ = write!(head, ") ? {} : ", k + 1);
     }
-    head.push_str("0) ? 0 : \\\n    ");
+    head.push_str("0)");
     (params, head)
 }
 
@@ -597,8 +601,14 @@ fn emit_var_stubs(out: &mut String, ir: &DeviceIr, prefix: &str, var: &VarIr) {
         );
     }
 
-    let (params, head) = arg_check(prefix, var);
-    let (open, close) = if head.is_empty() { ("", "") } else { ("(", ")") };
+    let (params, check) = arg_check(prefix, var);
+    // A call with a bad argument skips the body without any I/O: a
+    // getter evaluates to 0, a setter to nothing.
+    let (get_skip, set_skip, open, close) = if check.is_empty() {
+        ("", "", "", "")
+    } else {
+        (" ? 0 : \\\n    ", " ? (void)0 : \\\n    ", "(", ")")
+    };
     // Full read: the interpreter's `read_id` lowering. Idempotent
     // variables serve a fully-cached value without I/O; volatile and
     // read-trigger ones always execute the plan.
@@ -620,13 +630,13 @@ fn emit_var_stubs(out: &mut String, ir: &DeviceIr, prefix: &str, var: &VarIr) {
             }
             let _ = writeln!(
                 out,
-                "#define {prefix}_{name}({params}) ( \\\n    {head}{open}(({}) ? 0 : \\\n    {body}), \\\n    {assemble}{close} )",
+                "#define {prefix}_{name}({params}) ( \\\n    {check}{get_skip}{open}(({}) ? (void)0 : \\\n    {body}), \\\n    {assemble}{close} )",
                 valids.join(" && ")
             );
         } else {
             let _ = writeln!(
                 out,
-                "#define {prefix}_{name}({params}) ( \\\n    {head}{open}{body}, \\\n    {assemble}{close} )"
+                "#define {prefix}_{name}({params}) ( \\\n    {check}{get_skip}{open}{body}, \\\n    {assemble}{close} )"
             );
         }
     }
@@ -635,7 +645,7 @@ fn emit_var_stubs(out: &mut String, ir: &DeviceIr, prefix: &str, var: &VarIr) {
     if let Some(plan) = var.write_plan.as_deref() {
         let _ = writeln!(
             out,
-            "#define {prefix}_set_{}({params}v) ( \\\n    {head}{} )",
+            "#define {prefix}_set_{}({params}v) ( \\\n    {check}{set_skip}{} )",
             var.name,
             plan_body(ir, prefix, plan, "(v)")
         );
@@ -702,7 +712,7 @@ mod tests {
                }"#,
         );
         let h = emit_c(&ir, "xx");
-        assert!(h.contains("(xx_cache.valid_r) ? 0 :"), "{h}");
+        assert!(h.contains("(xx_cache.valid_r) ? (void)0 :"), "{h}");
         assert!(h.contains("xx_cache.cache_r = xx__read_r(), xx_cache.valid_r = 1"), "{h}");
     }
 
@@ -765,7 +775,7 @@ mod tests {
         // The argument comes first, is checked against the variable's
         // domain before anything else, and indexes the family's array.
         assert!(h.contains("#define cs_get_XD(a0) ( \\\n    (cs_cache.bad_arg = !((a0) <= 0x11ull || (a0) == 0x19ull) ? 1 : 0) ? 0 : \\\n    (("), "{h}");
-        assert!(h.contains("#define cs_set_ID(a0, v) ( \\\n    (cs_cache.bad_arg = !((a0) <= 0x1full) ? 1 : 0) ? 0 : \\\n    ("), "{h}");
+        assert!(h.contains("#define cs_set_ID(a0, v) ( \\\n    (cs_cache.bad_arg = !((a0) <= 0x1full) ? 1 : 0) ? (void)0 : \\\n    ("), "{h}");
         assert!(h.contains("cs_cache.cache_X[cs__ix_X(a0)] = cs__read_X(0x1ull)"), "{h}");
     }
 

@@ -142,8 +142,6 @@ pub struct FleetReport {
     pub sim_ops_per_s: f64,
     /// Wall-clock duration of the run (spawn + simulate + merge).
     pub wall: Duration,
-    /// Units per wall-clock second on the host.
-    pub wall_ops_per_s: f64,
     /// Unit latency percentiles (completion − arrival), nanoseconds.
     pub p50_ns: u64,
     /// 99th percentile latency.
@@ -332,8 +330,6 @@ pub fn run_fleet_with(cfg: &FleetConfig, irs: &SharedIrs) -> FleetReport {
 
     let sim_ops_per_s =
         if sim_makespan_ns > 0 { units as f64 / (sim_makespan_ns as f64 / 1e9) } else { 0.0 };
-    let wall_s = wall.as_secs_f64();
-    let wall_ops_per_s = if wall_s > 0.0 { units as f64 / wall_s } else { 0.0 };
 
     let trace_root = forest.root();
     FleetReport {
@@ -348,7 +344,6 @@ pub fn run_fleet_with(cfg: &FleetConfig, irs: &SharedIrs) -> FleetReport {
         sim_makespan_ns,
         sim_ops_per_s,
         wall,
-        wall_ops_per_s,
         p50_ns: percentile(&latencies, 0.50),
         p99_ns: percentile(&latencies, 0.99),
         p999_ns: percentile(&latencies, 0.999),

@@ -36,7 +36,7 @@ use std::process::{Command, Stdio};
 /// A compiled back end.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// `devil_codegen::emit_c`, compiled with `cc`.
+    /// `devil_codegen::emit_c`, compiled with `cc -Wall -Werror`.
     C,
     /// `devil_codegen::emit_rust`, compiled with `rustc`.
     Rust,
@@ -189,7 +189,10 @@ fn build_c(name: &str, ir: &DeviceIr, dir: &Path) -> Result<PathBuf, String> {
     // Compile to a temp name and rename, so concurrent builders never
     // observe a half-written binary.
     let tmp = dir.join(format!("oracle_{stem}.tmp.{}", std::process::id()));
-    invoke(Command::new("cc").arg("-O1").arg("-o").arg(&tmp).arg(&c_path), name)?;
+    invoke(
+        Command::new("cc").args(["-O1", "-Wall", "-Werror", "-o"]).arg(&tmp).arg(&c_path),
+        name,
+    )?;
     std::fs::rename(&tmp, &bin).map_err(|e| format!("{}: {e}", bin.display()))?;
     Ok(bin)
 }
@@ -466,14 +469,14 @@ static void shim_set(unsigned long long addr, unsigned long long v) {
     shim_val[i] = v;
 }
 
-static unsigned long long shim_in(unsigned long long addr) {
+static inline unsigned long long shim_in(unsigned long long addr) {
     int i = shim_find(addr);
     unsigned long long v = i < 0 ? 0 : shim_val[i];
     printf("B R %llu %llu %llu\n", addr >> PORT_SHIFT, addr & ((1ULL << PORT_SHIFT) - 1), v);
     return v;
 }
 
-static void shim_out(unsigned long long v, unsigned long long addr) {
+static inline void shim_out(unsigned long long v, unsigned long long addr) {
     shim_set(addr, v);
     printf("B W %llu %llu %llu\n", addr >> PORT_SHIFT, addr & ((1ULL << PORT_SHIFT) - 1), v);
 }
@@ -547,14 +550,16 @@ fn harness_c(ir: &DeviceIr, prefix: &str) -> String {
     // prints the runtime's `ArgOutOfRange` observation.
     let family_call = |c: &mut String, var: &devil_ir::VarIr, tag: &str, call: &str, read: bool| {
         let (n, name) = (var.params.len(), &var.name);
-        let shown = if read { "%llu\\n\", r" } else { "ok\\n\"" };
-        let _ = writeln!(c, "                unsigned long long a[{n}], r;");
+        // A getter's value is printed; a setter is a `void` expression.
+        let (shown, r, call) = if read {
+            ("%llu\\n\", r", ", r", format!("r = (unsigned long long)({call})"))
+        } else {
+            ("ok\\n\"", "", call.to_string())
+        };
+        let _ = writeln!(c, "                unsigned long long a[{n}]{r};");
         let _ = writeln!(c, "                for (int i = 0; i < {n}; i++)");
         let _ = writeln!(c, "                    if (scanf(\"%llu\", &a[i]) != 1) return 1;");
-        let _ = writeln!(
-            c,
-            "                r = (unsigned long long)({call});\n                (void)r;"
-        );
+        let _ = writeln!(c, "                {call};");
         let _ = writeln!(c, "                if ({prefix}_cache.bad_arg)");
         let _ = writeln!(
             c,

@@ -143,7 +143,9 @@ impl DevilBusmouse {
 mod tests {
     use super::*;
     use devices::Busmouse;
-    use hwsim::IrqLine;
+    use hwsim::{Device, IrqLine, Width};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     const BASE: u64 = 0x23c;
 
@@ -214,15 +216,53 @@ mod tests {
         assert_eq!(stats.general, 0, "no general-interpreter fallback: {stats:?}");
     }
 
+    /// The model behind a test bus, with every port write it received:
+    /// shared with a [`Probe`] on the bus, so the test can still look at
+    /// it.
+    type Probed = Rc<RefCell<(Busmouse, Vec<(u64, u64)>)>>;
+
+    struct Probe(Probed);
+
+    impl Device for Probe {
+        fn name(&self) -> &str {
+            "busmouse probe"
+        }
+
+        fn io_read(&mut self, offset: u64, width: Width) -> u64 {
+            self.0.borrow_mut().0.io_read(offset, width)
+        }
+
+        fn io_write(&mut self, offset: u64, value: u64, width: Width) {
+            let mut probed = self.0.borrow_mut();
+            probed.1.push((offset, value));
+            probed.0.io_write(offset, value, width);
+        }
+    }
+
+    fn probed_rig() -> (Bus, Probed) {
+        let probed = Rc::new(RefCell::new((Busmouse::new(IrqLine::new()), Vec::new())));
+        let mut bus = Bus::default();
+        bus.attach_io(Box::new(Probe(probed.clone())), BASE, 4);
+        (bus, probed)
+    }
+
     #[test]
     fn devil_irq_enable_writes_masked_command() {
-        let mut bus = rig(0, 0, 0);
-        let mut drv = DevilBusmouse::new(BASE);
-        drv.set_irq(&mut bus, true);
-        // The spec forces bits 7..5 and 3..0 of interrupt_reg to 0 and
-        // bit 4 carries ENABLE='0' — the device decodes irq enabled.
+        let (mut hand_bus, hand_model) = probed_rig();
         let hand = HandBusmouse::new(BASE);
-        let _ = hand;
-        drv.set_irq(&mut bus, false);
+        let (mut bus, model) = probed_rig();
+        let mut drv = DevilBusmouse::new(BASE);
+        for enable in [true, false, true] {
+            hand.set_irq(&mut hand_bus, enable);
+            drv.set_irq(&mut bus, enable);
+            assert_eq!(model.borrow().0.irq_enabled(), enable);
+            assert_eq!(hand_model.borrow().0.irq_enabled(), enable);
+        }
+        // The spec forces bits 7..5 and 3..0 of interrupt_reg to 0, and
+        // bit 4 carries ENABLE='0': the bytes of Figure 2's
+        // MSE_INT_ENABLE and MSE_INT_DISABLE, on the control port.
+        let writes = model.borrow().1.clone();
+        assert_eq!(writes, hand_model.borrow().1);
+        assert_eq!(writes, [(2, 0x00), (2, 0x10), (2, 0x00)]);
     }
 }

@@ -56,43 +56,43 @@ extern struct ide_cache_t ide_cache;
 #define ide__write_command_reg(v) (outb((((v) & 0xffull) | 0x0ull), ide_cache.__dil_base__[2] + 7))
 
 #define ide_get_Ide_data() ( \
-    (ide_cache.cache_dr = ide__read_dr(), ide_cache.valid_dr = 1, 0), \
+    (void)(ide_cache.cache_dr = ide__read_dr(), ide_cache.valid_dr = 1), \
     (ide_cache.cache_dr & 0xffffull) )
 #define ide_set_Ide_data(v) ( \
-    (ide_cache.cache_dr = (ide_cache.cache_dr & 0xffffffffffff0000ull) | ((v) & 0xffffull), ide_cache.valid_dr = 1, ide__write_dr(ide_cache.cache_dr), 0) )
+    (void)(ide_cache.cache_dr = (ide_cache.cache_dr & 0xffffffffffff0000ull) | ((v) & 0xffffull), ide_cache.valid_dr = 1, ide__write_dr(ide_cache.cache_dr)) )
 #define ide_get_Ide_data32() ( \
-    (ide_cache.cache_dr32 = ide__read_dr32(), ide_cache.valid_dr32 = 1, 0), \
+    (void)(ide_cache.cache_dr32 = ide__read_dr32(), ide_cache.valid_dr32 = 1), \
     (ide_cache.cache_dr32 & 0xffffffffull) )
 #define ide_set_Ide_data32(v) ( \
-    (ide_cache.cache_dr32 = (ide_cache.cache_dr32 & 0xffffffff00000000ull) | ((v) & 0xffffffffull), ide_cache.valid_dr32 = 1, ide__write_dr32(ide_cache.cache_dr32), 0) )
+    (void)(ide_cache.cache_dr32 = (ide_cache.cache_dr32 & 0xffffffff00000000ull) | ((v) & 0xffffffffull), ide_cache.valid_dr32 = 1, ide__write_dr32(ide_cache.cache_dr32)) )
 #define ide_set_features(v) ( \
-    (ide_cache.cache_features_reg = (ide_cache.cache_features_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ide_cache.valid_features_reg = 1, ide__write_features_reg(ide_cache.cache_features_reg), 0) )
+    (void)(ide_cache.cache_features_reg = (ide_cache.cache_features_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ide_cache.valid_features_reg = 1, ide__write_features_reg(ide_cache.cache_features_reg)) )
 #define ide_set_sector_count(v) ( \
-    (ide_cache.cache_sc_reg = (ide_cache.cache_sc_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ide_cache.valid_sc_reg = 1, ide__write_sc_reg(ide_cache.cache_sc_reg), 0) )
+    (void)(ide_cache.cache_sc_reg = (ide_cache.cache_sc_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ide_cache.valid_sc_reg = 1, ide__write_sc_reg(ide_cache.cache_sc_reg)) )
 #define ide_set_lba_low(v) ( \
-    (ide_cache.cache_lba_low_reg = (ide_cache.cache_lba_low_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ide_cache.valid_lba_low_reg = 1, ide__write_lba_low_reg(ide_cache.cache_lba_low_reg), 0) )
+    (void)(ide_cache.cache_lba_low_reg = (ide_cache.cache_lba_low_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ide_cache.valid_lba_low_reg = 1, ide__write_lba_low_reg(ide_cache.cache_lba_low_reg)) )
 #define ide_set_lba_mid(v) ( \
-    (ide_cache.cache_lba_mid_reg = (ide_cache.cache_lba_mid_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ide_cache.valid_lba_mid_reg = 1, ide__write_lba_mid_reg(ide_cache.cache_lba_mid_reg), 0) )
+    (void)(ide_cache.cache_lba_mid_reg = (ide_cache.cache_lba_mid_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ide_cache.valid_lba_mid_reg = 1, ide__write_lba_mid_reg(ide_cache.cache_lba_mid_reg)) )
 #define ide_set_lba_high(v) ( \
-    (ide_cache.cache_lba_high_reg = (ide_cache.cache_lba_high_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ide_cache.valid_lba_high_reg = 1, ide__write_lba_high_reg(ide_cache.cache_lba_high_reg), 0) )
+    (void)(ide_cache.cache_lba_high_reg = (ide_cache.cache_lba_high_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ide_cache.valid_lba_high_reg = 1, ide__write_lba_high_reg(ide_cache.cache_lba_high_reg)) )
 #define ide_set_drive(v) ( \
-    (ide_cache.cache_device_reg = (ide_cache.cache_device_reg & 0xffffffffffffffefull) | (((v) << 4) & 0x10ull), ide_cache.valid_device_reg = 1, ide__write_device_reg(ide_cache.cache_device_reg), 0) )
+    (void)(ide_cache.cache_device_reg = (ide_cache.cache_device_reg & 0xffffffffffffffefull) | (((v) << 4) & 0x10ull), ide_cache.valid_device_reg = 1, ide__write_device_reg(ide_cache.cache_device_reg)) )
 #define ide_set_lba_top(v) ( \
-    (ide_cache.cache_device_reg = (ide_cache.cache_device_reg & 0xfffffffffffffff0ull) | ((v) & 0xfull), ide_cache.valid_device_reg = 1, ide__write_device_reg(ide_cache.cache_device_reg), 0) )
+    (void)(ide_cache.cache_device_reg = (ide_cache.cache_device_reg & 0xfffffffffffffff0ull) | ((v) & 0xfull), ide_cache.valid_device_reg = 1, ide__write_device_reg(ide_cache.cache_device_reg)) )
 #define ide_get_bsy() ( \
-    (ide_cache.cache_status_reg = ide__read_status_reg(), ide_cache.valid_status_reg = 1, 0), \
+    (void)(ide_cache.cache_status_reg = ide__read_status_reg(), ide_cache.valid_status_reg = 1), \
     ((ide_cache.cache_status_reg & 0x80ull) >> 7) )
 #define ide_get_drdy() ( \
-    (ide_cache.cache_status_reg = ide__read_status_reg(), ide_cache.valid_status_reg = 1, 0), \
+    (void)(ide_cache.cache_status_reg = ide__read_status_reg(), ide_cache.valid_status_reg = 1), \
     ((ide_cache.cache_status_reg & 0x40ull) >> 6) )
 #define ide_get_drq() ( \
-    (ide_cache.cache_status_reg = ide__read_status_reg(), ide_cache.valid_status_reg = 1, 0), \
+    (void)(ide_cache.cache_status_reg = ide__read_status_reg(), ide_cache.valid_status_reg = 1), \
     ((ide_cache.cache_status_reg & 0x8ull) >> 3) )
 #define ide_get_err() ( \
-    (ide_cache.cache_status_reg = ide__read_status_reg(), ide_cache.valid_status_reg = 1, 0), \
+    (void)(ide_cache.cache_status_reg = ide__read_status_reg(), ide_cache.valid_status_reg = 1), \
     (ide_cache.cache_status_reg & 0x1ull) )
 #define ide_set_command(v) ( \
-    (ide_cache.cache_command_reg = (ide_cache.cache_command_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ide_cache.valid_command_reg = 1, ide__write_command_reg(ide_cache.cache_command_reg), 0) )
+    (void)(ide_cache.cache_command_reg = (ide_cache.cache_command_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ide_cache.valid_command_reg = 1, ide__write_command_reg(ide_cache.cache_command_reg)) )
 
 /* Block-transfer primitives: one burst transaction per call.
  * The DEVIL_NO_SYS_IO harness supplies its own. */

@@ -25,15 +25,15 @@ extern struct memw_cache_t memw_cache;
 #define memw_get_m() (memw_cache.mem_m)
 #define memw_set_m(v) (memw_cache.mem_m = ((v) & 0x1ull))
 #define memw_set_resta(v) ( \
-    (memw_cache.cache_a = (memw_cache.cache_a & 0xffffffffffffff01ull) | (((v) << 1) & 0xfeull), memw_cache.valid_a = 1, memw__write_a(memw_cache.cache_a), 0) )
+    (void)(memw_cache.cache_a = (memw_cache.cache_a & 0xffffffffffffff01ull) | (((v) << 1) & 0xfeull), memw_cache.valid_a = 1, memw__write_a(memw_cache.cache_a)) )
 #define memw_set_restc(v) ( \
-    (memw_cache.cache_c = (memw_cache.cache_c & 0xffffffffffffff01ull) | (((v) << 1) & 0xfeull), memw_cache.valid_c = 1, memw__write_c(memw_cache.cache_c), 0) )
+    (void)(memw_cache.cache_c = (memw_cache.cache_c & 0xffffffffffffff01ull) | (((v) << 1) & 0xfeull), memw_cache.valid_c = 1, memw__write_c(memw_cache.cache_c)) )
 #define memw_set_w(v) ( \
     (memw_cache.mem_m == 0x0ull ? \
-    (memw_cache.cache_c = (memw_cache.cache_c & 0xfffffffffffffffeull) | (((v) >> 1) & 0x1ull), memw_cache.valid_c = 1, \
-    memw_cache.cache_a = (memw_cache.cache_a & 0xfffffffffffffffeull) | ((v) & 0x1ull), memw_cache.valid_a = 1, memw__write_a(memw_cache.cache_a), 0) : \
-    (memw_cache.cache_a = (memw_cache.cache_a & 0xfffffffffffffffeull) | ((v) & 0x1ull), memw_cache.valid_a = 1, memw__write_a(memw_cache.cache_a), \
-    memw_cache.cache_c = (memw_cache.cache_c & 0xfffffffffffffffeull) | (((v) >> 1) & 0x1ull), memw_cache.valid_c = 1, memw__write_c(memw_cache.cache_c), 0)) )
+    (void)(memw_cache.cache_c = (memw_cache.cache_c & 0xfffffffffffffffeull) | (((v) >> 1) & 0x1ull), memw_cache.valid_c = 1, \
+    memw_cache.cache_a = (memw_cache.cache_a & 0xfffffffffffffffeull) | ((v) & 0x1ull), memw_cache.valid_a = 1, memw__write_a(memw_cache.cache_a)) : \
+    (void)(memw_cache.cache_a = (memw_cache.cache_a & 0xfffffffffffffffeull) | ((v) & 0x1ull), memw_cache.valid_a = 1, memw__write_a(memw_cache.cache_a), \
+    memw_cache.cache_c = (memw_cache.cache_c & 0xfffffffffffffffeull) | (((v) >> 1) & 0x1ull), memw_cache.valid_c = 1, memw__write_c(memw_cache.cache_c))) )
 /* fused superplan `burst`: one guard evaluation, batched I/O. */
 static inline void memw_sp_burst(unsigned long long a0, unsigned long long a1)
 {

@@ -79,73 +79,73 @@ extern struct ne2000_cache_t ne2000_cache;
 #define ne2000__write_dr(v) (outw((((v) & 0xffffull) | 0x0ull), ne2000_cache.__dil_base__[1] + 16))
 
 #define ne2000_get_st() ( \
-    ((ne2000_cache.valid_cr) ? 0 : \
-    (ne2000_cache.cache_cr = ne2000__read_cr(), ne2000_cache.valid_cr = 1, 0)), \
+    ((ne2000_cache.valid_cr) ? (void)0 : \
+    (void)(ne2000_cache.cache_cr = ne2000__read_cr(), ne2000_cache.valid_cr = 1)), \
     (ne2000_cache.cache_cr & 0x3ull) )
 #define ne2000_set_st(v) ( \
-    (ne2000_cache.cache_cr = (ne2000_cache.cache_cr & 0xffffffffffffffc0ull) | 0x20ull | ((v) & 0x3ull), ne2000_cache.valid_cr = 1, ne2000__write_cr(ne2000_cache.cache_cr), 0) )
+    (void)(ne2000_cache.cache_cr = (ne2000_cache.cache_cr & 0xffffffffffffffc0ull) | 0x20ull | ((v) & 0x3ull), ne2000_cache.valid_cr = 1, ne2000__write_cr(ne2000_cache.cache_cr)) )
 #define ne2000_get_txp() ( \
-    ((ne2000_cache.valid_cr) ? 0 : \
-    (ne2000_cache.cache_cr = ne2000__read_cr(), ne2000_cache.valid_cr = 1, 0)), \
+    ((ne2000_cache.valid_cr) ? (void)0 : \
+    (void)(ne2000_cache.cache_cr = ne2000__read_cr(), ne2000_cache.valid_cr = 1)), \
     ((ne2000_cache.cache_cr & 0x4ull) >> 2) )
 #define ne2000_set_txp(v) ( \
-    (ne2000_cache.cache_cr = (ne2000_cache.cache_cr & 0xffffffffffffffc3ull) | 0x20ull | (((v) << 2) & 0x4ull), ne2000_cache.valid_cr = 1, ne2000__write_cr(ne2000_cache.cache_cr), 0) )
+    (void)(ne2000_cache.cache_cr = (ne2000_cache.cache_cr & 0xffffffffffffffc3ull) | 0x20ull | (((v) << 2) & 0x4ull), ne2000_cache.valid_cr = 1, ne2000__write_cr(ne2000_cache.cache_cr)) )
 #define ne2000_get_rd() ( \
-    ((ne2000_cache.valid_cr) ? 0 : \
-    (ne2000_cache.cache_cr = ne2000__read_cr(), ne2000_cache.valid_cr = 1, 0)), \
+    ((ne2000_cache.valid_cr) ? (void)0 : \
+    (void)(ne2000_cache.cache_cr = ne2000__read_cr(), ne2000_cache.valid_cr = 1)), \
     ((ne2000_cache.cache_cr & 0x38ull) >> 3) )
 #define ne2000_set_rd(v) ( \
-    (ne2000_cache.cache_cr = (ne2000_cache.cache_cr & 0xffffffffffffffc3ull) | (((v) << 3) & 0x38ull), ne2000_cache.valid_cr = 1, ne2000__write_cr(ne2000_cache.cache_cr), 0) )
+    (void)(ne2000_cache.cache_cr = (ne2000_cache.cache_cr & 0xffffffffffffffc3ull) | (((v) << 3) & 0x38ull), ne2000_cache.valid_cr = 1, ne2000__write_cr(ne2000_cache.cache_cr)) )
 #define ne2000_get_page() ( \
-    ((ne2000_cache.valid_cr) ? 0 : \
-    (ne2000_cache.cache_cr = ne2000__read_cr(), ne2000_cache.valid_cr = 1, 0)), \
+    ((ne2000_cache.valid_cr) ? (void)0 : \
+    (void)(ne2000_cache.cache_cr = ne2000__read_cr(), ne2000_cache.valid_cr = 1)), \
     ((ne2000_cache.cache_cr & 0xc0ull) >> 6) )
 #define ne2000_set_page(v) ( \
-    (ne2000_cache.cache_cr = (ne2000_cache.cache_cr & 0xffffffffffffff03ull) | 0x20ull | (((v) << 6) & 0xc0ull), ne2000_cache.valid_cr = 1, ne2000__write_cr(ne2000_cache.cache_cr), 0) )
+    (void)(ne2000_cache.cache_cr = (ne2000_cache.cache_cr & 0xffffffffffffff03ull) | 0x20ull | (((v) << 6) & 0xc0ull), ne2000_cache.valid_cr = 1, ne2000__write_cr(ne2000_cache.cache_cr)) )
 #define ne2000_set_pstart(v) ( \
-    (ne2000_cache.cache_pstart_reg = (ne2000_cache.cache_pstart_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ne2000_cache.valid_pstart_reg = 1, ne2000__write_pstart_reg(ne2000_cache.cache_pstart_reg), 0) )
+    (void)(ne2000_cache.cache_pstart_reg = (ne2000_cache.cache_pstart_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ne2000_cache.valid_pstart_reg = 1, ne2000__write_pstart_reg(ne2000_cache.cache_pstart_reg)) )
 #define ne2000_set_pstop(v) ( \
-    (ne2000_cache.cache_pstop_reg = (ne2000_cache.cache_pstop_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ne2000_cache.valid_pstop_reg = 1, ne2000__write_pstop_reg(ne2000_cache.cache_pstop_reg), 0) )
+    (void)(ne2000_cache.cache_pstop_reg = (ne2000_cache.cache_pstop_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ne2000_cache.valid_pstop_reg = 1, ne2000__write_pstop_reg(ne2000_cache.cache_pstop_reg)) )
 #define ne2000_get_bnry() ( \
-    (ne2000_cache.cache_bnry_reg = ne2000__read_bnry_reg(), ne2000_cache.valid_bnry_reg = 1, 0), \
+    (void)(ne2000_cache.cache_bnry_reg = ne2000__read_bnry_reg(), ne2000_cache.valid_bnry_reg = 1), \
     (ne2000_cache.cache_bnry_reg & 0xffull) )
 #define ne2000_set_bnry(v) ( \
-    (ne2000_cache.cache_bnry_reg = (ne2000_cache.cache_bnry_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ne2000_cache.valid_bnry_reg = 1, ne2000__write_bnry_reg(ne2000_cache.cache_bnry_reg), 0) )
+    (void)(ne2000_cache.cache_bnry_reg = (ne2000_cache.cache_bnry_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ne2000_cache.valid_bnry_reg = 1, ne2000__write_bnry_reg(ne2000_cache.cache_bnry_reg)) )
 #define ne2000_set_tpsr(v) ( \
-    (ne2000_cache.cache_tpsr_reg = (ne2000_cache.cache_tpsr_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ne2000_cache.valid_tpsr_reg = 1, ne2000__write_tpsr_reg(ne2000_cache.cache_tpsr_reg), 0) )
+    (void)(ne2000_cache.cache_tpsr_reg = (ne2000_cache.cache_tpsr_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ne2000_cache.valid_tpsr_reg = 1, ne2000__write_tpsr_reg(ne2000_cache.cache_tpsr_reg)) )
 #define ne2000_set_tbcr(v) ( \
-    (ne2000_cache.cache_tbcr1 = (ne2000_cache.cache_tbcr1 & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), ne2000_cache.valid_tbcr1 = 1, ne2000__write_tbcr1(ne2000_cache.cache_tbcr1), \
-    ne2000_cache.cache_tbcr0 = (ne2000_cache.cache_tbcr0 & 0xffffffffffffff00ull) | ((v) & 0xffull), ne2000_cache.valid_tbcr0 = 1, ne2000__write_tbcr0(ne2000_cache.cache_tbcr0), 0) )
+    (void)(ne2000_cache.cache_tbcr1 = (ne2000_cache.cache_tbcr1 & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), ne2000_cache.valid_tbcr1 = 1, ne2000__write_tbcr1(ne2000_cache.cache_tbcr1), \
+    ne2000_cache.cache_tbcr0 = (ne2000_cache.cache_tbcr0 & 0xffffffffffffff00ull) | ((v) & 0xffull), ne2000_cache.valid_tbcr0 = 1, ne2000__write_tbcr0(ne2000_cache.cache_tbcr0)) )
 #define ne2000_get_prx() ( \
-    (ne2000_cache.cache_isr_reg = ne2000__read_isr_reg(), ne2000_cache.valid_isr_reg = 1, 0), \
+    (void)(ne2000_cache.cache_isr_reg = ne2000__read_isr_reg(), ne2000_cache.valid_isr_reg = 1), \
     (ne2000_cache.cache_isr_reg & 0x1ull) )
 #define ne2000_set_prx(v) ( \
-    (ne2000_cache.cache_isr_reg = (ne2000_cache.cache_isr_reg & 0xffffffffffffffbcull) | ((v) & 0x1ull), ne2000_cache.valid_isr_reg = 1, ne2000__write_isr_reg(ne2000_cache.cache_isr_reg), 0) )
+    (void)(ne2000_cache.cache_isr_reg = (ne2000_cache.cache_isr_reg & 0xffffffffffffffbcull) | ((v) & 0x1ull), ne2000_cache.valid_isr_reg = 1, ne2000__write_isr_reg(ne2000_cache.cache_isr_reg)) )
 #define ne2000_get_ptx() ( \
-    (ne2000_cache.cache_isr_reg = ne2000__read_isr_reg(), ne2000_cache.valid_isr_reg = 1, 0), \
+    (void)(ne2000_cache.cache_isr_reg = ne2000__read_isr_reg(), ne2000_cache.valid_isr_reg = 1), \
     ((ne2000_cache.cache_isr_reg & 0x2ull) >> 1) )
 #define ne2000_set_ptx(v) ( \
-    (ne2000_cache.cache_isr_reg = (ne2000_cache.cache_isr_reg & 0xffffffffffffffbcull) | (((v) << 1) & 0x2ull), ne2000_cache.valid_isr_reg = 1, ne2000__write_isr_reg(ne2000_cache.cache_isr_reg), 0) )
+    (void)(ne2000_cache.cache_isr_reg = (ne2000_cache.cache_isr_reg & 0xffffffffffffffbcull) | (((v) << 1) & 0x2ull), ne2000_cache.valid_isr_reg = 1, ne2000__write_isr_reg(ne2000_cache.cache_isr_reg)) )
 #define ne2000_get_rdc() ( \
-    (ne2000_cache.cache_isr_reg = ne2000__read_isr_reg(), ne2000_cache.valid_isr_reg = 1, 0), \
+    (void)(ne2000_cache.cache_isr_reg = ne2000__read_isr_reg(), ne2000_cache.valid_isr_reg = 1), \
     ((ne2000_cache.cache_isr_reg & 0x40ull) >> 6) )
 #define ne2000_set_rdc(v) ( \
-    (ne2000_cache.cache_isr_reg = (ne2000_cache.cache_isr_reg & 0xffffffffffffffbcull) | (((v) << 6) & 0x40ull), ne2000_cache.valid_isr_reg = 1, ne2000__write_isr_reg(ne2000_cache.cache_isr_reg), 0) )
+    (void)(ne2000_cache.cache_isr_reg = (ne2000_cache.cache_isr_reg & 0xffffffffffffffbcull) | (((v) << 6) & 0x40ull), ne2000_cache.valid_isr_reg = 1, ne2000__write_isr_reg(ne2000_cache.cache_isr_reg)) )
 #define ne2000_set_rsar(v) ( \
-    (ne2000_cache.cache_rsar1 = (ne2000_cache.cache_rsar1 & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), ne2000_cache.valid_rsar1 = 1, ne2000__write_rsar1(ne2000_cache.cache_rsar1), \
-    ne2000_cache.cache_rsar0 = (ne2000_cache.cache_rsar0 & 0xffffffffffffff00ull) | ((v) & 0xffull), ne2000_cache.valid_rsar0 = 1, ne2000__write_rsar0(ne2000_cache.cache_rsar0), 0) )
+    (void)(ne2000_cache.cache_rsar1 = (ne2000_cache.cache_rsar1 & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), ne2000_cache.valid_rsar1 = 1, ne2000__write_rsar1(ne2000_cache.cache_rsar1), \
+    ne2000_cache.cache_rsar0 = (ne2000_cache.cache_rsar0 & 0xffffffffffffff00ull) | ((v) & 0xffull), ne2000_cache.valid_rsar0 = 1, ne2000__write_rsar0(ne2000_cache.cache_rsar0)) )
 #define ne2000_set_rbcr(v) ( \
-    (ne2000_cache.cache_rbcr1 = (ne2000_cache.cache_rbcr1 & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), ne2000_cache.valid_rbcr1 = 1, ne2000__write_rbcr1(ne2000_cache.cache_rbcr1), \
-    ne2000_cache.cache_rbcr0 = (ne2000_cache.cache_rbcr0 & 0xffffffffffffff00ull) | ((v) & 0xffull), ne2000_cache.valid_rbcr0 = 1, ne2000__write_rbcr0(ne2000_cache.cache_rbcr0), 0) )
+    (void)(ne2000_cache.cache_rbcr1 = (ne2000_cache.cache_rbcr1 & 0xffffffffffffff00ull) | (((v) >> 8) & 0xffull), ne2000_cache.valid_rbcr1 = 1, ne2000__write_rbcr1(ne2000_cache.cache_rbcr1), \
+    ne2000_cache.cache_rbcr0 = (ne2000_cache.cache_rbcr0 & 0xffffffffffffff00ull) | ((v) & 0xffull), ne2000_cache.valid_rbcr0 = 1, ne2000__write_rbcr0(ne2000_cache.cache_rbcr0)) )
 #define ne2000_set_data_config(v) ( \
-    (ne2000_cache.cache_dcr = (ne2000_cache.cache_dcr & 0xffffffffffffff00ull) | ((v) & 0xffull), ne2000_cache.valid_dcr = 1, ne2000__write_dcr(ne2000_cache.cache_dcr), 0) )
+    (void)(ne2000_cache.cache_dcr = (ne2000_cache.cache_dcr & 0xffffffffffffff00ull) | ((v) & 0xffull), ne2000_cache.valid_dcr = 1, ne2000__write_dcr(ne2000_cache.cache_dcr)) )
 #define ne2000_set_int_mask(v) ( \
-    (ne2000_cache.cache_imr_reg = (ne2000_cache.cache_imr_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ne2000_cache.valid_imr_reg = 1, ne2000__write_imr_reg(ne2000_cache.cache_imr_reg), 0) )
+    (void)(ne2000_cache.cache_imr_reg = (ne2000_cache.cache_imr_reg & 0xffffffffffffff00ull) | ((v) & 0xffull), ne2000_cache.valid_imr_reg = 1, ne2000__write_imr_reg(ne2000_cache.cache_imr_reg)) )
 #define ne2000_get_remote_data() ( \
-    (ne2000_cache.cache_dr = ne2000__read_dr(), ne2000_cache.valid_dr = 1, 0), \
+    (void)(ne2000_cache.cache_dr = ne2000__read_dr(), ne2000_cache.valid_dr = 1), \
     (ne2000_cache.cache_dr & 0xffffull) )
 #define ne2000_set_remote_data(v) ( \
-    (ne2000_cache.cache_dr = (ne2000_cache.cache_dr & 0xffffffffffff0000ull) | ((v) & 0xffffull), ne2000_cache.valid_dr = 1, ne2000__write_dr(ne2000_cache.cache_dr), 0) )
+    (void)(ne2000_cache.cache_dr = (ne2000_cache.cache_dr & 0xffffffffffff0000ull) | ((v) & 0xffffull), ne2000_cache.valid_dr = 1, ne2000__write_dr(ne2000_cache.cache_dr)) )
 
 /* Block-transfer primitives: one burst transaction per call.
  * The DEVIL_NO_SYS_IO harness supplies its own. */

@@ -26,33 +26,33 @@ extern struct nestede_cache_t nestede_cache;
 
 #define nestede_get_payload() ( \
     ((nestede_cache.cache_a & 0x1ull) == 0x0ull ? \
-    (nestede_cache.cache_c = (nestede_cache.cache_c & 0xffffffffffffff00ull) | 0x2ull, nestede_cache.valid_c = 1, \
+    (void)(nestede_cache.cache_c = (nestede_cache.cache_c & 0xffffffffffffff00ull) | 0x2ull, nestede_cache.valid_c = 1, \
     nestede_cache.cache_a = (nestede_cache.cache_a & 0xffffffffffffff01ull) | 0x2ull, nestede_cache.valid_a = 1, nestede__write_a(nestede_cache.cache_a), \
-    nestede_cache.cache_data = nestede__read_data(), nestede_cache.valid_data = 1, 0) : \
-    (nestede_cache.cache_a = (nestede_cache.cache_a & 0xffffffffffffff01ull) | 0x2ull, nestede_cache.valid_a = 1, nestede__write_a(nestede_cache.cache_a), \
+    nestede_cache.cache_data = nestede__read_data(), nestede_cache.valid_data = 1) : \
+    (void)(nestede_cache.cache_a = (nestede_cache.cache_a & 0xffffffffffffff01ull) | 0x2ull, nestede_cache.valid_a = 1, nestede__write_a(nestede_cache.cache_a), \
     nestede_cache.cache_c = (nestede_cache.cache_c & 0xffffffffffffff00ull) | 0x2ull, nestede_cache.valid_c = 1, nestede__write_c(nestede_cache.cache_c), \
-    nestede_cache.cache_data = nestede__read_data(), nestede_cache.valid_data = 1, 0)), \
+    nestede_cache.cache_data = nestede__read_data(), nestede_cache.valid_data = 1)), \
     (nestede_cache.cache_data & 0xffull) )
 #define nestede_getf_sel() ((nestede_cache.cache_a & 0x1ull))
 #define nestede_setf_sel(v) ( \
     nestede_cache.cache_a = (nestede_cache.cache_a & ~0x1ull) | ((v) & 0x1ull), nestede_cache.valid_a = 1 )
 #define nestede_set_sel(v) ( \
-    (nestede_cache.cache_a = (nestede_cache.cache_a & 0xfffffffffffffffeull) | ((v) & 0x1ull), nestede_cache.valid_a = 1, nestede__write_a(nestede_cache.cache_a), 0) )
+    (void)(nestede_cache.cache_a = (nestede_cache.cache_a & 0xfffffffffffffffeull) | ((v) & 0x1ull), nestede_cache.valid_a = 1, nestede__write_a(nestede_cache.cache_a)) )
 #define nestede_getf_rest() (((nestede_cache.cache_a & 0xfeull) >> 1))
 #define nestede_setf_rest(v) ( \
     nestede_cache.cache_a = (nestede_cache.cache_a & ~0xfeull) | (((v) << 1) & 0xfeull), nestede_cache.valid_a = 1 )
 #define nestede_set_rest(v) ( \
-    (nestede_cache.cache_a = (nestede_cache.cache_a & 0xffffffffffffff01ull) | (((v) << 1) & 0xfeull), nestede_cache.valid_a = 1, nestede__write_a(nestede_cache.cache_a), 0) )
+    (void)(nestede_cache.cache_a = (nestede_cache.cache_a & 0xffffffffffffff01ull) | (((v) << 1) & 0xfeull), nestede_cache.valid_a = 1, nestede__write_a(nestede_cache.cache_a)) )
 #define nestede_getf_v() ((nestede_cache.cache_c & 0xffull))
 #define nestede_setf_v(v) ( \
     nestede_cache.cache_c = (nestede_cache.cache_c & ~0xffull) | ((v) & 0xffull), nestede_cache.valid_c = 1 )
 #define nestede_set_v(v) ( \
-    (nestede_cache.cache_c = (nestede_cache.cache_c & 0xffffffffffffff00ull) | ((v) & 0xffull), nestede_cache.valid_c = 1, nestede__write_c(nestede_cache.cache_c), 0) )
+    (void)(nestede_cache.cache_c = (nestede_cache.cache_c & 0xffffffffffffff00ull) | ((v) & 0xffull), nestede_cache.valid_c = 1, nestede__write_c(nestede_cache.cache_c)) )
 #define nestede_put_s() ( \
     ((nestede_cache.cache_a & 0x1ull) == 0x0ull ? \
-    (nestede_cache.valid_a = 1, nestede__write_a(nestede_cache.cache_a), 0) : \
-    (nestede_cache.valid_a = 1, nestede__write_a(nestede_cache.cache_a), \
-    nestede_cache.valid_c = 1, nestede__write_c(nestede_cache.cache_c), 0)) )
+    (void)(nestede_cache.valid_a = 1, nestede__write_a(nestede_cache.cache_a)) : \
+    (void)(nestede_cache.valid_a = 1, nestede__write_a(nestede_cache.cache_a), \
+    nestede_cache.valid_c = 1, nestede__write_c(nestede_cache.cache_c))) )
 /* fused superplan `probe`: one guard evaluation, batched I/O. */
 static inline void nestede_sp_probe(unsigned long long *outs)
 {

@@ -52,32 +52,32 @@ extern struct permedia2_cache_t permedia2_cache;
 #define permedia2__write_scratch2(v) (outl((((v) & 0xffffffffull) | 0x0ull), permedia2_cache.__dil_base__[0] + 9))
 
 #define permedia2_get_fifo_space() ( \
-    (permedia2_cache.cache_fifo = permedia2__read_fifo(), permedia2_cache.valid_fifo = 1, 0), \
+    (void)(permedia2_cache.cache_fifo = permedia2__read_fifo(), permedia2_cache.valid_fifo = 1), \
     (permedia2_cache.cache_fifo & 0xffffffffull) )
 #define permedia2_set_dst_x(v) ( \
-    (permedia2_cache.cache_rect_pos = (permedia2_cache.cache_rect_pos & 0xffffffffffff0000ull) | ((v) & 0xffffull), permedia2_cache.valid_rect_pos = 1, permedia2__write_rect_pos(permedia2_cache.cache_rect_pos), 0) )
+    (void)(permedia2_cache.cache_rect_pos = (permedia2_cache.cache_rect_pos & 0xffffffffffff0000ull) | ((v) & 0xffffull), permedia2_cache.valid_rect_pos = 1, permedia2__write_rect_pos(permedia2_cache.cache_rect_pos)) )
 #define permedia2_set_dst_y(v) ( \
-    (permedia2_cache.cache_rect_pos = (permedia2_cache.cache_rect_pos & 0xffffffff0000ffffull) | (((v) << 16) & 0xffff0000ull), permedia2_cache.valid_rect_pos = 1, permedia2__write_rect_pos(permedia2_cache.cache_rect_pos), 0) )
+    (void)(permedia2_cache.cache_rect_pos = (permedia2_cache.cache_rect_pos & 0xffffffff0000ffffull) | (((v) << 16) & 0xffff0000ull), permedia2_cache.valid_rect_pos = 1, permedia2__write_rect_pos(permedia2_cache.cache_rect_pos)) )
 #define permedia2_set_rect_w(v) ( \
-    (permedia2_cache.cache_rect_size = (permedia2_cache.cache_rect_size & 0xffffffffffff0000ull) | ((v) & 0xffffull), permedia2_cache.valid_rect_size = 1, permedia2__write_rect_size(permedia2_cache.cache_rect_size), 0) )
+    (void)(permedia2_cache.cache_rect_size = (permedia2_cache.cache_rect_size & 0xffffffffffff0000ull) | ((v) & 0xffffull), permedia2_cache.valid_rect_size = 1, permedia2__write_rect_size(permedia2_cache.cache_rect_size)) )
 #define permedia2_set_rect_h(v) ( \
-    (permedia2_cache.cache_rect_size = (permedia2_cache.cache_rect_size & 0xffffffff0000ffffull) | (((v) << 16) & 0xffff0000ull), permedia2_cache.valid_rect_size = 1, permedia2__write_rect_size(permedia2_cache.cache_rect_size), 0) )
+    (void)(permedia2_cache.cache_rect_size = (permedia2_cache.cache_rect_size & 0xffffffff0000ffffull) | (((v) << 16) & 0xffff0000ull), permedia2_cache.valid_rect_size = 1, permedia2__write_rect_size(permedia2_cache.cache_rect_size)) )
 #define permedia2_set_fill_color(v) ( \
-    (permedia2_cache.cache_block_color = (permedia2_cache.cache_block_color & 0xffffffff00000000ull) | ((v) & 0xffffffffull), permedia2_cache.valid_block_color = 1, permedia2__write_block_color(permedia2_cache.cache_block_color), 0) )
+    (void)(permedia2_cache.cache_block_color = (permedia2_cache.cache_block_color & 0xffffffff00000000ull) | ((v) & 0xffffffffull), permedia2_cache.valid_block_color = 1, permedia2__write_block_color(permedia2_cache.cache_block_color)) )
 #define permedia2_set_render_op(v) ( \
-    (permedia2_cache.cache_render = (permedia2_cache.cache_render & 0xfffffffffffffffcull) | ((v) & 0x3ull), permedia2_cache.valid_render = 1, permedia2__write_render(permedia2_cache.cache_render), 0) )
+    (void)(permedia2_cache.cache_render = (permedia2_cache.cache_render & 0xfffffffffffffffcull) | ((v) & 0x3ull), permedia2_cache.valid_render = 1, permedia2__write_render(permedia2_cache.cache_render)) )
 #define permedia2_set_src_x(v) ( \
-    (permedia2_cache.cache_copy_src = (permedia2_cache.cache_copy_src & 0xffffffffffff0000ull) | ((v) & 0xffffull), permedia2_cache.valid_copy_src = 1, permedia2__write_copy_src(permedia2_cache.cache_copy_src), 0) )
+    (void)(permedia2_cache.cache_copy_src = (permedia2_cache.cache_copy_src & 0xffffffffffff0000ull) | ((v) & 0xffffull), permedia2_cache.valid_copy_src = 1, permedia2__write_copy_src(permedia2_cache.cache_copy_src)) )
 #define permedia2_set_src_y(v) ( \
-    (permedia2_cache.cache_copy_src = (permedia2_cache.cache_copy_src & 0xffffffff0000ffffull) | (((v) << 16) & 0xffff0000ull), permedia2_cache.valid_copy_src = 1, permedia2__write_copy_src(permedia2_cache.cache_copy_src), 0) )
+    (void)(permedia2_cache.cache_copy_src = (permedia2_cache.cache_copy_src & 0xffffffff0000ffffull) | (((v) << 16) & 0xffff0000ull), permedia2_cache.valid_copy_src = 1, permedia2__write_copy_src(permedia2_cache.cache_copy_src)) )
 #define permedia2_set_depth(v) ( \
-    (permedia2_cache.cache_config = (permedia2_cache.cache_config & 0xfffffffffffffffcull) | ((v) & 0x3ull), permedia2_cache.valid_config = 1, permedia2__write_config(permedia2_cache.cache_config), 0) )
+    (void)(permedia2_cache.cache_config = (permedia2_cache.cache_config & 0xfffffffffffffffcull) | ((v) & 0x3ull), permedia2_cache.valid_config = 1, permedia2__write_config(permedia2_cache.cache_config)) )
 #define permedia2_set_logical_op(v) ( \
-    (permedia2_cache.cache_scratch0 = (permedia2_cache.cache_scratch0 & 0xffffffff00000000ull) | ((v) & 0xffffffffull), permedia2_cache.valid_scratch0 = 1, permedia2__write_scratch0(permedia2_cache.cache_scratch0), 0) )
+    (void)(permedia2_cache.cache_scratch0 = (permedia2_cache.cache_scratch0 & 0xffffffff00000000ull) | ((v) & 0xffffffffull), permedia2_cache.valid_scratch0 = 1, permedia2__write_scratch0(permedia2_cache.cache_scratch0)) )
 #define permedia2_set_write_mask(v) ( \
-    (permedia2_cache.cache_scratch1 = (permedia2_cache.cache_scratch1 & 0xffffffff00000000ull) | ((v) & 0xffffffffull), permedia2_cache.valid_scratch1 = 1, permedia2__write_scratch1(permedia2_cache.cache_scratch1), 0) )
+    (void)(permedia2_cache.cache_scratch1 = (permedia2_cache.cache_scratch1 & 0xffffffff00000000ull) | ((v) & 0xffffffffull), permedia2_cache.valid_scratch1 = 1, permedia2__write_scratch1(permedia2_cache.cache_scratch1)) )
 #define permedia2_set_span_mode(v) ( \
-    (permedia2_cache.cache_scratch2 = (permedia2_cache.cache_scratch2 & 0xffffffff00000000ull) | ((v) & 0xffffffffull), permedia2_cache.valid_scratch2 = 1, permedia2__write_scratch2(permedia2_cache.cache_scratch2), 0) )
+    (void)(permedia2_cache.cache_scratch2 = (permedia2_cache.cache_scratch2 & 0xffffffff00000000ull) | ((v) & 0xffffffffull), permedia2_cache.valid_scratch2 = 1, permedia2__write_scratch2(permedia2_cache.cache_scratch2)) )
 /* fused superplan `fill24_burst`: one guard evaluation, batched I/O. */
 static inline void permedia2_sp_fill24_burst(unsigned long long a0, unsigned long long a1, unsigned long long a2, unsigned long long a3, unsigned long long a4)
 {

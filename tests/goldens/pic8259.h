@@ -40,77 +40,77 @@ extern struct pic8259_cache_t pic8259_cache;
 #define pic8259_setf_ic4(v) ( \
     pic8259_cache.cache_icw1 = (pic8259_cache.cache_icw1 & ~0x1ull) | ((v) & 0x1ull), pic8259_cache.valid_icw1 = 1 )
 #define pic8259_set_ic4(v) ( \
-    (pic8259_cache.cache_icw1 = (pic8259_cache.cache_icw1 & 0xfffffffffffffffeull) | ((v) & 0x1ull), pic8259_cache.valid_icw1 = 1, pic8259__write_icw1(pic8259_cache.cache_icw1), 0) )
+    (void)(pic8259_cache.cache_icw1 = (pic8259_cache.cache_icw1 & 0xfffffffffffffffeull) | ((v) & 0x1ull), pic8259_cache.valid_icw1 = 1, pic8259__write_icw1(pic8259_cache.cache_icw1)) )
 #define pic8259_getf_sngl() (((pic8259_cache.cache_icw1 & 0x2ull) >> 1))
 #define pic8259_setf_sngl(v) ( \
     pic8259_cache.cache_icw1 = (pic8259_cache.cache_icw1 & ~0x2ull) | (((v) << 1) & 0x2ull), pic8259_cache.valid_icw1 = 1 )
 #define pic8259_set_sngl(v) ( \
-    (pic8259_cache.cache_icw1 = (pic8259_cache.cache_icw1 & 0xfffffffffffffffdull) | (((v) << 1) & 0x2ull), pic8259_cache.valid_icw1 = 1, pic8259__write_icw1(pic8259_cache.cache_icw1), 0) )
+    (void)(pic8259_cache.cache_icw1 = (pic8259_cache.cache_icw1 & 0xfffffffffffffffdull) | (((v) << 1) & 0x2ull), pic8259_cache.valid_icw1 = 1, pic8259__write_icw1(pic8259_cache.cache_icw1)) )
 #define pic8259_getf_adi() (((pic8259_cache.cache_icw1 & 0x4ull) >> 2))
 #define pic8259_setf_adi(v) ( \
     pic8259_cache.cache_icw1 = (pic8259_cache.cache_icw1 & ~0x4ull) | (((v) << 2) & 0x4ull), pic8259_cache.valid_icw1 = 1 )
 #define pic8259_set_adi(v) ( \
-    (pic8259_cache.cache_icw1 = (pic8259_cache.cache_icw1 & 0xfffffffffffffffbull) | (((v) << 2) & 0x4ull), pic8259_cache.valid_icw1 = 1, pic8259__write_icw1(pic8259_cache.cache_icw1), 0) )
+    (void)(pic8259_cache.cache_icw1 = (pic8259_cache.cache_icw1 & 0xfffffffffffffffbull) | (((v) << 2) & 0x4ull), pic8259_cache.valid_icw1 = 1, pic8259__write_icw1(pic8259_cache.cache_icw1)) )
 #define pic8259_getf_ltim() (((pic8259_cache.cache_icw1 & 0x8ull) >> 3))
 #define pic8259_setf_ltim(v) ( \
     pic8259_cache.cache_icw1 = (pic8259_cache.cache_icw1 & ~0x8ull) | (((v) << 3) & 0x8ull), pic8259_cache.valid_icw1 = 1 )
 #define pic8259_set_ltim(v) ( \
-    (pic8259_cache.cache_icw1 = (pic8259_cache.cache_icw1 & 0xfffffffffffffff7ull) | (((v) << 3) & 0x8ull), pic8259_cache.valid_icw1 = 1, pic8259__write_icw1(pic8259_cache.cache_icw1), 0) )
+    (void)(pic8259_cache.cache_icw1 = (pic8259_cache.cache_icw1 & 0xfffffffffffffff7ull) | (((v) << 3) & 0x8ull), pic8259_cache.valid_icw1 = 1, pic8259__write_icw1(pic8259_cache.cache_icw1)) )
 #define pic8259_getf_vector_base() (((pic8259_cache.cache_icw2 & 0xf8ull) >> 3))
 #define pic8259_setf_vector_base(v) ( \
     pic8259_cache.cache_icw2 = (pic8259_cache.cache_icw2 & ~0xf8ull) | (((v) << 3) & 0xf8ull), pic8259_cache.valid_icw2 = 1 )
 #define pic8259_set_vector_base(v) ( \
-    (pic8259_cache.cache_icw2 = (pic8259_cache.cache_icw2 & 0xffffffffffffff07ull) | (((v) << 3) & 0xf8ull), pic8259_cache.valid_icw2 = 1, pic8259__write_icw2(pic8259_cache.cache_icw2), 0) )
+    (void)(pic8259_cache.cache_icw2 = (pic8259_cache.cache_icw2 & 0xffffffffffffff07ull) | (((v) << 3) & 0xf8ull), pic8259_cache.valid_icw2 = 1, pic8259__write_icw2(pic8259_cache.cache_icw2)) )
 #define pic8259_getf_cascade_map() ((pic8259_cache.cache_icw3 & 0xffull))
 #define pic8259_setf_cascade_map(v) ( \
     pic8259_cache.cache_icw3 = (pic8259_cache.cache_icw3 & ~0xffull) | ((v) & 0xffull), pic8259_cache.valid_icw3 = 1 )
 #define pic8259_set_cascade_map(v) ( \
-    (pic8259_cache.cache_icw3 = (pic8259_cache.cache_icw3 & 0xffffffffffffff00ull) | ((v) & 0xffull), pic8259_cache.valid_icw3 = 1, pic8259__write_icw3(pic8259_cache.cache_icw3), 0) )
+    (void)(pic8259_cache.cache_icw3 = (pic8259_cache.cache_icw3 & 0xffffffffffffff00ull) | ((v) & 0xffull), pic8259_cache.valid_icw3 = 1, pic8259__write_icw3(pic8259_cache.cache_icw3)) )
 #define pic8259_getf_sfnm() (((pic8259_cache.cache_icw4 & 0x10ull) >> 4))
 #define pic8259_setf_sfnm(v) ( \
     pic8259_cache.cache_icw4 = (pic8259_cache.cache_icw4 & ~0x10ull) | (((v) << 4) & 0x10ull), pic8259_cache.valid_icw4 = 1 )
 #define pic8259_set_sfnm(v) ( \
-    (pic8259_cache.cache_icw4 = (pic8259_cache.cache_icw4 & 0xffffffffffffffefull) | (((v) << 4) & 0x10ull), pic8259_cache.valid_icw4 = 1, pic8259__write_icw4(pic8259_cache.cache_icw4), 0) )
+    (void)(pic8259_cache.cache_icw4 = (pic8259_cache.cache_icw4 & 0xffffffffffffffefull) | (((v) << 4) & 0x10ull), pic8259_cache.valid_icw4 = 1, pic8259__write_icw4(pic8259_cache.cache_icw4)) )
 #define pic8259_getf_buffered() (((pic8259_cache.cache_icw4 & 0xcull) >> 2))
 #define pic8259_setf_buffered(v) ( \
     pic8259_cache.cache_icw4 = (pic8259_cache.cache_icw4 & ~0xcull) | (((v) << 2) & 0xcull), pic8259_cache.valid_icw4 = 1 )
 #define pic8259_set_buffered(v) ( \
-    (pic8259_cache.cache_icw4 = (pic8259_cache.cache_icw4 & 0xfffffffffffffff3ull) | (((v) << 2) & 0xcull), pic8259_cache.valid_icw4 = 1, pic8259__write_icw4(pic8259_cache.cache_icw4), 0) )
+    (void)(pic8259_cache.cache_icw4 = (pic8259_cache.cache_icw4 & 0xfffffffffffffff3ull) | (((v) << 2) & 0xcull), pic8259_cache.valid_icw4 = 1, pic8259__write_icw4(pic8259_cache.cache_icw4)) )
 #define pic8259_getf_aeoi() (((pic8259_cache.cache_icw4 & 0x2ull) >> 1))
 #define pic8259_setf_aeoi(v) ( \
     pic8259_cache.cache_icw4 = (pic8259_cache.cache_icw4 & ~0x2ull) | (((v) << 1) & 0x2ull), pic8259_cache.valid_icw4 = 1 )
 #define pic8259_set_aeoi(v) ( \
-    (pic8259_cache.cache_icw4 = (pic8259_cache.cache_icw4 & 0xfffffffffffffffdull) | (((v) << 1) & 0x2ull), pic8259_cache.valid_icw4 = 1, pic8259__write_icw4(pic8259_cache.cache_icw4), 0) )
+    (void)(pic8259_cache.cache_icw4 = (pic8259_cache.cache_icw4 & 0xfffffffffffffffdull) | (((v) << 1) & 0x2ull), pic8259_cache.valid_icw4 = 1, pic8259__write_icw4(pic8259_cache.cache_icw4)) )
 #define pic8259_getf_microprocessor() ((pic8259_cache.cache_icw4 & 0x1ull))
 #define pic8259_setf_microprocessor(v) ( \
     pic8259_cache.cache_icw4 = (pic8259_cache.cache_icw4 & ~0x1ull) | ((v) & 0x1ull), pic8259_cache.valid_icw4 = 1 )
 #define pic8259_set_microprocessor(v) ( \
-    (pic8259_cache.cache_icw4 = (pic8259_cache.cache_icw4 & 0xfffffffffffffffeull) | ((v) & 0x1ull), pic8259_cache.valid_icw4 = 1, pic8259__write_icw4(pic8259_cache.cache_icw4), 0) )
+    (void)(pic8259_cache.cache_icw4 = (pic8259_cache.cache_icw4 & 0xfffffffffffffffeull) | ((v) & 0x1ull), pic8259_cache.valid_icw4 = 1, pic8259__write_icw4(pic8259_cache.cache_icw4)) )
 #define pic8259_getf_irq_mask() ((pic8259_cache.cache_ocw1 & 0xffull))
 #define pic8259_setf_irq_mask(v) ( \
     pic8259_cache.cache_ocw1 = (pic8259_cache.cache_ocw1 & ~0xffull) | ((v) & 0xffull), pic8259_cache.valid_ocw1 = 1 )
 #define pic8259_set_irq_mask(v) ( \
-    (pic8259_cache.cache_ocw1 = (pic8259_cache.cache_ocw1 & 0xffffffffffffff00ull) | ((v) & 0xffull), pic8259_cache.valid_ocw1 = 1, pic8259__write_ocw1(pic8259_cache.cache_ocw1), 0) )
+    (void)(pic8259_cache.cache_ocw1 = (pic8259_cache.cache_ocw1 & 0xffffffffffffff00ull) | ((v) & 0xffull), pic8259_cache.valid_ocw1 = 1, pic8259__write_ocw1(pic8259_cache.cache_ocw1)) )
 #define pic8259_put_init() ( \
     ((pic8259_cache.cache_icw1 & 0x2ull) == 0x0ull && (pic8259_cache.cache_icw1 & 0x1ull) == 0x0ull ? \
-    (pic8259_cache.valid_icw1 = 1, pic8259__write_icw1(pic8259_cache.cache_icw1), \
+    (void)(pic8259_cache.valid_icw1 = 1, pic8259__write_icw1(pic8259_cache.cache_icw1), \
     pic8259_cache.valid_icw2 = 1, pic8259__write_icw2(pic8259_cache.cache_icw2), \
     pic8259_cache.valid_icw3 = 1, pic8259__write_icw3(pic8259_cache.cache_icw3), \
-    pic8259_cache.valid_ocw1 = 1, pic8259__write_ocw1(pic8259_cache.cache_ocw1), 0) : \
+    pic8259_cache.valid_ocw1 = 1, pic8259__write_ocw1(pic8259_cache.cache_ocw1)) : \
     (pic8259_cache.cache_icw1 & 0x2ull) == 0x0ull && (pic8259_cache.cache_icw1 & 0x1ull) == 0x1ull ? \
-    (pic8259_cache.valid_icw1 = 1, pic8259__write_icw1(pic8259_cache.cache_icw1), \
+    (void)(pic8259_cache.valid_icw1 = 1, pic8259__write_icw1(pic8259_cache.cache_icw1), \
     pic8259_cache.valid_icw2 = 1, pic8259__write_icw2(pic8259_cache.cache_icw2), \
     pic8259_cache.valid_icw3 = 1, pic8259__write_icw3(pic8259_cache.cache_icw3), \
     pic8259_cache.valid_icw4 = 1, pic8259__write_icw4(pic8259_cache.cache_icw4), \
-    pic8259_cache.valid_ocw1 = 1, pic8259__write_ocw1(pic8259_cache.cache_ocw1), 0) : \
+    pic8259_cache.valid_ocw1 = 1, pic8259__write_ocw1(pic8259_cache.cache_ocw1)) : \
     (pic8259_cache.cache_icw1 & 0x2ull) == 0x2ull && (pic8259_cache.cache_icw1 & 0x1ull) == 0x0ull ? \
-    (pic8259_cache.valid_icw1 = 1, pic8259__write_icw1(pic8259_cache.cache_icw1), \
+    (void)(pic8259_cache.valid_icw1 = 1, pic8259__write_icw1(pic8259_cache.cache_icw1), \
     pic8259_cache.valid_icw2 = 1, pic8259__write_icw2(pic8259_cache.cache_icw2), \
-    pic8259_cache.valid_ocw1 = 1, pic8259__write_ocw1(pic8259_cache.cache_ocw1), 0) : \
-    (pic8259_cache.valid_icw1 = 1, pic8259__write_icw1(pic8259_cache.cache_icw1), \
+    pic8259_cache.valid_ocw1 = 1, pic8259__write_ocw1(pic8259_cache.cache_ocw1)) : \
+    (void)(pic8259_cache.valid_icw1 = 1, pic8259__write_icw1(pic8259_cache.cache_icw1), \
     pic8259_cache.valid_icw2 = 1, pic8259__write_icw2(pic8259_cache.cache_icw2), \
     pic8259_cache.valid_icw4 = 1, pic8259__write_icw4(pic8259_cache.cache_icw4), \
-    pic8259_cache.valid_ocw1 = 1, pic8259__write_ocw1(pic8259_cache.cache_ocw1), 0)) )
+    pic8259_cache.valid_ocw1 = 1, pic8259__write_ocw1(pic8259_cache.cache_ocw1))) )
 /* fused superplan `icw_init`: one guard evaluation, batched I/O. */
 static inline void pic8259_sp_icw_init(unsigned long long a0, unsigned long long a1, unsigned long long a2, unsigned long long a3, unsigned long long a4, unsigned long long a5, unsigned long long a6)
 {

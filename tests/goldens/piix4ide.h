@@ -28,15 +28,15 @@ extern struct piix4ide_cache_t piix4ide_cache;
 #define piix4ide__write_prd_reg(v) (outl((((v) & 0xffffffffull) | 0x0ull), piix4ide_cache.__dil_base__[1] + 4))
 
 #define piix4ide_set_bm_dir(v) ( \
-    (piix4ide_cache.cache_bmcmd = (piix4ide_cache.cache_bmcmd & 0xfffffffffffffff7ull) | (((v) << 3) & 0x8ull), piix4ide_cache.valid_bmcmd = 1, piix4ide__write_bmcmd(piix4ide_cache.cache_bmcmd), 0) )
+    (void)(piix4ide_cache.cache_bmcmd = (piix4ide_cache.cache_bmcmd & 0xfffffffffffffff7ull) | (((v) << 3) & 0x8ull), piix4ide_cache.valid_bmcmd = 1, piix4ide__write_bmcmd(piix4ide_cache.cache_bmcmd)) )
 #define piix4ide_set_bm_start(v) ( \
-    (piix4ide_cache.cache_bmcmd = (piix4ide_cache.cache_bmcmd & 0xfffffffffffffffeull) | ((v) & 0x1ull), piix4ide_cache.valid_bmcmd = 1, piix4ide__write_bmcmd(piix4ide_cache.cache_bmcmd), 0) )
+    (void)(piix4ide_cache.cache_bmcmd = (piix4ide_cache.cache_bmcmd & 0xfffffffffffffffeull) | ((v) & 0x1ull), piix4ide_cache.valid_bmcmd = 1, piix4ide__write_bmcmd(piix4ide_cache.cache_bmcmd)) )
 #define piix4ide_get_bm_intr() ( \
-    (piix4ide_cache.cache_bmstatus = piix4ide__read_bmstatus(), piix4ide_cache.valid_bmstatus = 1, 0), \
+    (void)(piix4ide_cache.cache_bmstatus = piix4ide__read_bmstatus(), piix4ide_cache.valid_bmstatus = 1), \
     ((piix4ide_cache.cache_bmstatus & 0x4ull) >> 2) )
 #define piix4ide_set_bm_intr(v) ( \
-    (piix4ide_cache.cache_bmstatus = (piix4ide_cache.cache_bmstatus & 0xfffffffffffffffbull) | (((v) << 2) & 0x4ull), piix4ide_cache.valid_bmstatus = 1, piix4ide__write_bmstatus(piix4ide_cache.cache_bmstatus), 0) )
+    (void)(piix4ide_cache.cache_bmstatus = (piix4ide_cache.cache_bmstatus & 0xfffffffffffffffbull) | (((v) << 2) & 0x4ull), piix4ide_cache.valid_bmstatus = 1, piix4ide__write_bmstatus(piix4ide_cache.cache_bmstatus)) )
 #define piix4ide_set_prd_addr(v) ( \
-    (piix4ide_cache.cache_prd_reg = (piix4ide_cache.cache_prd_reg & 0xffffffff00000000ull) | ((v) & 0xffffffffull), piix4ide_cache.valid_prd_reg = 1, piix4ide__write_prd_reg(piix4ide_cache.cache_prd_reg), 0) )
+    (void)(piix4ide_cache.cache_prd_reg = (piix4ide_cache.cache_prd_reg & 0xffffffff00000000ull) | ((v) & 0xffffffffull), piix4ide_cache.valid_prd_reg = 1, piix4ide__write_prd_reg(piix4ide_cache.cache_prd_reg)) )
 
 #endif /* PIIX4IDE_DIL_H */

@@ -26,28 +26,28 @@ extern struct selfact_cache_t selfact_cache;
     selfact_cache.cache_a = (selfact_cache.cache_a & ~0x1ull) | ((v) & 0x1ull), selfact_cache.valid_a = 1 )
 #define selfact_set_w(v) ( \
     ((((v)) & 0x1ull) == 0x0ull ? \
-    (selfact_cache.cache_a = (selfact_cache.cache_a & 0xfffffffffffffffeull) | ((v) & 0x1ull), selfact_cache.valid_a = 1, selfact__write_a(selfact_cache.cache_a), \
-    selfact_cache.cache_c = (selfact_cache.cache_c & 0xffffffffffffff00ull) | 0x5ull, selfact_cache.valid_c = 1, 0) : \
-    (selfact_cache.cache_a = (selfact_cache.cache_a & 0xfffffffffffffffeull) | ((v) & 0x1ull), selfact_cache.valid_a = 1, selfact__write_a(selfact_cache.cache_a), \
-    selfact_cache.cache_c = (selfact_cache.cache_c & 0xffffffffffffff00ull) | 0x5ull, selfact_cache.valid_c = 1, selfact__write_c(selfact_cache.cache_c), 0)) )
+    (void)(selfact_cache.cache_a = (selfact_cache.cache_a & 0xfffffffffffffffeull) | ((v) & 0x1ull), selfact_cache.valid_a = 1, selfact__write_a(selfact_cache.cache_a), \
+    selfact_cache.cache_c = (selfact_cache.cache_c & 0xffffffffffffff00ull) | 0x5ull, selfact_cache.valid_c = 1) : \
+    (void)(selfact_cache.cache_a = (selfact_cache.cache_a & 0xfffffffffffffffeull) | ((v) & 0x1ull), selfact_cache.valid_a = 1, selfact__write_a(selfact_cache.cache_a), \
+    selfact_cache.cache_c = (selfact_cache.cache_c & 0xffffffffffffff00ull) | 0x5ull, selfact_cache.valid_c = 1, selfact__write_c(selfact_cache.cache_c))) )
 #define selfact_getf_rest() (((selfact_cache.cache_a & 0xfeull) >> 1))
 #define selfact_setf_rest(v) ( \
     selfact_cache.cache_a = (selfact_cache.cache_a & ~0xfeull) | (((v) << 1) & 0xfeull), selfact_cache.valid_a = 1 )
 #define selfact_set_rest(v) ( \
     ((selfact_cache.cache_a & 0x1ull) == 0x0ull ? \
-    (selfact_cache.cache_a = (selfact_cache.cache_a & 0xffffffffffffff01ull) | (((v) << 1) & 0xfeull), selfact_cache.valid_a = 1, selfact__write_a(selfact_cache.cache_a), \
-    selfact_cache.cache_c = (selfact_cache.cache_c & 0xffffffffffffff00ull) | 0x5ull, selfact_cache.valid_c = 1, 0) : \
-    (selfact_cache.cache_a = (selfact_cache.cache_a & 0xffffffffffffff01ull) | (((v) << 1) & 0xfeull), selfact_cache.valid_a = 1, selfact__write_a(selfact_cache.cache_a), \
-    selfact_cache.cache_c = (selfact_cache.cache_c & 0xffffffffffffff00ull) | 0x5ull, selfact_cache.valid_c = 1, selfact__write_c(selfact_cache.cache_c), 0)) )
+    (void)(selfact_cache.cache_a = (selfact_cache.cache_a & 0xffffffffffffff01ull) | (((v) << 1) & 0xfeull), selfact_cache.valid_a = 1, selfact__write_a(selfact_cache.cache_a), \
+    selfact_cache.cache_c = (selfact_cache.cache_c & 0xffffffffffffff00ull) | 0x5ull, selfact_cache.valid_c = 1) : \
+    (void)(selfact_cache.cache_a = (selfact_cache.cache_a & 0xffffffffffffff01ull) | (((v) << 1) & 0xfeull), selfact_cache.valid_a = 1, selfact__write_a(selfact_cache.cache_a), \
+    selfact_cache.cache_c = (selfact_cache.cache_c & 0xffffffffffffff00ull) | 0x5ull, selfact_cache.valid_c = 1, selfact__write_c(selfact_cache.cache_c))) )
 #define selfact_getf_v() ((selfact_cache.cache_c & 0xffull))
 #define selfact_setf_v(v) ( \
     selfact_cache.cache_c = (selfact_cache.cache_c & ~0xffull) | ((v) & 0xffull), selfact_cache.valid_c = 1 )
 #define selfact_set_v(v) ( \
-    (selfact_cache.cache_c = (selfact_cache.cache_c & 0xffffffffffffff00ull) | ((v) & 0xffull), selfact_cache.valid_c = 1, selfact__write_c(selfact_cache.cache_c), 0) )
+    (void)(selfact_cache.cache_c = (selfact_cache.cache_c & 0xffffffffffffff00ull) | ((v) & 0xffull), selfact_cache.valid_c = 1, selfact__write_c(selfact_cache.cache_c)) )
 #define selfact_put_s() ( \
     ((selfact_cache.cache_a & 0x1ull) == 0x0ull ? \
-    0 : \
-    (selfact_cache.valid_c = 1, selfact__write_c(selfact_cache.cache_c), 0)) )
+    (void)0 : \
+    (void)(selfact_cache.valid_c = 1, selfact__write_c(selfact_cache.cache_c))) )
 /* fused superplan `burst`: one guard evaluation, batched I/O. */
 static inline void selfact_sp_burst(unsigned long long a0)
 {

@@ -19,11 +19,11 @@ extern struct selfw_cache_t selfw_cache;
 #define selfw__write_a(v) (outb((((v) & 0xffull) | 0x0ull), selfw_cache.__dil_base__[0] + 0))
 
 #define selfw_set_rest(v) ( \
-    (selfw_cache.cache_a = (selfw_cache.cache_a & 0xffffffffffffff01ull) | (((v) << 1) & 0xfeull), selfw_cache.valid_a = 1, selfw__write_a(selfw_cache.cache_a), 0) )
+    (void)(selfw_cache.cache_a = (selfw_cache.cache_a & 0xffffffffffffff01ull) | (((v) << 1) & 0xfeull), selfw_cache.valid_a = 1, selfw__write_a(selfw_cache.cache_a)) )
 #define selfw_set_w(v) ( \
     ((((v)) & 0x1ull) == 0x0ull ? \
-    (selfw_cache.cache_a = (selfw_cache.cache_a & 0xfffffffffffffffeull) | ((v) & 0x1ull), selfw_cache.valid_a = 1, 0) : \
-    (selfw_cache.cache_a = (selfw_cache.cache_a & 0xfffffffffffffffeull) | ((v) & 0x1ull), selfw_cache.valid_a = 1, selfw__write_a(selfw_cache.cache_a), 0)) )
+    (void)(selfw_cache.cache_a = (selfw_cache.cache_a & 0xfffffffffffffffeull) | ((v) & 0x1ull), selfw_cache.valid_a = 1) : \
+    (void)(selfw_cache.cache_a = (selfw_cache.cache_a & 0xfffffffffffffffeull) | ((v) & 0x1ull), selfw_cache.valid_a = 1, selfw__write_a(selfw_cache.cache_a))) )
 /* fused superplan `burst`: one guard evaluation, batched I/O. */
 static inline void selfw_sp_burst(unsigned long long a0)
 {

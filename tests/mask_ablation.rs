@@ -1,10 +1,9 @@
-//! Failure injection for DESIGN.md ablation 3 (mask enforcement):
-//! what happens when a driver writes a register *without* the forced
-//! bits the Devil mask supplies. The busmouse control port decodes
-//! bit 7 to distinguish index selection from interrupt configuration —
-//! omitting the forced `1` silently reprograms interrupts instead of
-//! selecting a nibble, exactly the class of bug the paper's masks
-//! eliminate.
+//! Failure injection for mask enforcement: what happens when a driver
+//! writes a register *without* the forced bits the Devil mask
+//! supplies. The busmouse control port decodes bit 7 to distinguish
+//! index selection from interrupt configuration — omitting the forced
+//! `1` silently reprograms interrupts instead of selecting a nibble,
+//! exactly the class of bug the paper's masks eliminate.
 
 use devil::devices::Busmouse;
 use devil::hwsim::{Bus, IrqLine};
