@@ -7,8 +7,9 @@
 //! bus shim plus a command dispatcher over the emitted stub surface —
 //! and compiles the pair: with `cc` for C, with `rustc` against a
 //! `devil_runtime` stand-in for Rust (`compiled_rust.rs`).
-//! Artifacts are content-hashed, so repeated runs and CI caches reuse
-//! the binary until the emitter or the spec changes.
+//! Artifacts are keyed by a hash of their sources and compiler command
+//! lines, so repeated runs and CI caches reuse the binary until the
+//! emitter, the spec or the flags change.
 //!
 //! Both harnesses read one command protocol and print one observation
 //! format: every bus operation in order, every result, and the final
@@ -29,7 +30,7 @@ use devil_codegen::{gets_field, stages_field};
 use devil_ir::{AccessRef, DeviceIr, FuseOp};
 use devil_runtime::{DeviceInstance, FakeAccess};
 use devil_sema::model::StructId;
-use std::io::Write as _;
+use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
@@ -99,8 +100,9 @@ const PORT_SHIFT: u64 = 40;
 
 impl CompiledHarness {
     /// Emits, generates and compiles the harness for one spec into
-    /// `dir`. The binary is content-hashed over the generated sources,
-    /// so an unchanged emitter and spec reuse the artifact.
+    /// `dir`. The binary is keyed by the generated sources and the
+    /// compiler command lines, so an unchanged emitter, spec and flags
+    /// reuse the artifact.
     pub fn build(
         backend: Backend,
         name: &str,
@@ -119,10 +121,10 @@ impl CompiledHarness {
         HarnessView { ir: &self.ir }
     }
 
-    /// Runs the harness over a command stream, returning its output
-    /// lines. Stdin is fed from a thread so large streams cannot
-    /// deadlock against a full stdout pipe.
-    fn run(&self, commands: String) -> Result<Vec<String>, String> {
+    /// Runs the harness over a command stream, folding each output line
+    /// into `trace` as it arrives. Stdin is fed and stderr drained on
+    /// their own threads, so neither pipe can fill and block the child.
+    fn run(&self, commands: String, trace: &mut Trace) -> Result<(), String> {
         let mut child = Command::new(&self.bin)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
@@ -133,18 +135,26 @@ impl CompiledHarness {
         let writer = std::thread::spawn(move || {
             let _ = stdin.write_all(commands.as_bytes());
         });
-        let out = child.wait_with_output().map_err(|e| format!("harness: {e}"))?;
+        let mut stderr = child.stderr.take().expect("piped stderr");
+        let errors = std::thread::spawn(move || {
+            let mut text = String::new();
+            let _ = stderr.read_to_string(&mut text);
+            text
+        });
+        let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        let read = stdout.lines().try_for_each(|line| line.map(|line| trace.line(line)));
+        let status = child.wait().map_err(|e| format!("harness: {e}"))?;
         let _ = writer.join();
-        if !out.status.success() {
+        let stderr = errors.join().unwrap_or_default();
+        if !status.success() {
             return Err(format!(
-                "{} harness for {} exited with {:?}:\n{}",
+                "{} harness for {} exited with {:?}:\n{stderr}",
                 self.backend,
                 self.name,
-                out.status.code(),
-                String::from_utf8_lossy(&out.stderr)
+                status.code()
             ));
         }
-        Ok(String::from_utf8_lossy(&out.stdout).lines().map(str::to_string).collect())
+        read.map_err(|e| format!("{} harness for {}: {e}", self.backend, self.name))
     }
 }
 
@@ -160,10 +170,7 @@ impl Rig for CompiledHarness {
             trace.ops += 1;
         }
         commands.push_str("D\n");
-        for line in self.run(commands)? {
-            trace.line(line);
-        }
-        Ok(())
+        self.run(commands, trace)
     }
 }
 
@@ -171,50 +178,82 @@ impl Rig for CompiledHarness {
 fn build_c(name: &str, ir: &DeviceIr, dir: &Path) -> Result<PathBuf, String> {
     let header = Backend::C.emit(ir, name);
     let harness = harness_c(ir, name);
-    let hash = fnv1a(header.as_bytes()) ^ fnv1a(harness.as_bytes()).rotate_left(1);
-    let stem = format!("{name}_{hash:016x}");
-    let bin = dir.join(format!("oracle_{stem}"));
+    cached_build(
+        dir,
+        name,
+        &[("stubs.h", &header), ("harness.c", &harness)],
+        &[&["cc", "-O1", "-Wall", "-Werror", "-o", ORACLE_BIN, "harness.c"]],
+    )
+}
+
+/// File name of the harness binary inside its build directory.
+pub(crate) const ORACLE_BIN: &str = "oracle";
+
+/// The build directory of one cached artifact under `dir`: named after
+/// the spec and a hash of every source file (name and text) and every
+/// compiler command line (program and arguments), so a change to any
+/// of them, the compiler flags alone included, builds afresh.
+fn artifact_dir(dir: &Path, name: &str, sources: &[(&str, &str)], commands: &[&[&str]]) -> PathBuf {
+    let mut key = String::new();
+    for (file, text) in sources {
+        key.extend([file, "\0", text, "\0"]);
+    }
+    for cmd in commands {
+        key.extend(cmd.iter().flat_map(|arg| [arg, "\0"]));
+        key.push('\n');
+    }
+    dir.join(format!("{name}_{:016x}", fnv1a(key.as_bytes())))
+}
+
+/// Returns the [`ORACLE_BIN`] that `commands` build from `sources`,
+/// reusing it when an earlier build left it in place. Otherwise the
+/// sources are written to a private temporary directory, the commands
+/// run there in order, and the directory is renamed into place, so
+/// concurrent builders never observe a half-built artifact.
+pub(crate) fn cached_build(
+    dir: &Path,
+    name: &str,
+    sources: &[(&str, &str)],
+    commands: &[&[&str]],
+) -> Result<PathBuf, String> {
+    let out = artifact_dir(dir, name, sources, commands);
+    let bin = out.join(ORACLE_BIN);
     if bin.exists() {
         return Ok(bin);
     }
-    std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let h_path = dir.join(format!("{stem}.h"));
-    let c_path = dir.join(format!("{stem}.c"));
-    write_file(&h_path, &header)?;
-    // The shim half of the harness precedes the include: the header's
-    // `static inline` superplan bodies must bind the bus primitives to
-    // the shim at their definition site, not only at the macro-stub
-    // use sites in `main`.
-    write_file(&c_path, &harness.replace("@INCLUDE@", &format!("#include \"{stem}.h\"")))?;
-    // Compile to a temp name and rename, so concurrent builders never
-    // observe a half-written binary.
-    let tmp = dir.join(format!("oracle_{stem}.tmp.{}", std::process::id()));
-    invoke(
-        Command::new("cc").args(["-O1", "-Wall", "-Werror", "-o"]).arg(&tmp).arg(&c_path),
-        name,
-    )?;
-    std::fs::rename(&tmp, &bin).map_err(|e| format!("{}: {e}", bin.display()))?;
-    Ok(bin)
-}
-
-pub(crate) fn write_file(path: &Path, text: &str) -> Result<(), String> {
-    std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// Runs one compiler invocation, reporting its stderr on failure.
-pub(crate) fn invoke(cmd: &mut Command, name: &str) -> Result<(), String> {
-    let program = cmd.get_program().to_string_lossy().into_owned();
-    let out = cmd.output().map_err(|e| format!("{program}: {e}"))?;
-    if !out.status.success() {
-        return Err(format!(
-            "{program} failed for {name}:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        ));
+    let io = |path: &Path, e: std::io::Error| format!("{}: {e}", path.display());
+    let tmp = out.with_extension(format!("tmp.{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).map_err(|e| io(&tmp, e))?;
+    for (file, text) in sources {
+        let path = tmp.join(file);
+        std::fs::write(&path, text).map_err(|e| io(&path, e))?;
     }
-    Ok(())
+    for cmd in commands {
+        let run = Command::new(cmd[0])
+            .args(&cmd[1..])
+            .current_dir(&tmp)
+            .output()
+            .map_err(|e| format!("{}: {e}", cmd[0]))?;
+        if !run.status.success() {
+            return Err(format!(
+                "{} failed for {name}:\n{}",
+                cmd[0],
+                String::from_utf8_lossy(&run.stderr)
+            ));
+        }
+    }
+    match std::fs::rename(&tmp, &out) {
+        Ok(()) => Ok(bin),
+        // Another builder renamed the same artifact into place first.
+        Err(_) if bin.exists() => {
+            let _ = std::fs::remove_dir_all(&tmp);
+            Ok(bin)
+        }
+        Err(e) => Err(io(&out, e)),
+    }
 }
 
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for &b in bytes {
         h ^= b as u64;
@@ -505,7 +544,10 @@ static inline void shim_out(unsigned long long v, unsigned long long addr) {
 /// and `D` names its variable, structure or superplan by id.
 fn harness_c(ir: &DeviceIr, prefix: &str) -> String {
     use std::fmt::Write as _;
-    let mut c = format!("#define PORT_SHIFT {PORT_SHIFT}\n{SHIM_C}\n@INCLUDE@\n\n");
+    // The shim precedes the include: the header's `static inline`
+    // superplan bodies must bind the bus primitives to the shim at their
+    // definition site, not only at the macro-stub use sites in `main`.
+    let mut c = format!("#define PORT_SHIFT {PORT_SHIFT}\n{SHIM_C}\n#include \"stubs.h\"\n\n");
     let _ = writeln!(c, "struct {prefix}_cache_t {prefix}_cache;\n");
     let _ = writeln!(c, "int main(void) {{");
     let _ = writeln!(c, "    for (int p = 0; p < {}; p++)", ir.ports.len());
@@ -682,4 +724,22 @@ fn harness_c(ir: &DeviceIr, prefix: &str) -> String {
         "        }} else {{\n            return 1;\n        }}\n    }}\n    return 0;\n}}"
     );
     c
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn compiler_flags_key_the_artifact() {
+        let dir = Path::new("cache");
+        let sources: &[(&str, &str)] = &[("harness.c", "int main(void) { return 0; }")];
+        let build = |flags: &[&str]| artifact_dir(dir, "spec", sources, &[flags]);
+        let o1 = build(&["cc", "-O1", "-o", ORACLE_BIN, "harness.c"]);
+        assert_eq!(o1, build(&["cc", "-O1", "-o", ORACLE_BIN, "harness.c"]));
+        assert_ne!(o1, build(&["cc", "-O2", "-o", ORACLE_BIN, "harness.c"]));
+        assert_ne!(o1, build(&["clang", "-O1", "-o", ORACLE_BIN, "harness.c"]));
+        let other = artifact_dir(dir, "spec", &[("harness.c", "int x;")], &[&["cc", "-O1"]]);
+        assert_ne!(other, artifact_dir(dir, "spec", sources, &[&["cc", "-O1"]]));
+    }
 }

@@ -18,56 +18,42 @@
 //! to their declared width before printing, so observation lines stay
 //! comparable without weakening the generated API.
 
-use crate::compiled::{fnv1a, invoke, struct_stubbed, write_file, Backend};
+use crate::compiled::{cached_build, struct_stubbed, Backend, ORACLE_BIN};
 use devil_codegen::rust::camel;
 use devil_ir::{DeviceIr, FuseOp};
 use devil_sema::model::{StructId, TypeSem, VarId};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
 /// Emits, generates and compiles the Rust harness for one spec into
 /// `dir`, returning the binary's path: first the `devil_runtime`
 /// stand-in as an rlib, then the harness (with the emitted module
 /// embedded verbatim) linked against it, so the module's
 /// `use devil_runtime::…` header resolves exactly as it would against
-/// the real runtime. Content-hashed like the C harness.
+/// the real runtime. Cached like the C harness.
 pub(crate) fn build(name: &str, ir: &DeviceIr, dir: &Path) -> Result<PathBuf, String> {
     let module = Backend::Rust.emit(ir, name);
     let shim = shim_crate();
     let harness = harness_rs(ir, &module);
-    let hash = fnv1a(harness.as_bytes()) ^ fnv1a(shim.as_bytes()).rotate_left(1);
-    let stem = format!("{name}_{hash:016x}");
-    let bin = dir.join(format!("roracle_{stem}"));
-    if bin.exists() {
-        return Ok(bin);
-    }
-    std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let rt_src = dir.join(format!("{stem}_rt.rs"));
-    let rt_lib = dir.join(format!("lib{stem}_rt.rlib"));
-    let hs_src = dir.join(format!("{stem}.rs"));
-    write_file(&rt_src, &shim)?;
-    write_file(&hs_src, &harness)?;
-    let rustc = || {
-        let mut cmd = Command::new("rustc");
-        cmd.args(["--edition", "2021", "-O"]);
-        cmd
-    };
-    invoke(
-        rustc()
-            .args(["--crate-type", "rlib", "--crate-name", "devil_runtime", "-o"])
-            .arg(&rt_lib)
-            .arg(&rt_src),
+    cached_build(
+        dir,
         name,
-    )?;
-    // Compile to a temp name and rename, so concurrent builders never
-    // observe a half-written binary.
-    let tmp = dir.join(format!("roracle_{stem}.tmp.{}", std::process::id()));
-    let mut extern_rt = std::ffi::OsString::from("devil_runtime=");
-    extern_rt.push(&rt_lib);
-    invoke(rustc().arg("--extern").arg(extern_rt).arg("-o").arg(&tmp).arg(&hs_src), name)?;
-    std::fs::rename(&tmp, &bin).map_err(|e| format!("{}: {e}", bin.display()))?;
-    Ok(bin)
+        &[("devil_runtime.rs", &shim), ("harness.rs", &harness)],
+        &[
+            &["rustc", "--edition", "2021", "-O", "--crate-type", "rlib", "devil_runtime.rs"],
+            &[
+                "rustc",
+                "--edition",
+                "2021",
+                "-O",
+                "--extern",
+                "devil_runtime=libdevil_runtime.rlib",
+                "-o",
+                ORACLE_BIN,
+                "harness.rs",
+            ],
+        ],
+    )
 }
 
 /// The `devil_runtime` stand-in the emitted module links against: the

@@ -38,7 +38,7 @@ pub fn diff_ops(default: u64) -> u64 {
     }
 }
 
-/// The splitmix64 generator behind [`OpStream`] and corpus growth: one
+/// The splitmix64 generator behind [`OpStream`] and the coverage corpus: one
 /// well-mixed word per call, pure in the running `state`.
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

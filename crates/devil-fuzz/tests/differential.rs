@@ -12,7 +12,7 @@
 mod common;
 
 use common::Skewed;
-use devil_fuzz::coverage::shipped_corpus;
+use devil_fuzz::coverage::corpus;
 use devil_fuzz::rooted::{diff_ops, splitmix64, OpStream};
 use devil_fuzz::superfuzz::decode_super;
 use devil_fuzz::{
@@ -188,7 +188,7 @@ fn formerly_fallback_specs_dispatch_on_plans() {
 }
 
 /// Debug-checked mode runs the plans: every spec's sweep, init-sweep
-/// and shipped-corpus streams replay with checks on through the plans
+/// and coverage-corpus streams replay with checks on through the plans
 /// and through the reference (which checks each value where it is
 /// written or read). Verdicts match op for op, a rejected write never
 /// reaches the device, bus logs and state match, and nothing leaves the
@@ -198,7 +198,7 @@ fn checked_mode_agrees_with_the_reference() {
     let (mut ops_total, mut write_rejects, mut read_rejects) = (0, 0, 0);
     for (name, ir) in irs() {
         let mut streams = vec![sweep_ops(ir), init_sweep_ops(ir)];
-        streams.extend(shipped_corpus(name).iter().map(|words| decode(ir, words)));
+        streams.extend(corpus(ir).iter().map(|words| decode(ir, words)));
         for (k, ops) in streams.iter().enumerate() {
             let out = compare_runtimes(ir, true, ops)
                 .unwrap_or_else(|e| panic!("{name} stream {k}: checked mode diverges\n{e}"));

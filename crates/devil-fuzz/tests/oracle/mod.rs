@@ -9,13 +9,14 @@
 //! Each test binary (`compiled_diff` for C, `compiled_rust_diff` for
 //! Rust) calls these bodies with its back end. A back end skips loudly
 //! (but green) when its compiler is missing, so tier-1 stays runnable
-//! anywhere. Artifacts are content-hashed into `CARGO_TARGET_TMPDIR`,
-//! so repeated runs (and CI caches of `target/tmp`) compile each spec
-//! at most once per emitter/spec revision.
+//! anywhere. Artifacts are cached in `CARGO_TARGET_TMPDIR` under a hash
+//! of their sources and compiler command lines, so repeated runs (and
+//! CI caches of `target/tmp`) compile each spec at most once per
+//! emitter, spec and flag revision.
 
 use crate::common::Skewed;
 use devil_fuzz::compiled::{stub_expresses, Backend, CompiledHarness};
-use devil_fuzz::coverage::{shipped_corpus, Coverage};
+use devil_fuzz::coverage::{corpus, Coverage};
 use devil_fuzz::superfuzz::{decode_super, super_sweep};
 use devil_fuzz::{compare, decode, init_sweep_ops, render, sweep_ops, Mismatch, Op, Outcome, Rig};
 use proptest::prelude::*;
@@ -298,7 +299,7 @@ pub fn fused_stub_surface_is_complete(backend: Backend) {
 }
 
 /// The compiled oracles see the whole plan surface. Each spec's
-/// sweeps and shipped corpus (replayed as `coverage::stream_hits`
+/// sweeps and coverage corpus (replayed as `coverage::stream_hits`
 /// replays it, and compared so), through the filter the harness
 /// replays them with, reach every dispatch point of all 13 specs (166)
 /// in the plan executor behind the harness view — so no filter can
@@ -314,11 +315,11 @@ pub fn every_dispatch_point_is_compiled(backend: Backend) {
     let mut points = 0;
     for h in harnesses(backend) {
         let mut streams = vec![sweep_ops(&h.ir), init_sweep_ops(&h.ir), super_sweep(&h.ir)];
-        // A corpus stream replays as it was grown — its variable and
+        // A corpus stream replays as it was drawn — its variable and
         // structure ops, then the fused decoding of the same words —
         // and through the compiled stubs too, since the fused variants
         // it reaches depend on the state the ops before them leave.
-        for words in shipped_corpus(&h.name) {
+        for words in corpus(&h.ir) {
             let ops = [decode(&h.ir, &words), decode_super(&h.ir, &words)].concat();
             assert_agrees(h, &ops);
             streams.push(ops);
@@ -462,12 +463,12 @@ pub fn root_compare_bisects_injected_divergence(backend: Backend) {
     assert_eq!(leaf, Some(linear_first), "{}: {m}", h.backend);
 }
 
-/// Shipped coverage corpus replay: every minimized corpus stream (grown
-/// to saturate the plans' dispatch coverage) also replays through the
-/// compiled stubs and fused bodies.
+/// Coverage corpus replay: every corpus stream (drawn to saturate the
+/// plans' dispatch coverage) also replays through the compiled stubs
+/// and fused bodies.
 pub fn corpus_streams_match(backend: Backend) {
     for h in harnesses(backend) {
-        for (i, words) in shipped_corpus(&h.name).iter().enumerate() {
+        for (i, words) in corpus(&h.ir).iter().enumerate() {
             if let Err(e) = diff(h, &decode(&h.ir, words)) {
                 panic!("{} ({}): corpus stream {i}: {e}", h.name, h.backend);
             }

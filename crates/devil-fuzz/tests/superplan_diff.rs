@@ -13,7 +13,7 @@
 //! equal what the selected variant's [`ShapeOp`] sequence
 //! ([`DeviceIr::shape`]) predicts under the bus cost model.
 
-use devil_fuzz::coverage::shipped_corpus;
+use devil_fuzz::coverage::corpus;
 use devil_fuzz::superfuzz::{decode_super, super_sweep};
 use devil_fuzz::{compare, compare_runtimes, probe_ops, run_op, sweep_ops, Engine, InProcess, Op};
 use devil_ir::{DeviceIr, ShapeOp};
@@ -148,7 +148,7 @@ fn rooted_fused_sweep_agrees_on_all_devices() {
 }
 
 /// Checked mode over fused streams: every spec's superplan sweep and
-/// the fused decoding of its shipped corpus replay with debug checks on
+/// the fused decoding of its coverage corpus replay with debug checks on
 /// in both engines. Verdicts match call for call and a rejected fused
 /// call never reaches the device. The plans reject a fused call before
 /// any bus op, while the reference has already written the ops before
@@ -157,12 +157,16 @@ fn rooted_fused_sweep_agrees_on_all_devices() {
 /// runs to its end.
 #[test]
 fn checked_fused_streams_agree_with_the_reference() {
-    const STOPS: [(&str, &str, u64); 3] =
-        [("memw", "sweep", 1), ("permedia2", "corpus 2", 6), ("permedia2", "corpus 3", 1)];
+    const STOPS: [(&str, &str, u64); 4] = [
+        ("memw", "sweep", 1),
+        ("permedia2", "corpus 0", 3),
+        ("permedia2", "corpus 1", 7),
+        ("permedia2", "corpus 2", 1),
+    ];
     let (mut compared, mut total, mut write_rejects) = (0, 0, 0);
     for (name, ir) in irs() {
         let mut streams = vec![("sweep".to_string(), super_sweep(ir))];
-        for (i, words) in shipped_corpus(name).iter().enumerate() {
+        for (i, words) in corpus(ir).iter().enumerate() {
             streams.push((format!("corpus {i}"), decode_super(ir, words)));
         }
         for (label, ops) in &streams {

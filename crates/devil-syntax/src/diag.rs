@@ -315,11 +315,6 @@ impl DiagSink {
         self.diags.iter().any(|d| d.code == code)
     }
 
-    /// Moves all diagnostics out of the sink.
-    pub fn into_vec(self) -> Vec<Diagnostic> {
-        self.diags
-    }
-
     /// Appends all diagnostics from `other`.
     pub fn extend(&mut self, other: DiagSink) {
         self.diags.extend(other.diags);

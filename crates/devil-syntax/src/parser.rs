@@ -116,17 +116,21 @@ impl<'d> Parser<'d> {
         }
     }
 
+    /// Reports `expected {what}, found …` at the current token; always
+    /// `None`, so a failed alternative can return it directly.
+    fn expected<R>(&mut self, what: &str) -> Option<R> {
+        let (found, span) = (self.peek().describe(), self.peek_span());
+        // `concat` sizes the message exactly: one allocation, no regrowth.
+        let message = ["expected ", what, ", found ", &found].concat();
+        self.diags.error(ErrorCode::ParseExpected, message, span);
+        None
+    }
+
     fn expect(&mut self, kind: &T, what: &str) -> bool {
         if self.eat(kind) {
             true
         } else {
-            let sp = self.peek_span();
-            let found = self.peek().describe();
-            self.diags.error(
-                ErrorCode::ParseExpected,
-                format!("expected {what}, found {found}"),
-                sp,
-            );
+            self.expected::<()>(what);
             false
         }
     }
@@ -135,13 +139,7 @@ impl<'d> Parser<'d> {
         if self.eat_kw(kw) {
             true
         } else {
-            let sp = self.peek_span();
-            let found = self.peek().describe();
-            self.diags.error(
-                ErrorCode::ParseExpected,
-                format!("expected {what}, found {found}"),
-                sp,
-            );
+            self.expected::<()>(what);
             false
         }
     }
@@ -151,14 +149,7 @@ impl<'d> Parser<'d> {
             let (name, span) = self.take_text();
             Some(Ident::new(name, span))
         } else {
-            let sp = self.peek_span();
-            let found = self.peek().describe();
-            self.diags.error(
-                ErrorCode::ParseExpected,
-                format!("expected {what}, found {found}"),
-                sp,
-            );
-            None
+            self.expected(what)
         }
     }
 
@@ -169,14 +160,7 @@ impl<'d> Parser<'d> {
             self.bump();
             Some((v, span))
         } else {
-            let sp = self.peek_span();
-            let found = self.peek().describe();
-            self.diags.error(
-                ErrorCode::ParseExpected,
-                format!("expected {what}, found {found}"),
-                sp,
-            );
-            None
+            self.expected(what)
         }
     }
 
@@ -452,14 +436,7 @@ impl<'d> Parser<'d> {
                 }
                 T::Ident(_) => OffsetExpr::Param(self.ident("offset")?),
                 _ => {
-                    let sp = self.peek_span();
-                    let found = self.peek().describe();
-                    self.diags.error(
-                        ErrorCode::ParseExpected,
-                        format!("expected port offset (integer or parameter), found {found}"),
-                        sp,
-                    );
-                    return None;
+                    return self.expected("port offset (integer or parameter)");
                 }
             };
             span = span.to(off.span());
@@ -493,16 +470,7 @@ impl<'d> Parser<'d> {
                 self.bump();
                 self.action_block().map(RegAttr::Set)
             }
-            _ => {
-                let sp = self.peek_span();
-                let found = self.peek().describe();
-                self.diags.error(
-                    ErrorCode::ParseExpected,
-                    format!("expected register attribute (`mask`, `pre`, `post` or `set`), found {found}"),
-                    sp,
-                );
-                None
-            }
+            _ => self.expected("register attribute (`mask`, `pre`, `post` or `set`)"),
         }
     }
 
@@ -510,14 +478,7 @@ impl<'d> Parser<'d> {
         if let T::Quoted(_) = self.peek() {
             Some(self.take_text())
         } else {
-            let sp = self.peek_span();
-            let found = self.peek().describe();
-            self.diags.error(
-                ErrorCode::ParseExpected,
-                format!("expected {what}, found {found}"),
-                sp,
-            );
-            None
+            self.expected(what)
         }
     }
 
@@ -581,16 +542,7 @@ impl<'d> Parser<'d> {
                 self.expect(&T::RBrace, "`}`");
                 Some(ActionValue::Struct(fields, start.to(self.prev_span())))
             }
-            _ => {
-                let sp = self.peek_span();
-                let found = self.peek().describe();
-                self.diags.error(
-                    ErrorCode::ParseExpected,
-                    format!("expected action value, found {found}"),
-                    sp,
-                );
-                None
-            }
+            _ => self.expected("action value"),
         }
     }
 
@@ -714,18 +666,7 @@ impl<'d> Parser<'d> {
                 let span = start.to(self.prev_span());
                 Some(VarAttr::Trigger { mode, exception, span })
             }
-            _ => {
-                let sp = self.peek_span();
-                let found = self.peek().describe();
-                self.diags.error(
-                    ErrorCode::ParseExpected,
-                    format!(
-                        "expected variable attribute (`volatile`, `block`, `trigger` or `set`), found {found}"
-                    ),
-                    sp,
-                );
-                None
-            }
+            _ => self.expected("variable attribute (`volatile`, `block`, `trigger` or `set`)"),
         }
     }
 
@@ -752,16 +693,7 @@ impl<'d> Parser<'d> {
                 Some(ConstValue::Bits(q, s))
             }
             T::Ident(_) => self.ident("value").map(ConstValue::Sym),
-            _ => {
-                let sp = self.peek_span();
-                let found = self.peek().describe();
-                self.diags.error(
-                    ErrorCode::ParseExpected,
-                    format!("expected constant value, found {found}"),
-                    sp,
-                );
-                None
-            }
+            _ => self.expected("constant value"),
         }
     }
 
@@ -875,14 +807,7 @@ impl<'d> Parser<'d> {
         } else if self.eat(&T::NotEq) {
             CmpOp::Ne
         } else {
-            let sp = self.peek_span();
-            let found = self.peek().describe();
-            self.diags.error(
-                ErrorCode::ParseExpected,
-                format!("expected `==` or `!=`, found {found}"),
-                sp,
-            );
-            return None;
+            return self.expected("`==` or `!=`");
         };
         let rhs = self.const_value()?;
         let span = lhs.span.to(rhs.span());
@@ -982,16 +907,7 @@ impl<'d> Parser<'d> {
                 let span = name.span;
                 Some(Type { kind: TypeKind::Named(name), span })
             }
-            _ => {
-                let sp = self.peek_span();
-                let found = self.peek().describe();
-                self.diags.error(
-                    ErrorCode::ParseExpected,
-                    format!("expected a type, found {found}"),
-                    sp,
-                );
-                None
-            }
+            _ => self.expected("a type"),
         }
     }
 
@@ -1009,14 +925,7 @@ impl<'d> Parser<'d> {
             } else if self.eat(&T::BothArrow) {
                 EnumDir::Both
             } else {
-                let sp = self.peek_span();
-                let found = self.peek().describe();
-                self.diags.error(
-                    ErrorCode::ParseExpected,
-                    format!("expected `=>`, `<=` or `<=>`, found {found}"),
-                    sp,
-                );
-                return None;
+                return self.expected("`=>`, `<=` or `<=>`");
             };
             let (pattern, pattern_span) = self.quoted("bit pattern")?;
             if pattern.chars().any(|c| c != '0' && c != '1') {
@@ -1053,16 +962,7 @@ impl<'d> Parser<'d> {
                 Some(Expr::Int(v, s))
             }
             T::Ident(_) => self.ident("expression").map(Expr::Sym),
-            _ => {
-                let sp = self.peek_span();
-                let found = self.peek().describe();
-                self.diags.error(
-                    ErrorCode::ParseExpected,
-                    format!("expected an expression, found {found}"),
-                    sp,
-                );
-                None
-            }
+            _ => self.expected("an expression"),
         }
     }
 }

@@ -14,13 +14,6 @@ pub fn print_device(dev: &Device) -> String {
     p.out
 }
 
-/// Renders a type expression.
-pub fn print_type(ty: &Type) -> String {
-    let mut p = Printer::new();
-    p.ty(ty);
-    p.out
-}
-
 struct Printer {
     out: String,
     indent: usize,
@@ -216,11 +209,6 @@ impl Printer {
             self.indent -= 1;
             self.line("}");
         }
-    }
-
-    fn ty(&mut self, ty: &Type) {
-        let s = type_str(ty);
-        self.out.push_str(&s);
     }
 }
 

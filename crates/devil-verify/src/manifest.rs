@@ -7,7 +7,7 @@
 //!
 //! The manifest's `surface-points` line is the device's dispatch-point
 //! count ([`DeviceIr::dispatch_points`]): the length of the runtime's
-//! hit table, and the denominator the coverage-guided fuzzer saturates.
+//! hit table, and the denominator the coverage corpus saturates.
 
 use devil_ir::{AccessPlan, AccessRef, DeviceIr, GuardSource, PlanGuard, SelectorDim};
 use std::fmt::Write as _;

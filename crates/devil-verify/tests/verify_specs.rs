@@ -7,7 +7,7 @@
 //! numbered once in `devil-ir` and counted in one runtime hit table
 //! that the manifests, the verifier and the coverage fuzzer all index.
 
-use devil_fuzz::coverage::shipped_corpus;
+use devil_fuzz::coverage::corpus;
 use devil_fuzz::superfuzz::decode_super;
 use devil_fuzz::{decode, run_op, Engine};
 use devil_ir::{AccessRef, GuardSource};
@@ -108,7 +108,7 @@ fn committed_manifests_match() {
 
 /// The dispatch-point numbering: per spec, the points of the accesses
 /// tile `0..dispatch_points()` in `accesses()` order; installing
-/// superplans only appends points; and after the shipped corpus replays,
+/// superplans only appends points; and after the coverage corpus replays,
 /// the hit table, `plan_stats` and `superplan_hits` agree and survive a
 /// snapshot round trip.
 #[test]
@@ -136,7 +136,7 @@ fn dispatch_points_are_numbered_once_and_counted_in_one_table() {
         let mut inst = DeviceInstance::new(ir.clone());
         let mut dev = FakeAccess::new();
         let mut obs = Vec::new();
-        for words in shipped_corpus(&name) {
+        for words in corpus(&ir) {
             for op in decode(&ir, &words).iter().chain(&decode_super(&ir, &words)) {
                 run_op(&mut Engine::Plans(&mut inst), &mut dev, op, &mut obs);
             }

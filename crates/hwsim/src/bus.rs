@@ -34,9 +34,6 @@ pub struct Bus {
     ledger: Ledger,
     clock: SimClock,
     costs: CostModel,
-    /// Panic on accesses to unclaimed addresses instead of returning
-    /// floating-bus values. Useful in tests.
-    strict: bool,
     /// Authenticated trace: one [`MmrLog`] entry per bus transaction
     /// when enabled. `None` (the default) keeps the hot path at a
     /// single branch per op.
@@ -79,15 +76,8 @@ impl Bus {
             ledger: Ledger::new(),
             clock: SimClock::new(),
             costs,
-            strict: false,
             trace: None,
         }
-    }
-
-    /// Makes unclaimed accesses panic (for tests). Default: they count
-    /// in the ledger and reads return all-ones, like a floating bus.
-    pub fn set_strict(&mut self, strict: bool) {
-        self.strict = strict;
     }
 
     /// Attaches a device with no address claims (claims can be added
@@ -269,7 +259,7 @@ impl Bus {
                 (width.truncate(self.devices[idx].io_read(off, width)), TRACE_IO_READ)
             }
             None => {
-                self.unclaimed(addr, "port read");
+                self.ledger.unclaimed += 1;
                 (width.ones(), TRACE_IO_READ | TRACE_UNCLAIMED)
             }
         };
@@ -288,7 +278,7 @@ impl Bus {
                 TRACE_IO_WRITE
             }
             None => {
-                self.unclaimed(addr, "port write");
+                self.ledger.unclaimed += 1;
                 TRACE_IO_WRITE | TRACE_UNCLAIMED
             }
         };
@@ -351,7 +341,7 @@ impl Bus {
                 TRACE_BLOCK_IN
             }
             None => {
-                self.unclaimed(addr, "block port read");
+                self.ledger.unclaimed += 1;
                 buf.fill(width.ones());
                 TRACE_BLOCK_IN | TRACE_UNCLAIMED
             }
@@ -385,7 +375,7 @@ impl Bus {
                 TRACE_BLOCK_OUT
             }
             None => {
-                self.unclaimed(addr, "block port write");
+                self.ledger.unclaimed += 1;
                 TRACE_BLOCK_OUT | TRACE_UNCLAIMED
             }
         };
@@ -407,7 +397,7 @@ impl Bus {
                 (width.truncate(self.devices[idx].mem_read(off, width)), TRACE_MEM_READ)
             }
             None => {
-                self.unclaimed(addr, "memory read");
+                self.ledger.unclaimed += 1;
                 (width.ones(), TRACE_MEM_READ | TRACE_UNCLAIMED)
             }
         };
@@ -426,7 +416,7 @@ impl Bus {
                 TRACE_MEM_WRITE
             }
             None => {
-                self.unclaimed(addr, "memory write");
+                self.ledger.unclaimed += 1;
                 TRACE_MEM_WRITE | TRACE_UNCLAIMED
             }
         };
@@ -441,13 +431,6 @@ impl Bus {
         self.ledger.dma_ops += 1;
         self.clock.advance(self.costs.dma_word_ns * words as f64);
         self.trace_op(TRACE_DMA, Width::W8, 0, words, 0);
-    }
-
-    fn unclaimed(&mut self, addr: u64, what: &str) {
-        self.ledger.unclaimed += 1;
-        if self.strict {
-            panic!("{what} to unclaimed address {addr:#x}");
-        }
     }
 }
 
@@ -552,14 +535,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unclaimed")]
-    fn strict_mode_panics_on_unclaimed() {
-        let mut bus = Bus::default();
-        bus.set_strict(true);
-        bus.inb(0x1);
-    }
-
-    #[test]
     #[should_panic(expected = "overlapping I/O claim")]
     fn overlapping_claims_rejected() {
         let mut bus = Bus::default();
@@ -616,7 +591,6 @@ mod tests {
     fn zero_length_block_transfers_are_no_ops() {
         let mut bus = Bus::default();
         bus.attach_io(Box::new(Scratch::new()), 0x1f0, 8);
-        bus.set_strict(true); // even an unclaimed-address probe must not fire
         let t0 = bus.now_ns();
         bus.ins(0x1f0, Width::W16, &mut []);
         bus.outs(0x1f0, Width::W16, &[]);
