@@ -2,8 +2,8 @@
 //! versus the hand-written equivalent, against the reference
 //! interpreter's wall-clock cost (`interp_*`, which motivates the plans
 //! and the generated-code back end), and the cost of the paper's debug
-//! checks on the plans (`checked_*`); plus batch-compile throughput and
-//! the MMR trace ledger's costs.
+//! checks on the plans (`checked_*`); plus the MMR trace ledger's
+//! costs.
 //!
 //! Driver units (against their hand-written twins) and per-stage compile
 //! times are measured by devil-bench instead (`bulk_io` and
@@ -264,20 +264,6 @@ fn bench_micro(c: &mut Criterion) {
     });
 
     g.finish();
-
-    // Batch-compile throughput over a mutant-corpus sample, fanned out
-    // across all cores (the scheme the full ~145k-mutant CI sweep
-    // uses). Recorded as specs/sec rather than ns/iter: each sample
-    // compiles the corpus once.
-    let corpus = devil_fuzz::corpus::sampled_corpus(4);
-    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    criterion::record_samples("micro_stub/compile_throughput", || {
-        let t = std::time::Instant::now();
-        let verdicts = devil_fuzz::corpus::compile_batch(&corpus, workers);
-        let dt = t.elapsed().as_secs_f64();
-        assert_eq!(verdicts.len(), corpus.len());
-        corpus.len() as f64 / dt
-    });
 }
 
 /// The MMR-authenticated trace ledger: hot-path append cost, batched

@@ -179,6 +179,7 @@ fn build_c(name: &str, ir: &DeviceIr, dir: &Path) -> Result<PathBuf, String> {
     let header = Backend::C.emit(ir, name);
     let harness = harness_c(ir, name);
     cached_build(
+        Backend::C,
         dir,
         name,
         &[("stubs.h", &header), ("harness.c", &harness)],
@@ -189,11 +190,12 @@ fn build_c(name: &str, ir: &DeviceIr, dir: &Path) -> Result<PathBuf, String> {
 /// File name of the harness binary inside its build directory.
 pub(crate) const ORACLE_BIN: &str = "oracle";
 
-/// The build directory of one cached artifact under `dir`: named after
-/// the spec and a hash of every source file (name and text) and every
-/// compiler command line (program and arguments), so a change to any
-/// of them, the compiler flags alone included, builds afresh.
-fn artifact_dir(dir: &Path, name: &str, sources: &[(&str, &str)], commands: &[&[&str]]) -> PathBuf {
+/// The build directory of one cached artifact under `dir`: named
+/// `stem` (`c-<spec>_` or `rust-<spec>_`) plus a hash of every source
+/// file (name and text) and every compiler command line (program and
+/// arguments), so a change to any of them, the compiler flags alone
+/// included, builds afresh.
+fn artifact_dir(dir: &Path, stem: &str, sources: &[(&str, &str)], commands: &[&[&str]]) -> PathBuf {
     let mut key = String::new();
     for (file, text) in sources {
         key.extend([file, "\0", text, "\0"]);
@@ -202,23 +204,41 @@ fn artifact_dir(dir: &Path, name: &str, sources: &[(&str, &str)], commands: &[&[
         key.extend(cmd.iter().flat_map(|arg| [arg, "\0"]));
         key.push('\n');
     }
-    dir.join(format!("{name}_{:016x}", fnv1a(key.as_bytes())))
+    dir.join(format!("{stem}{:016x}", fnv1a(key.as_bytes())))
+}
+
+/// Removes every completed build under `dir` named `stem` plus a
+/// 16-hex-digit hash other than `keep`, so the cache holds one build
+/// per back end and spec. In-progress `.tmp.<pid>` directories and
+/// other specs' builds do not match.
+fn evict_superseded(dir: &Path, stem: &str, keep: &Path) {
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let file = entry.file_name();
+        let hash = file.to_str().and_then(|f| f.strip_prefix(stem)).unwrap_or("");
+        if hash.len() == 16 && hash.bytes().all(|b| b.is_ascii_hexdigit()) && entry.path() != keep {
+            let _ = std::fs::remove_dir_all(entry.path());
+        }
+    }
 }
 
 /// Returns the [`ORACLE_BIN`] that `commands` build from `sources`,
 /// reusing it when an earlier build left it in place. Otherwise the
 /// sources are written to a private temporary directory, the commands
 /// run there in order, and the directory is renamed into place, so
-/// concurrent builders never observe a half-built artifact.
+/// concurrent builders never observe a half-built artifact. Either
+/// way, the superseded builds of `backend`'s `name` are then removed.
 pub(crate) fn cached_build(
+    backend: Backend,
     dir: &Path,
     name: &str,
     sources: &[(&str, &str)],
     commands: &[&[&str]],
 ) -> Result<PathBuf, String> {
-    let out = artifact_dir(dir, name, sources, commands);
+    let stem = format!("{}-{name}_", backend.to_string().to_lowercase());
+    let out = artifact_dir(dir, &stem, sources, commands);
     let bin = out.join(ORACLE_BIN);
     if bin.exists() {
+        evict_superseded(dir, &stem, &out);
         return Ok(bin);
     }
     let io = |path: &Path, e: std::io::Error| format!("{}: {e}", path.display());
@@ -243,14 +263,15 @@ pub(crate) fn cached_build(
         }
     }
     match std::fs::rename(&tmp, &out) {
-        Ok(()) => Ok(bin),
+        Ok(()) => {}
         // Another builder renamed the same artifact into place first.
         Err(_) if bin.exists() => {
             let _ = std::fs::remove_dir_all(&tmp);
-            Ok(bin)
         }
-        Err(e) => Err(io(&out, e)),
+        Err(e) => return Err(io(&out, e)),
     }
+    evict_superseded(dir, &stem, &out);
+    Ok(bin)
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -734,12 +755,42 @@ mod tests {
     fn compiler_flags_key_the_artifact() {
         let dir = Path::new("cache");
         let sources: &[(&str, &str)] = &[("harness.c", "int main(void) { return 0; }")];
-        let build = |flags: &[&str]| artifact_dir(dir, "spec", sources, &[flags]);
+        let build = |flags: &[&str]| artifact_dir(dir, "c-spec_", sources, &[flags]);
         let o1 = build(&["cc", "-O1", "-o", ORACLE_BIN, "harness.c"]);
         assert_eq!(o1, build(&["cc", "-O1", "-o", ORACLE_BIN, "harness.c"]));
         assert_ne!(o1, build(&["cc", "-O2", "-o", ORACLE_BIN, "harness.c"]));
         assert_ne!(o1, build(&["clang", "-O1", "-o", ORACLE_BIN, "harness.c"]));
-        let other = artifact_dir(dir, "spec", &[("harness.c", "int x;")], &[&["cc", "-O1"]]);
-        assert_ne!(other, artifact_dir(dir, "spec", sources, &[&["cc", "-O1"]]));
+        let other = artifact_dir(dir, "c-spec_", &[("harness.c", "int x;")], &[&["cc", "-O1"]]);
+        assert_ne!(other, artifact_dir(dir, "c-spec_", sources, &[&["cc", "-O1"]]));
+    }
+
+    /// A rebuild of one (back end, spec) pair from new sources evicts
+    /// the superseded build, and only it.
+    #[test]
+    fn a_rebuild_evicts_only_the_superseded_build() {
+        let dir = std::env::temp_dir().join(format!("devil-fuzz-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let copy: &[&str] = &["cp", "src", ORACLE_BIN];
+        let build = |backend, spec, text| {
+            let bin = cached_build(backend, &dir, spec, &[("src", text)], &[copy]).unwrap();
+            bin.parent().unwrap().file_name().unwrap().to_str().unwrap().to_string()
+        };
+        let pending = dir.join("c-spec_0123456789abcdef.tmp.1");
+        std::fs::create_dir_all(&pending).unwrap();
+        let rust = build(Backend::Rust, "spec", "r");
+        let neighbour = build(Backend::C, "spec2", "n");
+        let first = build(Backend::C, "spec", "one");
+        assert_eq!(build(Backend::C, "spec", "one"), first, "an unchanged build is reused");
+        let second = build(Backend::C, "spec", "two");
+        assert_ne!(first, second);
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut want = vec![second, neighbour, rust, "c-spec_0123456789abcdef.tmp.1".into()];
+        want.sort();
+        assert_eq!(left, want);
     }
 }

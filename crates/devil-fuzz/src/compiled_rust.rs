@@ -36,6 +36,7 @@ pub(crate) fn build(name: &str, ir: &DeviceIr, dir: &Path) -> Result<PathBuf, St
     let shim = shim_crate();
     let harness = harness_rs(ir, &module);
     cached_build(
+        Backend::Rust,
         dir,
         name,
         &[("devil_runtime.rs", &shim), ("harness.rs", &harness)],

@@ -1,101 +1,69 @@
-//! Batch compilation of mutant corpora across worker threads.
+//! Deterministic samples of the spec mutant corpus.
 //!
-//! The checker-fuzz suite and the scheduled full-mutation CI job both
-//! push every mutant of every embedded spec through `devil-sema` one
-//! at a time. Compilation of independent sources is embarrassingly
-//! parallel — each `check_source` call owns its arena — so this module
-//! fans a corpus out over scoped worker threads with a shared atomic
-//! work index, and proves the fan-out changes nothing: verdicts come
-//! back in input order, equal to a sequential sweep.
+//! A mutant is a spec with one single-character edit at one mutation
+//! site (`mutation::rules`). The checker fuzz, the verifier's mutant
+//! sweep and devil-bench's `spec_compile` all draw from [`sample`]: a
+//! window of each site's mutants rotated by the site's index, so every
+//! run covers the same ground.
 
-use devil_syntax::diag::Level;
-use mutation::rules::{devil_sites, diag_class, mutants};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use mutation::rules::{devil_sites, mutants, Site};
+use std::rc::Rc;
 
-/// The checker's verdict on one corpus entry.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Verdict {
-    /// Checked clean and lowered to IR (Table 1's undetected mutants).
-    Clean,
-    /// Rejected, with the sorted, deduplicated diagnostic classes.
-    Rejected(Vec<&'static str>),
+/// One sampled mutant.
+pub struct Mutant<'a> {
+    /// Name of the spec it mutates.
+    pub spec: &'a str,
+    /// Index of its site in `devil_sites` of the spec.
+    pub site_index: usize,
+    /// The mutation site.
+    pub site: Rc<Site>,
+    /// Its index among the site's mutants.
+    pub index: usize,
+    /// The mutated source.
+    pub text: String,
 }
 
-/// Runs one source through the full front half of the pipeline:
-/// parse + check, and lowering when the checker accepts (a clean
-/// mutant must also survive `devil_ir::lower`).
-pub fn compile_one(src: &str) -> Verdict {
-    match devil_sema::check_source(src, &[]) {
-        Ok(model) => {
-            let ir = devil_ir::lower(&model);
-            std::hint::black_box(&ir);
-            Verdict::Clean
-        }
-        Err(diags) => {
-            let mut classes: Vec<&'static str> = diags
-                .all()
-                .iter()
-                .filter(|d| d.level == Level::Error)
-                .map(|d| diag_class(d.code))
-                .collect();
-            classes.sort_unstable();
-            classes.dedup();
-            Verdict::Rejected(classes)
-        }
+/// Mutants per site the fuzz suites sample: 4, or every mutant under
+/// `MUTATION_FUZZ_FULL=1` (the scheduled full sweep).
+pub fn fuzz_per_site() -> usize {
+    if std::env::var("MUTATION_FUZZ_FULL").is_ok_and(|v| v == "1") {
+        usize::MAX
+    } else {
+        4
     }
 }
 
-/// A deterministic subsample of every embedded spec's mutant corpus:
-/// up to `per_site` mutants from each mutation site, window rotated by
-/// site index (the same scheme the checker-fuzz suite uses).
+/// About `per_site` mutants from every site of every `(name, source)`
+/// spec in `specs`, in spec, site and mutant order. With `stride =
+/// max(1, len / per_site)` over a site's `len` mutants, the sample is
+/// the mutant at `site_index % stride` and every `stride`-th after it;
+/// `per_site = usize::MAX` yields every mutant.
+pub fn sample<'a>(
+    specs: impl IntoIterator<Item = &'a (&'a str, &'a str)>,
+    per_site: usize,
+) -> impl Iterator<Item = Mutant<'a>> {
+    specs.into_iter().flat_map(move |&(spec, src)| {
+        devil_sites(src).into_iter().enumerate().flat_map(move |(site_index, site)| {
+            let ms = mutants(src, &site);
+            let stride = (ms.len() / per_site.max(1)).max(1);
+            let site = Rc::new(site);
+            ms.into_iter().enumerate().skip(site_index % stride).step_by(stride).map(
+                move |(index, text)| Mutant {
+                    spec,
+                    site_index,
+                    site: Rc::clone(&site),
+                    index,
+                    text,
+                },
+            )
+        })
+    })
+}
+
+/// The texts of [`sample`] over the shipped specs.
 /// `per_site = usize::MAX` yields the full ~145k-mutant corpus.
 pub fn sampled_corpus(per_site: usize) -> Vec<String> {
-    let mut out = Vec::new();
-    for (_name, src) in drivers::specs::ALL {
-        for (si, site) in devil_sites(src).iter().enumerate() {
-            let ms = mutants(src, site);
-            let stride = (ms.len() / per_site.max(1)).max(1);
-            let mut k = si % stride;
-            while k < ms.len() {
-                out.push(ms[k].clone());
-                k += stride;
-            }
-        }
-    }
-    out
-}
-
-/// Compiles every source in the batch across `workers` scoped threads
-/// (a shared atomic index hands out work; no unit of work is ever
-/// claimed twice or skipped). Returns verdicts in input order —
-/// identical to a `workers == 1` sweep, whatever the interleaving.
-pub fn compile_batch<S: AsRef<str> + Sync>(sources: &[S], workers: usize) -> Vec<Verdict> {
-    assert!(workers >= 1, "a batch needs at least one worker");
-    let next = AtomicUsize::new(0);
-    let mut out: Vec<Option<Verdict>> = vec![None; sources.len()];
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut claimed = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= sources.len() {
-                            break;
-                        }
-                        claimed.push((i, compile_one(sources[i].as_ref())));
-                    }
-                    claimed
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, v) in h.join().expect("corpus worker panicked") {
-                out[i] = Some(v);
-            }
-        }
-    });
-    out.into_iter().map(|v| v.expect("every index claimed exactly once")).collect()
+    sample(&drivers::specs::ALL, per_site).map(|m| m.text).collect()
 }
 
 #[cfg(test)]
@@ -108,23 +76,5 @@ mod tests {
         let b = sampled_corpus(2);
         assert_eq!(a, b);
         assert!(a.len() > 100, "corpus too small: {}", a.len());
-    }
-
-    #[test]
-    fn parallel_batch_matches_sequential_sweep() {
-        let corpus = sampled_corpus(1);
-        let sequential = compile_batch(&corpus, 1);
-        for workers in [2, 5] {
-            assert_eq!(compile_batch(&corpus, workers), sequential, "{workers} workers");
-        }
-        // The sample must exercise both verdict kinds.
-        assert!(sequential.contains(&Verdict::Clean));
-        assert!(sequential.iter().any(|v| matches!(v, Verdict::Rejected(_))));
-    }
-
-    #[test]
-    fn batch_with_more_workers_than_work_terminates() {
-        let tiny = vec![drivers::specs::BUSMOUSE.to_string()];
-        assert_eq!(compile_batch(&tiny, 8), vec![Verdict::Clean]);
     }
 }

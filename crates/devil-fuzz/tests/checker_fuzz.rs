@@ -5,11 +5,13 @@
 //! categories (see `SiteKind::expected_classes`).
 //!
 //! The PR-gating run samples a deterministic subset of each site's
-//! mutants; `MUTATION_FUZZ_FULL=1` (set by the scheduled CI job) runs
-//! all of them — ~145k mutants, a few seconds in release mode.
+//! mutants (`devil_fuzz::corpus::sample`); `MUTATION_FUZZ_FULL=1` (set
+//! by the scheduled CI job) runs all of them — ~145k mutants, a few
+//! seconds in release mode.
 
+use devil_fuzz::corpus::{fuzz_per_site, sample, Mutant};
 use devil_syntax::diag::Level;
-use mutation::rules::{devil_sites, diag_class, mutants};
+use mutation::rules::diag_class;
 use std::collections::BTreeSet;
 
 /// The sorted error classes a source produces, or `None` when it
@@ -31,49 +33,35 @@ fn error_classes(src: &str) -> Option<BTreeSet<&'static str>> {
 
 #[test]
 fn checker_survives_every_spec_mutant_with_stable_error_classes() {
-    let full = std::env::var("MUTATION_FUZZ_FULL").is_ok_and(|v| v == "1");
     let mut total = 0usize;
     let mut detected = 0usize;
-    for (name, src) in drivers::specs::ALL {
-        let sites = devil_sites(src);
-        assert!(!sites.is_empty(), "{name}: no mutation sites");
-        for (si, site) in sites.iter().enumerate() {
-            let ms = mutants(src, site);
-            // Deterministic subsample: a handful of mutants per site,
-            // with the window rotated by site index so consecutive runs
-            // of the suite cover the same ground reproducibly.
-            let stride = if full { 1 } else { (ms.len() / 4).max(1) };
-            let mut k = si % stride;
-            while k < ms.len() {
-                let m = &ms[k];
-                total += 1;
-                // No panic: `check_source` must reject or accept, never
-                // crash, whatever single-character edit it is fed.
-                let classes = error_classes(m);
-                if let Some(classes) = &classes {
-                    detected += 1;
-                    for class in classes {
-                        assert!(
-                            site.kind.expected_classes().contains(class),
-                            "{name}: site {si} ({:?} `{}`) mutant {k} produced unexpected \
-                             diagnostic class {class}\nmutant:\n{m}",
-                            site.kind,
-                            site.text,
-                        );
-                    }
-                    assert!(!classes.is_empty(), "{name}: error with no error diagnostics");
-                }
-                // Determinism: checking the same mutant twice yields the
-                // same verdict and the same classes.
-                assert_eq!(
-                    classes,
-                    error_classes(m),
-                    "{name}: site {si} mutant {k} is non-deterministic"
+    let mut specs = BTreeSet::new();
+    for Mutant { spec: name, site_index: si, site, index: k, text: m } in
+        sample(&drivers::specs::ALL, fuzz_per_site())
+    {
+        specs.insert(name);
+        total += 1;
+        // No panic: `check_source` must reject or accept, never
+        // crash, whatever single-character edit it is fed.
+        let classes = error_classes(&m);
+        if let Some(classes) = &classes {
+            detected += 1;
+            for class in classes {
+                assert!(
+                    site.kind.expected_classes().contains(class),
+                    "{name}: site {si} ({:?} `{}`) mutant {k} produced unexpected \
+                     diagnostic class {class}\nmutant:\n{m}",
+                    site.kind,
+                    site.text,
                 );
-                k += stride;
             }
+            assert!(!classes.is_empty(), "{name}: error with no error diagnostics");
         }
+        // Determinism: checking the same mutant twice yields the
+        // same verdict and the same classes.
+        assert_eq!(classes, error_classes(&m), "{name}: site {si} mutant {k} is non-deterministic");
     }
+    assert_eq!(specs.len(), drivers::specs::ALL.len(), "every spec has mutation sites");
     assert!(total > 500, "sampled too few mutants ({total})");
     assert!(
         detected * 10 > total * 8,

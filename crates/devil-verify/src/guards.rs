@@ -45,13 +45,9 @@ fn observable_mask(dim: &SelectorDim) -> u64 {
     m
 }
 
-/// Checks every access plan of `ir` and returns, per
-/// [`DeviceIr::accesses`] position, whether its table/guard structure verified
-/// clean (downstream passes only trust the guards of clean accesses).
-pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) -> Vec<bool> {
-    let mut clean = Vec::new();
+/// Checks the variant table and selector of every access plan of `ir`.
+pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) {
     for (access, plan) in ir.accesses() {
-        let mut ok = true;
         let name = ir.access_name(access);
         let mut diag = |class: DiagClass, detail: String| {
             diagnostics.push(Diagnostic { class, access: name.clone(), detail });
@@ -68,9 +64,7 @@ pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) -> Vec<bool> {
                         ir.cell_name(cell)
                     ),
                 );
-                ok = false;
             }
-            clean.push(ok);
             continue;
         }
 
@@ -81,7 +75,6 @@ pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) -> Vec<bool> {
                 DiagClass::SelectorMismatch,
                 format!("{} variants for a {}-combination selector", plan.variants.len(), expected),
             );
-            clean.push(false);
             continue;
         }
 
@@ -94,7 +87,6 @@ pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) -> Vec<bool> {
                     DiagClass::NonExhaustive,
                     format!("selector dim {d} has non-power-of-two radix {}", dim.radix),
                 );
-                ok = false;
             }
             let input_allowed = matches!(access, AccessRef::WriteVar(_));
             if !input_allowed && (dim.input_mask != 0 || !dim.input_segs.is_empty()) {
@@ -102,7 +94,6 @@ pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) -> Vec<bool> {
                     DiagClass::SelectorMismatch,
                     format!("selector dim {d} sources from an input this access does not have"),
                 );
-                ok = false;
             }
             let reach = observable_mask(dim) & !radix_mask(dim);
             if reach != 0 {
@@ -114,7 +105,6 @@ pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) -> Vec<bool> {
                         dim.radix
                     ),
                 );
-                ok = false;
             }
             // Disjointness: an enumerated value bit no guard observes
             // means two variants differing only in that bit share their
@@ -128,10 +118,7 @@ pub fn check(ir: &DeviceIr, diagnostics: &mut Vec<Diagnostic>) -> Vec<bool> {
                          observes — variants differing only there have identical domains"
                     ),
                 );
-                ok = false;
             }
         }
-        clean.push(ok);
     }
-    clean
 }

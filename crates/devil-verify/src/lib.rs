@@ -11,10 +11,6 @@
 //!   exactly the mixed-radix enumeration its selector describes,
 //!   variant domains are pairwise disjoint, and selection is
 //!   exhaustive over the reachable guard space;
-//! * **dead variants** ([`reach`]): a whole-spec value-set analysis of
-//!   everything that can feed a tested slot or cell (device reads, API
-//!   writes, folded actions, arena stores) flags variants whose guard
-//!   domain no reachable state selects;
 //! * **step well-formedness** ([`wf`]): ungated slot reads, compose
 //!   masks outside the owning register's width, block transfers outside
 //!   their declared port domains, and reverse-map (slot/cell owner)
@@ -25,17 +21,17 @@
 //!   outputs and final cache/memory state equal *as terms* — the
 //!   equivalence the differential fuzzers only sample;
 //! * **plan coverage**: every access lowering could not plan (the
-//!   runtime rejects each as unplanned) is a diagnostic;
-//! * **plan-surface manifest** ([`manifest`]): a canonical, committed
-//!   rendering of the whole dispatch surface (variants × guards × cell
-//!   serves × superplan variants × compile-time fallbacks) whose diff
-//!   is the drift gate CI runs on every PR.
+//!   runtime rejects each as unplanned) is a diagnostic.
+//!
+//! Two properties of the plan surface are decided elsewhere, once:
+//! drift of the compiled surface by the emit goldens (`tests/goldens/`,
+//! the full C and Rust output of every library spec), and variant
+//! liveness by the coverage corpus (`devil_fuzz::coverage::corpus`),
+//! which reaches every dispatch point of the library.
 
 #![forbid(unsafe_code)]
 
 pub mod guards;
-pub mod manifest;
-pub mod reach;
 pub mod sym;
 pub mod wf;
 
@@ -57,10 +53,6 @@ pub enum DiagClass {
     /// A selector dimension can assemble a value outside its enumerated
     /// radix, so selection could miss.
     NonExhaustive,
-    /// A variant whose guard domain no reachable state selects, given
-    /// value-set analysis of every write that can feed the tested
-    /// slots/cells.
-    DeadVariant,
     /// A step (or assemble list) reads a cache slot that may be invalid
     /// at that point without a validity gate.
     UngatedRead,
@@ -89,7 +81,6 @@ impl DiagClass {
             DiagClass::SelectorMismatch => "selector-mismatch",
             DiagClass::GuardOverlap => "guard-overlap",
             DiagClass::NonExhaustive => "non-exhaustive",
-            DiagClass::DeadVariant => "dead-variant",
             DiagClass::UngatedRead => "ungated-read",
             DiagClass::StoreMask => "store-mask",
             DiagClass::BlockBounds => "block-bounds",
@@ -150,16 +141,8 @@ pub fn verify(ir: &DeviceIr) -> Report {
             detail: fb.cause.clone(),
         })
         .collect();
-    let guard_clean = guards::check(ir, &mut diagnostics);
-    // Dead-variant analysis interprets the derived guards; skip accesses
-    // whose selector already mismatched (their guards are not trustworthy
-    // provenance).
-    reach::check(ir, &guard_clean, &mut diagnostics);
+    guards::check(ir, &mut diagnostics);
     wf::check(ir, &mut diagnostics);
     let (proven, total) = sym::check(ir, &mut diagnostics);
     Report { diagnostics, superplans_proven: proven, superplans_total: total }
 }
-
-/// The embedded spec library the CLI and CI gate run over (see
-/// [`devil_fuzz::spec_library`]).
-pub use devil_fuzz::spec_library;

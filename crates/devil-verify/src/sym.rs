@@ -18,8 +18,8 @@
 //! dimension assembles its decomposed value, so the proof fixes exactly
 //! those atom bits (an [`Env`]) and leaves every other bit free. A
 //! contradiction while pinning means no state selects the variant — the
-//! combination is unreachable and the obligation vacuous (dead variants
-//! are [`crate::reach`]'s business, not this pass's).
+//! combination is unreachable and the obligation vacuous (variant
+//! liveness is the coverage corpus's business, not this pass's).
 //!
 //! The zero-invariant (`slot_valid[s] == false ⇒ slots[s] == 0`, which
 //! `devil-runtime` asserts dynamically) lets the whole analysis track

@@ -1,6 +1,7 @@
 //! Deliberately-broken compiled surfaces: one mutation per diagnostic
 //! class, each applied to a spec that verifies clean beforehand,
-//! proving every class actually fires on the defect it documents.
+//! proving every class actually fires on the defect it documents —
+//! plus one stranded variant, which the coverage corpus catches.
 //!
 //! The mutations edit the public IR the way a buggy compiler pass
 //! would — an oversized variant table, cleared selector sourcing, orphaned
@@ -8,13 +9,14 @@
 //! expected class is present in the report (co-firing classes are
 //! legal: one defect often violates several properties at once).
 
+use devil_fuzz::coverage::{corpus, stream_hits, Coverage};
 use devil_ir::{DeviceIr, PlanStep};
 use devil_verify::DiagClass;
 use std::sync::Arc;
 
 /// One lowered spec from the embedded library, superplans installed.
 fn ir_of(name: &str) -> DeviceIr {
-    devil_verify::spec_library()
+    devil_fuzz::spec_library()
         .into_iter()
         .find(|(n, _)| n == name)
         .map_or_else(|| panic!("no embedded spec named {name}"), |(_, ir)| ir)
@@ -77,25 +79,37 @@ fn undersized_radix_fires_non_exhaustive() {
 /// A tested memory cell with every feed removed: `memw`'s `m` is only
 /// ever fed through the functional write interface (the writable flag,
 /// its compiled cell-store plan, and that plan's arena step), so
-/// severing all three proves the `m == 1` variants (plain write and
-/// fused superplan alike) unreachable.
+/// severing all three strands the `m == 1` variants (plain write and
+/// fused superplan alike). Variant liveness is the coverage corpus's
+/// to decide, not a verifier pass's: drawn from the corrupted IR, the
+/// corpus no longer completes and names exactly those two variants.
 #[test]
 fn unfeedable_tested_cell_fires_dead_variant() {
-    assert_fires("memw", DiagClass::DeadVariant, |ir| {
-        let mi = ir.vars.iter().position(|v| v.mem_cell.is_some()).unwrap();
-        let mc = ir.vars[mi].mem_cell.unwrap();
-        ir.vars[mi].writable = false;
-        ir.vars[mi].write_plan = None;
-        let mut steps = ir.plan_arena.to_vec();
-        for s in &mut steps {
-            if let PlanStep::SetCell { cell, value, .. } = s {
-                if *cell == mc {
-                    *value = devil_ir::PlanValue::Const(0);
-                }
+    let coverage = |ir: &DeviceIr| {
+        let mut cov = Coverage::new(ir);
+        for words in corpus(ir) {
+            cov.merge(&stream_hits(ir, &words));
+        }
+        cov
+    };
+    let mut ir = ir_of("memw");
+    assert!(coverage(&ir).complete(), "memw: baseline corpus must reach every point");
+    let mi = ir.vars.iter().position(|v| v.mem_cell.is_some()).unwrap();
+    let mc = ir.vars[mi].mem_cell.unwrap();
+    ir.vars[mi].writable = false;
+    ir.vars[mi].write_plan = None;
+    let mut steps = ir.plan_arena.to_vec();
+    for s in &mut steps {
+        if let PlanStep::SetCell { cell, value, .. } = s {
+            if *cell == mc {
+                *value = devil_ir::PlanValue::Const(0);
             }
         }
-        ir.plan_arena = steps.into();
-    });
+    }
+    ir.plan_arena = steps.into();
+    let cov = coverage(&ir);
+    assert!(!cov.complete(), "memw: the corpus must not reach the m == 1 variants");
+    assert_eq!(cov.unreached(&ir), ["write w variant 1/2", "superplan burst variant 1/2"]);
 }
 
 /// A fused assemble step retargeted at a cache slot nothing in the

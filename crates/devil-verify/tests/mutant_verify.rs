@@ -7,14 +7,15 @@
 //! construction, and no superplans are installed on mutants, so the
 //! symbolic pass has nothing to refute).
 //!
-//! Value-dependent classes (dead variants, exhaustiveness and gating
-//! verdicts) are legal findings on a mutated spec: a one-character edit
-//! can genuinely strand a variant. This mirrors the checker's own
-//! mutant fuzz (`devil-fuzz/tests/checker_fuzz.rs`); the PR-gating run
-//! samples a deterministic subset, `MUTATION_FUZZ_FULL=1` runs all.
+//! Value-dependent classes (exhaustiveness and gating verdicts) are
+//! legal findings on a mutated spec. This mirrors the checker's own
+//! mutant fuzz (`devil-fuzz/tests/checker_fuzz.rs`) and draws the same
+//! sample (`devil_fuzz::corpus::sample`); `MUTATION_FUZZ_FULL=1` runs
+//! every mutant.
 
+use devil_fuzz::corpus::{fuzz_per_site, sample, Mutant};
 use devil_verify::DiagClass;
-use mutation::rules::{devil_sites, mutants};
+use std::collections::BTreeSet;
 
 /// Classes the compiler's output can never legitimately exhibit.
 const STRUCTURAL: &[DiagClass] = &[
@@ -41,46 +42,36 @@ fn verdict(src: &str) -> Option<(Vec<DiagClass>, Vec<String>)> {
 
 #[test]
 fn verifier_survives_every_accepted_spec_mutant() {
-    let full = std::env::var("MUTATION_FUZZ_FULL").is_ok_and(|v| v == "1");
     let mut total = 0usize;
     let mut accepted = 0usize;
-    for (name, src) in drivers::specs::ALL.iter().chain(devil_fuzz::synthetic::ALL) {
-        let sites = devil_sites(src);
-        assert!(!sites.is_empty(), "{name}: no mutation sites");
-        for (si, site) in sites.iter().enumerate() {
-            let ms = mutants(src, site);
-            // The same deterministic subsample the checker fuzz uses:
-            // a rotated window per site, reproducible across runs.
-            let stride = if full { 1 } else { (ms.len() / 4).max(1) };
-            let mut k = si % stride;
-            while k < ms.len() {
-                let m = &ms[k];
-                total += 1;
-                // No panic, whatever sema-legal IR the edit produced.
-                let Some((classes, diags)) = verdict(m) else {
-                    k += stride;
-                    continue;
-                };
-                accepted += 1;
-                if let Some(c) = classes.iter().find(|c| STRUCTURAL.contains(c)) {
-                    panic!(
-                        "{name}: site {si} mutant {k} tripped structural class \
-                         {}:\n{}\nmutant:\n{m}",
-                        c.label(),
-                        diags.join("\n")
-                    );
-                }
-                // Determinism: verifying the same mutant twice yields
-                // byte-identical diagnostics.
-                assert_eq!(
-                    Some(&diags),
-                    verdict(m).as_ref().map(|(_, d)| d),
-                    "{name}: site {si} mutant {k} verifies non-deterministically"
-                );
-                k += stride;
-            }
+    let mut specs = BTreeSet::new();
+    let library = drivers::specs::ALL.iter().chain(devil_fuzz::synthetic::ALL);
+    for Mutant { spec: name, site_index: si, index: k, text: m, .. } in
+        sample(library, fuzz_per_site())
+    {
+        specs.insert(name);
+        total += 1;
+        // No panic, whatever sema-legal IR the edit produced.
+        let Some((classes, diags)) = verdict(&m) else {
+            continue;
+        };
+        accepted += 1;
+        if let Some(c) = classes.iter().find(|c| STRUCTURAL.contains(c)) {
+            panic!(
+                "{name}: site {si} mutant {k} tripped structural class {}:\n{}\nmutant:\n{m}",
+                c.label(),
+                diags.join("\n")
+            );
         }
+        // Determinism: verifying the same mutant twice yields
+        // byte-identical diagnostics.
+        assert_eq!(
+            Some(&diags),
+            verdict(&m).as_ref().map(|(_, d)| d),
+            "{name}: site {si} mutant {k} verifies non-deterministically"
+        );
     }
+    assert_eq!(specs.len(), 13, "every spec has mutation sites");
     assert!(total > 500, "sampled too few mutants ({total})");
     assert!(accepted > 50, "too few mutants survived sema ({accepted}/{total})");
 }

@@ -1,18 +1,16 @@
 //! The PR-gating verification sweep: every embedded spec (8 shipped
 //! drivers + 5 synthetic specs) must verify clean — zero diagnostics,
-//! every installed superplan proven fused ≡ unfused — and its committed
-//! plan-surface manifest must match byte for byte.
+//! every installed superplan proven fused ≡ unfused.
 //!
 //! The totals are pinned: 166 dispatch points over the library, each
 //! numbered once in `devil-ir` and counted in one runtime hit table
-//! that the manifests, the verifier and the coverage fuzzer all index.
+//! that the verifier and the coverage fuzzer both index.
 
 use devil_fuzz::coverage::corpus;
 use devil_fuzz::superfuzz::decode_super;
 use devil_fuzz::{decode, run_op, Engine};
 use devil_ir::{AccessRef, GuardSource};
 use devil_runtime::{DeviceInstance, FakeAccess};
-use devil_verify::manifest;
 
 /// Installed superplans per spec; everything not listed has none.
 const SUPERPLANS: &[(&str, usize)] = &[
@@ -32,7 +30,7 @@ fn every_embedded_spec_verifies_clean() {
     let mut specs = 0usize;
     let mut proven = 0usize;
     let mut total = 0usize;
-    for (name, ir) in devil_verify::spec_library() {
+    for (name, ir) in devil_fuzz::spec_library() {
         specs += 1;
         let report = devil_verify::verify(&ir);
         assert!(
@@ -65,7 +63,7 @@ fn every_embedded_spec_verifies_clean() {
 #[test]
 fn selection_and_guards_agree_on_every_variant() {
     let mut variants = 0usize;
-    for (name, ir) in devil_verify::spec_library() {
+    for (name, ir) in devil_fuzz::spec_library() {
         for (access, plan) in ir.accesses() {
             for k in 0..plan.variants.len() {
                 let mut slots = vec![0u64; ir.cache_slots];
@@ -99,13 +97,6 @@ fn selection_and_guards_agree_on_every_variant() {
     assert_eq!(variants, 166, "every dispatch point checked");
 }
 
-#[test]
-fn committed_manifests_match() {
-    for (name, ir) in devil_verify::spec_library() {
-        manifest::check_manifest(&name, &ir).unwrap_or_else(|e| panic!("{name}: {e}"));
-    }
-}
-
 /// The dispatch-point numbering: per spec, the points of the accesses
 /// tile `0..dispatch_points()` in `accesses()` order; installing
 /// superplans only appends points; and after the coverage corpus replays,
@@ -115,7 +106,7 @@ fn committed_manifests_match() {
 fn dispatch_points_are_numbered_once_and_counted_in_one_table() {
     let sources = drivers::specs::ALL.iter().chain(devil_fuzz::synthetic::ALL);
     let mut points = 0usize;
-    for ((name, ir), (src_name, src)) in devil_verify::spec_library().into_iter().zip(sources) {
+    for ((name, ir), (src_name, src)) in devil_fuzz::spec_library().into_iter().zip(sources) {
         assert_eq!(name, *src_name);
         let mut next = 0;
         for (access, plan) in ir.accesses() {

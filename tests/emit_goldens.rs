@@ -1,5 +1,5 @@
 //! Emit goldens for the whole spec library: the generated C header and
-//! Rust module of every spec `devil_verify::spec_library()` lists (the
+//! Rust module of every spec `devil_fuzz::spec_library()` lists (the
 //! 8 shipped specs plus the 5 synthetic ones), each with its declared
 //! superplans installed, so fused stub bodies are pinned too. After an
 //! intentional emitter change, regenerate with:
@@ -28,7 +28,7 @@ fn check_golden(name: &str, got: &str) -> Option<String> {
 
 #[test]
 fn every_spec_emits_its_golden_c_and_rust() {
-    let library = devil_verify::spec_library();
+    let library = devil_fuzz::spec_library();
     assert_eq!(library.len(), 13, "8 shipped + 5 synthetic specs");
     let mut drift = Vec::new();
     for (name, ir) in &library {
