@@ -32,7 +32,8 @@ pub fn emit_rust(ir: &DeviceIr) -> String {
     let mut out = String::new();
     let ty_name = camel(&ir.name);
     let _ = writeln!(out, "// Generated by devilc from device `{}`. Do not edit.", ir.name);
-    let _ = writeln!(out, "#![allow(clippy::identity_op, clippy::eq_op)]");
+    // Method and field names come from spec identifiers (`get_ID`).
+    let _ = writeln!(out, "#![allow(clippy::identity_op, clippy::eq_op, non_snake_case)]");
     let _ = writeln!(out, "use devil_runtime::DeviceAccess;\n");
 
     // Enumerated types.
@@ -342,10 +343,12 @@ fn prim_args(field: &Field<'_>, a: &AccessStep) -> String {
 }
 
 /// Appends the composed raw-value expression of a masked store/write to
-/// `out`.
+/// `out`. The kept bits are parenthesized only when more terms follow.
 fn compose_expr(out: &mut String, cache: &Member<'_>, c: &Compose, input: &str) {
     if c.keep_and == u64::MAX {
         let _ = write!(out, "{cache}");
+    } else if c.const_or == 0 && c.segs.is_empty() {
+        let _ = write!(out, "{cache} & {:#x}", c.keep_and);
     } else {
         let _ = write!(out, "({cache} & {:#x})", c.keep_and);
     }
@@ -395,7 +398,7 @@ fn step_stmts(ir: &DeviceIr, step: &PlanStep, indent: &str, input: &str, out: &m
             let _ = match value {
                 PlanValue::Const(_) => writeln!(out, "{indent}self.mem_{name} = {v};"),
                 _ if *mask == u64::MAX => writeln!(out, "{indent}self.mem_{name} = {v};"),
-                _ => writeln!(out, "{indent}self.mem_{name} = ({v} & {mask:#x});"),
+                _ => writeln!(out, "{indent}self.mem_{name} = {v} & {mask:#x};"),
             };
         }
         // Fused block transfers: one bus transaction over the caller's
@@ -462,16 +465,25 @@ fn emit_plan(out: &mut String, ir: &DeviceIr, plan: &AccessPlan, indent: &str, i
     let _ = writeln!(out, "{indent}}}");
 }
 
-/// A variable assembled from cache fields.
+/// A variable assembled from cache fields: a whole value or argument,
+/// so a lone term drops its outer parentheses.
 fn assemble_expr<'a>(pairs: impl Iterator<Item = (Field<'a>, FieldSeg)>) -> String {
     let mut s = String::new();
-    for (k, (field, seg)) in pairs.enumerate() {
+    let mut terms = 0;
+    for (field, seg) in pairs {
         let cache = format_args!("({} & {:#x})", Member("cache", &field), seg.reg_mask());
-        let sep = if k == 0 { "" } else { " | " };
+        let sep = if terms == 0 { "" } else { " | " };
         let _ = write!(s, "{sep}{}", Shift(cache, seg.var_lo as i64 - seg.reg_lo as i64));
+        terms += 1;
     }
-    if s.is_empty() {
-        s.push('0');
+    match terms {
+        0 => s.push('0'),
+        // Every term is one parenthesized group.
+        1 => {
+            s.pop();
+            s.remove(0);
+        }
+        _ => {}
     }
     s
 }

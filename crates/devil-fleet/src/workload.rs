@@ -236,7 +236,7 @@ enum Rig {
 ///
 /// Not `Send` (hwsim device models use `Rc` internally by design), so
 /// shard workers *build* their instances locally from the shared IRs;
-/// only [`InstanceFinal`] results cross threads.
+/// only [`InstanceFinal`](crate::InstanceFinal) results cross threads.
 pub struct FleetInstance {
     id: u32,
     kind: WorkloadKind,

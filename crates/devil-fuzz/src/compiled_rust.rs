@@ -30,7 +30,9 @@ use std::path::{Path, PathBuf};
 /// stand-in as an rlib, then the harness (with the emitted module
 /// embedded verbatim) linked against it, so the module's
 /// `use devil_runtime::…` header resolves exactly as it would against
-/// the real runtime. Cached like the C harness.
+/// the real runtime. Both compile under `-D warnings`, so an emitted
+/// module that draws a warning fails the build, as the C harness's
+/// `-Werror` does. Cached like the C harness.
 pub(crate) fn build(name: &str, ir: &DeviceIr, dir: &Path) -> Result<PathBuf, String> {
     let module = Backend::Rust.emit(ir, name);
     let shim = shim_crate();
@@ -41,12 +43,24 @@ pub(crate) fn build(name: &str, ir: &DeviceIr, dir: &Path) -> Result<PathBuf, St
         name,
         &[("devil_runtime.rs", &shim), ("harness.rs", &harness)],
         &[
-            &["rustc", "--edition", "2021", "-O", "--crate-type", "rlib", "devil_runtime.rs"],
             &[
                 "rustc",
                 "--edition",
                 "2021",
                 "-O",
+                "-D",
+                "warnings",
+                "--crate-type",
+                "rlib",
+                "devil_runtime.rs",
+            ],
+            &[
+                "rustc",
+                "--edition",
+                "2021",
+                "-O",
+                "-D",
+                "warnings",
                 "--extern",
                 "devil_runtime=libdevil_runtime.rlib",
                 "-o",
@@ -113,6 +127,8 @@ fn harness_rs(ir: &DeviceIr, module: &str) -> String {
     let ty = camel(&ir.name);
     let mut h = String::new();
     let _ = writeln!(h, "// Command harness for the compiled-Rust oracle. Generated; do not edit.");
+    // The harness drives the stubs, not the enums or every method.
+    let _ = writeln!(h, "#[allow(dead_code)]");
     let _ = writeln!(h, "mod stub {{");
     for line in module.lines() {
         if line.is_empty() {

@@ -102,9 +102,9 @@ const STREAM_LEN: usize = 48;
 const MAX_CANDIDATES: usize = 256;
 
 /// The coverage corpus of `ir`: `splitmix64` streams of
-/// [`STREAM_LEN`] words drawn from [`SEED`], each kept when it reaches
+/// `STREAM_LEN` words drawn from `SEED`, each kept when it reaches
 /// a dispatch point no earlier stream reached, until the corpus covers
-/// every point or [`MAX_CANDIDATES`] streams have been drawn.
+/// every point or `MAX_CANDIDATES` streams have been drawn.
 pub fn corpus(ir: &DeviceIr) -> Vec<Vec<u64>> {
     let mut cov = Coverage::new(ir);
     let mut rng = SEED;

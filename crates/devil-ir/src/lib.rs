@@ -31,8 +31,8 @@
 //!   a `(start, len)` range into it, so dispatch is an index and
 //!   execution walks a single cache-friendly slice,
 //! * **dispatch points**: every variant of every access numbered once
-//!   ([`DeviceIr::points`]) — the index of the runtime's hit table, the
-//!   verifier's manifests and the coverage fuzzer's map.
+//!   ([`DeviceIr::points`]) — the index of the runtime's hit table and
+//!   the coverage fuzzer's map.
 
 #![forbid(unsafe_code)]
 
@@ -124,8 +124,8 @@ pub enum AccessRef {
 impl AccessRef {
     /// The access's name, given the name of its variable, structure or
     /// superplan: `read x`, `write x`, `read struct s`, `write struct
-    /// s`, `superplan tx`. Diagnostics, manifests, fallback records and
-    /// runtime errors all name accesses this way.
+    /// s`, `superplan tx`. Diagnostics, fallback records and runtime
+    /// errors all name accesses this way.
     pub fn name(self, target: &str) -> String {
         let kind = match self {
             AccessRef::ReadVar(_) => "read",
@@ -373,8 +373,8 @@ impl DeviceIr {
 
     /// Human-readable provenance of a flat cache slot: the owning
     /// register's name, with the instance index for family ranges.
-    /// Diagnostics and manifests use this so a slot number is never the
-    /// only handle on a finding.
+    /// Diagnostics use this so a slot number is never the only handle on
+    /// a finding.
     pub fn slot_name(&self, slot: usize) -> String {
         if let Some(rid) = self.slot_owner(slot) {
             return self.reg(rid).name.clone();

@@ -237,8 +237,8 @@ pub fn lower(model: &CheckedDevice) -> DeviceIr {
     struct_names.sort_by(|a, b| a.0.cmp(&b.0));
 
     // Fallbacks sort by (access, cause): compilation visits accesses in
-    // declaration order, but consumers (manifests, diagnostics) need an
-    // order that is stable under refactors of the compile passes.
+    // declaration order, but diagnostics need an order that is stable
+    // under refactors of the compile passes.
     plan_fallbacks.sort_by(|a, b| (&a.access, &a.cause).cmp(&(&b.access, &b.cause)));
 
     DeviceIr {

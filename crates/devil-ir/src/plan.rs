@@ -238,18 +238,6 @@ impl Compose {
         self.keep_and == u64::MAX && self.const_or == 0 && self.segs.is_empty()
     }
 
-    /// Every register bit the composition may set: the folded
-    /// constants, each constant segment's inserted value, and the whole
-    /// mask of each runtime-valued segment.
-    pub fn may_set(&self) -> u64 {
-        self.segs.iter().fold(self.const_or, |bits, ws| {
-            bits | match ws.value {
-                PlanValue::Const(v) => ws.seg.insert(v),
-                PlanValue::Input | PlanValue::Arg(_) => ws.seg.reg_mask(),
-            }
-        })
-    }
-
     /// The runtime-valued segment bits, split by value source:
     /// `(input-valued bits, argument-valued bits)`.
     pub fn value_masks(&self) -> (u64, u64) {

@@ -7,7 +7,7 @@
 //! same outputs, and the same final cache and memory words.
 //!
 //! The term language is tiny because plan composition is: every word is
-//! 64 [`Bit`]s, a bit is a constant or one atom — an initial slot/cell
+//! 64 `Bit`s, a bit is a constant or one atom — an initial slot/cell
 //! bit, an operand bit, or the `i`-th device read's bit — and the only
 //! operators plans apply are shifts, constant masks, and ORs of
 //! *disjoint* words. Disjointness is a compiler invariant (kept bits
@@ -16,7 +16,7 @@
 //!
 //! Per-variant pinning: a fused variant is selected when each selector
 //! dimension assembles its decomposed value, so the proof fixes exactly
-//! those atom bits (an [`Env`]) and leaves every other bit free. A
+//! those atom bits (an `Env`) and leaves every other bit free. A
 //! contradiction while pinning means no state selects the variant — the
 //! combination is unreachable and the obligation vacuous (variant
 //! liveness is the coverage corpus's business, not this pass's).

@@ -165,11 +165,12 @@ impl Bus {
     /// [`Bus::trace_root`], [`Bus::drain_trace_into`],
     /// [`Bus::drain_trace_segment`]), never per-op. `retain` keeps
     /// leaf/node hashes for bisection and drains; `false` streams in
-    /// O(peaks) memory.
+    /// O(peaks) memory. The entry arena starts sized to one drain window
+    /// of 64 entries, which most fleet checkpoints stay under; a longer
+    /// window grows it once, and drains keep the capacity.
     pub fn enable_trace(&mut self, retain: bool) {
         let mut log = MmrLog::new(retain);
-        // One entry is 26 bytes; size the arena for a full batch.
-        log.reserve(1024, TRACE_ENTRY_BYTES);
+        log.reserve(64, TRACE_ENTRY_BYTES);
         self.trace = Some(Box::new(log));
     }
 
@@ -730,6 +731,53 @@ mod tests {
         assert_eq!(forest.tree(7).unwrap().root(), acc.root());
         assert_eq!(drained.trace().unwrap().len(), 0);
         assert_eq!(into.trace().unwrap().len(), 0);
+    }
+
+    /// Issues `n` traced single-port transactions.
+    fn window(bus: &mut Bus, n: u64) {
+        for i in 0..n {
+            bus.outb(0x300, i as u8);
+        }
+    }
+
+    #[test]
+    fn a_fresh_trace_arena_holds_one_drain_window() {
+        let mut bus = Bus::default();
+        bus.enable_trace(true);
+        // 64 entries of 26 bytes, each behind a 4-byte length.
+        assert!(bus.trace().unwrap().retained_bytes() <= 64 * 30);
+    }
+
+    #[test]
+    fn drain_windows_within_the_reserve_never_grow_the_arena() {
+        let mut bus = Bus::default();
+        bus.attach_io(Box::new(Scratch::new()), 0x300, 8);
+        bus.enable_trace(true);
+        let mut forest = MmrForest::new(false);
+        let reserved = bus.trace().unwrap().retained_bytes();
+        for _ in 0..100 {
+            window(&mut bus, 40);
+            assert_eq!(bus.drain_trace_into(&mut forest, 0), Some(40));
+            assert_eq!(bus.trace().unwrap().retained_bytes(), reserved);
+        }
+    }
+
+    #[test]
+    fn a_long_drain_window_grows_the_arena_once() {
+        let mut bus = Bus::default();
+        bus.attach_io(Box::new(Scratch::new()), 0x300, 8);
+        bus.enable_trace(true);
+        let mut forest = MmrForest::new(false);
+        let reserved = bus.trace().unwrap().retained_bytes();
+        window(&mut bus, 300);
+        assert_eq!(bus.drain_trace_into(&mut forest, 0), Some(300));
+        let grown = bus.trace().unwrap().retained_bytes();
+        assert!(grown >= 300 * 30 && grown > reserved, "{reserved} → {grown} bytes");
+        for n in [300, 40, 300, 1, 0] {
+            window(&mut bus, n);
+            assert_eq!(bus.drain_trace_into(&mut forest, 0), Some(n));
+            assert_eq!(bus.trace().unwrap().retained_bytes(), grown, "window of {n}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!
 //! Three layers:
 //!
-//! * [`Hash`] / [`Hasher`] — a vendored Blake3-style digest (the BLAKE3
+//! * [`struct@Hash`] / [`Hasher`] — a vendored Blake3-style digest (the BLAKE3
 //!   compression function under simplified sequential chaining; see the
 //!   note on [`Hasher`]). No external crates: `hwsim` stays
 //!   dependency-free.
@@ -528,18 +528,20 @@ const WATERMARK_BYTES: usize = 64 * 1024;
 
 /// An MMR fed by raw entry bytes with deferred, batched hashing.
 ///
-/// The hot path ([`MmrLog::push`]) is a plain bump-append into a byte
-/// arena — no hashing, no per-entry allocation. Entries materialize
-/// into leaves in batches at [`MmrLog::fold`], [`MmrLog::root`],
+/// The hot path ([`MmrLog::push`]) is a plain bump-append into one byte
+/// arena — no hashing, no per-entry allocation. The arena holds each
+/// pending entry as a little-endian `u32` length, then the entry bytes;
+/// a leaf hashes the entry bytes only. Entries materialize into leaves
+/// in batches at [`MmrLog::fold`], [`MmrLog::root`],
 /// [`MmrLog::take_segment`] (checkpoint drains) or when the pending
 /// arena crosses a size watermark — never per-op.
 #[derive(Clone, Debug)]
 pub struct MmrLog {
     mmr: Mmr,
-    /// Concatenated raw bytes of pending entries.
+    /// Length-prefixed pending entries.
     pending: Vec<u8>,
-    /// End offset of each pending entry within `pending`.
-    bounds: Vec<u32>,
+    /// Number of entries in `pending`.
+    entries: usize,
     watermark_entries: usize,
     watermark_bytes: usize,
 }
@@ -550,14 +552,14 @@ impl MmrLog {
         MmrLog {
             mmr: Mmr::new(retain),
             pending: Vec::new(),
-            bounds: Vec::new(),
+            entries: 0,
             watermark_entries: WATERMARK_ENTRIES,
             watermark_bytes: WATERMARK_BYTES,
         }
     }
 
     /// Overrides the fold watermark (tests pin small values to exercise
-    /// mid-stream folds).
+    /// mid-stream folds). The byte limit counts length prefixes too.
     pub fn with_watermark(mut self, entries: usize, bytes: usize) -> Self {
         self.watermark_entries = entries.max(1);
         self.watermark_bytes = bytes;
@@ -567,10 +569,11 @@ impl MmrLog {
     /// Appends one raw entry: two bump-appends and a bounds check. The
     /// watermark fold amortizes to O(1) hash work per entry.
     pub fn push(&mut self, entry: &[u8]) {
+        let len = u32::try_from(entry.len()).expect("an MMR log entry is under 4 GiB");
+        self.pending.extend_from_slice(&len.to_le_bytes());
         self.pending.extend_from_slice(entry);
-        self.bounds.push(self.pending.len() as u32);
-        if self.bounds.len() >= self.watermark_entries || self.pending.len() >= self.watermark_bytes
-        {
+        self.entries += 1;
+        if self.entries >= self.watermark_entries || self.pending.len() >= self.watermark_bytes {
             self.fold();
         }
     }
@@ -578,17 +581,26 @@ impl MmrLog {
     /// Hashes every pending entry into a leaf, in order, and clears the
     /// arena (keeping its capacity).
     pub fn fold(&mut self) {
-        self.mmr.reserve(self.bounds.len());
-        for entry in pending_entries(&self.pending, &self.bounds) {
-            self.mmr.push_leaf(leaf_hash(entry));
+        self.mmr.reserve(self.entries);
+        self.take_pending(|mmr, entry| mmr.push_leaf(leaf_hash(entry)));
+    }
+
+    /// Hands `sink` the accumulator and each pending entry, in order,
+    /// then clears the arena (keeping its capacity).
+    fn take_pending(&mut self, mut sink: impl FnMut(&mut Mmr, &[u8])) {
+        let mut rest = &self.pending[..];
+        while let Some((len, tail)) = rest.split_first_chunk() {
+            let (entry, tail) = tail.split_at(u32::from_le_bytes(*len) as usize);
+            sink(&mut self.mmr, entry);
+            rest = tail;
         }
         self.pending.clear();
-        self.bounds.clear();
+        self.entries = 0;
     }
 
     /// Total entries appended (folded or pending) — O(1), no scan.
     pub fn len(&self) -> u64 {
-        self.mmr.leaves + self.bounds.len() as u64
+        self.mmr.leaves + self.entries as u64
     }
 
     /// Whether nothing has been appended.
@@ -597,11 +609,10 @@ impl MmrLog {
     }
 
     /// Preallocates for `entries` more entries of roughly `entry_bytes`
-    /// each, so steady-state appends never reallocate.
+    /// each (plus prefixes), so steady-state appends never reallocate.
     pub fn reserve(&mut self, entries: usize, entry_bytes: usize) {
         let entries = entries.min(self.watermark_entries);
-        self.bounds.reserve(entries);
-        self.pending.reserve(entries * entry_bytes);
+        self.pending.reserve(entries * (4 + entry_bytes));
     }
 
     /// Folds and returns the root.
@@ -659,29 +670,13 @@ impl MmrLog {
             sink(Leaf::Hashed(h));
         }
         self.mmr = Mmr::retained();
-        for entry in pending_entries(&self.pending, &self.bounds) {
-            sink(Leaf::Entry(entry));
-        }
-        self.pending.clear();
-        self.bounds.clear();
+        self.take_pending(|_, entry| sink(Leaf::Entry(entry)));
     }
 
     /// Bytes retained (accumulator + pending arena capacities).
     pub fn retained_bytes(&self) -> usize {
-        self.mmr.retained_bytes() + self.pending.capacity() + self.bounds.capacity() * 4
+        self.mmr.retained_bytes() + self.pending.capacity()
     }
-}
-
-impl Default for MmrLog {
-    fn default() -> Self {
-        Self::new(false)
-    }
-}
-
-/// The pending entries whose end offsets are `bounds`.
-fn pending_entries<'a>(pending: &'a [u8], bounds: &'a [u32]) -> impl Iterator<Item = &'a [u8]> {
-    let starts = std::iter::once(0).chain(bounds.iter().copied());
-    starts.zip(bounds).map(|(start, &end)| &pending[start as usize..end as usize])
 }
 
 /// One leaf of a drain: a digest a watermark fold already computed, or

@@ -180,12 +180,21 @@ proptest! {
     }
 }
 
-/// Entry `k` of a generated stream: `k % 49` bytes, so lengths run from
-/// 0 to 48 and entries over 32 bytes bypass the leaf memo. Entries of
-/// one length differ from a fixed pattern only in the byte `k / 49`
-/// flips, at a place that moves with `k`, so two keys the memo compares
-/// can differ anywhere.
+/// Entry lengths at the edges of the log's arena and the leaf memo:
+/// empty, one byte, a bus trace entry, one byte past the memo key, and
+/// two entries far longer than any bus trace entry.
+const EDGE_LENGTHS: [usize; 6] = [0, 1, 26, 33, 96, 300];
+
+/// Entry `k` of a generated stream. Below 8,192: `k % 49` bytes, so
+/// lengths run from 0 to 48 and entries over 32 bytes bypass the leaf
+/// memo. Entries of one length differ from a fixed pattern only in the
+/// byte `k / 49` flips, at a place that moves with `k`, so two keys the
+/// memo compares can differ anywhere. From 8,192 on: the fixed pattern
+/// at each of the `EDGE_LENGTHS`.
 fn entry(k: u16) -> Vec<u8> {
+    if let Some(&len) = usize::from(k).checked_sub(8192).and_then(|i| EDGE_LENGTHS.get(i)) {
+        return (0..len).map(|i| i as u8).collect();
+    }
     let (len, q) = (usize::from(k) % 49, usize::from(k / 49));
     let mut e: Vec<u8> = (0..len as u8).collect();
     if len > 0 {
@@ -199,16 +208,20 @@ proptest! {
 
     /// The digest memo is invisible: four sources share one forest (and
     /// so one memo), each draining its retained, small-watermark log at
-    /// random points with `drain_log`. A third of the entries come from
-    /// an 8-entry alphabet, so they repeat; the rest from 8,192, so the
-    /// stream holds more distinct entries and child pairs than the memo
-    /// has slots (1,024 per table) and slots are evicted and reused.
+    /// random points with `drain_log`. A sixth of the entries come from
+    /// an 8-entry alphabet and a sixth from the `EDGE_LENGTHS`, so they
+    /// repeat, and the log's length-prefixed arena splits entries of
+    /// every edge length, past the memo's key limit too. The rest come
+    /// from 8,192, so the stream holds more distinct entries and child
+    /// pairs than the memo has slots (1,024 per table) and slots are
+    /// evicted and reused.
     /// Every tree and the forest root must equal what the same drains
     /// give through `take_segment` and `Mmr::append`, with no memo.
     #[test]
     fn memoized_drains_equal_segment_appends(
         records in proptest::collection::vec(
-            (0u64..4, prop_oneof![0u16..8, 0u16..8192, 0u16..8192], 0u8..24),
+            (0u64..4, prop_oneof![prop_oneof![0u16..8, 8192u16..8198], 0u16..8192, 0u16..8192],
+             0u8..24),
             3000..4000,
         ),
         watermark in 1usize..64,

@@ -188,7 +188,7 @@ fn defining_spans(src: &str) -> Vec<(usize, usize)> {
 
 /// Extracts mutation sites from Devil source (tokens of the Devil
 /// lexer, restricted to the mutable categories; defining name
-/// occurrences are excluded — see [`defining_spans`]).
+/// occurrences are excluded — see `defining_spans`).
 pub fn devil_sites(src: &str) -> Vec<Site> {
     use devil_syntax::token::TokenKind as T;
     let defining = defining_spans(src);

@@ -1,5 +1,5 @@
 // Generated by devilc from device `logitech_busmouse`. Do not edit.
-#![allow(clippy::identity_op, clippy::eq_op)]
+#![allow(clippy::identity_op, clippy::eq_op, non_snake_case)]
 use devil_runtime::DeviceAccess;
 
 /// Values of the `config` variable.
@@ -113,7 +113,7 @@ impl LogitechBusmouse {
     /// Reads `signature` from the device.
     pub fn get_signature(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         self.read_sig_reg(dev);
-        (self.cache_sig_reg & 0xff)
+        self.cache_sig_reg & 0xff
     }
 
     /// Writes `signature` to the device.
@@ -158,7 +158,7 @@ impl LogitechBusmouse {
         self.cache_index_reg = (self.cache_index_reg & 0xffffffffffffff9f) | 0x20;
         self.write_index_reg(dev);
         self.read_x_high(dev);
-        self.cache_index_reg = (self.cache_index_reg & 0xffffffffffffff9f);
+        self.cache_index_reg = self.cache_index_reg & 0xffffffffffffff9f;
         self.write_index_reg(dev);
         self.read_x_low(dev);
         devil_runtime::sign_extend(((self.cache_x_high & 0xf) << 4) | (self.cache_x_low & 0xf), 8)
@@ -190,7 +190,7 @@ impl LogitechBusmouse {
 
     /// Gets `buttons` from the cache (fill it with the structure reader).
     pub fn get_buttons(&mut self) -> u64 {
-        ((self.cache_y_high & 0xe0) >> 5)
+        (self.cache_y_high & 0xe0) >> 5
     }
 
     /// Stages `buttons` in the cache (flush with the structure writer).
@@ -204,7 +204,7 @@ impl LogitechBusmouse {
         self.cache_index_reg = (self.cache_index_reg & 0xffffffffffffff9f) | 0x60;
         self.write_index_reg(dev);
         self.read_y_high(dev);
-        ((self.cache_y_high & 0xe0) >> 5)
+        (self.cache_y_high & 0xe0) >> 5
     }
 
     /// Reads the `mouse_state` structure into the cache.
@@ -212,7 +212,7 @@ impl LogitechBusmouse {
         self.cache_index_reg = (self.cache_index_reg & 0xffffffffffffff9f) | 0x20;
         self.write_index_reg(dev);
         self.read_x_high(dev);
-        self.cache_index_reg = (self.cache_index_reg & 0xffffffffffffff9f);
+        self.cache_index_reg = self.cache_index_reg & 0xffffffffffffff9f;
         self.write_index_reg(dev);
         self.read_x_low(dev);
         self.cache_index_reg = (self.cache_index_reg & 0xffffffffffffff9f) | 0x60;

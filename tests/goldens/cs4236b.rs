@@ -1,5 +1,5 @@
 // Generated by devilc from device `cs4236b`. Do not edit.
-#![allow(clippy::identity_op, clippy::eq_op)]
+#![allow(clippy::identity_op, clippy::eq_op, non_snake_case)]
 use devil_runtime::DeviceAccess;
 
 /// Generated interface for `cs4236b`.
@@ -98,7 +98,7 @@ impl Cs4236b {
             self.read_control(dev);
             self.mem_xm = 0x0;
         }
-        (self.cache_control & 0x1f)
+        self.cache_control & 0x1f
     }
 
     /// Writes `IA` to the device.
@@ -117,7 +117,7 @@ impl Cs4236b {
         self.write_control(dev);
         self.mem_xm = 0x0;
         self.read_I(dev, Self::ix_I(a0), 0x1);
-        Ok((self.cache_I[Self::ix_I(a0)] & 0xff))
+        Ok(self.cache_I[Self::ix_I(a0)] & 0xff)
     }
 
     /// Writes `ID` to the device.
@@ -145,7 +145,7 @@ impl Cs4236b {
         self.write_gw(dev);
         self.mem_xm = 0x1;
         self.read_X(dev, Self::ix_X(a0), 0x1);
-        Ok((self.cache_X[Self::ix_X(a0)] & 0xff))
+        Ok(self.cache_X[Self::ix_X(a0)] & 0xff)
     }
 
     /// Writes `XD` to the device.
@@ -189,7 +189,7 @@ impl Cs4236b {
 
     /// Gets `XRAE` from the cache (fill it with the structure reader).
     pub fn get_XRAE(&mut self) -> u64 {
-        ((self.cache_gw & 0x8) >> 3)
+        (self.cache_gw & 0x8) >> 3
     }
 
     /// Stages `XRAE` in the cache (flush with the structure writer).

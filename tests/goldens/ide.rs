@@ -1,5 +1,5 @@
 // Generated by devilc from device `ide`. Do not edit.
-#![allow(clippy::identity_op, clippy::eq_op)]
+#![allow(clippy::identity_op, clippy::eq_op, non_snake_case)]
 use devil_runtime::DeviceAccess;
 
 /// Values of the `drive` variable.
@@ -144,7 +144,7 @@ impl Ide {
     /// Reads `Ide_data` from the device.
     pub fn get_Ide_data(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         self.read_dr(dev);
-        (self.cache_dr & 0xffff)
+        self.cache_dr & 0xffff
     }
 
     /// Writes `Ide_data` to the device.
@@ -156,7 +156,7 @@ impl Ide {
     /// Reads `Ide_data32` from the device.
     pub fn get_Ide_data32(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         self.read_dr32(dev);
-        (self.cache_dr32 & 0xffffffff)
+        self.cache_dr32 & 0xffffffff
     }
 
     /// Writes `Ide_data32` to the device.
@@ -210,25 +210,25 @@ impl Ide {
     /// Reads `bsy` from the device.
     pub fn get_bsy(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         self.read_status_reg(dev);
-        ((self.cache_status_reg & 0x80) >> 7)
+        (self.cache_status_reg & 0x80) >> 7
     }
 
     /// Reads `drdy` from the device.
     pub fn get_drdy(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         self.read_status_reg(dev);
-        ((self.cache_status_reg & 0x40) >> 6)
+        (self.cache_status_reg & 0x40) >> 6
     }
 
     /// Reads `drq` from the device.
     pub fn get_drq(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         self.read_status_reg(dev);
-        ((self.cache_status_reg & 0x8) >> 3)
+        (self.cache_status_reg & 0x8) >> 3
     }
 
     /// Reads `err` from the device.
     pub fn get_err(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         self.read_status_reg(dev);
-        (self.cache_status_reg & 0x1)
+        self.cache_status_reg & 0x1
     }
 
     /// Writes `command` to the device.
@@ -240,22 +240,22 @@ impl Ide {
     /// Fused superplan `pio_irq16`: one guard evaluation, batched I/O.
     pub fn sp_pio_irq16(&mut self, dev: &mut dyn DeviceAccess, outs: &mut [u64], block_in: &mut [u64]) {
         self.read_status_reg(dev);
-        outs[0] = ((self.cache_status_reg & 0x8) >> 3);
+        outs[0] = (self.cache_status_reg & 0x8) >> 3;
         self.read_status_reg(dev);
-        outs[1] = (self.cache_status_reg & 0x1);
+        outs[1] = self.cache_status_reg & 0x1;
         self.read_status_reg(dev);
-        outs[2] = ((self.cache_status_reg & 0x80) >> 7);
+        outs[2] = (self.cache_status_reg & 0x80) >> 7;
         dev.read_block(0, 0x0, 16, block_in);
     }
 
     /// Fused superplan `pio_irq32`: one guard evaluation, batched I/O.
     pub fn sp_pio_irq32(&mut self, dev: &mut dyn DeviceAccess, outs: &mut [u64], block_in: &mut [u64]) {
         self.read_status_reg(dev);
-        outs[0] = ((self.cache_status_reg & 0x8) >> 3);
+        outs[0] = (self.cache_status_reg & 0x8) >> 3;
         self.read_status_reg(dev);
-        outs[1] = (self.cache_status_reg & 0x1);
+        outs[1] = self.cache_status_reg & 0x1;
         self.read_status_reg(dev);
-        outs[2] = ((self.cache_status_reg & 0x80) >> 7);
+        outs[2] = (self.cache_status_reg & 0x80) >> 7;
         dev.read_block(1, 0x0, 32, block_in);
     }
 

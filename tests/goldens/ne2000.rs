@@ -1,5 +1,5 @@
 // Generated by devilc from device `ne2000`. Do not edit.
-#![allow(clippy::identity_op, clippy::eq_op)]
+#![allow(clippy::identity_op, clippy::eq_op, non_snake_case)]
 use devil_runtime::DeviceAccess;
 
 /// Values of the `st` variable.
@@ -221,7 +221,7 @@ impl Ne2000 {
         if !(self.valid_cr) {
             self.read_cr(dev);
         }
-        (self.cache_cr & 0x3)
+        self.cache_cr & 0x3
     }
 
     /// Writes `st` to the device.
@@ -235,7 +235,7 @@ impl Ne2000 {
         if !(self.valid_cr) {
             self.read_cr(dev);
         }
-        ((self.cache_cr & 0x4) >> 2)
+        (self.cache_cr & 0x4) >> 2
     }
 
     /// Writes `txp` to the device.
@@ -249,7 +249,7 @@ impl Ne2000 {
         if !(self.valid_cr) {
             self.read_cr(dev);
         }
-        ((self.cache_cr & 0x38) >> 3)
+        (self.cache_cr & 0x38) >> 3
     }
 
     /// Writes `rd` to the device.
@@ -263,7 +263,7 @@ impl Ne2000 {
         if !(self.valid_cr) {
             self.read_cr(dev);
         }
-        ((self.cache_cr & 0xc0) >> 6)
+        (self.cache_cr & 0xc0) >> 6
     }
 
     /// Writes `page` to the device.
@@ -287,7 +287,7 @@ impl Ne2000 {
     /// Reads `bnry` from the device.
     pub fn get_bnry(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         self.read_bnry_reg(dev);
-        (self.cache_bnry_reg & 0xff)
+        self.cache_bnry_reg & 0xff
     }
 
     /// Writes `bnry` to the device.
@@ -313,7 +313,7 @@ impl Ne2000 {
     /// Reads `prx` from the device.
     pub fn get_prx(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         self.read_isr_reg(dev);
-        (self.cache_isr_reg & 0x1)
+        self.cache_isr_reg & 0x1
     }
 
     /// Writes `prx` to the device.
@@ -325,7 +325,7 @@ impl Ne2000 {
     /// Reads `ptx` from the device.
     pub fn get_ptx(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         self.read_isr_reg(dev);
-        ((self.cache_isr_reg & 0x2) >> 1)
+        (self.cache_isr_reg & 0x2) >> 1
     }
 
     /// Writes `ptx` to the device.
@@ -337,7 +337,7 @@ impl Ne2000 {
     /// Reads `rdc` from the device.
     pub fn get_rdc(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         self.read_isr_reg(dev);
-        ((self.cache_isr_reg & 0x40) >> 6)
+        (self.cache_isr_reg & 0x40) >> 6
     }
 
     /// Writes `rdc` to the device.
@@ -377,7 +377,7 @@ impl Ne2000 {
     /// Reads `remote_data` from the device.
     pub fn get_remote_data(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         self.read_dr(dev);
-        (self.cache_dr & 0xffff)
+        self.cache_dr & 0xffff
     }
 
     /// Writes `remote_data` to the device.

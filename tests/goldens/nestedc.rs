@@ -1,5 +1,5 @@
 // Generated by devilc from device `nestedc`. Do not edit.
-#![allow(clippy::identity_op, clippy::eq_op)]
+#![allow(clippy::identity_op, clippy::eq_op, non_snake_case)]
 use devil_runtime::DeviceAccess;
 
 /// Generated interface for `nestedc`.
@@ -41,12 +41,12 @@ impl Nestedc {
         self.cache_c = (self.cache_c & 0xffffffffffffff00) | 0x2;
         self.write_c(dev);
         self.read_data(dev);
-        (self.cache_data & 0xff)
+        self.cache_data & 0xff
     }
 
     /// Gets `sel` from the cache (fill it with the structure reader).
     pub fn get_sel(&mut self) -> u64 {
-        (self.cache_a & 0x1)
+        self.cache_a & 0x1
     }
 
     /// Stages `sel` in the cache (flush with the structure writer).
@@ -63,7 +63,7 @@ impl Nestedc {
 
     /// Gets `rest` from the cache (fill it with the structure reader).
     pub fn get_rest(&mut self) -> u64 {
-        ((self.cache_a & 0xfe) >> 1)
+        (self.cache_a & 0xfe) >> 1
     }
 
     /// Stages `rest` in the cache (flush with the structure writer).
@@ -80,7 +80,7 @@ impl Nestedc {
 
     /// Gets `v` from the cache (fill it with the structure reader).
     pub fn get_v(&mut self) -> u64 {
-        (self.cache_c & 0xff)
+        self.cache_c & 0xff
     }
 
     /// Stages `v` in the cache (flush with the structure writer).
@@ -112,7 +112,7 @@ impl Nestedc {
         self.cache_c = (self.cache_c & 0xffffffffffffff00) | 0x2;
         self.write_c(dev);
         self.read_data(dev);
-        outs[0] = (self.cache_data & 0xff);
+        outs[0] = self.cache_data & 0xff;
     }
 
 }

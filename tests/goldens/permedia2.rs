@@ -1,5 +1,5 @@
 // Generated by devilc from device `permedia2`. Do not edit.
-#![allow(clippy::identity_op, clippy::eq_op)]
+#![allow(clippy::identity_op, clippy::eq_op, non_snake_case)]
 use devil_runtime::DeviceAccess;
 
 /// Values of the `render_op` variable.
@@ -128,7 +128,7 @@ impl Permedia2 {
     /// Reads `fifo_space` from the device.
     pub fn get_fifo_space(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         self.read_fifo(dev);
-        (self.cache_fifo & 0xffffffff)
+        self.cache_fifo & 0xffffffff
     }
 
     /// Writes `dst_x` to the device.

@@ -1,5 +1,5 @@
 // Generated by devilc from device `pic8259`. Do not edit.
-#![allow(clippy::identity_op, clippy::eq_op)]
+#![allow(clippy::identity_op, clippy::eq_op, non_snake_case)]
 use devil_runtime::DeviceAccess;
 
 /// Values of the `ic4` variable.
@@ -104,7 +104,7 @@ impl Pic8259 {
 
     /// Gets `ic4` from the cache (fill it with the structure reader).
     pub fn get_ic4(&mut self) -> u64 {
-        (self.cache_icw1 & 0x1)
+        self.cache_icw1 & 0x1
     }
 
     /// Stages `ic4` in the cache (flush with the structure writer).
@@ -121,7 +121,7 @@ impl Pic8259 {
 
     /// Gets `sngl` from the cache (fill it with the structure reader).
     pub fn get_sngl(&mut self) -> u64 {
-        ((self.cache_icw1 & 0x2) >> 1)
+        (self.cache_icw1 & 0x2) >> 1
     }
 
     /// Stages `sngl` in the cache (flush with the structure writer).
@@ -138,7 +138,7 @@ impl Pic8259 {
 
     /// Gets `adi` from the cache (fill it with the structure reader).
     pub fn get_adi(&mut self) -> u64 {
-        ((self.cache_icw1 & 0x4) >> 2)
+        (self.cache_icw1 & 0x4) >> 2
     }
 
     /// Stages `adi` in the cache (flush with the structure writer).
@@ -155,7 +155,7 @@ impl Pic8259 {
 
     /// Gets `ltim` from the cache (fill it with the structure reader).
     pub fn get_ltim(&mut self) -> u64 {
-        ((self.cache_icw1 & 0x8) >> 3)
+        (self.cache_icw1 & 0x8) >> 3
     }
 
     /// Stages `ltim` in the cache (flush with the structure writer).
@@ -172,7 +172,7 @@ impl Pic8259 {
 
     /// Gets `vector_base` from the cache (fill it with the structure reader).
     pub fn get_vector_base(&mut self) -> u64 {
-        ((self.cache_icw2 & 0xf8) >> 3)
+        (self.cache_icw2 & 0xf8) >> 3
     }
 
     /// Stages `vector_base` in the cache (flush with the structure writer).
@@ -189,7 +189,7 @@ impl Pic8259 {
 
     /// Gets `cascade_map` from the cache (fill it with the structure reader).
     pub fn get_cascade_map(&mut self) -> u64 {
-        (self.cache_icw3 & 0xff)
+        self.cache_icw3 & 0xff
     }
 
     /// Stages `cascade_map` in the cache (flush with the structure writer).
@@ -206,7 +206,7 @@ impl Pic8259 {
 
     /// Gets `sfnm` from the cache (fill it with the structure reader).
     pub fn get_sfnm(&mut self) -> u64 {
-        ((self.cache_icw4 & 0x10) >> 4)
+        (self.cache_icw4 & 0x10) >> 4
     }
 
     /// Stages `sfnm` in the cache (flush with the structure writer).
@@ -223,7 +223,7 @@ impl Pic8259 {
 
     /// Gets `buffered` from the cache (fill it with the structure reader).
     pub fn get_buffered(&mut self) -> u64 {
-        ((self.cache_icw4 & 0xc) >> 2)
+        (self.cache_icw4 & 0xc) >> 2
     }
 
     /// Stages `buffered` in the cache (flush with the structure writer).
@@ -240,7 +240,7 @@ impl Pic8259 {
 
     /// Gets `aeoi` from the cache (fill it with the structure reader).
     pub fn get_aeoi(&mut self) -> u64 {
-        ((self.cache_icw4 & 0x2) >> 1)
+        (self.cache_icw4 & 0x2) >> 1
     }
 
     /// Stages `aeoi` in the cache (flush with the structure writer).
@@ -257,7 +257,7 @@ impl Pic8259 {
 
     /// Gets `microprocessor` from the cache (fill it with the structure reader).
     pub fn get_microprocessor(&mut self) -> u64 {
-        (self.cache_icw4 & 0x1)
+        self.cache_icw4 & 0x1
     }
 
     /// Stages `microprocessor` in the cache (flush with the structure writer).
@@ -274,7 +274,7 @@ impl Pic8259 {
 
     /// Gets `irq_mask` from the cache (fill it with the structure reader).
     pub fn get_irq_mask(&mut self) -> u64 {
-        (self.cache_ocw1 & 0xff)
+        self.cache_ocw1 & 0xff
     }
 
     /// Stages `irq_mask` in the cache (flush with the structure writer).
@@ -320,17 +320,17 @@ impl Pic8259 {
         self.valid_icw1 = true;
         self.cache_icw1 = (self.cache_icw1 & 0xfffffffffffffffd) | ((a1 << 1) & 0x2);
         self.valid_icw1 = true;
-        self.cache_icw1 = (self.cache_icw1 & 0xfffffffffffffffb);
+        self.cache_icw1 = self.cache_icw1 & 0xfffffffffffffffb;
         self.valid_icw1 = true;
-        self.cache_icw1 = (self.cache_icw1 & 0xfffffffffffffff7);
+        self.cache_icw1 = self.cache_icw1 & 0xfffffffffffffff7;
         self.valid_icw1 = true;
         self.cache_icw2 = (self.cache_icw2 & 0xffffffffffffff07) | ((a2 << 3) & 0xf8);
         self.valid_icw2 = true;
         self.cache_icw3 = (self.cache_icw3 & 0xffffffffffffff00) | (a3 & 0xff);
         self.valid_icw3 = true;
-        self.cache_icw4 = (self.cache_icw4 & 0xffffffffffffffef);
+        self.cache_icw4 = self.cache_icw4 & 0xffffffffffffffef;
         self.valid_icw4 = true;
-        self.cache_icw4 = (self.cache_icw4 & 0xfffffffffffffff3);
+        self.cache_icw4 = self.cache_icw4 & 0xfffffffffffffff3;
         self.valid_icw4 = true;
         self.cache_icw4 = (self.cache_icw4 & 0xfffffffffffffffd) | ((a4 << 1) & 0x2);
         self.valid_icw4 = true;

@@ -1,5 +1,5 @@
 // Generated by devilc from device `piix4ide`. Do not edit.
-#![allow(clippy::identity_op, clippy::eq_op)]
+#![allow(clippy::identity_op, clippy::eq_op, non_snake_case)]
 use devil_runtime::DeviceAccess;
 
 /// Values of the `bm_dir` variable.
@@ -72,7 +72,7 @@ impl Piix4ide {
     /// Reads `bm_intr` from the device.
     pub fn get_bm_intr(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         self.read_bmstatus(dev);
-        ((self.cache_bmstatus & 0x4) >> 2)
+        (self.cache_bmstatus & 0x4) >> 2
     }
 
     /// Writes `bm_intr` to the device.

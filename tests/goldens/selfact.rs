@@ -1,5 +1,5 @@
 // Generated by devilc from device `selfact`. Do not edit.
-#![allow(clippy::identity_op, clippy::eq_op)]
+#![allow(clippy::identity_op, clippy::eq_op, non_snake_case)]
 use devil_runtime::DeviceAccess;
 
 /// Generated interface for `selfact`.
@@ -29,7 +29,7 @@ impl Selfact {
 
     /// Gets `w` from the cache (fill it with the structure reader).
     pub fn get_w(&mut self) -> u64 {
-        (self.cache_a & 0x1)
+        self.cache_a & 0x1
     }
 
     /// Stages `w` in the cache (flush with the structure writer).
@@ -55,7 +55,7 @@ impl Selfact {
 
     /// Gets `rest` from the cache (fill it with the structure reader).
     pub fn get_rest(&mut self) -> u64 {
-        ((self.cache_a & 0xfe) >> 1)
+        (self.cache_a & 0xfe) >> 1
     }
 
     /// Stages `rest` in the cache (flush with the structure writer).
@@ -81,7 +81,7 @@ impl Selfact {
 
     /// Gets `v` from the cache (fill it with the structure reader).
     pub fn get_v(&mut self) -> u64 {
-        (self.cache_c & 0xff)
+        self.cache_c & 0xff
     }
 
     /// Stages `v` in the cache (flush with the structure writer).

@@ -1,5 +1,5 @@
 // Generated by devilc from device `selfw`. Do not edit.
-#![allow(clippy::identity_op, clippy::eq_op)]
+#![allow(clippy::identity_op, clippy::eq_op, non_snake_case)]
 use devil_runtime::DeviceAccess;
 
 /// Generated interface for `selfw`.
