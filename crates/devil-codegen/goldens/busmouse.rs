@@ -1,5 +1,5 @@
 // Generated by devilc from device `logitech_busmouse`. Do not edit.
-#![allow(clippy::identity_op, clippy::eq_op, non_snake_case)]
+#![allow(clippy::identity_op, clippy::eq_op, clippy::too_many_arguments, non_snake_case)]
 use devil_runtime::DeviceAccess;
 
 /// Values of the `config` variable.
@@ -158,7 +158,7 @@ impl LogitechBusmouse {
         self.cache_index_reg = (self.cache_index_reg & 0xffffffffffffff9f) | 0x20;
         self.write_index_reg(dev);
         self.read_x_high(dev);
-        self.cache_index_reg = self.cache_index_reg & 0xffffffffffffff9f;
+        self.cache_index_reg &= 0xffffffffffffff9f;
         self.write_index_reg(dev);
         self.read_x_low(dev);
         devil_runtime::sign_extend(((self.cache_x_high & 0xf) << 4) | (self.cache_x_low & 0xf), 8)
@@ -212,7 +212,7 @@ impl LogitechBusmouse {
         self.cache_index_reg = (self.cache_index_reg & 0xffffffffffffff9f) | 0x20;
         self.write_index_reg(dev);
         self.read_x_high(dev);
-        self.cache_index_reg = self.cache_index_reg & 0xffffffffffffff9f;
+        self.cache_index_reg &= 0xffffffffffffff9f;
         self.write_index_reg(dev);
         self.read_x_low(dev);
         self.cache_index_reg = (self.cache_index_reg & 0xffffffffffffff9f) | 0x60;

@@ -1,5 +1,5 @@
 // Generated by devilc from device `pic8259`. Do not edit.
-#![allow(clippy::identity_op, clippy::eq_op, non_snake_case)]
+#![allow(clippy::identity_op, clippy::eq_op, clippy::too_many_arguments, non_snake_case)]
 use devil_runtime::DeviceAccess;
 
 /// Values of the `ic4` variable.

@@ -22,7 +22,7 @@ use crate::plan::{
 };
 use devil_ir::{
     AccessPlan, AccessStep, Compose, DeviceIr, FieldSeg, FuseOp, GuardSource, PlanSlot, PlanStep,
-    PlanValue, Superplan, VarIr,
+    PlanValue, Superplan, VarIr, WriteSeg,
 };
 use devil_sema::model::TypeSem;
 use std::fmt::{self, Write as _};
@@ -32,8 +32,12 @@ pub fn emit_rust(ir: &DeviceIr) -> String {
     let mut out = String::new();
     let ty_name = camel(&ir.name);
     let _ = writeln!(out, "// Generated by devilc from device `{}`. Do not edit.", ir.name);
-    // Method and field names come from spec identifiers (`get_ID`).
-    let _ = writeln!(out, "#![allow(clippy::identity_op, clippy::eq_op, non_snake_case)]");
+    // Method and field names come from spec identifiers (`get_ID`), and
+    // a superplan takes as many operands as its spec declares.
+    let _ = writeln!(
+        out,
+        "#![allow(clippy::identity_op, clippy::eq_op, clippy::too_many_arguments, non_snake_case)]"
+    );
     let _ = writeln!(out, "use devil_runtime::DeviceAccess;\n");
 
     // Enumerated types.
@@ -342,23 +346,40 @@ fn prim_args(field: &Field<'_>, a: &AccessStep) -> String {
     }
 }
 
-/// Appends the composed raw-value expression of a masked store/write to
-/// `out`. The kept bits are parenthesized only when more terms follow.
-fn compose_expr(out: &mut String, cache: &Member<'_>, c: &Compose, input: &str) {
-    if c.keep_and == u64::MAX {
-        let _ = write!(out, "{cache}");
-    } else if c.const_or == 0 && c.segs.is_empty() {
-        let _ = write!(out, "{cache} & {:#x}", c.keep_and);
-    } else {
-        let _ = write!(out, "({cache} & {:#x})", c.keep_and);
-    }
-    if c.const_or != 0 {
-        let _ = write!(out, " | {:#x}", c.const_or);
-    }
+/// Appends the masked store `cache = (cache & keep) | terms` as one
+/// statement, in its shortest form: a constant operand's bits fold
+/// into the constant term at emit time, and a store whose target is
+/// also its left operand assigns with `&=` or `|=`. Appends nothing
+/// when the store changes no bit.
+fn compose_stmt(out: &mut String, indent: &str, cache: &Member<'_>, c: &Compose, input: &str) {
+    let shift = |ws: &WriteSeg| ws.seg.reg_lo as i64 - ws.seg.var_lo as i64;
+    let mut const_or = c.const_or;
     for ws in &c.segs {
-        let shifted = Shift(Operand(&ws.value, input), ws.seg.reg_lo as i64 - ws.seg.var_lo as i64);
-        let _ = write!(out, " | ({shifted} & {:#x})", ws.seg.reg_mask());
+        if let (PlanValue::Const(v), s) = (ws.value, shift(ws)) {
+            const_or |= (if s >= 0 { v << s } else { v >> -s }) & ws.seg.reg_mask();
+        }
     }
+    let terms = || c.segs.iter().filter(|ws| !matches!(ws.value, PlanValue::Const(_)));
+    let count = usize::from(const_or != 0) + terms().count();
+    let _ = match (c.keep_and, count) {
+        (u64::MAX, 0) => return,
+        (keep, 0) => write!(out, "{indent}{cache} &= {keep:#x}"),
+        (u64::MAX, _) => write!(out, "{indent}{cache} |= "),
+        (keep, _) => write!(out, "{indent}{cache} = ({cache} & {keep:#x}) | "),
+    };
+    // A lone term is the whole assigned value: no parentheses.
+    let (open, close) = if c.keep_and == u64::MAX && count == 1 { ("", "") } else { ("(", ")") };
+    let mut sep = "";
+    if const_or != 0 {
+        let _ = write!(out, "{const_or:#x}");
+        sep = " | ";
+    }
+    for ws in terms() {
+        let v = Shift(Operand(&ws.value, input), shift(ws));
+        let _ = write!(out, "{sep}{open}{v} & {:#x}{close}", ws.seg.reg_mask());
+        sep = " | ";
+    }
+    out.push_str(";\n");
 }
 
 /// One plan step as Rust statements. `input` names the value being
@@ -371,24 +392,15 @@ fn step_stmts(ir: &DeviceIr, step: &PlanStep, indent: &str, input: &str, out: &m
         }
         PlanStep::Write { access: a, compose: c, .. } => {
             let field = Field::of(ir, &a.slot);
-            let (n, args) = (field.reg, prim_args(&field, a));
-            if c.is_identity() {
-                let _ = writeln!(out, "{indent}self.write_{n}(dev{args});");
-                return;
-            }
-            let cache = Member("cache", &field);
-            let _ = write!(out, "{indent}{cache} = ");
-            compose_expr(out, &cache, c, input);
-            let _ = writeln!(out, ";\n{indent}self.write_{n}(dev{args});");
+            compose_stmt(out, indent, &Member("cache", &field), c, input);
+            let _ = writeln!(out, "{indent}self.write_{}(dev{});", field.reg, prim_args(&field, a));
         }
         PlanStep::Store(slot, c) => {
             // Cache-only store, no device access (see the interpreter's
             // `store_var_bits`).
             let field = Field::of(ir, slot);
-            let cache = Member("cache", &field);
-            let _ = write!(out, "{indent}{cache} = ");
-            compose_expr(out, &cache, c, input);
-            let _ = writeln!(out, ";\n{indent}{} = true;", Member("valid", &field));
+            compose_stmt(out, indent, &Member("cache", &field), c, input);
+            let _ = writeln!(out, "{indent}{} = true;", Member("valid", &field));
         }
         PlanStep::SetCell { cell, value, mask } => {
             // Cells keep their variable's raw width, like the runtime.
@@ -726,6 +738,13 @@ mod tests {
             "{m}"
         );
         assert!(m.contains("        (v0) as usize\n"), "{m}");
+    }
+
+    #[test]
+    fn masked_stores_take_their_shortest_form() {
+        let m = emit_rust(&ir_for(include_str!("../../../specs/dma8237.dil")));
+        assert!(m.contains("        self.cache_ff_reg &= 0xfffffffffffffffe;\n"), "{m}");
+        assert!(!m.contains("self.cache_ff_reg = self.cache_ff_reg"), "{m}");
     }
 
     #[test]

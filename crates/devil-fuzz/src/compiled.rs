@@ -1,22 +1,28 @@
 //! The compiled-code differential oracle: proves the **generated C and
-//! Rust stubs** faithful to the plan executor by actually compiling and
-//! running them.
+//! Rust stubs** faithful to the plan executor by running them.
 //!
-//! For one spec, [`CompiledHarness::build`] emits one back end's stubs
-//! ([`Backend::emit`]), wraps them in a generated harness — a logging
-//! bus shim plus a command dispatcher over the emitted stub surface —
-//! and compiles the pair: with `cc` for C, with `rustc` against a
-//! `devil_runtime` stand-in for Rust (`compiled_rust.rs`).
-//! Artifacts are keyed by a hash of their sources and compiler command
-//! lines, so repeated runs and CI caches reuse the binary until the
-//! emitter, the spec or the flags change.
-//!
-//! Both harnesses read one command protocol and print one observation
+//! Both back ends replay one op stream and print one observation
 //! format: every bus operation in order, every result, and the final
-//! cache state (raw values, validity flags, memory cells).
-//! [`HarnessView`] renders the plan executor in the same lines, so a
-//! harness and its view are two [`Rig`]s for [`crate::compare`], one
-//! leaf per line.
+//! cache state (raw values, validity flags, memory cells). The plan
+//! executor, rendered in the same lines by [`HarnessView`], is the
+//! other [`Rig`] of each [`crate::compare`], one leaf per line.
+//!
+//! - **C.** [`CompiledHarness::build`] wraps the emitted header
+//!   (`devil_codegen::emit_c`) in a generated harness — a logging bus
+//!   shim plus a command dispatcher over the stub surface — and
+//!   compiles it with `cc -Wall -Werror`. Artifacts are keyed by a hash
+//!   of their sources and compiler command lines, so repeated runs and
+//!   CI caches reuse the binary until the emitter, the spec or the
+//!   flags change.
+//! - **Rust.** The committed emitted modules (`tests/goldens/*.rs`) are
+//!   compiled into the test binary, each with the [`Surface`] glue
+//!   [`rust_glue`] generates for it (`tests/goldens/glue/`). The
+//!   [`CompiledIn`] rig drives a module through that glue, in process,
+//!   with the same replay loop [`HarnessView`] drives the plan
+//!   executor with; so both print their observation lines from the
+//!   same code. The chain the Rust oracle relies on: `emit_goldens`
+//!   ties each golden and its glue to the emitter, and the oracle runs
+//!   the goldens.
 //!
 //! Every access with a compiled plan has a stub, family variables
 //! included (their out-of-domain calls print the runtime's
@@ -26,68 +32,20 @@
 //! a field of which has no cache getter or stager.
 
 use crate::{Op, Rig, Trace};
+use devil_codegen::rust::camel;
 use devil_codegen::{gets_field, stages_field};
-use devil_ir::{AccessRef, DeviceIr, FuseOp};
-use devil_runtime::{DeviceInstance, FakeAccess};
-use devil_sema::model::StructId;
+use devil_ir::{AccessRef, DeviceIr, FuseOp, RegIr, Superplan, VarIr};
+use devil_runtime::{DeviceAccess, DeviceInstance, FakeAccess, RtResult};
+use devil_sema::model::{StructId, TypeSem, VarId};
+use std::fmt::Write as _;
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-/// A compiled back end.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// `devil_codegen::emit_c`, compiled with `cc -Wall -Werror`.
-    C,
-    /// `devil_codegen::emit_rust`, compiled with `rustc`.
-    Rust,
-}
-
-impl Backend {
-    /// The compiler the back end needs.
-    pub fn compiler(self) -> &'static str {
-        match self {
-            Backend::C => "cc",
-            Backend::Rust => "rustc",
-        }
-    }
-
-    /// Whether the compiler is reachable (the oracle is skipped,
-    /// loudly, where it is not).
-    pub fn available(self) -> bool {
-        Command::new(self.compiler())
-            .arg("--version")
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .status()
-            .is_ok()
-    }
-
-    /// The emitted stubs of `ir`; `name` doubles as the C identifier
-    /// prefix.
-    pub fn emit(self, ir: &DeviceIr, name: &str) -> String {
-        match self {
-            Backend::C => devil_codegen::emit_c(ir, name),
-            Backend::Rust => devil_codegen::emit_rust(ir),
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Backend::C => "C",
-            Backend::Rust => "Rust",
-        })
-    }
-}
-
-/// A per-spec compiled stub harness of one back end.
+/// A per-spec compiled C stub harness.
 pub struct CompiledHarness {
     /// Spec name (doubles as the C identifier prefix).
     pub name: String,
-    /// The back end it was built from.
-    pub backend: Backend,
     /// Path of the compiled harness binary.
     bin: PathBuf,
     /// The lowered spec.
@@ -99,26 +57,31 @@ pub struct CompiledHarness {
 const PORT_SHIFT: u64 = 40;
 
 impl CompiledHarness {
-    /// Emits, generates and compiles the harness for one spec into
-    /// `dir`. The binary is keyed by the generated sources and the
-    /// compiler command lines, so an unchanged emitter, spec and flags
-    /// reuse the artifact.
-    pub fn build(
-        backend: Backend,
-        name: &str,
-        ir: &DeviceIr,
-        dir: &Path,
-    ) -> Result<CompiledHarness, String> {
-        let bin = match backend {
-            Backend::C => build_c(name, ir, dir)?,
-            Backend::Rust => crate::compiled_rust::build(name, ir, dir)?,
-        };
-        Ok(CompiledHarness { name: name.into(), backend, bin, ir: ir.clone() })
+    /// Whether `cc` is reachable (the C oracle is skipped, loudly,
+    /// where it is not).
+    pub fn available() -> bool {
+        Command::new("cc")
+            .arg("--version")
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .status()
+            .is_ok()
     }
 
-    /// The plan executor rendered in this harness's observation lines.
-    pub fn view(&self) -> HarnessView<'_> {
-        HarnessView { ir: &self.ir }
+    /// Emits, generates and compiles the harness for one spec into
+    /// `dir`. The binary is keyed by the generated sources and the
+    /// compiler command line, so an unchanged emitter, spec and flags
+    /// reuse the artifact.
+    pub fn build(name: &str, ir: &DeviceIr, dir: &Path) -> Result<CompiledHarness, String> {
+        let header = devil_codegen::emit_c(ir, name);
+        let harness = harness_c(ir, name);
+        let bin = cached_build(
+            dir,
+            name,
+            &[("stubs.h", &header), ("harness.c", &harness)],
+            &[&["cc", "-O1", "-Wall", "-Werror", "-o", ORACLE_BIN, "harness.c"]],
+        )?;
+        Ok(CompiledHarness { name: name.into(), bin, ir: ir.clone() })
     }
 
     /// Runs the harness over a command stream, folding each output line
@@ -148,19 +111,18 @@ impl CompiledHarness {
         let stderr = errors.join().unwrap_or_default();
         if !status.success() {
             return Err(format!(
-                "{} harness for {} exited with {:?}:\n{stderr}",
-                self.backend,
+                "C harness for {} exited with {:?}:\n{stderr}",
                 self.name,
                 status.code()
             ));
         }
-        read.map_err(|e| format!("{} harness for {}: {e}", self.backend, self.name))
+        read.map_err(|e| format!("C harness for {}: {e}", self.name))
     }
 }
 
 impl Rig for CompiledHarness {
     fn name(&self) -> String {
-        format!("compiled {} stubs", self.backend)
+        "compiled C stubs".into()
     }
 
     fn replay(&self, ops: &mut dyn Iterator<Item = Op>, trace: &mut Trace) -> Result<(), String> {
@@ -174,27 +136,13 @@ impl Rig for CompiledHarness {
     }
 }
 
-/// Compiles the C harness, returning the binary's path.
-fn build_c(name: &str, ir: &DeviceIr, dir: &Path) -> Result<PathBuf, String> {
-    let header = Backend::C.emit(ir, name);
-    let harness = harness_c(ir, name);
-    cached_build(
-        Backend::C,
-        dir,
-        name,
-        &[("stubs.h", &header), ("harness.c", &harness)],
-        &[&["cc", "-O1", "-Wall", "-Werror", "-o", ORACLE_BIN, "harness.c"]],
-    )
-}
-
 /// File name of the harness binary inside its build directory.
-pub(crate) const ORACLE_BIN: &str = "oracle";
+const ORACLE_BIN: &str = "oracle";
 
 /// The build directory of one cached artifact under `dir`: named
-/// `stem` (`c-<spec>_` or `rust-<spec>_`) plus a hash of every source
-/// file (name and text) and every compiler command line (program and
-/// arguments), so a change to any of them, the compiler flags alone
-/// included, builds afresh.
+/// `stem` (`<spec>_`) plus a hash of every source file (name and text)
+/// and every compiler command line (program and arguments), so a change
+/// to any of them, the compiler flags alone included, builds afresh.
 fn artifact_dir(dir: &Path, stem: &str, sources: &[(&str, &str)], commands: &[&[&str]]) -> PathBuf {
     let mut key = String::new();
     for (file, text) in sources {
@@ -209,8 +157,8 @@ fn artifact_dir(dir: &Path, stem: &str, sources: &[(&str, &str)], commands: &[&[
 
 /// Removes every completed build under `dir` named `stem` plus a
 /// 16-hex-digit hash other than `keep`, so the cache holds one build
-/// per back end and spec. In-progress `.tmp.<pid>` directories and
-/// other specs' builds do not match.
+/// per spec. In-progress `.tmp.<pid>` directories and other specs'
+/// builds do not match.
 fn evict_superseded(dir: &Path, stem: &str, keep: &Path) {
     for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
         let file = entry.file_name();
@@ -226,15 +174,14 @@ fn evict_superseded(dir: &Path, stem: &str, keep: &Path) {
 /// sources are written to a private temporary directory, the commands
 /// run there in order, and the directory is renamed into place, so
 /// concurrent builders never observe a half-built artifact. Either
-/// way, the superseded builds of `backend`'s `name` are then removed.
-pub(crate) fn cached_build(
-    backend: Backend,
+/// way, the superseded builds of `name` are then removed.
+fn cached_build(
     dir: &Path,
     name: &str,
     sources: &[(&str, &str)],
     commands: &[&[&str]],
 ) -> Result<PathBuf, String> {
-    let stem = format!("{}-{name}_", backend.to_string().to_lowercase());
+    let stem = format!("{name}_");
     let out = artifact_dir(dir, &stem, sources, commands);
     let bin = out.join(ORACLE_BIN);
     if bin.exists() {
@@ -308,7 +255,7 @@ pub fn stub_expresses(ir: &DeviceIr, op: &Op) -> bool {
 /// then reads every field back) or its flush (staging every field
 /// first): the access has a stub and every field a cache getter, or
 /// stager.
-pub(crate) fn struct_stubbed(ir: &DeviceIr, sid: StructId, write: bool) -> bool {
+fn struct_stubbed(ir: &DeviceIr, sid: StructId, write: bool) -> bool {
     let access = if write { AccessRef::WriteStruct(sid) } else { AccessRef::ReadStruct(sid) };
     ir.plan(access).is_some()
         && ir.strct(sid).fields.iter().all(|&f| {
@@ -325,7 +272,6 @@ pub(crate) fn struct_stubbed(ir: &DeviceIr, sid: StructId, write: bool) -> bool 
 /// variables, structures and superplans by id, a variable's family
 /// arguments after its value.
 fn op_command(ir: &DeviceIr, op: &Op, out: &mut String) {
-    use std::fmt::Write as _;
     match op {
         Op::Preset { port, offset, value } => {
             let _ = write!(out, "P {port} {offset} {value}");
@@ -358,14 +304,14 @@ fn op_command(ir: &DeviceIr, op: &Op, out: &mut String) {
             for &a in &call.args {
                 let _ = write!(out, " {a}");
             }
-            let sp = &ir.superplans()[call.sid];
-            if sp.ops.iter().any(|o| matches!(o, FuseOp::WriteBlock { .. })) {
+            let (has_out, has_in) = blocks(&ir.superplans()[call.sid]);
+            if has_out {
                 let _ = write!(out, " {}", call.block_out.len());
                 for &w in &call.block_out {
                     let _ = write!(out, " {w}");
                 }
             }
-            if sp.ops.iter().any(|o| matches!(o, FuseOp::ReadBlock { .. })) {
+            if has_in {
                 let _ = write!(out, " {}", call.block_in_len);
             }
         }
@@ -374,75 +320,154 @@ fn op_command(ir: &DeviceIr, op: &Op, out: &mut String) {
     out.push('\n');
 }
 
-/// The plan executor rendered in the harness's observation lines —
-/// interleaved bus traffic and results, then the final cache dump — so
-/// a [`CompiledHarness`] has a rig to be compared against.
-pub struct HarnessView<'a> {
-    ir: &'a DeviceIr,
+/// The id-keyed access surface the oracle drives: what
+/// [`DeviceInstance`] offers by [`VarId`], [`StructId`] and superplan
+/// index, and what an emitted Rust module offers through the glue
+/// [`rust_glue`] generates for it. Values are raw masked bits, as the
+/// runtime returns them.
+pub trait Surface {
+    /// Reads a variable (`read_id`).
+    fn read_var(&mut self, dev: &mut dyn DeviceAccess, vid: VarId, args: &[u64]) -> RtResult<u64>;
+    /// Writes a variable (`write_id`).
+    fn write_var(
+        &mut self,
+        dev: &mut dyn DeviceAccess,
+        vid: VarId,
+        args: &[u64],
+        value: u64,
+    ) -> RtResult<()>;
+    /// Reads a structure into the cache (`read_struct_id`).
+    fn read_struct(&mut self, dev: &mut dyn DeviceAccess, sid: StructId) -> RtResult<()>;
+    /// Gets a structure field from the cache (`get_field_id`).
+    fn get_field(&mut self, fid: VarId) -> RtResult<u64>;
+    /// Stages a structure field in the cache (`set_field_id`).
+    fn set_field(&mut self, fid: VarId, value: u64) -> RtResult<()>;
+    /// Flushes a structure from the cache (`write_struct_id`).
+    fn write_struct(&mut self, dev: &mut dyn DeviceAccess, sid: StructId) -> RtResult<()>;
+    /// Runs superplan `k` (`run_superplan`).
+    fn superplan(
+        &mut self,
+        dev: &mut dyn DeviceAccess,
+        k: usize,
+        args: &[u64],
+        block_out: &[u64],
+        block_in: &mut [u64],
+        outs: &mut [u64],
+    ) -> RtResult<()>;
+    /// Every cache slot and its validity flag, in IR slot order
+    /// (`cache_snapshot`).
+    fn cache(&self) -> (Vec<u64>, Vec<bool>);
+    /// Every memory cell, in `VarIr::mem_cell` order (`mem_snapshot`).
+    fn mem(&self) -> Vec<u64>;
 }
 
-impl HarnessView<'_> {
-    /// The plan executor's hit table after replaying the ops the stubs
-    /// express: which dispatch points the compiled oracle's streams
-    /// reach.
-    pub fn hits(&self, ops: impl IntoIterator<Item = Op>) -> Result<Vec<u64>, String> {
-        let inst = self.run(&mut ops.into_iter(), &mut Trace::new(false, 0..0))?;
-        Ok(inst.hits().to_vec())
+impl Surface for DeviceInstance {
+    fn read_var(&mut self, dev: &mut dyn DeviceAccess, vid: VarId, args: &[u64]) -> RtResult<u64> {
+        self.read_id(dev, vid, args)
     }
 
-    /// Replays the expressible ops through a fresh plan executor,
-    /// tracing the harness's observation lines; returns the instance.
-    fn run(
-        &self,
-        ops: &mut dyn Iterator<Item = Op>,
-        trace: &mut Trace,
-    ) -> Result<DeviceInstance, String> {
-        let ir = self.ir;
-        let mut inst = DeviceInstance::new(ir.clone());
-        let mut dev = FakeAccess::new();
-        let said = |r: Result<(), devil_runtime::RtError>, tag: String| match r {
-            Ok(()) => format!("O {tag} ok"),
-            Err(e) => format!("O {tag} ERR {e:?}"),
-        };
-        let value = |r: Result<u64, devil_runtime::RtError>, tag: String| match r {
-            Ok(v) => format!("O {tag} {v}"),
-            Err(e) => format!("O {tag} ERR {e:?}"),
-        };
-        for op in ops.filter(|op| stub_expresses(ir, op)) {
-            trace.ops += 1;
-            let mut lines = Vec::new();
-            match &op {
-                Op::Preset { port, offset, value } => dev.preset(*port, *offset, *value),
-                Op::ReadVar { vid, args } => {
-                    lines.push(value(inst.read_id(&mut dev, *vid, args), format!("r{}", vid.0)));
-                }
-                Op::WriteVar { vid, args, value } => {
-                    let r = inst.write_id(&mut dev, *vid, args, *value);
-                    lines.push(said(r, format!("w{}", vid.0)));
-                }
-                Op::ReadStruct { sid } => {
-                    let r = inst.read_struct_id(&mut dev, *sid);
-                    let ok = r.is_ok();
-                    lines.push(said(r, format!("rs{}", sid.0)));
-                    if ok {
-                        for &fid in ir.strct(*sid).fields.iter() {
-                            lines.push(value(inst.get_field_id(fid), format!("f{}", fid.0)));
-                        }
+    fn write_var(
+        &mut self,
+        dev: &mut dyn DeviceAccess,
+        vid: VarId,
+        args: &[u64],
+        value: u64,
+    ) -> RtResult<()> {
+        self.write_id(dev, vid, args, value)
+    }
+
+    fn read_struct(&mut self, dev: &mut dyn DeviceAccess, sid: StructId) -> RtResult<()> {
+        self.read_struct_id(dev, sid)
+    }
+
+    fn get_field(&mut self, fid: VarId) -> RtResult<u64> {
+        self.get_field_id(fid)
+    }
+
+    fn set_field(&mut self, fid: VarId, value: u64) -> RtResult<()> {
+        self.set_field_id(fid, value)
+    }
+
+    fn write_struct(&mut self, dev: &mut dyn DeviceAccess, sid: StructId) -> RtResult<()> {
+        self.write_struct_id(dev, sid)
+    }
+
+    fn superplan(
+        &mut self,
+        dev: &mut dyn DeviceAccess,
+        k: usize,
+        args: &[u64],
+        block_out: &[u64],
+        block_in: &mut [u64],
+        outs: &mut [u64],
+    ) -> RtResult<()> {
+        self.run_superplan(dev, k, args, block_out, block_in, outs)
+    }
+
+    fn cache(&self) -> (Vec<u64>, Vec<bool>) {
+        let (slots, valid) = self.cache_snapshot();
+        (slots.to_vec(), valid.to_vec())
+    }
+
+    fn mem(&self) -> Vec<u64> {
+        self.mem_snapshot().to_vec()
+    }
+}
+
+/// Replays the ops the stubs express through `stubs`, tracing the
+/// oracle's observation lines: each op's bus traffic, then its
+/// results, and after the last op the final cache dump.
+fn replay_surface(
+    ir: &DeviceIr,
+    stubs: &mut dyn Surface,
+    ops: &mut dyn Iterator<Item = Op>,
+    trace: &mut Trace,
+) -> Result<(), String> {
+    let mut dev = FakeAccess::new();
+    let said = |r: RtResult<()>, tag: String| match r {
+        Ok(()) => format!("O {tag} ok"),
+        Err(e) => format!("O {tag} ERR {e:?}"),
+    };
+    let value = |r: RtResult<u64>, tag: String| match r {
+        Ok(v) => format!("O {tag} {v}"),
+        Err(e) => format!("O {tag} ERR {e:?}"),
+    };
+    for op in ops.filter(|op| stub_expresses(ir, op)) {
+        trace.ops += 1;
+        let mut lines = Vec::new();
+        match &op {
+            Op::Preset { port, offset, value } => dev.preset(*port, *offset, *value),
+            Op::ReadVar { vid, args } => {
+                lines.push(value(stubs.read_var(&mut dev, *vid, args), format!("r{}", vid.0)));
+            }
+            Op::WriteVar { vid, args, value } => {
+                let r = stubs.write_var(&mut dev, *vid, args, *value);
+                lines.push(said(r, format!("w{}", vid.0)));
+            }
+            Op::ReadStruct { sid } => {
+                let r = stubs.read_struct(&mut dev, *sid);
+                let ok = r.is_ok();
+                lines.push(said(r, format!("rs{}", sid.0)));
+                if ok {
+                    for &fid in ir.strct(*sid).fields.iter() {
+                        lines.push(value(stubs.get_field(fid), format!("f{}", fid.0)));
                     }
                 }
-                Op::WriteStruct { sid, values } => {
-                    let staged = ir.strct(*sid).fields.iter().try_for_each(|&fid| {
-                        let v = values.iter().find(|&&(f, _)| f == fid).expect("filtered").1;
-                        inst.set_field_id(fid, v)
-                    });
-                    let r = staged.and_then(|()| inst.write_struct_id(&mut dev, *sid));
-                    lines.push(said(r, format!("ws{}", sid.0)));
-                }
-                Op::Super(call) => {
-                    let sp = &ir.superplans()[call.sid];
-                    let mut block_in = vec![0u64; call.block_in_len];
-                    let mut outs = vec![0u64; sp.outputs];
-                    inst.run_superplan(
+            }
+            Op::WriteStruct { sid, values } => {
+                let staged = ir.strct(*sid).fields.iter().try_for_each(|&fid| {
+                    let v = values.iter().find(|&&(f, _)| f == fid).expect("filtered").1;
+                    stubs.set_field(fid, v)
+                });
+                let r = staged.and_then(|()| stubs.write_struct(&mut dev, *sid));
+                lines.push(said(r, format!("ws{}", sid.0)));
+            }
+            Op::Super(call) => {
+                let sp = &ir.superplans()[call.sid];
+                let mut block_in = vec![0u64; call.block_in_len];
+                let mut outs = vec![0u64; sp.outputs];
+                stubs
+                    .superplan(
                         &mut dev,
                         call.sid,
                         &call.args,
@@ -451,41 +476,63 @@ impl HarnessView<'_> {
                         &mut outs,
                     )
                     .map_err(|e| format!("superplan `{}` failed: {e:?}", sp.name))?;
-                    lines.push(format!("O sp{} ok", call.sid));
-                    lines.extend(outs.iter().enumerate().map(|(j, v)| format!("O o{j} {v}")));
-                    lines.extend(block_in.iter().map(|v| format!("O bi {v}")));
-                }
-                Op::ReadBlock { .. } | Op::WriteBlock { .. } => unreachable!("filtered"),
+                lines.push(format!("O sp{} ok", call.sid));
+                lines.extend(outs.iter().enumerate().map(|(j, v)| format!("O o{j} {v}")));
+                lines.extend(block_in.iter().map(|v| format!("O bi {v}")));
             }
-            for &(w, port, offset, value) in &dev.log {
-                trace.line(format!("B {} {port} {offset} {value}", if w { "W" } else { "R" }));
-            }
-            dev.log.clear();
-            for line in lines {
-                trace.line(line);
+            Op::ReadBlock { .. } | Op::WriteBlock { .. } => unreachable!("filtered"),
+        }
+        for &(w, port, offset, value) in &dev.log {
+            trace.line(format!("B {} {port} {offset} {value}", if w { "W" } else { "R" }));
+        }
+        dev.log.clear();
+        for line in lines {
+            trace.line(line);
+        }
+    }
+    // The final cache dump, in the exact order the C harness prints it:
+    // every register's slot, every family instance's, every cell.
+    let (slots, valid) = stubs.cache();
+    for reg in &ir.regs {
+        if let Some(slot) = reg.slot {
+            trace.line(format!("C {} {} {}", reg.name, slots[slot], u8::from(valid[slot])));
+        }
+        if let Some(fs) = &reg.family_slots {
+            for (k, slot) in (fs.base..fs.base + fs.count).enumerate() {
+                let (v, ok) = (slots[slot], u8::from(valid[slot]));
+                trace.line(format!("C {}[{k}] {v} {ok}", reg.name));
             }
         }
-        // The final cache dump, in the exact order the harness prints
-        // it: every register's slot, every family instance's, every cell.
-        let (slots, valid) = inst.cache_snapshot();
-        for reg in &ir.regs {
-            if let Some(slot) = reg.slot {
-                trace.line(format!("C {} {} {}", reg.name, slots[slot], u8::from(valid[slot])));
-            }
-            if let Some(fs) = &reg.family_slots {
-                for (k, slot) in (fs.base..fs.base + fs.count).enumerate() {
-                    let (v, ok) = (slots[slot], u8::from(valid[slot]));
-                    trace.line(format!("C {}[{k}] {v} {ok}", reg.name));
-                }
-            }
+    }
+    let mem = stubs.mem();
+    for var in &ir.vars {
+        if let Some(cell) = var.mem_cell {
+            trace.line(format!("M {} {}", var.name, mem[cell]));
         }
-        let mem = inst.mem_snapshot();
-        for var in &ir.vars {
-            if let Some(cell) = var.mem_cell {
-                trace.line(format!("M {} {}", var.name, mem[cell]));
-            }
-        }
-        Ok(inst)
+    }
+    Ok(())
+}
+
+/// The plan executor rendered in the oracle's observation lines —
+/// interleaved bus traffic and results, then the final cache dump — so
+/// the compiled stubs have a rig to be compared against.
+pub struct HarnessView<'a> {
+    ir: &'a DeviceIr,
+}
+
+impl<'a> HarnessView<'a> {
+    /// The view of a fresh plan executor over `ir`.
+    pub fn new(ir: &'a DeviceIr) -> Self {
+        HarnessView { ir }
+    }
+
+    /// The plan executor's hit table after replaying the ops the stubs
+    /// express: which dispatch points the compiled oracle's streams
+    /// reach.
+    pub fn hits(&self, ops: impl IntoIterator<Item = Op>) -> Result<Vec<u64>, String> {
+        let mut inst = DeviceInstance::new(self.ir.clone());
+        replay_surface(self.ir, &mut inst, &mut ops.into_iter(), &mut Trace::new(false, 0..0))?;
+        Ok(inst.hits().to_vec())
     }
 }
 
@@ -495,8 +542,193 @@ impl Rig for HarnessView<'_> {
     }
 
     fn replay(&self, ops: &mut dyn Iterator<Item = Op>, trace: &mut Trace) -> Result<(), String> {
-        self.run(ops, trace).map(drop)
+        replay_surface(self.ir, &mut DeviceInstance::new(self.ir.clone()), ops, trace)
     }
+}
+
+/// An emitted Rust module compiled into the calling binary, driven in
+/// process through its generated [`Surface`] glue: each replay starts
+/// from the cold instance `fresh` returns.
+pub struct CompiledIn {
+    ir: DeviceIr,
+    fresh: Fresh,
+}
+
+/// The constructor an emitted module's glue exports: a cold instance
+/// of its interface.
+pub type Fresh = fn() -> Box<dyn Surface>;
+
+impl CompiledIn {
+    /// The rig of the module emitted from `ir` whose glue exports
+    /// `fresh`.
+    pub fn new(ir: &DeviceIr, fresh: Fresh) -> Self {
+        CompiledIn { ir: ir.clone(), fresh }
+    }
+}
+
+impl Rig for CompiledIn {
+    fn name(&self) -> String {
+        "compiled Rust stubs".into()
+    }
+
+    fn replay(&self, ops: &mut dyn Iterator<Item = Op>, trace: &mut Trace) -> Result<(), String> {
+        replay_surface(&self.ir, &mut *(self.fresh)(), ops, trace)
+    }
+}
+
+/// Generates the [`Surface`] glue of the Rust module emitted from `ir`,
+/// committed as `tests/goldens/glue/<name>.rs` beside the module
+/// `tests/goldens/<name>.rs`, which it includes. It only calls the
+/// stubs: signed getters' results are masked back to raw width (the
+/// emitted getters sign-extend, the runtime returns raw bits), and the
+/// cache fields are listed in IR slot order. A `fresh()` function hands
+/// out a cold instance.
+pub fn rust_glue(ir: &DeviceIr, name: &str) -> String {
+    let ty = camel(&ir.name);
+    let mut g = format!(
+        "// Surface glue for the emitted `{0}` module. Generated by devil-fuzz; do not edit.\n\
+         use devil_fuzz::compiled::Surface;\n\
+         use devil_runtime::{{DeviceAccess, RtError}};\n\
+         use devil_sema::model::{{StructId, VarId}};\n\n\
+         #[path = \"../{name}.rs\"]\nmod stubs;\n\n\
+         /// A cold `{ty}` behind its id-keyed surface.\n\
+         pub fn fresh() -> Box<dyn Surface> {{\n    Box::new(stubs::{ty}::new())\n}}\n\n\
+         impl Surface for stubs::{ty} {{\n",
+        ir.name
+    );
+    let vars = || ir.vars.iter().zip(0..);
+    let args =
+        |var: &VarIr| (0..var.params.len()).map(|k| format!(", args[{k}]")).collect::<String>();
+    // A getter's result as raw bits; a family call's `Err` returns.
+    let raw = |var: &VarIr, call: String| {
+        let call = if var.params.is_empty() { call } else { format!("{call}?") };
+        match var.ty {
+            TypeSem::SInt(_) => format!("({call} as u64) & {:#x}", devil_ir::width_mask(var.width)),
+            _ => call,
+        }
+    };
+    let arms = vars().filter(|(v, _)| v.read_plan.is_some()).map(|(var, i)| {
+        let (verb, dev) = match (var.mem_cell, var.parent) {
+            (Some(_), _) => ("get", String::new()),
+            (None, Some(_)) => ("read", format!("dev{}", args(var))),
+            (None, None) => ("get", format!("dev{}", args(var))),
+        };
+        (i, raw(var, format!("self.{verb}_{}({dev})", var.name)))
+    });
+    let dev = "dev: &mut dyn DeviceAccess";
+    method(&mut g, "read_var", &format!("{dev}, vid: VarId, args: &[u64]"), "u64", "vid.0", arms);
+    let arms = vars().filter(|(v, _)| v.write_plan.is_some()).map(|(var, i)| {
+        let n = &var.name;
+        let call = match () {
+            _ if var.mem_cell.is_some() && var.set.is_empty() => format!("self.set_{n}(v)"),
+            _ if var.params.is_empty() => format!("self.set_{n}(dev, v)"),
+            _ => format!("self.set_{n}(dev{}, v)?", args(var)),
+        };
+        (i, call)
+    });
+    let params = format!("{dev}, vid: VarId, args: &[u64], v: u64");
+    method(&mut g, "write_var", &params, "()", "vid.0", arms);
+
+    let stubbed = |write| {
+        (0..).zip(&ir.structs).filter(move |&(s, _)| struct_stubbed(ir, StructId(s), write))
+    };
+    let fields =
+        |write| stubbed(write).flat_map(|(_, st)| st.fields.iter()).map(|&f| (f.0, ir.var(f)));
+    let sid = format!("{dev}, sid: StructId");
+    let arms = stubbed(false).map(|(s, st)| (s, format!("self.get_{}(dev)", st.name)));
+    method(&mut g, "read_struct", &sid, "()", "sid.0", arms);
+    let arms = fields(false).map(|(f, var)| (f, raw(var, format!("self.get_{}()", var.name))));
+    method(&mut g, "get_field", "fid: VarId", "u64", "fid.0", arms);
+    let arms = fields(true).map(|(f, var)| (f, format!("self.stage_{}(v)", var.name)));
+    method(&mut g, "set_field", "fid: VarId, v: u64", "()", "fid.0", arms);
+    let arms = stubbed(true).map(|(s, st)| (s, format!("self.put_{}(dev)", st.name)));
+    method(&mut g, "write_struct", &sid, "()", "sid.0", arms);
+
+    let arms = ir.superplans().iter().zip(0..).map(|(sp, k)| {
+        let mut call = format!("self.sp_{}(dev", sp.name);
+        for i in 0..sp.args {
+            let _ = write!(call, ", args[{i}]");
+        }
+        let (has_out, has_in) = blocks(sp);
+        for (has, buf) in [(sp.outputs > 0, "outs"), (has_out, "block_out"), (has_in, "block_in")] {
+            if has {
+                let _ = write!(call, ", {buf}");
+            }
+        }
+        (k, call + ")")
+    });
+    let bufs = "args: &[u64], block_out: &[u64], block_in: &mut [u64], outs: &mut [u64]";
+    method(&mut g, "superplan", &format!("{dev}, k: usize, {bufs}"), "()", "k", arms);
+
+    // The cache fields in slot order: the lowering numbers registers'
+    // slots in declaration order, a family's as one contiguous range.
+    let cached: Vec<&RegIr> =
+        ir.regs.iter().filter(|r| r.slot.is_some() || r.family_slots.is_some()).collect();
+    let list = |kind: &str| {
+        let field = |r: &&RegIr| match r.slot {
+            Some(_) => format!("&[self.{kind}_{}]", r.name),
+            None => format!("&self.{kind}_{}", r.name),
+        };
+        cached.iter().map(field).collect::<Vec<_>>().join(", ")
+    };
+    let n = cached.len();
+    let _ = writeln!(g, "    fn cache(&self) -> (Vec<u64>, Vec<bool>) {{");
+    let _ = writeln!(g, "        let slots: [&[u64]; {n}] = [{}];", list("cache"));
+    let _ = writeln!(g, "        let valid: [&[bool]; {n}] = [{}];", list("valid"));
+    let _ = writeln!(g, "        (slots.concat(), valid.concat())\n    }}\n");
+    let mut cells: Vec<(usize, &str)> =
+        ir.vars.iter().filter_map(|v| Some((v.mem_cell?, &v.name[..]))).collect();
+    cells.sort_unstable();
+    let cells: Vec<String> = cells.iter().map(|(_, n)| format!("self.mem_{n}")).collect();
+    let _ = writeln!(g, "    fn mem(&self) -> Vec<u64> {{");
+    let _ = writeln!(g, "        vec![{}]\n    }}\n}}", cells.join(", "));
+    g
+}
+
+/// Whether superplan `sp` streams a block out, and one in.
+fn blocks(sp: &Superplan) -> (bool, bool) {
+    let has = |block: fn(&FuseOp) -> bool| sp.ops.iter().any(block);
+    (
+        has(|o| matches!(o, FuseOp::WriteBlock { .. })),
+        has(|o| matches!(o, FuseOp::ReadBlock { .. })),
+    )
+}
+
+/// Appends the glue method `name(&mut self, params) -> Result<ret,
+/// RtError>`: a `match` on `key` (an id parameter, or its index) over
+/// `arms` — each an id and the stub call it dispatches to — whose
+/// value is the result, or is discarded before `Ok(())` when `ret` is
+/// `()`. A method without arms is unreachable: the oracle never
+/// replays what the spec has no stub for. A parameter no arm names is
+/// renamed `_`.
+fn method(
+    g: &mut String,
+    name: &str,
+    params: &str,
+    ret: &str,
+    key: &str,
+    arms: impl Iterator<Item = (u32, String)>,
+) {
+    let arms: String = arms.map(|(id, call)| format!("            {id} => {call},\n")).collect();
+    let id = key.split('.').next().unwrap_or(key);
+    let named = |param: &str| {
+        let (p, ty) = param.split_once(": ").expect("`name: type`");
+        let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+        let mut at = arms.match_indices(p).map(|(i, _)| (&arms[..i], &arms[i + p.len()..]));
+        let used =
+            p == id || at.any(|(l, r)| !ident(l.chars().next_back()) && !ident(r.chars().next()));
+        format!("{}: {ty}", if used { p } else { "_" })
+    };
+    let params: Vec<String> = params.split(", ").map(named).collect();
+    let _ =
+        writeln!(g, "    fn {name}(&mut self, {}) -> Result<{ret}, RtError> {{", params.join(", "));
+    let fallback = format!("unreachable!(\"no stub for {{{id}:?}}\")");
+    let _ = match (arms.is_empty(), ret) {
+        (true, _) => writeln!(g, "        {fallback}"),
+        (false, "()") => writeln!(g, "        match {key} {{\n{arms}            _ => {fallback},\n        }}\n        Ok(())"),
+        (false, _) => writeln!(g, "        Ok(match {key} {{\n{arms}            _ => {fallback},\n        }})"),
+    };
+    g.push_str("    }\n\n");
 }
 
 /// The C harness's fixed half, ahead of the header: the logging bus
@@ -564,7 +796,6 @@ static inline void shim_out(unsigned long long v, unsigned long long addr) {
 /// a command dispatcher over the stub surface. Every command but `P`
 /// and `D` names its variable, structure or superplan by id.
 fn harness_c(ir: &DeviceIr, prefix: &str) -> String {
-    use std::fmt::Write as _;
     // The shim precedes the include: the header's `static inline`
     // superplan bodies must bind the bus primitives to the shim at their
     // definition site, not only at the macro-stub use sites in `main`.
@@ -698,8 +929,7 @@ fn harness_c(ir: &DeviceIr, prefix: &str) -> String {
     c.push_str(end);
     section(&mut c, "SP", "");
     for (si, sp) in ir.superplans().iter().enumerate() {
-        let has_out = sp.ops.iter().any(|o| matches!(o, FuseOp::WriteBlock { .. }));
-        let has_in = sp.ops.iter().any(|o| matches!(o, FuseOp::ReadBlock { .. }));
+        let (has_out, has_in) = blocks(sp);
         let _ = writeln!(c, "            case {si}: {{");
         let _ = writeln!(c, "                unsigned long long a[{}];", sp.args.max(1));
         let _ = writeln!(c, "                unsigned long long outs[{}];", sp.outputs.max(1));
@@ -755,33 +985,33 @@ mod tests {
     fn compiler_flags_key_the_artifact() {
         let dir = Path::new("cache");
         let sources: &[(&str, &str)] = &[("harness.c", "int main(void) { return 0; }")];
-        let build = |flags: &[&str]| artifact_dir(dir, "c-spec_", sources, &[flags]);
+        let build = |flags: &[&str]| artifact_dir(dir, "spec_", sources, &[flags]);
         let o1 = build(&["cc", "-O1", "-o", ORACLE_BIN, "harness.c"]);
         assert_eq!(o1, build(&["cc", "-O1", "-o", ORACLE_BIN, "harness.c"]));
         assert_ne!(o1, build(&["cc", "-O2", "-o", ORACLE_BIN, "harness.c"]));
         assert_ne!(o1, build(&["clang", "-O1", "-o", ORACLE_BIN, "harness.c"]));
-        let other = artifact_dir(dir, "c-spec_", &[("harness.c", "int x;")], &[&["cc", "-O1"]]);
-        assert_ne!(other, artifact_dir(dir, "c-spec_", sources, &[&["cc", "-O1"]]));
+        let other = artifact_dir(dir, "spec_", &[("harness.c", "int x;")], &[&["cc", "-O1"]]);
+        assert_ne!(other, artifact_dir(dir, "spec_", sources, &[&["cc", "-O1"]]));
     }
 
-    /// A rebuild of one (back end, spec) pair from new sources evicts
-    /// the superseded build, and only it.
+    /// A rebuild of one spec from new sources evicts the superseded
+    /// build, and only it: a neighbouring spec's build and a pending
+    /// build directory stay.
     #[test]
     fn a_rebuild_evicts_only_the_superseded_build() {
         let dir = std::env::temp_dir().join(format!("devil-fuzz-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let copy: &[&str] = &["cp", "src", ORACLE_BIN];
-        let build = |backend, spec, text| {
-            let bin = cached_build(backend, &dir, spec, &[("src", text)], &[copy]).unwrap();
+        let build = |spec, text| {
+            let bin = cached_build(&dir, spec, &[("src", text)], &[copy]).unwrap();
             bin.parent().unwrap().file_name().unwrap().to_str().unwrap().to_string()
         };
-        let pending = dir.join("c-spec_0123456789abcdef.tmp.1");
+        let pending = dir.join("spec_0123456789abcdef.tmp.1");
         std::fs::create_dir_all(&pending).unwrap();
-        let rust = build(Backend::Rust, "spec", "r");
-        let neighbour = build(Backend::C, "spec2", "n");
-        let first = build(Backend::C, "spec", "one");
-        assert_eq!(build(Backend::C, "spec", "one"), first, "an unchanged build is reused");
-        let second = build(Backend::C, "spec", "two");
+        let neighbour = build("spec2", "n");
+        let first = build("spec", "one");
+        assert_eq!(build("spec", "one"), first, "an unchanged build is reused");
+        let second = build("spec", "two");
         assert_ne!(first, second);
         let mut left: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
@@ -789,7 +1019,7 @@ mod tests {
             .collect();
         left.sort();
         let _ = std::fs::remove_dir_all(&dir);
-        let mut want = vec![second, neighbour, rust, "c-spec_0123456789abcdef.tmp.1".into()];
+        let mut want = vec![second, neighbour, "spec_0123456789abcdef.tmp.1".into()];
         want.sort();
         assert_eq!(left, want);
     }

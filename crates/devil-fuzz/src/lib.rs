@@ -3,15 +3,15 @@
 //! The plan executor ([`DeviceInstance`]: precompiled [`devil_ir`]
 //! plans, indexed flat cache slots), the reference interpreter
 //! ([`ReferenceInstance`]) and the compiled C and Rust stubs
-//! ([`compiled::CompiledHarness`]) must be observationally
-//! indistinguishable: same device-visible bus traffic, same final
-//! state, same results and errors. This crate turns a raw stream of
-//! random words into a valid-ish [`Op`] sequence over a lowered device
-//! (superplan calls included, as [`Op::Super`]) and replays it through
-//! two [`Rig`]s. [`compare`] is the one comparator: both rigs fold what
-//! they observe into an MMR trace, and the verdict is one 32-byte root
-//! compare; a mismatch bisects to the first divergent leaf and renders
-//! the lines around it.
+//! ([`compiled::CompiledHarness`], [`compiled::CompiledIn`]) must be
+//! observationally indistinguishable: same device-visible bus traffic,
+//! same final state, same results and errors. This crate turns a raw
+//! stream of random words into a valid-ish [`Op`] sequence over a
+//! lowered device (superplan calls included, as [`Op::Super`]) and
+//! replays it through two [`Rig`]s. [`compare`] is the one comparator:
+//! both rigs fold what they observe into an MMR trace, and the verdict
+//! is one 32-byte root compare; a mismatch bisects to the first
+//! divergent leaf and renders the lines around it.
 //!
 //! The generator is deliberately a pure function of the word stream,
 //! so a failing proptest case is replayable from its printed seed
@@ -24,7 +24,6 @@ use devil_runtime::{DeviceInstance, FakeAccess, ReferenceInstance};
 use devil_sema::model::{Offset, StructId, VarId};
 
 pub mod compiled;
-mod compiled_rust;
 pub mod corpus;
 pub mod coverage;
 pub mod rooted;
@@ -48,9 +47,6 @@ use superfuzz::SuperCall;
 /// superplans — the rig set the fuzz targets, the compiled oracles, the
 /// verifier and the emit goldens enumerate.
 pub fn spec_library() -> Vec<(String, DeviceIr)> {
-    let lowered = |src: &str| {
-        devil_ir::lower(&devil_sema::check_source(src, &[]).expect("embedded spec checks"))
-    };
     let shipped = drivers::specs::ALL.iter().map(|&(name, src)| {
         let mut ir = lowered(src);
         drivers::superplans::install(&mut ir);
@@ -62,6 +58,15 @@ pub fn spec_library() -> Vec<(String, DeviceIr)> {
         (name.to_string(), ir)
     });
     shipped.chain(synthetic).collect()
+}
+
+/// The compiled-oracle probe specs ([`synthetic::PROBES`]), lowered.
+pub fn probe_library() -> Vec<(String, DeviceIr)> {
+    synthetic::PROBES.iter().map(|&(name, src)| (name.to_string(), lowered(src))).collect()
+}
+
+fn lowered(src: &str) -> DeviceIr {
+    devil_ir::lower(&devil_sema::check_source(src, &[]).expect("embedded spec checks"))
 }
 
 /// One engine of a differential replay, borrowed: the plan executor or

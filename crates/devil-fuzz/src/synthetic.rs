@@ -7,6 +7,11 @@
 //! Rust oracles (`tests/compiled_diff.rs`, `tests/compiled_rust_diff.rs`).
 //! CI's nightly `fuzz-extended` and `compiled-diff` jobs enumerate the
 //! same lists at raised case counts.
+//!
+//! [`PROBES`] holds the two compiled-oracle probe specs. They stay out
+//! of [`ALL`], so the spec library, the fuzz targets and the benchmarks
+//! never see them; the emit goldens pin their modules, and the Rust
+//! oracle compiles those in.
 
 /// A write order testing the variable being written: the reference
 /// interpreter stores the bits before evaluating the condition, so the compiled
@@ -85,3 +90,25 @@ pub const ALL: &[(&str, &str)] = &[
     ("nestede", NESTED_ENTRY),
     ("selfact", SELF_TESTED_ACTION),
 ];
+
+/// A structure with a private (memory-cell) field: staging, the
+/// set-action and the cached getter of the cell field.
+pub const PRIVATE_FIELD: &str = r#"device privfield (base : bit[8] port @ {0..0}) {
+    register a = base @ 0, set {pm = true} : bit[8];
+    structure s = {
+      private variable pm : bool;
+      variable fa = a : int(8);
+    };
+}"#;
+
+/// A two-parameter family, read through a variable that fixes one
+/// parameter and through one that passes both, with a gap in one
+/// domain.
+pub const TWO_PARAM_FAMILY: &str = r#"device fam2 (base : bit[8] port @ {0..1}) {
+    register g(i : int{0..1}, j : int{2..3, 7}) = base @ i : bit[8];
+    variable w(j : int{2..3, 7}) = g(1, j)[3..0], volatile : int(4);
+    variable u(i : int{0..1}, j : int{2..3, 7}) = g(i, j)[7..4] : int(4);
+}"#;
+
+/// The compiled-oracle probe specs, named like [`ALL`] but outside it.
+pub const PROBES: &[(&str, &str)] = &[("privfield", PRIVATE_FIELD), ("fam2", TWO_PARAM_FAMILY)];

@@ -8,7 +8,7 @@
 mod common;
 mod oracle;
 
-use devil_fuzz::compiled::Backend::C;
+use oracle::Lang::C;
 use proptest::prelude::*;
 
 #[test]

@@ -1,42 +1,123 @@
 //! The compiled-stub differential oracle over the whole embedded spec
-//! library, written once for both emitted back ends: emit a spec's
-//! stubs (the C header, or the Rust module), compile them with a
-//! generated bus-shim harness (`cc`, or `rustc` against a logging
-//! `DeviceAccess` shim crate), replay fuzz op-streams through the
-//! compiled binary and through the plan executor's harness view, and
-//! compare bus logs, read results and final cache state.
+//! library, written once for both emitted back ends: replay fuzz
+//! op-streams through a spec's compiled stubs and through the plan
+//! executor's harness view, and compare bus logs, read results and
+//! final cache state.
 //!
-//! Each test binary (`compiled_diff` for C, `compiled_rust_diff` for
-//! Rust) calls these bodies with its back end. A back end skips loudly
-//! (but green) when its compiler is missing, so tier-1 stays runnable
-//! anywhere. Artifacts are cached in `CARGO_TARGET_TMPDIR` under a hash
-//! of their sources and compiler command lines, so repeated runs (and
-//! CI caches of `target/tmp`) compile each spec at most once per
-//! emitter, spec and flag revision.
+//! Each test binary calls these bodies with its [`Lang`]:
+//! `compiled_diff` with the C headers, which it emits, compiles with
+//! `cc` into a bus-shim harness and runs as a subprocess;
+//! `compiled_rust_diff` with the committed Rust goldens it compiles in,
+//! which it drives in process. The C oracle skips loudly (but green)
+//! when `cc` is missing, so tier-1 stays runnable anywhere; its
+//! artifacts are cached in `CARGO_TARGET_TMPDIR` under a hash of their
+//! sources and compiler command line, so repeated runs (and CI caches
+//! of `target/tmp`) compile each spec at most once per emitter, spec
+//! and flag revision. The Rust oracle needs no toolchain at run time:
+//! `emit_goldens` ties the goldens to the emitter, and this oracle
+//! runs the goldens.
 
 use crate::common::Skewed;
-use devil_fuzz::compiled::{stub_expresses, Backend, CompiledHarness};
+use devil_fuzz::compiled::{stub_expresses, CompiledHarness, CompiledIn, Fresh, HarnessView};
 use devil_fuzz::coverage::{corpus, Coverage};
 use devil_fuzz::superfuzz::{decode_super, super_sweep};
 use devil_fuzz::{compare, decode, init_sweep_ops, render, sweep_ops, Mismatch, Op, Outcome, Rig};
+use devil_ir::DeviceIr;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
+/// The stubs a test binary compares with the plan executor.
+#[derive(Clone, Copy)]
+// Each test binary constructs one variant.
+#[allow(dead_code)]
+pub enum Lang {
+    /// The emitted C headers, built into harness binaries with `cc`.
+    C,
+    /// The emitted Rust modules compiled into the test binary: each
+    /// spec's name and its glue's cold-instance constructor.
+    Rust(&'static [(&'static str, Fresh)]),
+}
+
+impl std::fmt::Display for Lang {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Lang::C => "C",
+            Lang::Rust(_) => "Rust",
+        })
+    }
+}
+
+impl Lang {
+    /// The compiled stubs of one spec.
+    fn stubs(self, name: &str, ir: &DeviceIr) -> Stubs {
+        let rig: Box<dyn Rig + Send + Sync> = match self {
+            Lang::C => Box::new(
+                CompiledHarness::build(name, ir, &oracle_dir())
+                    .unwrap_or_else(|e| panic!("{name}: cannot build the C oracle: {e}")),
+            ),
+            Lang::Rust(modules) => {
+                let found = modules.iter().find(|(n, _)| *n == name);
+                let (_, fresh) = found.unwrap_or_else(|| panic!("{name}: no compiled-in module"));
+                Box::new(CompiledIn::new(ir, *fresh))
+            }
+        };
+        Stubs { name: name.into(), ir: ir.clone(), rig }
+    }
+
+    /// The emitted text the stubs are compiled from.
+    fn emit(self, ir: &DeviceIr, name: &str) -> String {
+        match self {
+            Lang::C => devil_codegen::emit_c(ir, name),
+            Lang::Rust(_) => devil_codegen::emit_rust(ir),
+        }
+    }
+}
+
+/// One spec's compiled stubs, as a rig.
+pub struct Stubs {
+    name: String,
+    ir: DeviceIr,
+    rig: Box<dyn Rig + Send + Sync>,
+}
+
+impl Stubs {
+    /// The plan executor rendered in the stubs' observation lines.
+    fn view(&self) -> HarnessView<'_> {
+        HarnessView::new(&self.ir)
+    }
+}
+
+impl Rig for Stubs {
+    fn name(&self) -> String {
+        self.rig.name()
+    }
+
+    fn replay(
+        &self,
+        ops: &mut dyn Iterator<Item = Op>,
+        trace: &mut devil_fuzz::Trace,
+    ) -> Result<(), String> {
+        self.rig.replay(ops, trace)
+    }
+}
+
 fn oracle_dir() -> PathBuf {
     std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("compiled-oracle")
 }
 
-/// Whether `backend`'s compiler is on PATH; every call that finds it
-/// missing says so. The probe spawns a process, so it runs once per
-/// test binary, and a test binary runs one back end.
-fn available(backend: Backend) -> bool {
-    static AVAILABLE: OnceLock<(Backend, bool)> = OnceLock::new();
-    let &(probed, found) = AVAILABLE.get_or_init(|| (backend, backend.available()));
-    assert_eq!(probed, backend, "one back end per test binary");
+/// Whether `lang`'s stubs can run: the Rust ones always can; the C ones
+/// need `cc` on PATH, and every call that finds it missing says so. The
+/// probe spawns a process, so it runs once per test binary.
+fn available(lang: Lang) -> bool {
+    static CC: OnceLock<bool> = OnceLock::new();
+    if let Lang::Rust(_) = lang {
+        return true;
+    }
+    let found = *CC.get_or_init(CompiledHarness::available);
     if !found {
-        eprintln!("skipping the compiled-{backend} oracle: no `{}` on PATH", backend.compiler());
+        eprintln!("skipping the compiled-C oracle: no `cc` on PATH");
     }
     found
 }
@@ -45,54 +126,57 @@ fn synthetic(name: &str) -> bool {
     devil_fuzz::synthetic::ALL.iter().any(|(n, _)| *n == name)
 }
 
-/// The 8-spec library plus the synthetic formerly-fallback specs,
-/// lowered and compiled once per test binary for `backend`; empty when
-/// its compiler is missing. Ops without a stub (accesses without a
-/// plan, plain block transfers) are dropped identically by both rigs
-/// of a compare.
-fn harnesses(backend: Backend) -> &'static [CompiledHarness] {
-    static HARNESSES: OnceLock<Vec<CompiledHarness>> = OnceLock::new();
-    if !available(backend) {
+/// The 8-spec library plus the synthetic formerly-fallback specs, each
+/// with its compiled stubs, built once per test binary (which runs one
+/// `Lang`); empty when they cannot run. Ops without a stub (accesses
+/// without a plan, plain block transfers) are dropped identically by
+/// both rigs of a compare.
+fn harnesses(lang: Lang) -> &'static [Stubs] {
+    static HARNESSES: OnceLock<(String, Vec<Stubs>)> = OnceLock::new();
+    if !available(lang) {
         return &[];
     }
-    HARNESSES.get_or_init(|| {
-        devil_fuzz::spec_library()
-            .iter()
-            .map(|(name, ir)| {
-                CompiledHarness::build(backend, name, ir, &oracle_dir()).unwrap_or_else(|e| {
-                    panic!("{name}: cannot build the compiled-{backend} oracle: {e}")
-                })
-            })
-            .collect()
-    })
+    let (built, stubs) = HARNESSES.get_or_init(|| {
+        let library = devil_fuzz::spec_library();
+        (lang.to_string(), library.iter().map(|(name, ir)| lang.stubs(name, ir)).collect())
+    });
+    assert_eq!(*built, lang.to_string(), "one back end per test binary");
+    stubs
 }
 
-/// The compiled harness of spec `name`. Call it only once
-/// [`available`] has returned true.
-fn named(backend: Backend, name: &str) -> &'static CompiledHarness {
-    let found = harnesses(backend).iter().find(|h| h.name == name);
-    found.unwrap_or_else(|| panic!("{name}: not in the compiled-{backend} spec library"))
+/// The compiled stubs of spec `name`. Call it only once [`available`]
+/// has returned true.
+fn named(lang: Lang, name: &str) -> &'static Stubs {
+    let found = harnesses(lang).iter().find(|h| h.name == name);
+    found.unwrap_or_else(|| panic!("{name}: not in the compiled-{lang} spec library"))
+}
+
+/// The compiled stubs of probe spec `name` (`devil_fuzz::synthetic::PROBES`).
+fn probe(lang: Lang, name: &str) -> Stubs {
+    let probes = devil_fuzz::probe_library();
+    let (_, ir) = probes.iter().find(|(n, _)| n == name).expect("a probe spec");
+    lang.stubs(name, ir)
 }
 
 /// The compiled stubs against the plan executor's harness view.
-fn diff(h: &CompiledHarness, ops: &[Op]) -> Result<Outcome, Mismatch> {
+fn diff(h: &Stubs, ops: &[Op]) -> Result<Outcome, Mismatch> {
     compare(&h.view(), h, || ops.iter().cloned())
 }
 
-fn assert_agrees(h: &CompiledHarness, ops: &[Op]) {
+fn assert_agrees(h: &Stubs, ops: &[Op]) {
     if let Err(e) = diff(h, ops) {
-        panic!("{} ({}): {e}", h.name, h.backend);
+        panic!("{} ({}): {e}", h.name, h.rig.name());
     }
 }
 
 /// Every spec's stub surface is non-trivial: the oracle is replaying
 /// real work, not an empty filtered stream. Every module compiled, or
 /// the harness constructor would have panicked.
-pub fn stub_surface_covers_the_spec_library(backend: Backend) {
-    if !available(backend) {
+pub fn stub_surface_covers_the_spec_library(lang: Lang) {
+    if !available(lang) {
         return;
     }
-    for h in harnesses(backend) {
+    for h in harnesses(lang) {
         assert!(
             h.ir.vars.iter().any(|v| v.read_plan.is_some() || v.write_plan.is_some()),
             "{}: no variable stubs emitted",
@@ -107,7 +191,7 @@ pub fn stub_surface_covers_the_spec_library(backend: Backend) {
     }
     // The guard-split flagship: pic8259's conditional init flush is a
     // compiled stub, exercised through every guard combination.
-    let pic = named(backend, "pic8259");
+    let pic = named(lang, "pic8259");
     let init = pic.ir.struct_id("init").unwrap();
     let ws = Op::WriteStruct { sid: init, values: vec![] };
     assert!(pic.ir.strct(init).write_plan.is_some(), "pic init flush must be compiled");
@@ -117,16 +201,16 @@ pub fn stub_surface_covers_the_spec_library(backend: Backend) {
 }
 
 /// The deterministic coverage sweep, compiled stubs vs the plans.
-pub fn coverage_sweep_matches(backend: Backend) {
-    for h in harnesses(backend) {
+pub fn coverage_sweep_matches(lang: Lang) {
+    for h in harnesses(lang) {
         assert_agrees(h, &sweep_ops(&h.ir));
     }
 }
 
 /// The guard-domain init sweep: every structure flushed across its
 /// whole guard cross product, compiled stubs vs the plans.
-pub fn init_sequence_sweep_matches(backend: Backend) {
-    for h in harnesses(backend) {
+pub fn init_sequence_sweep_matches(lang: Lang) {
+    for h in harnesses(lang) {
         assert_agrees(h, &init_sweep_ops(&h.ir));
     }
 }
@@ -135,8 +219,8 @@ pub fn init_sequence_sweep_matches(backend: Backend) {
 /// same device I/O as `read_id` on a never-touched cache, then serve
 /// later reads without I/O — validity tracking, not zero-initialization,
 /// decides. Family variables read their first instance.
-pub fn cold_and_warm_reads_match(backend: Backend) {
-    for h in harnesses(backend) {
+pub fn cold_and_warm_reads_match(lang: Lang) {
+    for h in harnesses(lang) {
         let mut ops: Vec<Op> = Vec::new();
         for op in devil_fuzz::probe_ops(&h.ir) {
             ops.push(op.clone());
@@ -150,19 +234,12 @@ pub fn cold_and_warm_reads_match(backend: Backend) {
 /// cached getters must agree between compiled stubs and the plans.
 /// Regression for the lowering bug where such fields carried an empty
 /// slot-assemble list and the cached getter returned 0.
-pub fn private_struct_fields_agree(backend: Backend) {
-    if !available(backend) {
+pub fn private_struct_fields_agree(lang: Lang) {
+    if !available(lang) {
         return;
     }
-    let src = r#"device privfield (base : bit[8] port @ {0..0}) {
-        register a = base @ 0, set {pm = true} : bit[8];
-        structure s = {
-          private variable pm : bool;
-          variable fa = a : int(8);
-        };
-    }"#;
-    let model = devil_sema::check_source(src, &[]).expect("probe spec checks");
-    let ir = devil_ir::lower(&model);
+    let h = probe(lang, "privfield");
+    let ir = &h.ir;
     let pm = ir.var_id("pm").unwrap();
     let fa = ir.var_id("fa").unwrap();
     let sid = ir.struct_id("s").unwrap();
@@ -173,8 +250,6 @@ pub fn private_struct_fields_agree(backend: Backend) {
         Op::ReadStruct { sid },
         Op::ReadVar { vid: pm, args: vec![] },
     ];
-    let h = CompiledHarness::build(backend, "privfield", &ir, &oracle_dir())
-        .expect("probe stub builds");
     assert_agrees(&h, &ops);
 }
 
@@ -182,16 +257,12 @@ pub fn private_struct_fields_agree(backend: Backend) {
 /// parameter and through one that passes both: the index helper, the
 /// constants folded into a slot and the per-argument domain checks
 /// (gaps included) must agree with the plans, instance by instance.
-pub fn multi_parameter_families_agree(backend: Backend) {
-    if !available(backend) {
+pub fn multi_parameter_families_agree(lang: Lang) {
+    if !available(lang) {
         return;
     }
-    let src = r#"device fam2 (base : bit[8] port @ {0..1}) {
-        register g(i : int{0..1}, j : int{2..3, 7}) = base @ i : bit[8];
-        variable w(j : int{2..3, 7}) = g(1, j)[3..0], volatile : int(4);
-        variable u(i : int{0..1}, j : int{2..3, 7}) = g(i, j)[7..4] : int(4);
-    }"#;
-    let ir = devil_ir::lower(&devil_sema::check_source(src, &[]).expect("probe spec checks"));
+    let h = probe(lang, "fam2");
+    let ir = &h.ir;
     let (w, u) = (ir.var_id("w").unwrap(), ir.var_id("u").unwrap());
     let mut ops = vec![Op::Preset { port: 0, offset: 1, value: 0x77 }];
     for (i, j) in [(0, 2), (1, 3), (1, 7), (0, 7), (2, 3), (1, 4), (0, 8)] {
@@ -199,19 +270,18 @@ pub fn multi_parameter_families_agree(backend: Backend) {
         ops.push(Op::ReadVar { vid: u, args: vec![i, j] });
         ops.push(Op::ReadVar { vid: w, args: vec![j] });
     }
-    let h = CompiledHarness::build(backend, "fam2", &ir, &oracle_dir()).expect("probe stub builds");
-    assert!(ops.iter().all(|op| stub_expresses(&ir, op)), "family calls all have stubs");
+    assert!(ops.iter().all(|op| stub_expresses(ir, op)), "family calls all have stubs");
     assert_agrees(&h, &ops);
 }
 
 /// The formerly-fallback shapes all have stubs: input-sourced guards
 /// (selfw), cell-sourced guards (memw) and inlined nested conditionals
 /// (nestedc/nestede) replay guard-hammering streams through the oracle.
-pub fn formerly_fallback_shapes_join_the_oracle(backend: Backend) {
-    if !available(backend) {
+pub fn formerly_fallback_shapes_join_the_oracle(lang: Lang) {
+    if !available(lang) {
         return;
     }
-    let selfw = named(backend, "selfw");
+    let selfw = named(lang, "selfw");
     let w = selfw.ir.var_id("w").unwrap();
     let rest = selfw.ir.var_id("rest").unwrap();
     let ops = vec![
@@ -226,7 +296,7 @@ pub fn formerly_fallback_shapes_join_the_oracle(backend: Backend) {
 
     // The cell-guarded write: both values of the tested cell select
     // their variant, and each variant's bus traffic must match.
-    let memw = named(backend, "memw");
+    let memw = named(lang, "memw");
     let (mw, m) = (memw.ir.var_id("w").unwrap(), memw.ir.var_id("m").unwrap());
     let mut ops = Vec::new();
     for (cell, value) in [(0, 3), (1, 2), (1, 1), (0, 0)] {
@@ -236,12 +306,12 @@ pub fn formerly_fallback_shapes_join_the_oracle(backend: Backend) {
     }
     assert!(ops.iter().all(|op| stub_expresses(&memw.ir, op)), "cell-guarded writes emit");
     assert_agrees(memw, &ops);
-    let stubs = memw.backend.emit(&memw.ir, "memw");
-    let cell_guard = if backend == Backend::C { "memw_cache.mem_m == " } else { "self.mem_m == " };
-    assert!(stubs.contains(cell_guard), "{backend}: {stubs}");
+    let stubs = lang.emit(&memw.ir, "memw");
+    let cell_guard = if let Lang::C = lang { "memw_cache.mem_m == " } else { "self.mem_m == " };
+    assert!(stubs.contains(cell_guard), "{lang}: {stubs}");
 
     for name in ["nestedc", "nestede"] {
-        let h = named(backend, name);
+        let h = named(lang, name);
         let payload = h.ir.var_id("payload").unwrap();
         let mut ops = vec![
             Op::Preset { port: 0, offset: 2, value: 0x99 },
@@ -264,15 +334,15 @@ pub fn formerly_fallback_shapes_join_the_oracle(backend: Backend) {
 /// The fused stub surface is exactly what ships: every declared
 /// superplan — driver-declared and synthetic, memw's cell-guarded
 /// burst included — has a compiled body.
-pub fn fused_stub_surface_is_complete(backend: Backend) {
-    if !available(backend) {
+pub fn fused_stub_surface_is_complete(lang: Lang) {
+    if !available(lang) {
         return;
     }
-    let surface: Vec<(&str, usize, usize)> = harnesses(backend)
+    let surface: Vec<(&str, usize, usize)> = harnesses(lang)
         .iter()
         .filter(|h| !h.ir.superplans().is_empty())
         .map(|h| {
-            let stubs = h.backend.emit(&h.ir, &h.name);
+            let stubs = lang.emit(&h.ir, &h.name);
             let emitted =
                 h.ir.superplans()
                     .iter()
@@ -294,7 +364,7 @@ pub fn fused_stub_surface_is_complete(backend: Backend) {
             ("nestede", 1, 1),
             ("selfact", 1, 1),
         ],
-        "{backend}: fused stub surface drifted"
+        "{lang}: fused stub surface drifted"
     );
 }
 
@@ -308,12 +378,12 @@ pub fn fused_stub_surface_is_complete(backend: Backend) {
 /// gap) then replay through the compiled stubs and the runtime, which
 /// must both reject them with the same `ArgOutOfRange` line and no bus
 /// traffic.
-pub fn every_dispatch_point_is_compiled(backend: Backend) {
-    if !available(backend) {
+pub fn every_dispatch_point_is_compiled(lang: Lang) {
+    if !available(lang) {
         return;
     }
     let mut points = 0;
-    for h in harnesses(backend) {
+    for h in harnesses(lang) {
         let mut streams = vec![sweep_ops(&h.ir), init_sweep_ops(&h.ir), super_sweep(&h.ir)];
         // A corpus stream replays as it was drawn — its variable and
         // structure ops, then the fused decoding of the same words —
@@ -328,7 +398,7 @@ pub fn every_dispatch_point_is_compiled(backend: Backend) {
         for ops in streams {
             cov.merge(&h.view().hits(ops).unwrap_or_else(|e| panic!("{}: {e}", h.name)));
         }
-        assert!(cov.complete(), "{} ({}): unreached {:?}", h.name, backend, cov.unreached(&h.ir));
+        assert!(cov.complete(), "{} ({}): unreached {:?}", h.name, lang, cov.unreached(&h.ir));
         points += h.ir.dispatch_points();
 
         let mut ops = Vec::new();
@@ -356,17 +426,17 @@ pub fn every_dispatch_point_is_compiled(backend: Backend) {
         assert_agrees(h, &ops);
         let lines = render(h, ops.iter().cloned()).expect("harness runs");
         let rejected = lines.iter().filter(|l| l.contains("ERR ArgOutOfRange")).count();
-        assert!(rejected >= 4, "{} ({}): {rejected} rejections in {lines:?}", h.name, backend);
+        assert!(rejected >= 4, "{} ({}): {rejected} rejections in {lines:?}", h.name, lang);
     }
-    assert_eq!(points, 166, "{backend}: the spec library's dispatch points");
+    assert_eq!(points, 166, "{lang}: the spec library's dispatch points");
 }
 
 /// The deterministic superplan sweep, compiled fused bodies vs the
 /// fused plans: identical bus logs (one word at a time, so block
 /// bursts are compared cycle-for-cycle), outputs, read-block contents
 /// and final cache state.
-pub fn superplan_sweep_matches(backend: Backend) {
-    for h in harnesses(backend).iter().filter(|h| !h.ir.superplans().is_empty()) {
+pub fn superplan_sweep_matches(lang: Lang) {
+    for h in harnesses(lang).iter().filter(|h| !h.ir.superplans().is_empty()) {
         assert_agrees(h, &super_sweep(&h.ir));
     }
 }
@@ -375,23 +445,19 @@ pub fn superplan_sweep_matches(backend: Backend) {
 /// the agreed root does not depend on which rig the compare names
 /// first, and it folds exactly one leaf per line of the harness
 /// transcript.
-pub fn root_compare_matches_on_sweeps(backend: Backend) {
-    for h in harnesses(backend) {
+pub fn root_compare_matches_on_sweeps(lang: Lang) {
+    for h in harnesses(lang) {
         let mut streams = vec![sweep_ops(&h.ir)];
         if !h.ir.superplans().is_empty() {
             streams.push(super_sweep(&h.ir));
         }
         for ops in &streams {
-            let fwd = diff(h, ops).unwrap_or_else(|e| panic!("{} ({}): {e}", h.name, h.backend));
+            let fwd = diff(h, ops).unwrap_or_else(|e| panic!("{} ({}): {e}", h.name, lang));
             let back = compare(h, &h.view(), || ops.iter().cloned())
-                .unwrap_or_else(|e| panic!("{} ({}): {e}", h.name, h.backend));
-            assert_eq!(
-                fwd.root, back.root,
-                "{} ({}): root depends on rig order",
-                h.name, h.backend
-            );
+                .unwrap_or_else(|e| panic!("{} ({}): {e}", h.name, lang));
+            assert_eq!(fwd.root, back.root, "{} ({}): root depends on rig order", h.name, lang);
             let lines = render(h, ops.iter().cloned()).expect("harness runs");
-            assert_eq!(fwd.leaves, lines.len() as u64, "{} ({})", h.name, h.backend);
+            assert_eq!(fwd.leaves, lines.len() as u64, "{} ({})", h.name, lang);
         }
     }
 }
@@ -399,11 +465,11 @@ pub fn root_compare_matches_on_sweeps(backend: Backend) {
 /// Sensitivity of the oracle on the input guard source: dropping one
 /// input-guarded write from the compiled side must surface as a
 /// divergence.
-pub fn oracle_detects_divergence_on_input_guarded_stubs(backend: Backend) {
-    if !available(backend) {
+pub fn oracle_detects_divergence_on_input_guarded_stubs(lang: Lang) {
+    if !available(lang) {
         return;
     }
-    let h = named(backend, "selfw");
+    let h = named(lang, "selfw");
     let w = h.ir.var_id("w").unwrap();
     let rest = h.ir.var_id("rest").unwrap();
     let ops = [
@@ -414,18 +480,18 @@ pub fn oracle_detects_divergence_on_input_guarded_stubs(backend: Backend) {
     let skewed = Skewed::new(h, |i, op| (i != 0).then_some(op));
     let m = compare(&h.view(), &skewed, || ops.iter().cloned())
         .expect_err("the oracle must notice the missing guarded write");
-    assert!(m.divergence.is_some(), "{}: both rigs must replay: {m}", h.backend);
+    assert!(m.divergence.is_some(), "{}: both rigs must replay: {m}", lang);
 }
 
 /// The oracle is sensitive on either side: replaying the sweep with the
 /// device presets removed — on the compiled side, or on the plans' —
 /// must surface as a divergence of the observations, not a failed rig.
 /// Guards against a comparator that vacuously passes.
-pub fn oracle_detects_injected_divergence(backend: Backend) {
-    if !available(backend) {
+pub fn oracle_detects_injected_divergence(lang: Lang) {
+    if !available(lang) {
         return;
     }
-    let h = named(backend, "busmouse");
+    let h = named(lang, "busmouse");
     let ops = sweep_ops(&h.ir);
     assert!(ops.iter().any(|o| matches!(o, Op::Preset { .. })), "sweep must preset");
     let no_presets = |_: u64, op: Op| (!matches!(op, Op::Preset { .. })).then_some(op);
@@ -442,11 +508,11 @@ pub fn oracle_detects_injected_divergence(backend: Backend) {
 /// The oracle's bisection is exact: feed the compiled side the sweep
 /// with the device presets removed, and the compare must fail naming
 /// exactly the line a linear scan of the two transcripts names first.
-pub fn root_compare_bisects_injected_divergence(backend: Backend) {
-    if !available(backend) {
+pub fn root_compare_bisects_injected_divergence(lang: Lang) {
+    if !available(lang) {
         return;
     }
-    let h = named(backend, "busmouse");
+    let h = named(lang, "busmouse");
     let ops = sweep_ops(&h.ir);
     assert!(ops.iter().any(|o| matches!(o, Op::Preset { .. })), "sweep must preset");
     let skewed = Skewed::new(h, |_, op| (!matches!(op, Op::Preset { .. })).then_some(op));
@@ -460,21 +526,21 @@ pub fn root_compare_bisects_injected_divergence(backend: Backend) {
     let m = compare(&h.view(), &skewed, || ops.iter().cloned())
         .expect_err("skewed stream must fail root compare");
     let leaf = m.divergence.map(|d| d.leaf);
-    assert_eq!(leaf, Some(linear_first), "{}: {m}", h.backend);
+    assert_eq!(leaf, Some(linear_first), "{}: {m}", lang);
 }
 
 /// Coverage corpus replay: every corpus stream (drawn to saturate the
 /// plans' dispatch coverage) also replays through the compiled stubs
 /// and fused bodies.
-pub fn corpus_streams_match(backend: Backend) {
-    for h in harnesses(backend) {
+pub fn corpus_streams_match(lang: Lang) {
+    for h in harnesses(lang) {
         for (i, words) in corpus(&h.ir).iter().enumerate() {
             if let Err(e) = diff(h, &decode(&h.ir, words)) {
-                panic!("{} ({}): corpus stream {i}: {e}", h.name, h.backend);
+                panic!("{} ({}): corpus stream {i}: {e}", h.name, lang);
             }
             if !h.ir.superplans().is_empty() {
                 if let Err(e) = diff(h, &decode_super(&h.ir, words)) {
-                    panic!("{} ({}): corpus stream {i} (fused): {e}", h.name, h.backend);
+                    panic!("{} ({}): corpus stream {i} (fused): {e}", h.name, lang);
                 }
             }
         }
@@ -483,10 +549,10 @@ pub fn corpus_streams_match(backend: Backend) {
 
 /// Random op streams over every spec: the compiled stubs and the plans
 /// must be observationally identical.
-pub fn random_streams_agree(backend: Backend, words: &[u64]) -> Result<(), TestCaseError> {
-    for h in harnesses(backend) {
+pub fn random_streams_agree(lang: Lang, words: &[u64]) -> Result<(), TestCaseError> {
+    for h in harnesses(lang) {
         let r = diff(h, &decode(&h.ir, words));
-        prop_assert!(r.is_ok(), "{} ({}): {}", h.name, h.backend, r.err().unwrap());
+        prop_assert!(r.is_ok(), "{} ({}): {}", h.name, lang, r.err().unwrap());
     }
     Ok(())
 }
@@ -494,13 +560,10 @@ pub fn random_streams_agree(backend: Backend, words: &[u64]) -> Result<(), TestC
 /// Random interleavings of op preludes and superplan calls: the
 /// compiled fused bodies and the fused plans must be observationally
 /// identical.
-pub fn random_superplan_streams_agree(
-    backend: Backend,
-    words: &[u64],
-) -> Result<(), TestCaseError> {
-    for h in harnesses(backend).iter().filter(|h| !h.ir.superplans().is_empty()) {
+pub fn random_superplan_streams_agree(lang: Lang, words: &[u64]) -> Result<(), TestCaseError> {
+    for h in harnesses(lang).iter().filter(|h| !h.ir.superplans().is_empty()) {
         let r = diff(h, &decode_super(&h.ir, words));
-        prop_assert!(r.is_ok(), "{} ({}): {}", h.name, h.backend, r.err().unwrap());
+        prop_assert!(r.is_ok(), "{} ({}): {}", h.name, lang, r.err().unwrap());
     }
     Ok(())
 }

@@ -1,8 +1,14 @@
 //! Emit goldens for the whole spec library: the generated C header and
 //! Rust module of every spec `devil_fuzz::spec_library()` lists (the
 //! 8 shipped specs plus the 5 synthetic ones), each with its declared
-//! superplans installed, so fused stub bodies are pinned too. After an
-//! intentional emitter change, regenerate with:
+//! superplans installed, so fused stub bodies are pinned too, and of
+//! the two compiled-oracle probes (`devil_fuzz::probe_library()`).
+//! Beside each Rust module, `glue/<name>.rs` pins the id-keyed surface
+//! glue (`devil_fuzz::compiled::rust_glue`) through which the Rust
+//! oracle (`compiled_rust_diff`) drives the module compiled in; this
+//! test only reads and writes text, so it regenerates a golden that no
+//! longer compiles. After an intentional emitter change, regenerate
+//! with:
 //!
 //! ```text
 //! UPDATE_GOLDENS=1 cargo test --test emit_goldens
@@ -31,9 +37,11 @@ fn every_spec_emits_its_golden_c_and_rust() {
     let library = devil_fuzz::spec_library();
     assert_eq!(library.len(), 13, "8 shipped + 5 synthetic specs");
     let mut drift = Vec::new();
-    for (name, ir) in &library {
+    for (name, ir) in library.iter().chain(&devil_fuzz::probe_library()) {
         drift.extend(check_golden(&format!("{name}.h"), &devil_codegen::emit_c(ir, name)));
         drift.extend(check_golden(&format!("{name}.rs"), &devil_codegen::emit_rust(ir)));
+        let glue = devil_fuzz::compiled::rust_glue(ir, name);
+        drift.extend(check_golden(&format!("glue/{name}.rs"), &glue));
     }
     assert!(
         drift.is_empty(),

@@ -1,5 +1,5 @@
 // Generated by devilc from device `dma8237`. Do not edit.
-#![allow(clippy::identity_op, clippy::eq_op, non_snake_case)]
+#![allow(clippy::identity_op, clippy::eq_op, clippy::too_many_arguments, non_snake_case)]
 use devil_runtime::DeviceAccess;
 
 /// Generated interface for `dma8237`.
@@ -270,7 +270,7 @@ impl Dma8237 {
     /// Reads `addr0` from the device.
     pub fn get_addr0(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         if !(self.valid_addr0_high && self.valid_addr0_low) {
-            self.cache_ff_reg = self.cache_ff_reg & 0xfffffffffffffffe;
+            self.cache_ff_reg &= 0xfffffffffffffffe;
             self.write_ff_reg(dev);
             self.read_addr0_low(dev);
             self.read_addr0_high(dev);
@@ -280,7 +280,7 @@ impl Dma8237 {
 
     /// Writes `addr0` to the device.
     pub fn set_addr0(&mut self, dev: &mut dyn DeviceAccess, v: u64) {
-        self.cache_ff_reg = self.cache_ff_reg & 0xfffffffffffffffe;
+        self.cache_ff_reg &= 0xfffffffffffffffe;
         self.write_ff_reg(dev);
         self.cache_addr0_low = (self.cache_addr0_low & 0xffffffffffffff00) | (v & 0xff);
         self.write_addr0_low(dev);
@@ -291,7 +291,7 @@ impl Dma8237 {
     /// Reads `count0` from the device.
     pub fn get_count0(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         if !(self.valid_count0_high && self.valid_count0_low) {
-            self.cache_ff_reg = self.cache_ff_reg & 0xfffffffffffffffe;
+            self.cache_ff_reg &= 0xfffffffffffffffe;
             self.write_ff_reg(dev);
             self.read_count0_low(dev);
             self.read_count0_high(dev);
@@ -301,7 +301,7 @@ impl Dma8237 {
 
     /// Writes `count0` to the device.
     pub fn set_count0(&mut self, dev: &mut dyn DeviceAccess, v: u64) {
-        self.cache_ff_reg = self.cache_ff_reg & 0xfffffffffffffffe;
+        self.cache_ff_reg &= 0xfffffffffffffffe;
         self.write_ff_reg(dev);
         self.cache_count0_low = (self.cache_count0_low & 0xffffffffffffff00) | (v & 0xff);
         self.write_count0_low(dev);
@@ -312,7 +312,7 @@ impl Dma8237 {
     /// Reads `addr1` from the device.
     pub fn get_addr1(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         if !(self.valid_addr1_high && self.valid_addr1_low) {
-            self.cache_ff_reg = self.cache_ff_reg & 0xfffffffffffffffe;
+            self.cache_ff_reg &= 0xfffffffffffffffe;
             self.write_ff_reg(dev);
             self.read_addr1_low(dev);
             self.read_addr1_high(dev);
@@ -322,7 +322,7 @@ impl Dma8237 {
 
     /// Writes `addr1` to the device.
     pub fn set_addr1(&mut self, dev: &mut dyn DeviceAccess, v: u64) {
-        self.cache_ff_reg = self.cache_ff_reg & 0xfffffffffffffffe;
+        self.cache_ff_reg &= 0xfffffffffffffffe;
         self.write_ff_reg(dev);
         self.cache_addr1_low = (self.cache_addr1_low & 0xffffffffffffff00) | (v & 0xff);
         self.write_addr1_low(dev);
@@ -333,7 +333,7 @@ impl Dma8237 {
     /// Reads `count1` from the device.
     pub fn get_count1(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         if !(self.valid_count1_high && self.valid_count1_low) {
-            self.cache_ff_reg = self.cache_ff_reg & 0xfffffffffffffffe;
+            self.cache_ff_reg &= 0xfffffffffffffffe;
             self.write_ff_reg(dev);
             self.read_count1_low(dev);
             self.read_count1_high(dev);
@@ -343,7 +343,7 @@ impl Dma8237 {
 
     /// Writes `count1` to the device.
     pub fn set_count1(&mut self, dev: &mut dyn DeviceAccess, v: u64) {
-        self.cache_ff_reg = self.cache_ff_reg & 0xfffffffffffffffe;
+        self.cache_ff_reg &= 0xfffffffffffffffe;
         self.write_ff_reg(dev);
         self.cache_count1_low = (self.cache_count1_low & 0xffffffffffffff00) | (v & 0xff);
         self.write_count1_low(dev);
@@ -354,7 +354,7 @@ impl Dma8237 {
     /// Reads `addr2` from the device.
     pub fn get_addr2(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         if !(self.valid_addr2_high && self.valid_addr2_low) {
-            self.cache_ff_reg = self.cache_ff_reg & 0xfffffffffffffffe;
+            self.cache_ff_reg &= 0xfffffffffffffffe;
             self.write_ff_reg(dev);
             self.read_addr2_low(dev);
             self.read_addr2_high(dev);
@@ -364,7 +364,7 @@ impl Dma8237 {
 
     /// Writes `addr2` to the device.
     pub fn set_addr2(&mut self, dev: &mut dyn DeviceAccess, v: u64) {
-        self.cache_ff_reg = self.cache_ff_reg & 0xfffffffffffffffe;
+        self.cache_ff_reg &= 0xfffffffffffffffe;
         self.write_ff_reg(dev);
         self.cache_addr2_low = (self.cache_addr2_low & 0xffffffffffffff00) | (v & 0xff);
         self.write_addr2_low(dev);
@@ -375,7 +375,7 @@ impl Dma8237 {
     /// Reads `count2` from the device.
     pub fn get_count2(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         if !(self.valid_count2_high && self.valid_count2_low) {
-            self.cache_ff_reg = self.cache_ff_reg & 0xfffffffffffffffe;
+            self.cache_ff_reg &= 0xfffffffffffffffe;
             self.write_ff_reg(dev);
             self.read_count2_low(dev);
             self.read_count2_high(dev);
@@ -385,7 +385,7 @@ impl Dma8237 {
 
     /// Writes `count2` to the device.
     pub fn set_count2(&mut self, dev: &mut dyn DeviceAccess, v: u64) {
-        self.cache_ff_reg = self.cache_ff_reg & 0xfffffffffffffffe;
+        self.cache_ff_reg &= 0xfffffffffffffffe;
         self.write_ff_reg(dev);
         self.cache_count2_low = (self.cache_count2_low & 0xffffffffffffff00) | (v & 0xff);
         self.write_count2_low(dev);
@@ -396,7 +396,7 @@ impl Dma8237 {
     /// Reads `addr3` from the device.
     pub fn get_addr3(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         if !(self.valid_addr3_high && self.valid_addr3_low) {
-            self.cache_ff_reg = self.cache_ff_reg & 0xfffffffffffffffe;
+            self.cache_ff_reg &= 0xfffffffffffffffe;
             self.write_ff_reg(dev);
             self.read_addr3_low(dev);
             self.read_addr3_high(dev);
@@ -406,7 +406,7 @@ impl Dma8237 {
 
     /// Writes `addr3` to the device.
     pub fn set_addr3(&mut self, dev: &mut dyn DeviceAccess, v: u64) {
-        self.cache_ff_reg = self.cache_ff_reg & 0xfffffffffffffffe;
+        self.cache_ff_reg &= 0xfffffffffffffffe;
         self.write_ff_reg(dev);
         self.cache_addr3_low = (self.cache_addr3_low & 0xffffffffffffff00) | (v & 0xff);
         self.write_addr3_low(dev);
@@ -417,7 +417,7 @@ impl Dma8237 {
     /// Reads `count3` from the device.
     pub fn get_count3(&mut self, dev: &mut dyn DeviceAccess) -> u64 {
         if !(self.valid_count3_high && self.valid_count3_low) {
-            self.cache_ff_reg = self.cache_ff_reg & 0xfffffffffffffffe;
+            self.cache_ff_reg &= 0xfffffffffffffffe;
             self.write_ff_reg(dev);
             self.read_count3_low(dev);
             self.read_count3_high(dev);
@@ -427,7 +427,7 @@ impl Dma8237 {
 
     /// Writes `count3` to the device.
     pub fn set_count3(&mut self, dev: &mut dyn DeviceAccess, v: u64) {
-        self.cache_ff_reg = self.cache_ff_reg & 0xfffffffffffffffe;
+        self.cache_ff_reg &= 0xfffffffffffffffe;
         self.write_ff_reg(dev);
         self.cache_count3_low = (self.cache_count3_low & 0xffffffffffffff00) | (v & 0xff);
         self.write_count3_low(dev);

@@ -1,5 +1,5 @@
 // Generated by devilc from device `ne2000`. Do not edit.
-#![allow(clippy::identity_op, clippy::eq_op, non_snake_case)]
+#![allow(clippy::identity_op, clippy::eq_op, clippy::too_many_arguments, non_snake_case)]
 use devil_runtime::DeviceAccess;
 
 /// Values of the `st` variable.
@@ -396,18 +396,18 @@ impl Ne2000 {
         self.write_rbcr1(dev);
         self.cache_rbcr0 = (self.cache_rbcr0 & 0xffffffffffffff00) | (a1 & 0xff);
         self.write_rbcr0(dev);
-        self.cache_cr = (self.cache_cr & 0xffffffffffffffc3) | ((0x2 << 3) & 0x38);
+        self.cache_cr = (self.cache_cr & 0xffffffffffffffc3) | 0x10;
         self.write_cr(dev);
         dev.write_block(1, 0x10, 16, block_out);
-        self.cache_isr_reg = (self.cache_isr_reg & 0xffffffffffffffbc) | ((0x1 << 6) & 0x40);
+        self.cache_isr_reg = (self.cache_isr_reg & 0xffffffffffffffbc) | 0x40;
         self.write_isr_reg(dev);
-        self.cache_tpsr_reg = (self.cache_tpsr_reg & 0xffffffffffffff00) | (0x40 & 0xff);
+        self.cache_tpsr_reg = (self.cache_tpsr_reg & 0xffffffffffffff00) | 0x40;
         self.write_tpsr_reg(dev);
         self.cache_tbcr1 = (self.cache_tbcr1 & 0xffffffffffffff00) | ((a2 >> 8) & 0xff);
         self.write_tbcr1(dev);
         self.cache_tbcr0 = (self.cache_tbcr0 & 0xffffffffffffff00) | (a2 & 0xff);
         self.write_tbcr0(dev);
-        self.cache_cr = (self.cache_cr & 0xffffffffffffffc3) | 0x20 | ((0x1 << 2) & 0x4);
+        self.cache_cr = (self.cache_cr & 0xffffffffffffffc3) | 0x24;
         self.write_cr(dev);
     }
 

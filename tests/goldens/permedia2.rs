@@ -1,5 +1,5 @@
 // Generated by devilc from device `permedia2`. Do not edit.
-#![allow(clippy::identity_op, clippy::eq_op, non_snake_case)]
+#![allow(clippy::identity_op, clippy::eq_op, clippy::too_many_arguments, non_snake_case)]
 use devil_runtime::DeviceAccess;
 
 /// Values of the `render_op` variable.
@@ -205,13 +205,13 @@ impl Permedia2 {
 
     /// Fused superplan `fill24_burst`: one guard evaluation, batched I/O.
     pub fn sp_fill24_burst(&mut self, dev: &mut dyn DeviceAccess, a0: u64, a1: u64, a2: u64, a3: u64, a4: u64) {
-        self.cache_scratch0 = (self.cache_scratch0 & 0xffffffff00000000) | (0x3 & 0xffffffff);
+        self.cache_scratch0 = (self.cache_scratch0 & 0xffffffff00000000) | 0x3;
         self.write_scratch0(dev);
-        self.cache_scratch1 = (self.cache_scratch1 & 0xffffffff00000000) | (0x0 & 0xffffffff);
+        self.cache_scratch1 &= 0xffffffff00000000;
         self.write_scratch1(dev);
-        self.cache_scratch2 = (self.cache_scratch2 & 0xffffffff00000000) | (0x0 & 0xffffffff);
+        self.cache_scratch2 &= 0xffffffff00000000;
         self.write_scratch2(dev);
-        self.cache_scratch0 = (self.cache_scratch0 & 0xffffffff00000000) | (0x0 & 0xffffffff);
+        self.cache_scratch0 &= 0xffffffff00000000;
         self.write_scratch0(dev);
         self.cache_rect_pos = (self.cache_rect_pos & 0xffffffffffff0000) | (a0 & 0xffff);
         self.write_rect_pos(dev);
@@ -227,17 +227,17 @@ impl Permedia2 {
 
     /// Fused superplan `fill_std_setup`: one guard evaluation, batched I/O.
     pub fn sp_fill_std_setup(&mut self, dev: &mut dyn DeviceAccess, a0: u64, a1: u64, a2: u64, a3: u64) {
-        self.cache_scratch0 = (self.cache_scratch0 & 0xffffffff00000000) | (0x3 & 0xffffffff);
+        self.cache_scratch0 = (self.cache_scratch0 & 0xffffffff00000000) | 0x3;
         self.write_scratch0(dev);
-        self.cache_scratch1 = (self.cache_scratch1 & 0xffffffff00000000) | (0xffffffff & 0xffffffff);
+        self.cache_scratch1 = (self.cache_scratch1 & 0xffffffff00000000) | 0xffffffff;
         self.write_scratch1(dev);
-        self.cache_scratch2 = (self.cache_scratch2 & 0xffffffff00000000) | (0x3 & 0xffffffff);
+        self.cache_scratch2 = (self.cache_scratch2 & 0xffffffff00000000) | 0x3;
         self.write_scratch2(dev);
-        self.cache_scratch0 = (self.cache_scratch0 & 0xffffffff00000000) | (0xffffffff & 0xffffffff);
+        self.cache_scratch0 = (self.cache_scratch0 & 0xffffffff00000000) | 0xffffffff;
         self.write_scratch0(dev);
-        self.cache_scratch1 = (self.cache_scratch1 & 0xffffffff00000000) | (0x3 & 0xffffffff);
+        self.cache_scratch1 = (self.cache_scratch1 & 0xffffffff00000000) | 0x3;
         self.write_scratch1(dev);
-        self.cache_scratch2 = (self.cache_scratch2 & 0xffffffff00000000) | (0xffffffff & 0xffffffff);
+        self.cache_scratch2 = (self.cache_scratch2 & 0xffffffff00000000) | 0xffffffff;
         self.write_scratch2(dev);
         self.cache_rect_pos = (self.cache_rect_pos & 0xffffffffffff0000) | (a0 & 0xffff);
         self.write_rect_pos(dev);
@@ -253,15 +253,15 @@ impl Permedia2 {
     pub fn sp_fill_std_finish(&mut self, dev: &mut dyn DeviceAccess, a0: u64) {
         self.cache_block_color = (self.cache_block_color & 0xffffffff00000000) | (a0 & 0xffffffff);
         self.write_block_color(dev);
-        self.cache_scratch0 = (self.cache_scratch0 & 0xffffffff00000000) | (0x0 & 0xffffffff);
+        self.cache_scratch0 &= 0xffffffff00000000;
         self.write_scratch0(dev);
-        self.cache_scratch1 = (self.cache_scratch1 & 0xffffffff00000000) | (0x0 & 0xffffffff);
+        self.cache_scratch1 &= 0xffffffff00000000;
         self.write_scratch1(dev);
-        self.cache_scratch2 = (self.cache_scratch2 & 0xffffffff00000000) | (0x0 & 0xffffffff);
+        self.cache_scratch2 &= 0xffffffff00000000;
         self.write_scratch2(dev);
-        self.cache_scratch1 = (self.cache_scratch1 & 0xffffffff00000000) | (0x1 & 0xffffffff);
+        self.cache_scratch1 = (self.cache_scratch1 & 0xffffffff00000000) | 0x1;
         self.write_scratch1(dev);
-        self.cache_scratch2 = (self.cache_scratch2 & 0xffffffff00000000) | (0x1 & 0xffffffff);
+        self.cache_scratch2 = (self.cache_scratch2 & 0xffffffff00000000) | 0x1;
         self.write_scratch2(dev);
     }
 

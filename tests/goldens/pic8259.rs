@@ -1,5 +1,5 @@
 // Generated by devilc from device `pic8259`. Do not edit.
-#![allow(clippy::identity_op, clippy::eq_op, non_snake_case)]
+#![allow(clippy::identity_op, clippy::eq_op, clippy::too_many_arguments, non_snake_case)]
 use devil_runtime::DeviceAccess;
 
 /// Values of the `ic4` variable.
@@ -320,17 +320,17 @@ impl Pic8259 {
         self.valid_icw1 = true;
         self.cache_icw1 = (self.cache_icw1 & 0xfffffffffffffffd) | ((a1 << 1) & 0x2);
         self.valid_icw1 = true;
-        self.cache_icw1 = self.cache_icw1 & 0xfffffffffffffffb;
+        self.cache_icw1 &= 0xfffffffffffffffb;
         self.valid_icw1 = true;
-        self.cache_icw1 = self.cache_icw1 & 0xfffffffffffffff7;
+        self.cache_icw1 &= 0xfffffffffffffff7;
         self.valid_icw1 = true;
         self.cache_icw2 = (self.cache_icw2 & 0xffffffffffffff07) | ((a2 << 3) & 0xf8);
         self.valid_icw2 = true;
         self.cache_icw3 = (self.cache_icw3 & 0xffffffffffffff00) | (a3 & 0xff);
         self.valid_icw3 = true;
-        self.cache_icw4 = self.cache_icw4 & 0xffffffffffffffef;
+        self.cache_icw4 &= 0xffffffffffffffef;
         self.valid_icw4 = true;
-        self.cache_icw4 = self.cache_icw4 & 0xfffffffffffffff3;
+        self.cache_icw4 &= 0xfffffffffffffff3;
         self.valid_icw4 = true;
         self.cache_icw4 = (self.cache_icw4 & 0xfffffffffffffffd) | ((a4 << 1) & 0x2);
         self.valid_icw4 = true;

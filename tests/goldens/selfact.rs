@@ -1,5 +1,5 @@
 // Generated by devilc from device `selfact`. Do not edit.
-#![allow(clippy::identity_op, clippy::eq_op, non_snake_case)]
+#![allow(clippy::identity_op, clippy::eq_op, clippy::too_many_arguments, non_snake_case)]
 use devil_runtime::DeviceAccess;
 
 /// Generated interface for `selfact`.
@@ -111,7 +111,7 @@ impl Selfact {
             self.write_a(dev);
             self.cache_c = (self.cache_c & 0xffffffffffffff00) | 0x5;
             self.valid_c = true;
-            self.cache_a = (self.cache_a & 0xfffffffffffffffe) | (0x1 & 0x1);
+            self.cache_a = (self.cache_a & 0xfffffffffffffffe) | 0x1;
             self.write_a(dev);
             self.cache_c = (self.cache_c & 0xffffffffffffff00) | 0x5;
             self.write_c(dev);
@@ -120,7 +120,7 @@ impl Selfact {
             self.write_a(dev);
             self.cache_c = (self.cache_c & 0xffffffffffffff00) | 0x5;
             self.write_c(dev);
-            self.cache_a = (self.cache_a & 0xfffffffffffffffe) | (0x1 & 0x1);
+            self.cache_a = (self.cache_a & 0xfffffffffffffffe) | 0x1;
             self.write_a(dev);
             self.cache_c = (self.cache_c & 0xffffffffffffff00) | 0x5;
             self.write_c(dev);

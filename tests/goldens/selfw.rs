@@ -1,5 +1,5 @@
 // Generated by devilc from device `selfw`. Do not edit.
-#![allow(clippy::identity_op, clippy::eq_op, non_snake_case)]
+#![allow(clippy::identity_op, clippy::eq_op, clippy::too_many_arguments, non_snake_case)]
 use devil_runtime::DeviceAccess;
 
 /// Generated interface for `selfw`.
@@ -41,7 +41,7 @@ impl Selfw {
     pub fn sp_burst(&mut self, dev: &mut dyn DeviceAccess, a0: u64) {
         self.cache_a = (self.cache_a & 0xffffffffffffff01) | ((a0 << 1) & 0xfe);
         self.write_a(dev);
-        self.cache_a = (self.cache_a & 0xfffffffffffffffe) | (0x1 & 0x1);
+        self.cache_a = (self.cache_a & 0xfffffffffffffffe) | 0x1;
         self.write_a(dev);
     }
 
