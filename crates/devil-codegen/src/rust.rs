@@ -347,20 +347,13 @@ fn prim_args(field: &Field<'_>, a: &AccessStep) -> String {
 }
 
 /// Appends the masked store `cache = (cache & keep) | terms` as one
-/// statement, in its shortest form: a constant operand's bits fold
-/// into the constant term at emit time, and a store whose target is
-/// also its left operand assigns with `&=` or `|=`. Appends nothing
-/// when the store changes no bit.
+/// statement, in its shortest form: a store whose target is also its
+/// left operand assigns with `&=` or `|=`. Appends nothing when the
+/// store changes no bit. Constant segments never reach here: the IR
+/// folds them into `const_or`.
 fn compose_stmt(out: &mut String, indent: &str, cache: &Member<'_>, c: &Compose, input: &str) {
     let shift = |ws: &WriteSeg| ws.seg.reg_lo as i64 - ws.seg.var_lo as i64;
-    let mut const_or = c.const_or;
-    for ws in &c.segs {
-        if let (PlanValue::Const(v), s) = (ws.value, shift(ws)) {
-            const_or |= (if s >= 0 { v << s } else { v >> -s }) & ws.seg.reg_mask();
-        }
-    }
-    let terms = || c.segs.iter().filter(|ws| !matches!(ws.value, PlanValue::Const(_)));
-    let count = usize::from(const_or != 0) + terms().count();
+    let count = usize::from(c.const_or != 0) + c.segs.len();
     let _ = match (c.keep_and, count) {
         (u64::MAX, 0) => return,
         (keep, 0) => write!(out, "{indent}{cache} &= {keep:#x}"),
@@ -370,11 +363,11 @@ fn compose_stmt(out: &mut String, indent: &str, cache: &Member<'_>, c: &Compose,
     // A lone term is the whole assigned value: no parentheses.
     let (open, close) = if c.keep_and == u64::MAX && count == 1 { ("", "") } else { ("(", ")") };
     let mut sep = "";
-    if const_or != 0 {
-        let _ = write!(out, "{const_or:#x}");
+    if c.const_or != 0 {
+        let _ = write!(out, "{:#x}", c.const_or);
         sep = " | ";
     }
-    for ws in terms() {
+    for ws in &c.segs {
         let v = Shift(Operand(&ws.value, input), shift(ws));
         let _ = write!(out, "{sep}{open}{v} & {:#x}{close}", ws.seg.reg_mask());
         sep = " | ";

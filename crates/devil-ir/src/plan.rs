@@ -254,17 +254,19 @@ impl Compose {
     }
 
     /// The composition with `Input` segments reading a fused op's
-    /// operand instead (see [`PlanValue::subst_input`]).
+    /// operand instead (see [`PlanValue::subst_input`]). A segment whose
+    /// operand is a constant folds into [`Compose::const_or`], so the
+    /// result keeps only runtime-valued segments.
     pub fn subst_input(&self, operand: Option<PlanValue>) -> Result<Compose, String> {
-        Ok(Compose {
-            keep_and: self.keep_and,
-            const_or: self.const_or,
-            segs: self
-                .segs
-                .iter()
-                .map(|ws| Ok(WriteSeg { seg: ws.seg, value: ws.value.subst_input(operand)? }))
-                .collect::<Result<_, String>>()?,
-        })
+        let mut out =
+            Compose { keep_and: self.keep_and, const_or: self.const_or, segs: Vec::new() };
+        for ws in &self.segs {
+            match ws.value.subst_input(operand)? {
+                PlanValue::Const(c) => out.const_or |= ws.seg.insert(c),
+                value => out.segs.push(WriteSeg { seg: ws.seg, value }),
+            }
+        }
+        Ok(out)
     }
 }
 

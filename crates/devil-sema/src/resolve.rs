@@ -34,7 +34,7 @@ pub fn resolve(
 }
 
 struct Resolver<'a, 'b, 'd> {
-    dev: &'a ast::Device,
+    dev: &'a ast::Device<'a>,
     /// The caller's `int_params`, in the caller's order.
     bindings: &'b [(&'b str, u64)],
     diags: &'d mut DiagSink,
@@ -51,14 +51,14 @@ struct Resolver<'a, 'b, 'd> {
     names: HashMap<&'a str, (&'static str, Span)>,
 
     /// AST declarations flattened through `if` groups.
-    reg_decls: Vec<&'a ast::RegisterDecl>,
-    var_decls: Vec<(&'a ast::VariableDecl, Option<StructId>)>,
-    struct_decls: Vec<&'a ast::StructureDecl>,
+    reg_decls: Vec<&'a ast::RegisterDecl<'a>>,
+    var_decls: Vec<(&'a ast::VariableDecl<'a>, Option<StructId>)>,
+    struct_decls: Vec<&'a ast::StructureDecl<'a>>,
 }
 
 impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
     fn new(
-        dev: &'a ast::Device,
+        dev: &'a ast::Device<'a>,
         int_params: &'b [(&'b str, u64)],
         diags: &'d mut DiagSink,
     ) -> Self {
@@ -95,7 +95,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
             .collect();
         typedefs.sort_by_key(|a| a.span);
         CheckedDevice {
-            name: self.dev.name.name.clone(),
+            name: self.dev.name.name.to_string(),
             ports: self.ports,
             int_params: self.int_params,
             registers: self.registers,
@@ -106,7 +106,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
     }
 
     fn declare(&mut self, name: &'a ast::Ident, kind: &'static str) -> bool {
-        if let Some((prev_kind, prev_span)) = self.names.get(name.name.as_str()) {
+        if let Some((prev_kind, prev_span)) = self.names.get(name.name) {
             let prev_span = *prev_span;
             let prev_kind = *prev_kind;
             self.diags.push(
@@ -119,7 +119,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
             );
             false
         } else {
-            self.names.insert(&name.name, (kind, name.span));
+            self.names.insert(name.name, (kind, name.span));
             true
         }
     }
@@ -155,14 +155,14 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                     }
                     let offsets = normalize_set(range);
                     self.ports.push(PortDef {
-                        name: p.name.name.clone(),
+                        name: p.name.name.to_string(),
                         width: *width,
                         offsets,
                         span: p.span,
                     });
                 }
                 ast::ParamKind::Int { ty } => {
-                    let value = match self.binding(&p.name.name) {
+                    let value = match self.binding(p.name.name) {
                         Some(v) => v,
                         None => {
                             self.diags.error(
@@ -190,7 +190,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                         }
                     }
                     self.int_params.push(IntParamDef {
-                        name: p.name.name.clone(),
+                        name: p.name.name.to_string(),
                         value,
                         span: p.span,
                     });
@@ -233,7 +233,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
     fn eval_param_cond(&mut self, cond: &ast::Cond) -> bool {
         match cond {
             ast::Cond::Cmp { lhs, op, rhs, span } => {
-                let Some(lv) = self.binding(&lhs.name) else {
+                let Some(lv) = self.binding(lhs.name) else {
                     self.diags.error(
                         ErrorCode::TCondGuard,
                         format!(
@@ -284,7 +284,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
     fn resolve_typedefs(&mut self) {
         // Typedefs are collected from the original declaration list (not
         // the flattened one) because they are mode-independent.
-        fn collect<'x>(decls: &'x [ast::Decl], out: &mut Vec<&'x ast::TypeDef>) {
+        fn collect<'x>(decls: &'x [ast::Decl<'x>], out: &mut Vec<&'x ast::TypeDef<'x>>) {
             for d in decls {
                 match d {
                     ast::Decl::TypeDef(t) => out.push(t),
@@ -302,8 +302,8 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
             if !self.declare(&t.name, "type") {
                 continue;
             }
-            if let Some(sem) = self.resolve_type(&t.ty, None, Some(&t.name.name)) {
-                self.types.insert(t.name.name.clone(), (sem, t.span));
+            if let Some(sem) = self.resolve_type(&t.ty, None, Some(t.name.name)) {
+                self.types.insert(t.name.name.to_string(), (sem, t.span));
             }
         }
     }
@@ -343,7 +343,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                 Some(TypeSem::IntSet { width, set: ranges })
             }
             ast::TypeKind::Enum(e) => self.resolve_enum(e, var_width, enum_name),
-            ast::TypeKind::Named(name) => match self.types.get(&name.name) {
+            ast::TypeKind::Named(name) => match self.types.get(name.name) {
                 Some((sem, _)) => {
                     if let (TypeSem::Enum(en), Some(w)) = (sem, var_width) {
                         if en.width != w {
@@ -431,7 +431,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                 );
                 continue;
             }
-            arms.push(EnumArmSem { sym: arm.sym.name.clone(), value, readable, writable });
+            arms.push(EnumArmSem { sym: arm.sym.name.to_string(), value, readable, writable });
         }
         Some(TypeSem::Enum(EnumSem { name: name.map(str::to_string), width, arms }))
     }
@@ -495,7 +495,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                     vec![(0, 0)]
                 }
             };
-            out.push(FamilyParam { name: p.name.name.clone(), values, span: p.span });
+            out.push(FamilyParam { name: p.name.name.to_string(), values, span: p.span });
         }
         out
     }
@@ -531,7 +531,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
         };
         let mask = self.resolve_mask(&r.attrs, size, r.span);
         Some(RegDef {
-            name: r.name.name.clone(),
+            name: r.name.name.to_string(),
             params,
             size,
             read,
@@ -546,7 +546,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
 
     fn resolve_instance_register(&mut self, r: &ast::RegisterDecl) -> Option<RegDef> {
         let ast::RegSpec::Instance { family: family_name, args } = &r.spec else { unreachable!() };
-        let Some((fam_id, _)) = self.find_register(&family_name.name) else {
+        let Some((fam_id, _)) = self.find_register(family_name.name) else {
             self.diags.error(
                 ErrorCode::TUndefined,
                 format!("undefined register family `{}`", family_name.name),
@@ -629,7 +629,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
         // Action resolution happens later; remember the instantiation so
         // family-parameter references can be substituted.
         Some(RegDef {
-            name: r.name.name.clone(),
+            name: r.name.name.to_string(),
             params: Vec::new(),
             size,
             read,
@@ -648,8 +648,8 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
         params: &[FamilyParam],
         size: u32,
     ) -> Option<PortBinding> {
-        let Some((pid, _)) = self.find_port(&port.base.name) else {
-            let kind = self.names.get(port.base.name.as_str()).map(|(k, _)| *k);
+        let Some((pid, _)) = self.find_port(port.base.name) else {
+            let kind = self.names.get(port.base.name).map(|(k, _)| *k);
             let code = if kind.is_some() { ErrorCode::TWrongKind } else { ErrorCode::TUndefined };
             self.diags.error(code, format!("`{}` is not a port", port.base.name), port.base.span);
             return None;
@@ -776,7 +776,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
             }
             let sid = StructId(self.structures.len() as u32);
             self.structures.push(StructDef {
-                name: s.name.name.clone(),
+                name: s.name.name.to_string(),
                 fields: Vec::new(),
                 serialized: None,
                 span: s.span,
@@ -893,7 +893,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
         // pass (resolve_serializations), after all variables exist.
         let _ = &set_actions;
         Some(VarDef {
-            name: v.name.name.clone(),
+            name: v.name.name.to_string(),
             private: v.private,
             params,
             bits,
@@ -910,7 +910,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
     fn resolve_neutral(&mut self, e: &ast::TriggerException, ty: &TypeSem) -> Option<Neutral> {
         match e {
             ast::TriggerException::Except(sym) => match ty {
-                TypeSem::Enum(en) => match en.value_of(&sym.name) {
+                TypeSem::Enum(en) => match en.value_of(sym.name) {
                     Some(v) => Some(Neutral::Except(v)),
                     None => {
                         self.diags.error(
@@ -962,7 +962,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                 }
             },
             ast::ConstValue::Sym(sym) => match ty {
-                TypeSem::Enum(en) => match en.value_of(&sym.name) {
+                TypeSem::Enum(en) => match en.value_of(sym.name) {
                     Some(v) => v,
                     None => {
                         diags.error(
@@ -1003,8 +1003,8 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
     ) -> Option<Vec<BitChunk>> {
         let mut chunks = Vec::new();
         for atom in &be.atoms {
-            let Some((rid, _)) = self.find_register(&atom.reg.name) else {
-                let kind = self.names.get(atom.reg.name.as_str()).map(|(k, _)| *k);
+            let Some((rid, _)) = self.find_register(atom.reg.name) else {
+                let kind = self.names.get(atom.reg.name).map(|(k, _)| *k);
                 let code =
                     if kind.is_some() { ErrorCode::TWrongKind } else { ErrorCode::TUndefined };
                 self.diags.error(
@@ -1118,7 +1118,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
     fn resolve_register_actions(&mut self) {
         let decls = std::mem::take(&mut self.reg_decls);
         for &r in &decls {
-            let Some((rid, _)) = self.find_register(&r.name.name) else { continue };
+            let Some((rid, _)) = self.find_register(r.name.name) else { continue };
             // For instances, substitute family parameters by constants and
             // inherit the family's actions.
             let (fam_decl, subst, own_params) = match &r.spec {
@@ -1166,7 +1166,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
         // Variable `set` blocks.
         let var_decls = std::mem::take(&mut self.var_decls);
         for &(v, _) in &var_decls {
-            let Some((vid, vdef)) = self.find_variable(&v.name.name) else { continue };
+            let Some((vid, vdef)) = self.find_variable(v.name.name) else { continue };
             let has_set = v.attrs.iter().any(|a| matches!(a, ast::VarAttr::Set(_)));
             let params = if has_set { vdef.params.clone() } else { Vec::new() };
             let mut actions = Vec::new();
@@ -1194,7 +1194,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
         subst: &[u64],
     ) -> Option<Action> {
         // Target: variable or structure.
-        if let Some((vid, vdef)) = find_variable(&self.variables, &stmt.target.name) {
+        if let Some((vid, vdef)) = find_variable(&self.variables, stmt.target.name) {
             let value = Self::resolve_action_value(
                 self.diags,
                 &self.variables,
@@ -1205,12 +1205,12 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
             )?;
             return Some(Action { target: ActionTarget::Var(vid), value, span: stmt.span });
         }
-        if let Some((sid, _)) = self.find_structure(&stmt.target.name) {
+        if let Some((sid, _)) = self.find_structure(stmt.target.name) {
             let value = match &stmt.value {
                 ast::ActionValue::Struct(fields, _span) => {
                     let mut out = Vec::new();
                     for (fname, fval) in fields {
-                        match find_variable(&self.variables, &fname.name) {
+                        match find_variable(&self.variables, fname.name) {
                             Some((fvid, fdef)) => {
                                 if fdef.parent != Some(sid) {
                                     self.diags.error(
@@ -1310,11 +1310,11 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                     return Some(ActionValue::Param(i));
                 }
                 if let Some(TypeSem::Enum(en)) = target_ty {
-                    if let Some(val) = en.value_of(&sym.name) {
+                    if let Some(val) = en.value_of(sym.name) {
                         return Some(ActionValue::Const(val));
                     }
                 }
-                if let Some((vid, _)) = find_variable(variables, &sym.name) {
+                if let Some((vid, _)) = find_variable(variables, sym.name) {
                     return Some(ActionValue::Var(vid));
                 }
                 diags.error(
@@ -1340,7 +1340,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
         let var_decls = std::mem::take(&mut self.var_decls);
         for &(v, _) in &var_decls {
             let Some(ser) = &v.serialized else { continue };
-            let Some((vid, vdef)) = self.find_variable(&v.name.name) else { continue };
+            let Some((vid, vdef)) = self.find_variable(v.name.name) else { continue };
             let regs: Vec<RegId> = vdef
                 .bits
                 .as_ref()
@@ -1354,7 +1354,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
         let struct_decls = std::mem::take(&mut self.struct_decls);
         for &s in &struct_decls {
             let Some(ser) = &s.serialized else { continue };
-            let Some((sid, sdef)) = self.find_structure(&s.name.name) else { continue };
+            let Some((sid, sdef)) = self.find_structure(s.name.name) else { continue };
             let mut regs: Vec<RegId> = Vec::new();
             for &fid in &sdef.fields {
                 if let Some(chunks) = &self.variables[fid.0 as usize].bits {
@@ -1394,7 +1394,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
         for item in items {
             match item {
                 ast::SerItem::Reg(name) => {
-                    let Some((rid, _)) = self.find_register(&name.name) else {
+                    let Some((rid, _)) = self.find_register(name.name) else {
                         self.diags.error(
                             ErrorCode::TSerialization,
                             format!("`{}` is not a register", name.name),
@@ -1435,7 +1435,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
     fn resolve_cond(&mut self, cond: &ast::Cond, members: Option<&[VarId]>) -> Option<CondSem> {
         match cond {
             ast::Cond::Cmp { lhs, op, rhs, .. } => {
-                let Some((vid, vdef)) = find_variable(&self.variables, &lhs.name) else {
+                let Some((vid, vdef)) = find_variable(&self.variables, lhs.name) else {
                     self.diags.error(
                         ErrorCode::TSerialization,
                         format!("`{}` is not a variable", lhs.name),
@@ -1518,9 +1518,9 @@ enum ActionKind {
     Set,
 }
 
-fn collect_action_blocks(
-    attrs: &[ast::RegAttr],
-) -> impl Iterator<Item = (ActionKind, &ast::ActionBlock)> {
+fn collect_action_blocks<'a>(
+    attrs: &'a [ast::RegAttr<'a>],
+) -> impl Iterator<Item = (ActionKind, &'a ast::ActionBlock<'a>)> {
     attrs.iter().filter_map(|a| match a {
         ast::RegAttr::Pre(b) => Some((ActionKind::Pre, b)),
         ast::RegAttr::Post(b) => Some((ActionKind::Post, b)),

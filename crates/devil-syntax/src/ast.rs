@@ -4,59 +4,68 @@
 //! [`Span`]); all semantic interpretation — layout, typing, direction —
 //! happens in `devil-sema`. Nodes are plain data so tests and the
 //! mutation harness can construct or rewrite them freely.
+//!
+//! The tree borrows its names from the source it was parsed from: every
+//! node carries that source's lifetime `'s`, an [`Ident`] is a `&'s str`
+//! and a span, and a bit literal is a [`Cow`] that owns its text only
+//! when the lexer's `-` → `.` normalisation changed it. Parsing therefore
+//! allocates no string per name, and dropping the tree frees none.
 
 use crate::span::Span;
+#[cfg(doc)]
+use crate::token::Token;
+use std::borrow::Cow;
 use std::fmt;
 
 /// An identifier with its source location.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Ident {
-    /// The identifier text.
-    pub name: String,
+pub struct Ident<'s> {
+    /// The identifier text, borrowed from the source.
+    pub name: &'s str,
     /// Source location.
     pub span: Span,
 }
 
-impl Ident {
+impl<'s> Ident<'s> {
     /// Creates an identifier (mostly for tests and synthesized nodes).
-    pub fn new(name: impl Into<String>, span: Span) -> Self {
-        Ident { name: name.into(), span }
+    pub fn new(name: &'s str, span: Span) -> Self {
+        Ident { name, span }
     }
 }
 
-impl fmt::Display for Ident {
+impl fmt::Display for Ident<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name)
+        f.write_str(self.name)
     }
 }
 
 /// A complete Devil specification: one device declaration.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Device {
+pub struct Device<'s> {
     /// Device name, e.g. `logitech_busmouse`.
-    pub name: Ident,
+    pub name: Ident<'s>,
     /// Formal parameters (ports and integer mode parameters).
-    pub params: Vec<Param>,
+    pub params: Vec<Param<'s>>,
     /// Body declarations, in source order.
-    pub decls: Vec<Decl>,
+    pub decls: Vec<Decl<'s>>,
     /// Span of the whole declaration.
     pub span: Span,
 }
 
 /// A formal device parameter.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Param {
+pub struct Param<'s> {
     /// Parameter name, e.g. `base`.
-    pub name: Ident,
+    pub name: Ident<'s>,
     /// What kind of parameter this is.
-    pub kind: ParamKind,
+    pub kind: ParamKind<'s>,
     /// Span of the whole parameter.
     pub span: Span,
 }
 
 /// The kind of a device parameter.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ParamKind {
+pub enum ParamKind<'s> {
     /// A ranged port: `base : bit[8] port @ {0..3}`.
     Port {
         /// Access width in bits (`bit[8]`).
@@ -68,27 +77,27 @@ pub enum ParamKind {
     /// conditional declarations (device modes).
     Int {
         /// The parameter's integer type.
-        ty: Type,
+        ty: Type<'s>,
     },
 }
 
 /// A top-level declaration inside a device body.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Decl {
+pub enum Decl<'s> {
     /// `register ... ;`
-    Register(RegisterDecl),
+    Register(RegisterDecl<'s>),
     /// `variable ... ;` / `private variable ... ;`
-    Variable(VariableDecl),
+    Variable(VariableDecl<'s>),
     /// `structure name = { ... } serialized as { ... };`
-    Structure(StructureDecl),
+    Structure(StructureDecl<'s>),
     /// `type name = { A => '1', ... };`
-    TypeDef(TypeDef),
+    TypeDef(TypeDef<'s>),
     /// `if (mode == 1) { ... } else { ... }` — conditional declarations
     /// keyed on constant device parameters.
-    Cond(CondDecl),
+    Cond(CondDecl<'s>),
 }
 
-impl Decl {
+impl<'s> Decl<'s> {
     /// The span of the declaration.
     pub fn span(&self) -> Span {
         match self {
@@ -121,16 +130,16 @@ impl fmt::Display for Mode {
 
 /// A register declaration.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RegisterDecl {
+pub struct RegisterDecl<'s> {
     /// Register name.
-    pub name: Ident,
+    pub name: Ident<'s>,
     /// Formal parameters when declaring a register family, e.g.
     /// `register I(i : int{0..31}) = ...`.
-    pub params: Vec<RegParam>,
+    pub params: Vec<RegParam<'s>>,
     /// Where the register lives (port binding or family instantiation).
-    pub spec: RegSpec,
+    pub spec: RegSpec<'s>,
     /// Attributes: masks and pre/post/set action blocks.
-    pub attrs: Vec<RegAttr>,
+    pub attrs: Vec<RegAttr<'s>>,
     /// Declared size `bit[n]`. Optional for family instantiations,
     /// which inherit the family's size.
     pub size: Option<(u32, Span)>,
@@ -140,50 +149,50 @@ pub struct RegisterDecl {
 
 /// A formal parameter of a register (or variable) family.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RegParam {
+pub struct RegParam<'s> {
     /// Parameter name, e.g. `i`.
-    pub name: Ident,
+    pub name: Ident<'s>,
     /// Its integer type (typically a value set `int{0..31}`).
-    pub ty: Type,
+    pub ty: Type<'s>,
     /// Span of the parameter.
     pub span: Span,
 }
 
 /// The location part of a register declaration.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RegSpec {
+pub enum RegSpec<'s> {
     /// A single-port binding, optionally restricted to one direction:
     /// `base @ 1`, `read base @ 0`, `write base @ 3`.
     Port {
         /// Direction restriction; `None` means read-write.
         mode: Option<Mode>,
         /// The bound port.
-        port: PortExpr,
+        port: PortExpr<'s>,
     },
     /// A dual-port binding: `read base @ 0 write base @ 1` — the paper's
     /// "registers are typically defined using two ports".
     Ports {
         /// Port used for reads.
-        read: PortExpr,
+        read: PortExpr<'s>,
         /// Port used for writes.
-        write: PortExpr,
+        write: PortExpr<'s>,
     },
     /// Instantiation of a register family: `I(23)`.
     Instance {
         /// Family name.
-        family: Ident,
+        family: Ident<'s>,
         /// Actual arguments.
-        args: Vec<Expr>,
+        args: Vec<Expr<'s>>,
     },
 }
 
 /// A port expression `base @ 3` (offset optional: plain `data`).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PortExpr {
+pub struct PortExpr<'s> {
     /// The port parameter being offset.
-    pub base: Ident,
+    pub base: Ident<'s>,
     /// The constant offset, if any.
-    pub offset: Option<OffsetExpr>,
+    pub offset: Option<OffsetExpr<'s>>,
     /// Span of the expression.
     pub span: Span,
 }
@@ -191,14 +200,14 @@ pub struct PortExpr {
 /// A constant offset in a port expression. Either a literal or a
 /// reference to a register-family parameter (`base @ i`).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum OffsetExpr {
+pub enum OffsetExpr<'s> {
     /// Literal offset.
     Int(u64, Span),
     /// Family-parameter offset.
-    Param(Ident),
+    Param(Ident<'s>),
 }
 
-impl OffsetExpr {
+impl<'s> OffsetExpr<'s> {
     /// Span of the offset expression.
     pub fn span(&self) -> Span {
         match self {
@@ -210,16 +219,16 @@ impl OffsetExpr {
 
 /// An attribute attached to a register.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RegAttr {
+pub enum RegAttr<'s> {
     /// `mask '1001000.'`
     Mask(BitMask),
     /// `pre { ... }` — actions performed before each access.
-    Pre(ActionBlock),
+    Pre(ActionBlock<'s>),
     /// `post { ... }` — actions performed after each access.
-    Post(ActionBlock),
+    Post(ActionBlock<'s>),
     /// `set { ... }` — updates to private memory variables performed
     /// when the register is accessed (automata-based addressing).
-    Set(ActionBlock),
+    Set(ActionBlock<'s>),
 }
 
 /// One symbol of a register mask.
@@ -282,27 +291,27 @@ impl BitMask {
 
 /// A `{ stmt; stmt }` action block (pre/post/set).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ActionBlock {
+pub struct ActionBlock<'s> {
     /// The statements, in execution order.
-    pub stmts: Vec<ActionStmt>,
+    pub stmts: Vec<ActionStmt<'s>>,
     /// Span of the block.
     pub span: Span,
 }
 
 /// A single `target = value` action statement.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ActionStmt {
+pub struct ActionStmt<'s> {
     /// The variable (or structure) being assigned.
-    pub target: Ident,
+    pub target: Ident<'s>,
     /// The assigned value.
-    pub value: ActionValue,
+    pub value: ActionValue<'s>,
     /// Span of the statement.
     pub span: Span,
 }
 
 /// The right-hand side of an action statement.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ActionValue {
+pub enum ActionValue<'s> {
     /// A literal integer.
     Int(u64, Span),
     /// `*`: any value (used to strobe, e.g. the 8237 flip-flop reset).
@@ -310,12 +319,12 @@ pub enum ActionValue {
     /// `true` / `false`.
     Bool(bool, Span),
     /// An identifier: enum symbol, family parameter, or variable.
-    Sym(Ident),
+    Sym(Ident<'s>),
     /// A structure value: `{XA => j; XRAE => true}`.
-    Struct(Vec<(Ident, ActionValue)>, Span),
+    Struct(Vec<(Ident<'s>, ActionValue<'s>)>, Span),
 }
 
-impl ActionValue {
+impl<'s> ActionValue<'s> {
     /// Span of the value.
     pub fn span(&self) -> Span {
         match self {
@@ -328,24 +337,24 @@ impl ActionValue {
 
 /// A device-variable declaration (top level or structure field).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VariableDecl {
+pub struct VariableDecl<'s> {
     /// Whether the variable is `private` (hidden from the functional
     /// interface; may be an unmapped memory cell).
     pub private: bool,
     /// Variable name.
-    pub name: Ident,
+    pub name: Ident<'s>,
     /// Formal parameters for variable families (arrays).
-    pub params: Vec<RegParam>,
+    pub params: Vec<RegParam<'s>>,
     /// The register bits backing the variable; `None` for unmapped
     /// private memory variables (`private variable xm : bool;`).
-    pub bits: Option<BitExpr>,
+    pub bits: Option<BitExpr<'s>>,
     /// Behaviour attributes (volatile, trigger, block, set).
-    pub attrs: Vec<VarAttr>,
+    pub attrs: Vec<VarAttr<'s>>,
     /// The declared type. Syntactically optional (paper fragments omit
     /// it); the checker requires it.
-    pub ty: Option<Type>,
+    pub ty: Option<Type<'s>>,
     /// Per-variable serialization order (the 8237 counter case).
-    pub serialized: Option<SerBlock>,
+    pub serialized: Option<SerBlock<'s>>,
     /// Span of the declaration.
     pub span: Span,
 }
@@ -353,20 +362,20 @@ pub struct VariableDecl {
 /// A concatenation of register bit-fragments: `x_high[3..0] # x_low[3..0]`.
 /// `atoms[0]` holds the **most significant** fragment.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BitExpr {
+pub struct BitExpr<'s> {
     /// The fragments, most significant first.
-    pub atoms: Vec<BitAtom>,
+    pub atoms: Vec<BitAtom<'s>>,
     /// Span of the expression.
     pub span: Span,
 }
 
 /// One register fragment in a bit expression.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BitAtom {
+pub struct BitAtom<'s> {
     /// The register (or register-family) name.
-    pub reg: Ident,
+    pub reg: Ident<'s>,
     /// Arguments when referencing a register family: `cnt(i)`.
-    pub args: Vec<Expr>,
+    pub args: Vec<Expr<'s>>,
     /// Selected bit ranges, MSB-side first as written: `[2,7..4]`.
     /// Empty means the whole register.
     pub ranges: Vec<BitRange>,
@@ -394,7 +403,7 @@ impl BitRange {
 
 /// A behaviour attribute on a variable.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum VarAttr {
+pub enum VarAttr<'s> {
     /// `volatile`: reads are not idempotent.
     Volatile(Span),
     /// `block`: generate block-transfer stubs.
@@ -405,67 +414,67 @@ pub enum VarAttr {
         /// Direction the trigger applies to; `None` = both.
         mode: Option<Mode>,
         /// Exception clause.
-        exception: Option<TriggerException>,
+        exception: Option<TriggerException<'s>>,
         /// Span of the attribute.
         span: Span,
     },
     /// `set { ... }` — updates private memory variables when this
     /// variable is written.
-    Set(ActionBlock),
+    Set(ActionBlock<'s>),
 }
 
 /// The exception clause of a trigger attribute.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TriggerException {
+pub enum TriggerException<'s> {
     /// `except NEUTRAL` — the named value does not trigger.
-    Except(Ident),
+    Except(Ident<'s>),
     /// `for true` — the trigger only fires for the given value.
-    For(ConstValue),
+    For(ConstValue<'s>),
 }
 
 /// A structure declaration grouping variables for consistent access.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StructureDecl {
+pub struct StructureDecl<'s> {
     /// Structure name.
-    pub name: Ident,
+    pub name: Ident<'s>,
     /// Field variables.
-    pub fields: Vec<VariableDecl>,
+    pub fields: Vec<VariableDecl<'s>>,
     /// Optional register write/read ordering.
-    pub serialized: Option<SerBlock>,
+    pub serialized: Option<SerBlock<'s>>,
     /// Span of the declaration.
     pub span: Span,
 }
 
 /// A `serialized as { ... }` block.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SerBlock {
+pub struct SerBlock<'s> {
     /// Ordered serialization items.
-    pub items: Vec<SerItem>,
+    pub items: Vec<SerItem<'s>>,
     /// Span of the block.
     pub span: Span,
 }
 
 /// One item of a serialization order.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SerItem {
+pub enum SerItem<'s> {
     /// Access this register next.
-    Reg(Ident),
+    Reg(Ident<'s>),
     /// Conditional access: `if (sngl == SINGLE) icw3;`.
     If {
         /// Guard condition over structure-member variables.
-        cond: Cond,
+        cond: Cond<'s>,
         /// Item(s) executed when the guard holds.
-        then: Box<SerItem>,
+        then: Box<SerItem<'s>>,
         /// Optional `else` item.
-        els: Option<Box<SerItem>>,
+        els: Option<Box<SerItem<'s>>>,
         /// Span.
         span: Span,
     },
     /// A braced group of items.
-    Block(Vec<SerItem>, Span),
+    Block(Vec<SerItem<'s>>, Span),
 }
 
-impl SerItem {
+impl<'s> SerItem<'s> {
     /// Span of the item.
     pub fn span(&self) -> Span {
         match self {
@@ -478,27 +487,27 @@ impl SerItem {
 
 /// A boolean guard over variables/parameters.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Cond {
+pub enum Cond<'s> {
     /// `lhs == rhs` / `lhs != rhs`.
     Cmp {
         /// Variable or parameter compared.
-        lhs: Ident,
+        lhs: Ident<'s>,
         /// Comparison operator.
         op: CmpOp,
         /// Constant right-hand side.
-        rhs: ConstValue,
+        rhs: ConstValue<'s>,
         /// Span.
         span: Span,
     },
     /// `a && b`
-    And(Box<Cond>, Box<Cond>),
+    And(Box<Cond<'s>>, Box<Cond<'s>>),
     /// `a || b`
-    Or(Box<Cond>, Box<Cond>),
+    Or(Box<Cond<'s>>, Box<Cond<'s>>),
     /// `!a`
-    Not(Box<Cond>),
+    Not(Box<Cond<'s>>),
 }
 
-impl Cond {
+impl<'s> Cond<'s> {
     /// Span of the condition.
     pub fn span(&self) -> Span {
         match self {
@@ -520,18 +529,18 @@ pub enum CmpOp {
 
 /// A constant value in guards, trigger clauses, and enum tests.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ConstValue {
+pub enum ConstValue<'s> {
     /// Integer literal.
     Int(u64, Span),
     /// Boolean literal.
     Bool(bool, Span),
     /// Enum symbol.
-    Sym(Ident),
-    /// Quoted bit pattern.
-    Bits(String, Span),
+    Sym(Ident<'s>),
+    /// Quoted bit pattern, normalised as [`Token::bits`] gives it.
+    Bits(Cow<'s, str>, Span),
 }
 
-impl ConstValue {
+impl<'s> ConstValue<'s> {
     /// Span of the value.
     pub fn span(&self) -> Span {
         match self {
@@ -543,40 +552,40 @@ impl ConstValue {
 
 /// A named type definition: `type t = { A => '1', B => '0' };`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TypeDef {
+pub struct TypeDef<'s> {
     /// Type name.
-    pub name: Ident,
+    pub name: Ident<'s>,
     /// The defined type.
-    pub ty: Type,
+    pub ty: Type<'s>,
     /// Span of the definition.
     pub span: Span,
 }
 
 /// A conditional declaration group.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CondDecl {
+pub struct CondDecl<'s> {
     /// Guard over constant device parameters.
-    pub cond: Cond,
+    pub cond: Cond<'s>,
     /// Declarations active when the guard holds.
-    pub then: Vec<Decl>,
+    pub then: Vec<Decl<'s>>,
     /// Declarations active otherwise.
-    pub els: Vec<Decl>,
+    pub els: Vec<Decl<'s>>,
     /// Span.
     pub span: Span,
 }
 
 /// A type expression.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Type {
+pub struct Type<'s> {
     /// The type's shape.
-    pub kind: TypeKind,
+    pub kind: TypeKind<'s>,
     /// Span of the type expression.
     pub span: Span,
 }
 
 /// The shape of a type expression.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TypeKind {
+pub enum TypeKind<'s> {
     /// `int(n)` — unsigned integer of `n` bits.
     UInt(u32),
     /// `signed int(n)` — two's-complement integer of `n` bits.
@@ -586,9 +595,9 @@ pub enum TypeKind {
     /// `int{0..31}` / `int{0..17,25}` — an integer restricted to a set.
     IntSet(IntSet),
     /// An inline enumerated type.
-    Enum(EnumType),
+    Enum(EnumType<'s>),
     /// A reference to a named (`type`) definition.
-    Named(Ident),
+    Named(Ident<'s>),
 }
 
 /// A set of integers given as single values and inclusive ranges.
@@ -668,22 +677,23 @@ impl IntSet {
 
 /// An enumerated type: symbol ↔ bit-pattern mappings with directions.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EnumType {
+pub struct EnumType<'s> {
     /// The mapping arms, in source order.
-    pub arms: Vec<EnumArm>,
+    pub arms: Vec<EnumArm<'s>>,
     /// Span of the type.
     pub span: Span,
 }
 
 /// One arm of an enumerated type: `CONFIGURATION => '1'`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EnumArm {
+pub struct EnumArm<'s> {
     /// Symbolic name.
-    pub sym: Ident,
+    pub sym: Ident<'s>,
     /// Mapping direction.
     pub dir: EnumDir,
-    /// Concrete bit pattern (`0`/`1` characters, MSB first).
-    pub pattern: String,
+    /// Concrete bit pattern (`0`/`1` characters, MSB first),
+    /// normalised as [`Token::bits`] gives it.
+    pub pattern: Cow<'s, str>,
     /// Span of the pattern literal.
     pub pattern_span: Span,
     /// Span of the arm.
@@ -715,14 +725,14 @@ impl EnumDir {
 
 /// A small constant expression (register-family arguments).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Expr {
+pub enum Expr<'s> {
     /// Integer literal.
     Int(u64, Span),
     /// Parameter or variable reference.
-    Sym(Ident),
+    Sym(Ident<'s>),
 }
 
-impl Expr {
+impl<'s> Expr<'s> {
     /// Span of the expression.
     pub fn span(&self) -> Span {
         match self {

@@ -65,6 +65,9 @@ pub enum ErrorCode {
     ParseReversedRange,
     /// Integer out of the range accepted by the construct.
     ParseIntRange,
+    /// Nesting (or a `||`/`&&` chain) deeper than the parser's limit,
+    /// [`MAX_DEPTH`](crate::parser::MAX_DEPTH).
+    ParseDepth,
 
     // ---- Checker: strong typing ----
     /// Reference to an undefined name.
@@ -162,6 +165,7 @@ impl ErrorCode {
             ParseEmpty => "E-PARSE-EMPTY",
             ParseReversedRange => "E-PARSE-RANGE",
             ParseIntRange => "E-PARSE-INTRANGE",
+            ParseDepth => "E-PARSE-DEPTH",
             TUndefined => "E-T-UNDEF",
             TWrongKind => "E-T-KIND",
             TWidthMismatch => "E-T-WIDTH",

@@ -4,6 +4,12 @@
 //! error-tolerant: unknown characters and malformed literals are reported
 //! to the [`DiagSink`] and skipped, so the parser always receives a
 //! well-formed stream ending in [`TokenKind::Eof`].
+//!
+//! Tokens borrow nothing and own nothing: an identifier's or bit
+//! literal's text is its span of the source. The only allocation is the
+//! token vector (plus the message of any diagnostic). The scan loop
+//! matches each token's leading byte once, and skips whitespace,
+//! comments and identifier runs in tight inner loops.
 
 use crate::diag::{DiagSink, ErrorCode};
 use crate::span::Span;
@@ -41,12 +47,6 @@ impl<'a, 'd> Lexer<'a, 'd> {
         self.bytes.get(self.pos + 1).copied()
     }
 
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
     fn span_from(&self, start: usize) -> Span {
         Span::new(start as u32, self.pos as u32)
     }
@@ -56,14 +56,21 @@ impl<'a, 'd> Lexer<'a, 'd> {
         self.tokens.push(Token::new(kind, span));
     }
 
+    /// Advances past the run of bytes from the current position on that
+    /// satisfy `keep`.
+    fn skip_while(&mut self, keep: impl Fn(u8) -> bool) {
+        let rest = &self.bytes[self.pos..];
+        self.pos += rest.iter().position(|&b| !keep(b)).unwrap_or(rest.len());
+    }
+
     fn run(mut self) -> Vec<Token> {
         while let Some(b) = self.peek() {
             let start = self.pos;
             match b {
                 b' ' | b'\t' | b'\r' | b'\n' => {
-                    self.pos += 1;
+                    self.skip_while(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'));
                 }
-                b'/' if self.peek2() == Some(b'/') => self.line_comment(),
+                b'/' if self.peek2() == Some(b'/') => self.skip_while(|b| b != b'\n'),
                 b'/' if self.peek2() == Some(b'*') => self.block_comment(),
                 b'\'' => self.quoted(),
                 b'0'..=b'9' => self.number(),
@@ -181,15 +188,6 @@ impl<'a, 'd> Lexer<'a, 'd> {
         self.push(kind, start);
     }
 
-    fn line_comment(&mut self) {
-        while let Some(b) = self.peek() {
-            if b == b'\n' {
-                break;
-            }
-            self.pos += 1;
-        }
-    }
-
     fn block_comment(&mut self) {
         let start = self.pos;
         self.pos += 2; // consume `/*`
@@ -220,17 +218,22 @@ impl<'a, 'd> Lexer<'a, 'd> {
     /// Lexes a quoted bit/mask literal such as `'1001000.'`.
     ///
     /// The paper prints irrelevant-both-ways bits as `-` in prose but `.`
-    /// in listings; both are accepted and normalised to `.`.
+    /// in listings; both are accepted, and [`Token::bits`] normalises
+    /// them to `.`. Any other character is reported here and reads as
+    /// `.` too, so the literal's length stays stable and later width
+    /// checks do not cascade.
     fn quoted(&mut self) {
         let start = self.pos;
         self.pos += 1; // opening quote
-        let mut content = String::new();
         loop {
-            match self.bump() {
-                Some(b'\'') => break,
-                Some(c @ (b'0' | b'1' | b'*' | b'.')) => content.push(c as char),
-                Some(b'-') => content.push('.'),
+            self.skip_while(|b| matches!(b, b'0' | b'1' | b'*' | b'.' | b'-'));
+            match self.peek() {
+                Some(b'\'') => {
+                    self.pos += 1;
+                    break;
+                }
                 Some(other) => {
+                    self.pos += 1;
                     self.diags.error(
                         ErrorCode::LexBadQuoteChar,
                         format!(
@@ -239,9 +242,6 @@ impl<'a, 'd> Lexer<'a, 'd> {
                         ),
                         Span::new(self.pos as u32 - 1, self.pos as u32),
                     );
-                    // Keep the literal's length stable so later width
-                    // checks do not cascade.
-                    content.push('.');
                 }
                 None => {
                     self.diags.error(
@@ -253,7 +253,7 @@ impl<'a, 'd> Lexer<'a, 'd> {
                 }
             }
         }
-        self.push(TokenKind::Quoted(content), start);
+        self.push(TokenKind::Quoted, start);
     }
 
     fn number(&mut self) {
@@ -269,19 +269,11 @@ impl<'a, 'd> Lexer<'a, 'd> {
             10
         };
         let digits_start = self.pos;
-        while let Some(b) = self.peek() {
-            let ok = match radix {
-                16 => b.is_ascii_hexdigit(),
-                2 => b == b'0' || b == b'1',
-                _ => b.is_ascii_digit(),
-            };
-            // Also swallow decimal digits in binary literals so `0b12`
-            // is one bad token, not `0b1` followed by `2`.
-            if ok || (radix == 2 && b.is_ascii_digit()) {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        // Binary literals also swallow decimal digits, so `0b12` is one
+        // bad token, not `0b1` followed by `2`.
+        match radix {
+            16 => self.skip_while(|b| b.is_ascii_hexdigit()),
+            _ => self.skip_while(|b| b.is_ascii_digit()),
         }
         let digits = &self.src[digits_start..self.pos];
         if digits.is_empty() {
@@ -313,17 +305,11 @@ impl<'a, 'd> Lexer<'a, 'd> {
 
     fn ident(&mut self) {
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_alphanumeric() || b == b'_' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = &self.src[start..self.pos];
-        let kind = match Keyword::from_str(text) {
+        self.pos += 1;
+        self.skip_while(|b| b.is_ascii_alphanumeric() || b == b'_');
+        let kind = match Keyword::from_str(&self.src[start..self.pos]) {
             Some(kw) => TokenKind::Kw(kw),
-            None => TokenKind::Ident(text.to_string()),
+            None => TokenKind::Ident,
         };
         self.push(kind, start);
     }
@@ -347,6 +333,19 @@ mod tests {
         (toks.into_iter().map(|t| t.kind).collect(), diags)
     }
 
+    /// The text of every identifier and bit literal in `src`, bit
+    /// literals as [`Token::bits`] gives them.
+    fn texts(src: &str) -> Vec<String> {
+        let toks = lex(src, &mut DiagSink::new());
+        toks.into_iter()
+            .filter_map(|t| match t.kind {
+                TokenKind::Ident => Some(t.text(src).to_string()),
+                TokenKind::Quoted => Some(t.bits(src).into_owned()),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn lexes_paper_register_line() {
         // Line 4 of the paper's Figure 1.
@@ -355,9 +354,9 @@ mod tests {
             toks,
             vec![
                 TokenKind::Kw(K::Register),
-                TokenKind::Ident("sig_reg".into()),
+                TokenKind::Ident,
                 TokenKind::Eq,
-                TokenKind::Ident("base".into()),
+                TokenKind::Ident,
                 TokenKind::At,
                 TokenKind::Int(1),
                 TokenKind::Colon,
@@ -369,6 +368,7 @@ mod tests {
                 TokenKind::Eof,
             ]
         );
+        assert_eq!(texts("register sig_reg = base @ 1 : bit[8];"), ["sig_reg", "base"]);
     }
 
     #[test]
@@ -378,7 +378,7 @@ mod tests {
             toks,
             vec![
                 TokenKind::Kw(K::Mask),
-                TokenKind::Quoted("1001000.".into()),
+                TokenKind::Quoted,
                 TokenKind::FatArrow,
                 TokenKind::ReadArrow,
                 TokenKind::BothArrow,
@@ -388,12 +388,13 @@ mod tests {
                 TokenKind::Eof,
             ]
         );
+        assert_eq!(texts("mask '1001000.' =>"), ["1001000."]);
     }
 
     #[test]
     fn dash_normalises_to_dot_in_quotes() {
-        let toks = lex_ok("'1--*'");
-        assert_eq!(toks[0], TokenKind::Quoted("1..*".into()));
+        assert_eq!(lex_ok("'1--*'")[0], TokenKind::Quoted);
+        assert_eq!(texts("'1--*'"), ["1..*"]);
     }
 
     #[test]
@@ -413,11 +414,9 @@ mod tests {
 
     #[test]
     fn comments_are_skipped() {
-        let toks = lex_ok("// Signature register (SR)\nregister /* inline /* nested */ ok */ r");
-        assert_eq!(
-            toks,
-            vec![TokenKind::Kw(K::Register), TokenKind::Ident("r".into()), TokenKind::Eof]
-        );
+        let src = "// Signature register (SR)\nregister /* inline /* nested */ ok */ r";
+        assert_eq!(lex_ok(src), vec![TokenKind::Kw(K::Register), TokenKind::Ident, TokenKind::Eof]);
+        assert_eq!(texts(src), ["r"]);
     }
 
     #[test]
@@ -433,7 +432,8 @@ mod tests {
         let (toks, diags) = lex_err("register $r;");
         assert!(diags.has_code(ErrorCode::LexUnknownChar));
         // Lexing continues after the bad character.
-        assert!(toks.contains(&TokenKind::Ident("r".into())));
+        assert!(toks.contains(&TokenKind::Ident));
+        assert_eq!(texts("register $r;"), ["r"]);
     }
 
     #[test]
@@ -447,7 +447,8 @@ mod tests {
         let (toks, diags) = lex_err("'1x0'");
         assert!(diags.has_code(ErrorCode::LexBadQuoteChar));
         // Length is preserved so downstream width checks stay sane.
-        assert_eq!(toks[0], TokenKind::Quoted("1.0".into()));
+        assert_eq!(toks[0], TokenKind::Quoted);
+        assert_eq!(texts("'1x0'"), ["1.0"]);
     }
 
     #[test]
@@ -504,7 +505,16 @@ mod tests {
     fn keywords_and_idents_distinguished() {
         let toks = lex_ok("device devices DEVICE");
         assert_eq!(toks[0], TokenKind::Kw(K::Device));
-        assert_eq!(toks[1], TokenKind::Ident("devices".into()));
-        assert_eq!(toks[2], TokenKind::Ident("DEVICE".into()));
+        assert_eq!(toks[1..3], [TokenKind::Ident, TokenKind::Ident]);
+        assert_eq!(texts("device devices DEVICE"), ["devices", "DEVICE"]);
+    }
+
+    #[test]
+    fn unterminated_quote_keeps_its_text() {
+        let (toks, diags) = lex_err("'1-x");
+        assert!(diags.has_code(ErrorCode::LexUnterminatedQuote));
+        assert!(diags.has_code(ErrorCode::LexBadQuoteChar));
+        assert_eq!(toks, [TokenKind::Quoted, TokenKind::Eof]);
+        assert_eq!(texts("'1-x"), ["1.."]);
     }
 }

@@ -5,22 +5,36 @@
 //! granularity: a malformed declaration is reported and skipped up to the
 //! next `;` (or balanced brace), so one mistake yields one diagnostic —
 //! a property the mutation-analysis harness relies on.
+//!
+//! Nesting is bounded: past [`MAX_DEPTH`] levels the parser reports
+//! `E-PARSE-DEPTH` instead of recursing further, so no input overflows
+//! its stack, and every tree it builds is shallow enough for the later
+//! stages' recursive walkers (and `Drop`).
 
 use crate::ast::*;
 use crate::diag::{DiagSink, ErrorCode};
 use crate::lexer;
 use crate::span::Span;
 use crate::token::{Keyword as K, Token, TokenKind as T};
+use std::borrow::Cow;
+
+/// The deepest nesting the parser accepts. Each open `(` or `!` of a
+/// condition, serialization `if` or `{ }` group, declaration-level `if`
+/// and structure value counts one level, and so does each further term
+/// of a `||`/`&&` chain until the condition ends, as it deepens the
+/// left-leaning tree it builds by one node. So no tree built within the limit is more than about
+/// `2 × MAX_DEPTH` nodes deep. Real specifications nest a few levels.
+pub const MAX_DEPTH: u32 = 256;
 
 /// Parses a full specification (one `device` declaration).
 ///
 /// Returns the device if one could be built, plus all diagnostics. A
 /// device may be returned even when errors were reported (best-effort
 /// tree for tooling); callers that need validity must consult the sink.
-pub fn parse(src: &str) -> (Option<Device>, DiagSink) {
+pub fn parse(src: &str) -> (Option<Device<'_>>, DiagSink) {
     let mut diags = DiagSink::new();
     let tokens = lexer::lex(src, &mut diags);
-    let mut parser = Parser::new(tokens, &mut diags);
+    let mut parser = Parser::new(src, tokens, &mut diags);
     let device = parser.device();
     if let Some(_d) = &device {
         parser.eat_semi_opt();
@@ -36,15 +50,45 @@ pub fn parse(src: &str) -> (Option<Device>, DiagSink) {
     (device, diags)
 }
 
-struct Parser<'d> {
+struct Parser<'s, 'd> {
+    src: &'s str,
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting, see [`MAX_DEPTH`].
+    depth: u32,
     diags: &'d mut DiagSink,
 }
 
-impl<'d> Parser<'d> {
-    fn new(tokens: Vec<Token>, diags: &'d mut DiagSink) -> Self {
-        Parser { tokens, pos: 0, diags }
+impl<'s, 'd> Parser<'s, 'd> {
+    fn new(src: &'s str, tokens: Vec<Token>, diags: &'d mut DiagSink) -> Self {
+        Parser { src, tokens, pos: 0, depth: 0, diags }
+    }
+
+    // ---- nesting ----
+
+    /// Goes one level deeper, or reports `E-PARSE-DEPTH` at the current
+    /// token and fails when that passes [`MAX_DEPTH`].
+    fn deeper(&mut self) -> Option<()> {
+        if self.depth >= MAX_DEPTH {
+            let span = self.peek_span();
+            self.diags.error(
+                ErrorCode::ParseDepth,
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+                span,
+            );
+            return None;
+        }
+        self.depth += 1;
+        Some(())
+    }
+
+    /// Runs `f` one level deeper, then restores the depth, including
+    /// the levels of any chain `f` parsed.
+    fn nested<R>(&mut self, f: impl FnOnce(&mut Self) -> Option<R>) -> Option<R> {
+        let outer = self.depth;
+        let r = self.deeper().and_then(|()| f(self));
+        self.depth = outer;
+        r
     }
 
     // ---- token helpers ----
@@ -76,18 +120,9 @@ impl<'d> Parser<'d> {
         }
     }
 
-    /// Consumes the current token and moves its owned text out. The
-    /// parser never moves backwards, so the emptied token is not read
-    /// again.
-    fn take_text(&mut self) -> (String, Span) {
-        let tok = &mut self.tokens[self.pos];
-        let (T::Ident(text) | T::Quoted(text)) = &mut tok.kind else {
-            unreachable!("callers take text only from identifiers and bit literals")
-        };
-        let text = std::mem::take(text);
-        let span = tok.span;
-        self.bump();
-        (text, span)
+    /// A description of the current token for error messages.
+    fn describe_peek(&self) -> String {
+        self.tokens[self.pos].describe(self.src)
     }
 
     fn at(&self, kind: &T) -> bool {
@@ -119,7 +154,7 @@ impl<'d> Parser<'d> {
     /// Reports `expected {what}, found …` at the current token; always
     /// `None`, so a failed alternative can return it directly.
     fn expected<R>(&mut self, what: &str) -> Option<R> {
-        let (found, span) = (self.peek().describe(), self.peek_span());
+        let (found, span) = (self.describe_peek(), self.peek_span());
         // `concat` sizes the message exactly: one allocation, no regrowth.
         let message = ["expected ", what, ", found ", &found].concat();
         self.diags.error(ErrorCode::ParseExpected, message, span);
@@ -144,10 +179,11 @@ impl<'d> Parser<'d> {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Option<Ident> {
-        if let T::Ident(_) = self.peek() {
-            let (name, span) = self.take_text();
-            Some(Ident::new(name, span))
+    fn ident(&mut self, what: &str) -> Option<Ident<'s>> {
+        if let T::Ident = self.peek() {
+            let tok = self.tokens[self.pos];
+            self.bump();
+            Some(Ident::new(tok.text(self.src), tok.span))
         } else {
             self.expected(what)
         }
@@ -201,7 +237,7 @@ impl<'d> Parser<'d> {
     // ---- grammar ----
 
     /// `device NAME ( params ) { decls }`
-    fn device(&mut self) -> Option<Device> {
+    fn device(&mut self) -> Option<Device<'s>> {
         let start = self.peek_span();
         if !self.expect_kw(K::Device, "`device`") {
             return None;
@@ -228,7 +264,7 @@ impl<'d> Parser<'d> {
     }
 
     /// `name : bit[8] port @ {0..3}` or `name : int(2)`
-    fn param(&mut self) -> Option<Param> {
+    fn param(&mut self) -> Option<Param<'s>> {
         let name = self.ident("parameter name")?;
         self.expect(&T::Colon, "`:`");
         if self.at_kw(K::Bit) {
@@ -292,7 +328,7 @@ impl<'d> Parser<'d> {
         Some(IntSet { items, span })
     }
 
-    fn decls_until_rbrace(&mut self) -> Vec<Decl> {
+    fn decls_until_rbrace(&mut self) -> Vec<Decl<'s>> {
         let mut decls = Vec::new();
         loop {
             self.eat_semi_opt();
@@ -314,16 +350,16 @@ impl<'d> Parser<'d> {
         decls
     }
 
-    fn decl(&mut self) -> Option<Decl> {
+    fn decl(&mut self) -> Option<Decl<'s>> {
         match self.peek() {
             T::Kw(K::Register) => self.register_decl().map(Decl::Register),
             T::Kw(K::Private) | T::Kw(K::Variable) => self.variable_decl().map(Decl::Variable),
             T::Kw(K::Structure) => self.structure_decl().map(Decl::Structure),
             T::Kw(K::Type) => self.type_def().map(Decl::TypeDef),
-            T::Kw(K::If) => self.cond_decl().map(Decl::Cond),
+            T::Kw(K::If) => self.nested(Self::cond_decl).map(Decl::Cond),
             _ => {
                 let sp = self.peek_span();
-                let found = self.peek().describe();
+                let found = self.describe_peek();
                 self.diags.error(
                     ErrorCode::ParseExpectedDecl,
                     format!("expected a declaration (`register`, `variable`, `structure`, `type` or `if`), found {found}"),
@@ -335,7 +371,7 @@ impl<'d> Parser<'d> {
     }
 
     /// `register NAME(params)? = spec (, attr)* (: bit[n])? ;`
-    fn register_decl(&mut self) -> Option<RegisterDecl> {
+    fn register_decl(&mut self) -> Option<RegisterDecl<'s>> {
         let start = self.peek_span();
         self.expect_kw(K::Register, "`register`");
         let name = self.ident("register name")?;
@@ -368,7 +404,7 @@ impl<'d> Parser<'d> {
     }
 
     /// Optional `(i : int{0..31}, ...)` family parameter list.
-    fn opt_family_params(&mut self) -> Option<Vec<RegParam>> {
+    fn opt_family_params(&mut self) -> Option<Vec<RegParam<'s>>> {
         let mut params = Vec::new();
         if self.eat(&T::LParen) {
             loop {
@@ -387,7 +423,7 @@ impl<'d> Parser<'d> {
     }
 
     /// `base @ 1` / `read base @ 0` / `read p0 write p1` / `I(23)`.
-    fn reg_spec(&mut self) -> Option<RegSpec> {
+    fn reg_spec(&mut self) -> Option<RegSpec<'s>> {
         if self.at_kw(K::Read) {
             self.bump();
             let read = self.port_expr()?;
@@ -405,7 +441,7 @@ impl<'d> Parser<'d> {
         }
         // `I(23)` instantiation vs plain port binding: both start with an
         // identifier; a following `(` means instantiation.
-        if matches!(self.peek(), T::Ident(_)) && matches!(self.peek_ahead(1), T::LParen) {
+        if matches!(self.peek(), T::Ident) && matches!(self.peek_ahead(1), T::LParen) {
             let family = self.ident("register family name")?;
             self.expect(&T::LParen, "`(`");
             let mut args = Vec::new();
@@ -423,7 +459,7 @@ impl<'d> Parser<'d> {
     }
 
     /// `base @ 1` or bare `data`; the offset may be a family parameter.
-    fn port_expr(&mut self) -> Option<PortExpr> {
+    fn port_expr(&mut self) -> Option<PortExpr<'s>> {
         let base = self.ident("port name")?;
         let mut span = base.span;
         let offset = if self.eat(&T::At) {
@@ -434,7 +470,7 @@ impl<'d> Parser<'d> {
                     self.bump();
                     OffsetExpr::Int(v, s)
                 }
-                T::Ident(_) => OffsetExpr::Param(self.ident("offset")?),
+                T::Ident => OffsetExpr::Param(self.ident("offset")?),
                 _ => {
                     return self.expected("port offset (integer or parameter)");
                 }
@@ -447,7 +483,7 @@ impl<'d> Parser<'d> {
         Some(PortExpr { base, offset, span })
     }
 
-    fn reg_attr(&mut self) -> Option<RegAttr> {
+    fn reg_attr(&mut self) -> Option<RegAttr<'s>> {
         match self.peek() {
             T::Kw(K::Mask) => {
                 self.bump();
@@ -474,16 +510,18 @@ impl<'d> Parser<'d> {
         }
     }
 
-    fn quoted(&mut self, what: &str) -> Option<(String, Span)> {
-        if let T::Quoted(_) = self.peek() {
-            Some(self.take_text())
+    fn quoted(&mut self, what: &str) -> Option<(Cow<'s, str>, Span)> {
+        if let T::Quoted = self.peek() {
+            let tok = self.tokens[self.pos];
+            self.bump();
+            Some((tok.bits(self.src), tok.span))
         } else {
             self.expected(what)
         }
     }
 
     /// `{ target = value ; ... }` (trailing `;` optional).
-    fn action_block(&mut self) -> Option<ActionBlock> {
+    fn action_block(&mut self) -> Option<ActionBlock<'s>> {
         let start = self.peek_span();
         self.expect(&T::LBrace, "`{`");
         let mut stmts = Vec::new();
@@ -502,7 +540,7 @@ impl<'d> Parser<'d> {
         Some(ActionBlock { stmts, span })
     }
 
-    fn action_value(&mut self) -> Option<ActionValue> {
+    fn action_value(&mut self) -> Option<ActionValue<'s>> {
         match self.peek() {
             T::Int(v) => {
                 let v = *v;
@@ -525,30 +563,30 @@ impl<'d> Parser<'d> {
                 self.bump();
                 Some(ActionValue::Bool(false, s))
             }
-            T::Ident(_) => self.ident("value").map(ActionValue::Sym),
-            T::LBrace => {
-                let start = self.peek_span();
-                self.bump();
+            T::Ident => self.ident("value").map(ActionValue::Sym),
+            T::LBrace => self.nested(|p| {
+                let start = p.peek_span();
+                p.bump();
                 let mut fields = Vec::new();
-                while !self.at(&T::RBrace) && !self.at_eof() {
-                    let name = self.ident("field name")?;
-                    self.expect(&T::FatArrow, "`=>`");
-                    let value = self.action_value()?;
+                while !p.at(&T::RBrace) && !p.at_eof() {
+                    let name = p.ident("field name")?;
+                    p.expect(&T::FatArrow, "`=>`");
+                    let value = p.action_value()?;
                     fields.push((name, value));
-                    if !self.eat(&T::Semi) && !self.eat(&T::Comma) {
+                    if !p.eat(&T::Semi) && !p.eat(&T::Comma) {
                         break;
                     }
                 }
-                self.expect(&T::RBrace, "`}`");
-                Some(ActionValue::Struct(fields, start.to(self.prev_span())))
-            }
+                p.expect(&T::RBrace, "`}`");
+                Some(ActionValue::Struct(fields, start.to(p.prev_span())))
+            }),
             _ => self.expected("action value"),
         }
     }
 
     /// `private? variable NAME(params)? (= bitexpr)? (, attr)* (: type)?
     ///  (serialized as {...})? ;`
-    fn variable_decl(&mut self) -> Option<VariableDecl> {
+    fn variable_decl(&mut self) -> Option<VariableDecl<'s>> {
         let start = self.peek_span();
         let private = self.eat_kw(K::Private);
         self.expect_kw(K::Variable, "`variable`");
@@ -573,7 +611,7 @@ impl<'d> Parser<'d> {
     }
 
     /// `x_high[3..0] # x_low[3..0]`
-    fn bit_expr(&mut self) -> Option<BitExpr> {
+    fn bit_expr(&mut self) -> Option<BitExpr<'s>> {
         let start = self.peek_span();
         let mut atoms = vec![self.bit_atom()?];
         while self.eat(&T::Hash) {
@@ -584,7 +622,7 @@ impl<'d> Parser<'d> {
     }
 
     /// `reg`, `reg[6..5]`, `reg[2,7..4]`, `fam(i)[3..0]`
-    fn bit_atom(&mut self) -> Option<BitAtom> {
+    fn bit_atom(&mut self) -> Option<BitAtom<'s>> {
         let reg = self.ident("register name")?;
         let mut span = reg.span;
         let mut args = Vec::new();
@@ -632,7 +670,7 @@ impl<'d> Parser<'d> {
         }
     }
 
-    fn var_attr(&mut self) -> Option<VarAttr> {
+    fn var_attr(&mut self) -> Option<VarAttr<'s>> {
         let start = self.peek_span();
         match self.peek() {
             T::Kw(K::Volatile) => {
@@ -670,7 +708,7 @@ impl<'d> Parser<'d> {
         }
     }
 
-    fn const_value(&mut self) -> Option<ConstValue> {
+    fn const_value(&mut self) -> Option<ConstValue<'s>> {
         match self.peek() {
             T::Int(v) => {
                 let v = *v;
@@ -688,17 +726,14 @@ impl<'d> Parser<'d> {
                 self.bump();
                 Some(ConstValue::Bool(false, s))
             }
-            T::Quoted(_) => {
-                let (q, s) = self.take_text();
-                Some(ConstValue::Bits(q, s))
-            }
-            T::Ident(_) => self.ident("value").map(ConstValue::Sym),
+            T::Quoted => self.quoted("bit literal").map(|(q, s)| ConstValue::Bits(q, s)),
+            T::Ident => self.ident("value").map(ConstValue::Sym),
             _ => self.expected("constant value"),
         }
     }
 
     /// `structure NAME = { fields } (serialized as {...})? ;`
-    fn structure_decl(&mut self) -> Option<StructureDecl> {
+    fn structure_decl(&mut self) -> Option<StructureDecl<'s>> {
         let start = self.peek_span();
         self.expect_kw(K::Structure, "`structure`");
         let name = self.ident("structure name")?;
@@ -731,7 +766,7 @@ impl<'d> Parser<'d> {
     }
 
     /// `{ icw1; icw2; if (sngl == SINGLE) icw3; }`
-    fn ser_block(&mut self) -> Option<SerBlock> {
+    fn ser_block(&mut self) -> Option<SerBlock<'s>> {
         let start = self.peek_span();
         self.expect(&T::LBrace, "`{`");
         let mut items = Vec::new();
@@ -746,60 +781,77 @@ impl<'d> Parser<'d> {
         Some(SerBlock { items, span })
     }
 
-    fn ser_item(&mut self) -> Option<SerItem> {
+    fn ser_item(&mut self) -> Option<SerItem<'s>> {
         if self.at_kw(K::If) {
-            let start = self.peek_span();
-            self.bump();
-            self.expect(&T::LParen, "`(`");
-            let cond = self.cond()?;
-            self.expect(&T::RParen, "`)`");
-            let then = Box::new(self.ser_item()?);
-            let els = if self.eat_kw(K::Else) { Some(Box::new(self.ser_item()?)) } else { None };
-            let span = start.to(self.prev_span());
-            return Some(SerItem::If { cond, then, els, span });
+            return self.nested(|p| {
+                let start = p.peek_span();
+                p.bump();
+                p.expect(&T::LParen, "`(`");
+                let cond = p.cond()?;
+                p.expect(&T::RParen, "`)`");
+                let then = Box::new(p.ser_item()?);
+                let els = if p.eat_kw(K::Else) { Some(Box::new(p.ser_item()?)) } else { None };
+                let span = start.to(p.prev_span());
+                Some(SerItem::If { cond, then, els, span })
+            });
         }
         if self.at(&T::LBrace) {
-            let start = self.peek_span();
-            self.bump();
-            let mut items = Vec::new();
-            while !self.at(&T::RBrace) && !self.at_eof() {
-                items.push(self.ser_item()?);
-            }
-            self.expect(&T::RBrace, "`}`");
-            return Some(SerItem::Block(items, start.to(self.prev_span())));
+            return self.nested(|p| {
+                let start = p.peek_span();
+                p.bump();
+                let mut items = Vec::new();
+                while !p.at(&T::RBrace) && !p.at_eof() {
+                    items.push(p.ser_item()?);
+                }
+                p.expect(&T::RBrace, "`}`");
+                Some(SerItem::Block(items, start.to(p.prev_span())))
+            });
         }
         let reg = self.ident("register name")?;
         self.expect(&T::Semi, "`;`");
         Some(SerItem::Reg(reg))
     }
 
-    /// `a == X && b != Y || !(c == Z)`
-    fn cond(&mut self) -> Option<Cond> {
+    /// `a == X && b != Y || !(c == Z)`. Each further term of a chain
+    /// counts one level of nesting while the condition parses; its end
+    /// gives them back, so what follows starts at the caller's depth.
+    fn cond(&mut self) -> Option<Cond<'s>> {
+        let outer = self.depth;
+        let cond = self.cond_or();
+        self.depth = outer;
+        cond
+    }
+
+    fn cond_or(&mut self) -> Option<Cond<'s>> {
         let mut lhs = self.cond_and()?;
         while self.eat(&T::OrOr) {
+            self.deeper()?;
             let rhs = self.cond_and()?;
             lhs = Cond::Or(Box::new(lhs), Box::new(rhs));
         }
         Some(lhs)
     }
 
-    fn cond_and(&mut self) -> Option<Cond> {
+    fn cond_and(&mut self) -> Option<Cond<'s>> {
         let mut lhs = self.cond_unary()?;
         while self.eat(&T::AndAnd) {
+            self.deeper()?;
             let rhs = self.cond_unary()?;
             lhs = Cond::And(Box::new(lhs), Box::new(rhs));
         }
         Some(lhs)
     }
 
-    fn cond_unary(&mut self) -> Option<Cond> {
+    fn cond_unary(&mut self) -> Option<Cond<'s>> {
         if self.eat(&T::Not) {
-            return Some(Cond::Not(Box::new(self.cond_unary()?)));
+            return self.nested(Self::cond_unary).map(|c| Cond::Not(Box::new(c)));
         }
         if self.eat(&T::LParen) {
-            let c = self.cond()?;
-            self.expect(&T::RParen, "`)`");
-            return Some(c);
+            return self.nested(|p| {
+                let c = p.cond()?;
+                p.expect(&T::RParen, "`)`");
+                Some(c)
+            });
         }
         let lhs = self.ident("variable name")?;
         let op = if self.eat(&T::EqEq) {
@@ -815,7 +867,7 @@ impl<'d> Parser<'d> {
     }
 
     /// `type NAME = type ;`
-    fn type_def(&mut self) -> Option<TypeDef> {
+    fn type_def(&mut self) -> Option<TypeDef<'s>> {
         let start = self.peek_span();
         self.expect_kw(K::Type, "`type`");
         let name = self.ident("type name")?;
@@ -827,7 +879,7 @@ impl<'d> Parser<'d> {
     }
 
     /// `if (cond) { decls } else { decls }` at declaration level.
-    fn cond_decl(&mut self) -> Option<CondDecl> {
+    fn cond_decl(&mut self) -> Option<CondDecl<'s>> {
         let start = self.peek_span();
         self.expect_kw(K::If, "`if`");
         self.expect(&T::LParen, "`(`");
@@ -850,7 +902,7 @@ impl<'d> Parser<'d> {
 
     /// Type expressions: `int(8)`, `signed int(8)`, `bool`,
     /// `int{0..31}`, inline enums, named types.
-    fn ty(&mut self) -> Option<Type> {
+    fn ty(&mut self) -> Option<Type<'s>> {
         let start = self.peek_span();
         match self.peek() {
             T::Kw(K::Bool) => {
@@ -902,7 +954,7 @@ impl<'d> Parser<'d> {
                 let span = e.span;
                 Some(Type { kind: TypeKind::Enum(e), span })
             }
-            T::Ident(_) => {
+            T::Ident => {
                 let name = self.ident("type name")?;
                 let span = name.span;
                 Some(Type { kind: TypeKind::Named(name), span })
@@ -912,7 +964,7 @@ impl<'d> Parser<'d> {
     }
 
     /// `{ CONFIGURATION => '1', DEFAULT_MODE => '0' }`
-    fn enum_type(&mut self) -> Option<EnumType> {
+    fn enum_type(&mut self) -> Option<EnumType<'s>> {
         let start = self.peek_span();
         self.expect(&T::LBrace, "`{`");
         let mut arms = Vec::new();
@@ -953,7 +1005,7 @@ impl<'d> Parser<'d> {
         Some(EnumType { arms, span })
     }
 
-    fn expr(&mut self) -> Option<Expr> {
+    fn expr(&mut self) -> Option<Expr<'s>> {
         match self.peek() {
             T::Int(v) => {
                 let v = *v;
@@ -961,7 +1013,7 @@ impl<'d> Parser<'d> {
                 self.bump();
                 Some(Expr::Int(v, s))
             }
-            T::Ident(_) => self.ident("expression").map(Expr::Sym),
+            T::Ident => self.ident("expression").map(Expr::Sym),
             _ => self.expected("an expression"),
         }
     }
@@ -971,7 +1023,7 @@ impl<'d> Parser<'d> {
 mod tests {
     use super::*;
 
-    fn parse_ok(src: &str) -> Device {
+    fn parse_ok(src: &str) -> Device<'_> {
         let (dev, diags) = parse(src);
         assert!(!diags.has_errors(), "unexpected parse errors:\n{:#?}", diags.all());
         dev.expect("no device produced")
@@ -1034,7 +1086,7 @@ device logitech_busmouse (base : bit[8] port @ {0..3})
             .decls
             .iter()
             .filter_map(|d| match d {
-                Decl::Register(r) => Some(r.name.name.as_str()),
+                Decl::Register(r) => Some(r.name.name),
                 _ => None,
             })
             .collect();
@@ -1483,7 +1535,8 @@ device logitech_busmouse (base : bit[8] port @ {0..3})
             ]
         );
         let dev = dev.expect("recovery still yields the device");
-        let clean = parse_ok(&format!("{header}{valid} }}"));
+        let clean_src = format!("{header}{valid} }}");
+        let clean = parse_ok(&clean_src);
         assert_eq!(crate::pretty::print_device(&dev), crate::pretty::print_device(&clean));
 
         let [Decl::Register(ok), Decl::Variable(hi), Decl::Variable(trig), Decl::Register(flag)] =
@@ -1491,7 +1544,7 @@ device logitech_busmouse (base : bit[8] port @ {0..3})
         else {
             panic!("wrong declarations: {:#?}", dev.decls);
         };
-        assert_eq!((ok.name.name.as_str(), flag.name.name.as_str()), ("ok", "flag"));
+        assert_eq!((ok.name.name, flag.name.name), ("ok", "flag"));
         let RegSpec::Port { port, .. } = &ok.spec else { panic!("wrong spec: {:?}", ok.spec) };
         assert_eq!(port.base.name, "base");
         let RegAttr::Mask(mask) = &ok.attrs[0] else { panic!("wrong attr: {:?}", ok.attrs) };
@@ -1500,8 +1553,7 @@ device logitech_busmouse (base : bit[8] port @ {0..3})
         let Some(TypeKind::Enum(e)) = hi.ty.as_ref().map(|t| &t.kind) else {
             panic!("wrong type: {:?}", hi.ty)
         };
-        let arms: Vec<(&str, &str)> =
-            e.arms.iter().map(|a| (a.sym.name.as_str(), a.pattern.as_str())).collect();
+        let arms: Vec<(&str, &str)> = e.arms.iter().map(|a| (a.sym.name, &*a.pattern)).collect();
         assert_eq!(arms, [("IDLE", "0001"), ("BUSY", "0010")]);
         let VarAttr::Trigger { exception: Some(TriggerException::For(value)), .. } = &trig.attrs[0]
         else {

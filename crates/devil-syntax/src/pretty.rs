@@ -216,7 +216,7 @@ fn port_str(p: &PortExpr) -> String {
     match &p.offset {
         Some(OffsetExpr::Int(v, _)) => format!("{} @ {v}", p.base),
         Some(OffsetExpr::Param(i)) => format!("{} @ {i}", p.base),
-        None => p.base.name.clone(),
+        None => p.base.name.to_string(),
     }
 }
 
@@ -225,7 +225,7 @@ fn mask_str(m: &BitMask) -> String {
 }
 
 fn atom_str(a: &BitAtom) -> String {
-    let mut s = a.reg.name.clone();
+    let mut s = a.reg.name.to_string();
     if !a.args.is_empty() {
         let args = a.args.iter().map(expr_str).collect::<Vec<_>>().join(", ");
         let _ = write!(s, "({args})");
@@ -245,7 +245,7 @@ fn atom_str(a: &BitAtom) -> String {
 fn expr_str(e: &Expr) -> String {
     match e {
         Expr::Int(v, _) => v.to_string(),
-        Expr::Sym(i) => i.name.clone(),
+        Expr::Sym(i) => i.name.to_string(),
     }
 }
 
@@ -264,7 +264,7 @@ fn action_value_str(v: &ActionValue) -> String {
         ActionValue::Int(n, _) => n.to_string(),
         ActionValue::Any(_) => "*".to_string(),
         ActionValue::Bool(b, _) => b.to_string(),
-        ActionValue::Sym(i) => i.name.clone(),
+        ActionValue::Sym(i) => i.name.to_string(),
         ActionValue::Struct(fields, _) => {
             let fs = fields
                 .iter()
@@ -317,7 +317,7 @@ fn const_value_str(cv: &ConstValue) -> String {
     match cv {
         ConstValue::Int(v, _) => v.to_string(),
         ConstValue::Bool(b, _) => b.to_string(),
-        ConstValue::Sym(i) => i.name.clone(),
+        ConstValue::Sym(i) => i.name.to_string(),
         ConstValue::Bits(b, _) => format!("'{b}'"),
     }
 }
@@ -357,7 +357,7 @@ fn type_str(ty: &Type) -> String {
                 .join(", ");
             format!("{{ {arms} }}")
         }
-        TypeKind::Named(i) => i.name.clone(),
+        TypeKind::Named(i) => i.name.to_string(),
     }
 }
 

@@ -1,7 +1,12 @@
 //! Token definitions for the Devil language.
+//!
+//! Tokens carry no text: an identifier or bit literal is a kind and a
+//! [`Span`], and its text is the spanned slice of the source it was
+//! lexed from ([`Token::text`], [`Token::bits`]). So a [`Token`] is
+//! `Copy`, and lexing allocates nothing per token.
 
 use crate::span::Span;
-use std::fmt;
+use std::borrow::Cow;
 
 /// Keywords of the Devil language.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -114,17 +119,18 @@ impl Keyword {
 }
 
 /// The kind (and payload) of a single token.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TokenKind {
-    /// An identifier that is not a keyword.
-    Ident(String),
+    /// An identifier that is not a keyword; its text is the token's
+    /// span.
+    Ident,
     /// A reserved word.
     Kw(Keyword),
     /// An integer literal (decimal, `0x` hex, or `0b` binary).
     Int(u64),
-    /// A quoted bit/mask literal such as `'1001000.'`; payload is the
-    /// character sequence between the quotes, each of `0 1 * . -`.
-    Quoted(String),
+    /// A quoted bit/mask literal such as `'1001000.'`, quotes included
+    /// in its span; [`Token::bits`] gives the characters between them.
+    Quoted,
     /// `{`
     LBrace,
     /// `}`
@@ -173,49 +179,8 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
-    /// A short human-readable description used in parse errors.
-    pub fn describe(&self) -> String {
-        match self {
-            TokenKind::Ident(s) => format!("identifier `{s}`"),
-            TokenKind::Kw(k) => format!("keyword `{}`", k.as_str()),
-            TokenKind::Int(v) => format!("integer `{v}`"),
-            TokenKind::Quoted(q) => format!("bit literal `'{q}'`"),
-            TokenKind::LBrace => "`{`".into(),
-            TokenKind::RBrace => "`}`".into(),
-            TokenKind::LParen => "`(`".into(),
-            TokenKind::RParen => "`)`".into(),
-            TokenKind::LBracket => "`[`".into(),
-            TokenKind::RBracket => "`]`".into(),
-            TokenKind::At => "`@`".into(),
-            TokenKind::Colon => "`:`".into(),
-            TokenKind::Semi => "`;`".into(),
-            TokenKind::Comma => "`,`".into(),
-            TokenKind::Eq => "`=`".into(),
-            TokenKind::EqEq => "`==`".into(),
-            TokenKind::NotEq => "`!=`".into(),
-            TokenKind::Hash => "`#`".into(),
-            TokenKind::DotDot => "`..`".into(),
-            TokenKind::FatArrow => "`=>`".into(),
-            TokenKind::ReadArrow => "`<=`".into(),
-            TokenKind::BothArrow => "`<=>`".into(),
-            TokenKind::Star => "`*`".into(),
-            TokenKind::AndAnd => "`&&`".into(),
-            TokenKind::OrOr => "`||`".into(),
-            TokenKind::Not => "`!`".into(),
-            TokenKind::Eof => "end of input".into(),
-        }
-    }
-}
-
-impl fmt::Display for TokenKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.describe())
-    }
-}
-
 /// A token with its source span.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Token {
     /// What kind of token this is.
     pub kind: TokenKind,
@@ -227,6 +192,45 @@ impl Token {
     /// Creates a token.
     pub fn new(kind: TokenKind, span: Span) -> Self {
         Token { kind, span }
+    }
+
+    /// The token's text in `src`, the source it was lexed from.
+    pub fn text(self, src: &str) -> &str {
+        self.span.slice(src)
+    }
+
+    /// The characters between a bit literal's quotes, with `-` and
+    /// invalid bytes normalised to `.` (the lexer reports the invalid
+    /// ones). Borrowed from `src` unless a byte needed normalising.
+    pub fn bits(self, src: &str) -> Cow<'_, str> {
+        let text = self.text(src);
+        // An unterminated literal runs to the end of input and has no
+        // closing quote; a terminated one cannot contain a quote.
+        let inner = text[1..].strip_suffix('\'').unwrap_or(&text[1..]);
+        if inner.bytes().all(|b| matches!(b, b'0' | b'1' | b'*' | b'.')) {
+            return Cow::Borrowed(inner);
+        }
+        let normalised = inner
+            .bytes()
+            .map(|b| match b {
+                b'0' | b'1' | b'*' => b as char,
+                _ => '.',
+            })
+            .collect();
+        Cow::Owned(normalised)
+    }
+
+    /// A short human-readable description used in parse errors.
+    pub fn describe(self, src: &str) -> String {
+        match self.kind {
+            TokenKind::Ident => format!("identifier `{}`", self.text(src)),
+            TokenKind::Kw(k) => format!("keyword `{}`", k.as_str()),
+            TokenKind::Int(v) => format!("integer `{v}`"),
+            TokenKind::Quoted => format!("bit literal `'{}'`", self.bits(src)),
+            TokenKind::Eof => "end of input".to_string(),
+            // Punctuation: the span holds exactly its spelling.
+            _ => format!("`{}`", self.text(src)),
+        }
     }
 }
 
@@ -275,9 +279,28 @@ mod tests {
 
     #[test]
     fn describe_is_human_readable() {
-        assert_eq!(TokenKind::Ident("dx".into()).describe(), "identifier `dx`");
-        assert_eq!(TokenKind::Kw(Keyword::Register).describe(), "keyword `register`");
-        assert_eq!(TokenKind::Quoted("1..0".into()).describe(), "bit literal `'1..0'`");
-        assert_eq!(TokenKind::BothArrow.describe(), "`<=>`");
+        let src = "dx register '1-.0' <=>";
+        let toks = crate::lexer::lex(src, &mut crate::DiagSink::new());
+        let described: Vec<String> = toks.iter().map(|t| t.describe(src)).collect();
+        assert_eq!(
+            described,
+            [
+                "identifier `dx`",
+                "keyword `register`",
+                "bit literal `'1..0'`",
+                "`<=>`",
+                "end of input",
+            ]
+        );
+    }
+
+    #[test]
+    fn tokens_are_small_and_bits_borrow_unless_normalised() {
+        assert_eq!(std::mem::size_of::<Token>(), 24);
+        let src = "'10*.' '1-x' '01";
+        let toks = crate::lexer::lex(src, &mut crate::DiagSink::new());
+        assert!(matches!(toks[0].bits(src), Cow::Borrowed("10*.")));
+        assert!(matches!(toks[1].bits(src), Cow::Owned(ref s) if s == "1.."));
+        assert!(matches!(toks[2].bits(src), Cow::Borrowed("01")), "unterminated");
     }
 }

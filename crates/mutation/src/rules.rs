@@ -202,7 +202,7 @@ pub fn devil_sites(src: &str) -> Vec<Site> {
         }
         let text = src[start..end].to_string();
         let kind = match &t.kind {
-            T::Ident(_) => SiteKind::Ident,
+            T::Ident => SiteKind::Ident,
             T::Int(_) => {
                 if text.starts_with("0x") || text.starts_with("0X") {
                     SiteKind::HexInt
@@ -210,7 +210,7 @@ pub fn devil_sites(src: &str) -> Vec<Site> {
                     SiteKind::DecInt
                 }
             }
-            T::Quoted(_) => SiteKind::BitLit,
+            T::Quoted => SiteKind::BitLit,
             T::Eq
             | T::EqEq
             | T::NotEq

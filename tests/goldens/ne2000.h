@@ -162,13 +162,13 @@ static inline void ne2000_sp_tx(unsigned long long a0, unsigned long long a1, un
     ne2000_cache.cache_rsar0 = (ne2000_cache.cache_rsar0 & 0xffffffffffffff00ull) | ((a0) & 0xffull), ne2000_cache.valid_rsar0 = 1, ne2000__write_rsar0(ne2000_cache.cache_rsar0);
     ne2000_cache.cache_rbcr1 = (ne2000_cache.cache_rbcr1 & 0xffffffffffffff00ull) | (((a1) >> 8) & 0xffull), ne2000_cache.valid_rbcr1 = 1, ne2000__write_rbcr1(ne2000_cache.cache_rbcr1);
     ne2000_cache.cache_rbcr0 = (ne2000_cache.cache_rbcr0 & 0xffffffffffffff00ull) | ((a1) & 0xffull), ne2000_cache.valid_rbcr0 = 1, ne2000__write_rbcr0(ne2000_cache.cache_rbcr0);
-    ne2000_cache.cache_cr = (ne2000_cache.cache_cr & 0xffffffffffffffc3ull) | ((0x2ull << 3) & 0x38ull), ne2000_cache.valid_cr = 1, ne2000__write_cr(ne2000_cache.cache_cr);
+    ne2000_cache.cache_cr = (ne2000_cache.cache_cr & 0xffffffffffffffc3ull) | 0x10ull, ne2000_cache.valid_cr = 1, ne2000__write_cr(ne2000_cache.cache_cr);
     devil_outs16(ne2000_cache.__dil_base__[1] + 16, blk_out, blk_out_n);
-    ne2000_cache.cache_isr_reg = (ne2000_cache.cache_isr_reg & 0xffffffffffffffbcull) | ((0x1ull << 6) & 0x40ull), ne2000_cache.valid_isr_reg = 1, ne2000__write_isr_reg(ne2000_cache.cache_isr_reg);
-    ne2000_cache.cache_tpsr_reg = (ne2000_cache.cache_tpsr_reg & 0xffffffffffffff00ull) | (0x40ull & 0xffull), ne2000_cache.valid_tpsr_reg = 1, ne2000__write_tpsr_reg(ne2000_cache.cache_tpsr_reg);
+    ne2000_cache.cache_isr_reg = (ne2000_cache.cache_isr_reg & 0xffffffffffffffbcull) | 0x40ull, ne2000_cache.valid_isr_reg = 1, ne2000__write_isr_reg(ne2000_cache.cache_isr_reg);
+    ne2000_cache.cache_tpsr_reg = (ne2000_cache.cache_tpsr_reg & 0xffffffffffffff00ull) | 0x40ull, ne2000_cache.valid_tpsr_reg = 1, ne2000__write_tpsr_reg(ne2000_cache.cache_tpsr_reg);
     ne2000_cache.cache_tbcr1 = (ne2000_cache.cache_tbcr1 & 0xffffffffffffff00ull) | (((a2) >> 8) & 0xffull), ne2000_cache.valid_tbcr1 = 1, ne2000__write_tbcr1(ne2000_cache.cache_tbcr1);
     ne2000_cache.cache_tbcr0 = (ne2000_cache.cache_tbcr0 & 0xffffffffffffff00ull) | ((a2) & 0xffull), ne2000_cache.valid_tbcr0 = 1, ne2000__write_tbcr0(ne2000_cache.cache_tbcr0);
-    ne2000_cache.cache_cr = (ne2000_cache.cache_cr & 0xffffffffffffffc3ull) | 0x20ull | ((0x1ull << 2) & 0x4ull), ne2000_cache.valid_cr = 1, ne2000__write_cr(ne2000_cache.cache_cr);
+    ne2000_cache.cache_cr = (ne2000_cache.cache_cr & 0xffffffffffffffc3ull) | 0x24ull, ne2000_cache.valid_cr = 1, ne2000__write_cr(ne2000_cache.cache_cr);
 }
 
 #endif /* NE2000_DIL_H */

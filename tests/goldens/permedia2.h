@@ -81,10 +81,10 @@ extern struct permedia2_cache_t permedia2_cache;
 /* fused superplan `fill24_burst`: one guard evaluation, batched I/O. */
 static inline void permedia2_sp_fill24_burst(unsigned long long a0, unsigned long long a1, unsigned long long a2, unsigned long long a3, unsigned long long a4)
 {
-    permedia2_cache.cache_scratch0 = (permedia2_cache.cache_scratch0 & 0xffffffff00000000ull) | (0x3ull & 0xffffffffull), permedia2_cache.valid_scratch0 = 1, permedia2__write_scratch0(permedia2_cache.cache_scratch0);
-    permedia2_cache.cache_scratch1 = (permedia2_cache.cache_scratch1 & 0xffffffff00000000ull) | (0x0ull & 0xffffffffull), permedia2_cache.valid_scratch1 = 1, permedia2__write_scratch1(permedia2_cache.cache_scratch1);
-    permedia2_cache.cache_scratch2 = (permedia2_cache.cache_scratch2 & 0xffffffff00000000ull) | (0x0ull & 0xffffffffull), permedia2_cache.valid_scratch2 = 1, permedia2__write_scratch2(permedia2_cache.cache_scratch2);
-    permedia2_cache.cache_scratch0 = (permedia2_cache.cache_scratch0 & 0xffffffff00000000ull) | (0x0ull & 0xffffffffull), permedia2_cache.valid_scratch0 = 1, permedia2__write_scratch0(permedia2_cache.cache_scratch0);
+    permedia2_cache.cache_scratch0 = (permedia2_cache.cache_scratch0 & 0xffffffff00000000ull) | 0x3ull, permedia2_cache.valid_scratch0 = 1, permedia2__write_scratch0(permedia2_cache.cache_scratch0);
+    permedia2_cache.cache_scratch1 = (permedia2_cache.cache_scratch1 & 0xffffffff00000000ull), permedia2_cache.valid_scratch1 = 1, permedia2__write_scratch1(permedia2_cache.cache_scratch1);
+    permedia2_cache.cache_scratch2 = (permedia2_cache.cache_scratch2 & 0xffffffff00000000ull), permedia2_cache.valid_scratch2 = 1, permedia2__write_scratch2(permedia2_cache.cache_scratch2);
+    permedia2_cache.cache_scratch0 = (permedia2_cache.cache_scratch0 & 0xffffffff00000000ull), permedia2_cache.valid_scratch0 = 1, permedia2__write_scratch0(permedia2_cache.cache_scratch0);
     permedia2_cache.cache_rect_pos = (permedia2_cache.cache_rect_pos & 0xffffffffffff0000ull) | ((a0) & 0xffffull), permedia2_cache.valid_rect_pos = 1, permedia2__write_rect_pos(permedia2_cache.cache_rect_pos);
     permedia2_cache.cache_rect_pos = (permedia2_cache.cache_rect_pos & 0xffffffff0000ffffull) | (((a1) << 16) & 0xffff0000ull), permedia2_cache.valid_rect_pos = 1, permedia2__write_rect_pos(permedia2_cache.cache_rect_pos);
     permedia2_cache.cache_rect_size = (permedia2_cache.cache_rect_size & 0xffffffffffff0000ull) | ((a2) & 0xffffull), permedia2_cache.valid_rect_size = 1, permedia2__write_rect_size(permedia2_cache.cache_rect_size);
@@ -94,12 +94,12 @@ static inline void permedia2_sp_fill24_burst(unsigned long long a0, unsigned lon
 /* fused superplan `fill_std_setup`: one guard evaluation, batched I/O. */
 static inline void permedia2_sp_fill_std_setup(unsigned long long a0, unsigned long long a1, unsigned long long a2, unsigned long long a3)
 {
-    permedia2_cache.cache_scratch0 = (permedia2_cache.cache_scratch0 & 0xffffffff00000000ull) | (0x3ull & 0xffffffffull), permedia2_cache.valid_scratch0 = 1, permedia2__write_scratch0(permedia2_cache.cache_scratch0);
-    permedia2_cache.cache_scratch1 = (permedia2_cache.cache_scratch1 & 0xffffffff00000000ull) | (0xffffffffull & 0xffffffffull), permedia2_cache.valid_scratch1 = 1, permedia2__write_scratch1(permedia2_cache.cache_scratch1);
-    permedia2_cache.cache_scratch2 = (permedia2_cache.cache_scratch2 & 0xffffffff00000000ull) | (0x3ull & 0xffffffffull), permedia2_cache.valid_scratch2 = 1, permedia2__write_scratch2(permedia2_cache.cache_scratch2);
-    permedia2_cache.cache_scratch0 = (permedia2_cache.cache_scratch0 & 0xffffffff00000000ull) | (0xffffffffull & 0xffffffffull), permedia2_cache.valid_scratch0 = 1, permedia2__write_scratch0(permedia2_cache.cache_scratch0);
-    permedia2_cache.cache_scratch1 = (permedia2_cache.cache_scratch1 & 0xffffffff00000000ull) | (0x3ull & 0xffffffffull), permedia2_cache.valid_scratch1 = 1, permedia2__write_scratch1(permedia2_cache.cache_scratch1);
-    permedia2_cache.cache_scratch2 = (permedia2_cache.cache_scratch2 & 0xffffffff00000000ull) | (0xffffffffull & 0xffffffffull), permedia2_cache.valid_scratch2 = 1, permedia2__write_scratch2(permedia2_cache.cache_scratch2);
+    permedia2_cache.cache_scratch0 = (permedia2_cache.cache_scratch0 & 0xffffffff00000000ull) | 0x3ull, permedia2_cache.valid_scratch0 = 1, permedia2__write_scratch0(permedia2_cache.cache_scratch0);
+    permedia2_cache.cache_scratch1 = (permedia2_cache.cache_scratch1 & 0xffffffff00000000ull) | 0xffffffffull, permedia2_cache.valid_scratch1 = 1, permedia2__write_scratch1(permedia2_cache.cache_scratch1);
+    permedia2_cache.cache_scratch2 = (permedia2_cache.cache_scratch2 & 0xffffffff00000000ull) | 0x3ull, permedia2_cache.valid_scratch2 = 1, permedia2__write_scratch2(permedia2_cache.cache_scratch2);
+    permedia2_cache.cache_scratch0 = (permedia2_cache.cache_scratch0 & 0xffffffff00000000ull) | 0xffffffffull, permedia2_cache.valid_scratch0 = 1, permedia2__write_scratch0(permedia2_cache.cache_scratch0);
+    permedia2_cache.cache_scratch1 = (permedia2_cache.cache_scratch1 & 0xffffffff00000000ull) | 0x3ull, permedia2_cache.valid_scratch1 = 1, permedia2__write_scratch1(permedia2_cache.cache_scratch1);
+    permedia2_cache.cache_scratch2 = (permedia2_cache.cache_scratch2 & 0xffffffff00000000ull) | 0xffffffffull, permedia2_cache.valid_scratch2 = 1, permedia2__write_scratch2(permedia2_cache.cache_scratch2);
     permedia2_cache.cache_rect_pos = (permedia2_cache.cache_rect_pos & 0xffffffffffff0000ull) | ((a0) & 0xffffull), permedia2_cache.valid_rect_pos = 1, permedia2__write_rect_pos(permedia2_cache.cache_rect_pos);
     permedia2_cache.cache_rect_pos = (permedia2_cache.cache_rect_pos & 0xffffffff0000ffffull) | (((a1) << 16) & 0xffff0000ull), permedia2_cache.valid_rect_pos = 1, permedia2__write_rect_pos(permedia2_cache.cache_rect_pos);
     permedia2_cache.cache_rect_size = (permedia2_cache.cache_rect_size & 0xffffffffffff0000ull) | ((a2) & 0xffffull), permedia2_cache.valid_rect_size = 1, permedia2__write_rect_size(permedia2_cache.cache_rect_size);
@@ -109,11 +109,11 @@ static inline void permedia2_sp_fill_std_setup(unsigned long long a0, unsigned l
 static inline void permedia2_sp_fill_std_finish(unsigned long long a0)
 {
     permedia2_cache.cache_block_color = (permedia2_cache.cache_block_color & 0xffffffff00000000ull) | ((a0) & 0xffffffffull), permedia2_cache.valid_block_color = 1, permedia2__write_block_color(permedia2_cache.cache_block_color);
-    permedia2_cache.cache_scratch0 = (permedia2_cache.cache_scratch0 & 0xffffffff00000000ull) | (0x0ull & 0xffffffffull), permedia2_cache.valid_scratch0 = 1, permedia2__write_scratch0(permedia2_cache.cache_scratch0);
-    permedia2_cache.cache_scratch1 = (permedia2_cache.cache_scratch1 & 0xffffffff00000000ull) | (0x0ull & 0xffffffffull), permedia2_cache.valid_scratch1 = 1, permedia2__write_scratch1(permedia2_cache.cache_scratch1);
-    permedia2_cache.cache_scratch2 = (permedia2_cache.cache_scratch2 & 0xffffffff00000000ull) | (0x0ull & 0xffffffffull), permedia2_cache.valid_scratch2 = 1, permedia2__write_scratch2(permedia2_cache.cache_scratch2);
-    permedia2_cache.cache_scratch1 = (permedia2_cache.cache_scratch1 & 0xffffffff00000000ull) | (0x1ull & 0xffffffffull), permedia2_cache.valid_scratch1 = 1, permedia2__write_scratch1(permedia2_cache.cache_scratch1);
-    permedia2_cache.cache_scratch2 = (permedia2_cache.cache_scratch2 & 0xffffffff00000000ull) | (0x1ull & 0xffffffffull), permedia2_cache.valid_scratch2 = 1, permedia2__write_scratch2(permedia2_cache.cache_scratch2);
+    permedia2_cache.cache_scratch0 = (permedia2_cache.cache_scratch0 & 0xffffffff00000000ull), permedia2_cache.valid_scratch0 = 1, permedia2__write_scratch0(permedia2_cache.cache_scratch0);
+    permedia2_cache.cache_scratch1 = (permedia2_cache.cache_scratch1 & 0xffffffff00000000ull), permedia2_cache.valid_scratch1 = 1, permedia2__write_scratch1(permedia2_cache.cache_scratch1);
+    permedia2_cache.cache_scratch2 = (permedia2_cache.cache_scratch2 & 0xffffffff00000000ull), permedia2_cache.valid_scratch2 = 1, permedia2__write_scratch2(permedia2_cache.cache_scratch2);
+    permedia2_cache.cache_scratch1 = (permedia2_cache.cache_scratch1 & 0xffffffff00000000ull) | 0x1ull, permedia2_cache.valid_scratch1 = 1, permedia2__write_scratch1(permedia2_cache.cache_scratch1);
+    permedia2_cache.cache_scratch2 = (permedia2_cache.cache_scratch2 & 0xffffffff00000000ull) | 0x1ull, permedia2_cache.valid_scratch2 = 1, permedia2__write_scratch2(permedia2_cache.cache_scratch2);
 }
 
 #endif /* PERMEDIA2_DIL_H */

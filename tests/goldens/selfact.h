@@ -54,12 +54,12 @@ static inline void selfact_sp_burst(unsigned long long a0)
     if ((selfact_cache.cache_a & 0x1ull) == 0x0ull) {
         selfact_cache.cache_a = (selfact_cache.cache_a & 0xffffffffffffff01ull) | (((a0) << 1) & 0xfeull), selfact_cache.valid_a = 1, selfact__write_a(selfact_cache.cache_a);
         selfact_cache.cache_c = (selfact_cache.cache_c & 0xffffffffffffff00ull) | 0x5ull, selfact_cache.valid_c = 1;
-        selfact_cache.cache_a = (selfact_cache.cache_a & 0xfffffffffffffffeull) | (0x1ull & 0x1ull), selfact_cache.valid_a = 1, selfact__write_a(selfact_cache.cache_a);
+        selfact_cache.cache_a = (selfact_cache.cache_a & 0xfffffffffffffffeull) | 0x1ull, selfact_cache.valid_a = 1, selfact__write_a(selfact_cache.cache_a);
         selfact_cache.cache_c = (selfact_cache.cache_c & 0xffffffffffffff00ull) | 0x5ull, selfact_cache.valid_c = 1, selfact__write_c(selfact_cache.cache_c);
     } else {
         selfact_cache.cache_a = (selfact_cache.cache_a & 0xffffffffffffff01ull) | (((a0) << 1) & 0xfeull), selfact_cache.valid_a = 1, selfact__write_a(selfact_cache.cache_a);
         selfact_cache.cache_c = (selfact_cache.cache_c & 0xffffffffffffff00ull) | 0x5ull, selfact_cache.valid_c = 1, selfact__write_c(selfact_cache.cache_c);
-        selfact_cache.cache_a = (selfact_cache.cache_a & 0xfffffffffffffffeull) | (0x1ull & 0x1ull), selfact_cache.valid_a = 1, selfact__write_a(selfact_cache.cache_a);
+        selfact_cache.cache_a = (selfact_cache.cache_a & 0xfffffffffffffffeull) | 0x1ull, selfact_cache.valid_a = 1, selfact__write_a(selfact_cache.cache_a);
         selfact_cache.cache_c = (selfact_cache.cache_c & 0xffffffffffffff00ull) | 0x5ull, selfact_cache.valid_c = 1, selfact__write_c(selfact_cache.cache_c);
     }
 }

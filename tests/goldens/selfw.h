@@ -28,7 +28,7 @@ extern struct selfw_cache_t selfw_cache;
 static inline void selfw_sp_burst(unsigned long long a0)
 {
     selfw_cache.cache_a = (selfw_cache.cache_a & 0xffffffffffffff01ull) | (((a0) << 1) & 0xfeull), selfw_cache.valid_a = 1, selfw__write_a(selfw_cache.cache_a);
-    selfw_cache.cache_a = (selfw_cache.cache_a & 0xfffffffffffffffeull) | (0x1ull & 0x1ull), selfw_cache.valid_a = 1, selfw__write_a(selfw_cache.cache_a);
+    selfw_cache.cache_a = (selfw_cache.cache_a & 0xfffffffffffffffeull) | 0x1ull, selfw_cache.valid_a = 1, selfw__write_a(selfw_cache.cache_a);
 }
 
 #endif /* SELFW_DIL_H */
