@@ -558,7 +558,7 @@ impl<'a> PlanBuilder<'a> {
         depth: u32,
     ) -> Option<()> {
         self.sym_store_var(vid, value, args);
-        let order_steps = self.env.vars[vid.0 as usize].write_order.clone();
+        let order_steps = self.env.vars[vid.0 as usize].order.clone();
         let order = self.flatten_nested(&order_steps)?;
         self.write_var_ordered(vid, value, args, &order, depth)
     }
@@ -727,7 +727,7 @@ impl<'a> PlanBuilder<'a> {
         assigned: &[(VarId, PlanValue)],
         depth: u32,
     ) -> Option<()> {
-        let order_steps = self.env.structs[sid.0 as usize].write_order.clone();
+        let order_steps = self.env.structs[sid.0 as usize].order.clone();
         let order = self.flatten_nested(&order_steps)?;
         self.flush_struct_ordered(sid, assigned, &order, depth)
     }
@@ -1221,7 +1221,7 @@ pub(crate) fn compile_var_plans(
         let compiled = match assemble {
             None => Err("assembles from a hashed family cache".into()),
             Some(assemble) => {
-                compile_guarded(env, &var.read_order, None, &var.params, arena, &mut |b, order| {
+                compile_guarded(env, &var.order, None, &var.params, arena, &mut |b, order| {
                     b.read_var_ordered(vid, &args, order)
                 })
                 .map(|plan| AccessPlan { assemble, ..plan })
@@ -1230,14 +1230,10 @@ pub(crate) fn compile_var_plans(
         planned(compiled, read_ref, &var.name, fallbacks)
     });
     let write = var.writable.then(|| {
-        let compiled = compile_guarded(
-            env,
-            &var.write_order,
-            Some(vid),
-            &var.params,
-            arena,
-            &mut |b, order| b.write_var_ordered(vid, PlanValue::Input, &args, order, 0),
-        );
+        let compiled =
+            compile_guarded(env, &var.order, Some(vid), &var.params, arena, &mut |b, order| {
+                b.write_var_ordered(vid, PlanValue::Input, &args, order, 0)
+            });
         planned(compiled, write_ref, &var.name, fallbacks)
     });
     (read.flatten(), write.flatten())
@@ -1257,19 +1253,19 @@ pub(crate) fn compile_struct_plans(
     fallbacks: &mut Vec<PlanFallback>,
 ) -> (Option<Arc<AccessPlan>>, Option<Arc<AccessPlan>>) {
     let st = &env.structs[sid.0 as usize];
-    let read = compile_guarded(env, &st.read_order, None, &[], arena, &mut |b, order| {
+    let read = compile_guarded(env, &st.order, None, &[], arena, &mut |b, order| {
         b.read_struct_ordered(order)
     });
-    let write = compile_guarded(env, &st.write_order, None, &[], arena, &mut |b, order| {
+    let write = compile_guarded(env, &st.order, None, &[], arena, &mut |b, order| {
         b.flush_struct_ordered(sid, &[], order, 0)
     });
-    let mut plan = |compiled: Result<AccessPlan, String>, access, order: &[SerStep], write| {
-        if compiled.is_err() && !order_usable(env.regs, order, write) {
+    let mut plan = |compiled: Result<AccessPlan, String>, access, write| {
+        if compiled.is_err() && !order_usable(env.regs, &st.order, write) {
             return None;
         }
         planned(compiled, access, &st.name, fallbacks)
     };
-    let read = plan(read, AccessRef::ReadStruct(sid), &st.read_order, false);
-    let write = plan(write, AccessRef::WriteStruct(sid), &st.write_order, true);
+    let read = plan(read, AccessRef::ReadStruct(sid), false);
+    let write = plan(write, AccessRef::WriteStruct(sid), true);
     (read, write)
 }

@@ -90,13 +90,13 @@ pub struct DeviceIr {
     slot_owners: Vec<Option<RegId>>,
     /// Reverse memory-cell map: the private variable owning each cell.
     mem_owners: Vec<VarId>,
-    /// Interned name table: `(name, id)` sorted by name, for
-    /// hash-free variable resolution.
-    var_names: Vec<(String, VarId)>,
-    /// Interned register names, sorted.
-    reg_names: Vec<(String, RegId)>,
-    /// Interned structure names, sorted.
-    struct_names: Vec<(String, StructId)>,
+    /// Variable ids sorted by their names, for hash-free variable
+    /// resolution by binary search.
+    var_names: Vec<VarId>,
+    /// Register ids sorted by their names.
+    reg_names: Vec<RegId>,
+    /// Structure ids sorted by their names.
+    struct_names: Vec<StructId>,
     /// Fused driver-declared hot sequences (see [`DeviceIr::fuse`]).
     superplans: Vec<Superplan>,
     /// Number of dispatch points: every plan variant of every access
@@ -204,12 +204,12 @@ pub struct VarIr {
     /// Register segments backing the variable, with the family arguments
     /// used for each segment's register.
     pub segs: Vec<VarSeg>,
-    /// Register access order for reads. `Arc`-shared: the general
+    /// Register access order, for reads and writes alike: the
+    /// `serialized as` plan, or else the distinct backing registers in
+    /// chunk order (most significant first). `Arc`-shared: the general
     /// interpreter takes a handle per access, which must not allocate
     /// or deep-copy the variable.
-    pub read_order: Arc<[SerStep]>,
-    /// Register access order for writes.
-    pub write_order: Arc<[SerStep]>,
+    pub order: Arc<[SerStep]>,
     /// Private-state updates when the variable is written.
     pub set: Arc<[Action]>,
     /// Cell index for unmapped private memory variables.
@@ -272,13 +272,13 @@ pub struct VarSeg {
 pub struct StructIr {
     /// Structure name.
     pub name: String,
-    /// Member variables. `Arc`-shared, like the orders below: the
+    /// Member variables. `Arc`-shared, like the order below: the
     /// reference interpreter takes handles per access, never a clone.
     pub fields: Arc<[VarId]>,
-    /// Register access order for a structure read.
-    pub read_order: Arc<[SerStep]>,
-    /// Register access order for a structure write.
-    pub write_order: Arc<[SerStep]>,
+    /// Register access order of structure reads and writes alike: the
+    /// `serialized as` plan, or else the distinct registers of the
+    /// fields in field order.
+    pub order: Arc<[SerStep]>,
     /// Precompiled straight-line structure read (the Figure 3 hot
     /// loop), when every step — index-register pre-writes included —
     /// is statically decidable.
@@ -291,26 +291,23 @@ impl DeviceIr {
     /// Looks a variable up by name (binary search over the interned
     /// name table — no hashing, no linear scan).
     pub fn var_id(&self, name: &str) -> Option<VarId> {
-        self.var_names
-            .binary_search_by(|(n, _)| n.as_str().cmp(name))
-            .ok()
-            .map(|i| self.var_names[i].1)
+        let i = self.var_names.binary_search_by(|&id| self.var(id).name.as_str().cmp(name)).ok()?;
+        Some(self.var_names[i])
     }
 
     /// Looks a structure up by name.
     pub fn struct_id(&self, name: &str) -> Option<StructId> {
-        self.struct_names
-            .binary_search_by(|(n, _)| n.as_str().cmp(name))
-            .ok()
-            .map(|i| self.struct_names[i].1)
+        let i = self
+            .struct_names
+            .binary_search_by(|&id| self.strct(id).name.as_str().cmp(name))
+            .ok()?;
+        Some(self.struct_names[i])
     }
 
     /// Looks a register up by name.
     pub fn reg_id(&self, name: &str) -> Option<RegId> {
-        self.reg_names
-            .binary_search_by(|(n, _)| n.as_str().cmp(name))
-            .ok()
-            .map(|i| self.reg_names[i].1)
+        let i = self.reg_names.binary_search_by(|&id| self.reg(id).name.as_str().cmp(name)).ok()?;
+        Some(self.reg_names[i])
     }
 
     /// The variable for an id.
@@ -400,8 +397,7 @@ impl DeviceIr {
     /// a direction error; otherwise a missing plan is an
     /// [unplanned](DeviceIr::plan_fallbacks) access.
     pub fn struct_supports(&self, sid: StructId, write: bool) -> bool {
-        let st = self.strct(sid);
-        order_usable(&self.regs, if write { &st.write_order } else { &st.read_order }, write)
+        order_usable(&self.regs, &self.strct(sid).order, write)
     }
 
     /// Every access lowering could not plan, with its cause.

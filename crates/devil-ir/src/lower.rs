@@ -7,7 +7,7 @@ use crate::{
     AccessPlan, DeviceIr, FamilyDim, FamilySlots, FieldSeg, PlanFallback, PlanStep, PortIr, RegIr,
     StructIr, VarIr, VarSeg,
 };
-use devil_sema::model::{CheckedDevice, FamilyParam, RegId, SerStep, StructId, VarId};
+use devil_sema::model::{Action, CheckedDevice, FamilyParam, RegId, SerStep, StructId, VarId};
 use std::sync::Arc;
 
 /// Cap on the number of flat cache slots allocated to one register
@@ -18,9 +18,18 @@ use std::sync::Arc;
 const FAMILY_SLOT_CAP: u128 = 4096;
 
 /// Lowers a checked device to IR.
-pub fn lower(model: &CheckedDevice) -> DeviceIr {
+pub fn lower(model: &CheckedDevice<'_>) -> DeviceIr {
     let ports =
-        model.ports.iter().map(|p| PortIr { name: p.name.clone(), width: p.width }).collect();
+        model.ports.iter().map(|p| PortIr { name: p.name.to_string(), width: p.width }).collect();
+    // Most action lists are empty; they all share one allocation.
+    let no_actions: Arc<[Action]> = Arc::new([]);
+    let actions = |list: &[Action]| {
+        if list.is_empty() {
+            no_actions.clone()
+        } else {
+            Arc::from(list)
+        }
+    };
 
     // Registers: masks, flat cache slots and (initially empty) field
     // lists. Non-family registers get one slot each; families with
@@ -39,16 +48,16 @@ pub fn lower(model: &CheckedDevice) -> DeviceIr {
                 (None, family_slot_range(&r.params, &mut cache_slots))
             };
             RegIr {
-                name: r.name.clone(),
+                name: r.name.to_string(),
                 size: r.size,
                 read: r.read.clone(),
                 write: r.write.clone(),
                 or_mask,
                 and_mask,
                 params: r.params.clone(),
-                pre: r.pre.clone().into(),
-                post: r.post.clone().into(),
-                set: r.set.clone().into(),
+                pre: actions(&r.pre),
+                post: actions(&r.post),
+                set: actions(&r.set),
                 fields: Vec::new(),
                 volatile: false,
                 slot,
@@ -89,21 +98,12 @@ pub fn lower(model: &CheckedDevice) -> DeviceIr {
         } else {
             None
         };
-        // Access orders: explicit plan or default (distinct registers in
+        // Access order: explicit plan or default (distinct registers in
         // chunk order — MSB first for reads *and* writes; the paper's
-        // 8237 example overrides reads with `serialized as`).
-        let default_order: Vec<SerStep> = {
-            let mut seen: Vec<RegId> = Vec::new();
-            for s in &segs {
-                if !seen.contains(&s.reg) {
-                    seen.push(s.reg);
-                }
-            }
-            seen.into_iter().map(SerStep::Reg).collect()
-        };
-        let (read_order, write_order): (Arc<[SerStep]>, Arc<[SerStep]>) = match &v.serialized {
-            Some(plan) => (plan.steps.clone().into(), plan.steps.clone().into()),
-            None => (default_order.clone().into(), default_order.into()),
+        // 8237 example overrides it with `serialized as`).
+        let order = match &v.serialized {
+            Some(plan) => Arc::from(plan.steps.as_slice()),
+            None => distinct_regs(segs.iter().map(|s| s.reg)),
         };
         let readable =
             v.bits.as_ref().is_none_or(|cs| cs.iter().all(|c| model.reg(c.reg).readable()));
@@ -118,7 +118,7 @@ pub fn lower(model: &CheckedDevice) -> DeviceIr {
             segs.iter().map(|s| regs[s.reg.0 as usize].slot.map(|sl| (sl, s.seg))).collect()
         };
         vars.push(VarIr {
-            name: v.name.clone(),
+            name: v.name.to_string(),
             private: v.private,
             width,
             ty: v.ty.clone(),
@@ -126,9 +126,8 @@ pub fn lower(model: &CheckedDevice) -> DeviceIr {
             neutral: v.neutral,
             params: v.params.clone(),
             segs,
-            read_order,
-            write_order,
-            set: v.set.clone().into(),
+            order,
+            set: actions(&v.set),
             mem_cell,
             parent: v.parent,
             readable,
@@ -144,26 +143,16 @@ pub fn lower(model: &CheckedDevice) -> DeviceIr {
         .structures
         .iter()
         .map(|s| {
-            let default_order: Vec<SerStep> = {
-                let mut seen: Vec<RegId> = Vec::new();
-                for &fid in &s.fields {
-                    for seg in &vars[fid.0 as usize].segs {
-                        if !seen.contains(&seg.reg) {
-                            seen.push(seg.reg);
-                        }
-                    }
-                }
-                seen.into_iter().map(SerStep::Reg).collect()
-            };
-            let (read_order, write_order): (Arc<[SerStep]>, Arc<[SerStep]>) = match &s.serialized {
-                Some(plan) => (plan.steps.clone().into(), plan.steps.clone().into()),
-                None => (default_order.clone().into(), default_order.into()),
+            let order = match &s.serialized {
+                Some(plan) => Arc::from(plan.steps.as_slice()),
+                None => distinct_regs(
+                    s.fields.iter().flat_map(|fid| vars[fid.0 as usize].segs.iter().map(|g| g.reg)),
+                ),
             };
             StructIr {
-                name: s.name.clone(),
-                fields: s.fields.clone().into(),
-                read_order,
-                write_order,
+                name: s.name.to_string(),
+                fields: Arc::from(s.fields.as_slice()),
+                order,
                 read_plan: None,
                 write_plan: None,
             }
@@ -210,12 +199,10 @@ pub fn lower(model: &CheckedDevice) -> DeviceIr {
         structs[si].write_plan = number(write_plan);
     }
 
-    let mut var_names: Vec<(String, VarId)> =
-        vars.iter().enumerate().map(|(i, v)| (v.name.clone(), VarId(i as u32))).collect();
-    var_names.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut reg_names: Vec<(String, RegId)> =
-        regs.iter().enumerate().map(|(i, r)| (r.name.clone(), RegId(i as u32))).collect();
-    reg_names.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut var_names: Vec<VarId> = (0..vars.len() as u32).map(VarId).collect();
+    var_names.sort_by(|a, b| vars[a.0 as usize].name.cmp(&vars[b.0 as usize].name));
+    let mut reg_names: Vec<RegId> = (0..regs.len() as u32).map(RegId).collect();
+    reg_names.sort_by(|a, b| regs[a.0 as usize].name.cmp(&regs[b.0 as usize].name));
     let mut slot_owners: Vec<Option<RegId>> = vec![None; cache_slots];
     for (ri, r) in regs.iter().enumerate() {
         if let Some(s) = r.slot {
@@ -229,12 +216,8 @@ pub fn lower(model: &CheckedDevice) -> DeviceIr {
         }
     }
 
-    let mut struct_names: Vec<(String, StructId)> = structs
-        .iter()
-        .enumerate()
-        .map(|(i, s): (usize, &StructIr)| (s.name.clone(), StructId(i as u32)))
-        .collect();
-    struct_names.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut struct_names: Vec<StructId> = (0..structs.len() as u32).map(StructId).collect();
+    struct_names.sort_by(|a, b| structs[a.0 as usize].name.cmp(&structs[b.0 as usize].name));
 
     // Fallbacks sort by (access, cause): compilation visits accesses in
     // declaration order, but diagnostics need an order that is stable
@@ -242,7 +225,7 @@ pub fn lower(model: &CheckedDevice) -> DeviceIr {
     plan_fallbacks.sort_by(|a, b| (&a.access, &a.cause).cmp(&(&b.access, &b.cause)));
 
     DeviceIr {
-        name: model.name.clone(),
+        name: model.name.to_string(),
         ports,
         regs,
         vars,
@@ -259,6 +242,18 @@ pub fn lower(model: &CheckedDevice) -> DeviceIr {
         superplans: Vec::new(),
         dispatch_points,
     }
+}
+
+/// The default access order: each register of `regs` once, where it
+/// first appears.
+fn distinct_regs(regs: impl Iterator<Item = RegId>) -> Arc<[SerStep]> {
+    let mut order: Vec<SerStep> = Vec::new();
+    for reg in regs {
+        if !order.iter().any(|s| matches!(s, SerStep::Reg(r) if *r == reg)) {
+            order.push(SerStep::Reg(reg));
+        }
+    }
+    order.into()
 }
 
 /// Allocates the indexed slot range of one register family, or `None`

@@ -71,9 +71,9 @@ fn busmouse_structure_read_order_dedups_registers() {
     let st = ir.strct(ir.struct_id("mouse_state").unwrap());
     // x_high, x_low, y_high, y_low — four distinct registers even
     // though dy and buttons share y_high.
-    assert_eq!(st.read_order.len(), 4);
+    assert_eq!(st.order.len(), 4);
     let names: Vec<&str> = st
-        .read_order
+        .order
         .iter()
         .map(|s| match s {
             SerStep::Reg(r) => ir.reg(*r).name.as_str(),
@@ -121,7 +121,7 @@ fn serialized_variable_order_respected() {
     );
     let x = ir.var(ir.var_id("x").unwrap());
     let names: Vec<&str> = x
-        .read_order
+        .order
         .iter()
         .map(|s| match s {
             SerStep::Reg(r) => ir.reg(*r).name.as_str(),

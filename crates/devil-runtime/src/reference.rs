@@ -149,7 +149,7 @@ impl ReferenceInstance {
             return Err(RtError::NotReadable(var.name.clone()));
         }
         let behavior = var.behavior;
-        let read_order = var.read_order.clone();
+        let read_order = var.order.clone();
         // Idempotent variables are served from the cache when every
         // backing register has a cached value.
         if !behavior.volatile && !behavior.read_trigger {
@@ -191,7 +191,7 @@ impl ReferenceInstance {
         if !self.ir.struct_supports(sid, false) {
             return Err(RtError::NotReadable(self.ir.strct(sid).name.clone()));
         }
-        let read_order = self.ir.strct(sid).read_order.clone();
+        let read_order = self.ir.strct(sid).order.clone();
         let mut order = self.pop_order_buf();
         self.plan_regs_into(&read_order, &mut order);
         let mut res = Ok(());
@@ -335,7 +335,7 @@ impl ReferenceInstance {
             return Err(RtError::ValueRange { var: var.name.clone(), value });
         }
         let set = var.set.clone();
-        let write_order = var.write_order.clone();
+        let write_order = var.order.clone();
         if let Some(cell) = mem_cell {
             self.mem[cell] = value & var.raw_mask();
             return self.run_actions(dev, &set, args, depth + 1);
@@ -369,7 +369,7 @@ impl ReferenceInstance {
         if depth > MAX_DEPTH {
             return Err(RtError::RecursionLimit(st.name.clone()));
         }
-        let write_order = st.write_order.clone();
+        let write_order = st.order.clone();
         let fields = st.fields.clone();
         let mut order = self.pop_order_buf();
         self.plan_regs_into(&write_order, &mut order);

@@ -111,9 +111,10 @@ proptest! {
         // plans and the reference interpreter; the device must see the
         // exact same op stream.
         let lo_mask = (1u64 << (split + 1)) - 1;
-        let mut fast = instance(&split_spec(split));
+        let src = split_spec(split);
+        let mut fast = instance(&src);
         let mut fast_dev = FakeAccess::new();
-        let model = devil_sema::check_source(&split_spec(split), &[]).expect("valid spec");
+        let model = devil_sema::check_source(&src, &[]).expect("valid spec");
         let mut slow = ReferenceInstance::new(devil_ir::lower(&model));
         let mut slow_dev = FakeAccess::new();
         let lo = slow.ir().var_id("lo").unwrap();

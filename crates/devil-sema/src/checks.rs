@@ -21,7 +21,7 @@ use crate::model::*;
 use devil_syntax::diag::{DiagSink, ErrorCode};
 
 /// Runs all model-level verifications, reporting into `diags`.
-pub fn check(model: &CheckedDevice, diags: &mut DiagSink) {
+pub fn check(model: &CheckedDevice<'_>, diags: &mut DiagSink) {
     check_directions(model, diags);
     check_enum_mappings(model, diags);
     check_omission(model, diags);
@@ -33,7 +33,7 @@ pub fn check(model: &CheckedDevice, diags: &mut DiagSink) {
 /// Direction consistency: a variable is readable iff every backing
 /// register is readable (likewise writable); it must be at least one of
 /// the two. Returns `(readable, writable)`.
-pub fn var_directions(model: &CheckedDevice, v: &VarDef) -> (bool, bool) {
+pub fn var_directions(model: &CheckedDevice<'_>, v: &VarDef) -> (bool, bool) {
     match &v.bits {
         None => (true, true), // memory cells are always accessible
         Some(chunks) => {
@@ -44,7 +44,7 @@ pub fn var_directions(model: &CheckedDevice, v: &VarDef) -> (bool, bool) {
     }
 }
 
-fn check_directions(model: &CheckedDevice, diags: &mut DiagSink) {
+fn check_directions(model: &CheckedDevice<'_>, diags: &mut DiagSink) {
     for v in &model.variables {
         let (r, w) = var_directions(model, v);
         if !r && !w {
@@ -60,7 +60,7 @@ fn check_directions(model: &CheckedDevice, diags: &mut DiagSink) {
     }
 }
 
-fn check_enum_mappings(model: &CheckedDevice, diags: &mut DiagSink) {
+fn check_enum_mappings(model: &CheckedDevice<'_>, diags: &mut DiagSink) {
     for v in &model.variables {
         let TypeSem::Enum(en) = &v.ty else { continue };
         let (readable, writable) = var_directions(model, v);
@@ -124,7 +124,7 @@ fn check_enum_mappings(model: &CheckedDevice, diags: &mut DiagSink) {
     }
 }
 
-fn check_omission(model: &CheckedDevice, diags: &mut DiagSink) {
+fn check_omission(model: &CheckedDevice<'_>, diags: &mut DiagSink) {
     // Ports: every port referenced; every offset of its range used.
     for (pi, port) in model.ports.iter().enumerate() {
         let pid = PortId(pi as u32);
@@ -358,7 +358,7 @@ fn disjoint_masks(a: &RegDef, b: &RegDef) -> bool {
 /// in (plans provide an implicit addressing context, exempting their
 /// registers from the overlap check — the 8259A `icw2`/`icw3`/`icw4`
 /// case).
-fn serialization_groups(model: &CheckedDevice) -> Vec<Vec<usize>> {
+fn serialization_groups(model: &CheckedDevice<'_>) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); model.registers.len()];
     let mut plan_id = 0usize;
     let visit = |plan: &SerPlan, groups: &mut Vec<Vec<usize>>, plan_id: usize| {
@@ -390,7 +390,7 @@ fn serialization_groups(model: &CheckedDevice) -> Vec<Vec<usize>> {
     groups
 }
 
-fn check_register_overlap(model: &CheckedDevice, diags: &mut DiagSink) {
+fn check_register_overlap(model: &CheckedDevice<'_>, diags: &mut DiagSink) {
     let groups = serialization_groups(model);
     let n = model.registers.len();
     for i in 0..n {
@@ -427,7 +427,7 @@ fn check_register_overlap(model: &CheckedDevice, diags: &mut DiagSink) {
     }
 }
 
-fn check_bit_overlap(model: &CheckedDevice, diags: &mut DiagSink) {
+fn check_bit_overlap(model: &CheckedDevice<'_>, diags: &mut DiagSink) {
     // For each register, record which variable claims each bit.
     let n = model.registers.len();
     let mut owner: Vec<Vec<Option<VarId>>> =
@@ -450,7 +450,7 @@ fn check_bit_overlap(model: &CheckedDevice, diags: &mut DiagSink) {
                             if distinct_const_args(model, *prev, vid, c.reg) {
                                 continue;
                             }
-                            let prev_name = model.var(*prev).name.clone();
+                            let prev_name = model.var(*prev).name;
                             diags.push(
                                 devil_syntax::Diagnostic::error(
                                     ErrorCode::VBitOverlap,
@@ -477,7 +477,7 @@ fn check_bit_overlap(model: &CheckedDevice, diags: &mut DiagSink) {
 
 /// Whether two variables reference family register `reg` with constant
 /// arguments that are provably different.
-fn distinct_const_args(model: &CheckedDevice, a: VarId, b: VarId, reg: RegId) -> bool {
+fn distinct_const_args(model: &CheckedDevice<'_>, a: VarId, b: VarId, reg: RegId) -> bool {
     let args_of = |vid: VarId| -> Option<Vec<u64>> {
         let v = model.var(vid);
         let chunks = v.bits.as_ref()?;
@@ -496,7 +496,7 @@ fn distinct_const_args(model: &CheckedDevice, a: VarId, b: VarId, reg: RegId) ->
     }
 }
 
-fn check_trigger_conflicts(model: &CheckedDevice, diags: &mut DiagSink) {
+fn check_trigger_conflicts(model: &CheckedDevice<'_>, diags: &mut DiagSink) {
     for (ri, reg) in model.registers.iter().enumerate() {
         let rid = RegId(ri as u32);
         // Writable variables on this register.

@@ -37,7 +37,10 @@ use devil_syntax::diag::DiagSink;
 /// `int_params` binds the device's constant integer parameters (used by
 /// conditional declarations). Returns the checked model, or the combined
 /// diagnostics of whichever stage failed.
-pub fn check_source(src: &str, int_params: &[(&str, u64)]) -> Result<CheckedDevice, DiagSink> {
+pub fn check_source<'s>(
+    src: &'s str,
+    int_params: &[(&str, u64)],
+) -> Result<CheckedDevice<'s>, DiagSink> {
     match check_source_with_warnings(src, int_params) {
         (Some(model), _) => Ok(model),
         (None, diags) => Err(diags),
@@ -46,10 +49,10 @@ pub fn check_source(src: &str, int_params: &[(&str, u64)]) -> Result<CheckedDevi
 
 /// Like [`check_source`] but also returns non-error diagnostics on
 /// success, for tools that surface warnings.
-pub fn check_source_with_warnings(
-    src: &str,
+pub fn check_source_with_warnings<'s>(
+    src: &'s str,
     int_params: &[(&str, u64)],
-) -> (Option<CheckedDevice>, DiagSink) {
+) -> (Option<CheckedDevice<'s>>, DiagSink) {
     let (device, mut diags) = devil_syntax::parse(src);
     let Some(device) = device else {
         return (None, diags);

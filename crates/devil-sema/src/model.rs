@@ -4,6 +4,14 @@
 //! are resolved to indices, register-family instantiations are inlined,
 //! conditional declarations are flattened for a concrete parameter
 //! binding, and every width/direction fact has been verified.
+//!
+//! The model borrows the names of its ports, parameters, registers,
+//! variables, structures and named types from the specification source
+//! (`&'s str`), as the AST does: resolving a spec copies no declared
+//! name. References between entities are dense ids ([`RegId`],
+//! [`VarId`], ...), never names. What `devil-ir` embeds in its own
+//! tables ([`FamilyParam`], [`TypeSem`], [`Action`] and the plans'
+//! other parts) stays owned, so a lowered device outlives its source.
 
 use devil_syntax::ast::MaskBit;
 use devil_syntax::span::Span;
@@ -48,37 +56,38 @@ impl fmt::Debug for StructId {
 
 /// A fully checked device specification.
 #[derive(Clone, Debug)]
-pub struct CheckedDevice {
+pub struct CheckedDevice<'s> {
     /// Device name.
-    pub name: String,
+    pub name: &'s str,
     /// Port parameters, in declaration order.
-    pub ports: Vec<PortDef>,
+    pub ports: Vec<PortDef<'s>>,
     /// Constant integer parameters with their bound values.
-    pub int_params: Vec<IntParamDef>,
+    pub int_params: Vec<IntParamDef<'s>>,
     /// Registers (families kept symbolic via [`RegDef::params`]).
-    pub registers: Vec<RegDef>,
+    pub registers: Vec<RegDef<'s>>,
     /// Device variables (public, private, and structure fields).
-    pub variables: Vec<VarDef>,
+    pub variables: Vec<VarDef<'s>>,
     /// Structures grouping variables.
-    pub structures: Vec<StructDef>,
-    /// Named type definitions (for omission checking and codegen).
-    pub typedefs: Vec<TypeDefSem>,
+    pub structures: Vec<StructDef<'s>>,
+    /// Named type definitions (for omission checking and codegen), in
+    /// source order.
+    pub typedefs: Vec<TypeDefSem<'s>>,
 }
 
 /// A named type definition.
 #[derive(Clone, Debug)]
-pub struct TypeDefSem {
+pub struct TypeDefSem<'s> {
     /// Type name.
-    pub name: String,
+    pub name: &'s str,
     /// The resolved type.
     pub ty: TypeSem,
     /// Declaration span.
     pub span: Span,
 }
 
-impl CheckedDevice {
+impl<'s> CheckedDevice<'s> {
     /// Looks a register up by name.
-    pub fn register(&self, name: &str) -> Option<(RegId, &RegDef)> {
+    pub fn register(&self, name: &str) -> Option<(RegId, &RegDef<'s>)> {
         self.registers
             .iter()
             .enumerate()
@@ -87,7 +96,7 @@ impl CheckedDevice {
     }
 
     /// Looks a variable up by name.
-    pub fn variable(&self, name: &str) -> Option<(VarId, &VarDef)> {
+    pub fn variable(&self, name: &str) -> Option<(VarId, &VarDef<'s>)> {
         self.variables
             .iter()
             .enumerate()
@@ -96,7 +105,7 @@ impl CheckedDevice {
     }
 
     /// Looks a structure up by name.
-    pub fn structure(&self, name: &str) -> Option<(StructId, &StructDef)> {
+    pub fn structure(&self, name: &str) -> Option<(StructId, &StructDef<'s>)> {
         self.structures
             .iter()
             .enumerate()
@@ -105,7 +114,7 @@ impl CheckedDevice {
     }
 
     /// Looks a port up by name.
-    pub fn port(&self, name: &str) -> Option<(PortId, &PortDef)> {
+    pub fn port(&self, name: &str) -> Option<(PortId, &PortDef<'s>)> {
         self.ports
             .iter()
             .enumerate()
@@ -114,24 +123,24 @@ impl CheckedDevice {
     }
 
     /// The register definition for an id.
-    pub fn reg(&self, id: RegId) -> &RegDef {
+    pub fn reg(&self, id: RegId) -> &RegDef<'s> {
         &self.registers[id.0 as usize]
     }
 
     /// The variable definition for an id.
-    pub fn var(&self, id: VarId) -> &VarDef {
+    pub fn var(&self, id: VarId) -> &VarDef<'s> {
         &self.variables[id.0 as usize]
     }
 
     /// The structure definition for an id.
-    pub fn strct(&self, id: StructId) -> &StructDef {
+    pub fn strct(&self, id: StructId) -> &StructDef<'s> {
         &self.structures[id.0 as usize]
     }
 
     /// Iterates over the public (non-private, non-field) variables that
     /// make up the device's functional interface, plus structure fields
     /// (which are public through their structure).
-    pub fn interface_vars(&self) -> impl Iterator<Item = (VarId, &VarDef)> {
+    pub fn interface_vars(&self) -> impl Iterator<Item = (VarId, &VarDef<'s>)> {
         self.variables
             .iter()
             .enumerate()
@@ -142,9 +151,9 @@ impl CheckedDevice {
 
 /// A declared port parameter.
 #[derive(Clone, Debug)]
-pub struct PortDef {
+pub struct PortDef<'s> {
     /// Port name.
-    pub name: String,
+    pub name: &'s str,
     /// Access width in bits.
     pub width: u32,
     /// Valid offsets, as sorted inclusive ranges.
@@ -153,7 +162,7 @@ pub struct PortDef {
     pub span: Span,
 }
 
-impl PortDef {
+impl PortDef<'_> {
     /// Whether `off` is a declared offset of this port.
     pub fn contains(&self, off: u64) -> bool {
         self.offsets.iter().any(|&(lo, hi)| (lo..=hi).contains(&off))
@@ -167,9 +176,9 @@ impl PortDef {
 
 /// A constant integer device parameter and its bound value.
 #[derive(Clone, Debug)]
-pub struct IntParamDef {
+pub struct IntParamDef<'s> {
     /// Parameter name.
-    pub name: String,
+    pub name: &'s str,
     /// Bound value used to flatten conditional declarations.
     pub value: u64,
     /// Declaration span.
@@ -201,9 +210,9 @@ impl FamilyParam {
 
 /// A register definition (concrete or family).
 #[derive(Clone, Debug)]
-pub struct RegDef {
+pub struct RegDef<'s> {
     /// Register name.
-    pub name: String,
+    pub name: &'s str,
     /// Family parameters; empty for concrete registers.
     pub params: Vec<FamilyParam>,
     /// Size in bits.
@@ -224,7 +233,7 @@ pub struct RegDef {
     pub span: Span,
 }
 
-impl RegDef {
+impl RegDef<'_> {
     /// Whether the register can be read.
     pub fn readable(&self) -> bool {
         self.read.is_some()
@@ -443,9 +452,9 @@ pub struct EnumArmSem {
 
 /// A device variable.
 #[derive(Clone, Debug)]
-pub struct VarDef {
+pub struct VarDef<'s> {
     /// Variable name.
-    pub name: String,
+    pub name: &'s str,
     /// Hidden from the functional interface.
     pub private: bool,
     /// Family parameters for variable arrays; empty otherwise.
@@ -469,7 +478,7 @@ pub struct VarDef {
     pub span: Span,
 }
 
-impl VarDef {
+impl VarDef<'_> {
     /// Total bit width of the variable.
     pub fn width(&self) -> u32 {
         match &self.bits {
@@ -579,9 +588,9 @@ impl CondSem {
 
 /// A structure: a group of variables accessed consistently.
 #[derive(Clone, Debug)]
-pub struct StructDef {
+pub struct StructDef<'s> {
     /// Structure name.
-    pub name: String,
+    pub name: &'s str,
     /// Member variables, in declaration order.
     pub fields: Vec<VarId>,
     /// Access order over the registers backing the fields.
@@ -599,9 +608,9 @@ pub fn bits_for(v: u64) -> u32 {
 mod tests {
     use super::*;
 
-    fn reg_with_mask(mask: &str) -> RegDef {
+    fn reg_with_mask(mask: &str) -> RegDef<'static> {
         RegDef {
-            name: "r".into(),
+            name: "r",
             params: vec![],
             size: mask.len() as u32,
             read: None,
@@ -726,12 +735,8 @@ mod tests {
 
     #[test]
     fn port_membership() {
-        let p = PortDef {
-            name: "base".into(),
-            width: 8,
-            offsets: vec![(0, 3), (7, 7)],
-            span: Span::DUMMY,
-        };
+        let p =
+            PortDef { name: "base", width: 8, offsets: vec![(0, 3), (7, 7)], span: Span::DUMMY };
         assert!(p.contains(0) && p.contains(3) && p.contains(7));
         assert!(!p.contains(4));
         assert_eq!(p.iter_offsets().collect::<Vec<_>>(), vec![0, 1, 2, 3, 7]);

@@ -11,6 +11,14 @@
 //! 5. resolve variables (bit chunks, types, behaviours),
 //! 6. resolve actions (register pre/post/set, variable set) and
 //!    serialization plans, which may reference any variable.
+//!
+//! The model borrows every declared name from the source, as the AST
+//! does, so resolution copies no name. A lookup by name is one probe of
+//! a table of dense ids keyed by kind and name: a definition's id is
+//! entered when the definition is pushed, and the first definition of a
+//! name wins, as a first-match scan of the definitions would find it.
+//! The tables and the definition vectors are reserved once, from the
+//! counts of the declarations.
 
 use crate::model::*;
 use devil_syntax::ast::{self, MaskBit};
@@ -19,96 +27,158 @@ use devil_syntax::span::Span;
 use std::collections::HashMap;
 
 /// Resolves `device` into a [`CheckedDevice`], binding the constant
-/// integer parameters to `int_params` (name/value pairs).
+/// integer parameters to `int_params` (name/value pairs). The model
+/// borrows its names from the source `device` was parsed from, not from
+/// `device` itself.
 ///
 /// Diagnostics go into `diags`; a model is returned on a best-effort
 /// basis even in the presence of errors so later stages can be exercised
 /// by tooling, but callers must treat it as valid only when
 /// `!diags.has_errors()`.
-pub fn resolve(
-    device: &ast::Device,
+pub fn resolve<'s>(
+    device: &ast::Device<'s>,
     int_params: &[(&str, u64)],
     diags: &mut DiagSink,
-) -> CheckedDevice {
+) -> CheckedDevice<'s> {
     Resolver::new(device, int_params, diags).run()
 }
 
-struct Resolver<'a, 'b, 'd> {
-    dev: &'a ast::Device<'a>,
+/// The kinds of definition looked up by name. One name can have a
+/// definition of several kinds: a register whose name is taken (by a
+/// port, a type or another register) is reported and still resolved.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Kind {
+    Port,
+    Type,
+    /// A register declaration, by its index among the flattened ones.
+    RegDecl,
+    Reg,
+    Var,
+    Struct,
+}
+
+/// Dense ids by kind and name.
+struct Ids<'s>(HashMap<(Kind, &'s str), u32>);
+
+impl<'s> Ids<'s> {
+    /// Enters `id` for `name`, unless an earlier definition of the same
+    /// kind holds it: the first definition wins.
+    fn enter(&mut self, kind: Kind, name: &'s str, id: usize) {
+        self.0.entry((kind, name)).or_insert(id as u32);
+    }
+
+    fn get(&self, kind: Kind, name: &'s str) -> Option<usize> {
+        self.0.get(&(kind, name)).map(|&id| id as usize)
+    }
+}
+
+/// How many declarations of each kind a device has, both branches of
+/// every conditional group counted: a bound on what any parameter
+/// binding flattens to.
+#[derive(Default)]
+struct DeclCounts {
+    regs: usize,
+    vars: usize,
+    structs: usize,
+    types: usize,
+}
+
+impl DeclCounts {
+    fn add(&mut self, decls: &[ast::Decl]) {
+        for d in decls {
+            match d {
+                ast::Decl::Register(_) => self.regs += 1,
+                ast::Decl::Variable(_) => self.vars += 1,
+                ast::Decl::Structure(s) => {
+                    self.structs += 1;
+                    self.vars += s.fields.len();
+                }
+                ast::Decl::TypeDef(_) => self.types += 1,
+                ast::Decl::Cond(c) => {
+                    self.add(&c.then);
+                    self.add(&c.els);
+                }
+            }
+        }
+    }
+}
+
+struct Resolver<'s, 'a, 'b, 'd> {
+    dev: &'a ast::Device<'s>,
     /// The caller's `int_params`, in the caller's order.
     bindings: &'b [(&'b str, u64)],
     diags: &'d mut DiagSink,
 
-    ports: Vec<PortDef>,
-    int_params: Vec<IntParamDef>,
-    registers: Vec<RegDef>,
-    variables: Vec<VarDef>,
-    structures: Vec<StructDef>,
+    ports: Vec<PortDef<'s>>,
+    int_params: Vec<IntParamDef<'s>>,
+    registers: Vec<RegDef<'s>>,
+    variables: Vec<VarDef<'s>>,
+    structures: Vec<StructDef<'s>>,
+    typedefs: Vec<TypeDefSem<'s>>,
 
-    /// Named-type table: name -> resolved type.
-    types: HashMap<String, (TypeSem, Span)>,
     /// All declared names with their kind, for duplicate detection.
-    names: HashMap<&'a str, (&'static str, Span)>,
+    names: HashMap<&'s str, (&'static str, Span)>,
+    /// The definitions above, and the register declarations, by name.
+    ids: Ids<'s>,
 
     /// AST declarations flattened through `if` groups.
-    reg_decls: Vec<&'a ast::RegisterDecl<'a>>,
-    var_decls: Vec<(&'a ast::VariableDecl<'a>, Option<StructId>)>,
-    struct_decls: Vec<&'a ast::StructureDecl<'a>>,
+    reg_decls: Vec<&'a ast::RegisterDecl<'s>>,
+    var_decls: Vec<(&'a ast::VariableDecl<'s>, Option<StructId>)>,
+    struct_decls: Vec<&'a ast::StructureDecl<'s>>,
 }
 
-impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
+impl<'s, 'a, 'b, 'd> Resolver<'s, 'a, 'b, 'd> {
     fn new(
-        dev: &'a ast::Device<'a>,
+        dev: &'a ast::Device<'s>,
         int_params: &'b [(&'b str, u64)],
         diags: &'d mut DiagSink,
     ) -> Self {
+        let mut n = DeclCounts::default();
+        n.add(&dev.decls);
+        let params = dev.params.len();
+        let ports =
+            dev.params.iter().filter(|p| matches!(p.kind, ast::ParamKind::Port { .. })).count();
         Resolver {
             dev,
             bindings: int_params,
             diags,
-            ports: Vec::new(),
-            int_params: Vec::new(),
-            registers: Vec::new(),
-            variables: Vec::new(),
-            structures: Vec::new(),
-            types: HashMap::new(),
-            names: HashMap::new(),
-            reg_decls: Vec::new(),
-            var_decls: Vec::new(),
-            struct_decls: Vec::new(),
+            ports: Vec::with_capacity(ports),
+            int_params: Vec::with_capacity(params - ports),
+            registers: Vec::with_capacity(n.regs),
+            variables: Vec::with_capacity(n.vars),
+            structures: Vec::with_capacity(n.structs),
+            typedefs: Vec::with_capacity(n.types),
+            names: HashMap::with_capacity(params + n.regs + n.vars + n.structs + n.types),
+            // A register enters twice: by declaration and by definition.
+            ids: Ids(HashMap::with_capacity(ports + n.types + 2 * n.regs + n.vars + n.structs)),
+            reg_decls: Vec::with_capacity(n.regs),
+            var_decls: Vec::with_capacity(n.vars),
+            struct_decls: Vec::with_capacity(n.structs),
         }
     }
 
-    fn run(mut self) -> CheckedDevice {
+    fn run(mut self) -> CheckedDevice<'s> {
         self.resolve_params();
         let dev = self.dev;
         self.flatten_decls(&dev.decls);
-        self.resolve_typedefs();
+        self.resolve_typedefs(&dev.decls);
         self.resolve_register_skeletons();
         self.resolve_variables();
         self.resolve_register_actions();
         self.resolve_serializations();
-        let mut typedefs: Vec<TypeDefSem> = self
-            .types
-            .into_iter()
-            .map(|(name, (ty, span))| TypeDefSem { name, ty, span })
-            .collect();
-        typedefs.sort_by_key(|a| a.span);
         CheckedDevice {
-            name: self.dev.name.name.to_string(),
+            name: self.dev.name.name,
             ports: self.ports,
             int_params: self.int_params,
             registers: self.registers,
             variables: self.variables,
             structures: self.structures,
-            typedefs,
+            typedefs: self.typedefs,
         }
     }
 
-    fn declare(&mut self, name: &'a ast::Ident, kind: &'static str) -> bool {
-        if let Some((prev_kind, prev_span)) = self.names.get(name.name) {
-            let prev_span = *prev_span;
-            let prev_kind = *prev_kind;
+    fn declare(&mut self, name: &ast::Ident<'s>, kind: &'static str) -> bool {
+        if let Some(&(prev_kind, prev_span)) = self.names.get(name.name) {
             self.diags.push(
                 devil_syntax::Diagnostic::error(
                     ErrorCode::DDuplicateName,
@@ -154,8 +224,9 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                         );
                     }
                     let offsets = normalize_set(range);
+                    self.ids.enter(Kind::Port, p.name.name, self.ports.len());
                     self.ports.push(PortDef {
-                        name: p.name.name.to_string(),
+                        name: p.name.name,
                         width: *width,
                         offsets,
                         span: p.span,
@@ -189,11 +260,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                             );
                         }
                     }
-                    self.int_params.push(IntParamDef {
-                        name: p.name.name.to_string(),
-                        value,
-                        span: p.span,
-                    });
+                    self.int_params.push(IntParamDef { name: p.name.name, value, span: p.span });
                 }
             }
         }
@@ -214,7 +281,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
 
     // ---- phase 2: flatten conditionals, collect declarations ----
 
-    fn flatten_decls(&mut self, decls: &'a [ast::Decl]) {
+    fn flatten_decls(&mut self, decls: &'a [ast::Decl<'s>]) {
         for d in decls {
             match d {
                 ast::Decl::Register(r) => self.reg_decls.push(r),
@@ -281,29 +348,26 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
 
     // ---- phase 3: named types ----
 
-    fn resolve_typedefs(&mut self) {
-        // Typedefs are collected from the original declaration list (not
-        // the flattened one) because they are mode-independent.
-        fn collect<'x>(decls: &'x [ast::Decl<'x>], out: &mut Vec<&'x ast::TypeDef<'x>>) {
-            for d in decls {
-                match d {
-                    ast::Decl::TypeDef(t) => out.push(t),
-                    ast::Decl::Cond(c) => {
-                        collect(&c.then, out);
-                        collect(&c.els, out);
+    /// Resolves the named types in `decls`, in source order. Both
+    /// branches of a conditional group count (not the flattened
+    /// declarations), because a type means the same in every mode.
+    fn resolve_typedefs(&mut self, decls: &'a [ast::Decl<'s>]) {
+        for d in decls {
+            match d {
+                ast::Decl::TypeDef(t) => {
+                    if !self.declare(&t.name, "type") {
+                        continue;
                     }
-                    _ => {}
+                    if let Some(ty) = self.resolve_type(&t.ty, None, Some(t.name.name)) {
+                        self.ids.enter(Kind::Type, t.name.name, self.typedefs.len());
+                        self.typedefs.push(TypeDefSem { name: t.name.name, ty, span: t.span });
+                    }
                 }
-            }
-        }
-        let mut defs = Vec::new();
-        collect(&self.dev.decls, &mut defs);
-        for t in defs {
-            if !self.declare(&t.name, "type") {
-                continue;
-            }
-            if let Some(sem) = self.resolve_type(&t.ty, None, Some(t.name.name)) {
-                self.types.insert(t.name.name.to_string(), (sem, t.span));
+                ast::Decl::Cond(c) => {
+                    self.resolve_typedefs(&c.then);
+                    self.resolve_typedefs(&c.els);
+                }
+                _ => {}
             }
         }
     }
@@ -313,7 +377,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
     /// typedef); `enum_name` names the enum when this is a typedef body.
     fn resolve_type(
         &mut self,
-        ty: &ast::Type,
+        ty: &ast::Type<'s>,
         var_width: Option<u32>,
         enum_name: Option<&str>,
     ) -> Option<TypeSem> {
@@ -343,8 +407,9 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                 Some(TypeSem::IntSet { width, set: ranges })
             }
             ast::TypeKind::Enum(e) => self.resolve_enum(e, var_width, enum_name),
-            ast::TypeKind::Named(name) => match self.types.get(name.name) {
-                Some((sem, _)) => {
+            ast::TypeKind::Named(name) => match self.ids.get(Kind::Type, name.name) {
+                Some(id) => {
+                    let sem = &self.typedefs[id].ty;
                     if let (TypeSem::Enum(en), Some(w)) = (sem, var_width) {
                         if en.width != w {
                             self.diags.error(
@@ -392,7 +457,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
             Some(w) => w,
             None => e.arms.first().map_or(1, |a| a.pattern.len() as u32),
         };
-        let mut arms: Vec<EnumArmSem> = Vec::new();
+        let mut arms: Vec<EnumArmSem> = Vec::with_capacity(e.arms.len());
         for arm in &e.arms {
             if arm.pattern.len() as u32 != width {
                 self.diags.error(
@@ -439,35 +504,42 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
     // ---- phase 4: register skeletons ----
 
     fn resolve_register_skeletons(&mut self) {
-        // Two passes: first declare all names (so instances can reference
-        // families declared later), then resolve bodies.
+        // First declare all names (so instances can reference families
+        // declared later), then resolve bodies: every concrete register
+        // in source order, then every instance, whose family is then
+        // resolved wherever it was declared.
         let decls = std::mem::take(&mut self.reg_decls);
-        for r in &decls {
+        for (i, r) in decls.iter().enumerate() {
             self.declare(&r.name, "register");
+            self.ids.enter(Kind::RegDecl, r.name.name, i);
         }
-        // Family table: name -> index into self.registers once pushed.
-        // Resolve in source order; instances of not-yet-resolved families
-        // are handled by a second sweep.
-        let mut pending: Vec<&ast::RegisterDecl> = Vec::new();
-        for r in &decls {
-            if let ast::RegSpec::Instance { .. } = &r.spec {
-                pending.push(r);
-                continue;
-            }
-            if let Some(def) = self.resolve_concrete_register(r) {
-                self.registers.push(def);
+        let is_instance = |r: &ast::RegisterDecl| matches!(r.spec, ast::RegSpec::Instance { .. });
+        for &r in &decls {
+            if !is_instance(r) {
+                if let Some(def) = self.resolve_concrete_register(r) {
+                    self.push_register(def);
+                }
             }
         }
-        for r in pending {
-            if let Some(def) = self.resolve_instance_register(r) {
-                self.registers.push(def);
+        for &r in &decls {
+            if is_instance(r) {
+                if let Some(def) = self.resolve_instance_register(r) {
+                    self.push_register(def);
+                }
             }
         }
         self.reg_decls = decls;
     }
 
+    /// Pushes a register, also when its name was rejected by
+    /// [`Self::declare`] (a duplicate or a clash with another kind).
+    fn push_register(&mut self, def: RegDef<'s>) {
+        self.ids.enter(Kind::Reg, def.name, self.registers.len());
+        self.registers.push(def);
+    }
+
     fn resolve_family_params(&mut self, params: &[ast::RegParam]) -> Vec<FamilyParam> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(params.len());
         for p in params {
             if out.iter().any(|f: &FamilyParam| f.name == p.name.name) {
                 self.diags.error(
@@ -500,7 +572,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
         out
     }
 
-    fn resolve_concrete_register(&mut self, r: &ast::RegisterDecl) -> Option<RegDef> {
+    fn resolve_concrete_register(&mut self, r: &ast::RegisterDecl<'s>) -> Option<RegDef<'s>> {
         let params = self.resolve_family_params(&r.params);
         let size = match r.size {
             Some((n, _)) => n,
@@ -531,7 +603,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
         };
         let mask = self.resolve_mask(&r.attrs, size, r.span);
         Some(RegDef {
-            name: r.name.name.to_string(),
+            name: r.name.name,
             params,
             size,
             read,
@@ -544,7 +616,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
         })
     }
 
-    fn resolve_instance_register(&mut self, r: &ast::RegisterDecl) -> Option<RegDef> {
+    fn resolve_instance_register(&mut self, r: &ast::RegisterDecl<'s>) -> Option<RegDef<'s>> {
         let ast::RegSpec::Instance { family: family_name, args } = &r.spec else { unreachable!() };
         let Some((fam_id, _)) = self.find_register(family_name.name) else {
             self.diags.error(
@@ -575,7 +647,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
             );
             return None;
         }
-        let mut values = Vec::new();
+        let mut values = Vec::with_capacity(args.len());
         for (a, p) in args.iter().zip(&fam.params) {
             match a {
                 ast::Expr::Int(v, span) => {
@@ -629,7 +701,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
         // Action resolution happens later; remember the instantiation so
         // family-parameter references can be substituted.
         Some(RegDef {
-            name: r.name.name.to_string(),
+            name: r.name.name,
             params: Vec::new(),
             size,
             read,
@@ -644,7 +716,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
 
     fn resolve_binding(
         &mut self,
-        port: &ast::PortExpr,
+        port: &ast::PortExpr<'s>,
         params: &[FamilyParam],
         size: u32,
     ) -> Option<PortBinding> {
@@ -775,9 +847,10 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                 continue;
             }
             let sid = StructId(self.structures.len() as u32);
+            self.ids.enter(Kind::Struct, s.name.name, self.structures.len());
             self.structures.push(StructDef {
-                name: s.name.name.to_string(),
-                fields: Vec::new(),
+                name: s.name.name,
+                fields: Vec::with_capacity(s.fields.len()),
                 serialized: None,
                 span: s.span,
             });
@@ -797,6 +870,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                 if let Some(sid) = parent {
                     self.structures[sid.0 as usize].fields.push(vid);
                 }
+                self.ids.enter(Kind::Var, def.name, self.variables.len());
                 self.variables.push(def);
             }
         }
@@ -805,9 +879,9 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
 
     fn resolve_variable(
         &mut self,
-        v: &ast::VariableDecl,
+        v: &ast::VariableDecl<'s>,
         parent: Option<StructId>,
-    ) -> Option<VarDef> {
+    ) -> Option<VarDef<'s>> {
         let params = self.resolve_family_params(&v.params);
         let bits = match &v.bits {
             Some(be) => Some(self.resolve_bit_expr(be, &params)?),
@@ -856,10 +930,10 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                 );
             }
         }
-        // Behaviour attributes.
+        // Behaviour attributes. `set` blocks and serialization plans are
+        // resolved in the late pass, after all variables exist.
         let mut behavior = Behavior::default();
         let mut neutral_ast: Option<&ast::TriggerException> = None;
-        let set_actions: Vec<Action> = Vec::new();
         for attr in &v.attrs {
             match attr {
                 ast::VarAttr::Volatile(_) => behavior.volatile = true,
@@ -877,23 +951,12 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                         neutral_ast = Some(e);
                     }
                 }
-                ast::VarAttr::Set(b) => {
-                    // Defer: action targets may be declared later. Store
-                    // the AST pointer index via a placeholder resolved in
-                    // resolve_serializations. To keep things simpler we
-                    // resolve immediately against what's known plus the
-                    // not-yet-resolved variables; instead, stash for the
-                    // late pass.
-                    let _ = b;
-                }
+                ast::VarAttr::Set(_) => {}
             }
         }
         let neutral = neutral_ast.and_then(|e| self.resolve_neutral(e, &ty));
-        // `set` blocks and serialization plans are resolved in the late
-        // pass (resolve_serializations), after all variables exist.
-        let _ = &set_actions;
         Some(VarDef {
-            name: v.name.name.to_string(),
+            name: v.name.name,
             private: v.private,
             params,
             bits,
@@ -998,10 +1061,10 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
 
     fn resolve_bit_expr(
         &mut self,
-        be: &ast::BitExpr,
+        be: &ast::BitExpr<'s>,
         params: &[FamilyParam],
     ) -> Option<Vec<BitChunk>> {
-        let mut chunks = Vec::new();
+        let mut chunks = Vec::with_capacity(be.atoms.len());
         for atom in &be.atoms {
             let Some((rid, _)) = self.find_register(atom.reg.name) else {
                 let kind = self.names.get(atom.reg.name).map(|(k, _)| *k);
@@ -1016,7 +1079,6 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
             };
             let reg = &self.registers[rid.0 as usize];
             // Family arguments.
-            let mut args = Vec::new();
             if atom.args.len() != reg.params.len() {
                 self.diags.error(
                     ErrorCode::TParamMismatch,
@@ -1030,6 +1092,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                 );
                 return None;
             }
+            let mut args = Vec::with_capacity(atom.args.len());
             for (a, fp) in atom.args.iter().zip(&reg.params) {
                 match a {
                     ast::Expr::Int(v, vspan) => {
@@ -1119,11 +1182,11 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
         let decls = std::mem::take(&mut self.reg_decls);
         for &r in &decls {
             let Some((rid, _)) = self.find_register(r.name.name) else { continue };
-            // For instances, substitute family parameters by constants and
-            // inherit the family's actions.
-            let (fam_decl, subst, own_params) = match &r.spec {
+            // An instance substitutes its family's parameters by its
+            // constant arguments and inherits the family's actions.
+            let (fam_decl, subst, params_of) = match &r.spec {
                 ast::RegSpec::Instance { family, args } => {
-                    let fam_decl = decls.iter().find(|d| d.name.name == family.name).copied();
+                    let fam_decl = self.ids.get(Kind::RegDecl, family.name).map(|i| decls[i]);
                     let consts: Vec<u64> = args
                         .iter()
                         .map(|a| match a {
@@ -1131,15 +1194,16 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                             ast::Expr::Sym(_) => 0,
                         })
                         .collect();
-                    let fam_params =
-                        fam_decl.map(|d| self.resolve_family_params(&d.params)).unwrap_or_default();
-                    (fam_decl, consts, fam_params)
+                    (fam_decl, consts, self.find_register(family.name).map(|(id, _)| id))
                 }
-                _ => {
-                    let params = self.resolve_family_params(&r.params);
-                    (None, Vec::new(), params)
-                }
+                _ => (None, Vec::new(), Some(rid)),
             };
+            // The parameters were resolved (and reported) with the
+            // skeleton; lend them out of their register while its
+            // actions resolve.
+            let params = params_of
+                .map(|id| std::mem::take(&mut self.registers[id.0 as usize].params))
+                .unwrap_or_default();
             let mut pre = Vec::new();
             let mut post = Vec::new();
             let mut set = Vec::new();
@@ -1148,7 +1212,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                 collect_action_blocks(inherited).chain(collect_action_blocks(&r.attrs))
             {
                 for stmt in &block.stmts {
-                    if let Some(a) = self.resolve_action(stmt, &own_params, &subst) {
+                    if let Some(a) = self.resolve_action(stmt, &params, &subst) {
                         match kind {
                             ActionKind::Pre => pre.push(a),
                             ActionKind::Post => post.push(a),
@@ -1156,6 +1220,9 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                         }
                     }
                 }
+            }
+            if let Some(id) = params_of {
+                self.registers[id.0 as usize].params = params;
             }
             let def = &mut self.registers[rid.0 as usize];
             def.pre = pre;
@@ -1166,9 +1233,11 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
         // Variable `set` blocks.
         let var_decls = std::mem::take(&mut self.var_decls);
         for &(v, _) in &var_decls {
-            let Some((vid, vdef)) = self.find_variable(v.name.name) else { continue };
-            let has_set = v.attrs.iter().any(|a| matches!(a, ast::VarAttr::Set(_)));
-            let params = if has_set { vdef.params.clone() } else { Vec::new() };
+            if !v.attrs.iter().any(|a| matches!(a, ast::VarAttr::Set(_))) {
+                continue;
+            }
+            let Some((vid, _)) = self.find_variable(v.name.name) else { continue };
+            let params = std::mem::take(&mut self.variables[vid.0 as usize].params);
             let mut actions = Vec::new();
             for attr in &v.attrs {
                 if let ast::VarAttr::Set(b) = attr {
@@ -1179,7 +1248,9 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                     }
                 }
             }
-            self.variables[vid.0 as usize].set = actions;
+            let def = &mut self.variables[vid.0 as usize];
+            def.params = params;
+            def.set = actions;
         }
         self.var_decls = var_decls;
     }
@@ -1189,58 +1260,59 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
     /// when resolving an inherited (instance) action.
     fn resolve_action(
         &mut self,
-        stmt: &ast::ActionStmt,
+        stmt: &ast::ActionStmt<'s>,
         params: &[FamilyParam],
         subst: &[u64],
     ) -> Option<Action> {
         // Target: variable or structure.
-        if let Some((vid, vdef)) = find_variable(&self.variables, stmt.target.name) {
+        if let Some(vid) = self.ids.get(Kind::Var, stmt.target.name) {
             let value = Self::resolve_action_value(
                 self.diags,
-                &self.variables,
+                &self.ids,
                 &stmt.value,
-                Some(&vdef.ty),
+                Some(&self.variables[vid].ty),
                 params,
                 subst,
             )?;
-            return Some(Action { target: ActionTarget::Var(vid), value, span: stmt.span });
+            return Some(Action {
+                target: ActionTarget::Var(VarId(vid as u32)),
+                value,
+                span: stmt.span,
+            });
         }
         if let Some((sid, _)) = self.find_structure(stmt.target.name) {
             let value = match &stmt.value {
                 ast::ActionValue::Struct(fields, _span) => {
-                    let mut out = Vec::new();
+                    let mut out = Vec::with_capacity(fields.len());
                     for (fname, fval) in fields {
-                        match find_variable(&self.variables, fname.name) {
-                            Some((fvid, fdef)) => {
-                                if fdef.parent != Some(sid) {
-                                    self.diags.error(
-                                        ErrorCode::TStructureMisuse,
-                                        format!(
-                                            "`{}` is not a field of structure `{}`",
-                                            fname.name, stmt.target.name
-                                        ),
-                                        fname.span,
-                                    );
-                                }
-                                let v = Self::resolve_action_value(
-                                    self.diags,
-                                    &self.variables,
-                                    fval,
-                                    Some(&fdef.ty),
-                                    params,
-                                    subst,
-                                )?;
-                                out.push((fvid, v));
-                            }
-                            None => {
-                                self.diags.error(
-                                    ErrorCode::TUndefined,
-                                    format!("undefined structure field `{}`", fname.name),
-                                    fname.span,
-                                );
-                                return None;
-                            }
+                        let Some(fvid) = self.ids.get(Kind::Var, fname.name) else {
+                            self.diags.error(
+                                ErrorCode::TUndefined,
+                                format!("undefined structure field `{}`", fname.name),
+                                fname.span,
+                            );
+                            return None;
+                        };
+                        let fdef = &self.variables[fvid];
+                        if fdef.parent != Some(sid) {
+                            self.diags.error(
+                                ErrorCode::TStructureMisuse,
+                                format!(
+                                    "`{}` is not a field of structure `{}`",
+                                    fname.name, stmt.target.name
+                                ),
+                                fname.span,
+                            );
                         }
+                        let v = Self::resolve_action_value(
+                            self.diags,
+                            &self.ids,
+                            fval,
+                            Some(&fdef.ty),
+                            params,
+                            subst,
+                        )?;
+                        out.push((VarId(fvid as u32), v));
                     }
                     ActionValue::Struct(out)
                 }
@@ -1264,12 +1336,12 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
     }
 
     /// Resolves an action's right-hand side against its target's type.
-    /// Takes the diagnostics and variable table instead of `self`, so
-    /// callers can pass a type borrowed from that table.
+    /// Takes the diagnostics and the id table instead of `self`, so
+    /// callers can pass a type borrowed from the variable table.
     fn resolve_action_value(
         diags: &mut DiagSink,
-        variables: &[VarDef],
-        v: &ast::ActionValue,
+        ids: &Ids<'s>,
+        v: &ast::ActionValue<'s>,
         target_ty: Option<&TypeSem>,
         params: &[FamilyParam],
         subst: &[u64],
@@ -1314,8 +1386,8 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                         return Some(ActionValue::Const(val));
                     }
                 }
-                if let Some((vid, _)) = find_variable(variables, sym.name) {
-                    return Some(ActionValue::Var(vid));
+                if let Some(vid) = ids.get(Kind::Var, sym.name) {
+                    return Some(ActionValue::Var(VarId(vid as u32)));
                 }
                 diags.error(
                     ErrorCode::TUndefined,
@@ -1365,9 +1437,13 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                     }
                 }
             }
-            let fields = sdef.fields.clone();
+            // Lend the field list out of its structure while the plan
+            // resolves against it.
+            let fields = std::mem::take(&mut self.structures[sid.0 as usize].fields);
             let plan = self.resolve_ser_block(ser, &regs, Some(&fields));
-            self.structures[sid.0 as usize].serialized = plan;
+            let def = &mut self.structures[sid.0 as usize];
+            def.fields = fields;
+            def.serialized = plan;
         }
         self.struct_decls = struct_decls;
     }
@@ -1376,21 +1452,24 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
     /// `members` restricts condition variables for structures.
     fn resolve_ser_block(
         &mut self,
-        block: &ast::SerBlock,
+        block: &ast::SerBlock<'s>,
         allowed: &[RegId],
         members: Option<&[VarId]>,
     ) -> Option<SerPlan> {
-        let steps = self.resolve_ser_items(&block.items, allowed, members)?;
+        let mut steps = Vec::with_capacity(block.items.len());
+        self.resolve_ser_items(&block.items, allowed, members, &mut steps)?;
         Some(SerPlan { steps })
     }
 
+    /// Appends the steps of `items` to `out`; a `{ }` group's steps go
+    /// in line.
     fn resolve_ser_items(
         &mut self,
-        items: &[ast::SerItem],
+        items: &[ast::SerItem<'s>],
         allowed: &[RegId],
         members: Option<&[VarId]>,
-    ) -> Option<Vec<SerStep>> {
-        let mut out = Vec::new();
+        out: &mut Vec<SerStep>,
+    ) -> Option<()> {
         for item in items {
             match item {
                 ast::SerItem::Reg(name) => {
@@ -1413,29 +1492,36 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                 }
                 ast::SerItem::If { cond, then, els, .. } => {
                     let cond = self.resolve_cond(cond, members)?;
-                    let then =
-                        self.resolve_ser_items(std::slice::from_ref(then), allowed, members)?;
-                    let els = match els {
-                        Some(e) => {
-                            self.resolve_ser_items(std::slice::from_ref(e), allowed, members)?
-                        }
-                        None => Vec::new(),
-                    };
-                    out.push(SerStep::If { cond, then, els });
+                    let mut then_steps = Vec::new();
+                    self.resolve_ser_items(
+                        std::slice::from_ref(then),
+                        allowed,
+                        members,
+                        &mut then_steps,
+                    )?;
+                    let mut els_steps = Vec::new();
+                    if let Some(e) = els {
+                        self.resolve_ser_items(
+                            std::slice::from_ref(e),
+                            allowed,
+                            members,
+                            &mut els_steps,
+                        )?;
+                    }
+                    out.push(SerStep::If { cond, then: then_steps, els: els_steps });
                 }
                 ast::SerItem::Block(items, _) => {
-                    let inner = self.resolve_ser_items(items, allowed, members)?;
-                    out.extend(inner);
+                    self.resolve_ser_items(items, allowed, members, out)?;
                 }
             }
         }
-        Some(out)
+        Some(())
     }
 
-    fn resolve_cond(&mut self, cond: &ast::Cond, members: Option<&[VarId]>) -> Option<CondSem> {
+    fn resolve_cond(&mut self, cond: &ast::Cond<'s>, members: Option<&[VarId]>) -> Option<CondSem> {
         match cond {
             ast::Cond::Cmp { lhs, op, rhs, .. } => {
-                let Some((vid, vdef)) = find_variable(&self.variables, lhs.name) else {
+                let Some(id) = self.ids.get(Kind::Var, lhs.name) else {
                     self.diags.error(
                         ErrorCode::TSerialization,
                         format!("`{}` is not a variable", lhs.name),
@@ -1443,6 +1529,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                     );
                     return None;
                 };
+                let vid = VarId(id as u32);
                 if let Some(m) = members {
                     if !m.contains(&vid) {
                         self.diags.error(
@@ -1455,7 +1542,7 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
                         );
                     }
                 }
-                let value = Self::const_value_bits(self.diags, rhs, &vdef.ty)?;
+                let value = Self::const_value_bits(self.diags, rhs, &self.variables[id].ty)?;
                 Some(CondSem::Cmp { var: vid, eq: matches!(op, ast::CmpOp::Eq), value })
             }
             ast::Cond::And(a, b) => {
@@ -1477,38 +1564,25 @@ impl<'a, 'b, 'd> Resolver<'a, 'b, 'd> {
 
     // ---- lookups ----
 
-    fn find_port(&self, name: &str) -> Option<(PortId, &PortDef)> {
-        self.ports
-            .iter()
-            .enumerate()
-            .find(|(_, p)| p.name == name)
-            .map(|(i, p)| (PortId(i as u32), p))
+    fn find_port(&self, name: &'s str) -> Option<(PortId, &PortDef<'s>)> {
+        let i = self.ids.get(Kind::Port, name)?;
+        Some((PortId(i as u32), &self.ports[i]))
     }
 
-    fn find_register(&self, name: &str) -> Option<(RegId, &RegDef)> {
-        self.registers
-            .iter()
-            .enumerate()
-            .find(|(_, r)| r.name == name)
-            .map(|(i, r)| (RegId(i as u32), r))
+    fn find_register(&self, name: &'s str) -> Option<(RegId, &RegDef<'s>)> {
+        let i = self.ids.get(Kind::Reg, name)?;
+        Some((RegId(i as u32), &self.registers[i]))
     }
 
-    fn find_variable(&self, name: &str) -> Option<(VarId, &VarDef)> {
-        find_variable(&self.variables, name)
+    fn find_variable(&self, name: &'s str) -> Option<(VarId, &VarDef<'s>)> {
+        let i = self.ids.get(Kind::Var, name)?;
+        Some((VarId(i as u32), &self.variables[i]))
     }
 
-    fn find_structure(&self, name: &str) -> Option<(StructId, &StructDef)> {
-        self.structures
-            .iter()
-            .enumerate()
-            .find(|(_, s)| s.name == name)
-            .map(|(i, s)| (StructId(i as u32), s))
+    fn find_structure(&self, name: &'s str) -> Option<(StructId, &StructDef<'s>)> {
+        let i = self.ids.get(Kind::Struct, name)?;
+        Some((StructId(i as u32), &self.structures[i]))
     }
-}
-
-/// Looks a variable up by name in `variables`.
-fn find_variable<'v>(variables: &'v [VarDef], name: &str) -> Option<(VarId, &'v VarDef)> {
-    variables.iter().enumerate().find(|(_, v)| v.name == name).map(|(i, v)| (VarId(i as u32), v))
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -1518,9 +1592,9 @@ enum ActionKind {
     Set,
 }
 
-fn collect_action_blocks<'a>(
-    attrs: &'a [ast::RegAttr<'a>],
-) -> impl Iterator<Item = (ActionKind, &'a ast::ActionBlock<'a>)> {
+fn collect_action_blocks<'a, 's>(
+    attrs: &'a [ast::RegAttr<'s>],
+) -> impl Iterator<Item = (ActionKind, &'a ast::ActionBlock<'s>)> {
     attrs.iter().filter_map(|a| match a {
         ast::RegAttr::Pre(b) => Some((ActionKind::Pre, b)),
         ast::RegAttr::Post(b) => Some((ActionKind::Post, b)),
@@ -1555,7 +1629,7 @@ mod tests {
     use super::*;
     use devil_syntax::parse;
 
-    fn resolve_src(src: &str) -> (CheckedDevice, DiagSink) {
+    fn resolve_src(src: &str) -> (CheckedDevice<'_>, DiagSink) {
         let (dev, mut diags) = parse(src);
         let dev = dev.expect("parse produced no device");
         assert!(!diags.has_errors(), "parse errors: {:#?}", diags.all());
@@ -1563,7 +1637,7 @@ mod tests {
         (model, diags)
     }
 
-    fn resolve_ok(src: &str) -> CheckedDevice {
+    fn resolve_ok(src: &str) -> CheckedDevice<'_> {
         let (model, diags) = resolve_src(src);
         assert!(!diags.has_errors(), "resolve errors: {:#?}", diags.all());
         model
@@ -1774,6 +1848,40 @@ device mini (base : bit[8] port @ {0..1}) {
         // The family register keeps its own symbolic pre-action.
         let (_, fam) = m.register("I").unwrap();
         assert!(matches!(fam.pre[0].value, ActionValue::Param(0)));
+    }
+
+    #[test]
+    fn a_duplicated_family_parameter_is_reported_once() {
+        // The family's parameters resolve with its skeleton; its actions
+        // and its two instances' inherited actions reuse them.
+        let (_, diags) = resolve_src(
+            r#"device d (base : bit[8] port @ {0..1}) {
+                 register control = base @ 0 : bit[8];
+                 variable IA = control : int{0..31};
+                 register I(i : int{0..31}, i : int{0..1}) = base @ 1, pre {IA = i} : bit[8];
+                 register I22 = I(22);
+                 register I23 = I(23);
+                 variable a = I22 : int(8);
+                 variable b = I23 : int(8);
+               }"#,
+        );
+        let reported: Vec<_> =
+            diags.all().iter().filter(|d| d.code == ErrorCode::DDuplicateParam).collect();
+        assert_eq!(reported.len(), 1, "{:#?}", diags.all());
+        // The instances still inherit the family's action, substituted.
+        let (m, _) = resolve_src(
+            r#"device d (base : bit[8] port @ {0..1}) {
+                 register control = base @ 0 : bit[8];
+                 variable IA = control : int{0..31};
+                 register I(i : int{0..31}, i : int{0..1}) = base @ 1, pre {IA = i} : bit[8];
+                 register I22 = I(22);
+                 variable a = I22 : int(8);
+               }"#,
+        );
+        let (_, i22) = m.register("I22").unwrap();
+        assert!(matches!(i22.pre[..], [Action { value: ActionValue::Const(22), .. }]));
+        let (_, fam) = m.register("I").unwrap();
+        assert_eq!(fam.params.len(), 1, "the family keeps its parameters");
     }
 
     #[test]

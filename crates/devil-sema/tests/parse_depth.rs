@@ -5,9 +5,11 @@
 //! 30,000-term `||` chain, or 100,000 nested `{ }` groups. Each runs
 //! through `check_source` on a default test thread. The trees the
 //! limit still admits, up to twice [`MAX_DEPTH`] deep, check cleanly on
-//! the same thread.
+//! the same thread. The diagnostics of the one-line inputs render in a
+//! few KB, not in the length of the line.
 
 use devil_syntax::parser::MAX_DEPTH;
+use devil_syntax::span::SourceMap;
 use devil_syntax::ErrorCode;
 
 const PIC8259: &str = include_str!("../../../specs/pic8259.dil");
@@ -52,6 +54,20 @@ fn a_thirty_thousand_term_chain_ends_in_a_depth_error() {
 fn a_hundred_thousand_nested_braces_end_in_a_depth_error() {
     let n = 100_000;
     assert_depth_error(&pic_with(&format!("{}{GUARD}{}", "{ ".repeat(n), " }".repeat(n))));
+}
+
+#[test]
+fn the_diagnostics_of_a_long_line_render_in_a_few_kilobytes() {
+    let braces = 100_000;
+    for item in [
+        format!("if ({}) icw3;", chain(30_000)),
+        format!("{}{GUARD}{}", "{ ".repeat(braces), " }".repeat(braces)),
+    ] {
+        let src = pic_with(&item);
+        let diags = devil_sema::check_source(&src, &[]).expect_err("rejected");
+        let rendered = diags.render_all(&SourceMap::new("pic8259.dil", src.as_str()));
+        assert!(rendered.len() < 4_096, "{} bytes:\n{rendered}", rendered.len());
+    }
 }
 
 #[test]

@@ -242,6 +242,12 @@ impl Diagnostic {
     }
 
     /// Renders the diagnostic with a source excerpt, `rustc`-style.
+    ///
+    /// A line of at most [`EXCERPT_WIDTH`] bytes is echoed whole. A
+    /// longer one is clipped to a window of that width that starts
+    /// [`EXCERPT_LEAD`] bytes before the span, with `…` where text was
+    /// cut, and the carets end with the window: the rendering stays
+    /// bounded however long the line is.
     pub fn render(&self, sm: &SourceMap) -> String {
         let mut out = String::new();
         let lc = sm.line_col(self.span.lo);
@@ -250,11 +256,21 @@ impl Diagnostic {
             self.level, self.code, self.message, sm.name, lc
         ));
         let line = sm.line_text(self.span.lo);
-        out.push_str(&format!("   | {line}\n   | "));
-        for _ in 1..lc.col {
+        let col = lc.col as usize - 1;
+        let (start, end) = if line.len() <= EXCERPT_WIDTH {
+            (0, line.len())
+        } else {
+            let start = floor_char_boundary(line, col.saturating_sub(EXCERPT_LEAD));
+            (start, floor_char_boundary(line, (start + EXCERPT_WIDTH).min(line.len())))
+        };
+        let lead = if start > 0 { "…" } else { "" };
+        let tail = if end < line.len() { "…" } else { "" };
+        out.push_str(&format!("   | {lead}{}{tail}\n   | ", &line[start..end]));
+        // The `…` mark takes one column.
+        for _ in 0..lead.chars().count() + col.saturating_sub(start) {
             out.push(' ');
         }
-        let width = self.span.len().clamp(1, line.len().saturating_sub(lc.col as usize - 1).max(1));
+        let width = self.span.len().clamp(1, end.saturating_sub(col).max(1));
         for _ in 0..width {
             out.push('^');
         }
@@ -270,6 +286,22 @@ impl Diagnostic {
         }
         out
     }
+}
+
+/// The longest source line a rendered diagnostic echoes whole, in bytes.
+/// Every line of the shipped specs fits.
+pub const EXCERPT_WIDTH: usize = 120;
+
+/// How many bytes of a clipped line a rendered diagnostic shows before
+/// the span.
+pub const EXCERPT_LEAD: usize = 40;
+
+/// The largest char boundary of `s` at or below `i`.
+fn floor_char_boundary(s: &str, mut i: usize) -> usize {
+    while !s.is_char_boundary(i) {
+        i -= 1;
+    }
+    i
 }
 
 /// An append-only collection of diagnostics produced by a compiler stage.
@@ -359,6 +391,36 @@ mod tests {
         assert!(rendered.contains("t.dil:1:14"), "{rendered}");
         assert!(rendered.contains("^^^^"), "{rendered}");
         assert!(rendered.contains("note: declare the port"), "{rendered}");
+    }
+
+    #[test]
+    fn a_long_line_renders_a_clipped_window_around_the_span() {
+        let line = format!("{}needle{}", "x".repeat(5_000), "y".repeat(5_000));
+        let sm = SourceMap::new("t.dil", &line);
+        let d = Diagnostic::error(ErrorCode::TUndefined, "undefined", Span::new(5_000, 5_006));
+        let rendered = d.render(&sm);
+        let excerpt = rendered.lines().nth(2).unwrap();
+        let carets = rendered.lines().nth(3).unwrap();
+        assert!(rendered.len() < 2 * EXCERPT_WIDTH + 100, "{rendered}");
+        assert!(excerpt.starts_with("   | …x") && excerpt.ends_with("y…"), "{excerpt}");
+        // The carets sit under `needle`, counting `…` as one column.
+        let at = carets.find('^').unwrap();
+        assert_eq!(&carets[at..], "^^^^^^");
+        assert_eq!(excerpt.chars().skip(at).take(6).collect::<String>(), "needle");
+        // A span running past the window keeps its carets inside it.
+        let wide = Diagnostic::error(ErrorCode::TUndefined, "undefined", Span::new(10, 9_000));
+        let carets = wide.render(&sm).lines().nth(3).unwrap().matches('^').count();
+        assert_eq!(carets, EXCERPT_WIDTH - 10);
+    }
+
+    #[test]
+    fn clipping_respects_char_boundaries() {
+        let line = format!("{}é{}", "a".repeat(80), "ü".repeat(100));
+        let sm = SourceMap::new("t.dil", &line);
+        for lo in [81, 83, 150, 200] {
+            let d = Diagnostic::error(ErrorCode::TUndefined, "m", Span::new(lo, lo + 2));
+            assert!(d.render(&sm).contains('^'));
+        }
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! literal in an emitter) fails this test, and so does one that
 //! allocates less: lower the budget to claim the saving.
 //!
+//! The reject path is pinned the same way: parse, resolve and check
+//! summed over the 895 mutants of `sampled_corpus(1)`, most of which the
+//! front end rejects.
+//!
 //! The allocator counts per thread, so test threads running in parallel
 //! do not disturb each other's counts.
 
@@ -68,14 +72,14 @@ const STAGES: [&str; 8] =
 /// `lex` is the lexer on its own (the token vector, nothing per token);
 /// `parse` includes its own lexing.
 const BUDGETS: [(&str, [u64; 8]); 8] = [
-    ("busmouse", [1, 48, 70, 18, 238, 1, 131, 93]),
-    ("ide", [1, 43, 100, 26, 347, 77, 177, 130]),
-    ("piix4ide", [1, 19, 36, 11, 113, 1, 44, 36]),
-    ("permedia2", [1, 40, 88, 25, 314, 185, 133, 65]),
-    ("ne2000", [1, 48, 129, 38, 494, 69, 253, 144]),
-    ("dma8237", [1, 76, 152, 71, 558, 1, 279, 113]),
-    ("pic8259", [1, 41, 84, 20, 313, 56, 235, 103]),
-    ("cs4236b", [1, 42, 78, 13, 290, 1, 151, 68]),
+    ("busmouse", [1, 48, 46, 18, 167, 1, 131, 93]),
+    ("ide", [1, 43, 61, 26, 238, 77, 177, 130]),
+    ("piix4ide", [1, 19, 25, 11, 82, 1, 44, 36]),
+    ("permedia2", [1, 40, 53, 25, 210, 185, 133, 65]),
+    ("ne2000", [1, 48, 80, 38, 350, 69, 253, 144]),
+    ("dma8237", [1, 76, 97, 71, 367, 1, 279, 113]),
+    ("pic8259", [1, 41, 53, 20, 229, 56, 235, 103]),
+    ("cs4236b", [1, 42, 54, 13, 242, 1, 151, 68]),
 ];
 
 /// The allocations of each compile stage of `src`, in [`STAGES`] order.
@@ -93,6 +97,39 @@ fn stage_allocs(name: &str, src: &str) -> [u64; 8] {
     let (rust, emit_rust) = counting(|| codegen::emit_rust(&ir));
     assert!(!c.is_empty() && !rust.is_empty());
     [lex, parse, resolve, check, lower, fuse, emit_c, emit_rust]
+}
+
+/// Allocations of parse, resolve and check, each summed over the
+/// mutants of `sampled_corpus(1)`. A mutant adds nothing to the stages
+/// after the one that rejects it.
+const MUTANT_BUDGET: [u64; 3] = [45_755, 35_610, 2_313];
+
+/// The allocations of the front-end stages over `mutants`, in
+/// [`MUTANT_BUDGET`] order.
+fn mutant_allocs(mutants: &[String]) -> [u64; 3] {
+    let mut total = [0; 3];
+    for src in mutants {
+        let ((device, mut diags), parse) = counting(|| syntax::parse(src));
+        total[0] += parse;
+        let Some(device) = device.filter(|_| !diags.has_errors()) else { continue };
+        let (model, resolve) = counting(|| sema::resolve::resolve(&device, &[], &mut diags));
+        total[1] += resolve;
+        if diags.has_errors() {
+            continue;
+        }
+        let ((), check) = counting(|| sema::checks::check(&model, &mut diags));
+        total[2] += check;
+    }
+    total
+}
+
+#[test]
+fn the_reject_path_stays_within_its_allocation_budget() {
+    let mutants = devil_fuzz::corpus::sampled_corpus(1);
+    assert_eq!(mutants.len(), 895, "mutant sample changed");
+    let counts = mutant_allocs(&mutants);
+    assert_eq!(mutant_allocs(&mutants), counts, "allocation counts must repeat");
+    assert_eq!(counts, MUTANT_BUDGET, "parse, resolve, check over the mutants");
 }
 
 #[test]
