@@ -1,42 +1,42 @@
 //! The compiled-code differential oracle: proves the **generated C and
 //! Rust stubs** faithful to the plan executor by running them.
 //!
-//! Both back ends replay one op stream and print one observation
-//! format: every bus operation in order, every result, and the final
-//! cache state (raw values, validity flags, memory cells). The plan
-//! executor, rendered in the same lines by [`HarnessView`], is the
-//! other [`Rig`] of each [`crate::compare`], one leaf per line.
+//! Both back ends replay one op stream and fold the leaves every rig
+//! folds ([`crate::drive`]): per op, its bus operations in order and its
+//! results, then the final cache state (raw values, validity flags,
+//! memory cells). The plan executor ([`crate::InProcess::plans`]) is
+//! the other [`Rig`] of each [`crate::compare`], over a stream of the
+//! ops the stubs express ([`stub_expresses`]).
 //!
 //! - **C.** [`CompiledHarness::build`] wraps the emitted header
 //!   (`devil_codegen::emit_c`) in a generated harness — a logging bus
-//!   shim plus a command dispatcher over the stub surface — and
-//!   compiles it with `cc -Wall -Werror`. Artifacts are keyed by a hash
-//!   of their sources and compiler command lines, so repeated runs and
-//!   CI caches reuse the binary until the emitter, the spec or the
-//!   flags change.
+//!   shim plus a command dispatcher over the stub surface that prints
+//!   each op's leaf and ends it with a delimiter line — and compiles it
+//!   with `cc -Wall -Werror`. Artifacts are keyed by a hash of their
+//!   sources and compiler command line, so repeated runs and CI caches
+//!   reuse the binary until the emitter, the spec or the flags change.
 //! - **Rust.** The committed emitted modules (`tests/goldens/*.rs`) are
 //!   compiled into the test binary, each with the [`Surface`] glue
 //!   [`rust_glue`] generates for it (`tests/goldens/glue/`). The
 //!   [`CompiledIn`] rig drives a module through that glue, in process,
-//!   with the same replay loop [`HarnessView`] drives the plan
-//!   executor with; so both print their observation lines from the
-//!   same code. The chain the Rust oracle relies on: `emit_goldens`
-//!   ties each golden and its glue to the emitter, and the oracle runs
-//!   the goldens.
+//!   with the driver the plan executor runs through. The chain the Rust
+//!   oracle relies on: `emit_goldens` ties each golden and its glue to
+//!   the emitter, and the oracle runs the goldens.
 //!
 //! Every access with a compiled plan has a stub, family variables
 //! included (their out-of-domain calls print the runtime's
-//! `ArgOutOfRange` line). [`stub_expresses`] drops — identically for
-//! both rigs — only what has no stub at all: accesses without a plan,
-//! plain block transfers (not dispatch points), and structure accesses
-//! a field of which has no cache getter or stager.
+//! `ArgOutOfRange` line). [`stub_expresses`] drops only what has no
+//! stub at all: accesses without a plan, plain block transfers (not
+//! dispatch points), and structure accesses a field of which has no
+//! cache getter or stager.
 
-use crate::{Op, Rig, Trace};
+use crate::rooted::fold;
+use crate::superfuzz::blocks;
+use crate::{Op, Rig, Surface, Trace};
 use devil_codegen::rust::camel;
 use devil_codegen::{gets_field, stages_field};
-use devil_ir::{AccessRef, DeviceIr, FuseOp, RegIr, Superplan, VarIr};
-use devil_runtime::{DeviceAccess, DeviceInstance, FakeAccess, RtResult};
-use devil_sema::model::{StructId, TypeSem, VarId};
+use devil_ir::{AccessRef, DeviceIr, RegIr, VarIr};
+use devil_sema::model::{StructId, TypeSem};
 use std::fmt::Write as _;
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::path::{Path, PathBuf};
@@ -79,14 +79,15 @@ impl CompiledHarness {
             dir,
             name,
             &[("stubs.h", &header), ("harness.c", &harness)],
-            &[&["cc", "-O1", "-Wall", "-Werror", "-o", ORACLE_BIN, "harness.c"]],
+            &["cc", "-O1", "-Wall", "-Werror", "-o", ORACLE_BIN, "harness.c"],
         )?;
         Ok(CompiledHarness { name: name.into(), bin, ir: ir.clone() })
     }
 
-    /// Runs the harness over a command stream, folding each output line
-    /// into `trace` as it arrives. Stdin is fed and stderr drained on
-    /// their own threads, so neither pipe can fill and block the child.
+    /// Runs the harness over a command stream, folding each command's
+    /// output lines, up to its [`END`] line, into `trace` as one leaf as
+    /// it arrives. Stdin is fed and stderr drained on their own threads,
+    /// so neither pipe can fill and block the child.
     fn run(&self, commands: String, trace: &mut Trace) -> Result<(), String> {
         let mut child = Command::new(&self.bin)
             .stdin(Stdio::piped())
@@ -105,7 +106,17 @@ impl CompiledHarness {
             text
         });
         let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-        let read = stdout.lines().try_for_each(|line| line.map(|line| trace.line(line)));
+        let mut leaf = String::new();
+        let read = stdout.lines().try_for_each(|line| {
+            let line = line?;
+            if line == END {
+                trace.leaf(&leaf);
+                leaf.clear();
+            } else {
+                leaf.extend([&line[..], "\n"]);
+            }
+            Ok::<(), std::io::Error>(())
+        });
         let status = child.wait().map_err(|e| format!("harness: {e}"))?;
         let _ = writer.join();
         let stderr = errors.join().unwrap_or_default();
@@ -116,7 +127,11 @@ impl CompiledHarness {
                 status.code()
             ));
         }
-        read.map_err(|e| format!("C harness for {}: {e}", self.name))
+        read.map_err(|e| format!("C harness for {}: {e}", self.name))?;
+        if !leaf.is_empty() {
+            return Err(format!("C harness for {}: output ends inside a leaf", self.name));
+        }
+        Ok(())
     }
 }
 
@@ -127,7 +142,7 @@ impl Rig for CompiledHarness {
 
     fn replay(&self, ops: &mut dyn Iterator<Item = Op>, trace: &mut Trace) -> Result<(), String> {
         let mut commands = String::new();
-        for op in ops.filter(|op| stub_expresses(&self.ir, op)) {
+        for op in ops {
             op_command(&self.ir, &op, &mut commands);
             trace.ops += 1;
         }
@@ -139,19 +154,21 @@ impl Rig for CompiledHarness {
 /// File name of the harness binary inside its build directory.
 const ORACLE_BIN: &str = "oracle";
 
+/// The line the C harness prints after each command's output: the end
+/// of one leaf.
+const END: &str = ".";
+
 /// The build directory of one cached artifact under `dir`: named
 /// `stem` (`<spec>_`) plus a hash of every source file (name and text)
-/// and every compiler command line (program and arguments), so a change
-/// to any of them, the compiler flags alone included, builds afresh.
-fn artifact_dir(dir: &Path, stem: &str, sources: &[(&str, &str)], commands: &[&[&str]]) -> PathBuf {
+/// and of the compiler command line (program and arguments), so a
+/// change to any of them, the compiler flags alone included, builds
+/// afresh.
+fn artifact_dir(dir: &Path, stem: &str, sources: &[(&str, &str)], command: &[&str]) -> PathBuf {
     let mut key = String::new();
     for (file, text) in sources {
         key.extend([file, "\0", text, "\0"]);
     }
-    for cmd in commands {
-        key.extend(cmd.iter().flat_map(|arg| [arg, "\0"]));
-        key.push('\n');
-    }
+    key.extend(command.iter().flat_map(|arg| [arg, "\0"]));
     dir.join(format!("{stem}{:016x}", fnv1a(key.as_bytes())))
 }
 
@@ -169,20 +186,20 @@ fn evict_superseded(dir: &Path, stem: &str, keep: &Path) {
     }
 }
 
-/// Returns the [`ORACLE_BIN`] that `commands` build from `sources`,
+/// Returns the [`ORACLE_BIN`] that `command` builds from `sources`,
 /// reusing it when an earlier build left it in place. Otherwise the
-/// sources are written to a private temporary directory, the commands
-/// run there in order, and the directory is renamed into place, so
-/// concurrent builders never observe a half-built artifact. Either
-/// way, the superseded builds of `name` are then removed.
+/// sources are written to a private temporary directory, the command
+/// runs there, and the directory is renamed into place, so concurrent
+/// builders never observe a half-built artifact. Either way, the
+/// superseded builds of `name` are then removed.
 fn cached_build(
     dir: &Path,
     name: &str,
     sources: &[(&str, &str)],
-    commands: &[&[&str]],
+    command: &[&str],
 ) -> Result<PathBuf, String> {
     let stem = format!("{name}_");
-    let out = artifact_dir(dir, &stem, sources, commands);
+    let out = artifact_dir(dir, &stem, sources, command);
     let bin = out.join(ORACLE_BIN);
     if bin.exists() {
         evict_superseded(dir, &stem, &out);
@@ -195,19 +212,14 @@ fn cached_build(
         let path = tmp.join(file);
         std::fs::write(&path, text).map_err(|e| io(&path, e))?;
     }
-    for cmd in commands {
-        let run = Command::new(cmd[0])
-            .args(&cmd[1..])
-            .current_dir(&tmp)
-            .output()
-            .map_err(|e| format!("{}: {e}", cmd[0]))?;
-        if !run.status.success() {
-            return Err(format!(
-                "{} failed for {name}:\n{}",
-                cmd[0],
-                String::from_utf8_lossy(&run.stderr)
-            ));
-        }
+    let run = Command::new(command[0])
+        .args(&command[1..])
+        .current_dir(&tmp)
+        .output()
+        .map_err(|e| format!("{}: {e}", command[0]))?;
+    if !run.status.success() {
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        return Err(format!("{} failed for {name}:\n{stderr}", command[0]));
     }
     match std::fs::rename(&tmp, &out) {
         Ok(()) => {}
@@ -230,8 +242,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Whether the emitted stub surface can express `op`; both rigs of the
-/// oracle replay exactly the ops it keeps.
+/// Whether the emitted stub surface can express `op`. The oracle
+/// replays exactly the ops it keeps, through the stubs and the plans;
+/// the stub rigs replay no other op.
 pub fn stub_expresses(ir: &DeviceIr, op: &Op) -> bool {
     let planned = |access| ir.plan(access).is_some();
     match op {
@@ -292,11 +305,9 @@ fn op_command(ir: &DeviceIr, op: &Op, out: &mut String) {
             let _ = write!(out, "RS {}", sid.0);
         }
         Op::WriteStruct { sid, values } => {
-            let _ = write!(out, "WS {}", sid.0);
-            // Values in struct-field order, as the harness stages.
-            for &fid in ir.strct(*sid).fields.iter() {
-                let v = values.iter().find(|&&(f, _)| f == fid).expect("filtered").1;
-                let _ = write!(out, " {v}");
+            let _ = write!(out, "WS {} {}", sid.0, values.len());
+            for (fid, v) in values {
+                let _ = write!(out, " {} {v}", fid.0);
             }
         }
         Op::Super(call) => {
@@ -315,235 +326,9 @@ fn op_command(ir: &DeviceIr, op: &Op, out: &mut String) {
                 let _ = write!(out, " {}", call.block_in_len);
             }
         }
-        Op::ReadBlock { .. } | Op::WriteBlock { .. } => unreachable!("filtered"),
+        Op::ReadBlock { .. } | Op::WriteBlock { .. } => unreachable!("no stub: {op:?}"),
     }
     out.push('\n');
-}
-
-/// The id-keyed access surface the oracle drives: what
-/// [`DeviceInstance`] offers by [`VarId`], [`StructId`] and superplan
-/// index, and what an emitted Rust module offers through the glue
-/// [`rust_glue`] generates for it. Values are raw masked bits, as the
-/// runtime returns them.
-pub trait Surface {
-    /// Reads a variable (`read_id`).
-    fn read_var(&mut self, dev: &mut dyn DeviceAccess, vid: VarId, args: &[u64]) -> RtResult<u64>;
-    /// Writes a variable (`write_id`).
-    fn write_var(
-        &mut self,
-        dev: &mut dyn DeviceAccess,
-        vid: VarId,
-        args: &[u64],
-        value: u64,
-    ) -> RtResult<()>;
-    /// Reads a structure into the cache (`read_struct_id`).
-    fn read_struct(&mut self, dev: &mut dyn DeviceAccess, sid: StructId) -> RtResult<()>;
-    /// Gets a structure field from the cache (`get_field_id`).
-    fn get_field(&mut self, fid: VarId) -> RtResult<u64>;
-    /// Stages a structure field in the cache (`set_field_id`).
-    fn set_field(&mut self, fid: VarId, value: u64) -> RtResult<()>;
-    /// Flushes a structure from the cache (`write_struct_id`).
-    fn write_struct(&mut self, dev: &mut dyn DeviceAccess, sid: StructId) -> RtResult<()>;
-    /// Runs superplan `k` (`run_superplan`).
-    fn superplan(
-        &mut self,
-        dev: &mut dyn DeviceAccess,
-        k: usize,
-        args: &[u64],
-        block_out: &[u64],
-        block_in: &mut [u64],
-        outs: &mut [u64],
-    ) -> RtResult<()>;
-    /// Every cache slot and its validity flag, in IR slot order
-    /// (`cache_snapshot`).
-    fn cache(&self) -> (Vec<u64>, Vec<bool>);
-    /// Every memory cell, in `VarIr::mem_cell` order (`mem_snapshot`).
-    fn mem(&self) -> Vec<u64>;
-}
-
-impl Surface for DeviceInstance {
-    fn read_var(&mut self, dev: &mut dyn DeviceAccess, vid: VarId, args: &[u64]) -> RtResult<u64> {
-        self.read_id(dev, vid, args)
-    }
-
-    fn write_var(
-        &mut self,
-        dev: &mut dyn DeviceAccess,
-        vid: VarId,
-        args: &[u64],
-        value: u64,
-    ) -> RtResult<()> {
-        self.write_id(dev, vid, args, value)
-    }
-
-    fn read_struct(&mut self, dev: &mut dyn DeviceAccess, sid: StructId) -> RtResult<()> {
-        self.read_struct_id(dev, sid)
-    }
-
-    fn get_field(&mut self, fid: VarId) -> RtResult<u64> {
-        self.get_field_id(fid)
-    }
-
-    fn set_field(&mut self, fid: VarId, value: u64) -> RtResult<()> {
-        self.set_field_id(fid, value)
-    }
-
-    fn write_struct(&mut self, dev: &mut dyn DeviceAccess, sid: StructId) -> RtResult<()> {
-        self.write_struct_id(dev, sid)
-    }
-
-    fn superplan(
-        &mut self,
-        dev: &mut dyn DeviceAccess,
-        k: usize,
-        args: &[u64],
-        block_out: &[u64],
-        block_in: &mut [u64],
-        outs: &mut [u64],
-    ) -> RtResult<()> {
-        self.run_superplan(dev, k, args, block_out, block_in, outs)
-    }
-
-    fn cache(&self) -> (Vec<u64>, Vec<bool>) {
-        let (slots, valid) = self.cache_snapshot();
-        (slots.to_vec(), valid.to_vec())
-    }
-
-    fn mem(&self) -> Vec<u64> {
-        self.mem_snapshot().to_vec()
-    }
-}
-
-/// Replays the ops the stubs express through `stubs`, tracing the
-/// oracle's observation lines: each op's bus traffic, then its
-/// results, and after the last op the final cache dump.
-fn replay_surface(
-    ir: &DeviceIr,
-    stubs: &mut dyn Surface,
-    ops: &mut dyn Iterator<Item = Op>,
-    trace: &mut Trace,
-) -> Result<(), String> {
-    let mut dev = FakeAccess::new();
-    let said = |r: RtResult<()>, tag: String| match r {
-        Ok(()) => format!("O {tag} ok"),
-        Err(e) => format!("O {tag} ERR {e:?}"),
-    };
-    let value = |r: RtResult<u64>, tag: String| match r {
-        Ok(v) => format!("O {tag} {v}"),
-        Err(e) => format!("O {tag} ERR {e:?}"),
-    };
-    for op in ops.filter(|op| stub_expresses(ir, op)) {
-        trace.ops += 1;
-        let mut lines = Vec::new();
-        match &op {
-            Op::Preset { port, offset, value } => dev.preset(*port, *offset, *value),
-            Op::ReadVar { vid, args } => {
-                lines.push(value(stubs.read_var(&mut dev, *vid, args), format!("r{}", vid.0)));
-            }
-            Op::WriteVar { vid, args, value } => {
-                let r = stubs.write_var(&mut dev, *vid, args, *value);
-                lines.push(said(r, format!("w{}", vid.0)));
-            }
-            Op::ReadStruct { sid } => {
-                let r = stubs.read_struct(&mut dev, *sid);
-                let ok = r.is_ok();
-                lines.push(said(r, format!("rs{}", sid.0)));
-                if ok {
-                    for &fid in ir.strct(*sid).fields.iter() {
-                        lines.push(value(stubs.get_field(fid), format!("f{}", fid.0)));
-                    }
-                }
-            }
-            Op::WriteStruct { sid, values } => {
-                let staged = ir.strct(*sid).fields.iter().try_for_each(|&fid| {
-                    let v = values.iter().find(|&&(f, _)| f == fid).expect("filtered").1;
-                    stubs.set_field(fid, v)
-                });
-                let r = staged.and_then(|()| stubs.write_struct(&mut dev, *sid));
-                lines.push(said(r, format!("ws{}", sid.0)));
-            }
-            Op::Super(call) => {
-                let sp = &ir.superplans()[call.sid];
-                let mut block_in = vec![0u64; call.block_in_len];
-                let mut outs = vec![0u64; sp.outputs];
-                stubs
-                    .superplan(
-                        &mut dev,
-                        call.sid,
-                        &call.args,
-                        &call.block_out,
-                        &mut block_in,
-                        &mut outs,
-                    )
-                    .map_err(|e| format!("superplan `{}` failed: {e:?}", sp.name))?;
-                lines.push(format!("O sp{} ok", call.sid));
-                lines.extend(outs.iter().enumerate().map(|(j, v)| format!("O o{j} {v}")));
-                lines.extend(block_in.iter().map(|v| format!("O bi {v}")));
-            }
-            Op::ReadBlock { .. } | Op::WriteBlock { .. } => unreachable!("filtered"),
-        }
-        for &(w, port, offset, value) in &dev.log {
-            trace.line(format!("B {} {port} {offset} {value}", if w { "W" } else { "R" }));
-        }
-        dev.log.clear();
-        for line in lines {
-            trace.line(line);
-        }
-    }
-    // The final cache dump, in the exact order the C harness prints it:
-    // every register's slot, every family instance's, every cell.
-    let (slots, valid) = stubs.cache();
-    for reg in &ir.regs {
-        if let Some(slot) = reg.slot {
-            trace.line(format!("C {} {} {}", reg.name, slots[slot], u8::from(valid[slot])));
-        }
-        if let Some(fs) = &reg.family_slots {
-            for (k, slot) in (fs.base..fs.base + fs.count).enumerate() {
-                let (v, ok) = (slots[slot], u8::from(valid[slot]));
-                trace.line(format!("C {}[{k}] {v} {ok}", reg.name));
-            }
-        }
-    }
-    let mem = stubs.mem();
-    for var in &ir.vars {
-        if let Some(cell) = var.mem_cell {
-            trace.line(format!("M {} {}", var.name, mem[cell]));
-        }
-    }
-    Ok(())
-}
-
-/// The plan executor rendered in the oracle's observation lines —
-/// interleaved bus traffic and results, then the final cache dump — so
-/// the compiled stubs have a rig to be compared against.
-pub struct HarnessView<'a> {
-    ir: &'a DeviceIr,
-}
-
-impl<'a> HarnessView<'a> {
-    /// The view of a fresh plan executor over `ir`.
-    pub fn new(ir: &'a DeviceIr) -> Self {
-        HarnessView { ir }
-    }
-
-    /// The plan executor's hit table after replaying the ops the stubs
-    /// express: which dispatch points the compiled oracle's streams
-    /// reach.
-    pub fn hits(&self, ops: impl IntoIterator<Item = Op>) -> Result<Vec<u64>, String> {
-        let mut inst = DeviceInstance::new(self.ir.clone());
-        replay_surface(self.ir, &mut inst, &mut ops.into_iter(), &mut Trace::new(false, 0..0))?;
-        Ok(inst.hits().to_vec())
-    }
-}
-
-impl Rig for HarnessView<'_> {
-    fn name(&self) -> String {
-        "plans (harness view)".into()
-    }
-
-    fn replay(&self, ops: &mut dyn Iterator<Item = Op>, trace: &mut Trace) -> Result<(), String> {
-        replay_surface(self.ir, &mut DeviceInstance::new(self.ir.clone()), ops, trace)
-    }
 }
 
 /// An emitted Rust module compiled into the calling binary, driven in
@@ -572,7 +357,7 @@ impl Rig for CompiledIn {
     }
 
     fn replay(&self, ops: &mut dyn Iterator<Item = Op>, trace: &mut Trace) -> Result<(), String> {
-        replay_surface(&self.ir, &mut *(self.fresh)(), ops, trace)
+        fold(&self.ir, &mut *(self.fresh)(), ops, trace, false)
     }
 }
 
@@ -587,7 +372,7 @@ pub fn rust_glue(ir: &DeviceIr, name: &str) -> String {
     let ty = camel(&ir.name);
     let mut g = format!(
         "// Surface glue for the emitted `{0}` module. Generated by devil-fuzz; do not edit.\n\
-         use devil_fuzz::compiled::Surface;\n\
+         use devil_fuzz::Surface;\n\
          use devil_runtime::{{DeviceAccess, RtError}};\n\
          use devil_sema::model::{{StructId, VarId}};\n\n\
          #[path = \"../{name}.rs\"]\nmod stubs;\n\n\
@@ -643,6 +428,11 @@ pub fn rust_glue(ir: &DeviceIr, name: &str) -> String {
     method(&mut g, "set_field", "fid: VarId, v: u64", "()", "fid.0", arms);
     let arms = stubbed(true).map(|(s, st)| (s, format!("self.put_{}(dev)", st.name)));
     method(&mut g, "write_struct", &sid, "()", "sid.0", arms);
+    // Plain block transfers have no stub (`stub_expresses`).
+    for (name, buf) in [("read_block", "&mut [u64]"), ("write_block", "&[u64]")] {
+        let params = format!("{dev}, vid: VarId, buf: {buf}");
+        method(&mut g, name, &params, "()", "vid", std::iter::empty());
+    }
 
     let arms = ir.superplans().iter().zip(0..).map(|(sp, k)| {
         let mut call = format!("self.sp_{}(dev", sp.name);
@@ -672,26 +462,16 @@ pub fn rust_glue(ir: &DeviceIr, name: &str) -> String {
         cached.iter().map(field).collect::<Vec<_>>().join(", ")
     };
     let n = cached.len();
-    let _ = writeln!(g, "    fn cache(&self) -> (Vec<u64>, Vec<bool>) {{");
-    let _ = writeln!(g, "        let slots: [&[u64]; {n}] = [{}];", list("cache"));
-    let _ = writeln!(g, "        let valid: [&[bool]; {n}] = [{}];", list("valid"));
-    let _ = writeln!(g, "        (slots.concat(), valid.concat())\n    }}\n");
     let mut cells: Vec<(usize, &str)> =
         ir.vars.iter().filter_map(|v| Some((v.mem_cell?, &v.name[..]))).collect();
     cells.sort_unstable();
     let cells: Vec<String> = cells.iter().map(|(_, n)| format!("self.mem_{n}")).collect();
-    let _ = writeln!(g, "    fn mem(&self) -> Vec<u64> {{");
-    let _ = writeln!(g, "        vec![{}]\n    }}\n}}", cells.join(", "));
+    let _ = writeln!(g, "    fn cache(&self) -> (Vec<u64>, Vec<bool>, Vec<u64>) {{");
+    let _ = writeln!(g, "        let slots: [&[u64]; {n}] = [{}];", list("cache"));
+    let _ = writeln!(g, "        let valid: [&[bool]; {n}] = [{}];", list("valid"));
+    let _ = writeln!(g, "        let mem = vec![{}];", cells.join(", "));
+    let _ = writeln!(g, "        (slots.concat(), valid.concat(), mem)\n    }}\n}}");
     g
-}
-
-/// Whether superplan `sp` streams a block out, and one in.
-fn blocks(sp: &Superplan) -> (bool, bool) {
-    let has = |block: fn(&FuseOp) -> bool| sp.ops.iter().any(block);
-    (
-        has(|o| matches!(o, FuseOp::WriteBlock { .. })),
-        has(|o| matches!(o, FuseOp::ReadBlock { .. })),
-    )
 }
 
 /// Appends the glue method `name(&mut self, params) -> Result<ret,
@@ -794,7 +574,9 @@ static inline void shim_out(unsigned long long v, unsigned long long addr) {
 
 /// Generates the C harness around an emitted header: the bus shim plus
 /// a command dispatcher over the stub surface. Every command but `P`
-/// and `D` names its variable, structure or superplan by id.
+/// and `D` names its variable, structure or superplan by id; each
+/// prints the lines [`crate::drive`] renders for its op (`D`: those of
+/// [`crate::cache_leaf`]), then [`END`].
 fn harness_c(ir: &DeviceIr, prefix: &str) -> String {
     // The shim precedes the include: the header's `static inline`
     // superplan bodies must bind the bus primitives to the shim at their
@@ -810,6 +592,7 @@ fn harness_c(ir: &DeviceIr, prefix: &str) -> String {
     let _ = writeln!(c, "            unsigned long long p, o;");
     let _ = writeln!(c, "            if (scanf(\"%llu %llu %llu\", &p, &o, &v) != 3) return 1;");
     let _ = writeln!(c, "            shim_set((p << PORT_SHIFT) + o, v);");
+    let _ = writeln!(c, "            printf(\"P %llu %llu %llu\\n\", p, o, v);");
     let _ = writeln!(c, "        }} else if (!strcmp(cmd, \"D\")) {{");
     for reg in &ir.regs {
         let (n, at) = (&reg.name, format!("{prefix}_cache.cache_{}", reg.name));
@@ -908,22 +691,31 @@ fn harness_c(ir: &DeviceIr, prefix: &str) -> String {
         }
     }
     c.push_str(end);
-    section(&mut c, "WS", "");
+    // A flush's values follow as `(field, value)` pairs, each staged
+    // and reported in the order the op lists them.
+    let mut stage = String::new();
+    let _ = writeln!(stage, "            unsigned long long n, f;");
+    let _ = writeln!(stage, "            if (scanf(\"%llu\", &n) != 1) return 1;");
+    let _ = writeln!(stage, "            for (unsigned long long i = 0; i < n; i++) {{");
+    let _ = writeln!(stage, "                if (scanf(\"%llu %llu\", &f, &v) != 2) return 1;");
+    let _ = writeln!(stage, "                switch (f) {{");
     for (si, st) in ir.structs.iter().enumerate() {
         if struct_stubbed(ir, StructId(si as u32), true) {
-            let _ = writeln!(c, "            case {si}: {{");
-            let _ =
-                writeln!(c, "                unsigned long long fv[{}];", st.fields.len().max(1));
-            let _ = writeln!(c, "                for (int i = 0; i < {}; i++)", st.fields.len());
-            let _ = writeln!(c, "                    if (scanf(\"%llu\", &fv[i]) != 1) return 1;");
-            for (i, &fid) in st.fields.iter().enumerate() {
-                let _ = writeln!(c, "                {prefix}_setf_{}(fv[{i}]);", ir.var(fid).name);
+            for &fid in st.fields.iter() {
+                let setf = format!("{prefix}_setf_{}(v)", ir.var(fid).name);
+                let _ = writeln!(stage, "                case {}: {setf}; break;", fid.0);
             }
-            let _ = writeln!(c, "                {prefix}_put_{}();", st.name);
-            let _ = writeln!(
-                c,
-                "                printf(\"O ws{si} ok\\n\");\n                break; }}"
-            );
+        }
+    }
+    let _ = writeln!(stage, "                default: return 1;\n                }}");
+    let _ = writeln!(stage, "                printf(\"O s%llu ok\\n\", f);\n            }}");
+    section(&mut c, "WS", &stage);
+    for (si, st) in ir.structs.iter().enumerate() {
+        if struct_stubbed(ir, StructId(si as u32), true) {
+            let _ =
+                writeln!(c, "            case {si}:\n                {prefix}_put_{}();", st.name);
+            let _ =
+                writeln!(c, "                printf(\"O ws{si} ok\\n\");\n                break;");
         }
     }
     c.push_str(end);
@@ -970,10 +762,8 @@ fn harness_c(ir: &DeviceIr, prefix: &str) -> String {
         let _ = writeln!(c, "                break; }}");
     }
     c.push_str(end);
-    let _ = writeln!(
-        c,
-        "        }} else {{\n            return 1;\n        }}\n    }}\n    return 0;\n}}"
-    );
+    let _ = writeln!(c, "        }} else {{\n            return 1;\n        }}");
+    let _ = writeln!(c, "        puts(\"{END}\");\n    }}\n    return 0;\n}}");
     c
 }
 
@@ -985,13 +775,13 @@ mod tests {
     fn compiler_flags_key_the_artifact() {
         let dir = Path::new("cache");
         let sources: &[(&str, &str)] = &[("harness.c", "int main(void) { return 0; }")];
-        let build = |flags: &[&str]| artifact_dir(dir, "spec_", sources, &[flags]);
+        let build = |flags: &[&str]| artifact_dir(dir, "spec_", sources, flags);
         let o1 = build(&["cc", "-O1", "-o", ORACLE_BIN, "harness.c"]);
         assert_eq!(o1, build(&["cc", "-O1", "-o", ORACLE_BIN, "harness.c"]));
         assert_ne!(o1, build(&["cc", "-O2", "-o", ORACLE_BIN, "harness.c"]));
         assert_ne!(o1, build(&["clang", "-O1", "-o", ORACLE_BIN, "harness.c"]));
-        let other = artifact_dir(dir, "spec_", &[("harness.c", "int x;")], &[&["cc", "-O1"]]);
-        assert_ne!(other, artifact_dir(dir, "spec_", sources, &[&["cc", "-O1"]]));
+        let other = artifact_dir(dir, "spec_", &[("harness.c", "int x;")], &["cc", "-O1"]);
+        assert_ne!(other, artifact_dir(dir, "spec_", sources, &["cc", "-O1"]));
     }
 
     /// A rebuild of one spec from new sources evicts the superseded
@@ -1003,7 +793,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let copy: &[&str] = &["cp", "src", ORACLE_BIN];
         let build = |spec, text| {
-            let bin = cached_build(&dir, spec, &[("src", text)], &[copy]).unwrap();
+            let bin = cached_build(&dir, spec, &[("src", text)], copy).unwrap();
             bin.parent().unwrap().file_name().unwrap().to_str().unwrap().to_string()
         };
         let pending = dir.join("spec_0123456789abcdef.tmp.1");

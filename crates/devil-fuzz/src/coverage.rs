@@ -11,15 +11,15 @@
 //!
 //! Streams stay raw `Vec<u64>` words: the same pure, total
 //! [`crate::decode`] / [`crate::superfuzz::decode_super`] pair turns
-//! them into ops, so every corpus entry replays through
-//! [`crate::compare`] against the reference interpreter and the
-//! compiled C and Rust stubs.
+//! them into ops ([`stream_ops`]), so every corpus entry replays
+//! through [`crate::compare`] against the reference interpreter and
+//! the compiled C and Rust stubs.
 
-use crate::rooted::splitmix64;
+use crate::rooted::{fold, splitmix64};
 use crate::superfuzz::decode_super;
-use crate::{decode, run_op, Engine};
+use crate::{decode, Op, Trace};
 use devil_ir::DeviceIr;
-use devil_runtime::{DeviceInstance, FakeAccess};
+use devil_runtime::DeviceInstance;
 
 /// The dispatch points of one spec that have been hit: hit tables
 /// merged by element-wise addition.
@@ -73,18 +73,20 @@ impl Coverage {
     }
 }
 
-/// Replays one raw word stream — variable/struct ops first, then the
-/// fused-sequence decoding of the same words — through a fresh
-/// plan-runtime instance and returns its hit table. This is the (pure)
-/// stream → coverage signal map.
-pub fn stream_hits(ir: &DeviceIr, words: &[u64]) -> Vec<u64> {
+/// The ops of one raw word stream as the corpus replays it: its
+/// variable and structure decoding, then the fused-sequence decoding
+/// of the same words.
+pub fn stream_ops(ir: &DeviceIr, words: &[u64]) -> Vec<Op> {
+    [decode(ir, words), decode_super(ir, words)].concat()
+}
+
+/// The hit table of a fresh plan-runtime instance after replaying
+/// `ops` through it: the (pure) stream → coverage signal map.
+pub fn hits(ir: &DeviceIr, ops: impl IntoIterator<Item = Op>) -> Vec<u64> {
     let mut inst = DeviceInstance::new(ir.clone());
-    let mut dev = FakeAccess::new();
-    let mut obs = Vec::new();
-    for op in decode(ir, words).iter().chain(&decode_super(ir, words)) {
-        run_op(&mut Engine::Plans(&mut inst), &mut dev, op, &mut obs);
-        obs.clear();
-    }
+    let mut trace = Trace::new(false, 0..0);
+    fold(ir, &mut inst, &mut ops.into_iter(), &mut trace, false)
+        .expect("a non-strict replay cannot fail");
     inst.hits().to_vec()
 }
 
@@ -114,7 +116,7 @@ pub fn corpus(ir: &DeviceIr) -> Vec<Vec<u64>> {
             break;
         }
         let words: Vec<u64> = (0..STREAM_LEN).map(|_| splitmix64(&mut rng)).collect();
-        if cov.merge(&stream_hits(ir, &words)) {
+        if cov.merge(&hits(ir, stream_ops(ir, &words))) {
             kept.push(words);
         }
     }
@@ -154,7 +156,8 @@ mod tests {
         let corpus = corpus(&ir);
         let mut cov = Coverage::new(&ir);
         for s in &corpus {
-            assert!(cov.merge(&stream_hits(&ir, s)), "every kept stream reaches a new point");
+            let hit = cov.merge(&hits(&ir, stream_ops(&ir, s)));
+            assert!(hit, "every kept stream reaches a new point");
         }
         assert!(cov.complete(), "unreached: {:?}", cov.unreached(&ir));
     }

@@ -5,12 +5,15 @@
 //! ([`ReferenceInstance`]) and the compiled C and Rust stubs
 //! ([`compiled::CompiledHarness`], [`compiled::CompiledIn`]) must be
 //! observationally indistinguishable: same device-visible bus traffic,
-//! same final state, same results and errors. This crate turns a raw
-//! stream of random words into a valid-ish [`Op`] sequence over a
+//! same final cache state, same results and errors. This crate turns a
+//! raw stream of random words into a valid-ish [`Op`] sequence over a
 //! lowered device (superplan calls included, as [`Op::Super`]) and
-//! replays it through two [`Rig`]s. [`compare`] is the one comparator:
-//! both rigs fold what they observe into an MMR trace, and the verdict
-//! is one 32-byte root compare; a mismatch bisects to the first
+//! replays it through two [`Rig`]s. Every engine but the C harness is a
+//! [`Surface`], and one driver ([`drive`]) renders each op it runs as a
+//! leaf of text lines, the very lines the C harness prints; the final
+//! leaf is the cache dump ([`cache_leaf`]). [`compare`] is the one
+//! comparator: both rigs fold their leaves into an MMR trace, and the
+//! verdict is one 32-byte root compare; a mismatch bisects to the first
 //! divergent leaf and renders the lines around it.
 //!
 //! The generator is deliberately a pure function of the word stream,
@@ -20,8 +23,11 @@
 #![forbid(unsafe_code)]
 
 use devil_ir::DeviceIr;
-use devil_runtime::{DeviceInstance, FakeAccess, ReferenceInstance};
+use devil_runtime::{
+    DeviceAccess, DeviceInstance, FakeAccess, ReferenceInstance, RtError, RtResult,
+};
 use devil_sema::model::{Offset, StructId, VarId};
+use std::fmt::{Arguments, Display, Write as _};
 
 pub mod compiled;
 pub mod corpus;
@@ -67,26 +73,6 @@ pub fn probe_library() -> Vec<(String, DeviceIr)> {
 
 fn lowered(src: &str) -> DeviceIr {
     devil_ir::lower(&devil_sema::check_source(src, &[]).expect("embedded spec checks"))
-}
-
-/// One engine of a differential replay, borrowed: the plan executor or
-/// the reference interpreter, driven through the same op stream.
-pub enum Engine<'a> {
-    /// The plan executor.
-    Plans(&'a mut DeviceInstance),
-    /// The reference interpreter.
-    Reference(&'a mut ReferenceInstance),
-}
-
-/// Evaluates `$call` with `$i` bound to whichever instance `$engine`
-/// holds: both engines expose the same access methods.
-macro_rules! for_both {
-    ($engine:expr, $i:ident => $call:expr) => {
-        match $engine {
-            Engine::Plans($i) => $call,
-            Engine::Reference($i) => $call,
-        }
-    };
 }
 
 /// One operation against a device instance.
@@ -148,27 +134,13 @@ pub enum Op {
     Super(SuperCall),
 }
 
-/// A cursor over the raw word stream; exhausted reads return 0 so
-/// decoding stays total and deterministic.
-struct Words<'a> {
-    words: &'a [u64],
-    i: usize,
-}
+/// A cursor over the raw word stream.
+type Words<'a> = std::iter::Copied<std::slice::Iter<'a, u64>>;
 
-impl<'a> Words<'a> {
-    fn new(words: &'a [u64]) -> Self {
-        Words { words, i: 0 }
-    }
-
-    fn next(&mut self) -> Option<u64> {
-        let w = self.words.get(self.i).copied();
-        self.i += 1;
-        w
-    }
-
-    fn pull(&mut self) -> u64 {
-        self.next().unwrap_or(0)
-    }
+/// The cursor's next word; an exhausted stream reads 0, so decoding
+/// stays total and deterministic.
+fn pull(words: &mut Words) -> u64 {
+    words.next().unwrap_or(0)
 }
 
 /// A family-argument tuple for `var`, drawn from the parameter domains.
@@ -180,7 +152,7 @@ fn args_for(ir: &DeviceIr, vid: VarId, w: u64, words: &mut Words) -> Vec<u64> {
         .params
         .iter()
         .map(|p| {
-            let u = words.pull();
+            let u = pull(words);
             let &(lo, hi) = &p.values[(u % p.values.len() as u64) as usize];
             let span = hi.wrapping_sub(lo).wrapping_add(1);
             if span == 0 {
@@ -207,7 +179,7 @@ pub fn decode(ir: &DeviceIr, words: &[u64]) -> Vec<Op> {
     let block_vars: Vec<VarId> =
         (0..nvars as u32).map(VarId).filter(|&v| ir.var(v).behavior.block).collect();
     let mut ops = Vec::new();
-    let mut cur = Words::new(words);
+    let mut cur = words.iter().copied();
     while let Some(w) = cur.next() {
         if nvars == 0 {
             break;
@@ -217,14 +189,15 @@ pub fn decode(ir: &DeviceIr, words: &[u64]) -> Vec<Op> {
             0..=3 => ops.push(Op::ReadVar { vid, args: args_for(ir, vid, w, &mut cur) }),
             4..=8 => {
                 let args = args_for(ir, vid, w, &mut cur);
-                ops.push(Op::WriteVar { vid, args, value: cur.pull() });
+                ops.push(Op::WriteVar { vid, args, value: pull(&mut cur) });
             }
             // Structure writes get three opcodes: conditional
             // serializations (the pic8259/piix4ide init shapes) are the
             // guard-split plans the fuzzer must keep hammering.
             9..=11 if nstructs > 0 => {
                 let sid = StructId(((w >> 4) % nstructs as u64) as u32);
-                let values = ir.strct(sid).fields.iter().map(|&fid| (fid, cur.pull())).collect();
+                let values =
+                    ir.strct(sid).fields.iter().map(|&fid| (fid, pull(&mut cur))).collect();
                 ops.push(Op::WriteStruct { sid, values });
             }
             12 if nstructs > 0 => {
@@ -239,7 +212,7 @@ pub fn decode(ir: &DeviceIr, words: &[u64]) -> Vec<Op> {
                 } else {
                     ops.push(Op::WriteBlock {
                         vid,
-                        values: (0..len).map(|_| cur.pull()).collect(),
+                        values: (0..len).map(|_| pull(&mut cur)).collect(),
                     });
                 }
             }
@@ -258,7 +231,7 @@ pub fn decode(ir: &DeviceIr, words: &[u64]) -> Vec<Op> {
                     ops.push(Op::Preset {
                         port: binding.port.0 as usize,
                         offset,
-                        value: cur.pull(),
+                        value: pull(&mut cur),
                     });
                 }
             }
@@ -353,22 +326,13 @@ pub fn init_sweep_ops(ir: &DeviceIr) -> Vec<Op> {
     for round in 0..16u64 {
         for si in 0..ir.structs.len() as u32 {
             let sid = StructId(si);
-            let values: Vec<(VarId, u64)> = ir
-                .strct(sid)
-                .fields
-                .iter()
-                .enumerate()
-                .map(|(k, &fid)| (fid, (round >> (k as u64 % 4)) & 1))
-                .collect();
-            ops.push(Op::WriteStruct { sid, values });
-            let payload: Vec<(VarId, u64)> = ir
-                .strct(sid)
-                .fields
-                .iter()
-                .enumerate()
-                .map(|(k, &fid)| (fid, round ^ (0x5a + k as u64)))
-                .collect();
-            ops.push(Op::WriteStruct { sid, values: payload });
+            // A flush assigning field `k` the value `value(k)`.
+            let flush = |value: &dyn Fn(u64) -> u64| {
+                let fields = ir.strct(sid).fields.iter().zip(0u64..);
+                Op::WriteStruct { sid, values: fields.map(|(&fid, k)| (fid, value(k))).collect() }
+            };
+            ops.push(flush(&|k| (round >> (k % 4)) & 1));
+            ops.push(flush(&|k| round ^ (0x5a + k)));
         }
         // Probe every readable variable so silent cache divergence
         // between the variants and the reference interpreter surfaces.
@@ -383,77 +347,267 @@ pub fn init_sweep_ops(ir: &DeviceIr) -> Vec<Op> {
     ops
 }
 
-/// Replays one op, appending what a caller observes (values, errors)
-/// to `out` as comparable strings. The streaming comparator reuses one
-/// buffer across millions of ops.
-pub fn run_op(inst: &mut Engine<'_>, dev: &mut FakeAccess, op: &Op, out: &mut Vec<String>) {
+/// The id-keyed access surface every rig drives: what
+/// [`DeviceInstance`] and [`ReferenceInstance`] offer by [`VarId`],
+/// [`StructId`] and superplan index, and what an emitted Rust module
+/// offers through the glue [`compiled::rust_glue`] generates for it.
+/// Values are raw masked bits, as the runtime returns them.
+pub trait Surface {
+    /// Reads a variable (`read_id`).
+    fn read_var(&mut self, dev: &mut dyn DeviceAccess, vid: VarId, args: &[u64]) -> RtResult<u64>;
+    /// Writes a variable (`write_id`).
+    fn write_var(
+        &mut self,
+        dev: &mut dyn DeviceAccess,
+        vid: VarId,
+        args: &[u64],
+        value: u64,
+    ) -> RtResult<()>;
+    /// Reads a structure into the cache (`read_struct_id`).
+    fn read_struct(&mut self, dev: &mut dyn DeviceAccess, sid: StructId) -> RtResult<()>;
+    /// Gets a structure field from the cache (`get_field_id`).
+    fn get_field(&mut self, fid: VarId) -> RtResult<u64>;
+    /// Stages a structure field in the cache (`set_field_id`).
+    fn set_field(&mut self, fid: VarId, value: u64) -> RtResult<()>;
+    /// Flushes a structure from the cache (`write_struct_id`).
+    fn write_struct(&mut self, dev: &mut dyn DeviceAccess, sid: StructId) -> RtResult<()>;
+    /// Block-reads a `block` variable (`read_block_id`).
+    fn read_block(
+        &mut self,
+        dev: &mut dyn DeviceAccess,
+        vid: VarId,
+        buf: &mut [u64],
+    ) -> RtResult<()>;
+    /// Block-writes a `block` variable (`write_block_id`).
+    fn write_block(&mut self, dev: &mut dyn DeviceAccess, vid: VarId, buf: &[u64]) -> RtResult<()>;
+    /// Runs superplan `k` (`run_superplan`).
+    fn superplan(
+        &mut self,
+        dev: &mut dyn DeviceAccess,
+        k: usize,
+        args: &[u64],
+        block_out: &[u64],
+        block_in: &mut [u64],
+        outs: &mut [u64],
+    ) -> RtResult<()>;
+    /// Every cache slot and its validity flag, in IR slot order
+    /// (`cache_snapshot`), and every memory cell, in `VarIr::mem_cell`
+    /// order (`mem_snapshot`).
+    fn cache(&self) -> (Vec<u64>, Vec<bool>, Vec<u64>);
+}
+
+/// Implements [`Surface`] for the runtime's two engines, whose access
+/// methods share their names and signatures.
+macro_rules! engine_surface {
+    ($($engine:ty),*) => {$(
+        impl Surface for $engine {
+            fn read_var(
+                &mut self,
+                dev: &mut dyn DeviceAccess,
+                vid: VarId,
+                args: &[u64],
+            ) -> RtResult<u64> {
+                self.read_id(dev, vid, args)
+            }
+
+            fn write_var(
+                &mut self,
+                dev: &mut dyn DeviceAccess,
+                vid: VarId,
+                args: &[u64],
+                value: u64,
+            ) -> RtResult<()> {
+                self.write_id(dev, vid, args, value)
+            }
+
+            fn read_struct(&mut self, dev: &mut dyn DeviceAccess, sid: StructId) -> RtResult<()> {
+                self.read_struct_id(dev, sid)
+            }
+
+            fn get_field(&mut self, fid: VarId) -> RtResult<u64> {
+                self.get_field_id(fid)
+            }
+
+            fn set_field(&mut self, fid: VarId, value: u64) -> RtResult<()> {
+                self.set_field_id(fid, value)
+            }
+
+            fn write_struct(&mut self, dev: &mut dyn DeviceAccess, sid: StructId) -> RtResult<()> {
+                self.write_struct_id(dev, sid)
+            }
+
+            fn read_block(
+                &mut self,
+                dev: &mut dyn DeviceAccess,
+                vid: VarId,
+                buf: &mut [u64],
+            ) -> RtResult<()> {
+                self.read_block_id(dev, vid, buf)
+            }
+
+            fn write_block(
+                &mut self,
+                dev: &mut dyn DeviceAccess,
+                vid: VarId,
+                buf: &[u64],
+            ) -> RtResult<()> {
+                self.write_block_id(dev, vid, buf)
+            }
+
+            fn superplan(
+                &mut self,
+                dev: &mut dyn DeviceAccess,
+                k: usize,
+                args: &[u64],
+                block_out: &[u64],
+                block_in: &mut [u64],
+                outs: &mut [u64],
+            ) -> RtResult<()> {
+                self.run_superplan(dev, k, args, block_out, block_in, outs)
+            }
+
+            fn cache(&self) -> (Vec<u64>, Vec<bool>, Vec<u64>) {
+                let (slots, valid) = self.cache_snapshot();
+                (slots.to_vec(), valid.to_vec(), self.mem_snapshot().to_vec())
+            }
+        }
+    )*};
+}
+
+engine_surface!(DeviceInstance, ReferenceInstance);
+
+/// Drives `op` through `s` over `dev` and appends its leaf to `leaf`,
+/// in the lines the compiled C harness prints for it: a preset's echo
+/// (`P port offset value`); each staged structure field's verdict
+/// (`O s<field> ok`); each device call's bus operations, as `dev` logs
+/// them (`B R|W port offset value`), then its results (`O <tag>
+/// value|ok`, or `O <tag> ERR <error>`). Returns the verdict of the
+/// op's device call (`Ok` for a preset).
+pub fn drive(
+    ir: &DeviceIr,
+    s: &mut dyn Surface,
+    dev: &mut FakeAccess,
+    op: &Op,
+    leaf: &mut String,
+) -> RtResult<()> {
     match op {
+        Op::Preset { port, offset, value } => {
+            dev.preset(*port, *offset, *value);
+            let _ = writeln!(leaf, "P {port} {offset} {value}");
+            Ok(())
+        }
         Op::ReadVar { vid, args } => {
-            let r = for_both!(inst, i => i.read_id(dev, *vid, args));
-            out.push(format!("read {vid:?} {args:?} -> {r:?}"));
+            let r = s.read_var(dev, *vid, args);
+            said(leaf, dev, format_args!("r{}", vid.0), r.as_ref());
+            r.map(drop)
         }
         Op::WriteVar { vid, args, value } => {
-            let r = for_both!(inst, i => i.write_id(dev, *vid, args, *value));
-            out.push(format!("write {vid:?} {args:?} {value:#x} -> {r:?}"));
+            let r = s.write_var(dev, *vid, args, *value);
+            said(leaf, dev, format_args!("w{}", vid.0), ok(&r));
+            r
         }
         Op::ReadStruct { sid } => {
-            let r = for_both!(inst, i => i.read_struct_id(dev, *sid));
-            out.push(format!("read_struct {sid:?} -> {r:?}"));
+            let r = s.read_struct(dev, *sid);
+            said(leaf, dev, format_args!("rs{}", sid.0), ok(&r));
             if r.is_ok() {
-                for &fid in for_both!(inst, i => i.ir().strct(*sid).fields.clone()).iter() {
-                    let f = for_both!(inst, i => i.get_field_id(fid));
-                    out.push(format!("  field {fid:?} -> {f:?}"));
+                for &fid in ir.strct(*sid).fields.iter() {
+                    said(leaf, dev, format_args!("f{}", fid.0), s.get_field(fid).as_ref());
                 }
             }
+            r
         }
         Op::WriteStruct { sid, values } => {
-            for (fid, v) in values {
-                let r = for_both!(inst, i => i.set_field_id(*fid, *v));
-                out.push(format!("  set_field {fid:?} {v:#x} -> {r:?}"));
+            for &(fid, v) in values {
+                said(leaf, dev, format_args!("s{}", fid.0), ok(&s.set_field(fid, v)));
             }
-            let r = for_both!(inst, i => i.write_struct_id(dev, *sid));
-            out.push(format!("write_struct {sid:?} -> {r:?}"));
+            let r = s.write_struct(dev, *sid);
+            said(leaf, dev, format_args!("ws{}", sid.0), ok(&r));
+            r
         }
         Op::ReadBlock { vid, len } => {
             let mut buf = vec![0u64; *len];
-            let r = for_both!(inst, i => i.read_block_id(dev, *vid, &mut buf));
-            out.push(format!("read_block {vid:?} -> {r:?} {buf:x?}"));
+            let r = s.read_block(dev, *vid, &mut buf);
+            said(leaf, dev, format_args!("rb{}", vid.0), ok(&r));
+            if r.is_ok() {
+                block_lines(leaf, &buf);
+            }
+            r
         }
         Op::WriteBlock { vid, values } => {
-            let r = for_both!(inst, i => i.write_block_id(dev, *vid, values));
-            out.push(format!("write_block {vid:?} {values:x?} -> {r:?}"));
-        }
-        Op::Preset { port, offset, value } => {
-            dev.preset(*port, *offset, *value);
-            out.push(format!("preset {port} {offset:#x} {value:#x}"));
+            let r = s.write_block(dev, *vid, values);
+            said(leaf, dev, format_args!("wb{}", vid.0), ok(&r));
+            r
         }
         Op::Super(call) => {
             let mut block_in = vec![0u64; call.block_in_len];
-            let mut outs = vec![0u64; for_both!(inst, i => i.ir().superplans()[call.sid].outputs)];
-            let r = for_both!(inst, i => {
-                i.run_superplan(dev, call.sid, &call.args, &call.block_out, &mut block_in, &mut outs)
-            });
-            out.push(format!(
-                "super {} {:x?} -> {r:?} outs {outs:x?} in {block_in:x?}",
-                call.sid, call.args
-            ));
+            let mut outs = vec![0u64; ir.superplans()[call.sid].outputs];
+            let r =
+                s.superplan(dev, call.sid, &call.args, &call.block_out, &mut block_in, &mut outs);
+            said(leaf, dev, format_args!("sp{}", call.sid), ok(&r));
+            if r.is_ok() {
+                for (j, v) in outs.iter().enumerate() {
+                    let _ = writeln!(leaf, "O o{j} {v}");
+                }
+                block_lines(leaf, &block_in);
+            }
+            r
         }
     }
 }
 
-/// The cache-coherence probe: one read of every readable variable at
-/// its first in-domain argument tuple. Every in-process replay ends
-/// with it, so silent cache divergence the op sequence itself never
-/// observed still surfaces.
-pub fn probe_ops(ir: &DeviceIr) -> Vec<Op> {
-    (0..ir.vars.len() as u32)
-        .map(VarId)
-        .filter(|&v| ir.var(v).readable)
-        .map(|vid| Op::ReadVar {
-            vid,
-            args: ir.var(vid).params.iter().map(|p| p.values[0].0).collect(),
-        })
-        .collect()
+/// Appends one `O bi <word>` line per word a block read filled in.
+fn block_lines(leaf: &mut String, buf: &[u64]) {
+    for w in buf {
+        let _ = writeln!(leaf, "O bi {w}");
+    }
+}
+
+/// A unit result as the word its `O` line shows.
+fn ok(r: &RtResult<()>) -> Result<&'static str, &RtError> {
+    r.as_ref().map(|()| "ok")
+}
+
+/// Appends the bus operations `dev` logged since the last call (and
+/// clears its log), then the result line of call `tag`.
+fn said(
+    leaf: &mut String,
+    dev: &mut FakeAccess,
+    tag: Arguments,
+    r: Result<impl Display, &RtError>,
+) {
+    for (w, port, offset, value) in dev.log.drain(..) {
+        let _ = writeln!(leaf, "B {} {port} {offset} {value}", if w { 'W' } else { 'R' });
+    }
+    let _ = match r {
+        Ok(v) => writeln!(leaf, "O {tag} {v}"),
+        Err(e) => writeln!(leaf, "O {tag} ERR {e:?}"),
+    };
+}
+
+/// Appends the final leaf of a replay through `s` to `leaf`: every
+/// register's cache slot and every family instance's (`C name value
+/// valid`), then every memory cell (`M name value`), in the order the C
+/// harness's `D` command prints them.
+pub fn cache_leaf(ir: &DeviceIr, s: &dyn Surface, leaf: &mut String) {
+    let (slots, valid, mem) = s.cache();
+    let mut slot = |name: Arguments, k: usize| {
+        let _ = writeln!(leaf, "C {name} {} {}", slots[k], u8::from(valid[k]));
+    };
+    for reg in &ir.regs {
+        if let Some(k) = reg.slot {
+            slot(format_args!("{}", reg.name), k);
+        }
+        if let Some(fs) = &reg.family_slots {
+            for (i, k) in (fs.base..fs.base + fs.count).enumerate() {
+                slot(format_args!("{}[{i}]", reg.name), k);
+            }
+        }
+    }
+    for var in &ir.vars {
+        if let Some(cell) = var.mem_cell {
+            let _ = writeln!(leaf, "M {} {}", var.name, mem[cell]);
+        }
+    }
 }
 
 #[cfg(test)]

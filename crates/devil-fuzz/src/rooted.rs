@@ -2,14 +2,15 @@
 //! stream, each folds what it observes into an MMR trace, and the
 //! verdict is one 32-byte root compare.
 //!
-//! A rig folds *leaves*. The in-process rigs ([`InProcess`]: the plan
-//! runtime and the reference interpreter) fold one leaf per op — its
-//! observation lines plus its device-op log delta, so the leaf index
-//! *is* the op index — then one per cache-coherence probe read, then
-//! one over the final device register file. The stub-view rigs
-//! ([`crate::compiled::HarnessView`] and
-//! [`crate::compiled::CompiledHarness`]) fold one leaf per harness
-//! observation line.
+//! Every rig folds the same *leaves*: one per op, its observation lines
+//! in the compiled C harness's format ([`crate::drive`]: the bus
+//! operations, results and errors of its calls), so the leaf index *is*
+//! the op index; then one final leaf, the cache dump
+//! ([`crate::cache_leaf`]). The in-process rigs ([`InProcess`]: the
+//! plan runtime and the reference interpreter, and
+//! [`crate::compiled::CompiledIn`]: an emitted Rust module) render them
+//! through [`crate::drive`]; [`crate::compiled::CompiledHarness`]
+//! parses them from the C harness's output.
 //!
 //! Both rigs stream in O(peaks) memory, so replay length is a knob, not
 //! a memory bound. On a root mismatch [`compare`] re-replays both rigs
@@ -22,9 +23,9 @@
 //! knob (mirroring `PROPTEST_CASES`), so CI nightlies push millions of
 //! ops while PR runs stay fast.
 
-use crate::{probe_ops, run_op, Engine, Op};
+use crate::{cache_leaf, drive, Op, Surface};
 use devil_ir::DeviceIr;
-use devil_runtime::{DeviceInstance, FakeAccess, ReferenceInstance};
+use devil_runtime::{DeviceInstance, FakeAccess, ReferenceInstance, RtError};
 use hwsim::mmr::{bisect_divergence, Divergence, Hash, MmrLog};
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -85,18 +86,13 @@ impl Iterator for OpStream<'_> {
     }
 }
 
-/// One device-visible bus operation as [`FakeAccess`] logs it:
-/// `(is_write, port, offset, value)`.
-type BusOp = (bool, usize, u64, u64);
-
 /// Where a rig's replay goes: the MMR log of its leaves, plus what
 /// [`compare`] reads back for its verdict and report.
 pub struct Trace {
     log: MmrLog,
-    scratch: Vec<u8>,
     /// Leaves whose lines are kept for the mismatch report.
     window: Range<u64>,
-    captured: Vec<(u64, Vec<String>, Vec<BusOp>)>,
+    captured: Vec<(u64, String)>,
     /// Stream ops the rig replayed.
     pub(crate) ops: u64,
     /// Leaves of ops a debug write check rejected.
@@ -111,7 +107,6 @@ impl Trace {
         log.reserve(1024, 96);
         Trace {
             log,
-            scratch: Vec::new(),
             window,
             captured: Vec::new(),
             ops: 0,
@@ -120,34 +115,19 @@ impl Trace {
         }
     }
 
-    /// Index of the next leaf.
-    pub(crate) fn next_leaf(&self) -> u64 {
-        self.log.len()
-    }
-
-    /// Folds one leaf: observation lines, then the device ops behind them.
-    pub(crate) fn leaf(&mut self, lines: &[String], bus: &[BusOp]) {
+    /// Folds one leaf: its observation lines, each ending in `\n`.
+    pub(crate) fn leaf(&mut self, lines: &str) {
         let idx = self.log.len();
-        self.scratch.clear();
-        for line in lines {
-            self.scratch.extend_from_slice(line.as_bytes());
-            self.scratch.push(b'\n');
-        }
-        for &(is_write, port, offset, value) in bus {
-            self.scratch.push(u8::from(is_write));
-            self.scratch.extend_from_slice(&(port as u64).to_le_bytes());
-            self.scratch.extend_from_slice(&offset.to_le_bytes());
-            self.scratch.extend_from_slice(&value.to_le_bytes());
-        }
-        self.log.push(&self.scratch);
+        self.log.push(lines.as_bytes());
         if self.window.contains(&idx) {
-            self.captured.push((idx, lines.to_vec(), bus.to_vec()));
+            self.captured.push((idx, lines.to_string()));
         }
     }
 
-    /// Folds one observation line as its own leaf.
-    pub(crate) fn line(&mut self, line: String) {
-        self.leaf(std::slice::from_ref(&line), &[]);
+    /// The result lines (`O`) of captured leaf `idx`.
+    fn results(&self, idx: u64) -> Vec<&str> {
+        let leaf = self.captured.iter().find(|c| c.0 == idx).map_or("", |c| &c.1[..]);
+        leaf.lines().filter(|l| l.starts_with("O ")).collect()
     }
 
     /// The outcome of this trace's rig, counting rejects up to leaf
@@ -216,67 +196,50 @@ impl Rig for InProcess<'_> {
     }
 
     fn replay(&self, ops: &mut dyn Iterator<Item = Op>, trace: &mut Trace) -> Result<(), String> {
-        let (mut plans, mut reference);
-        let mut inst = if self.plans {
-            plans = DeviceInstance::new(self.ir.clone());
+        let mut inst: Box<dyn Surface> = if self.plans {
+            let mut plans = DeviceInstance::new(self.ir.clone());
             plans.set_debug_checks(self.checks);
-            Engine::Plans(&mut plans)
+            Box::new(plans)
         } else {
-            reference = ReferenceInstance::new(self.ir.clone());
+            let mut reference = ReferenceInstance::new(self.ir.clone());
             reference.set_debug_checks(self.checks);
-            Engine::Reference(&mut reference)
+            Box::new(reference)
         };
-        let mut dev = FakeAccess::new();
-        dev.log.reserve(64);
-        let mut obs: Vec<String> = Vec::new();
-        for op in ops {
-            obs.clear();
-            run_op(&mut inst, &mut dev, &op, &mut obs);
-            if self.checks {
-                // The device-touching call's verdict: a struct read
-                // reports first (field getters follow), everything
-                // else last.
-                let call =
-                    if matches!(op, Op::ReadStruct { .. }) { obs.first() } else { obs.last() };
-                let leaf = trace.next_leaf();
-                if call.is_some_and(|l| l.contains("Err(ValueRange")) {
-                    if self.plans && !dev.log.is_empty() {
-                        return Err(format!(
-                            "op {}: a rejected write reached the device: {op:?}",
-                            trace.ops
-                        ));
-                    }
-                    trace.write_rejects.push(leaf);
-                }
-                let reads = obs.iter().filter(|l| l.contains("Err(BadPattern"));
-                trace.read_rejects.extend(reads.map(|_| leaf));
-            }
-            // The delta is folded; drop it so memory stays O(1) per op.
-            trace.leaf(&obs, &dev.log);
-            dev.log.clear();
-            trace.ops += 1;
-        }
-        for op in probe_ops(self.ir) {
-            obs.clear();
-            run_op(&mut inst, &mut dev, &op, &mut obs);
-            trace.leaf(&obs, &dev.log);
-            dev.log.clear();
-        }
-        // Final device state, order-normalized.
-        let mut regs: Vec<(usize, u64, u64)> =
-            dev.regs.iter().map(|(&(p, o), &v)| (p, o, v)).collect();
-        regs.sort_unstable();
-        let state: Vec<String> =
-            regs.iter().map(|(p, o, v)| format!("state {p} {o:#x} {v:#x}")).collect();
-        trace.leaf(&state, &[]);
-        if let Engine::Plans(plans) = inst {
-            let stats = plans.plan_stats();
-            if stats.general != 0 {
-                return Err(format!("an access left the plans: {stats:?}"));
-            }
-        }
-        Ok(())
+        fold(self.ir, &mut *inst, ops, trace, self.plans && self.checks)
     }
+}
+
+/// Replays `ops` through `s` over a fresh [`FakeAccess`], folding one
+/// leaf per op ([`drive`]) and then the final cache leaf. Records the
+/// leaves of the ops debug checks rejected; `strict` fails the replay
+/// when a rejected write reached the device.
+pub(crate) fn fold(
+    ir: &DeviceIr,
+    s: &mut dyn Surface,
+    ops: &mut dyn Iterator<Item = Op>,
+    trace: &mut Trace,
+    strict: bool,
+) -> Result<(), String> {
+    let (mut dev, mut leaf) = (FakeAccess::new(), String::new());
+    for op in ops {
+        leaf.clear();
+        let verdict = drive(ir, s, &mut dev, &op, &mut leaf);
+        let at = trace.log.len();
+        if let Err(RtError::ValueRange { .. }) = verdict {
+            if strict && leaf.lines().any(|l| l.starts_with("B ")) {
+                let n = trace.ops;
+                return Err(format!("op {n}: a rejected write reached the device: {op:?}"));
+            }
+            trace.write_rejects.push(at);
+        }
+        trace.read_rejects.extend(leaf.matches("ERR BadPattern").map(|_| at));
+        trace.leaf(&leaf);
+        trace.ops += 1;
+    }
+    leaf.clear();
+    cache_leaf(ir, s, &mut leaf);
+    trace.leaf(&leaf);
+    Ok(())
 }
 
 /// A successful compare.
@@ -341,8 +304,8 @@ fn replay<I: Iterator<Item = Op>>(
 /// reports the lines around it.
 ///
 /// One divergence is not a failure: when both checked rigs reject the
-/// same op with the same observations and only their device logs part
-/// (the reference touched the device before its check fired), the
+/// same op with the same results (`O` lines) and only its bus operations
+/// part (the reference touched the device before its check fired), the
 /// compare stops there with `Ok` and [`Outcome::ops`] set to that op.
 pub fn compare<I: Iterator<Item = Op>>(
     a: &dyn Rig,
@@ -366,8 +329,7 @@ pub fn compare<I: Iterator<Item = Op>>(
     let window = k.saturating_sub(2)..k + 3;
     let wa = replay(a, source(), false, window.clone())?;
     let wb = replay(b, source(), false, window)?;
-    let lines_at = |t: &Trace| t.captured.iter().find(|c| c.0 == k).map(|c| c.1.clone());
-    if ra.write_rejects.contains(&k) && lines_at(&wa) == lines_at(&wb) {
+    if ra.write_rejects.contains(&k) && wa.results(k) == wb.results(k) {
         return Ok(ra.outcome(k, k, retained));
     }
     let mut report = format!(
@@ -377,8 +339,8 @@ pub fn compare<I: Iterator<Item = Op>>(
     );
     for (rig, t) in [(a, &wa), (b, &wb)] {
         let _ = write!(report, "\n  {}:", rig.name());
-        for (i, lines, bus) in &t.captured {
-            for line in render_leaf(lines, bus).lines() {
+        for (i, leaf) in &t.captured {
+            for line in leaf.lines() {
                 let _ = write!(report, "\n    [{i}] {line}");
             }
         }
@@ -386,20 +348,10 @@ pub fn compare<I: Iterator<Item = Op>>(
     Err(Mismatch { divergence: Some(d), leaves, report })
 }
 
-/// Every leaf `rig` folds over `ops`, rendered as text: the leaf's
-/// lines, then its bus ops. A stub-view rig's leaves are single
-/// harness lines, so this is the harness transcript.
+/// Every leaf `rig` folds over `ops`, as text: the replay's transcript.
 pub fn render<I: Iterator<Item = Op>>(rig: &dyn Rig, ops: I) -> Result<Vec<String>, Mismatch> {
     let trace = replay(rig, ops, false, 0..u64::MAX)?;
-    Ok(trace.captured.iter().map(|(_, lines, bus)| render_leaf(lines, bus)).collect())
-}
-
-fn render_leaf(lines: &[String], bus: &[BusOp]) -> String {
-    let bus = bus.iter().map(|&(w, p, o, v)| {
-        let dir = if w { "W" } else { "R" };
-        format!("bus {dir} {p} {o:#x} {v:#x}")
-    });
-    lines.iter().cloned().chain(bus).collect::<Vec<_>>().join("\n")
+    Ok(trace.captured.into_iter().map(|(_, leaf)| leaf).collect())
 }
 
 /// [`compare`] of the plan runtime against the reference interpreter
@@ -452,7 +404,7 @@ mod tests {
         let ops: Vec<Op> = OpStream::new(&ir, 7, 500).collect();
         let out = compare_runtimes(&ir, false, &ops).unwrap();
         assert_eq!(out.ops, 500);
-        assert!(out.leaves > 500, "probe and final-state leaves follow the ops");
+        assert_eq!(out.leaves, 501, "the final cache leaf follows the ops");
         let streamed = compare(&plans, &reference, || OpStream::new(&ir, 7, 500)).unwrap();
         assert_eq!(streamed.root, out.root, "slice and stream replays agree");
         // A linear scan of the retained traces finds no divergent leaf.
@@ -506,7 +458,7 @@ mod tests {
         assert_eq!(m.divergence.map(|d| d.leaf), Some(123));
         assert!(m.report.contains("leaf 123 of"), "{m}");
         assert!(m.report.contains("skewed reference:\n"), "{m}");
-        assert!(m.report.contains("[123] preset 57005 0x7b 0xa5"), "{m}");
+        assert!(m.report.contains("[123] P 57005 123 165"), "{m}");
     }
 
     #[test]

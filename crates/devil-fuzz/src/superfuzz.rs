@@ -9,7 +9,7 @@
 //! the same [`crate::compare`] as every other stream.
 
 use crate::Op;
-use devil_ir::{DeviceIr, FuseOp, PlanValue};
+use devil_ir::{DeviceIr, FuseOp, PlanValue, Superplan};
 
 /// Installs synthetic superplans over the formerly-fallback shapes in
 /// [`crate::synthetic`], so the fused differential covers input-dim
@@ -91,8 +91,8 @@ pub struct SuperCall {
     pub block_in_len: usize,
 }
 
-fn blocks_of(ir: &DeviceIr, sid: usize) -> (bool, bool) {
-    let sp = &ir.superplans()[sid];
+/// Whether superplan `sp` streams a block out, and one in.
+pub fn blocks(sp: &Superplan) -> (bool, bool) {
     let out = sp.ops.iter().any(|o| matches!(o, FuseOp::WriteBlock { .. }));
     let inp = sp.ops.iter().any(|o| matches!(o, FuseOp::ReadBlock { .. }));
     (out, inp)
@@ -104,7 +104,7 @@ fn blocks_of(ir: &DeviceIr, sid: usize) -> (bool, bool) {
 pub fn super_sweep(ir: &DeviceIr) -> Vec<Op> {
     let mut seq = Vec::new();
     for sid in 0..ir.superplans().len() {
-        let (has_out, has_in) = blocks_of(ir, sid);
+        let (has_out, has_in) = blocks(&ir.superplans()[sid]);
         let nargs = ir.superplans()[sid].args;
         for round in 0..4u64 {
             let args: Vec<u64> = (0..nargs as u64).map(|i| (round * 7 + i * 3) & 0xff).collect();
@@ -142,7 +142,7 @@ pub fn decode_super(ir: &DeviceIr, words: &[u64]) -> Vec<Op> {
         let pre_words: Vec<u64> = (0..pre_len).map(|_| pull(&mut i)).collect();
         seq.extend(crate::decode(ir, &pre_words));
         let sid = ((w >> 8) % nsp as u64) as usize;
-        let (has_out, has_in) = blocks_of(ir, sid);
+        let (has_out, has_in) = blocks(&ir.superplans()[sid]);
         let nargs = ir.superplans()[sid].args;
         let args: Vec<u64> = (0..nargs).map(|_| pull(&mut i)).collect();
         let len = ((w >> 16) % 9) as usize;

@@ -3,7 +3,7 @@
 //! The modules are the committed goldens (`tests/goldens/<spec>.rs`),
 //! each with the id-keyed `Surface` glue generated for it
 //! (`tests/goldens/glue/<spec>.rs`), and run in process through the
-//! replay loop the plan executor's harness view runs through. The chain
+//! driver the plan executor runs through (`devil_fuzz::drive`). The chain
 //! this relies on: `emit_goldens` ties the goldens and their glue to
 //! the emitter, and this oracle runs the goldens. Each module builds
 //! under `deny(warnings)` (only `dead_code` is allowed: the oracle

@@ -4,7 +4,7 @@
 //! cleanly through the plans-vs-reference comparator (op and fused
 //! decodings).
 
-use devil_fuzz::coverage::{corpus, stream_hits, Coverage};
+use devil_fuzz::coverage::{corpus, hits, stream_ops, Coverage};
 use devil_fuzz::superfuzz::decode_super;
 use devil_fuzz::{compare_runtimes, decode};
 use devil_ir::DeviceIr;
@@ -26,7 +26,7 @@ fn shipped_corpus_reaches_every_plan_variant() {
         let corpus = corpus(ir);
         let mut cov = Coverage::new(ir);
         for s in &corpus {
-            cov.merge(&stream_hits(ir, s));
+            cov.merge(&hits(ir, stream_ops(ir, s)));
         }
         let total = ir.dispatch_points();
         println!("{name:>10}: {}/{total} ({} streams)", cov.covered(), corpus.len());

@@ -1,8 +1,8 @@
 //! The compiled-stub differential oracle over the whole embedded spec
 //! library, written once for both emitted back ends: replay fuzz
-//! op-streams through a spec's compiled stubs and through the plan
-//! executor's harness view, and compare bus logs, read results and
-//! final cache state.
+//! op-streams, filtered to what the stubs express, through a spec's
+//! compiled stubs and through the plan executor, and compare bus logs,
+//! read results and final cache state.
 //!
 //! Each test binary calls these bodies with its [`Lang`]:
 //! `compiled_diff` with the C headers, which it emits, compiles with
@@ -18,10 +18,12 @@
 //! runs the goldens.
 
 use crate::common::Skewed;
-use devil_fuzz::compiled::{stub_expresses, CompiledHarness, CompiledIn, Fresh, HarnessView};
-use devil_fuzz::coverage::{corpus, Coverage};
+use devil_fuzz::compiled::{stub_expresses, CompiledHarness, CompiledIn, Fresh};
+use devil_fuzz::coverage::{corpus, hits, stream_ops, Coverage};
 use devil_fuzz::superfuzz::{decode_super, super_sweep};
-use devil_fuzz::{compare, decode, init_sweep_ops, render, sweep_ops, Mismatch, Op, Outcome, Rig};
+use devil_fuzz::{
+    compare, decode, init_sweep_ops, render, sweep_ops, InProcess, Mismatch, Op, Outcome, Rig,
+};
 use devil_ir::DeviceIr;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -83,9 +85,14 @@ pub struct Stubs {
 }
 
 impl Stubs {
-    /// The plan executor rendered in the stubs' observation lines.
-    fn view(&self) -> HarnessView<'_> {
-        HarnessView::new(&self.ir)
+    /// The plan executor the stubs are compared against.
+    fn plans(&self) -> InProcess<'_> {
+        InProcess::plans(&self.ir)
+    }
+
+    /// The ops of `ops` the stubs express: the stream both rigs replay.
+    fn kept(&self, ops: &[Op]) -> Vec<Op> {
+        ops.iter().filter(|op| stub_expresses(&self.ir, op)).cloned().collect()
     }
 }
 
@@ -158,15 +165,31 @@ fn probe(lang: Lang, name: &str) -> Stubs {
     lang.stubs(name, ir)
 }
 
-/// The compiled stubs against the plan executor's harness view.
+/// The compiled stubs against the plan executor, over the ops the
+/// stubs express.
 fn diff(h: &Stubs, ops: &[Op]) -> Result<Outcome, Mismatch> {
-    compare(&h.view(), h, || ops.iter().cloned())
+    let kept = h.kept(ops);
+    compare(&h.plans(), h, || kept.iter().cloned())
 }
 
 fn assert_agrees(h: &Stubs, ops: &[Op]) {
     if let Err(e) = diff(h, ops) {
         panic!("{} ({}): {e}", h.name, h.rig.name());
     }
+}
+
+/// One read of every readable variable at its first in-domain argument
+/// tuple: appended to a stream, it reads back what the ops before it
+/// left in the cache and on the device.
+fn probe_ops(ir: &DeviceIr) -> Vec<Op> {
+    (0..ir.vars.len() as u32)
+        .map(devil_sema::model::VarId)
+        .filter(|&v| ir.var(v).readable)
+        .map(|vid| Op::ReadVar {
+            vid,
+            args: ir.var(vid).params.iter().map(|p| p.values[0].0).collect(),
+        })
+        .collect()
 }
 
 /// Every spec's stub surface is non-trivial: the oracle is replaying
@@ -222,7 +245,7 @@ pub fn init_sequence_sweep_matches(lang: Lang) {
 pub fn cold_and_warm_reads_match(lang: Lang) {
     for h in harnesses(lang) {
         let mut ops: Vec<Op> = Vec::new();
-        for op in devil_fuzz::probe_ops(&h.ir) {
+        for op in probe_ops(&h.ir) {
             ops.push(op.clone());
             ops.push(op);
         }
@@ -369,11 +392,11 @@ pub fn fused_stub_surface_is_complete(lang: Lang) {
 }
 
 /// The compiled oracles see the whole plan surface. Each spec's
-/// sweeps and coverage corpus (replayed as `coverage::stream_hits`
-/// replays it, and compared so), through the filter the harness
+/// sweeps and coverage corpus (replayed as `coverage::stream_ops`
+/// decodes it, and compared so), through the filter the oracle
 /// replays them with, reach every dispatch point of all 13 specs (166)
-/// in the plan executor behind the harness view — so no filter can
-/// shrink what the oracles compare without this failing. Family calls
+/// in the plan executor — so no filter can shrink what the oracles
+/// compare without this failing. Family calls
 /// with arguments outside their domains (past every range, in every
 /// gap) then replay through the compiled stubs and the runtime, which
 /// must both reject them with the same `ArgOutOfRange` line and no bus
@@ -390,13 +413,13 @@ pub fn every_dispatch_point_is_compiled(lang: Lang) {
         // and through the compiled stubs too, since the fused variants
         // it reaches depend on the state the ops before them leave.
         for words in corpus(&h.ir) {
-            let ops = [decode(&h.ir, &words), decode_super(&h.ir, &words)].concat();
+            let ops = stream_ops(&h.ir, &words);
             assert_agrees(h, &ops);
             streams.push(ops);
         }
         let mut cov = Coverage::new(&h.ir);
         for ops in streams {
-            cov.merge(&h.view().hits(ops).unwrap_or_else(|e| panic!("{}: {e}", h.name)));
+            cov.merge(&hits(&h.ir, h.kept(&ops)));
         }
         assert!(cov.complete(), "{} ({}): unreached {:?}", h.name, lang, cov.unreached(&h.ir));
         points += h.ir.dispatch_points();
@@ -422,11 +445,11 @@ pub fn every_dispatch_point_is_compiled(lang: Lang) {
             continue;
         }
         // In-domain calls around them show the state was left alone.
-        ops.extend(devil_fuzz::probe_ops(&h.ir));
+        ops.extend(probe_ops(&h.ir));
         assert_agrees(h, &ops);
-        let lines = render(h, ops.iter().cloned()).expect("harness runs");
-        let rejected = lines.iter().filter(|l| l.contains("ERR ArgOutOfRange")).count();
-        assert!(rejected >= 4, "{} ({}): {rejected} rejections in {lines:?}", h.name, lang);
+        let leaves = render(h, h.kept(&ops).into_iter()).expect("harness runs");
+        let rejected = leaves.iter().filter(|l| l.contains("ERR ArgOutOfRange")).count();
+        assert!(rejected >= 4, "{} ({}): {rejected} rejections in {leaves:?}", h.name, lang);
     }
     assert_eq!(points, 166, "{lang}: the spec library's dispatch points");
 }
@@ -443,8 +466,8 @@ pub fn superplan_sweep_matches(lang: Lang) {
 
 /// Both sweep surfaces condense to one matching 32-byte root per side:
 /// the agreed root does not depend on which rig the compare names
-/// first, and it folds exactly one leaf per line of the harness
-/// transcript.
+/// first, and it folds exactly one leaf per op the stubs express, then
+/// the final cache leaf — as many leaves as the stubs' transcript has.
 pub fn root_compare_matches_on_sweeps(lang: Lang) {
     for h in harnesses(lang) {
         let mut streams = vec![sweep_ops(&h.ir)];
@@ -452,12 +475,14 @@ pub fn root_compare_matches_on_sweeps(lang: Lang) {
             streams.push(super_sweep(&h.ir));
         }
         for ops in &streams {
+            let kept = h.kept(ops);
             let fwd = diff(h, ops).unwrap_or_else(|e| panic!("{} ({}): {e}", h.name, lang));
-            let back = compare(h, &h.view(), || ops.iter().cloned())
+            let back = compare(h, &h.plans(), || kept.iter().cloned())
                 .unwrap_or_else(|e| panic!("{} ({}): {e}", h.name, lang));
             assert_eq!(fwd.root, back.root, "{} ({}): root depends on rig order", h.name, lang);
-            let lines = render(h, ops.iter().cloned()).expect("harness runs");
-            assert_eq!(fwd.leaves, lines.len() as u64, "{} ({})", h.name, lang);
+            assert_eq!(fwd.leaves, kept.len() as u64 + 1, "{} ({})", h.name, lang);
+            let leaves = render(h, kept.iter().cloned()).expect("harness runs");
+            assert_eq!(fwd.leaves, leaves.len() as u64, "{} ({})", h.name, lang);
         }
     }
 }
@@ -478,7 +503,7 @@ pub fn oracle_detects_divergence_on_input_guarded_stubs(lang: Lang) {
     ];
     // Skew: the compiled side misses the guarded w write.
     let skewed = Skewed::new(h, |i, op| (i != 0).then_some(op));
-    let m = compare(&h.view(), &skewed, || ops.iter().cloned())
+    let m = compare(&h.plans(), &skewed, || ops.iter().cloned())
         .expect_err("the oracle must notice the missing guarded write");
     assert!(m.divergence.is_some(), "{}: both rigs must replay: {m}", lang);
 }
@@ -492,12 +517,13 @@ pub fn oracle_detects_injected_divergence(lang: Lang) {
         return;
     }
     let h = named(lang, "busmouse");
-    let ops = sweep_ops(&h.ir);
+    let ops = h.kept(&sweep_ops(&h.ir));
     assert!(ops.iter().any(|o| matches!(o, Op::Preset { .. })), "sweep must preset");
     let no_presets = |_: u64, op: Op| (!matches!(op, Op::Preset { .. })).then_some(op);
-    let view = h.view();
-    let (stubs_skewed, view_skewed) = (Skewed::new(h, no_presets), Skewed::new(&view, no_presets));
-    let sides: [(&dyn Rig, &dyn Rig); 2] = [(&view, &stubs_skewed), (&view_skewed, h)];
+    let plans = h.plans();
+    let (stubs_skewed, plans_skewed) =
+        (Skewed::new(h, no_presets), Skewed::new(&plans, no_presets));
+    let sides: [(&dyn Rig, &dyn Rig); 2] = [(&plans, &stubs_skewed), (&plans_skewed, h)];
     for (a, b) in sides {
         let m = compare(a, b, || ops.iter().cloned())
             .expect_err("a stream without its presets must diverge");
@@ -513,17 +539,17 @@ pub fn root_compare_bisects_injected_divergence(lang: Lang) {
         return;
     }
     let h = named(lang, "busmouse");
-    let ops = sweep_ops(&h.ir);
+    let ops = h.kept(&sweep_ops(&h.ir));
     assert!(ops.iter().any(|o| matches!(o, Op::Preset { .. })), "sweep must preset");
     let skewed = Skewed::new(h, |_, op| (!matches!(op, Op::Preset { .. })).then_some(op));
-    let want = render(&h.view(), ops.iter().cloned()).expect("view replays");
+    let want = render(&h.plans(), ops.iter().cloned()).expect("plans replay");
     let got = render(&skewed, ops.iter().cloned()).expect("harness runs");
     let linear_first = want
         .iter()
         .zip(&got)
         .position(|(w, g)| w != g)
         .unwrap_or_else(|| want.len().min(got.len())) as u64;
-    let m = compare(&h.view(), &skewed, || ops.iter().cloned())
+    let m = compare(&h.plans(), &skewed, || ops.iter().cloned())
         .expect_err("skewed stream must fail root compare");
     let leaf = m.divergence.map(|d| d.leaf);
     assert_eq!(leaf, Some(linear_first), "{}: {m}", lang);

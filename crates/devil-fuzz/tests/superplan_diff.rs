@@ -3,10 +3,9 @@
 //! Fusion is pure dispatch batching: a fused superplan must issue the
 //! identical device-op stream its unfused op-by-op sequence would, so
 //! the plans' fused calls and the reference's op-by-op runs go through
-//! the one comparator (caller observations, the device op log, final
-//! device state and a cache-coherence probe) — across the shipped
-//! driver superplans and the synthetic fixture superplans, with debug
-//! checks off and on.
+//! the one comparator (each call's bus operations and results, then
+//! the final cache state) — across the shipped driver superplans and
+//! the synthetic fixture superplans, with debug checks off and on.
 //!
 //! The ledger-shape property pins the accounting side: a fused
 //! dispatch's exact `hwsim::Ledger` delta and sim-time advance must
@@ -15,7 +14,7 @@
 
 use devil_fuzz::coverage::corpus;
 use devil_fuzz::superfuzz::{decode_super, super_sweep};
-use devil_fuzz::{compare, compare_runtimes, probe_ops, run_op, sweep_ops, Engine, InProcess, Op};
+use devil_fuzz::{compare, compare_runtimes, drive, sweep_ops, InProcess, Op};
 use devil_ir::{DeviceIr, ShapeOp};
 use devil_runtime::{DeviceInstance, FakeAccess, MappedPort, PortMap, ReferenceInstance, RtError};
 use hwsim::{Bus, CostModel, Ledger};
@@ -79,6 +78,30 @@ fn short_superplan_io_is_an_arity_error_before_any_device_op() {
     }
 }
 
+/// With debug checks on, both engines validate a superplan's stage
+/// prefix (its leading `SetField` values) before its first op: a
+/// rejected pic8259 `icw_init(ic4 = 0, sngl = 3)` stages neither field,
+/// so the cache stays cold and the device untouched.
+#[test]
+fn a_rejected_stage_prefix_leaves_the_cache_cold() {
+    let ir = &irs().iter().find(|(n, _)| n == "pic8259").expect("spec present").1;
+    let sid = ir.superplan_id("icw_init").expect("superplan installed");
+    let args = [0, 3, 0x20, 0, 0, 1, 0xff];
+    let want = Err(RtError::ValueRange { var: "sngl".into(), value: 3 });
+    let cold = ReferenceInstance::new(ir.clone());
+    let mut reference = ReferenceInstance::new(ir.clone());
+    reference.set_debug_checks(true);
+    let mut dev = FakeAccess::new();
+    assert_eq!(reference.run_superplan(&mut dev, sid, &args, &[], &mut [], &mut []), want);
+    assert_eq!(reference.cache_snapshot(), cold.cache_snapshot(), "the reference staged a field");
+    assert!(dev.log.is_empty(), "the reference touched the device: {:?}", dev.log);
+    let mut plans = DeviceInstance::new(ir.clone());
+    plans.set_debug_checks(true);
+    assert_eq!(plans.run_superplan(&mut dev, sid, &args, &[], &mut [], &mut []), want);
+    assert_eq!(plans.cache_snapshot(), cold.cache_snapshot(), "the plans staged a field");
+    assert!(dev.log.is_empty(), "the plans touched the device: {:?}", dev.log);
+}
+
 /// The driver-declared superplan surface is exactly what the issue
 /// ships: IDE's two PIO loops, NE2000's remote-DMA transmit, the
 /// 8259A's ICW init burst, Permedia2's three FIFO fill bursts — plus
@@ -106,16 +129,16 @@ fn superplan_surface_is_complete() {
 /// Warms an instance for all-fused dispatch: the full coverage sweep
 /// validates every cache slot.
 fn warm(ir: &DeviceIr, inst: &mut DeviceInstance, dev: &mut FakeAccess) {
-    let (mut inst, mut obs) = (Engine::Plans(inst), Vec::new());
+    let mut leaf = String::new();
     for op in sweep_ops(ir) {
-        run_op(&mut inst, dev, &op, &mut obs);
+        let _ = drive(ir, inst, dev, &op, &mut leaf);
     }
 }
 
 /// The deterministic sweep: every superplan of every spec, four rounds
 /// of varying operands and block lengths (including zero-length
 /// blocks), fused vs unfused. The compare accounts for every call, then
-/// the probe and final-state leaves.
+/// the final cache leaf.
 #[test]
 fn fused_sweep_is_indistinguishable_from_unfused() {
     for (name, ir) in irs() {
@@ -125,13 +148,13 @@ fn fused_sweep_is_indistinguishable_from_unfused() {
             panic!("{name}: fused and unfused superplan paths diverge on the sweep\n{e}")
         });
         assert_eq!(out.ops, seq.len() as u64, "{name}");
-        assert!(out.leaves > out.ops, "{name}: probe and final-state leaves missing");
+        assert_eq!(out.leaves, out.ops + 1, "{name}: one leaf per call, then the cache leaf");
     }
 }
 
 /// The fused sweep condenses to one 32-byte root per rig, the same
 /// whichever engine the compare names first, over exactly one leaf per
-/// call, one per probe read and one for the final device state.
+/// call and one for the final cache state.
 #[test]
 fn rooted_fused_sweep_agrees_on_all_devices() {
     for (name, ir) in irs() {
@@ -143,7 +166,7 @@ fn rooted_fused_sweep_agrees_on_all_devices() {
             .unwrap_or_else(|e| panic!("{name}: rooted fused sweep diverges\n{e}"));
         assert_eq!(fwd.ops, seq.len() as u64, "{name}");
         assert_eq!(fwd.root, back.root, "{name}: the root depends on the rig order");
-        assert_eq!(fwd.leaves, fwd.ops + probe_ops(ir).len() as u64 + 1, "{name}");
+        assert_eq!(fwd.leaves, fwd.ops + 1, "{name}");
     }
 }
 

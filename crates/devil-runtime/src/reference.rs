@@ -133,6 +133,18 @@ impl ReferenceInstance {
         &self.ir
     }
 
+    /// The flat cache: per-slot raw values and their validity flags, in
+    /// the slot layout [`crate::DeviceInstance::cache_snapshot`] uses.
+    /// Families past the slot cap cache elsewhere and are not included.
+    pub fn cache_snapshot(&self) -> (&[u64], &[bool]) {
+        (&self.slots, &self.slot_valid)
+    }
+
+    /// The private memory cells, indexed by `VarIr::mem_cell`.
+    pub fn mem_snapshot(&self) -> &[u64] {
+        &self.mem
+    }
+
     /// Reads a variable by id.
     pub fn read_id(
         &mut self,
@@ -279,7 +291,9 @@ impl ReferenceInstance {
     /// Runs a superplan's declared op sequence op by op: the meaning a
     /// fused dispatch must reproduce. Short `args` or `outs` fail with
     /// [`RtError::ArityMismatch`] before the first op, as in
-    /// [`crate::DeviceInstance::run_superplan`].
+    /// [`crate::DeviceInstance::run_superplan`]; so, with debug checks
+    /// on, does a stage-prefix value (a leading `SetField`) outside its
+    /// field's type, which leaves no field staged.
     pub fn run_superplan(
         &mut self,
         dev: &mut dyn DeviceAccess,
@@ -291,6 +305,15 @@ impl ReferenceInstance {
     ) -> RtResult<()> {
         let ir = Arc::clone(&self.ir);
         let sp = superplan_io(&ir, sid, args, outs)?;
+        if self.checks {
+            for op in &sp.ops {
+                let FuseOp::SetField { var, value } = op else { break };
+                let (var, value) = (ir.var(*var), value.resolve(args, 0));
+                if !var.ty.valid_write(value) {
+                    return Err(RtError::ValueRange { var: var.name.clone(), value });
+                }
+            }
+        }
         let mut out_idx = 0usize;
         for op in &sp.ops {
             match op {

@@ -9,7 +9,7 @@
 //! expected class is present in the report (co-firing classes are
 //! legal: one defect often violates several properties at once).
 
-use devil_fuzz::coverage::{corpus, stream_hits, Coverage};
+use devil_fuzz::coverage::{corpus, hits, stream_ops, Coverage};
 use devil_ir::{DeviceIr, PlanStep};
 use devil_verify::DiagClass;
 use std::sync::Arc;
@@ -88,7 +88,7 @@ fn unfeedable_tested_cell_fires_dead_variant() {
     let coverage = |ir: &DeviceIr| {
         let mut cov = Coverage::new(ir);
         for words in corpus(ir) {
-            cov.merge(&stream_hits(ir, &words));
+            cov.merge(&hits(ir, stream_ops(ir, &words)));
         }
         cov
     };

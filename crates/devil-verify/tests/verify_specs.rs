@@ -7,8 +7,8 @@
 //! that the verifier and the coverage fuzzer both index.
 
 use devil_fuzz::coverage::corpus;
-use devil_fuzz::superfuzz::decode_super;
-use devil_fuzz::{decode, run_op, Engine};
+use devil_fuzz::coverage::stream_ops;
+use devil_fuzz::drive;
 use devil_ir::{AccessRef, GuardSource};
 use devil_runtime::{DeviceInstance, FakeAccess};
 
@@ -126,10 +126,10 @@ fn dispatch_points_are_numbered_once_and_counted_in_one_table() {
 
         let mut inst = DeviceInstance::new(ir.clone());
         let mut dev = FakeAccess::new();
-        let mut obs = Vec::new();
+        let mut leaf = String::new();
         for words in corpus(&ir) {
-            for op in decode(&ir, &words).iter().chain(&decode_super(&ir, &words)) {
-                run_op(&mut Engine::Plans(&mut inst), &mut dev, op, &mut obs);
+            for op in stream_ops(&ir, &words) {
+                let _ = drive(&ir, &mut inst, &mut dev, &op, &mut leaf);
             }
         }
         let stats = inst.plan_stats();

@@ -1,5 +1,5 @@
 // Surface glue for the emitted `logitech_busmouse` module. Generated by devil-fuzz; do not edit.
-use devil_fuzz::compiled::Surface;
+use devil_fuzz::Surface;
 use devil_runtime::{DeviceAccess, RtError};
 use devil_sema::model::{StructId, VarId};
 
@@ -58,17 +58,22 @@ impl Surface for stubs::LogitechBusmouse {
         unreachable!("no stub for {sid:?}")
     }
 
+    fn read_block(&mut self, _: &mut dyn DeviceAccess, vid: VarId, _: &mut [u64]) -> Result<(), RtError> {
+        unreachable!("no stub for {vid:?}")
+    }
+
+    fn write_block(&mut self, _: &mut dyn DeviceAccess, vid: VarId, _: &[u64]) -> Result<(), RtError> {
+        unreachable!("no stub for {vid:?}")
+    }
+
     fn superplan(&mut self, _: &mut dyn DeviceAccess, k: usize, _: &[u64], _: &[u64], _: &mut [u64], _: &mut [u64]) -> Result<(), RtError> {
         unreachable!("no stub for {k:?}")
     }
 
-    fn cache(&self) -> (Vec<u64>, Vec<bool>) {
+    fn cache(&self) -> (Vec<u64>, Vec<bool>, Vec<u64>) {
         let slots: [&[u64]; 8] = [&[self.cache_sig_reg], &[self.cache_cr], &[self.cache_interrupt_reg], &[self.cache_index_reg], &[self.cache_x_low], &[self.cache_x_high], &[self.cache_y_low], &[self.cache_y_high]];
         let valid: [&[bool]; 8] = [&[self.valid_sig_reg], &[self.valid_cr], &[self.valid_interrupt_reg], &[self.valid_index_reg], &[self.valid_x_low], &[self.valid_x_high], &[self.valid_y_low], &[self.valid_y_high]];
-        (slots.concat(), valid.concat())
-    }
-
-    fn mem(&self) -> Vec<u64> {
-        vec![]
+        let mem = vec![];
+        (slots.concat(), valid.concat(), mem)
     }
 }

@@ -1,5 +1,5 @@
 // Surface glue for the emitted `cs4236b` module. Generated by devil-fuzz; do not edit.
-use devil_fuzz::compiled::Surface;
+use devil_fuzz::Surface;
 use devil_runtime::{DeviceAccess, RtError};
 use devil_sema::model::{StructId, VarId};
 
@@ -60,17 +60,22 @@ impl Surface for stubs::Cs4236b {
         Ok(())
     }
 
+    fn read_block(&mut self, _: &mut dyn DeviceAccess, vid: VarId, _: &mut [u64]) -> Result<(), RtError> {
+        unreachable!("no stub for {vid:?}")
+    }
+
+    fn write_block(&mut self, _: &mut dyn DeviceAccess, vid: VarId, _: &[u64]) -> Result<(), RtError> {
+        unreachable!("no stub for {vid:?}")
+    }
+
     fn superplan(&mut self, _: &mut dyn DeviceAccess, k: usize, _: &[u64], _: &[u64], _: &mut [u64], _: &mut [u64]) -> Result<(), RtError> {
         unreachable!("no stub for {k:?}")
     }
 
-    fn cache(&self) -> (Vec<u64>, Vec<bool>) {
+    fn cache(&self) -> (Vec<u64>, Vec<bool>, Vec<u64>) {
         let slots: [&[u64]; 4] = [&[self.cache_control], &self.cache_I, &[self.cache_gw], &self.cache_X];
         let valid: [&[bool]; 4] = [&[self.valid_control], &self.valid_I, &[self.valid_gw], &self.valid_X];
-        (slots.concat(), valid.concat())
-    }
-
-    fn mem(&self) -> Vec<u64> {
-        vec![self.mem_xm]
+        let mem = vec![self.mem_xm];
+        (slots.concat(), valid.concat(), mem)
     }
 }

@@ -1,5 +1,5 @@
 // Surface glue for the emitted `dma8237` module. Generated by devil-fuzz; do not edit.
-use devil_fuzz::compiled::Surface;
+use devil_fuzz::Surface;
 use devil_runtime::{DeviceAccess, RtError};
 use devil_sema::model::{StructId, VarId};
 
@@ -65,17 +65,22 @@ impl Surface for stubs::Dma8237 {
         unreachable!("no stub for {sid:?}")
     }
 
+    fn read_block(&mut self, _: &mut dyn DeviceAccess, vid: VarId, _: &mut [u64]) -> Result<(), RtError> {
+        unreachable!("no stub for {vid:?}")
+    }
+
+    fn write_block(&mut self, _: &mut dyn DeviceAccess, vid: VarId, _: &[u64]) -> Result<(), RtError> {
+        unreachable!("no stub for {vid:?}")
+    }
+
     fn superplan(&mut self, _: &mut dyn DeviceAccess, k: usize, _: &[u64], _: &[u64], _: &mut [u64], _: &mut [u64]) -> Result<(), RtError> {
         unreachable!("no stub for {k:?}")
     }
 
-    fn cache(&self) -> (Vec<u64>, Vec<bool>) {
+    fn cache(&self) -> (Vec<u64>, Vec<bool>, Vec<u64>) {
         let slots: [&[u64]; 24] = [&[self.cache_ff_reg], &[self.cache_addr0_low], &[self.cache_addr0_high], &[self.cache_count0_low], &[self.cache_count0_high], &[self.cache_addr1_low], &[self.cache_addr1_high], &[self.cache_count1_low], &[self.cache_count1_high], &[self.cache_addr2_low], &[self.cache_addr2_high], &[self.cache_count2_low], &[self.cache_count2_high], &[self.cache_addr3_low], &[self.cache_addr3_high], &[self.cache_count3_low], &[self.cache_count3_high], &[self.cache_command_reg], &[self.cache_status_reg], &[self.cache_request_reg], &[self.cache_single_mask_reg], &[self.cache_mode_reg], &[self.cache_master_clear_reg], &[self.cache_all_mask_reg]];
         let valid: [&[bool]; 24] = [&[self.valid_ff_reg], &[self.valid_addr0_low], &[self.valid_addr0_high], &[self.valid_count0_low], &[self.valid_count0_high], &[self.valid_addr1_low], &[self.valid_addr1_high], &[self.valid_count1_low], &[self.valid_count1_high], &[self.valid_addr2_low], &[self.valid_addr2_high], &[self.valid_count2_low], &[self.valid_count2_high], &[self.valid_addr3_low], &[self.valid_addr3_high], &[self.valid_count3_low], &[self.valid_count3_high], &[self.valid_command_reg], &[self.valid_status_reg], &[self.valid_request_reg], &[self.valid_single_mask_reg], &[self.valid_mode_reg], &[self.valid_master_clear_reg], &[self.valid_all_mask_reg]];
-        (slots.concat(), valid.concat())
-    }
-
-    fn mem(&self) -> Vec<u64> {
-        vec![]
+        let mem = vec![];
+        (slots.concat(), valid.concat(), mem)
     }
 }

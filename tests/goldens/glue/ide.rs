@@ -1,5 +1,5 @@
 // Surface glue for the emitted `ide` module. Generated by devil-fuzz; do not edit.
-use devil_fuzz::compiled::Surface;
+use devil_fuzz::Surface;
 use devil_runtime::{DeviceAccess, RtError};
 use devil_sema::model::{StructId, VarId};
 
@@ -57,6 +57,14 @@ impl Surface for stubs::Ide {
         unreachable!("no stub for {sid:?}")
     }
 
+    fn read_block(&mut self, _: &mut dyn DeviceAccess, vid: VarId, _: &mut [u64]) -> Result<(), RtError> {
+        unreachable!("no stub for {vid:?}")
+    }
+
+    fn write_block(&mut self, _: &mut dyn DeviceAccess, vid: VarId, _: &[u64]) -> Result<(), RtError> {
+        unreachable!("no stub for {vid:?}")
+    }
+
     fn superplan(&mut self, dev: &mut dyn DeviceAccess, k: usize, _: &[u64], _: &[u64], block_in: &mut [u64], outs: &mut [u64]) -> Result<(), RtError> {
         match k {
             0 => self.sp_pio_irq16(dev, outs, block_in),
@@ -66,13 +74,10 @@ impl Surface for stubs::Ide {
         Ok(())
     }
 
-    fn cache(&self) -> (Vec<u64>, Vec<bool>) {
+    fn cache(&self) -> (Vec<u64>, Vec<bool>, Vec<u64>) {
         let slots: [&[u64]; 10] = [&[self.cache_dr], &[self.cache_dr32], &[self.cache_features_reg], &[self.cache_sc_reg], &[self.cache_lba_low_reg], &[self.cache_lba_mid_reg], &[self.cache_lba_high_reg], &[self.cache_device_reg], &[self.cache_status_reg], &[self.cache_command_reg]];
         let valid: [&[bool]; 10] = [&[self.valid_dr], &[self.valid_dr32], &[self.valid_features_reg], &[self.valid_sc_reg], &[self.valid_lba_low_reg], &[self.valid_lba_mid_reg], &[self.valid_lba_high_reg], &[self.valid_device_reg], &[self.valid_status_reg], &[self.valid_command_reg]];
-        (slots.concat(), valid.concat())
-    }
-
-    fn mem(&self) -> Vec<u64> {
-        vec![]
+        let mem = vec![];
+        (slots.concat(), valid.concat(), mem)
     }
 }

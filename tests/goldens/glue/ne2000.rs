@@ -1,5 +1,5 @@
 // Surface glue for the emitted `ne2000` module. Generated by devil-fuzz; do not edit.
-use devil_fuzz::compiled::Surface;
+use devil_fuzz::Surface;
 use devil_runtime::{DeviceAccess, RtError};
 use devil_sema::model::{StructId, VarId};
 
@@ -67,6 +67,14 @@ impl Surface for stubs::Ne2000 {
         unreachable!("no stub for {sid:?}")
     }
 
+    fn read_block(&mut self, _: &mut dyn DeviceAccess, vid: VarId, _: &mut [u64]) -> Result<(), RtError> {
+        unreachable!("no stub for {vid:?}")
+    }
+
+    fn write_block(&mut self, _: &mut dyn DeviceAccess, vid: VarId, _: &[u64]) -> Result<(), RtError> {
+        unreachable!("no stub for {vid:?}")
+    }
+
     fn superplan(&mut self, dev: &mut dyn DeviceAccess, k: usize, args: &[u64], block_out: &[u64], _: &mut [u64], _: &mut [u64]) -> Result<(), RtError> {
         match k {
             0 => self.sp_tx(dev, args[0], args[1], args[2], block_out),
@@ -75,13 +83,10 @@ impl Surface for stubs::Ne2000 {
         Ok(())
     }
 
-    fn cache(&self) -> (Vec<u64>, Vec<bool>) {
+    fn cache(&self) -> (Vec<u64>, Vec<bool>, Vec<u64>) {
         let slots: [&[u64]; 15] = [&[self.cache_cr], &[self.cache_pstart_reg], &[self.cache_pstop_reg], &[self.cache_bnry_reg], &[self.cache_tpsr_reg], &[self.cache_tbcr0], &[self.cache_tbcr1], &[self.cache_isr_reg], &[self.cache_rsar0], &[self.cache_rsar1], &[self.cache_rbcr0], &[self.cache_rbcr1], &[self.cache_dcr], &[self.cache_imr_reg], &[self.cache_dr]];
         let valid: [&[bool]; 15] = [&[self.valid_cr], &[self.valid_pstart_reg], &[self.valid_pstop_reg], &[self.valid_bnry_reg], &[self.valid_tpsr_reg], &[self.valid_tbcr0], &[self.valid_tbcr1], &[self.valid_isr_reg], &[self.valid_rsar0], &[self.valid_rsar1], &[self.valid_rbcr0], &[self.valid_rbcr1], &[self.valid_dcr], &[self.valid_imr_reg], &[self.valid_dr]];
-        (slots.concat(), valid.concat())
-    }
-
-    fn mem(&self) -> Vec<u64> {
-        vec![]
+        let mem = vec![];
+        (slots.concat(), valid.concat(), mem)
     }
 }

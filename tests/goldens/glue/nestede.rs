@@ -1,5 +1,5 @@
 // Surface glue for the emitted `nestede` module. Generated by devil-fuzz; do not edit.
-use devil_fuzz::compiled::Surface;
+use devil_fuzz::Surface;
 use devil_runtime::{DeviceAccess, RtError};
 use devil_sema::model::{StructId, VarId};
 
@@ -55,6 +55,14 @@ impl Surface for stubs::Nestede {
         Ok(())
     }
 
+    fn read_block(&mut self, _: &mut dyn DeviceAccess, vid: VarId, _: &mut [u64]) -> Result<(), RtError> {
+        unreachable!("no stub for {vid:?}")
+    }
+
+    fn write_block(&mut self, _: &mut dyn DeviceAccess, vid: VarId, _: &[u64]) -> Result<(), RtError> {
+        unreachable!("no stub for {vid:?}")
+    }
+
     fn superplan(&mut self, dev: &mut dyn DeviceAccess, k: usize, _: &[u64], _: &[u64], _: &mut [u64], outs: &mut [u64]) -> Result<(), RtError> {
         match k {
             0 => self.sp_probe(dev, outs),
@@ -63,13 +71,10 @@ impl Surface for stubs::Nestede {
         Ok(())
     }
 
-    fn cache(&self) -> (Vec<u64>, Vec<bool>) {
+    fn cache(&self) -> (Vec<u64>, Vec<bool>, Vec<u64>) {
         let slots: [&[u64]; 3] = [&[self.cache_a], &[self.cache_c], &[self.cache_data]];
         let valid: [&[bool]; 3] = [&[self.valid_a], &[self.valid_c], &[self.valid_data]];
-        (slots.concat(), valid.concat())
-    }
-
-    fn mem(&self) -> Vec<u64> {
-        vec![]
+        let mem = vec![];
+        (slots.concat(), valid.concat(), mem)
     }
 }

@@ -1,5 +1,5 @@
 // Surface glue for the emitted `permedia2` module. Generated by devil-fuzz; do not edit.
-use devil_fuzz::compiled::Surface;
+use devil_fuzz::Surface;
 use devil_runtime::{DeviceAccess, RtError};
 use devil_sema::model::{StructId, VarId};
 
@@ -54,6 +54,14 @@ impl Surface for stubs::Permedia2 {
         unreachable!("no stub for {sid:?}")
     }
 
+    fn read_block(&mut self, _: &mut dyn DeviceAccess, vid: VarId, _: &mut [u64]) -> Result<(), RtError> {
+        unreachable!("no stub for {vid:?}")
+    }
+
+    fn write_block(&mut self, _: &mut dyn DeviceAccess, vid: VarId, _: &[u64]) -> Result<(), RtError> {
+        unreachable!("no stub for {vid:?}")
+    }
+
     fn superplan(&mut self, dev: &mut dyn DeviceAccess, k: usize, args: &[u64], _: &[u64], _: &mut [u64], _: &mut [u64]) -> Result<(), RtError> {
         match k {
             0 => self.sp_fill24_burst(dev, args[0], args[1], args[2], args[3], args[4]),
@@ -64,13 +72,10 @@ impl Surface for stubs::Permedia2 {
         Ok(())
     }
 
-    fn cache(&self) -> (Vec<u64>, Vec<bool>) {
+    fn cache(&self) -> (Vec<u64>, Vec<bool>, Vec<u64>) {
         let slots: [&[u64]; 10] = [&[self.cache_fifo], &[self.cache_rect_pos], &[self.cache_rect_size], &[self.cache_block_color], &[self.cache_render], &[self.cache_copy_src], &[self.cache_config], &[self.cache_scratch0], &[self.cache_scratch1], &[self.cache_scratch2]];
         let valid: [&[bool]; 10] = [&[self.valid_fifo], &[self.valid_rect_pos], &[self.valid_rect_size], &[self.valid_block_color], &[self.valid_render], &[self.valid_copy_src], &[self.valid_config], &[self.valid_scratch0], &[self.valid_scratch1], &[self.valid_scratch2]];
-        (slots.concat(), valid.concat())
-    }
-
-    fn mem(&self) -> Vec<u64> {
-        vec![]
+        let mem = vec![];
+        (slots.concat(), valid.concat(), mem)
     }
 }

@@ -1,5 +1,5 @@
 // Surface glue for the emitted `pic8259` module. Generated by devil-fuzz; do not edit.
-use devil_fuzz::compiled::Surface;
+use devil_fuzz::Surface;
 use devil_runtime::{DeviceAccess, RtError};
 use devil_sema::model::{StructId, VarId};
 
@@ -68,6 +68,14 @@ impl Surface for stubs::Pic8259 {
         Ok(())
     }
 
+    fn read_block(&mut self, _: &mut dyn DeviceAccess, vid: VarId, _: &mut [u64]) -> Result<(), RtError> {
+        unreachable!("no stub for {vid:?}")
+    }
+
+    fn write_block(&mut self, _: &mut dyn DeviceAccess, vid: VarId, _: &[u64]) -> Result<(), RtError> {
+        unreachable!("no stub for {vid:?}")
+    }
+
     fn superplan(&mut self, dev: &mut dyn DeviceAccess, k: usize, args: &[u64], _: &[u64], _: &mut [u64], _: &mut [u64]) -> Result<(), RtError> {
         match k {
             0 => self.sp_icw_init(dev, args[0], args[1], args[2], args[3], args[4], args[5], args[6]),
@@ -76,13 +84,10 @@ impl Surface for stubs::Pic8259 {
         Ok(())
     }
 
-    fn cache(&self) -> (Vec<u64>, Vec<bool>) {
+    fn cache(&self) -> (Vec<u64>, Vec<bool>, Vec<u64>) {
         let slots: [&[u64]; 5] = [&[self.cache_icw1], &[self.cache_icw2], &[self.cache_icw3], &[self.cache_icw4], &[self.cache_ocw1]];
         let valid: [&[bool]; 5] = [&[self.valid_icw1], &[self.valid_icw2], &[self.valid_icw3], &[self.valid_icw4], &[self.valid_ocw1]];
-        (slots.concat(), valid.concat())
-    }
-
-    fn mem(&self) -> Vec<u64> {
-        vec![]
+        let mem = vec![];
+        (slots.concat(), valid.concat(), mem)
     }
 }
