@@ -3,15 +3,14 @@
 //! The plan executor ([`DeviceInstance`]: precompiled [`devil_ir`]
 //! plans, indexed flat cache slots), the reference interpreter
 //! ([`ReferenceInstance`]) and the compiled C and Rust stubs
-//! ([`compiled::CompiledHarness`], [`compiled::CompiledIn`]) must be
-//! observationally indistinguishable: same device-visible bus traffic,
-//! same final cache state, same results and errors. This crate turns a
-//! raw stream of random words into a valid-ish [`Op`] sequence over a
-//! lowered device (superplan calls included, as [`Op::Super`]) and
-//! replays it through two [`Rig`]s. Every engine but the C harness is a
-//! [`Surface`], and one driver ([`drive`]) renders each op it runs as a
-//! leaf of text lines, the very lines the C harness prints; the final
-//! leaf is the cache dump ([`cache_leaf`]). [`compare`] is the one
+//! ([`compiled::CompiledIn`]) must be observationally
+//! indistinguishable: same device-visible bus traffic, same final cache
+//! state, same results and errors. This crate turns a raw stream of
+//! random words into a valid-ish [`Op`] sequence over a lowered device
+//! (superplan calls included, as [`Op::Super`]) and replays it through
+//! two [`Rig`]s. Every engine is a [`Surface`], and one driver
+//! ([`drive`]) renders each op it runs as a leaf of text lines; the
+//! final leaf is the cache dump ([`cache_leaf`]). [`compare`] is the one
 //! comparator: both rigs fold their leaves into an MMR trace, and the
 //! verdict is one 32-byte root compare; a mismatch bisects to the first
 //! divergent leaf and renders the lines around it.
@@ -349,9 +348,10 @@ pub fn init_sweep_ops(ir: &DeviceIr) -> Vec<Op> {
 
 /// The id-keyed access surface every rig drives: what
 /// [`DeviceInstance`] and [`ReferenceInstance`] offer by [`VarId`],
-/// [`StructId`] and superplan index, and what an emitted Rust module
-/// offers through the glue [`compiled::rust_glue`] generates for it.
-/// Values are raw masked bits, as the runtime returns them.
+/// [`StructId`] and superplan index, and what the emitted Rust modules
+/// and C headers offer through the glue [`compiled::rust_glue`] and
+/// [`compiled::c_glue`] generate for them. Values are raw masked bits,
+/// as the runtime returns them.
 pub trait Surface {
     /// Reads a variable (`read_id`).
     fn read_var(&mut self, dev: &mut dyn DeviceAccess, vid: VarId, args: &[u64]) -> RtResult<u64>;
@@ -477,7 +477,7 @@ macro_rules! engine_surface {
 engine_surface!(DeviceInstance, ReferenceInstance);
 
 /// Drives `op` through `s` over `dev` and appends its leaf to `leaf`,
-/// in the lines the compiled C harness prints for it: a preset's echo
+/// one text line per observation: a preset's echo
 /// (`P port offset value`); each staged structure field's verdict
 /// (`O s<field> ok`); each device call's bus operations, as `dev` logs
 /// them (`B R|W port offset value`), then its results (`O <tag>
@@ -586,8 +586,8 @@ fn said(
 
 /// Appends the final leaf of a replay through `s` to `leaf`: every
 /// register's cache slot and every family instance's (`C name value
-/// valid`), then every memory cell (`M name value`), in the order the C
-/// harness's `D` command prints them.
+/// valid`), in declaration order, then every memory cell (`M name
+/// value`).
 pub fn cache_leaf(ir: &DeviceIr, s: &dyn Surface, leaf: &mut String) {
     let (slots, valid, mem) = s.cache();
     let mut slot = |name: Arguments, k: usize| {

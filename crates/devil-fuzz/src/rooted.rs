@@ -3,14 +3,12 @@
 //! verdict is one 32-byte root compare.
 //!
 //! Every rig folds the same *leaves*: one per op, its observation lines
-//! in the compiled C harness's format ([`crate::drive`]: the bus
-//! operations, results and errors of its calls), so the leaf index *is*
-//! the op index; then one final leaf, the cache dump
-//! ([`crate::cache_leaf`]). The in-process rigs ([`InProcess`]: the
-//! plan runtime and the reference interpreter, and
-//! [`crate::compiled::CompiledIn`]: an emitted Rust module) render them
-//! through [`crate::drive`]; [`crate::compiled::CompiledHarness`]
-//! parses them from the C harness's output.
+//! ([`crate::drive`]: the bus operations, results and errors of its
+//! calls), so the leaf index *is* the op index; then one final leaf,
+//! the cache dump ([`crate::cache_leaf`]). Every rig ([`InProcess`]:
+//! the plan runtime and the reference interpreter, and
+//! [`crate::compiled::CompiledIn`]: the emitted C or Rust stubs)
+//! renders them through [`crate::drive`].
 //!
 //! Both rigs stream in O(peaks) memory, so replay length is a knob, not
 //! a memory bound. On a root mismatch [`compare`] re-replays both rigs
@@ -151,8 +149,8 @@ pub trait Rig {
     fn name(&self) -> String;
 
     /// Replays `ops` from a fresh state, folding what it observes into
-    /// `trace`. An `Err` is a failure of the rig itself: a harness that
-    /// did not run, or a check that fired.
+    /// `trace`. An `Err` is a failure of the rig itself: a check that
+    /// fired.
     fn replay(&self, ops: &mut dyn Iterator<Item = Op>, trace: &mut Trace) -> Result<(), String>;
 }
 

@@ -4,14 +4,14 @@
 //!
 //! They join the shipped spec library in the differential fuzz targets
 //! (`tests/differential.rs`, `tests/fallback.rs`) and the compiled C and
-//! Rust oracles (`tests/compiled_diff.rs`, `tests/compiled_rust_diff.rs`).
-//! CI's nightly `fuzz-extended` and `compiled-diff` jobs enumerate the
-//! same lists at raised case counts.
+//! Rust oracles (`tests/compiled_diff.rs`, `tests/compiled_rust_diff.rs`). CI's nightly `fuzz-extended`
+//! and `compiled-diff` jobs enumerate the same lists at raised case
+//! counts.
 //!
 //! [`PROBES`] holds the two compiled-oracle probe specs. They stay out
 //! of [`ALL`], so the spec library, the fuzz targets and the benchmarks
-//! never see them; the emit goldens pin their modules, and the Rust
-//! oracle compiles those in.
+//! never see them; the emit goldens pin their stubs and glue, and the
+//! compiled oracle links those in.
 
 /// A write order testing the variable being written: the reference
 /// interpreter stores the bits before evaluating the condition, so the compiled

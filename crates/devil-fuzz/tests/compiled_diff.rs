@@ -1,15 +1,33 @@
-//! The compiled-C differential oracle: every spec's emitted C header,
-//! compiled with `cc` and a generated bus-shim harness, against the
-//! plan executor. The test bodies are shared with the Rust back end's
-//! suite (`compiled_rust_diff.rs`) in `oracle/mod.rs`. CI runs this on
-//! every PR at the default case count and nightly with
-//! `PROPTEST_CASES=1024`.
+//! The compiled-C differential oracle: every spec's emitted C stubs
+//! against the plan executor. The stubs are the committed headers
+//! (`tests/goldens/<spec>.h`), each with its generated glue
+//! (`tests/goldens/glue/<spec>.c`), compiled with `cc -Wall -Werror`
+//! and linked into this binary by the `c-stubs` crate, and run in
+//! process through the driver the plan executor runs through
+//! (`devil_fuzz::drive`). Without `cc` at build time they are skipped
+//! loudly. The chain this relies on: `emit_goldens` ties the goldens
+//! and their glue to the emitter, and this oracle runs the goldens, so
+//! an emitter change that draws a warning fails to build here once its
+//! goldens are regenerated.
+//!
+//! The test bodies are shared with the Rust back end's suite
+//! (`compiled_rust_diff.rs`) in `oracle/mod.rs`, so both back ends
+//! replay the same surfaces, and every failure names the spec and the
+//! back end. CI runs this on every PR at the default case count and
+//! nightly with `PROPTEST_CASES=1024`.
 
 mod common;
 mod oracle;
 
-use oracle::Lang::C;
+use oracle::Backend;
 use proptest::prelude::*;
+
+const C: Backend = Backend { lang: "C", table: c_stubs::LINKED_IN };
+
+#[test]
+fn every_library_spec_and_probe_is_compiled_in() {
+    oracle::every_library_spec_and_probe_is_compiled_in(C);
+}
 
 #[test]
 fn stub_surface_covers_the_spec_library() {

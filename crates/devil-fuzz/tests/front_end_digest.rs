@@ -13,7 +13,7 @@ use devil_syntax::pretty::print_device;
 use std::fmt::Write;
 
 /// The digest at the time the front end's behaviour was pinned.
-const DIGEST: u64 = 0xd9ce_d9b5_7f60_2eed;
+const DIGEST: u64 = 0xb4af_ec92_03ad_e80e;
 
 /// FNV-1a over everything written into it.
 struct Fnv(u64);

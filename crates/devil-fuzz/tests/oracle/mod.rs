@@ -4,21 +4,19 @@
 //! compiled stubs and through the plan executor, and compare bus logs,
 //! read results and final cache state.
 //!
-//! Each test binary calls these bodies with its [`Lang`]:
-//! `compiled_diff` with the C headers, which it emits, compiles with
-//! `cc` into a bus-shim harness and runs as a subprocess;
-//! `compiled_rust_diff` with the committed Rust goldens it compiles in,
-//! which it drives in process. The C oracle skips loudly (but green)
-//! when `cc` is missing, so tier-1 stays runnable anywhere; its
-//! artifacts are cached in `CARGO_TARGET_TMPDIR` under a hash of their
-//! sources and compiler command line, so repeated runs (and CI caches
-//! of `target/tmp`) compile each spec at most once per emitter, spec
-//! and flag revision. The Rust oracle needs no toolchain at run time:
-//! `emit_goldens` ties the goldens to the emitter, and this oracle
-//! runs the goldens.
+//! Each test binary calls every body with its [`Backend`]:
+//! `compiled_diff` with the committed C headers and their glue,
+//! compiled by `cc` and linked in (`c_stubs::LINKED_IN`), and
+//! `compiled_rust_diff` with the committed Rust modules and their glue,
+//! compiled in. Both run in process, through the driver the plan
+//! executor runs through (`devil_fuzz::drive`). The C oracle skips
+//! loudly (but green) where the build found no `cc`, so tier-1 stays
+//! runnable anywhere. Neither needs a toolchain at run time:
+//! `emit_goldens` ties the goldens and their glue to the emitters, and
+//! this oracle runs the goldens.
 
 use crate::common::Skewed;
-use devil_fuzz::compiled::{stub_expresses, CompiledHarness, CompiledIn, Fresh};
+use devil_fuzz::compiled::{stub_expresses, CompiledIn, Fresh};
 use devil_fuzz::coverage::{corpus, hits, stream_ops, Coverage};
 use devil_fuzz::superfuzz::{decode_super, super_sweep};
 use devil_fuzz::{
@@ -27,72 +25,68 @@ use devil_fuzz::{
 use devil_ir::DeviceIr;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use std::path::PathBuf;
+use std::fmt;
 use std::sync::OnceLock;
 
-/// The stubs a test binary compares with the plan executor.
+/// One back end's compiled stubs: the language they are emitted in,
+/// and each spec's name with the constructor of a cold instance.
 #[derive(Clone, Copy)]
-// Each test binary constructs one variant.
-#[allow(dead_code)]
-pub enum Lang {
-    /// The emitted C headers, built into harness binaries with `cc`.
-    C,
-    /// The emitted Rust modules compiled into the test binary: each
-    /// spec's name and its glue's cold-instance constructor.
-    Rust(&'static [(&'static str, Fresh)]),
+pub struct Backend {
+    pub lang: &'static str,
+    pub table: &'static [(&'static str, Fresh)],
 }
 
-impl std::fmt::Display for Lang {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Lang::C => "C",
-            Lang::Rust(_) => "Rust",
-        })
+impl Backend {
+    /// Whether the stubs can run. Only the C ones can be missing, where
+    /// the build found no `cc`; every call that finds them missing says
+    /// so.
+    fn available(self) -> bool {
+        if self.table.is_empty() {
+            eprintln!("skipping the compiled-{} oracle: no `cc` on PATH", self.lang);
+        }
+        !self.table.is_empty()
     }
-}
 
-impl Lang {
-    /// The compiled stubs of one spec.
-    fn stubs(self, name: &str, ir: &DeviceIr) -> Stubs {
-        let rig: Box<dyn Rig + Send + Sync> = match self {
-            Lang::C => Box::new(
-                CompiledHarness::build(name, ir, &oracle_dir())
-                    .unwrap_or_else(|e| panic!("{name}: cannot build the C oracle: {e}")),
-            ),
-            Lang::Rust(modules) => {
-                let found = modules.iter().find(|(n, _)| *n == name);
-                let (_, fresh) = found.unwrap_or_else(|| panic!("{name}: no compiled-in module"));
-                Box::new(CompiledIn::new(ir, *fresh))
-            }
-        };
-        Stubs { name: name.into(), ir: ir.clone(), rig }
+    /// The compiled stubs of spec `name`, lowered to `ir`.
+    fn stubs(self, name: &'static str, ir: &'static DeviceIr) -> Stubs {
+        let found = self.table.iter().find(|(n, _)| *n == name);
+        let (_, fresh) = found.unwrap_or_else(|| panic!("{name}: no compiled {} stubs", self.lang));
+        Stubs { name, lang: self.lang, ir, rig: CompiledIn::new(self.lang, ir, *fresh) }
     }
 
     /// The emitted text the stubs are compiled from.
     fn emit(self, ir: &DeviceIr, name: &str) -> String {
-        match self {
-            Lang::C => devil_codegen::emit_c(ir, name),
-            Lang::Rust(_) => devil_codegen::emit_rust(ir),
+        match self.lang {
+            "C" => devil_codegen::emit_c(ir, name),
+            _ => devil_codegen::emit_rust(ir),
         }
     }
 }
 
-/// One spec's compiled stubs, as a rig.
+/// One spec's compiled stubs, as a rig. It displays as the spec and
+/// the back end, the prefix of every failure.
 pub struct Stubs {
-    name: String,
-    ir: DeviceIr,
-    rig: Box<dyn Rig + Send + Sync>,
+    name: &'static str,
+    lang: &'static str,
+    ir: &'static DeviceIr,
+    rig: CompiledIn<'static>,
 }
 
 impl Stubs {
     /// The plan executor the stubs are compared against.
-    fn plans(&self) -> InProcess<'_> {
-        InProcess::plans(&self.ir)
+    fn plans(&self) -> InProcess<'static> {
+        InProcess::plans(self.ir)
     }
 
     /// The ops of `ops` the stubs express: the stream both rigs replay.
     fn kept(&self, ops: &[Op]) -> Vec<Op> {
-        ops.iter().filter(|op| stub_expresses(&self.ir, op)).cloned().collect()
+        ops.iter().filter(|op| stub_expresses(self.ir, op)).cloned().collect()
+    }
+}
+
+impl fmt::Display for Stubs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} ({})", self.name, self.lang)
     }
 }
 
@@ -110,59 +104,43 @@ impl Rig for Stubs {
     }
 }
 
-fn oracle_dir() -> PathBuf {
-    std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("compiled-oracle")
-}
-
-/// Whether `lang`'s stubs can run: the Rust ones always can; the C ones
-/// need `cc` on PATH, and every call that finds it missing says so. The
-/// probe spawns a process, so it runs once per test binary.
-fn available(lang: Lang) -> bool {
-    static CC: OnceLock<bool> = OnceLock::new();
-    if let Lang::Rust(_) = lang {
-        return true;
-    }
-    let found = *CC.get_or_init(CompiledHarness::available);
-    if !found {
-        eprintln!("skipping the compiled-C oracle: no `cc` on PATH");
-    }
-    found
-}
-
 fn synthetic(name: &str) -> bool {
     devil_fuzz::synthetic::ALL.iter().any(|(n, _)| *n == name)
 }
 
-/// The 8-spec library plus the synthetic formerly-fallback specs, each
-/// with its compiled stubs, built once per test binary (which runs one
-/// `Lang`); empty when they cannot run. Ops without a stub (accesses
-/// without a plan, plain block transfers) are dropped identically by
-/// both rigs of a compare.
-fn harnesses(lang: Lang) -> &'static [Stubs] {
-    static HARNESSES: OnceLock<(String, Vec<Stubs>)> = OnceLock::new();
-    if !available(lang) {
-        return &[];
+/// Named lowered specs.
+type Library = Vec<(String, DeviceIr)>;
+
+/// The 8-spec library plus the synthetic formerly-fallback specs, then
+/// the probe specs (`devil_fuzz::synthetic::PROBES`), lowered once per
+/// test binary.
+fn lowered() -> &'static (Library, Library) {
+    static LOWERED: OnceLock<(Library, Library)> = OnceLock::new();
+    LOWERED.get_or_init(|| (devil_fuzz::spec_library(), devil_fuzz::probe_library()))
+}
+
+/// `b`'s compiled stubs of every library spec; none when they cannot
+/// run. Ops without a stub (accesses without a plan, plain block
+/// transfers) are dropped identically by both rigs of a compare.
+fn harnesses(b: Backend) -> Vec<Stubs> {
+    if !b.available() {
+        return Vec::new();
     }
-    let (built, stubs) = HARNESSES.get_or_init(|| {
-        let library = devil_fuzz::spec_library();
-        (lang.to_string(), library.iter().map(|(name, ir)| lang.stubs(name, ir)).collect())
-    });
-    assert_eq!(*built, lang.to_string(), "one back end per test binary");
-    stubs
+    lowered().0.iter().map(|(name, ir)| b.stubs(name, ir)).collect()
 }
 
-/// The compiled stubs of spec `name`. Call it only once [`available`]
-/// has returned true.
-fn named(lang: Lang, name: &str) -> &'static Stubs {
-    let found = harnesses(lang).iter().find(|h| h.name == name);
-    found.unwrap_or_else(|| panic!("{name}: not in the compiled-{lang} spec library"))
+/// `b`'s compiled stubs of library spec `name`. Call it only once
+/// [`Backend::available`] has returned true.
+fn named(b: Backend, name: &str) -> Stubs {
+    let found = lowered().0.iter().find(|(n, _)| n == name);
+    let (name, ir) = found.unwrap_or_else(|| panic!("{name}: not in the spec library"));
+    b.stubs(name, ir)
 }
 
-/// The compiled stubs of probe spec `name` (`devil_fuzz::synthetic::PROBES`).
-fn probe(lang: Lang, name: &str) -> Stubs {
-    let probes = devil_fuzz::probe_library();
-    let (_, ir) = probes.iter().find(|(n, _)| n == name).expect("a probe spec");
-    lang.stubs(name, ir)
+/// `b`'s compiled stubs of probe spec `name`.
+fn probe(b: Backend, name: &str) -> Stubs {
+    let (name, ir) = lowered().1.iter().find(|(n, _)| n == name).expect("a probe spec");
+    b.stubs(name, ir)
 }
 
 /// The compiled stubs against the plan executor, over the ops the
@@ -174,7 +152,7 @@ fn diff(h: &Stubs, ops: &[Op]) -> Result<Outcome, Mismatch> {
 
 fn assert_agrees(h: &Stubs, ops: &[Op]) {
     if let Err(e) = diff(h, ops) {
-        panic!("{} ({}): {e}", h.name, h.rig.name());
+        panic!("{h}: {e}");
     }
 }
 
@@ -192,49 +170,63 @@ fn probe_ops(ir: &DeviceIr) -> Vec<Op> {
         .collect()
 }
 
+/// The linked-in set is the spec library plus the probes, so a spec
+/// added to either without its stubs fails here instead of going
+/// unchecked.
+pub fn every_library_spec_and_probe_is_compiled_in(b: Backend) {
+    if !b.available() {
+        return;
+    }
+    let (library, probes) = lowered();
+    let mut want: Vec<&str> = library.iter().chain(probes).map(|(name, _)| &name[..]).collect();
+    let mut got: Vec<&str> = b.table.iter().map(|&(name, _)| name).collect();
+    want.sort_unstable();
+    got.sort_unstable();
+    assert_eq!(got, want, "{}: the specs with compiled stubs", b.lang);
+}
+
 /// Every spec's stub surface is non-trivial: the oracle is replaying
 /// real work, not an empty filtered stream. Every module compiled, or
 /// the harness constructor would have panicked.
-pub fn stub_surface_covers_the_spec_library(lang: Lang) {
-    if !available(lang) {
+pub fn stub_surface_covers_the_spec_library(b: Backend) {
+    if !b.available() {
         return;
     }
-    for h in harnesses(lang) {
+    for h in &harnesses(b) {
         assert!(
             h.ir.vars.iter().any(|v| v.read_plan.is_some() || v.write_plan.is_some()),
-            "{}: no variable stubs emitted",
-            h.name
+            "{h}: no variable stubs emitted"
         );
-        let ops = sweep_ops(&h.ir);
-        let kept = ops.iter().filter(|op| stub_expresses(&h.ir, op)).count();
+        let ops = sweep_ops(h.ir);
+        let kept = ops.iter().filter(|op| stub_expresses(h.ir, op)).count();
         // Shipped specs keep the wide-coverage floor; the synthetic
         // fallback shapes are deliberately tiny.
-        let floor = if synthetic(&h.name) { 0 } else { 4 };
-        assert!(kept > floor, "{}: sweep filtered down to {kept} ops", h.name);
+        let floor = if synthetic(h.name) { 0 } else { 4 };
+        assert!(kept > floor, "{h}: sweep filtered down to {kept} ops");
     }
     // The guard-split flagship: pic8259's conditional init flush is a
     // compiled stub, exercised through every guard combination.
-    let pic = named(lang, "pic8259");
+    let pic = &named(b, "pic8259");
     let init = pic.ir.struct_id("init").unwrap();
     let ws = Op::WriteStruct { sid: init, values: vec![] };
-    assert!(pic.ir.strct(init).write_plan.is_some(), "pic init flush must be compiled");
+    assert!(pic.ir.strct(init).write_plan.is_some(), "{pic}: init flush must be compiled");
     let values = pic.ir.strct(init).fields.iter().map(|&f| (f, 0)).collect();
-    assert!(!stub_expresses(&pic.ir, &ws), "a flush needs every field staged");
-    assert!(stub_expresses(&pic.ir, &Op::WriteStruct { sid: init, values }));
+    assert!(!stub_expresses(pic.ir, &ws), "{pic}: a flush needs every field staged");
+    assert!(stub_expresses(pic.ir, &Op::WriteStruct { sid: init, values }), "{pic}");
 }
 
 /// The deterministic coverage sweep, compiled stubs vs the plans.
-pub fn coverage_sweep_matches(lang: Lang) {
-    for h in harnesses(lang) {
-        assert_agrees(h, &sweep_ops(&h.ir));
+pub fn coverage_sweep_matches(b: Backend) {
+    for h in &harnesses(b) {
+        assert_agrees(h, &sweep_ops(h.ir));
     }
 }
 
 /// The guard-domain init sweep: every structure flushed across its
 /// whole guard cross product, compiled stubs vs the plans.
-pub fn init_sequence_sweep_matches(lang: Lang) {
-    for h in harnesses(lang) {
-        assert_agrees(h, &init_sweep_ops(&h.ir));
+pub fn init_sequence_sweep_matches(b: Backend) {
+    for h in &harnesses(b) {
+        assert_agrees(h, &init_sweep_ops(h.ir));
     }
 }
 
@@ -242,10 +234,10 @@ pub fn init_sequence_sweep_matches(lang: Lang) {
 /// same device I/O as `read_id` on a never-touched cache, then serve
 /// later reads without I/O — validity tracking, not zero-initialization,
 /// decides. Family variables read their first instance.
-pub fn cold_and_warm_reads_match(lang: Lang) {
-    for h in harnesses(lang) {
+pub fn cold_and_warm_reads_match(b: Backend) {
+    for h in &harnesses(b) {
         let mut ops: Vec<Op> = Vec::new();
-        for op in probe_ops(&h.ir) {
+        for op in probe_ops(h.ir) {
             ops.push(op.clone());
             ops.push(op);
         }
@@ -257,12 +249,12 @@ pub fn cold_and_warm_reads_match(lang: Lang) {
 /// cached getters must agree between compiled stubs and the plans.
 /// Regression for the lowering bug where such fields carried an empty
 /// slot-assemble list and the cached getter returned 0.
-pub fn private_struct_fields_agree(lang: Lang) {
-    if !available(lang) {
+pub fn private_struct_fields_agree(b: Backend) {
+    if !b.available() {
         return;
     }
-    let h = probe(lang, "privfield");
-    let ir = &h.ir;
+    let h = probe(b, "privfield");
+    let ir = h.ir;
     let pm = ir.var_id("pm").unwrap();
     let fa = ir.var_id("fa").unwrap();
     let sid = ir.struct_id("s").unwrap();
@@ -280,12 +272,12 @@ pub fn private_struct_fields_agree(lang: Lang) {
 /// parameter and through one that passes both: the index helper, the
 /// constants folded into a slot and the per-argument domain checks
 /// (gaps included) must agree with the plans, instance by instance.
-pub fn multi_parameter_families_agree(lang: Lang) {
-    if !available(lang) {
+pub fn multi_parameter_families_agree(b: Backend) {
+    if !b.available() {
         return;
     }
-    let h = probe(lang, "fam2");
-    let ir = &h.ir;
+    let h = probe(b, "fam2");
+    let ir = h.ir;
     let (w, u) = (ir.var_id("w").unwrap(), ir.var_id("u").unwrap());
     let mut ops = vec![Op::Preset { port: 0, offset: 1, value: 0x77 }];
     for (i, j) in [(0, 2), (1, 3), (1, 7), (0, 7), (2, 3), (1, 4), (0, 8)] {
@@ -293,18 +285,18 @@ pub fn multi_parameter_families_agree(lang: Lang) {
         ops.push(Op::ReadVar { vid: u, args: vec![i, j] });
         ops.push(Op::ReadVar { vid: w, args: vec![j] });
     }
-    assert!(ops.iter().all(|op| stub_expresses(ir, op)), "family calls all have stubs");
+    assert!(ops.iter().all(|op| stub_expresses(ir, op)), "{h}: family calls all have stubs");
     assert_agrees(&h, &ops);
 }
 
 /// The formerly-fallback shapes all have stubs: input-sourced guards
 /// (selfw), cell-sourced guards (memw) and inlined nested conditionals
 /// (nestedc/nestede) replay guard-hammering streams through the oracle.
-pub fn formerly_fallback_shapes_join_the_oracle(lang: Lang) {
-    if !available(lang) {
+pub fn formerly_fallback_shapes_join_the_oracle(b: Backend) {
+    if !b.available() {
         return;
     }
-    let selfw = named(lang, "selfw");
+    let selfw = &named(b, "selfw");
     let w = selfw.ir.var_id("w").unwrap();
     let rest = selfw.ir.var_id("rest").unwrap();
     let ops = vec![
@@ -314,12 +306,15 @@ pub fn formerly_fallback_shapes_join_the_oracle(lang: Lang) {
         Op::WriteVar { vid: rest, args: vec![], value: 0x2a },
         Op::WriteVar { vid: w, args: vec![], value: 1 },
     ];
-    assert!(ops.iter().all(|op| stub_expresses(&selfw.ir, op)), "input-guarded writes emit");
+    assert!(
+        ops.iter().all(|op| stub_expresses(selfw.ir, op)),
+        "{selfw}: input-guarded writes emit"
+    );
     assert_agrees(selfw, &ops);
 
     // The cell-guarded write: both values of the tested cell select
     // their variant, and each variant's bus traffic must match.
-    let memw = named(lang, "memw");
+    let memw = &named(b, "memw");
     let (mw, m) = (memw.ir.var_id("w").unwrap(), memw.ir.var_id("m").unwrap());
     let mut ops = Vec::new();
     for (cell, value) in [(0, 3), (1, 2), (1, 1), (0, 0)] {
@@ -327,14 +322,14 @@ pub fn formerly_fallback_shapes_join_the_oracle(lang: Lang) {
         ops.push(Op::WriteVar { vid: mw, args: vec![], value });
         ops.push(Op::ReadVar { vid: m, args: vec![] });
     }
-    assert!(ops.iter().all(|op| stub_expresses(&memw.ir, op)), "cell-guarded writes emit");
+    assert!(ops.iter().all(|op| stub_expresses(memw.ir, op)), "{memw}: cell-guarded writes emit");
     assert_agrees(memw, &ops);
-    let stubs = lang.emit(&memw.ir, "memw");
-    let cell_guard = if let Lang::C = lang { "memw_cache.mem_m == " } else { "self.mem_m == " };
-    assert!(stubs.contains(cell_guard), "{lang}: {stubs}");
+    let stubs = b.emit(memw.ir, "memw");
+    let cell_guard = if b.lang == "C" { "memw_cache.mem_m == " } else { "self.mem_m == " };
+    assert!(stubs.contains(cell_guard), "{}: {stubs}", b.lang);
 
     for name in ["nestedc", "nestede"] {
-        let h = named(lang, name);
+        let h = &named(b, name);
         let payload = h.ir.var_id("payload").unwrap();
         let mut ops = vec![
             Op::Preset { port: 0, offset: 2, value: 0x99 },
@@ -349,7 +344,7 @@ pub fn formerly_fallback_shapes_join_the_oracle(lang: Lang) {
             ops.push(Op::WriteVar { vid: sel, args: vec![], value: 1 });
             ops.push(Op::ReadVar { vid: payload, args: vec![] });
         }
-        assert!(ops.iter().all(|op| stub_expresses(&h.ir, op)), "{name}: nested reads emit");
+        assert!(ops.iter().all(|op| stub_expresses(h.ir, op)), "{h}: nested reads emit");
         assert_agrees(h, &ops);
     }
 }
@@ -357,21 +352,21 @@ pub fn formerly_fallback_shapes_join_the_oracle(lang: Lang) {
 /// The fused stub surface is exactly what ships: every declared
 /// superplan — driver-declared and synthetic, memw's cell-guarded
 /// burst included — has a compiled body.
-pub fn fused_stub_surface_is_complete(lang: Lang) {
-    if !available(lang) {
+pub fn fused_stub_surface_is_complete(b: Backend) {
+    if !b.available() {
         return;
     }
-    let surface: Vec<(&str, usize, usize)> = harnesses(lang)
+    let surface: Vec<(&str, usize, usize)> = harnesses(b)
         .iter()
         .filter(|h| !h.ir.superplans().is_empty())
         .map(|h| {
-            let stubs = lang.emit(&h.ir, &h.name);
+            let stubs = b.emit(h.ir, h.name);
             let emitted =
                 h.ir.superplans()
                     .iter()
                     .filter(|sp| stubs.contains(&format!("sp_{}(", sp.name)))
                     .count();
-            (&h.name[..], h.ir.superplans().len(), emitted)
+            (h.name, h.ir.superplans().len(), emitted)
         })
         .collect();
     assert_eq!(
@@ -387,7 +382,8 @@ pub fn fused_stub_surface_is_complete(lang: Lang) {
             ("nestede", 1, 1),
             ("selfact", 1, 1),
         ],
-        "{lang}: fused stub surface drifted"
+        "{}: fused stub surface drifted",
+        b.lang
     );
 }
 
@@ -401,27 +397,27 @@ pub fn fused_stub_surface_is_complete(lang: Lang) {
 /// gap) then replay through the compiled stubs and the runtime, which
 /// must both reject them with the same `ArgOutOfRange` line and no bus
 /// traffic.
-pub fn every_dispatch_point_is_compiled(lang: Lang) {
-    if !available(lang) {
+pub fn every_dispatch_point_is_compiled(b: Backend) {
+    if !b.available() {
         return;
     }
     let mut points = 0;
-    for h in harnesses(lang) {
-        let mut streams = vec![sweep_ops(&h.ir), init_sweep_ops(&h.ir), super_sweep(&h.ir)];
+    for h in &harnesses(b) {
+        let mut streams = vec![sweep_ops(h.ir), init_sweep_ops(h.ir), super_sweep(h.ir)];
         // A corpus stream replays as it was drawn — its variable and
         // structure ops, then the fused decoding of the same words —
         // and through the compiled stubs too, since the fused variants
         // it reaches depend on the state the ops before them leave.
-        for words in corpus(&h.ir) {
-            let ops = stream_ops(&h.ir, &words);
+        for words in corpus(h.ir) {
+            let ops = stream_ops(h.ir, &words);
             assert_agrees(h, &ops);
             streams.push(ops);
         }
-        let mut cov = Coverage::new(&h.ir);
+        let mut cov = Coverage::new(h.ir);
         for ops in streams {
-            cov.merge(&hits(&h.ir, h.kept(&ops)));
+            cov.merge(&hits(h.ir, h.kept(&ops)));
         }
-        assert!(cov.complete(), "{} ({}): unreached {:?}", h.name, lang, cov.unreached(&h.ir));
+        assert!(cov.complete(), "{h}: unreached {:?}", cov.unreached(h.ir));
         points += h.ir.dispatch_points();
 
         let mut ops = Vec::new();
@@ -445,22 +441,22 @@ pub fn every_dispatch_point_is_compiled(lang: Lang) {
             continue;
         }
         // In-domain calls around them show the state was left alone.
-        ops.extend(probe_ops(&h.ir));
+        ops.extend(probe_ops(h.ir));
         assert_agrees(h, &ops);
-        let leaves = render(h, h.kept(&ops).into_iter()).expect("harness runs");
+        let leaves = render(h, h.kept(&ops).into_iter()).unwrap_or_else(|e| panic!("{h}: {e}"));
         let rejected = leaves.iter().filter(|l| l.contains("ERR ArgOutOfRange")).count();
-        assert!(rejected >= 4, "{} ({}): {rejected} rejections in {leaves:?}", h.name, lang);
+        assert!(rejected >= 4, "{h}: {rejected} rejections in {leaves:?}");
     }
-    assert_eq!(points, 166, "{lang}: the spec library's dispatch points");
+    assert_eq!(points, 166, "{}: the spec library's dispatch points", b.lang);
 }
 
 /// The deterministic superplan sweep, compiled fused bodies vs the
 /// fused plans: identical bus logs (one word at a time, so block
 /// bursts are compared cycle-for-cycle), outputs, read-block contents
 /// and final cache state.
-pub fn superplan_sweep_matches(lang: Lang) {
-    for h in harnesses(lang).iter().filter(|h| !h.ir.superplans().is_empty()) {
-        assert_agrees(h, &super_sweep(&h.ir));
+pub fn superplan_sweep_matches(b: Backend) {
+    for h in harnesses(b).iter().filter(|h| !h.ir.superplans().is_empty()) {
+        assert_agrees(h, &super_sweep(h.ir));
     }
 }
 
@@ -468,21 +464,21 @@ pub fn superplan_sweep_matches(lang: Lang) {
 /// the agreed root does not depend on which rig the compare names
 /// first, and it folds exactly one leaf per op the stubs express, then
 /// the final cache leaf — as many leaves as the stubs' transcript has.
-pub fn root_compare_matches_on_sweeps(lang: Lang) {
-    for h in harnesses(lang) {
-        let mut streams = vec![sweep_ops(&h.ir)];
+pub fn root_compare_matches_on_sweeps(b: Backend) {
+    for h in &harnesses(b) {
+        let mut streams = vec![sweep_ops(h.ir)];
         if !h.ir.superplans().is_empty() {
-            streams.push(super_sweep(&h.ir));
+            streams.push(super_sweep(h.ir));
         }
         for ops in &streams {
             let kept = h.kept(ops);
-            let fwd = diff(h, ops).unwrap_or_else(|e| panic!("{} ({}): {e}", h.name, lang));
+            let fwd = diff(h, ops).unwrap_or_else(|e| panic!("{h}: {e}"));
             let back = compare(h, &h.plans(), || kept.iter().cloned())
-                .unwrap_or_else(|e| panic!("{} ({}): {e}", h.name, lang));
-            assert_eq!(fwd.root, back.root, "{} ({}): root depends on rig order", h.name, lang);
-            assert_eq!(fwd.leaves, kept.len() as u64 + 1, "{} ({})", h.name, lang);
-            let leaves = render(h, kept.iter().cloned()).expect("harness runs");
-            assert_eq!(fwd.leaves, leaves.len() as u64, "{} ({})", h.name, lang);
+                .unwrap_or_else(|e| panic!("{h}: {e}"));
+            assert_eq!(fwd.root, back.root, "{h}: root depends on rig order");
+            assert_eq!(fwd.leaves, kept.len() as u64 + 1, "{h}");
+            let leaves = render(h, kept.iter().cloned()).unwrap_or_else(|e| panic!("{h}: {e}"));
+            assert_eq!(fwd.leaves, leaves.len() as u64, "{h}");
         }
     }
 }
@@ -490,11 +486,11 @@ pub fn root_compare_matches_on_sweeps(lang: Lang) {
 /// Sensitivity of the oracle on the input guard source: dropping one
 /// input-guarded write from the compiled side must surface as a
 /// divergence.
-pub fn oracle_detects_divergence_on_input_guarded_stubs(lang: Lang) {
-    if !available(lang) {
+pub fn oracle_detects_divergence_on_input_guarded_stubs(b: Backend) {
+    if !b.available() {
         return;
     }
-    let h = named(lang, "selfw");
+    let h = &named(b, "selfw");
     let w = h.ir.var_id("w").unwrap();
     let rest = h.ir.var_id("rest").unwrap();
     let ops = [
@@ -503,30 +499,32 @@ pub fn oracle_detects_divergence_on_input_guarded_stubs(lang: Lang) {
     ];
     // Skew: the compiled side misses the guarded w write.
     let skewed = Skewed::new(h, |i, op| (i != 0).then_some(op));
-    let m = compare(&h.plans(), &skewed, || ops.iter().cloned())
-        .expect_err("the oracle must notice the missing guarded write");
-    assert!(m.divergence.is_some(), "{}: both rigs must replay: {m}", lang);
+    let Err(m) = compare(&h.plans(), &skewed, || ops.iter().cloned()) else {
+        panic!("{h}: the oracle must notice the missing guarded write");
+    };
+    assert!(m.divergence.is_some(), "{h}: both rigs must replay: {m}");
 }
 
 /// The oracle is sensitive on either side: replaying the sweep with the
 /// device presets removed — on the compiled side, or on the plans' —
 /// must surface as a divergence of the observations, not a failed rig.
 /// Guards against a comparator that vacuously passes.
-pub fn oracle_detects_injected_divergence(lang: Lang) {
-    if !available(lang) {
+pub fn oracle_detects_injected_divergence(b: Backend) {
+    if !b.available() {
         return;
     }
-    let h = named(lang, "busmouse");
-    let ops = h.kept(&sweep_ops(&h.ir));
-    assert!(ops.iter().any(|o| matches!(o, Op::Preset { .. })), "sweep must preset");
+    let h = &named(b, "busmouse");
+    let ops = h.kept(&sweep_ops(h.ir));
+    assert!(ops.iter().any(|o| matches!(o, Op::Preset { .. })), "{h}: sweep must preset");
     let no_presets = |_: u64, op: Op| (!matches!(op, Op::Preset { .. })).then_some(op);
     let plans = h.plans();
     let (stubs_skewed, plans_skewed) =
         (Skewed::new(h, no_presets), Skewed::new(&plans, no_presets));
     let sides: [(&dyn Rig, &dyn Rig); 2] = [(&plans, &stubs_skewed), (&plans_skewed, h)];
     for (a, b) in sides {
-        let m = compare(a, b, || ops.iter().cloned())
-            .expect_err("a stream without its presets must diverge");
+        let Err(m) = compare(a, b, || ops.iter().cloned()) else {
+            panic!("{} vs {}: a stream without its presets must diverge", a.name(), b.name());
+        };
         assert!(m.divergence.is_some(), "{} vs {}: both rigs must replay: {m}", a.name(), b.name());
     }
 }
@@ -534,39 +532,41 @@ pub fn oracle_detects_injected_divergence(lang: Lang) {
 /// The oracle's bisection is exact: feed the compiled side the sweep
 /// with the device presets removed, and the compare must fail naming
 /// exactly the line a linear scan of the two transcripts names first.
-pub fn root_compare_bisects_injected_divergence(lang: Lang) {
-    if !available(lang) {
+pub fn root_compare_bisects_injected_divergence(b: Backend) {
+    if !b.available() {
         return;
     }
-    let h = named(lang, "busmouse");
-    let ops = h.kept(&sweep_ops(&h.ir));
-    assert!(ops.iter().any(|o| matches!(o, Op::Preset { .. })), "sweep must preset");
+    let h = &named(b, "busmouse");
+    let ops = h.kept(&sweep_ops(h.ir));
+    assert!(ops.iter().any(|o| matches!(o, Op::Preset { .. })), "{h}: sweep must preset");
     let skewed = Skewed::new(h, |_, op| (!matches!(op, Op::Preset { .. })).then_some(op));
-    let want = render(&h.plans(), ops.iter().cloned()).expect("plans replay");
-    let got = render(&skewed, ops.iter().cloned()).expect("harness runs");
+    let want =
+        render(&h.plans(), ops.iter().cloned()).unwrap_or_else(|e| panic!("{h}: plans: {e}"));
+    let got = render(&skewed, ops.iter().cloned()).unwrap_or_else(|e| panic!("{h}: {e}"));
     let linear_first = want
         .iter()
         .zip(&got)
         .position(|(w, g)| w != g)
         .unwrap_or_else(|| want.len().min(got.len())) as u64;
-    let m = compare(&h.plans(), &skewed, || ops.iter().cloned())
-        .expect_err("skewed stream must fail root compare");
+    let Err(m) = compare(&h.plans(), &skewed, || ops.iter().cloned()) else {
+        panic!("{h}: skewed stream must fail root compare");
+    };
     let leaf = m.divergence.map(|d| d.leaf);
-    assert_eq!(leaf, Some(linear_first), "{}: {m}", lang);
+    assert_eq!(leaf, Some(linear_first), "{h}: {m}");
 }
 
 /// Coverage corpus replay: every corpus stream (drawn to saturate the
 /// plans' dispatch coverage) also replays through the compiled stubs
 /// and fused bodies.
-pub fn corpus_streams_match(lang: Lang) {
-    for h in harnesses(lang) {
-        for (i, words) in corpus(&h.ir).iter().enumerate() {
-            if let Err(e) = diff(h, &decode(&h.ir, words)) {
-                panic!("{} ({}): corpus stream {i}: {e}", h.name, lang);
+pub fn corpus_streams_match(b: Backend) {
+    for h in &harnesses(b) {
+        for (i, words) in corpus(h.ir).iter().enumerate() {
+            if let Err(e) = diff(h, &decode(h.ir, words)) {
+                panic!("{h}: corpus stream {i}: {e}");
             }
             if !h.ir.superplans().is_empty() {
-                if let Err(e) = diff(h, &decode_super(&h.ir, words)) {
-                    panic!("{} ({}): corpus stream {i} (fused): {e}", h.name, lang);
+                if let Err(e) = diff(h, &decode_super(h.ir, words)) {
+                    panic!("{h}: corpus stream {i} (fused): {e}");
                 }
             }
         }
@@ -575,10 +575,10 @@ pub fn corpus_streams_match(lang: Lang) {
 
 /// Random op streams over every spec: the compiled stubs and the plans
 /// must be observationally identical.
-pub fn random_streams_agree(lang: Lang, words: &[u64]) -> Result<(), TestCaseError> {
-    for h in harnesses(lang) {
-        let r = diff(h, &decode(&h.ir, words));
-        prop_assert!(r.is_ok(), "{} ({}): {}", h.name, lang, r.err().unwrap());
+pub fn random_streams_agree(b: Backend, words: &[u64]) -> Result<(), TestCaseError> {
+    for h in &harnesses(b) {
+        let r = diff(h, &decode(h.ir, words));
+        prop_assert!(r.is_ok(), "{h}: {}", r.err().unwrap());
     }
     Ok(())
 }
@@ -586,10 +586,10 @@ pub fn random_streams_agree(lang: Lang, words: &[u64]) -> Result<(), TestCaseErr
 /// Random interleavings of op preludes and superplan calls: the
 /// compiled fused bodies and the fused plans must be observationally
 /// identical.
-pub fn random_superplan_streams_agree(lang: Lang, words: &[u64]) -> Result<(), TestCaseError> {
-    for h in harnesses(lang).iter().filter(|h| !h.ir.superplans().is_empty()) {
-        let r = diff(h, &decode_super(&h.ir, words));
-        prop_assert!(r.is_ok(), "{} ({}): {}", h.name, lang, r.err().unwrap());
+pub fn random_superplan_streams_agree(b: Backend, words: &[u64]) -> Result<(), TestCaseError> {
+    for h in harnesses(b).iter().filter(|h| !h.ir.superplans().is_empty()) {
+        let r = diff(h, &decode_super(h.ir, words));
+        prop_assert!(r.is_ok(), "{h}: {}", r.err().unwrap());
     }
     Ok(())
 }

@@ -380,15 +380,4 @@ proptest! {
             panic!("{name}: fused and unfused superplan paths diverge\n{e}");
         }
     }
-
-    /// A second, independent draw of shorter random superplan streams.
-    #[test]
-    fn rooted_random_superplan_streams_agree(words in collection::vec(any::<u64>(), 2..24)) {
-        let specs = irs();
-        let (name, ir) = &specs[(words[0] % specs.len() as u64) as usize];
-        let seq = decode_super(ir, &words[1..]);
-        if let Err(e) = compare_runtimes(ir, false, &seq) {
-            panic!("{name}: fused and unfused superplan paths diverge\n{e}");
-        }
-    }
 }

@@ -234,6 +234,28 @@ impl<'s, 'd> Parser<'s, 'd> {
         }
     }
 
+    /// Moves past the `}` that closes the block opened at token `open`
+    /// (or to the end of input), whatever the cursor has consumed of it.
+    fn skip_block(&mut self, open: usize) {
+        if self.tokens[open].kind != T::LBrace {
+            return;
+        }
+        self.pos = open;
+        let mut depth = 0u32;
+        loop {
+            match self.peek() {
+                T::Eof => return,
+                T::LBrace => depth += 1,
+                T::RBrace => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+            self.bump();
+            if depth == 0 {
+                return;
+            }
+        }
+    }
+
     // ---- grammar ----
 
     /// `device NAME ( params ) { decls }`
@@ -765,13 +787,21 @@ impl<'s, 'd> Parser<'s, 'd> {
         Some(StructureDecl { name, fields, serialized, span })
     }
 
-    /// `{ icw1; icw2; if (sngl == SINGLE) icw3; }`
+    /// `{ icw1; icw2; if (sngl == SINGLE) icw3; }`. After an error in
+    /// an item, parsing resumes after the block's closing `}`, so the
+    /// items left in it do not each report an error of their own.
     fn ser_block(&mut self) -> Option<SerBlock<'s>> {
-        let start = self.peek_span();
+        let (start, open) = (self.peek_span(), self.pos);
         self.expect(&T::LBrace, "`{`");
         let mut items = Vec::new();
         while !self.at(&T::RBrace) && !self.at_eof() {
-            items.push(self.ser_item()?);
+            match self.ser_item() {
+                Some(item) => items.push(item),
+                None => {
+                    self.skip_block(open);
+                    return None;
+                }
+            }
         }
         self.expect(&T::RBrace, "`}`");
         let span = start.to(self.prev_span());
@@ -1560,5 +1590,49 @@ device logitech_busmouse (base : bit[8] port @ {0..3})
             panic!("wrong attr: {:?}", trig.attrs)
         };
         assert!(matches!(value, ConstValue::Bits(b, _) if b == "1"), "{value:?}");
+    }
+
+    /// An error inside a serialization block ends the structure: parsing
+    /// resumes after the block, so the 8259A's init sequence with one
+    /// malformed guard reports that one error, not a cascade over the
+    /// items and declarations after it. The declaration after the
+    /// structure still parses.
+    #[test]
+    fn serialization_block_error_is_reported_once() {
+        let src = "device pic (base : bit[8] port @ {0..1}) {
+            register icw1 = write base @ 0, mask '0001****' : bit[8];
+            register icw2 = write base @ 1 : bit[8];
+            register icw3 = write base @ 1 : bit[8];
+            register icw4 = write base @ 1 : bit[8];
+            register ocw1 = write base @ 1 : bit[8];
+            structure init = {
+              variable ic4 = icw1[0] : { YES => '1', NO => '0' };
+              variable sngl = icw1[1] : { SINGLE => '1', CASCADED => '0' };
+              variable vector_base = icw2 : int(8);
+              variable cascade_map = icw3 : int(8);
+              variable mode = icw4 : int(8);
+              variable irq_mask = ocw1 : int(8);
+            } serialized as {
+              icw1;
+              icw2;
+              if (sngl == ) icw3;
+              if (ic4 == YES) icw4;
+              { ocw1; }
+            };
+            register after = base @ 0 : bit[8];
+        }";
+        let (dev, diags) = parse(src);
+        let messages: Vec<&str> = diags.all().iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(messages, ["expected constant value, found `)`"]);
+        let names: Vec<&str> = dev
+            .expect("recovery still yields the device")
+            .decls
+            .iter()
+            .filter_map(|d| match d {
+                Decl::Register(r) => Some(r.name.name),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(names, ["icw1", "icw2", "icw3", "icw4", "ocw1", "after"]);
     }
 }

@@ -58,7 +58,7 @@ mod tests {
 
     #[test]
     fn length_bounds_respected() {
-        let mut rng = TestRng::for_case(5);
+        let mut rng = TestRng::for_case("", 5);
         let s = vec(Just(7u8), 1..6);
         for _ in 0..200 {
             let v = s.generate(&mut rng);
@@ -69,7 +69,7 @@ mod tests {
 
     #[test]
     fn exact_length() {
-        let mut rng = TestRng::for_case(6);
+        let mut rng = TestRng::for_case("", 6);
         let s = vec(Just('x'), 8usize);
         assert_eq!(s.generate(&mut rng).len(), 8);
     }

@@ -12,7 +12,8 @@
 //! * [`test_runner::Config`] (`ProptestConfig`) with `with_cases`.
 //!
 //! Differences from real proptest: generation is driven by a fixed-seed
-//! xorshift RNG (cases are deterministic across runs), there is **no
+//! xorshift RNG keyed by the property's path and the case number (cases
+//! are deterministic across runs and differ between properties), there is **no
 //! shrinking** (a failing case reports its inputs via the assert
 //! message only), and the regex subset covers character classes,
 //! ranges, escapes, `\PC`, and the `*`/`+`/`?`/`{n}`/`{n,m}`
@@ -65,16 +66,20 @@ macro_rules! __proptest_inner {
                     }
                     return;
                 }
+                // Each property draws its own inputs: its path keys the
+                // seeds, so two properties of one shape never replay
+                // each other's cases.
+                let property = concat!(module_path!(), "::", stringify!($name));
                 for case in 0..cfg.effective_cases() {
-                    let mut rng = $crate::test_runner::TestRng::for_case(case);
+                    let seed = $crate::test_runner::TestRng::seed_for_case(property, case);
+                    let mut rng = $crate::test_runner::TestRng::from_seed(seed);
                     $( let $arg = $crate::strategy::Strategy::generate(&($strat), &mut rng); )+
                     let result: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
                         (|| { $body Ok(()) })();
                     if let Err(e) = result {
                         panic!(
                             "proptest case {case} failed: {e}\n\
-                             replay with: PROPTEST_SEED={} cargo test {}",
-                            $crate::test_runner::TestRng::seed_for_case(case),
+                             replay with: PROPTEST_SEED={seed} cargo test {}",
                             stringify!($name),
                         );
                     }

@@ -179,7 +179,7 @@ mod tests {
     use super::*;
 
     fn rng() -> TestRng {
-        TestRng::for_case(42)
+        TestRng::for_case("", 42)
     }
 
     #[test]

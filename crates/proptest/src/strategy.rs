@@ -190,7 +190,7 @@ mod tests {
 
     #[test]
     fn ranges_stay_in_bounds() {
-        let mut rng = TestRng::for_case(1);
+        let mut rng = TestRng::for_case("", 1);
         for _ in 0..500 {
             let v = (3u64..17).generate(&mut rng);
             assert!((3..17).contains(&v));
@@ -201,14 +201,14 @@ mod tests {
 
     #[test]
     fn map_and_just_compose() {
-        let mut rng = TestRng::for_case(2);
+        let mut rng = TestRng::for_case("", 2);
         let s = Just(21u64).prop_map(|v| v * 2);
         assert_eq!(s.generate(&mut rng), 42);
     }
 
     #[test]
     fn union_picks_every_option_eventually() {
-        let mut rng = TestRng::for_case(3);
+        let mut rng = TestRng::for_case("", 3);
         let u = crate::prop_oneof![Just('a'), Just('b'), Just('c')];
         let mut seen = std::collections::HashSet::new();
         for _ in 0..100 {
@@ -219,7 +219,7 @@ mod tests {
 
     #[test]
     fn tuples_generate_componentwise() {
-        let mut rng = TestRng::for_case(4);
+        let mut rng = TestRng::for_case("", 4);
         let (a, b) = (0u32..4, any::<bool>()).generate(&mut rng);
         assert!(a < 4);
         let _: bool = b;

@@ -54,7 +54,8 @@ impl fmt::Display for TestCaseError {
 }
 
 /// A small, fast, deterministic RNG (xorshift64*). Seeding is a pure
-/// function of the case index, so failures reproduce across runs.
+/// function of the property's path and the case index, so failures
+/// reproduce across runs.
 pub struct TestRng {
     state: u64,
 }
@@ -64,7 +65,8 @@ const SEED_MUL: u64 = 0xBF58_476D_1CE4_E5B9;
 
 impl TestRng {
     /// The RNG for an explicit seed (the replay path): `from_seed(
-    /// seed_for_case(n))` generates exactly case `n`'s inputs.
+    /// seed_for_case(p, n))` generates exactly the inputs of case `n`
+    /// of property `p`.
     pub fn from_seed(seed: u64) -> Self {
         // SplitMix64 scramble keeps neighbouring seeds decorrelated.
         let mut z = seed;
@@ -73,15 +75,21 @@ impl TestRng {
         TestRng { state: (z ^ (z >> 31)) | 1 }
     }
 
-    /// The replayable seed of case number `case` — printed on failure
-    /// so `PROPTEST_SEED=<seed>` reproduces the exact inputs.
-    pub fn seed_for_case(case: u32) -> u64 {
-        SEED_BASE.wrapping_add(u64::from(case).wrapping_mul(SEED_MUL))
+    /// The replayable seed of case number `case` of the property at
+    /// path `property` (its `module_path!()` and name) — printed on
+    /// failure so `PROPTEST_SEED=<seed>` reproduces the exact inputs.
+    /// An FNV-1a hash of the path offsets the seeds, so properties with
+    /// the same strategies draw different inputs.
+    pub fn seed_for_case(property: &str, case: u32) -> u64 {
+        let path = property.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+        SEED_BASE.wrapping_add(path).wrapping_add(u64::from(case).wrapping_mul(SEED_MUL))
     }
 
-    /// The RNG for case number `case`.
-    pub fn for_case(case: u32) -> Self {
-        Self::from_seed(Self::seed_for_case(case))
+    /// The RNG for case number `case` of the property at `property`.
+    pub fn for_case(property: &str, case: u32) -> Self {
+        Self::from_seed(Self::seed_for_case(property, case))
     }
 
     /// Next raw 64-bit value.
@@ -121,16 +129,16 @@ mod tests {
     #[test]
     fn rng_is_deterministic_per_case() {
         let a: Vec<u64> = {
-            let mut r = TestRng::for_case(7);
+            let mut r = TestRng::for_case("p", 7);
             (0..4).map(|_| r.next_u64()).collect()
         };
         let b: Vec<u64> = {
-            let mut r = TestRng::for_case(7);
+            let mut r = TestRng::for_case("p", 7);
             (0..4).map(|_| r.next_u64()).collect()
         };
         assert_eq!(a, b);
         let c: Vec<u64> = {
-            let mut r = TestRng::for_case(8);
+            let mut r = TestRng::for_case("p", 8);
             (0..4).map(|_| r.next_u64()).collect()
         };
         assert_ne!(a, c);
@@ -138,7 +146,7 @@ mod tests {
 
     #[test]
     fn full_domain_range_does_not_overflow() {
-        let mut r = TestRng::for_case(9);
+        let mut r = TestRng::for_case("p", 9);
         // Spans covering the whole u64 domain must not panic.
         let _ = r.range_inclusive(0, u64::MAX);
         let _ = r.range_inclusive(1, u64::MAX);
@@ -149,9 +157,9 @@ mod tests {
         // The seed printed for a failing case regenerates that case's
         // RNG stream bit-for-bit.
         for case in [0u32, 1, 7, 255] {
-            let seed = TestRng::seed_for_case(case);
+            let seed = TestRng::seed_for_case("m::p", case);
             let a: Vec<u64> = {
-                let mut r = TestRng::for_case(case);
+                let mut r = TestRng::for_case("m::p", case);
                 (0..8).map(|_| r.next_u64()).collect()
             };
             let b: Vec<u64> = {
@@ -159,6 +167,15 @@ mod tests {
                 (0..8).map(|_| r.next_u64()).collect()
             };
             assert_eq!(a, b, "case {case}");
+        }
+    }
+
+    #[test]
+    fn properties_draw_different_cases() {
+        for case in [0u32, 1, 255] {
+            let seed = |property| TestRng::seed_for_case(property, case);
+            assert_ne!(seed("m::a"), seed("m::b"), "case {case}");
+            assert_ne!(seed("m::a"), seed("n::a"), "case {case}");
         }
     }
 
@@ -174,7 +191,7 @@ mod tests {
 
     #[test]
     fn bounds_respected() {
-        let mut r = TestRng::for_case(0);
+        let mut r = TestRng::for_case("p", 0);
         for _ in 0..1000 {
             let v = r.range_inclusive(3, 9);
             assert!((3..=9).contains(&v));

@@ -3,12 +3,12 @@
 //! 8 shipped specs plus the 5 synthetic ones), each with its declared
 //! superplans installed, so fused stub bodies are pinned too, and of
 //! the two compiled-oracle probes (`devil_fuzz::probe_library()`).
-//! Beside each Rust module, `glue/<name>.rs` pins the id-keyed surface
-//! glue (`devil_fuzz::compiled::rust_glue`) through which the Rust
-//! oracle (`compiled_rust_diff`) drives the module compiled in; this
-//! test only reads and writes text, so it regenerates a golden that no
-//! longer compiles. After an intentional emitter change, regenerate
-//! with:
+//! Beside them, `glue/<name>.rs` and `glue/<name>.c` pin the id-keyed
+//! surface glue (`devil_fuzz::compiled::rust_glue` and `c_glue`)
+//! through which the compiled oracles (`compiled_rust_diff`,
+//! `compiled_diff`) drive the Rust module and the C header linked in; this test only reads and writes
+//! text, so it regenerates a golden that no longer compiles. After an
+//! intentional emitter change, regenerate with:
 //!
 //! ```text
 //! UPDATE_GOLDENS=1 cargo test --test emit_goldens
@@ -42,6 +42,8 @@ fn every_spec_emits_its_golden_c_and_rust() {
         drift.extend(check_golden(&format!("{name}.rs"), &devil_codegen::emit_rust(ir)));
         let glue = devil_fuzz::compiled::rust_glue(ir, name);
         drift.extend(check_golden(&format!("glue/{name}.rs"), &glue));
+        let glue = devil_fuzz::compiled::c_glue(ir, name);
+        drift.extend(check_golden(&format!("glue/{name}.c"), &glue));
     }
     assert!(
         drift.is_empty(),

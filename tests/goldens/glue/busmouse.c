@@ -1,0 +1,159 @@
+/* Surface glue for the emitted `busmouse` header. Generated by devil-fuzz; do not edit. */
+extern unsigned long long devil_bus(void *dev, int write, unsigned width,
+                                    unsigned long long addr, unsigned long long value);
+static void *bus;
+
+#define DEVIL_NO_SYS_IO 1
+#define inb(a) devil_bus(bus, 0, 8, (a), 0)
+#define inw(a) devil_bus(bus, 0, 16, (a), 0)
+#define inl(a) devil_bus(bus, 0, 32, (a), 0)
+#define outb(v, a) ((void)devil_bus(bus, 1, 8, (a), (v)))
+#define outw(v, a) ((void)devil_bus(bus, 1, 16, (a), (v)))
+#define outl(v, a) ((void)devil_bus(bus, 1, 32, (a), (v)))
+#define devil_ins(w, a, b, n) do { unsigned long i_; \
+    for (i_ = 0; i_ < (unsigned long)(n); ++i_) (b)[i_] = devil_bus(bus, 0, (w), (a), 0); } while (0)
+#define devil_outs(w, a, b, n) do { unsigned long i_; \
+    for (i_ = 0; i_ < (unsigned long)(n); ++i_) (void)devil_bus(bus, 1, (w), (a), (b)[i_]); } while (0)
+#define devil_ins8(a, b, n) devil_ins(8, a, b, n)
+#define devil_ins16(a, b, n) devil_ins(16, a, b, n)
+#define devil_ins32(a, b, n) devil_ins(32, a, b, n)
+#define devil_outs8(a, b, n) devil_outs(8, a, b, n)
+#define devil_outs16(a, b, n) devil_outs(16, a, b, n)
+#define devil_outs32(a, b, n) devil_outs(32, a, b, n)
+
+#include "../busmouse.h"
+
+struct busmouse_cache_t busmouse_cache;
+
+struct devil_glue {
+    unsigned slots, cells;
+    const char *const *vars;
+    int (*read_var)(void *dev, unsigned id, const unsigned long long *a, unsigned long n, unsigned long long *v);
+    int (*write_var)(void *dev, unsigned id, const unsigned long long *a, unsigned long n, unsigned long long v);
+    int (*read_struct)(void *dev, unsigned id);
+    int (*get_field)(unsigned id, unsigned long long *v);
+    int (*set_field)(unsigned id, unsigned long long v);
+    int (*write_struct)(void *dev, unsigned id);
+    int (*superplan)(void *dev, unsigned id, const unsigned long long *a, unsigned long n, const unsigned long long *bo, unsigned long bon, unsigned long long *bi, unsigned long bin, unsigned long long *outs, unsigned long no);
+    void (*reset)(void);
+    void (*dump)(unsigned long long *slots, unsigned char *valid, unsigned long long *mem);
+};
+
+static int read_var(void *dev, unsigned id, const unsigned long long *a, unsigned long n, unsigned long long *v)
+{
+    bus = dev;
+    switch (id) {
+    case 0:
+        *v = busmouse_get_signature();
+        return 0;
+    case 4:
+        *v = busmouse_read_dx();
+        return 0;
+    case 5:
+        *v = busmouse_read_dy();
+        return 0;
+    case 6:
+        *v = busmouse_read_buttons();
+        return 0;
+    }
+    return -1;
+}
+
+static int write_var(void *dev, unsigned id, const unsigned long long *a, unsigned long n, unsigned long long v)
+{
+    bus = dev;
+    switch (id) {
+    case 0:
+        busmouse_set_signature(v);
+        return 0;
+    case 1:
+        busmouse_set_config(v);
+        return 0;
+    case 2:
+        busmouse_set_interrupt(v);
+        return 0;
+    case 3:
+        busmouse_set_index(v);
+        return 0;
+    }
+    return -1;
+}
+
+static int read_struct(void *dev, unsigned id)
+{
+    bus = dev;
+    switch (id) {
+    case 0:
+        busmouse_get_mouse_state();
+        return 0;
+    }
+    return -1;
+}
+
+static int get_field(unsigned id, unsigned long long *v)
+{
+    switch (id) {
+    case 4:
+        *v = busmouse_getf_dx();
+        return 0;
+    case 5:
+        *v = busmouse_getf_dy();
+        return 0;
+    case 6:
+        *v = busmouse_getf_buttons();
+        return 0;
+    }
+    return -1;
+}
+
+static int set_field(unsigned id, unsigned long long v)
+{
+    return -1;
+}
+
+static int write_struct(void *dev, unsigned id)
+{
+    bus = dev;
+    return -1;
+}
+
+static int superplan(void *dev, unsigned id, const unsigned long long *a, unsigned long n, const unsigned long long *bo, unsigned long bon, unsigned long long *bi, unsigned long bin, unsigned long long *outs, unsigned long no)
+{
+    bus = dev;
+    return -1;
+}
+
+static void reset(void)
+{
+    static const struct busmouse_cache_t cold;
+    busmouse_cache = cold;
+    for (unsigned long i = 0; i < 1; i++)
+        busmouse_cache.__dil_base__[i] = i << 40;
+}
+
+static void dump(unsigned long long *slots, unsigned char *valid, unsigned long long *mem)
+{
+    slots[0] = busmouse_cache.cache_sig_reg;
+    valid[0] = busmouse_cache.valid_sig_reg;
+    slots[1] = busmouse_cache.cache_cr;
+    valid[1] = busmouse_cache.valid_cr;
+    slots[2] = busmouse_cache.cache_interrupt_reg;
+    valid[2] = busmouse_cache.valid_interrupt_reg;
+    slots[3] = busmouse_cache.cache_index_reg;
+    valid[3] = busmouse_cache.valid_index_reg;
+    slots[4] = busmouse_cache.cache_x_low;
+    valid[4] = busmouse_cache.valid_x_low;
+    slots[5] = busmouse_cache.cache_x_high;
+    valid[5] = busmouse_cache.valid_x_high;
+    slots[6] = busmouse_cache.cache_y_low;
+    valid[6] = busmouse_cache.valid_y_low;
+    slots[7] = busmouse_cache.cache_y_high;
+    valid[7] = busmouse_cache.valid_y_high;
+}
+
+static const char *const vars[] = {"signature", "config", "interrupt", "index", "dx", "dy", "buttons"};
+
+const struct devil_glue busmouse_glue = {
+    8, 0, vars,
+    read_var, write_var, read_struct, get_field, set_field, write_struct, superplan, reset, dump,
+};

@@ -1,0 +1,136 @@
+/* Surface glue for the emitted `selfact` header. Generated by devil-fuzz; do not edit. */
+extern unsigned long long devil_bus(void *dev, int write, unsigned width,
+                                    unsigned long long addr, unsigned long long value);
+static void *bus;
+
+#define DEVIL_NO_SYS_IO 1
+#define inb(a) devil_bus(bus, 0, 8, (a), 0)
+#define inw(a) devil_bus(bus, 0, 16, (a), 0)
+#define inl(a) devil_bus(bus, 0, 32, (a), 0)
+#define outb(v, a) ((void)devil_bus(bus, 1, 8, (a), (v)))
+#define outw(v, a) ((void)devil_bus(bus, 1, 16, (a), (v)))
+#define outl(v, a) ((void)devil_bus(bus, 1, 32, (a), (v)))
+#define devil_ins(w, a, b, n) do { unsigned long i_; \
+    for (i_ = 0; i_ < (unsigned long)(n); ++i_) (b)[i_] = devil_bus(bus, 0, (w), (a), 0); } while (0)
+#define devil_outs(w, a, b, n) do { unsigned long i_; \
+    for (i_ = 0; i_ < (unsigned long)(n); ++i_) (void)devil_bus(bus, 1, (w), (a), (b)[i_]); } while (0)
+#define devil_ins8(a, b, n) devil_ins(8, a, b, n)
+#define devil_ins16(a, b, n) devil_ins(16, a, b, n)
+#define devil_ins32(a, b, n) devil_ins(32, a, b, n)
+#define devil_outs8(a, b, n) devil_outs(8, a, b, n)
+#define devil_outs16(a, b, n) devil_outs(16, a, b, n)
+#define devil_outs32(a, b, n) devil_outs(32, a, b, n)
+
+#include "../selfact.h"
+
+struct selfact_cache_t selfact_cache;
+
+struct devil_glue {
+    unsigned slots, cells;
+    const char *const *vars;
+    int (*read_var)(void *dev, unsigned id, const unsigned long long *a, unsigned long n, unsigned long long *v);
+    int (*write_var)(void *dev, unsigned id, const unsigned long long *a, unsigned long n, unsigned long long v);
+    int (*read_struct)(void *dev, unsigned id);
+    int (*get_field)(unsigned id, unsigned long long *v);
+    int (*set_field)(unsigned id, unsigned long long v);
+    int (*write_struct)(void *dev, unsigned id);
+    int (*superplan)(void *dev, unsigned id, const unsigned long long *a, unsigned long n, const unsigned long long *bo, unsigned long bon, unsigned long long *bi, unsigned long bin, unsigned long long *outs, unsigned long no);
+    void (*reset)(void);
+    void (*dump)(unsigned long long *slots, unsigned char *valid, unsigned long long *mem);
+};
+
+static int read_var(void *dev, unsigned id, const unsigned long long *a, unsigned long n, unsigned long long *v)
+{
+    bus = dev;
+    return -1;
+}
+
+static int write_var(void *dev, unsigned id, const unsigned long long *a, unsigned long n, unsigned long long v)
+{
+    bus = dev;
+    switch (id) {
+    case 0:
+        selfact_set_w(v);
+        return 0;
+    case 1:
+        selfact_set_rest(v);
+        return 0;
+    case 2:
+        selfact_set_v(v);
+        return 0;
+    }
+    return -1;
+}
+
+static int read_struct(void *dev, unsigned id)
+{
+    bus = dev;
+    return -1;
+}
+
+static int get_field(unsigned id, unsigned long long *v)
+{
+    return -1;
+}
+
+static int set_field(unsigned id, unsigned long long v)
+{
+    switch (id) {
+    case 0:
+        selfact_setf_w(v);
+        return 0;
+    case 1:
+        selfact_setf_rest(v);
+        return 0;
+    case 2:
+        selfact_setf_v(v);
+        return 0;
+    }
+    return -1;
+}
+
+static int write_struct(void *dev, unsigned id)
+{
+    bus = dev;
+    switch (id) {
+    case 0:
+        selfact_put_s();
+        return 0;
+    }
+    return -1;
+}
+
+static int superplan(void *dev, unsigned id, const unsigned long long *a, unsigned long n, const unsigned long long *bo, unsigned long bon, unsigned long long *bi, unsigned long bin, unsigned long long *outs, unsigned long no)
+{
+    bus = dev;
+    switch (id) {
+    case 0:
+        if (n != 1 || no != 0) break;
+        selfact_sp_burst(a[0]);
+        return 0;
+    }
+    return -1;
+}
+
+static void reset(void)
+{
+    static const struct selfact_cache_t cold;
+    selfact_cache = cold;
+    for (unsigned long i = 0; i < 1; i++)
+        selfact_cache.__dil_base__[i] = i << 40;
+}
+
+static void dump(unsigned long long *slots, unsigned char *valid, unsigned long long *mem)
+{
+    slots[0] = selfact_cache.cache_a;
+    valid[0] = selfact_cache.valid_a;
+    slots[1] = selfact_cache.cache_c;
+    valid[1] = selfact_cache.valid_c;
+}
+
+static const char *const vars[] = {"w", "rest", "v"};
+
+const struct devil_glue selfact_glue = {
+    2, 0, vars,
+    read_var, write_var, read_struct, get_field, set_field, write_struct, superplan, reset, dump,
+};
